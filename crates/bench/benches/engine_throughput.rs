@@ -4,7 +4,10 @@
 //! sizes 1, 8, and 64 against an R-MAT dataset, reporting both criterion
 //! timings and the runner-style summary table the other bench targets
 //! print. Batch 1 goes through the unbatched single-run path; larger
-//! sizes coalesce into multi-RHS runs.
+//! sizes coalesce into multi-RHS runs. The engine is pinned to a
+//! 16-rank deployment: per-run fixed cost — rank dispatch, per-message
+//! latency — is what batching amortises, and a one-rank binding has
+//! almost none.
 
 use amd_bench::{Table, BENCH_SEED};
 use amd_engine::{Engine, EngineConfig, MatrixId, MultiplyQuery};
@@ -69,6 +72,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
     let queries = stream(a.rows());
     let mut engine = Engine::new(EngineConfig {
         arrow_width: 64,
+        target_ranks: 16,
         ..EngineConfig::default()
     })
     .unwrap();

@@ -1,7 +1,7 @@
 //! K1–K8 — criterion microbenchmarks of the computational kernels.
 //!
 //! These cover the building blocks whose constants determine the end-to-
-//! end numbers: local SpMM (serial vs rayon), LA-Decompose construction,
+//! end numbers: local SpMM (serial vs pool-parallel), LA-Decompose construction,
 //! random spanning forests, the smallest-first layout, and the binomial
 //! broadcast of the comm substrate — plus the serving-path kernels: the
 //! fused active-prefix level multiply vs the naive three-pass reference,
@@ -16,7 +16,7 @@ use amd_comm::{Group, Machine};
 use amd_graph::generators::datasets::DatasetKind;
 use amd_graph::mst::random_spanning_forest;
 use amd_linarr::tree_layout::{root_tree, smallest_first_order};
-use amd_sparse::{ops, spmm, CooMatrix, CsrMatrix, DeltaBuilder, DenseMatrix};
+use amd_sparse::{ops, spmm, CooMatrix, CsrMatrix, DeltaBuilder, DenseMatrix, Dtype};
 use arrow_core::incremental::{decompose_snapshot_incremental, IncrementalPolicy};
 use arrow_core::{
     decompose_snapshot, la_decompose, ArrowDecomposition, DecomposeConfig, RandomForestLa,
@@ -36,8 +36,10 @@ fn bench_local_spmm(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("serial", k), &k, |bch, _| {
             bch.iter(|| spmm::spmm(&a, &x).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("rayon", k), &k, |bch, _| {
-            bch.iter(|| spmm::spmm_parallel(&a, &x).unwrap())
+        // The serving shape: one output buffer kept across multiplies.
+        let mut y = DenseMatrix::zeros(a.rows(), k);
+        group.bench_with_input(BenchmarkId::new("pool", k), &k, |bch, _| {
+            bch.iter(|| spmm::spmm_parallel(&a, &x, &mut y, Dtype::F64).unwrap())
         });
     }
     group.finish();

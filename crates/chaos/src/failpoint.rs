@@ -6,7 +6,12 @@
 //! compiled into release builds without moving the `obs_overhead`
 //! needle. Arming a [`FaultPlan`](crate::FaultPlan) installs per-site
 //! state behind a process-wide exclusive lock; dropping the returned
-//! [`FaultGuard`] disarms everything.
+//! [`FaultGuard`] disarms everything. Sites are process-wide, so code
+//! that must run fault-free next to code that injects faults (a test's
+//! healthy baseline, a post-crash reopen) has to hold the guard too:
+//! take it once for the whole body — an empty plan arms nothing — and
+//! switch plans in place with [`FaultGuard::rearm`] /
+//! [`FaultGuard::disarm`], never by dropping and re-taking it.
 //!
 //! Determinism: probabilistic triggers draw from a per-site ChaCha8
 //! stream seeded by `fnv(plan_seed, site_name)`, so a scenario replays
@@ -147,18 +152,29 @@ pub struct FaultGuard {
     _lock: MutexGuard<'static, ()>,
 }
 
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        ARMED.store(false, Ordering::SeqCst);
-        lock_table().clear();
+impl FaultGuard {
+    /// Replaces the armed faults with `faults` under `seed` (fresh hit
+    /// counts and streams) while keeping the exclusivity lock, so no
+    /// other thread's plan can slip in between two phases of one test.
+    pub fn rearm(&mut self, seed: u64, faults: &[Fault]) {
+        install(seed, faults);
+    }
+
+    /// Disarms every site but keeps the exclusivity lock: what follows
+    /// runs fault-free, and stays out of reach of anyone else's plan.
+    pub fn disarm(&mut self) {
+        install(0, &[]);
     }
 }
 
-/// Arms `faults` under `seed`, replacing any previous table. Blocks
-/// until no other plan is armed (the returned guard holds the
-/// exclusivity lock until dropped).
-pub fn arm(seed: u64, faults: &[Fault]) -> FaultGuard {
-    let lock = exclusive().lock().unwrap_or_else(|e| e.into_inner());
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
+        install(0, &[]);
+    }
+}
+
+/// Replaces the site table. Callers hold the exclusivity lock.
+fn install(seed: u64, faults: &[Fault]) {
     {
         let mut table = lock_table();
         table.clear();
@@ -176,6 +192,14 @@ pub fn arm(seed: u64, faults: &[Fault]) -> FaultGuard {
         }
     }
     ARMED.store(!faults.is_empty(), Ordering::SeqCst);
+}
+
+/// Arms `faults` under `seed`, replacing any previous table. Blocks
+/// until no other plan is armed (the returned guard holds the
+/// exclusivity lock until dropped).
+pub fn arm(seed: u64, faults: &[Fault]) -> FaultGuard {
+    let lock = exclusive().lock().unwrap_or_else(|e| e.into_inner());
+    install(seed, faults);
     FaultGuard { _lock: lock }
 }
 

@@ -48,6 +48,12 @@ impl FaultPlan {
         failpoint::arm(self.seed, &self.faults)
     }
 
+    /// Arms the plan in place of whatever `guard` had armed, without
+    /// giving up the process-wide exclusivity lock in between.
+    pub fn rearm(&self, guard: &mut FaultGuard) {
+        guard.rearm(self.seed, &self.faults);
+    }
+
     /// Kill one refresh worker: the first decompose job panics
     /// mid-flight. Supervision must respawn the worker and requeue the
     /// grant with the stream serving bit-exactly throughout.
@@ -123,6 +129,24 @@ mod tests {
         assert_eq!(plan.faults.len(), 2);
         assert!(!plan.is_empty());
         assert!(FaultPlan::new(0).is_empty());
+    }
+
+    #[test]
+    fn rearming_in_place_switches_plans_under_one_guard() {
+        let mut guard = FaultPlan::new(1).arm();
+        assert!(failpoint::check(failpoint::ENGINE_MULTIPLY_TRANSIENT).is_ok());
+        FaultPlan::transient_multiply(2, 1).rearm(&mut guard);
+        assert!(failpoint::check(failpoint::ENGINE_MULTIPLY_TRANSIENT).is_err());
+        assert_eq!(
+            failpoint::fired_counts(),
+            vec![(failpoint::ENGINE_MULTIPLY_TRANSIENT.to_string(), 1, 1)]
+        );
+        // Re-arming starts the counts over; disarming clears the table.
+        FaultPlan::transient_multiply(2, 1).rearm(&mut guard);
+        assert!(failpoint::check(failpoint::ENGINE_MULTIPLY_TRANSIENT).is_err());
+        guard.disarm();
+        assert!(failpoint::check(failpoint::ENGINE_MULTIPLY_TRANSIENT).is_ok());
+        assert!(failpoint::fired_counts().is_empty());
     }
 
     #[test]

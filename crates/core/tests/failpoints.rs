@@ -5,8 +5,11 @@
 //! the directory recovers the exact pre-crash manifest state with
 //! zero orphan payloads and zero stale temp files. Lives in its own
 //! integration-test binary so the process-wide failpoint table is not
-//! shared with unrelated unit tests; within the binary, the arm
-//! guard's exclusivity lock serializes the tests.
+//! shared with unrelated unit tests. Within the binary every test holds
+//! the arm guard for its *whole* body — healthy baseline puts and
+//! post-crash reopens included — and switches plans in place: a phase
+//! run without the guard would be hit by whichever plan a test on
+//! another thread has armed.
 
 use amd_chaos::{failpoint, FaultPlan};
 use amd_sparse::CsrMatrix;
@@ -62,6 +65,7 @@ fn crash_at_every_catalog_site_recovers_exactly() {
         (failpoint::CATALOG_MANIFEST_BEFORE_REWRITE, true),
         (failpoint::CATALOG_MANIFEST_BEFORE_FSYNC, true),
     ];
+    let mut faults = FaultPlan::new(0).arm();
     let (a0, d0) = sample(24);
     let (a1, d1) = sample(28);
     for (site, payload_survives) in sites {
@@ -73,8 +77,7 @@ fn crash_at_every_catalog_site_recovers_exactly() {
 
         {
             let mut c = Catalog::open(&dir).unwrap();
-            let plan = FaultPlan::crash_at(9, site, 1);
-            let _guard = plan.arm();
+            FaultPlan::crash_at(9, site, 1).rearm(&mut faults);
             let err = c
                 .put(&d1, a1.fingerprint(), &cfg(), 1, 0, 0)
                 .expect_err("the injected crash must surface");
@@ -85,6 +88,7 @@ fn crash_at_every_catalog_site_recovers_exactly() {
             // Simulated crash: the catalog object is abandoned here,
             // exactly as a dying process would leave it.
         }
+        faults.disarm();
 
         let mut c = Catalog::open(&dir).unwrap();
         let stats = c.stats();
@@ -119,16 +123,16 @@ fn torn_payload_is_rejected_and_healed_by_reput() {
     let dir = tmpdir("torn");
     let (a, d) = sample(32);
     let fp = a.fingerprint();
+    let mut faults = FaultPlan::torn_payload(11, 0.5).arm();
     {
         let mut c = Catalog::open(&dir).unwrap();
-        let plan = FaultPlan::torn_payload(11, 0.5);
-        let _guard = plan.arm();
         // The torn write does NOT error: the truncated file is renamed
         // into place and recorded, exactly like a crash after a
         // partial flush that still hit the rename.
         c.put(&d, fp, &cfg(), 1, 0, 0).unwrap();
         assert_eq!(c.len(), 1);
     }
+    faults.disarm();
     let mut c = Catalog::open(&dir).unwrap();
     assert!(
         c.get(fp, &cfg(), 1).unwrap().is_none(),
@@ -149,6 +153,8 @@ fn torn_payload_is_rejected_and_healed_by_reput() {
 #[test]
 fn stale_tmp_files_are_swept_and_counted_on_open() {
     let dir = tmpdir("sweep");
+    // Injects nothing; keeps the other tests' plans away from this put.
+    let _faults = FaultPlan::new(0).arm();
     let (a, d) = sample(20);
     {
         let mut c = Catalog::open(&dir).unwrap();
@@ -187,6 +193,7 @@ mod proptests {
                 failpoint::CATALOG_MANIFEST_BEFORE_FSYNC,
             ];
             let site = sites[site_idx];
+            let mut faults = FaultPlan::new(0).arm();
             let dir = tmpdir(&format!("prop-{committed}-{site_idx}-{seed}"));
             // `committed` healthy puts of distinct content...
             let healthy: Vec<_> = (0..committed)
@@ -201,11 +208,11 @@ mod proptests {
             let (ax, dx) = sample(64);
             {
                 let mut c = Catalog::open(&dir).unwrap();
-                let plan = FaultPlan::crash_at(seed, site, 1);
-                let _guard = plan.arm();
+                FaultPlan::crash_at(seed, site, 1).rearm(&mut faults);
                 let err = c.put(&dx, ax.fingerprint(), &cfg(), 1, 0, 0).unwrap_err();
                 prop_assert!(failpoint::is_injected(&err));
             }
+            faults.disarm();
             let mut c = Catalog::open(&dir).unwrap();
             // Every committed record survives bit-exactly.
             for (a, d) in &healthy {

@@ -54,6 +54,8 @@ pub fn algo_slug(name: &str) -> &'static str {
         "a2d"
     } else if name.starts_with("HP-1D") {
         "hp1d"
+    } else if name.starts_with("Local") {
+        "local"
     } else {
         "other"
     }
@@ -320,6 +322,7 @@ mod tests {
         assert_eq!(algo_slug("1D p=16"), "a15d");
         assert_eq!(algo_slug("2D p=16"), "a2d");
         assert_eq!(algo_slug("HP-1D p=16"), "hp1d");
+        assert_eq!(algo_slug("Local p=1"), "local");
         assert_eq!(algo_slug("mystery"), "other");
     }
 

@@ -8,12 +8,14 @@
 //! coalesces all compatible pending queries (same matrix, iteration
 //! count, and σ) into one multi-RHS [`DenseMatrix`] run.
 //!
-//! Batching is exact, not approximate: every distributed algorithm here
-//! computes output columns independently (the per-column accumulation
-//! order does not depend on the operand width), so a batched answer is
-//! bit-identical to the per-query answer while paying the per-run fixed
-//! costs — rank spin-up, per-message latency α, tile traversals — once
-//! per batch instead of once per query.
+//! Batching is exact, not approximate: every algorithm here — the
+//! shared-memory one a default engine binds and the four distributed
+//! ones — computes output columns independently (the per-column
+//! accumulation order does not depend on the operand width), so a
+//! batched answer is bit-identical to the per-query answer while paying
+//! the per-run fixed costs — one walk over the matrix; on a distributed
+//! deployment also rank dispatch and per-message latency α — once per
+//! batch instead of once per query.
 
 use crate::attribution::{AttributionMetrics, QueryCost, RunAttribution};
 use crate::cache::{CacheStats, DecompositionCache};
@@ -75,7 +77,11 @@ pub struct EngineConfig {
     pub spill_dir: Option<PathBuf>,
     /// Cost model for the planner.
     pub cost: CostModel,
-    /// Rank budget for baseline candidates.
+    /// Ranks the deployment has. The default, `1`, is the host this
+    /// process runs on: every binding is the shared-memory
+    /// `LocalSpmm` and no simulated machine runs. Above `1` the matrix
+    /// is taken to be distributed and the planner ranks the four
+    /// distributed algorithms with this as the baselines' rank budget.
     pub target_ranks: u32,
     /// Largest number of queries coalesced into one run.
     pub max_batch: usize,
@@ -115,7 +121,7 @@ impl Default for EngineConfig {
             cache_capacity: 8,
             spill_dir: None,
             cost: CostModel::default(),
-            target_ranks: 16,
+            target_ranks: 1,
             max_batch: 64,
             incremental: IncrementalPolicy::default(),
             dtype: Dtype::default(),
@@ -319,6 +325,8 @@ pub struct Engine {
     cache: DecompositionCache,
     bound: HashMap<u128, BoundMatrix>,
     pending: Vec<Pending>,
+    /// Storage of the last batch's packed operand, reused by the next.
+    operand: Vec<f64>,
     next_query: u64,
     telemetry: Telemetry,
     metrics: EngineMetrics,
@@ -358,6 +366,7 @@ impl Engine {
             cache,
             bound: HashMap::new(),
             pending: Vec::new(),
+            operand: Vec::new(),
             next_query: 0,
             telemetry,
             metrics,
@@ -530,8 +539,8 @@ impl Engine {
     /// binding of `merged` (the compacted `A₀ + ΔA`), carrying the
     /// streaming version forward. This is the engine half of a staleness
     /// refresh: the decomposition goes through the cache (write-through
-    /// under the merged matrix's new fingerprint), the planner re-ranks
-    /// all four algorithms against the merged structure, and any pending
+    /// under the merged matrix's new fingerprint), the planner plans
+    /// afresh against the merged structure, and any pending
     /// overlay on the old binding is discarded along with it.
     ///
     /// Queries already queued against `old` are answered by the *new*
@@ -997,22 +1006,24 @@ impl Engine {
         if pending.is_empty() {
             return Ok(Vec::new());
         }
-        // Group by (matrix, iters, σ identity), preserving arrival order
-        // within each group.
-        let mut groups: Vec<((u128, u32, usize), Vec<Pending>)> = Vec::new();
+        // Group by (matrix, iters, σ identity); groups keep the order their
+        // first member arrived in, members their arrival order.
+        let mut groups: Vec<Vec<Pending>> = Vec::new();
+        let mut group_of: HashMap<(u128, u32, usize), usize> = HashMap::new();
         for p in pending {
             let key = (
                 p.query.matrix.0,
                 p.query.iters,
                 p.query.sigma.map(|f| f as usize).unwrap_or(0),
             );
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(p),
-                None => groups.push((key, vec![p])),
-            }
+            let group = *group_of.entry(key).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[group].push(p);
         }
         let mut responses = Vec::new();
-        for (_, members) in groups {
+        for members in groups {
             for chunk in members.chunks(self.config.max_batch.max(1)) {
                 responses.extend(self.run_batch(chunk)?);
             }
@@ -1032,7 +1043,8 @@ impl Engine {
         let n = bound.n;
         let k = chunk.len() as u32;
         // Columns side by side: query j is column j.
-        let x = DenseMatrix::from_fn(n, k, |r, c| chunk[c as usize].query.x[r as usize]);
+        let columns: Vec<&[f64]> = chunk.iter().map(|p| p.query.x.as_slice()).collect();
+        let x = DenseMatrix::from_columns(n, &columns, std::mem::take(&mut self.operand))?;
         // Pending updates: serve A₀ + ΔA through the corrected path.
         let overlay_algo = match &bound.overlay {
             Some(delta) => Some(DeltaSpmm::new(&*bound.algo, delta)?.with_cost(self.config.cost)),
@@ -1134,17 +1146,16 @@ impl Engine {
                 .tracer
                 .event("multiply", SpanId::NONE, None, detail);
         }
+        let answers = run.y.to_columns();
+        self.operand = x.into_vec();
         Ok(chunk
             .iter()
-            .enumerate()
-            .map(|(j, p)| {
-                let y = (0..n).map(|r| run.y.get(r, j as u32)).collect();
-                QueryResponse {
-                    id: p.id,
-                    y,
-                    batch_size: chunk.len(),
-                    cost: cost.clone(),
-                }
+            .zip(answers)
+            .map(|(p, y)| QueryResponse {
+                id: p.id,
+                y,
+                batch_size: chunk.len(),
+                cost: cost.clone(),
             })
             .collect())
     }

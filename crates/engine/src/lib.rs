@@ -9,11 +9,15 @@
 //!   write-through persisted into the versioned
 //!   [`arrow_core::catalog`] (lineage-tracked version chains) so warm
 //!   restarts skip LA-Decompose entirely,
-//! * [`planner`] — predicts per-iteration cost for every distributed
-//!   algorithm from its planned distribution
+//! * [`planner`] — binds one [`DistSpmm`](amd_spmm::DistSpmm) per
+//!   matrix. On the default one-rank deployment
+//!   ([`EngineConfig::target_ranks`]` = 1`: the host this process runs
+//!   on) that is the shared-memory [`LocalSpmm`](amd_spmm::LocalSpmm),
+//!   alone; on a distributed one it predicts per-iteration cost for
+//!   every distributed algorithm from its planned distribution
 //!   ([`DistSpmm::predict_volume`](amd_spmm::DistSpmm::predict_volume))
 //!   under the α-β [`CostModel`](amd_comm::CostModel), and binds the
-//!   winner per matrix,
+//!   winner,
 //! * [`Engine`] — registration plus a request batcher that coalesces
 //!   compatible multiply queries into one multi-RHS run; batching is
 //!   exact (bit-identical to per-query runs) because every algorithm

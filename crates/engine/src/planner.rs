@@ -1,21 +1,35 @@
 //! The cost-model planner: predict per-iteration cost for every
 //! candidate algorithm and bind the winner.
 //!
-//! Candidates are the four distributed algorithms of `amd_spmm`. Each is
-//! *constructed* (planning its distribution — cheap relative to running)
-//! and asked for its [`CommEstimate`]; the
-//! planner converts estimates to seconds under a [`CostModel`] and picks
-//! the minimum. This mirrors the paper's §6 comparison — arrow wins
-//! precisely when the decomposition is narrow (low arrow width, strong
-//! compaction), while structure-oblivious baselines win on matrices the
-//! arrow decomposition handles poorly (e.g. wide dense bands that spill
-//! across many levels).
+//! `amd_spmm` has five members and [`PlannerConfig::target_ranks`] says
+//! which side of the family a deployment is on.
+//!
+//! **`target_ranks = 1`** (the default) means the matrix lives in the
+//! process that serves it: there is no communication for a decomposition
+//! to save, so the plan is [`LocalSpmm`] alone — plain CSR × dense on the
+//! `amd-exec` pool — and none of the distributed candidates (nor the
+//! HYPE partition HP-1D needs) is even constructed.
+//!
+//! **`target_ranks > 1`** means the operator has said the matrix is
+//! spread over that many ranks. The candidates are then the four
+//! distributed algorithms: each is *constructed* (planning its
+//! distribution — cheap relative to running) and asked for its
+//! [`CommEstimate`]; the planner converts estimates to seconds under a
+//! [`CostModel`] and picks the minimum. This mirrors the paper's §6
+//! comparison — arrow wins precisely when the decomposition is narrow
+//! (low arrow width, strong compaction), while structure-oblivious
+//! baselines win on matrices the arrow decomposition handles poorly
+//! (e.g. wide dense bands that spill across many levels). The local
+//! member is not ranked here: its zero-byte estimate would win every
+//! time, but it answers a different question — it needs the whole matrix
+//! and the whole operand in one address space, which `target_ranks > 1`
+//! says is not the case.
 
 use amd_comm::CostModel;
 use amd_graph::Graph;
 use amd_partition::{hype_partition, HypeConfig};
 use amd_sparse::{CsrMatrix, Dtype, SparseResult};
-use amd_spmm::{best_c, A15dSpmm, A2dSpmm, ArrowSpmm, CommEstimate, DistSpmm, Hp1dSpmm};
+use amd_spmm::{best_c, A15dSpmm, A2dSpmm, ArrowSpmm, CommEstimate, DistSpmm, Hp1dSpmm, LocalSpmm};
 use arrow_core::ArrowDecomposition;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -25,8 +39,10 @@ use rand_chacha::ChaCha8Rng;
 pub struct PlannerConfig {
     /// Cost model converting volume/latency/flops to seconds.
     pub cost: CostModel,
-    /// Rank budget for the structure-oblivious baselines (the arrow
-    /// algorithm's rank count is fixed by the decomposition).
+    /// Ranks the deployment has. `1` — the default: the host this
+    /// process runs on — binds the shared-memory [`LocalSpmm`]; above
+    /// that it is the rank budget of the structure-oblivious baselines
+    /// (the arrow algorithm's rank count is fixed by the decomposition).
     pub target_ranks: u32,
     /// RHS column count the prediction is evaluated at (the engine plans
     /// for its typical batch width).
@@ -44,7 +60,7 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         Self {
             cost: CostModel::default(),
-            target_ranks: 16,
+            target_ranks: 1,
             k_hint: 8,
             partition_seed: 0x9a27,
             dtype: Dtype::default(),
@@ -85,8 +101,10 @@ pub struct Plan {
 
 /// Plans the serving algorithm for `a` given its decomposition.
 ///
-/// All four candidates are constructed and ranked; ties break toward the
-/// earlier candidate in the order arrow, 1.5D, 2D, HP-1D.
+/// On a one-rank deployment the plan is [`LocalSpmm`] and nothing else
+/// is built. Otherwise all four distributed candidates are constructed
+/// and ranked; ties break toward the earlier candidate in the order
+/// arrow, 1.5D, 2D, HP-1D.
 pub fn plan(
     a: &CsrMatrix<f64>,
     d: &ArrowDecomposition,
@@ -94,6 +112,23 @@ pub fn plan(
 ) -> SparseResult<Plan> {
     let k = config.k_hint.max(1);
     let p = config.target_ranks.max(1);
+    if p == 1 {
+        let local = LocalSpmm::new(a)?
+            .with_cost(config.cost)
+            .with_dtype(config.dtype);
+        let estimate = local.predict_volume(k);
+        let prediction = Prediction {
+            name: local.name(),
+            ranks: local.ranks(),
+            estimate,
+            seconds: estimate.predicted_seconds(&config.cost),
+        };
+        return Ok(Plan {
+            algo: Box::new(local),
+            chosen: prediction.name.clone(),
+            predictions: vec![prediction],
+        });
+    }
     let mut candidates: Vec<(Box<dyn DistSpmm + Send + Sync>, CommEstimate)> = Vec::new();
 
     let arrow = ArrowSpmm::new(d)?
@@ -165,6 +200,14 @@ mod tests {
     use amd_sparse::CooMatrix;
     use arrow_core::{la_decompose, DecomposeConfig, RandomForestLa};
 
+    /// The distributed deployment these tests rank candidates for.
+    fn sixteen_ranks() -> PlannerConfig {
+        PlannerConfig {
+            target_ranks: 16,
+            ..PlannerConfig::default()
+        }
+    }
+
     fn decompose(a: &CsrMatrix<f64>, b: u32) -> ArrowDecomposition {
         la_decompose(
             a,
@@ -191,7 +234,7 @@ mod tests {
         // level, while every baseline must still move dense X tiles.
         let a: CsrMatrix<f64> = basic::star(600).to_adjacency();
         let d = decompose(&a, 32);
-        let plan = plan(&a, &d, &PlannerConfig::default()).unwrap();
+        let plan = plan(&a, &d, &sixteen_ranks()).unwrap();
         assert!(
             plan.chosen.starts_with("Arrow"),
             "expected Arrow on a star, planner chose {} ({:?})",
@@ -248,7 +291,7 @@ mod tests {
             "band should spill across levels, got {}",
             d.order()
         );
-        let plan = plan(&a, &d, &PlannerConfig::default()).unwrap();
+        let plan = plan(&a, &d, &sixteen_ranks()).unwrap();
         assert!(
             !plan.chosen.starts_with("Arrow"),
             "expected a baseline on a dense band, planner chose {} ({:?})",
@@ -271,11 +314,58 @@ mod tests {
     fn predictions_are_sorted_and_complete() {
         let a: CsrMatrix<f64> = basic::cycle(200).to_adjacency();
         let d = decompose(&a, 16);
-        let plan = plan(&a, &d, &PlannerConfig::default()).unwrap();
+        let plan = plan(&a, &d, &sixteen_ranks()).unwrap();
         assert_eq!(plan.predictions.len(), 4);
         for w in plan.predictions.windows(2) {
             assert!(w[0].seconds <= w[1].seconds);
         }
         assert_eq!(plan.chosen, plan.predictions[0].name);
+    }
+
+    #[test]
+    fn one_rank_plans_the_local_member_alone() {
+        let a: CsrMatrix<f64> = basic::cycle(200).to_adjacency();
+        let d = decompose(&a, 16);
+        let plan = plan(&a, &d, &PlannerConfig::default()).unwrap();
+        assert_eq!(plan.predictions.len(), 1);
+        let local = LocalSpmm::new(&a).unwrap();
+        assert_eq!(plan.chosen, local.name());
+        assert_eq!(plan.algo.name(), local.name());
+        let only = &plan.predictions[0];
+        assert_eq!((only.name.as_str(), only.ranks), (plan.chosen.as_str(), 1));
+        assert_eq!(only.estimate, local.predict_volume(8));
+        assert_eq!(only.estimate.max_rank_bytes, 0.0);
+        assert_eq!(
+            only.seconds,
+            CostModel::default().compute_time(only.estimate.max_rank_flops)
+        );
+    }
+
+    #[test]
+    fn several_ranks_rank_the_four_distributed_members_as_before() {
+        // Names, rank counts and seconds recorded from the commit before
+        // the local member existed: it must not have moved them.
+        let a: CsrMatrix<f64> = basic::cycle(200).to_adjacency();
+        let d = decompose(&a, 16);
+        let config = PlannerConfig {
+            target_ranks: 4,
+            ..PlannerConfig::default()
+        };
+        let got: Vec<(String, u32, f64)> = plan(&a, &d, &config)
+            .unwrap()
+            .predictions
+            .into_iter()
+            .map(|p| (p.name, p.ranks, p.seconds))
+            .collect();
+        let want = [
+            ("HP-1D p=4", 4, 6.3712e-6),
+            ("2D p=4", 4, 7.2336e-6),
+            ("1.5D p=4 c=2", 4, 7.5536e-6),
+            ("Arrow b=16 l=2", 15, 7.855199999999999e-5),
+        ];
+        assert_eq!(got.len(), want.len());
+        for ((name, ranks, seconds), want) in got.iter().zip(want) {
+            assert_eq!((name.as_str(), *ranks, *seconds), want);
+        }
     }
 }

@@ -8,6 +8,12 @@
 use crate::error::{SparseError, SparseResult};
 use crate::scalar::Scalar;
 
+/// Rows per block of the column ↔ row-major transposes
+/// ([`DenseMatrix::from_columns`], [`DenseMatrix::to_columns`]): a block
+/// of the row-major side (32 rows × up to 64 `f64` columns = 16 KiB)
+/// stays L1-resident while every column contributes one contiguous run.
+const TRANSPOSE_ROWS: usize = 32;
+
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix<T: Scalar = f64> {
@@ -46,6 +52,59 @@ impl<T: Scalar> DenseMatrix<T> {
             }
         }
         Self { rows, cols, data }
+    }
+
+    /// Packs `columns` (each `rows` long) side by side: column `j` of the
+    /// result is `columns[j]`. A cache-blocked transpose — the way a
+    /// batch of single-column queries becomes one multi-RHS operand —
+    /// into `storage`, which is emptied and regrown as needed: a caller
+    /// that packs the same shape again and again passes the previous
+    /// operand's [`into_vec`](Self::into_vec) and skips the allocation
+    /// and first touch of a fresh buffer (`Vec::new()` otherwise).
+    pub fn from_columns(rows: u32, columns: &[&[T]], mut storage: Vec<T>) -> SparseResult<Self> {
+        let n = rows as usize;
+        let k = columns.len();
+        if let Some(bad) = columns.iter().find(|c| c.len() != n) {
+            return Err(SparseError::ShapeMismatch {
+                left: (rows, k as u32),
+                right: (bad.len() as u32, 1),
+            });
+        }
+        storage.clear();
+        if k == 1 {
+            storage.extend_from_slice(columns[0]);
+            return Self::from_vec(rows, 1, storage);
+        }
+        storage.resize(n * k, T::ZERO);
+        for r0 in (0..n).step_by(TRANSPOSE_ROWS) {
+            let r1 = (r0 + TRANSPOSE_ROWS).min(n);
+            let block = &mut storage[r0 * k..r1 * k];
+            for (j, column) in columns.iter().enumerate() {
+                for (row, &v) in block.chunks_exact_mut(k).zip(&column[r0..r1]) {
+                    row[j] = v;
+                }
+            }
+        }
+        Self::from_vec(rows, k as u32, storage)
+    }
+
+    /// The columns of `self`, each as its own vector — the inverse of
+    /// [`from_columns`](Self::from_columns), blocked the same way.
+    pub fn to_columns(&self) -> Vec<Vec<T>> {
+        let n = self.rows as usize;
+        let k = self.cols as usize;
+        if k == 1 {
+            return vec![self.data.clone()];
+        }
+        let mut columns: Vec<Vec<T>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
+        for r0 in (0..n).step_by(TRANSPOSE_ROWS) {
+            let r1 = (r0 + TRANSPOSE_ROWS).min(n);
+            let block = &self.data[r0 * k..r1 * k];
+            for (j, column) in columns.iter_mut().enumerate() {
+                column.extend(block.chunks_exact(k).map(|row| row[j]));
+            }
+        }
+        columns
     }
 
     /// Number of rows.
@@ -216,6 +275,29 @@ mod tests {
     fn from_fn_layout_is_row_major() {
         let m = DenseMatrix::from_fn(2, 3, |r, c| (r * 10 + c) as f64);
         assert_eq!(m.data(), &[0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
+    }
+
+    #[test]
+    fn columns_round_trip_through_the_blocked_transpose() {
+        // 77 rows: two full transpose blocks and a ragged third.
+        for k in [0u32, 1, 3, 64] {
+            let want = DenseMatrix::from_fn(77, k, |r, c| (r * 100 + c) as f64);
+            let columns = want.to_columns();
+            assert_eq!(columns.len(), k as usize);
+            for (j, column) in columns.iter().enumerate() {
+                let expect: Vec<f64> = (0..77).map(|r| want.get(r, j as u32)).collect();
+                assert_eq!(column, &expect, "k={k} column {j}");
+            }
+            let slices: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+            // Reused storage of another shape, full of other values.
+            let storage = vec![f64::NAN; 5];
+            assert_eq!(
+                DenseMatrix::from_columns(77, &slices, storage).unwrap(),
+                want
+            );
+        }
+        let short = [1.0f64, 2.0];
+        assert!(DenseMatrix::from_columns(3, &[&short[..]], Vec::new()).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the sparse substrate.
 
-use amd_sparse::{ops, spmm, CooMatrix, CsrMatrix, DeltaBuilder, DenseMatrix, Permutation};
+use amd_sparse::{ops, spmm, CooMatrix, CsrMatrix, DeltaBuilder, DenseMatrix, Dtype, Permutation};
 use proptest::prelude::*;
 
 /// Strategy: a random sparse matrix of shape up to 24×24 with up to 64
@@ -118,8 +118,9 @@ proptest! {
         let fast = spmm::spmm(&a, &x).unwrap();
         let slow = spmm::spmm_dense_reference(&a, &x).unwrap();
         prop_assert!(fast.max_abs_diff(&slow).unwrap() < 1e-9);
-        let par = spmm::spmm_parallel(&a, &x).unwrap();
-        prop_assert!(par.max_abs_diff(&slow).unwrap() < 1e-9);
+        let mut par = DenseMatrix::from_fn(a.rows(), k, |_, _| f64::NAN);
+        spmm::spmm_parallel(&a, &x, &mut par, Dtype::F64).unwrap();
+        prop_assert_eq!(&par, &fast);
     }
 
     #[test]

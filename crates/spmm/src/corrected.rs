@@ -27,7 +27,8 @@
 //! rows. This is the honest upper envelope for a wrapper that cannot see
 //! the base algorithm's row ownership; it makes the predicted cost grow
 //! linearly with delta density, which is exactly the signal the staleness
-//! budget and the planner need.
+//! budget and the planner need. A one-rank base (`LocalSpmm`) has nobody
+//! to broadcast to: its correction is charged flops only.
 //!
 //! The correction always runs in `f64`, even when the wrapped base serves
 //! at `f32` half bandwidth: the delta product is the exactness-critical
@@ -92,13 +93,16 @@ impl<'a> DeltaSpmm<'a> {
         if self.delta.nnz() == 0 {
             return (0.0, 0.0, 0.0);
         }
+        let flops = spmm::spmm_flops(self.delta, k);
+        if self.base.ranks() <= 1 {
+            return (0.0, 0.0, flops);
+        }
         let payload = self.delta.nnz() as f64 * DELTA_ENTRY_BYTES;
         let hops = self.broadcast_hops();
         // Envelope: the broadcast root relays `hops` copies; every other
         // rank receives one. Correction work is replicated.
         let bytes = (hops + 1.0) * payload;
         let msgs = hops + 1.0;
-        let flops = spmm::spmm_flops(self.delta, k);
         (bytes, msgs, flops)
     }
 }
@@ -185,6 +189,7 @@ impl DistSpmm for DeltaSpmm<'_> {
 mod tests {
     use super::*;
     use crate::arrow::ArrowSpmm;
+    use crate::local::LocalSpmm;
     use crate::reference::iterated_spmm;
     use amd_graph::generators::basic;
     use amd_sparse::{ops, CooMatrix};
@@ -225,6 +230,34 @@ mod tests {
             // Integer data ⇒ all reduction orders produce the exact result.
             assert_eq!(got.y, want, "iters = {iters}");
         }
+    }
+
+    #[test]
+    fn one_rank_base_is_corrected_exactly_and_charged_flops_only() {
+        let n = 48;
+        let a: CsrMatrix<f64> = basic::cycle(n).to_adjacency();
+        let local = LocalSpmm::new(&a).unwrap();
+        let dm = delta(n);
+        let corrected = DeltaSpmm::new(&local, &dm).unwrap();
+        let merged = ops::apply_delta(&a, &dm).unwrap();
+        let rebuilt = LocalSpmm::new(&merged).unwrap();
+        let x = DenseMatrix::from_fn(n, 3, |r, c| ((r * 5 + c) % 7) as f64 - 3.0);
+        for iters in [1u32, 2, 3] {
+            let got = corrected.run(&x, iters).unwrap();
+            assert_eq!(got.y, rebuilt.run(&x, iters).unwrap().y, "iters = {iters}");
+            assert_eq!(got.y, iterated_spmm(&merged, &x, iters).unwrap());
+            // Nobody to broadcast the delta to.
+            assert_eq!(got.stats.max_volume(), 0);
+            assert_eq!(got.stats.max_messages(), 0);
+        }
+        let base = local.predict_volume(8);
+        let est = corrected.predict_volume(8);
+        assert_eq!(est.max_rank_bytes, 0.0);
+        assert_eq!(est.max_rank_messages, 0.0);
+        assert_eq!(
+            est.max_rank_flops,
+            base.max_rank_flops + spmm::spmm_flops(&dm, 8)
+        );
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //!   along both dimensions, `√p` phases),
 //! * [`Hp1dSpmm`] — the PETSc-style 1D hypergraph-partitioning baseline
 //!   with local/non-local overlap,
+//! * [`LocalSpmm`] — the `p = 1` member: plain CSR × dense on the shared
+//!   `amd-exec` pool, one rank, zero bytes and zero messages — how a
+//!   matrix that lives in one process is served (the four above are for
+//!   matrices that are physically distributed, and the instrument that
+//!   reproduces the paper's volume claims),
 //! * [`DeltaSpmm`] — the streaming layer's corrected path: any of the
 //!   above on a decomposed base `A₀` plus a per-iteration sparse-delta
 //!   correction, serving `A₀ + ΔA` without re-decomposing,
@@ -20,7 +25,7 @@
 //!   serving cost of a spliced decomposition over its actual level
 //!   structure and decides when re-compaction beats serving deep splices.
 //!
-//! Every algorithm accepts a serving [`amd_sparse::Dtype`] via
+//! Every member accepts a serving [`amd_sparse::Dtype`] via
 //! `with_dtype`: `f32` halves the bytes charged per value moved and runs
 //! local tile multiplies at emulated f32 precision (f64 accumulation, the
 //! machine's wire format), `f64` is the exact default.
@@ -40,6 +45,7 @@ pub mod corrected;
 pub mod guard;
 pub mod hp1d;
 pub mod layout;
+pub mod local;
 pub mod reference;
 pub mod storage;
 pub mod traits;
@@ -51,4 +57,5 @@ pub use arrow::ArrowSpmm;
 pub use corrected::DeltaSpmm;
 pub use guard::{ServingCostGuard, SpliceVerdict, DEFAULT_MAX_SLICE_SLOWDOWN};
 pub use hp1d::Hp1dSpmm;
+pub use local::LocalSpmm;
 pub use traits::{CommEstimate, DistSpmm, SpmmRun};

@@ -6,7 +6,10 @@
 //! is restored and the grant requeued (with bounded retries before a
 //! counted synchronous fallback), and serving stays bit-exact through
 //! every death. Lives in its own integration-test binary so the
-//! process-wide failpoint table is not shared with unrelated tests.
+//! process-wide failpoint table is not shared with unrelated tests;
+//! each test holds the arm guard for its whole body (an empty plan
+//! until the fault window opens), so its healthy phases cannot be hit
+//! by the plan the other test has armed.
 
 use amd_chaos::{failpoint, FaultPlan};
 use amd_engine::EngineConfig;
@@ -81,6 +84,7 @@ fn assert_exact(hub: &mut StreamHub, t: amd_stream::TenantId, truth: &CsrMatrix<
 #[test]
 fn worker_panic_is_supervised_and_serving_stays_exact() {
     failpoint::quiet_injected_panics();
+    let mut faults = FaultPlan::new(0).arm();
     let n = 40;
     let mut hub = StreamHub::new(config()).unwrap();
     let t = hub.admit(ring(n)).unwrap();
@@ -90,13 +94,12 @@ fn worker_panic_is_supervised_and_serving_stays_exact() {
     }
     assert_exact(&mut hub, t, &truth, 1);
 
-    let plan = FaultPlan::worker_kill(23);
-    let _guard = plan.arm();
+    FaultPlan::worker_kill(23).rearm(&mut faults);
     assert!(hub.refresh(t).unwrap(), "refresh must launch");
     // Serving while the doomed rebuild (and its retry) is in flight.
     assert_exact(&mut hub, t, &truth, 2);
     assert_eq!(hub.wait_refreshes().unwrap(), 1, "the retry must commit");
-    drop(_guard);
+    faults.disarm();
 
     let stats = hub.stats();
     assert_eq!(stats.worker_restarts, 1, "one death, one respawn");
@@ -114,6 +117,7 @@ fn worker_panic_is_supervised_and_serving_stays_exact() {
 #[test]
 fn exhausted_retries_fall_back_to_sync_refresh() {
     failpoint::quiet_injected_panics();
+    let mut faults = FaultPlan::new(0).arm();
     let n = 36;
     let mut cfg = config();
     cfg.max_refresh_retries = 2;
@@ -124,15 +128,14 @@ fn exhausted_retries_fall_back_to_sync_refresh() {
         apply(&mut hub, t, &mut truth, n, i, i + 10);
     }
 
-    let plan = FaultPlan::worker_kill_always(29);
-    let _guard = plan.arm();
+    FaultPlan::worker_kill_always(29).rearm(&mut faults);
     assert!(hub.refresh(t).unwrap());
     assert_eq!(
         hub.wait_refreshes().unwrap(),
         1,
         "the sync fallback must commit the refresh"
     );
-    drop(_guard);
+    faults.disarm();
 
     let stats = hub.stats();
     // Initial launch + 2 retries all die before the fallback.

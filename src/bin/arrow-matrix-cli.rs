@@ -7,11 +7,11 @@
 //! arrow-matrix-cli multiply <matrix.mtx> <decomp.amd> [k] [iters] [--dtype f32|f64]
 //!                           [--metrics-json PATH]
 //! arrow-matrix-cli serve <matrix.mtx> <b> [queries] [batch] [iters] [--catalog DIR]
-//!                        [--dtype f32|f64]
+//!                        [--dtype f32|f64] [--ranks P]
 //!                        [--metrics-json PATH] [--timeseries PATH] [--trace-json PATH]
 //! arrow-matrix-cli stream <matrix.mtx> <b> [updates] [queries] [budget-frac] [seed]
 //!                         [--tenants N] [--async-refresh] [--catalog DIR]
-//!                         [--dtype f32|f64]
+//!                         [--dtype f32|f64] [--ranks P]
 //!                         [--metrics-json PATH] [--timeseries PATH] [--trace-json PATH]
 //! arrow-matrix-cli stats <metrics.json>
 //! arrow-matrix-cli report <metrics.json>
@@ -66,6 +66,15 @@
 //! * `--trace-json PATH` exports the tracer ring as a Chrome Trace
 //!   Event Format file, loadable in Perfetto / `chrome://tracing`
 //!   (spans nest under their parents; tenants get their own lanes).
+//!
+//! Deployment: `serve` and `stream` take `--ranks P` (default `1`). One
+//! rank means the matrix lives in this process: every query is answered
+//! by plain CSR × dense on the shared execution pool (the `Local`
+//! binding — no simulated machine, zero communication). `P > 1` says
+//! the matrix is spread over `P` ranks: the planner ranks the four
+//! distributed algorithms for that budget and the winner runs on the
+//! simulated α-β machine — the reproduction side of the repository, and
+//! what fills the `report` calibration table with communication volume.
 //!
 //! Serving precision: `multiply`, `serve`, and `stream` take `--dtype
 //! f32|f64` (default `f64`). `f32` halves the communication volume by
@@ -135,11 +144,11 @@ fn main() -> ExitCode {
                  arrow-matrix-cli multiply <matrix.mtx> <decomp.amd> [k] [iters] [--dtype f32|f64]\n  \
                  \u{20}                         [--metrics-json PATH]\n  \
                  arrow-matrix-cli serve <matrix.mtx> <b> [queries] [batch] [iters] [--catalog DIR]\n  \
-                 \u{20}                      [--dtype f32|f64]\n  \
+                 \u{20}                      [--dtype f32|f64] [--ranks P]\n  \
                  \u{20}                      [--metrics-json PATH] [--timeseries PATH] [--trace-json PATH]\n  \
                  arrow-matrix-cli stream <matrix.mtx> <b> [updates] [queries] [budget-frac] [seed]\n  \
                  \u{20}                       [--tenants N] [--async-refresh] [--catalog DIR]\n  \
-                 \u{20}                       [--dtype f32|f64]\n  \
+                 \u{20}                       [--dtype f32|f64] [--ranks P]\n  \
                  \u{20}                       [--metrics-json PATH] [--timeseries PATH] [--trace-json PATH]\n  \
                  arrow-matrix-cli stats <metrics.json>\n  \
                  arrow-matrix-cli report <metrics.json>\n  \
@@ -151,6 +160,9 @@ fn main() -> ExitCode {
                  arrow-matrix-cli chaos record <scenario> <out.trace> [--seed N]\n  \
                  arrow-matrix-cli chaos replay <in.trace> [--seed N]\n\
                  global: [--threads N] sizes the shared execution pool (default: all cores)\n\
+                 serve/stream: [--ranks P] ranks the matrix is spread over (default 1: served\n\
+                 \u{20}             in shared memory on this host; P > 1 plans and runs the distributed\n\
+                 \u{20}             algorithms on a simulated P-rank machine)\n\
                  datasets: mawi genbank webbase osm gap-twitter sk-2005"
             );
             return ExitCode::from(2);
@@ -723,6 +735,14 @@ fn parse_dtype(s: &str) -> Result<Dtype, String> {
     Dtype::parse(s).ok_or_else(|| format!("bad --dtype: {s} (expected f32 or f64)"))
 }
 
+/// Parses a `--ranks` value: the deployment's rank count, at least 1.
+fn parse_ranks(s: &str) -> Result<u32, String> {
+    match s.parse::<u32>() {
+        Ok(p) if p >= 1 => Ok(p),
+        _ => Err(format!("bad --ranks: {s} (expected an integer >= 1)")),
+    }
+}
+
 fn cmd_multiply(args: &[String]) -> Result<(), String> {
     let (positional, metrics_json, dtype) = split_metrics_flag(args)?;
     let dtype = dtype.unwrap_or_default();
@@ -816,6 +836,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     let mut timeseries: Option<String> = None;
     let mut trace_json: Option<String> = None;
     let mut dtype = Dtype::default();
+    let mut target_ranks = EngineConfig::default().target_ranks;
     let mut positional: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -835,6 +856,10 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             "--dtype" => {
                 let v = it.next().ok_or("--dtype needs f32 or f64")?;
                 dtype = parse_dtype(v)?;
+            }
+            "--ranks" => {
+                let v = it.next().ok_or("--ranks needs a rank count")?;
+                target_ranks = parse_ranks(v)?;
             }
             "--metrics-json" => {
                 let v = it.next().ok_or("--metrics-json needs a path")?;
@@ -857,7 +882,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     let [input, b, rest @ ..] = positional.as_slice() else {
         return Err(
             "stream needs <matrix.mtx> <b> [updates] [queries] [budget-frac] [seed] \
-             [--tenants N] [--async-refresh] [--dtype f32|f64] [--catalog DIR] \
+             [--tenants N] [--async-refresh] [--dtype f32|f64] [--ranks P] [--catalog DIR] \
              [--metrics-json PATH] [--timeseries PATH] [--trace-json PATH]"
                 .into(),
         );
@@ -899,6 +924,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             arrow_width: b,
             spill_dir: catalog_dir,
             dtype,
+            target_ranks,
             ..EngineConfig::default()
         },
         budget: StalenessBudget::nnz_fraction(budget_frac),
@@ -1229,6 +1255,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut timeseries: Option<String> = None;
     let mut trace_json: Option<String> = None;
     let mut dtype = Dtype::default();
+    let mut target_ranks = EngineConfig::default().target_ranks;
     let mut positional: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -1240,6 +1267,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--dtype" => {
                 let v = it.next().ok_or("--dtype needs f32 or f64")?;
                 dtype = parse_dtype(v)?;
+            }
+            "--ranks" => {
+                let v = it.next().ok_or("--ranks needs a rank count")?;
+                target_ranks = parse_ranks(v)?;
             }
             "--metrics-json" => {
                 let v = it.next().ok_or("--metrics-json needs a path")?;
@@ -1262,7 +1293,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let [input, b, rest @ ..] = positional.as_slice() else {
         return Err(
             "serve needs <matrix.mtx> <b> [queries] [batch] [iters] [--dtype f32|f64] \
-             [--catalog DIR] [--metrics-json PATH] [--timeseries PATH] [--trace-json PATH]"
+             [--ranks P] [--catalog DIR] [--metrics-json PATH] [--timeseries PATH] [--trace-json PATH]"
                 .into(),
         );
     };
@@ -1293,6 +1324,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         max_batch: batch.max(1),
         spill_dir: catalog_dir,
         dtype,
+        target_ranks,
         ..EngineConfig::default()
     })
     .map_err(|e| e.to_string())?;
@@ -1485,6 +1517,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
                 name: "replay".to_string(),
                 trace,
                 plan: FaultPlan::new(seed),
+                target_ranks: EngineConfig::default().target_ranks,
                 with_catalog: false,
                 crash_reopen: false,
                 expect: Expectation::Exact,

@@ -17,7 +17,10 @@
 //! [`builtin_scenarios`] is the suite `arrow-matrix-cli chaos` runs
 //! (worker kills, retry exhaustion, a crash at every catalog
 //! failpoint, a torn payload write, transient multiply errors, and the
-//! fault-free adversarial workloads); [`run`] executes one scenario
+//! fault-free adversarial workloads) — each on a 16-rank simulated
+//! deployment, where queries cross the distributed algorithms, and
+//! again (`<name>-p1`) on the default one-rank deployment, where they
+//! are served in shared memory; [`run`] executes one scenario
 //! and never panics — failures come back as a failed
 //! [`ScenarioReport`].
 //!
@@ -67,6 +70,9 @@ pub struct Scenario {
     pub trace: ScenarioTrace,
     /// Faults armed for the duration of the replay.
     pub plan: FaultPlan,
+    /// Ranks of the deployment the hub's engine plans for
+    /// ([`EngineConfig::target_ranks`]).
+    pub target_ranks: u32,
     /// Attach a write-through catalog (scratch directory, cleared
     /// before the run).
     pub with_catalog: bool,
@@ -132,7 +138,8 @@ impl ScenarioReport {
 }
 
 /// The built-in suite, seeded deterministically: same `seed`, same
-/// traces, same injection points, same counters.
+/// traces, same injection points, same counters. Twelve scenarios on a
+/// 16-rank deployment, then the same twelve (`<name>-p1`) on one rank.
 pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
     // The crash trace performs exactly 3 catalog puts (1 at admit, 1
     // per committed refresh round), so `Nth(3)` targets the *final*
@@ -144,15 +151,17 @@ pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
         name: name.to_string(),
         trace: crash_trace(),
         plan: FaultPlan::crash_at(seed, site, 3),
+        target_ranks: 16,
         with_catalog: true,
         crash_reopen: true,
         expect: Expectation::CrashRecovery,
     };
-    vec![
+    let distributed = vec![
         Scenario {
             name: "worker-kill".to_string(),
             trace: generators::region_merging(96, 2, 4, 6, seed),
             plan: FaultPlan::worker_kill(seed),
+            target_ranks: 16,
             with_catalog: false,
             crash_reopen: false,
             expect: Expectation::WorkerKill,
@@ -161,6 +170,7 @@ pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
             name: "sync-fallback".to_string(),
             trace: generators::region_merging(64, 1, 2, 4, seed.wrapping_add(1)),
             plan: FaultPlan::worker_kill_always(seed),
+            target_ranks: 16,
             with_catalog: false,
             crash_reopen: false,
             expect: Expectation::SyncFallback,
@@ -185,6 +195,7 @@ pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
             name: "torn-payload".to_string(),
             trace: crash_trace(),
             plan: FaultPlan::torn_payload(seed, 0.5),
+            target_ranks: 16,
             with_catalog: true,
             crash_reopen: true,
             expect: Expectation::TornPayload,
@@ -193,6 +204,7 @@ pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
             name: "multiply-transient".to_string(),
             trace: generators::region_merging(64, 1, 2, 4, seed.wrapping_add(3)),
             plan: FaultPlan::transient_multiply(seed, 2),
+            target_ranks: 16,
             with_catalog: false,
             crash_reopen: false,
             expect: Expectation::TransientMultiply,
@@ -201,6 +213,7 @@ pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
             name: "adversarial-region".to_string(),
             trace: generators::region_merging(96, 3, 4, 8, seed.wrapping_add(4)),
             plan: FaultPlan::new(seed),
+            target_ranks: 16,
             with_catalog: false,
             crash_reopen: false,
             expect: Expectation::FaultFree,
@@ -209,6 +222,7 @@ pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
             name: "oscillating".to_string(),
             trace: generators::oscillating(96, 2, 6, seed.wrapping_add(5)),
             plan: FaultPlan::new(seed),
+            target_ranks: 16,
             with_catalog: true,
             crash_reopen: false,
             expect: Expectation::FaultFree,
@@ -217,6 +231,7 @@ pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
             name: "zipf-burst".to_string(),
             trace: generators::zipf_bursts(96, 3, 12, 1.2, 8, seed.wrapping_add(6)),
             plan: FaultPlan::new(seed),
+            target_ranks: 16,
             with_catalog: false,
             crash_reopen: false,
             expect: Expectation::FaultFree,
@@ -225,11 +240,21 @@ pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
             name: "tenant-skew".to_string(),
             trace: generators::zipf_tenant_skew(64, 16, 4, 6, 1.3, seed.wrapping_add(7)),
             plan: FaultPlan::new(seed),
+            target_ranks: 16,
             with_catalog: false,
             crash_reopen: false,
             expect: Expectation::FaultFree,
         },
-    ]
+    ];
+    // The same traces, faults and pass criteria on the default
+    // deployment: answers are bit-exact either way, so the rank count
+    // is one more parameter of the suite.
+    let local = distributed.iter().map(|s| Scenario {
+        name: format!("{}-p1", s.name),
+        target_ranks: 1,
+        ..s.clone()
+    });
+    distributed.iter().cloned().chain(local).collect()
 }
 
 /// Runs every built-in scenario under `seed`, in order.
@@ -276,12 +301,13 @@ fn replay(
 ) -> SparseResult<()> {
     let n = scenario.trace.n as u32;
     let base = base_matrix(n)?;
-    let guard = scenario.plan.arm();
+    let mut guard = scenario.plan.arm();
     let mut hub = StreamHub::new(HubConfig {
         engine: EngineConfig {
             arrow_width: 16,
             spill_dir: dir.clone(),
             cache_capacity: 64,
+            target_ranks: scenario.target_ranks,
             ..EngineConfig::default()
         },
         // Refreshes are driven exclusively by the trace's explicit
@@ -359,9 +385,11 @@ fn replay(
     report.spill_failures = hub.cache_stats().spill_failures;
     report.fired = failpoint::fired_counts();
     // Tear down IN THIS ORDER: the hub first (its drop joins worker
-    // threads that may still probe failpoints), then the guard.
+    // threads that may still probe failpoints), then the plan. The
+    // guard itself stays to the end: the reopen below rewrites the
+    // manifest, and must not be hit by a plan armed on another thread.
     drop(hub);
-    drop(guard);
+    guard.disarm();
     if scenario.crash_reopen {
         if let Some(d) = &dir {
             reopen_and_probe(d, report)?;

@@ -4,7 +4,7 @@
 //! well-formed `BENCH_scenarios.json`. Lives in its own test binary so
 //! the process-wide failpoint table is never shared with other tests.
 
-use arrow_matrix::chaos::{failpoint, generators, ScenarioTrace, TraceOp};
+use arrow_matrix::chaos::{failpoint, generators, FaultPlan, ScenarioTrace, TraceOp};
 use arrow_matrix::comm::MachineExec;
 use arrow_matrix::engine::EngineConfig;
 use arrow_matrix::scenario::{self, Expectation};
@@ -21,9 +21,10 @@ fn tmp(name: &str) -> PathBuf {
 
 /// A representative slice of the built-in suite: one supervised worker
 /// death, one crash-window recovery, one fault-free adversarial
-/// workload, and the 16-tenant power-law skew. (The full 12-scenario
-/// suite runs in CI via the CLI; this keeps the test-suite wall clock
-/// reasonable.)
+/// workload, and the 16-tenant power-law skew — each on the 16-rank
+/// deployment and (`-p1`) on the default one-rank deployment. (The full
+/// 2 × 12-scenario suite runs in CI via the CLI; this keeps the
+/// test-suite wall clock reasonable.)
 #[test]
 fn builtin_scenarios_pass_end_to_end() {
     failpoint::quiet_injected_panics();
@@ -34,11 +35,16 @@ fn builtin_scenarios_pass_end_to_end() {
         "tenant-skew",
     ];
     let suite = scenario::builtin_scenarios(7);
-    for name in picks {
+    assert_eq!(suite.len(), 24);
+    let variants = picks
+        .iter()
+        .flat_map(|name| [(name.to_string(), 16), (format!("{name}-p1"), 1)]);
+    for (name, ranks) in variants {
         let s = suite
             .iter()
             .find(|s| s.name == name)
             .unwrap_or_else(|| panic!("builtin scenario {name} missing"));
+        assert_eq!(s.target_ranks, ranks, "{name}");
         let report = scenario::run(s);
         assert!(report.passed, "{name} failed: {}", report.detail);
         assert!(report.verified > 0, "{name} verified no answers");
@@ -58,6 +64,9 @@ fn builtin_scenarios_pass_end_to_end() {
 #[test]
 fn chaos_trace_is_bit_identical_pooled_vs_spawn_per_run() {
     failpoint::quiet_injected_panics();
+    // Injects nothing; keeps the scenario tests' plans (a worker kill,
+    // a catalog crash) away from this test's refresh workers.
+    let _faults = FaultPlan::new(0).arm();
     let trace = generators::zipf_tenant_skew(48, 4, 3, 4, 1.3, 23);
     let replay = |exec: MachineExec| -> Vec<Vec<f64>> {
         let n = trace.n as u32;
@@ -71,6 +80,8 @@ fn chaos_trace_is_bit_identical_pooled_vs_spawn_per_run() {
         let mut hub = StreamHub::new(HubConfig {
             engine: EngineConfig {
                 arrow_width: 16,
+                // Rank threads only exist on a distributed deployment.
+                target_ranks: 16,
                 ..EngineConfig::default()
             }
             .with_exec(exec),
@@ -157,7 +168,8 @@ fn trace_roundtrip_and_replay() {
     let replayed = scenario::run(&scenario::Scenario {
         name: "roundtrip-replay".to_string(),
         trace: loaded,
-        plan: arrow_matrix::chaos::FaultPlan::new(0),
+        plan: FaultPlan::new(0),
+        target_ranks: EngineConfig::default().target_ranks,
         with_catalog: false,
         crash_reopen: false,
         expect: Expectation::Exact,

@@ -525,6 +525,10 @@ fn report_renders_the_calibration_table() {
             "48",
             "8",
             "2",
+            // Calibrating communication volume needs a deployment that
+            // communicates.
+            "--ranks",
+            "16",
             "--metrics-json",
             json.to_str().unwrap(),
         ])
@@ -601,6 +605,9 @@ fn timeseries_log_feeds_the_top_dashboard() {
             "9",
             "--tenants",
             "2",
+            // Accounted bytes only exist where ranks exchange them.
+            "--ranks",
+            "16",
             "--timeseries",
             ts.to_str().unwrap(),
         ])
