@@ -1,15 +1,16 @@
 //! K1–K8 — criterion microbenchmarks of the computational kernels.
 //!
 //! These cover the building blocks whose constants determine the end-to-
-//! end numbers: local SpMM (serial vs pool-parallel), LA-Decompose construction,
-//! random spanning forests, the smallest-first layout, and the binomial
-//! broadcast of the comm substrate — plus the serving-path kernels: the
-//! fused active-prefix level multiply vs the naive three-pass reference,
-//! `f32` vs `f64` compiled serving, and a splice-depth sweep showing the
+//! end numbers: local SpMM (a scalar-loop floor vs the serial and the
+//! pool-parallel kernel), LA-Decompose construction, random spanning
+//! forests, the smallest-first layout, and the binomial broadcast of the
+//! comm substrate — plus the serving-path kernels: the fused
+//! active-prefix level multiply vs the naive three-pass reference, `f32`
+//! vs `f64` compiled serving, and a splice-depth sweep showing the
 //! fusion's advantage grow as incremental refreshes stack shallow
-//! levels. The serving-kernel sweeps are written to `BENCH_kernels.json`
-//! at the workspace root so future changes can diff them machine-
-//! readably.
+//! levels. The local-SpMM and serving-kernel sweeps are written to
+//! `BENCH_kernels.json` at the workspace root so future changes can diff
+//! them machine-readably.
 
 use amd_bench::{bench_graph, BENCH_SEED};
 use amd_comm::{Group, Machine};
@@ -26,20 +27,82 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::io::Write;
 
-fn bench_local_spmm(c: &mut Criterion) {
+struct LocalCase {
+    n: u32,
+    nnz: usize,
+    k: u32,
+    floor_ms: f64,
+    serial_ms: f64,
+    pool_ms: f64,
+}
+
+/// The plain CSR × row-major loop anyone would write first — one
+/// load–add–store of the output row per stored entry. The floor the
+/// library's kernel has to beat.
+fn scalar_floor(a: &CsrMatrix<f64>, x: &[f64], k: usize, y: &mut [f64]) {
+    y.fill(0.0);
+    for r in 0..a.rows() {
+        let out = &mut y[r as usize * k..(r as usize + 1) * k];
+        for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
+            let xr = &x[c as usize * k..(c as usize + 1) * k];
+            for (o, &xv) in out.iter_mut().zip(xr) {
+                *o += v * xv;
+            }
+        }
+    }
+}
+
+/// K1 — local SpMM at the serving widths: the scalar floor, the serial
+/// kernel and the pool-parallel kernel, all into one kept output buffer.
+fn bench_local_spmm(c: &mut Criterion, cases: &mut Vec<LocalCase>) {
     let mut group = c.benchmark_group("local_spmm");
     let g = bench_graph(DatasetKind::WebBase, 10_000);
     let a: CsrMatrix<f64> = g.to_adjacency();
-    for k in [32u32, 128] {
-        let x = DenseMatrix::from_fn(a.cols(), k, |r, cc| ((r + cc) % 13) as f64);
-        group.throughput(Throughput::Elements((a.nnz() as u64) * k as u64));
-        group.bench_with_input(BenchmarkId::new("serial", k), &k, |bch, _| {
-            bch.iter(|| spmm::spmm(&a, &x).unwrap())
-        });
-        // The serving shape: one output buffer kept across multiplies.
+    for k in [1u32, 8, 16, 64] {
+        let x = DenseMatrix::from_fn(a.cols(), k, |r, cc| ((r + cc) % 13) as f64 / 3.0 - 2.0);
         let mut y = DenseMatrix::zeros(a.rows(), k);
+        group.throughput(Throughput::Elements((a.nnz() as u64) * k as u64));
+        let mut best = [f64::INFINITY; 3];
+        group.bench_with_input(BenchmarkId::new("floor", k), &k, |bch, _| {
+            bch.iter(|| {
+                let t = amd_obs::Stopwatch::start();
+                scalar_floor(&a, x.data(), k as usize, y.data_mut());
+                best[0] = best[0].min(t.elapsed_seconds());
+            })
+        });
+        let floor = y.clone();
+        group.bench_with_input(BenchmarkId::new("serial", k), &k, |bch, _| {
+            bch.iter(|| {
+                let t = amd_obs::Stopwatch::start();
+                spmm::spmm_slices(
+                    &a,
+                    x.data(),
+                    k,
+                    None,
+                    y.data_mut(),
+                    spmm::Finish::Overwrite,
+                    Dtype::F64,
+                )
+                .unwrap();
+                best[1] = best[1].min(t.elapsed_seconds());
+            })
+        });
+        assert_eq!(y, floor, "the kernel and the floor agree bit for bit");
+        // The serving shape: one output buffer kept across multiplies.
         group.bench_with_input(BenchmarkId::new("pool", k), &k, |bch, _| {
-            bch.iter(|| spmm::spmm_parallel(&a, &x, &mut y, Dtype::F64).unwrap())
+            bch.iter(|| {
+                let t = amd_obs::Stopwatch::start();
+                spmm::spmm_parallel(&a, &x, &mut y, Dtype::F64).unwrap();
+                best[2] = best[2].min(t.elapsed_seconds());
+            })
+        });
+        cases.push(LocalCase {
+            n: a.rows(),
+            nnz: a.nnz(),
+            k,
+            floor_ms: best[0] * 1e3,
+            serial_ms: best[1] * 1e3,
+            pool_ms: best[2] * 1e3,
         });
     }
     group.finish();
@@ -270,19 +333,36 @@ fn bench_dtype(c: &mut Criterion, cases: &mut Vec<DtypeCase>) {
 }
 
 fn bench_serving_kernels(c: &mut Criterion) {
+    let mut local = Vec::new();
     let mut fused = Vec::new();
     let mut dtype = Vec::new();
+    bench_local_spmm(c, &mut local);
     bench_fused_vs_naive(c, &mut fused);
     bench_dtype(c, &mut dtype);
-    write_json(&fused, &dtype);
+    write_json(&local, &fused, &dtype);
 }
 
 /// Machine-readable summary for the perf trajectory of future PRs.
 /// Hand-formatted (no serde in the offline workspace).
-fn write_json(fused: &[FusedCase], dtype: &[DtypeCase]) {
+fn write_json(local: &[LocalCase], fused: &[FusedCase], dtype: &[DtypeCase]) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let mut body = String::new();
-    body.push_str("{\n  \"bench\": \"kernels\",\n  \"fused_vs_naive\": [\n");
+    body.push_str("{\n  \"bench\": \"kernels\",\n  \"local_spmm\": [\n");
+    for (i, c) in local.iter().enumerate() {
+        body.push_str(&format!(
+            "    {{\"n\": {}, \"nnz\": {}, \"k\": {}, \"floor_ms\": {:.3}, \
+             \"serial_ms\": {:.3}, \"pool_ms\": {:.3}, \"floor_over_serial\": {:.2}}}{}\n",
+            c.n,
+            c.nnz,
+            c.k,
+            c.floor_ms,
+            c.serial_ms,
+            c.pool_ms,
+            c.floor_ms / c.serial_ms,
+            if i + 1 < local.len() { "," } else { "" }
+        ));
+    }
+    body.push_str("  ],\n  \"fused_vs_naive\": [\n");
     for (i, c) in fused.iter().enumerate() {
         body.push_str(&format!(
             "    {{\"n\": {}, \"k\": {}, \"splice_rounds\": {}, \"levels\": {}, \
@@ -321,7 +401,6 @@ fn write_json(fused: &[FusedCase], dtype: &[DtypeCase]) {
 
 criterion_group!(
     kernels,
-    bench_local_spmm,
     bench_decomposition,
     bench_spanning_forest,
     bench_tree_layout,

@@ -6,6 +6,13 @@
 //! that group (SPMD discipline, as with an MPI communicator); a per-group
 //! sequence number embedded in the message tags keeps concurrent
 //! collectives on different groups from interfering.
+//!
+//! Host copies are not wire bytes. [`Group::broadcast`] clones its value
+//! once per child, so broadcasting an `Arc` (a [`Payload`] charged like
+//! its content) makes every relay share the root's buffer;
+//! [`Group::allreduce_sum_ring_aligned`] copies one chunk per member and
+//! forwards received buffers from then on. Neither changes a byte, a
+//! message or a tick of the simulated clock.
 
 use crate::message::Payload;
 use crate::rank::RankCtx;
@@ -200,6 +207,9 @@ impl Group {
     ///
     /// Empty payloads return immediately with no messages; as with the
     /// equal-length requirement, emptiness must agree across members.
+    ///
+    /// Each member copies one chunk (`1/g` of the payload) once; every
+    /// later message is the buffer it last received, summed into or kept.
     pub fn allreduce_sum_ring_aligned(
         &self,
         ctx: &mut RankCtx,
@@ -224,28 +234,30 @@ impl Group {
         let me = self.my_idx;
         let right = self.members[(me + 1) % g];
         let left = self.members[(me + g - 1) % g];
-        // Reduce-scatter: in step t, send chunk (me − t) and accumulate
-        // chunk (me − t − 1) from the left neighbour.
-        for t in 0..(g - 1) {
-            let send_c = (me + g - t) % g;
-            let recv_c = (me + g - t - 1) % g;
-            let chunk = data[bounds[send_c]..bounds[send_c + 1]].to_vec();
+        // One chunk is in flight per member. In step s it sends chunk
+        // (me − s) and receives chunk (me − s − 1) from the left
+        // neighbour; for the first g − 1 steps (reduce-scatter) it adds
+        // its own part *into the received buffer* — `mine + incoming`,
+        // the order the in-place `mine += incoming` had — and forwards
+        // that buffer, so only the very first send is a copy. From the
+        // last reduce-scatter step on (all-gather) the received chunk is
+        // fully reduced: it is kept and forwarded as it is.
+        let mut chunk = data[bounds[me]..bounds[me + 1]].to_vec();
+        for s in 0..2 * (g - 1) {
             ctx.send(right, tag, chunk);
-            let incoming: Vec<f64> = ctx.recv(left, tag);
-            let dst = &mut data[bounds[recv_c]..bounds[recv_c + 1]];
-            assert_eq!(incoming.len(), dst.len());
-            for (d, s) in dst.iter_mut().zip(&incoming) {
-                *d += s;
+            chunk = ctx.recv(left, tag);
+            let c = (me + 2 * g - s - 1) % g;
+            let mine = &mut data[bounds[c]..bounds[c + 1]];
+            assert_eq!(chunk.len(), mine.len());
+            if s < g - 1 {
+                for (slot, &m) in chunk.iter_mut().zip(mine.iter()) {
+                    let incoming = *slot;
+                    *slot = m + incoming;
+                }
             }
-        }
-        // All-gather: circulate the fully reduced chunks.
-        for t in 0..(g - 1) {
-            let send_c = (me + 1 + g - t) % g;
-            let recv_c = (me + g - t) % g;
-            let chunk = data[bounds[send_c]..bounds[send_c + 1]].to_vec();
-            ctx.send(right, tag, chunk);
-            let incoming: Vec<f64> = ctx.recv(left, tag);
-            data[bounds[recv_c]..bounds[recv_c + 1]].copy_from_slice(&incoming);
+            if s + 2 >= g {
+                mine.copy_from_slice(&chunk);
+            }
         }
         data
     }
@@ -451,6 +463,108 @@ mod tests {
             for (ring, tree) in report.results {
                 assert_eq!(ring, tree, "p = {p}");
             }
+        }
+    }
+
+    /// The ring as it was before it forwarded received buffers: every
+    /// send a fresh copy, every sum in place. Kept as the reference the
+    /// reworked ring must equal bit for bit.
+    fn ring_copying(g: &Group, ctx: &mut RankCtx, mut data: Vec<f64>, stride: usize) -> Vec<f64> {
+        let n = g.size();
+        if n == 1 || data.is_empty() {
+            return data;
+        }
+        let tag = g.next_tag(ctx);
+        let rows = data.len() / stride;
+        let bounds: Vec<usize> = (0..=n).map(|c| (c * rows / n) * stride).collect();
+        let me = g.my_idx();
+        let right = g.member((me + 1) % n);
+        let left = g.member((me + n - 1) % n);
+        for t in 0..(n - 1) {
+            let send_c = (me + n - t) % n;
+            let recv_c = (me + n - t - 1) % n;
+            ctx.send(
+                right,
+                tag,
+                data[bounds[send_c]..bounds[send_c + 1]].to_vec(),
+            );
+            let incoming: Vec<f64> = ctx.recv(left, tag);
+            for (d, s) in data[bounds[recv_c]..bounds[recv_c + 1]]
+                .iter_mut()
+                .zip(&incoming)
+            {
+                *d += s;
+            }
+        }
+        for t in 0..(n - 1) {
+            let send_c = (me + 1 + n - t) % n;
+            let recv_c = (me + n - t) % n;
+            ctx.send(
+                right,
+                tag,
+                data[bounds[send_c]..bounds[send_c + 1]].to_vec(),
+            );
+            let incoming: Vec<f64> = ctx.recv(left, tag);
+            data[bounds[recv_c]..bounds[recv_c + 1]].copy_from_slice(&incoming);
+        }
+        data
+    }
+
+    #[test]
+    fn forwarding_ring_equals_the_copying_ring_bit_for_bit() {
+        for g in [1u32, 2, 3, 4, 7] {
+            for stride in [1usize, 3, 16] {
+                // Fewer rows than members, a ragged split, and the empty
+                // payload of a k = 0 operand.
+                for rows in [0usize, 2, 7, 23] {
+                    let report = Machine::new(g).run(move |ctx| {
+                        let group = Group::world(ctx);
+                        let data: Vec<f64> = (0..rows * stride)
+                            .map(|i| ((i * 7 + ctx.rank() as usize * 13) % 31) as f64 / 7.0 - 1.9)
+                            .collect();
+                        let before = ctx.stats.clone();
+                        let new = group.allreduce_sum_ring_aligned(ctx, data.clone(), stride);
+                        let mid = ctx.stats.clone();
+                        let old = ring_copying(&group, ctx, data, stride);
+                        let after = ctx.stats.clone();
+                        let charged = |a: &crate::RankStats, b: &crate::RankStats| {
+                            (
+                                b.sent_bytes - a.sent_bytes,
+                                b.recv_bytes - a.recv_bytes,
+                                b.sent_msgs - a.sent_msgs,
+                                b.recv_msgs - a.recv_msgs,
+                            )
+                        };
+                        assert_eq!(charged(&before, &mid), charged(&mid, &after));
+                        (new, old)
+                    });
+                    for (new, old) in report.results {
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&new), bits(&old), "g={g} stride={stride} rows={rows}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_broadcast_is_charged_like_an_owned_one() {
+        let run = |shared: bool| {
+            Machine::new(7).run(move |ctx| {
+                let g = Group::world(ctx);
+                let data = (g.my_idx() == 2).then(|| vec![0.25f64; 33]);
+                if shared {
+                    let got = g.broadcast(ctx, 2, data.map(std::sync::Arc::new));
+                    got.to_vec()
+                } else {
+                    g.broadcast(ctx, 2, data)
+                }
+            })
+        };
+        let (owned, shared) = (run(false), run(true));
+        assert_eq!(owned.results, shared.results);
+        for (o, s) in owned.stats.ranks.iter().zip(&shared.stats.ranks) {
+            assert_eq!(o, s);
         }
     }
 

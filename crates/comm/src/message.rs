@@ -1,6 +1,14 @@
 //! Message payloads and the in-flight packet representation.
+//!
+//! A payload may be *shared*: `Arc<P>` is a payload wherever `P` is, and
+//! it is charged exactly the bytes of its content — the cost model prices
+//! what would cross a wire, and on a wire a shared buffer is sent in full
+//! every time. Sharing only spares the simulator's host the copies: a
+//! broadcast relay hands each child the same allocation instead of a
+//! fresh clone of it.
 
 use std::any::Any;
+use std::sync::Arc;
 
 /// Types that can be sent between ranks.
 ///
@@ -59,6 +67,14 @@ impl Payload for Vec<u64> {
     }
 }
 
+/// A shared payload costs what its content costs (see the
+/// [module docs](self)).
+impl<P: Payload + Sync> Payload for Arc<P> {
+    fn payload_bytes(&self) -> usize {
+        (**self).payload_bytes()
+    }
+}
+
 impl<A: Payload, B: Payload> Payload for (A, B) {
     fn payload_bytes(&self) -> usize {
         self.0.payload_bytes() + self.1.payload_bytes()
@@ -93,6 +109,17 @@ mod tests {
         assert_eq!(vec![0.0f64; 3].payload_bytes(), 24);
         assert_eq!((vec![0u32; 2], vec![0.0f64; 2]).payload_bytes(), 24);
         assert_eq!((1u32, 2u64, vec![0.0f64; 1]).payload_bytes(), 20);
+    }
+
+    #[test]
+    fn shared_payload_is_charged_its_content() {
+        let owned = vec![0.5f64; 7];
+        let shared = Arc::new(owned.clone());
+        assert_eq!(shared.payload_bytes(), owned.payload_bytes());
+        // A second handle on the same buffer is a second full payload.
+        assert_eq!(Arc::clone(&shared).payload_bytes(), 56);
+        assert_eq!(Arc::new((1u32, vec![0u64; 2])).payload_bytes(), 20);
+        assert_eq!(Arc::new(Vec::<f64>::new()).payload_bytes(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! serving-side lowering: per level it keeps only the active-prefix rows
 //! of the matrix (narrowed to the target scalar type) plus the
 //! arrangement's position/order maps, and multiplies through the fused
-//! cache-blocked kernels of [`amd_sparse::kernel`], parallelised over
+//! register-blocked kernels of [`amd_sparse::kernel`], parallelised over
 //! output row blocks.
 //!
 //! Compiling to `f32` halves the bytes every multiply streams. The price
@@ -112,7 +112,6 @@ impl<T: Scalar> CompiledDecomposition<T> {
                 level.active_n,
                 x,
                 &mut y,
-                kernel::DEFAULT_K_BLOCK,
                 ROWS_PER_CHUNK,
             )?;
         }

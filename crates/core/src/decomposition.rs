@@ -161,7 +161,7 @@ impl ArrowDecomposition {
     /// `AX = Σᵢ P_πᵢ (Bᵢ (Pᵀ_πᵢ X))`.
     ///
     /// Each level runs the fused active-prefix kernel
-    /// ([`kernel::fused_level_acc`]): one cache-blocked pass that gathers
+    /// ([`kernel::fused_level_acc`]): one register-blocked pass that gathers
     /// `x` through the arrangement, multiplies the banded level matrix and
     /// accumulates straight into `y`, touching only the level's active
     /// prefix. Bit-identical to [`multiply_unfused`](Self::multiply_unfused)
@@ -169,14 +169,7 @@ impl ArrowDecomposition {
     pub fn multiply(&self, x: &DenseMatrix<f64>) -> SparseResult<DenseMatrix<f64>> {
         let mut y = DenseMatrix::zeros(self.n, x.cols());
         for level in &self.levels {
-            kernel::fused_level_acc(
-                &level.matrix,
-                level.perm.order(),
-                level.active_n,
-                x,
-                &mut y,
-                kernel::DEFAULT_K_BLOCK,
-            )?;
+            kernel::fused_level_acc(&level.matrix, level.perm.order(), level.active_n, x, &mut y)?;
         }
         Ok(y)
     }

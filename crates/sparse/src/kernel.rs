@@ -13,10 +13,11 @@
 //!
 //! The row gather `x[order[c]]` *is* the permutation `Pᵀ_πᵢ X`, the scatter
 //! through `order[p]` *is* `P_πᵢ`, and nothing outside the active prefix is
-//! read or written. On top of the fusion the RHS is cache-blocked: the `k`
-//! columns of `X` are processed [`DEFAULT_K_BLOCK`] at a time so the block
-//! accumulator and the gathered `x` rows stay cache-resident across a row's
-//! nonzeros.
+//! read or written. The arithmetic is the crate's one strip primitive
+//! ([`crate::spmm`]) in its gathering, [`Finish::Fold`] form: a row's sums
+//! for up to 16 columns of `X` are built in registers across the row's
+//! nonzeros and added to `y` once — there is no accumulator buffer, on the
+//! heap or anywhere else, and no block width to choose.
 //!
 //! # Exactness
 //!
@@ -24,8 +25,8 @@
 //! for every non-NaN input, not merely for integer data. Per output element
 //! the reference computes `acc = 0; acc += v₀·x₀; acc += v₁·x₁; …` inside
 //! the level SpMM and then performs one `y += acc`; the fused kernels run
-//! the exact same operation sequence per element (the k-block accumulator
-//! starts at `+0.0` and is folded into `y` once per block). Skipping rows
+//! the exact same operation sequence per element (a strip's sums start at
+//! `+0.0` and are folded into `y` once). Skipping rows
 //! outside the active prefix is exact because those rows are structurally
 //! empty — the reference adds exactly `+0.0` there — and an IEEE-754
 //! round-to-nearest accumulation seeded with `+0.0` can never produce
@@ -34,13 +35,9 @@
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{SparseError, SparseResult};
-use crate::scalar::Scalar;
+use crate::scalar::{Dtype, Scalar};
+use crate::spmm::{strips, Finish, Operands};
 use rayon::prelude::*;
-
-/// RHS columns processed per cache block. 64 `f64` columns are 512 bytes of
-/// accumulator — small enough to stay in L1 alongside the gathered `x` rows,
-/// wide enough to amortise the CSR row walk.
-pub const DEFAULT_K_BLOCK: usize = 64;
 
 fn check_level_shapes<T: Scalar>(
     matrix: &CsrMatrix<T>,
@@ -64,53 +61,42 @@ fn check_level_shapes<T: Scalar>(
     Ok(())
 }
 
+/// The level's multiply operands: `x` rows gathered through `order`.
+fn gathered<'a, T: Scalar>(
+    matrix: &'a CsrMatrix<T>,
+    order: &'a [u32],
+    x: &'a DenseMatrix<T>,
+) -> Operands<'a, T> {
+    Operands {
+        a: matrix,
+        x: x.data(),
+        k: x.cols() as usize,
+        gather: Some(order),
+    }
+}
+
 /// Serial fused level accumulate: `y[order[p]] += Σ_c B[p, c]·x[order[c]]`
 /// for every position `p` in the active prefix.
 ///
 /// `matrix` is the level's matrix in position coordinates, `order` the
 /// level arrangement's position→vertex map ([`crate::Permutation::order`]),
 /// and `active_n` its active-prefix length; rows at positions `≥ active_n`
-/// must be structurally empty. `k_block` is the RHS cache-block width
-/// (clamped to at least 1; see [`DEFAULT_K_BLOCK`]).
+/// must be structurally empty.
 pub fn fused_level_acc<T: Scalar>(
     matrix: &CsrMatrix<T>,
     order: &[u32],
     active_n: u32,
     x: &DenseMatrix<T>,
     y: &mut DenseMatrix<T>,
-    k_block: usize,
 ) -> SparseResult<()> {
     check_level_shapes(matrix, order, active_n, x, y)?;
     let k = x.cols() as usize;
     if k == 0 {
         return Ok(());
     }
-    let kb = k_block.max(1).min(k);
-    let mut acc = vec![T::ZERO; kb];
-    for p in 0..active_n {
-        let cols = matrix.row_indices(p);
-        if cols.is_empty() {
-            continue;
-        }
-        let vals = matrix.row_values(p);
-        let out = y.row_mut(order[p as usize]);
-        let mut j0 = 0usize;
-        while j0 < k {
-            let j1 = (j0 + kb).min(k);
-            let blk = &mut acc[..j1 - j0];
-            blk.fill(T::ZERO);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let xr = &x.row(order[c as usize])[j0..j1];
-                for (a, &xv) in blk.iter_mut().zip(xr) {
-                    *a += v * xv;
-                }
-            }
-            for (o, &a) in out[j0..j1].iter_mut().zip(blk.iter()) {
-                *o += a;
-            }
-            j0 = j1;
-        }
-    }
+    let ops = gathered(matrix, order, x);
+    let rows = (0..active_n).map(|p| (p, order[p as usize] as usize));
+    strips(ops, rows, y.data_mut(), Finish::Fold, Dtype::F64);
     Ok(())
 }
 
@@ -122,7 +108,6 @@ pub fn fused_level_acc<T: Scalar>(
 /// sequence is unchanged, which keeps the parallel variant bit-identical to
 /// the serial one. `positions` is the vertex→position map
 /// ([`crate::Permutation::positions`]) matching `order`.
-#[allow(clippy::too_many_arguments)]
 pub fn fused_level_acc_parallel<T: Scalar>(
     matrix: &CsrMatrix<T>,
     positions: &[u32],
@@ -130,7 +115,6 @@ pub fn fused_level_acc_parallel<T: Scalar>(
     active_n: u32,
     x: &DenseMatrix<T>,
     y: &mut DenseMatrix<T>,
-    k_block: usize,
     rows_per_chunk: usize,
 ) -> SparseResult<()> {
     check_level_shapes(matrix, order, active_n, x, y)?;
@@ -144,41 +128,19 @@ pub fn fused_level_acc_parallel<T: Scalar>(
     if k == 0 {
         return Ok(());
     }
-    let kb = k_block.max(1).min(k);
+    let ops = gathered(matrix, order, x);
     let chunk_rows = rows_per_chunk.max(1);
     y.data_mut()
         .par_chunks_mut(chunk_rows * k)
         .enumerate()
-        .for_each(|(chunk, rows)| {
-            let v0 = chunk * chunk_rows;
-            let mut acc = vec![T::ZERO; kb];
-            for (dv, out) in rows.chunks_mut(k).enumerate() {
-                let p = positions[v0 + dv];
-                if p >= active_n {
-                    continue;
-                }
-                let cols = matrix.row_indices(p);
-                if cols.is_empty() {
-                    continue;
-                }
-                let vals = matrix.row_values(p);
-                let mut j0 = 0usize;
-                while j0 < k {
-                    let j1 = (j0 + kb).min(k);
-                    let blk = &mut acc[..j1 - j0];
-                    blk.fill(T::ZERO);
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        let xr = &x.row(order[c as usize])[j0..j1];
-                        for (a, &xv) in blk.iter_mut().zip(xr) {
-                            *a += v * xv;
-                        }
-                    }
-                    for (o, &a) in out[j0..j1].iter_mut().zip(blk.iter()) {
-                        *o += a;
-                    }
-                    j0 = j1;
-                }
-            }
+        .for_each(|(chunk, out)| {
+            // Output row `at` of this chunk is the vertex at position `p`.
+            let rows = positions[chunk * chunk_rows..][..out.len() / k]
+                .iter()
+                .zip(0..)
+                .filter(|&(&p, _)| p < active_n)
+                .map(|(&p, at)| (p, at));
+            strips(ops, rows, out, Finish::Fold, Dtype::F64);
         });
     Ok(())
 }
@@ -219,13 +181,14 @@ mod tests {
     #[test]
     fn fused_bit_matches_unfused() {
         let (m, perm) = level(40, 17);
-        let x = DenseMatrix::from_fn(40, 9, |r, c| ((r * 9 + c) % 11) as f64 / 3.0 - 1.5);
-        let mut want = DenseMatrix::zeros(40, 9);
-        unfused(&m, &perm, &x, &mut want);
-        for k_block in [1, 2, 4, 64] {
-            let mut got = DenseMatrix::zeros(40, 9);
-            fused_level_acc(&m, perm.order(), 17, &x, &mut got, k_block).unwrap();
-            assert_eq!(got, want, "k_block={k_block}");
+        // Every strip width alone and the greedy mixes of them.
+        for k in [1, 3, 4, 9, 16, 29, 37] {
+            let x = DenseMatrix::from_fn(40, k, |r, c| ((r * 9 + c) % 11) as f64 / 3.0 - 1.5);
+            let mut want = DenseMatrix::zeros(40, k);
+            unfused(&m, &perm, &x, &mut want);
+            let mut got = DenseMatrix::zeros(40, k);
+            fused_level_acc(&m, perm.order(), 17, &x, &mut got).unwrap();
+            assert_eq!(got, want, "k={k}");
         }
     }
 
@@ -234,7 +197,7 @@ mod tests {
         let (m, perm) = level(64, 23);
         let x = DenseMatrix::from_fn(64, 5, |r, c| ((r * 5 + c) % 17) as f64 * 0.25 - 2.0);
         let mut serial = DenseMatrix::zeros(64, 5);
-        fused_level_acc(&m, perm.order(), 23, &x, &mut serial, DEFAULT_K_BLOCK).unwrap();
+        fused_level_acc(&m, perm.order(), 23, &x, &mut serial).unwrap();
         for rows_per_chunk in [1, 7, 64] {
             let mut par = DenseMatrix::zeros(64, 5);
             fused_level_acc_parallel(
@@ -244,7 +207,6 @@ mod tests {
                 23,
                 &x,
                 &mut par,
-                DEFAULT_K_BLOCK,
                 rows_per_chunk,
             )
             .unwrap();
@@ -259,7 +221,7 @@ mod tests {
         let mut y = DenseMatrix::from_fn(20, 3, |_, _| 10.0);
         let mut want = DenseMatrix::from_fn(20, 3, |_, _| 10.0);
         unfused(&m, &perm, &x, &mut want);
-        fused_level_acc(&m, perm.order(), 20, &x, &mut y, DEFAULT_K_BLOCK).unwrap();
+        fused_level_acc(&m, perm.order(), 20, &x, &mut y).unwrap();
         assert_eq!(y, want);
     }
 
@@ -275,7 +237,7 @@ mod tests {
         );
         let x = DenseMatrix::<f32>::from_fn(16, 4, |r, c| (r * 4 + c) as f32);
         let mut y = DenseMatrix::<f32>::zeros(16, 4);
-        fused_level_acc(&m, perm.order(), 9, &x, &mut y, DEFAULT_K_BLOCK).unwrap();
+        fused_level_acc(&m, perm.order(), 9, &x, &mut y).unwrap();
         // Integer-valued data stays exact in f32 at this scale.
         let x64 = DenseMatrix::from_fn(16, 4, |r, c| (r * 4 + c) as f64);
         let mut want = DenseMatrix::zeros(16, 4);
@@ -292,7 +254,7 @@ mod tests {
         let (m, perm) = level(10, 5);
         let x = DenseMatrix::<f64>::zeros(10, 0);
         let mut y = DenseMatrix::<f64>::zeros(10, 0);
-        fused_level_acc(&m, perm.order(), 5, &x, &mut y, DEFAULT_K_BLOCK).unwrap();
+        fused_level_acc(&m, perm.order(), 5, &x, &mut y).unwrap();
     }
 
     #[test]
@@ -300,12 +262,12 @@ mod tests {
         let (m, perm) = level(12, 6);
         let x = DenseMatrix::<f64>::zeros(11, 2);
         let mut y = DenseMatrix::<f64>::zeros(11, 2);
-        assert!(fused_level_acc(&m, perm.order(), 6, &x, &mut y, 64).is_err());
+        assert!(fused_level_acc(&m, perm.order(), 6, &x, &mut y).is_err());
         let x = DenseMatrix::<f64>::zeros(12, 2);
         let mut y = DenseMatrix::<f64>::zeros(12, 3);
-        assert!(fused_level_acc(&m, perm.order(), 6, &x, &mut y, 64).is_err());
+        assert!(fused_level_acc(&m, perm.order(), 6, &x, &mut y).is_err());
         let mut y = DenseMatrix::<f64>::zeros(12, 2);
-        assert!(fused_level_acc(&m, perm.order(), 13, &x, &mut y, 64).is_err());
-        assert!(fused_level_acc_parallel(&m, &[0; 5], perm.order(), 6, &x, &mut y, 64, 8).is_err());
+        assert!(fused_level_acc(&m, perm.order(), 13, &x, &mut y).is_err());
+        assert!(fused_level_acc_parallel(&m, &[0; 5], perm.order(), 6, &x, &mut y, 8).is_err());
     }
 }

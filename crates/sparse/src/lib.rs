@@ -4,18 +4,19 @@
 //! built on:
 //!
 //! * [`CooMatrix`] — a coordinate-format builder for sparse matrices,
-//! * [`CsrMatrix`] — compressed sparse row storage with serial and
-//!   rayon-parallel SpMM kernels,
+//! * [`CsrMatrix`] — compressed sparse row storage, multiplied by the
+//!   serial, pool-parallel and borrowed-slice SpMM entry points of
+//!   [`spmm`], all of them one register-blocked strip primitive,
 //! * [`DenseMatrix`] — row-major dense storage for the tall-skinny feature
 //!   matrices `X ∈ R^{n×k}` of the paper,
 //! * [`Permutation`] — vertex/row permutations `π` and the symmetric
 //!   reorderings `PᵀAP` used throughout the decomposition,
 //! * [`DeltaBuilder`] — the coalescing `ΔA` accumulator of the streaming
 //!   update layer, with [`ops::apply_delta`] folding a delta into a base,
-//! * fused active-prefix level kernels ([`kernel`]) — the serving hot path
-//!   that permutes, band-multiplies and accumulates in one cache-blocked
-//!   pass, generic over [`Scalar`] with a [`Dtype`] selector for f32
-//!   half-bandwidth serving,
+//! * fused active-prefix level kernels ([`kernel`]) — the same strip
+//!   primitive gathering through an arrangement: permute, band-multiply
+//!   and accumulate in one pass, generic over [`Scalar`] with a [`Dtype`]
+//!   selector for f32 half-bandwidth serving,
 //! * bandwidth and arrow-width measures ([`band`]).
 //!
 //! Conventions follow the paper (Gianinazzi et al., PPoPP'24): matrices are

@@ -2,10 +2,49 @@
 //!
 //! These are the local, per-rank kernels of the paper's distributed
 //! algorithms — the role played by cuSPARSE CSRMM in the original
-//! evaluation. The parallel variant splits over blocks of output rows on
-//! the shared `amd-exec` pool, which is the natural decomposition for
-//! CSR × row-major dense; it is the kernel of the one-rank
-//! (shared-memory) serving path.
+//! evaluation — and, on one rank, the serving path itself.
+//!
+//! # One inner loop
+//!
+//! Every multiply in this crate — [`spmm`], [`spmm_acc`],
+//! [`spmm_parallel`], [`spmm_acc_dtype`], [`spmm_dtype`],
+//! [`spmm_slices`] and the fused level kernels of [`crate::kernel`] —
+//! runs the same **strip primitive**. An output row of `k` columns is cut
+//! greedily into strips of 16, 8, 4 and 1 columns; for each strip the
+//! row's stored entries are walked once with the strip's sums held in a
+//! `[T; W]` that the compiler keeps in registers, and only the finished
+//! sums touch the output ([`Finish`]: overwrite it, continue from what it
+//! held, or fold into it with one addition). The `x` row of an entry is
+//! found directly or through a position→vertex map (the fused kernels'
+//! gather); products are exact or rounded through `f32` ([`Dtype`]).
+//!
+//! # Why every result is bit-identical to the loop it replaced
+//!
+//! The loops this replaces did `out[j] += v · x[c][j]` entry by entry,
+//! loading and storing the output row each time. Per output *element* the
+//! strip performs the very same sequence — the same starting value, the
+//! same products in the same (column) order, one rounding per product and
+//! one per addition — it merely keeps the running sum in a register
+//! between entries. Elements never interact, so cutting a row into strips
+//! reorders nothing. No fused multiply-add is ever emitted (Rust does not
+//! contract `a + b · c`, and the AVX2 instantiation does not enable
+//! `fma`), and nothing is reassociated.
+//!
+//! # What is selected at run time
+//!
+//! On x86-64 the strip body is compiled twice: once for the build's
+//! baseline target and once under `#[target_feature(enable = "avx2")]`,
+//! where a 16-column strip is four 256-bit registers. Which one runs is
+//! decided per call by `is_x86_feature_detected!("avx2")` — from the CPU,
+//! not from a field, an environment variable or a cargo feature. Every
+//! other architecture has only the portable body. Both execute the same
+//! IEEE operations, so the choice never changes a bit of any result;
+//! [`spmm_slices_portable`] exists so a test can hold them side by side.
+//!
+//! The parallel variant splits over blocks of output rows on the shared
+//! `amd-exec` pool, which is the natural decomposition for CSR ×
+//! row-major dense; it is the kernel of the one-rank (shared-memory)
+//! serving path.
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
@@ -13,11 +52,192 @@ use crate::error::{SparseError, SparseResult};
 use crate::scalar::{Dtype, Scalar};
 use rayon::prelude::*;
 
+/// How a strip's finished sums land in the output row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Finish {
+    /// `y = Σ`: the sums start at `+0.0` and replace whatever `y` held —
+    /// the order of [`spmm`], without needing a zeroed buffer.
+    Overwrite,
+    /// `y += Σ`, term by term: the sums start from `y`'s content — the
+    /// order of [`spmm_acc`].
+    Accumulate,
+    /// `y += (Σ from +0.0)`: one addition per element after the row's
+    /// product is complete — the order of "multiply, then add" (the
+    /// fused level kernels, the delta correction). Rows without stored
+    /// entries are left untouched: they would add `+0.0`, which changes
+    /// only a `−0.0` — a value no `y` that was itself summed from `+0.0`
+    /// (a zeroed buffer, a base product) ever holds.
+    Fold,
+}
+
+/// The read-only side of a multiply: `a`, and the row-major `x` with `k`
+/// columns whose row for column index `c` is `c` itself or `gather[c]`.
+#[derive(Clone, Copy)]
+pub(crate) struct Operands<'a, T: Scalar> {
+    pub a: &'a CsrMatrix<T>,
+    pub x: &'a [T],
+    pub k: usize,
+    pub gather: Option<&'a [u32]>,
+}
+
+/// One `W`-column strip of one output row: walks the row's entries once
+/// with the sums in `acc`, then finishes into `out[j0..j0 + W]`.
+#[inline(always)]
+fn strip<T: Scalar, const W: usize, const NARROW: bool>(
+    ops: Operands<'_, T>,
+    cols: &[u32],
+    vals: &[T],
+    j0: usize,
+    out: &mut [T],
+    finish: Finish,
+) {
+    let out: &mut [T; W] = (&mut out[j0..j0 + W])
+        .try_into()
+        .expect("slice of W columns");
+    let mut acc = if finish == Finish::Accumulate {
+        *out
+    } else {
+        [T::ZERO; W]
+    };
+    for (&c, &v) in cols.iter().zip(vals) {
+        let row = ops.gather.map_or(c, |g| g[c as usize]) as usize;
+        let xs: &[T; W] = ops.x[row * ops.k + j0..][..W]
+            .try_into()
+            .expect("slice of W columns");
+        for j in 0..W {
+            acc[j] += if NARROW {
+                // f32 product, sum at T (a no-op narrowing when T = f32).
+                T::from_f64((v.to_f64() as f32 * xs[j].to_f64() as f32) as f64)
+            } else {
+                v * xs[j]
+            };
+        }
+    }
+    if finish == Finish::Fold {
+        for j in 0..W {
+            out[j] += acc[j];
+        }
+    } else {
+        *out = acc;
+    }
+}
+
+/// The strip primitive: for every `(r, at)` of `rows`, row `r` of
+/// `A · X` finished into `y[at·k .. (at + 1)·k]`.
+#[inline(always)]
+fn strip_rows<T: Scalar, const NARROW: bool>(
+    ops: Operands<'_, T>,
+    rows: impl Iterator<Item = (u32, usize)>,
+    y: &mut [T],
+    finish: Finish,
+) {
+    let k = ops.k;
+    for (r, at) in rows {
+        let cols = ops.a.row_indices(r);
+        if cols.is_empty() && finish != Finish::Overwrite {
+            continue;
+        }
+        let vals = ops.a.row_values(r);
+        let out = &mut y[at * k..(at + 1) * k];
+        let mut j = 0;
+        while k - j >= 16 {
+            strip::<T, 16, NARROW>(ops, cols, vals, j, out, finish);
+            j += 16;
+        }
+        if k - j >= 8 {
+            strip::<T, 8, NARROW>(ops, cols, vals, j, out, finish);
+            j += 8;
+        }
+        if k - j >= 4 {
+            strip::<T, 4, NARROW>(ops, cols, vals, j, out, finish);
+            j += 4;
+        }
+        while j < k {
+            strip::<T, 1, NARROW>(ops, cols, vals, j, out, finish);
+            j += 1;
+        }
+    }
+}
+
+/// [`strip_rows`] compiled for the build's baseline target — the only
+/// body outside x86-64. `Dtype::F32` rounds each product through `f32`.
+#[inline(always)]
+fn strips_portable<T: Scalar>(
+    ops: Operands<'_, T>,
+    rows: impl Iterator<Item = (u32, usize)>,
+    y: &mut [T],
+    finish: Finish,
+    dtype: Dtype,
+) {
+    match dtype {
+        Dtype::F64 => strip_rows::<T, false>(ops, rows, y, finish),
+        Dtype::F32 => strip_rows::<T, true>(ops, rows, y, finish),
+    }
+}
+
+/// [`strips_portable`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn strips_avx2<T: Scalar>(
+    ops: Operands<'_, T>,
+    rows: impl Iterator<Item = (u32, usize)>,
+    y: &mut [T],
+    finish: Finish,
+    dtype: Dtype,
+) {
+    strips_portable(ops, rows, y, finish, dtype)
+}
+
+/// The strip primitive on the widest body this CPU runs (see the
+/// [module docs](self)). Shapes are the caller's to have checked; a
+/// wrong one panics on a slice bound.
+pub(crate) fn strips<T: Scalar>(
+    ops: Operands<'_, T>,
+    rows: impl Iterator<Item = (u32, usize)>,
+    y: &mut [T],
+    finish: Finish,
+    dtype: Dtype,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `avx2` was detected on this CPU on the line above.
+        return unsafe { strips_avx2(ops, rows, y, finish, dtype) };
+    }
+    strips_portable(ops, rows, y, finish, dtype)
+}
+
+/// Rows `first..` of `A · X` into the whole output rows `y`.
+fn fill_rows<T: Scalar>(
+    a: &CsrMatrix<T>,
+    x: &DenseMatrix<T>,
+    first: u32,
+    y: &mut [T],
+    finish: Finish,
+    dtype: Dtype,
+) {
+    let k = x.cols() as usize;
+    if k == 0 {
+        return;
+    }
+    let ops = Operands {
+        a,
+        x: x.data(),
+        k,
+        gather: None,
+    };
+    let rows = (first..).zip(0..y.len() / k);
+    strips(ops, rows, y, finish, dtype);
+}
+
 /// Serial `Y = A · X` for CSR `A` and dense `X`.
 pub fn spmm<T: Scalar>(a: &CsrMatrix<T>, x: &DenseMatrix<T>) -> SparseResult<DenseMatrix<T>> {
     check_shapes(a, x)?;
     let mut y = DenseMatrix::zeros(a.rows(), x.cols());
-    spmm_into(a, x, &mut y);
+    fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite, Dtype::F64);
     Ok(y)
 }
 
@@ -28,45 +248,105 @@ pub fn spmm_acc<T: Scalar>(
     y: &mut DenseMatrix<T>,
 ) -> SparseResult<()> {
     check_shapes(a, x)?;
-    if y.rows() != a.rows() || y.cols() != x.cols() {
-        return Err(SparseError::ShapeMismatch {
-            left: (a.rows(), x.cols()),
-            right: (y.rows(), y.cols()),
-        });
-    }
-    spmm_into(a, x, y);
+    check_output(a, x, y)?;
+    fill_rows(a, x, 0, y.data_mut(), Finish::Accumulate, Dtype::F64);
     Ok(())
 }
 
-fn spmm_into<T: Scalar>(a: &CsrMatrix<T>, x: &DenseMatrix<T>, y: &mut DenseMatrix<T>) {
-    let k = x.cols() as usize;
-    for r in 0..a.rows() {
-        let out = y.row_mut(r);
-        for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
-            let xr = x.row(c);
-            for j in 0..k {
-                out[j] += v * xr[j];
-            }
-        }
+/// `A · X` over borrowed row-major slices, finished into `y` as `finish`
+/// says, with products at `dtype` — the multiply of a caller that holds
+/// its operand and output as plain buffers (a rank program's received
+/// tile, a reused iterate) and should not wrap, copy or allocate to
+/// multiply them.
+///
+/// `x` has `k` columns; its row for column index `c` of `a` is `c`, or
+/// `gather[c]` when a map is given (every mapped value must be a row of
+/// `x`; one that is not panics). `y` is `a.rows() × k`. Mismatched
+/// lengths are the shape errors of [`spmm_acc`].
+pub fn spmm_slices<T: Scalar>(
+    a: &CsrMatrix<T>,
+    x: &[T],
+    k: u32,
+    gather: Option<&[u32]>,
+    y: &mut [T],
+    finish: Finish,
+    dtype: Dtype,
+) -> SparseResult<()> {
+    let ops = check_slices(a, x, k, gather, y)?;
+    strips(ops, (0..a.rows()).zip(0..), y, finish, dtype);
+    Ok(())
+}
+
+/// [`spmm_slices`] on the portable strip body whatever the CPU offers:
+/// what every non-x86 build runs, callable everywhere so the two bodies
+/// can be compared on one host.
+pub fn spmm_slices_portable<T: Scalar>(
+    a: &CsrMatrix<T>,
+    x: &[T],
+    k: u32,
+    gather: Option<&[u32]>,
+    y: &mut [T],
+    finish: Finish,
+    dtype: Dtype,
+) -> SparseResult<()> {
+    let ops = check_slices(a, x, k, gather, y)?;
+    strips_portable(ops, (0..a.rows()).zip(0..), y, finish, dtype);
+    Ok(())
+}
+
+fn check_slices<'a, T: Scalar>(
+    a: &'a CsrMatrix<T>,
+    x: &'a [T],
+    k: u32,
+    gather: Option<&'a [u32]>,
+    y: &[T],
+) -> SparseResult<Operands<'a, T>> {
+    let kk = k as usize;
+    let x_rows = gather.map_or(a.cols() as usize, <[u32]>::len);
+    if x_rows < a.cols() as usize || x.len() != x_rows * kk {
+        return Err(SparseError::ShapeMismatch {
+            left: (a.rows(), a.cols()),
+            right: (x.len().checked_div(kk).unwrap_or(0) as u32, k),
+        });
     }
+    if y.len() != a.rows() as usize * kk {
+        return Err(SparseError::ShapeMismatch {
+            left: (a.rows(), k),
+            right: (y.len().checked_div(kk).unwrap_or(0) as u32, k),
+        });
+    }
+    Ok(Operands {
+        a,
+        x,
+        k: kk,
+        gather,
+    })
 }
 
 /// Steps of serial work below which [`spmm_parallel`] stays on the
 /// calling thread, in the unit of [`spmm_work`].
 ///
-/// Derived from the dispatch cost measured on the 2-core reference host:
-/// handing row blocks to the pool and joining costs about 15 µs more
-/// than not doing so (2 612 entries, `k = 1`: 5 µs serial, 18 µs through
-/// the pool), and the serial kernel spends about 0.4 ns per step. `2¹⁸`
-/// steps are ≈ 100 µs of serial work — seven dispatches — which is where
-/// the measured two-thread speed-up reaches 1.2×; at half that the pool
-/// only breaks even, and below it loses.
+/// Re-derived for the strip kernel from a sweep over R-MAT scale 8–14 ×
+/// `k` ∈ {1, 4, 8, 16, 64} on the 2-core reference host: the serial side
+/// spends 0.10–0.16 ns per step while its operands stay in cache (0.2 and
+/// more once a `k = 64` operand spills) — less than half of the 0.4 ns of
+/// the loop it replaced — and handing row blocks to the pool and joining
+/// costs 6–15 µs more than not doing so (2 600 entries, `k = 1`: 2.7 µs
+/// serial, 8.3 µs through the pool). `2¹⁸` steps are ≈ 35 µs of serial
+/// work, which is where two threads now break even (230 k steps: 1.01×,
+/// 290 k: 0.81×, 307 k: 1.07×); they reach 1.1–1.4× between `2¹⁹` and
+/// `2²⁰` (483 k: 1.10×, 644 k: 1.33×, 859 k: 1.39×) and 1.7–1.9× from
+/// 2 M steps on. Below the constant the pool loses outright (109 k:
+/// 0.84×, 51 k: 0.43×), which is the case it exists to exclude.
 pub const PARALLEL_MIN_WORK: usize = 1 << 18;
 
 /// Serial cost of `A · X` for a `k`-column operand in kernel steps: every
 /// stored entry costs its `k` multiply-adds plus about 8 steps of walking
-/// to it (index load, `x` row lookup, loop set-up) — the fixed part is
-/// why a `k = 1` multiply is far slower per flop than a `k = 64` one.
+/// to it (index load, `x` row lookup, the serial dependency of its sum)
+/// — the fixed part is why a `k = 1` multiply is far slower per flop than
+/// a `k = 64` one. Measured per entry on cache-resident operands: 1.1–1.3
+/// ns at `k = 1`, 2.4–3.0 ns at `k = 16`, 11–13 ns at `k = 64`; `k + 8`
+/// sits between the slope of the narrow widths and that of the wide one.
 pub fn spmm_work(a: &CsrMatrix<f64>, k: u32) -> usize {
     a.nnz().saturating_mul(k as usize + 8)
 }
@@ -94,12 +374,7 @@ pub fn spmm_parallel(
     dtype: Dtype,
 ) -> SparseResult<()> {
     check_shapes(a, x)?;
-    if y.rows() != a.rows() || y.cols() != x.cols() {
-        return Err(SparseError::ShapeMismatch {
-            left: (a.rows(), x.cols()),
-            right: (y.rows(), y.cols()),
-        });
-    }
+    check_output(a, x, y)?;
     let k = x.cols() as usize;
     let n = a.rows() as usize;
     if n == 0 || k == 0 {
@@ -111,42 +386,18 @@ pub fn spmm_parallel(
         rayon::current_num_threads()
     };
     if threads <= 1 {
-        fill_rows(a, x, 0, y.data_mut(), dtype);
+        fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite, dtype);
         return Ok(());
     }
     let block_rows = n.div_ceil(threads * BLOCKS_PER_THREAD);
     y.data_mut()
         .par_chunks_mut(block_rows * k)
         .enumerate()
-        .for_each(|(block, rows)| fill_rows(a, x, (block * block_rows) as u32, rows, dtype));
+        .for_each(|(block, rows)| {
+            let first = (block * block_rows) as u32;
+            fill_rows(a, x, first, rows, Finish::Overwrite, dtype)
+        });
     Ok(())
-}
-
-/// Overwrites `rows` (whole output rows starting at row `first`) with the
-/// matching rows of `A · X`.
-fn fill_rows(a: &CsrMatrix<f64>, x: &DenseMatrix<f64>, first: u32, rows: &mut [f64], dtype: Dtype) {
-    let k = x.cols() as usize;
-    for (r, out) in (first..).zip(rows.chunks_mut(k)) {
-        out.fill(0.0);
-        let entries = a.row_indices(r).iter().zip(a.row_values(r));
-        match dtype {
-            Dtype::F64 => {
-                for (&c, &v) in entries {
-                    for (o, &xv) in out.iter_mut().zip(x.row(c)) {
-                        *o += v * xv;
-                    }
-                }
-            }
-            Dtype::F32 => {
-                for (&c, &v) in entries {
-                    let v32 = v as f32;
-                    for (o, &xv) in out.iter_mut().zip(x.row(c)) {
-                        *o += (v32 * xv as f32) as f64;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Serial `Y += A · X` at a selectable serving precision, over `f64`
@@ -167,27 +418,9 @@ pub fn spmm_acc_dtype(
     y: &mut DenseMatrix<f64>,
     dtype: Dtype,
 ) -> SparseResult<()> {
-    if dtype == Dtype::F64 {
-        return spmm_acc(a, x, y);
-    }
     check_shapes(a, x)?;
-    if y.rows() != a.rows() || y.cols() != x.cols() {
-        return Err(SparseError::ShapeMismatch {
-            left: (a.rows(), x.cols()),
-            right: (y.rows(), y.cols()),
-        });
-    }
-    let k = x.cols() as usize;
-    for r in 0..a.rows() {
-        let out = y.row_mut(r);
-        for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
-            let v32 = v as f32;
-            let xr = x.row(c);
-            for j in 0..k {
-                out[j] += (v32 * xr[j] as f32) as f64;
-            }
-        }
-    }
+    check_output(a, x, y)?;
+    fill_rows(a, x, 0, y.data_mut(), Finish::Accumulate, dtype);
     Ok(())
 }
 
@@ -197,8 +430,9 @@ pub fn spmm_dtype(
     x: &DenseMatrix<f64>,
     dtype: Dtype,
 ) -> SparseResult<DenseMatrix<f64>> {
+    check_shapes(a, x)?;
     let mut y = DenseMatrix::zeros(a.rows(), x.cols());
-    spmm_acc_dtype(a, x, &mut y, dtype)?;
+    fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite, dtype);
     Ok(y)
 }
 
@@ -234,6 +468,20 @@ fn check_shapes<T: Scalar>(a: &CsrMatrix<T>, x: &DenseMatrix<T>) -> SparseResult
         return Err(SparseError::ShapeMismatch {
             left: (a.rows(), a.cols()),
             right: (x.rows(), x.cols()),
+        });
+    }
+    Ok(())
+}
+
+fn check_output<T: Scalar>(
+    a: &CsrMatrix<T>,
+    x: &DenseMatrix<T>,
+    y: &DenseMatrix<T>,
+) -> SparseResult<()> {
+    if y.rows() != a.rows() || y.cols() != x.cols() {
+        return Err(SparseError::ShapeMismatch {
+            left: (a.rows(), x.cols()),
+            right: (y.rows(), y.cols()),
         });
     }
     Ok(())

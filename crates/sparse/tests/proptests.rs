@@ -276,3 +276,119 @@ proptest! {
         prop_assert_ne!(a.fingerprint(), permuted.fingerprint());
     }
 }
+
+/// The strip primitive's contract, one element at a time: the output
+/// element's starting value, the row's products in column order — exact,
+/// or rounded through `f32` — each added as it is formed, and the finish.
+fn strip_reference<T: amd_sparse::Scalar>(
+    a: &CsrMatrix<T>,
+    x: &[T],
+    k: usize,
+    gather: Option<&[u32]>,
+    y: &mut [T],
+    finish: spmm::Finish,
+    dtype: Dtype,
+) {
+    for r in 0..a.rows() {
+        for j in 0..k {
+            let at = r as usize * k + j;
+            let mut acc = if finish == spmm::Finish::Accumulate {
+                y[at]
+            } else {
+                T::ZERO
+            };
+            for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
+                let row = gather.map_or(c, |g| g[c as usize]) as usize;
+                let xv = x[row * k + j];
+                acc += match dtype {
+                    Dtype::F64 => v * xv,
+                    Dtype::F32 => T::from_f64((v.to_f64() as f32 * xv.to_f64() as f32) as f64),
+                };
+            }
+            y[at] = if finish == spmm::Finish::Fold {
+                y[at] + acc
+            } else {
+                acc
+            };
+        }
+    }
+}
+
+/// Runs the dispatched entry and the portable body on every width in
+/// `0..=70` (each strip width alone and every greedy mix with its
+/// remainder), in the three finish modes and both product modes, with and
+/// without the gather map, and compares each with [`strip_reference`]
+/// bit for bit.
+fn check_strips<T: amd_sparse::Scalar>(
+    a: &CsrMatrix<T>,
+    map: &[u32],
+    bits: impl Fn(&[T]) -> Vec<u64>,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    // Non-integer, never `-0.0` (which a fold of `+0.0` would not keep).
+    let value = |i: usize| T::from_f64(((i * 37 + 11) % 101) as f64 / 13.0 - 3.7);
+    for k in 0..=70usize {
+        for gather in [None, Some(map)] {
+            let x_rows = gather.map_or(a.cols() as usize, <[u32]>::len);
+            let x: Vec<T> = (0..x_rows * k).map(value).collect();
+            let y0: Vec<T> = (0..a.rows() as usize * k).map(|i| value(i + 5)).collect();
+            for finish in [
+                spmm::Finish::Overwrite,
+                spmm::Finish::Accumulate,
+                spmm::Finish::Fold,
+            ] {
+                for dtype in [Dtype::F64, Dtype::F32] {
+                    let mut want = y0.clone();
+                    strip_reference(a, &x, k, gather, &mut want, finish, dtype);
+                    let mut got = y0.clone();
+                    spmm::spmm_slices(a, &x, k as u32, gather, &mut got, finish, dtype).unwrap();
+                    prop_assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "dispatched k={} {:?} {}",
+                        k,
+                        finish,
+                        dtype
+                    );
+                    let mut got = y0.clone();
+                    spmm::spmm_slices_portable(a, &x, k as u32, gather, &mut got, finish, dtype)
+                        .unwrap();
+                    prop_assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "portable k={} {:?} {}",
+                        k,
+                        finish,
+                        dtype
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn strip_primitive_bit_matches_the_scalar_reference(
+        (coo, extra, seed) in (coo_strategy(), 0u32..4, any::<u64>())
+    ) {
+        use rand::prelude::*;
+        use rand::seq::SliceRandom;
+        // `coo_strategy` leaves rows empty and draws non-integer values.
+        let a = coo.to_csr();
+        // A position→vertex map onto an `x` a little taller than `a` is wide.
+        let mut map: Vec<u32> = (0..a.cols() + extra).collect();
+        map.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed));
+        check_strips(&a, &map, |v| v.iter().map(|x| x.to_bits()).collect())?;
+        let a32 = CsrMatrix::<f32>::from_raw_unchecked(
+            a.rows(),
+            a.cols(),
+            a.indptr().to_vec(),
+            a.indices().to_vec(),
+            a.values().iter().map(|&v| v as f32).collect(),
+        );
+        check_strips(&a32, &map, |v| v.iter().map(|x| u64::from(x.to_bits())).collect())?;
+    }
+}

@@ -14,7 +14,9 @@
 use crate::layout::block_range;
 use crate::traits::{apply_sigma, binomial_children, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{CostModel, Group, Machine, MachineExec};
-use amd_sparse::{spmm, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::spmm::{self, Finish};
+use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use std::sync::Arc;
 
 /// The paper's replication choice for the 1.5D baseline: the largest
 /// divisor of `p` that is at most `⌊√p⌋` ("we use c = ⌊√p⌋ in our
@@ -105,7 +107,7 @@ impl A15dSpmm {
     }
 
     /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`spmm::spmm_acc_dtype`]) and [`predict_volume`] charges
+    /// `dtype` ([`spmm::spmm_slices`]) and [`predict_volume`] charges
     /// `dtype` bytes per value moved.
     ///
     /// The simulated machine still ships `f64` buffers (the narrowing is
@@ -166,30 +168,38 @@ impl DistSpmm for A15dSpmm {
             let row_group = Group::new(ctx, (0..self.c).map(|gj| i * self.c + gj).collect());
             // X tile i, replicated across grid row i (initial layout, free).
             let (r0, r1) = block_range(self.n, self.rb, i);
-            let mut x_cur: Vec<f64> = x.rows_slice(r0, r1).to_vec();
+            let mut x_cur = Arc::new(x.rows_slice(r0, r1).to_vec());
             let my_rows = (r1 - r0) as usize;
+            // The iterate about to be replaced becomes the next partial
+            // sum when no peer still reads it (a broadcast shares it).
+            let mut spare: Vec<f64> = Vec::new();
             for _ in 0..iters {
-                let mut partial = vec![0.0f64; my_rows * k as usize];
+                let mut partial = std::mem::take(&mut spare);
+                partial.clear();
+                partial.resize(my_rows * k as usize, 0.0);
                 let mut tile_iter = self.tiles[rank as usize].iter();
                 for t in
                     (j * self.tiles_per_col)..((j + 1) * self.tiles_per_col).min(self.grid_rows)
                 {
-                    // Broadcast X tile t down grid column j from grid row t.
-                    let payload = if i == t { Some(x_cur.clone()) } else { None };
+                    // Broadcast X tile t down grid column j from grid row
+                    // t: one shared buffer for the root and every relay.
+                    let payload = (i == t).then(|| Arc::clone(&x_cur));
                     let xt = col_group.broadcast(ctx, t as usize, payload);
                     // Multiply the matching stationary submatrix.
                     if let Some((tt, sub)) = tile_iter.as_slice().first() {
                         if *tt == t && !xt.is_empty() && my_rows > 0 {
                             tile_iter.next();
-                            let (c0, c1) = block_range(self.n, self.rb, t);
-                            let xd = DenseMatrix::from_vec(c1 - c0, k, xt)
-                                .expect("broadcast tile has block shape");
-                            let mut pd = DenseMatrix::from_vec(r1 - r0, k, partial)
-                                .expect("partial buffer sized to block");
-                            spmm::spmm_acc_dtype(sub, &xd, &mut pd, self.dtype)
-                                .expect("stationary tile shapes align");
+                            spmm::spmm_slices(
+                                sub,
+                                &xt,
+                                k,
+                                None,
+                                &mut partial,
+                                Finish::Accumulate,
+                                self.dtype,
+                            )
+                            .expect("stationary tile shapes align");
                             ctx.compute_flops(spmm::spmm_flops(sub, k));
-                            partial = pd.into_vec();
                         }
                     }
                 }
@@ -197,12 +207,14 @@ impl DistSpmm for A15dSpmm {
                 // was. Row-aligned chunks keep the reduction order
                 // independent of k, so batched multi-RHS runs bit-match
                 // single-column runs.
-                x_cur = row_group.allreduce_sum_ring_aligned(ctx, partial, k as usize);
-                apply_sigma(&mut x_cur, sigma);
+                let mut y = row_group.allreduce_sum_ring_aligned(ctx, partial, k as usize);
+                apply_sigma(&mut y, sigma);
+                spare =
+                    Arc::try_unwrap(std::mem::replace(&mut x_cur, Arc::new(y))).unwrap_or_default();
             }
             // Grid column 0 returns the final blocks for host assembly.
             if j == 0 {
-                x_cur
+                Arc::try_unwrap(x_cur).expect("the final iterate was never broadcast")
             } else {
                 Vec::new()
             }

@@ -23,7 +23,9 @@
 use crate::layout::{block_range, even_ranges};
 use crate::traits::{apply_sigma, binomial_children, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{CostModel, Group, Machine, MachineExec};
-use amd_sparse::{spmm, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::spmm::{self, Finish};
+use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use std::sync::Arc;
 
 /// 2D A-stationary SpMM bound to a matrix.
 pub struct A2dSpmm {
@@ -89,7 +91,7 @@ impl A2dSpmm {
     }
 
     /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`spmm::spmm_acc_dtype`]) and [`predict_volume`] charges
+    /// `dtype` ([`spmm::spmm_slices`]) and [`predict_volume`] charges
     /// `dtype` bytes per value moved.
     ///
     /// The simulated machine still ships `f64` buffers (the narrowing is
@@ -154,7 +156,6 @@ impl DistSpmm for A2dSpmm {
                 buf
             };
             let a_tile = &self.tiles[rank as usize];
-            let (ac0, ac1) = block_range(self.n, self.rb, c);
             for iter in 0..iters {
                 let mut y_mine: Vec<f64> = Vec::new();
                 for f in 0..q {
@@ -162,33 +163,36 @@ impl DistSpmm for A2dSpmm {
                     let fk = f1 - f0;
                     let tag = ((iter as u64) << 8) | f as u64;
                     // 1. Route X(r, f) (if I own it) to the diagonal of
-                    //    grid column r; receive on the diagonal.
-                    if c == f && r != c {
-                        ctx.send(r * q + r, tag, x_cur.clone());
-                    }
-                    let bcast_payload: Option<Vec<f64>> = if r == c {
-                        if c == f {
-                            Some(x_cur.clone())
-                        } else {
-                            Some(ctx.recv::<Vec<f64>>(r * q + f, tag))
-                        }
+                    //    grid column r; receive on the diagonal. The tile
+                    //    is used once per iteration, in this phase, so it
+                    //    moves into the shared buffer every hop reads.
+                    let mine = (c == f).then(|| Arc::new(std::mem::take(&mut x_cur)));
+                    let bcast_payload: Option<Arc<Vec<f64>>> = if r == c {
+                        mine.or_else(|| Some(ctx.recv(r * q + f, tag)))
                     } else {
+                        if let Some(tile) = mine {
+                            ctx.send(r * q + r, tag, tile);
+                        }
                         None
                     };
                     // 2. Broadcast X(c, f) down grid column c from the
                     //    diagonal member (index c).
                     let xt = col_group.broadcast(ctx, c as usize, bcast_payload);
                     // 3. Partial product A(r, c) · X(c, f).
-                    let partial = if my_rows > 0 && !xt.is_empty() && fk > 0 {
-                        let xd = DenseMatrix::from_vec(ac1 - ac0, fk, xt)
-                            .expect("broadcast tile has block shape");
+                    let mut partial = vec![0.0; my_rows * fk as usize];
+                    if my_rows > 0 && !xt.is_empty() && fk > 0 {
                         ctx.compute_flops(spmm::spmm_flops(a_tile, fk));
-                        spmm::spmm_dtype(a_tile, &xd, self.dtype)
-                            .expect("2D tile shapes align")
-                            .into_vec()
-                    } else {
-                        vec![0.0; my_rows * fk as usize]
-                    };
+                        spmm::spmm_slices(
+                            a_tile,
+                            &xt,
+                            fk,
+                            None,
+                            &mut partial,
+                            Finish::Overwrite,
+                            self.dtype,
+                        )
+                        .expect("2D tile shapes align");
+                    }
                     // 4. Reduce across the grid row onto member f.
                     let reduced = row_group.reduce_sum(ctx, f as usize, partial);
                     if c == f {

@@ -20,8 +20,10 @@
 use crate::layout::{block_count, block_range};
 use crate::traits::{apply_sigma, binomial_children, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{CostModel, Group, Machine, MachineExec, RankCtx};
-use amd_sparse::{spmm, DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::spmm::{self, Finish};
+use amd_sparse::{DenseMatrix, Dtype, SparseError, SparseResult};
 use arrow_core::{ArrowDecomposition, ArrowMatrix};
+use std::sync::Arc;
 
 /// Route table entry: rows this rank ships to (or accepts from) one peer.
 /// Sender and receiver hold mirrored routes built from the same position
@@ -203,7 +205,7 @@ impl ArrowSpmm {
     }
 
     /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`spmm::spmm_acc_dtype`]) and [`predict_volume`] charges
+    /// `dtype` ([`spmm::spmm_slices`]) and [`predict_volume`] charges
     /// `dtype` bytes per value moved.
     ///
     /// The simulated machine still ships `f64` buffers (the narrowing is
@@ -234,12 +236,14 @@ impl ArrowSpmm {
 }
 
 /// One level's Algorithm 1: multiply the arrow matrix with the
-/// block-distributed `D`, returning this rank's `C(i)` block.
+/// block-distributed `D`, consuming this rank's `D(i)` block and
+/// returning its `C(i)` block. Tiles multiply the received and owned
+/// buffers where they lie ([`spmm::spmm_slices`]).
 fn arrow_multiply(
     ctx: &mut RankCtx,
     level: &LevelPlan,
     my_i: u32,
-    d_block: &[f64],
+    d_block: Vec<f64>,
     k: u32,
     dtype: Dtype,
 ) -> Vec<f64> {
@@ -248,46 +252,53 @@ fn arrow_multiply(
     let my_rows = (r1 - r0) as usize;
     debug_assert_eq!(d_block.len(), my_rows * k as usize);
 
-    // Broadcast D(0) from the level's first rank (Algorithm 1, line 1).
-    let d0 = group.broadcast(
-        ctx,
-        0,
-        if my_i == 0 {
-            Some(d_block.to_vec())
-        } else {
-            None
-        },
-    );
+    // Broadcast D(0) from the level's first rank (Algorithm 1, line 1):
+    // shared, so the root, every relay and every receiver read one buffer.
+    let d_block = Arc::new(d_block);
+    let d0 = group.broadcast(ctx, 0, (my_i == 0).then(|| Arc::clone(&d_block)));
     let (z0, z1) = block_range(level.active_n, level.arrow.b(), 0);
     let d0_rows = z1 - z0;
-    let d0_mat = DenseMatrix::from_vec(d0_rows, k, d0).expect("D(0) has block shape");
 
     // Row-arm partial B(0,i) · D(i), reduced to rank 0 (lines 2–3).
     let row_tile = level.arrow.row_tile(my_i);
-    let partial0 = if my_rows > 0 {
-        let d_mat = DenseMatrix::from_vec(r1 - r0, k, d_block.to_vec()).expect("block shape");
+    let mut partial0 = vec![0.0; (d0_rows * k) as usize];
+    if my_rows > 0 {
         ctx.compute_flops(spmm::spmm_flops(row_tile, k));
-        spmm::spmm_dtype(row_tile, &d_mat, dtype)
-            .expect("row tile shapes align")
-            .into_vec()
-    } else {
-        vec![0.0; (d0_rows * k) as usize]
-    };
+        spmm::spmm_slices(
+            row_tile,
+            &d_block,
+            k,
+            None,
+            &mut partial0,
+            Finish::Overwrite,
+            dtype,
+        )
+        .expect("row tile shapes align");
+    }
     let reduced = group.reduce_sum(ctx, 0, partial0);
 
     // C(i) (lines 4–6).
     if my_i == 0 {
         reduced.expect("rank 0 of the level holds the reduction")
     } else {
-        let mut c = DenseMatrix::zeros(r1 - r0, k);
+        let mut c = vec![0.0; my_rows * k as usize];
         let col_tile = level.arrow.col_tile(my_i);
         ctx.compute_flops(spmm::spmm_flops(col_tile, k));
-        spmm::spmm_acc_dtype(col_tile, &d0_mat, &mut c, dtype).expect("column tile shapes align");
+        spmm::spmm_slices(col_tile, &d0, k, None, &mut c, Finish::Overwrite, dtype)
+            .expect("column tile shapes align");
         let diag_tile = level.arrow.diag_tile(my_i);
-        let d_mat = DenseMatrix::from_vec(r1 - r0, k, d_block.to_vec()).expect("block shape");
         ctx.compute_flops(spmm::spmm_flops(diag_tile, k));
-        spmm::spmm_acc_dtype(diag_tile, &d_mat, &mut c, dtype).expect("diagonal tile shapes align");
-        c.into_vec()
+        spmm::spmm_slices(
+            diag_tile,
+            &d_block,
+            k,
+            None,
+            &mut c,
+            Finish::Accumulate,
+            dtype,
+        )
+        .expect("diagonal tile shapes align");
+        c
     }
 }
 
@@ -364,7 +375,7 @@ impl DistSpmm for ArrowSpmm {
                     }
                 }
                 // 2. Per-level arrow multiply (Algorithm 1).
-                let mut y_block = arrow_multiply(ctx, level, my_i, &x_block, k, self.dtype);
+                let mut y_block = arrow_multiply(ctx, level, my_i, x_block, k, self.dtype);
                 // 3. Backward aggregation j+1 → j (Algorithm 2, lines 7–12).
                 if j + 1 < l {
                     for route in &plan.bwd_recvs {

@@ -38,7 +38,8 @@
 
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::CostModel;
-use amd_sparse::{spmm, CsrMatrix, DenseMatrix, SparseError, SparseResult};
+use amd_sparse::spmm::{self, Finish};
+use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 
 /// Bytes on the wire per delta entry (row `u32` + col `u32` + value `f64`).
 const DELTA_ENTRY_BYTES: f64 = 16.0;
@@ -136,18 +137,31 @@ impl DistSpmm for DeltaSpmm<'_> {
         let (c_bytes, c_msgs, c_flops) = self.correction_cost(x.cols());
         let c_time =
             self.cost.alpha * c_msgs + self.cost.beta * c_bytes + self.cost.compute_time(c_flops);
-        let mut cur = x.clone();
+        // The operand of an iteration: the caller's `x`, then the
+        // previous iteration's output.
+        let mut cur: Option<DenseMatrix<f64>> = None;
         let mut stats = amd_comm::MachineStats::default();
         for _ in 0..iters {
+            let src = cur.as_ref().unwrap_or(x);
             // Base contribution first (σ deferred: the activation must see
             // the corrected sum).
-            let step = self.base.run(&cur, 1)?;
+            let step = self.base.run(src, 1)?;
             let mut y = step.y;
-            // Fixed reduction order: delta product in row-major, ascending
-            // column order (the serial reference order), then element-wise
-            // addition onto the base result.
-            let dy = spmm::spmm(self.delta, &cur)?;
-            y.add_assign(&dy)?;
+            // Fixed reduction order: each delta row's product summed from
+            // `+0.0` in ascending column order (the serial reference
+            // order), then added onto the base result in one step. Only
+            // the delta's non-empty rows are touched: an empty row would
+            // add `+0.0`, and the base result — itself summed from `+0.0`
+            // — is never `−0.0`, the one value that addition would change.
+            spmm::spmm_slices(
+                self.delta,
+                src.data(),
+                src.cols(),
+                None,
+                y.data_mut(),
+                Finish::Fold,
+                Dtype::F64,
+            )?;
             apply_sigma(y.data_mut(), sigma);
             // Accumulate base accounting, then charge the correction.
             if stats.ranks.is_empty() {
@@ -166,10 +180,10 @@ impl DistSpmm for DeltaSpmm<'_> {
             for r in stats.ranks.iter_mut() {
                 r.sim_time += c_time;
             }
-            cur = y;
+            cur = Some(y);
         }
         Ok(SpmmRun {
-            y: cur,
+            y: cur.unwrap_or_else(|| x.clone()),
             stats,
             iters,
         })

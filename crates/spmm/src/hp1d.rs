@@ -16,8 +16,9 @@
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{CostModel, Machine, MachineExec};
 use amd_partition::Partition;
+use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{
-    spmm, CooMatrix, CsrMatrix, DenseMatrix, Dtype, Permutation, SparseError, SparseResult,
+    CooMatrix, CsrMatrix, DenseMatrix, Dtype, Permutation, SparseError, SparseResult,
 };
 
 /// HP-1D SpMM bound to a matrix and a partition.
@@ -146,7 +147,7 @@ impl Hp1dSpmm {
     }
 
     /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`spmm::spmm_acc_dtype`]) and [`predict_volume`] charges
+    /// `dtype` ([`spmm::spmm_slices`]) and [`predict_volume`] charges
     /// `dtype` bytes per value moved.
     ///
     /// The simulated machine still ships `f64` buffers (the narrowing is
@@ -209,6 +210,11 @@ impl DistSpmm for Hp1dSpmm {
             for q in s..e {
                 x_cur.extend_from_slice(x.row(self.pi.vertex_at(q)));
             }
+            // The output of one iteration is the operand of the next:
+            // two buffers swap roles, and the fetched rows land in a
+            // third that keeps its allocation.
+            let mut y_cur = vec![0.0; rows * k as usize];
+            let mut ext_x: Vec<f64> = Vec::new();
             for iter in 0..iters {
                 let tag = iter as u64;
                 // 1. Serve remote requests first (sends never block).
@@ -221,13 +227,21 @@ impl DistSpmm for Hp1dSpmm {
                     ctx.send(*requester, tag, buf);
                 }
                 // 2. Local SpMM overlaps with the transfers.
-                let xd = DenseMatrix::from_vec(e - s, k, x_cur.clone()).expect("own block shape");
-                let mut partial = spmm::spmm_dtype(&self.a_local[rank as usize], &xd, self.dtype)
-                    .expect("local tile shapes align");
-                ctx.compute_flops(spmm::spmm_flops(&self.a_local[rank as usize], k));
+                let a_local = &self.a_local[rank as usize];
+                spmm::spmm_slices(
+                    a_local,
+                    &x_cur,
+                    k,
+                    None,
+                    &mut y_cur,
+                    Finish::Overwrite,
+                    self.dtype,
+                )
+                .expect("local tile shapes align");
+                ctx.compute_flops(spmm::spmm_flops(a_local, k));
                 // 3. Receive external rows (ascending owner = ascending
                 //    compact index) and run the non-local SpMM.
-                let mut ext_x: Vec<f64> = Vec::new();
+                ext_x.clear();
                 for (owner, req_rows) in &self.fetches[rank as usize] {
                     let buf: Vec<f64> = ctx.recv(*owner, tag);
                     debug_assert_eq!(buf.len(), req_rows.len() * k as usize);
@@ -235,13 +249,19 @@ impl DistSpmm for Hp1dSpmm {
                 }
                 let a_ext = &self.a_ext[rank as usize];
                 if !ext_x.is_empty() {
-                    let ed = DenseMatrix::from_vec(a_ext.cols(), k, ext_x)
-                        .expect("external block shape");
-                    spmm::spmm_acc_dtype(a_ext, &ed, &mut partial, self.dtype)
-                        .expect("external tile shapes align");
+                    spmm::spmm_slices(
+                        a_ext,
+                        &ext_x,
+                        k,
+                        None,
+                        &mut y_cur,
+                        Finish::Accumulate,
+                        self.dtype,
+                    )
+                    .expect("external tile shapes align");
                     ctx.compute_flops(spmm::spmm_flops(a_ext, k));
                 }
-                x_cur = partial.into_vec();
+                std::mem::swap(&mut x_cur, &mut y_cur);
                 apply_sigma(&mut x_cur, sigma);
             }
             x_cur

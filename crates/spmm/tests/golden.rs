@@ -1,0 +1,84 @@
+//! Golden accounting: the bytes, messages, simulated clock and answer
+//! bits of every distributed algorithm on one grid and one R-MAT, pinned
+//! to what the machine charged (and the kernels summed) before the rank
+//! programs stopped copying their operands. A shared (`Arc`) payload must be charged like an owned one
+//! and a forwarded ring chunk like a copied one — a copy removed can
+//! never be a message removed.
+
+use amd_graph::generators::{basic, rmat};
+use amd_graph::Graph;
+use amd_partition::{hype_partition, HypeConfig};
+use amd_sparse::{CsrMatrix, DenseMatrix};
+use amd_spmm::{A15dSpmm, A2dSpmm, ArrowSpmm, DistSpmm, Hp1dSpmm};
+use arrow_core::{la_decompose, DecomposeConfig, RandomForestLa};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+const K: u32 = 6;
+const ITERS: u32 = 2;
+
+/// `(max_volume, max_messages, sim_time, FNV-1a of the answer's bits)`
+/// of a two-iteration run on non-integer data.
+fn account(alg: &dyn DistSpmm, n: u32) -> (u64, u64, f64, u64) {
+    let x = DenseMatrix::from_fn(n, K, |r, c| ((r * 7 + c * 3) % 11) as f64 / 7.0 - 0.6);
+    let run = alg.run(&x, ITERS).unwrap();
+    let bits = run.y.data().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        (h ^ v.to_bits()).wrapping_mul(0x1000_0000_01b3)
+    });
+    (
+        run.stats.max_volume(),
+        run.stats.max_messages(),
+        run.stats.sim_time(),
+        bits,
+    )
+}
+
+/// Arrow (b = 32), 1.5D (p = 8, c = 2), 2D (p = 9) and HP-1D (4 parts)
+/// on `g`, in that order.
+fn accounts(g: &Graph) -> [(u64, u64, f64, u64); 4] {
+    let a: CsrMatrix<f64> = g.to_adjacency();
+    let n = a.rows();
+    let d = la_decompose(
+        &a,
+        &DecomposeConfig::with_width(32),
+        &mut RandomForestLa::new(5),
+    )
+    .unwrap();
+    let part = hype_partition(
+        g,
+        4,
+        &HypeConfig::default(),
+        &mut ChaCha8Rng::seed_from_u64(11),
+    );
+    [
+        account(&ArrowSpmm::new(&d).unwrap(), n),
+        account(&A15dSpmm::new(&a, 8, 2).unwrap(), n),
+        account(&A2dSpmm::new(&a, 9).unwrap(), n),
+        account(&Hp1dSpmm::new(&a, &part).unwrap(), n),
+    ]
+}
+
+#[test]
+fn grid_accounting_is_pinned() {
+    let got = accounts(&basic::grid_2d(20, 20));
+    let want = [
+        (29184, 56, 4.1630400000000014e-5, 11695571931520839690),
+        (48000, 14, 1.7784e-5, 4480212453878409906),
+        (51456, 24, 2.9770399999999992e-5, 3490415359245755352),
+        (10176, 12, 8.3328e-6, 12130020257853090277),
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn rmat_accounting_is_pinned() {
+    let mut rng = ChaCha8Rng::seed_from_u64(13);
+    let got = accounts(&rmat::rmat(9, 4, rmat::RmatParams::graph500(), &mut rng));
+    let want = [
+        (24576, 44, 3.18192e-5, 9933073009204709611),
+        (61440, 14, 2.1705599999999998e-5, 9772577914616040458),
+        (65664, 24, 3.27808e-5, 11534188761963285561),
+        (34368, 12, 1.56864e-5, 2158169194336856191),
+    ];
+    assert_eq!(got, want);
+}
