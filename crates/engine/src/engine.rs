@@ -1,9 +1,12 @@
 //! The serving engine: registration, query batching, and execution.
 //!
-//! A matrix is **registered** once: fingerprinted, decomposed through
-//! the [`DecompositionCache`], planned
-//! by the [`planner`](crate::planner), and bound to the winning
-//! algorithm. **Queries** — single-column multiply requests against a
+//! A matrix is **registered** once: fingerprinted, planned by the
+//! [`planner`](crate::planner), and bound to the winning algorithm — on
+//! a deployment of more than one rank after being decomposed through the
+//! [`DecompositionCache`], because the distributed candidates are built
+//! from a decomposition; on one rank without, because the plan there
+//! reads the CSR and nothing else (see [`EngineConfig::target_ranks`]).
+//! **Queries** — single-column multiply requests against a
 //! registered matrix — are then submitted to a queue; [`Engine::flush`]
 //! coalesces all compatible pending queries (same matrix, iteration
 //! count, and σ) into one multi-RHS [`DenseMatrix`] run.
@@ -19,11 +22,11 @@
 
 use crate::attribution::{AttributionMetrics, QueryCost, RunAttribution};
 use crate::cache::{CacheStats, DecompositionCache};
-use crate::planner::{plan, Plan, PlannerConfig, Prediction};
+use crate::planner::{plan, plan_local, Plan, PlannerConfig, Prediction};
 use amd_chaos::failpoint;
 use amd_comm::{CostModel, MachineExec};
 use amd_obs::{Counter, Gauge, Histogram, SpanId, Stopwatch, Telemetry};
-use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::{ops, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use amd_spmm::traits::Sigma;
 use amd_spmm::{DeltaSpmm, DistSpmm, ServingCostGuard, DEFAULT_MAX_SLICE_SLOWDOWN};
 use arrow_core::incremental::{
@@ -40,8 +43,9 @@ use std::sync::Arc;
 /// [`Engine::register`], so the id *is* the fingerprint there). Distinct
 /// salts keep bindings of identical content separate — a multi-tenant
 /// holder can give every tenant its own binding (own overlay, own
-/// version lineage) while the decomposition cache still shares the
-/// expensive LA-Decompose by content.
+/// version lineage) while, where one is computed at all, the
+/// decomposition cache still shares the expensive LA-Decompose by
+/// content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatrixId(pub u128);
 
@@ -73,15 +77,20 @@ pub struct EngineConfig {
     pub decompose_seed: u64,
     /// Decompositions held in memory (LRU beyond this).
     pub cache_capacity: usize,
-    /// Write-through spill directory; `None` disables persistence.
+    /// Write-through spill directory for decompositions; `None`
+    /// disables persistence. A one-rank engine computes none, so it
+    /// leaves the directory empty.
     pub spill_dir: Option<PathBuf>,
     /// Cost model for the planner.
     pub cost: CostModel,
     /// Ranks the deployment has. The default, `1`, is the host this
     /// process runs on: every binding is the shared-memory
-    /// `LocalSpmm` and no simulated machine runs. Above `1` the matrix
-    /// is taken to be distributed and the planner ranks the four
-    /// distributed algorithms with this as the baselines' rank budget.
+    /// `LocalSpmm`, no simulated machine runs, and — since that plan
+    /// reads only the CSR — no decomposition is computed, cached or
+    /// written to `spill_dir`, at registration or at a refresh. Above
+    /// `1` the matrix is taken to be distributed: it is decomposed once
+    /// through the cache and the planner ranks the four distributed
+    /// algorithms with this as the baselines' rank budget.
     pub target_ranks: u32,
     /// Largest number of queries coalesced into one run.
     pub max_batch: usize,
@@ -206,8 +215,9 @@ impl EngineConfig {
 
 struct BoundMatrix {
     n: u32,
-    /// Content fingerprint of the registered matrix (unsalted) — the
-    /// key under which the cache holds this binding's decomposition.
+    /// Content fingerprint of the registered matrix (unsalted) — on a
+    /// many-rank engine the key under which the cache holds this
+    /// binding's decomposition.
     fingerprint: u128,
     algo: Box<dyn DistSpmm + Send + Sync>,
     chosen: String,
@@ -221,7 +231,14 @@ struct BoundMatrix {
     /// Registration salt of this binding (see [`MatrixId`]); a refresh
     /// keeps its successor under the same salt.
     salt: u128,
-    /// Mean active-prefix fraction of the bound decomposition's levels
+    /// What the binding keeps of the decomposition it was planned from;
+    /// `None` on one rank, where there is none.
+    decomposed: Option<Decomposed>,
+}
+
+#[derive(Clone, Copy)]
+struct Decomposed {
+    /// Mean active-prefix fraction of the decomposition's levels
     /// (Σ activeᵢ / (levels · n)) — the share of permuted rows the fused
     /// kernel actually touches; carried into trace events.
     active_prefix: f64,
@@ -231,18 +248,41 @@ struct BoundMatrix {
     splice_baseline: f64,
 }
 
+/// Where a registration sits in its binding's history.
+struct Lineage {
+    /// Streaming revision (0 for a cold registration).
+    version: u64,
+    /// Registration salt (see [`MatrixId`]).
+    salt: u128,
+    /// Content fingerprint this registration was refreshed from (0 for
+    /// a cold one) — recorded in the persistence catalog so version
+    /// chains track delta lineage.
+    parent: u128,
+    /// The splice guard's cold-serving baseline to carry forward from a
+    /// refreshed predecessor; `None` treats this binding's own
+    /// decomposition as cold and records its prediction.
+    carried_baseline: Option<f64>,
+}
+
 /// The immutable half of a refresh, produced by
-/// [`Engine::prepare_refresh`]: everything a worker needs to decompose
-/// the merged snapshot *off-thread* — while the engine keeps serving the
-/// old binding — plus the identity needed to
+/// [`Engine::prepare_refresh`]: everything [`build`](Self::build) needs
+/// to produce the next binding's inputs *off-thread* — while the engine
+/// keeps serving the old binding — plus the identity needed to
 /// [`commit`](Engine::commit_refresh) the swap afterwards. The ticket
-/// borrows nothing, so it can move to another thread with the snapshot.
+/// borrows nothing, so it can move to another thread.
 #[derive(Debug, Clone)]
 pub struct RefreshTicket {
     /// The binding to replace.
     pub old: MatrixId,
-    /// Content fingerprint of the merged snapshot.
-    pub fingerprint: u128,
+    /// Dimension of that binding; a build of any other shape is refused.
+    pub n: u32,
+    /// Whether the build computes a decomposition of the merged matrix
+    /// (splice or cold, per `prior`, `touched` and `incremental`). Set
+    /// by [`prepare_refresh_localized`](Engine::prepare_refresh_localized)
+    /// on a deployment of more than one rank and nowhere else: a
+    /// one-rank binding reads no decomposition, and an unlocalized
+    /// refresh takes its decomposition from the cache at commit.
+    pub decompose: bool,
     /// Decomposition parameters the engine would use (arrow width etc.).
     pub config: DecomposeConfig,
     /// Arrangement seed the engine would use.
@@ -259,6 +299,81 @@ pub struct RefreshTicket {
     /// worker thread decides incremental-vs-cold exactly as the engine
     /// would.
     pub incremental: IncrementalPolicy,
+}
+
+/// What a refresh build hands to [`Engine::commit_refresh`] beside the
+/// merged matrix itself. Only [`RefreshTicket::build`] and
+/// [`build_merged`](RefreshTicket::build_merged) make one, so the
+/// fingerprint commit adopts is always one the build hashed.
+#[derive(Debug)]
+pub struct RefreshBuild {
+    /// Content fingerprint of the merged matrix — hashed once, by the
+    /// build; commit does not hash again.
+    fingerprint: u128,
+    /// The merged matrix's decomposition and what computing it did;
+    /// `None` when the ticket did not ask for one.
+    decomposition: Option<(ArrowDecomposition, RefreshOutcome)>,
+}
+
+impl RefreshBuild {
+    /// Content fingerprint of the merged matrix.
+    pub fn fingerprint(&self) -> u128 {
+        self.fingerprint
+    }
+
+    /// What computing the decomposition did; `None` when the ticket did
+    /// not ask for one.
+    pub fn outcome(&self) -> Option<RefreshOutcome> {
+        self.decomposition.as_ref().map(|(_, outcome)| *outcome)
+    }
+}
+
+impl RefreshTicket {
+    /// The refresh build, start to finish: merge `base + delta`,
+    /// fingerprint the result, decompose it if the ticket asks. Touches
+    /// no engine state, so a refresh worker runs it off the serving
+    /// thread; the inline refreshes, which are handed a merged matrix,
+    /// enter at [`build_merged`](Self::build_merged).
+    pub fn build(
+        &self,
+        base: &CsrMatrix<f64>,
+        delta: &CsrMatrix<f64>,
+    ) -> SparseResult<(CsrMatrix<f64>, RefreshBuild)> {
+        let merged = ops::apply_delta(base, delta)?;
+        let built = self.build_merged(&merged, merged.fingerprint())?;
+        Ok((merged, built))
+    }
+
+    /// [`build`](Self::build) from its merge step on. `fingerprint` is
+    /// `merged.fingerprint()`, which the caller computed (once).
+    pub fn build_merged(
+        &self,
+        merged: &CsrMatrix<f64>,
+        fingerprint: u128,
+    ) -> SparseResult<RefreshBuild> {
+        if merged.rows() != self.n || merged.cols() != self.n {
+            return Err(SparseError::ShapeMismatch {
+                left: (self.n, self.n),
+                right: (merged.rows(), merged.cols()),
+            });
+        }
+        let decomposition = if self.decompose {
+            Some(decompose_snapshot_incremental(
+                merged,
+                &self.config,
+                self.seed,
+                self.prior.as_deref(),
+                self.touched.as_deref(),
+                &self.incremental,
+            )?)
+        } else {
+            None
+        };
+        Ok(RefreshBuild {
+            fingerprint,
+            decomposition,
+        })
+    }
 }
 
 /// Registry handles behind [`EngineStats`] plus the engine's latency
@@ -279,9 +394,6 @@ struct EngineMetrics {
     /// Serving precision in bytes per value (4 = f32, 8 = f64) — a
     /// config echo so a metrics snapshot identifies the serving mode.
     dtype_bytes: Gauge,
-    /// Mean active-prefix fraction of the most recently planned
-    /// binding, in permille (gauges are integers).
-    active_prefix_permille: Gauge,
     /// The cost model's per-byte β in femtoseconds (β · 10¹⁵) — a
     /// config echo so `report` can compare the model against the
     /// measured effective per-byte cost.
@@ -306,7 +418,6 @@ impl EngineMetrics {
             multiply_seconds: registry.histogram("multiply.seconds"),
             refresh_seconds: registry.histogram("refresh.seconds"),
             dtype_bytes: registry.gauge("engine.dtype_bytes"),
-            active_prefix_permille: registry.gauge("engine.active_prefix_permille"),
             cost_beta_femtos: registry.gauge("engine.cost.beta_femtos"),
             attribution: AttributionMetrics::new(registry),
         }
@@ -380,11 +491,12 @@ impl Engine {
         &self.telemetry
     }
 
-    /// Registers `a`: fingerprint, decompose (through the cache), plan,
-    /// and bind the cheapest algorithm. Registering the same content
-    /// twice is a no-op returning the same id.
+    /// Registers `a`: fingerprint, plan, and bind the cheapest algorithm
+    /// — on more than one rank after decomposing `a` through the cache.
+    /// Registering the same content twice is a no-op returning the same
+    /// id.
     pub fn register(&mut self, a: &CsrMatrix<f64>) -> SparseResult<MatrixId> {
-        self.register_versioned(a, 0, 0, None, 0, None)
+        self.register_salted(a, 0)
     }
 
     /// [`register`](Self::register) under a caller-chosen salt: identical
@@ -394,25 +506,31 @@ impl Engine {
     /// multi-tenant holder passes its tenant id here. Salt zero is plain
     /// registration.
     pub fn register_salted(&mut self, a: &CsrMatrix<f64>, salt: u128) -> SparseResult<MatrixId> {
-        self.register_versioned(a, 0, salt, None, 0, None)
+        let cold = Lineage {
+            version: 0,
+            salt,
+            parent: 0,
+            carried_baseline: None,
+        };
+        self.register_versioned(a, a.fingerprint(), cold, None)
     }
 
-    /// `parent` is the content fingerprint this registration was
-    /// refreshed from (0 for a cold registration) — recorded in the
-    /// persistence catalog so version chains track delta lineage.
-    /// `carried_baseline` is the splice guard's cold-serving baseline to
-    /// carry forward from a refreshed predecessor; `None` treats this
-    /// binding's own decomposition as cold and records its prediction.
+    /// `fingerprint` is `a.fingerprint()`, hashed once by whoever
+    /// produced `a`; `precomputed` is a refresh build's decomposition of
+    /// `a`, when it made one.
     fn register_versioned(
         &mut self,
         a: &CsrMatrix<f64>,
-        version: u64,
-        salt: u128,
+        fingerprint: u128,
+        lineage: Lineage,
         precomputed: Option<Arc<ArrowDecomposition>>,
-        parent: u128,
-        carried_baseline: Option<f64>,
     ) -> SparseResult<MatrixId> {
-        let fingerprint = a.fingerprint();
+        let Lineage {
+            version,
+            salt,
+            parent,
+            carried_baseline,
+        } = lineage;
         let id = salted_id(fingerprint, salt);
         if self.bound.contains_key(&id) {
             return Ok(MatrixId(id));
@@ -423,11 +541,93 @@ impl Engine {
                 right: (a.cols(), a.rows()),
             });
         }
+        let planner_config = PlannerConfig {
+            cost: self.config.cost,
+            target_ranks: self.config.target_ranks,
+            k_hint: (self.config.max_batch as u32).clamp(1, 64),
+            dtype: self.config.dtype,
+            ..PlannerConfig::default()
+        };
+        // Only a plan that reads a decomposition gets one: everything
+        // that computes, caches or persists it is inside this arm.
+        let (planned, decomposed, source) = if self.config.target_ranks > 1 {
+            let (d, source) =
+                self.cached_decomposition(a, fingerprint, version, precomputed, parent)?;
+            let splice_baseline = match carried_baseline {
+                Some(b) => b,
+                None => self.splice_guard().predicted_seconds(&d)?,
+            };
+            let decomposed = Decomposed {
+                active_prefix: d.active_prefix_fraction(),
+                splice_baseline,
+            };
+            // Mean active-prefix fraction of the most recently planned
+            // binding, in permille (gauges are integers); a one-rank
+            // engine never publishes the name.
+            self.telemetry
+                .registry
+                .gauge("engine.active_prefix_permille")
+                .set((decomposed.active_prefix * 1000.0).round() as u64);
+            (plan(a, &d, &planner_config)?, Some(decomposed), source)
+        } else {
+            (plan_local(a, &planner_config)?, None, "none")
+        };
+        let Plan {
+            mut algo,
+            chosen,
+            predictions,
+        } = planned;
+        algo.set_exec(self.config.exec.clone());
+        self.metrics
+            .dtype_bytes
+            .set(self.config.dtype.bytes() as u64);
+        self.metrics
+            .cost_beta_femtos
+            .set((self.config.cost.beta * 1e15).round().max(0.0) as u64);
+        if self.telemetry.tracer.is_enabled() {
+            let mut detail = format!(
+                "algo={} predicted_seconds={:.3e} cache={source} dtype={}",
+                chosen, predictions[0].seconds, self.config.dtype
+            );
+            if let Some(d) = &decomposed {
+                let _ = write!(detail, " active_prefix={:.3}", d.active_prefix);
+            }
+            self.telemetry
+                .tracer
+                .event("plan", SpanId::NONE, None, detail);
+        }
+        self.bound.insert(
+            id,
+            BoundMatrix {
+                n: a.rows(),
+                fingerprint,
+                algo,
+                chosen,
+                predictions,
+                version,
+                overlay: None,
+                salt,
+                decomposed,
+            },
+        );
+        Ok(MatrixId(id))
+    }
+
+    /// The decomposition a many-rank binding of `a` is planned from,
+    /// through the cache: `precomputed` (a refresh build's) is admitted,
+    /// anything else is looked up in memory, then in the catalog, then
+    /// decomposed. Also says which of those it was, for the trace.
+    fn cached_decomposition(
+        &mut self,
+        a: &CsrMatrix<f64>,
+        fingerprint: u128,
+        version: u64,
+        precomputed: Option<Arc<ArrowDecomposition>>,
+        parent: u128,
+    ) -> SparseResult<(Arc<ArrowDecomposition>, &'static str)> {
         let decompose_config = DecomposeConfig::with_width(self.config.arrow_width);
-        let cache_before = self.cache.stats();
+        let before = self.cache.stats();
         let d = match precomputed {
-            // A worker already decomposed this snapshot off-thread; the
-            // cache adopts it (write-through) instead of re-deriving it.
             Some(d) => {
                 if d.n() != a.rows() || d.b() != self.config.arrow_width {
                     return Err(SparseError::InvalidCsr(format!(
@@ -457,71 +657,17 @@ impl Engine {
                 parent,
             )?,
         };
-        let planner_config = PlannerConfig {
-            cost: self.config.cost,
-            target_ranks: self.config.target_ranks,
-            k_hint: (self.config.max_batch as u32).clamp(1, 64),
-            dtype: self.config.dtype,
-            ..PlannerConfig::default()
+        let after = self.cache.stats();
+        let source = if after.decompositions > before.decompositions {
+            "decompose"
+        } else if after.disk_loads > before.disk_loads {
+            "disk"
+        } else if after.admitted > before.admitted {
+            "admitted"
+        } else {
+            "hit"
         };
-        let Plan {
-            mut algo,
-            chosen,
-            predictions,
-        } = plan(a, &d, &planner_config)?;
-        algo.set_exec(self.config.exec.clone());
-        let active_prefix = d.active_prefix_fraction();
-        self.metrics
-            .dtype_bytes
-            .set(self.config.dtype.bytes() as u64);
-        self.metrics
-            .cost_beta_femtos
-            .set((self.config.cost.beta * 1e15).round().max(0.0) as u64);
-        self.metrics
-            .active_prefix_permille
-            .set((active_prefix * 1000.0).round() as u64);
-        let splice_baseline = match carried_baseline {
-            Some(b) => b,
-            None => self.splice_guard().predicted_seconds(&d)?,
-        };
-        if self.telemetry.tracer.is_enabled() {
-            let cache_after = self.cache.stats();
-            let source = if cache_after.decompositions > cache_before.decompositions {
-                "decompose"
-            } else if cache_after.disk_loads > cache_before.disk_loads {
-                "disk"
-            } else if cache_after.admitted > cache_before.admitted {
-                "admitted"
-            } else {
-                "hit"
-            };
-            self.telemetry.tracer.event(
-                "plan",
-                SpanId::NONE,
-                None,
-                format!(
-                    "algo={} predicted_seconds={:.3e} cache={source} dtype={} \
-                     active_prefix={:.3}",
-                    chosen, predictions[0].seconds, self.config.dtype, active_prefix
-                ),
-            );
-        }
-        self.bound.insert(
-            id,
-            BoundMatrix {
-                n: a.rows(),
-                fingerprint,
-                algo,
-                chosen,
-                predictions,
-                version,
-                overlay: None,
-                salt,
-                active_prefix,
-                splice_baseline,
-            },
-        );
-        Ok(MatrixId(id))
+        Ok((d, source))
     }
 
     /// The engine's splice guard, configured from its cost model, batch
@@ -535,13 +681,13 @@ impl Engine {
         )
     }
 
-    /// Replaces the binding of `old` with a re-decomposed, re-planned
-    /// binding of `merged` (the compacted `A₀ + ΔA`), carrying the
-    /// streaming version forward. This is the engine half of a staleness
-    /// refresh: the decomposition goes through the cache (write-through
-    /// under the merged matrix's new fingerprint), the planner plans
-    /// afresh against the merged structure, and any pending
-    /// overlay on the old binding is discarded along with it.
+    /// Replaces the binding of `old` with a re-planned binding of
+    /// `merged` (the compacted `A₀ + ΔA`), carrying the streaming version
+    /// forward. This is the engine half of a staleness refresh: on more
+    /// than one rank the decomposition goes through the cache
+    /// (write-through under the merged matrix's new fingerprint), the
+    /// planner plans afresh against the merged structure, and any
+    /// pending overlay on the old binding is discarded along with it.
     ///
     /// Queries already queued against `old` are answered by the *new*
     /// binding at the next flush — their [`MatrixId`] is remapped, which
@@ -549,36 +695,33 @@ impl Engine {
     /// served operator (`A₀ + ΔA` before, merged `A₀` after).
     ///
     /// Equivalent to [`prepare_refresh`](Self::prepare_refresh) followed
-    /// immediately by [`commit_refresh`](Self::commit_refresh) with no
-    /// precomputed decomposition — the synchronous path. A double-buffered
-    /// holder splits the two around a background decompose instead.
+    /// immediately by the ticket's build, from its merge step on
+    /// ([`RefreshTicket::build_merged`]), and
+    /// [`commit_refresh`](Self::commit_refresh) — the synchronous path. A
+    /// double-buffered holder runs the ticket's
+    /// [`build`](RefreshTicket::build) in the background instead and
+    /// [`commit`](Self::commit_refresh)s the result.
     pub fn refresh(&mut self, old: MatrixId, merged: &CsrMatrix<f64>) -> SparseResult<MatrixId> {
-        let ticket = self.prepare_refresh(old, merged)?;
-        self.commit_refresh(&ticket, merged, None)
+        let ticket = self.prepare_refresh(old)?;
+        Ok(self.refresh_prepared(ticket, merged)?.0)
     }
 
     /// The read-only first half of a refresh: validates that `old` is
-    /// bound and `merged` has its shape, and returns the
-    /// [`RefreshTicket`] describing the decompose work. Does **not**
-    /// mutate the engine — the old binding (and its delta overlay) keeps
-    /// serving until [`commit_refresh`](Self::commit_refresh).
-    pub fn prepare_refresh(
-        &self,
-        old: MatrixId,
-        merged: &CsrMatrix<f64>,
-    ) -> SparseResult<RefreshTicket> {
+    /// bound and returns the [`RefreshTicket`] for its build. Does
+    /// **not** mutate the engine — the old binding (and its delta
+    /// overlay) keeps serving until
+    /// [`commit_refresh`](Self::commit_refresh). This ticket's build
+    /// decomposes nothing: where the deployment needs a decomposition,
+    /// commit takes it from the cache (a hit, a catalog reload, or a
+    /// counted cold LA-Decompose).
+    pub fn prepare_refresh(&self, old: MatrixId) -> SparseResult<RefreshTicket> {
         let old_bound = self.bound.get(&old.0).ok_or_else(|| {
             SparseError::InvalidCsr(format!("matrix {:032x} is not registered", old.0))
         })?;
-        if merged.rows() != old_bound.n || merged.cols() != old_bound.n {
-            return Err(SparseError::ShapeMismatch {
-                left: (old_bound.n, old_bound.n),
-                right: (merged.rows(), merged.cols()),
-            });
-        }
         Ok(RefreshTicket {
             old,
-            fingerprint: merged.fingerprint(),
+            n: old_bound.n,
+            decompose: false,
             config: DecomposeConfig::with_width(self.config.arrow_width),
             seed: self.config.decompose_seed,
             prior: None,
@@ -587,50 +730,35 @@ impl Engine {
         })
     }
 
-    /// [`prepare_refresh`](Self::prepare_refresh) with the localization
-    /// inputs of an incremental re-decomposition: the ticket additionally
-    /// carries the old binding's decomposition (when still resident in
-    /// the cache) and the caller-supplied touched set, so whoever runs
-    /// the decompose — a background worker or
-    /// [`refresh_localized`](Self::refresh_localized) — can splice
-    /// instead of rebuilding.
+    /// [`prepare_refresh`](Self::prepare_refresh) for a build that
+    /// decomposes off the cache: on more than one rank the ticket asks
+    /// for a decomposition and carries the localization inputs of an
+    /// incremental one — the old binding's decomposition (when still
+    /// resident in the cache) and the caller-supplied touched set — so
+    /// whoever runs the build, a background worker or
+    /// [`refresh_localized`](Self::refresh_localized), can splice instead
+    /// of rebuilding. On one rank the ticket asks for nothing.
     ///
     /// `touched` must cover **every** vertex incident to a difference
-    /// between the old binding's content and `merged`; an incomplete set
-    /// makes the spliced decomposition serve the wrong operator. Holders
-    /// that track their delta in a
+    /// between the old binding's content and the merged matrix; an
+    /// incomplete set makes the spliced decomposition serve the wrong
+    /// operator. Holders that track their delta in a
     /// [`DeltaBuilder`](amd_sparse::DeltaBuilder) get it from
     /// `touched_vertices()`.
     pub fn prepare_refresh_localized(
         &mut self,
         old: MatrixId,
-        merged: &CsrMatrix<f64>,
         touched: Vec<u32>,
     ) -> SparseResult<RefreshTicket> {
-        let mut ticket = self.prepare_refresh(old, merged)?;
-        if self.config.incremental.enabled {
-            // Fast path: the merged content itself may already be
-            // decomposed (an update stream returning a matrix to a
-            // previously served state, or another tenant ahead of this
-            // one). Its decomposition with an empty touched set is an
-            // exact prior — the decompose step degenerates to a reuse.
-            if let Some(d) = self.cache.peek(
-                ticket.fingerprint,
-                &ticket.config,
-                self.config.decompose_seed,
-            ) {
-                ticket.prior = Some(d);
-                ticket.touched = Some(Vec::new());
-                return Ok(ticket);
-            }
+        let mut ticket = self.prepare_refresh(old)?;
+        ticket.decompose = self.config.target_ranks > 1;
+        if ticket.decompose && self.config.incremental.enabled {
             let prior_fp = self
                 .bound
                 .get(&old.0)
                 .map(|b| b.fingerprint)
                 .expect("prepare_refresh validated the binding");
-            ticket.prior = self
-                .cache
-                .peek(prior_fp, &ticket.config, self.config.decompose_seed);
+            ticket.prior = self.cache.peek(prior_fp, &ticket.config, ticket.seed);
         }
         ticket.touched = Some(touched);
         Ok(ticket)
@@ -638,9 +766,17 @@ impl Engine {
 
     /// The synchronous incremental refresh:
     /// [`prepare_refresh_localized`](Self::prepare_refresh_localized),
-    /// decompose (splicing the prior where the policy permits, cold
-    /// otherwise), then [`commit_refresh`](Self::commit_refresh).
-    /// Returns the new binding and what the decompose actually did.
+    /// then the ticket's build from its merge step on
+    /// ([`RefreshTicket::build_merged`] — the same function a background
+    /// worker runs) and [`commit_refresh`](Self::commit_refresh), inline.
+    /// Returns the new binding and what the decompose actually did —
+    /// `None` on a one-rank engine, which decomposes nothing.
+    ///
+    /// Being inline, it can ask the cache first: when the merged content
+    /// itself is already decomposed (an update stream returning a matrix
+    /// to a previously served state, or another tenant ahead of this
+    /// one), that decomposition with an empty touched set is an exact
+    /// prior and the decompose step degenerates to a reuse.
     ///
     /// **Splice guard**: after a spliced decompose, the predicted arrow
     /// serving cost of the spliced level structure is checked against
@@ -655,77 +791,95 @@ impl Engine {
         old: MatrixId,
         merged: &CsrMatrix<f64>,
         touched: &[u32],
-    ) -> SparseResult<(MatrixId, RefreshOutcome)> {
-        let ticket = self.prepare_refresh_localized(old, merged, touched.to_vec())?;
-        let (mut d, mut outcome) = decompose_snapshot_incremental(
-            merged,
-            &ticket.config,
-            ticket.seed,
-            ticket.prior.as_deref(),
-            ticket.touched.as_deref(),
-            &ticket.incremental,
-        )?;
-        if outcome.incremental {
-            let mut guard = self.splice_guard();
-            if let Some(b) = self.bound.get(&old.0).map(|b| b.splice_baseline) {
-                guard = guard.with_baseline(b);
-            }
-            let verdict = guard.splice_verdict(&d)?;
-            if verdict.recompact {
-                let (cold, cold_outcome) = decompose_snapshot_incremental(
-                    merged,
-                    &ticket.config,
-                    ticket.seed,
-                    None,
-                    None,
-                    &ticket.incremental,
-                )?;
-                d = cold;
-                outcome = cold_outcome;
-                outcome.fallback = Some(FallbackReason::CostGuard);
-                self.metrics.recompactions.inc();
-                if self.telemetry.tracer.is_enabled() {
-                    self.telemetry.tracer.event(
-                        "splice_guard",
-                        SpanId::NONE,
-                        None,
-                        format!(
-                            "recompact=true predicted_seconds={:.3e} \
-                             baseline_seconds={:.3e} max_slowdown={:.2}",
-                            verdict.predicted_seconds,
-                            verdict.baseline_seconds,
-                            self.config.max_splice_slowdown
-                        ),
-                    );
-                }
+    ) -> SparseResult<(MatrixId, Option<RefreshOutcome>)> {
+        let ticket = self.prepare_refresh_localized(old, touched.to_vec())?;
+        self.refresh_prepared(ticket, merged)
+    }
+
+    /// The inline refresh of a prepared ticket, behind
+    /// [`refresh`](Self::refresh) and
+    /// [`refresh_localized`](Self::refresh_localized): fingerprint, the
+    /// cache peek, the build, the splice guard, the commit.
+    fn refresh_prepared(
+        &mut self,
+        mut ticket: RefreshTicket,
+        merged: &CsrMatrix<f64>,
+    ) -> SparseResult<(MatrixId, Option<RefreshOutcome>)> {
+        let fingerprint = merged.fingerprint();
+        if ticket.decompose && ticket.incremental.enabled {
+            if let Some(d) = self.cache.peek(fingerprint, &ticket.config, ticket.seed) {
+                ticket.prior = Some(d);
+                ticket.touched = Some(Vec::new());
             }
         }
+        let mut built = ticket.build_merged(merged, fingerprint)?;
         // A cold rebuild (policy fallback or guard re-compaction) resets
         // the binding's splice baseline to its own prediction.
-        let fresh_baseline = if outcome.incremental {
-            None
-        } else {
-            Some(self.splice_guard().predicted_seconds(&d)?)
-        };
-        let id = self.commit_refresh(&ticket, merged, Some(Arc::new(d)))?;
-        if let (Some(fresh), Some(bound)) = (fresh_baseline, self.bound.get_mut(&id.0)) {
-            bound.splice_baseline = fresh;
+        let mut fresh_baseline = None;
+        if let Some((d, outcome)) = &mut built.decomposition {
+            if outcome.incremental {
+                let mut guard = self.splice_guard();
+                if let Some(dec) = self.bound.get(&ticket.old.0).and_then(|b| b.decomposed) {
+                    guard = guard.with_baseline(dec.splice_baseline);
+                }
+                let verdict = guard.splice_verdict(d)?;
+                if verdict.recompact {
+                    (*d, *outcome) = decompose_snapshot_incremental(
+                        merged,
+                        &ticket.config,
+                        ticket.seed,
+                        None,
+                        None,
+                        &ticket.incremental,
+                    )?;
+                    outcome.fallback = Some(FallbackReason::CostGuard);
+                    self.metrics.recompactions.inc();
+                    if self.telemetry.tracer.is_enabled() {
+                        self.telemetry.tracer.event(
+                            "splice_guard",
+                            SpanId::NONE,
+                            None,
+                            format!(
+                                "recompact=true predicted_seconds={:.3e} \
+                                 baseline_seconds={:.3e} max_slowdown={:.2}",
+                                verdict.predicted_seconds,
+                                verdict.baseline_seconds,
+                                self.config.max_splice_slowdown
+                            ),
+                        );
+                    }
+                }
+            }
+            if !outcome.incremental {
+                fresh_baseline = Some(self.splice_guard().predicted_seconds(d)?);
+            }
+        }
+        let outcome = built.outcome();
+        let id = self.commit_refresh(&ticket, merged, built)?;
+        if let (Some(fresh), Some(dec)) = (
+            fresh_baseline,
+            self.bound
+                .get_mut(&id.0)
+                .and_then(|b| b.decomposed.as_mut()),
+        ) {
+            dec.splice_baseline = fresh;
         }
         Ok((id, outcome))
     }
 
     /// The second half of a refresh: swaps the binding of `ticket.old`
-    /// to a fresh binding of `merged`, using `decomposition` when a
-    /// worker already computed it from the snapshot (admitted into the
-    /// cache, write-through) or decomposing through the cache otherwise.
-    /// Pending queries are remapped and the version lineage carried
-    /// forward exactly as in [`refresh`](Self::refresh); on error the old
-    /// binding keeps serving.
+    /// to a fresh binding of `merged`, adopting what the ticket's build
+    /// produced from it — the fingerprint (not hashed again) and, if the
+    /// build decomposed, the decomposition (admitted into the cache,
+    /// write-through). `built` must be that ticket's build of this
+    /// `merged`. Pending queries are remapped and the version lineage
+    /// carried forward exactly as in [`refresh`](Self::refresh); on error
+    /// the old binding keeps serving.
     pub fn commit_refresh(
         &mut self,
         ticket: &RefreshTicket,
         merged: &CsrMatrix<f64>,
-        decomposition: Option<Arc<ArrowDecomposition>>,
+        built: RefreshBuild,
     ) -> SparseResult<MatrixId> {
         let sw = Stopwatch::start();
         let old = ticket.old;
@@ -741,18 +895,26 @@ impl Engine {
             });
         }
         let version = old_bound.version + 1;
-        let salt = old_bound.salt;
-        let parent = old_bound.fingerprint;
         // Carry the splice guard's cold baseline across the refresh when
         // the ticket carries a splice prior — a spliced successor is
         // judged against its lineage's last cold build, not against
         // itself. A priorless refresh decomposes cold, so the new
-        // binding records its own baseline. (refresh_localized resets
+        // binding records its own baseline. (refresh_prepared resets
         // the carried value after commit when the policy fell back to a
         // cold decompose anyway.)
-        let carried = ticket.prior.is_some().then_some(old_bound.splice_baseline);
+        let carried_baseline = match (&ticket.prior, old_bound.decomposed) {
+            (Some(_), Some(dec)) => Some(dec.splice_baseline),
+            _ => None,
+        };
+        let lineage = Lineage {
+            version,
+            salt: old_bound.salt,
+            parent: old_bound.fingerprint,
+            carried_baseline,
+        };
+        let decomposition = built.decomposition.map(|(d, _)| Arc::new(d));
         let new_id =
-            match self.register_versioned(merged, version, salt, decomposition, parent, carried) {
+            match self.register_versioned(merged, built.fingerprint, lineage, decomposition) {
                 Ok(id) => id,
                 Err(e) => {
                     // Leave the engine serving the old binding on failure.
@@ -1122,8 +1284,7 @@ impl Engine {
                 .unwrap_or(0.0);
             let mut detail = format!(
                 "algo={} batch={} queries={}..={} iters={} corrected={} \
-                 dtype={} active_prefix={:.3} predicted_seconds={:.3e} \
-                 actual_seconds={:.3e}",
+                 dtype={} predicted_seconds={:.3e} actual_seconds={:.3e}",
                 bound.chosen,
                 chunk.len(),
                 chunk[0].id.0,
@@ -1131,10 +1292,12 @@ impl Engine {
                 first.iters,
                 bound.overlay.is_some(),
                 self.config.dtype,
-                bound.active_prefix,
                 predicted,
                 multiply_seconds
             );
+            if let Some(d) = &bound.decomposed {
+                let _ = write!(detail, " active_prefix={:.3}", d.active_prefix);
+            }
             if let Some(c) = &cost {
                 let _ = write!(
                     detail,
@@ -1481,6 +1644,7 @@ mod tests {
         let delta = coo.to_csr();
         let merged = amd_sparse::ops::apply_delta(&a, &delta).unwrap();
         let (new_id, outcome) = e.refresh_localized(id, &merged, &[10, 13]).unwrap();
+        let outcome = outcome.expect("more than one rank decomposes");
         assert!(outcome.incremental, "fallback: {:?}", outcome.fallback);
         assert!(outcome.reused_fraction() > 0.5);
         assert_eq!(
@@ -1526,6 +1690,7 @@ mod tests {
         assert_eq!(e.cache_stats().decompositions, 2);
         // Mutate B back into A's exact content.
         let (new_id, outcome) = e.refresh_localized(id_b, &a, &[5, 9]).unwrap();
+        let outcome = outcome.expect("more than one rank decomposes");
         assert_eq!(new_id, id_a, "collides with A's binding");
         assert!(outcome.incremental);
         assert_eq!(outcome.affected_vertices, 0);
@@ -1551,12 +1716,29 @@ mod tests {
         coo.push_sym(3, 6, 1.0).unwrap();
         let merged = amd_sparse::ops::apply_delta(&a, &coo.to_csr()).unwrap();
         let (new_id, outcome) = e.refresh_localized(id, &merged, &[3, 6]).unwrap();
+        let outcome = outcome.expect("more than one rank decomposes");
         assert!(!outcome.incremental);
         assert_eq!(
             outcome.fallback,
             Some(arrow_core::incremental::FallbackReason::NoPrior)
         );
         assert_eq!(e.matrix_version(new_id), Some(1), "fallback still commits");
+    }
+
+    #[test]
+    fn refresh_localized_reports_no_outcome_on_one_rank() {
+        let mut e = Engine::new(EngineConfig::default()).unwrap();
+        let n = 64;
+        let a = ring(n);
+        let id = e.register(&a).unwrap();
+        let mut coo = amd_sparse::CooMatrix::new(n, n);
+        coo.push_sym(3, 6, 1.0).unwrap();
+        let merged = amd_sparse::ops::apply_delta(&a, &coo.to_csr()).unwrap();
+        let (new_id, outcome) = e.refresh_localized(id, &merged, &[3, 6]).unwrap();
+        assert!(outcome.is_none(), "nothing was decomposed: {outcome:?}");
+        assert_eq!(e.matrix_version(new_id), Some(1));
+        assert_eq!(e.binding_fingerprint(new_id), Some(merged.fingerprint()));
+        assert_eq!(e.cache_stats().decompositions, 0);
     }
 
     #[test]
@@ -1894,6 +2076,7 @@ mod tests {
             coo.push_sym(u, v, 1.0).unwrap();
             let merged = amd_sparse::ops::apply_delta(&a, &coo.to_csr()).unwrap();
             let (new_id, outcome) = e.refresh_localized(id, &merged, &[u, v]).unwrap();
+            let outcome = outcome.expect("more than one rank decomposes");
             a = merged;
             id = new_id;
             if outcome.fallback == Some(FallbackReason::CostGuard) {

@@ -2,13 +2,16 @@
 //!
 //! The paper's workflow (§5, §7) decomposes a matrix **once** and
 //! amortizes that cost over many SpMM iterations. This crate turns that
-//! shape into a serving subsystem:
+//! shape into a serving subsystem — one that computes a decomposition
+//! only when the plan it is about to bind reads one, which a one-rank
+//! plan does not:
 //!
 //! * [`DecompositionCache`] — an LRU keyed by
 //!   [`CsrMatrix::fingerprint`](amd_sparse::CsrMatrix::fingerprint),
 //!   write-through persisted into the versioned
 //!   [`arrow_core::catalog`] (lineage-tracked version chains) so warm
-//!   restarts skip LA-Decompose entirely,
+//!   restarts skip LA-Decompose entirely; reached on deployments of
+//!   more than one rank only,
 //! * [`planner`] — binds one [`DistSpmm`](amd_spmm::DistSpmm) per
 //!   matrix. On the default one-rank deployment
 //!   ([`EngineConfig::target_ranks`]` = 1`: the host this process runs
@@ -36,9 +39,14 @@
 //! delta overlay ([`Engine::set_delta`]) — runs are answered as
 //! `A₀ + ΔA` through [`amd_spmm::DeltaSpmm`] without re-decomposing —
 //! and a staleness [`Engine::refresh`] that rebinds a matrix to its
-//! compacted successor (new fingerprint, fresh decomposition through the
-//! cache, full planner re-ranking, version carried forward). The
-//! `amd-stream` crate drives both from a budgeted update stream.
+//! compacted successor (new fingerprint, full planner re-ranking,
+//! version carried forward; on more than one rank a fresh decomposition
+//! through the cache). A refresh is one *build* —
+//! [`RefreshTicket::build`]: merge, fingerprint, decompose only if the
+//! ticket asks — that touches no engine state, so a holder can run it on
+//! another thread between [`Engine::prepare_refresh_localized`] and
+//! [`Engine::commit_refresh`]. The `amd-stream` crate drives both from a
+//! budgeted update stream.
 //!
 //! Bindings have a full lifecycle: [`Engine::deregister`] drops one
 //! (refusing while it still owns pending queries, releasing its cache
@@ -53,7 +61,7 @@
 //!
 //! let a: CsrMatrix<f64> = basic::star(64).to_adjacency();
 //! let mut engine = Engine::new(EngineConfig::default()).unwrap();
-//! let id = engine.register(&a).unwrap();          // decompose + plan once
+//! let id = engine.register(&a).unwrap();          // fingerprint + plan once
 //! for q in 0..8 {
 //!     let x = (0..64).map(|r| ((q + r) % 5) as f64).collect();
 //!     engine.submit(MultiplyQuery { matrix: id, x, iters: 2, sigma: None }).unwrap();
@@ -72,9 +80,9 @@ pub use attribution::{algo_slug, AttributionMetrics, QueryCost, RunAttribution};
 pub use cache::{CacheStats, DecompositionCache};
 pub use engine::{
     Engine, EngineConfig, EngineStats, MatrixId, MultiplyQuery, QueryId, QueryResponse,
-    RefreshTicket,
+    RefreshBuild, RefreshTicket,
 };
-pub use planner::{plan, Plan, PlannerConfig, Prediction};
+pub use planner::{plan, plan_local, Plan, PlannerConfig, Prediction};
 
 // Incremental-refresh vocabulary, re-exported so serving layers can
 // configure the policy and read outcomes without a direct

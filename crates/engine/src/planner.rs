@@ -8,7 +8,9 @@
 //! process that serves it: there is no communication for a decomposition
 //! to save, so the plan is [`LocalSpmm`] alone — plain CSR × dense on the
 //! `amd-exec` pool — and none of the distributed candidates (nor the
-//! HYPE partition HP-1D needs) is even constructed.
+//! HYPE partition HP-1D needs) is even constructed. That plan reads the
+//! CSR and nothing else, so [`plan_local`] builds it without a
+//! decomposition and the engine does not compute one for it.
 //!
 //! **`target_ranks > 1`** means the operator has said the matrix is
 //! spread over that many ranks. The candidates are then the four
@@ -99,10 +101,31 @@ pub struct Plan {
     pub predictions: Vec<Prediction>,
 }
 
+/// The one-rank plan: [`LocalSpmm`] alone. It multiplies by the CSR
+/// and reads nothing else, so no decomposition is asked for — which is
+/// what lets a one-rank engine admit and refresh without computing one.
+pub fn plan_local(a: &CsrMatrix<f64>, config: &PlannerConfig) -> SparseResult<Plan> {
+    let local = LocalSpmm::new(a)?
+        .with_cost(config.cost)
+        .with_dtype(config.dtype);
+    let estimate = local.predict_volume(config.k_hint.max(1));
+    let prediction = Prediction {
+        name: local.name(),
+        ranks: local.ranks(),
+        estimate,
+        seconds: estimate.predicted_seconds(&config.cost),
+    };
+    Ok(Plan {
+        algo: Box::new(local),
+        chosen: prediction.name.clone(),
+        predictions: vec![prediction],
+    })
+}
+
 /// Plans the serving algorithm for `a` given its decomposition.
 ///
-/// On a one-rank deployment the plan is [`LocalSpmm`] and nothing else
-/// is built. Otherwise all four distributed candidates are constructed
+/// On a one-rank deployment the plan is [`plan_local`]'s and `d` goes
+/// unread. Otherwise all four distributed candidates are constructed
 /// and ranked; ties break toward the earlier candidate in the order
 /// arrow, 1.5D, 2D, HP-1D.
 pub fn plan(
@@ -113,21 +136,7 @@ pub fn plan(
     let k = config.k_hint.max(1);
     let p = config.target_ranks.max(1);
     if p == 1 {
-        let local = LocalSpmm::new(a)?
-            .with_cost(config.cost)
-            .with_dtype(config.dtype);
-        let estimate = local.predict_volume(k);
-        let prediction = Prediction {
-            name: local.name(),
-            ranks: local.ranks(),
-            estimate,
-            seconds: estimate.predicted_seconds(&config.cost),
-        };
-        return Ok(Plan {
-            algo: Box::new(local),
-            chosen: prediction.name.clone(),
-            predictions: vec![prediction],
-        });
+        return plan_local(a, config);
     }
     let mut candidates: Vec<(Box<dyn DistSpmm + Send + Sync>, CommEstimate)> = Vec::new();
 

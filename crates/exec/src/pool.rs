@@ -125,7 +125,7 @@ impl Shared {
 
 fn worker_main(shared: Arc<Shared>, index: usize) {
     WORKER.with(|w| w.set(Some((shared.identity(), index))));
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((index as u64 + 1) * 0xA24B_AED4_963E_E407);
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (index as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407);
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -498,6 +498,38 @@ mod tests {
             });
         }
         assert_eq!(data, (1..=64).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn every_worker_survives_start_up() {
+        // Four tasks that each wait until all four have started can only
+        // finish when four threads run them at once. The scope's caller
+        // helps, so one live worker would give two — a pool that lost
+        // workers at start-up times out here instead of hanging.
+        let pool = ExecPool::new(4);
+        let started = Mutex::new(0usize);
+        let all_started = Condvar::new();
+        let saw_all = AtomicU64::new(0);
+        pool.scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let mut count = started.lock().unwrap();
+                    *count += 1;
+                    all_started.notify_all();
+                    let (count, _) = all_started
+                        .wait_timeout_while(count, Duration::from_secs(10), |c| *c < 4)
+                        .unwrap();
+                    if *count == 4 {
+                        saw_all.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            saw_all.load(Ordering::Relaxed),
+            4,
+            "fewer than four threads ran the four tasks"
+        );
     }
 
     #[test]

@@ -32,16 +32,19 @@
 //!  trip            launch                      commit (at a poll point)
 //!   │                │                            │
 //!   ▼                ▼                            ▼
-//!  ΔA over budget → snapshot M = A₀ + ΔA ───► worker: LA-Decompose(M)
-//!                   captured ← ΔA, ΔA ← ∅        │
-//!                   serving: old binding          ▼
-//!                   + (captured ∪ ΔA') overlay   swap binding to M,
-//!                   (ΔA' = updates during build)  overlay ← ΔA' only
+//!  ΔA over budget → ship A₀ (shared), ΔA ─────► worker: M = A₀ + ΔA,
+//!                   captured ← ΔA, ΔA ← ∅        fingerprint(M), and on
+//!                   serving: old binding          > 1 rank LA-Decompose(M)
+//!                   + (captured ∪ ΔA') overlay    │
+//!                   (ΔA' = updates during build)  ▼
+//!                                                swap binding to M,
+//!                                                overlay ← ΔA' only
 //! ```
 //!
 //! The old binding plus the full overlay keeps answering exactly while
-//! the worker rebuilds; at commit the delta accumulated *during* the
-//! rebuild is spliced onto the new binding. Every answer — before,
+//! the worker builds (the merge and the hash too run there, so a trip
+//! costs the serving thread `O(nnz(ΔA))`); at commit the delta
+//! accumulated *during* the build is spliced onto the new binding. Every answer — before,
 //! during, and after the swap — bit-matches a cold decompose-and-multiply
 //! for integer data, because both representations are the same operator
 //! and every reduction is exact.
@@ -68,6 +71,7 @@ use amd_engine::{
 use amd_obs::{Counter, Histogram, Registry, SpanId, Stopwatch, Telemetry};
 use amd_sparse::{ops, CsrMatrix, DeltaBuilder, SparseError, SparseResult};
 use amd_spmm::traits::Sigma;
+use arrow_core::incremental::RefreshOutcome;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -171,7 +175,7 @@ pub struct HubConfig {
     /// long-lived hubs serving churning tenant sets should set it.
     pub max_idle_polls: Option<u64>,
     /// Test/bench hook: background workers sleep this long before
-    /// decomposing, simulating a slow LA-Decompose so tests can assert
+    /// building, simulating a slow LA-Decompose so tests can assert
     /// that serving does not block on the rebuild.
     pub decompose_delay: Option<Duration>,
     /// Supervision: how many times a refresh whose worker *panicked* is
@@ -248,8 +252,9 @@ pub struct TenantStats {
     /// apart, so no queued tenant waits more than `T` slots.
     pub last_granted_slot: u64,
     /// Incremental-vs-fallback split of this tenant's completed
-    /// refreshes (`splice.incremental_refreshes +
-    /// splice.fallback_refreshes = refreshes`).
+    /// refreshes that decomposed (`splice.incremental_refreshes +
+    /// splice.fallback_refreshes = refreshes` on more than one rank; all
+    /// zero on one, where a refresh decomposes nothing).
     pub splice: SpliceStats,
     /// The tenant's current adaptively derived `max_delta_nnz` budget
     /// (0 until the first refresh under an [`AdaptiveBudget`] policy).
@@ -284,15 +289,15 @@ pub struct HubStats {
     pub suppressed_triggers: u64,
     /// Incremental-vs-fallback split of completed refreshes hub-wide
     /// (`splice.incremental_refreshes + splice.fallback_refreshes =
-    /// refreshes_completed`); sum of the per-tenant
-    /// [`TenantStats::splice`] counters.
+    /// refreshes_completed` on more than one rank, zero on one); sum of
+    /// the per-tenant [`TenantStats::splice`] counters.
     pub splice: SpliceStats,
     /// Tenants evicted ([`StreamHub::evict`] plus idle evictions).
     pub evictions: u64,
     /// The subset of `evictions` triggered by the
     /// [`max_idle_polls`](HubConfig::max_idle_polls) policy.
     pub idle_evictions: u64,
-    /// Worker threads that died (panicked mid-decompose) and were
+    /// Worker threads that died (panicked mid-build) and were
     /// replaced by supervision. The pool never shrinks: every death is
     /// matched by a respawn before the dead grant is retried.
     pub worker_restarts: u64,
@@ -323,9 +328,8 @@ struct HubMetrics {
     refresh_retries: Counter,
     sync_fallbacks: Counter,
     splice: SpliceCounters,
-    /// Worker-measured decompose seconds of committed refreshes
-    /// (excluding the test-hook delay) — the same single measurement
-    /// that feeds the adaptive budget.
+    /// Decompose seconds of committed refreshes that decomposed, from
+    /// the [`RefreshOutcome`]'s own phase timings.
     decompose_seconds: Histogram,
     extract_seconds: Histogram,
     splice_seconds: Histogram,
@@ -390,13 +394,14 @@ struct InFlight {
     captured: DeltaBuilder<f64>,
     /// Predicted corrected-path seconds per pending delta entry at
     /// launch time — the adaptive budget's overhead signal, combined at
-    /// commit with the worker's measured decompose latency.
+    /// commit with the worker's measured build latency.
     per_entry_seconds: f64,
 }
 
 struct Tenant {
     matrix: MatrixId,
-    base: CsrMatrix<f64>,
+    /// Shared with the refresh worker while a rebuild is in flight.
+    base: Arc<CsrMatrix<f64>>,
     /// Updates not yet part of any (running or finished) rebuild.
     delta: DeltaBuilder<f64>,
     budget: StalenessBudget,
@@ -479,6 +484,45 @@ impl Tenant {
     }
 }
 
+/// Folds what a committed refresh's decompose did into the hub's and
+/// the tenant's splice counters, the phase-latency histograms (one
+/// sample per phase per refresh) and the refresh's trace span. Refreshes
+/// that decomposed nothing — every one-rank refresh — have no outcome
+/// and record none of this.
+fn record_outcome(
+    metrics: &HubMetrics,
+    t: &Tenant,
+    tracer: &amd_obs::Tracer,
+    span: SpanId,
+    tenant: TenantId,
+    outcome: &RefreshOutcome,
+) {
+    metrics.splice.record(outcome);
+    t.metrics.splice.record(outcome);
+    metrics
+        .extract_seconds
+        .record_seconds(outcome.timings.extract_seconds);
+    metrics
+        .decompose_seconds
+        .record_seconds(outcome.timings.decompose_seconds);
+    metrics
+        .splice_seconds
+        .record_seconds(outcome.timings.splice_seconds);
+    tracer.event(
+        if outcome.incremental {
+            "splice"
+        } else {
+            "fallback"
+        },
+        span,
+        Some(tenant.0),
+        format!(
+            "affected={} total={}",
+            outcome.affected_vertices, outcome.total_vertices
+        ),
+    );
+}
+
 /// A multi-tenant streaming hub. See the [module docs](self).
 pub struct StreamHub {
     engine: Engine,
@@ -542,8 +586,9 @@ impl StreamHub {
         self.engine.telemetry()
     }
 
-    /// Admits a mutating matrix under the hub's default budget. One cold
-    /// decompose (or a cache/disk hit) and a full planner ranking.
+    /// Admits a mutating matrix under the hub's default budget: a
+    /// fingerprint and a plan — on more than one rank after one cold
+    /// decompose (or a cache/disk hit), with a full planner ranking.
     pub fn admit(&mut self, a: CsrMatrix<f64>) -> SparseResult<TenantId> {
         self.admit_with_budget(a, self.config.budget)
     }
@@ -572,7 +617,7 @@ impl StreamHub {
             id.0,
             Tenant {
                 matrix,
-                base: a,
+                base: Arc::new(a),
                 delta: DeltaBuilder::new(n, n),
                 budget,
                 overlay_dirty: false,
@@ -771,8 +816,9 @@ impl StreamHub {
     }
 
     /// The synchronous path: compact in place, exactly like the original
-    /// single-tenant engine (blocks for the decompose — incremental when
-    /// the prior and the touched set allow it).
+    /// single-tenant engine — the engine runs the refresh build inline
+    /// (on more than one rank that blocks for the decompose, incremental
+    /// when the prior and the touched set allow it).
     fn sync_refresh(&mut self, tenant: TenantId) -> SparseResult<()> {
         let (old, merged, touched, delta_csr) = {
             let t = self.tenant(tenant)?;
@@ -791,7 +837,6 @@ impl StreamHub {
         let refresh_seconds = sw.elapsed_seconds();
         self.metrics.refreshes_started.inc();
         self.metrics.refreshes_completed.inc();
-        self.record_refresh_phases(&outcome);
         let slot = self.metrics.refreshes_started.get();
         let adaptive = self.config.adaptive;
         let t = self
@@ -799,7 +844,7 @@ impl StreamHub {
             .get_mut(&tenant.0)
             .expect("tenant validated above");
         t.matrix = new_id;
-        t.base = merged;
+        t.base = Arc::new(merged);
         t.delta.clear();
         // The old binding carried the overlay away with it; the fresh
         // binding serves the compacted base directly.
@@ -807,42 +852,16 @@ impl StreamHub {
         t.metrics.refreshes.inc();
         t.last_granted_slot = slot;
         t.rerank_mark = 0;
-        t.metrics.splice.record(&outcome);
-        self.metrics.splice.record(&outcome);
         let span = std::mem::replace(&mut t.refresh_span, SpanId::NONE);
-        tracer.event(
-            if outcome.incremental {
-                "splice"
-            } else {
-                "fallback"
-            },
-            span,
-            Some(tenant.0),
-            format!(
-                "affected={} total={}",
-                outcome.affected_vertices, outcome.total_vertices
-            ),
-        );
+        if let Some(outcome) = &outcome {
+            record_outcome(&self.metrics, t, &tracer, span, tenant, outcome);
+        }
         tracer.end_with(span, format!("sync committed in {refresh_seconds:.3e}s"));
         if let Some(policy) = adaptive {
             let nnz = policy.retune(&mut t.budget, refresh_seconds, per_entry_seconds);
             t.adaptive_budget_nnz = nnz as u64;
         }
         Ok(())
-    }
-
-    /// Records a committed refresh's phase timings into the hub's
-    /// latency histograms (one sample per phase per refresh).
-    fn record_refresh_phases(&self, outcome: &arrow_core::incremental::RefreshOutcome) {
-        self.metrics
-            .extract_seconds
-            .record_seconds(outcome.timings.extract_seconds);
-        self.metrics
-            .decompose_seconds
-            .record_seconds(outcome.timings.decompose_seconds);
-        self.metrics
-            .splice_seconds
-            .record_seconds(outcome.timings.splice_seconds);
     }
 
     /// Launches queued rebuilds while the shared budget has room.
@@ -871,25 +890,22 @@ impl StreamHub {
                 }
                 (delay, t.matrix)
             };
-            // Snapshot outside the borrow: merged = base + delta, plus
-            // the touched set that localizes the re-decomposition.
-            let (merged, touched, delta_csr) = {
+            // What the build needs, at `O(nnz(ΔA))`: the delta's CSR and
+            // the touched set that localizes a re-decomposition. The
+            // merge and the hash are the worker's.
+            let (touched, delta_csr) = {
                 let t = self.tenant(tenant)?;
-                let delta_csr = t.delta.to_csr();
-                let merged = ops::apply_delta(&t.base, &delta_csr)?;
-                (merged, t.delta.touched_vertices(), delta_csr)
+                (t.delta.touched_vertices(), t.delta.to_csr())
             };
             let per_entry_seconds = if self.config.adaptive.is_some() {
                 self.per_entry_overhead(old, &delta_csr)
             } else {
                 0.0
             };
-            let ticket = self
-                .engine
-                .prepare_refresh_localized(old, &merged, touched)?;
+            let ticket = self.engine.prepare_refresh_localized(old, touched)?;
             self.metrics.refreshes_started.inc();
             let slot = self.metrics.refreshes_started.get();
-            let span = {
+            let (base, span) = {
                 let t = self.tenant_mut(tenant)?;
                 let n = t.base.rows();
                 let captured = std::mem::replace(&mut t.delta, DeltaBuilder::new(n, n));
@@ -910,8 +926,9 @@ impl StreamHub {
                     format!("slot={slot}"),
                 );
                 // The decompose span travels with the job; the worker
-                // thread closes it when the decompose finishes.
-                tracer.start("decompose", t.refresh_span, Some(tenant.0))
+                // thread closes it when the build finishes.
+                let span = tracer.start("decompose", t.refresh_span, Some(tenant.0));
+                (Arc::clone(&t.base), span)
             };
             self.inflight += 1;
             self.worker
@@ -919,7 +936,8 @@ impl StreamHub {
                 .expect("launch_ready only runs in async mode")
                 .submit(RefreshJob {
                     tenant,
-                    merged,
+                    base,
+                    delta: delta_csr,
                     ticket,
                     delay,
                     span,
@@ -1120,13 +1138,14 @@ impl StreamHub {
         Ok(Some(tenant))
     }
 
-    /// Commits one finished rebuild: swap the binding, splice the delta
-    /// accumulated during the rebuild onto the new overlay, re-check the
-    /// budget. Returns `true` for a committed swap. A failure — worker
-    /// decompose error or engine commit rejection — restores the
-    /// tenant (captured delta folded back, old binding keeps serving),
-    /// counts into `refresh_failures`, and returns `Ok(false)`: it must
-    /// not surface as an error from whichever unrelated call polled.
+    /// Commits one finished rebuild: swap the binding to the built
+    /// matrix, splice the delta accumulated during the rebuild onto the
+    /// new overlay, re-check the budget. Returns `true` for a committed
+    /// swap. A failure — worker build error or engine commit rejection —
+    /// restores the tenant (captured delta folded back, old binding
+    /// keeps serving), counts into `refresh_failures`, and returns
+    /// `Ok(false)`: it must not surface as an error from whichever
+    /// unrelated call polled.
     fn commit(&mut self, done: crate::worker::RefreshDone) -> SparseResult<bool> {
         self.inflight = self.inflight.saturating_sub(1);
         if done.panicked {
@@ -1134,32 +1153,29 @@ impl StreamHub {
         }
         let tenant = done.tenant;
         let tracer = self.engine.telemetry().tracer.clone();
-        let swapped = match done.result {
-            Ok(d) => self
+        let swapped = done.result.ok().and_then(|(merged, built)| {
+            let outcome = built.outcome();
+            let new_id = self
                 .engine
-                .commit_refresh(&done.ticket, &done.merged, Some(Arc::new(d)))
-                .ok(),
-            Err(_) => None,
-        };
+                .commit_refresh(&done.ticket, &merged, built)
+                .ok()?;
+            Some((new_id, merged, outcome))
+        });
         // A completion can outlive its tenant (evicted mid-drain in a
         // degraded worker state); dropping it is the only sound move.
         if !self.tenants.contains_key(&tenant.0) {
             return Ok(false);
         }
         match swapped {
-            Some(new_id) => {
+            Some((new_id, merged, outcome)) => {
                 let adaptive = self.config.adaptive;
-                if let Some(outcome) = &done.outcome {
-                    self.metrics.splice.record(outcome);
-                    self.record_refresh_phases(outcome);
-                }
                 self.metrics.refreshes_completed.inc();
                 let t = self
                     .tenants
                     .get_mut(&tenant.0)
                     .ok_or_else(|| SparseError::InvalidCsr(format!("{tenant} is not admitted")))?;
                 t.matrix = new_id;
-                t.base = done.merged;
+                t.base = Arc::new(merged);
                 let finished = t.inflight.take();
                 t.refreshing = false;
                 t.retries = 0;
@@ -1168,30 +1184,16 @@ impl StreamHub {
                 // Splice: the updates that arrived during the rebuild are
                 // exactly the live delta; they become the new overlay.
                 t.overlay_dirty = true;
-                if let Some(outcome) = &done.outcome {
-                    t.metrics.splice.record(outcome);
-                    tracer.event(
-                        if outcome.incremental {
-                            "splice"
-                        } else {
-                            "fallback"
-                        },
-                        t.refresh_span,
-                        Some(tenant.0),
-                        format!(
-                            "affected={} total={}",
-                            outcome.affected_vertices, outcome.total_vertices
-                        ),
-                    );
-                }
                 let span = std::mem::replace(&mut t.refresh_span, SpanId::NONE);
+                if let Some(outcome) = &outcome {
+                    record_outcome(&self.metrics, t, &tracer, span, tenant, outcome);
+                }
                 tracer.end_with(
                     span,
-                    format!("committed, decompose took {:.3e}s", done.decompose_seconds),
+                    format!("committed, build took {:.3e}s", done.build_seconds),
                 );
                 if let (Some(policy), Some(f)) = (adaptive, finished) {
-                    let nnz =
-                        policy.retune(&mut t.budget, done.decompose_seconds, f.per_entry_seconds);
+                    let nnz = policy.retune(&mut t.budget, done.build_seconds, f.per_entry_seconds);
                     t.adaptive_budget_nnz = nnz as u64;
                 }
                 // The budget may have tripped again mid-rebuild; honour

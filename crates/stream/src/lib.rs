@@ -18,8 +18,11 @@
 //!   ([`arrow_core::ArrowDecomposition::patch_values`]),
 //! * delta size/mass is tracked against a configurable
 //!   [`StalenessBudget`]; when it trips, a background-style **refresh**
-//!   compacts `ΔA` into `A₀`, re-runs LA-Decompose, bumps the version,
-//!   re-ranks the planner, and writes through to the persist layer.
+//!   compacts `ΔA` into `A₀`, bumps the version and re-ranks the
+//!   planner — on a deployment of more than one rank after re-running
+//!   LA-Decompose (incrementally where it can) and writing the result
+//!   through to the persist layer; on one rank, whose plan reads no
+//!   decomposition, without.
 //!
 //! Three entry points:
 //!
@@ -31,9 +34,10 @@
 //! * [`StreamHub`] — the multi-tenant serving hub around
 //!   [`amd_engine::Engine`]: many mutating matrices behind one engine,
 //!   per-tenant budgets and [`Session`] handles, **double-buffered
-//!   background refresh** (a worker thread decomposes the merged
-//!   snapshot while the old binding + delta overlay keeps serving; the
-//!   swap commits at the next poll point), FIFO fairness under a shared
+//!   background refresh** (a worker thread merges, fingerprints and —
+//!   on more than one rank — decomposes the next base while the old
+//!   binding + delta overlay keeps serving; the swap commits at the
+//!   next poll point), FIFO fairness under a shared
 //!   refresh budget, delta-aware early rebinds, and the full tenant
 //!   **lifecycle**: per-tenant flush, [`evict`](StreamHub::evict) with
 //!   catalog garbage collection, and idle eviction. Use it to serve
@@ -47,10 +51,11 @@
 //! use amd_stream::{StalenessBudget, StreamingConfig, StreamingEngine, Update};
 //!
 //! let a: CsrMatrix<f64> = basic::cycle(64).to_adjacency();
-//! let mut s = StreamingEngine::new(
-//!     a,
-//!     StreamingConfig::with_budget(StalenessBudget::nnz_cap(8)),
-//! ).unwrap();
+//! // A 4-rank deployment: the matrix is decomposed, once, at admission.
+//! // (The default is one rank, which decomposes nothing.)
+//! let mut config = StreamingConfig::with_budget(StalenessBudget::nnz_cap(8));
+//! config.engine.target_ranks = 4;
+//! let mut s = StreamingEngine::new(a, config).unwrap();
 //! // Mutate the graph between queries: add a chord.
 //! for u in (Update::Add { row: 0, col: 32, delta: 1.0 }).sym_pair() {
 //!     s.update(u).unwrap();

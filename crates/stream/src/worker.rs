@@ -1,17 +1,21 @@
 //! The background refresh worker pool of the [`StreamHub`].
 //!
-//! A refresh is double-buffered: the hub snapshots the merged matrix
-//! `A₀ + ΔA`, ships it here with the [`RefreshTicket`] from
-//! [`Engine::prepare_refresh`], and keeps serving the *old* binding plus
-//! the delta overlay while a worker thread decomposes the snapshot.
-//! When the ticket carries the prior decomposition and the touched set
-//! ([`Engine::prepare_refresh_localized`]), the worker splices via
-//! [`arrow_core::incremental::decompose_snapshot_incremental`] —
-//! re-arranging only the delta's affected region — and falls back to a
-//! cold LA-Decompose per the ticket's policy. The finished decomposition
-//! (plus the incremental-vs-fallback outcome and the measured decompose
-//! latency) travels back over a channel; the hub commits the swap at its
-//! next poll point via [`Engine::commit_refresh`].
+//! A refresh is double-buffered: the hub ships the tenant's base `A₀`
+//! (shared, not copied), the captured delta `ΔA` and the
+//! [`RefreshTicket`] from [`Engine::prepare_refresh_localized`] here, and
+//! keeps serving the *old* binding plus the delta overlay while a worker
+//! thread **builds the next binding's inputs** with
+//! [`RefreshTicket::build`] — the same function the inline refreshes
+//! run: merge `A₀ + ΔA`, fingerprint the result, and, only when the
+//! ticket asks (a deployment of more than one rank), decompose it —
+//! splicing via
+//! [`arrow_core::incremental::decompose_snapshot_incremental`] when the
+//! ticket carries the prior decomposition and the touched set, cold per
+//! the ticket's policy otherwise. On one rank the build is the merge
+//! and the hash. The merged matrix and the build (plus the measured
+//! build latency) travel back over a channel; the hub commits the swap
+//! at its next poll point via [`Engine::commit_refresh`], which adopts
+//! both without re-deriving either.
 //!
 //! Workers are plain `std::thread`s talking over `crossbeam-channel`
 //! MPMC endpoints: one shared job queue (so the pool size is exactly the
@@ -21,17 +25,16 @@
 //! ## Supervision
 //!
 //! Each job runs under `catch_unwind`. A panicking worker (the
-//! `worker.decompose.panic` chaos failpoint, or a real decompose bug)
+//! `worker.decompose.panic` chaos failpoint, or a real build bug)
 //! reports its death as a [`RefreshDone`] with `panicked = true` —
-//! carrying the snapshot and ticket back so nothing is lost — *before*
-//! its thread exits. The hub then [`respawn_one`]s a replacement and
+//! *before* its thread exits; the hub still holds the captured delta,
+//! so nothing is lost. The hub then [`respawn_one`]s a replacement and
 //! requeues the dead grant, so a worker death never loses a refresh and
 //! never shrinks the pool. The send-before-exit ordering is what makes
 //! [`wait_done`] safe: any in-flight job is observable on the
 //! completion queue even if its worker is already gone.
 //!
 //! [`StreamHub`]: crate::StreamHub
-//! [`Engine::prepare_refresh`]: amd_engine::Engine::prepare_refresh
 //! [`Engine::prepare_refresh_localized`]: amd_engine::Engine::prepare_refresh_localized
 //! [`Engine::commit_refresh`]: amd_engine::Engine::commit_refresh
 //! [`respawn_one`]: RefreshWorker::respawn_one
@@ -39,51 +42,51 @@
 
 use crate::hub::TenantId;
 use amd_chaos::failpoint;
-use amd_engine::RefreshTicket;
+use amd_engine::{RefreshBuild, RefreshTicket};
 use amd_obs::{SpanId, Stopwatch, Tracer};
 use amd_sparse::{CsrMatrix, SparseError, SparseResult};
-use arrow_core::incremental::{decompose_snapshot_incremental, RefreshOutcome};
-use arrow_core::ArrowDecomposition;
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// One decompose job: everything a worker needs, nothing borrowed.
+/// One build job: everything a worker needs, nothing borrowed.
 pub(crate) struct RefreshJob {
     pub tenant: TenantId,
-    /// The merged snapshot `A₀ + ΔA` captured at launch.
-    pub merged: CsrMatrix<f64>,
-    /// Engine-issued identity + decompose parameters for the commit.
+    /// The tenant's base `A₀` at launch, shared with the tenant.
+    pub base: Arc<CsrMatrix<f64>>,
+    /// The delta `ΔA` captured at launch.
+    pub delta: CsrMatrix<f64>,
+    /// Engine-issued identity + build parameters for the commit.
     pub ticket: RefreshTicket,
-    /// Sleep before decomposing: the test/bench hook for simulating a
+    /// Sleep before building: the test/bench hook for simulating a
     /// slow LA-Decompose, and the supervisor's retry backoff.
     pub delay: Option<Duration>,
-    /// The hub-opened "decompose" trace span; the worker thread closes
-    /// it when the decompose finishes.
+    /// The hub-opened "decompose" trace span — named for the build's
+    /// long step on more than one rank, and what trace consumers look
+    /// for under a refresh; the worker thread closes it when the build
+    /// finishes.
     pub span: SpanId,
 }
 
-/// A finished job: the snapshot and ticket ride along so the hub can
-/// commit without having kept its own copy.
+/// A finished job: the ticket rides along so the hub can commit without
+/// having kept its own copy.
 pub(crate) struct RefreshDone {
     pub tenant: TenantId,
-    pub merged: CsrMatrix<f64>,
     pub ticket: RefreshTicket,
-    pub result: SparseResult<ArrowDecomposition>,
-    /// What the decompose did (incremental vs fallback, region size);
-    /// `None` when it errored out.
-    pub outcome: Option<RefreshOutcome>,
-    /// Wall-clock seconds of the decompose itself (excluding the
-    /// test-hook delay) — the adaptive budget's latency signal.
-    pub decompose_seconds: f64,
+    /// The merged matrix `A₀ + ΔA` and what the build made of it.
+    pub result: SparseResult<(CsrMatrix<f64>, RefreshBuild)>,
+    /// Wall-clock seconds of the build itself (excluding the test-hook
+    /// delay) — the adaptive budget's latency signal.
+    pub build_seconds: f64,
     /// The worker thread died producing this: `result` is the panic
     /// message and the thread is gone. The hub must respawn a
     /// replacement and requeue (or sync-fallback) the grant.
     pub panicked: bool,
 }
 
-/// A pool of decompose threads behind a shared job queue, supervised by
+/// A pool of build threads behind a shared job queue, supervised by
 /// the hub: dead workers are reported (see [`RefreshDone::panicked`])
 /// and replaced via [`respawn_one`](Self::respawn_one).
 pub(crate) struct RefreshWorker {
@@ -104,9 +107,9 @@ pub(crate) struct RefreshWorker {
 }
 
 impl RefreshWorker {
-    /// Spawns `threads` decompose workers (at least one). Each closes
-    /// the hub-opened "decompose" span of the jobs it runs via
-    /// `tracer`, so the refresh span tree records the off-thread work.
+    /// Spawns `threads` build workers (at least one). Each closes the
+    /// hub-opened "decompose" span of the jobs it runs via `tracer`, so
+    /// the refresh span tree records the off-thread work.
     pub fn spawn(threads: usize, tracer: Tracer) -> Self {
         let (jobs_tx, jobs_rx) = unbounded::<RefreshJob>();
         let (done_tx, done_rx) = unbounded::<RefreshDone>();
@@ -133,7 +136,8 @@ impl RefreshWorker {
             while let Ok(job) = rx.recv() {
                 let RefreshJob {
                     tenant,
-                    merged,
+                    base,
+                    delta,
                     ticket,
                     delay,
                     span,
@@ -141,51 +145,40 @@ impl RefreshWorker {
                 if let Some(delay) = delay {
                     std::thread::sleep(delay);
                 }
-                // The single decompose measurement: both the adaptive
-                // budget and the latency histograms read this value off
-                // RefreshDone.
+                // The single build measurement: the adaptive budget
+                // reads this value off RefreshDone.
                 let sw = Stopwatch::start();
-                // `catch_unwind` so a panicking decompose (injected by
-                // the chaos failpoint, or a real bug) reports its death
+                // `catch_unwind` so a panicking build (injected by the
+                // chaos failpoint, or a real bug) reports its death
                 // instead of silently shrinking the pool. The closure
-                // only borrows, so the snapshot and ticket survive the
-                // unwind and ride back to the hub for the retry.
+                // only borrows, so the ticket survives the unwind and
+                // rides back to the hub for the retry.
                 let attempt = catch_unwind(AssertUnwindSafe(|| {
                     failpoint::check(failpoint::WORKER_DECOMPOSE_PANIC)?;
                     failpoint::check(failpoint::WORKER_DECOMPOSE_DELAY)?;
-                    decompose_snapshot_incremental(
-                        &merged,
-                        &ticket.config,
-                        ticket.seed,
-                        ticket.prior.as_deref(),
-                        ticket.touched.as_deref(),
-                        &ticket.incremental,
-                    )
+                    ticket.build(&base, &delta)
                 }));
-                let decompose_seconds = sw.elapsed_seconds();
+                let build_seconds = sw.elapsed_seconds();
                 match attempt {
                     Ok(result) => {
-                        let (result, outcome) = match result {
-                            Ok((d, o)) => (Ok(d), Some(o)),
-                            Err(e) => (Err(e), None),
-                        };
                         tracer.end_with(
                             span,
-                            match &outcome {
-                                Some(o) if o.incremental => {
-                                    format!("incremental affected={}", o.affected_vertices)
-                                }
-                                Some(_) => "cold fallback".to_string(),
-                                None => "decompose error".to_string(),
+                            match &result {
+                                Ok((_, built)) => match built.outcome() {
+                                    Some(o) if o.incremental => {
+                                        format!("incremental affected={}", o.affected_vertices)
+                                    }
+                                    Some(_) => "cold fallback".to_string(),
+                                    None => "merged, nothing to decompose".to_string(),
+                                },
+                                Err(_) => "build error".to_string(),
                             },
                         );
                         let _ = tx.send(RefreshDone {
                             tenant,
-                            merged,
                             ticket,
                             result,
-                            outcome,
-                            decompose_seconds,
+                            build_seconds,
                             panicked: false,
                         });
                     }
@@ -198,13 +191,11 @@ impl RefreshWorker {
                         tracer.end_with(span, format!("worker panic: {msg}"));
                         let _ = tx.send(RefreshDone {
                             tenant,
-                            merged,
                             ticket,
                             result: Err(SparseError::InvalidCsr(format!(
                                 "refresh worker panicked: {msg}"
                             ))),
-                            outcome: None,
-                            decompose_seconds,
+                            build_seconds,
                             panicked: true,
                         });
                         return;

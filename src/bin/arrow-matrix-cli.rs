@@ -33,19 +33,22 @@
 //! throughput. `stream` exercises the `amd-stream` subsystem: it
 //! interleaves a synthetic mutation stream (edge inserts, removals, and
 //! re-weightings) with multiply queries, serving every answer from the
-//! warm decomposition plus a delta correction, and lets the staleness
+//! warm binding plus a delta correction, and lets the staleness
 //! budget trigger compacting refreshes — each answer is verified against
 //! a serial reference of the mutated matrix. With `--tenants N` the
 //! stream drives `N` mutating tenants through one `StreamHub`, and
 //! `--async-refresh` moves compactions onto the hub's background worker
 //! (double-buffered: the old binding plus delta overlay keeps serving
-//! while the merged snapshot decomposes off-thread).
+//! while the next base is merged, fingerprinted and — at `--ranks`
+//! above 1 — decomposed off-thread).
 //!
 //! Persistence goes through the versioned **catalog** (`arrow_core::
 //! catalog`): `serve`/`stream` take `--catalog DIR` to write every
 //! decomposition through to disk — a restarted server reloads instead
 //! of re-decomposing — and the `catalog` subcommand inspects (`ls`),
 //! prunes (`gc`), and point-in-time-restores (`restore`) the chains.
+//! Decompositions exist at `--ranks` above 1 only, so at the default
+//! the directory stays empty.
 //!
 //! Telemetry: `serve`/`stream` take `--metrics-json PATH` to dump the
 //! engine's metrics registry (counters, gauges, and latency
@@ -70,7 +73,11 @@
 //! Deployment: `serve` and `stream` take `--ranks P` (default `1`). One
 //! rank means the matrix lives in this process: every query is answered
 //! by plain CSR × dense on the shared execution pool (the `Local`
-//! binding — no simulated machine, zero communication). `P > 1` says
+//! binding — no simulated machine, zero communication), and since that
+//! binding reads no decomposition none is computed, at registration or
+//! at a refresh: both summaries print `decompositions = 0`, `serve`
+//! also `disk loads = 0, spills = 0`, `stream` a `splice :` line of
+//! zeros, and `report` has no active-prefix figure to echo. `P > 1` says
 //! the matrix is spread over `P` ranks: the planner ranks the four
 //! distributed algorithms for that budget and the winner runs on the
 //! simulated α-β machine — the reproduction side of the repository, and
@@ -1343,7 +1350,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         a.nnz()
     );
     if let Some(path) = &metrics_json {
-        // First checkpoint: registration (decompose or disk load) done.
+        // First checkpoint: registration (at more than one rank, its
+        // decompose or disk load) done.
         write_metrics_json(path, engine.telemetry())?;
     }
     if let Some(log) = &mut ts_log {

@@ -19,10 +19,10 @@
 //! failpoint, a torn payload write, transient multiply errors, and the
 //! fault-free adversarial workloads) — each on a 16-rank simulated
 //! deployment, where queries cross the distributed algorithms, and
-//! again (`<name>-p1`) on the default one-rank deployment, where they
-//! are served in shared memory; [`run`] executes one scenario
-//! and never panics — failures come back as a failed
-//! [`ScenarioReport`].
+//! those without a catalog again (`<name>-p1`) on the default one-rank
+//! deployment, where they are served in shared memory and nothing is
+//! decomposed or persisted; [`run`] executes one scenario and never
+//! panics — failures come back as a failed [`ScenarioReport`].
 //!
 //! [`StreamHub`]: amd_stream::StreamHub
 //! [`FaultPlan`]: amd_chaos::FaultPlan
@@ -139,7 +139,8 @@ impl ScenarioReport {
 
 /// The built-in suite, seeded deterministically: same `seed`, same
 /// traces, same injection points, same counters. Twelve scenarios on a
-/// 16-rank deployment, then the same twelve (`<name>-p1`) on one rank.
+/// 16-rank deployment, then the six of them that attach no catalog
+/// again (`<name>-p1`) on one rank.
 pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
     // The crash trace performs exactly 3 catalog puts (1 at admit, 1
     // per committed refresh round), so `Nth(3)` targets the *final*
@@ -248,12 +249,17 @@ pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
     ];
     // The same traces, faults and pass criteria on the default
     // deployment: answers are bit-exact either way, so the rank count
-    // is one more parameter of the suite.
-    let local = distributed.iter().map(|s| Scenario {
-        name: format!("{}-p1", s.name),
-        target_ranks: 1,
-        ..s.clone()
-    });
+    // is one more parameter of the suite. A one-rank hub never puts to
+    // its catalog, so a catalog failpoint could not fire there and a
+    // catalog scenario would repeat its catalog-less twin.
+    let local = distributed
+        .iter()
+        .filter(|s| !s.with_catalog)
+        .map(|s| Scenario {
+            name: format!("{}-p1", s.name),
+            target_ranks: 1,
+            ..s.clone()
+        });
     distributed.iter().cloned().chain(local).collect()
 }
 

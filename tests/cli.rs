@@ -14,6 +14,17 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
+/// The same command on the default one-rank deployment (no `--ranks`)
+/// serves from the CSR alone and decomposes nothing.
+fn assert_default_ranks_decompose_nothing(args: &[&str]) {
+    let out = cli().args(args).output().expect("spawn cli");
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(
+        out.status.success() && text.contains("decompositions = 0"),
+        "one rank must not decompose: {text}"
+    );
+}
+
 #[test]
 fn full_workflow() {
     let mtx = tmp("w.mtx");
@@ -146,7 +157,9 @@ fn serve_catalog_warm_restart_decomposes_zero() {
         .args(["generate", "osm", "1200", mtx.to_str().unwrap(), "3"])
         .output()
         .unwrap();
-    // Cold run: one decomposition, written through to the catalog.
+    assert_default_ranks_decompose_nothing(&["serve", mtx.to_str().unwrap(), "64", "8", "8", "1"]);
+    // Cold run on 16 ranks: one decomposition, written through to the
+    // catalog.
     let out = cli()
         .args([
             "serve",
@@ -155,6 +168,8 @@ fn serve_catalog_warm_restart_decomposes_zero() {
             "8",
             "8",
             "1",
+            "--ranks",
+            "16",
             "--catalog",
             cat.to_str().unwrap(),
         ])
@@ -180,6 +195,8 @@ fn serve_catalog_warm_restart_decomposes_zero() {
             "8",
             "8",
             "1",
+            "--ranks",
+            "16",
             "--catalog",
             cat.to_str().unwrap(),
         ])
@@ -209,19 +226,21 @@ fn catalog_ls_gc_restore_workflow() {
         .args(["generate", "osm", "900", mtx.to_str().unwrap(), "5"])
         .output()
         .unwrap();
-    // A tight-budget stream produces refreshes → a multi-version chain.
+    let stream = [
+        "stream",
+        mtx.to_str().unwrap(),
+        "32",
+        "60",
+        "6",
+        "0.02",
+        "9",
+    ];
+    assert_default_ranks_decompose_nothing(&stream);
+    // A tight-budget stream on 16 ranks produces refreshes → a
+    // multi-version chain.
     let out = cli()
-        .args([
-            "stream",
-            mtx.to_str().unwrap(),
-            "32",
-            "60",
-            "6",
-            "0.02",
-            "9",
-            "--catalog",
-            cat.to_str().unwrap(),
-        ])
+        .args(stream)
+        .args(["--ranks", "16", "--catalog", cat.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -328,17 +347,11 @@ fn serve_writes_metrics_json_snapshot() {
         .args(["generate", "osm", "1000", mtx.to_str().unwrap(), "3"])
         .output()
         .unwrap();
+    let serve = ["serve", mtx.to_str().unwrap(), "64", "8", "8", "1"];
+    assert_default_ranks_decompose_nothing(&serve);
     let out = cli()
-        .args([
-            "serve",
-            mtx.to_str().unwrap(),
-            "64",
-            "8",
-            "8",
-            "1",
-            "--metrics-json",
-            json.to_str().unwrap(),
-        ])
+        .args(serve)
+        .args(["--ranks", "16", "--metrics-json", json.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
