@@ -9,8 +9,17 @@
 //!
 //! In the distributed algorithm (Algorithm 1), rank `i` owns `B(0,i)`,
 //! `B(i,0)` and `B(i,i)` plus the feature-matrix slice `D(i)`.
+//!
+//! # Layout and determinism
+//!
+//! Tiling never sorts: a CSR row's columns ascend, so the part of a row
+//! that falls in one tile is a run of it, already in order, and a tile
+//! receives its rows in order. [`ArrowMatrix::from_csr`] therefore makes a
+//! count pass (entries per tile, which is also where an entry outside the
+//! pattern is found) and a fill pass that appends each run to its tile's
+//! CSR arrays. Every tile is a function of the input's arrays alone.
 
-use amd_sparse::{CooMatrix, CsrMatrix, SparseError, SparseResult};
+use amd_sparse::{CooMatrix, CsrBuilder, CsrMatrix, SparseError, SparseResult};
 
 /// An arrow matrix in tiled form. Value type is `f64` (the distributed
 /// pipeline's numeric type).
@@ -34,54 +43,109 @@ impl ArrowMatrix {
     ///
     /// Returns an error if any entry falls outside the pattern.
     pub fn from_csr(a: &CsrMatrix<f64>, b: u32) -> SparseResult<Self> {
+        Self::from_leading_block(a, a.rows(), b)
+    }
+
+    /// [`from_csr`](Self::from_csr) of the leading `n × n` block of a
+    /// larger square matrix, without copying the block out first. Entries
+    /// outside the block are not part of it and are not looked at.
+    pub fn from_leading_block(a: &CsrMatrix<f64>, n: u32, b: u32) -> SparseResult<Self> {
         if a.rows() != a.cols() {
             return Err(SparseError::ShapeMismatch {
                 left: (a.rows(), a.cols()),
                 right: (a.cols(), a.rows()),
             });
         }
-        assert!(b >= 1, "arrow width must be at least 1");
-        let n = a.rows();
+        if n > a.rows() {
+            return Err(SparseError::InvalidCsr(format!(
+                "leading block of {n} rows requested from a matrix of {}",
+                a.rows()
+            )));
+        }
+        if b == 0 {
+            return Err(SparseError::InvalidCsr(
+                "arrow width must be at least 1".into(),
+            ));
+        }
+        // A row of the block: the columns below `n` are a prefix.
+        let block_row = |r: u32| {
+            let cols = a.row_indices(r);
+            let len = cols.partition_point(|&c| c < n);
+            (&cols[..len], &a.row_values(r)[..len])
+        };
         let nb = block_count(n, b);
-        let tile = |i: u32| -> (u32, u32) { (i * b, ((i + 1) * b).min(n)) };
-        let mut row_builders: Vec<CooMatrix<f64>> = (0..nb)
-            .map(|j| {
-                let (lo, hi) = tile(j);
-                CooMatrix::new(b.min(n), hi - lo)
-            })
-            .collect();
-        let mut col_builders: Vec<CooMatrix<f64>> = (1..nb)
-            .map(|i| {
-                let (lo, hi) = tile(i);
-                CooMatrix::new(hi - lo, b.min(n))
-            })
-            .collect();
-        let mut diag_builders: Vec<CooMatrix<f64>> = (1..nb)
-            .map(|i| {
-                let (lo, hi) = tile(i);
-                CooMatrix::new(hi - lo, hi - lo)
-            })
-            .collect();
-        for (r, c, v) in a.iter() {
-            let (bi, bj) = (r / b, c / b);
-            if bi == 0 {
-                row_builders[bj as usize].push(r, c - bj * b, v)?;
-            } else if bj == 0 {
-                col_builders[bi as usize - 1].push(r - bi * b, c, v)?;
-            } else if bi == bj {
-                diag_builders[bi as usize - 1].push(r - bi * b, c - bj * b, v)?;
-            } else {
-                return Err(SparseError::InvalidCsr(format!(
-                    "entry ({r}, {c}) outside arrow pattern for width {b}"
-                )));
+        let tile_len = |i: u32| b.min(n - i * b);
+        let arm = b.min(n);
+
+        // Count pass. The arm rows spread over every row tile; a later
+        // block row feeds its column tile and its diagonal tile only.
+        let mut row_nnz = vec![0usize; nb as usize];
+        let mut col_nnz = vec![0usize; nb as usize];
+        let mut diag_nnz = vec![0usize; nb as usize];
+        for r in 0..arm {
+            for &c in block_row(r).0 {
+                row_nnz[(c / b) as usize] += 1;
             }
+        }
+        for r in arm..n {
+            let bi = r / b;
+            let lo = bi * b;
+            for &c in block_row(r).0 {
+                if c < b {
+                    col_nnz[bi as usize] += 1;
+                } else if c >= lo && c - lo < b {
+                    diag_nnz[bi as usize] += 1;
+                } else {
+                    return Err(SparseError::InvalidCsr(format!(
+                        "entry ({r}, {c}) outside arrow pattern for width {b}"
+                    )));
+                }
+            }
+        }
+
+        // Fill pass.
+        let mut row_tiles: Vec<CsrBuilder> = row_nnz
+            .iter()
+            .map(|&nnz| CsrBuilder::with_capacity(arm as usize, nnz))
+            .collect();
+        for r in 0..arm {
+            let (cols, vals) = block_row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let bj = c / b;
+                row_tiles[bj as usize].push(c - bj * b, v);
+            }
+            row_tiles.iter_mut().for_each(CsrBuilder::end_row);
+        }
+        let mut col_tiles = Vec::with_capacity(nb as usize - 1);
+        let mut diag_tiles = Vec::with_capacity(nb as usize - 1);
+        for bi in 1..nb {
+            let (lo, len) = (bi * b, tile_len(bi));
+            let mut col = CsrBuilder::with_capacity(len as usize, col_nnz[bi as usize]);
+            let mut diag = CsrBuilder::with_capacity(len as usize, diag_nnz[bi as usize]);
+            for r in lo..lo + len {
+                let (cols, vals) = block_row(r);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    if c < b {
+                        col.push(c, v);
+                    } else {
+                        diag.push(c - lo, v);
+                    }
+                }
+                col.end_row();
+                diag.end_row();
+            }
+            col_tiles.push(col.finish(arm));
+            diag_tiles.push(diag.finish(len));
         }
         Ok(Self {
             n,
             b,
-            row_tiles: row_builders.iter().map(CooMatrix::to_csr).collect(),
-            col_tiles: col_builders.iter().map(CooMatrix::to_csr).collect(),
-            diag_tiles: diag_builders.iter().map(CooMatrix::to_csr).collect(),
+            row_tiles: (0..nb)
+                .zip(row_tiles)
+                .map(|(j, tile)| tile.finish(tile_len(j)))
+                .collect(),
+            col_tiles,
+            diag_tiles,
         })
     }
 
@@ -241,6 +305,29 @@ mod tests {
         let a = coo.to_csr();
         let arrow = ArrowMatrix::from_csr(&a, 3).unwrap();
         assert_eq!(arrow.nonzero_tiles(), 3);
+    }
+
+    #[test]
+    fn leading_block_equals_tiling_the_copied_block() {
+        let a = arrow_csr(12, 3);
+        for m in [0u32, 1, 3, 7, 9, 12] {
+            let copied = a.submatrix(0, m, 0, m);
+            assert_eq!(
+                ArrowMatrix::from_leading_block(&a, m, 3).unwrap(),
+                ArrowMatrix::from_csr(&copied, 3).unwrap(),
+                "m = {m}"
+            );
+        }
+        assert!(ArrowMatrix::from_leading_block(&a, 13, 3).is_err());
+    }
+
+    #[test]
+    fn zero_width_is_an_error_not_a_panic() {
+        let a = arrow_csr(12, 3);
+        assert!(matches!(
+            ArrowMatrix::from_csr(&a, 0),
+            Err(SparseError::InvalidCsr(_))
+        ));
     }
 
     #[test]

@@ -24,8 +24,7 @@ pub struct ArrowLevel {
 impl ArrowLevel {
     /// Tiled view of the *active* part of this level's matrix.
     pub fn to_arrow(&self, b: u32) -> SparseResult<ArrowMatrix> {
-        let active = self.matrix.submatrix(0, self.active_n, 0, self.active_n);
-        ArrowMatrix::from_csr(&active, b)
+        ArrowMatrix::from_leading_block(&self.matrix, self.active_n, b)
     }
 
     /// Stored entries of this level.

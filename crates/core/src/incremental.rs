@@ -10,8 +10,8 @@
 //!
 //! 1. **Affected region.** Starting from the vertices the delta touches,
 //!    grow the region through each prior level's weakly-connected
-//!    components ([`amd_graph::traversal::grow_region`]): every vertex
-//!    whose level assignment can interact with the change joins. A
+//!    components: every vertex whose level assignment can interact with
+//!    the change joins. A
 //!    level's pruned hubs (arm rows, positions `< b`) act as barriers —
 //!    an arm row absorbs its incident edges whatever the rest of the
 //!    arrangement does, so connectivity *through* a hub does not
@@ -48,10 +48,8 @@
 use crate::decomposition::{ArrowDecomposition, ArrowLevel};
 use crate::la_decompose::{decompose_snapshot, la_decompose, DecomposeConfig};
 use crate::strategy::RandomForestLa;
-use amd_graph::traversal::grow_region;
-use amd_graph::Graph;
 use amd_obs::Stopwatch;
-use amd_sparse::{CooMatrix, CsrMatrix, Permutation, SparseError, SparseResult};
+use amd_sparse::{CsrBuilder, CsrMatrix, Permutation, SparseError, SparseResult};
 
 /// When to attempt — and when to abandon — the delta-localized path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -198,45 +196,70 @@ pub fn affected_region(prior: &ArrowDecomposition, touched: &[u32]) -> SparseRes
     if touched.is_empty() {
         return Ok(region);
     }
+    // The search runs on each level's matrix as it is stored, in position
+    // coordinates: a position's neighbours are the columns of its row plus
+    // the rows of its column (a level may hold `(u, v)` without `(v, u)`),
+    // the latter from a transposed index built by counting placement.
+    // Nothing is sorted and no graph is built; a level none of the touched
+    // vertices has an entry in costs its counting pass and nothing more.
     let b = prior.b();
-    let mut level_region = vec![false; n as usize];
-    let mut present = vec![false; n as usize];
+    let mut col_start = vec![0usize; n as usize + 1];
+    let mut col_rows: Vec<u32> = Vec::new();
+    let mut expanded = vec![false; n as usize];
+    let mut queue: Vec<u32> = Vec::new();
     for level in prior.levels() {
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(level.nnz());
-        present.iter_mut().for_each(|m| *m = false);
-        for (pr, pc, _) in level.matrix.iter() {
-            let (u, v) = (level.perm.vertex_at(pr), level.perm.vertex_at(pc));
-            present[u as usize] = true;
-            present[v as usize] = true;
-            if u != v {
-                edges.push((u.min(v), u.max(v)));
-            }
+        let m = &level.matrix;
+        col_start.fill(0);
+        for &c in m.indices() {
+            col_start[c as usize + 1] += 1;
         }
-        edges.sort_unstable();
-        edges.dedup();
-        if edges.is_empty() {
-            continue;
-        }
-        // Seed from the touched vertices that own entries in *this*
-        // level (not the accumulated region — cascading the growth
-        // across levels compounds block-sized components into most of
-        // the graph on well-connected inputs, forcing needless cold
-        // fallbacks).
-        level_region.iter_mut().for_each(|m| *m = false);
-        let mut seeded = false;
+        // Seed from the touched vertices that own entries in *this* level
+        // (not the accumulated region — cascading the growth across
+        // levels compounds block-sized components into most of the graph
+        // on well-connected inputs, forcing needless cold fallbacks).
+        queue.clear();
         for &v in touched {
-            if present[v as usize] {
-                level_region[v as usize] = true;
-                seeded = true;
+            let p = level.perm.position(v);
+            let present = m.row_nnz(p) > 0 || col_start[p as usize + 1] > 0;
+            if present && !expanded[p as usize] {
+                expanded[p as usize] = true;
+                queue.push(p);
             }
         }
-        if !seeded {
+        if queue.is_empty() {
             continue;
         }
-        let g = Graph::from_edges(n, &edges);
-        grow_region(&g, |v| level.perm.position(v) >= b, &mut level_region);
-        for (acc, &m) in region.iter_mut().zip(&level_region) {
-            *acc |= m;
+        for c in 0..n as usize {
+            col_start[c + 1] += col_start[c];
+        }
+        col_rows.clear();
+        col_rows.resize(m.nnz(), 0);
+        // Placement advances `col_start[c]` to the end of column `c`,
+        // which is the start of column `c + 1`: afterwards column `c` is
+        // `col_start[c - 1]..col_start[c]` (from 0 for the first).
+        for r in 0..n {
+            for &c in m.row_indices(r) {
+                col_rows[col_start[c as usize]] = r;
+                col_start[c as usize] += 1;
+            }
+        }
+        let mut head = 0;
+        while head < queue.len() {
+            let p = queue[head];
+            head += 1;
+            let column_lo = if p == 0 { 0 } else { col_start[p as usize - 1] };
+            let column = &col_rows[column_lo..col_start[p as usize]];
+            for &q in m.row_indices(p).iter().chain(column) {
+                region[level.perm.vertex_at(q) as usize] = true;
+                // Arm positions join but do not propagate.
+                if q >= b && !expanded[q as usize] {
+                    expanded[q as usize] = true;
+                    queue.push(q);
+                }
+            }
+        }
+        for &p in &queue {
+            expanded[p as usize] = false;
         }
     }
     Ok(region)
@@ -245,34 +268,45 @@ pub fn affected_region(prior: &ArrowDecomposition, touched: &[u32]) -> SparseRes
 /// The prior levels with every entry owned by the region removed
 /// (both endpoints inside it); levels that become empty are dropped.
 /// Entry removal cannot violate the arrow pattern or the active prefix,
-/// so the surviving levels stay valid as they are.
-fn strip_region(prior: &ArrowDecomposition, region: &[bool]) -> Vec<ArrowLevel> {
+/// so the surviving levels stay valid as they are. `verts` lists the
+/// region's vertices.
+fn strip_region(prior: &ArrowDecomposition, region: &[bool], verts: &[u32]) -> Vec<ArrowLevel> {
     let n = prior.n();
-    let owned = |pr: u32, pc: u32, level: &ArrowLevel| {
-        region[level.perm.vertex_at(pr) as usize] && region[level.perm.vertex_at(pc) as usize]
-    };
     let mut kept_levels = Vec::with_capacity(prior.order());
     for level in prior.levels() {
-        // Count first: most levels are untouched by a localized region,
-        // and those must not pay for a rebuilt copy.
-        let kept = level
-            .matrix
+        let m = &level.matrix;
+        let in_region = |p: u32| region[level.perm.vertex_at(p) as usize];
+        // Count first, and only in the region's own rows (an owned entry
+        // has its row there): most levels are untouched by a localized
+        // region, and those must not pay for a rebuilt copy.
+        let owned: usize = verts
             .iter()
-            .filter(|&(pr, pc, _)| !owned(pr, pc, level))
-            .count();
-        if kept == 0 {
+            .map(|&v| {
+                let row = m.row_indices(level.perm.position(v));
+                row.iter().filter(|&&pc| in_region(pc)).count()
+            })
+            .sum();
+        if owned == level.nnz() {
             continue;
         }
-        let matrix = if kept == level.nnz() {
-            level.matrix.clone()
+        let matrix = if owned == 0 {
+            m.clone()
         } else {
-            let mut coo = CooMatrix::with_capacity(n, n, kept);
-            for (pr, pc, v) in level.matrix.iter() {
-                if !owned(pr, pc, level) {
-                    coo.push(pr, pc, v).expect("level positions are in bounds");
+            let mut kept = CsrBuilder::with_capacity(n as usize, level.nnz() - owned);
+            for pr in 0..n {
+                let (cols, vals) = (m.row_indices(pr), m.row_values(pr));
+                if in_region(pr) {
+                    for (&pc, &v) in cols.iter().zip(vals) {
+                        if !in_region(pc) {
+                            kept.push(pc, v);
+                        }
+                    }
+                } else {
+                    kept.extend(cols, vals);
                 }
+                kept.end_row();
             }
-            coo.to_csr()
+            kept.finish(n)
         };
         kept_levels.push(ArrowLevel {
             perm: level.perm.clone(),
@@ -370,16 +404,18 @@ pub fn decompose_snapshot_incremental(
     for (i, &v) in verts.iter().enumerate() {
         local[v as usize] = i as u32;
     }
-    let mut coo = CooMatrix::new(m, m);
+    // The induced sub-matrix, straight into CSR arrays: rows in vertex
+    // order, and the compaction is monotone, so columns stay sorted.
+    let mut sub = CsrBuilder::with_capacity(m as usize, 0);
     for &v in &verts {
         for (&c, &val) in merged.row_indices(v).iter().zip(merged.row_values(v)) {
             if region[c as usize] {
-                coo.push(local[v as usize], local[c as usize], val)
-                    .expect("region entries are in bounds");
+                sub.push(local[c as usize], val);
             }
         }
+        sub.end_row();
     }
-    let sub_csr = coo.to_csr();
+    let sub_csr = sub.finish(m);
     let extract_seconds = extract_sw.elapsed_seconds();
 
     let decompose_sw = Stopwatch::start();
@@ -390,7 +426,7 @@ pub fn decompose_snapshot_incremental(
     let decompose_seconds = decompose_sw.elapsed_seconds();
 
     let splice_sw = Stopwatch::start();
-    let mut levels = strip_region(prior, &region);
+    let mut levels = strip_region(prior, &region, &verts);
     if (levels.len() + sub.order()) as u32 > policy.max_order {
         return cold(FallbackReason::OrderTooDeep, affected, extract_seconds);
     }
@@ -448,7 +484,7 @@ pub fn decompose_snapshot_incremental(
 mod tests {
     use super::*;
     use amd_graph::generators::basic;
-    use amd_sparse::ops;
+    use amd_sparse::{ops, CooMatrix};
 
     fn ring(n: u32) -> CsrMatrix<f64> {
         basic::cycle(n).to_adjacency()
@@ -628,6 +664,45 @@ mod tests {
         assert!(
             affected < n as usize / 4,
             "a 3-vertex touch on a ring must stay local, got {affected}/{n}"
+        );
+    }
+
+    #[test]
+    fn region_growth_expands_components_and_respects_barriers() {
+        // One level of width 1 holding the path 0-1-2-3-4 and, apart from
+        // it, the edge 5-6. Vertex 2 sits at position 0, the arm, so it
+        // is the barrier. Half the entries are stored in one direction
+        // only: the search must follow a column as well as a row.
+        let perm = Permutation::from_order(vec![2, 0, 1, 3, 4, 5, 6]).unwrap();
+        let mut coo = CooMatrix::new(7, 7);
+        for (u, v) in [(0u32, 1u32), (2, 1), (2, 3), (4, 3), (5, 6)] {
+            coo.push(perm.position(u), perm.position(v), 1.0).unwrap();
+        }
+        for (u, v) in [(1u32, 0u32), (3, 2)] {
+            coo.push(perm.position(u), perm.position(v), 1.0).unwrap();
+        }
+        let level = ArrowLevel {
+            perm,
+            matrix: coo.to_csr(),
+            active_n: 7,
+        };
+        let prior = ArrowDecomposition::new(7, 1, vec![level]);
+        let region = |touched: &[u32]| affected_region(&prior, touched).unwrap();
+        // 2 joins (neighbour of 1) but does not propagate to 3.
+        assert_eq!(
+            region(&[0]),
+            vec![true, true, true, false, false, false, false]
+        );
+        // A barrier *seed* propagates (and its neighbours carry on).
+        assert_eq!(
+            region(&[2]),
+            vec![true, true, true, true, true, false, false]
+        );
+        // Other components stay out; one reached through a column only
+        // (6 stores nothing in its own row) still joins whole.
+        assert_eq!(
+            region(&[6]),
+            vec![false, false, false, false, false, true, true]
         );
     }
 

@@ -16,13 +16,35 @@
 //! algorithm works on edge lists, and levels only record which entries
 //! they own. Vertices isolated at a level are ordered last, so each level
 //! has a dense "active" prefix and later levels need fewer ranks.
+//!
+//! # Layout and determinism
+//!
+//! The structure edges `{u, v}`, `u < v`, are listed once, sorted; an
+//! edge's index in that list is its id, and `edge_start[u]` (a `usize`
+//! prefix sum, like a CSR `indptr`) is where the edges with smaller
+//! endpoint `u` begin. The peel keeps the ids of the surviving edges and
+//! writes `level_of_edge[id]` when a level captures one. A level costs
+//! one pass over the survivors for the degrees, one partial selection
+//! for `V_h` ([`top_degree_vertices`]: `(degree descending, id
+//! ascending)`, a total order), one [`Graph`] of the survivors between
+//! unpruned vertices for the strategy, and one pass for the peel.
+//!
+//! The level matrices are then written straight into CSR arrays: a pass
+//! over `A` finds every entry's level (its edge id by a forward walk
+//! from `edge_start[u]`, see the count pass) and counts it into that
+//! level's `indptr` at its row's position; a second pass drops each row's
+//! entries, sorted by `(level, column position)`, where the prefix sums
+//! say. A level's row is filled from exactly one row of `A` and its
+//! column positions are distinct, so the arrays are a function of `A`
+//! and the arrangements alone — and those depend only on the strategy
+//! (for the default, its seed) and the tie-breaks above.
 
 use crate::decomposition::{ArrowDecomposition, ArrowLevel};
 use crate::strategy::ArrangementStrategy;
 use amd_graph::degree::top_degree_vertices;
+use amd_graph::graph::structure_edges;
 use amd_graph::Graph;
-use amd_sparse::{CooMatrix, CsrMatrix, Permutation, SparseError, SparseResult};
-use std::collections::HashMap;
+use amd_sparse::{CsrMatrix, Permutation, SparseError, SparseResult};
 
 /// Parameters of LA-Decompose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,16 +114,25 @@ pub fn la_decompose(
     let n = a.rows();
     let b = cfg.arrow_width.max(1);
 
-    // Structure edges {u, v}, u < v.
-    let mut edges: Vec<(u32, u32)> = Graph::from_matrix_structure(a).edge_list();
+    let edges = structure_edges(a);
+    let mut edge_start = vec![0usize; n as usize + 1];
+    for &(u, _) in &edges {
+        edge_start[u as usize + 1] += 1;
+    }
+    for u in 0..n as usize {
+        edge_start[u + 1] += edge_start[u];
+    }
     let has_diagonal = (0..n).any(|r| a.row_indices(r).binary_search(&r).is_ok());
 
-    // perms[i] and level_of_pair fill up as levels peel off edges.
+    // perms[i] and level_of_edge fill up as levels peel off edges.
     let mut perms: Vec<Permutation> = Vec::new();
     let mut active_ns: Vec<u32> = Vec::new();
-    let mut level_of_pair: HashMap<(u32, u32), u32> = HashMap::with_capacity(edges.len());
+    let mut level_of_edge = vec![u32::MAX; edges.len()];
+    let mut alive: Vec<usize> = (0..edges.len()).collect();
+    let mut degree = vec![0u32; n as usize];
+    let mut is_pruned = vec![false; n as usize];
 
-    while !edges.is_empty() {
+    while !alive.is_empty() {
         let level = perms.len() as u32;
         if level >= cfg.max_levels {
             // Report the per-level active-prefix sizes alongside the edge
@@ -113,30 +144,35 @@ pub fn la_decompose(
                  the arrangement strategy is not reducing edge lengths \
                  (per-level active-prefix sizes: {:?})",
                 cfg.max_levels,
-                edges.len(),
+                alive.len(),
                 active_ns
             )));
         }
-        let g = Graph::from_edges(n, &edges);
+        degree.fill(0);
+        for &id in &alive {
+            let (u, v) = edges[id];
+            degree[u as usize] += 1;
+            degree[v as usize] += 1;
+        }
 
         // Step 1: pruning set V_h (highest degree, at most b, degree ≥ 1).
         let pruned: Vec<u32> = if cfg.prune {
-            top_degree_vertices(&g, b as usize)
-                .into_iter()
-                .filter(|&v| g.degree(v) > 0)
-                .collect()
+            top_degree_vertices(&degree, b as usize)
         } else {
             Vec::new()
         };
-        let mut is_pruned = vec![false; n as usize];
         for &v in &pruned {
             is_pruned[v as usize] = true;
         }
 
-        // Step 2: arrange the pruned-out subgraph.
-        let keep: Vec<bool> = (0..n).map(|v| !is_pruned[v as usize]).collect();
-        let filtered = g.filter_vertices(&keep);
-        let sub_pi = strategy.arrange(&filtered);
+        // Step 2: arrange the pruned-out subgraph (same vertex set; the
+        // pruned vertices are isolated in it).
+        let kept: Vec<(u32, u32)> = alive
+            .iter()
+            .map(|&id| edges[id])
+            .filter(|&(u, v)| !is_pruned[u as usize] && !is_pruned[v as usize])
+            .collect();
+        let sub_pi = strategy.arrange(&Graph::from_edges(n, &kept));
 
         // Assemble πᵢ: pruned hubs first, then non-isolated vertices of Gᵢ
         // in sub-arrangement order, then everything else (isolated at this
@@ -144,36 +180,44 @@ pub fn la_decompose(
         // prefix.
         let mut order: Vec<u32> = Vec::with_capacity(n as usize);
         order.extend_from_slice(&pruned);
-        for p in 0..n {
-            let v = sub_pi.vertex_at(p);
-            if !is_pruned[v as usize] && g.degree(v) > 0 {
-                order.push(v);
-            }
-        }
+        let unpruned = |v: &&u32| !is_pruned[**v as usize];
+        order.extend(
+            sub_pi
+                .order()
+                .iter()
+                .filter(unpruned)
+                .filter(|&&v| degree[v as usize] > 0),
+        );
         let active_n = order.len() as u32;
-        for p in 0..n {
-            let v = sub_pi.vertex_at(p);
-            if !is_pruned[v as usize] && g.degree(v) == 0 {
-                order.push(v);
-            }
-        }
+        order.extend(
+            sub_pi
+                .order()
+                .iter()
+                .filter(unpruned)
+                .filter(|&&v| degree[v as usize] == 0),
+        );
         let pi = Permutation::from_order(order)
             .expect("LA-Decompose order covers every vertex exactly once");
 
         // Step 3: peel the arrow-shaped edges.
-        let mut remaining = Vec::with_capacity(edges.len());
-        let mut captured = 0usize;
-        for &(u, v) in &edges {
-            let (p, q) = (pi.position(u), pi.position(v));
-            if p.min(q) < b || p / b == q / b {
-                level_of_pair.insert((u, v), level);
-                captured += 1;
-            } else {
-                remaining.push((u, v));
+        let survivors = alive.len();
+        let position = pi.positions();
+        alive.retain(|&id| {
+            let (u, v) = edges[id];
+            let (p, q) = (position[u as usize], position[v as usize]);
+            let captured = p.min(q) < b || p / b == q / b;
+            if captured {
+                level_of_edge[id] = level;
             }
+            !captured
+        });
+        debug_assert!(
+            alive.len() < survivors,
+            "a level must capture at least one edge"
+        );
+        for &v in &pruned {
+            is_pruned[v as usize] = false;
         }
-        debug_assert!(captured > 0, "a level must capture at least one edge");
-        edges = remaining;
         perms.push(pi);
         active_ns.push(active_n);
     }
@@ -184,41 +228,93 @@ pub fn la_decompose(
         active_ns.push(n);
     }
 
-    // Materialise the per-level matrices in position coordinates.
-    let mut builders: Vec<CooMatrix<f64>> = perms.iter().map(|_| CooMatrix::new(n, n)).collect();
-    for (r, c, v) in a.iter() {
-        let (lvl, pi) = if r == c {
-            (0u32, &perms[0])
-        } else {
-            let key = if r < c { (r, c) } else { (c, r) };
-            let lvl = *level_of_pair
-                .get(&key)
-                .expect("every structural edge was assigned to a level");
-            (lvl, &perms[lvl as usize])
-        };
-        builders[lvl as usize].push(pi.position(r), pi.position(c), v)?;
+    // Count pass: the level of every entry of `A` (diagonal entries always
+    // satisfy the block-diagonal pattern and go to level 0), counted into
+    // that level's indptr at the position of its row. An entry's edge is
+    // found by walking, never searching: row `r`'s upper entries `(r, c)`
+    // meet the edges of `r` in the same ascending order, and the lower
+    // entries `(r, c)` of successive rows meet the edges of `c` in
+    // ascending `r`, so one cursor per vertex only ever moves forward.
+    let mut lower_cursor = edge_start[..n as usize].to_vec();
+    let mut indptrs: Vec<Vec<usize>> = vec![vec![0usize; n as usize + 1]; perms.len()];
+    let mut entry_levels: Vec<u32> = Vec::with_capacity(a.nnz());
+    // One past the last level-0 position that holds a diagonal entry.
+    let mut diagonal_end = 0u32;
+    for r in 0..n {
+        let mut upper_cursor = edge_start[r as usize];
+        for &c in a.row_indices(r) {
+            let lvl = if r == c {
+                diagonal_end = diagonal_end.max(perms[0].position(r) + 1);
+                0
+            } else {
+                let (cursor, other) = if r < c {
+                    (&mut upper_cursor, c)
+                } else {
+                    (&mut lower_cursor[c as usize], r)
+                };
+                // Every off-diagonal entry is a structure edge, so the
+                // walk stops inside the vertex's own edges.
+                while edges[*cursor].1 != other {
+                    *cursor += 1;
+                }
+                level_of_edge[*cursor]
+            };
+            indptrs[lvl as usize][perms[lvl as usize].position(r) as usize + 1] += 1;
+            entry_levels.push(lvl);
+        }
     }
-    // Diagonal entries always satisfy the block-diagonal pattern, but they
-    // belong inside the active prefix; extend active_n to cover them.
-    if has_diagonal && !perms.is_empty() {
-        let pi = &perms[0];
-        let max_diag_pos = (0..n)
-            .filter(|&r| a.row_indices(r).binary_search(&r).is_ok())
-            .map(|r| pi.position(r))
-            .max()
-            .unwrap_or(0);
-        active_ns[0] = active_ns[0].max(max_diag_pos + 1);
+    for indptr in &mut indptrs {
+        for p in 0..n as usize {
+            indptr[p + 1] += indptr[p];
+        }
+    }
+
+    // Fill pass: a level's row is fed by one row of `A` only, so its
+    // segment is written in one go, in column-position order.
+    let mut columns: Vec<Vec<u32>> = indptrs.iter().map(|p| vec![0u32; p[n as usize]]).collect();
+    let mut values: Vec<Vec<f64>> = indptrs.iter().map(|p| vec![0f64; p[n as usize]]).collect();
+    let mut row: Vec<(u64, f64)> = Vec::new();
+    let mut entry = 0usize;
+    for r in 0..n {
+        row.clear();
+        for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
+            let lvl = entry_levels[entry];
+            entry += 1;
+            // (level, column position) packed into one sort key.
+            let q = perms[lvl as usize].position(c);
+            row.push(((lvl as u64) << 32 | q as u64, v));
+        }
+        row.sort_unstable_by_key(|&(key, _)| key);
+        let (mut current, mut at) = (u32::MAX, 0usize);
+        for &(key, v) in &row {
+            let lvl = (key >> 32) as u32;
+            if lvl != current {
+                current = lvl;
+                at = indptrs[lvl as usize][perms[lvl as usize].position(r) as usize];
+            }
+            columns[lvl as usize][at] = key as u32;
+            values[lvl as usize][at] = v;
+            at += 1;
+        }
+    }
+    // Diagonal entries belong inside the active prefix; extend level 0's
+    // to cover them.
+    if let Some(active_n) = active_ns.first_mut() {
+        *active_n = (*active_n).max(diagonal_end);
     }
 
     let levels: Vec<ArrowLevel> = perms
         .into_iter()
         .zip(active_ns)
-        .zip(builders)
-        .map(|((perm, active_n), coo)| ArrowLevel {
-            perm,
-            matrix: coo.to_csr(),
-            active_n,
-        })
+        .zip(indptrs)
+        .zip(columns.into_iter().zip(values))
+        .map(
+            |(((perm, active_n), indptr), (indices, values))| ArrowLevel {
+                perm,
+                matrix: CsrMatrix::from_raw_unchecked(n, n, indptr, indices, values),
+                active_n,
+            },
+        )
         .collect();
     Ok(ArrowDecomposition::new(n, b, levels))
 }
@@ -228,7 +324,7 @@ mod tests {
     use super::*;
     use crate::strategy::{IdentityLa, RandomForestLa, RcmLa, SeparatorLaStrategy};
     use amd_graph::generators::{basic, datasets, random};
-    use amd_sparse::{band, DenseMatrix};
+    use amd_sparse::{band, CooMatrix, DenseMatrix};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -54,13 +54,27 @@ impl DegreeStats {
     }
 }
 
-/// The `b` vertices of largest degree, ties broken by smaller vertex id —
-/// the pruning set `V_h` of LA-Decompose step 1 (§5.1).
-pub fn top_degree_vertices(g: &Graph, b: usize) -> Vec<u32> {
-    let mut vs: Vec<u32> = (0..g.n()).collect();
-    let b = b.min(vs.len());
-    vs.sort_unstable_by(|&a, &bv| g.degree(bv).cmp(&g.degree(a)).then(a.cmp(&bv)));
-    vs.truncate(b);
+/// The pruning set `V_h` of LA-Decompose step 1 (§5.1): the at most `b`
+/// vertices of largest degree among those with degree ≥ 1, ordered by
+/// `(degree descending, id ascending)`. `degrees[v]` is the degree of `v`.
+///
+/// The order is total, so the set and its order are unique whatever the
+/// selection does internally: a partial selection of the `b` winners,
+/// then a sort of just those.
+pub fn top_degree_vertices(degrees: &[u32], b: usize) -> Vec<u32> {
+    let by_rank = |x: &u32, y: &u32| {
+        degrees[*y as usize]
+            .cmp(&degrees[*x as usize])
+            .then(x.cmp(y))
+    };
+    let mut vs: Vec<u32> = (0..degrees.len() as u32)
+        .filter(|&v| degrees[v as usize] > 0)
+        .collect();
+    if vs.len() > b {
+        vs.select_nth_unstable_by(b, by_rank);
+        vs.truncate(b);
+    }
+    vs.sort_unstable_by(by_rank);
     vs
 }
 
@@ -92,20 +106,43 @@ mod tests {
         assert_eq!(DegreeStats::of(&e).median_degree, 0);
     }
 
+    fn degrees(g: &Graph) -> Vec<u32> {
+        (0..g.n()).map(|v| g.degree(v)).collect()
+    }
+
     #[test]
     fn top_degree_selects_hubs() {
         // Star at 0 plus a triangle 1-2-3: degrees 0:4(+), verify ordering.
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3)]);
-        let top = top_degree_vertices(&g, 2);
+        let top = top_degree_vertices(&degrees(&g), 2);
         assert_eq!(top[0], 0); // degree 4
         assert_eq!(top[1], 2); // degree 3
-        assert_eq!(top_degree_vertices(&g, 100).len(), 5);
+        assert_eq!(top_degree_vertices(&degrees(&g), 100).len(), 5);
+        assert!(top_degree_vertices(&degrees(&g), 0).is_empty());
     }
 
     #[test]
     fn top_degree_tie_break_is_deterministic() {
         let g = basic::path(6); // interior vertices all degree 2
-        let top = top_degree_vertices(&g, 3);
+        let top = top_degree_vertices(&degrees(&g), 3);
         assert_eq!(top, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn top_degree_skips_isolated_vertices() {
+        assert_eq!(top_degree_vertices(&[0, 3, 0, 1, 3], 4), vec![1, 4, 3]);
+    }
+
+    #[test]
+    fn top_degree_matches_a_full_sort() {
+        // Many ties around the cut: the selection must agree with sorting
+        // every vertex by (degree desc, id asc) and truncating.
+        let degrees: Vec<u32> = (0..500u32).map(|v| (v * 7919) % 6).collect();
+        for b in [1usize, 7, 83, 250, 499, 500, 900] {
+            let mut all: Vec<u32> = (0..500).filter(|&v| degrees[v as usize] > 0).collect();
+            all.sort_by_key(|&v| (std::cmp::Reverse(degrees[v as usize]), v));
+            all.truncate(b);
+            assert_eq!(top_degree_vertices(&degrees, b), all, "b = {b}");
+        }
     }
 }

@@ -110,10 +110,15 @@ impl Graph {
         })
     }
 
-    /// Collects the edge list (each edge once, `u < v`).
+    /// Collects the edge list (each edge once, `u < v`), sorted.
     pub fn edge_list(&self) -> Vec<(u32, u32)> {
         let mut edges = Vec::with_capacity(self.m());
-        edges.extend(self.edges());
+        for u in 0..self.n() {
+            let nbrs = self.neighbors(u);
+            // Sorted adjacency: the upper neighbours are a suffix.
+            let upper = nbrs.partition_point(|&v| v <= u);
+            edges.extend(nbrs[upper..].iter().map(|&v| (u, v)));
+        }
         edges
     }
 
@@ -134,25 +139,7 @@ impl Graph {
     /// matrix (symmetrised: an entry at `(i, j)` or `(j, i)` yields the
     /// edge `{i, j}`).
     pub fn from_matrix_structure<T: Scalar>(a: &CsrMatrix<T>) -> Self {
-        assert_eq!(
-            a.rows(),
-            a.cols(),
-            "adjacency structure requires a square matrix"
-        );
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(a.nnz());
-        for r in 0..a.rows() {
-            for &c in a.row_indices(r) {
-                if r < c {
-                    edges.push((r, c));
-                } else if c < r && !contains_sorted(a.row_indices(c), r) {
-                    // (r, c) with r > c and no mirror entry: still an edge.
-                    edges.push((c, r));
-                }
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        Self::from_edges(a.rows(), &edges)
+        Self::from_edges(a.rows(), &structure_edges(a))
     }
 
     /// The subgraph induced by vertices with `keep[v] == true`, on the
@@ -169,8 +156,36 @@ impl Graph {
     }
 }
 
-fn contains_sorted(slice: &[u32], x: u32) -> bool {
-    slice.binary_search(&x).is_ok()
+/// The edges of the off-diagonal sparsity structure of a square matrix,
+/// symmetrised, each once as `(u, v)` with `u < v`, sorted — so an edge's
+/// index in the list is a stable id for it.
+///
+/// A row scan emits the upper entries `(r, c)`, `r < c`, already in that
+/// order; a lower entry with no mirror becomes `(c, r)` out of order, and
+/// only then is the list sorted (the two kinds never coincide, so there
+/// is nothing to deduplicate).
+pub fn structure_edges<T: Scalar>(a: &CsrMatrix<T>) -> Vec<(u32, u32)> {
+    assert_eq!(
+        a.rows(),
+        a.cols(),
+        "adjacency structure requires a square matrix"
+    );
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(a.nnz() / 2);
+    let mut one_sided = false;
+    for r in 0..a.rows() {
+        for &c in a.row_indices(r) {
+            if r < c {
+                edges.push((r, c));
+            } else if c < r && a.row_indices(c).binary_search(&r).is_err() {
+                edges.push((c, r));
+                one_sided = true;
+            }
+        }
+    }
+    if one_sided {
+        edges.sort_unstable();
+    }
+    edges
 }
 
 #[cfg(test)]

@@ -5,6 +5,19 @@
 //! spanning forest built over a uniformly shuffled edge order. We implement
 //! exactly that: shuffle edges with the caller's RNG, then run Kruskal with
 //! union-find.
+//!
+//! # Layout and determinism
+//!
+//! Everything is flat arrays indexed by vertex id (`u32`) or by a prefix-sum
+//! offset (`usize`, like [`Graph`]'s own offsets — a `u32` sum of `2·m`
+//! would wrap). The forest's adjacency is one offset array plus one
+//! neighbour array, filled by counting placement in the order Kruskal
+//! accepted the edges; a BFS from each not-yet-seen vertex, in increasing
+//! id, orients it. The forest is therefore a function of the edge order
+//! alone: the only RNG draws are the one [`SliceRandom::shuffle`] of the
+//! sorted edge list, and every tree is rooted at its smallest vertex.
+//! [`SpanningForest::bfs_order`] keeps the BFS queue, so bottom-up passes
+//! (subtree sizes, layouts) are a reverse or forward walk over it.
 
 use crate::graph::Graph;
 use crate::union_find::UnionFind;
@@ -19,45 +32,79 @@ pub struct SpanningForest {
     pub parent: Vec<u32>,
     /// One root per component.
     pub roots: Vec<u32>,
-    /// Forest edges (subset of the input graph's edges).
-    pub edges: Vec<(u32, u32)>,
+    /// Every vertex once, each after its parent (the BFS discovery order
+    /// of the orientation, trees one after another).
+    pub bfs_order: Vec<u32>,
 }
 
 impl SpanningForest {
+    /// Orients a forest by BFS: a tree is rooted at each vertex of
+    /// `starts` not reached before it, and `neighbors(v)` lists `v`'s
+    /// forest neighbours in the order the search should try them.
+    /// `starts` must cover `0..n`.
+    pub fn orient<'a>(
+        n: u32,
+        starts: impl Iterator<Item = u32>,
+        neighbors: impl Fn(u32) -> &'a [u32],
+    ) -> Self {
+        // A reached vertex has a parent; a root is its own until the end,
+        // so `parent` doubles as the visited set.
+        let mut parent = vec![u32::MAX; n as usize];
+        let mut roots = Vec::new();
+        // The BFS queue of every tree, end to end.
+        let mut bfs_order: Vec<u32> = Vec::with_capacity(n as usize);
+        for s in starts {
+            if parent[s as usize] != u32::MAX {
+                continue;
+            }
+            roots.push(s);
+            parent[s as usize] = s;
+            let mut head = bfs_order.len();
+            bfs_order.push(s);
+            while head < bfs_order.len() {
+                let u = bfs_order[head];
+                head += 1;
+                for &v in neighbors(u) {
+                    if parent[v as usize] == u32::MAX {
+                        parent[v as usize] = u;
+                        bfs_order.push(v);
+                    }
+                }
+            }
+        }
+        for &r in &roots {
+            parent[r as usize] = u32::MAX;
+        }
+        debug_assert_eq!(bfs_order.len(), n as usize, "starts must cover 0..n");
+        Self {
+            parent,
+            roots,
+            bfs_order,
+        }
+    }
+
     /// Number of vertices.
     pub fn n(&self) -> u32 {
         self.parent.len() as u32
     }
 
-    /// The forest as a [`Graph`] on the same vertex set.
-    pub fn to_graph(&self) -> Graph {
-        Graph::from_edges(self.n(), &self.edges)
+    /// The forest's edges as `(parent, child)`, in BFS discovery order.
+    pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.bfs_order
+            .iter()
+            .filter(|&&v| self.parent[v as usize] != u32::MAX)
+            .map(|&v| (self.parent[v as usize], v))
     }
 
-    /// Size of the subtree rooted at every vertex, computed in one
-    /// bottom-up pass over a topological order.
+    /// Size of the subtree rooted at every vertex: one pass over the BFS
+    /// order backwards, so every child is added to its parent before the
+    /// parent is added to its own.
     pub fn subtree_sizes(&self) -> Vec<u32> {
-        let n = self.parent.len();
-        let mut size = vec![1u32; n];
-        // Children-count topological order (leaves first).
-        let mut pending = vec![0u32; n];
-        for v in 0..n {
-            let p = self.parent[v];
-            if p != u32::MAX {
-                pending[p as usize] += 1;
-            }
-        }
-        let mut stack: Vec<u32> = (0..n as u32)
-            .filter(|&v| pending[v as usize] == 0)
-            .collect();
-        while let Some(v) = stack.pop() {
+        let mut size = vec![1u32; self.parent.len()];
+        for &v in self.bfs_order.iter().rev() {
             let p = self.parent[v as usize];
             if p != u32::MAX {
                 size[p as usize] += size[v as usize];
-                pending[p as usize] -= 1;
-                if pending[p as usize] == 0 {
-                    stack.push(p);
-                }
             }
         }
         size
@@ -75,49 +122,35 @@ pub fn random_spanning_forest<R: Rng>(g: &Graph, rng: &mut R) -> SpanningForest 
 }
 
 /// Deterministic spanning forest over the given edge order (Kruskal on a
-/// pre-sorted/shuffled list).
+/// pre-sorted/shuffled list), every component rooted at its smallest
+/// vertex.
 pub fn kruskal_forest(n: u32, edges: &[(u32, u32)]) -> SpanningForest {
     let mut uf = UnionFind::new(n);
     let mut forest_edges = Vec::with_capacity(n.saturating_sub(1) as usize);
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+    let mut offsets = vec![0usize; n as usize + 1];
     for &(u, v) in edges {
         if uf.union(u, v) {
             forest_edges.push((u, v));
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
     }
-    // Root every component at its smallest vertex and orient parents by BFS.
-    let mut parent = vec![u32::MAX; n as usize];
-    let mut seen = vec![false; n as usize];
-    let mut roots = Vec::new();
-    let mut queue = Vec::new();
-    for s in 0..n {
-        if seen[s as usize] {
-            continue;
-        }
-        roots.push(s);
-        seen[s as usize] = true;
-        queue.clear();
-        queue.push(s);
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            for &v in &adj[u as usize] {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    parent[v as usize] = u;
-                    queue.push(v);
-                }
-            }
-        }
+    for i in 0..n as usize {
+        offsets[i + 1] += offsets[i];
     }
-    SpanningForest {
-        parent,
-        roots,
-        edges: forest_edges,
+    // Counting placement in acceptance order: a vertex's neighbours stay
+    // in the order its edges were accepted, which fixes the BFS below.
+    let mut next = offsets[..n as usize].to_vec();
+    let mut adjacency = vec![0u32; 2 * forest_edges.len()];
+    for &(u, v) in &forest_edges {
+        adjacency[next[u as usize]] = v;
+        next[u as usize] += 1;
+        adjacency[next[v as usize]] = u;
+        next[v as usize] += 1;
     }
+    SpanningForest::orient(n, 0..n, |v| {
+        &adjacency[offsets[v as usize]..offsets[v as usize + 1]]
+    })
 }
 
 #[cfg(test)]
@@ -132,12 +165,17 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let f = random_spanning_forest(&g, &mut rng);
         // Components: {0,1,2}, {3,4}, {5} → 2 + 1 + 0 edges.
-        assert_eq!(f.edges.len(), 3);
+        assert_eq!(f.edges().count(), 3);
         assert_eq!(f.roots.len(), 3);
         // Forest is acyclic and spans: per-component edge count = size - 1.
-        let fg = f.to_graph();
+        let fg = Graph::from_edges(f.n(), &f.edges().collect::<Vec<_>>());
         let comps = crate::traversal::connected_components(&fg);
         assert_eq!(comps.count, 3);
+        assert_eq!(
+            f.roots,
+            vec![0, 3, 5],
+            "trees are rooted at their smallest vertex"
+        );
     }
 
     #[test]
@@ -145,7 +183,7 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let f = random_spanning_forest(&g, &mut rng);
-        assert_eq!(f.edges.len(), 4);
+        assert_eq!(f.edges().count(), 4);
         let root_count = f.parent.iter().filter(|&&p| p == u32::MAX).count();
         assert_eq!(root_count, 1);
         // Walking up from any vertex reaches the root without cycles.
@@ -180,7 +218,7 @@ mod tests {
         for seed in 0..16 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let f = random_spanning_forest(&g, &mut rng);
-            let mut e = f.edges.clone();
+            let mut e: Vec<(u32, u32)> = f.edges().map(|(u, v)| (u.min(v), u.max(v))).collect();
             e.sort_unstable();
             distinct.insert(e);
         }

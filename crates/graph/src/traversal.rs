@@ -71,40 +71,6 @@ pub fn pseudo_peripheral(g: &Graph, start: u32) -> u32 {
     }
 }
 
-/// Grows a vertex region by weak connectivity, with barrier vertices.
-///
-/// On entry, `region[v] == true` marks the seed set. The traversal adds
-/// every vertex weakly connected to a seed, except that a non-seed
-/// vertex with `through(v) == false` joins the region when reached but
-/// does **not** propagate further (a *barrier*). Seeds always propagate.
-///
-/// This is the affected-region primitive of incremental
-/// re-decomposition: touched vertices seed the region, vertices of a
-/// level's band expand it component-wise, and the level's pruned hubs
-/// act as barriers (an arm row absorbs its incident edges whatever the
-/// rest of the arrangement does, so connectivity *through* a hub does
-/// not constrain the re-arranged band).
-///
-/// `region.len()` must equal `g.n()`. Runs in `O(n + m)`.
-pub fn grow_region(g: &Graph, through: impl Fn(u32) -> bool, region: &mut [bool]) {
-    let n = g.n() as usize;
-    assert_eq!(region.len(), n, "region mask must cover every vertex");
-    let mut queue: Vec<u32> = (0..g.n()).filter(|&v| region[v as usize]).collect();
-    let mut expanded = vec![false; n];
-    for &v in &queue {
-        expanded[v as usize] = true;
-    }
-    while let Some(u) = queue.pop() {
-        for &v in g.neighbors(u) {
-            region[v as usize] = true;
-            if !expanded[v as usize] && through(v) {
-                expanded[v as usize] = true;
-                queue.push(v);
-            }
-        }
-    }
-}
-
 /// Connected component labelling.
 #[derive(Debug, Clone)]
 pub struct Components {
@@ -221,29 +187,6 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let p = pseudo_peripheral(&g, 2);
         assert!(p == 0 || p == 4, "endpoint of the path expected, got {p}");
-    }
-
-    #[test]
-    fn grow_region_expands_components_and_respects_barriers() {
-        // Path 0-1-2-3-4; vertex 2 is a barrier.
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let mut region = vec![false; 5];
-        region[0] = true;
-        grow_region(&g, |v| v != 2, &mut region);
-        // 2 joins (neighbour of 1) but does not propagate to 3.
-        assert_eq!(region, vec![true, true, true, false, false]);
-        // A barrier *seed* propagates (and its neighbours carry on).
-        let mut region = vec![false; 5];
-        region[2] = true;
-        grow_region(&g, |v| v != 2, &mut region);
-        assert_eq!(region, vec![true; 5]);
-        // Without barriers the whole component joins; other components
-        // stay out.
-        let g2 = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4)]);
-        let mut region = vec![false; 6];
-        region[1] = true;
-        grow_region(&g2, |_| true, &mut region);
-        assert_eq!(region, vec![true, true, true, false, false, false]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Runs in (near) linear time and is what the evaluation uses to decompose
 //! the SuiteSparse datasets.
 
-use crate::tree_layout::smallest_first_order;
+use crate::tree_layout::layout_trees;
 use amd_graph::mst::{random_spanning_forest, SpanningForest};
 use amd_graph::Graph;
 use amd_sparse::Permutation;
@@ -23,16 +23,14 @@ pub fn spanning_forest_la<R: Rng>(g: &Graph, rng: &mut R) -> Permutation {
     arrangement_of_forest(&forest)
 }
 
-/// Lays out a given forest: trees in decreasing size order, each in
-/// smallest-first order.
+/// Lays out a given forest: trees in decreasing size order (ties by
+/// smaller root id), each in smallest-first order.
 pub fn arrangement_of_forest(forest: &SpanningForest) -> Permutation {
     let sizes = forest.subtree_sizes();
-    let mut ordered = forest.clone();
-    ordered
-        .roots
-        .sort_unstable_by_key(|&r| (std::cmp::Reverse(sizes[r as usize]), r));
-    let order = smallest_first_order(&ordered);
-    Permutation::from_order(order).expect("forest layout covers each vertex once")
+    let mut roots = forest.roots.clone();
+    roots.sort_unstable_by_key(|&r| (std::cmp::Reverse(sizes[r as usize]), r));
+    Permutation::from_order(layout_trees(forest, &sizes, &roots))
+        .expect("forest layout covers each vertex once")
 }
 
 #[cfg(test)]

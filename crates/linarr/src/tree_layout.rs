@@ -6,8 +6,19 @@
 //! `min(n−1, ⌈(x−1)(n−1)/x⌉ + 1)` edges lie within an `xΔ`-wide band
 //! around the diagonal, which drives the tree bound in Table 1.
 //!
-//! The implementation is iterative (explicit stack), so path-shaped trees
-//! with millions of vertices do not overflow the call stack.
+//! # Layout and determinism
+//!
+//! The layout is a pre-order walk, so a vertex's position is its parent's
+//! position plus one plus the sizes of the siblings laid out before it.
+//! That makes the whole order three flat passes and no recursion or
+//! stack (path-shaped trees with millions of vertices are as cheap as
+//! bushy ones): child lists are one `usize` offset array plus one `u32`
+//! array filled by counting placement, each list is sorted by
+//! `(subtree size, id)`, and one walk over the forest's BFS order
+//! (parents before children) hands every child its position. Trees go one
+//! after another in the order their roots are given; the random-forest
+//! arrangement passes them by `(size descending, root id)`. Both keys
+//! end in a vertex id, so they are total and the order is unique.
 
 use amd_graph::mst::SpanningForest;
 use amd_graph::Graph;
@@ -17,34 +28,56 @@ use amd_graph::Graph;
 /// Returns the vertex order (position → vertex) covering every vertex:
 /// trees are laid out one after another in the order `roots` are listed.
 pub fn smallest_first_order(forest: &SpanningForest) -> Vec<u32> {
+    layout_trees(forest, &forest.subtree_sizes(), &forest.roots)
+}
+
+/// The smallest-first order with the trees in the order of `roots` (a
+/// reordering of `forest.roots`) and `sizes` the forest's subtree sizes.
+pub(crate) fn layout_trees(forest: &SpanningForest, sizes: &[u32], roots: &[u32]) -> Vec<u32> {
     let n = forest.parent.len();
-    let sizes = forest.subtree_sizes();
-    // children lists, each sorted by increasing subtree size (ties by id
-    // for determinism).
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for v in 0..n as u32 {
-        let p = forest.parent[v as usize];
+    // Child lists: children of `p` are `children[offsets[p]..offsets[p + 1]]`.
+    let mut offsets = vec![0usize; n + 1];
+    for &p in &forest.parent {
         if p != u32::MAX {
-            children[p as usize].push(v);
+            offsets[p as usize + 1] += 1;
         }
     }
-    for ch in &mut children {
-        ch.sort_unstable_by_key(|&c| (sizes[c as usize], c));
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
     }
-    let mut order = Vec::with_capacity(n);
-    let mut stack: Vec<u32> = Vec::new();
-    for &root in &forest.roots {
-        stack.push(root);
-        while let Some(v) = stack.pop() {
-            order.push(v);
-            // Push children in reverse so the smallest is popped first;
-            // pre-order DFS keeps each subtree contiguous.
-            for &c in children[v as usize].iter().rev() {
-                stack.push(c);
-            }
+    let mut next = offsets[..n].to_vec();
+    let mut children = vec![0u32; offsets[n]];
+    for (v, &p) in forest.parent.iter().enumerate() {
+        if p != u32::MAX {
+            children[next[p as usize]] = v as u32;
+            next[p as usize] += 1;
         }
     }
-    debug_assert_eq!(order.len(), n);
+    for p in 0..n {
+        let list = &mut children[offsets[p]..offsets[p + 1]];
+        if list.len() > 1 {
+            list.sort_unstable_by_key(|&c| (sizes[c as usize], c));
+        }
+    }
+    // Positions: roots first, then every child from its parent's.
+    let mut position = vec![0u32; n];
+    let mut at = 0u32;
+    for &r in roots {
+        position[r as usize] = at;
+        at += sizes[r as usize];
+    }
+    debug_assert_eq!(at as usize, n, "roots must list every tree once");
+    for &v in &forest.bfs_order {
+        let mut at = position[v as usize] + 1;
+        for &c in &children[offsets[v as usize]..offsets[v as usize + 1]] {
+            position[c as usize] = at;
+            at += sizes[c as usize];
+        }
+    }
+    let mut order = vec![0u32; n];
+    for (v, &p) in position.iter().enumerate() {
+        order[p as usize] = v as u32;
+    }
     order
 }
 
@@ -65,40 +98,9 @@ pub fn smallest_first_order_of_tree(g: &Graph, root: u32) -> Vec<u32> {
 /// Orients a tree/forest graph into parent pointers rooted at `root` (and
 /// at the smallest vertex of every other component).
 pub fn root_tree(g: &Graph, root: u32) -> SpanningForest {
-    let n = g.n();
-    let mut parent = vec![u32::MAX; n as usize];
-    let mut seen = vec![false; n as usize];
-    let mut roots = Vec::new();
-    let mut queue = Vec::new();
-    let mut edges = Vec::with_capacity(n.saturating_sub(1) as usize);
-    let starts = std::iter::once(root).chain(0..n);
-    for s in starts {
-        if seen[s as usize] {
-            continue;
-        }
-        roots.push(s);
-        seen[s as usize] = true;
-        queue.clear();
-        queue.push(s);
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            for &v in g.neighbors(u) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    parent[v as usize] = u;
-                    edges.push((u, v));
-                    queue.push(v);
-                }
-            }
-        }
-    }
-    SpanningForest {
-        parent,
-        roots,
-        edges,
-    }
+    SpanningForest::orient(g.n(), std::iter::once(root).chain(0..g.n()), |v| {
+        g.neighbors(v)
+    })
 }
 
 #[cfg(test)]

@@ -71,8 +71,19 @@ impl Partition {
     /// The permutation that sorts vertices by part (stable within a part),
     /// i.e. the row reordering HP-1D applies before the 1D row split.
     pub fn to_permutation(&self) -> amd_sparse::Permutation {
-        let mut order: Vec<u32> = (0..self.n()).collect();
-        order.sort_by_key(|&v| (self.assign[v as usize], v));
+        // Counting placement by part: vertices land in increasing order
+        // within a part, i.e. sorted by (part, vertex).
+        let mut next = vec![0usize; self.parts as usize];
+        let mut start = 0usize;
+        for (slot, size) in next.iter_mut().zip(self.sizes()) {
+            *slot = start;
+            start += size as usize;
+        }
+        let mut order = vec![0u32; self.assign.len()];
+        for (v, &p) in self.assign.iter().enumerate() {
+            order[next[p as usize]] = v as u32;
+            next[p as usize] += 1;
+        }
         amd_sparse::Permutation::from_order(order).expect("sorted vertex list is a bijection")
     }
 }

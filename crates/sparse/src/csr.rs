@@ -345,6 +345,72 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
+/// CSR arrays under construction, appended row by row.
+///
+/// For producers that already emit every row's entries in ascending
+/// column order (a run of a sorted row, a monotone renumbering of one):
+/// nothing is staged, sorted or merged, so what [`finish`](Self::finish)
+/// returns is exactly what was pushed. Keeping the order is the caller's
+/// duty (debug builds check it).
+#[derive(Debug, Clone)]
+pub struct CsrBuilder<T: Scalar = f64> {
+    indptr: Vec<usize>,
+    indices: Vec<u32>,
+    values: Vec<T>,
+}
+
+impl<T: Scalar> CsrBuilder<T> {
+    /// An empty builder with room for `rows` rows and `nnz` entries.
+    pub fn with_capacity(rows: usize, nnz: usize) -> Self {
+        let mut indptr = Vec::with_capacity(rows + 1);
+        indptr.push(0);
+        Self {
+            indptr,
+            indices: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Appends an entry to the open row.
+    #[inline]
+    pub fn push(&mut self, col: u32, value: T) {
+        debug_assert!(
+            self.indices.len() == self.indptr[self.indptr.len() - 1]
+                || self.indices[self.indices.len() - 1] < col,
+            "columns of a row must be pushed in ascending order"
+        );
+        self.indices.push(col);
+        self.values.push(value);
+    }
+
+    /// Appends a run of entries (ascending columns) to the open row.
+    pub fn extend(&mut self, cols: &[u32], values: &[T]) {
+        debug_assert_eq!(cols.len(), values.len());
+        self.indices.extend_from_slice(cols);
+        self.values.extend_from_slice(values);
+    }
+
+    /// Closes the open row and opens the next.
+    #[inline]
+    pub fn end_row(&mut self) {
+        self.indptr.push(self.indices.len());
+    }
+
+    /// The column indices pushed so far, for a renumbering that keeps
+    /// every row's order (and that [`finish`](Self::finish)'s `cols`
+    /// bounds).
+    pub fn indices_mut(&mut self) -> &mut [u32] {
+        &mut self.indices
+    }
+
+    /// The matrix of the rows closed so far, `cols` columns wide.
+    pub fn finish(self, cols: u32) -> CsrMatrix<T> {
+        debug_assert!(self.indices.iter().all(|&c| c < cols));
+        let rows = (self.indptr.len() - 1) as u32;
+        CsrMatrix::from_raw_unchecked(rows, cols, self.indptr, self.indices, self.values)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,5 +531,38 @@ mod tests {
         let a = sample();
         let b = CsrMatrix::<f64>::zeros(2, 2);
         assert!(a.max_abs_diff(&b).is_err());
+    }
+
+    #[test]
+    fn builder_reproduces_a_matrix_row_by_row() {
+        let mut coo = crate::CooMatrix::<f64>::new(3, 5);
+        for (r, c, v) in [
+            (0, 1, 1.0),
+            (0, 4, 2.0),
+            (2, 0, 3.0),
+            (2, 2, 4.0),
+            (2, 3, 5.0),
+        ] {
+            coo.push(r, c, v).unwrap();
+        }
+        let a = coo.to_csr();
+        let mut b = CsrBuilder::with_capacity(3, a.nnz());
+        for r in 0..3 {
+            // Entry by entry for one row, as a run for the others.
+            if r == 0 {
+                for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
+                    b.push(c, v);
+                }
+            } else {
+                b.extend(a.row_indices(r), a.row_values(r));
+            }
+            b.end_row();
+        }
+        assert_eq!(b.clone().finish(5), a);
+        // A monotone renumbering keeps the matrix valid.
+        b.indices_mut().iter_mut().for_each(|c| *c *= 2);
+        let spread = b.finish(10);
+        assert_eq!(spread.row_indices(2), &[0, 4, 6]);
+        assert_eq!(CsrBuilder::<f64>::with_capacity(0, 0).finish(4).rows(), 0);
     }
 }

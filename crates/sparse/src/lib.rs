@@ -39,7 +39,7 @@ pub mod spmm;
 
 pub use band::{arrow_width, bandwidth};
 pub use coo::CooMatrix;
-pub use csr::CsrMatrix;
+pub use csr::{CsrBuilder, CsrMatrix};
 pub use delta::DeltaBuilder;
 pub use dense::DenseMatrix;
 pub use error::{SparseError, SparseResult};

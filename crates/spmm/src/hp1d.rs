@@ -18,7 +18,7 @@ use amd_comm::{CostModel, Machine, MachineExec};
 use amd_partition::Partition;
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{
-    CooMatrix, CsrMatrix, DenseMatrix, Dtype, Permutation, SparseError, SparseResult,
+    CsrBuilder, CsrMatrix, DenseMatrix, Dtype, Permutation, SparseError, SparseResult,
 };
 
 /// HP-1D SpMM bound to a matrix and a partition.
@@ -53,15 +53,15 @@ impl Hp1dSpmm {
                 right: (a.cols(), a.rows()),
             });
         }
-        assert_eq!(
-            partition.n(),
-            a.rows(),
-            "partition size must match the matrix"
-        );
         let n = a.rows();
+        if partition.n() != n {
+            return Err(SparseError::ShapeMismatch {
+                left: (n, n),
+                right: (partition.n(), partition.n()),
+            });
+        }
         let p = partition.parts;
         let pi = partition.to_permutation();
-        let ap = pi.apply_symmetric(a)?;
         let sizes = partition.sizes();
         let mut starts = Vec::with_capacity(p as usize + 1);
         starts.push(0u32);
@@ -73,38 +73,59 @@ impl Hp1dSpmm {
         let mut a_ext = Vec::with_capacity(p as usize);
         let mut fetches: Vec<Vec<(u32, Vec<u32>)>> = Vec::with_capacity(p as usize);
         let mut serves: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); p as usize];
+        // Each rank's two blocks are written straight into CSR arrays:
+        // a permuted row, once sorted by column, is a run of local
+        // columns between two runs of external ones, and the compact
+        // numbering of external columns is monotone, so both blocks'
+        // rows come out in column order.
+        let mut row: Vec<(u32, f64)> = Vec::new();
+        // Compact index of a permuted column in the current rank's fetch
+        // list; `u32::MAX` while the rank has not met the column.
+        let mut fetch_index = vec![u32::MAX; n as usize];
         for rank in 0..p {
             let (s, e) = (starts[rank as usize], starts[rank as usize + 1]);
+            let rows = (e - s) as usize;
+            let mut local = CsrBuilder::with_capacity(rows, 0);
+            let mut ext = CsrBuilder::with_capacity(rows, 0);
+            let mut ext_cols: Vec<u32> = Vec::new();
+            for q in s..e {
+                let v = pi.vertex_at(q);
+                row.clear();
+                row.extend(
+                    a.row_indices(v)
+                        .iter()
+                        .zip(a.row_values(v))
+                        .map(|(&c, &val)| (pi.position(c), val)),
+                );
+                row.sort_unstable_by_key(|&(c, _)| c);
+                for &(c, val) in &row {
+                    if (s..e).contains(&c) {
+                        local.push(c - s, val);
+                    } else {
+                        if fetch_index[c as usize] == u32::MAX {
+                            fetch_index[c as usize] = 0;
+                            ext_cols.push(c);
+                        }
+                        ext.push(c, val);
+                    }
+                }
+                local.end_row();
+                ext.end_row();
+            }
             // Distinct external columns, ascending (= grouped by owner,
             // because parts are contiguous in permuted coordinates).
-            let mut ext_cols: Vec<u32> = Vec::new();
-            for r in s..e {
-                for &c in ap.row_indices(r) {
-                    if !(s..e).contains(&c) {
-                        ext_cols.push(c);
-                    }
-                }
-            }
             ext_cols.sort_unstable();
-            ext_cols.dedup();
-            let col_index = |c: u32| -> u32 {
-                ext_cols
-                    .binary_search(&c)
-                    .expect("external column collected") as u32
-            };
-            let mut local = CooMatrix::new(e - s, e - s);
-            let mut ext = CooMatrix::new(e - s, ext_cols.len().max(1) as u32);
-            for r in s..e {
-                for (&c, &v) in ap.row_indices(r).iter().zip(ap.row_values(r)) {
-                    if (s..e).contains(&c) {
-                        local.push(r - s, c - s, v)?;
-                    } else {
-                        ext.push(r - s, col_index(c), v)?;
-                    }
-                }
+            for (i, &c) in ext_cols.iter().enumerate() {
+                fetch_index[c as usize] = i as u32;
             }
-            a_local.push(local.to_csr());
-            a_ext.push(ext.to_csr());
+            for c in ext.indices_mut() {
+                *c = fetch_index[*c as usize];
+            }
+            for &c in &ext_cols {
+                fetch_index[c as usize] = u32::MAX;
+            }
+            a_local.push(local.finish(e - s));
+            a_ext.push(ext.finish(ext_cols.len().max(1) as u32));
             // Group the fetch list by owner.
             let mut by_owner: Vec<(u32, Vec<u32>)> = Vec::new();
             for &c in &ext_cols {
@@ -379,6 +400,18 @@ mod tests {
             vh.stats.max_volume(),
             vr.stats.max_volume()
         );
+    }
+
+    #[test]
+    fn partition_of_another_size_is_an_error_not_a_panic() {
+        let a: CsrMatrix<f64> = basic::path(6).to_adjacency();
+        assert!(matches!(
+            Hp1dSpmm::new(&a, &block_partition(7, 2)),
+            Err(SparseError::ShapeMismatch {
+                left: (6, 6),
+                right: (7, 7)
+            })
+        ));
     }
 
     #[test]
