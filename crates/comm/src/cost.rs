@@ -39,81 +39,6 @@ impl CostModel {
     pub fn compute_time(&self, flops: f64) -> f64 {
         flops / self.compute_rate
     }
-
-    /// A model with zero communication cost (isolates compute effects in
-    /// ablations).
-    pub fn free_communication() -> Self {
-        Self {
-            alpha: 0.0,
-            beta: 0.0,
-            ..Default::default()
-        }
-    }
-
-    /// Replaces β with a measured per-byte cost (see [`fit_beta`]) so
-    /// planner predictions reflect the serving host instead of the
-    /// paper's testbed defaults.
-    pub fn with_measured_beta(mut self, beta: f64) -> Self {
-        assert!(
-            beta.is_finite() && beta > 0.0,
-            "measured beta must be positive"
-        );
-        self.beta = beta;
-        self
-    }
-}
-
-/// Least-squares fit of wall time against communicated bytes.
-///
-/// Produced by [`fit_beta`] from `(bytes, seconds)` samples of real
-/// runs; `beta` is the slope (seconds per byte — a drop-in replacement
-/// for [`CostModel::beta`] via [`CostModel::with_measured_beta`]),
-/// `intercept` absorbs per-run fixed cost (α-like latency plus
-/// dispatch overhead), and `r` is the Pearson correlation between the
-/// predictor and the measurement (how much of the wall time the volume
-/// term alone explains).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BetaFit {
-    /// Fitted per-byte cost in seconds (slope).
-    pub beta: f64,
-    /// Fixed per-run cost in seconds (intercept).
-    pub intercept: f64,
-    /// Pearson correlation coefficient of bytes vs seconds.
-    pub r: f64,
-}
-
-/// Fits wall-clock seconds as an affine function of communicated bytes
-/// over measured `(bytes, seconds)` samples. Returns `None` with fewer
-/// than two distinct byte counts (the slope would be undefined).
-pub fn fit_beta(samples: &[(f64, f64)]) -> Option<BetaFit> {
-    let n = samples.len() as f64;
-    if samples.len() < 2 {
-        return None;
-    }
-    let mean_x = samples.iter().map(|&(x, _)| x).sum::<f64>() / n;
-    let mean_y = samples.iter().map(|&(_, y)| y).sum::<f64>() / n;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    let mut sxy = 0.0;
-    for &(x, y) in samples {
-        sxx += (x - mean_x) * (x - mean_x);
-        syy += (y - mean_y) * (y - mean_y);
-        sxy += (x - mean_x) * (y - mean_y);
-    }
-    if sxx == 0.0 {
-        return None;
-    }
-    let beta = sxy / sxx;
-    let r = if syy == 0.0 {
-        0.0
-    } else {
-        sxy / (sxx.sqrt() * syy.sqrt())
-    };
-    Some(BetaFit {
-        beta,
-        intercept: mean_y - beta * mean_x,
-        r,
-    })
 }
 
 #[cfg(test)]
@@ -139,37 +64,6 @@ mod tests {
             compute_rate: 100.0,
         };
         assert_eq!(c.compute_time(500.0), 5.0);
-    }
-
-    #[test]
-    fn fit_beta_recovers_slope_and_intercept() {
-        // y = 3e-10 · x + 5e-5, exactly.
-        let samples: Vec<(f64, f64)> = (1..=8)
-            .map(|i| {
-                let x = i as f64 * 1e6;
-                (x, 3e-10 * x + 5e-5)
-            })
-            .collect();
-        let fit = fit_beta(&samples).unwrap();
-        assert!((fit.beta - 3e-10).abs() < 1e-16);
-        assert!((fit.intercept - 5e-5).abs() < 1e-9);
-        assert!((fit.r - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fit_beta_degenerate_inputs() {
-        assert!(fit_beta(&[]).is_none());
-        assert!(fit_beta(&[(1.0, 2.0)]).is_none());
-        // All-equal byte counts: slope undefined.
-        assert!(fit_beta(&[(5.0, 1.0), (5.0, 2.0), (5.0, 3.0)]).is_none());
-    }
-
-    #[test]
-    fn with_measured_beta_replaces_beta_only() {
-        let c = CostModel::default().with_measured_beta(7e-11);
-        assert_eq!(c.beta, 7e-11);
-        assert_eq!(c.alpha, CostModel::default().alpha);
-        assert_eq!(c.compute_rate, CostModel::default().compute_rate);
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub mod routing;
 pub mod stats;
 
 pub use collectives::{binomial_children, Group};
-pub use cost::{fit_beta, BetaFit, CostModel};
-pub use machine::{Machine, MachineExec, RunReport};
+pub use cost::CostModel;
+pub use machine::{Machine, RunReport};
 pub use message::Payload;
 pub use rank::RankCtx;
 pub use routing::RoutedItem;

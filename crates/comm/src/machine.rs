@@ -1,15 +1,12 @@
 //! The machine: runs the SPMD closure on `p` ranks, collects stats.
 //!
 //! Ranks execute on cached rank-slot threads of a persistent
-//! [`amd_exec::ExecPool`] by default (the process-global pool unless
-//! one is supplied via [`Machine::with_exec`]), so a serving stack
-//! answering many small queries does not pay thread creation per run.
-//! [`Machine::spawn_per_run`] restores the historical
-//! spawn-`p`-threads-per-call behaviour — kept as the comparator for
-//! the determinism suite and the calibration bench. Results, per-rank
-//! simulated clocks, and message accounting are bit-identical across
-//! the two modes: the clocks are purely logical (derived from message
-//! sizes and the cost model, never from the OS scheduler).
+//! [`amd_exec::ExecPool`] (the process-global pool unless one is
+//! supplied via [`Machine::with_exec`]), so a serving stack answering
+//! many small queries does not pay thread creation per run. Results,
+//! per-rank simulated clocks, and message accounting do not depend on
+//! which thread runs which rank: the clocks are purely logical (derived
+//! from message sizes and the cost model, never from the OS scheduler).
 
 use crate::cost::CostModel;
 use crate::message::Packet;
@@ -20,26 +17,14 @@ use amd_obs::Stopwatch;
 use crossbeam_channel::unbounded;
 use std::sync::Arc;
 
-/// How a [`Machine`] obtains the `p` threads a run needs.
-#[derive(Debug, Clone, Default)]
-pub enum MachineExec {
-    /// Acquire rank slots from the process-global [`amd_exec`] pool
-    /// (the default: persistent threads, no per-run spawn cost).
-    #[default]
-    Global,
-    /// Acquire rank slots from a specific pool.
-    Pool(ExecPool),
-    /// Spawn `p` fresh OS threads per run — the pre-pool behaviour,
-    /// kept as a comparator for determinism tests and calibration.
-    SpawnPerRun,
-}
-
 /// A `p`-rank message-passing machine.
 #[derive(Debug, Clone)]
 pub struct Machine {
     p: u32,
     cost: CostModel,
-    exec: MachineExec,
+    /// Private pool for the rank slots; the process-global pool when
+    /// `None`.
+    exec: Option<ExecPool>,
 }
 
 /// Results and accounting of one run.
@@ -58,7 +43,7 @@ impl Machine {
         Self {
             p,
             cost: CostModel::default(),
-            exec: MachineExec::default(),
+            exec: None,
         }
     }
 
@@ -70,19 +55,7 @@ impl Machine {
 
     /// Runs ranks on slots of `pool` instead of the global pool.
     pub fn with_exec(mut self, pool: ExecPool) -> Self {
-        self.exec = MachineExec::Pool(pool);
-        self
-    }
-
-    /// Selects an execution mode explicitly.
-    pub fn with_exec_mode(mut self, exec: MachineExec) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Spawns `p` fresh OS threads per run (pre-pool comparator).
-    pub fn spawn_per_run(mut self) -> Self {
-        self.exec = MachineExec::SpawnPerRun;
+        self.exec = Some(pool);
         self
     }
 
@@ -93,9 +66,8 @@ impl Machine {
 
     /// Runs `program` on every rank (SPMD) and joins.
     ///
-    /// Each rank executes on its own OS thread (a cached pool slot in
-    /// the default mode); a panic in any rank propagates after all
-    /// ranks have finished.
+    /// Each rank executes on its own OS thread (a cached pool slot); a
+    /// panic in any rank propagates after all ranks have finished.
     pub fn run<T, F>(&self, program: F) -> RunReport<T>
     where
         T: Send,
@@ -110,19 +82,33 @@ impl Machine {
             receivers.push(rx);
         }
         let senders = Arc::new(senders);
+        let pool = self.exec.clone().unwrap_or_else(amd_exec::global);
         let start = Stopwatch::start();
         let program = &program;
-        let outcomes: Vec<(T, RankStats)> = match &self.exec {
-            MachineExec::SpawnPerRun => self.run_spawned(p, receivers, &senders, program),
-            MachineExec::Global => {
-                self.run_pooled(&amd_exec::global(), p, receivers, &senders, program)
-            }
-            MachineExec::Pool(pool) => self.run_pooled(pool, p, receivers, &senders, program),
-        };
+        let tasks: Vec<Box<dyn FnOnce() -> (T, RankStats) + Send + '_>> = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(r, rx)| {
+                let senders = Arc::clone(&senders);
+                let cost = self.cost;
+                Box::new(move || {
+                    let mut ctx = RankCtx::new(r as u32, p as u32, cost, senders, rx);
+                    let out = program(&mut ctx);
+                    (out, ctx.finalize())
+                }) as Box<dyn FnOnce() -> (T, RankStats) + Send + '_>
+            })
+            .collect();
+        let outcomes = pool.run_tasks(tasks);
         let wall_seconds = start.elapsed_seconds();
         let mut results = Vec::with_capacity(p);
         let mut ranks = Vec::with_capacity(p);
-        for (out, stats) in outcomes {
+        for (r, outcome) in outcomes.into_iter().enumerate() {
+            let (out, stats) = outcome.unwrap_or_else(|e| {
+                std::panic::resume_unwind(Box::new(format!(
+                    "rank {r} panicked: {}",
+                    panic_message(&*e)
+                )))
+            });
             results.push(out);
             ranks.push(stats);
         }
@@ -133,87 +119,6 @@ impl Machine {
                 wall_seconds,
             },
         }
-    }
-
-    /// Pooled mode: one cached rank-slot thread per rank.
-    fn run_pooled<T, F>(
-        &self,
-        pool: &ExecPool,
-        p: usize,
-        receivers: Vec<crossbeam_channel::Receiver<Packet>>,
-        senders: &Arc<Vec<crossbeam_channel::Sender<Packet>>>,
-        program: &F,
-    ) -> Vec<(T, RankStats)>
-    where
-        T: Send,
-        F: Fn(&mut RankCtx) -> T + Sync,
-    {
-        let tasks: Vec<Box<dyn FnOnce() -> (T, RankStats) + Send + '_>> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(r, rx)| {
-                let senders = Arc::clone(senders);
-                let cost = self.cost;
-                Box::new(move || {
-                    let mut ctx = RankCtx::new(r as u32, p as u32, cost, senders, rx);
-                    let out = program(&mut ctx);
-                    (out, ctx.finalize())
-                }) as Box<dyn FnOnce() -> (T, RankStats) + Send + '_>
-            })
-            .collect();
-        pool.run_tasks(tasks)
-            .into_iter()
-            .enumerate()
-            .map(|(r, res)| {
-                res.unwrap_or_else(|e| {
-                    std::panic::resume_unwind(Box::new(format!(
-                        "rank {r} panicked: {}",
-                        panic_message(&*e)
-                    )))
-                })
-            })
-            .collect()
-    }
-
-    /// Spawn-per-run comparator: `p` fresh scoped OS threads.
-    fn run_spawned<T, F>(
-        &self,
-        p: usize,
-        receivers: Vec<crossbeam_channel::Receiver<Packet>>,
-        senders: &Arc<Vec<crossbeam_channel::Sender<Packet>>>,
-        program: &F,
-    ) -> Vec<(T, RankStats)>
-    where
-        T: Send,
-        F: Fn(&mut RankCtx) -> T + Sync,
-    {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = receivers
-                .into_iter()
-                .enumerate()
-                .map(|(r, rx)| {
-                    let senders = Arc::clone(senders);
-                    let cost = self.cost;
-                    scope.spawn(move || {
-                        let mut ctx = RankCtx::new(r as u32, p as u32, cost, senders, rx);
-                        let out = program(&mut ctx);
-                        (out, ctx.finalize())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(r, h)| {
-                    h.join().unwrap_or_else(|e| {
-                        std::panic::resume_unwind(Box::new(format!(
-                            "rank {r} panicked: {}",
-                            panic_message(&*e)
-                        )))
-                    })
-                })
-                .collect()
-        })
     }
 }
 

@@ -1,11 +1,9 @@
-//! Machine-level pooled execution: determinism against spawn-per-run,
-//! panic containment in the shared pool's rank slots, pool lifecycle
-//! (drop and rebuild), and the `#[ignore]`d perf gate CI runs in its
-//! `exec-smoke` job.
+//! Machine-level pooled execution: panic containment in a pool's rank
+//! slots and pool lifecycle (drop and rebuild). CI runs this in release
+//! in its `exec-smoke` job.
 
 use amd_comm::Machine;
 use amd_exec::ExecPool;
-use std::time::Instant;
 
 /// A small SPMD program with real cross-rank traffic: ring exchange
 /// plus an all-to-rank-0 gather, returning a per-rank checksum.
@@ -37,21 +35,7 @@ fn ring_program(machine: &Machine, p: u32, payload: usize) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Pooled results and per-rank sim clocks bit-match spawn-per-run.
-#[test]
-fn pooled_machine_bit_matches_spawn_per_run() {
-    for p in [1u32, 2, 5, 8] {
-        let pooled = ring_program(&Machine::new(p), p, 128);
-        let spawned = ring_program(&Machine::new(p).spawn_per_run(), p, 128);
-        assert_eq!(pooled.len(), spawned.len());
-        for (r, ((py, pt), (sy, st))) in pooled.iter().zip(&spawned).enumerate() {
-            assert_eq!(py.to_bits(), sy.to_bits(), "p={p} rank {r} result");
-            assert_eq!(pt.to_bits(), st.to_bits(), "p={p} rank {r} sim clock");
-        }
-    }
-}
-
-/// A rank panic surfaces with the exact spawn-per-run message and does
+/// A rank panic surfaces naming the rank and its message and does
 /// NOT poison the shared pool: the same pool keeps serving runs, and
 /// the surviving slots are reused rather than respawned.
 #[test]
@@ -72,7 +56,7 @@ fn rank_panic_does_not_poison_the_pool() {
         .unwrap();
     assert!(
         msg.contains("rank 2 panicked") && msg.contains("injected rank failure"),
-        "panic must keep the spawn-per-run format: {msg}"
+        "panic must name the rank and keep its message: {msg}"
     );
     // The pool is still whole: subsequent runs succeed and reuse the
     // cached slots (panicked slots survive — the payload travelled out
@@ -105,38 +89,4 @@ fn pool_drop_and_rebuild_reproduces_results() {
         assert_eq!(fy.to_bits(), sy.to_bits());
         assert_eq!(ft.to_bits(), st.to_bits());
     }
-}
-
-/// Perf gate (CI `exec-smoke`): on small-query churn the pooled machine
-/// must beat spawn-per-run by at least 2×. `#[ignore]`d from the
-/// default suite — timing gates belong in perf lanes, not unit lanes.
-#[test]
-#[ignore = "perf gate: run explicitly (CI exec-smoke job)"]
-fn pooled_churn_beats_spawn_per_run() {
-    const RUNS: usize = 30;
-    const ROUNDS: usize = 7;
-    let p = 8u32;
-    let pool = ExecPool::new(8);
-    let pooled = Machine::new(p).with_exec(pool);
-    let spawned = Machine::new(p).spawn_per_run();
-    let churn = |machine: &Machine| {
-        let t0 = Instant::now();
-        for _ in 0..RUNS {
-            ring_program(machine, p, 64);
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    churn(&pooled); // warm the slot cache
-    let mut best_pooled = f64::INFINITY;
-    let mut best_spawned = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        best_pooled = best_pooled.min(churn(&pooled));
-        best_spawned = best_spawned.min(churn(&spawned));
-    }
-    let speedup = best_spawned / best_pooled;
-    assert!(
-        speedup >= 2.0,
-        "pooled churn must be ≥ 2× spawn-per-run (got {speedup:.2}×: \
-         pooled {best_pooled:.4}s vs spawned {best_spawned:.4}s)"
-    );
 }

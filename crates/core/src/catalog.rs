@@ -1,11 +1,11 @@
 //! The versioned persistence catalog: one on-disk home for every
 //! decomposition the serving stack keeps.
 //!
-//! Before this module each layer persisted its own way — the engine
-//! cache spilled loose per-key files, the streaming holder overwrote a
-//! single versioned file, and one-shot tools wrote bare payloads. A
-//! [`Catalog`] unifies them: one directory, one manifest mapping
-//! **content fingerprint → version chain**, shared by every consumer.
+//! One directory, one manifest mapping **content fingerprint → version
+//! chain**, one payload format ([`persist`]'s checksummed AMD3), shared
+//! by every consumer; the CLI's one-shot files
+//! ([`Catalog::save_file`] / [`Catalog::load_file`]) are the same
+//! payloads outside a directory.
 //!
 //! ## Layout
 //!
@@ -31,6 +31,8 @@
 //! its complete manifest record — [`Catalog::open`] adopts it. A
 //! missing or corrupt manifest is rebuilt the same way, by scanning
 //! payload headers (header-only reads; the level data is never parsed).
+//! A `*.amd` file that is not an AMD3 payload is left where it is and
+//! never adopted.
 //!
 //! ## Lifecycle
 //!
@@ -39,9 +41,7 @@
 //! (a serving binding still references it).
 //! [`Catalog::remove_chain`] walks one lineage from its head and
 //! deletes every version not shared with a live chain — the tenant
-//! eviction path. [`Catalog::import_legacy_dir`] migrates pre-catalog
-//! spill files (v1 per-key cache spills, v2 single-file streaming
-//! persists) into proper chains, one-shot.
+//! eviction path.
 
 use crate::decomposition::ArrowDecomposition;
 use crate::la_decompose::DecomposeConfig;
@@ -51,7 +51,7 @@ use amd_obs::{Counter, Histogram, Registry, Stopwatch};
 use amd_sparse::{SparseError, SparseResult};
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 const MANIFEST: &str = "manifest.amdm";
@@ -64,9 +64,6 @@ pub struct VersionRecord {
     /// Content fingerprint of the decomposed matrix — the chain key.
     pub fingerprint: u128,
     /// Lineage revision (0 cold, +1 per refresh along the chain).
-    /// Not necessarily unique within a lineage: an in-place patch
-    /// flush persists a child under a new fingerprint at the *same*
-    /// version; version lookups resolve to the newest match.
     pub version: u64,
     /// Fingerprint of the revision this one was refreshed from (0 =
     /// chain root). Lineage edges cross chains: a refresh produces a
@@ -83,6 +80,19 @@ pub struct VersionRecord {
 }
 
 impl VersionRecord {
+    /// The payload header this record was written with (and can be
+    /// rebuilt from).
+    pub fn meta(&self) -> CatalogMeta {
+        CatalogMeta {
+            fingerprint: self.fingerprint,
+            version: self.version,
+            parent: self.parent,
+            created_at: self.created_at,
+            seed: self.seed,
+            config: self.config,
+        }
+    }
+
     fn from_meta(meta: &CatalogMeta, payload: String) -> Self {
         Self {
             fingerprint: meta.fingerprint,
@@ -155,12 +165,6 @@ pub struct CatalogStats {
     /// Manifest records recovered by scanning payload headers (orphans
     /// from a crash window, or a full rebuild after manifest loss).
     pub recovered_records: u64,
-    /// Legacy (v1/v2) files migrated by [`Catalog::import_legacy_dir`].
-    pub imported: u64,
-    /// Legacy files that could not be migrated (unreadable content or a
-    /// failed catalog write); each is skipped and left in place —
-    /// migration never takes the caller down.
-    pub import_failures: u64,
     /// Stale `*.tmp` files swept by [`Catalog::open`] — the un-renamed
     /// half of an `atomic_write` interrupted by a crash. Never live
     /// data, so sweeping is always safe; before the sweep existed they
@@ -177,8 +181,6 @@ struct CatalogMetrics {
     load_failures: Counter,
     removed: Counter,
     recovered_records: Counter,
-    imported: Counter,
-    import_failures: Counter,
     /// Payload bytes written by [`Catalog::put`].
     put_bytes: Counter,
     /// Payload bytes read back by loads (hits only).
@@ -199,8 +201,6 @@ impl CatalogMetrics {
             load_failures: registry.counter("catalog.load_failures"),
             removed: registry.counter("catalog.removed"),
             recovered_records: registry.counter("catalog.recovered_records"),
-            imported: registry.counter("catalog.imported"),
-            import_failures: registry.counter("catalog.import_failures"),
             put_bytes: registry.counter("catalog.put.bytes"),
             get_bytes: registry.counter("catalog.get.bytes"),
             gc_bytes: registry.counter("catalog.gc.bytes"),
@@ -260,11 +260,10 @@ impl Catalog {
                 continue;
             }
             // Orphan payload: adopt it if (and only if) it carries a
-            // full v3 header. Legacy files waiting for import and
-            // unreadable debris are both left alone.
+            // full AMD3 header; anything else is left alone.
             let path = catalog.root.join(&name);
             if let Ok(file) = File::open(&path) {
-                if let Ok(Some(meta)) = persist::peek_catalog_header(BufReader::new(file)) {
+                if let Ok(meta) = persist::peek_catalog_header(BufReader::new(file)) {
                     recovered.push(VersionRecord::from_meta(&meta, name));
                 }
             }
@@ -279,17 +278,15 @@ impl Catalog {
         records.retain(|r| catalog.root.join(&r.payload).exists());
         records.sort_by_key(|r| r.created_at);
         records.dedup_by(|a, b| a.payload == b.payload);
-        catalog.next_created = records.iter().map(|r| r.created_at).max().unwrap_or(0) + 1;
+        // Saturating: an adopted header is unverified until its payload
+        // is loaded, and a corrupt `created_at` must not overflow here.
+        let newest = records.iter().map(|r| r.created_at).max().unwrap_or(0);
+        catalog.next_created = newest.saturating_add(1);
         catalog.records = records;
         if recovered_any {
             catalog.write_manifest()?;
         }
         Ok(catalog)
-    }
-
-    /// The catalog's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// A point-in-time fold of the catalog's registry counters.
@@ -300,8 +297,6 @@ impl Catalog {
             load_failures: self.metrics.load_failures.get(),
             removed: self.metrics.removed.get(),
             recovered_records: self.metrics.recovered_records.get(),
-            imported: self.metrics.imported.get(),
-            import_failures: self.metrics.import_failures.get(),
             stale_tmp_swept: self.metrics.stale_tmp_swept.get(),
         }
     }
@@ -397,7 +392,7 @@ impl Catalog {
         if let Ok(m) = fs::metadata(&path) {
             self.metrics.put_bytes.add(m.len());
         }
-        self.next_created += 1;
+        self.next_created = self.next_created.saturating_add(1);
         let record = VersionRecord::from_meta(&meta, payload);
         self.records.push(record.clone());
         self.write_manifest()?;
@@ -418,13 +413,7 @@ impl Catalog {
         let Some(record) = self.record(fingerprint, config, seed).cloned() else {
             return Ok(None);
         };
-        match self.load_record(&record) {
-            Some(d) => Ok(Some((d, record))),
-            None => {
-                self.drop_records(|r| r.payload == record.payload)?;
-                Ok(None)
-            }
-        }
+        self.load_record(record)
     }
 
     /// Point-in-time restore: walks the lineage backwards from `head`
@@ -445,13 +434,7 @@ impl Catalog {
                 return Ok(None);
             };
             if record.version == version {
-                return match self.load_record(&record) {
-                    Some(d) => Ok(Some((d, record))),
-                    None => {
-                        self.drop_records(|r| r.payload == record.payload)?;
-                        Ok(None)
-                    }
-                };
+                return self.load_record(record);
             }
             cursor = record.parent;
         }
@@ -563,116 +546,30 @@ impl Catalog {
         Ok(before - self.records.len())
     }
 
-    /// One-shot migration of a pre-catalog spill directory: every
-    /// readable `*.amd` file that is **not** already a v3 catalog
-    /// payload is loaded, re-identified, written into the catalog as a
-    /// root version (v2 streaming persists keep their recorded version
-    /// and fingerprint; v1 per-key cache spills recover their
-    /// fingerprint by reconstructing the matrix), and the legacy file is
-    /// deleted. `config`/`seed` supply the decompose identity the
-    /// legacy formats never recorded — pass what the writing engine was
-    /// configured with. Returns the number of files migrated.
-    pub fn import_legacy_dir<P: AsRef<Path>>(
-        &mut self,
-        dir: P,
-        config: &DecomposeConfig,
-        seed: u64,
-    ) -> SparseResult<usize> {
-        let dir = dir.as_ref();
-        if !dir.exists() {
-            return Ok(0);
-        }
-        let entries = fs::read_dir(dir)
-            .map_err(|e| SparseError::InvalidCsr(format!("read {}: {e}", dir.display())))?;
-        let mut imported = 0;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(PAYLOAD_EXT) {
-                continue;
-            }
-            // Skip files already in the catalog format (including this
-            // catalog's own payloads when dir == root).
-            let Ok(file) = File::open(&path) else {
-                continue;
-            };
-            match persist::peek_catalog_header(BufReader::new(file)) {
-                Ok(None) => {}
-                _ => continue,
-            }
-            let Ok(file) = File::open(&path) else {
-                continue;
-            };
-            let Ok((d, meta)) = persist::load_versioned(BufReader::new(file)) else {
-                self.metrics.import_failures.inc();
-                continue;
-            };
-            // v1 files carry no fingerprint; recover it from the
-            // content (the decomposition reconstructs its matrix).
-            let fingerprint = if meta.fingerprint != 0 {
-                meta.fingerprint
-            } else {
-                match d.reconstruct() {
-                    Ok(m) => m.fingerprint(),
-                    Err(_) => {
-                        self.metrics.import_failures.inc();
-                        continue;
-                    }
-                }
-            };
-            let width_config = DecomposeConfig {
-                arrow_width: d.b(),
-                ..*config
-            };
-            // Migration is best-effort per file: one unwritable payload
-            // (disk full, permissions) must not take the caller's
-            // engine construction down — the legacy file stays behind
-            // for a later attempt, counted.
-            if self
-                .put(&d, fingerprint, &width_config, seed, meta.version, 0)
-                .is_err()
-            {
-                self.metrics.import_failures.inc();
-                continue;
-            }
-            let _ = fs::remove_file(&path);
-            self.metrics.imported.inc();
-            imported += 1;
-        }
-        Ok(imported)
-    }
-
-    /// Writes a decomposition as a standalone one-shot file (outside
-    /// the catalog; versioned v2 header so a later
-    /// [`import_legacy_dir`](Self::import_legacy_dir) re-identifies
-    /// it). The CLI `decompose` path.
+    /// Writes a decomposition as a standalone one-shot file outside any
+    /// catalog directory — the same checksummed AMD3 payload
+    /// [`put`](Self::put) writes. The CLI `decompose` and
+    /// `catalog restore` path.
     pub fn save_file<P: AsRef<Path>>(
         path: P,
         d: &ArrowDecomposition,
-        fingerprint: u128,
-        version: u64,
+        meta: &CatalogMeta,
     ) -> SparseResult<()> {
         let path = path.as_ref();
         let file = File::create(path)
             .map_err(|e| SparseError::InvalidCsr(format!("create {}: {e}", path.display())))?;
-        persist::save_versioned(
-            d,
-            &persist::PersistMeta {
-                version,
-                fingerprint,
-            },
-            BufWriter::new(file),
-        )
+        let mut w = BufWriter::new(file);
+        persist::save_catalog(d, meta, &mut w)?;
+        w.flush().map_err(io_err)
     }
 
-    /// Reads a standalone decomposition file of any format version.
-    /// The CLI `multiply` path.
-    pub fn load_file<P: AsRef<Path>>(
-        path: P,
-    ) -> SparseResult<(ArrowDecomposition, persist::PersistMeta)> {
+    /// Reads a standalone decomposition file: checksum verified, then
+    /// parsed. The CLI `multiply` path.
+    pub fn load_file<P: AsRef<Path>>(path: P) -> SparseResult<(ArrowDecomposition, CatalogMeta)> {
         let path = path.as_ref();
-        let file = File::open(path)
+        let bytes = fs::read(path)
             .map_err(|e| SparseError::InvalidCsr(format!("open {}: {e}", path.display())))?;
-        persist::load_versioned(BufReader::new(file))
+        persist::load_catalog(&bytes)
     }
 
     fn payload_name(fingerprint: u128, config: &DecomposeConfig, seed: u64) -> String {
@@ -730,24 +627,27 @@ impl Catalog {
         Ok(names)
     }
 
-    fn load_record(&mut self, record: &VersionRecord) -> Option<ArrowDecomposition> {
-        let path = self.root.join(&record.payload);
-        let loaded = File::open(&path)
+    /// Loads a record's payload, or — when it is unreadable — drops the
+    /// record (counted) and reports `None`.
+    fn load_record(
+        &mut self,
+        record: VersionRecord,
+    ) -> SparseResult<Option<(ArrowDecomposition, VersionRecord)>> {
+        let loaded = fs::read(self.root.join(&record.payload))
             .ok()
-            .and_then(|f| persist::load_catalog(BufReader::new(f)).ok());
+            .and_then(|bytes| Some((persist::load_catalog(&bytes).ok()?, bytes.len())));
         match loaded {
             // Header/record mismatch means the file was tampered with or
             // mis-adopted; treat it as corrupt.
-            Some((d, meta, _)) if meta.fingerprint == record.fingerprint => {
+            Some(((d, meta), len)) if meta.fingerprint == record.fingerprint => {
                 self.metrics.loads.inc();
-                if let Ok(m) = fs::metadata(&path) {
-                    self.metrics.get_bytes.add(m.len());
-                }
-                Some(d)
+                self.metrics.get_bytes.add(len as u64);
+                Ok(Some((d, record)))
             }
             _ => {
                 self.metrics.load_failures.inc();
-                None
+                self.drop_records(|r| r.payload == record.payload)?;
+                Ok(None)
             }
         }
     }
@@ -843,14 +743,7 @@ impl Catalog {
             w.write_all(MANIFEST_MAGIC).map_err(io_err)?;
             put_u64(w, self.records.len() as u64)?;
             for r in &self.records {
-                w.write_all(&r.fingerprint.to_le_bytes()).map_err(io_err)?;
-                put_u64(w, r.version)?;
-                w.write_all(&r.parent.to_le_bytes()).map_err(io_err)?;
-                put_u64(w, r.created_at)?;
-                put_u64(w, r.seed)?;
-                put_u64(w, r.config.arrow_width as u64)?;
-                put_u64(w, r.config.prune as u64)?;
-                put_u64(w, r.config.max_levels as u64)?;
+                persist::write_meta(w, &r.meta())?;
                 let name = r.payload.as_bytes();
                 put_u64(w, name.len() as u64)?;
                 w.write_all(name).map_err(io_err)?;
@@ -862,59 +755,27 @@ impl Catalog {
     /// `None` on any structural problem — the caller falls back to a
     /// payload-header rebuild.
     fn read_manifest(&self) -> Option<Vec<VersionRecord>> {
-        let file = File::open(self.root.join(MANIFEST)).ok()?;
-        let mut r = BufReader::new(file);
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic).ok()?;
-        if &magic != MANIFEST_MAGIC {
+        let bytes = fs::read(self.root.join(MANIFEST)).ok()?;
+        let mut r = persist::Cursor(&bytes);
+        if r.take(MANIFEST_MAGIC.len()).ok()? != MANIFEST_MAGIC {
             return None;
         }
-        let count = get_u64_opt(&mut r)? as usize;
-        if count > 10_000_000 {
-            return None;
-        }
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut fp = [0u8; 16];
-            r.read_exact(&mut fp).ok()?;
-            let fingerprint = u128::from_le_bytes(fp);
-            let version = get_u64_opt(&mut r)?;
-            let mut parent_bytes = [0u8; 16];
-            r.read_exact(&mut parent_bytes).ok()?;
-            let parent = u128::from_le_bytes(parent_bytes);
-            let created_at = get_u64_opt(&mut r)?;
-            let seed = get_u64_opt(&mut r)?;
-            let arrow_width = get_u64_opt(&mut r)? as u32;
-            let prune = get_u64_opt(&mut r)? != 0;
-            let max_levels = get_u64_opt(&mut r)? as u32;
-            let name_len = get_u64_opt(&mut r)? as usize;
-            if name_len > 4096 {
+        // Rows are pushed as they parse: a corrupt count runs out of
+        // bytes, it reserves nothing.
+        let mut records = Vec::new();
+        for _ in 0..r.u64().ok()? {
+            let meta = r.meta().ok()?;
+            let name_len = usize::try_from(r.u64().ok()?).ok()?;
+            let payload = String::from_utf8(r.take(name_len).ok()?.to_vec()).ok()?;
+            // A row names a file directly under the root: records are
+            // opened and deleted by this name.
+            if Path::new(&payload).file_name() != Some(payload.as_ref()) {
                 return None;
             }
-            let mut name = vec![0u8; name_len];
-            r.read_exact(&mut name).ok()?;
-            records.push(VersionRecord {
-                fingerprint,
-                version,
-                parent,
-                created_at,
-                seed,
-                config: DecomposeConfig {
-                    arrow_width,
-                    prune,
-                    max_levels,
-                },
-                payload: String::from_utf8(name).ok()?,
-            });
+            records.push(VersionRecord::from_meta(&meta, payload));
         }
         Some(records)
     }
-}
-
-fn get_u64_opt<R: Read>(r: &mut R) -> Option<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf).ok()?;
-    Some(u64::from_le_bytes(buf))
 }
 
 #[cfg(test)]
@@ -1047,6 +908,31 @@ mod tests {
     }
 
     #[test]
+    fn manifest_row_naming_a_path_outside_the_root_is_not_followed() {
+        let dir = tmpdir("escape");
+        let victim = dir.with_extension("victim");
+        fs::write(&victim, b"not the catalog's").unwrap();
+        let (a, d) = sample(24);
+        let mut c = Catalog::open(&dir).unwrap();
+        c.put(&d, a.fingerprint(), &cfg(), 1, 0, 0).unwrap();
+        // A second row whose "payload" climbs out of the root; were it
+        // believed, the failed load below would delete the file.
+        let escape = format!("../{}", victim.file_name().unwrap().to_str().unwrap());
+        c.records.push(VersionRecord {
+            fingerprint: 9,
+            payload: escape,
+            ..c.records[0].clone()
+        });
+        c.write_manifest().unwrap();
+        let mut c = Catalog::open(&dir).unwrap();
+        assert_eq!(c.len(), 1, "manifest refused, real payload recovered");
+        assert!(c.get(9, &cfg(), 1).unwrap().is_none());
+        assert!(victim.exists());
+        let _ = fs::remove_file(&victim);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_payload_drops_record_and_heals_on_reput() {
         let dir = tmpdir("corrupt");
         let (a, d) = sample(36);
@@ -1122,78 +1008,6 @@ mod tests {
         assert!(c.get(fps[1], &cfg(), 1).unwrap().is_none());
         assert!(c.get(fps[2], &cfg(), 1).unwrap().is_none());
         assert_eq!(c.payload_files().unwrap().len(), 3, "files follow records");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn import_legacy_dir_migrates_v1_and_v2() {
-        use std::io::BufWriter;
-        let legacy = tmpdir("legacy-src");
-        fs::create_dir_all(&legacy).unwrap();
-        let (a0, d0) = sample(30);
-        let (a1, d1) = sample(34);
-        // A v1 per-key cache spill (no provenance at all) and a v2
-        // streaming persist (fingerprint + version header) — the two
-        // pre-catalog formats. This block is the legacy-import fixture:
-        // the only place outside the persistence module that writes the
-        // old formats.
-        {
-            let f = File::create(legacy.join("arrow-00ff.amd")).unwrap();
-            persist::save(&d0, BufWriter::new(f)).unwrap();
-            let f = File::create(legacy.join("dyn.amd")).unwrap();
-            persist::save_versioned(
-                &d1,
-                &persist::PersistMeta {
-                    version: 4,
-                    fingerprint: a1.fingerprint(),
-                },
-                BufWriter::new(f),
-            )
-            .unwrap();
-            // Debris that must survive untouched.
-            fs::write(legacy.join("notes.txt"), b"hello").unwrap();
-        }
-        let dir = tmpdir("legacy-dst");
-        let mut c = Catalog::open(&dir).unwrap();
-        let imported = c.import_legacy_dir(&legacy, &cfg(), 1).unwrap();
-        assert_eq!(imported, 2);
-        assert_eq!(c.stats().imported, 2);
-        // The v1 file's fingerprint was recovered by reconstruction.
-        let (got, rec) = c.get(a0.fingerprint(), &cfg(), 1).unwrap().unwrap();
-        assert_eq!(got, d0);
-        assert_eq!(rec.version, 0);
-        // The v2 file kept its recorded version.
-        let (got, rec) = c.get(a1.fingerprint(), &cfg(), 1).unwrap().unwrap();
-        assert_eq!(got, d1);
-        assert_eq!(rec.version, 4);
-        // Legacy payloads are gone; debris is not.
-        assert!(!legacy.join("arrow-00ff.amd").exists());
-        assert!(!legacy.join("dyn.amd").exists());
-        assert!(legacy.join("notes.txt").exists());
-        // Importing again is a no-op (one-shot).
-        assert_eq!(c.import_legacy_dir(&legacy, &cfg(), 1).unwrap(), 0);
-        let _ = fs::remove_dir_all(&legacy);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn import_in_place_converts_the_spill_dir_itself() {
-        use std::io::BufWriter;
-        let dir = tmpdir("inplace");
-        fs::create_dir_all(&dir).unwrap();
-        let (a, d) = sample(26);
-        {
-            let f = File::create(dir.join("arrow-0123.amd")).unwrap();
-            persist::save(&d, BufWriter::new(f)).unwrap();
-        }
-        // Open the catalog *at* the legacy spill dir and migrate in
-        // place: the loose file becomes a catalog payload.
-        let mut c = Catalog::open(&dir).unwrap();
-        assert_eq!(c.len(), 0, "legacy files are not adopted blindly");
-        assert_eq!(c.import_legacy_dir(&dir, &cfg(), 1).unwrap(), 1);
-        assert!(!dir.join("arrow-0123.amd").exists());
-        let (got, _) = c.get(a.fingerprint(), &cfg(), 1).unwrap().unwrap();
-        assert_eq!(got, d);
         let _ = fs::remove_dir_all(&dir);
     }
 }

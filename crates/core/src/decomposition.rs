@@ -1,9 +1,7 @@
 //! The arrow matrix decomposition `A = Σᵢ P_πᵢ Bᵢ Pᵀ_πᵢ` (§4).
 
 use crate::arrow_matrix::ArrowMatrix;
-use amd_sparse::{
-    kernel, ops, spmm, CsrMatrix, DenseMatrix, Permutation, SparseError, SparseResult,
-};
+use amd_sparse::{kernel, ops, spmm, CsrMatrix, DenseMatrix, Permutation, SparseResult};
 
 /// One level of the decomposition: a permutation `πᵢ` and the arrow matrix
 /// `Bᵢ` expressed in permuted coordinates (positions).
@@ -72,57 +70,6 @@ impl ArrowDecomposition {
     /// in exactly one level — the storage argument of Lemma 7).
     pub fn nnz(&self) -> usize {
         self.levels.iter().map(ArrowLevel::nnz).sum()
-    }
-
-    /// Applies additive value patches to entries that already exist
-    /// structurally, without re-running LA-Decompose.
-    ///
-    /// Every stored entry of `A` lives in exactly one level (at position
-    /// `(πᵢ(r), πᵢ(c))` of that level's matrix), so a value-only change
-    /// can be folded into the owning level directly — the decomposition
-    /// identity `A + Δ = Σᵢ P_πᵢ (Bᵢ + Δᵢ) Pᵀ_πᵢ` holds with `Δᵢ` the
-    /// patches owned by level `i`. This is the streaming layer's fast
-    /// path: structure-preserving updates cost `O(order · log row_nnz)`
-    /// each instead of a full re-decomposition.
-    ///
-    /// Returns an error (leaving `self` unchanged) if any patch targets a
-    /// position that no level stores; such updates change the structure
-    /// and must go through the delta overlay + refresh path instead.
-    pub fn patch_values(&mut self, patches: &[(u32, u32, f64)]) -> SparseResult<()> {
-        // Validate every target first so a failed batch has no effect.
-        let mut owners = Vec::with_capacity(patches.len());
-        for &(r, c, _) in patches {
-            if r >= self.n || c >= self.n {
-                return Err(SparseError::IndexOutOfBounds {
-                    row: r,
-                    col: c,
-                    rows: self.n,
-                    cols: self.n,
-                });
-            }
-            let owner = self.levels.iter().position(|level| {
-                let (pr, pc) = (level.perm.position(r), level.perm.position(c));
-                level.matrix.row_indices(pr).binary_search(&pc).is_ok()
-            });
-            match owner {
-                Some(i) => owners.push(i),
-                None => {
-                    return Err(SparseError::InvalidCsr(format!(
-                        "patch target ({r}, {c}) is not a stored entry of any level; \
-                         structural updates need the delta/refresh path"
-                    )))
-                }
-            }
-        }
-        for (&(r, c, dv), &i) in patches.iter().zip(&owners) {
-            let level = &mut self.levels[i];
-            let (pr, pc) = (level.perm.position(r), level.perm.position(c));
-            *level
-                .matrix
-                .get_mut(pr, pc)
-                .expect("owner level stores the position") += dv;
-        }
-        Ok(())
     }
 
     /// Reconstructs `A = Σᵢ P_πᵢ Bᵢ Pᵀ_πᵢ` (validation path).
@@ -257,52 +204,6 @@ mod tests {
             direct = y;
         }
         assert!(it.max_abs_diff(&direct).unwrap() < 1e-9);
-    }
-
-    #[test]
-    fn patch_values_tracks_matrix_edits() {
-        // Patch a decomposition in place and check it reconstructs the
-        // edited matrix exactly — across all levels of a deeper instance.
-        use rand::SeedableRng;
-        let g = amd_graph::generators::random::random_tree(
-            120,
-            &mut rand_chacha::ChaCha8Rng::seed_from_u64(7),
-        );
-        let a: CsrMatrix<f64> = g.to_adjacency();
-        let mut d = la_decompose(
-            &a,
-            &DecomposeConfig::with_width(8),
-            &mut RandomForestLa::new(5),
-        )
-        .unwrap();
-        // Pick stored entries spread over the matrix and perturb them.
-        let targets: Vec<(u32, u32, f64)> = a
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 17 == 0)
-            .map(|(i, (r, c, _))| (r, c, 0.25 * (i as f64 + 1.0)))
-            .collect();
-        assert!(!targets.is_empty());
-        d.patch_values(&targets).unwrap();
-        let mut edited = a.clone();
-        for &(r, c, dv) in &targets {
-            *edited.get_mut(r, c).unwrap() += dv;
-        }
-        assert_eq!(d.validate(&edited).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn patch_rejects_structural_updates_atomically() {
-        let (a, mut d) = decompose_star(30, 4);
-        let before = d.clone();
-        // (1, 2) is not an edge of a star — the batch must fail and leave
-        // the decomposition untouched even though (0, 1) is patchable.
-        let err = d.patch_values(&[(0, 1, 1.0), (1, 2, 1.0)]);
-        assert!(err.is_err());
-        assert_eq!(d, before, "failed patch must not partially apply");
-        // Out-of-bounds targets are rejected too.
-        assert!(d.patch_values(&[(40, 0, 1.0)]).is_err());
-        assert_eq!(d.validate(&a).unwrap(), 0.0);
     }
 
     #[test]

@@ -58,5 +58,5 @@ pub use incremental::{
     decompose_snapshot_incremental, FallbackReason, IncrementalPolicy, RefreshOutcome,
 };
 pub use la_decompose::{decompose_snapshot, la_decompose, DecomposeConfig};
-pub use persist::PersistMeta;
+pub use persist::CatalogMeta;
 pub use strategy::{ArrangementStrategy, IdentityLa, RandomForestLa, RcmLa, SeparatorLaStrategy};

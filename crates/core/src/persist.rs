@@ -6,34 +6,26 @@
 //! binary stream so the same workflow works here: decompose, save, and
 //! load on later runs without repeating the arrangement computation.
 //!
-//! Format (version 1): magic `AMD1`, then `n`, `b`, `l`, and per level the
-//! permutation order array, `active_n`, and the CSR arrays of the level
-//! matrix. All integers are `u64` LE; values are `f64` LE bits.
+//! There is one format. A stream is the magic `AMD3`, a [`CatalogMeta`]
+//! header — content **fingerprint** of the decomposed matrix, lineage
+//! **version** and **parent fingerprint**, the catalog **created-at**
+//! counter and the full decompose identity (arrangement seed, arrow
+//! width, pruning flag, level cap) — then `n`, `b`, `l` and per level
+//! `active_n`, the permutation order array and the CSR arrays of the
+//! level matrix, and last an 8-byte **checksum footer**: the FNV-1a-64
+//! digest of every preceding byte. All integers are `u64` LE (the two
+//! fingerprints `u128` LE); values are `f64` LE bits. Because the header
+//! carries a complete manifest record, a lost or corrupt manifest can be
+//! rebuilt by reading nothing but payload headers
+//! ([`peek_catalog_header`]).
 //!
-//! Format (version 2): magic `AMD2`, then a [`PersistMeta`] header — the
-//! matrix **version** counter and the 128-bit content **fingerprint** of
-//! the matrix the decomposition was computed from — followed by the same
-//! payload as version 1. The streaming layer writes v2 on every refresh
-//! so a restart can tell *which* revision of a mutating matrix a spill
-//! file describes; [`load`] accepts both formats.
-//!
-//! Format (version 3): magic `AMD3`, then a [`CatalogMeta`] header — the
-//! v2 provenance plus the **parent fingerprint** (delta lineage), the
-//! catalog **created-at** counter, and the full decompose identity
-//! (arrow width, pruning flag, level cap, arrangement seed) — followed
-//! by the same payload. The [`catalog`](crate::catalog) writes v3
-//! exclusively, so a lost or corrupt manifest can be rebuilt by reading
-//! nothing but payload headers. [`load`] and [`load_versioned`] accept
-//! all three formats.
-//!
-//! Version-3 streams additionally end in an 8-byte **checksum footer**:
-//! the FNV-1a-64 digest of every preceding byte (magic, header, and
-//! payload). A torn or truncated write — simulated by the
-//! `catalog.payload.torn` failpoint, produced for real by power loss
-//! mid-write — is rejected on load with a clear [`SparseError`] instead
-//! of deserializing garbage. Unchecksummed v3 files written before the
-//! footer existed (the stream ends exactly after the payload) still
-//! load, as do v1/v2 streams.
+//! [`load_catalog`] trusts nothing it has not checked: after the
+//! fixed-size header it verifies the footer over the whole buffer
+//! **before** reading a single length, and then bounds every length
+//! prefix by the bytes that remain, so a torn, truncated or bit-flipped
+//! file — simulated by the `catalog.payload.torn` failpoint, produced
+//! for real by power loss mid-write — is a [`SparseError`], never a
+//! panic or an allocation sized by a corrupt field.
 //!
 //! Every function here is an implementation detail of
 //! [`crate::catalog`]; serving layers persist through a
@@ -45,12 +37,19 @@ use crate::la_decompose::DecomposeConfig;
 use amd_sparse::{CsrMatrix, Permutation, SparseError, SparseResult};
 use std::io::{Read, Write};
 
-const MAGIC: &[u8; 4] = b"AMD1";
-const MAGIC_V2: &[u8; 4] = b"AMD2";
-const MAGIC_V3: &[u8; 4] = b"AMD3";
+const MAGIC: &[u8; 4] = b"AMD3";
+/// Magic plus the [`CatalogMeta`] fields: two `u128`s and six `u64`s.
+const HEADER_LEN: usize = 4 + 2 * 16 + 6 * 8;
+const FOOTER_LEN: usize = 8;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(digest, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 /// Write adapter folding every byte into an FNV-1a-64 digest, so the
 /// checksum costs one fused pass instead of re-reading the stream.
@@ -59,21 +58,10 @@ struct HashingWriter<W: Write> {
     digest: u64,
 }
 
-impl<W: Write> HashingWriter<W> {
-    fn new(inner: W) -> Self {
-        Self {
-            inner,
-            digest: FNV_OFFSET,
-        }
-    }
-}
-
 impl<W: Write> Write for HashingWriter<W> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         let n = self.inner.write(buf)?;
-        for &b in &buf[..n] {
-            self.digest = (self.digest ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        self.digest = fnv1a(self.digest, &buf[..n]);
         Ok(n)
     }
 
@@ -82,44 +70,9 @@ impl<W: Write> Write for HashingWriter<W> {
     }
 }
 
-/// Read adapter mirroring [`HashingWriter`] on the load path.
-struct HashingReader<R: Read> {
-    inner: R,
-    digest: u64,
-}
-
-impl<R: Read> HashingReader<R> {
-    fn new(inner: R) -> Self {
-        Self {
-            inner,
-            digest: FNV_OFFSET,
-        }
-    }
-}
-
-impl<R: Read> Read for HashingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        for &b in &buf[..n] {
-            self.digest = (self.digest ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        Ok(n)
-    }
-}
-
-/// Provenance header of a version-2 persisted decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PersistMeta {
-    /// Monotonic revision counter of the source matrix (0 for the first
-    /// decomposition, bumped by every streaming refresh).
-    pub version: u64,
-    /// [`CsrMatrix::fingerprint`] of the exact matrix that was decomposed.
-    pub fingerprint: u128,
-}
-
-/// Full provenance header of a version-3 (catalog) payload: everything
-/// the [`catalog`](crate::catalog) needs to reconstruct a manifest
-/// record from the payload file alone.
+/// Provenance header of a persisted decomposition: everything the
+/// [`catalog`](crate::catalog) needs to reconstruct a manifest record
+/// from the payload file alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CatalogMeta {
     /// [`CsrMatrix::fingerprint`] of the exact matrix that was decomposed.
@@ -139,108 +92,19 @@ pub struct CatalogMeta {
     pub config: DecomposeConfig,
 }
 
-impl CatalogMeta {
-    /// The v2 view of this header (fingerprint + version).
-    pub fn persist_meta(&self) -> PersistMeta {
-        PersistMeta {
-            version: self.version,
-            fingerprint: self.fingerprint,
-        }
-    }
-}
-
-/// Writes the decomposition to `w` (version-1 stream, no provenance).
-pub fn save<W: Write>(d: &ArrowDecomposition, mut w: W) -> SparseResult<()> {
-    w.write_all(MAGIC).map_err(io_err)?;
-    save_payload(d, &mut w)
-}
-
-/// Writes a version-3 stream: [`CatalogMeta`] provenance header followed
-/// by the decomposition payload and an FNV-1a-64 checksum footer over
-/// everything before it.
+/// Writes the stream: magic, [`CatalogMeta`] header, the decomposition
+/// payload and the FNV-1a-64 checksum footer over everything before it.
 pub fn save_catalog<W: Write>(
     d: &ArrowDecomposition,
     meta: &CatalogMeta,
     w: W,
 ) -> SparseResult<()> {
-    let mut w = HashingWriter::new(w);
-    w.write_all(MAGIC_V3).map_err(io_err)?;
-    write_catalog_header(&mut w, meta)?;
-    save_payload(d, &mut w)?;
-    let digest = w.digest;
-    put_u64(&mut w, digest)
-}
-
-fn write_catalog_header<W: Write>(w: &mut W, meta: &CatalogMeta) -> SparseResult<()> {
-    w.write_all(&meta.fingerprint.to_le_bytes())
-        .map_err(io_err)?;
-    put_u64(w, meta.version)?;
-    w.write_all(&meta.parent.to_le_bytes()).map_err(io_err)?;
-    put_u64(w, meta.created_at)?;
-    put_u64(w, meta.seed)?;
-    put_u64(w, meta.config.arrow_width as u64)?;
-    put_u64(w, meta.config.prune as u64)?;
-    put_u64(w, meta.config.max_levels as u64)
-}
-
-fn read_catalog_header<R: Read>(r: &mut R) -> SparseResult<CatalogMeta> {
-    let mut fp = [0u8; 16];
-    r.read_exact(&mut fp).map_err(io_err)?;
-    let fingerprint = u128::from_le_bytes(fp);
-    let version = get_u64(r)?;
-    let mut parent_bytes = [0u8; 16];
-    r.read_exact(&mut parent_bytes).map_err(io_err)?;
-    let parent = u128::from_le_bytes(parent_bytes);
-    let created_at = get_u64(r)?;
-    let seed = get_u64(r)?;
-    let arrow_width = get_u64(r)? as u32;
-    let prune = get_u64(r)? != 0;
-    let max_levels = get_u64(r)? as u32;
-    Ok(CatalogMeta {
-        fingerprint,
-        version,
-        parent,
-        created_at,
-        seed,
-        config: DecomposeConfig {
-            arrow_width,
-            prune,
-            max_levels,
-        },
-    })
-}
-
-/// Reads **only** the header of a stream: the magic plus, for a
-/// version-3 payload, the full [`CatalogMeta`]. Version-1/2 streams
-/// report `None` — they predate catalog provenance. This is the cheap
-/// probe manifest rebuilds use: it never touches the level payload.
-pub fn peek_catalog_header<R: Read>(mut r: R) -> SparseResult<Option<CatalogMeta>> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(io_err)?;
-    match &magic {
-        m if m == MAGIC_V3 => Ok(Some(read_catalog_header(&mut r)?)),
-        m if m == MAGIC || m == MAGIC_V2 => Ok(None),
-        _ => Err(SparseError::InvalidCsr(format!(
-            "bad magic {magic:?}: not an arrow decomposition file"
-        ))),
-    }
-}
-
-/// Writes a version-2 stream: [`PersistMeta`] provenance header followed
-/// by the decomposition payload.
-pub fn save_versioned<W: Write>(
-    d: &ArrowDecomposition,
-    meta: &PersistMeta,
-    mut w: W,
-) -> SparseResult<()> {
-    w.write_all(MAGIC_V2).map_err(io_err)?;
-    put_u64(&mut w, meta.version)?;
-    w.write_all(&meta.fingerprint.to_le_bytes())
-        .map_err(io_err)?;
-    save_payload(d, &mut w)
-}
-
-fn save_payload<W: Write>(d: &ArrowDecomposition, mut w: W) -> SparseResult<()> {
+    let mut w = HashingWriter {
+        inner: w,
+        digest: FNV_OFFSET,
+    };
+    w.write_all(MAGIC).map_err(io_err)?;
+    write_meta(&mut w, meta)?;
     put_u64(&mut w, d.n() as u64)?;
     put_u64(&mut w, d.b() as u64)?;
     put_u64(&mut w, d.order() as u64)?;
@@ -263,93 +127,163 @@ fn save_payload<W: Write>(d: &ArrowDecomposition, mut w: W) -> SparseResult<()> 
             w.write_all(&v.to_le_bytes()).map_err(io_err)?;
         }
     }
-    Ok(())
+    let digest = w.digest;
+    put_u64(&mut w, digest)
 }
 
-/// Reads a decomposition from `r`, validating structure. Accepts
-/// version-1, -2, and -3 streams, discarding the provenance headers;
-/// use [`load_versioned`] or [`load_catalog`] to keep them.
-pub fn load<R: Read>(r: R) -> SparseResult<ArrowDecomposition> {
-    load_catalog(r).map(|(d, _, _)| d)
+/// The wire layout of a [`CatalogMeta`] — in a payload header and in a
+/// manifest row alike; [`Cursor::meta`] reads it back.
+pub(crate) fn write_meta<W: Write>(w: &mut W, meta: &CatalogMeta) -> SparseResult<()> {
+    w.write_all(&meta.fingerprint.to_le_bytes())
+        .map_err(io_err)?;
+    put_u64(w, meta.version)?;
+    w.write_all(&meta.parent.to_le_bytes()).map_err(io_err)?;
+    put_u64(w, meta.created_at)?;
+    put_u64(w, meta.seed)?;
+    put_u64(w, meta.config.arrow_width as u64)?;
+    put_u64(w, meta.config.prune as u64)?;
+    put_u64(w, meta.config.max_levels as u64)
 }
 
-/// Reads a decomposition plus its v2 provenance. Version-1 streams
-/// (which predate the header) report the default meta: version 0,
-/// fingerprint 0; version-3 streams report the v2 view of their header.
-pub fn load_versioned<R: Read>(r: R) -> SparseResult<(ArrowDecomposition, PersistMeta)> {
-    load_catalog(r).map(|(d, meta, _)| (d, meta))
-}
+/// A read position in a byte buffer. Every accessor checks what remains
+/// first, so a length prefix can never make the parser read, or reserve,
+/// past the input.
+pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
 
-/// Reads a decomposition plus every header it carries: the v2 meta
-/// (defaulted for v1 streams) and, for a version-3 payload, the full
-/// [`CatalogMeta`].
-pub fn load_catalog<R: Read>(
-    r: R,
-) -> SparseResult<(ArrowDecomposition, PersistMeta, Option<CatalogMeta>)> {
-    let mut r = HashingReader::new(r);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(io_err)?;
-    let mut catalog = None;
-    let meta = match &magic {
-        m if m == MAGIC => PersistMeta::default(),
-        m if m == MAGIC_V2 => {
-            let version = get_u64(&mut r)?;
-            let mut fp = [0u8; 16];
-            r.read_exact(&mut fp).map_err(io_err)?;
-            PersistMeta {
-                version,
-                fingerprint: u128::from_le_bytes(fp),
-            }
-        }
-        m if m == MAGIC_V3 => {
-            let full = read_catalog_header(&mut r)?;
-            catalog = Some(full);
-            full.persist_meta()
-        }
-        _ => {
+impl<'a> Cursor<'a> {
+    pub(crate) fn take(&mut self, len: usize) -> SparseResult<&'a [u8]> {
+        if len > self.0.len() {
             return Err(SparseError::InvalidCsr(format!(
-                "bad magic {:?}: not an arrow decomposition file",
-                magic
-            )))
+                "truncated stream: {len} bytes wanted, {} left",
+                self.0.len()
+            )));
         }
+        let (head, tail) = self.0.split_at(len);
+        self.0 = tail;
+        Ok(head)
+    }
+
+    pub(crate) fn u64(&mut self) -> SparseResult<u64> {
+        let bytes = self.take(8)?;
+        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes taken")))
+    }
+
+    fn u128(&mut self) -> SparseResult<u128> {
+        let bytes = self.take(16)?;
+        Ok(u128::from_le_bytes(
+            bytes.try_into().expect("16 bytes taken"),
+        ))
+    }
+
+    /// A `u64` field that must fit the `u32` it was written from.
+    fn u32(&mut self) -> SparseResult<u32> {
+        narrow(self.u64()?)
+    }
+
+    /// The next `count` 8-byte words, or an error when fewer remain.
+    fn words(&mut self, count: u64) -> SparseResult<impl Iterator<Item = u64> + 'a> {
+        let len = usize::try_from(count.saturating_mul(8)).unwrap_or(usize::MAX);
+        Ok(self
+            .take(len)?
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("chunks of 8"))))
+    }
+
+    fn header(&mut self) -> SparseResult<CatalogMeta> {
+        let magic = self.take(MAGIC.len()).ok();
+        if magic != Some(MAGIC.as_slice()) {
+            return Err(SparseError::InvalidCsr(format!(
+                "bad magic {magic:?}: not an AMD3 arrow decomposition file"
+            )));
+        }
+        self.meta()
+    }
+
+    pub(crate) fn meta(&mut self) -> SparseResult<CatalogMeta> {
+        Ok(CatalogMeta {
+            fingerprint: self.u128()?,
+            version: self.u64()?,
+            parent: self.u128()?,
+            created_at: self.u64()?,
+            seed: self.u64()?,
+            config: DecomposeConfig {
+                arrow_width: self.u32()?,
+                prune: self.u64()? != 0,
+                max_levels: self.u32()?,
+            },
+        })
+    }
+}
+
+fn narrow(v: u64) -> SparseResult<u32> {
+    u32::try_from(v).map_err(|_| SparseError::InvalidCsr(format!("field {v} does not fit a u32")))
+}
+
+/// Reads **only** the header of a stream: the magic and the full
+/// [`CatalogMeta`]. This is the cheap probe manifest rebuilds use: it
+/// never touches the level payload (and so cannot vouch for it — only
+/// [`load_catalog`] verifies the checksum).
+pub fn peek_catalog_header<R: Read>(mut r: R) -> SparseResult<CatalogMeta> {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header).map_err(io_err)?;
+    Cursor(&header).header()
+}
+
+/// Parses a whole stream held in memory: the decomposition and its
+/// header. The checksum footer is verified over `bytes` before anything
+/// past the fixed-size header is parsed; structure (permutations, CSR invariants, `active_n ≤ n`)
+/// is validated on the way.
+pub fn load_catalog(bytes: &[u8]) -> SparseResult<(ArrowDecomposition, CatalogMeta)> {
+    let mut r = Cursor(bytes);
+    let meta = r.header()?;
+    let Some(payload_len) = r.0.len().checked_sub(FOOTER_LEN) else {
+        return Err(SparseError::InvalidCsr(
+            "truncated stream: no checksum footer".into(),
+        ));
     };
-    let n = get_u64(&mut r)? as u32;
-    let b = get_u64(&mut r)? as u32;
-    let l = get_u64(&mut r)? as usize;
-    if l > 1_000_000 {
+    let stored = Cursor(&r.0[payload_len..]).u64()?;
+    let digest = fnv1a(FNV_OFFSET, &bytes[..HEADER_LEN + payload_len]);
+    if stored != digest {
         return Err(SparseError::InvalidCsr(format!(
-            "implausible level count {l}"
+            "payload checksum mismatch: stored {stored:#018x}, \
+             computed {digest:#018x} (torn or corrupt write)"
         )));
     }
-    let mut levels = Vec::with_capacity(l);
+    r.0 = &r.0[..payload_len];
+    let n = r.u32()?;
+    let b = r.u32()?;
+    if b == 0 {
+        return Err(SparseError::InvalidCsr("arrow width 0".into()));
+    }
+    let l = r.u64()?;
+    // Not reserved up front: `l` is checked only by the levels below
+    // running out of bytes.
+    let mut levels = Vec::new();
     for _ in 0..l {
-        let active_n = get_u64(&mut r)? as u32;
-        let order_len = get_u64(&mut r)? as usize;
-        if order_len != n as usize {
+        let active_n = r.u32()?;
+        if active_n > n {
+            return Err(SparseError::InvalidCsr(format!(
+                "active prefix {active_n} > n = {n}"
+            )));
+        }
+        let order_len = r.u64()?;
+        if order_len != u64::from(n) {
             return Err(SparseError::InvalidCsr(format!(
                 "permutation length {order_len} != n = {n}"
             )));
         }
-        let mut order = Vec::with_capacity(order_len);
-        for _ in 0..order_len {
-            order.push(get_u64(&mut r)? as u32);
-        }
+        let order = r
+            .words(order_len)?
+            .map(narrow)
+            .collect::<SparseResult<_>>()?;
         let perm = Permutation::from_order(order)?;
-        let nnz = get_u64(&mut r)? as usize;
-        let mut indptr = Vec::with_capacity(n as usize + 1);
-        for _ in 0..=n as usize {
-            indptr.push(get_u64(&mut r)? as usize);
-        }
-        let mut indices = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            indices.push(get_u64(&mut r)? as u32);
-        }
-        let mut values = Vec::with_capacity(nnz);
-        let mut buf = [0u8; 8];
-        for _ in 0..nnz {
-            r.read_exact(&mut buf).map_err(io_err)?;
-            values.push(f64::from_le_bytes(buf));
-        }
+        let nnz = r.u64()?;
+        let indptr = r
+            .words(u64::from(n) + 1)?
+            .map(|w| usize::try_from(w).unwrap_or(usize::MAX))
+            .collect();
+        let indices = r.words(nnz)?.map(narrow).collect::<SparseResult<_>>()?;
+        let values = r.words(nnz)?.map(f64::from_bits).collect();
         // Full validation on load: corrupt files are rejected here.
         let matrix = CsrMatrix::from_raw(n, n, indptr, indices, values)?;
         levels.push(ArrowLevel {
@@ -358,53 +292,17 @@ pub fn load_catalog<R: Read>(
             active_n,
         });
     }
-    if catalog.is_some() {
-        // v3: verify the checksum footer. The digest is snapshotted
-        // *before* the footer bytes pass through the hashing reader.
-        let digest = r.digest;
-        let mut footer = [0u8; 8];
-        match read_up_to(&mut r, &mut footer)? {
-            0 => {} // unchecksummed v3, written before the footer existed
-            8 => {
-                let stored = u64::from_le_bytes(footer);
-                if stored != digest {
-                    return Err(SparseError::InvalidCsr(format!(
-                        "payload checksum mismatch: stored {stored:#018x}, \
-                         computed {digest:#018x} (torn or corrupt write)"
-                    )));
-                }
-            }
-            k => {
-                return Err(SparseError::InvalidCsr(format!(
-                    "truncated checksum footer ({k} of 8 bytes)"
-                )))
-            }
-        }
+    if !r.0.is_empty() {
+        return Err(SparseError::InvalidCsr(format!(
+            "{} bytes between the last level and the checksum footer",
+            r.0.len()
+        )));
     }
-    Ok((ArrowDecomposition::new(n, b, levels), meta, catalog))
-}
-
-/// Reads until `buf` is full or EOF; reports how many bytes arrived.
-fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8; 8]) -> SparseResult<usize> {
-    let mut total = 0;
-    while total < buf.len() {
-        let n = r.read(&mut buf[total..]).map_err(io_err)?;
-        if n == 0 {
-            break;
-        }
-        total += n;
-    }
-    Ok(total)
+    Ok((ArrowDecomposition::new(n, b, levels), meta))
 }
 
 pub(crate) fn put_u64<W: Write>(w: &mut W, v: u64) -> SparseResult<()> {
     w.write_all(&v.to_le_bytes()).map_err(io_err)
-}
-
-fn get_u64<R: Read>(r: &mut R) -> SparseResult<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf).map_err(io_err)?;
-    Ok(u64::from_le_bytes(buf))
 }
 
 pub(crate) fn io_err(e: std::io::Error) -> SparseError {
@@ -433,12 +331,35 @@ mod tests {
         (a, d)
     }
 
+    fn meta_for(a: &CsrMatrix<f64>) -> CatalogMeta {
+        CatalogMeta {
+            fingerprint: a.fingerprint(),
+            version: 3,
+            parent: 0xdead_beef,
+            created_at: 17,
+            seed: 9,
+            config: DecomposeConfig::with_width(64),
+        }
+    }
+
+    fn saved(d: &ArrowDecomposition, meta: &CatalogMeta) -> Vec<u8> {
+        let mut buf = Vec::new();
+        save_catalog(d, meta, &mut buf).unwrap();
+        buf
+    }
+
+    /// Recomputes the footer after a deliberate edit, so the parser —
+    /// not the checksum — is what must catch it.
+    fn reseal(buf: &mut [u8]) {
+        let body = buf.len() - FOOTER_LEN;
+        let digest = fnv1a(FNV_OFFSET, &buf[..body]);
+        buf[body..].copy_from_slice(&digest.to_le_bytes());
+    }
+
     #[test]
     fn roundtrip_preserves_decomposition() {
         let (a, d) = sample();
-        let mut buf = Vec::new();
-        save(&d, &mut buf).unwrap();
-        let loaded = load(buf.as_slice()).unwrap();
+        let (loaded, _) = load_catalog(&saved(&d, &meta_for(&a))).unwrap();
         assert_eq!(d, loaded);
         assert_eq!(loaded.validate(&a).unwrap(), 0.0);
     }
@@ -446,9 +367,7 @@ mod tests {
     #[test]
     fn loaded_decomposition_multiplies() {
         let (a, d) = sample();
-        let mut buf = Vec::new();
-        save(&d, &mut buf).unwrap();
-        let loaded = load(buf.as_slice()).unwrap();
+        let (loaded, _) = load_catalog(&saved(&d, &meta_for(&a))).unwrap();
         let x = amd_sparse::DenseMatrix::from_fn(a.rows(), 3, |r, c| ((r + c) % 5) as f64);
         let y1 = d.multiply(&x).unwrap();
         let y2 = loaded.multiply(&x).unwrap();
@@ -457,140 +376,68 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let buf = b"NOPE0000000000000000000000000000".to_vec();
-        assert!(load(buf.as_slice()).is_err());
+        // Any other magic — the two retired format versions included.
+        let (a, d) = sample();
+        let good = saved(&d, &meta_for(&a));
+        for magic in [
+            *b"NOPE",
+            *b"AMDM",
+            [b'A', b'M', b'D', b'1'],
+            [b'A', b'M', b'D', b'2'],
+        ] {
+            let mut buf = good.clone();
+            buf[..4].copy_from_slice(&magic);
+            reseal(&mut buf);
+            let err = load_catalog(&buf).unwrap_err();
+            assert!(err.to_string().contains("bad magic"), "{err}");
+            assert!(peek_catalog_header(buf.as_slice()).is_err());
+        }
     }
 
     #[test]
     fn truncated_stream_rejected() {
-        let (_, d) = sample();
-        let mut buf = Vec::new();
-        save(&d, &mut buf).unwrap();
-        for cut in [3usize, 11, buf.len() / 2, buf.len() - 1] {
-            assert!(load(&buf[..cut]).is_err(), "cut at {cut} accepted");
+        let (a, d) = sample();
+        let buf = saved(&d, &meta_for(&a));
+        for cut in [0usize, 3, 11, 83, 84, 91, buf.len() / 2, buf.len() - 1] {
+            assert!(load_catalog(&buf[..cut]).is_err(), "cut at {cut} accepted");
         }
     }
 
     #[test]
     fn corrupted_permutation_rejected() {
-        let (_, d) = sample();
-        let mut buf = Vec::new();
-        save(&d, &mut buf).unwrap();
-        // Duplicate the first permutation entry (offset: magic + 3 u64s +
-        // active_n + order_len = 4 + 8*5 = 44; entries start at 44).
-        let first = buf[44..52].to_vec();
-        buf[52..60].copy_from_slice(&first);
-        assert!(load(buf.as_slice()).is_err(), "duplicate vertex accepted");
-    }
-
-    #[test]
-    fn versioned_roundtrip_preserves_meta() {
         let (a, d) = sample();
-        let meta = PersistMeta {
-            version: 7,
-            fingerprint: a.fingerprint(),
-        };
-        let mut buf = Vec::new();
-        save_versioned(&d, &meta, &mut buf).unwrap();
-        let (loaded, got) = load_versioned(buf.as_slice()).unwrap();
-        assert_eq!(got, meta);
-        assert_eq!(loaded, d);
-        // The plain loader accepts v2 streams too.
-        assert_eq!(load(buf.as_slice()).unwrap(), d);
-    }
-
-    #[test]
-    fn v1_stream_reports_default_meta() {
-        let (_, d) = sample();
-        let mut buf = Vec::new();
-        save(&d, &mut buf).unwrap();
-        let (loaded, meta) = load_versioned(buf.as_slice()).unwrap();
-        assert_eq!(meta, PersistMeta::default());
-        assert_eq!(loaded, d);
-    }
-
-    #[test]
-    fn truncated_v2_header_rejected() {
-        let (a, d) = sample();
-        let mut buf = Vec::new();
-        save_versioned(
-            &d,
-            &PersistMeta {
-                version: 1,
-                fingerprint: a.fingerprint(),
-            },
-            &mut buf,
-        )
-        .unwrap();
-        for cut in [4usize, 10, 20, 27] {
-            assert!(load(&buf[..cut]).is_err(), "cut at {cut} accepted");
-        }
+        let mut buf = saved(&d, &meta_for(&a));
+        // Duplicate the first permutation entry (header, then n, b, l,
+        // active_n, order_len: entries start 5 words past the header).
+        let at = HEADER_LEN + 5 * 8;
+        let first = buf[at..at + 8].to_vec();
+        buf[at + 8..at + 16].copy_from_slice(&first);
+        reseal(&mut buf);
+        let err = load_catalog(&buf).unwrap_err();
+        assert!(err.to_string().contains("placed twice"), "{err}");
     }
 
     #[test]
     fn catalog_roundtrip_preserves_full_meta() {
         let (a, d) = sample();
-        let meta = CatalogMeta {
-            fingerprint: a.fingerprint(),
-            version: 3,
-            parent: 0xdead_beef,
-            created_at: 17,
-            seed: 9,
-            config: DecomposeConfig::with_width(64),
-        };
-        let mut buf = Vec::new();
-        save_catalog(&d, &meta, &mut buf).unwrap();
-        let (loaded, basic, full) = load_catalog(buf.as_slice()).unwrap();
+        let meta = meta_for(&a);
+        let buf = saved(&d, &meta);
+        let (loaded, full) = load_catalog(&buf).unwrap();
         assert_eq!(loaded, d);
-        assert_eq!(full, Some(meta));
-        assert_eq!(basic, meta.persist_meta());
-        // The header is readable without touching the payload, and the
-        // older loaders still accept the stream.
-        assert_eq!(peek_catalog_header(buf.as_slice()).unwrap(), Some(meta));
-        assert_eq!(load(buf.as_slice()).unwrap(), d);
-        let (_, v2) = load_versioned(buf.as_slice()).unwrap();
-        assert_eq!(v2.version, 3);
-        assert_eq!(v2.fingerprint, a.fingerprint());
-    }
-
-    #[test]
-    fn peek_header_reports_none_for_legacy_streams() {
-        let (a, d) = sample();
-        let mut v1 = Vec::new();
-        save(&d, &mut v1).unwrap();
-        assert_eq!(peek_catalog_header(v1.as_slice()).unwrap(), None);
-        let mut v2 = Vec::new();
-        save_versioned(
-            &d,
-            &PersistMeta {
-                version: 1,
-                fingerprint: a.fingerprint(),
-            },
-            &mut v2,
-        )
-        .unwrap();
-        assert_eq!(peek_catalog_header(v2.as_slice()).unwrap(), None);
-        assert!(peek_catalog_header(&b"NOPE"[..]).is_err());
+        assert_eq!(full, meta);
+        // The header is readable without touching the payload.
+        assert_eq!(peek_catalog_header(buf.as_slice()).unwrap(), meta);
     }
 
     #[test]
     fn truncated_v3_header_rejected() {
         let (a, d) = sample();
-        let meta = CatalogMeta {
-            fingerprint: a.fingerprint(),
-            version: 1,
-            parent: 0,
-            created_at: 1,
-            seed: 1,
-            config: DecomposeConfig::default(),
-        };
-        let mut buf = Vec::new();
-        save_catalog(&d, &meta, &mut buf).unwrap();
+        let buf = saved(&d, &meta_for(&a));
         for cut in [4usize, 12, 30, 50, 83] {
-            assert!(load(&buf[..cut]).is_err(), "cut at {cut} accepted");
+            assert!(load_catalog(&buf[..cut]).is_err(), "cut at {cut} accepted");
             assert!(
-                peek_catalog_header(&buf[..cut.min(20)]).is_err(),
-                "header cut accepted"
+                peek_catalog_header(&buf[..cut]).is_err(),
+                "header cut at {cut} accepted"
             );
         }
     }
@@ -598,63 +445,38 @@ mod tests {
     #[test]
     fn checksum_rejects_silent_value_corruption() {
         let (a, d) = sample();
-        let meta = CatalogMeta {
-            fingerprint: a.fingerprint(),
-            version: 1,
-            parent: 0,
-            created_at: 1,
-            seed: 1,
-            config: DecomposeConfig::with_width(64),
-        };
-        let mut buf = Vec::new();
-        save_catalog(&d, &meta, &mut buf).unwrap();
+        let mut buf = saved(&d, &meta_for(&a));
         // Flip one bit in the last payload value — the length and CSR
         // structure stay valid, so only the checksum can catch this.
         let idx = buf.len() - 9;
         buf[idx] ^= 0x01;
-        let err = load_catalog(buf.as_slice()).unwrap_err();
+        let err = load_catalog(&buf).unwrap_err();
         assert!(
             err.to_string().contains("checksum mismatch"),
             "expected checksum rejection, got: {err}"
         );
         buf[idx] ^= 0x01;
-        assert!(load_catalog(buf.as_slice()).is_ok(), "restored file loads");
+        assert!(load_catalog(&buf).is_ok(), "restored file loads");
     }
 
     #[test]
-    fn unchecksummed_v3_still_loads() {
+    fn unchecksummed_v3_rejected() {
         let (a, d) = sample();
-        let meta = CatalogMeta {
-            fingerprint: a.fingerprint(),
-            version: 2,
-            parent: 1,
-            created_at: 5,
-            seed: 3,
-            config: DecomposeConfig::with_width(64),
-        };
-        let mut buf = Vec::new();
-        save_catalog(&d, &meta, &mut buf).unwrap();
-        // A legacy v3 file is byte-identical minus the 8-byte footer.
-        buf.truncate(buf.len() - 8);
-        let (loaded, _, full) = load_catalog(buf.as_slice()).unwrap();
-        assert_eq!(loaded, d);
-        assert_eq!(full, Some(meta));
-        // A *partial* footer means the tail was torn off: rejected.
-        let mut torn = buf.clone();
-        torn.extend_from_slice(&[0xAB; 3]);
-        let err = load_catalog(torn.as_slice()).unwrap_err();
-        assert!(
-            err.to_string().contains("truncated checksum footer"),
-            "{err}"
-        );
+        let mut buf = saved(&d, &meta_for(&a));
+        // A write torn exactly at the footer boundary: every payload
+        // byte present, no digest to vouch for them.
+        buf.truncate(buf.len() - FOOTER_LEN);
+        assert!(load_catalog(&buf).is_err(), "footer-less stream accepted");
+        // A partial footer is no better.
+        buf.extend_from_slice(&[0xAB; 3]);
+        assert!(load_catalog(&buf).is_err(), "partial footer accepted");
     }
 
     #[test]
     fn empty_decomposition_roundtrip() {
         let d = ArrowDecomposition::new(4, 2, Vec::new());
-        let mut buf = Vec::new();
-        save(&d, &mut buf).unwrap();
-        let loaded = load(buf.as_slice()).unwrap();
+        let a = CsrMatrix::<f64>::zeros(4, 4);
+        let (loaded, _) = load_catalog(&saved(&d, &meta_for(&a))).unwrap();
         assert_eq!(loaded.order(), 0);
         assert_eq!(loaded.n(), 4);
     }

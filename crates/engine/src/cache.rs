@@ -177,20 +177,6 @@ impl DecompositionCache {
         self.catalog.as_mut()
     }
 
-    /// One-shot migration of pre-catalog spill files sitting in the
-    /// catalog directory itself (loose `arrow-<key>.amd` files written
-    /// by earlier engines): imports them as catalog root versions under
-    /// the given identity. No-op without a catalog.
-    pub fn import_legacy(&mut self, config: &DecomposeConfig, seed: u64) -> SparseResult<usize> {
-        match &mut self.catalog {
-            Some(c) => {
-                let root = c.root().to_path_buf();
-                c.import_legacy_dir(root, config, seed)
-            }
-            None => Ok(0),
-        }
-    }
-
     /// Number of decompositions resident in memory.
     pub fn len(&self) -> usize {
         self.entries.len()

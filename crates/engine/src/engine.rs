@@ -24,7 +24,7 @@ use crate::attribution::{AttributionMetrics, QueryCost, RunAttribution};
 use crate::cache::{CacheStats, DecompositionCache};
 use crate::planner::{plan, plan_local, Plan, PlannerConfig, Prediction};
 use amd_chaos::failpoint;
-use amd_comm::{CostModel, MachineExec};
+use amd_comm::CostModel;
 use amd_obs::{Counter, Gauge, Histogram, SpanId, Stopwatch, Telemetry};
 use amd_sparse::{ops, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use amd_spmm::traits::Sigma;
@@ -114,12 +114,6 @@ pub struct EngineConfig {
     /// before the error surfaces to the caller. Each retry counts into
     /// [`EngineStats::multiply_retries`].
     pub max_multiply_retries: u32,
-    /// How bound algorithms' machines obtain rank threads. The default
-    /// acquires cached slots from the process-global `amd-exec` pool;
-    /// [`MachineExec::SpawnPerRun`] restores thread-per-run spawning
-    /// (the determinism comparator). Results are bit-identical either
-    /// way.
-    pub exec: MachineExec,
 }
 
 impl Default for EngineConfig {
@@ -136,7 +130,6 @@ impl Default for EngineConfig {
             dtype: Dtype::default(),
             max_splice_slowdown: DEFAULT_MAX_SLICE_SLOWDOWN,
             max_multiply_retries: 2,
-            exec: MachineExec::default(),
         }
     }
 }
@@ -202,15 +195,6 @@ pub struct EngineStats {
     /// (injected by the `engine.multiply.transient` failpoint; a real
     /// serving run never errors transiently).
     pub multiply_retries: u64,
-}
-
-impl EngineConfig {
-    /// Routes every bound algorithm's machine ranks through `exec`
-    /// (replacing the default shared-pool mode).
-    pub fn with_exec(mut self, exec: MachineExec) -> Self {
-        self.exec = exec;
-        self
-    }
 }
 
 struct BoundMatrix {
@@ -394,10 +378,6 @@ struct EngineMetrics {
     /// Serving precision in bytes per value (4 = f32, 8 = f64) — a
     /// config echo so a metrics snapshot identifies the serving mode.
     dtype_bytes: Gauge,
-    /// The cost model's per-byte β in femtoseconds (β · 10¹⁵) — a
-    /// config echo so `report` can compare the model against the
-    /// measured effective per-byte cost.
-    cost_beta_femtos: Gauge,
     /// Cost-attribution handles (`engine.plan.*`, `engine.algo.*`).
     attribution: AttributionMetrics,
 }
@@ -418,7 +398,6 @@ impl EngineMetrics {
             multiply_seconds: registry.histogram("multiply.seconds"),
             refresh_seconds: registry.histogram("refresh.seconds"),
             dtype_bytes: registry.gauge("engine.dtype_bytes"),
-            cost_beta_femtos: registry.gauge("engine.cost.beta_femtos"),
             attribution: AttributionMetrics::new(registry),
         }
     }
@@ -445,8 +424,7 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine; opens (creating if needed) the persistence
-    /// catalog when a spill directory is configured, migrating any
-    /// pre-catalog loose spill files it finds there. Telemetry is
+    /// catalog when a spill directory is configured. Telemetry is
     /// enabled with a fresh registry and tracer — use
     /// [`with_telemetry`](Self::with_telemetry) to share or disable it.
     pub fn new(config: EngineConfig) -> SparseResult<Self> {
@@ -460,16 +438,10 @@ impl Engine {
     /// go to its tracer. Pass [`Telemetry::disabled`] for a zero-cost
     /// uninstrumented engine.
     pub fn with_telemetry(config: EngineConfig, telemetry: Telemetry) -> SparseResult<Self> {
-        let mut cache = DecompositionCache::with_registry(
+        let cache = DecompositionCache::with_registry(
             config.cache_capacity,
             config.spill_dir.clone(),
             &telemetry.registry,
-        )?;
-        // One-shot legacy migration: spill dirs written before the
-        // catalog existed keep their warm-restart value.
-        cache.import_legacy(
-            &DecomposeConfig::with_width(config.arrow_width),
-            config.decompose_seed,
         )?;
         let metrics = EngineMetrics::new(&telemetry);
         Ok(Self {
@@ -573,17 +545,13 @@ impl Engine {
             (plan_local(a, &planner_config)?, None, "none")
         };
         let Plan {
-            mut algo,
+            algo,
             chosen,
             predictions,
         } = planned;
-        algo.set_exec(self.config.exec.clone());
         self.metrics
             .dtype_bytes
             .set(self.config.dtype.bytes() as u64);
-        self.metrics
-            .cost_beta_femtos
-            .set((self.config.cost.beta * 1e15).round().max(0.0) as u64);
         if self.telemetry.tracer.is_enabled() {
             let mut detail = format!(
                 "algo={} predicted_seconds={:.3e} cache={source} dtype={}",

@@ -1,13 +1,10 @@
 //! # amd-exec — the persistent work-stealing executor
 //!
 //! One shared thread pool for everything the serving stack runs in
-//! parallel: simulated machine ranks, data-parallel kernel chunks (via
-//! the vendored `rayon` facade), and the refresh worker's decompose.
-//! Before this crate existed, every [`Machine::run`] spawned and joined
-//! `p` fresh OS threads *per query* and every `par_chunks_mut` call
-//! spawned a scoped thread per core — so a serving stack answering
-//! millions of small queries paid thread-creation latency on its
-//! hottest path.
+//! parallel: simulated machine ranks, data-parallel kernel chunks
+//! (`amd-sparse`'s row blocks), and the refresh worker's decompose —
+//! so a serving stack answering millions of small queries pays no
+//! thread-creation latency on its hottest path.
 //!
 //! The pool has two kinds of threads, both persistent:
 //!
@@ -40,8 +37,6 @@
 //! the results computed on the pool depend on its size — machine ranks
 //! keep their own mailboxes and simulated clocks, and kernel chunks
 //! write disjoint output rows — so `--threads` trades wall time only.
-//!
-//! [`Machine::run`]: https://docs.rs/amd-comm
 
 mod pool;
 mod ranks;

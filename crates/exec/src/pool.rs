@@ -148,8 +148,8 @@ fn worker_main(shared: Arc<Shared>, index: usize) {
 }
 
 /// Counters describing what a pool has executed — used by the
-/// determinism/supervision tests and the calibration bench to prove
-/// threads are reused, not respawned.
+/// determinism/supervision tests and the benchmark's `exec.*` metrics
+/// to show threads are reused, not respawned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
     /// Jobs executed by compute workers (scope tasks, kernel chunks).
@@ -332,12 +332,12 @@ impl ExecPool {
     }
 
     /// Like [`for_each_index`](Self::for_each_index) but moves each
-    /// element of `items` into `f` exactly once (the vendored rayon
-    /// facade's chunk dispatch). Serial fallthrough when `items.len()
-    /// <= 1` or the pool has a single worker.
+    /// element of `items` into `f` exactly once (the sparse kernels'
+    /// chunk dispatch). Serial fallthrough when `items.len() <= 1` or
+    /// the pool has a single worker.
     ///
     /// If `f` panics, elements not yet claimed may be leaked (never
-    /// dropped) — acceptable for the facade's `&mut` chunk items, which
+    /// dropped) — acceptable for the kernels' `&mut` chunk items, which
     /// have no drop glue; the panic itself propagates to the caller.
     pub fn for_each_take<I, F>(&self, mut items: Vec<I>, f: F)
     where

@@ -36,8 +36,7 @@ use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{SparseError, SparseResult};
 use crate::scalar::{Dtype, Scalar};
-use crate::spmm::{strips, Finish, Operands};
-use rayon::prelude::*;
+use crate::spmm::{for_each_chunk, strips, Finish, Operands};
 
 fn check_level_shapes<T: Scalar>(
     matrix: &CsrMatrix<T>,
@@ -130,18 +129,15 @@ pub fn fused_level_acc_parallel<T: Scalar>(
     }
     let ops = gathered(matrix, order, x);
     let chunk_rows = rows_per_chunk.max(1);
-    y.data_mut()
-        .par_chunks_mut(chunk_rows * k)
-        .enumerate()
-        .for_each(|(chunk, out)| {
-            // Output row `at` of this chunk is the vertex at position `p`.
-            let rows = positions[chunk * chunk_rows..][..out.len() / k]
-                .iter()
-                .zip(0..)
-                .filter(|&(&p, _)| p < active_n)
-                .map(|(&p, at)| (p, at));
-            strips(ops, rows, out, Finish::Fold, Dtype::F64);
-        });
+    for_each_chunk(y.data_mut(), chunk_rows * k, |chunk, out| {
+        // Output row `at` of this chunk is the vertex at position `p`.
+        let rows = positions[chunk * chunk_rows..][..out.len() / k]
+            .iter()
+            .zip(0..)
+            .filter(|&(&p, _)| p < active_n)
+            .map(|(&p, at)| (p, at));
+        strips(ops, rows, out, Finish::Fold, Dtype::F64);
+    });
     Ok(())
 }
 

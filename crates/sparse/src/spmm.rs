@@ -50,7 +50,6 @@ use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{SparseError, SparseResult};
 use crate::scalar::{Dtype, Scalar};
-use rayon::prelude::*;
 
 /// How a strip's finished sums land in the output row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -383,21 +382,37 @@ pub fn spmm_parallel(
     let threads = if spmm_work(a, x.cols()) < PARALLEL_MIN_WORK {
         1
     } else {
-        rayon::current_num_threads()
+        amd_exec::requested_threads()
     };
     if threads <= 1 {
         fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite, dtype);
         return Ok(());
     }
     let block_rows = n.div_ceil(threads * BLOCKS_PER_THREAD);
-    y.data_mut()
-        .par_chunks_mut(block_rows * k)
-        .enumerate()
-        .for_each(|(block, rows)| {
-            let first = (block * block_rows) as u32;
-            fill_rows(a, x, first, rows, Finish::Overwrite, dtype)
-        });
+    for_each_chunk(y.data_mut(), block_rows * k, |block, rows| {
+        let first = (block * block_rows) as u32;
+        fill_rows(a, x, first, rows, Finish::Overwrite, dtype)
+    });
     Ok(())
+}
+
+/// Runs `f(index, chunk)` over the `chunk_len`-element chunks of `data`
+/// (the last may be shorter) on the shared `amd-exec` pool. A single
+/// chunk runs on the caller: nothing is dispatched, and the pool is not
+/// even started.
+pub(crate) fn for_each_chunk<T: Send>(
+    data: &mut [T],
+    chunk_len: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let mut chunks: Vec<&mut [T]> = data.chunks_mut(chunk_len).collect();
+    if chunks.len() <= 1 {
+        if let Some(only) = chunks.pop() {
+            f(0, only);
+        }
+        return;
+    }
+    amd_exec::global().for_each_take(chunks, f);
 }
 
 /// Serial `Y += A · X` at a selectable serving precision, over `f64`
@@ -491,6 +506,26 @@ fn check_output<T: Scalar>(
 mod tests {
     use super::*;
     use crate::CooMatrix;
+
+    #[test]
+    fn chunks_cover_the_slice_and_a_single_chunk_stays_on_the_caller() {
+        let mut data = vec![0u64; 1000];
+        for_each_chunk(&mut data, 7, |i, chunk| {
+            for (j, v) in chunk.iter_mut().enumerate() {
+                *v = (i * 7 + j) as u64;
+            }
+        });
+        assert_eq!(data, (0..1000).collect::<Vec<u64>>());
+        // One chunk is not dispatched: the closure sees the caller's thread.
+        let caller = std::thread::current().id();
+        let mut one = vec![0u8; 16];
+        for_each_chunk(&mut one, 16, |i, chunk| {
+            assert_eq!((i, std::thread::current().id()), (0, caller));
+            chunk.fill(1);
+        });
+        assert_eq!(one, vec![1; 16]);
+        for_each_chunk(&mut [0u32; 0], 4, |_, _| panic!("nothing to run"));
+    }
 
     fn small() -> (CsrMatrix<f64>, DenseMatrix<f64>) {
         // A = [0 1; 2 3], X = [1 2; 3 4]

@@ -13,7 +13,7 @@
 
 use crate::layout::block_range;
 use crate::traits::{apply_sigma, binomial_children, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{CostModel, Group, Machine, MachineExec};
+use amd_comm::{CostModel, Group, Machine};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::sync::Arc;
@@ -45,7 +45,6 @@ pub struct A15dSpmm {
     tiles: Vec<Vec<(u32, CsrMatrix<f64>)>>,
     cost: CostModel,
     dtype: Dtype,
-    exec: MachineExec,
 }
 
 impl A15dSpmm {
@@ -90,19 +89,12 @@ impl A15dSpmm {
             tiles,
             cost: CostModel::default(),
             dtype: Dtype::default(),
-            exec: MachineExec::default(),
         })
     }
 
     /// Overrides the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Selects how machine ranks obtain threads (shared pool default).
-    pub fn with_exec(mut self, exec: MachineExec) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -128,10 +120,6 @@ impl A15dSpmm {
 }
 
 impl DistSpmm for A15dSpmm {
-    fn set_exec(&mut self, exec: MachineExec) {
-        self.exec = exec;
-    }
-
     fn name(&self) -> String {
         if self.c == 1 {
             format!("1D p={}", self.p)
@@ -157,9 +145,7 @@ impl DistSpmm for A15dSpmm {
             });
         }
         let k = x.cols();
-        let machine = Machine::new(self.p)
-            .with_cost(self.cost)
-            .with_exec_mode(self.exec.clone());
+        let machine = Machine::new(self.p).with_cost(self.cost);
         let report = machine.run(|ctx| {
             let rank = ctx.rank();
             let (i, j) = (rank / self.c, rank % self.c);

@@ -22,7 +22,7 @@
 
 use crate::layout::{block_range, even_ranges};
 use crate::traits::{apply_sigma, binomial_children, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{CostModel, Group, Machine, MachineExec};
+use amd_comm::{CostModel, Group, Machine};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::sync::Arc;
@@ -39,7 +39,6 @@ pub struct A2dSpmm {
     tiles: Vec<CsrMatrix<f64>>,
     cost: CostModel,
     dtype: Dtype,
-    exec: MachineExec,
 }
 
 impl A2dSpmm {
@@ -74,19 +73,12 @@ impl A2dSpmm {
             tiles,
             cost: CostModel::default(),
             dtype: Dtype::default(),
-            exec: MachineExec::default(),
         })
     }
 
     /// Overrides the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Selects how machine ranks obtain threads (shared pool default).
-    pub fn with_exec(mut self, exec: MachineExec) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -107,10 +99,6 @@ impl A2dSpmm {
 }
 
 impl DistSpmm for A2dSpmm {
-    fn set_exec(&mut self, exec: MachineExec) {
-        self.exec = exec;
-    }
-
     fn name(&self) -> String {
         format!("2D p={}", self.p)
     }
@@ -134,9 +122,7 @@ impl DistSpmm for A2dSpmm {
         let k = x.cols();
         let q = self.q;
         let col_ranges = even_ranges(k, q);
-        let machine = Machine::new(self.p)
-            .with_cost(self.cost)
-            .with_exec_mode(self.exec.clone());
+        let machine = Machine::new(self.p).with_cost(self.cost);
         let report = machine.run(|ctx| {
             let rank = ctx.rank();
             let (r, c) = (rank / q, rank % q);

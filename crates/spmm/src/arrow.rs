@@ -19,7 +19,7 @@
 
 use crate::layout::{block_count, block_range};
 use crate::traits::{apply_sigma, binomial_children, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{CostModel, Group, Machine, MachineExec, RankCtx};
+use amd_comm::{CostModel, Group, Machine, RankCtx};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{DenseMatrix, Dtype, SparseError, SparseResult};
 use arrow_core::{ArrowDecomposition, ArrowMatrix};
@@ -74,7 +74,6 @@ pub struct ArrowSpmm {
     level0_vertices: Vec<u32>,
     cost: CostModel,
     dtype: Dtype,
-    exec: MachineExec,
 }
 
 impl ArrowSpmm {
@@ -188,19 +187,12 @@ impl ArrowSpmm {
             level0_vertices,
             cost: CostModel::default(),
             dtype: Dtype::default(),
-            exec: MachineExec::default(),
         })
     }
 
     /// Overrides the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Selects how machine ranks obtain threads (shared pool default).
-    pub fn with_exec(mut self, exec: MachineExec) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -303,10 +295,6 @@ fn arrow_multiply(
 }
 
 impl DistSpmm for ArrowSpmm {
-    fn set_exec(&mut self, exec: MachineExec) {
-        self.exec = exec;
-    }
-
     fn name(&self) -> String {
         format!("Arrow b={} l={}", self.b, self.levels.len())
     }
@@ -330,9 +318,7 @@ impl DistSpmm for ArrowSpmm {
         let k = x.cols();
         let kk = k as usize;
         let l = self.levels.len();
-        let machine = Machine::new(self.total_ranks)
-            .with_cost(self.cost)
-            .with_exec_mode(self.exec.clone());
+        let machine = Machine::new(self.total_ranks).with_cost(self.cost);
         let report = machine.run(|ctx| {
             let rank = ctx.rank();
             let (j, my_i) = self.locate(rank);

@@ -13,9 +13,10 @@
 //! algorithms with — costed over the actual spliced level structure,
 //! since [`ArrowSpmm::predict_volume`] walks per-level active prefixes.
 //!
-//! Usage: call [`observe_cold`](ServingCostGuard::observe_cold) whenever a
-//! decomposition is built cold (bind, fallback refresh) to set the
-//! baseline, and [`splice_verdict`](ServingCostGuard::splice_verdict)
+//! Usage: record [`predicted_seconds`](ServingCostGuard::predicted_seconds)
+//! whenever a decomposition is built cold (bind, fallback refresh), seed
+//! the guard with it ([`with_baseline`](ServingCostGuard::with_baseline)),
+//! and ask for a [`splice_verdict`](ServingCostGuard::splice_verdict)
 //! after each spliced refresh. A [`SpliceVerdict`] with
 //! [`recompact`](SpliceVerdict::recompact) set means the predicted
 //! per-iteration serving time of the spliced decomposition exceeds the
@@ -84,14 +85,6 @@ impl ServingCostGuard {
             .predicted_seconds(&self.cost))
     }
 
-    /// Records `d` as the new cold baseline; returns its predicted
-    /// seconds.
-    pub fn observe_cold(&mut self, d: &ArrowDecomposition) -> SparseResult<f64> {
-        let s = self.predicted_seconds(d)?;
-        self.baseline_seconds = Some(s);
-        Ok(s)
-    }
-
     /// Checks a freshly spliced decomposition against the cold baseline.
     ///
     /// Without a recorded baseline (the prior came from a catalog reload,
@@ -111,11 +104,6 @@ impl ServingCostGuard {
             baseline_seconds: baseline,
             recompact: predicted > baseline * self.max_slowdown,
         })
-    }
-
-    /// The recorded cold baseline, if any.
-    pub fn baseline_seconds(&self) -> Option<f64> {
-        self.baseline_seconds
     }
 }
 
@@ -141,9 +129,10 @@ mod tests {
         let (d, _) =
             decompose_snapshot_incremental(&a, &cfg, 7, None, None, &IncrementalPolicy::default())
                 .unwrap();
-        let mut guard = ServingCostGuard::new(CostModel::default(), 8, 1.5);
-        let base = guard.observe_cold(&d).unwrap();
+        let guard = ServingCostGuard::new(CostModel::default(), 8, 1.5);
+        let base = guard.predicted_seconds(&d).unwrap();
         assert!(base > 0.0);
+        let mut guard = guard.with_baseline(base);
         // The unspliced decomposition trivially passes its own budget.
         let v = guard.splice_verdict(&d).unwrap();
         assert!(!v.recompact);
@@ -163,8 +152,9 @@ mod tests {
             ..Default::default()
         };
         let (mut d, _) = decompose_snapshot_incremental(&a, &cfg, 7, None, None, &policy).unwrap();
-        let mut guard = ServingCostGuard::new(CostModel::default(), 8, 1.0);
-        guard.observe_cold(&d).unwrap();
+        let guard = ServingCostGuard::new(CostModel::default(), 8, 1.0);
+        let base = guard.predicted_seconds(&d).unwrap();
+        let mut guard = guard.with_baseline(base);
         let mut tripped = false;
         for round in 0..6u64 {
             let touched: Vec<u32> = (0..20).map(|i| (round * 13 + i) as u32 % 400).collect();
@@ -200,6 +190,7 @@ mod tests {
         let mut guard = ServingCostGuard::new(CostModel::default(), 4, 1.2);
         let v = guard.splice_verdict(&d).unwrap();
         assert!(!v.recompact);
-        assert_eq!(guard.baseline_seconds(), Some(v.predicted_seconds));
+        let again = guard.splice_verdict(&d).unwrap();
+        assert_eq!(again.baseline_seconds, v.predicted_seconds);
     }
 }

@@ -14,7 +14,7 @@
 //! for the hub's part, which is the scaling failure the paper reports.
 
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{CostModel, Machine, MachineExec};
+use amd_comm::{CostModel, Machine};
 use amd_partition::Partition;
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{
@@ -40,7 +40,6 @@ pub struct Hp1dSpmm {
     serves: Vec<Vec<(u32, Vec<u32>)>>,
     cost: CostModel,
     dtype: Dtype,
-    exec: MachineExec,
 }
 
 impl Hp1dSpmm {
@@ -151,19 +150,12 @@ impl Hp1dSpmm {
             serves,
             cost: CostModel::default(),
             dtype: Dtype::default(),
-            exec: MachineExec::default(),
         })
     }
 
     /// Overrides the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Selects how machine ranks obtain threads (shared pool default).
-    pub fn with_exec(mut self, exec: MachineExec) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -194,10 +186,6 @@ impl Hp1dSpmm {
 }
 
 impl DistSpmm for Hp1dSpmm {
-    fn set_exec(&mut self, exec: MachineExec) {
-        self.exec = exec;
-    }
-
     fn name(&self) -> String {
         format!("HP-1D p={}", self.p)
     }
@@ -219,9 +207,7 @@ impl DistSpmm for Hp1dSpmm {
             });
         }
         let k = x.cols();
-        let machine = Machine::new(self.p)
-            .with_cost(self.cost)
-            .with_exec_mode(self.exec.clone());
+        let machine = Machine::new(self.p).with_cost(self.cost);
         let report = machine.run(|ctx| {
             let rank = ctx.rank();
             let (s, e) = (self.starts[rank as usize], self.starts[rank as usize + 1]);

@@ -1,6 +1,6 @@
 //! The common interface of the distributed SpMM algorithms.
 
-use amd_comm::{CostModel, MachineExec, MachineStats};
+use amd_comm::{CostModel, MachineStats};
 use amd_sparse::{DenseMatrix, SparseResult};
 
 /// Result of a distributed run.
@@ -110,12 +110,6 @@ pub trait DistSpmm {
     /// collective traffic follows the binomial-tree / ring shapes of
     /// `amd_comm::Group`.
     fn predict_volume(&self, k: u32) -> CommEstimate;
-
-    /// Selects how the algorithm's machine obtains rank threads (the
-    /// shared pool by default). The default body ignores the request so
-    /// the trait stays object-safe and simple test doubles need not
-    /// care.
-    fn set_exec(&mut self, _exec: MachineExec) {}
 }
 
 /// Applies an optional σ in place to a block buffer.

@@ -154,7 +154,7 @@ pub struct HubConfig {
     pub auto_refresh: bool,
     /// Rebuild in the background and swap on completion (`true`,
     /// default); `false` compacts synchronously inside the triggering
-    /// call, like the original single-tenant engine.
+    /// call, which then pays the rebuild's latency.
     pub async_refresh: bool,
     /// Shared refresh budget and worker-pool size.
     pub fairness: FairnessPolicy,
@@ -815,10 +815,10 @@ impl StreamHub {
         ((corrected - best) / entries).max(0.0)
     }
 
-    /// The synchronous path: compact in place, exactly like the original
-    /// single-tenant engine — the engine runs the refresh build inline
-    /// (on more than one rank that blocks for the decompose, incremental
-    /// when the prior and the touched set allow it).
+    /// The synchronous path: compact in place — the engine runs the
+    /// refresh build inline (on more than one rank that blocks for the
+    /// decompose, incremental when the prior and the touched set allow
+    /// it).
     fn sync_refresh(&mut self, tenant: TenantId) -> SparseResult<()> {
         let (old, merged, touched, delta_csr) = {
             let t = self.tenant(tenant)?;
@@ -1425,11 +1425,6 @@ impl StreamHub {
         Ok(t.delta.len() + t.inflight.as_ref().map_or(0, |f| f.captured.len()))
     }
 
-    /// Absolute mass `Σ |δ|` of the tenant's live delta.
-    pub fn delta_mass(&self, tenant: TenantId) -> SparseResult<f64> {
-        Ok(self.tenant(tenant)?.delta.mass())
-    }
-
     /// `true` once the tenant's live delta exceeds its budget.
     pub fn needs_refresh(&self, tenant: TenantId) -> SparseResult<bool> {
         Ok(self.tenant(tenant)?.needs_refresh())
@@ -1628,6 +1623,166 @@ mod tests {
         (0..n)
             .map(|r| (((salt + 3 * r) % 9) as f64) - 4.0)
             .collect()
+    }
+
+    /// One tenant, refreshes inline in the call that trips the budget.
+    fn sync_hub(a: CsrMatrix<f64>, cap: usize) -> (StreamHub, TenantId) {
+        let mut hub = StreamHub::new(HubConfig {
+            async_refresh: false,
+            ..config(cap)
+        })
+        .unwrap();
+        let t = hub.admit(a).unwrap();
+        (hub, t)
+    }
+
+    #[test]
+    fn corrected_serving_matches_merged_reference() {
+        let n = 40;
+        let (mut hub, t) = sync_hub(ring(n), 100);
+        for u in (Update::Add {
+            row: 0,
+            col: 20,
+            delta: 2.0,
+        })
+        .sym_pair()
+        {
+            hub.update(t, u).unwrap();
+        }
+        let x: Vec<f64> = (0..n).map(|r| ((r % 9) as f64) - 4.0).collect();
+        hub.submit(t, x.clone(), 2, None).unwrap();
+        let resp = hub.flush().unwrap();
+        let merged =
+            ops::apply_delta(hub.base(t).unwrap(), &hub.delta(t).unwrap().to_csr()).unwrap();
+        let xm = DenseMatrix::from_vec(n, 1, x).unwrap();
+        let want = iterated_spmm(&merged, &xm, 2).unwrap();
+        assert_eq!(resp[0].y, want.data());
+        assert_eq!(hub.engine_stats().corrected_runs, 1);
+        assert_eq!(hub.cache_stats().decompositions, 1, "no cold decompose");
+    }
+
+    #[test]
+    fn auto_refresh_trips_on_budget_and_rebinds() {
+        let n = 36;
+        let (mut hub, t) = sync_hub(ring(n), 4);
+        let id0 = hub.matrix_id(t).unwrap();
+        assert_eq!(hub.version(t).unwrap(), 0);
+        let mut refreshed = false;
+        for i in 0..6u32 {
+            refreshed = hub
+                .update(
+                    t,
+                    Update::Add {
+                        row: i,
+                        col: i + 10,
+                        delta: 1.0,
+                    },
+                )
+                .unwrap();
+            if refreshed {
+                break;
+            }
+        }
+        assert!(refreshed, "cap 4 must trip within 6 inserts");
+        assert_ne!(hub.matrix_id(t).unwrap(), id0);
+        assert_eq!(hub.version(t).unwrap(), 1);
+        assert_eq!(hub.delta_nnz(t).unwrap(), 0);
+        assert_eq!(hub.engine_stats().refreshes, 1);
+        // The refresh pays no second cold LA-Decompose: the
+        // decomposition is spliced (or rebuilt) outside the cache and
+        // admitted, so `decompositions` stays at the admission's one.
+        assert_eq!(hub.cache_stats().decompositions, 1, "cold admission only");
+        assert_eq!(hub.cache_stats().admitted, 1, "refresh admitted its result");
+        // Post-refresh serving is the plain base path.
+        let x: Vec<f64> = vec![1.0; n as usize];
+        hub.run_single(t, x, 1, None).unwrap();
+        assert_eq!(hub.engine_stats().corrected_runs, 0);
+    }
+
+    #[test]
+    fn manual_refresh_mode_reports_pressure() {
+        let n = 24;
+        let mut hub = StreamHub::new(HubConfig {
+            async_refresh: false,
+            auto_refresh: false,
+            ..config(2)
+        })
+        .unwrap();
+        let t = hub.admit(ring(n)).unwrap();
+        for i in 0..3u32 {
+            hub.update(
+                t,
+                Update::Add {
+                    row: i,
+                    col: i + 7,
+                    delta: 1.0,
+                },
+            )
+            .unwrap();
+        }
+        assert!(hub.needs_refresh(t).unwrap());
+        assert_eq!(hub.engine_stats().refreshes, 0, "no auto refresh");
+        assert!(hub.refresh(t).unwrap());
+        assert!(!hub.needs_refresh(t).unwrap());
+        assert_eq!(hub.version(t).unwrap(), 1);
+        // Refreshing again with no pending delta is a no-op.
+        assert!(!hub.refresh(t).unwrap());
+        assert_eq!(hub.version(t).unwrap(), 1);
+    }
+
+    #[test]
+    fn set_and_remove_edges_through_the_stream() {
+        let n = 30;
+        let (mut hub, t) = sync_hub(ring(n), 100);
+        // Remove the (0,1)/(1,0) edge and re-weight (2,3).
+        for u in (Update::Set {
+            row: 0,
+            col: 1,
+            value: 0.0,
+        })
+        .sym_pair()
+        {
+            hub.update(t, u).unwrap();
+        }
+        for u in (Update::Set {
+            row: 2,
+            col: 3,
+            value: 4.0,
+        })
+        .sym_pair()
+        {
+            hub.update(t, u).unwrap();
+        }
+        let x: Vec<f64> = (0..n).map(|r| (r % 3) as f64).collect();
+        let resp = hub.run_single(t, x.clone(), 1, None).unwrap();
+        let mut want_m = ring(n);
+        *want_m.get_mut(0, 1).unwrap() = 0.0;
+        *want_m.get_mut(1, 0).unwrap() = 0.0;
+        *want_m.get_mut(2, 3).unwrap() = 4.0;
+        *want_m.get_mut(3, 2).unwrap() = 4.0;
+        let xm = DenseMatrix::from_vec(n, 1, x).unwrap();
+        let want = iterated_spmm(&want_m, &xm, 1).unwrap();
+        assert_eq!(resp.y, want.data());
+        // After refresh the removed edge leaves the structure entirely.
+        hub.refresh(t).unwrap();
+        assert_eq!(hub.base(t).unwrap().get(0, 1), 0.0);
+        assert_eq!(hub.base(t).unwrap().nnz(), ring(n).nnz() - 2);
+    }
+
+    #[test]
+    fn updates_out_of_bounds_rejected() {
+        let n = 16;
+        let (mut hub, t) = sync_hub(ring(n), 8);
+        assert!(hub
+            .update(
+                t,
+                Update::Add {
+                    row: n,
+                    col: 0,
+                    delta: 1.0
+                }
+            )
+            .is_err());
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //! * multiplies are answered as arrow-SpMM on `A₀` plus a per-iteration
 //!   delta correction (see [`amd_spmm::DeltaSpmm`]) — exact under the
 //!   subsystem's fixed reduction order,
-//! * value-only updates to stored entries can bypass the delta entirely
-//!   and patch the decomposition in place
-//!   ([`arrow_core::ArrowDecomposition::patch_values`]),
 //! * delta size/mass is tracked against a configurable
 //!   [`StalenessBudget`]; when it trips, a background-style **refresh**
 //!   compacts `ΔA` into `A₀`, bumps the version and re-ranks the
@@ -24,64 +21,53 @@
 //!   through to the persist layer; on one rank, whose plan reads no
 //!   decomposition, without.
 //!
-//! Three entry points:
-//!
-//! * [`DynamicMatrix`] — the self-contained kernel object (base +
-//!   decomposition + delta), sequential corrected multiply, catalog
-//!   version-chain persistence with point-in-time
-//!   [`restore_at`](DynamicMatrix::restore_at), and a measured-signal
-//!   adaptive budget. Use it for library/batch workloads.
-//! * [`StreamHub`] — the multi-tenant serving hub around
-//!   [`amd_engine::Engine`]: many mutating matrices behind one engine,
-//!   per-tenant budgets and [`Session`] handles, **double-buffered
-//!   background refresh** (a worker thread merges, fingerprints and —
-//!   on more than one rank — decomposes the next base while the old
-//!   binding + delta overlay keeps serving; the swap commits at the
-//!   next poll point), FIFO fairness under a shared
-//!   refresh budget, delta-aware early rebinds, and the full tenant
-//!   **lifecycle**: per-tenant flush, [`evict`](StreamHub::evict) with
-//!   catalog garbage collection, and idle eviction. Use it to serve
-//!   traffic.
-//! * [`StreamingEngine`] — the original single-tenant API, kept as a
-//!   thin wrapper over a one-tenant hub with synchronous refresh.
+//! One entry point: [`StreamHub`], the multi-tenant serving hub around
+//! [`amd_engine::Engine`] — many mutating matrices behind one engine,
+//! per-tenant budgets and [`Session`] handles, **double-buffered
+//! background refresh** (a worker thread merges, fingerprints and — on
+//! more than one rank — decomposes the next base while the old binding +
+//! delta overlay keeps serving; the swap commits at the next poll
+//! point), FIFO fairness under a shared refresh budget, delta-aware
+//! early rebinds, and the full tenant **lifecycle**: per-tenant flush,
+//! [`evict`](StreamHub::evict) with catalog garbage collection, and idle
+//! eviction. One mutating matrix is a hub with one tenant; with
+//! [`HubConfig::async_refresh`] off, a budget trip compacts inline in
+//! the call that tripped it.
 //!
 //! ```
 //! use amd_graph::generators::basic;
 //! use amd_sparse::CsrMatrix;
-//! use amd_stream::{StalenessBudget, StreamingConfig, StreamingEngine, Update};
+//! use amd_stream::{HubConfig, StalenessBudget, StreamHub, Update};
 //!
 //! let a: CsrMatrix<f64> = basic::cycle(64).to_adjacency();
 //! // A 4-rank deployment: the matrix is decomposed, once, at admission.
 //! // (The default is one rank, which decomposes nothing.)
-//! let mut config = StreamingConfig::with_budget(StalenessBudget::nnz_cap(8));
+//! let mut config = HubConfig::with_budget(StalenessBudget::nnz_cap(8));
 //! config.engine.target_ranks = 4;
-//! let mut s = StreamingEngine::new(a, config).unwrap();
+//! let mut hub = StreamHub::new(config).unwrap();
+//! let t = hub.admit(a).unwrap();
 //! // Mutate the graph between queries: add a chord.
 //! for u in (Update::Add { row: 0, col: 32, delta: 1.0 }).sym_pair() {
-//!     s.update(u).unwrap();
+//!     hub.update(t, u).unwrap();
 //! }
 //! // Queries keep flowing — served as A₀ + ΔA, zero re-decompositions.
-//! s.submit(vec![1.0; 64], 2, None).unwrap();
-//! let answers = s.flush().unwrap();
+//! hub.submit(t, vec![1.0; 64], 2, None).unwrap();
+//! let answers = hub.flush().unwrap();
 //! assert_eq!(answers.len(), 1);
-//! assert_eq!(s.cache_stats().decompositions, 1);
-//! assert_eq!(s.engine_stats().corrected_runs, 1);
+//! assert_eq!(hub.cache_stats().decompositions, 1);
+//! assert_eq!(hub.engine_stats().corrected_runs, 1);
 //! ```
 
 pub mod budget;
-pub mod dynamic;
 pub mod hub;
-pub mod session;
 pub mod splice;
 pub mod update;
 mod worker;
 
 pub use budget::{AdaptiveBudget, StalenessBudget};
-pub use dynamic::{DynamicConfig, DynamicMatrix, StreamStats};
 pub use hub::{
     FairnessPolicy, HubConfig, HubStats, ReRankPolicy, Session, StreamHub, TenantId, TenantStats,
 };
-pub use session::{StreamingConfig, StreamingEngine};
 pub use splice::SpliceStats;
 pub use update::Update;
 

@@ -1,11 +1,9 @@
 //! Shared incremental-refresh (splice) counters.
 //!
-//! Every holder of a refreshing decomposition — [`DynamicMatrix`]
-//! per-instance, [`StreamHub`] per-tenant and hub-wide — folds
-//! [`RefreshOutcome`]s the same way; this is the single definition of
-//! that fold so the accounting cannot diverge between serving layers.
+//! [`StreamHub`] folds [`RefreshOutcome`]s per tenant and hub-wide the
+//! same way; this is the single definition of that fold so the two
+//! sets of counters cannot diverge.
 //!
-//! [`DynamicMatrix`]: crate::DynamicMatrix
 //! [`StreamHub`]: crate::StreamHub
 
 use amd_obs::{Counter, Registry};

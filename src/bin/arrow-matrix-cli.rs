@@ -95,7 +95,7 @@
 use arrow_matrix::comm::CostModel;
 use arrow_matrix::core::catalog::RetainPolicy;
 use arrow_matrix::core::stats::DecompositionStats;
-use arrow_matrix::core::{la_decompose, Catalog, DecomposeConfig, RandomForestLa};
+use arrow_matrix::core::{la_decompose, Catalog, CatalogMeta, DecomposeConfig, RandomForestLa};
 use arrow_matrix::engine::{AttributionMetrics, RunAttribution};
 use arrow_matrix::engine::{Engine, EngineConfig, MultiplyQuery};
 use arrow_matrix::graph::degree::DegreeStats;
@@ -335,7 +335,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     };
     let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
     println!(
-        "{:<8} {:>6} {:>14} {:>14} {:>10} {:>9} {:>9} {:>15} {:>11} {:>9}",
+        "{:<8} {:>6} {:>14} {:>14} {:>10} {:>9} {:>9} {:>15} {:>11}",
         "algo",
         "runs",
         "predicted MiB",
@@ -344,8 +344,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         "max err",
         "checks",
         "rank-agreement",
-        "wall ms/run",
-        "meas β"
+        "wall ms/run"
     );
     for slug in &slugs {
         let name = |leaf: &str| format!("engine.algo.{slug}.{leaf}");
@@ -364,23 +363,13 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         } else {
             "n/a".to_string()
         };
-        // Calibration: measured wall per run, and the effective
-        // measured per-byte cost (wall seconds over accounted bytes)
-        // that a host-calibrated cost model would use as β.
-        let wall_nanos = num(&name("wall_nanos"));
         let wall_ms_per_run = if runs > 0 {
-            wall_nanos as f64 / runs as f64 / 1e6
+            num(&name("wall_nanos")) as f64 / runs as f64 / 1e6
         } else {
             0.0
         };
-        let accounted = num(&name("accounted_bytes"));
-        let measured_beta = if wall_nanos > 0 && accounted > 0 {
-            format!("{:.1e}", wall_nanos as f64 / 1e9 / accounted as f64)
-        } else {
-            "n/a".to_string()
-        };
         println!(
-            "{:<8} {:>6} {:>14.3} {:>14.3} {:>9.1}% {:>8.1}% {:>9} {:>15} {:>11.3} {:>9}",
+            "{:<8} {:>6} {:>14.3} {:>14.3} {:>9.1}% {:>8.1}% {:>9} {:>15} {:>11.3}",
             slug,
             runs,
             mib(num(&name("predicted_bytes"))),
@@ -389,8 +378,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             max_err,
             checks,
             agreement,
-            wall_ms_per_run,
-            measured_beta
+            wall_ms_per_run
         );
     }
     let predicted = num("engine.plan.predicted_bytes");
@@ -421,38 +409,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             String::new()
         }
     );
-    // Calibration summary: the model's configured β against the
-    // measured effective per-byte cost over all runs.
-    let total_wall_nanos: u64 = slugs
-        .iter()
-        .map(|slug| num(&format!("engine.algo.{slug}.wall_nanos")))
-        .sum();
-    if total_wall_nanos > 0 && accounted > 0 {
-        let measured_beta = total_wall_nanos as f64 / 1e9 / accounted as f64;
-        let model = doc
-            .get("engine.cost.beta_femtos")
-            .and_then(JsonValue::as_u64)
-            .map(|f| {
-                let model_beta = f as f64 / 1e15;
-                if model_beta > 0.0 {
-                    format!(
-                        ", model β = {:.1e} s/B (measured/model = {:.2})",
-                        model_beta,
-                        measured_beta / model_beta
-                    )
-                } else {
-                    String::new()
-                }
-            })
-            .unwrap_or_default();
-        println!(
-            "calib   : measured wall = {:.3} ms over {:.3} MiB accounted → effective β = {:.1e} s/B{}",
-            total_wall_nanos as f64 / 1e6,
-            mib(accounted),
-            measured_beta,
-            model
-        );
-    }
     if let Some(bytes) = doc.get("engine.dtype_bytes").and_then(JsonValue::as_u64) {
         let dtype = if bytes == 4 { "f32" } else { "f64" };
         let prefix = doc
@@ -648,23 +604,26 @@ fn cmd_decompose(args: &[String]) -> Result<(), String> {
         .first()
         .map_or(Ok(42), |s| s.parse())
         .map_err(|e| format!("bad seed: {e}"))?;
+    let config = DecomposeConfig::with_width(b);
     let t0 = Stopwatch::start();
-    let d = la_decompose(
-        &a,
-        &DecomposeConfig::with_width(b),
-        &mut RandomForestLa::new(seed),
-    )
-    .map_err(|e| e.to_string())?;
+    let d = la_decompose(&a, &config, &mut RandomForestLa::new(seed)).map_err(|e| e.to_string())?;
     let elapsed = t0.elapsed_seconds();
     let err = d.validate(&a).map_err(|e| e.to_string())?;
     if err != 0.0 {
         return Err(format!("reconstruction error {err} — refusing to save"));
     }
     let stats = DecompositionStats::of(&d);
-    // One-shot files go through the catalog's file helpers (versioned
-    // header), so a later `Catalog::import_legacy_dir` re-identifies
-    // them without reconstruction.
-    Catalog::save_file(out, &d, a.fingerprint(), 0).map_err(|e| e.to_string())?;
+    // A one-shot file is a catalog payload outside a catalog: a chain
+    // root with the identity `multiply` checks its matrix against.
+    let meta = CatalogMeta {
+        fingerprint: a.fingerprint(),
+        version: 0,
+        parent: 0,
+        created_at: 0,
+        seed,
+        config,
+    };
+    Catalog::save_file(out, &d, &meta).map_err(|e| e.to_string())?;
     println!(
         "decomposed {input} in {:.1} ms: order = {}, b = {b}, \
          compaction factor = {:.2}, second-level nonzero rows = {:.2}% of n, \
@@ -759,11 +718,13 @@ fn cmd_multiply(args: &[String]) -> Result<(), String> {
             .into());
     };
     let a = load_matrix(input)?;
-    let (d, _) = Catalog::load_file(damd).map_err(|e| e.to_string())?;
-    if d.n() != a.rows() {
+    let (d, meta) = Catalog::load_file(damd).map_err(|e| format!("{damd}: {e}"))?;
+    if meta.fingerprint != a.fingerprint() {
         return Err(format!(
-            "decomposition is for n = {}, matrix has n = {}",
+            "{damd}: decomposition is for matrix {:032x} (n = {}), {input} is {:032x} (n = {})",
+            meta.fingerprint,
             d.n(),
+            a.fingerprint(),
             a.rows()
         ));
     }
@@ -1196,12 +1157,11 @@ fn cmd_catalog(args: &[String]) -> Result<(), String> {
             );
             println!(
                 "io     : puts = {}, loads = {}, load failures = {}, gc-removed = {}, \
-                 imported = {}, recovered = {}",
+                 recovered = {}",
                 stats.puts,
                 stats.loads,
                 stats.load_failures,
                 stats.removed,
-                stats.imported,
                 stats.recovered_records
             );
             Ok(())
@@ -1244,8 +1204,7 @@ fn cmd_catalog(args: &[String]) -> Result<(), String> {
                     "no version {version} reachable from {fp:032x} in {dir}"
                 ));
             };
-            Catalog::save_file(out, &d, record.fingerprint, record.version)
-                .map_err(|e| e.to_string())?;
+            Catalog::save_file(out, &d, &record.meta()).map_err(|e| e.to_string())?;
             println!(
                 "restored {:032x} v{} (b = {}, created = {}) -> {out}",
                 record.fingerprint, record.version, record.config.arrow_width, record.created_at

@@ -16,12 +16,13 @@
 //!   high-degree pruning, arrow matrices, decomposition statistics) and
 //!   the **versioned persistence catalog** (`core::catalog`): one
 //!   crash-safe on-disk directory of `fingerprint → version chain`
-//!   manifests shared by every serving layer, with point-in-time
-//!   restore, garbage collection, and legacy spill migration.
+//!   manifests and checksummed AMD3 payloads — the one on-disk format —
+//!   shared by every serving layer, with point-in-time restore and
+//!   garbage collection.
 //! * [`comm`] — the message-passing machine with α-β cost accounting.
 //! * [`exec`] — the persistent work-stealing executor: one shared
 //!   thread pool for machine ranks (cached blocking rank slots),
-//!   data-parallel kernel chunks (via the vendored `rayon` facade), and
+//!   data-parallel kernel chunks (the sparse kernels' row blocks), and
 //!   the refresh worker's decompose. Sized once per process
 //!   (`--threads N` / `AMD_EXEC_THREADS` / `available_parallelism`);
 //!   results never depend on the pool size.
@@ -31,8 +32,8 @@
 //!   A-stationary, HP-1D), each with a [`predict_volume`]
 //!   hook deriving per-iteration cost from the planned distribution.
 //! * [`engine`] — the batched SpMM **serving engine**: an LRU
-//!   decomposition cache keyed by content fingerprint (with disk spill
-//!   via `core::persist`, so warm restarts skip LA-Decompose), a request
+//!   decomposition cache keyed by content fingerprint (written through
+//!   to the catalog, so warm restarts skip LA-Decompose), a request
 //!   batcher coalescing concurrent multiply queries into multi-RHS runs,
 //!   and a cost-model planner that binds the cheapest algorithm per
 //!   matrix. See `examples/serving.rs` for a throughput demonstration
@@ -40,8 +41,8 @@
 //! * [`stream`] — the **streaming-update subsystem**: a served matrix
 //!   becomes `A₀ + ΔA` (decomposed base + sparse delta), multiplies are
 //!   answered through a per-iteration delta correction without
-//!   re-decomposing. The multi-tenant `StreamHub` serves many mutating
-//!   matrices behind one engine with per-tenant staleness budgets,
+//!   re-decomposing. `StreamHub`, the one streaming holder, serves many
+//!   mutating matrices behind one engine with per-tenant staleness budgets,
 //!   **double-buffered background refresh** (a worker thread decomposes
 //!   the merged snapshot while the old binding + overlay keeps serving),
 //!   FIFO fairness under a shared refresh budget, delta-aware early

@@ -5,7 +5,6 @@
 //! the process-wide failpoint table is never shared with other tests.
 
 use arrow_matrix::chaos::{failpoint, generators, FaultPlan, ScenarioTrace, TraceOp};
-use arrow_matrix::comm::MachineExec;
 use arrow_matrix::engine::EngineConfig;
 use arrow_matrix::scenario::{self, Expectation};
 use arrow_matrix::sparse::{CooMatrix, CsrMatrix};
@@ -65,18 +64,19 @@ fn builtin_scenarios_pass_end_to_end() {
     }
 }
 
-/// End-to-end execution determinism: the same chaos trace served by a
-/// hub on the shared `amd-exec` pool bit-matches a hub that spawns a
-/// fresh thread per machine rank. The simulated clocks are purely
-/// logical, so pooled execution must be invisible in every answer.
+/// End-to-end execution determinism: two replays of the same chaos
+/// trace, each by a fresh hub on the shared `amd-exec` pool, answer
+/// bit-identically. The simulated clocks are purely logical, so which
+/// pool thread runs which rank — different on every replay — must be
+/// invisible in every answer.
 #[test]
-fn chaos_trace_is_bit_identical_pooled_vs_spawn_per_run() {
+fn chaos_trace_replays_bit_identically_on_the_pool() {
     failpoint::quiet_injected_panics();
     // Injects nothing; keeps the scenario tests' plans (a worker kill,
     // a catalog crash) away from this test's refresh workers.
     let _faults = FaultPlan::new(0).arm();
     let trace = generators::zipf_tenant_skew(48, 4, 3, 4, 1.3, 23);
-    let replay = |exec: MachineExec| -> Vec<Vec<f64>> {
+    let replay = || -> Vec<Vec<f64>> {
         let n = trace.n as u32;
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -91,8 +91,7 @@ fn chaos_trace_is_bit_identical_pooled_vs_spawn_per_run() {
                 // Rank threads only exist on a distributed deployment.
                 target_ranks: 16,
                 ..EngineConfig::default()
-            }
-            .with_exec(exec),
+            },
             budget: StalenessBudget::nnz_fraction(1e9),
             auto_refresh: false,
             async_refresh: true,
@@ -152,13 +151,13 @@ fn chaos_trace_is_bit_identical_pooled_vs_spawn_per_run() {
         hub.wait_refreshes().unwrap();
         answers
     };
-    let pooled = replay(MachineExec::Global);
-    let spawned = replay(MachineExec::SpawnPerRun);
-    assert_eq!(pooled.len(), spawned.len());
-    for (q, (p, s)) in pooled.iter().zip(&spawned).enumerate() {
-        let pb: Vec<u64> = p.iter().map(|v| v.to_bits()).collect();
-        let sb: Vec<u64> = s.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(pb, sb, "query {q} answers must bit-match across exec modes");
+    let first = replay();
+    let second = replay();
+    assert_eq!(first.len(), second.len());
+    for (q, (a, b)) in first.iter().zip(&second).enumerate() {
+        let ab: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
+        let bb: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(ab, bb, "query {q} answers must bit-match across replays");
     }
 }
 

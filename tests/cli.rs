@@ -438,6 +438,79 @@ fn unknown_dataset_fails_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown dataset"));
 }
 
+/// Generates an `osm` matrix of `n` vertices from `seed` and decomposes
+/// it at width 64; returns the two paths.
+fn generated_and_decomposed(name: &str, n: &str, seed: &str) -> (PathBuf, PathBuf) {
+    let mtx = tmp(&format!("{name}.mtx"));
+    let amd = tmp(&format!("{name}.amd"));
+    let (mtx_s, amd_s) = (mtx.to_str().unwrap(), amd.to_str().unwrap());
+    assert!(cli()
+        .args(["generate", "osm", n, mtx_s, seed])
+        .output()
+        .unwrap()
+        .status
+        .success());
+    assert!(cli()
+        .args(["decompose", mtx_s, "64", amd_s])
+        .output()
+        .unwrap()
+        .status
+        .success());
+    (mtx, amd)
+}
+
+/// `multiply` exits 1 with a one-line error containing `needle`.
+fn assert_multiply_refuses(mtx: &std::path::Path, amd: &std::path::Path, needle: &str) {
+    let out = cli()
+        .args(["multiply", mtx.to_str().unwrap(), amd.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains(needle), "stderr: {err}");
+    assert_eq!(err.trim_end().lines().count(), 1, "one-line error: {err}");
+}
+
+#[test]
+fn multiply_refuses_a_torn_decomposition_file() {
+    let (mtx, amd) = generated_and_decomposed("torn", "600", "3");
+    let whole = std::fs::read(&amd).unwrap();
+    // Cut mid-payload, and cut exactly at the checksum footer: every
+    // level byte present, nothing to vouch for them.
+    for keep in [whole.len() / 2, whole.len() - 8] {
+        std::fs::write(&amd, &whole[..keep]).unwrap();
+        assert_multiply_refuses(&mtx, &amd, "checksum");
+    }
+    // One flipped payload bit.
+    let mut flipped = whole.clone();
+    flipped[whole.len() / 2] ^= 0x10;
+    std::fs::write(&amd, &flipped).unwrap();
+    assert_multiply_refuses(&mtx, &amd, "checksum mismatch");
+    // The intact file still multiplies.
+    std::fs::write(&amd, &whole).unwrap();
+    let out = cli()
+        .args(["multiply", mtx.to_str().unwrap(), amd.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for f in [mtx, amd] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
+fn multiply_refuses_the_decomposition_of_another_matrix_of_the_same_size() {
+    // Same generator, same n, another seed: only the recorded
+    // fingerprint tells the two apart.
+    let (mtx_a, amd_a) = generated_and_decomposed("same-n-a", "600", "3");
+    let (mtx_b, amd_b) = generated_and_decomposed("same-n-b", "600", "4");
+    assert_multiply_refuses(&mtx_b, &amd_a, "decomposition is for");
+    assert_multiply_refuses(&mtx_a, &amd_b, "decomposition is for");
+    for f in [mtx_a, amd_a, mtx_b, amd_b] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
 #[test]
 fn missing_file_fails_cleanly() {
     let out = cli()
@@ -574,13 +647,10 @@ fn report_renders_the_calibration_table() {
         text.contains("held up in 100.0% of checked runs"),
         "rank agreement on a static serve workload: {text}"
     );
-    // Calibration columns: measured wall per run and the effective
-    // measured per-byte cost, with the model-β comparison line.
+    // Measured wall per run sits beside the volumes; no per-byte cost
+    // is fitted from it.
     assert!(text.contains("wall ms/run"), "calibration header: {text}");
-    assert!(
-        text.contains("effective β"),
-        "measured-β calibration line: {text}"
-    );
+    assert!(!text.contains('β'), "no measured-β column or line: {text}");
     assert!(
         text.contains("predicted/accounted = 1.000"),
         "volume prediction calibrated: {text}"

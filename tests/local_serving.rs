@@ -8,13 +8,13 @@
 //!
 //! Lives in a test binary of its own: `amd_exec::global().stats()` is
 //! process-wide, so the "no rank run happened" check only means something
-//! where no other test runs ranks on the global pool — the 16-rank hubs
-//! of this file spawn their rank threads per run instead. The failpoint
+//! while no other test runs ranks on the global pool. The failpoint
 //! table is process-wide too: every hub test holds a fault-plan guard
-//! for its whole body, so one test's worker kill cannot land in another.
+//! for its whole body, so one test's worker kill cannot land in another
+//! — and the rank-run check holds one as well, which keeps the 16-rank
+//! hubs of this file off the pool while it counts.
 
 use arrow_matrix::chaos::{failpoint, FaultPlan};
-use arrow_matrix::comm::MachineExec;
 use arrow_matrix::engine::{Engine, EngineConfig, MatrixId, MultiplyQuery};
 use arrow_matrix::graph::generators::rmat;
 use arrow_matrix::sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix};
@@ -66,6 +66,7 @@ fn query(matrix: MatrixId, x: Vec<f64>, iters: u32) -> MultiplyQuery {
 
 #[test]
 fn default_engine_binds_local_and_runs_no_ranks() {
+    let _exclusive = FaultPlan::new(0).arm();
     let a = matrix();
     let mut engine = Engine::new(EngineConfig::default()).unwrap();
     let id = engine.register(&a).unwrap();
@@ -195,8 +196,7 @@ fn hub(target_ranks: u32, catalog: &Path) -> StreamHub {
             target_ranks,
             spill_dir: Some(catalog.to_path_buf()),
             ..EngineConfig::default()
-        }
-        .with_exec(MachineExec::SpawnPerRun),
+        },
         budget: StalenessBudget::nnz_fraction(1e9),
         auto_refresh: false,
         async_refresh: true,

@@ -14,11 +14,12 @@ use arrow_matrix::graph::generators::datasets::DatasetKind;
 use arrow_matrix::sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix};
 use arrow_matrix::spmm::reference::iterated_spmm;
 use arrow_matrix::stream::{
-    DynamicConfig, DynamicMatrix, StalenessBudget, StreamingConfig, StreamingEngine, Update,
+    AdaptiveBudget, HubConfig, IncrementalPolicy, StalenessBudget, StreamHub, TenantId, Update,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::time::Duration;
 
 fn dataset(n: u32) -> CsrMatrix<f64> {
     let mut rng = ChaCha8Rng::seed_from_u64(0xBEEF);
@@ -38,6 +39,20 @@ fn chord_delta(a: &CsrMatrix<f64>, chords: u32) -> CsrMatrix<f64> {
         }
     }
     coo.to_csr()
+}
+
+/// One tenant on an 8-rank deployment, refreshing inline in the update
+/// that trips the `cap`-entry budget.
+fn one_tenant_sync_hub(a: CsrMatrix<f64>, cap: usize) -> (StreamHub, TenantId) {
+    let mut hub = StreamHub::new(HubConfig {
+        engine: hub_engine_config(),
+        budget: StalenessBudget::nnz_cap(cap),
+        async_refresh: false,
+        ..HubConfig::default()
+    })
+    .unwrap();
+    let t = hub.admit(a).unwrap();
+    (hub, t)
 }
 
 #[test]
@@ -103,19 +118,7 @@ fn warm_engine_absorbs_stream_with_zero_cold_decomposes_until_budget_trips() {
     let n = 600;
     let a = dataset(n);
     let cap = 12;
-    let mut s = StreamingEngine::new(
-        a.clone(),
-        StreamingConfig {
-            engine: EngineConfig {
-                arrow_width: 64,
-                target_ranks: 8,
-                ..EngineConfig::default()
-            },
-            budget: StalenessBudget::nnz_cap(cap),
-            auto_refresh: true,
-        },
-    )
-    .unwrap();
+    let (mut s, t) = one_tenant_sync_hub(a.clone(), cap);
     assert_eq!(s.cache_stats().decompositions, 1, "one cold decompose");
 
     let mut truth = a;
@@ -137,11 +140,11 @@ fn warm_engine_absorbs_stream_with_zero_cold_decomposes_until_budget_trips() {
         })
         .sym_pair()
         {
-            tripped |= s.update(part).unwrap();
+            tripped |= s.update(t, part).unwrap();
         }
         // Serve (and verify) between mutations.
         let x: Vec<f64> = (0..n).map(|r| (((i + r) % 7) as f64) - 3.0).collect();
-        let resp = s.run_single(x.clone(), 2, None).unwrap();
+        let resp = s.run_single(t, x.clone(), 2, None).unwrap();
         let xm = DenseMatrix::from_vec(n, 1, x).unwrap();
         let want = iterated_spmm(&truth, &xm, 2).unwrap();
         assert_eq!(resp.y, want.data(), "answer after mutation {i}");
@@ -153,7 +156,7 @@ fn warm_engine_absorbs_stream_with_zero_cold_decomposes_until_budget_trips() {
                 "below budget the warm engine must not decompose (mutation {i})"
             );
             assert_eq!(s.engine_stats().refreshes, 0);
-            assert!(s.delta_nnz() <= cap);
+            assert!(s.delta_nnz(t).unwrap() <= cap);
         } else {
             break;
         }
@@ -171,23 +174,23 @@ fn warm_engine_absorbs_stream_with_zero_cold_decomposes_until_budget_trips() {
         1,
         "refresh admits exactly one decomposition"
     );
-    assert_eq!(s.version(), 1);
+    assert_eq!(s.version(t).unwrap(), 1);
     // The budget can trip on the first half of a symmetric pair, leaving
     // the mirror entry pending — but never more than that.
     assert!(
-        s.delta_nnz() <= 1,
+        s.delta_nnz(t).unwrap() <= 1,
         "compaction must drain the delta (left {})",
-        s.delta_nnz()
+        s.delta_nnz(t).unwrap()
     );
     assert_eq!(
-        ops::apply_delta(s.base(), &s.delta().to_csr()).unwrap(),
+        ops::apply_delta(s.base(t).unwrap(), &s.delta(t).unwrap().to_csr()).unwrap(),
         truth,
         "base + pending delta equals the mutated truth"
     );
 
     // The stream keeps serving correctly after the refresh, warm again.
     let x: Vec<f64> = (0..n).map(|r| ((r % 5) as f64) - 2.0).collect();
-    let resp = s.run_single(x.clone(), 1, None).unwrap();
+    let resp = s.run_single(t, x.clone(), 1, None).unwrap();
     let xm = DenseMatrix::from_vec(n, 1, x).unwrap();
     assert_eq!(resp.y, iterated_spmm(&truth, &xm, 1).unwrap().data());
     assert_eq!(s.cache_stats().decompositions, 1, "still no cold decompose");
@@ -200,21 +203,10 @@ fn planner_reranks_after_refresh() {
     // the bound algorithm is the cheapest of them.
     let n = 500;
     let a = dataset(n);
-    let mut s = StreamingEngine::new(
-        a,
-        StreamingConfig {
-            engine: EngineConfig {
-                arrow_width: 64,
-                target_ranks: 8,
-                ..EngineConfig::default()
-            },
-            budget: StalenessBudget::nnz_cap(4),
-            auto_refresh: true,
-        },
-    )
-    .unwrap();
+    let (mut s, t) = one_tenant_sync_hub(a, 4);
     let report_before: Vec<(String, f64)> = s
-        .plan_report()
+        .plan_report(t)
+        .unwrap()
         .iter()
         .map(|p| (p.name.clone(), p.seconds))
         .collect();
@@ -227,7 +219,7 @@ fn planner_reranks_after_refresh() {
         })
         .sym_pair()
         {
-            done |= s.update(part).unwrap();
+            done |= s.update(t, part).unwrap();
         }
         if done {
             break;
@@ -235,7 +227,8 @@ fn planner_reranks_after_refresh() {
     }
     assert!(done);
     let report_after: Vec<(String, f64)> = s
-        .plan_report()
+        .plan_report(t)
+        .unwrap()
         .iter()
         .map(|p| (p.name.clone(), p.seconds))
         .collect();
@@ -248,7 +241,7 @@ fn planner_reranks_after_refresh() {
         report_before, report_after,
         "the merged structure must re-score the candidates"
     );
-    assert_eq!(s.chosen_algorithm(), report_after[0].0);
+    assert_eq!(s.chosen_algorithm(t).unwrap(), report_after[0].0);
 }
 
 /// A compact encoding of a random update: target coordinates (reduced
@@ -264,86 +257,122 @@ fn updates_strategy() -> impl Strategy<Value = (u32, Vec<RawUpdate>)> {
     })
 }
 
+/// A hub over the `n`-ring that never refreshes on its own, with the
+/// raw update stream applied to its one tenant.
+fn hub_after_updates(n: u32, target_ranks: u32, raw: &[RawUpdate]) -> (StreamHub, TenantId) {
+    let a: CsrMatrix<f64> = arrow_matrix::graph::generators::basic::cycle(n).to_adjacency();
+    let mut hub = StreamHub::new(HubConfig {
+        engine: EngineConfig {
+            arrow_width: 8,
+            target_ranks,
+            ..EngineConfig::default()
+        },
+        auto_refresh: false,
+        async_refresh: false,
+        ..HubConfig::default()
+    })
+    .unwrap();
+    let t = hub.admit(a).unwrap();
+    for &(row, col, mag, is_set) in raw {
+        let update = if is_set {
+            Update::Set {
+                row,
+                col,
+                value: mag as f64,
+            }
+        } else {
+            Update::Add {
+                row,
+                col,
+                delta: mag as f64,
+            }
+        };
+        hub.update(t, update).unwrap();
+    }
+    (hub, t)
+}
+
+/// The served operator as one matrix: base plus pending delta.
+fn merged(hub: &StreamHub, t: TenantId) -> CsrMatrix<f64> {
+    ops::apply_delta(hub.base(t).unwrap(), &hub.delta(t).unwrap().to_csr()).unwrap()
+}
+
+/// The two bindings a hub serves through: `LocalSpmm` on one rank, a
+/// distributed algorithm over a decomposition on four.
+fn ranks_strategy() -> impl Strategy<Value = u32> {
+    any::<bool>().prop_map(|wide| if wide { 4 } else { 1 })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn random_update_streams_stay_exact((n, raw) in updates_strategy()) {
+    fn random_update_streams_stay_exact(
+        (n, raw) in updates_strategy(),
+        target_ranks in ranks_strategy(),
+    ) {
         // Property: for any random update stream, the corrected path
-        // equals SpMM over the rebuilt matrix — exactly (integer data).
-        let a: CsrMatrix<f64> =
-            arrow_matrix::graph::generators::basic::cycle(n).to_adjacency();
-        let mut dm = DynamicMatrix::new(a, DynamicConfig {
-            decompose: arrow_matrix::core::DecomposeConfig::with_width(8),
-            ..DynamicConfig::default()
-        }).unwrap();
-        for &(r, c, mag, is_set) in &raw {
-            let update = if is_set {
-                Update::Set { row: r, col: c, value: mag as f64 }
-            } else {
-                Update::Add { row: r, col: c, delta: mag as f64 }
-            };
-            dm.apply(update).unwrap();
-        }
-        let merged = dm.merged().unwrap();
+        // equals SpMM over the rebuilt matrix — exactly (integer data),
+        // on the one-rank and on the distributed binding.
+        let (mut hub, t) = hub_after_updates(n, target_ranks, &raw);
+        let merged = merged(&hub, t);
         let x = DenseMatrix::from_fn(n, 2, |r, c| (((r + 2 * c) % 9) as f64) - 4.0);
+        let columns = x.to_columns();
         for iters in [1u32, 2] {
-            let got = dm.multiply(&x, iters, None).unwrap();
-            let want = iterated_spmm(&merged, &x, iters).unwrap();
-            prop_assert_eq!(&got, &want, "iters = {}", iters);
+            let want = iterated_spmm(&merged, &x, iters).unwrap().to_columns();
+            for (c, column) in columns.iter().enumerate() {
+                let got = hub.run_single(t, column.clone(), iters, None).unwrap().y;
+                prop_assert_eq!(&got, &want[c], "iters = {}, column {}", iters, c);
+            }
         }
         // And with a non-linear σ in the loop.
         let relu: fn(f64) -> f64 = |v| v.max(0.0);
-        let got = dm.multiply(&x, 2, Some(relu)).unwrap();
         let mut want = x.clone();
         for _ in 0..2 {
             want = arrow_matrix::sparse::spmm::spmm(&merged, &want).unwrap();
             want.map_inplace(relu);
         }
-        prop_assert_eq!(got, want);
+        let want = want.to_columns();
+        for (c, column) in columns.iter().enumerate() {
+            let got = hub.run_single(t, column.clone(), 2, Some(relu)).unwrap().y;
+            prop_assert_eq!(&got, &want[c], "relu, column {}", c);
+        }
     }
 
     #[test]
-    fn delta_compaction_is_idempotent((n, raw) in updates_strategy()) {
+    fn delta_compaction_is_idempotent(
+        (n, raw) in updates_strategy(),
+        target_ranks in ranks_strategy(),
+    ) {
         // Property: refreshing compacts the delta exactly once — the
         // compacted base reproduces the merged matrix, and a second
         // refresh (no pending delta) changes nothing.
-        let a: CsrMatrix<f64> =
-            arrow_matrix::graph::generators::basic::cycle(n).to_adjacency();
-        let mut dm = DynamicMatrix::new(a, DynamicConfig {
-            decompose: arrow_matrix::core::DecomposeConfig::with_width(8),
-            ..DynamicConfig::default()
-        }).unwrap();
-        for &(r, c, mag, is_set) in &raw {
-            let update = if is_set {
-                Update::Set { row: r, col: c, value: mag as f64 }
-            } else {
-                Update::Add { row: r, col: c, delta: mag as f64 }
-            };
-            dm.apply(update).unwrap();
-        }
-        let merged = dm.merged().unwrap();
-        let had_delta = dm.delta_nnz() > 0;
-        prop_assert_eq!(dm.refresh().unwrap(), had_delta);
-        prop_assert_eq!(dm.base(), &merged);
-        prop_assert_eq!(dm.delta_nnz(), 0);
-        prop_assert_eq!(dm.decomposition().validate(&merged).unwrap(), 0.0);
-        let version = dm.version();
-        let fingerprint = dm.fingerprint();
+        let (mut hub, t) = hub_after_updates(n, target_ranks, &raw);
+        let merged = merged(&hub, t);
+        let had_delta = hub.delta_nnz(t).unwrap() > 0;
+        prop_assert_eq!(hub.refresh(t).unwrap(), had_delta);
+        prop_assert_eq!(hub.base(t).unwrap(), &merged);
+        prop_assert_eq!(hub.delta_nnz(t).unwrap(), 0);
+        // The rebuilt binding (a fresh decomposition on four ranks)
+        // multiplies as the merged matrix does.
+        let x: Vec<f64> = (0..n).map(|r| ((r % 9) as f64) - 4.0).collect();
+        let xm = DenseMatrix::from_vec(n, 1, x.clone()).unwrap();
+        let got = hub.run_single(t, x, 2, None).unwrap().y;
+        let want = iterated_spmm(&merged, &xm, 2).unwrap();
+        prop_assert_eq!(got, want.data());
+        let version = hub.version(t).unwrap();
+        let id = hub.matrix_id(t).unwrap();
         // Second compaction: structurally a no-op.
-        prop_assert!(!dm.refresh().unwrap());
-        prop_assert_eq!(dm.version(), version);
-        prop_assert_eq!(dm.fingerprint(), fingerprint);
-        prop_assert_eq!(dm.base(), &merged);
+        prop_assert!(!hub.refresh(t).unwrap());
+        prop_assert_eq!(hub.version(t).unwrap(), version);
+        prop_assert_eq!(hub.matrix_id(t).unwrap(), id);
+        prop_assert_eq!(hub.base(t).unwrap(), &merged);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Multi-tenant hub: double-buffered refresh, fairness, exact swaps.
 // ---------------------------------------------------------------------------
-
-use arrow_matrix::stream::{HubConfig, StreamHub, TenantId};
-use std::time::Duration;
 
 fn hub_engine_config() -> EngineConfig {
     EngineConfig {
@@ -726,8 +755,6 @@ fn per_tenant_registry_sums_to_hub_registry() {
 // ---------------------------------------------------------------------------
 // Incremental re-decomposition through the serving stack.
 // ---------------------------------------------------------------------------
-
-use arrow_matrix::stream::{AdaptiveBudget, IncrementalPolicy};
 
 /// A ring with short chords: localized structure, several levels, and
 /// predictable small affected regions for window-confined deltas.
