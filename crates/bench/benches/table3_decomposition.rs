@@ -7,15 +7,17 @@
 //!   direct 1.5D tiling at the same block size (fewer as `b` shrinks).
 //!
 //! Beside them, what the decomposition cost: wall-clock milliseconds of
-//! one `la_decompose` call (best of three) and that time per stored
+//! one `la_decompose` call (best of three), that time per stored
 //! nonzero — the constant behind the paper's near-linear-time claim for
-//! the random-forest heuristic (§5.3).
+//! the random-forest heuristic (§5.3) — and where the best call spent it
+//! (`DecomposeTimings`: the five phase columns, in milliseconds, add up
+//! to the call but for the clock reads between them).
 
 use amd_bench::{bench_graph, BenchScale, Table, BENCH_SEED};
 use amd_graph::generators::datasets::DatasetKind;
 use amd_sparse::CsrMatrix;
 use arrow_core::stats::{direct_tiling_nonzero_blocks, DecompositionStats};
-use arrow_core::{la_decompose, DecomposeConfig, RandomForestLa};
+use arrow_core::{la_decompose_timed, DecomposeConfig, RandomForestLa};
 use std::time::Instant;
 
 fn main() {
@@ -35,6 +37,11 @@ fn main() {
         "ratio",
         "decompose ms",
         "ns / nnz",
+        "edges",
+        "select",
+        "forest",
+        "layout",
+        "place",
     ]);
     for kind in DatasetKind::ALL {
         let g = bench_graph(kind, n);
@@ -43,17 +50,20 @@ fn main() {
             let b = b.max(16);
             let decompose = || {
                 let started = Instant::now();
-                let d = la_decompose(
+                let (d, phases) = la_decompose_timed(
                     &a,
                     &DecomposeConfig::with_width(b),
                     &mut RandomForestLa::new(BENCH_SEED),
                 )
                 .expect("decomposition succeeds");
-                (d, started.elapsed().as_secs_f64())
+                (d, started.elapsed().as_secs_f64(), phases)
             };
-            let (d, mut seconds) = decompose();
+            let (d, mut seconds, mut phases) = decompose();
             for _ in 0..2 {
-                seconds = seconds.min(decompose().1);
+                let (_, again, its_phases) = decompose();
+                if again < seconds {
+                    (seconds, phases) = (again, its_phases);
+                }
             }
             debug_assert_eq!(d.validate(&a).unwrap(), 0.0);
             let s = DecompositionStats::of(&d);
@@ -74,6 +84,11 @@ fn main() {
                 format!("{:.1}x", direct as f64 / arrow.max(1) as f64),
                 format!("{:.2}", seconds * 1e3),
                 format!("{:.0}", seconds * 1e9 / a.nnz().max(1) as f64),
+                format!("{:.2}", phases.edges * 1e3),
+                format!("{:.2}", phases.select * 1e3),
+                format!("{:.2}", phases.forest * 1e3),
+                format!("{:.2}", phases.layout * 1e3),
+                format!("{:.2}", phases.place * 1e3),
             ]);
         }
     }

@@ -1,7 +1,5 @@
 //! Fault plans: a named set of faults armed together under one seed.
 
-use std::time::Duration;
-
 use crate::failpoint::{self, Fault, FaultAction, FaultGuard, Trigger};
 
 /// A set of faults plus the seed for their deterministic triggers.
@@ -100,16 +98,6 @@ impl FaultPlan {
             failpoint::ENGINE_MULTIPLY_TRANSIENT,
             FaultAction::Error,
             Trigger::Times(times),
-        )
-    }
-
-    /// Injected latency before every decompose, for backlog/burst
-    /// scenarios.
-    pub fn slow_decompose(seed: u64, delay: Duration) -> Self {
-        Self::new(seed).with(
-            failpoint::WORKER_DECOMPOSE_DELAY,
-            FaultAction::Delay(delay),
-            Trigger::Always,
         )
     }
 }

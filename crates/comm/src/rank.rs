@@ -161,13 +161,6 @@ impl RankCtx {
         self.stats.compute_time += t;
     }
 
-    /// Advances the simulated clock by raw seconds (rarely needed; prefer
-    /// [`compute_flops`](Self::compute_flops)).
-    pub fn elapse(&mut self, seconds: f64) {
-        assert!(seconds >= 0.0);
-        self.sim_time += seconds;
-    }
-
     pub(crate) fn finalize(mut self) -> RankStats {
         self.stats.sim_time = self.sim_time;
         self.stats

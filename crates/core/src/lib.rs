@@ -57,6 +57,8 @@ pub use decomposition::{ArrowDecomposition, ArrowLevel};
 pub use incremental::{
     decompose_snapshot_incremental, FallbackReason, IncrementalPolicy, RefreshOutcome,
 };
-pub use la_decompose::{decompose_snapshot, la_decompose, DecomposeConfig};
+pub use la_decompose::{
+    decompose_snapshot, la_decompose, la_decompose_timed, DecomposeConfig, DecomposeTimings,
+};
 pub use persist::CatalogMeta;
 pub use strategy::{ArrangementStrategy, IdentityLa, RandomForestLa, RcmLa, SeparatorLaStrategy};

@@ -9,7 +9,7 @@
 use amd_graph::separator::{BfsLevelSeparator, CentroidSeparator};
 use amd_graph::traversal::connected_components;
 use amd_graph::Graph;
-use amd_linarr::{reverse_cuthill_mckee, separator_la, spanning_forest_la};
+use amd_linarr::{reverse_cuthill_mckee, separator_la, spanning_forest_la_of_edges};
 use amd_sparse::Permutation;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -17,10 +17,20 @@ use rand_chacha::ChaCha8Rng;
 /// Produces a linear arrangement of a (possibly disconnected) graph.
 ///
 /// Strategies may be stateful (e.g. hold an RNG); LA-Decompose calls
-/// `arrange` once per level on the subgraph that remains after pruning.
+/// `arrange_edges` once per level on the subgraph that remains after
+/// pruning.
 pub trait ArrangementStrategy {
     /// Computes an arrangement covering every vertex of `g`.
     fn arrange(&mut self, g: &Graph) -> Permutation;
+
+    /// [`arrange`](Self::arrange) of the graph on `n` vertices whose
+    /// sorted edge list (each edge once, `u < v`) is `edges`. A strategy
+    /// that works on the edge list overrides this and never builds the
+    /// graph; the result, and the state the strategy is left in, must be
+    /// what `arrange` gives.
+    fn arrange_edges(&mut self, n: u32, edges: Vec<(u32, u32)>) -> Permutation {
+        self.arrange(&Graph::from_edges(n, &edges))
+    }
 
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
@@ -44,7 +54,11 @@ impl RandomForestLa {
 
 impl ArrangementStrategy for RandomForestLa {
     fn arrange(&mut self, g: &Graph) -> Permutation {
-        spanning_forest_la(g, &mut self.rng)
+        self.arrange_edges(g.n(), g.edge_list())
+    }
+
+    fn arrange_edges(&mut self, n: u32, edges: Vec<(u32, u32)>) -> Permutation {
+        spanning_forest_la_of_edges(n, edges, &mut self.rng)
     }
 
     fn name(&self) -> &'static str {
@@ -143,6 +157,60 @@ mod tests {
         let p1 = RandomForestLa::new(9).arrange(&g);
         let p2 = RandomForestLa::new(9).arrange(&g);
         assert_eq!(p1, p2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `arrange_edges` on a sorted edge list is `arrange` on the graph
+        /// of those edges, for every strategy. The random-forest strategy
+        /// (whose `arrange` is `arrange_edges` of the graph's edge list) is
+        /// held against the path it replaced — a spanning forest of the
+        /// whole vertex set, every root sorted — and must leave its RNG
+        /// where that path does, because LA-Decompose reuses the strategy
+        /// from level to level.
+        #[test]
+        fn arrange_edges_is_arrange_on_the_graph(
+            n in 1u32..90,
+            density in 0u32..6,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::{Rng, RngCore};
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // Every fourth vertex is isolated, the rest fall into
+            // components of all sizes (many of them equal).
+            let mut edges: Vec<(u32, u32)> = (0..n * density / 2)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .filter(|&(u, v)| u != v && u % 4 != 1 && v % 4 != 1)
+                .map(|(u, v)| (u.min(v), u.max(v)))
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            let g = Graph::from_edges(n, &edges);
+            proptest::prop_assert_eq!(&g.edge_list(), &edges);
+
+            let mut by_edges = RandomForestLa::new(seed);
+            let mut reference = ChaCha8Rng::seed_from_u64(seed);
+            let forest = amd_graph::mst::random_spanning_forest(&g, &mut reference);
+            proptest::prop_assert_eq!(
+                by_edges.arrange_edges(n, edges.clone()),
+                amd_linarr::spanning_forest_la::arrangement_of_forest(&forest)
+            );
+            proptest::prop_assert_eq!(by_edges.rng.next_u64(), reference.next_u64());
+            let others: [(Box<dyn ArrangementStrategy>, Box<dyn ArrangementStrategy>); 3] = [
+                (Box::new(SeparatorLaStrategy), Box::new(SeparatorLaStrategy)),
+                (Box::new(RcmLa), Box::new(RcmLa)),
+                (Box::new(IdentityLa), Box::new(IdentityLa)),
+            ];
+            for (mut by_edges, mut by_graph) in others {
+                proptest::prop_assert_eq!(
+                    by_edges.arrange_edges(n, edges.clone()),
+                    by_graph.arrange(&g),
+                    "{}",
+                    by_edges.name()
+                );
+            }
+        }
     }
 
     #[test]

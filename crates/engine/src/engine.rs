@@ -961,12 +961,6 @@ impl Engine {
         self.bound.values().map(|b| b.fingerprint).collect()
     }
 
-    /// Registration salt of a binding (the tenant id of a salted
-    /// registration; 0 for plain ones).
-    pub fn binding_salt(&self, id: MatrixId) -> Option<u128> {
-        self.bound.get(&id.0).map(|b| b.salt)
-    }
-
     /// Content fingerprint of a binding (the head of its catalog
     /// version chain).
     pub fn binding_fingerprint(&self, id: MatrixId) -> Option<u128> {

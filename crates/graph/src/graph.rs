@@ -163,22 +163,34 @@ impl Graph {
 /// A row scan emits the upper entries `(r, c)`, `r < c`, already in that
 /// order; a lower entry with no mirror becomes `(c, r)` out of order, and
 /// only then is the list sorted (the two kinds never coincide, so there
-/// is nothing to deduplicate).
+/// is nothing to deduplicate). Whether row `c` holds the mirror `r` is
+/// answered by one cursor per row that only moves forward: the rows are
+/// scanned in ascending `r`, so the questions put to a fixed row `c`
+/// arrive in ascending `r` too, and the whole scan walks every row once
+/// more instead of searching it once per lower entry.
 pub fn structure_edges<T: Scalar>(a: &CsrMatrix<T>) -> Vec<(u32, u32)> {
     assert_eq!(
         a.rows(),
         a.cols(),
         "adjacency structure requires a square matrix"
     );
+    let (indptr, indices) = (a.indptr(), a.indices());
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(a.nnz() / 2);
+    let mut cursor = indptr[..a.rows() as usize].to_vec();
     let mut one_sided = false;
     for r in 0..a.rows() {
         for &c in a.row_indices(r) {
             if r < c {
                 edges.push((r, c));
-            } else if c < r && a.row_indices(c).binary_search(&r).is_err() {
-                edges.push((c, r));
-                one_sided = true;
+            } else if c < r {
+                let (at, end) = (&mut cursor[c as usize], indptr[c as usize + 1]);
+                while *at < end && indices[*at] < r {
+                    *at += 1;
+                }
+                if *at == end || indices[*at] != r {
+                    edges.push((c, r));
+                    one_sided = true;
+                }
             }
         }
     }

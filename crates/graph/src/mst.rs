@@ -18,6 +18,16 @@
 //! sorted edge list, and every tree is rooted at its smallest vertex.
 //! [`SpanningForest::bfs_order`] keeps the BFS queue, so bottom-up passes
 //! (subtree sizes, layouts) are a reverse or forward walk over it.
+//!
+//! Every step — Kruskal's accept or reject, the acceptance order of a
+//! vertex's neighbours, the BFS starts, the smallest-vertex roots — looks
+//! at vertex ids only through their order, so relabelling the vertices
+//! monotonically relabels the forest and changes nothing else. The
+//! random-forest arrangement relies on it: it runs [`kruskal_forest`] on
+//! the vertices an edge touches, renumbered `0..t`, and never on the
+//! isolated rest, which would only be singleton roots
+//! ([`random_spanning_forest`] is that path's whole-vertex-set
+//! reference).
 
 use crate::graph::Graph;
 use crate::union_find::UnionFind;

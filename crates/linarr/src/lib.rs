@@ -26,5 +26,5 @@ pub use arrangement::{la_bandwidth, la_cost};
 pub use exact::minimum_linear_arrangement;
 pub use rcm::reverse_cuthill_mckee;
 pub use separator_la::separator_la;
-pub use spanning_forest_la::spanning_forest_la;
+pub use spanning_forest_la::{spanning_forest_la, spanning_forest_la_of_edges};
 pub use tree_layout::smallest_first_order;

@@ -350,10 +350,24 @@ pub fn spmm_work(a: &CsrMatrix<f64>, k: u32) -> usize {
     a.nnz().saturating_mul(k as usize + 8)
 }
 
-/// Row blocks handed to each pool thread by [`spmm_parallel`]: a few, so
-/// that a block of heavy rows (R-MAT hubs) is evened out by the pool's
-/// dynamic claiming without paying a dispatch per row.
+/// Blocks handed to each pool thread by [`part_count`]: a few, so that
+/// a block of heavy rows (R-MAT hubs) is evened out by the pool's dynamic
+/// claiming without paying a dispatch per row.
 const BLOCKS_PER_THREAD: usize = 4;
+
+/// How many blocks to cut a pass of `work` steps into for the shared
+/// `amd-exec` pool: one — the pass stays on the caller — when the work
+/// is below `min_work` or the pool has a single thread, else a few per
+/// pool thread.
+pub fn part_count(work: usize, min_work: usize) -> usize {
+    if work < min_work {
+        return 1;
+    }
+    match amd_exec::requested_threads() {
+        0 | 1 => 1,
+        threads => threads * BLOCKS_PER_THREAD,
+    }
+}
 
 /// `Y = A · X` at `dtype`, **overwriting** the caller's `y`, split over
 /// row blocks on the shared `amd-exec` pool.
@@ -379,16 +393,12 @@ pub fn spmm_parallel(
     if n == 0 || k == 0 {
         return Ok(());
     }
-    let threads = if spmm_work(a, x.cols()) < PARALLEL_MIN_WORK {
-        1
-    } else {
-        amd_exec::requested_threads()
-    };
-    if threads <= 1 {
+    let blocks = part_count(spmm_work(a, x.cols()), PARALLEL_MIN_WORK);
+    if blocks == 1 {
         fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite, dtype);
         return Ok(());
     }
-    let block_rows = n.div_ceil(threads * BLOCKS_PER_THREAD);
+    let block_rows = n.div_ceil(blocks);
     for_each_chunk(y.data_mut(), block_rows * k, |block, rows| {
         let first = (block * block_rows) as u32;
         fill_rows(a, x, first, rows, Finish::Overwrite, dtype)
@@ -397,22 +407,28 @@ pub fn spmm_parallel(
 }
 
 /// Runs `f(index, chunk)` over the `chunk_len`-element chunks of `data`
-/// (the last may be shorter) on the shared `amd-exec` pool. A single
-/// chunk runs on the caller: nothing is dispatched, and the pool is not
-/// even started.
+/// (the last may be shorter) on the shared `amd-exec` pool; see
+/// [`for_each_part`].
 pub(crate) fn for_each_chunk<T: Send>(
     data: &mut [T],
     chunk_len: usize,
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
-    let mut chunks: Vec<&mut [T]> = data.chunks_mut(chunk_len).collect();
-    if chunks.len() <= 1 {
-        if let Some(only) = chunks.pop() {
+    for_each_part(data.chunks_mut(chunk_len).collect(), f);
+}
+
+/// Runs `f(index, part)` for every element of `parts` — disjoint pieces
+/// of an output the caller has cut up, each moved into its call — on the
+/// shared `amd-exec` pool. A single part runs on the caller: nothing is
+/// dispatched, and the pool is not even started.
+pub fn for_each_part<P: Send>(mut parts: Vec<P>, f: impl Fn(usize, P) + Sync) {
+    if parts.len() <= 1 {
+        if let Some(only) = parts.pop() {
             f(0, only);
         }
         return;
     }
-    amd_exec::global().for_each_take(chunks, f);
+    amd_exec::global().for_each_take(parts, f);
 }
 
 /// Serial `Y += A · X` at a selectable serving precision, over `f64`

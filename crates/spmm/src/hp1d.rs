@@ -77,7 +77,10 @@ impl Hp1dSpmm {
         // columns between two runs of external ones, and the compact
         // numbering of external columns is monotone, so both blocks'
         // rows come out in column order.
-        let mut row: Vec<(u32, f64)> = Vec::new();
+        // (permuted column, index within the row of `A`) in one word, so a
+        // row is sorted on plain integers and its values are gathered
+        // afterwards.
+        let mut keys: Vec<u64> = Vec::new();
         // Compact index of a permuted column in the current rank's fetch
         // list; `u32::MAX` while the rank has not met the column.
         let mut fetch_index = vec![u32::MAX; n as usize];
@@ -89,15 +92,16 @@ impl Hp1dSpmm {
             let mut ext_cols: Vec<u32> = Vec::new();
             for q in s..e {
                 let v = pi.vertex_at(q);
-                row.clear();
-                row.extend(
-                    a.row_indices(v)
-                        .iter()
-                        .zip(a.row_values(v))
-                        .map(|(&c, &val)| (pi.position(c), val)),
+                let (cols, vals) = (a.row_indices(v), a.row_values(v));
+                keys.clear();
+                keys.extend(
+                    cols.iter()
+                        .zip(0u64..)
+                        .map(|(&c, i)| (pi.position(c) as u64) << 32 | i),
                 );
-                row.sort_unstable_by_key(|&(c, _)| c);
-                for &(c, val) in &row {
+                keys.sort_unstable();
+                for &key in &keys {
+                    let (c, val) = ((key >> 32) as u32, vals[key as u32 as usize]);
                     if (s..e).contains(&c) {
                         local.push(c - s, val);
                     } else {

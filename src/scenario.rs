@@ -263,11 +263,6 @@ pub fn builtin_scenarios(seed: u64) -> Vec<Scenario> {
     distributed.iter().cloned().chain(local).collect()
 }
 
-/// Runs every built-in scenario under `seed`, in order.
-pub fn run_all(seed: u64) -> Vec<ScenarioReport> {
-    builtin_scenarios(seed).iter().map(run).collect()
-}
-
 /// Runs one scenario. Never panics and never propagates hub errors: a
 /// failure of any invariant (or any unexpected error) comes back as a
 /// failed report with the cause in `detail`.
