@@ -43,7 +43,10 @@
 //! `max_affected_fraction` or a spliced order above `max_order` falls
 //! back to a cold [`decompose_snapshot`], reported in the
 //! [`RefreshOutcome`] so serving layers can count incremental vs
-//! fallback refreshes and the reused-vertex fraction.
+//! fallback refreshes and the reused-vertex fraction. So does a splice
+//! the ranks could not route ([`FallbackReason::Unroutable`]): every
+//! decomposition this module returns keeps the chained-levels property
+//! `ArrowSpmm` distributes by.
 
 use crate::decomposition::{ArrowDecomposition, ArrowLevel};
 use crate::la_decompose::{decompose_snapshot, la_decompose, DecomposeConfig};
@@ -109,13 +112,13 @@ pub enum FallbackReason {
     /// LA-Decompose failed on the induced subgraph (e.g. its own
     /// `max_levels` cap); the cold path gets to try the full matrix.
     SubDecompose,
-    /// A serving-cost guard predicted the spliced decomposition would
-    /// serve slower than its budget over the cold baseline, so the
-    /// holder re-compacted (rebuilt cold) instead of keeping the
-    /// splice. Never produced by
-    /// [`decompose_snapshot_incremental`] itself — stamped by
-    /// cost-aware callers (e.g. the engine's splice guard).
-    CostGuard,
+    /// The splice would hold a vertex that is active at some level but
+    /// at no earlier one — the delta attached a vertex that was isolated
+    /// in every matrix the chain has decomposed, or the splice dropped
+    /// the level the rest drew from. The distributed algorithm chains
+    /// the levels (§6.1): such a vertex has nowhere to draw its `X`
+    /// from, so the ranks could not route the result.
+    Unroutable,
 }
 
 /// Wall-clock breakdown of one refresh decomposition, measured inside
@@ -317,6 +320,25 @@ fn strip_region(prior: &ArrowDecomposition, region: &[bool], verts: &[u32]) -> V
     kept_levels
 }
 
+/// Whether the ranks can route `levels`: every vertex in the active
+/// prefix of a level after the first is in the active prefix of an
+/// earlier one, which is where it draws its `X` from and returns its `Y`
+/// through (§6.1). LA-Decompose's own output is nested, so it always
+/// is; a splice appends levels whose active vertices the kept ones may
+/// never have held.
+fn routable(n: u32, levels: &[ArrowLevel]) -> bool {
+    let mut active_before = vec![false; n as usize];
+    for (t, level) in levels.iter().enumerate() {
+        for &v in &level.perm.order()[..level.active_n as usize] {
+            if t > 0 && !active_before[v as usize] {
+                return false;
+            }
+            active_before[v as usize] = true;
+        }
+    }
+    true
+}
+
 /// The incremental variant of [`decompose_snapshot`]: decompose `merged`
 /// reusing `prior` where the delta permits.
 ///
@@ -456,6 +478,10 @@ pub fn decompose_snapshot_incremental(
             matrix,
             active_n: level.active_n,
         });
+    }
+
+    if !routable(n, &levels) {
+        return cold(FallbackReason::Unroutable, affected, extract_seconds);
     }
 
     let d = ArrowDecomposition::new(n, prior.b(), levels);

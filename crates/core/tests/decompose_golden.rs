@@ -592,7 +592,12 @@ const GOLDEN_TILES: [u64; 8] = [
 const GOLDEN_SPLICES: [u64; 4] = [
     11765950877462213762,
     18083867634733521938,
-    3581470769617322351,
+    // Re-recorded once (was 3581470769617322351): vertex 590 is isolated
+    // in `mawi_like(600)`, so the first round's splice held a vertex
+    // active at its last level and at no earlier one — a decomposition
+    // `ArrowSpmm::new` refuses. That round is now the `Unroutable` cold
+    // fallback.
+    8166238939142308557,
     17363814612947673510,
 ];
 

@@ -361,3 +361,55 @@ fn basic_star_prior_round_trip() {
     .unwrap();
     assert_exact(&next, &merged, &cfg, 2);
 }
+
+#[test]
+fn attaching_an_isolated_vertex_falls_back_cold() {
+    // A path on 0..n-1 plus vertex n-1, isolated: level 0's active
+    // prefix holds only the path. A delta that attaches the isolated
+    // vertex would splice it into a last level with no earlier level to
+    // draw its X from — a decomposition the ranks cannot route — so the
+    // refresh must be a counted cold rebuild instead.
+    let n = 600u32;
+    let isolated = n - 1;
+    let mut coo = CooMatrix::<f64>::new(n, n);
+    for v in 0..isolated - 1 {
+        coo.push_sym(v, v + 1, 1.0).unwrap();
+    }
+    let base = coo.to_csr();
+    assert_eq!(base.row_nnz(isolated), 0);
+    let cfg = DecomposeConfig::with_width(8);
+    let d = decompose_snapshot(&base, &cfg, 5).unwrap();
+    assert!(d.levels()[0].perm.position(isolated) >= d.levels()[0].active_n);
+
+    let mut delta = DeltaBuilder::<f64>::new(n, n);
+    delta.add_sym(300, isolated, 2.0).unwrap();
+    let merged = ops::apply_delta(&base, &delta.to_csr()).unwrap();
+    let (next, outcome) = decompose_snapshot_incremental(
+        &merged,
+        &cfg,
+        5,
+        Some(&d),
+        Some(&delta.touched_vertices()),
+        &IncrementalPolicy::default(),
+    )
+    .unwrap();
+    assert!(!outcome.incremental);
+    assert_eq!(outcome.fallback, Some(FallbackReason::Unroutable));
+    assert_exact(&next, &merged, &cfg, 5);
+    // The rebuilt decomposition is nested again: the next localized
+    // delta on the same vertex splices.
+    let mut delta = DeltaBuilder::<f64>::new(n, n);
+    delta.add_sym(301, isolated, 1.0).unwrap();
+    let again = ops::apply_delta(&merged, &delta.to_csr()).unwrap();
+    let (next, outcome) = decompose_snapshot_incremental(
+        &again,
+        &cfg,
+        5,
+        Some(&next),
+        Some(&delta.touched_vertices()),
+        &IncrementalPolicy::default(),
+    )
+    .unwrap();
+    assert!(outcome.incremental, "fallback: {:?}", outcome.fallback);
+    assert_exact(&next, &again, &cfg, 5);
+}

@@ -28,10 +28,8 @@ use amd_comm::CostModel;
 use amd_obs::{Counter, Gauge, Histogram, SpanId, Stopwatch, Telemetry};
 use amd_sparse::{ops, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use amd_spmm::traits::Sigma;
-use amd_spmm::{DeltaSpmm, DistSpmm, ServingCostGuard, DEFAULT_MAX_SLICE_SLOWDOWN};
-use arrow_core::incremental::{
-    decompose_snapshot_incremental, FallbackReason, IncrementalPolicy, RefreshOutcome,
-};
+use amd_spmm::{DeltaSpmm, DistSpmm};
+use arrow_core::incremental::{decompose_snapshot_incremental, IncrementalPolicy, RefreshOutcome};
 use arrow_core::{ArrowDecomposition, DecomposeConfig};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -103,12 +101,6 @@ pub struct EngineConfig {
     /// value moved and runs local tile multiplies at emulated f32
     /// precision (f64 accumulation); `f64` is the exact default.
     pub dtype: Dtype,
-    /// Tolerated slowdown of a spliced decomposition's predicted serving
-    /// time over its binding's last cold baseline before
-    /// [`refresh_localized`](Engine::refresh_localized) re-compacts
-    /// (rebuilds cold) instead of serving the splice. See
-    /// [`ServingCostGuard`].
-    pub max_splice_slowdown: f64,
     /// Transient multiply errors (the `engine.multiply.transient` chaos
     /// failpoint — never real planner/kernel errors) retried in place
     /// before the error surfaces to the caller. Each retry counts into
@@ -128,7 +120,6 @@ impl Default for EngineConfig {
             max_batch: 64,
             incremental: IncrementalPolicy::default(),
             dtype: Dtype::default(),
-            max_splice_slowdown: DEFAULT_MAX_SLICE_SLOWDOWN,
             max_multiply_retries: 2,
         }
     }
@@ -187,10 +178,6 @@ pub struct EngineStats {
     /// back into the cost model, would have ranked a different
     /// algorithm first (see [`attribution`](crate::attribution)).
     pub mispredictions: u64,
-    /// Localized refreshes where the splice guard predicted the spliced
-    /// decomposition would serve slower than `max_splice_slowdown ×` the
-    /// cold baseline, so the engine re-compacted (rebuilt cold) instead.
-    pub recompactions: u64,
     /// Transient multiply errors absorbed by the in-place retry loop
     /// (injected by the `engine.multiply.transient` failpoint; a real
     /// serving run never errors transiently).
@@ -215,21 +202,11 @@ struct BoundMatrix {
     /// Registration salt of this binding (see [`MatrixId`]); a refresh
     /// keeps its successor under the same salt.
     salt: u128,
-    /// What the binding keeps of the decomposition it was planned from;
-    /// `None` on one rank, where there is none.
-    decomposed: Option<Decomposed>,
-}
-
-#[derive(Clone, Copy)]
-struct Decomposed {
-    /// Mean active-prefix fraction of the decomposition's levels
-    /// (Σ activeᵢ / (levels · n)) — the share of permuted rows the fused
-    /// kernel actually touches; carried into trace events.
-    active_prefix: f64,
-    /// Predicted per-iteration arrow serving seconds recorded at this
-    /// binding's last *cold* decomposition — the splice guard's
-    /// baseline, carried forward across spliced refreshes.
-    splice_baseline: f64,
+    /// Mean active-prefix fraction of the levels of the decomposition
+    /// the binding was planned from (Σ activeᵢ / (levels · n)) — the
+    /// share of permuted rows the fused kernel actually touches; carried
+    /// into trace events. `None` on one rank, where there is none.
+    active_prefix: Option<f64>,
 }
 
 /// Where a registration sits in its binding's history.
@@ -242,10 +219,6 @@ struct Lineage {
     /// a cold one) — recorded in the persistence catalog so version
     /// chains track delta lineage.
     parent: u128,
-    /// The splice guard's cold-serving baseline to carry forward from a
-    /// refreshed predecessor; `None` treats this binding's own
-    /// decomposition as cold and records its prediction.
-    carried_baseline: Option<f64>,
 }
 
 /// The immutable half of a refresh, produced by
@@ -261,23 +234,22 @@ pub struct RefreshTicket {
     /// Dimension of that binding; a build of any other shape is refused.
     pub n: u32,
     /// Whether the build computes a decomposition of the merged matrix
-    /// (splice or cold, per `prior`, `touched` and `incremental`). Set
-    /// by [`prepare_refresh_localized`](Engine::prepare_refresh_localized)
-    /// on a deployment of more than one rank and nowhere else: a
-    /// one-rank binding reads no decomposition, and an unlocalized
-    /// refresh takes its decomposition from the cache at commit.
+    /// (splice or cold, per `prior`, `touched` and `incremental`): on a
+    /// deployment of more than one rank, when the caller named the
+    /// touched vertices. A one-rank binding reads no decomposition, and
+    /// a refresh that cannot say what changed takes its decomposition
+    /// from the cache at commit.
     pub decompose: bool,
     /// Decomposition parameters the engine would use (arrow width etc.).
     pub config: DecomposeConfig,
     /// Arrangement seed the engine would use.
     pub seed: u64,
     /// The old binding's decomposition, when it was still resident in
-    /// the cache at [`prepare_refresh_localized`](Engine::prepare_refresh_localized)
-    /// time — the splice base of an incremental re-decomposition.
+    /// the cache at [`prepare_refresh`](Engine::prepare_refresh) time —
+    /// the splice base of an incremental re-decomposition.
     pub prior: Option<Arc<ArrowDecomposition>>,
     /// Every vertex incident to a difference between the old binding's
-    /// content and the merged snapshot; `None` when unknown (forces a
-    /// cold decompose).
+    /// content and the merged snapshot; `None` when unknown.
     pub touched: Option<Vec<u32>>,
     /// The engine's incremental-refresh policy, carried along so a
     /// worker thread decides incremental-vs-cold exactly as the engine
@@ -316,8 +288,8 @@ impl RefreshTicket {
     /// The refresh build, start to finish: merge `base + delta`,
     /// fingerprint the result, decompose it if the ticket asks. Touches
     /// no engine state, so a refresh worker runs it off the serving
-    /// thread; the inline refreshes, which are handed a merged matrix,
-    /// enter at [`build_merged`](Self::build_merged).
+    /// thread; a caller that already holds the merged matrix enters at
+    /// [`build_merged`](Self::build_merged).
     pub fn build(
         &self,
         base: &CsrMatrix<f64>,
@@ -369,7 +341,6 @@ struct EngineMetrics {
     corrected_runs: Counter,
     refreshes: Counter,
     deregistered: Counter,
-    recompactions: Counter,
     multiply_retries: Counter,
     largest_batch: Gauge,
     batch_size: Histogram,
@@ -391,7 +362,6 @@ impl EngineMetrics {
             corrected_runs: registry.counter("engine.corrected_runs"),
             refreshes: registry.counter("engine.refreshes"),
             deregistered: registry.counter("engine.deregistered"),
-            recompactions: registry.counter("engine.recompactions"),
             multiply_retries: registry.counter("engine.multiply_retries"),
             largest_batch: registry.gauge("engine.largest_batch"),
             batch_size: registry.histogram("engine.batch_size"),
@@ -482,7 +452,6 @@ impl Engine {
             version: 0,
             salt,
             parent: 0,
-            carried_baseline: None,
         };
         self.register_versioned(a, a.fingerprint(), cold, None)
     }
@@ -501,7 +470,6 @@ impl Engine {
             version,
             salt,
             parent,
-            carried_baseline,
         } = lineage;
         let id = salted_id(fingerprint, salt);
         if self.bound.contains_key(&id) {
@@ -522,25 +490,17 @@ impl Engine {
         };
         // Only a plan that reads a decomposition gets one: everything
         // that computes, caches or persists it is inside this arm.
-        let (planned, decomposed, source) = if self.config.target_ranks > 1 {
+        let (planned, active_prefix, source) = if self.config.target_ranks > 1 {
             let (d, source) =
                 self.cached_decomposition(a, fingerprint, version, precomputed, parent)?;
-            let splice_baseline = match carried_baseline {
-                Some(b) => b,
-                None => self.splice_guard().predicted_seconds(&d)?,
-            };
-            let decomposed = Decomposed {
-                active_prefix: d.active_prefix_fraction(),
-                splice_baseline,
-            };
-            // Mean active-prefix fraction of the most recently planned
-            // binding, in permille (gauges are integers); a one-rank
-            // engine never publishes the name.
+            let active_prefix = d.active_prefix_fraction();
+            // Of the most recently planned binding, in permille (gauges
+            // are integers); a one-rank engine never publishes the name.
             self.telemetry
                 .registry
                 .gauge("engine.active_prefix_permille")
-                .set((decomposed.active_prefix * 1000.0).round() as u64);
-            (plan(a, &d, &planner_config)?, Some(decomposed), source)
+                .set((active_prefix * 1000.0).round() as u64);
+            (plan(a, &d, &planner_config)?, Some(active_prefix), source)
         } else {
             (plan_local(a, &planner_config)?, None, "none")
         };
@@ -557,8 +517,8 @@ impl Engine {
                 "algo={} predicted_seconds={:.3e} cache={source} dtype={}",
                 chosen, predictions[0].seconds, self.config.dtype
             );
-            if let Some(d) = &decomposed {
-                let _ = write!(detail, " active_prefix={:.3}", d.active_prefix);
+            if let Some(active_prefix) = active_prefix {
+                let _ = write!(detail, " active_prefix={active_prefix:.3}");
             }
             self.telemetry
                 .tracer
@@ -575,7 +535,7 @@ impl Engine {
                 version,
                 overlay: None,
                 salt,
-                decomposed,
+                active_prefix,
             },
         );
         Ok(MatrixId(id))
@@ -638,17 +598,6 @@ impl Engine {
         Ok((d, source))
     }
 
-    /// The engine's splice guard, configured from its cost model, batch
-    /// width, and slowdown budget. Stateless per call — per-binding
-    /// baselines live on [`BoundMatrix`].
-    fn splice_guard(&self) -> ServingCostGuard {
-        ServingCostGuard::new(
-            self.config.cost,
-            (self.config.max_batch as u32).clamp(1, 64),
-            self.config.max_splice_slowdown,
-        )
-    }
-
     /// Replaces the binding of `old` with a re-planned binding of
     /// `merged` (the compacted `A₀ + ΔA`), carrying the streaming version
     /// forward. This is the engine half of a staleness refresh: on more
@@ -662,180 +611,69 @@ impl Engine {
     /// is sound because a refresh changes the representation, not the
     /// served operator (`A₀ + ΔA` before, merged `A₀` after).
     ///
-    /// Equivalent to [`prepare_refresh`](Self::prepare_refresh) followed
-    /// immediately by the ticket's build, from its merge step on
+    /// This is the refresh pipeline run inline by a caller that cannot
+    /// say what changed: [`prepare_refresh`](Self::prepare_refresh)
+    /// without a touched set, the ticket's build from its merge step on
     /// ([`RefreshTicket::build_merged`]), and
-    /// [`commit_refresh`](Self::commit_refresh) — the synchronous path. A
-    /// double-buffered holder runs the ticket's
-    /// [`build`](RefreshTicket::build) in the background instead and
-    /// [`commit`](Self::commit_refresh)s the result.
+    /// [`commit_refresh`](Self::commit_refresh). A holder that tracks its
+    /// delta passes the touched set, runs [`RefreshTicket::build`] on
+    /// whichever thread it likes and commits the result.
     pub fn refresh(&mut self, old: MatrixId, merged: &CsrMatrix<f64>) -> SparseResult<MatrixId> {
-        let ticket = self.prepare_refresh(old)?;
-        Ok(self.refresh_prepared(ticket, merged)?.0)
+        let ticket = self.prepare_refresh(old, None)?;
+        let built = ticket.build_merged(merged, merged.fingerprint())?;
+        self.commit_refresh(&ticket, merged, built)
     }
 
-    /// The read-only first half of a refresh: validates that `old` is
-    /// bound and returns the [`RefreshTicket`] for its build. Does
-    /// **not** mutate the engine — the old binding (and its delta
-    /// overlay) keeps serving until
-    /// [`commit_refresh`](Self::commit_refresh). This ticket's build
-    /// decomposes nothing: where the deployment needs a decomposition,
-    /// commit takes it from the cache (a hit, a catalog reload, or a
-    /// counted cold LA-Decompose).
-    pub fn prepare_refresh(&self, old: MatrixId) -> SparseResult<RefreshTicket> {
+    /// The first step of a refresh: validates that `old` is bound and
+    /// returns the [`RefreshTicket`] for its build. The old binding (and
+    /// its delta overlay) keeps serving until
+    /// [`commit_refresh`](Self::commit_refresh).
+    ///
+    /// With `touched`, on more than one rank, the ticket asks the build
+    /// for a decomposition and carries what an incremental one needs —
+    /// the old binding's decomposition (when still resident in the
+    /// cache) and the touched set — so whoever runs the build can splice
+    /// instead of rebuilding. `touched` must cover **every** vertex
+    /// incident to a difference between the old binding's content and
+    /// the merged matrix; an incomplete set makes the spliced
+    /// decomposition serve the wrong operator. Holders that track their
+    /// delta in a [`DeltaBuilder`](amd_sparse::DeltaBuilder) get it from
+    /// `touched_vertices()`.
+    ///
+    /// Without it — and on one rank, whose binding reads no
+    /// decomposition — the build decomposes nothing; where the
+    /// deployment needs a decomposition, commit takes it from the cache
+    /// (a hit, a catalog reload, or a counted cold LA-Decompose).
+    pub fn prepare_refresh(
+        &mut self,
+        old: MatrixId,
+        touched: Option<Vec<u32>>,
+    ) -> SparseResult<RefreshTicket> {
         let old_bound = self.bound.get(&old.0).ok_or_else(|| {
             SparseError::InvalidCsr(format!("matrix {:032x} is not registered", old.0))
         })?;
+        let (n, prior_fp) = (old_bound.n, old_bound.fingerprint);
+        let config = DecomposeConfig::with_width(self.config.arrow_width);
+        let seed = self.config.decompose_seed;
+        let decompose = self.config.target_ranks > 1 && touched.is_some();
+        let prior = if decompose && self.config.incremental.enabled {
+            self.cache.peek(prior_fp, &config, seed)
+        } else {
+            None
+        };
         Ok(RefreshTicket {
             old,
-            n: old_bound.n,
-            decompose: false,
-            config: DecomposeConfig::with_width(self.config.arrow_width),
-            seed: self.config.decompose_seed,
-            prior: None,
-            touched: None,
+            n,
+            decompose,
+            config,
+            seed,
+            prior,
+            touched,
             incremental: self.config.incremental,
         })
     }
 
-    /// [`prepare_refresh`](Self::prepare_refresh) for a build that
-    /// decomposes off the cache: on more than one rank the ticket asks
-    /// for a decomposition and carries the localization inputs of an
-    /// incremental one — the old binding's decomposition (when still
-    /// resident in the cache) and the caller-supplied touched set — so
-    /// whoever runs the build, a background worker or
-    /// [`refresh_localized`](Self::refresh_localized), can splice instead
-    /// of rebuilding. On one rank the ticket asks for nothing.
-    ///
-    /// `touched` must cover **every** vertex incident to a difference
-    /// between the old binding's content and the merged matrix; an
-    /// incomplete set makes the spliced decomposition serve the wrong
-    /// operator. Holders that track their delta in a
-    /// [`DeltaBuilder`](amd_sparse::DeltaBuilder) get it from
-    /// `touched_vertices()`.
-    pub fn prepare_refresh_localized(
-        &mut self,
-        old: MatrixId,
-        touched: Vec<u32>,
-    ) -> SparseResult<RefreshTicket> {
-        let mut ticket = self.prepare_refresh(old)?;
-        ticket.decompose = self.config.target_ranks > 1;
-        if ticket.decompose && self.config.incremental.enabled {
-            let prior_fp = self
-                .bound
-                .get(&old.0)
-                .map(|b| b.fingerprint)
-                .expect("prepare_refresh validated the binding");
-            ticket.prior = self.cache.peek(prior_fp, &ticket.config, ticket.seed);
-        }
-        ticket.touched = Some(touched);
-        Ok(ticket)
-    }
-
-    /// The synchronous incremental refresh:
-    /// [`prepare_refresh_localized`](Self::prepare_refresh_localized),
-    /// then the ticket's build from its merge step on
-    /// ([`RefreshTicket::build_merged`] — the same function a background
-    /// worker runs) and [`commit_refresh`](Self::commit_refresh), inline.
-    /// Returns the new binding and what the decompose actually did —
-    /// `None` on a one-rank engine, which decomposes nothing.
-    ///
-    /// Being inline, it can ask the cache first: when the merged content
-    /// itself is already decomposed (an update stream returning a matrix
-    /// to a previously served state, or another tenant ahead of this
-    /// one), that decomposition with an empty touched set is an exact
-    /// prior and the decompose step degenerates to a reuse.
-    ///
-    /// **Splice guard**: after a spliced decompose, the predicted arrow
-    /// serving cost of the spliced level structure is checked against
-    /// the binding's last cold baseline. When it exceeds
-    /// `max_splice_slowdown ×` the baseline — the splice stack has grown
-    /// deep enough that serving it beats the point of splicing — the
-    /// engine re-compacts: the splice is discarded, the snapshot is
-    /// decomposed cold, and the outcome reports a non-incremental
-    /// rebuild. Counted in [`EngineStats::recompactions`].
-    pub fn refresh_localized(
-        &mut self,
-        old: MatrixId,
-        merged: &CsrMatrix<f64>,
-        touched: &[u32],
-    ) -> SparseResult<(MatrixId, Option<RefreshOutcome>)> {
-        let ticket = self.prepare_refresh_localized(old, touched.to_vec())?;
-        self.refresh_prepared(ticket, merged)
-    }
-
-    /// The inline refresh of a prepared ticket, behind
-    /// [`refresh`](Self::refresh) and
-    /// [`refresh_localized`](Self::refresh_localized): fingerprint, the
-    /// cache peek, the build, the splice guard, the commit.
-    fn refresh_prepared(
-        &mut self,
-        mut ticket: RefreshTicket,
-        merged: &CsrMatrix<f64>,
-    ) -> SparseResult<(MatrixId, Option<RefreshOutcome>)> {
-        let fingerprint = merged.fingerprint();
-        if ticket.decompose && ticket.incremental.enabled {
-            if let Some(d) = self.cache.peek(fingerprint, &ticket.config, ticket.seed) {
-                ticket.prior = Some(d);
-                ticket.touched = Some(Vec::new());
-            }
-        }
-        let mut built = ticket.build_merged(merged, fingerprint)?;
-        // A cold rebuild (policy fallback or guard re-compaction) resets
-        // the binding's splice baseline to its own prediction.
-        let mut fresh_baseline = None;
-        if let Some((d, outcome)) = &mut built.decomposition {
-            if outcome.incremental {
-                let mut guard = self.splice_guard();
-                if let Some(dec) = self.bound.get(&ticket.old.0).and_then(|b| b.decomposed) {
-                    guard = guard.with_baseline(dec.splice_baseline);
-                }
-                let verdict = guard.splice_verdict(d)?;
-                if verdict.recompact {
-                    (*d, *outcome) = decompose_snapshot_incremental(
-                        merged,
-                        &ticket.config,
-                        ticket.seed,
-                        None,
-                        None,
-                        &ticket.incremental,
-                    )?;
-                    outcome.fallback = Some(FallbackReason::CostGuard);
-                    self.metrics.recompactions.inc();
-                    if self.telemetry.tracer.is_enabled() {
-                        self.telemetry.tracer.event(
-                            "splice_guard",
-                            SpanId::NONE,
-                            None,
-                            format!(
-                                "recompact=true predicted_seconds={:.3e} \
-                                 baseline_seconds={:.3e} max_slowdown={:.2}",
-                                verdict.predicted_seconds,
-                                verdict.baseline_seconds,
-                                self.config.max_splice_slowdown
-                            ),
-                        );
-                    }
-                }
-            }
-            if !outcome.incremental {
-                fresh_baseline = Some(self.splice_guard().predicted_seconds(d)?);
-            }
-        }
-        let outcome = built.outcome();
-        let id = self.commit_refresh(&ticket, merged, built)?;
-        if let (Some(fresh), Some(dec)) = (
-            fresh_baseline,
-            self.bound
-                .get_mut(&id.0)
-                .and_then(|b| b.decomposed.as_mut()),
-        ) {
-            dec.splice_baseline = fresh;
-        }
-        Ok((id, outcome))
-    }
-
-    /// The second half of a refresh: swaps the binding of `ticket.old`
+    /// The last step of a refresh: swaps the binding of `ticket.old`
     /// to a fresh binding of `merged`, adopting what the ticket's build
     /// produced from it — the fingerprint (not hashed again) and, if the
     /// build decomposed, the decomposition (admitted into the cache,
@@ -863,22 +701,10 @@ impl Engine {
             });
         }
         let version = old_bound.version + 1;
-        // Carry the splice guard's cold baseline across the refresh when
-        // the ticket carries a splice prior — a spliced successor is
-        // judged against its lineage's last cold build, not against
-        // itself. A priorless refresh decomposes cold, so the new
-        // binding records its own baseline. (refresh_prepared resets
-        // the carried value after commit when the policy fell back to a
-        // cold decompose anyway.)
-        let carried_baseline = match (&ticket.prior, old_bound.decomposed) {
-            (Some(_), Some(dec)) => Some(dec.splice_baseline),
-            _ => None,
-        };
         let lineage = Lineage {
             version,
             salt: old_bound.salt,
             parent: old_bound.fingerprint,
-            carried_baseline,
         };
         let decomposition = built.decomposition.map(|(d, _)| Arc::new(d));
         let new_id =
@@ -1071,7 +897,6 @@ impl Engine {
             refreshes: self.metrics.refreshes.get(),
             deregistered: self.metrics.deregistered.get(),
             mispredictions: self.metrics.attribution.mispredictions(),
-            recompactions: self.metrics.recompactions.get(),
             multiply_retries: self.metrics.multiply_retries.get(),
         }
     }
@@ -1257,8 +1082,8 @@ impl Engine {
                 predicted,
                 multiply_seconds
             );
-            if let Some(d) = &bound.decomposed {
-                let _ = write!(detail, " active_prefix={:.3}", d.active_prefix);
+            if let Some(active_prefix) = bound.active_prefix {
+                let _ = write!(detail, " active_prefix={active_prefix:.3}");
             }
             if let Some(c) = &cost {
                 let _ = write!(
@@ -1588,8 +1413,24 @@ mod tests {
         assert_eq!(e.stats().refreshes, 1);
     }
 
+    /// The refresh pipeline as a holder that tracks its delta runs it,
+    /// inline: ticket with the touched set, build, commit. Returns the
+    /// new binding and what the build's decompose did.
+    fn refresh_touched(
+        e: &mut Engine,
+        old: MatrixId,
+        merged: &CsrMatrix<f64>,
+        touched: &[u32],
+    ) -> (MatrixId, Option<RefreshOutcome>) {
+        let ticket = e.prepare_refresh(old, Some(touched.to_vec())).unwrap();
+        let built = ticket.build_merged(merged, merged.fingerprint()).unwrap();
+        let outcome = built.outcome();
+        let id = e.commit_refresh(&ticket, merged, built).unwrap();
+        (id, outcome)
+    }
+
     #[test]
-    fn refresh_localized_splices_from_the_cached_prior() {
+    fn localized_refresh_splices_from_the_cached_prior() {
         let mut e = Engine::new(EngineConfig {
             arrow_width: 8,
             target_ranks: 4,
@@ -1605,7 +1446,7 @@ mod tests {
         coo.push_sym(10, 13, 2.0).unwrap();
         let delta = coo.to_csr();
         let merged = amd_sparse::ops::apply_delta(&a, &delta).unwrap();
-        let (new_id, outcome) = e.refresh_localized(id, &merged, &[10, 13]).unwrap();
+        let (new_id, outcome) = refresh_touched(&mut e, id, &merged, &[10, 13]);
         let outcome = outcome.expect("more than one rank decomposes");
         assert!(outcome.incremental, "fallback: {:?}", outcome.fallback);
         assert!(outcome.reused_fraction() > 0.5);
@@ -1632,36 +1473,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_localized_reuses_cached_merged_content() {
-        // An update stream that returns a matrix to previously served
-        // content must not decompose at all: the merged fingerprint hits
-        // the cache and the refresh degenerates to a full reuse.
-        let mut e = Engine::new(EngineConfig {
-            arrow_width: 8,
-            target_ranks: 4,
-            ..EngineConfig::default()
-        })
-        .unwrap();
-        let n = 64;
-        let a = ring(n);
-        let mut coo = amd_sparse::CooMatrix::new(n, n);
-        coo.push_sym(5, 9, 1.0).unwrap();
-        let b = amd_sparse::ops::apply_delta(&a, &coo.to_csr()).unwrap();
-        let id_a = e.register(&a).unwrap();
-        let id_b = e.register(&b).unwrap();
-        assert_eq!(e.cache_stats().decompositions, 2);
-        // Mutate B back into A's exact content.
-        let (new_id, outcome) = e.refresh_localized(id_b, &a, &[5, 9]).unwrap();
-        let outcome = outcome.expect("more than one rank decomposes");
-        assert_eq!(new_id, id_a, "collides with A's binding");
-        assert!(outcome.incremental);
-        assert_eq!(outcome.affected_vertices, 0);
-        assert_eq!(outcome.reused_fraction(), 1.0);
-        assert_eq!(e.cache_stats().decompositions, 2, "no third decompose");
-    }
-
-    #[test]
-    fn refresh_localized_falls_back_when_prior_is_evicted() {
+    fn localized_refresh_falls_back_when_prior_is_evicted() {
         let mut e = Engine::new(EngineConfig {
             arrow_width: 8,
             target_ranks: 4,
@@ -1677,7 +1489,7 @@ mod tests {
         let mut coo = amd_sparse::CooMatrix::new(n, n);
         coo.push_sym(3, 6, 1.0).unwrap();
         let merged = amd_sparse::ops::apply_delta(&a, &coo.to_csr()).unwrap();
-        let (new_id, outcome) = e.refresh_localized(id, &merged, &[3, 6]).unwrap();
+        let (new_id, outcome) = refresh_touched(&mut e, id, &merged, &[3, 6]);
         let outcome = outcome.expect("more than one rank decomposes");
         assert!(!outcome.incremental);
         assert_eq!(
@@ -1688,7 +1500,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_localized_reports_no_outcome_on_one_rank() {
+    fn localized_refresh_reports_no_outcome_on_one_rank() {
         let mut e = Engine::new(EngineConfig::default()).unwrap();
         let n = 64;
         let a = ring(n);
@@ -1696,7 +1508,7 @@ mod tests {
         let mut coo = amd_sparse::CooMatrix::new(n, n);
         coo.push_sym(3, 6, 1.0).unwrap();
         let merged = amd_sparse::ops::apply_delta(&a, &coo.to_csr()).unwrap();
-        let (new_id, outcome) = e.refresh_localized(id, &merged, &[3, 6]).unwrap();
+        let (new_id, outcome) = refresh_touched(&mut e, id, &merged, &[3, 6]);
         assert!(outcome.is_none(), "nothing was decomposed: {outcome:?}");
         assert_eq!(e.matrix_version(new_id), Some(1));
         assert_eq!(e.binding_fingerprint(new_id), Some(merged.fingerprint()));
@@ -2009,63 +1821,5 @@ mod tests {
             .expect("multiply event traced");
         assert!(mul.detail.contains("dtype=f32"), "{}", mul.detail);
         assert!(mul.detail.contains("active_prefix="), "{}", mul.detail);
-    }
-
-    #[test]
-    fn splice_guard_recompacts_deep_splices() {
-        // With a slowdown budget of exactly 1.0 every splice that deepens
-        // the level stack must trip the guard: the engine rebuilds cold
-        // and reports a non-incremental outcome.
-        let mut e = Engine::new(EngineConfig {
-            arrow_width: 8,
-            target_ranks: 4,
-            max_splice_slowdown: 1.0,
-            incremental: IncrementalPolicy {
-                max_affected_fraction: 1.0,
-                max_order: 64,
-                ..IncrementalPolicy::default()
-            },
-            ..EngineConfig::default()
-        })
-        .unwrap();
-        let n = 128;
-        let mut a = ring(n);
-        let mut id = e.register(&a).unwrap();
-        let mut recompacted = false;
-        for round in 0..6u32 {
-            let (u, v) = (round, round + n / 2);
-            let mut coo = amd_sparse::CooMatrix::new(n, n);
-            coo.push_sym(u, v, 1.0).unwrap();
-            let merged = amd_sparse::ops::apply_delta(&a, &coo.to_csr()).unwrap();
-            let (new_id, outcome) = e.refresh_localized(id, &merged, &[u, v]).unwrap();
-            let outcome = outcome.expect("more than one rank decomposes");
-            a = merged;
-            id = new_id;
-            if outcome.fallback == Some(FallbackReason::CostGuard) {
-                assert!(!outcome.incremental);
-                recompacted = true;
-                break;
-            }
-        }
-        assert!(recompacted, "deep splices never tripped a 1.0× budget");
-        assert!(e.stats().recompactions > 0);
-        let events = e.telemetry().tracer.snapshot();
-        assert!(
-            events.iter().any(|ev| ev.name == "splice_guard"),
-            "guard decision traced"
-        );
-        // The recompacted binding still serves the right operator.
-        let x: Vec<f64> = (0..n).map(|r| ((r % 5) as f64) - 2.0).collect();
-        let resp = e
-            .run_single(MultiplyQuery {
-                matrix: id,
-                x: x.clone(),
-                iters: 1,
-                sigma: None,
-            })
-            .unwrap();
-        let xm = DenseMatrix::from_vec(n, 1, x).unwrap();
-        let want = amd_spmm::reference::iterated_spmm(&a, &xm, 1).unwrap();
-        assert_eq!(resp.y, want.data());
     }
 }

@@ -41,12 +41,15 @@
 //! and a staleness [`Engine::refresh`] that rebinds a matrix to its
 //! compacted successor (new fingerprint, full planner re-ranking,
 //! version carried forward; on more than one rank a fresh decomposition
-//! through the cache). A refresh is one *build* —
-//! [`RefreshTicket::build`]: merge, fingerprint, decompose only if the
-//! ticket asks — that touches no engine state, so a holder can run it on
-//! another thread between [`Engine::prepare_refresh_localized`] and
-//! [`Engine::commit_refresh`]. The `amd-stream` crate drives both from a
-//! budgeted update stream.
+//! through the cache). A refresh is one pipeline, whoever runs it:
+//! [`Engine::prepare_refresh`] (the ticket; with the touched vertices a
+//! many-rank build may splice the old decomposition instead of
+//! rebuilding), one *build* — [`RefreshTicket::build`]: merge,
+//! fingerprint, decompose only if the ticket asks — that touches no
+//! engine state, so a holder can run it on another thread, and
+//! [`Engine::commit_refresh`]. [`Engine::refresh`] is those three steps
+//! inline, without a touched set. The `amd-stream` crate drives them
+//! from a budgeted update stream.
 //!
 //! Bindings have a full lifecycle: [`Engine::deregister`] drops one
 //! (refusing while it still owns pending queries, releasing its cache

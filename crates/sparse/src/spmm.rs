@@ -7,9 +7,9 @@
 //! # One inner loop
 //!
 //! Every multiply in this crate — [`spmm`], [`spmm_acc`],
-//! [`spmm_parallel`], [`spmm_acc_dtype`], [`spmm_dtype`],
-//! [`spmm_slices`] and the fused level kernels of [`crate::kernel`] —
-//! runs the same **strip primitive**. An output row of `k` columns is cut
+//! [`spmm_parallel`], [`spmm_acc_dtype`], [`spmm_slices`] and the fused
+//! level kernels of [`crate::kernel`] — runs the same **strip
+//! primitive**. An output row of `k` columns is cut
 //! greedily into strips of 16, 8, 4 and 1 columns; for each strip the
 //! row's stored entries are walked once with the strip's sums held in a
 //! `[T; W]` that the compiler keeps in registers, and only the finished
@@ -375,11 +375,11 @@ pub fn part_count(work: usize, min_work: usize) -> usize {
 /// Every output row is owned by one block and summed in the order
 /// [`spmm`] uses (`0`, then the row's entries in column order), so the
 /// result is bit-identical to [`spmm`] at [`Dtype::F64`] and to
-/// [`spmm_dtype`] at [`Dtype::F32`] — for any block count and for any
-/// previous content of `y`, which lets a caller keep one output buffer
-/// across multiplies instead of allocating (and first-touching) a fresh
-/// one each time. Work below [`PARALLEL_MIN_WORK`] runs serially with
-/// no dispatch at all.
+/// [`spmm_acc_dtype`] into zeros at [`Dtype::F32`] — for any block count
+/// and for any previous content of `y`, which lets a caller keep one
+/// output buffer across multiplies instead of allocating (and
+/// first-touching) a fresh one each time. Work below
+/// [`PARALLEL_MIN_WORK`] runs serially with no dispatch at all.
 pub fn spmm_parallel(
     a: &CsrMatrix<f64>,
     x: &DenseMatrix<f64>,
@@ -455,18 +455,6 @@ pub fn spmm_acc_dtype(
     Ok(())
 }
 
-/// Allocating variant of [`spmm_acc_dtype`]: `Y = A · X` at `dtype`.
-pub fn spmm_dtype(
-    a: &CsrMatrix<f64>,
-    x: &DenseMatrix<f64>,
-    dtype: Dtype,
-) -> SparseResult<DenseMatrix<f64>> {
-    check_shapes(a, x)?;
-    let mut y = DenseMatrix::zeros(a.rows(), x.cols());
-    fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite, dtype);
-    Ok(y)
-}
-
 /// Flop count of `A · X`: 2 · nnz(A) · k, the quantity charged to the
 /// simulated compute clock by the distributed algorithms.
 pub fn spmm_flops<T: Scalar>(a: &CsrMatrix<T>, k: u32) -> f64 {
@@ -522,6 +510,18 @@ fn check_output<T: Scalar>(
 mod tests {
     use super::*;
     use crate::CooMatrix;
+
+    /// Allocating variant of [`spmm_acc_dtype`]: `Y = A · X` at `dtype`.
+    fn spmm_dtype(
+        a: &CsrMatrix<f64>,
+        x: &DenseMatrix<f64>,
+        dtype: Dtype,
+    ) -> SparseResult<DenseMatrix<f64>> {
+        check_shapes(a, x)?;
+        let mut y = DenseMatrix::zeros(a.rows(), x.cols());
+        fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite, dtype);
+        Ok(y)
+    }
 
     #[test]
     fn chunks_cover_the_slice_and_a_single_chunk_stays_on_the_caller() {

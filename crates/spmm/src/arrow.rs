@@ -114,7 +114,12 @@ impl ArrowSpmm {
         // leaving it, and its X must be routed from further up the
         // chain. Route content, not level adjacency, drives the
         // send/recv loops, so the cross-level hops need no special
-        // casing there.
+        // casing there. The precondition — every vertex active at a
+        // level after the first is active at an earlier one — holds for
+        // everything LA-Decompose and the splice return: a splice that
+        // would break it (the delta attached a vertex no level held)
+        // falls back cold, `FallbackReason::Unroutable`. The error
+        // below is for decompositions assembled elsewhere.
         //
         // [`decompose_snapshot_incremental`]: arrow_core::incremental::decompose_snapshot_incremental
         for t in 1..d.order() {

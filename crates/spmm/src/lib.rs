@@ -20,10 +20,7 @@
 //!   above on a decomposed base `A₀` plus a per-iteration sparse-delta
 //!   correction, serving `A₀ + ΔA` without re-decomposing,
 //! * [`mod@reference`] — the serial reference every algorithm is verified
-//!   against,
-//! * [`ServingCostGuard`] — splice-aware cost re-ranking: predicts the
-//!   serving cost of a spliced decomposition over its actual level
-//!   structure and decides when re-compaction beats serving deep splices.
+//!   against.
 //!
 //! Every member accepts a serving [`amd_sparse::Dtype`] via
 //! `with_dtype`: `f32` halves the bytes charged per value moved and runs
@@ -42,7 +39,6 @@ pub mod a15d;
 pub mod a2d;
 pub mod arrow;
 pub mod corrected;
-pub mod guard;
 pub mod hp1d;
 pub mod layout;
 pub mod local;
@@ -55,7 +51,6 @@ pub use a15d::{best_c, A15dSpmm};
 pub use a2d::A2dSpmm;
 pub use arrow::ArrowSpmm;
 pub use corrected::DeltaSpmm;
-pub use guard::{ServingCostGuard, SpliceVerdict, DEFAULT_MAX_SLICE_SLOWDOWN};
 pub use hp1d::Hp1dSpmm;
 pub use local::LocalSpmm;
 pub use traits::{CommEstimate, DistSpmm, SpmmRun};

@@ -25,8 +25,10 @@
 //!
 //! ## Double-buffered refresh
 //!
-//! With `async_refresh` on (the default), a staleness refresh never
-//! stalls the stream:
+//! A refresh is grant → build → commit (the state machine lives in
+//! `refresh.rs`; this module keeps tenant state, the query path and the
+//! accessors). With `async_refresh` on (the default) the build runs on a
+//! worker thread and a staleness refresh never stalls the stream:
 //!
 //! ```text
 //!  trip            launch                      commit (at a poll point)
@@ -49,6 +51,11 @@
 //! for integer data, because both representations are the same operator
 //! and every reduction is exact.
 //!
+//! With `async_refresh` off the same grant, the same build and the same
+//! commit run back to back inside the call that tripped the budget: the
+//! option selects a thread, not a policy, and both settings count, trace
+//! and decide (splice or cold) alike.
+//!
 //! ## Fairness
 //!
 //! Background rebuilds draw from a shared budget
@@ -62,17 +69,16 @@
 //! and re-checked at commit.
 
 use crate::budget::{AdaptiveBudget, StalenessBudget};
+use crate::refresh::RefreshState;
 use crate::splice::{SpliceCounters, SpliceStats};
 use crate::update::Update;
-use crate::worker::{RefreshJob, RefreshWorker};
 use amd_engine::{
     CacheStats, Engine, EngineConfig, EngineStats, MatrixId, MultiplyQuery, QueryId, QueryResponse,
 };
-use amd_obs::{Counter, Histogram, Registry, SpanId, Stopwatch, Telemetry};
+use amd_obs::{Counter, Histogram, Registry, SpanId, Telemetry};
 use amd_sparse::{ops, CsrMatrix, DeltaBuilder, SparseError, SparseResult};
 use amd_spmm::traits::Sigma;
-use arrow_core::incremental::RefreshOutcome;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -152,9 +158,10 @@ pub struct HubConfig {
     /// (`true`, default) or leave them to explicit
     /// [`refresh`](StreamHub::refresh) calls.
     pub auto_refresh: bool,
-    /// Rebuild in the background and swap on completion (`true`,
-    /// default); `false` compacts synchronously inside the triggering
-    /// call, which then pays the rebuild's latency.
+    /// Which thread runs a refresh's build: a background worker, the
+    /// swap committing at a later poll point (`true`, default), or the
+    /// triggering call itself, which then pays the build's latency and
+    /// commits at once (`false`). Nothing else differs.
     pub async_refresh: bool,
     /// Shared refresh budget and worker-pool size.
     pub fairness: FairnessPolicy,
@@ -174,9 +181,9 @@ pub struct HubConfig {
     /// [`StreamHub::retired`]. `None` (default) keeps tenants forever;
     /// long-lived hubs serving churning tenant sets should set it.
     pub max_idle_polls: Option<u64>,
-    /// Test/bench hook: background workers sleep this long before
+    /// Test/bench hook: a refresh build sleeps this long before
     /// building, simulating a slow LA-Decompose so tests can assert
-    /// that serving does not block on the rebuild.
+    /// that serving does not block on a background rebuild.
     pub decompose_delay: Option<Duration>,
     /// Supervision: how many times a refresh whose worker *panicked* is
     /// automatically requeued (with exponential backoff) before the hub
@@ -229,7 +236,7 @@ pub struct TenantStats {
     pub updates: u64,
     /// Queries submitted.
     pub queries: u64,
-    /// Refreshes completed (sync compactions + committed swaps).
+    /// Refreshes completed (committed swaps, wherever they were built).
     pub refreshes: u64,
     /// Refreshes triggered early by the re-rank policy rather than the
     /// staleness budget.
@@ -237,9 +244,9 @@ pub struct TenantStats {
     /// Budget trips that arrived while a refresh was already queued or
     /// in flight — guarded, not double-triggered.
     pub suppressed_triggers: u64,
-    /// Background rebuilds that failed (decompose error or commit
-    /// rejection); the captured delta was folded back and serving
-    /// continued on the old binding.
+    /// Rebuilds that failed (build error or commit rejection); the
+    /// captured delta was folded back and serving continued on the old
+    /// binding.
     pub refresh_failures: u64,
     /// A background rebuild for this tenant is in flight right now.
     pub refreshing: bool,
@@ -273,15 +280,16 @@ pub struct HubStats {
     pub updates: u64,
     /// Queries submitted across all tenants.
     pub queries: u64,
-    /// Refreshes launched (background) or performed (sync).
+    /// Refresh grants taken (a supervision retry takes a new one).
     pub refreshes_started: u64,
-    /// Refreshes that committed successfully (sync compactions plus
-    /// background swaps); `refreshes_started` = this + `refresh_failures`
-    /// + still queued/in-flight rebuilds.
+    /// Refreshes that committed successfully. `refreshes_started` is
+    /// this plus `refresh_failures`, the grants lost to a worker death
+    /// or an eviction, and the rebuilds still in flight.
     pub refreshes_completed: u64,
-    /// Background rebuilds that failed (decompose error or commit
-    /// rejection); the tenant's delta is restored, serving continues on
-    /// the old binding, and no error surfaces to unrelated callers.
+    /// Rebuilds that failed (build error or commit rejection); the
+    /// tenant's delta is restored and serving continues on the old
+    /// binding. A pooled build's failure surfaces to no caller; an inline
+    /// one is also the error of the call that ran it.
     pub refresh_failures: u64,
     /// Early rebinds triggered by the re-rank policy.
     pub early_rebinds: u64,
@@ -314,25 +322,26 @@ pub struct HubStats {
 /// Registry handles behind [`HubStats`] plus the hub's refresh-phase
 /// latency histograms — the counters are the single source of truth;
 /// the stats struct is a fold over them.
-struct HubMetrics {
+pub(crate) struct HubMetrics {
     updates: Counter,
     queries: Counter,
-    refreshes_started: Counter,
-    refreshes_completed: Counter,
-    refresh_failures: Counter,
+    pub(crate) refreshes_started: Counter,
+    pub(crate) refreshes_completed: Counter,
+    pub(crate) refresh_failures: Counter,
     early_rebinds: Counter,
     suppressed_triggers: Counter,
     evictions: Counter,
     idle_evictions: Counter,
-    worker_restarts: Counter,
-    refresh_retries: Counter,
-    sync_fallbacks: Counter,
-    splice: SpliceCounters,
+    pub(crate) worker_restarts: Counter,
+    pub(crate) refresh_retries: Counter,
+    pub(crate) sync_fallbacks: Counter,
+    pub(crate) splice: SpliceCounters,
     /// Decompose seconds of committed refreshes that decomposed, from
-    /// the [`RefreshOutcome`]'s own phase timings.
-    decompose_seconds: Histogram,
-    extract_seconds: Histogram,
-    splice_seconds: Histogram,
+    /// the [`RefreshOutcome`](arrow_core::incremental::RefreshOutcome)'s
+    /// own phase timings.
+    pub(crate) decompose_seconds: Histogram,
+    pub(crate) extract_seconds: Histogram,
+    pub(crate) splice_seconds: Histogram,
 }
 
 impl HubMetrics {
@@ -361,14 +370,14 @@ impl HubMetrics {
 /// Registry handles behind one tenant's [`TenantStats`] counters,
 /// named `hub.tenant.<id>.*`; removed from the registry when the
 /// tenant is evicted (the hub-wide sums keep its contributions).
-struct TenantMetrics {
+pub(crate) struct TenantMetrics {
     updates: Counter,
     queries: Counter,
-    refreshes: Counter,
+    pub(crate) refreshes: Counter,
     early_rebinds: Counter,
     suppressed_triggers: Counter,
-    refresh_failures: Counter,
-    splice: SpliceCounters,
+    pub(crate) refresh_failures: Counter,
+    pub(crate) splice: SpliceCounters,
 }
 
 impl TenantMetrics {
@@ -387,54 +396,53 @@ impl TenantMetrics {
 }
 
 /// A background rebuild in flight for one tenant.
-struct InFlight {
+pub(crate) struct InFlight {
     /// The delta snapshot compacted into the rebuild (`merged = base +
     /// captured`). Still being *served* (merged into the overlay) until
     /// the swap commits.
-    captured: DeltaBuilder<f64>,
+    pub(crate) captured: DeltaBuilder<f64>,
     /// Predicted corrected-path seconds per pending delta entry at
-    /// launch time — the adaptive budget's overhead signal, combined at
-    /// commit with the worker's measured build latency.
-    per_entry_seconds: f64,
+    /// grant time — the adaptive budget's overhead signal, combined at
+    /// commit with the measured build latency.
+    pub(crate) per_entry_seconds: f64,
 }
 
-struct Tenant {
-    matrix: MatrixId,
-    /// Shared with the refresh worker while a rebuild is in flight.
-    base: Arc<CsrMatrix<f64>>,
+pub(crate) struct Tenant {
+    pub(crate) matrix: MatrixId,
+    /// Shared with the refresh build while one is in flight.
+    pub(crate) base: Arc<CsrMatrix<f64>>,
     /// Updates not yet part of any (running or finished) rebuild.
-    delta: DeltaBuilder<f64>,
-    budget: StalenessBudget,
+    pub(crate) delta: DeltaBuilder<f64>,
+    pub(crate) budget: StalenessBudget,
     /// The engine's overlay no longer matches `captured + delta`.
-    overlay_dirty: bool,
-    inflight: Option<InFlight>,
+    pub(crate) overlay_dirty: bool,
+    /// The grant this tenant holds, while its rebuild is in flight.
+    pub(crate) inflight: Option<InFlight>,
     /// Delta length at the last re-rank evaluation: 0 = none since the
     /// last compaction, [`usize::MAX`] = a positive verdict latched
     /// (don't re-evaluate until the delta compacts).
-    rerank_mark: usize,
+    pub(crate) rerank_mark: usize,
     /// Hub poll points since this tenant's last update or query — the
     /// idle-eviction clock.
     idle_polls: u64,
-    metrics: TenantMetrics,
-    /// A background rebuild is in flight right now.
-    refreshing: bool,
+    pub(crate) metrics: TenantMetrics,
     /// Waiting in the FIFO refresh queue.
-    queued: bool,
+    pub(crate) queued: bool,
     /// Hub-wide slot of the latest refresh grant (see
     /// [`TenantStats::last_granted_slot`]).
-    last_granted_slot: u64,
+    pub(crate) last_granted_slot: u64,
     /// Current adaptively derived budget (see
     /// [`TenantStats::adaptive_budget_nnz`]).
-    adaptive_budget_nnz: u64,
+    pub(crate) adaptive_budget_nnz: u64,
     /// Root span of the refresh lifecycle in progress (trip → grant →
     /// decompose → commit); [`SpanId::NONE`] when none is pending.
-    refresh_span: SpanId,
+    pub(crate) refresh_span: SpanId,
     /// Consecutive supervision retries of this tenant's refresh (worker
     /// panics); reset to 0 by a successful commit.
-    retries: u32,
-    /// Backoff the supervisor attached to the next launch of this
-    /// tenant's refresh, consumed (taken) by `launch_ready`.
-    backoff: Option<Duration>,
+    pub(crate) retries: u32,
+    /// Backoff the supervisor attached to the next grant of this
+    /// tenant's refresh, consumed (taken) when it is granted.
+    pub(crate) backoff: Option<Duration>,
 }
 
 impl Tenant {
@@ -456,12 +464,12 @@ impl Tenant {
         }
     }
 
-    fn needs_refresh(&self) -> bool {
+    pub(crate) fn needs_refresh(&self) -> bool {
         self.budget
             .exceeded(self.delta.len(), self.delta.mass(), self.base.nnz())
     }
 
-    fn refresh_pending(&self) -> bool {
+    pub(crate) fn refresh_pending(&self) -> bool {
         self.queued || self.inflight.is_some()
     }
 
@@ -475,7 +483,7 @@ impl Tenant {
             early_rebinds: self.metrics.early_rebinds.get(),
             suppressed_triggers: self.metrics.suppressed_triggers.get(),
             refresh_failures: self.metrics.refresh_failures.get(),
-            refreshing: self.refreshing,
+            refreshing: self.inflight.is_some(),
             queued: self.queued,
             last_granted_slot: self.last_granted_slot,
             splice: self.metrics.splice.stats(),
@@ -484,61 +492,20 @@ impl Tenant {
     }
 }
 
-/// Folds what a committed refresh's decompose did into the hub's and
-/// the tenant's splice counters, the phase-latency histograms (one
-/// sample per phase per refresh) and the refresh's trace span. Refreshes
-/// that decomposed nothing — every one-rank refresh — have no outcome
-/// and record none of this.
-fn record_outcome(
-    metrics: &HubMetrics,
-    t: &Tenant,
-    tracer: &amd_obs::Tracer,
-    span: SpanId,
-    tenant: TenantId,
-    outcome: &RefreshOutcome,
-) {
-    metrics.splice.record(outcome);
-    t.metrics.splice.record(outcome);
-    metrics
-        .extract_seconds
-        .record_seconds(outcome.timings.extract_seconds);
-    metrics
-        .decompose_seconds
-        .record_seconds(outcome.timings.decompose_seconds);
-    metrics
-        .splice_seconds
-        .record_seconds(outcome.timings.splice_seconds);
-    tracer.event(
-        if outcome.incremental {
-            "splice"
-        } else {
-            "fallback"
-        },
-        span,
-        Some(tenant.0),
-        format!(
-            "affected={} total={}",
-            outcome.affected_vertices, outcome.total_vertices
-        ),
-    );
-}
-
 /// A multi-tenant streaming hub. See the [module docs](self).
 pub struct StreamHub {
-    engine: Engine,
-    config: HubConfig,
-    tenants: HashMap<u64, Tenant>,
+    pub(crate) engine: Engine,
+    pub(crate) config: HubConfig,
+    pub(crate) tenants: HashMap<u64, Tenant>,
     /// Admission order, for stable iteration.
     order: Vec<TenantId>,
-    /// FIFO of tenants waiting for a rebuild slot.
-    queue: VecDeque<TenantId>,
-    worker: Option<RefreshWorker>,
-    inflight: usize,
+    /// Queue, builders and grants out (see [`crate::refresh`]).
+    pub(crate) refreshes: RefreshState,
     next_tenant: u64,
     /// Final stats of tenants evicted by the idle policy, in eviction
     /// order (explicit [`evict`](Self::evict) returns them instead).
     retired: Vec<(TenantId, TenantStats)>,
-    metrics: HubMetrics,
+    pub(crate) metrics: HubMetrics,
 }
 
 impl StreamHub {
@@ -559,21 +526,14 @@ impl StreamHub {
     /// counter) read zero.
     pub fn with_telemetry(config: HubConfig, telemetry: Telemetry) -> SparseResult<Self> {
         let engine = Engine::with_telemetry(config.engine.clone(), telemetry)?;
-        let worker = config.async_refresh.then(|| {
-            RefreshWorker::spawn(
-                config.fairness.max_inflight,
-                engine.telemetry().tracer.clone(),
-            )
-        });
+        let refreshes = RefreshState::new(&config, engine.telemetry().tracer.clone());
         let metrics = HubMetrics::new(&engine.telemetry().registry);
         Ok(Self {
             engine,
             config,
             tenants: HashMap::new(),
             order: Vec::new(),
-            queue: VecDeque::new(),
-            worker,
-            inflight: 0,
+            refreshes,
             next_tenant: 1,
             retired: Vec::new(),
             metrics,
@@ -625,7 +585,6 @@ impl StreamHub {
                 rerank_mark: 0,
                 idle_polls: 0,
                 metrics,
-                refreshing: false,
                 queued: false,
                 last_granted_slot: 0,
                 adaptive_budget_nnz: 0,
@@ -649,13 +608,13 @@ impl StreamHub {
         &self.order
     }
 
-    fn tenant(&self, id: TenantId) -> SparseResult<&Tenant> {
+    pub(crate) fn tenant(&self, id: TenantId) -> SparseResult<&Tenant> {
         self.tenants
             .get(&id.0)
             .ok_or_else(|| SparseError::InvalidCsr(format!("{id} is not admitted")))
     }
 
-    fn tenant_mut(&mut self, id: TenantId) -> SparseResult<&mut Tenant> {
+    pub(crate) fn tenant_mut(&mut self, id: TenantId) -> SparseResult<&mut Tenant> {
         self.tenants
             .get_mut(&id.0)
             .ok_or_else(|| SparseError::InvalidCsr(format!("{id} is not admitted")))
@@ -756,10 +715,10 @@ impl StreamHub {
         Ok(rebind)
     }
 
-    /// Requests a refresh for a tenant: queues/launches a background
-    /// rebuild (async) or compacts synchronously. Returns `false` when
-    /// there is nothing to do — empty delta, or a refresh already
-    /// pending.
+    /// Requests a refresh for a tenant: queues it and launches what the
+    /// shared budget allows — with `async_refresh` off, that is the whole
+    /// refresh, committed before this returns. Returns `false` when there
+    /// is nothing to do — empty delta, or a refresh already pending.
     pub fn refresh(&mut self, tenant: TenantId) -> SparseResult<bool> {
         self.touch(tenant);
         self.poll()?;
@@ -773,193 +732,12 @@ impl StreamHub {
         }
     }
 
-    fn request_refresh(&mut self, tenant: TenantId) -> SparseResult<bool> {
-        let background = self.worker.is_some();
-        let tracer = self.engine.telemetry().tracer.clone();
-        {
-            let t = self.tenant_mut(tenant)?;
-            if t.refresh_pending() || t.delta.is_empty() {
-                return Ok(false);
-            }
-            // Root span of the refresh lifecycle: opened at the trip,
-            // closed at commit (or failure, or eviction drain).
-            t.refresh_span = tracer.start("refresh", SpanId::NONE, Some(tenant.0));
-            if background {
-                t.queued = true;
-            }
-        }
-        if background {
-            self.queue.push_back(tenant);
-            self.launch_ready()?;
-        } else {
-            self.sync_refresh(tenant)?;
-        }
-        Ok(true)
-    }
-
-    /// Predicted corrected-path seconds per pending delta entry on a
-    /// tenant's current binding: (corrected − plan-best) / nnz(ΔA). The
-    /// adaptive budget's per-entry overhead signal; 0 when prediction is
-    /// unavailable (which relaxes the derived budget to its ceiling).
-    fn per_entry_overhead(&self, matrix: MatrixId, delta: &CsrMatrix<f64>) -> f64 {
-        let entries = delta.nnz().max(1) as f64;
-        let Ok(corrected) = self.engine.predict_corrected_seconds(matrix, delta) else {
-            return 0.0;
-        };
-        let best = self
-            .engine
-            .plan_report(matrix)
-            .and_then(|p| p.first())
-            .map(|p| p.seconds)
-            .unwrap_or(corrected);
-        ((corrected - best) / entries).max(0.0)
-    }
-
-    /// The synchronous path: compact in place — the engine runs the
-    /// refresh build inline (on more than one rank that blocks for the
-    /// decompose, incremental when the prior and the touched set allow
-    /// it).
-    fn sync_refresh(&mut self, tenant: TenantId) -> SparseResult<()> {
-        let (old, merged, touched, delta_csr) = {
-            let t = self.tenant(tenant)?;
-            let delta_csr = t.delta.to_csr();
-            let merged = ops::apply_delta(&t.base, &delta_csr)?;
-            (t.matrix, merged, t.delta.touched_vertices(), delta_csr)
-        };
-        let per_entry_seconds = if self.config.adaptive.is_some() {
-            self.per_entry_overhead(old, &delta_csr)
-        } else {
-            0.0
-        };
-        let tracer = self.engine.telemetry().tracer.clone();
-        let sw = Stopwatch::start();
-        let (new_id, outcome) = self.engine.refresh_localized(old, &merged, &touched)?;
-        let refresh_seconds = sw.elapsed_seconds();
-        self.metrics.refreshes_started.inc();
-        self.metrics.refreshes_completed.inc();
-        let slot = self.metrics.refreshes_started.get();
-        let adaptive = self.config.adaptive;
-        let t = self
-            .tenants
-            .get_mut(&tenant.0)
-            .expect("tenant validated above");
-        t.matrix = new_id;
-        t.base = Arc::new(merged);
-        t.delta.clear();
-        // The old binding carried the overlay away with it; the fresh
-        // binding serves the compacted base directly.
-        t.overlay_dirty = false;
-        t.metrics.refreshes.inc();
-        t.last_granted_slot = slot;
-        t.rerank_mark = 0;
-        let span = std::mem::replace(&mut t.refresh_span, SpanId::NONE);
-        if let Some(outcome) = &outcome {
-            record_outcome(&self.metrics, t, &tracer, span, tenant, outcome);
-        }
-        tracer.end_with(span, format!("sync committed in {refresh_seconds:.3e}s"));
-        if let Some(policy) = adaptive {
-            let nnz = policy.retune(&mut t.budget, refresh_seconds, per_entry_seconds);
-            t.adaptive_budget_nnz = nnz as u64;
-        }
-        Ok(())
-    }
-
-    /// Launches queued rebuilds while the shared budget has room.
-    fn launch_ready(&mut self) -> SparseResult<()> {
-        let tracer = self.engine.telemetry().tracer.clone();
-        while self.inflight < self.config.fairness.max_inflight.max(1) {
-            let Some(tenant) = self.queue.pop_front() else {
-                return Ok(());
-            };
-            let base_delay = self.config.decompose_delay;
-            let (delay, old) = {
-                let t = self.tenant_mut(tenant)?;
-                t.queued = false;
-                // The supervisor's retry backoff stacks on top of the
-                // test-hook delay (both are worker-side sleeps).
-                let delay = match (t.backoff.take(), base_delay) {
-                    (Some(b), Some(d)) => Some(b + d),
-                    (Some(b), None) => Some(b),
-                    (None, d) => d,
-                };
-                // Drained meanwhile (e.g. by a manual sync refresh).
-                if t.delta.is_empty() {
-                    let span = std::mem::replace(&mut t.refresh_span, SpanId::NONE);
-                    tracer.end_with(span, "drained before launch".to_string());
-                    continue;
-                }
-                (delay, t.matrix)
-            };
-            // What the build needs, at `O(nnz(ΔA))`: the delta's CSR and
-            // the touched set that localizes a re-decomposition. The
-            // merge and the hash are the worker's.
-            let (touched, delta_csr) = {
-                let t = self.tenant(tenant)?;
-                (t.delta.touched_vertices(), t.delta.to_csr())
-            };
-            let per_entry_seconds = if self.config.adaptive.is_some() {
-                self.per_entry_overhead(old, &delta_csr)
-            } else {
-                0.0
-            };
-            let ticket = self.engine.prepare_refresh_localized(old, touched)?;
-            self.metrics.refreshes_started.inc();
-            let slot = self.metrics.refreshes_started.get();
-            let (base, span) = {
-                let t = self.tenant_mut(tenant)?;
-                let n = t.base.rows();
-                let captured = std::mem::replace(&mut t.delta, DeltaBuilder::new(n, n));
-                t.inflight = Some(InFlight {
-                    captured,
-                    per_entry_seconds,
-                });
-                t.refreshing = true;
-                t.last_granted_slot = slot;
-                t.rerank_mark = 0;
-                // Serving switches to the captured overlay (the live
-                // delta just emptied); resync before the next run.
-                t.overlay_dirty = true;
-                tracer.event(
-                    "grant",
-                    t.refresh_span,
-                    Some(tenant.0),
-                    format!("slot={slot}"),
-                );
-                // The decompose span travels with the job; the worker
-                // thread closes it when the build finishes.
-                let span = tracer.start("decompose", t.refresh_span, Some(tenant.0));
-                (Arc::clone(&t.base), span)
-            };
-            self.inflight += 1;
-            self.worker
-                .as_ref()
-                .expect("launch_ready only runs in async mode")
-                .submit(RefreshJob {
-                    tenant,
-                    base,
-                    delta: delta_csr,
-                    ticket,
-                    delay,
-                    span,
-                });
-        }
-        Ok(())
-    }
-
     /// Drains finished rebuilds (non-blocking), commits their swaps, and
     /// launches queued work into the freed slots. Called internally at
     /// every entry point; call it directly when idling between events.
     /// Returns the number of swaps committed.
     pub fn poll(&mut self) -> SparseResult<usize> {
-        let mut committed = 0;
-        if self.worker.is_some() {
-            while let Some(done) = self.worker.as_ref().and_then(|w| w.try_done()) {
-                if self.commit(done)? {
-                    committed += 1;
-                }
-            }
-            self.launch_ready()?;
-        }
+        let committed = self.land_finished()?;
         self.sweep_idle()?;
         Ok(committed)
     }
@@ -1020,44 +798,7 @@ impl StreamHub {
                 if pending == 1 { "y" } else { "ies" }
             )));
         }
-        let tracer = self.engine.telemetry().tracer.clone();
-        // Give back a queued (not yet launched) grant.
-        if let Some(pos) = self.queue.iter().position(|&t| t == tenant) {
-            self.queue.remove(pos);
-            let t = self.tenant_mut(tenant)?;
-            t.queued = false;
-            let span = std::mem::replace(&mut t.refresh_span, SpanId::NONE);
-            tracer.end_with(span, "evicted while queued".to_string());
-        }
-        // Drain an in-flight rebuild: wait for the worker, discard the
-        // result (the binding it would swap is being torn down), and
-        // commit everyone else's completions as usual.
-        while self.tenant(tenant)?.inflight.is_some() {
-            let Some(worker) = &self.worker else { break };
-            let Some(done) = worker.wait_done() else {
-                break;
-            };
-            if done.tenant == tenant {
-                self.inflight = self.inflight.saturating_sub(1);
-                // Even a grant we are about to discard must leave the
-                // pool whole if its worker died producing it.
-                if done.panicked {
-                    self.metrics.worker_restarts.inc();
-                    if let Some(w) = &mut self.worker {
-                        w.respawn_one();
-                    }
-                }
-                let t = self.tenant_mut(tenant)?;
-                t.inflight = None;
-                t.refreshing = false;
-                let span = std::mem::replace(&mut t.refresh_span, SpanId::NONE);
-                tracer.event("evict-drain", span, Some(tenant.0), String::new());
-                tracer.end_with(span, "grant drained by eviction".to_string());
-            } else {
-                self.commit(done)?;
-            }
-        }
-        self.launch_ready()?;
+        self.drain_grant(tenant)?;
         self.evict_now(tenant)
     }
 
@@ -1098,206 +839,6 @@ impl StreamHub {
     /// caller instead of retiring them here).
     pub fn retired(&self) -> &[(TenantId, TenantStats)] {
         &self.retired
-    }
-
-    /// Blocks until every queued and in-flight rebuild has committed.
-    /// Returns the number of swaps committed.
-    pub fn wait_refreshes(&mut self) -> SparseResult<usize> {
-        let mut committed = 0;
-        while self.inflight > 0 || !self.queue.is_empty() {
-            self.launch_ready()?;
-            let Some(worker) = &self.worker else { break };
-            let Some(done) = worker.wait_done() else {
-                break;
-            };
-            if self.commit(done)? {
-                committed += 1;
-            }
-            self.launch_ready()?;
-        }
-        Ok(committed)
-    }
-
-    /// Blocks until the next rebuild commits (launching queued work
-    /// first if the pool is idle); `None` when nothing is pending.
-    /// Returns the tenant whose swap committed — the fairness probe.
-    pub fn wait_next_refresh(&mut self) -> SparseResult<Option<TenantId>> {
-        self.launch_ready()?;
-        if self.inflight == 0 {
-            return Ok(None);
-        }
-        let Some(worker) = &self.worker else {
-            return Ok(None);
-        };
-        let Some(done) = worker.wait_done() else {
-            return Ok(None);
-        };
-        let tenant = done.tenant;
-        self.commit(done)?;
-        self.launch_ready()?;
-        Ok(Some(tenant))
-    }
-
-    /// Commits one finished rebuild: swap the binding to the built
-    /// matrix, splice the delta accumulated during the rebuild onto the
-    /// new overlay, re-check the budget. Returns `true` for a committed
-    /// swap. A failure — worker build error or engine commit rejection —
-    /// restores the tenant (captured delta folded back, old binding
-    /// keeps serving), counts into `refresh_failures`, and returns
-    /// `Ok(false)`: it must not surface as an error from whichever
-    /// unrelated call polled.
-    fn commit(&mut self, done: crate::worker::RefreshDone) -> SparseResult<bool> {
-        self.inflight = self.inflight.saturating_sub(1);
-        if done.panicked {
-            return self.supervise_panic(done);
-        }
-        let tenant = done.tenant;
-        let tracer = self.engine.telemetry().tracer.clone();
-        let swapped = done.result.ok().and_then(|(merged, built)| {
-            let outcome = built.outcome();
-            let new_id = self
-                .engine
-                .commit_refresh(&done.ticket, &merged, built)
-                .ok()?;
-            Some((new_id, merged, outcome))
-        });
-        // A completion can outlive its tenant (evicted mid-drain in a
-        // degraded worker state); dropping it is the only sound move.
-        if !self.tenants.contains_key(&tenant.0) {
-            return Ok(false);
-        }
-        match swapped {
-            Some((new_id, merged, outcome)) => {
-                let adaptive = self.config.adaptive;
-                self.metrics.refreshes_completed.inc();
-                let t = self
-                    .tenants
-                    .get_mut(&tenant.0)
-                    .ok_or_else(|| SparseError::InvalidCsr(format!("{tenant} is not admitted")))?;
-                t.matrix = new_id;
-                t.base = Arc::new(merged);
-                let finished = t.inflight.take();
-                t.refreshing = false;
-                t.retries = 0;
-                t.metrics.refreshes.inc();
-                t.rerank_mark = 0;
-                // Splice: the updates that arrived during the rebuild are
-                // exactly the live delta; they become the new overlay.
-                t.overlay_dirty = true;
-                let span = std::mem::replace(&mut t.refresh_span, SpanId::NONE);
-                if let Some(outcome) = &outcome {
-                    record_outcome(&self.metrics, t, &tracer, span, tenant, outcome);
-                }
-                tracer.end_with(
-                    span,
-                    format!("committed, build took {:.3e}s", done.build_seconds),
-                );
-                if let (Some(policy), Some(f)) = (adaptive, finished) {
-                    let nnz = policy.retune(&mut t.budget, done.build_seconds, f.per_entry_seconds);
-                    t.adaptive_budget_nnz = nnz as u64;
-                }
-                // The budget may have tripped again mid-rebuild; honour
-                // it now that the slot is free.
-                let needs = {
-                    let t = self.tenant(tenant)?;
-                    t.needs_refresh()
-                };
-                if needs && self.config.auto_refresh {
-                    self.request_refresh(tenant)?;
-                }
-                Ok(true)
-            }
-            None => {
-                // The old binding never stopped serving; fold the
-                // captured delta back into the live one and carry on.
-                let t = self.tenant_mut(tenant)?;
-                if let Some(f) = t.inflight.take() {
-                    for (r, c, v) in f.captured.iter() {
-                        t.delta.add(r, c, v)?;
-                    }
-                }
-                t.refreshing = false;
-                t.metrics.refresh_failures.inc();
-                t.rerank_mark = 0;
-                t.overlay_dirty = true;
-                let span = std::mem::replace(&mut t.refresh_span, SpanId::NONE);
-                tracer.end_with(span, "failed, captured delta restored".to_string());
-                self.metrics.refresh_failures.inc();
-                Ok(false)
-            }
-        }
-    }
-
-    /// Supervision: a worker thread died running this grant. Respawn a
-    /// replacement (the pool must never shrink), restore the captured
-    /// delta so serving stays bit-exact, and either requeue the grant
-    /// with exponential backoff or — past
-    /// [`max_refresh_retries`](HubConfig::max_refresh_retries) —
-    /// compact synchronously so the tenant still converges.
-    fn supervise_panic(&mut self, done: crate::worker::RefreshDone) -> SparseResult<bool> {
-        let tenant = done.tenant;
-        let tracer = self.engine.telemetry().tracer.clone();
-        // Respawn FIRST: even when the tenant is gone, the pool must be
-        // made whole before anything can wait on it again.
-        self.metrics.worker_restarts.inc();
-        if let Some(w) = &mut self.worker {
-            w.respawn_one();
-        }
-        if !self.tenants.contains_key(&tenant.0) {
-            return Ok(false);
-        }
-        let msg = match &done.result {
-            Err(e) => e.to_string(),
-            Ok(_) => "worker panicked".to_string(),
-        };
-        let retries = {
-            let t = self.tenant_mut(tenant)?;
-            if let Some(f) = t.inflight.take() {
-                for (r, c, v) in f.captured.iter() {
-                    t.delta.add(r, c, v)?;
-                }
-            }
-            t.refreshing = false;
-            t.overlay_dirty = true;
-            t.rerank_mark = 0;
-            t.retries += 1;
-            tracer.event("worker-panic", t.refresh_span, Some(tenant.0), msg);
-            t.retries
-        };
-        if retries <= self.config.max_refresh_retries {
-            self.metrics.refresh_retries.inc();
-            let backoff = self
-                .config
-                .retry_backoff
-                .saturating_mul(2u32.saturating_pow((retries - 1).min(16)));
-            let t = self.tenant_mut(tenant)?;
-            t.backoff = (!backoff.is_zero()).then_some(backoff);
-            t.queued = true;
-            tracer.event(
-                "requeue",
-                t.refresh_span,
-                Some(tenant.0),
-                format!("retry {retries} backoff={backoff:?}"),
-            );
-            self.queue.push_back(tenant);
-            Ok(false)
-        } else {
-            // The pool keeps dying on this grant; give up on async and
-            // compact inline. sync_refresh closes the refresh span.
-            self.metrics.sync_fallbacks.inc();
-            {
-                let t = self.tenant_mut(tenant)?;
-                t.retries = 0;
-                tracer.event(
-                    "sync-fallback",
-                    t.refresh_span,
-                    Some(tenant.0),
-                    format!("after {} worker deaths", retries),
-                );
-            }
-            self.sync_refresh(tenant)?;
-            Ok(true)
-        }
     }
 
     /// Pushes a tenant's pending correction into the engine as an
@@ -1348,11 +889,6 @@ impl StreamHub {
             self.sync_overlay(tenant)?;
         }
         self.engine.flush()
-    }
-
-    /// [`flush`](Self::flush), by its explicit hub-wide name.
-    pub fn flush_all(&mut self) -> SparseResult<Vec<QueryResponse>> {
-        self.flush()
     }
 
     /// Answers only **one tenant's** pending queries, leaving every
@@ -1541,15 +1077,9 @@ impl Session<'_> {
 
     /// See [`StreamHub::flush_tenant`]: drains **this tenant's**
     /// pending queries only. Other tenants' queries stay queued for
-    /// their own flush (or a hub-wide [`flush_all`](Self::flush_all)).
+    /// their own flush (or a hub-wide [`StreamHub::flush`]).
     pub fn flush(&mut self) -> SparseResult<Vec<QueryResponse>> {
         self.hub.flush_tenant(self.tenant)
-    }
-
-    /// See [`StreamHub::flush_all`] (hub-wide: answers include other
-    /// tenants' pending queries).
-    pub fn flush_all(&mut self) -> SparseResult<Vec<QueryResponse>> {
-        self.hub.flush_all()
     }
 
     /// See [`StreamHub::run_single`].
@@ -2118,7 +1648,7 @@ mod tests {
         assert_eq!(mine.len(), 2, "tenant a's two queries");
         assert_eq!(hub.engine_stats().runs, 1, "a's queries share one run");
         // Tenant b's query is still queued and still answerable.
-        let rest = hub.flush_all().unwrap();
+        let rest = hub.flush().unwrap();
         assert_eq!(rest.len(), 1);
         let xm = DenseMatrix::from_vec(n, 1, column(n, 1)).unwrap();
         let want = iterated_spmm(&basic::star(n).to_adjacency(), &xm, 1).unwrap();

@@ -60,6 +60,7 @@
 
 pub mod budget;
 pub mod hub;
+mod refresh;
 pub mod splice;
 pub mod update;
 mod worker;

@@ -1,21 +1,24 @@
-//! The background refresh worker pool of the [`StreamHub`].
+//! The refresh build and the pool of threads that runs it in the
+//! background for the [`StreamHub`].
 //!
-//! A refresh is double-buffered: the hub ships the tenant's base `A₀`
-//! (shared, not copied), the captured delta `ΔA` and the
-//! [`RefreshTicket`] from [`Engine::prepare_refresh_localized`] here, and
-//! keeps serving the *old* binding plus the delta overlay while a worker
-//! thread **builds the next binding's inputs** with
-//! [`RefreshTicket::build`] — the same function the inline refreshes
-//! run: merge `A₀ + ΔA`, fingerprint the result, and, only when the
-//! ticket asks (a deployment of more than one rank), decompose it —
-//! splicing via
+//! A refresh is double-buffered: the hub takes a grant — the tenant's
+//! base `A₀` (shared, not copied), the captured delta `ΔA` and the
+//! [`RefreshTicket`] from [`Engine::prepare_refresh`], one
+//! [`RefreshJob`] — and keeps serving the *old* binding plus the delta
+//! overlay while [`run`] **builds the next binding's inputs** with
+//! [`RefreshTicket::build`]: merge `A₀ + ΔA`, fingerprint the result,
+//! and, only when the ticket asks (a deployment of more than one rank),
+//! decompose it — splicing via
 //! [`arrow_core::incremental::decompose_snapshot_incremental`] when the
 //! ticket carries the prior decomposition and the touched set, cold per
 //! the ticket's policy otherwise. On one rank the build is the merge
-//! and the hash. The merged matrix and the build (plus the measured
-//! build latency) travel back over a channel; the hub commits the swap
-//! at its next poll point via [`Engine::commit_refresh`], which adopts
-//! both without re-deriving either.
+//! and the hash. [`HubConfig::async_refresh`] chooses the thread, not
+//! the work: on, a pool thread runs [`run`] and the merged matrix and
+//! the build (plus the measured build latency) travel back over a
+//! channel for the hub to commit at its next poll point; off, the hub
+//! calls [`run`] itself and commits at once. Either way the commit is
+//! [`Engine::commit_refresh`], which adopts both without re-deriving
+//! either.
 //!
 //! Workers are plain `std::thread`s talking over `crossbeam-channel`
 //! MPMC endpoints: one shared job queue (so the pool size is exactly the
@@ -24,7 +27,7 @@
 //!
 //! ## Supervision
 //!
-//! Each job runs under `catch_unwind`. A panicking worker (the
+//! Each pooled job runs under `catch_unwind`. A panicking worker (the
 //! `worker.decompose.panic` chaos failpoint, or a real build bug)
 //! reports its death as a [`RefreshDone`] with `panicked = true` —
 //! *before* its thread exits; the hub still holds the captured delta,
@@ -35,7 +38,8 @@
 //! completion queue even if its worker is already gone.
 //!
 //! [`StreamHub`]: crate::StreamHub
-//! [`Engine::prepare_refresh_localized`]: amd_engine::Engine::prepare_refresh_localized
+//! [`HubConfig::async_refresh`]: crate::HubConfig::async_refresh
+//! [`Engine::prepare_refresh`]: amd_engine::Engine::prepare_refresh
 //! [`Engine::commit_refresh`]: amd_engine::Engine::commit_refresh
 //! [`respawn_one`]: RefreshWorker::respawn_one
 //! [`wait_done`]: RefreshWorker::wait_done
@@ -65,9 +69,63 @@ pub(crate) struct RefreshJob {
     pub delay: Option<Duration>,
     /// The hub-opened "decompose" trace span — named for the build's
     /// long step on more than one rank, and what trace consumers look
-    /// for under a refresh; the worker thread closes it when the build
-    /// finishes.
+    /// for under a refresh; [`run`] closes it when the build finishes.
     pub span: SpanId,
+}
+
+impl RefreshJob {
+    /// The completion of this job: the ticket rides back with what
+    /// [`run`] (or the death of the thread running it) made of it.
+    pub fn done(
+        self,
+        result: SparseResult<(CsrMatrix<f64>, RefreshBuild)>,
+        build_seconds: f64,
+        panicked: bool,
+    ) -> RefreshDone {
+        RefreshDone {
+            tenant: self.tenant,
+            ticket: self.ticket,
+            result,
+            build_seconds,
+            panicked,
+        }
+    }
+}
+
+/// One build, on the calling thread — a pool thread's or, in the inline
+/// mode, the hub's own: sleep the job's delay, run
+/// [`RefreshTicket::build`] under the single build measurement (the
+/// adaptive budget reads it off [`RefreshDone`]), and close the
+/// hub-opened "decompose" span with what the build did. `faults` are
+/// the caller's failpoints, checked after the delay and inside the
+/// measurement (a pool thread's [`pool_faults`]; the inline mode has
+/// none): an injected error stands in for the build's. Returns the build
+/// and its wall-clock seconds, the delay excluded.
+pub(crate) fn run(
+    job: &RefreshJob,
+    faults: fn() -> SparseResult<()>,
+    tracer: &Tracer,
+) -> (SparseResult<(CsrMatrix<f64>, RefreshBuild)>, f64) {
+    if let Some(delay) = job.delay {
+        std::thread::sleep(delay);
+    }
+    let sw = Stopwatch::start();
+    let result = faults().and_then(|()| job.ticket.build(&job.base, &job.delta));
+    let build_seconds = sw.elapsed_seconds();
+    tracer.end_with(
+        job.span,
+        match &result {
+            Ok((_, built)) => match built.outcome() {
+                Some(o) if o.incremental => {
+                    format!("incremental affected={}", o.affected_vertices)
+                }
+                Some(_) => "cold fallback".to_string(),
+                None => "merged, nothing to decompose".to_string(),
+            },
+            Err(_) => "build error".to_string(),
+        },
+    );
+    (result, build_seconds)
 }
 
 /// A finished job: the ticket rides along so the hub can commit without
@@ -78,7 +136,7 @@ pub(crate) struct RefreshDone {
     /// The merged matrix `A₀ + ΔA` and what the build made of it.
     pub result: SparseResult<(CsrMatrix<f64>, RefreshBuild)>,
     /// Wall-clock seconds of the build itself (excluding the test-hook
-    /// delay) — the adaptive budget's latency signal.
+    /// delay) — the adaptive budget's latency signal; 0 for a death.
     pub build_seconds: f64,
     /// The worker thread died producing this: `result` is the panic
     /// message and the thread is gone. The hub must respawn a
@@ -134,53 +192,15 @@ impl RefreshWorker {
         let tracer = self.tracer.clone();
         self.threads.push(std::thread::spawn(move || {
             while let Ok(job) = rx.recv() {
-                let RefreshJob {
-                    tenant,
-                    base,
-                    delta,
-                    ticket,
-                    delay,
-                    span,
-                } = job;
-                if let Some(delay) = delay {
-                    std::thread::sleep(delay);
-                }
-                // The single build measurement: the adaptive budget
-                // reads this value off RefreshDone.
-                let sw = Stopwatch::start();
                 // `catch_unwind` so a panicking build (injected by the
                 // chaos failpoint, or a real bug) reports its death
                 // instead of silently shrinking the pool. The closure
-                // only borrows, so the ticket survives the unwind and
-                // rides back to the hub for the retry.
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    failpoint::check(failpoint::WORKER_DECOMPOSE_PANIC)?;
-                    failpoint::check(failpoint::WORKER_DECOMPOSE_DELAY)?;
-                    ticket.build(&base, &delta)
-                }));
-                let build_seconds = sw.elapsed_seconds();
+                // only borrows, so the job survives the unwind and its
+                // ticket rides back to the hub.
+                let attempt = catch_unwind(AssertUnwindSafe(|| run(&job, pool_faults, &tracer)));
                 match attempt {
-                    Ok(result) => {
-                        tracer.end_with(
-                            span,
-                            match &result {
-                                Ok((_, built)) => match built.outcome() {
-                                    Some(o) if o.incremental => {
-                                        format!("incremental affected={}", o.affected_vertices)
-                                    }
-                                    Some(_) => "cold fallback".to_string(),
-                                    None => "merged, nothing to decompose".to_string(),
-                                },
-                                Err(_) => "build error".to_string(),
-                            },
-                        );
-                        let _ = tx.send(RefreshDone {
-                            tenant,
-                            ticket,
-                            result,
-                            build_seconds,
-                            panicked: false,
-                        });
+                    Ok((result, build_seconds)) => {
+                        let _ = tx.send(job.done(result, build_seconds, false));
                     }
                     Err(payload) => {
                         // This thread is dying. Report the death FIRST
@@ -188,16 +208,11 @@ impl RefreshWorker {
                         // message preceding the exit), then leave the
                         // unwound stack behind for good.
                         let msg = panic_message(payload.as_ref());
-                        tracer.end_with(span, format!("worker panic: {msg}"));
-                        let _ = tx.send(RefreshDone {
-                            tenant,
-                            ticket,
-                            result: Err(SparseError::InvalidCsr(format!(
-                                "refresh worker panicked: {msg}"
-                            ))),
-                            build_seconds,
-                            panicked: true,
-                        });
+                        tracer.end_with(job.span, format!("worker panic: {msg}"));
+                        let died = Err(SparseError::InvalidCsr(format!(
+                            "refresh worker panicked: {msg}"
+                        )));
+                        let _ = tx.send(job.done(died, 0.0, true));
                         return;
                     }
                 }
@@ -262,6 +277,13 @@ impl RefreshWorker {
             }
         }
     }
+}
+
+/// The chaos failpoints of a pooled build: a worker death, a slow
+/// decompose.
+fn pool_faults() -> SparseResult<()> {
+    failpoint::check(failpoint::WORKER_DECOMPOSE_PANIC)?;
+    failpoint::check(failpoint::WORKER_DECOMPOSE_DELAY)
 }
 
 /// Best-effort extraction of a panic payload's message (`panic!` with a

@@ -37,10 +37,11 @@
 //! budget trigger compacting refreshes — each answer is verified against
 //! a serial reference of the mutated matrix. With `--tenants N` the
 //! stream drives `N` mutating tenants through one `StreamHub`, and
-//! `--async-refresh` moves compactions onto the hub's background worker
-//! (double-buffered: the old binding plus delta overlay keeps serving
-//! while the next base is merged, fingerprinted and — at `--ranks`
-//! above 1 — decomposed off-thread).
+//! `--async-refresh` moves the refresh build onto the hub's background
+//! worker (double-buffered: the old binding plus delta overlay keeps
+//! serving while the next base is merged, fingerprinted and — at
+//! `--ranks` above 1 — decomposed off-thread); without it the same build
+//! and the same commit run inside the update that trips the budget.
 //!
 //! Persistence goes through the versioned **catalog** (`arrow_core::
 //! catalog`): `serve`/`stream` take `--catalog DIR` to write every

@@ -405,11 +405,11 @@ fn a_sixteen_rank_hub_still_decomposes_splices_and_persists() {
     let _ = std::fs::remove_dir_all(&catalog);
 }
 
-/// The async many-rank path has no "merged content is already cached"
-/// shortcut before the build (the worker cannot see the cache): a tenant
-/// that returns to a state served before pays a real worker-side
-/// decompose, and commit binds the decomposition the cache already
-/// holds instead of the worker's.
+/// A many-rank refresh has no "merged content is already cached"
+/// shortcut before the build (the build touches no engine state, on
+/// either thread): a tenant that returns to a state served before pays a
+/// real decompose, and commit binds the decomposition the cache already
+/// holds instead of the build's.
 #[test]
 fn a_sixteen_rank_tenant_returning_to_served_content_binds_the_cached_decomposition() {
     let _faults = FaultPlan::new(0).arm();
@@ -496,9 +496,7 @@ fn the_build_merges_and_fingerprints_as_the_caller_would() {
         })
         .unwrap();
         let old = engine.register(&a).unwrap();
-        let ticket = engine
-            .prepare_refresh_localized(old, touched.clone())
-            .unwrap();
+        let ticket = engine.prepare_refresh(old, Some(touched.clone())).unwrap();
         assert_eq!(ticket.decompose, ranks > 1, "{ranks} rank(s)");
         // What a refresh worker runs, off the engine.
         let (built_matrix, built) = ticket.build(&a, &delta).unwrap();

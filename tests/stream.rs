@@ -17,7 +17,7 @@ use arrow_matrix::stream::{
     AdaptiveBudget, HubConfig, IncrementalPolicy, StalenessBudget, StreamHub, TenantId, Update,
 };
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
 
@@ -1078,4 +1078,151 @@ fn evict_then_readmit_is_exact() {
     assert_ne!(t1, t2, "tenant ids are never recycled");
     let after = hub.run_single(t2, x, 2, None).unwrap().y;
     assert_eq!(after, before, "evict-then-readmit must be exact");
+}
+
+/// A path on `0..n-2` plus one vertex, `n-1`, that nothing touches:
+/// level 0's active prefix does not hold it.
+fn path_with_isolated_vertex(n: u32) -> CsrMatrix<f64> {
+    let mut coo = CooMatrix::new(n, n);
+    for v in 0..n - 2 {
+        coo.push_sym(v, v + 1, 1.0).unwrap();
+    }
+    coo.to_csr()
+}
+
+fn four_rank_hub(async_refresh: bool, cap: usize) -> StreamHub {
+    StreamHub::new(HubConfig {
+        engine: EngineConfig {
+            target_ranks: 4,
+            ..EngineConfig::default()
+        },
+        budget: StalenessBudget::nnz_cap(cap),
+        async_refresh,
+        ..HubConfig::default()
+    })
+    .unwrap()
+}
+
+#[test]
+fn attaching_an_isolated_vertex_refreshes_in_both_modes() {
+    // The splice of this delta would hold vertex n-1 active at its last
+    // level and at no earlier one; `ArrowSpmm::new` refuses that, so the
+    // refresh used to fail at commit — on every later trip inline, and
+    // silently (a `refresh_failures` count, the delta never compacted)
+    // on the worker. It must be a counted cold fallback instead.
+    let n = 600;
+    for async_refresh in [false, true] {
+        let mut hub = four_rank_hub(async_refresh, 1);
+        let t = hub.admit(path_with_isolated_vertex(n)).unwrap();
+        let mut truth = path_with_isolated_vertex(n);
+        apply_sym(&mut hub, t, &mut truth, 300, n - 1, 2.0);
+        hub.wait_refreshes().unwrap();
+        let stats = hub.stats();
+        assert_eq!(
+            (stats.refreshes_completed, stats.refresh_failures),
+            (1, 0),
+            "async_refresh = {async_refresh}"
+        );
+        assert_eq!(stats.splice.fallback_refreshes, 1);
+        assert_eq!(hub.version(t).unwrap(), 1);
+        assert_eq!(hub.delta_nnz(t).unwrap(), 0, "the delta drained");
+        assert_eq!(hub.base(t).unwrap(), &truth);
+        let x: Vec<f64> = (0..n).map(|r| ((r % 7) as f64) - 3.0).collect();
+        let resp = hub.run_single(t, x.clone(), 2, None).unwrap();
+        let xm = DenseMatrix::from_vec(n, 1, x).unwrap();
+        assert_eq!(resp.y, iterated_spmm(&truth, &xm, 2).unwrap().data());
+        assert_eq!(hub.engine_stats().corrected_runs, 0, "served off the base");
+    }
+}
+
+#[test]
+fn inline_and_worker_refreshes_are_one_pipeline() {
+    // One update trace — localized chords, an isolated-vertex attach, a
+    // deletion — replayed on a hub that builds inline and on one that
+    // builds on its worker: `async_refresh` picks a thread, so after
+    // every trip the two hubs must be in the same state, having decided
+    // splice-or-cold the same way, and must have traced the same tree.
+    let n = 600u32;
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0A11);
+    let mut trace: Vec<(u32, u32, f64)> = (0..14)
+        .map(|_| {
+            let u = rng.gen_range(0..n - 40);
+            (u, u + 1 + rng.gen_range(0..19), 1.0)
+        })
+        .collect();
+    trace.insert(5, (300, n - 1, 2.0)); // attaches the isolated vertex
+    trace.push((10, 11, -1.0)); // deletes a path edge
+
+    let mut hubs = [four_rank_hub(false, 4), four_rank_hub(true, 4)];
+    let tenants = hubs
+        .each_mut()
+        .map(|hub| hub.admit(path_with_isolated_vertex(n)).unwrap());
+    let mut truth = path_with_isolated_vertex(n);
+    for (step, &(u, v, w)) in trace.iter().enumerate() {
+        let before = truth.clone();
+        for (hub, &t) in hubs.iter_mut().zip(&tenants) {
+            truth = before.clone();
+            apply_sym(hub, t, &mut truth, u, v, w);
+            hub.wait_refreshes().unwrap();
+        }
+        let [inline, worker] = &hubs;
+        let [ti, tw] = tenants;
+        let at = format!("after update {step}");
+        assert_eq!(
+            inline.version(ti).unwrap(),
+            worker.version(tw).unwrap(),
+            "{at}"
+        );
+        assert_eq!(inline.base(ti).unwrap(), worker.base(tw).unwrap(), "{at}");
+        assert_eq!(
+            inline.chosen_algorithm(ti).unwrap(),
+            worker.chosen_algorithm(tw).unwrap(),
+            "{at}"
+        );
+        assert_eq!(inline.stats().splice, worker.stats().splice, "{at}");
+        let (ci, cw) = (inline.cache_stats(), worker.cache_stats());
+        assert_eq!(
+            (ci.decompositions, ci.admitted),
+            (cw.decompositions, cw.admitted),
+            "{at}"
+        );
+        let x: Vec<f64> = (0..n)
+            .map(|r| (((r + step as u32) % 9) as f64) - 4.0)
+            .collect();
+        let xm = DenseMatrix::from_vec(n, 1, x.clone()).unwrap();
+        let want = iterated_spmm(&truth, &xm, 2).unwrap();
+        for (hub, t) in hubs.iter_mut().zip(tenants) {
+            let got = hub.run_single(t, x.clone(), 2, None).unwrap();
+            assert_eq!(got.y, want.data(), "{at}");
+        }
+    }
+    let splice = hubs[0].stats().splice;
+    assert!(splice.incremental_refreshes >= 1, "{splice:?}");
+    assert!(splice.fallback_refreshes >= 1, "the attach: {splice:?}");
+    assert_eq!(hubs[0].stats().refresh_failures, 0);
+
+    // The same span tree: every refresh a complete root covering one
+    // decompose child.
+    let trees = hubs.each_ref().map(|hub| {
+        let events = hub.telemetry().tracer.snapshot();
+        let roots: Vec<_> = events.iter().filter(|e| e.name == "refresh").collect();
+        for root in &roots {
+            assert!(root.detail.contains("committed"), "{:?}", root.detail);
+            let children: Vec<_> = events
+                .iter()
+                .filter(|e| e.name == "decompose" && e.parent == root.id)
+                .collect();
+            assert_eq!(children.len(), 1, "one build per refresh");
+            assert!(root.duration_nanos >= children[0].duration_nanos);
+            assert!(events
+                .iter()
+                .any(|e| e.name == "grant" && e.parent == root.id));
+            assert!(events
+                .iter()
+                .any(|e| matches!(e.name, "splice" | "fallback") && e.parent == root.id));
+        }
+        roots.len() as u64
+    });
+    assert_eq!(trees[0], trees[1]);
+    assert_eq!(trees[0], hubs[0].stats().refreshes_completed);
 }
