@@ -1,21 +1,102 @@
 //! Collective operations over rank groups, built from point-to-point
-//! messages with binomial trees (so `O(log p)` latency and the α-β costs
-//! emerge from the model).
+//! messages (so the latency and the α-β costs emerge from the model):
+//! binomial trees for small payloads, and for large row-major `f64`
+//! buffers a scatter + all-gather broadcast and a reduce-scatter + gather
+//! reduce, chosen per call.
 //!
 //! Every member of a group must call the same sequence of collectives on
 //! that group (SPMD discipline, as with an MPI communicator); a per-group
 //! sequence number embedded in the message tags keeps concurrent
 //! collectives on different groups from interfering.
 //!
-//! Host copies are not wire bytes. [`Group::broadcast`] clones its value
-//! once per child, so broadcasting an `Arc` (a [`Payload`] charged like
-//! its content) makes every relay share the root's buffer;
-//! [`Group::allreduce_sum_ring_aligned`] copies one chunk per member and
-//! forwards received buffers from then on. Neither changes a byte, a
-//! message or a tick of the simulated clock.
+//! # Two schedules
+//!
+//! A binomial tree moves the *whole* buffer `⌈log₂ p⌉` times through its
+//! root, which is optimal in latency and a factor `log p` off in
+//! bandwidth. The large-message schedules (Thakur, Rabenseifner & Gropp,
+//! IJHPCA 2005) cut a `rows × stride` buffer of `s` bytes into `q = p − 1`
+//! row-aligned blocks, one per **non-root** (`bounds[c] = (c·rows/q)·stride`,
+//! the convention of [`Group::allreduce_sum_ring_aligned`], so a row never
+//! straddles blocks):
+//!
+//! * [`Group::broadcast_large`] — the root sends block `c` to non-root
+//!   `c`; the non-roots all-gather among themselves (Bruck: `⌈log₂ q⌉`
+//!   steps of doubling runs of blocks).
+//! * [`Group::reduce_sum_large`] — every non-root ships the raw piece of
+//!   its vector that falls in block `c` to non-root `c`; owner `c` sums
+//!   the `q` pieces and sends the reduced block to the root, which adds
+//!   it to its own.
+//!
+//! The root moves `s` bytes per collective instead of `⌈log₂ p⌉·s`, a
+//! non-root about `2s`: per-member volume no longer grows with `p`.
+//!
+//! **The root stays out of the exchange.** In the arrow multiply the
+//! level root holds the hub tile and is the slowest rank on skewed
+//! inputs; a schedule with the root inside the reduce-scatter makes every
+//! member wait for it. Kept out, it only sends `q` blocks it already has
+//! and receives `q` reduced ones.
+//!
+//! # One association
+//!
+//! Both reduces compute the same sum in the same order, the **root-last
+//! binomial** one: `x_root + (c₁ + c₂ + c₄ + …)`, `c_m` the binomial
+//! subtree sum of the member at root-relative index `m`. The tree adds
+//! the root's children to each other before adding the root's own vector;
+//! the large schedule's owner replays the tree's mask loop over the raw
+//! pieces (`fold_nonroots`). The root comes last because the large
+//! schedule keeps it out of the exchange, so that is the only order both
+//! can produce — and they must agree bit for bit: which schedule runs
+//! depends on the payload size, and the serving engine promises that a
+//! column's sum does not depend on how many columns travel with it.
+//!
+//! # Selection
+//!
+//! [`broadcast_schedule`] and [`reduce_schedule`] return the schedule with
+//! the smaller completion time when every member enters at once, from the
+//! group size, the payload shape and the machine's [`CostModel`] — values
+//! every member (and a `predict_volume`) holds, so all agree without a
+//! message. With `T = α + β·s`, `u = 8·stride·⌈rows/q⌉` the largest block
+//! and `L(n) = ⌈log₂ n⌉`:
+//!
+//! | | tree | large |
+//! |---|---|---|
+//! | broadcast | `L(p)·T` | `q·(α + β·u) + L(q)·α + (q−1)·β·u` |
+//! | reduce | `L(p)·T`, less up to `α` when `p` is not a power of two | `(q−1)·(α + β·u) + α + q·β·u` |
+//!
+//! Tree: the root's last child hears after `L(p)` whole-buffer sends, and
+//! a reduce is the mirror (an incomplete last subtree is ready early, so
+//! only its bytes queue on the root's link, not its latency). Large
+//! broadcast: the root's `q` sends serialise, so the last block lands
+//! after `q·(α + β·u)`; from there the all-gather takes `L(q)` steps that
+//! carry `q − 1` blocks between them. Large reduce: a non-root's `q − 1`
+//! pieces leave back to back while the ones it is owed arrive in step
+//! with them, then all `q` reduced blocks set out for the root together
+//! and drain one after the other on its link. These are the simulator's
+//! own times to the tick (`proptests.rs` sweeps them against it), and the
+//! dependence on `p` is the point: the large forms trade `q·α` for the
+//! tree's `L(p)·β·s`, so they win above a few tens of KiB and lose again
+//! where `q·α` overtakes `β·s`.
+//!
+//! Ties and everything with `p < 3` or an empty payload go to the tree.
+//! [`broadcast_cost`] and [`reduce_cost`] give what one member sends and
+//! receives under the selected schedule; the large schedules assert them
+//! on every call, so the closed forms cannot drift from the code.
+//!
+//! # Host copies are not wire bytes
+//!
+//! [`Group::broadcast`] clones its value once per child, so broadcasting
+//! an `Arc` (a [`Payload`] charged like its content) makes every relay
+//! share the root's buffer; the large schedules send views of one `Arc`
+//! (charged the elements they cover) and every receiver returns the
+//! root's buffer; [`Group::allreduce_sum_ring_aligned`] copies one chunk
+//! per member and forwards received buffers from then on. None of it
+//! changes a byte, a message or a tick of the simulated clock.
 
-use crate::message::Payload;
+use crate::cost::CostModel;
+use crate::message::{Payload, SharedRows};
 use crate::rank::RankCtx;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Top bit marks collective traffic; user tags must keep it clear.
 const COLL_BIT: u64 = 1 << 63;
@@ -24,8 +105,7 @@ const COLL_BIT: u64 = 1 << 63;
 /// sends in [`Group::broadcast`]'s binomial tree over `s` members — and,
 /// by symmetry, the number of partials it receives in
 /// [`Group::reduce_sum`]. Mirrors the mask walk of the implementation
-/// below and lives beside it so the two cannot drift; `predict_volume`
-/// cost estimates in `amd_spmm` are built on it.
+/// below and lives beside it so the two cannot drift.
 pub fn binomial_children(vr: usize, s: usize) -> usize {
     let mut mask = 1usize;
     while mask < s {
@@ -43,6 +123,332 @@ pub fn binomial_children(vr: usize, s: usize) -> usize {
         mask >>= 1;
     }
     children
+}
+
+/// How a row-buffer collective runs (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// Binomial tree of whole buffers.
+    Tree,
+    /// Root-excluded scatter + all-gather (broadcast) or reduce-scatter +
+    /// gather (reduce) of row-aligned blocks.
+    Large,
+}
+
+/// What one member sends and receives in one collective.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Traffic {
+    /// Bytes sent.
+    pub sent_bytes: u64,
+    /// Bytes received.
+    pub recv_bytes: u64,
+    /// Messages sent plus messages received.
+    pub msgs: u64,
+}
+
+impl Traffic {
+    /// Bytes sent plus bytes received: the member's volume.
+    pub fn bytes(&self) -> u64 {
+        self.sent_bytes + self.recv_bytes
+    }
+
+    /// What `ctx` has been charged so far.
+    fn charged(ctx: &RankCtx) -> Self {
+        Self {
+            sent_bytes: ctx.stats.sent_bytes,
+            recv_bytes: ctx.stats.recv_bytes,
+            msgs: ctx.stats.sent_msgs + ctx.stats.recv_msgs,
+        }
+    }
+
+    /// Panics unless `ctx` was charged exactly `self` since `before`.
+    fn assert_charged_since(self, before: Self, ctx: &RankCtx) {
+        let now = Self::charged(ctx);
+        let delta = Self {
+            sent_bytes: now.sent_bytes - before.sent_bytes,
+            recv_bytes: now.recv_bytes - before.recv_bytes,
+            msgs: now.msgs - before.msgs,
+        };
+        assert_eq!(delta, self, "large schedule and its closed form drifted");
+    }
+}
+
+/// The row-aligned blocks of a `rows × stride` buffer over `q` owners:
+/// block `c` is elements `start(c) .. start(c + 1)`.
+#[derive(Clone, Copy)]
+struct Blocks {
+    q: usize,
+    rows: usize,
+    stride: usize,
+}
+
+impl Blocks {
+    /// One block per non-root of a `size`-member group.
+    fn over_nonroots(size: usize, rows: usize, stride: usize) -> Self {
+        Self {
+            q: size - 1,
+            rows,
+            stride,
+        }
+    }
+
+    fn start(&self, c: usize) -> usize {
+        (c * self.rows / self.q) * self.stride
+    }
+
+    fn block(&self, c: usize) -> Range<usize> {
+        self.start(c)..self.start(c + 1)
+    }
+
+    /// Blocks `first, first + 1, …` (`cnt` of them, indices mod `q`) as
+    /// the element range up to the end of the buffer and the range
+    /// wrapped to its front.
+    fn run(&self, first: usize, cnt: usize) -> (Range<usize>, Range<usize>) {
+        let end = first + cnt;
+        if end <= self.q {
+            (self.start(first)..self.start(end), 0..0)
+        } else {
+            (
+                self.start(first)..self.start(self.q),
+                0..self.start(end - self.q),
+            )
+        }
+    }
+
+    fn run_bytes(&self, first: usize, cnt: usize) -> u64 {
+        let (head, tail) = self.run(first, cnt);
+        8 * (head.len() + tail.len()) as u64
+    }
+
+    fn view(&self, buf: &Arc<Vec<f64>>, first: usize, cnt: usize) -> SharedRows {
+        let (head, tail) = self.run(first, cnt);
+        SharedRows {
+            buf: Arc::clone(buf),
+            head,
+            tail,
+        }
+    }
+}
+
+/// The steps `(distance, blocks sent)` of a Bruck all-gather over `q`
+/// members: member `c` sends the run of `blocks` blocks starting at its
+/// own to `c − distance` and receives the run starting at
+/// `c + distance` from there.
+fn allgather_steps(q: usize) -> impl Iterator<Item = (usize, usize)> {
+    std::iter::successors(Some(1usize), |d| Some(d << 1))
+        .take_while(move |&d| d < q)
+        .map(move |d| (d, d.min(q - d)))
+}
+
+/// The two row collectives the closed forms below describe.
+#[derive(Clone, Copy)]
+enum Op {
+    Broadcast,
+    Reduce,
+}
+
+fn ceil_log2(n: usize) -> f64 {
+    f64::from(n.next_power_of_two().trailing_zeros())
+}
+
+/// Completion time of [`Group::broadcast`] for `bytes` over `size`
+/// members entering together: the root's last child hears after
+/// `⌈log₂ size⌉` whole-buffer sends.
+fn tree_broadcast_time(size: usize, bytes: usize, cost: &CostModel) -> f64 {
+    ceil_log2(size) * cost.transfer_time(bytes)
+}
+
+/// Completion time of [`Group::reduce_sum`] likewise. A complete subtree
+/// of `2^j` members is ready after `j` transfers; the last child of an
+/// incomplete tree can be ready early, and then only its bytes, not its
+/// latency, queue behind the others on the root's link.
+fn tree_reduce_time(size: usize, bytes: usize, cost: &CostModel) -> f64 {
+    if size == 1 {
+        return 0.0;
+    }
+    let half = size.next_power_of_two() / 2;
+    let complete = ceil_log2(half) * cost.transfer_time(bytes);
+    complete.max(tree_reduce_time(size - half, bytes, cost) + cost.alpha) + cost.beta * bytes as f64
+}
+
+/// Completion time of the large schedule for `op`, every block taken as
+/// the largest one.
+fn large_time(op: Op, blocks: Blocks, cost: &CostModel) -> f64 {
+    let q = blocks.q;
+    let block = (8 * blocks.stride * blocks.rows.div_ceil(q)) as f64;
+    let latencies = match op {
+        Op::Broadcast => q as f64 + ceil_log2(q),
+        Op::Reduce => q as f64,
+    };
+    latencies * cost.alpha + cost.beta * block * (2 * q - 1) as f64
+}
+
+/// The blocks of the large schedule when it is the faster one for `op`.
+/// It needs two non-roots and something to cut.
+fn large_blocks(
+    op: Op,
+    size: usize,
+    rows: usize,
+    stride: usize,
+    cost: &CostModel,
+) -> Option<Blocks> {
+    if size < 3 || rows * stride == 0 {
+        return None;
+    }
+    let blocks = Blocks::over_nonroots(size, rows, stride);
+    let bytes = 8 * rows * stride;
+    let tree = match op {
+        Op::Broadcast => tree_broadcast_time(size, bytes, cost),
+        Op::Reduce => tree_reduce_time(size, bytes, cost),
+    };
+    (large_time(op, blocks, cost) < tree).then_some(blocks)
+}
+
+fn schedule_of(large: Option<Blocks>) -> Schedule {
+    large.map_or(Schedule::Tree, |_| Schedule::Large)
+}
+
+/// The schedule [`Group::broadcast_rows`] takes for a `rows × stride`
+/// buffer over `size` members on a machine with `cost` (see the
+/// [module docs](self#selection)).
+pub fn broadcast_schedule(size: usize, rows: usize, stride: usize, cost: &CostModel) -> Schedule {
+    schedule_of(large_blocks(Op::Broadcast, size, rows, stride, cost))
+}
+
+/// The schedule [`Group::reduce_sum_rows`] takes, likewise.
+pub fn reduce_schedule(size: usize, rows: usize, stride: usize, cost: &CostModel) -> Schedule {
+    schedule_of(large_blocks(Op::Reduce, size, rows, stride, cost))
+}
+
+/// What the member at root-relative index `vr` moves in a tree collective
+/// of `bytes`; a reduce mirrors a broadcast.
+fn tree_traffic(op: Op, vr: usize, size: usize, bytes: u64) -> Traffic {
+    let children = binomial_children(vr, size) as u64;
+    let parent = u64::from(vr != 0);
+    let (to_children, to_parent) = (children * bytes, parent * bytes);
+    let (sent_bytes, recv_bytes) = match op {
+        Op::Broadcast => (to_children, to_parent),
+        Op::Reduce => (to_parent, to_children),
+    };
+    Traffic {
+        sent_bytes,
+        recv_bytes,
+        msgs: children + parent,
+    }
+}
+
+fn large_broadcast_traffic(vr: usize, blocks: Blocks) -> Traffic {
+    let q = blocks.q;
+    let Some(c) = vr.checked_sub(1) else {
+        return Traffic {
+            sent_bytes: blocks.run_bytes(0, q),
+            recv_bytes: 0,
+            msgs: q as u64,
+        };
+    };
+    let mut t = Traffic {
+        sent_bytes: 0,
+        recv_bytes: blocks.run_bytes(c, 1),
+        msgs: 1,
+    };
+    for (d, cnt) in allgather_steps(q) {
+        t.sent_bytes += blocks.run_bytes(c, cnt);
+        t.recv_bytes += blocks.run_bytes((c + d) % q, cnt);
+        t.msgs += 2;
+    }
+    t
+}
+
+fn large_reduce_traffic(vr: usize, blocks: Blocks) -> Traffic {
+    let q = blocks.q;
+    let whole = blocks.run_bytes(0, q);
+    let Some(c) = vr.checked_sub(1) else {
+        return Traffic {
+            sent_bytes: 0,
+            recv_bytes: whole,
+            msgs: q as u64,
+        };
+    };
+    // q − 1 pieces out and the reduced block to the root: the whole
+    // vector once. q − 1 pieces of the own block in.
+    Traffic {
+        sent_bytes: whole,
+        recv_bytes: (q as u64 - 1) * blocks.run_bytes(c, 1),
+        msgs: 2 * (q as u64 - 1) + 1,
+    }
+}
+
+/// What the member at root-relative index `vr` sends and receives in
+/// [`Group::broadcast_rows`] of a `rows × stride` buffer over `size`
+/// members, under the schedule [`broadcast_schedule`] selects.
+/// `predict_volume` estimates in `amd_spmm` are built on it.
+pub fn broadcast_cost(
+    vr: usize,
+    size: usize,
+    rows: usize,
+    stride: usize,
+    cost: &CostModel,
+) -> Traffic {
+    match large_blocks(Op::Broadcast, size, rows, stride, cost) {
+        Some(blocks) => large_broadcast_traffic(vr, blocks),
+        None => tree_traffic(Op::Broadcast, vr, size, 8 * (rows * stride) as u64),
+    }
+}
+
+/// [`broadcast_cost`] for [`Group::reduce_sum_rows`].
+pub fn reduce_cost(
+    vr: usize,
+    size: usize,
+    rows: usize,
+    stride: usize,
+    cost: &CostModel,
+) -> Traffic {
+    match large_blocks(Op::Reduce, size, rows, stride, cost) {
+        Some(blocks) => large_reduce_traffic(vr, blocks),
+        None => tree_traffic(Op::Reduce, vr, size, 8 * (rows * stride) as u64),
+    }
+}
+
+/// `acc[i] += other[i]`, the one addition every reduce here is made of.
+fn add_into(acc: &mut [f64], other: &[f64]) {
+    assert_eq!(other.len(), acc.len(), "reduce length mismatch");
+    for (a, b) in acc.iter_mut().zip(other) {
+        *a += b;
+    }
+}
+
+/// The non-roots' part of the root-last binomial sum, `c₁ + c₂ + c₄ + …`,
+/// of one block: `pieces[v − 1]` is the raw piece of the member at
+/// root-relative index `v` of a `p`-member group. Replays the mask loop
+/// of [`Group::reduce_sum`] — in round `mask` every member still holding
+/// a partial and clear of that bit adds the partial of `v + mask` into
+/// its own — with slot 0 standing for the root's sum of children rather
+/// than the root's vector, so the result is bit for bit what the tree's
+/// root adds to its own.
+fn fold_nonroots(pieces: &[&[f64]], p: usize) -> Vec<f64> {
+    assert_eq!(pieces.len() + 1, p, "one piece per non-root");
+    assert!(p >= 2, "no non-root to fold");
+    // `None`: the member's partial is still its raw piece.
+    let mut acc: Vec<Option<Vec<f64>>> = vec![None; p];
+    let mut mask = 1usize;
+    while mask < p {
+        for v in (0..p - mask).step_by(2 * mask) {
+            let raw = pieces[v + mask - 1];
+            let (lo, hi) = acc.split_at_mut(v + mask);
+            let incoming = hi[0].take();
+            let slot = &mut lo[v];
+            if let Some(sum) = slot {
+                add_into(sum, incoming.as_deref().unwrap_or(raw));
+            } else if v == 0 {
+                *slot = Some(incoming.unwrap_or_else(|| raw.to_vec()));
+            } else {
+                let add = incoming.as_deref().unwrap_or(raw);
+                *slot = Some(pieces[v - 1].iter().zip(add).map(|(a, b)| a + b).collect());
+            }
+        }
+        mask <<= 1;
+    }
+    acc[0].take().expect("round 1 fills the root's slot")
 }
 
 /// A communicator: an ordered list of machine ranks.
@@ -148,9 +554,86 @@ impl Group {
         value.expect("every member obtains the broadcast value")
     }
 
+    /// [`broadcast`](Group::broadcast) of a row-major `rows × stride`
+    /// buffer under the schedule [`broadcast_schedule`] selects for the
+    /// machine's cost model. Every member passes the same `rows` and
+    /// `stride`; all return the root's buffer.
+    pub fn broadcast_rows(
+        &self,
+        ctx: &mut RankCtx,
+        root_idx: usize,
+        data: Option<Arc<Vec<f64>>>,
+        rows: usize,
+        stride: usize,
+    ) -> Arc<Vec<f64>> {
+        // The members select from `rows × stride`, not from the buffer.
+        assert!(
+            data.as_ref().is_none_or(|d| d.len() == rows * stride),
+            "broadcast shape mismatch"
+        );
+        match broadcast_schedule(self.size(), rows, stride, ctx.cost()) {
+            Schedule::Tree => self.broadcast(ctx, root_idx, data),
+            Schedule::Large => self.broadcast_large(ctx, root_idx, data, rows, stride),
+        }
+    }
+
+    /// Scatter + all-gather broadcast (see the [module docs](self)): the
+    /// root sends row-aligned block `c` to non-root `c`, the non-roots
+    /// all-gather in `⌈log₂ q⌉` Bruck steps. Every message is a view of
+    /// the root's buffer, which every member returns.
+    pub fn broadcast_large(
+        &self,
+        ctx: &mut RankCtx,
+        root_idx: usize,
+        data: Option<Arc<Vec<f64>>>,
+        rows: usize,
+        stride: usize,
+    ) -> Arc<Vec<f64>> {
+        let s = self.size();
+        let vr = (self.my_idx + s - root_idx) % s;
+        if s == 1 {
+            return data.expect("broadcast root must supply the data");
+        }
+        let blocks = Blocks::over_nonroots(s, rows, stride);
+        let q = blocks.q;
+        let tag = self.next_tag(ctx);
+        let before = Traffic::charged(ctx);
+        let buf = if let Some(c) = vr.checked_sub(1) {
+            // A view must cover exactly the run the schedule says it
+            // does, or the receiver would "hold" rows nobody sent it.
+            let recv_run = |ctx: &mut RankCtx, from: u32, first: usize, cnt: usize| {
+                let got: SharedRows = ctx.recv(from, tag);
+                assert_eq!((got.head, got.tail), blocks.run(first, cnt));
+                got.buf
+            };
+            let buf = recv_run(ctx, self.abs(0, root_idx), c, 1);
+            for (d, cnt) in allgather_steps(q) {
+                let to = self.abs(1 + (c + q - d) % q, root_idx);
+                ctx.send(to, tag, blocks.view(&buf, c, cnt));
+                let from = (c + d) % q;
+                let got = recv_run(ctx, self.abs(1 + from, root_idx), from, cnt);
+                assert!(Arc::ptr_eq(&got, &buf), "views of two buffers");
+            }
+            buf
+        } else {
+            let buf = data.expect("broadcast root must supply the data");
+            assert_eq!(buf.len(), rows * stride, "broadcast shape mismatch");
+            for c in 0..q {
+                ctx.send(self.abs(1 + c, root_idx), tag, blocks.view(&buf, c, 1));
+            }
+            buf
+        };
+        large_broadcast_traffic(vr, blocks).assert_charged_since(before, ctx);
+        buf
+    }
+
     /// Binomial-tree sum-reduction of `f64` vectors to `root_idx`; the
     /// root returns `Some(total)`, everyone else `None`. All vectors must
     /// have equal length.
+    ///
+    /// The sum is associated root-last (see the [module docs](self)): the
+    /// root adds its children's subtree sums to each other, in the order
+    /// they arrive, and its own vector to the result.
     pub fn reduce_sum(
         &self,
         ctx: &mut RankCtx,
@@ -161,15 +644,18 @@ impl Group {
         let tag = self.next_tag(ctx);
         let vr = (self.my_idx + s - root_idx) % s;
         let mut acc = data;
+        // Root only: the sum of the children heard so far.
+        let mut children: Option<Vec<f64>> = None;
         let mut mask = 1usize;
         while mask < s {
             if vr & mask == 0 {
                 let src_vr = vr + mask;
                 if src_vr < s {
                     let other: Vec<f64> = ctx.recv(self.abs(src_vr, root_idx), tag);
-                    assert_eq!(other.len(), acc.len(), "reduce length mismatch");
-                    for (a, b) in acc.iter_mut().zip(&other) {
-                        *a += b;
+                    match &mut children {
+                        Some(sum) => add_into(sum, &other),
+                        None if vr == 0 => children = Some(other),
+                        None => add_into(&mut acc, &other),
                     }
                 }
             } else {
@@ -179,7 +665,93 @@ impl Group {
             }
             mask <<= 1;
         }
+        if let Some(sum) = children {
+            add_into(&mut acc, &sum);
+        }
         Some(acc)
+    }
+
+    /// [`reduce_sum`](Group::reduce_sum) of row-major buffers of `stride`
+    /// columns under the schedule [`reduce_schedule`] selects for the
+    /// machine's cost model; the same sum, bit for bit, either way.
+    /// `stride` must agree across members and divide the length
+    /// (`stride = 0` only with empty vectors).
+    pub fn reduce_sum_rows(
+        &self,
+        ctx: &mut RankCtx,
+        root_idx: usize,
+        data: Vec<f64>,
+        stride: usize,
+    ) -> Option<Vec<f64>> {
+        let rows = data.len().checked_div(stride).unwrap_or(0);
+        assert_eq!(rows * stride, data.len(), "reduce shape mismatch");
+        match reduce_schedule(self.size(), rows, stride, ctx.cost()) {
+            Schedule::Tree => self.reduce_sum(ctx, root_idx, data),
+            Schedule::Large => self.reduce_sum_large(ctx, root_idx, data, stride),
+        }
+    }
+
+    /// Reduce-scatter + gather reduction (see the [module docs](self)):
+    /// each non-root ships the piece of its vector in row-aligned block
+    /// `c` to non-root `c` as it is, owner `c` sums the pieces in the
+    /// root-last binomial order and sends the block to the root, which
+    /// adds its own. `data.len()` must be a multiple of `stride ≥ 1`.
+    pub fn reduce_sum_large(
+        &self,
+        ctx: &mut RankCtx,
+        root_idx: usize,
+        data: Vec<f64>,
+        stride: usize,
+    ) -> Option<Vec<f64>> {
+        let s = self.size();
+        let vr = (self.my_idx + s - root_idx) % s;
+        if s == 1 {
+            return Some(data);
+        }
+        assert!(stride >= 1, "stride must be positive");
+        let blocks = Blocks::over_nonroots(s, data.len() / stride, stride);
+        assert_eq!(blocks.start(blocks.q), data.len(), "reduce shape mismatch");
+        let q = blocks.q;
+        let tag = self.next_tag(ctx);
+        let before = Traffic::charged(ctx);
+        let total = if let Some(c) = vr.checked_sub(1) {
+            // Pieces leave as views of this member's vector. Member c
+            // sends to c + 1, c + 2, … and drains c − 1, c − 2, …: in
+            // every round each owner is sent to once, and pieces are
+            // taken in the order they were sent.
+            let data = Arc::new(data);
+            for i in 1..q {
+                let owner = (c + i) % q;
+                ctx.send(
+                    self.abs(1 + owner, root_idx),
+                    tag,
+                    blocks.view(&data, owner, 1),
+                );
+            }
+            // views[i]: the piece of member c − i.
+            let mut views = vec![blocks.view(&data, c, 1)];
+            for i in 1..q {
+                views.push(ctx.recv(self.abs(1 + (c + q - i) % q, root_idx), tag));
+            }
+            let pieces: Vec<&[f64]> = (0..q)
+                .map(|m| {
+                    let view = &views[(c + q - m) % q];
+                    assert_eq!(view.head.len(), blocks.block(c).len());
+                    &view.buf[view.head.clone()]
+                })
+                .collect();
+            ctx.send(self.abs(0, root_idx), tag, fold_nonroots(&pieces, s));
+            None
+        } else {
+            let mut acc = data;
+            for c in 0..q {
+                let block: Vec<f64> = ctx.recv(self.abs(1 + c, root_idx), tag);
+                add_into(&mut acc[blocks.block(c)], &block);
+            }
+            Some(acc)
+        };
+        large_reduce_traffic(vr, blocks).assert_charged_since(before, ctx);
+        total
     }
 
     /// All-reduce (sum) of `f64` vectors: reduce to member 0 + broadcast.

@@ -14,9 +14,10 @@
 //!   the transfer, exactly like nonblocking MPI,
 //! * local work is charged via [`RankCtx::compute_flops`].
 //!
-//! Collectives ([`Group`]) are built from point-to-point messages with
-//! binomial trees, so their `O(log p)` latency emerges from the model
-//! rather than being injected as a formula.
+//! Collectives ([`Group`]) are built from point-to-point messages —
+//! binomial trees, and for large row buffers scatter/all-gather and
+//! reduce-scatter/gather schedules — so their latency and bandwidth terms
+//! emerge from the model rather than being injected as a formula.
 //!
 //! The simulated clock is deterministic given the message pattern: message
 //! timestamps travel with the data and the final times are maxima over
@@ -30,7 +31,10 @@ pub mod rank;
 pub mod routing;
 pub mod stats;
 
-pub use collectives::{binomial_children, Group};
+pub use collectives::{
+    binomial_children, broadcast_cost, broadcast_schedule, reduce_cost, reduce_schedule, Group,
+    Schedule, Traffic,
+};
 pub use cost::CostModel;
 pub use machine::{Machine, RunReport};
 pub use message::Payload;

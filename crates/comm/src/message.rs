@@ -6,8 +6,15 @@
 //! every time. Sharing only spares the simulator's host the copies: a
 //! broadcast relay hands each child the same allocation instead of a
 //! fresh clone of it.
+//!
+//! `SharedRows` extends that to *part* of a buffer: the large-message
+//! schedules of [`collectives`](crate::collectives) move blocks of a
+//! row-major `f64` buffer, and a block is sent as the buffer's `Arc` plus
+//! the element ranges it stands for, charged `8` bytes per element in
+//! those ranges and nothing for the rest.
 
 use std::any::Any;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Types that can be sent between ranks.
@@ -75,6 +82,23 @@ impl<P: Payload + Sync> Payload for Arc<P> {
     }
 }
 
+/// Up to two element ranges of a shared `f64` buffer, charged as the
+/// elements in the ranges (see the [module docs](self)). Two ranges
+/// because a run of consecutive blocks may wrap around the end of the
+/// buffer; `tail` is empty when it does not.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedRows {
+    pub buf: Arc<Vec<f64>>,
+    pub head: Range<usize>,
+    pub tail: Range<usize>,
+}
+
+impl Payload for SharedRows {
+    fn payload_bytes(&self) -> usize {
+        8 * (self.head.len() + self.tail.len())
+    }
+}
+
 impl<A: Payload, B: Payload> Payload for (A, B) {
     fn payload_bytes(&self) -> usize {
         self.0.payload_bytes() + self.1.payload_bytes()
@@ -120,6 +144,23 @@ mod tests {
         assert_eq!(Arc::clone(&shared).payload_bytes(), 56);
         assert_eq!(Arc::new((1u32, vec![0u64; 2])).payload_bytes(), 20);
         assert_eq!(Arc::new(Vec::<f64>::new()).payload_bytes(), 0);
+    }
+
+    #[test]
+    fn a_view_is_charged_its_ranges_not_its_buffer() {
+        let buf = Arc::new(vec![0.0f64; 100]);
+        let view = SharedRows {
+            buf: Arc::clone(&buf),
+            head: 90..100,
+            tail: 0..5,
+        };
+        assert_eq!(view.payload_bytes(), 8 * 15);
+        let nothing = SharedRows {
+            buf,
+            head: 7..7,
+            tail: 0..0,
+        };
+        assert_eq!(nothing.payload_bytes(), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::cost::CostModel;
 use crate::message::{Packet, Payload};
 use crate::stats::RankStats;
 use crossbeam_channel::{Receiver, Sender};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Handle a rank's program uses to communicate, charge compute, and read
@@ -16,8 +16,10 @@ pub struct RankCtx {
     senders: Arc<Vec<Sender<Packet>>>,
     rx: Receiver<Packet>,
     /// Messages received from the channel but not yet matched by a
-    /// `recv(src, tag)` call.
-    unmatched: Vec<Packet>,
+    /// `recv(src, tag)` call, in arrival order. A deque: a direct
+    /// exchange parks a packet from every peer and takes them back from
+    /// near the front.
+    unmatched: VecDeque<Packet>,
     sim_time: f64,
     /// Inbound-link clock: the NIC drains one message at a time, so a
     /// rank's aggregate incoming volume serialises at β bytes/s even when
@@ -42,7 +44,7 @@ impl RankCtx {
             cost,
             senders,
             rx,
-            unmatched: Vec::new(),
+            unmatched: VecDeque::new(),
             sim_time: 0.0,
             nic_time: 0.0,
             stats: RankStats::default(),
@@ -137,10 +139,10 @@ impl RankCtx {
             .iter()
             .position(|p| p.src == from && p.tag == tag)
         {
-            // `remove`, not `swap_remove`: messages with the same (src, tag)
-            // must keep FIFO order (MPI non-overtaking rule) — the ring
-            // all-reduce relies on it.
-            return self.unmatched.remove(i);
+            // The first match, and `remove`, not `swap_remove_*`: messages
+            // with the same (src, tag) must keep FIFO order (MPI
+            // non-overtaking rule) — the ring all-reduce relies on it.
+            return self.unmatched.remove(i).expect("position is in range");
         }
         loop {
             let pkt = self
@@ -150,7 +152,7 @@ impl RankCtx {
             if pkt.src == from && pkt.tag == tag {
                 return pkt;
             }
-            self.unmatched.push(pkt);
+            self.unmatched.push_back(pkt);
         }
     }
 

@@ -120,3 +120,283 @@ proptest! {
         prop_assert_eq!(all_tags, (0..total as u64).collect::<Vec<_>>());
     }
 }
+
+// ---- The large-message broadcast and reduce (deterministic sweeps) ----
+
+use amd_comm::{
+    broadcast_cost, broadcast_schedule, reduce_cost, reduce_schedule, CostModel, RankCtx, Schedule,
+};
+use std::sync::Arc;
+
+/// Bandwidth is everything: the large schedules win wherever they can run.
+const WIRE_BOUND: CostModel = CostModel {
+    alpha: 0.0,
+    beta: 1e-9,
+    compute_rate: 1.0,
+};
+/// Latency is everything: the tree always wins.
+const LATENCY_BOUND: CostModel = CostModel {
+    alpha: 1e-6,
+    beta: 0.0,
+    compute_rate: 1.0,
+};
+
+/// Non-integer data that differs by member, so a changed association
+/// changes bits.
+fn member_vector(rank: u32, len: usize) -> Vec<f64> {
+    (0..len)
+        .map(|i| ((i * 7 + rank as usize * 13) % 31) as f64 / 7.0 - 1.9)
+        .collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Fewer rows than members, ragged, empty.
+fn row_counts(p: u32) -> [usize; 6] {
+    [0, 1, (p as usize).saturating_sub(2), 7, 23, 97]
+}
+
+/// (a) One association: the large reduce and the tree reduce return the
+/// same bits on non-integer data, for every group size, root and shape.
+/// The selecting wrapper is forced onto each side by a cost model and
+/// compared with the other schedule called by name.
+#[test]
+fn large_reduce_equals_tree_reduce_bit_for_bit() {
+    for p in 2u32..=33 {
+        for cost in [WIRE_BOUND, LATENCY_BOUND] {
+            let report = Machine::new(p).with_cost(cost).run(move |ctx| {
+                let g = Group::world(ctx);
+                let mut took_large = false;
+                // Collected, not asserted: a rank that panics mid-run
+                // leaves the others waiting for its messages.
+                let mut mismatches = Vec::new();
+                for root in 0..p as usize {
+                    // Every stride at the first and last root, one elsewhere:
+                    // a root only rotates the members.
+                    let corner = root == 0 || root + 1 == p as usize;
+                    for stride in [3usize, 1, 16].into_iter().take(if corner { 3 } else { 1 }) {
+                        for rows in row_counts(p) {
+                            let data = member_vector(ctx.rank(), rows * stride);
+                            let picked = g.reduce_sum_rows(ctx, root, data.clone(), stride);
+                            let other = if cost == WIRE_BOUND {
+                                g.reduce_sum(ctx, root, data)
+                            } else {
+                                g.reduce_sum_large(ctx, root, data, stride)
+                            };
+                            if picked.is_some() != (g.my_idx() == root)
+                                || picked.as_deref().map(bits) != other.as_deref().map(bits)
+                            {
+                                mismatches.push((root, rows, stride));
+                            }
+                            took_large |=
+                                reduce_schedule(p as usize, rows, stride, &cost) == Schedule::Large;
+                        }
+                    }
+                }
+                (took_large, mismatches)
+            });
+            // The wrapper really was on each side.
+            let expect_large = cost == WIRE_BOUND && p >= 3;
+            for (took_large, mismatches) in report.results {
+                assert_eq!(took_large, expect_large, "p = {p}");
+                assert_eq!(mismatches, [], "p = {p}: (root, rows, stride)");
+            }
+        }
+    }
+}
+
+/// The large broadcast's schedule with every message an owned copy of
+/// the rows it stands for, the receivers assembling the buffer from what
+/// arrives: the reference the view-passing schedule is charged against,
+/// and the proof that the schedule delivers every row.
+fn broadcast_large_owned(
+    g: &Group,
+    ctx: &mut RankCtx,
+    root: usize,
+    data: Option<Vec<f64>>,
+    rows: usize,
+    stride: usize,
+) -> Vec<f64> {
+    const TAG: u64 = 77;
+    let p = g.size();
+    let q = p - 1;
+    let vr = (g.my_idx() + p - root) % p;
+    let at = |c: usize| (c * rows / q) * stride;
+    let member = |v: usize| g.member((v + root) % p);
+    if vr == 0 {
+        let data = data.unwrap();
+        for c in 0..q {
+            ctx.send(member(c + 1), TAG, data[at(c)..at(c + 1)].to_vec());
+        }
+        return data;
+    }
+    let c = vr - 1;
+    let mut buf = vec![f64::NAN; rows * stride];
+    let own: Vec<f64> = ctx.recv(member(0), TAG);
+    buf[at(c)..at(c + 1)].copy_from_slice(&own);
+    let mut d = 1;
+    while d < q {
+        let cnt = d.min(q - d);
+        let run = |first: usize| (first..first + cnt).flat_map(|b| at(b % q)..at(b % q + 1));
+        let out: Vec<f64> = run(c).map(|i| buf[i]).collect();
+        ctx.send(member(1 + (c + q - d) % q), TAG, out);
+        let got: Vec<f64> = ctx.recv(member(1 + (c + d) % q), TAG);
+        for (i, v) in run((c + d) % q).zip(got) {
+            buf[i] = v;
+        }
+        d <<= 1;
+    }
+    buf
+}
+
+/// (b) The large broadcast hands every member the root's buffer itself,
+/// and its views are charged what owned copies of the same rows are.
+#[test]
+fn large_broadcast_shares_the_roots_buffer_and_is_charged_like_copies() {
+    for p in 2u32..=33 {
+        for root in [0usize, p as usize / 2, p as usize - 1] {
+            for (rows, stride) in [
+                (0usize, 1usize),
+                (1, 16),
+                (p as usize - 2, 3),
+                (23, 3),
+                (97, 16),
+            ] {
+                let run = |shared: bool| {
+                    Machine::new(p).run(move |ctx| {
+                        let g = Group::world(ctx);
+                        let data =
+                            (g.my_idx() == root).then(|| member_vector(ctx.rank(), rows * stride));
+                        if shared {
+                            g.broadcast_large(ctx, root, data.map(Arc::new), rows, stride)
+                        } else {
+                            Arc::new(broadcast_large_owned(&g, ctx, root, data, rows, stride))
+                        }
+                    })
+                };
+                let (shared, owned) = (run(true), run(false));
+                let want = member_vector(root as u32, rows * stride);
+                for (s, o) in shared.results.iter().zip(&owned.results) {
+                    assert!(
+                        Arc::ptr_eq(s, &shared.results[root]),
+                        "a copy was assembled"
+                    );
+                    assert_eq!(bits(s), bits(&want));
+                    assert_eq!(bits(o), bits(&want), "the schedule lost a row");
+                }
+                assert_eq!(shared.stats.ranks, owned.stats.ranks, "p={p} root={root}");
+            }
+        }
+    }
+}
+
+/// (c) Lockstep: the closed forms equal what the machine charged every
+/// member, for every size and shape, at the first, a middle and the last
+/// root, on either side of the selection — as
+/// `binomial_children_matches_actual_broadcast_sends` holds the tree.
+#[test]
+fn closed_form_costs_match_the_accounting() {
+    for p in 1u32..=33 {
+        let size = p as usize;
+        for cost in [WIRE_BOUND, LATENCY_BOUND, CostModel::default()] {
+            for root in [0, size / 2, size - 1] {
+                for (rows, stride) in [(0usize, 4usize), (5, 0), (1, 16), (23, 3), (4096, 16)] {
+                    let machine = Machine::new(p).with_cost(cost);
+                    let bcast = machine.run(|ctx| {
+                        let g = Group::world(ctx);
+                        let data = (g.my_idx() == root).then(|| Arc::new(vec![0.5; rows * stride]));
+                        g.broadcast_rows(ctx, root, data, rows, stride);
+                    });
+                    let reduce = machine.run(|ctx| {
+                        let g = Group::world(ctx);
+                        g.reduce_sum_rows(ctx, root, vec![0.5; rows * stride], stride);
+                    });
+                    for rank in 0..size {
+                        let vr = (rank + size - root) % size;
+                        for (what, stats, want) in [
+                            (
+                                "broadcast",
+                                &bcast.stats.ranks[rank],
+                                broadcast_cost(vr, size, rows, stride, &cost),
+                            ),
+                            (
+                                "reduce",
+                                &reduce.stats.ranks[rank],
+                                reduce_cost(vr, size, rows, stride, &cost),
+                            ),
+                        ] {
+                            assert_eq!(
+                                (
+                                    stats.sent_bytes,
+                                    stats.recv_bytes,
+                                    stats.sent_msgs + stats.recv_msgs
+                                ),
+                                (want.sent_bytes, want.recv_bytes, want.msgs),
+                                "{what} p={p} root={root} rank={rank} {rows}x{stride}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// (d) The selection rule against the simulator: under the default cost
+/// model the schedule it picks finishes no later than the one it
+/// rejected (within one α), for every group size and payload.
+#[test]
+fn the_selected_schedule_is_the_faster_one_in_the_simulator() {
+    let cost = CostModel::default();
+    let makespan = |p: u32, program: &(dyn Fn(&mut RankCtx, &Group) + Sync)| {
+        Machine::new(p)
+            .run(|ctx| {
+                let g = Group::world(ctx);
+                program(ctx, &g);
+            })
+            .stats
+            .sim_time()
+    };
+    for p in 3u32..=33 {
+        for bytes in [0usize, 512, 8 << 10, 32 << 10, 64 << 10, 128 << 10, 1 << 20] {
+            let rows = bytes / 8;
+            let root_data = |g: &Group| (g.my_idx() == 0).then(|| Arc::new(vec![1.0; rows]));
+            let bcast = [
+                makespan(p, &|ctx, g| drop(g.broadcast(ctx, 0, root_data(g)))),
+                makespan(p, &|ctx, g| {
+                    drop(g.broadcast_large(ctx, 0, root_data(g), rows, 1))
+                }),
+            ];
+            let reduce = [
+                makespan(p, &|ctx, g| drop(g.reduce_sum(ctx, 0, vec![1.0; rows]))),
+                makespan(p, &|ctx, g| {
+                    drop(g.reduce_sum_large(ctx, 0, vec![1.0; rows], 1))
+                }),
+            ];
+            for (what, [tree, large], picked) in [
+                (
+                    "broadcast",
+                    bcast,
+                    broadcast_schedule(p as usize, rows, 1, &cost),
+                ),
+                (
+                    "reduce",
+                    reduce,
+                    reduce_schedule(p as usize, rows, 1, &cost),
+                ),
+            ] {
+                let (taken, rejected) = match picked {
+                    Schedule::Tree => (tree, large),
+                    Schedule::Large => (large, tree),
+                };
+                assert!(
+                    taken <= rejected + cost.alpha,
+                    "{what} p={p} bytes={bytes}: picked {picked:?} at {taken:e} s, \
+                     rejected finishes at {rejected:e} s"
+                );
+            }
+        }
+    }
+}

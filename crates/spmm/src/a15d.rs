@@ -7,13 +7,15 @@
 //! into `p/c` row tiles, tile `i` replicated on the `c` processors of grid
 //! row `i`. Each grid column `j` needs the `⌈(p/c)/c⌉` X-tiles covering
 //! its column block; these are broadcast down the column one round at a
-//! time, each processor accumulating `A(i,j)·X_t`. A ring all-reduce
+//! time ([`Group::broadcast_rows`]: a binomial tree, or scatter +
+//! all-gather when the tile is large enough for the machine's cost
+//! model), each processor accumulating `A(i,j)·X_t`. A ring all-reduce
 //! across each grid row then produces `Y_i` replicated exactly like the
 //! input — so iterations chain without data movement.
 
 use crate::layout::block_range;
-use crate::traits::{apply_sigma, binomial_children, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{CostModel, Group, Machine};
+use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
+use amd_comm::{broadcast_cost, CostModel, Group, Machine};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::sync::Arc;
@@ -105,7 +107,9 @@ impl A15dSpmm {
     /// The simulated machine still ships `f64` buffers (the narrowing is
     /// emulated value-wise), so at [`Dtype::F32`] the *accounted* volume
     /// reads ~2× the prediction — the prediction reflects what a real
-    /// narrowed wire costs.
+    /// narrowed wire costs. The broadcast's schedule is selected on the
+    /// bytes the machine charges (`f64`), in the run and in the
+    /// prediction alike.
     ///
     /// [`predict_volume`]: DistSpmm::predict_volume
     pub fn with_dtype(mut self, dtype: Dtype) -> Self {
@@ -170,7 +174,14 @@ impl DistSpmm for A15dSpmm {
                     // Broadcast X tile t down grid column j from grid row
                     // t: one shared buffer for the root and every relay.
                     let payload = (i == t).then(|| Arc::clone(&x_cur));
-                    let xt = col_group.broadcast(ctx, t as usize, payload);
+                    let (t0, t1) = block_range(self.n, self.rb, t);
+                    let xt = col_group.broadcast_rows(
+                        ctx,
+                        t as usize,
+                        payload,
+                        (t1 - t0) as usize,
+                        k as usize,
+                    );
                     // Multiply the matching stationary submatrix.
                     if let Some((tt, sub)) = tile_iter.as_slice().first() {
                         if *tt == t && !xt.is_empty() && my_rows > 0 {
@@ -222,6 +233,9 @@ impl DistSpmm for A15dSpmm {
 
     fn predict_volume(&self, k: u32) -> CommEstimate {
         let kb = self.dtype.bytes() as f64 * k as f64;
+        // The broadcast is charged per element moved: 8 bytes a value on
+        // the machine, `dtype` bytes on a `dtype` wire.
+        let scale = self.dtype.bytes() as f64 / 8.0;
         let g = self.grid_rows as usize;
         let mut est = CommEstimate::default();
         for rank in 0..self.p {
@@ -231,18 +245,13 @@ impl DistSpmm for A15dSpmm {
             let mut bytes = 0.0;
             let mut msgs = 0.0;
             // Per-round broadcast of X tile t down grid column j from grid
-            // row t (binomial over the grid_rows members).
+            // row t: the closed form of the schedule the call will select.
             for t in (j * self.tiles_per_col)..((j + 1) * self.tiles_per_col).min(self.grid_rows) {
                 let (t0, t1) = block_range(self.n, self.rb, t);
-                let tile_bytes = (t1 - t0) as f64 * kb;
                 let vr = ((i + self.grid_rows - t) % self.grid_rows) as usize;
-                let children = binomial_children(vr, g) as f64;
-                bytes += children * tile_bytes;
-                msgs += children;
-                if vr != 0 {
-                    bytes += tile_bytes;
-                    msgs += 1.0;
-                }
+                let moved = broadcast_cost(vr, g, (t1 - t0) as usize, k as usize, &self.cost);
+                bytes += moved.bytes() as f64 * scale;
+                msgs += moved.msgs as f64;
             }
             // Ring all-reduce across the c-member grid row: each member
             // sends and receives 2·(c−1)/c of the payload in 2·(c−1)

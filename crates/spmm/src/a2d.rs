@@ -10,10 +10,13 @@
 //! 1. **route** — the owner `(j, f)` of `X(j, f)` sends it to the diagonal
 //!    processor `(j, j)` of grid column `j`,
 //! 2. **broadcast** — `(j, j)` broadcasts the tile down grid column `j`
-//!    (static groups, binomial tree),
+//!    (static groups; [`Group::broadcast_rows`]: a binomial tree, or
+//!    scatter + all-gather when the tile is large enough for the
+//!    machine's cost model),
 //! 3. **multiply** — each `(r, c)` computes the partial `A(r, c)·X(c, f)`,
-//! 4. **reduce** — grid row `r` sum-reduces onto `(r, f)`, which stores
-//!    `Y(r, f)` — the same layout as the input, so iterations chain.
+//! 4. **reduce** — grid row `r` sum-reduces onto `(r, f)` over a binomial
+//!    tree, which stores `Y(r, f)` — the same layout as the input, so
+//!    iterations chain.
 //!
 //! Compared to 1.5D with `c = √p`, storage drops by `√p` but latency grows
 //! by `Θ(√p)` and bandwidth by `Θ(log p)` (§3) — the trade-off the paper
@@ -21,8 +24,8 @@
 //! implementation makes measurable.
 
 use crate::layout::{block_range, even_ranges};
-use crate::traits::{apply_sigma, binomial_children, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{CostModel, Group, Machine};
+use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
+use amd_comm::{binomial_children, broadcast_cost, CostModel, Group, Machine};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::sync::Arc;
@@ -89,7 +92,9 @@ impl A2dSpmm {
     /// The simulated machine still ships `f64` buffers (the narrowing is
     /// emulated value-wise), so at [`Dtype::F32`] the *accounted* volume
     /// reads ~2× the prediction — the prediction reflects what a real
-    /// narrowed wire costs.
+    /// narrowed wire costs. The broadcast's schedule is selected on the
+    /// bytes the machine charges (`f64`), in the run and in the
+    /// prediction alike.
     ///
     /// [`predict_volume`]: DistSpmm::predict_volume
     pub fn with_dtype(mut self, dtype: Dtype) -> Self {
@@ -132,6 +137,9 @@ impl DistSpmm for A2dSpmm {
             let row_group = Group::new(ctx, (0..q).map(|j| r * q + j).collect());
             let (r0, r1) = block_range(self.n, self.rb, r);
             let my_rows = (r1 - r0) as usize;
+            // Rows of the tiles X(c, ·) broadcast down grid column c.
+            let (c0, c1) = block_range(self.n, self.rb, c);
+            let bcast_rows = (c1 - c0) as usize;
             let (k0, k1) = col_ranges[c as usize];
             // X(r, c): row block r, feature columns [k0, k1).
             let mut x_cur: Vec<f64> = {
@@ -163,7 +171,13 @@ impl DistSpmm for A2dSpmm {
                     };
                     // 2. Broadcast X(c, f) down grid column c from the
                     //    diagonal member (index c).
-                    let xt = col_group.broadcast(ctx, c as usize, bcast_payload);
+                    let xt = col_group.broadcast_rows(
+                        ctx,
+                        c as usize,
+                        bcast_payload,
+                        bcast_rows,
+                        fk as usize,
+                    );
                     // 3. Partial product A(r, c) · X(c, f).
                     let mut partial = vec![0.0; my_rows * fk as usize];
                     if my_rows > 0 && !xt.is_empty() && fk > 0 {
@@ -179,7 +193,13 @@ impl DistSpmm for A2dSpmm {
                         )
                         .expect("2D tile shapes align");
                     }
-                    // 4. Reduce across the grid row onto member f.
+                    // 4. Reduce across the grid row onto member f. Always the
+                    //    tree: its leaves send and move on to the next
+                    //    phase, where the large-message reduce makes every
+                    //    non-root wait for every other — alone that costs
+                    //    this pipeline more simulated time than it saves
+                    //    (grid160 + rmat13, p = 16, k = 16: 719 → 767
+                    //    sim-µs) and moves no max-rank byte.
                     let reduced = row_group.reduce_sum(ctx, f as usize, partial);
                     if c == f {
                         y_mine = reduced.expect("member f holds the phase result");
@@ -215,13 +235,16 @@ impl DistSpmm for A2dSpmm {
         let q = self.q;
         let qs = q as usize;
         let col_ranges = even_ranges(k, q);
+        // Collectives are charged per element moved: 8 bytes a value on
+        // the machine, `dtype` bytes on a `dtype` wire.
+        let scale = self.dtype.bytes() as f64 / 8.0;
         let mut est = CommEstimate::default();
         for rank in 0..self.p {
             let (r, c) = (rank / q, rank % q);
             let (r0, r1) = block_range(self.n, self.rb, r);
             let my_rows = (r1 - r0) as f64;
             let (ac0, ac1) = block_range(self.n, self.rb, c);
-            let bcast_rows = (ac1 - ac0) as f64;
+            let bcast_rows = (ac1 - ac0) as usize;
             let mut bytes = 0.0;
             let mut msgs = 0.0;
             let mut flops = 0.0;
@@ -238,18 +261,15 @@ impl DistSpmm for A2dSpmm {
                     msgs += 1.0;
                 }
                 // 2. Broadcast X(c, f) down grid column c from the
-                //    diagonal member (group index c).
+                //    diagonal member (group index c): the closed form of
+                //    the schedule the call will select.
                 let vr = ((r + q - c) % q) as usize;
-                let children = binomial_children(vr, qs) as f64;
-                bytes += children * bcast_rows * fkb;
-                msgs += children;
-                if vr != 0 {
-                    bytes += bcast_rows * fkb;
-                    msgs += 1.0;
-                }
+                let moved = broadcast_cost(vr, qs, bcast_rows, (f1 - f0) as usize, &self.cost);
+                bytes += moved.bytes() as f64 * scale;
+                msgs += moved.msgs as f64;
                 // 3. Partial product A(r, c) · X(c, f).
                 flops += spmm::spmm_flops(&self.tiles[rank as usize], f1 - f0);
-                // 4. Reduce across the grid row onto member f.
+                // 4. Reduce across the grid row onto member f (the tree).
                 let rvr = ((c + q - f) % q) as usize;
                 let rchildren = binomial_children(rvr, qs) as f64;
                 bytes += rchildren * my_rows * fkb;

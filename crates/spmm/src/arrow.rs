@@ -11,15 +11,24 @@
 //!    (only the shrinking active prefix travels),
 //! 2. **Arrow multiply** (Algorithm 1) per level: broadcast `D(0)` within
 //!    the level, reduce the row-arm partials `B(0,i)·D(i)` to the level's
-//!    rank 0, and compute `C(i) = B(i,0)·D(0) + B(i,i)·D(i)` locally,
+//!    rank 0, and compute `C(i) = B(i,0)·D(0) + B(i,i)·D(i)` locally.
+//!    Both collectives move one `b × k` block and go through
+//!    [`Group::broadcast_rows`] / [`Group::reduce_sum_rows`], which pick a
+//!    binomial tree or the large-message schedule per call from the
+//!    machine's cost model and the block's size. On the large schedules
+//!    a rank moves about four blocks per level whatever the level's
+//!    width (the level root two) — the constant the paper's volume claim
+//!    is about; over trees the root and the tree's inner ranks moved
+//!    `2⌈log₂ nb⌉`. Both reduces sum in one order, so an answer does not
+//!    depend on which ran,
 //! 3. **Backward aggregation** — partial results flow back `j → j−1`,
 //!    summed into the coarser level's blocks, leaving `Y` distributed on
 //!    level 0 exactly like the input X (§6.1: the iterate stays in `π₀`
 //!    order, so iterations chain with no extra movement).
 
 use crate::layout::{block_count, block_range};
-use crate::traits::{apply_sigma, binomial_children, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{CostModel, Group, Machine, RankCtx};
+use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
+use amd_comm::{broadcast_cost, reduce_cost, CostModel, Group, Machine, RankCtx};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{DenseMatrix, Dtype, SparseError, SparseResult};
 use arrow_core::{ArrowDecomposition, ArrowMatrix};
@@ -62,6 +71,15 @@ struct LevelPlan {
     arrow: ArrowMatrix,
     /// Per local rank: routing tables.
     rank_plans: Vec<RankPlan>,
+}
+
+impl LevelPlan {
+    /// Height of `D(0)`: the rows the level's broadcast and reduction
+    /// move (Algorithm 1).
+    fn d0_rows(&self) -> u32 {
+        let (z0, z1) = block_range(self.active_n, self.arrow.b(), 0);
+        z1 - z0
+    }
 }
 
 /// Arrow decomposition SpMM bound to a decomposition.
@@ -208,7 +226,10 @@ impl ArrowSpmm {
     /// The simulated machine still ships `f64` buffers (the narrowing is
     /// emulated value-wise), so at [`Dtype::F32`] the *accounted* volume
     /// reads ~2× the prediction — the prediction reflects what a real
-    /// narrowed wire costs.
+    /// narrowed wire costs. The collectives' schedules are selected on
+    /// the bytes the machine charges (`f64`), in the run and in the
+    /// prediction alike, so an `F32` plan predicts the messages the run
+    /// will send and exactly half its bytes.
     ///
     /// [`predict_volume`]: DistSpmm::predict_volume
     pub fn with_dtype(mut self, dtype: Dtype) -> Self {
@@ -234,17 +255,18 @@ impl ArrowSpmm {
 
 /// One level's Algorithm 1: multiply the arrow matrix with the
 /// block-distributed `D`, consuming this rank's `D(i)` block and
-/// returning its `C(i)` block. Tiles multiply the received and owned
-/// buffers where they lie ([`spmm::spmm_slices`]).
+/// returning its `C(i)` block. `group` is the level's ranks in block
+/// order. Tiles multiply the received and owned buffers where they lie
+/// ([`spmm::spmm_slices`]).
 fn arrow_multiply(
     ctx: &mut RankCtx,
+    group: &Group,
     level: &LevelPlan,
     my_i: u32,
     d_block: Vec<f64>,
     k: u32,
     dtype: Dtype,
 ) -> Vec<f64> {
-    let group = Group::new(ctx, (level.offset..level.offset + level.nb).collect());
     let (r0, r1) = block_range(level.active_n, level.arrow.b(), my_i);
     let my_rows = (r1 - r0) as usize;
     debug_assert_eq!(d_block.len(), my_rows * k as usize);
@@ -252,9 +274,14 @@ fn arrow_multiply(
     // Broadcast D(0) from the level's first rank (Algorithm 1, line 1):
     // shared, so the root, every relay and every receiver read one buffer.
     let d_block = Arc::new(d_block);
-    let d0 = group.broadcast(ctx, 0, (my_i == 0).then(|| Arc::clone(&d_block)));
-    let (z0, z1) = block_range(level.active_n, level.arrow.b(), 0);
-    let d0_rows = z1 - z0;
+    let d0_rows = level.d0_rows();
+    let d0 = group.broadcast_rows(
+        ctx,
+        0,
+        (my_i == 0).then(|| Arc::clone(&d_block)),
+        d0_rows as usize,
+        k as usize,
+    );
 
     // Row-arm partial B(0,i) · D(i), reduced to rank 0 (lines 2–3).
     let row_tile = level.arrow.row_tile(my_i);
@@ -272,7 +299,7 @@ fn arrow_multiply(
         )
         .expect("row tile shapes align");
     }
-    let reduced = group.reduce_sum(ctx, 0, partial0);
+    let reduced = group.reduce_sum_rows(ctx, 0, partial0, k as usize);
 
     // C(i) (lines 4–6).
     if my_i == 0 {
@@ -329,6 +356,7 @@ impl DistSpmm for ArrowSpmm {
             let (j, my_i) = self.locate(rank);
             let level = &self.levels[j];
             let plan = &level.rank_plans[my_i as usize];
+            let group = Group::new(ctx, (level.offset..level.offset + level.nb).collect());
             let (r0, r1) = block_range(level.active_n, self.b, my_i);
             let my_rows = (r1 - r0) as usize;
             // Level 0 starts with its X block (initial layout, free);
@@ -366,7 +394,7 @@ impl DistSpmm for ArrowSpmm {
                     }
                 }
                 // 2. Per-level arrow multiply (Algorithm 1).
-                let mut y_block = arrow_multiply(ctx, level, my_i, x_block, k, self.dtype);
+                let mut y_block = arrow_multiply(ctx, &group, level, my_i, x_block, k, self.dtype);
                 // 3. Backward aggregation j+1 → j (Algorithm 2, lines 7–12).
                 if j + 1 < l {
                     for route in &plan.bwd_recvs {
@@ -425,13 +453,13 @@ impl DistSpmm for ArrowSpmm {
 
     fn predict_volume(&self, k: u32) -> CommEstimate {
         let kb = self.dtype.bytes() as f64 * k as f64;
+        // The collectives are charged per element moved: what the machine
+        // moves at 8 bytes a value, a `dtype` wire moves at `dtype` bytes.
+        let scale = self.dtype.bytes() as f64 / 8.0;
         let mut est = CommEstimate::default();
         for level in &self.levels {
             let nb = level.nb as usize;
-            // D(0) block height: the payload of the level's broadcast and
-            // reduction (Algorithm 1).
-            let (z0, z1) = block_range(level.active_n, self.b, 0);
-            let d0_bytes = (z1 - z0) as f64 * kb;
+            let d0_rows = level.d0_rows() as usize;
             for (i, plan) in level.rank_plans.iter().enumerate() {
                 let mut bytes = 0.0;
                 let mut msgs = 0.0;
@@ -446,22 +474,15 @@ impl DistSpmm for ArrowSpmm {
                     bytes += route.local_rows.len() as f64 * kb;
                     msgs += 1.0;
                 }
-                // Broadcast of D(0): member i relays `children` copies and
-                // receives one (none for the root).
-                let children = binomial_children(i, nb) as f64;
-                bytes += children * d0_bytes;
-                msgs += children;
-                if i > 0 {
-                    bytes += d0_bytes;
-                    msgs += 1.0;
-                }
-                // Reduction of the row-arm partials to the level root:
-                // mirrored tree — receive `children` partials, send one.
-                bytes += children * d0_bytes;
-                msgs += children;
-                if i > 0 {
-                    bytes += d0_bytes;
-                    msgs += 1.0;
+                // Broadcast of D(0) from, and reduction of the row-arm
+                // partials to, the level root: the closed forms of the
+                // schedule each call will select.
+                for moved in [
+                    broadcast_cost(i, nb, d0_rows, k as usize, &self.cost),
+                    reduce_cost(i, nb, d0_rows, k as usize, &self.cost),
+                ] {
+                    bytes += moved.bytes() as f64 * scale;
+                    msgs += moved.msgs as f64;
                 }
                 // Local tile multiplies (Algorithm 1, lines 2–6).
                 let mut flops = spmm::spmm_flops(level.arrow.row_tile(i as u32), k);

@@ -77,8 +77,6 @@ impl CommEstimate {
     }
 }
 
-pub use amd_comm::binomial_children;
-
 /// A distributed SpMM algorithm bound to a fixed sparse matrix.
 pub trait DistSpmm {
     /// Algorithm label for reports (e.g. `"arrow b=1024"`).
@@ -107,8 +105,8 @@ pub trait DistSpmm {
     /// Predicts the per-iteration communication and compute of `run` with
     /// a `k`-column operand, from the planned distribution alone (no
     /// machine is spun up). Point-to-point routes are counted exactly;
-    /// collective traffic follows the binomial-tree / ring shapes of
-    /// `amd_comm::Group`.
+    /// collective traffic is `amd_comm`'s closed form for the schedule
+    /// (tree, large-message or ring) each call will take.
     fn predict_volume(&self, k: u32) -> CommEstimate;
 }
 

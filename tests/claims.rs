@@ -17,16 +17,18 @@ fn mawi(n: u32) -> (arrow_matrix::graph::Graph, CsrMatrix<f64>) {
 }
 
 /// §1: "On 128 GPUs, our approach reduces the communication volume by 3-5
-/// times compared to a 1.5D decomposition." At test scale, the reduction
-/// must exceed 1.5× and grow with p.
+/// times compared to a 1.5D decomposition." At test scale and `k = 64`
+/// (blocks of `b·k·8` = 256 / 128 KiB, where both algorithms' collectives
+/// run their large-message schedules) the reduction must exceed 2.5× at
+/// `p = 8` and 4× at `p = 16`, and not shrink with `p`.
 #[test]
 fn arrow_volume_beats_15d_on_mawi() {
     let n = 4096;
     let (_, a) = mawi(n);
-    let k = 16;
+    let k = 64;
     let x = DenseMatrix::from_fn(n, k, |r, _| r as f64);
     let mut ratios = Vec::new();
-    for p in [8u32, 16] {
+    for (p, floor) in [(8u32, 2.5), (16, 4.0)] {
         let b = n / p;
         let d = la_decompose(
             &a,
@@ -42,7 +44,7 @@ fn arrow_volume_beats_15d_on_mawi() {
         let ratio = r15.volume_per_iter() / ra.volume_per_iter();
         ratios.push(ratio);
         assert!(
-            ratio > 1.3,
+            ratio > floor,
             "p={p}: 1.5D/arrow volume ratio only {ratio:.2}"
         );
     }
@@ -123,6 +125,36 @@ fn second_level_is_small_on_sparse_datasets() {
             100.0 * s.second_level_row_fraction
         );
     }
+}
+
+/// Figure 6: under weak scaling (constant arrow width, `n` and `p`
+/// growing together) the paper reports Arrow's per-rank volume growing by
+/// 2.4–6.2 %. One arrow multiply moves a constant number of `b × k`
+/// blocks per rank, so from 8 to 32 ranks the largest per-rank volume may
+/// grow by at most 10 % (over binomial trees of whole buffers it grew by
+/// two thirds: the level root relayed `2⌈log₂ p⌉` blocks).
+#[test]
+fn weak_scaling_volume_stays_flat() {
+    let (b, k) = (256u32, 64u32);
+    let mut volumes = Vec::new();
+    for p in [8u32, 16, 32] {
+        let n = b * p;
+        let (_, a) = mawi(n);
+        let d = la_decompose(
+            &a,
+            &DecomposeConfig::with_width(b),
+            &mut RandomForestLa::new(6),
+        )
+        .unwrap();
+        let alg = ArrowSpmm::new(&d).unwrap();
+        let x = DenseMatrix::from_fn(n, k, |r, _| (r % 7) as f64);
+        volumes.push(alg.run(&x, 1).unwrap().volume_per_iter());
+    }
+    let growth = volumes[2] / volumes[0];
+    assert!(
+        growth <= 1.10,
+        "per-rank volume grew {growth:.3}x from p = 8 to 32: {volumes:?}"
+    );
 }
 
 /// Figure 6's claim direction: with constant arrow width, arrow's
