@@ -3,8 +3,10 @@
 //! This crate is the stand-in for the MPI + GPU cluster of the paper's
 //! evaluation (see DESIGN.md §1). A [`Machine`] runs `p` *ranks* as real
 //! OS threads executing the same SPMD closure; ranks exchange real data
-//! through channels, and every message and local kernel is charged to a
-//! per-rank **simulated clock** following the α-β model of §2:
+//! through per-rank inboxes (a receiver sleeps until the `(src, tag)` it
+//! asked for arrives and is woken by nothing else), and every message and
+//! local kernel is charged to a per-rank **simulated clock** following
+//! the α-β model of §2:
 //!
 //! * sending a message of `s` bytes occupies the sender for `α + β·s`
 //!   (single-port, sends serialise),
@@ -22,10 +24,15 @@
 //! The simulated clock is deterministic given the message pattern: message
 //! timestamps travel with the data and the final times are maxima over
 //! them, independent of real thread scheduling.
+//!
+//! A rank program that panics aborts its run: peers that wait on a
+//! message panic too instead of waiting forever, and [`Machine::run`]
+//! re-raises the first rank's panic once every rank has returned.
 
 pub mod collectives;
 pub mod cost;
 pub mod machine;
+mod mailbox;
 pub mod message;
 pub mod rank;
 pub mod routing;

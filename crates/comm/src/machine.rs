@@ -9,12 +9,11 @@
 //! from message sizes and the cost model, never from the OS scheduler).
 
 use crate::cost::CostModel;
-use crate::message::Packet;
+use crate::mailbox::PostOffice;
 use crate::rank::RankCtx;
 use crate::stats::{MachineStats, RankStats};
 use amd_exec::ExecPool;
 use amd_obs::Stopwatch;
-use crossbeam_channel::unbounded;
 use std::sync::Arc;
 
 /// A `p`-rank message-passing machine.
@@ -66,49 +65,50 @@ impl Machine {
 
     /// Runs `program` on every rank (SPMD) and joins.
     ///
-    /// Each rank executes on its own OS thread (a cached pool slot); a
-    /// panic in any rank propagates after all ranks have finished.
+    /// Each rank executes on its own OS thread (a cached pool slot). A
+    /// rank program that panics aborts the run: a peer that waits on a
+    /// message, then or later, panics too instead of waiting forever,
+    /// and once every rank has returned `run` panics with
+    /// `"rank r panicked: …"` for the rank that died first.
     pub fn run<T, F>(&self, program: F) -> RunReport<T>
     where
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
     {
         let p = self.p as usize;
-        let mut senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded::<Packet>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let senders = Arc::new(senders);
+        let post = Arc::new(PostOffice::new(p));
         let pool = self.exec.clone().unwrap_or_else(amd_exec::global);
         let start = Stopwatch::start();
         let program = &program;
-        let tasks: Vec<Box<dyn FnOnce() -> (T, RankStats) + Send + '_>> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(r, rx)| {
-                let senders = Arc::clone(&senders);
+        let tasks: Vec<Box<dyn FnOnce() -> (T, RankStats) + Send + '_>> = (0..p as u32)
+            .map(|r| {
+                let post = Arc::clone(&post);
                 let cost = self.cost;
                 Box::new(move || {
-                    let mut ctx = RankCtx::new(r as u32, p as u32, cost, senders, rx);
+                    // Dropped by an unwinding program, `ctx` aborts the run.
+                    let mut ctx = RankCtx::new(r, p as u32, cost, post);
                     let out = program(&mut ctx);
                     (out, ctx.finalize())
                 }) as Box<dyn FnOnce() -> (T, RankStats) + Send + '_>
             })
             .collect();
-        let outcomes = pool.run_tasks(tasks);
+        let mut outcomes = pool.run_tasks(tasks);
         let wall_seconds = start.elapsed_seconds();
+        // The rank that died first, not a peer it took down with it.
+        if let Some(r) = post.first_dead() {
+            let e = outcomes
+                .swap_remove(r as usize)
+                .err()
+                .expect("a rank that unwound returns its panic");
+            std::panic::resume_unwind(Box::new(format!(
+                "rank {r} panicked: {}",
+                panic_message(&*e)
+            )));
+        }
         let mut results = Vec::with_capacity(p);
         let mut ranks = Vec::with_capacity(p);
-        for (r, outcome) in outcomes.into_iter().enumerate() {
-            let (out, stats) = outcome.unwrap_or_else(|e| {
-                std::panic::resume_unwind(Box::new(format!(
-                    "rank {r} panicked: {}",
-                    panic_message(&*e)
-                )))
-            });
+        for outcome in outcomes {
+            let (out, stats) = outcome.expect("no rank unwound");
             results.push(out);
             ranks.push(stats);
         }

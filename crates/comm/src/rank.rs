@@ -1,10 +1,10 @@
 //! The per-rank execution context.
 
 use crate::cost::CostModel;
+use crate::mailbox::PostOffice;
 use crate::message::{Packet, Payload};
 use crate::stats::RankStats;
-use crossbeam_channel::{Receiver, Sender};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Handle a rank's program uses to communicate, charge compute, and read
@@ -13,13 +13,8 @@ pub struct RankCtx {
     rank: u32,
     p: u32,
     cost: CostModel,
-    senders: Arc<Vec<Sender<Packet>>>,
-    rx: Receiver<Packet>,
-    /// Messages received from the channel but not yet matched by a
-    /// `recv(src, tag)` call, in arrival order. A deque: a direct
-    /// exchange parks a packet from every peer and takes them back from
-    /// near the front.
-    unmatched: VecDeque<Packet>,
+    /// Every rank's inbox; this rank receives from its own.
+    post: Arc<PostOffice>,
     sim_time: f64,
     /// Inbound-link clock: the NIC drains one message at a time, so a
     /// rank's aggregate incoming volume serialises at β bytes/s even when
@@ -31,20 +26,12 @@ pub struct RankCtx {
 }
 
 impl RankCtx {
-    pub(crate) fn new(
-        rank: u32,
-        p: u32,
-        cost: CostModel,
-        senders: Arc<Vec<Sender<Packet>>>,
-        rx: Receiver<Packet>,
-    ) -> Self {
+    pub(crate) fn new(rank: u32, p: u32, cost: CostModel, post: Arc<PostOffice>) -> Self {
         Self {
             rank,
             p,
             cost,
-            senders,
-            rx,
-            unmatched: VecDeque::new(),
+            post,
             sim_time: 0.0,
             nic_time: 0.0,
             stats: RankStats::default(),
@@ -101,13 +88,13 @@ impl RankCtx {
             depart,
             data: Box::new(data),
         };
-        self.senders[to as usize]
-            .send(pkt)
-            .expect("receiver thread alive for the duration of the run");
+        self.post.deliver(to, pkt);
     }
 
     /// Receives the next message from `from` with tag `tag`, blocking the
-    /// OS thread until it arrives.
+    /// OS thread until it arrives (and woken by no other arrival). If a
+    /// rank's program has panicked and the message is not there, panics
+    /// naming that rank instead of waiting for it forever.
     ///
     /// Timing: the message occupies the inbound link for `β·bytes`
     /// starting no earlier than `depart + α`, and inbound transfers
@@ -119,7 +106,7 @@ impl RankCtx {
     ///
     /// Panics if the payload type does not match the sender's.
     pub fn recv<T: Payload>(&mut self, from: u32, tag: u64) -> T {
-        let pkt = self.take_packet(from, tag);
+        let pkt = self.post.take(self.rank, from, tag);
         self.nic_time =
             (self.nic_time.max(pkt.depart + self.cost.alpha)) + self.cost.beta * pkt.bytes as f64;
         self.sim_time = self.sim_time.max(self.nic_time);
@@ -133,29 +120,6 @@ impl RankCtx {
         })
     }
 
-    fn take_packet(&mut self, from: u32, tag: u64) -> Packet {
-        if let Some(i) = self
-            .unmatched
-            .iter()
-            .position(|p| p.src == from && p.tag == tag)
-        {
-            // The first match, and `remove`, not `swap_remove_*`: messages
-            // with the same (src, tag) must keep FIFO order (MPI
-            // non-overtaking rule) — the ring all-reduce relies on it.
-            return self.unmatched.remove(i).expect("position is in range");
-        }
-        loop {
-            let pkt = self
-                .rx
-                .recv()
-                .expect("channel closed while rank still expects messages");
-            if pkt.src == from && pkt.tag == tag {
-                return pkt;
-            }
-            self.unmatched.push_back(pkt);
-        }
-    }
-
     /// Charges `flops` of local computation to the simulated clock.
     pub fn compute_flops(&mut self, flops: f64) {
         let t = self.cost.compute_time(flops);
@@ -165,7 +129,18 @@ impl RankCtx {
 
     pub(crate) fn finalize(mut self) -> RankStats {
         self.stats.sim_time = self.sim_time;
-        self.stats
+        std::mem::take(&mut self.stats)
+    }
+}
+
+/// A context dropped because its rank's program is unwinding aborts the
+/// run, so that no peer waits forever on a message the dead rank will
+/// never send.
+impl Drop for RankCtx {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.post.abort(self.rank);
+        }
     }
 }
 

@@ -2,8 +2,10 @@
 //! slots and pool lifecycle (drop and rebuild). CI runs this in release
 //! in its `exec-smoke` job.
 
-use amd_comm::Machine;
+use amd_comm::{Group, Machine};
 use amd_exec::ExecPool;
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// A small SPMD program with real cross-rank traffic: ring exchange
 /// plus an all-to-rank-0 gather, returning a per-rank checksum.
@@ -72,6 +74,75 @@ fn rank_panic_does_not_poison_the_pool() {
         "post-panic runs must reuse cached slots, not respawn"
     );
     assert!(stats.rank_threads_reused >= 12, "3 runs × 4 ranks reused");
+}
+
+/// Runs `f` on a thread of its own and fails the test if it has not
+/// returned after ten seconds: the regression these tests guard against
+/// is a run that never returns, which would otherwise stall the suite.
+fn within_ten_seconds<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("the run must return: a rank panic may not leave its peers waiting")
+}
+
+/// The message `run` panics with when `program` does, on a 4-rank
+/// machine over `pool`.
+fn run_panic_message(pool: &ExecPool, program: fn(&mut amd_comm::RankCtx)) -> String {
+    let machine = Machine::new(4).with_exec(pool.clone());
+    within_ten_seconds(move || {
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| machine.run(program)));
+        *caught
+            .expect_err("rank panic must propagate")
+            .downcast::<String>()
+            .unwrap()
+    })
+}
+
+/// A rank that panics while peers wait on it — blocked in `recv`, or
+/// inside a collective that needs its contribution — used to hang `run`
+/// forever: every rank held a sender to every inbox, so no channel ever
+/// closed. Now the run aborts: the waiters panic naming the dead rank,
+/// `run` reports the original panic, and the slots go back to the cache.
+#[test]
+fn rank_panic_wakes_the_peers_that_wait_on_it() {
+    let pool = ExecPool::new(2);
+    // Peers blocked in a point-to-point receive from the dead rank.
+    let msg = run_panic_message(&pool, |ctx| {
+        if ctx.rank() == 2 {
+            panic!("injected rank failure");
+        }
+        let _: u64 = ctx.recv(2, 1);
+    });
+    assert!(
+        msg.contains("rank 2 panicked") && msg.contains("injected rank failure"),
+        "the original panic must be the one reported: {msg}"
+    );
+    // Peers blocked inside a reduction the dead rank never joins; the
+    // root is rank 0, so the lowest-numbered failure is a secondary one.
+    let msg = run_panic_message(&pool, |ctx| {
+        if ctx.rank() == 3 {
+            panic!("injected before the reduce");
+        }
+        let group = Group::new(ctx, (0..4).collect());
+        group.reduce_sum_rows(ctx, 0, vec![1.0; 8], 2);
+    });
+    assert!(
+        msg.contains("rank 3 panicked") && msg.contains("injected before the reduce"),
+        "the original panic must be the one reported: {msg}"
+    );
+    // The pool is whole: the next run on it succeeds on cached slots.
+    let spawned_before = pool.stats().rank_threads_spawned;
+    let machine = Machine::new(4).with_exec(pool.clone());
+    let report = within_ten_seconds(move || {
+        machine.run(|ctx| {
+            let group = Group::new(ctx, (0..4).collect());
+            group.reduce_sum_rows(ctx, 0, vec![ctx.rank() as f64; 8], 2)
+        })
+    });
+    assert_eq!(report.results[0], Some(vec![6.0; 8]));
+    assert_eq!(pool.stats().rank_threads_spawned, spawned_before);
 }
 
 /// Dropping a pool joins its threads; a rebuilt pool serves the same

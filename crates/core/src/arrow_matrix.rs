@@ -8,7 +8,10 @@
 //! * diagonal tiles `B(i,i)` for `i = 1..nb`.
 //!
 //! In the distributed algorithm (Algorithm 1), rank `i` owns `B(0,i)`,
-//! `B(i,0)` and `B(i,i)` plus the feature-matrix slice `D(i)`.
+//! `B(i,0)` and `B(i,i)` plus the feature-matrix slice `D(i)`. The hub
+//! tile `B(0,0)` is rank 0's in the paper; `amd-spmm` splits its rows
+//! over the level's ranks, each multiplying its run of this one stored
+//! tile in place (no rank keeps a second copy of any row).
 //!
 //! # Layout and determinism
 //!

@@ -14,8 +14,8 @@
 //!   See [`ExecPool::scope`], [`ExecPool::for_each_index`], and
 //!   [`ExecPool::for_each_take`].
 //! * **Rank slots** execute *blocking* SPMD rank programs (a rank
-//!   parks inside `crossbeam_channel::recv` mid-protocol, so it must
-//!   own a thread). Slots are parked threads cached between runs:
+//!   sleeps on its inbox inside `RankCtx::recv` mid-protocol, so it
+//!   must own a thread). Slots are parked threads cached between runs:
 //!   [`ExecPool::run_tasks`] acquires `p` of them, reusing parked
 //!   threads and spawning only when the cache is short. A panicking
 //!   rank is caught on its slot thread, reported to the caller, and

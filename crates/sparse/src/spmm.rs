@@ -50,6 +50,7 @@ use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{SparseError, SparseResult};
 use crate::scalar::{Dtype, Scalar};
+use std::ops::Range;
 
 /// How a strip's finished sums land in the output row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -271,8 +272,33 @@ pub fn spmm_slices<T: Scalar>(
     finish: Finish,
     dtype: Dtype,
 ) -> SparseResult<()> {
-    let ops = check_slices(a, x, k, gather, y)?;
+    let ops = check_slices(a, x, k, gather, y, a.rows())?;
     strips(ops, (0..a.rows()).zip(0..), y, finish, dtype);
+    Ok(())
+}
+
+/// [`spmm_slices`] of the rows `rows` of `a` alone: `y` is
+/// `rows.len() × k` and takes those rows of `A · X`, each summed exactly
+/// as the whole multiply would sum it. A caller that shares one stored
+/// matrix between several workers by rows (the arrow multiply's hub tile)
+/// multiplies its run in place instead of cutting a copy out.
+pub fn spmm_slices_rows<T: Scalar>(
+    a: &CsrMatrix<T>,
+    rows: Range<u32>,
+    x: &[T],
+    k: u32,
+    y: &mut [T],
+    finish: Finish,
+    dtype: Dtype,
+) -> SparseResult<()> {
+    if rows.start > rows.end || rows.end > a.rows() {
+        return Err(SparseError::ShapeMismatch {
+            left: (a.rows(), a.cols()),
+            right: (rows.end, k),
+        });
+    }
+    let ops = check_slices(a, x, k, None, y, rows.end - rows.start)?;
+    strips(ops, rows.zip(0..), y, finish, dtype);
     Ok(())
 }
 
@@ -288,7 +314,7 @@ pub fn spmm_slices_portable<T: Scalar>(
     finish: Finish,
     dtype: Dtype,
 ) -> SparseResult<()> {
-    let ops = check_slices(a, x, k, gather, y)?;
+    let ops = check_slices(a, x, k, gather, y, a.rows())?;
     strips_portable(ops, (0..a.rows()).zip(0..), y, finish, dtype);
     Ok(())
 }
@@ -299,6 +325,7 @@ fn check_slices<'a, T: Scalar>(
     k: u32,
     gather: Option<&'a [u32]>,
     y: &[T],
+    y_rows: u32,
 ) -> SparseResult<Operands<'a, T>> {
     let kk = k as usize;
     let x_rows = gather.map_or(a.cols() as usize, <[u32]>::len);
@@ -308,9 +335,9 @@ fn check_slices<'a, T: Scalar>(
             right: (x.len().checked_div(kk).unwrap_or(0) as u32, k),
         });
     }
-    if y.len() != a.rows() as usize * kk {
+    if y.len() != y_rows as usize * kk {
         return Err(SparseError::ShapeMismatch {
-            left: (a.rows(), k),
+            left: (y_rows, k),
             right: (y.len().checked_div(kk).unwrap_or(0) as u32, k),
         });
     }

@@ -318,7 +318,8 @@ fn strip_reference<T: amd_sparse::Scalar>(
 /// `0..=70` (each strip width alone and every greedy mix with its
 /// remainder), in the three finish modes and both product modes, with and
 /// without the gather map, and compares each with [`strip_reference`]
-/// bit for bit.
+/// bit for bit — and a run of rows multiplied alone
+/// ([`spmm::spmm_slices_rows`]) with its part of the same reference.
 fn check_strips<T: amd_sparse::Scalar>(
     a: &CsrMatrix<T>,
     map: &[u32],
@@ -360,6 +361,24 @@ fn check_strips<T: amd_sparse::Scalar>(
                         finish,
                         dtype
                     );
+                    if gather.is_none() {
+                        // A run of rows alone is that part of the whole.
+                        let (lo, hi) = (a.rows() / 3, a.rows() - a.rows() / 4);
+                        let span = lo as usize * k..hi as usize * k;
+                        let mut got = y0[span.clone()].to_vec();
+                        spmm::spmm_slices_rows(a, lo..hi, &x, k as u32, &mut got, finish, dtype)
+                            .unwrap();
+                        prop_assert_eq!(
+                            bits(&got),
+                            bits(&want[span]),
+                            "rows {}..{} k={} {:?} {}",
+                            lo,
+                            hi,
+                            k,
+                            finish,
+                            dtype
+                        );
+                    }
                 }
             }
         }

@@ -164,9 +164,12 @@ impl DistSpmm for A15dSpmm {
             // sum when no peer still reads it (a broadcast shares it).
             let mut spare: Vec<f64> = Vec::new();
             for _ in 0..iters {
+                // The recycled buffer is not zeroed: the first tile
+                // multiplied overwrites it (its sums start at +0.0, which
+                // is what a zeroed buffer would have held).
                 let mut partial = std::mem::take(&mut spare);
-                partial.clear();
                 partial.resize(my_rows * k as usize, 0.0);
+                let mut finish = Finish::Overwrite;
                 let mut tile_iter = self.tiles[rank as usize].iter();
                 for t in
                     (j * self.tiles_per_col)..((j + 1) * self.tiles_per_col).min(self.grid_rows)
@@ -186,19 +189,16 @@ impl DistSpmm for A15dSpmm {
                     if let Some((tt, sub)) = tile_iter.as_slice().first() {
                         if *tt == t && !xt.is_empty() && my_rows > 0 {
                             tile_iter.next();
-                            spmm::spmm_slices(
-                                sub,
-                                &xt,
-                                k,
-                                None,
-                                &mut partial,
-                                Finish::Accumulate,
-                                self.dtype,
-                            )
-                            .expect("stationary tile shapes align");
+                            spmm::spmm_slices(sub, &xt, k, None, &mut partial, finish, self.dtype)
+                                .expect("stationary tile shapes align");
+                            finish = Finish::Accumulate;
                             ctx.compute_flops(spmm::spmm_flops(sub, k));
                         }
                     }
+                }
+                if finish == Finish::Overwrite {
+                    // No tile multiplied: the partial sum is zero.
+                    partial.fill(0.0);
                 }
                 // Row-wise ring all-reduce leaves Y_i replicated like X
                 // was. Row-aligned chunks keep the reduction order

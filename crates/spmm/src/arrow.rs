@@ -3,24 +3,57 @@
 //!
 //! Ranks are grouped per arrow matrix: level `j` with `active_n_j` active
 //! positions gets `⌈active_n_j / b⌉` consecutive ranks; rank `i` of a
-//! level holds the tiles `B(0,i)`, `B(i,0)`, `B(i,i)` and the feature
-//! block `D(i)` (Figure 2). One multiply iteration:
+//! level holds the tiles `B(0,i)`, `B(i,0)`, `B(i,i)`, the feature block
+//! `D(i)` (Figure 2) and a run of rows of the hub tile `B(0,0)` (step 2).
+//! One multiply iteration:
 //!
 //! 1. **Forward propagation** — level `j` ships its X rows to level `j+1`
 //!    through the permutation `π_{j+1} ∘ π_j⁻¹`, chained down the levels
 //!    (only the shrinking active prefix travels),
 //! 2. **Arrow multiply** (Algorithm 1) per level: broadcast `D(0)` within
-//!    the level, reduce the row-arm partials `B(0,i)·D(i)` to the level's
-//!    rank 0, and compute `C(i) = B(i,0)·D(0) + B(i,i)·D(i)` locally.
-//!    Both collectives move one `b × k` block and go through
-//!    [`Group::broadcast_rows`] / [`Group::reduce_sum_rows`], which pick a
-//!    binomial tree or the large-message schedule per call from the
-//!    machine's cost model and the block's size. On the large schedules
-//!    a rank moves about four blocks per level whatever the level's
-//!    width (the level root two) — the constant the paper's volume claim
-//!    is about; over trees the root and the tree's inner ranks moved
-//!    `2⌈log₂ nb⌉`. Both reduces sum in one order, so an answer does not
-//!    depend on which ran,
+//!    the level, reduce the row-arm partials to the level's rank 0, and
+//!    compute `C(i) = B(i,0)·D(0) + B(i,i)·D(i)` locally. Both collectives
+//!    move one `b × k` block and go through [`Group::broadcast_rows`] /
+//!    [`Group::reduce_sum_rows`], which pick a binomial tree or the
+//!    large-message schedule per call from the machine's cost model and
+//!    the block's size. On the large schedules a rank moves about four
+//!    blocks per level whatever the level's width (the level root two) —
+//!    the constant the paper's volume claim is about; over trees the root
+//!    and the tree's inner ranks moved `2⌈log₂ nb⌉`. Both reduces sum in
+//!    one order, so an answer does not depend on which ran,
+//!
+//!    **Who multiplies the hub tile.** Algorithm 1 gives `B(0,0)` to the
+//!    level's rank 0 alone. LA-Decompose puts the highest-degree vertices
+//!    first, so on a skewed input that one tile holds a third of the
+//!    matrix and rank 0 computes for the whole iteration while the others
+//!    wait in the reduce. Here rank `i`'s partial is
+//!    `B(0,i)·D(i) + B(0,0)[rows of i]·D(0)`: the rows of the hub tile are
+//!    split over the level's ranks ([`ArrowSpmm::hub_runs`]). It costs no
+//!    message — after the broadcast every rank holds `D(0)`, and the
+//!    reduction sums whatever the ranks put in their partials, so the
+//!    rows arrive at the root with the sum that already runs.
+//!
+//!    *The rule.* The reduce cannot start before the slowest rank's
+//!    pre-reduce work; the column-arm and diagonal multiplies run after a
+//!    rank has left the reduce; the root waits for the reduce anyway. So
+//!    the hub's entries are water-filled over the loads `own₀ = 0`,
+//!    `ownᵢ = nnz B(0,i) + maxⱼ (nnz B(j,0) + nnz B(j,j))` — the root
+//!    starts below the others by the longest post-reduce tail, which it
+//!    would wait for regardless: with `T` the smallest level such that
+//!    `Σᵢ max(0, T − ownᵢ) ≥ nnz B(0,0)`, rank `i`'s quota is `T − ownᵢ`,
+//!    and the runs are cut in rank order at the row boundaries nearest to
+//!    the running sum of the quotas. A hub tile that fits under the
+//!    root's quota stays whole with the root and the level runs exactly
+//!    as Algorithm 1 has it (grids, MAWI-, OSM- and GenBank-like inputs).
+//!    Balancing each rank's *total* entries instead tops up ranks whose
+//!    light compute hides a heavy reduce entry, and slows those inputs.
+//!
+//!    *What the rule may read.* Entry counts of the level's tiles, fixed
+//!    when the plan is built — not `k`, the cost model or the dtype. A
+//!    row of `C(0)` is then summed in one association whatever the
+//!    operand width, which the serving engine's batching relies on
+//!    (column `j` of a batched run bit-matches its single-column run on
+//!    non-integer data too),
 //! 3. **Backward aggregation** — partial results flow back `j → j−1`,
 //!    summed into the coarser level's blocks, leaving `Y` distributed on
 //!    level 0 exactly like the input X (§6.1: the iterate stays in `π₀`
@@ -32,6 +65,7 @@ use amd_comm::{broadcast_cost, reduce_cost, CostModel, Group, Machine, RankCtx};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{DenseMatrix, Dtype, SparseError, SparseResult};
 use arrow_core::{ArrowDecomposition, ArrowMatrix};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Route table entry: rows this rank ships to (or accepts from) one peer.
@@ -69,6 +103,9 @@ struct LevelPlan {
     active_n: u32,
     /// The level's tiled arrow matrix.
     arrow: ArrowMatrix,
+    /// Local rank `i` multiplies rows `hub_cuts[i]..hub_cuts[i + 1]` of
+    /// the hub tile `B(0,0)` ([`hub_cuts`]).
+    hub_cuts: Vec<u32>,
     /// Per local rank: routing tables.
     rank_plans: Vec<RankPlan>,
 }
@@ -80,6 +117,70 @@ impl LevelPlan {
         let (z0, z1) = block_range(self.active_n, self.arrow.b(), 0);
         z1 - z0
     }
+
+    /// The rows of `B(0,0)` local rank `i` multiplies.
+    fn hub_run(&self, i: u32) -> Range<u32> {
+        self.hub_cuts[i as usize]..self.hub_cuts[i as usize + 1]
+    }
+
+    /// Flops of local rank `i`'s share of `B(0,0) · D(0)`.
+    fn hub_flops(&self, i: u32, k: u32) -> f64 {
+        let indptr = self.arrow.row_tile(0).indptr();
+        let run = self.hub_run(i);
+        2.0 * (indptr[run.end as usize] - indptr[run.start as usize]) as f64 * k as f64
+    }
+}
+
+/// Splits the rows of the hub tile `B(0,0)` over the level's ranks:
+/// `cuts[i]..cuts[i + 1]` is rank `i`'s run (see the [module docs](self)
+/// for the rule). Reads entry counts and nothing else.
+fn hub_cuts(arrow: &ArrowMatrix) -> Vec<u32> {
+    let nb = arrow.block_count();
+    let hub = arrow.row_tile(0);
+    let (rows, total) = (hub.rows(), hub.nnz());
+    // What a rank multiplies before the reduce besides its share; every
+    // non-root is lifted by the longest post-reduce multiply of the level.
+    let tail = (1..nb)
+        .map(|j| arrow.col_tile(j).nnz() + arrow.diag_tile(j).nnz())
+        .max()
+        .unwrap_or(0);
+    let own: Vec<usize> = std::iter::once(0)
+        .chain((1..nb).map(|i| arrow.row_tile(i).nnz() + tail))
+        .collect();
+    // The water level: the smallest one whose room holds the hub.
+    let mut sorted = own.clone();
+    sorted.sort_unstable();
+    let (mut water, mut filled) = (0, 0);
+    for (m, &load) in sorted.iter().enumerate() {
+        if m > 0 && water <= load {
+            break;
+        }
+        filled += load;
+        water = (total + filled).div_ceil(m + 1);
+    }
+    // Quotas handed out in rank order; each cut is the row boundary
+    // nearest to the quotas so far, so rounding does not pile up.
+    let indptr = hub.indptr();
+    let mut cuts = Vec::with_capacity(nb as usize + 1);
+    cuts.push(0);
+    let mut quota = 0;
+    for load in own {
+        quota = total.min(quota + water.saturating_sub(load));
+        let above = indptr.partition_point(|&e| e < quota);
+        let cut = if above > 0 && quota - indptr[above - 1] <= indptr[above] - quota {
+            above - 1
+        } else {
+            above
+        };
+        // Whoever takes the last entry takes the empty rows behind it.
+        cuts.push(if indptr[cut] == total {
+            rows
+        } else {
+            cut as u32
+        });
+    }
+    debug_assert!(cuts.windows(2).all(|w| w[0] <= w[1]) && cuts[nb as usize] == rows);
+    cuts
 }
 
 /// Arrow decomposition SpMM bound to a decomposition.
@@ -110,11 +211,13 @@ impl ArrowSpmm {
         let mut offset = 0u32;
         for level in d.levels() {
             let nb = block_count(level.active_n, b);
+            let arrow = level.to_arrow(b)?;
             levels.push(LevelPlan {
                 offset,
                 nb,
                 active_n: level.active_n,
-                arrow: level.to_arrow(b)?,
+                hub_cuts: hub_cuts(&arrow),
+                arrow,
                 rank_plans: vec![RankPlan::default(); nb as usize],
             });
             offset += nb;
@@ -242,6 +345,16 @@ impl ArrowSpmm {
         self.b
     }
 
+    /// Per level, per rank of the level in block order: the rows of the
+    /// hub tile `B(0,0)` the rank multiplies. A level's runs are
+    /// contiguous, in rank order, and cover `0..` the height of `D(0)`.
+    pub fn hub_runs(&self) -> Vec<Vec<Range<u32>>> {
+        self.levels
+            .iter()
+            .map(|level| (0..level.nb).map(|i| level.hub_run(i)).collect())
+            .collect()
+    }
+
     /// Locates the level and local index of a machine rank.
     fn locate(&self, rank: u32) -> (usize, u32) {
         for (j, l) in self.levels.iter().enumerate() {
@@ -283,10 +396,13 @@ fn arrow_multiply(
         k as usize,
     );
 
-    // Row-arm partial B(0,i) · D(i), reduced to rank 0 (lines 2–3).
-    let row_tile = level.arrow.row_tile(my_i);
+    // Row-arm partial B(0,i) · D(i) (line 2). The root's row-arm tile is
+    // the hub tile, which the level shares: every rank adds the rows of
+    // B(0,0) · D(0) it was planned into its partial, and the reduction
+    // (line 3) carries them to the root with the rest.
     let mut partial0 = vec![0.0; (d0_rows * k) as usize];
-    if my_rows > 0 {
+    if my_i > 0 {
+        let row_tile = level.arrow.row_tile(my_i);
         ctx.compute_flops(spmm::spmm_flops(row_tile, k));
         spmm::spmm_slices(
             row_tile,
@@ -299,6 +415,18 @@ fn arrow_multiply(
         )
         .expect("row tile shapes align");
     }
+    let run = level.hub_run(my_i);
+    ctx.compute_flops(level.hub_flops(my_i, k));
+    spmm::spmm_slices_rows(
+        level.arrow.row_tile(0),
+        run.clone(),
+        &d0,
+        k,
+        &mut partial0[(run.start * k) as usize..(run.end * k) as usize],
+        Finish::Accumulate,
+        dtype,
+    )
+    .expect("hub tile shapes align");
     let reduced = group.reduce_sum_rows(ctx, 0, partial0, k as usize);
 
     // C(i) (lines 4–6).
@@ -484,9 +612,11 @@ impl DistSpmm for ArrowSpmm {
                     bytes += moved.bytes() as f64 * scale;
                     msgs += moved.msgs as f64;
                 }
-                // Local tile multiplies (Algorithm 1, lines 2–6).
-                let mut flops = spmm::spmm_flops(level.arrow.row_tile(i as u32), k);
+                // Local tile multiplies (Algorithm 1, lines 2–6): the
+                // rank's share of the hub tile and its own three.
+                let mut flops = level.hub_flops(i as u32, k);
                 if i > 0 {
+                    flops += spmm::spmm_flops(level.arrow.row_tile(i as u32), k);
                     flops += spmm::spmm_flops(level.arrow.col_tile(i as u32), k);
                     flops += spmm::spmm_flops(level.arrow.diag_tile(i as u32), k);
                 }
