@@ -36,6 +36,12 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// Transient multiply errors (the `engine.multiply.transient` chaos
+/// failpoint — never real planner/kernel errors) retried in place before
+/// the error surfaces to the caller. Each retry counts into
+/// [`EngineStats::multiply_retries`].
+const MAX_MULTIPLY_RETRIES: u32 = 2;
+
 /// Handle to a registered matrix: its content fingerprint folded with
 /// the caller-supplied registration salt (zero for plain
 /// [`Engine::register`], so the id *is* the fingerprint there). Distinct
@@ -101,11 +107,6 @@ pub struct EngineConfig {
     /// value moved and runs local tile multiplies at emulated f32
     /// precision (f64 accumulation); `f64` is the exact default.
     pub dtype: Dtype,
-    /// Transient multiply errors (the `engine.multiply.transient` chaos
-    /// failpoint — never real planner/kernel errors) retried in place
-    /// before the error surfaces to the caller. Each retry counts into
-    /// [`EngineStats::multiply_retries`].
-    pub max_multiply_retries: u32,
 }
 
 impl Default for EngineConfig {
@@ -120,7 +121,6 @@ impl Default for EngineConfig {
             max_batch: 64,
             incremental: IncrementalPolicy::default(),
             dtype: Dtype::default(),
-            max_multiply_retries: 2,
         }
     }
 }
@@ -855,32 +855,6 @@ impl Engine {
         self.bound.get(&id.0).map(|b| b.predictions.as_slice())
     }
 
-    /// Predicted per-iteration seconds of serving `id` through the
-    /// delta-corrected path with the given pending `delta`, under the
-    /// engine's cost model and oversubscription rule — i.e. what the
-    /// *current* binding costs while the overlay is live, via
-    /// [`DeltaSpmm::predict_volume`]. Compare against
-    /// [`plan_report`](Self::plan_report)`[0].seconds` (what a rebind
-    /// would restore) to decide whether a delta-heavy stream should
-    /// rebind early instead of waiting for its staleness budget.
-    pub fn predict_corrected_seconds(
-        &self,
-        id: MatrixId,
-        delta: &CsrMatrix<f64>,
-    ) -> SparseResult<f64> {
-        let bound = self.bound.get(&id.0).ok_or_else(|| {
-            SparseError::InvalidCsr(format!("matrix {:032x} is not registered", id.0))
-        })?;
-        let k = (self.config.max_batch as u32).clamp(1, 64);
-        let corrected = DeltaSpmm::new(&*bound.algo, delta)?.with_cost(self.config.cost);
-        let oversubscription =
-            (bound.algo.ranks() as f64 / self.config.target_ranks.max(1) as f64).max(1.0);
-        Ok(corrected
-            .predict_volume(k)
-            .predicted_seconds(&self.config.cost)
-            * oversubscription)
-    }
-
     /// Cache counters (the decompose-count probe lives here), folded
     /// from the registry.
     pub fn cache_stats(&self) -> CacheStats {
@@ -1027,10 +1001,7 @@ impl Engine {
             };
             match result {
                 Ok(run) => break run,
-                Err(e)
-                    if failpoint::is_injected(&e)
-                        && attempts < self.config.max_multiply_retries =>
-                {
+                Err(e) if failpoint::is_injected(&e) && attempts < MAX_MULTIPLY_RETRIES => {
                     attempts += 1;
                     self.metrics.multiply_retries.inc();
                 }

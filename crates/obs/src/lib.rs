@@ -22,7 +22,7 @@
 //!   `grant`, `splice`, …) hanging off the same root.
 //! * [`Stopwatch`] — the single wall-clock measurement type. Every
 //!   timing site in the workspace reads one stopwatch and feeds the
-//!   result to *both* its consumer (adaptive budgets, bench reports)
+//!   result to *both* its consumer (refresh spans, bench reports)
 //!   and the matching histogram, so no duration is measured twice.
 //! * [`timeseries`] — a JSONL recorder of periodic snapshot deltas
 //!   (`"schema": "amd-metrics-ts/1"`) with windowed rates and windowed
@@ -117,7 +117,7 @@ impl Default for Telemetry {
 
 /// The workspace's single wall-clock measurement type. Wraps
 /// [`Instant`] so call sites never touch `std::time` directly, and the
-/// one measured duration can feed both a consumer (adaptive budget,
+/// one measured duration can feed both a consumer (a span's detail,
 /// bench JSON) and a [`Histogram`].
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {

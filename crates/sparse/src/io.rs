@@ -12,6 +12,11 @@ use crate::csr::CsrMatrix;
 use crate::error::{SparseError, SparseResult};
 use std::io::{BufRead, Write};
 
+/// Most entries reserved up front from a header's entry count. The count
+/// is unchecked input, so it only sizes the first allocation; a larger
+/// file grows the vector as it is read.
+const MAX_RESERVED_ENTRIES: usize = 1 << 20;
+
 /// Parses a Matrix Market coordinate stream into a COO matrix.
 ///
 /// Symmetric files are expanded (both triangles materialised); `pattern`
@@ -65,7 +70,12 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> SparseResult<CooMatrix<f64>>
     let rows: u32 = parse(dims[0])?;
     let cols: u32 = parse(dims[1])?;
     let nnz: usize = parse(dims[2])?;
-    let mut coo = CooMatrix::with_capacity(rows, cols, if symmetric { 2 * nnz } else { nnz });
+    let stored = if symmetric {
+        nnz.saturating_mul(2)
+    } else {
+        nnz
+    };
+    let mut coo = CooMatrix::with_capacity(rows, cols, stored.min(MAX_RESERVED_ENTRIES));
     let mut seen = 0usize;
     for line in lines {
         let line = line.map_err(io_err)?;
@@ -202,6 +212,21 @@ mod tests {
         assert!(
             parse_str("%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1.0\n").is_err()
         );
+    }
+
+    #[test]
+    fn absurd_entry_counts_are_a_mismatch_not_a_crash() {
+        for header in [
+            // usize::MAX: once a "capacity overflow" panic.
+            "%%MatrixMarket matrix coordinate real general\n2 2 18446744073709551615\n",
+            // 10¹²: once an allocation failure that aborted the process.
+            "%%MatrixMarket matrix coordinate real general\n2 2 1000000000000\n",
+            // Above usize::MAX / 2: once an overflow of `2 * nnz`.
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 9223372036854775808\n",
+        ] {
+            let err = parse_str(&format!("{header}1 1 1.0\n")).unwrap_err();
+            assert!(err.to_string().contains("entry count mismatch"), "{err}");
+        }
     }
 
     #[test]

@@ -147,6 +147,34 @@ proptest! {
     }
 
     #[test]
+    fn damaged_matrix_market_is_an_error_or_a_matrix(
+        coo in coo_strategy(),
+        symmetric in any::<bool>(),
+        cut in any::<usize>(),
+        flips in proptest::collection::vec((any::<usize>(), 0u32..256), 0..4),
+    ) {
+        use amd_sparse::io::{read_matrix_market, write_matrix_market};
+        let mut file = Vec::new();
+        write_matrix_market(&coo.to_csr(), &mut file).unwrap();
+        if symmetric {
+            let header = b"%%MatrixMarket matrix coordinate real ".len();
+            file.splice(header..header + b"general".len(), b"symmetric".iter().copied());
+        }
+        // A cut past the end keeps the whole file.
+        file.truncate(cut % (file.len() + 1));
+        for (at, byte) in flips {
+            if !file.is_empty() {
+                let at = at % file.len();
+                file[at] = byte as u8;
+            }
+        }
+        // Either outcome is fine; a panic or an abort is not.
+        if let Ok(coo) = read_matrix_market(std::io::BufReader::new(file.as_slice())) {
+            let _ = coo.to_csr();
+        }
+    }
+
+    #[test]
     fn permutation_algebra(
         (n, seed) in (2u32..32).prop_flat_map(|n| (Just(n), any::<u64>()))
     ) {

@@ -61,98 +61,9 @@ impl StalenessBudget {
     }
 }
 
-/// Derives a [`StalenessBudget`] from measured refresh cost instead of a
-/// fixed fraction.
-///
-/// The budget's job is to balance two costs: every pending delta entry
-/// taxes each query through the corrected path (a predictable,
-/// per-entry overhead), while a refresh pays one decompose. The adaptive
-/// rule sizes `max_delta_nnz` so the accumulated correction overhead a
-/// refresh *avoids* is about `headroom ×` the refresh's own latency:
-///
-/// ```text
-/// max_delta_nnz ≈ headroom · refresh_seconds / per_entry_seconds
-/// ```
-///
-/// Incremental re-decomposition makes refreshes cheap exactly when the
-/// delta is local, so a stream that stays local sees its budget
-/// *tighten* automatically (cheap refreshes are worth taking early),
-/// while a stream that keeps forcing cold rebuilds sees it relax.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveBudget {
-    /// How many refresh-latencies' worth of predicted correction
-    /// overhead to tolerate before compacting.
-    pub headroom: f64,
-    /// Never derive a budget below this (guards against refresh storms
-    /// when a refresh is nearly free).
-    pub min_nnz: usize,
-    /// Never derive a budget above this (guards against an unbounded
-    /// delta when the correction overhead is predicted to be ~0).
-    pub max_nnz: usize,
-}
-
-impl Default for AdaptiveBudget {
-    fn default() -> Self {
-        Self {
-            headroom: 1.0,
-            min_nnz: 16,
-            max_nnz: 1 << 20,
-        }
-    }
-}
-
-impl AdaptiveBudget {
-    /// The delta-entry cap implied by a refresh that took
-    /// `refresh_seconds` against a corrected path predicted to cost
-    /// `per_entry_seconds` per pending entry per query.
-    pub fn derive_nnz(&self, refresh_seconds: f64, per_entry_seconds: f64) -> usize {
-        if !refresh_seconds.is_finite()
-            || !per_entry_seconds.is_finite()
-            || per_entry_seconds <= 0.0
-        {
-            return self.max_nnz;
-        }
-        let raw = self.headroom * refresh_seconds / per_entry_seconds;
-        if !raw.is_finite() {
-            return self.max_nnz;
-        }
-        (raw as usize).clamp(self.min_nnz, self.max_nnz)
-    }
-
-    /// Re-derives a budget in place: only `max_delta_nnz` moves, the
-    /// other limits stay whatever the holder configured.
-    pub fn retune(
-        &self,
-        budget: &mut StalenessBudget,
-        refresh_seconds: f64,
-        per_entry_seconds: f64,
-    ) -> usize {
-        let nnz = self.derive_nnz(refresh_seconds, per_entry_seconds);
-        budget.max_delta_nnz = nnz;
-        nnz
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn adaptive_budget_tightens_with_cheap_refreshes() {
-        let pol = AdaptiveBudget::default();
-        // A 1 ms refresh vs 1 µs/entry overhead → 1000-entry budget.
-        assert_eq!(pol.derive_nnz(1e-3, 1e-6), 1000);
-        // A 100× cheaper (incremental) refresh tightens it 100×, down to
-        // the floor.
-        assert_eq!(pol.derive_nnz(1e-5, 1e-6), pol.min_nnz);
-        // Zero/undefined overhead relaxes to the ceiling.
-        assert_eq!(pol.derive_nnz(1e-3, 0.0), pol.max_nnz);
-        assert_eq!(pol.derive_nnz(f64::INFINITY, 1e-6), pol.max_nnz);
-        let mut b = StalenessBudget::default();
-        assert_eq!(pol.retune(&mut b, 1e-3, 1e-6), 1000);
-        assert_eq!(b.max_delta_nnz, 1000);
-        assert!(b.max_delta_fraction.is_infinite(), "other limits untouched");
-    }
 
     #[test]
     fn default_is_unbounded() {

@@ -4,12 +4,11 @@
 //! A [`StreamHub`] owns one [`Engine`] and a map of **tenants** — each a
 //! mutating matrix with its own base `A₀`, pending delta `ΔA`, staleness
 //! budget, and version lineage. Updates and queries address tenants by
-//! [`TenantId`] (or through a borrowed [`Session`] handle); queries from
-//! *all* tenants share the engine's batcher. Query ownership is tracked
-//! through the salted binding, so a tenant can drain just its own queue
-//! ([`flush_tenant`](StreamHub::flush_tenant), what [`Session::flush`]
-//! does) while one hub-wide [`flush`](StreamHub::flush) still answers
-//! everything.
+//! [`TenantId`]; queries from *all* tenants share the engine's batcher.
+//! Query ownership is tracked through the salted binding, so a tenant
+//! can drain just its own queue
+//! ([`flush_tenant`](StreamHub::flush_tenant)) while one hub-wide
+//! [`flush`](StreamHub::flush) still answers everything.
 //!
 //! ## Lifecycle
 //!
@@ -19,16 +18,15 @@
 //! released), and the tenant's version chain is removed from the
 //! persistence catalog, sparing only revisions another live binding
 //! still references — so a long-lived hub serving a churning tenant set
-//! leaks neither memory nor spill files. An idle-eviction policy
-//! ([`HubConfig::max_idle_polls`]) automates this for tenants that stop
-//! sending updates and queries.
+//! leaks neither memory nor spill files.
 //!
 //! ## Double-buffered refresh
 //!
 //! A refresh is grant → build → commit (the state machine lives in
 //! `refresh.rs`; this module keeps tenant state, the query path and the
-//! accessors). With `async_refresh` on (the default) the build runs on a
-//! worker thread and a staleness refresh never stalls the stream:
+//! accessors). With `async_refresh` on (the default) the build runs on
+//! the hub's one builder thread and a staleness refresh never stalls the
+//! stream:
 //!
 //! ```text
 //!  trip            launch                      commit (at a poll point)
@@ -46,10 +44,10 @@
 //! The old binding plus the full overlay keeps answering exactly while
 //! the worker builds (the merge and the hash too run there, so a trip
 //! costs the serving thread `O(nnz(ΔA))`); at commit the delta
-//! accumulated *during* the build is spliced onto the new binding. Every answer — before,
-//! during, and after the swap — bit-matches a cold decompose-and-multiply
-//! for integer data, because both representations are the same operator
-//! and every reduction is exact.
+//! accumulated *during* the build is spliced onto the new binding. Every
+//! answer — before, during, and after the swap — bit-matches a cold
+//! decompose-and-multiply for integer data, because both representations
+//! are the same operator and every reduction is exact.
 //!
 //! With `async_refresh` off the same grant, the same build and the same
 //! commit run back to back inside the call that tripped the budget: the
@@ -58,17 +56,16 @@
 //!
 //! ## Fairness
 //!
-//! Background rebuilds draw from a shared budget
-//! ([`FairnessPolicy::max_inflight`], also the worker-pool size). Tenants
-//! whose budget trips while the pool is busy wait in a FIFO queue, so a
-//! tenant re-tripping its budget cannot starve the others: with `T`
-//! tenants queued, every one of them launches within `T` grant slots.
+//! One refresh is granted at a time, hub-wide. Tenants whose budget
+//! trips while a grant is out wait in a FIFO queue, so a tenant
+//! re-tripping its budget cannot starve the others: with `T` tenants
+//! queued, every one of them launches within `T` grant slots.
 //! A tenant holds at most one in-flight rebuild; budget trips while one
 //! is already running are counted
 //! ([`TenantStats::suppressed_triggers`]) instead of double-triggering,
 //! and re-checked at commit.
 
-use crate::budget::{AdaptiveBudget, StalenessBudget};
+use crate::budget::StalenessBudget;
 use crate::refresh::RefreshState;
 use crate::splice::{SpliceCounters, SpliceStats};
 use crate::update::Update;
@@ -94,58 +91,6 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-/// The hub's shared refresh budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FairnessPolicy {
-    /// Most background rebuilds in flight at once, hub-wide. This is
-    /// also the worker-pool size; tenants beyond it queue FIFO.
-    pub max_inflight: usize,
-}
-
-impl Default for FairnessPolicy {
-    /// One rebuild at a time — strict FIFO across tenants.
-    fn default() -> Self {
-        Self { max_inflight: 1 }
-    }
-}
-
-/// When to re-rank the planner *between* refreshes (delta-aware early
-/// rebind). The corrected path's predicted cost grows with delta
-/// density; once the current binding plus its overlay is predicted
-/// slower than a rebind would restore, waiting for the staleness budget
-/// just serves queries slowly. Disabled by default.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReRankPolicy {
-    /// Delta density `nnz(ΔA) / nnz(A₀)` at which the hook starts
-    /// evaluating ([`f64::INFINITY`] disables it).
-    pub density_threshold: f64,
-    /// Rebind early once the corrected prediction
-    /// ([`amd_engine::Engine::predict_corrected_seconds`]) exceeds this
-    /// factor times the plan's best predicted seconds.
-    pub slowdown: f64,
-}
-
-impl Default for ReRankPolicy {
-    /// Disabled.
-    fn default() -> Self {
-        Self {
-            density_threshold: f64::INFINITY,
-            slowdown: 1.0,
-        }
-    }
-}
-
-impl ReRankPolicy {
-    /// Evaluate from the given delta density on; rebind as soon as the
-    /// corrected prediction is worse than the plan's best at all.
-    pub fn at_density(density_threshold: f64) -> Self {
-        Self {
-            density_threshold,
-            slowdown: 1.0,
-        }
-    }
-}
-
 /// Configuration of a [`StreamHub`].
 #[derive(Debug, Clone)]
 pub struct HubConfig {
@@ -158,43 +103,17 @@ pub struct HubConfig {
     /// (`true`, default) or leave them to explicit
     /// [`refresh`](StreamHub::refresh) calls.
     pub auto_refresh: bool,
-    /// Which thread runs a refresh's build: a background worker, the
+    /// Which thread runs a refresh's build: the hub's builder thread, the
     /// swap committing at a later poll point (`true`, default), or the
     /// triggering call itself, which then pays the build's latency and
     /// commits at once (`false`). Nothing else differs.
     pub async_refresh: bool,
-    /// Shared refresh budget and worker-pool size.
-    pub fairness: FairnessPolicy,
-    /// Delta-aware early-rebind policy (disabled by default).
-    pub rerank: ReRankPolicy,
-    /// Adaptive staleness budget: after every refresh, re-derive the
-    /// tenant's `max_delta_nnz` from the measured refresh latency vs the
-    /// predicted per-entry correction overhead
-    /// ([`AdaptiveBudget::derive_nnz`]). Cheap (incremental) refreshes
-    /// tighten the budget automatically; expensive cold rebuilds relax
-    /// it. `None` (default) keeps budgets fixed.
-    pub adaptive: Option<AdaptiveBudget>,
-    /// Idle-eviction policy: a tenant that stays inactive (no updates,
-    /// no queries) for more than this many hub [`poll`](StreamHub::poll)
-    /// points is evicted automatically — binding deregistered, catalog
-    /// chain garbage-collected, final stats retired to
-    /// [`StreamHub::retired`]. `None` (default) keeps tenants forever;
-    /// long-lived hubs serving churning tenant sets should set it.
-    pub max_idle_polls: Option<u64>,
     /// Test/bench hook: a refresh build sleeps this long before
     /// building, simulating a slow LA-Decompose so tests can assert
-    /// that serving does not block on a background rebuild.
+    /// that serving does not block on a background rebuild. (Per hub,
+    /// unlike the process-wide `worker.decompose.delay` failpoint, so
+    /// tests running side by side do not delay each other.)
     pub decompose_delay: Option<Duration>,
-    /// Supervision: how many times a refresh whose worker *panicked* is
-    /// automatically requeued (with exponential backoff) before the hub
-    /// gives up on the pool and compacts synchronously — the counted
-    /// fallback in [`HubStats::sync_fallbacks`]. Serving is bit-exact
-    /// throughout either way; this only bounds how long a dying pool is
-    /// retried.
-    pub max_refresh_retries: u32,
-    /// Base backoff before the first supervision retry, doubled per
-    /// consecutive retry of the same grant. Zero requeues immediately.
-    pub retry_backoff: Duration,
 }
 
 impl Default for HubConfig {
@@ -204,13 +123,7 @@ impl Default for HubConfig {
             budget: StalenessBudget::default(),
             auto_refresh: true,
             async_refresh: true,
-            fairness: FairnessPolicy::default(),
-            rerank: ReRankPolicy::default(),
-            adaptive: None,
-            max_idle_polls: None,
             decompose_delay: None,
-            max_refresh_retries: 3,
-            retry_backoff: Duration::from_millis(1),
         }
     }
 }
@@ -238,9 +151,6 @@ pub struct TenantStats {
     pub queries: u64,
     /// Refreshes completed (committed swaps, wherever they were built).
     pub refreshes: u64,
-    /// Refreshes triggered early by the re-rank policy rather than the
-    /// staleness budget.
-    pub early_rebinds: u64,
     /// Budget trips that arrived while a refresh was already queued or
     /// in flight — guarded, not double-triggered.
     pub suppressed_triggers: u64,
@@ -263,9 +173,6 @@ pub struct TenantStats {
     /// splice.fallback_refreshes = refreshes` on more than one rank; all
     /// zero on one, where a refresh decomposes nothing).
     pub splice: SpliceStats,
-    /// The tenant's current adaptively derived `max_delta_nnz` budget
-    /// (0 until the first refresh under an [`AdaptiveBudget`] policy).
-    pub adaptive_budget_nnz: u64,
 }
 
 /// Hub-wide counters. Each counter is the sum of the corresponding
@@ -288,11 +195,9 @@ pub struct HubStats {
     pub refreshes_completed: u64,
     /// Rebuilds that failed (build error or commit rejection); the
     /// tenant's delta is restored and serving continues on the old
-    /// binding. A pooled build's failure surfaces to no caller; an inline
+    /// binding. A background build's failure surfaces to no caller; an inline
     /// one is also the error of the call that ran it.
     pub refresh_failures: u64,
-    /// Early rebinds triggered by the re-rank policy.
-    pub early_rebinds: u64,
     /// Budget trips suppressed because a refresh was already pending.
     pub suppressed_triggers: u64,
     /// Incremental-vs-fallback split of completed refreshes hub-wide
@@ -300,22 +205,18 @@ pub struct HubStats {
     /// refreshes_completed` on more than one rank, zero on one); sum of
     /// the per-tenant [`TenantStats::splice`] counters.
     pub splice: SpliceStats,
-    /// Tenants evicted ([`StreamHub::evict`] plus idle evictions).
+    /// Tenants evicted ([`StreamHub::evict`]).
     pub evictions: u64,
-    /// The subset of `evictions` triggered by the
-    /// [`max_idle_polls`](HubConfig::max_idle_polls) policy.
-    pub idle_evictions: u64,
-    /// Worker threads that died (panicked mid-build) and were
-    /// replaced by supervision. The pool never shrinks: every death is
-    /// matched by a respawn before the dead grant is retried.
+    /// Builder threads that died (panicked mid-build) and were replaced
+    /// by supervision: every death is matched by a respawn before the
+    /// dead grant is retried.
     pub worker_restarts: u64,
     /// Dead grants requeued by supervision (each with exponential
     /// backoff). Resets nothing: a grant that needs three retries
     /// contributes three.
     pub refresh_retries: u64,
-    /// Refreshes compacted synchronously after
-    /// [`max_refresh_retries`](HubConfig::max_refresh_retries)
-    /// consecutive worker deaths — the bounded-retry escape hatch.
+    /// Refreshes compacted synchronously after three consecutive
+    /// builder deaths on one grant — the bounded-retry escape hatch.
     pub sync_fallbacks: u64,
 }
 
@@ -328,10 +229,8 @@ pub(crate) struct HubMetrics {
     pub(crate) refreshes_started: Counter,
     pub(crate) refreshes_completed: Counter,
     pub(crate) refresh_failures: Counter,
-    early_rebinds: Counter,
     suppressed_triggers: Counter,
     evictions: Counter,
-    idle_evictions: Counter,
     pub(crate) worker_restarts: Counter,
     pub(crate) refresh_retries: Counter,
     pub(crate) sync_fallbacks: Counter,
@@ -352,10 +251,8 @@ impl HubMetrics {
             refreshes_started: registry.counter("hub.refreshes_started"),
             refreshes_completed: registry.counter("hub.refreshes_completed"),
             refresh_failures: registry.counter("hub.refresh_failures"),
-            early_rebinds: registry.counter("hub.early_rebinds"),
             suppressed_triggers: registry.counter("hub.suppressed_triggers"),
             evictions: registry.counter("hub.evictions"),
-            idle_evictions: registry.counter("hub.idle_evictions"),
             worker_restarts: registry.counter("hub.worker_restarts"),
             refresh_retries: registry.counter("hub.refresh_retries"),
             sync_fallbacks: registry.counter("hub.sync_fallbacks"),
@@ -374,7 +271,6 @@ pub(crate) struct TenantMetrics {
     updates: Counter,
     queries: Counter,
     pub(crate) refreshes: Counter,
-    early_rebinds: Counter,
     suppressed_triggers: Counter,
     pub(crate) refresh_failures: Counter,
     pub(crate) splice: SpliceCounters,
@@ -387,24 +283,11 @@ impl TenantMetrics {
             updates: registry.counter(&format!("{prefix}updates")),
             queries: registry.counter(&format!("{prefix}queries")),
             refreshes: registry.counter(&format!("{prefix}refreshes")),
-            early_rebinds: registry.counter(&format!("{prefix}early_rebinds")),
             suppressed_triggers: registry.counter(&format!("{prefix}suppressed_triggers")),
             refresh_failures: registry.counter(&format!("{prefix}refresh_failures")),
             splice: SpliceCounters::new(registry, &prefix),
         }
     }
-}
-
-/// A background rebuild in flight for one tenant.
-pub(crate) struct InFlight {
-    /// The delta snapshot compacted into the rebuild (`merged = base +
-    /// captured`). Still being *served* (merged into the overlay) until
-    /// the swap commits.
-    pub(crate) captured: DeltaBuilder<f64>,
-    /// Predicted corrected-path seconds per pending delta entry at
-    /// grant time — the adaptive budget's overhead signal, combined at
-    /// commit with the measured build latency.
-    pub(crate) per_entry_seconds: f64,
 }
 
 pub(crate) struct Tenant {
@@ -416,24 +299,16 @@ pub(crate) struct Tenant {
     pub(crate) budget: StalenessBudget,
     /// The engine's overlay no longer matches `captured + delta`.
     pub(crate) overlay_dirty: bool,
-    /// The grant this tenant holds, while its rebuild is in flight.
-    pub(crate) inflight: Option<InFlight>,
-    /// Delta length at the last re-rank evaluation: 0 = none since the
-    /// last compaction, [`usize::MAX`] = a positive verdict latched
-    /// (don't re-evaluate until the delta compacts).
-    pub(crate) rerank_mark: usize,
-    /// Hub poll points since this tenant's last update or query — the
-    /// idle-eviction clock.
-    idle_polls: u64,
+    /// While this tenant's rebuild is in flight: the delta snapshot it
+    /// compacts (`merged = base + captured`), still *served* (merged
+    /// into the overlay) until the swap commits.
+    pub(crate) captured: Option<DeltaBuilder<f64>>,
     pub(crate) metrics: TenantMetrics,
     /// Waiting in the FIFO refresh queue.
     pub(crate) queued: bool,
     /// Hub-wide slot of the latest refresh grant (see
     /// [`TenantStats::last_granted_slot`]).
     pub(crate) last_granted_slot: u64,
-    /// Current adaptively derived budget (see
-    /// [`TenantStats::adaptive_budget_nnz`]).
-    pub(crate) adaptive_budget_nnz: u64,
     /// Root span of the refresh lifecycle in progress (trip → grant →
     /// decompose → commit); [`SpanId::NONE`] when none is pending.
     pub(crate) refresh_span: SpanId,
@@ -449,17 +324,14 @@ impl Tenant {
     /// The value currently served at `(row, col)`: base plus every
     /// pending delta layer.
     fn served_value(&self, row: u32, col: u32) -> f64 {
-        let captured = self
-            .inflight
-            .as_ref()
-            .map_or(0.0, |f| f.captured.get(row, col));
+        let captured = self.captured.as_ref().map_or(0.0, |c| c.get(row, col));
         self.base.get(row, col) + captured + self.delta.get(row, col)
     }
 
     /// The full pending correction `captured + delta` as CSR.
     fn overlay_csr(&self) -> SparseResult<CsrMatrix<f64>> {
-        match &self.inflight {
-            Some(f) => ops::apply_delta(&f.captured.to_csr(), &self.delta.to_csr()),
+        match &self.captured {
+            Some(c) => ops::apply_delta(&c.to_csr(), &self.delta.to_csr()),
             None => Ok(self.delta.to_csr()),
         }
     }
@@ -470,7 +342,7 @@ impl Tenant {
     }
 
     pub(crate) fn refresh_pending(&self) -> bool {
-        self.queued || self.inflight.is_some()
+        self.queued || self.captured.is_some()
     }
 
     /// The tenant's counters and refresh state as a [`TenantStats`]
@@ -480,14 +352,12 @@ impl Tenant {
             updates: self.metrics.updates.get(),
             queries: self.metrics.queries.get(),
             refreshes: self.metrics.refreshes.get(),
-            early_rebinds: self.metrics.early_rebinds.get(),
             suppressed_triggers: self.metrics.suppressed_triggers.get(),
             refresh_failures: self.metrics.refresh_failures.get(),
-            refreshing: self.inflight.is_some(),
+            refreshing: self.captured.is_some(),
             queued: self.queued,
             last_granted_slot: self.last_granted_slot,
             splice: self.metrics.splice.stats(),
-            adaptive_budget_nnz: self.adaptive_budget_nnz,
         }
     }
 }
@@ -499,18 +369,15 @@ pub struct StreamHub {
     pub(crate) tenants: HashMap<u64, Tenant>,
     /// Admission order, for stable iteration.
     order: Vec<TenantId>,
-    /// Queue, builders and grants out (see [`crate::refresh`]).
+    /// Queue, builder and the grant out (see [`crate::refresh`]).
     pub(crate) refreshes: RefreshState,
     next_tenant: u64,
-    /// Final stats of tenants evicted by the idle policy, in eviction
-    /// order (explicit [`evict`](Self::evict) returns them instead).
-    retired: Vec<(TenantId, TenantStats)>,
     pub(crate) metrics: HubMetrics,
 }
 
 impl StreamHub {
-    /// Stands up the engine (and, with `async_refresh`, the worker
-    /// pool). No tenants yet — [`admit`](Self::admit) them. Telemetry
+    /// Stands up the engine (and, with `async_refresh`, the builder
+    /// thread). No tenants yet — [`admit`](Self::admit) them. Telemetry
     /// is enabled with a fresh registry and tracer — use
     /// [`with_telemetry`](Self::with_telemetry) to share or disable it.
     pub fn new(config: HubConfig) -> SparseResult<Self> {
@@ -535,7 +402,6 @@ impl StreamHub {
             order: Vec::new(),
             refreshes,
             next_tenant: 1,
-            retired: Vec::new(),
             metrics,
         })
     }
@@ -581,13 +447,10 @@ impl StreamHub {
                 delta: DeltaBuilder::new(n, n),
                 budget,
                 overlay_dirty: false,
-                inflight: None,
-                rerank_mark: 0,
-                idle_polls: 0,
+                captured: None,
                 metrics,
                 queued: false,
                 last_granted_slot: 0,
-                adaptive_budget_nnz: 0,
                 refresh_span: SpanId::NONE,
                 retries: 0,
                 backoff: None,
@@ -595,12 +458,6 @@ impl StreamHub {
         );
         self.order.push(id);
         Ok(id)
-    }
-
-    /// A borrowed per-tenant handle (errors for unknown tenants).
-    pub fn session(&mut self, tenant: TenantId) -> SparseResult<Session<'_>> {
-        self.tenant(tenant)?;
-        Ok(Session { hub: self, tenant })
     }
 
     /// Admitted tenants, in admission order.
@@ -625,7 +482,6 @@ impl StreamHub {
     /// budget — i.e. a refresh was triggered, queued, or (manual mode)
     /// is now required.
     pub fn update(&mut self, tenant: TenantId, update: Update) -> SparseResult<bool> {
-        self.touch(tenant);
         self.poll()?;
         let (row, col) = update.position();
         let (needs, pending) = {
@@ -661,119 +517,24 @@ impl StreamHub {
             }
             return Ok(true);
         }
-        // Delta-aware re-rank: between budget trips, rebind early once
-        // the corrected path is predicted slower than a rebind would be.
-        if !pending && self.rerank_wants_rebind(tenant)? {
-            let t = self.tenant_mut(tenant)?;
-            t.metrics.early_rebinds.inc();
-            self.metrics.early_rebinds.inc();
-            if self.config.auto_refresh {
-                self.request_refresh(tenant)?;
-            }
-            return Ok(true);
-        }
         Ok(false)
     }
 
-    /// Evaluates the [`ReRankPolicy`] for a tenant: above the density
-    /// threshold, predict the corrected path's per-iteration seconds on
-    /// the current binding and compare with the plan's best. The
-    /// evaluation itself is `O(nnz(ΔA))`, so it re-runs only after the
-    /// delta has grown by a quarter of the threshold mass since the last
-    /// check, and a positive verdict latches (no re-evaluation, and no
-    /// double-counted early rebind) until the next compaction.
-    fn rerank_wants_rebind(&mut self, tenant: TenantId) -> SparseResult<bool> {
-        let policy = self.config.rerank;
-        if policy.density_threshold.is_infinite() {
-            return Ok(false);
-        }
-        let (matrix, delta_csr, len) = {
-            let t = self.tenant(tenant)?;
-            if t.delta.is_empty() || t.rerank_mark == usize::MAX {
-                return Ok(false);
-            }
-            let len = t.delta.len();
-            let threshold_nnz = policy.density_threshold * t.base.nnz().max(1) as f64;
-            if (len as f64) < threshold_nnz {
-                return Ok(false);
-            }
-            let stride = (threshold_nnz / 4.0).ceil().max(1.0) as usize;
-            if t.rerank_mark != 0 && len < t.rerank_mark.saturating_add(stride) {
-                return Ok(false);
-            }
-            (t.matrix, t.delta.to_csr(), len)
-        };
-        let corrected = self.engine.predict_corrected_seconds(matrix, &delta_csr)?;
-        let best = self
-            .engine
-            .plan_report(matrix)
-            .and_then(|p| p.first())
-            .map(|p| p.seconds)
-            .unwrap_or(f64::INFINITY);
-        let rebind = corrected > policy.slowdown * best;
-        self.tenant_mut(tenant)?.rerank_mark = if rebind { usize::MAX } else { len };
-        Ok(rebind)
-    }
-
-    /// Requests a refresh for a tenant: queues it and launches what the
-    /// shared budget allows — with `async_refresh` off, that is the whole
+    /// Requests a refresh for a tenant: queues it and launches it if no
+    /// other grant is out — with `async_refresh` off, that is the whole
     /// refresh, committed before this returns. Returns `false` when there
     /// is nothing to do — empty delta, or a refresh already pending.
     pub fn refresh(&mut self, tenant: TenantId) -> SparseResult<bool> {
-        self.touch(tenant);
         self.poll()?;
         self.request_refresh(tenant)
     }
 
-    /// Resets a tenant's idle clock (any sign of life counts).
-    fn touch(&mut self, tenant: TenantId) {
-        if let Some(t) = self.tenants.get_mut(&tenant.0) {
-            t.idle_polls = 0;
-        }
-    }
-
     /// Drains finished rebuilds (non-blocking), commits their swaps, and
-    /// launches queued work into the freed slots. Called internally at
+    /// grants the next queued refresh. Called internally at
     /// every entry point; call it directly when idling between events.
     /// Returns the number of swaps committed.
     pub fn poll(&mut self) -> SparseResult<usize> {
-        let committed = self.land_finished()?;
-        self.sweep_idle()?;
-        Ok(committed)
-    }
-
-    /// The idle-eviction pass of [`poll`](Self::poll): advance every
-    /// tenant's idle clock and evict those past
-    /// [`max_idle_polls`](HubConfig::max_idle_polls). A tenant with a
-    /// rebuild queued/in flight, queries pending, or a **non-empty
-    /// delta** is skipped (its clock keeps running; it goes at a later
-    /// poll once quiescent) — idle eviction must never discard
-    /// acknowledged updates that were never compacted, unlike an
-    /// explicit [`evict`](Self::evict), where dropping the pending
-    /// delta is the caller's stated intent.
-    fn sweep_idle(&mut self) -> SparseResult<()> {
-        let Some(max) = self.config.max_idle_polls else {
-            return Ok(());
-        };
-        let mut victims = Vec::new();
-        for (&id, t) in self.tenants.iter_mut() {
-            t.idle_polls += 1;
-            if t.idle_polls > max
-                && t.inflight.is_none()
-                && !t.queued
-                && t.delta.is_empty()
-                && self.engine.pending_for(t.matrix) == 0
-            {
-                victims.push(TenantId(id));
-            }
-        }
-        victims.sort();
-        for v in victims {
-            let stats = self.evict_now(v)?;
-            self.metrics.idle_evictions.inc();
-            self.retired.push((v, stats));
-        }
-        Ok(())
+        self.land_finished()
     }
 
     /// Evicts a tenant: its pending queries must be flushed first (the
@@ -799,14 +560,6 @@ impl StreamHub {
             )));
         }
         self.drain_grant(tenant)?;
-        self.evict_now(tenant)
-    }
-
-    /// The teardown half of an eviction; assumes the tenant is
-    /// quiescent (no queue slot, no in-flight rebuild, no pending
-    /// queries).
-    fn evict_now(&mut self, tenant: TenantId) -> SparseResult<TenantStats> {
-        let matrix = self.tenant(tenant)?.matrix;
         let head = self.engine.binding_fingerprint(matrix);
         self.engine.deregister(matrix)?;
         // Catalog sweep: drop the tenant's version chain, sparing
@@ -834,13 +587,6 @@ impl StreamHub {
         Ok(stats)
     }
 
-    /// Final stats of tenants the idle policy evicted, in eviction
-    /// order (an explicit [`evict`](Self::evict) returns them to the
-    /// caller instead of retiring them here).
-    pub fn retired(&self) -> &[(TenantId, TenantStats)] {
-        &self.retired
-    }
-
     /// Pushes a tenant's pending correction into the engine as an
     /// overlay (no-op when already in sync).
     fn sync_overlay(&mut self, tenant: TenantId) -> SparseResult<()> {
@@ -865,7 +611,6 @@ impl StreamHub {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<QueryId> {
-        self.touch(tenant);
         self.poll()?;
         let matrix = self.tenant(tenant)?.matrix;
         let id = self.engine.submit(MultiplyQuery {
@@ -893,12 +638,11 @@ impl StreamHub {
 
     /// Answers only **one tenant's** pending queries, leaving every
     /// other tenant's queue untouched: query ownership is tracked
-    /// through the salted binding, so a session can drain itself
+    /// through the salted binding, so a tenant can drain itself
     /// without forcing runs (or paying flush latency) for the whole
     /// hub. Batching within the tenant is identical to a hub-wide
     /// flush.
     pub fn flush_tenant(&mut self, tenant: TenantId) -> SparseResult<Vec<QueryResponse>> {
-        self.touch(tenant);
         self.poll()?;
         self.tenant(tenant)?;
         self.sync_overlay(tenant)?;
@@ -913,7 +657,6 @@ impl StreamHub {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<QueryResponse> {
-        self.touch(tenant);
         self.poll()?;
         self.sync_overlay(tenant)?;
         let matrix = self.tenant(tenant)?.matrix;
@@ -958,7 +701,7 @@ impl StreamHub {
     /// rebuild's captured snapshot (everything not yet in the base).
     pub fn delta_nnz(&self, tenant: TenantId) -> SparseResult<usize> {
         let t = self.tenant(tenant)?;
-        Ok(t.delta.len() + t.inflight.as_ref().map_or(0, |f| f.captured.len()))
+        Ok(t.delta.len() + t.captured.as_ref().map_or(0, DeltaBuilder::len))
     }
 
     /// `true` once the tenant's live delta exceeds its budget.
@@ -966,8 +709,7 @@ impl StreamHub {
         Ok(self.tenant(tenant)?.needs_refresh())
     }
 
-    /// The tenant's current staleness budget (as admitted, or as last
-    /// re-derived by the [`AdaptiveBudget`] policy).
+    /// The tenant's staleness budget, as admitted.
     pub fn budget(&self, tenant: TenantId) -> SparseResult<StalenessBudget> {
         Ok(self.tenant(tenant)?.budget)
     }
@@ -1011,11 +753,9 @@ impl StreamHub {
             refreshes_started: self.metrics.refreshes_started.get(),
             refreshes_completed: self.metrics.refreshes_completed.get(),
             refresh_failures: self.metrics.refresh_failures.get(),
-            early_rebinds: self.metrics.early_rebinds.get(),
             suppressed_triggers: self.metrics.suppressed_triggers.get(),
             splice: self.metrics.splice.stats(),
             evictions: self.metrics.evictions.get(),
-            idle_evictions: self.metrics.idle_evictions.get(),
             worker_restarts: self.metrics.worker_restarts.get(),
             refresh_retries: self.metrics.refresh_retries.get(),
             sync_fallbacks: self.metrics.sync_fallbacks.get(),
@@ -1042,87 +782,6 @@ impl StreamHub {
     /// serving bursts).
     pub fn catalog_mut(&mut self) -> Option<&mut arrow_core::Catalog> {
         self.engine.catalog_mut()
-    }
-}
-
-/// A lightweight per-tenant handle borrowing the hub: the same
-/// operations as the [`StreamHub`] tenant methods without repeating the
-/// [`TenantId`]. Create one per interaction via
-/// [`StreamHub::session`]; it is `repr`-free and costs nothing.
-pub struct Session<'a> {
-    hub: &'a mut StreamHub,
-    tenant: TenantId,
-}
-
-impl Session<'_> {
-    /// The tenant this session addresses.
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
-    /// See [`StreamHub::update`].
-    pub fn update(&mut self, update: Update) -> SparseResult<bool> {
-        self.hub.update(self.tenant, update)
-    }
-
-    /// See [`StreamHub::submit`].
-    pub fn submit(
-        &mut self,
-        x: Vec<f64>,
-        iters: u32,
-        sigma: Option<Sigma>,
-    ) -> SparseResult<QueryId> {
-        self.hub.submit(self.tenant, x, iters, sigma)
-    }
-
-    /// See [`StreamHub::flush_tenant`]: drains **this tenant's**
-    /// pending queries only. Other tenants' queries stay queued for
-    /// their own flush (or a hub-wide [`StreamHub::flush`]).
-    pub fn flush(&mut self) -> SparseResult<Vec<QueryResponse>> {
-        self.hub.flush_tenant(self.tenant)
-    }
-
-    /// See [`StreamHub::run_single`].
-    pub fn run_single(
-        &mut self,
-        x: Vec<f64>,
-        iters: u32,
-        sigma: Option<Sigma>,
-    ) -> SparseResult<QueryResponse> {
-        self.hub.run_single(self.tenant, x, iters, sigma)
-    }
-
-    /// See [`StreamHub::refresh`].
-    pub fn refresh(&mut self) -> SparseResult<bool> {
-        self.hub.refresh(self.tenant)
-    }
-
-    /// See [`StreamHub::needs_refresh`].
-    pub fn needs_refresh(&self) -> bool {
-        self.hub
-            .needs_refresh(self.tenant)
-            .expect("session tenant is admitted")
-    }
-
-    /// See [`StreamHub::version`].
-    pub fn version(&self) -> u64 {
-        self.hub
-            .version(self.tenant)
-            .expect("session tenant is admitted")
-    }
-
-    /// See [`StreamHub::delta_nnz`].
-    pub fn delta_nnz(&self) -> usize {
-        self.hub
-            .delta_nnz(self.tenant)
-            .expect("session tenant is admitted")
-    }
-
-    /// See [`StreamHub::tenant_stats`].
-    pub fn stats(&self) -> TenantStats {
-        self.hub
-            .tenant_stats(self.tenant)
-            .expect("session tenant is admitted")
     }
 }
 
@@ -1539,7 +1198,6 @@ mod tests {
         assert_eq!(sa.updates + sb.updates, hs.updates);
         assert_eq!(sa.queries + sb.queries, hs.queries);
         assert_eq!(sa.refreshes + sb.refreshes, hs.refreshes_completed);
-        assert_eq!(sa.early_rebinds + sb.early_rebinds, hs.early_rebinds);
         assert_eq!(
             sa.suppressed_triggers + sb.suppressed_triggers,
             hs.suppressed_triggers
@@ -1548,64 +1206,6 @@ mod tests {
             sa.refresh_failures + sb.refresh_failures,
             hs.refresh_failures
         );
-    }
-
-    #[test]
-    fn rerank_policy_rebinds_early() {
-        let n = 40;
-        let mut cfg = config(usize::MAX); // budget never trips
-        cfg.budget = StalenessBudget::default();
-        cfg.rerank = ReRankPolicy::at_density(0.05);
-        cfg.async_refresh = false; // deterministic: rebind inline
-        let mut hub = StreamHub::new(cfg).unwrap();
-        let t = hub.admit(ring(n)).unwrap();
-        let mut rebound = false;
-        for i in 0..20u32 {
-            rebound |= hub
-                .update(
-                    t,
-                    Update::Add {
-                        row: i,
-                        col: (i + 13) % n,
-                        delta: 1.0,
-                    },
-                )
-                .unwrap();
-            if rebound {
-                break;
-            }
-        }
-        assert!(rebound, "density 5% must trigger the re-rank hook");
-        assert!(hub.tenant_stats(t).unwrap().early_rebinds >= 1);
-        assert_eq!(hub.stats().refreshes_completed, 1, "rebound early");
-        assert_eq!(hub.version(t).unwrap(), 1);
-        assert!(!hub.needs_refresh(t).unwrap());
-    }
-
-    #[test]
-    fn session_handle_round_trip() {
-        let n = 28;
-        let mut hub = StreamHub::new(config(3)).unwrap();
-        let t = hub.admit(ring(n)).unwrap();
-        let mut s = hub.session(t).unwrap();
-        assert_eq!(s.tenant(), t);
-        assert_eq!(s.version(), 0);
-        s.update(Update::Add {
-            row: 0,
-            col: 14,
-            delta: 2.0,
-        })
-        .unwrap();
-        assert_eq!(s.delta_nnz(), 1);
-        assert_eq!(s.stats().updates, 1);
-        s.submit(vec![1.0; n as usize], 1, None).unwrap();
-        let responses = s.flush().unwrap();
-        assert_eq!(responses.len(), 1);
-        assert!(!s.needs_refresh());
-        assert!(s.refresh().unwrap());
-        hub.wait_refreshes().unwrap();
-        assert_eq!(hub.version(t).unwrap(), 1);
-        assert!(hub.session(TenantId(99)).is_err());
     }
 
     #[test]
@@ -1643,8 +1243,8 @@ mod tests {
         hub.submit(a, column(n, 0), 1, None).unwrap();
         hub.submit(b, column(n, 1), 1, None).unwrap();
         hub.submit(a, column(n, 2), 1, None).unwrap();
-        // Session flush drains only its own tenant.
-        let mine = hub.session(a).unwrap().flush().unwrap();
+        // A tenant flush drains only its own tenant.
+        let mine = hub.flush_tenant(a).unwrap();
         assert_eq!(mine.len(), 2, "tenant a's two queries");
         assert_eq!(hub.engine_stats().runs, 1, "a's queries share one run");
         // Tenant b's query is still queued and still answerable.
@@ -1746,50 +1346,5 @@ mod tests {
         }
         hub.wait_refreshes().unwrap();
         assert_eq!(hub.version(u).unwrap(), 1);
-    }
-
-    #[test]
-    fn idle_policy_evicts_quiet_tenants() {
-        let n = 24;
-        let mut cfg = config(100);
-        cfg.max_idle_polls = Some(3);
-        let mut hub = StreamHub::new(cfg).unwrap();
-        let quiet = hub.admit(ring(n)).unwrap();
-        let dirty = hub.admit(ring(n)).unwrap();
-        let busy = hub.admit(basic::star(n).to_adjacency()).unwrap();
-        // One tenant holds un-compacted updates below its budget, then
-        // goes quiet too: it must NOT be idle-evicted (that would
-        // silently discard acknowledged mutations).
-        hub.update(
-            dirty,
-            Update::Add {
-                row: 0,
-                col: 9,
-                delta: 2.0,
-            },
-        )
-        .unwrap();
-        // Keep one tenant busy; the others go quiet.
-        for i in 0..8u32 {
-            hub.update(
-                busy,
-                Update::Add {
-                    row: i,
-                    col: i + 5,
-                    delta: 1.0,
-                },
-            )
-            .unwrap();
-        }
-        assert_eq!(hub.stats().idle_evictions, 1);
-        assert_eq!(hub.stats().evictions, 1);
-        let retired = hub.retired();
-        assert_eq!(retired.len(), 1);
-        assert_eq!(retired[0].0, quiet);
-        assert_eq!(hub.tenants(), &[dirty, busy]);
-        // The dirty tenant's pending delta survived in full.
-        assert_eq!(hub.delta_nnz(dirty).unwrap(), 1);
-        // The busy tenant was touched every round and survives.
-        assert!(hub.version(busy).is_ok());
     }
 }

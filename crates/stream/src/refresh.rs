@@ -1,8 +1,8 @@
 //! The hub's refresh state machine: trip → grant → build → commit.
 //!
 //! Every refresh — a budget trip, a manual
-//! [`refresh`](StreamHub::refresh), an early rebind, the supervision
-//! fallback — takes the same three steps with the same decisions:
+//! [`refresh`](StreamHub::refresh), the supervision fallback — takes
+//! the same three steps with the same decisions:
 //!
 //! 1. **grant** (`StreamHub::grant`, the one place a grant is taken):
 //!    capture the tenant's delta (it keeps being *served*, as an overlay
@@ -20,41 +20,48 @@
 //!    old binding.
 //!
 //! [`HubConfig::async_refresh`](crate::HubConfig::async_refresh) selects
-//! the thread that runs step 2 and nothing else: a pool thread, with the
-//! commit at the next poll point, or the calling thread, with the commit
-//! at once. Both leave the same span tree (`refresh → grant → decompose
-//! → splice|fallback`), the same counters and the same adaptive-budget
-//! signal. This is the only module that names [`crate::worker`].
+//! the thread that runs step 2 and nothing else: the one builder thread,
+//! with the commit at the next poll point, or the calling thread, with
+//! the commit at once. Both leave the same span tree (`refresh → grant →
+//! decompose → splice|fallback`) and the same counters. One grant is out
+//! at a time; the rest wait in a FIFO queue. This is the only module
+//! that names [`crate::worker`].
 
-use crate::hub::{HubConfig, HubMetrics, InFlight, StreamHub, Tenant, TenantId};
+use crate::hub::{HubConfig, HubMetrics, StreamHub, Tenant, TenantId};
 use crate::worker::{self, RefreshDone, RefreshJob, RefreshWorker};
-use amd_engine::MatrixId;
 use amd_obs::{SpanId, Tracer};
-use amd_sparse::{CsrMatrix, DeltaBuilder, SparseError, SparseResult};
+use amd_sparse::{DeltaBuilder, SparseError, SparseResult};
 use arrow_core::incremental::RefreshOutcome;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Builder deaths on one grant that supervision requeues before the hub
+/// builds it on the calling thread instead.
+const MAX_REFRESH_RETRIES: u32 = 3;
+
+/// Backoff before the first requeue of a dead grant, doubled per
+/// consecutive retry of the same grant.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
 /// The hub's refresh bookkeeping: who waits, who builds, how many
 /// grants are out.
 pub(crate) struct RefreshState {
     /// FIFO of tenants waiting for a grant.
     queue: VecDeque<TenantId>,
-    /// The build threads; `None` builds on the calling thread.
+    /// The builder thread; `None` builds on the calling thread.
     worker: Option<RefreshWorker>,
-    /// Grants taken and not yet landed.
-    inflight: usize,
+    /// A grant is out and has not landed yet.
+    granted: bool,
 }
 
 impl RefreshState {
-    /// With `async_refresh`, stands up the worker pool.
+    /// With `async_refresh`, stands up the builder thread.
     pub(crate) fn new(config: &HubConfig, tracer: Tracer) -> Self {
         Self {
             queue: VecDeque::new(),
-            worker: config
-                .async_refresh
-                .then(|| RefreshWorker::spawn(config.fairness.max_inflight, tracer)),
-            inflight: 0,
+            worker: config.async_refresh.then(|| RefreshWorker::spawn(tracer)),
+            granted: false,
         }
     }
 }
@@ -82,13 +89,12 @@ impl Tenant {
     /// serving, so fold the captured delta back into the live one and
     /// carry on.
     fn restore_captured(&mut self) -> SparseResult<()> {
-        if let Some(f) = self.inflight.take() {
-            for (r, c, v) in f.captured.iter() {
+        if let Some(captured) = self.captured.take() {
+            for (r, c, v) in captured.iter() {
                 self.delta.add(r, c, v)?;
             }
         }
         self.overlay_dirty = true;
-        self.rerank_mark = 0;
         Ok(())
     }
 }
@@ -132,10 +138,10 @@ fn record_outcome(
 }
 
 impl StreamHub {
-    /// Queues a refresh of `tenant` and launches what the shared budget
-    /// allows — in the inline mode that is this refresh, start to
-    /// finish. Returns `false` when there is nothing to do: empty delta,
-    /// or a refresh already pending.
+    /// Queues a refresh of `tenant` and launches it if no other grant is
+    /// out — in the inline mode that is this refresh, start to finish.
+    /// Returns `false` when there is nothing to do: empty delta, or a
+    /// refresh already pending.
     pub(crate) fn request_refresh(&mut self, tenant: TenantId) -> SparseResult<bool> {
         let tracer = self.engine.telemetry().tracer.clone();
         let t = self.tenant_mut(tenant)?;
@@ -151,30 +157,12 @@ impl StreamHub {
         Ok(true)
     }
 
-    /// Predicted corrected-path seconds per pending delta entry on a
-    /// tenant's current binding: (corrected − plan-best) / nnz(ΔA). The
-    /// adaptive budget's per-entry overhead signal; 0 when prediction is
-    /// unavailable (which relaxes the derived budget to its ceiling).
-    fn per_entry_overhead(&self, matrix: MatrixId, delta: &CsrMatrix<f64>) -> f64 {
-        let entries = delta.nnz().max(1) as f64;
-        let Ok(corrected) = self.engine.predict_corrected_seconds(matrix, delta) else {
-            return 0.0;
-        };
-        let best = self
-            .engine
-            .plan_report(matrix)
-            .and_then(|p| p.first())
-            .map(|p| p.seconds)
-            .unwrap_or(corrected);
-        ((corrected - best) / entries).max(0.0)
-    }
-
-    /// Grants queued refreshes while the shared budget has room, and
-    /// hands each to whoever builds: the pool, or — inline mode — this
+    /// Grants queued refreshes while no grant is out, and hands each to
+    /// whoever builds: the builder thread, or — inline mode — this
     /// thread, which then commits it before looking at the queue again.
     /// An inline refresh that fails is the caller's error.
     pub(crate) fn launch_ready(&mut self) -> SparseResult<()> {
-        while self.refreshes.inflight < self.config.fairness.max_inflight.max(1) {
+        while !self.refreshes.granted {
             let Some(tenant) = self.refreshes.queue.pop_front() else {
                 return Ok(());
             };
@@ -200,7 +188,7 @@ impl StreamHub {
     fn grant(&mut self, tenant: TenantId) -> SparseResult<Option<RefreshJob>> {
         let tracer = self.engine.telemetry().tracer.clone();
         let base_delay = self.config.decompose_delay;
-        let (delay, old, touched, delta_csr) = {
+        let (delay, old, touched, delta) = {
             let t = self.tenant_mut(tenant)?;
             t.queued = false;
             // The supervisor's retry backoff stacks on top of the
@@ -221,24 +209,14 @@ impl StreamHub {
                 t.delta.to_csr(),
             )
         };
-        let per_entry_seconds = if self.config.adaptive.is_some() {
-            self.per_entry_overhead(old, &delta_csr)
-        } else {
-            0.0
-        };
         let ticket = self.engine.prepare_refresh(old, Some(touched))?;
         self.metrics.refreshes_started.inc();
         let slot = self.metrics.refreshes_started.get();
-        self.refreshes.inflight += 1;
+        self.refreshes.granted = true;
         let t = self.tenant_mut(tenant)?;
         let n = t.base.rows();
-        let captured = std::mem::replace(&mut t.delta, DeltaBuilder::new(n, n));
-        t.inflight = Some(InFlight {
-            captured,
-            per_entry_seconds,
-        });
+        t.captured = Some(std::mem::replace(&mut t.delta, DeltaBuilder::new(n, n)));
         t.last_granted_slot = slot;
-        t.rerank_mark = 0;
         // Serving switches to the captured overlay (the live delta just
         // emptied); resync before the next run.
         t.overlay_dirty = true;
@@ -251,7 +229,7 @@ impl StreamHub {
         Ok(Some(RefreshJob {
             tenant,
             base: Arc::clone(&t.base),
-            delta: delta_csr,
+            delta,
             ticket,
             delay,
             // The decompose span travels with the job; whoever builds
@@ -267,8 +245,8 @@ impl StreamHub {
         self.commit(job.done(result, build_seconds, false))
     }
 
-    /// Lands the pool's finished builds (non-blocking) and launches
-    /// queued work into the freed slots. Returns the swaps committed.
+    /// Lands the builder's finished builds (non-blocking) and grants the
+    /// next queued refresh. Returns the swaps committed.
     pub(crate) fn land_finished(&mut self) -> SparseResult<usize> {
         let mut committed = 0;
         while let Some(done) = self.refreshes.worker.as_ref().and_then(|w| w.try_done()) {
@@ -280,10 +258,19 @@ impl StreamHub {
         Ok(committed)
     }
 
-    /// Blocks for the pool's next completion; `None` when there is no
-    /// pool, or nothing it could still complete.
+    /// Blocks for the builder's next completion; `None` when there is no
+    /// builder, or nothing it could still complete.
     fn wait_done(&self) -> Option<RefreshDone> {
         self.refreshes.worker.as_ref()?.wait_done()
+    }
+
+    /// Supervision's first move on a reported death: count it and
+    /// replace the builder, so nothing waits on a dead thread.
+    fn respawn_builder(&mut self) {
+        self.metrics.worker_restarts.inc();
+        if let Some(w) = &mut self.refreshes.worker {
+            w.respawn();
+        }
     }
 
     /// Gives up whatever grant `tenant` holds or waits for, without
@@ -299,22 +286,19 @@ impl StreamHub {
             t.queued = false;
             t.end_refresh_span(&tracer, "evicted while queued");
         }
-        while self.tenant(tenant)?.inflight.is_some() {
+        while self.tenant(tenant)?.captured.is_some() {
             let Some(done) = self.wait_done() else {
                 break;
             };
             if done.tenant == tenant {
-                self.refreshes.inflight = self.refreshes.inflight.saturating_sub(1);
-                // Even a grant we are about to discard must leave the
-                // pool whole if its worker died producing it.
+                self.refreshes.granted = false;
+                // Even a grant we are about to discard must leave a
+                // builder behind if its thread died producing it.
                 if done.panicked {
-                    self.metrics.worker_restarts.inc();
-                    if let Some(w) = &mut self.refreshes.worker {
-                        w.respawn_one();
-                    }
+                    self.respawn_builder();
                 }
                 let t = self.tenant_mut(tenant)?;
-                t.inflight = None;
+                t.captured = None;
                 tracer.event("evict-drain", t.refresh_span, Some(tenant.0), String::new());
                 t.end_refresh_span(&tracer, "grant drained by eviction");
             } else {
@@ -328,7 +312,7 @@ impl StreamHub {
     /// Returns the number of swaps committed.
     pub fn wait_refreshes(&mut self) -> SparseResult<usize> {
         let mut committed = 0;
-        while self.refreshes.inflight > 0 || !self.refreshes.queue.is_empty() {
+        while self.refreshes.granted || !self.refreshes.queue.is_empty() {
             self.launch_ready()?;
             let Some(done) = self.wait_done() else {
                 break;
@@ -342,11 +326,11 @@ impl StreamHub {
     }
 
     /// Blocks until the next rebuild commits (launching queued work
-    /// first if the pool is idle); `None` when nothing is pending.
+    /// first if the builder is idle); `None` when nothing is pending.
     /// Returns the tenant whose swap committed — the fairness probe.
     pub fn wait_next_refresh(&mut self) -> SparseResult<Option<TenantId>> {
         self.launch_ready()?;
-        if self.refreshes.inflight == 0 {
+        if !self.refreshes.granted {
             return Ok(None);
         }
         let Some(done) = self.wait_done() else {
@@ -364,10 +348,10 @@ impl StreamHub {
     /// commit rejection — restores the tenant (captured delta folded
     /// back, old binding keeps serving) and counts into
     /// `refresh_failures`; it comes back as [`Landed::Failed`], not as
-    /// an `Err`, because a pooled build lands at whichever unrelated
+    /// an `Err`, because a background build lands at whichever unrelated
     /// call polled.
     fn commit(&mut self, done: RefreshDone) -> SparseResult<Landed> {
-        self.refreshes.inflight = self.refreshes.inflight.saturating_sub(1);
+        self.refreshes.granted = false;
         if done.panicked {
             return self.supervise_panic(done);
         }
@@ -396,10 +380,9 @@ impl StreamHub {
         self.metrics.refreshes_completed.inc();
         t.matrix = new_id;
         t.base = Arc::new(merged);
-        let finished = t.inflight.take();
+        t.captured = None;
         t.retries = 0;
         t.metrics.refreshes.inc();
-        t.rerank_mark = 0;
         // Splice: the updates that arrived during the rebuild are
         // exactly the live delta; they become the new overlay.
         t.overlay_dirty = true;
@@ -410,10 +393,6 @@ impl StreamHub {
             &tracer,
             format!("committed, build took {:.3e}s", done.build_seconds),
         );
-        if let (Some(policy), Some(f)) = (self.config.adaptive, finished) {
-            let nnz = policy.retune(&mut t.budget, done.build_seconds, f.per_entry_seconds);
-            t.adaptive_budget_nnz = nnz as u64;
-        }
         // The budget may have tripped again mid-rebuild; honour it now
         // that the slot is free.
         if t.needs_refresh() && self.config.auto_refresh {
@@ -422,21 +401,17 @@ impl StreamHub {
         Ok(Landed::Swapped)
     }
 
-    /// Supervision: a worker thread died running this grant. Respawn a
-    /// replacement (the pool must never shrink), restore the captured
-    /// delta so serving stays bit-exact, and either requeue the grant
-    /// with exponential backoff or — past
-    /// [`max_refresh_retries`](HubConfig::max_refresh_retries) — grant
-    /// it again and build on this thread so the tenant still converges.
+    /// Supervision: the builder died running this grant. Respawn it,
+    /// restore the captured delta so serving stays bit-exact, and either
+    /// requeue the grant with exponential backoff or — past
+    /// [`MAX_REFRESH_RETRIES`] — grant it again and build on this thread
+    /// so the tenant still converges.
     fn supervise_panic(&mut self, done: RefreshDone) -> SparseResult<Landed> {
         let tenant = done.tenant;
         let tracer = self.engine.telemetry().tracer.clone();
-        // Respawn FIRST: even when the tenant is gone, the pool must be
-        // made whole before anything can wait on it again.
-        self.metrics.worker_restarts.inc();
-        if let Some(w) = &mut self.refreshes.worker {
-            w.respawn_one();
-        }
+        // Respawn FIRST: even when the tenant is gone, a builder must be
+        // there before anything can wait on it again.
+        self.respawn_builder();
         let Some(t) = self.tenants.get_mut(&tenant.0) else {
             return Ok(Landed::Nothing);
         };
@@ -448,13 +423,10 @@ impl StreamHub {
         t.retries += 1;
         let retries = t.retries;
         tracer.event("worker-panic", t.refresh_span, Some(tenant.0), msg);
-        if retries <= self.config.max_refresh_retries {
+        if retries <= MAX_REFRESH_RETRIES {
             self.metrics.refresh_retries.inc();
-            let backoff = self
-                .config
-                .retry_backoff
-                .saturating_mul(2u32.saturating_pow((retries - 1).min(16)));
-            t.backoff = (!backoff.is_zero()).then_some(backoff);
+            let backoff = RETRY_BACKOFF * 2u32.pow(retries - 1);
+            t.backoff = Some(backoff);
             t.queued = true;
             tracer.event(
                 "requeue",
@@ -465,7 +437,7 @@ impl StreamHub {
             self.refreshes.queue.push_back(tenant);
             return Ok(Landed::Nothing);
         }
-        // The pool keeps dying on this grant; give up on it and build
+        // The builder keeps dying on this grant; give up on it and build
         // here. The commit closes the refresh span.
         self.metrics.sync_fallbacks.inc();
         t.retries = 0;

@@ -1,5 +1,5 @@
-//! The refresh build and the pool of threads that runs it in the
-//! background for the [`StreamHub`].
+//! The refresh build and the one thread that runs it in the background
+//! for the [`StreamHub`].
 //!
 //! A refresh is double-buffered: the hub takes a grant — the tenant's
 //! base `A₀` (shared, not copied), the captured delta `ΔA` and the
@@ -13,35 +13,36 @@
 //! ticket carries the prior decomposition and the touched set, cold per
 //! the ticket's policy otherwise. On one rank the build is the merge
 //! and the hash. [`HubConfig::async_refresh`] chooses the thread, not
-//! the work: on, a pool thread runs [`run`] and the merged matrix and
-//! the build (plus the measured build latency) travel back over a
-//! channel for the hub to commit at its next poll point; off, the hub
-//! calls [`run`] itself and commits at once. Either way the commit is
-//! [`Engine::commit_refresh`], which adopts both without re-deriving
-//! either.
+//! the work: on, the builder thread runs [`run`] and the merged matrix
+//! and the build travel back over a channel for the hub to commit at its
+//! next poll point; off, the hub calls [`run`] itself and commits at
+//! once. Either way the commit is [`Engine::commit_refresh`], which
+//! adopts both without re-deriving either.
 //!
-//! Workers are plain `std::thread`s talking over `crossbeam-channel`
-//! MPMC endpoints: one shared job queue (so the pool size is exactly the
-//! hub's shared refresh budget) and one shared completion queue the hub
-//! drains without blocking.
+//! The builder is one `std::thread` fed over `std::sync::mpsc`: the hub
+//! grants one refresh at a time, so one thread is the whole pool. Its
+//! job receiver sits behind an `Arc<Mutex<_>>` so a replacement thread
+//! can take it over; the lock is held only while waiting for the next
+//! job, never across a build. Completions come back on a second channel
+//! the hub drains without blocking.
 //!
 //! ## Supervision
 //!
-//! Each pooled job runs under `catch_unwind`. A panicking worker (the
+//! Each job runs under `catch_unwind`. A panicking build (the
 //! `worker.decompose.panic` chaos failpoint, or a real build bug)
 //! reports its death as a [`RefreshDone`] with `panicked = true` —
 //! *before* its thread exits; the hub still holds the captured delta,
-//! so nothing is lost. The hub then [`respawn_one`]s a replacement and
-//! requeues the dead grant, so a worker death never loses a refresh and
-//! never shrinks the pool. The send-before-exit ordering is what makes
-//! [`wait_done`] safe: any in-flight job is observable on the
-//! completion queue even if its worker is already gone.
+//! so nothing is lost. The hub then [`respawn`]s the builder and
+//! requeues the dead grant, so a death never loses a refresh and never
+//! leaves the queue without a thread. The send-before-exit ordering is
+//! what makes [`wait_done`] safe: an in-flight job is observable on the
+//! completion channel even if its thread is already gone.
 //!
 //! [`StreamHub`]: crate::StreamHub
 //! [`HubConfig::async_refresh`]: crate::HubConfig::async_refresh
 //! [`Engine::prepare_refresh`]: amd_engine::Engine::prepare_refresh
 //! [`Engine::commit_refresh`]: amd_engine::Engine::commit_refresh
-//! [`respawn_one`]: RefreshWorker::respawn_one
+//! [`respawn`]: RefreshWorker::respawn
 //! [`wait_done`]: RefreshWorker::wait_done
 
 use crate::hub::TenantId;
@@ -49,13 +50,13 @@ use amd_chaos::failpoint;
 use amd_engine::{RefreshBuild, RefreshTicket};
 use amd_obs::{SpanId, Stopwatch, Tracer};
 use amd_sparse::{CsrMatrix, SparseError, SparseResult};
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// One build job: everything a worker needs, nothing borrowed.
+/// One build job: everything the builder needs, nothing borrowed.
 pub(crate) struct RefreshJob {
     pub tenant: TenantId,
     /// The tenant's base `A₀` at launch, shared with the tenant.
@@ -92,13 +93,12 @@ impl RefreshJob {
     }
 }
 
-/// One build, on the calling thread — a pool thread's or, in the inline
+/// One build, on the calling thread — the builder's or, in the inline
 /// mode, the hub's own: sleep the job's delay, run
-/// [`RefreshTicket::build`] under the single build measurement (the
-/// adaptive budget reads it off [`RefreshDone`]), and close the
+/// [`RefreshTicket::build`] under one measurement, and close the
 /// hub-opened "decompose" span with what the build did. `faults` are
 /// the caller's failpoints, checked after the delay and inside the
-/// measurement (a pool thread's [`pool_faults`]; the inline mode has
+/// measurement (the builder's [`builder_faults`]; the inline mode has
 /// none): an injected error stands in for the build's. Returns the build
 /// and its wall-clock seconds, the delay excluded.
 pub(crate) fn run(
@@ -135,109 +135,62 @@ pub(crate) struct RefreshDone {
     pub ticket: RefreshTicket,
     /// The merged matrix `A₀ + ΔA` and what the build made of it.
     pub result: SparseResult<(CsrMatrix<f64>, RefreshBuild)>,
-    /// Wall-clock seconds of the build itself (excluding the test-hook
-    /// delay) — the adaptive budget's latency signal; 0 for a death.
+    /// Wall-clock seconds of the build itself (excluding the delay),
+    /// reported on the refresh span at commit; 0 for a death.
     pub build_seconds: f64,
-    /// The worker thread died producing this: `result` is the panic
-    /// message and the thread is gone. The hub must respawn a
-    /// replacement and requeue (or sync-fallback) the grant.
+    /// The builder died producing this: `result` is the panic message
+    /// and the thread is gone. The hub must respawn it and requeue (or
+    /// sync-fallback) the grant.
     pub panicked: bool,
 }
 
-/// A pool of build threads behind a shared job queue, supervised by
-/// the hub: dead workers are reported (see [`RefreshDone::panicked`])
-/// and replaced via [`respawn_one`](Self::respawn_one).
+/// The background builder, supervised by the hub: a death is reported
+/// (see [`RefreshDone::panicked`]) and answered with
+/// [`respawn`](Self::respawn).
 pub(crate) struct RefreshWorker {
     jobs: Option<Sender<RefreshJob>>,
-    /// Kept for respawns: replacement threads subscribe to the same
-    /// shared job queue.
-    jobs_rx: Receiver<RefreshJob>,
+    /// Shared so a respawned builder takes over the same job queue.
+    jobs_rx: Arc<Mutex<Receiver<RefreshJob>>>,
     done: Receiver<RefreshDone>,
     /// Kept for respawns. Consequence: the completion channel never
     /// closes from the sender side, so [`wait_done`](Self::wait_done)
-    /// detects a dead pool by thread liveness instead.
+    /// detects a dead builder by thread liveness instead.
     done_tx: Sender<RefreshDone>,
     tracer: Tracer,
-    /// Configured pool size — [`respawn_one`](Self::respawn_one)
-    /// restores the thread count to exactly this.
-    size: usize,
-    threads: Vec<JoinHandle<()>>,
+    /// `None` only while the hub drops the worker.
+    builder: Option<JoinHandle<()>>,
 }
 
 impl RefreshWorker {
-    /// Spawns `threads` build workers (at least one). Each closes the
-    /// hub-opened "decompose" span of the jobs it runs via `tracer`, so
-    /// the refresh span tree records the off-thread work.
-    pub fn spawn(threads: usize, tracer: Tracer) -> Self {
-        let (jobs_tx, jobs_rx) = unbounded::<RefreshJob>();
-        let (done_tx, done_rx) = unbounded::<RefreshDone>();
-        let mut pool = Self {
+    /// Spawns the builder. It closes the hub-opened "decompose" span of
+    /// the jobs it runs via `tracer`, so the refresh span tree records
+    /// the off-thread work.
+    pub fn spawn(tracer: Tracer) -> Self {
+        let (jobs_tx, jobs_rx) = channel();
+        let (done_tx, done) = channel();
+        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
+        let builder = Some(spawn_builder(&jobs_rx, &done_tx, &tracer));
+        Self {
             jobs: Some(jobs_tx),
             jobs_rx,
-            done: done_rx,
+            done,
             done_tx,
             tracer,
-            size: threads.max(1),
-            threads: Vec::new(),
-        };
-        for _ in 0..pool.size {
-            pool.spawn_thread();
-        }
-        pool
-    }
-
-    fn spawn_thread(&mut self) {
-        let rx = self.jobs_rx.clone();
-        let tx = self.done_tx.clone();
-        let tracer = self.tracer.clone();
-        self.threads.push(std::thread::spawn(move || {
-            while let Ok(job) = rx.recv() {
-                // `catch_unwind` so a panicking build (injected by the
-                // chaos failpoint, or a real bug) reports its death
-                // instead of silently shrinking the pool. The closure
-                // only borrows, so the job survives the unwind and its
-                // ticket rides back to the hub.
-                let attempt = catch_unwind(AssertUnwindSafe(|| run(&job, pool_faults, &tracer)));
-                match attempt {
-                    Ok((result, build_seconds)) => {
-                        let _ = tx.send(job.done(result, build_seconds, false));
-                    }
-                    Err(payload) => {
-                        // This thread is dying. Report the death FIRST
-                        // (the hub's supervision depends on the done
-                        // message preceding the exit), then leave the
-                        // unwound stack behind for good.
-                        let msg = panic_message(payload.as_ref());
-                        tracer.end_with(job.span, format!("worker panic: {msg}"));
-                        let died = Err(SparseError::InvalidCsr(format!(
-                            "refresh worker panicked: {msg}"
-                        )));
-                        let _ = tx.send(job.done(died, 0.0, true));
-                        return;
-                    }
-                }
-            }
-        }));
-    }
-
-    /// Replaces dead threads so the pool is back at its configured
-    /// size. Called by the hub when it observes a `panicked` done.
-    pub fn respawn_one(&mut self) {
-        self.threads.retain(|t| !t.is_finished());
-        // The worker that reported this death sends its done *before*
-        // it exits, so `is_finished` can still say alive here; counting
-        // it would skip the replacement and leave the requeued grant in
-        // a queue nobody drains. One death reported, one thread spawned
-        // — unconditionally. (A momentary surplus just parks on the job
-        // queue and is reaped by the next retain.)
-        self.spawn_thread();
-        while self.threads.len() < self.size {
-            self.spawn_thread();
+            builder,
         }
     }
 
-    /// Enqueues a job (never blocks — the queue is unbounded; the hub's
-    /// fairness policy bounds how many are outstanding).
+    /// Replaces the builder after the hub observed its `panicked` done.
+    /// The dead thread sent that done as its last act, so joining it
+    /// returns at once.
+    pub fn respawn(&mut self) {
+        let fresh = spawn_builder(&self.jobs_rx, &self.done_tx, &self.tracer);
+        if let Some(dead) = self.builder.replace(fresh) {
+            let _ = dead.join();
+        }
+    }
+
+    /// Enqueues a job (never blocks; the hub has at most one out).
     pub fn submit(&self, job: RefreshJob) {
         if let Some(jobs) = &self.jobs {
             let _ = jobs.send(job);
@@ -246,27 +199,27 @@ impl RefreshWorker {
 
     /// A completed job, if one is ready (non-blocking).
     pub fn try_done(&self) -> Option<RefreshDone> {
-        self.done.try_recv()
+        self.done.try_recv().ok()
     }
 
     /// Blocks until a job completes. `None` only when nothing can ever
-    /// complete: every worker thread is gone *and* the completion queue
-    /// is empty. That state is unreachable while the hub keeps its
+    /// complete: the builder is gone *and* the completion queue is
+    /// empty. That state is unreachable while the hub keeps its
     /// supervision invariant (respawn on every `panicked` done), because
-    /// a dying worker always sends its done before exiting — the check
+    /// a dying builder always sends its done before exiting — the check
     /// is the backstop that turns an invariant violation into a clean
     /// `None` instead of a deadlock.
     pub fn wait_done(&self) -> Option<RefreshDone> {
         loop {
-            if let Some(done) = self.done.try_recv() {
+            if let Ok(done) = self.done.try_recv() {
                 return Some(done);
             }
-            if self.threads.iter().all(|t| t.is_finished()) {
-                // One final poll closes the race where the last
-                // worker sent its done after the try_recv above.
-                return self.done.try_recv();
+            if self.builder.as_ref().is_none_or(JoinHandle::is_finished) {
+                // One final poll closes the race where the builder sent
+                // its done after the try_recv above.
+                return self.done.try_recv().ok();
             }
-            // Bounded wait, then re-check liveness: a thread observed
+            // Bounded wait, then re-check liveness: a builder observed
             // alive above may have been mid-exit (it sends its done
             // before dying), and a one-shot check followed by a plain
             // blocking recv would sleep forever on that window.
@@ -279,9 +232,57 @@ impl RefreshWorker {
     }
 }
 
-/// The chaos failpoints of a pooled build: a worker death, a slow
+/// Starts a builder thread on the shared job queue.
+fn spawn_builder(
+    jobs: &Arc<Mutex<Receiver<RefreshJob>>>,
+    done: &Sender<RefreshDone>,
+    tracer: &Tracer,
+) -> JoinHandle<()> {
+    let (jobs, done, tracer) = (Arc::clone(jobs), done.clone(), tracer.clone());
+    std::thread::Builder::new()
+        .name("amd-refresh".into())
+        .spawn(move || {
+            while let Some(job) = next_job(&jobs) {
+                // `catch_unwind` so a panicking build (injected by the
+                // chaos failpoint, or a real bug) reports its death
+                // instead of silently leaving the queue without a
+                // thread. The closure only borrows, so the job survives
+                // the unwind and its ticket rides back to the hub.
+                match catch_unwind(AssertUnwindSafe(|| run(&job, builder_faults, &tracer))) {
+                    Ok((result, build_seconds)) => {
+                        let _ = done.send(job.done(result, build_seconds, false));
+                    }
+                    Err(payload) => {
+                        // This thread is dying. Report the death FIRST
+                        // (the hub's supervision depends on the done
+                        // message preceding the exit), then leave the
+                        // unwound stack behind for good.
+                        let msg = panic_message(payload.as_ref());
+                        tracer.end_with(job.span, format!("worker panic: {msg}"));
+                        let died = Err(SparseError::InvalidCsr(format!(
+                            "refresh worker panicked: {msg}"
+                        )));
+                        let _ = done.send(job.done(died, 0.0, true));
+                        return;
+                    }
+                }
+            }
+        })
+        .expect("spawn the refresh builder thread")
+}
+
+/// The next job, or `None` once the hub closed the queue. The lock is
+/// released before the job runs.
+fn next_job(jobs: &Mutex<Receiver<RefreshJob>>) -> Option<RefreshJob> {
+    // The lock only ever guards a `recv`, which leaves the receiver
+    // valid whatever happens, so a poisoned lock is safe to take over.
+    let rx = jobs.lock().unwrap_or_else(PoisonError::into_inner);
+    rx.recv().ok()
+}
+
+/// The chaos failpoints of a background build: a builder death, a slow
 /// decompose.
-fn pool_faults() -> SparseResult<()> {
+fn builder_faults() -> SparseResult<()> {
     failpoint::check(failpoint::WORKER_DECOMPOSE_PANIC)?;
     failpoint::check(failpoint::WORKER_DECOMPOSE_DELAY)
 }
@@ -298,10 +299,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 impl Drop for RefreshWorker {
     fn drop(&mut self) {
-        // Closing the job queue lets every worker drain and exit.
+        // Closing the job queue lets the builder finish its job and exit.
         self.jobs = None;
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(builder) = self.builder.take() {
+            let _ = builder.join();
         }
     }
 }

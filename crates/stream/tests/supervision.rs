@@ -14,9 +14,12 @@
 use amd_chaos::{failpoint, FaultPlan};
 use amd_engine::EngineConfig;
 use amd_graph::generators::basic;
+use amd_obs::Telemetry;
 use amd_sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix};
 use amd_spmm::reference::iterated_spmm;
 use amd_stream::{HubConfig, StalenessBudget, StreamHub, Update};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn ring(n: u32) -> CsrMatrix<f64> {
     basic::cycle(n).to_adjacency()
@@ -111,17 +114,15 @@ fn worker_panic_is_supervised_and_serving_stays_exact() {
     assert_exact(&mut hub, t, &truth, 3);
 }
 
-/// Every async attempt dies: after `max_refresh_retries` requeues the
-/// hub falls back to a counted synchronous refresh, which bypasses the
-/// worker failpoint and commits. Serving is still bit-exact.
+/// Every async attempt dies: after the hub's three requeues it falls
+/// back to a counted synchronous refresh, which bypasses the worker
+/// failpoint and commits. Serving is still bit-exact.
 #[test]
 fn exhausted_retries_fall_back_to_sync_refresh() {
     failpoint::quiet_injected_panics();
     let mut faults = FaultPlan::new(0).arm();
     let n = 36;
-    let mut cfg = config();
-    cfg.max_refresh_retries = 2;
-    let mut hub = StreamHub::new(cfg).unwrap();
+    let mut hub = StreamHub::new(config()).unwrap();
     let t = hub.admit(ring(n)).unwrap();
     let mut truth = ring(n);
     for i in 0..3u32 {
@@ -138,12 +139,95 @@ fn exhausted_retries_fall_back_to_sync_refresh() {
     faults.disarm();
 
     let stats = hub.stats();
-    // Initial launch + 2 retries all die before the fallback.
-    assert_eq!(stats.worker_restarts, 3, "every death respawns the worker");
-    assert_eq!(stats.refresh_retries, 2, "bounded by max_refresh_retries");
+    // Initial launch + 3 retries all die before the fallback.
+    assert_eq!(stats.worker_restarts, 4, "every death respawns the worker");
+    assert_eq!(stats.refresh_retries, 3, "bounded at three requeues");
     assert_eq!(stats.sync_fallbacks, 1, "then the hub refreshes inline");
     assert_eq!(stats.refreshes_completed, 1);
     assert_eq!(hub.version(t).unwrap(), 1);
     assert_eq!(hub.delta_nnz(t).unwrap(), 0);
     assert_exact(&mut hub, t, &truth, 5);
+}
+
+/// Refresh builder threads alive in this process, by thread name; `None`
+/// where `/proc` cannot tell.
+fn refresh_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .flatten()
+            .filter(|task| {
+                std::fs::read_to_string(task.path().join("comm"))
+                    .is_ok_and(|name| name.trim() == "amd-refresh")
+            })
+            .count(),
+    )
+}
+
+/// Waits (up to 5 s) until `/proc` shows `want` builder threads: a new
+/// thread names itself once it runs, and a joined one can linger in
+/// `/proc` for a moment after `join`.
+fn await_refresh_threads(want: usize, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while refresh_threads().is_some_and(|live| live != want) {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Dropping a hub mid-build returns, joins its builder and leaks no
+/// thread — with one tenant's build in flight and a second tenant's
+/// grant queued behind it.
+#[test]
+fn dropping_a_hub_mid_build_joins_its_builder() {
+    // Nothing is injected; holding the guard keeps the other tests' hubs
+    // (and their builders) out of this test's thread count.
+    let _faults = FaultPlan::new(0).arm();
+    let n = 36;
+    let telemetry = Telemetry::new();
+    let mut hub = StreamHub::with_telemetry(
+        HubConfig {
+            decompose_delay: Some(Duration::from_millis(100)),
+            ..config()
+        },
+        telemetry.clone(),
+    )
+    .unwrap();
+    let tenants = [hub.admit(ring(n)).unwrap(), hub.admit(ring(n)).unwrap()];
+    for &t in &tenants {
+        hub.update(
+            t,
+            Update::Add {
+                row: 0,
+                col: n / 2,
+                delta: 1.0,
+            },
+        )
+        .unwrap();
+        assert!(hub.refresh(t).unwrap());
+    }
+    let [building, waiting] = tenants;
+    assert!(hub.tenant_stats(building).unwrap().refreshing);
+    assert!(hub.tenant_stats(waiting).unwrap().queued);
+    await_refresh_threads(1, "one builder per hub");
+
+    let (dropped, done) = mpsc::channel();
+    std::thread::spawn(move || {
+        drop(hub);
+        dropped.send(()).unwrap();
+    });
+    done.recv_timeout(Duration::from_secs(30))
+        .expect("dropping a hub mid-build must return");
+
+    // The builder finished the build it held before the drop returned
+    // (it closes the decompose span), and the queued grant never ran.
+    let decomposes: Vec<u64> = telemetry
+        .tracer
+        .snapshot()
+        .iter()
+        .filter(|e| e.name == "decompose")
+        .filter_map(|e| e.tenant)
+        .collect();
+    assert_eq!(decomposes, vec![building.0]);
+    await_refresh_threads(0, "the builder thread leaked");
 }

@@ -43,12 +43,11 @@
 //!   answered through a per-iteration delta correction without
 //!   re-decomposing. `StreamHub`, the one streaming holder, serves many
 //!   mutating matrices behind one engine with per-tenant staleness budgets,
-//!   **double-buffered background refresh** (a worker thread decomposes
-//!   the merged snapshot while the old binding + overlay keeps serving),
-//!   FIFO fairness under a shared refresh budget, delta-aware early
-//!   rebinds, and a full **tenant lifecycle**: per-tenant flush, explicit
-//!   `evict` (binding deregistered, catalog chain garbage-collected),
-//!   and idle-eviction policy. `arrow-matrix-cli stream [--tenants N]
+//!   **double-buffered background refresh** (one builder thread
+//!   decomposes the merged snapshot while the old binding + overlay keeps
+//!   serving), one refresh at a time granted in FIFO order, and a
+//!   **tenant lifecycle**: per-tenant flush and explicit `evict` (binding
+//!   deregistered, catalog chain garbage-collected). `arrow-matrix-cli stream [--tenants N]
 //!   [--async-refresh] [--catalog DIR]` drives a synthetic mutation
 //!   stream end to end, with warm restarts across runs.
 //! * [`chaos`] — the **fault-injection harness**: named, deterministic

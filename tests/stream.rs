@@ -14,7 +14,7 @@ use arrow_matrix::graph::generators::datasets::DatasetKind;
 use arrow_matrix::sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix};
 use arrow_matrix::spmm::reference::iterated_spmm;
 use arrow_matrix::stream::{
-    AdaptiveBudget, HubConfig, IncrementalPolicy, StalenessBudget, StreamHub, TenantId, Update,
+    HubConfig, IncrementalPolicy, StalenessBudget, StreamHub, TenantId, Update,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -634,7 +634,6 @@ fn shared_refresh_budget_is_starvation_free() {
     assert_eq!(sum(&|s| s.queries), hs.queries);
     assert_eq!(sum(&|s| s.refreshes), hs.refreshes_completed);
     assert_eq!(sum(&|s| s.suppressed_triggers), hs.suppressed_triggers);
-    assert_eq!(sum(&|s| s.early_rebinds), hs.early_rebinds);
     assert_eq!(
         sum(&|s| s.splice.incremental_refreshes),
         hs.splice.incremental_refreshes
@@ -725,7 +724,6 @@ fn per_tenant_registry_sums_to_hub_registry() {
         tenant_sum("suppressed_triggers"),
         hub_total("hub.suppressed_triggers")
     );
-    assert_eq!(tenant_sum("early_rebinds"), hub_total("hub.early_rebinds"));
     assert_eq!(
         tenant_sum("splice.incremental_refreshes"),
         hub_total("hub.splice.incremental_refreshes")
@@ -874,54 +872,6 @@ fn oversized_region_falls_back_cold_counted_and_exact() {
     let resp = hub.run_single(t, x.clone(), 2, None).unwrap();
     let xm = DenseMatrix::from_vec(n, 1, x).unwrap();
     assert_eq!(resp.y, iterated_spmm(&truth, &xm, 2).unwrap().data());
-}
-
-#[test]
-fn adaptive_budget_retunes_from_measured_refresh_latency() {
-    // With an AdaptiveBudget policy, a completed refresh re-derives the
-    // tenant's max_delta_nnz from measured refresh seconds vs the
-    // predicted per-entry correction overhead — replacing the admitted
-    // fixed cap.
-    let n = 400;
-    let policy = AdaptiveBudget::default();
-    let mut hub = StreamHub::new(HubConfig {
-        engine: EngineConfig {
-            arrow_width: 8,
-            target_ranks: 4,
-            ..EngineConfig::default()
-        },
-        budget: StalenessBudget::nnz_cap(4),
-        adaptive: Some(policy),
-        async_refresh: false,
-        ..HubConfig::default()
-    })
-    .unwrap();
-    let t = hub.admit(banded(n)).unwrap();
-    assert_eq!(hub.budget(t).unwrap().max_delta_nnz, 4, "admitted cap");
-    for i in 0..5u32 {
-        hub.update(
-            t,
-            Update::Add {
-                row: 50 + 2 * i,
-                col: 53 + 2 * i,
-                delta: 1.0,
-            },
-        )
-        .unwrap();
-    }
-    let stats = hub.tenant_stats(t).unwrap().clone();
-    assert_eq!(stats.refreshes, 1);
-    let tuned = hub.budget(t).unwrap().max_delta_nnz;
-    assert!(
-        (policy.min_nnz..=policy.max_nnz).contains(&tuned),
-        "derived budget {tuned} outside the clamp"
-    );
-    assert_eq!(
-        stats.adaptive_budget_nnz, tuned as u64,
-        "stats must mirror the derived budget"
-    );
-    // The other budget limits survive the retune untouched.
-    assert!(hub.budget(t).unwrap().max_delta_fraction.is_infinite());
 }
 
 // ---------------------------------------------------------------------------
