@@ -1,15 +1,16 @@
 //! Collective operations over rank groups, built from point-to-point
 //! messages (so the latency and the α-β costs emerge from the model):
-//! binomial trees for small payloads, and for large row-major `f64`
-//! buffers a scatter + all-gather broadcast and a reduce-scatter + gather
-//! reduce, chosen per call.
+//! binomial trees for small payloads, for large row-major `f64` buffers a
+//! scatter + all-gather broadcast and a reduce-scatter + gather reduce,
+//! and for buffers of which each member touches a few rows, point-to-point
+//! messages of those rows alone; chosen per call.
 //!
 //! Every member of a group must call the same sequence of collectives on
 //! that group (SPMD discipline, as with an MPI communicator); a per-group
 //! sequence number embedded in the message tags keeps concurrent
 //! collectives on different groups from interfering.
 //!
-//! # Two schedules
+//! # Three schedules
 //!
 //! A binomial tree moves the *whole* buffer `⌈log₂ p⌉` times through its
 //! root, which is optimal in latency and a factor `log p` off in
@@ -36,32 +37,62 @@
 //! member wait for it. Kept out, it only sends `q` blocks it already has
 //! and receives `q` reduced ones.
 //!
+//! Both dense schedules move every row to every member. The sparse ones
+//! move a member only its **support** — the rows it reads of a broadcast
+//! buffer, the rows of a reduced vector it may hold non-zero — which the
+//! caller knows when it plans (the arrow multiply: the columns its tiles
+//! touch, the rows its partial writes):
+//!
+//! * [`Group::broadcast_sparse`] — the root sends each non-root with a
+//!   non-empty support its support rows, packed, in one message; the
+//!   receiver scatters them into a zeroed buffer.
+//! * [`Group::reduce_sum_sparse`] — each non-root with a non-empty
+//!   support ships its support rows, packed, to the root, which folds them
+//!   (below) and adds the result to its own vector.
+//!
+//! # Supports
+//!
+//! A caller that has supports passes one strictly increasing row list per
+//! member, indexed like the closed forms by **root-relative** index
+//! (`supports[v]` is the support of member `(root + v) mod p`; the root's
+//! is not read). Every member passes the same lists. Under them a
+//! broadcast promises a member the root's rows on its support and `+0.0`
+//! elsewhere, and a reduce requires a member's vector to be `+0.0` off
+//! its support. Without supports (`None`) nothing changes: the dense pick
+//! runs and every member gets the whole buffer.
+//!
 //! # One association
 //!
-//! Both reduces compute the same sum in the same order, the **root-last
-//! binomial** one: `x_root + (c₁ + c₂ + c₄ + …)`, `c_m` the binomial
-//! subtree sum of the member at root-relative index `m`. The tree adds
-//! the root's children to each other before adding the root's own vector;
-//! the large schedule's owner replays the tree's mask loop over the raw
-//! pieces (`fold_nonroots`). The root comes last because the large
-//! schedule keeps it out of the exchange, so that is the only order both
+//! All three reduces compute the same sum in the same order, the
+//! **root-last binomial** one: `x_root + (c₁ + c₂ + c₄ + …)`, `c_m` the
+//! binomial subtree sum of the member at root-relative index `m`. The tree
+//! adds the root's children to each other before adding the root's own
+//! vector; the large schedule's owner replays the tree's mask loop over
+//! the raw pieces (`fold_nonroots`), and so does the sparse schedule's
+//! root, over the rows some non-root supports, with a row missing from a
+//! member's message standing in as the `+0.0` its vector holds there.
+//! That is a literal `+ 0.0`, never a skipped addition: it turns a `−0.0`
+//! into `+0.0` exactly as the tree does, and a row no non-root supports
+//! still gets the root's `+ 0.0`. The root comes last because the large
+//! schedule keeps it out of the exchange, so that is the only order all
 //! can produce — and they must agree bit for bit: which schedule runs
 //! depends on the payload size, and the serving engine promises that a
 //! column's sum does not depend on how many columns travel with it.
 //!
 //! # Selection
 //!
-//! [`broadcast_schedule`] and [`reduce_schedule`] return the schedule with
-//! the smaller completion time when every member enters at once, from the
-//! group size, the payload shape and the machine's [`CostModel`] — values
-//! every member (and a `predict_volume`) holds, so all agree without a
-//! message. With `T = α + β·s`, `u = 8·stride·⌈rows/q⌉` the largest block
-//! and `L(n) = ⌈log₂ n⌉`:
+//! [`broadcast_schedule`] and [`reduce_schedule`] pick per call from the
+//! group size, the payload shape, the supports and the machine's
+//! [`CostModel`] — values every member (and a `predict_volume`) holds, so
+//! all agree without a message. With `T = α + β·s`, `u = 8·stride·⌈rows/q⌉`
+//! the largest block, `L(n) = ⌈log₂ n⌉`, and `σᵥ = 8·stride·|supports[v]|`
+//! summed over the non-roots with a non-empty support, the completion
+//! times when every member enters at once are:
 //!
-//! | | tree | large |
-//! |---|---|---|
-//! | broadcast | `L(p)·T` | `q·(α + β·u) + L(q)·α + (q−1)·β·u` |
-//! | reduce | `L(p)·T`, less up to `α` when `p` is not a power of two | `(q−1)·(α + β·u) + α + q·β·u` |
+//! | | tree | large | sparse |
+//! |---|---|---|---|
+//! | broadcast | `L(p)·T` | `q·(α + β·u) + L(q)·α + (q−1)·β·u` | `Σᵥ (α + β·σᵥ)` |
+//! | reduce | `L(p)·T`, less up to `α` when `p` is not a power of two | `(q−1)·(α + β·u) + α + q·β·u` | `α + β·Σᵥ σᵥ` (`0` if every support is empty) |
 //!
 //! Tree: the root's last child hears after `L(p)` whole-buffer sends, and
 //! a reduce is the mirror (an incomplete last subtree is ready early, so
@@ -75,12 +106,35 @@
 //! own times to the tick (`proptests.rs` sweeps them against it), and the
 //! dependence on `p` is the point: the large forms trade `q·α` for the
 //! tree's `L(p)·β·s`, so they win above a few tens of KiB and lose again
-//! where `q·α` overtakes `β·s`.
+//! where `q·α` overtakes `β·s`. Sparse broadcast: the root's packed sends
+//! serialise and the last one lands when it ends. Sparse reduce: the
+//! packed messages leave together and drain one after the other on the
+//! root's link.
 //!
-//! Ties and everything with `p < 3` or an empty payload go to the tree.
-//! [`broadcast_cost`] and [`reduce_cost`] give what one member sends and
-//! receives under the selected schedule; the large schedules assert them
-//! on every call, so the closed forms cannot drift from the code.
+//! The **dense pick** is the faster of the tree and the large schedule;
+//! ties and everything with `p < 3` or an empty payload go to the tree.
+//! With supports, the sparse schedule replaces it only when it finishes
+//! no later **and** its busiest member — the root, at `Σᵥ σᵥ` bytes in one
+//! message per non-empty support — moves no more bytes and no more
+//! messages than the dense pick's busiest member (`L(p)·s` bytes in
+//! `L(p)` messages at a tree's root, about `2s` at a large schedule's
+//! non-root and `q` messages at its root). Neither guard is redundant.
+//! A sparse reduce is one hop where a tree is `L(p)`, so on a narrow
+//! operand it can win on time while its root takes every non-root's rows:
+//! without the bytes guard, the arrow plan of the benchmark's one-column
+//! `serve-small` workload takes such a reduce and its busiest rank moves
+//! 30 688 bytes per iteration instead of 19 088 (+61 %). And the
+//! simulator overlaps the latencies of messages that reach one rank
+//! together, which a price of `α` per message at the busiest rank — the
+//! planners' — does not: without the message guard, Arrow on a 600-vertex
+//! star at 16 ranks finishes sooner (7.3 against 11.2 sim-µs) but is
+//! priced at 23 messages instead of 10, and the serving planner binds
+//! 1.5D, which is slower than both (12.3).
+//!
+//! [`broadcast_cost`] and [`reduce_cost`] give what each member sends and
+//! receives under the selected schedule; the large and sparse schedules
+//! assert them on every call, so the closed forms cannot drift from the
+//! code.
 //!
 //! # Host copies are not wire bytes
 //!
@@ -89,8 +143,10 @@
 //! share the root's buffer; the large schedules send views of one `Arc`
 //! (charged the elements they cover) and every receiver returns the
 //! root's buffer; [`Group::allreduce_sum_ring_aligned`] copies one chunk
-//! per member and forwards received buffers from then on. None of it
-//! changes a byte, a message or a tick of the simulated clock.
+//! per member and forwards received buffers from then on. The sparse
+//! schedules pack the rows they send, so their messages are the bytes
+//! charged. None of it changes a byte, a message or a tick of the
+//! simulated clock.
 
 use crate::cost::CostModel;
 use crate::message::{Payload, SharedRows};
@@ -133,6 +189,9 @@ pub enum Schedule {
     /// Root-excluded scatter + all-gather (broadcast) or reduce-scatter +
     /// gather (reduce) of row-aligned blocks.
     Large,
+    /// One packed message of a member's support rows between the root and
+    /// each non-root whose support is not empty.
+    Sparse,
 }
 
 /// What one member sends and receives in one collective.
@@ -169,7 +228,7 @@ impl Traffic {
             recv_bytes: now.recv_bytes - before.recv_bytes,
             msgs: now.msgs - before.msgs,
         };
-        assert_eq!(delta, self, "large schedule and its closed form drifted");
+        assert_eq!(delta, self, "a schedule and its closed form drifted");
     }
 }
 
@@ -283,41 +342,122 @@ fn large_time(op: Op, blocks: Blocks, cost: &CostModel) -> f64 {
     latencies * cost.alpha + cost.beta * block * (2 * q - 1) as f64
 }
 
-/// The blocks of the large schedule when it is the faster one for `op`.
-/// It needs two non-roots and something to cut.
-fn large_blocks(
-    op: Op,
-    size: usize,
-    rows: usize,
-    stride: usize,
-    cost: &CostModel,
-) -> Option<Blocks> {
-    if size < 3 || rows * stride == 0 {
-        return None;
+/// Completion time of the sparse schedule for `op`: the root's packed
+/// sends serialise (broadcast), or the non-roots' packed messages leave
+/// together and drain one after another on the root's link (reduce).
+fn sparse_time(op: Op, supports: &[Vec<u32>], stride: usize, cost: &CostModel) -> f64 {
+    let mut sent = supports[1..]
+        .iter()
+        .filter(|s| !s.is_empty())
+        .map(|s| 8 * stride * s.len());
+    match op {
+        Op::Broadcast => sent.fold(0.0, |time, bytes| time + cost.transfer_time(bytes)),
+        Op::Reduce => sent.next().map_or(0.0, |first| {
+            cost.alpha + cost.beta * (first + sent.sum::<usize>()) as f64
+        }),
     }
-    let blocks = Blocks::over_nonroots(size, rows, stride);
+}
+
+/// A row collective's schedule with what running it needs.
+#[derive(Clone, Copy)]
+enum Pick {
+    Tree,
+    Large(Blocks),
+    Sparse,
+}
+
+impl Pick {
+    fn schedule(self) -> Schedule {
+        match self {
+            Pick::Tree => Schedule::Tree,
+            Pick::Large(_) => Schedule::Large,
+            Pick::Sparse => Schedule::Sparse,
+        }
+    }
+}
+
+/// The tree or the large schedule, whichever finishes first for `op`,
+/// and its completion time. The large one needs two non-roots and
+/// something to cut.
+fn dense_pick(op: Op, size: usize, rows: usize, stride: usize, cost: &CostModel) -> (Pick, f64) {
     let bytes = 8 * rows * stride;
     let tree = match op {
         Op::Broadcast => tree_broadcast_time(size, bytes, cost),
         Op::Reduce => tree_reduce_time(size, bytes, cost),
     };
-    (large_time(op, blocks, cost) < tree).then_some(blocks)
+    if size >= 3 && bytes > 0 {
+        let blocks = Blocks::over_nonroots(size, rows, stride);
+        let large = large_time(op, blocks, cost);
+        if large < tree {
+            return (Pick::Large(blocks), large);
+        }
+    }
+    (Pick::Tree, tree)
 }
 
-fn schedule_of(large: Option<Blocks>) -> Schedule {
-    large.map_or(Schedule::Tree, |_| Schedule::Large)
+/// The schedule of a `rows × stride` collective over `size` members (see
+/// the [module docs](self#selection)): the dense pick, or the sparse
+/// schedule when `supports` are given and it finishes no later *and* its
+/// busiest member moves no more bytes and no more messages than the dense
+/// pick's.
+fn pick(
+    op: Op,
+    size: usize,
+    rows: usize,
+    stride: usize,
+    cost: &CostModel,
+    supports: Option<&[Vec<u32>]>,
+) -> Pick {
+    let (dense, dense_time) = dense_pick(op, size, rows, stride, cost);
+    let Some(supports) = supports else {
+        return dense;
+    };
+    assert_eq!(supports.len(), size, "one support per member");
+    if size < 2 || rows * stride == 0 {
+        return dense;
+    }
+    // The most bytes and the most messages any one member moves.
+    let busiest = |pick| {
+        (0..size)
+            .map(|vr| traffic(op, pick, vr, size, rows, stride, Some(supports)))
+            .fold((0, 0), |(bytes, msgs), t| {
+                (bytes.max(t.bytes()), msgs.max(t.msgs))
+            })
+    };
+    let (sparse, dense_load) = (busiest(Pick::Sparse), busiest(dense));
+    if sparse_time(op, supports, stride, cost) <= dense_time
+        && sparse.0 <= dense_load.0
+        && sparse.1 <= dense_load.1
+    {
+        Pick::Sparse
+    } else {
+        dense
+    }
 }
 
 /// The schedule [`Group::broadcast_rows`] takes for a `rows × stride`
-/// buffer over `size` members on a machine with `cost` (see the
+/// buffer over `size` members on a machine with `cost`, given the
+/// members' row supports if the caller has them (see the
 /// [module docs](self#selection)).
-pub fn broadcast_schedule(size: usize, rows: usize, stride: usize, cost: &CostModel) -> Schedule {
-    schedule_of(large_blocks(Op::Broadcast, size, rows, stride, cost))
+pub fn broadcast_schedule(
+    size: usize,
+    rows: usize,
+    stride: usize,
+    cost: &CostModel,
+    supports: Option<&[Vec<u32>]>,
+) -> Schedule {
+    pick(Op::Broadcast, size, rows, stride, cost, supports).schedule()
 }
 
 /// The schedule [`Group::reduce_sum_rows`] takes, likewise.
-pub fn reduce_schedule(size: usize, rows: usize, stride: usize, cost: &CostModel) -> Schedule {
-    schedule_of(large_blocks(Op::Reduce, size, rows, stride, cost))
+pub fn reduce_schedule(
+    size: usize,
+    rows: usize,
+    stride: usize,
+    cost: &CostModel,
+    supports: Option<&[Vec<u32>]>,
+) -> Schedule {
+    pick(Op::Reduce, size, rows, stride, cost, supports).schedule()
 }
 
 /// What the member at root-relative index `vr` moves in a tree collective
@@ -378,35 +518,112 @@ fn large_reduce_traffic(vr: usize, blocks: Blocks) -> Traffic {
     }
 }
 
-/// What the member at root-relative index `vr` sends and receives in
-/// [`Group::broadcast_rows`] of a `rows × stride` buffer over `size`
-/// members, under the schedule [`broadcast_schedule`] selects.
-/// `predict_volume` estimates in `amd_spmm` are built on it.
-pub fn broadcast_cost(
+/// The root sends (broadcast) or receives (reduce) one packed message per
+/// non-empty support; a non-root the mirror of its own.
+fn sparse_traffic(op: Op, vr: usize, supports: &[Vec<u32>], stride: usize) -> Traffic {
+    let bytes = |s: &Vec<u32>| 8 * (stride * s.len()) as u64;
+    let (moved, msgs) = if vr == 0 {
+        let nonempty = supports[1..].iter().filter(|s| !s.is_empty());
+        (nonempty.clone().map(bytes).sum(), nonempty.count() as u64)
+    } else {
+        let own = &supports[vr];
+        (bytes(own), u64::from(!own.is_empty()))
+    };
+    let (sent_bytes, recv_bytes) = match (op, vr == 0) {
+        (Op::Broadcast, true) | (Op::Reduce, false) => (moved, 0),
+        _ => (0, moved),
+    };
+    Traffic {
+        sent_bytes,
+        recv_bytes,
+        msgs,
+    }
+}
+
+fn traffic(
+    op: Op,
+    pick: Pick,
     vr: usize,
     size: usize,
     rows: usize,
     stride: usize,
-    cost: &CostModel,
+    supports: Option<&[Vec<u32>]>,
 ) -> Traffic {
-    match large_blocks(Op::Broadcast, size, rows, stride, cost) {
-        Some(blocks) => large_broadcast_traffic(vr, blocks),
-        None => tree_traffic(Op::Broadcast, vr, size, 8 * (rows * stride) as u64),
+    match (pick, op) {
+        (Pick::Tree, _) => tree_traffic(op, vr, size, 8 * (rows * stride) as u64),
+        (Pick::Large(blocks), Op::Broadcast) => large_broadcast_traffic(vr, blocks),
+        (Pick::Large(blocks), Op::Reduce) => large_reduce_traffic(vr, blocks),
+        (Pick::Sparse, _) => sparse_traffic(
+            op,
+            vr,
+            supports.expect("the sparse schedule runs on supports"),
+            stride,
+        ),
     }
+}
+
+/// What every member sends and receives in one collective, by
+/// root-relative index: one selection for the whole group.
+fn costs(
+    op: Op,
+    size: usize,
+    rows: usize,
+    stride: usize,
+    cost: &CostModel,
+    supports: Option<&[Vec<u32>]>,
+) -> Vec<Traffic> {
+    let pick = pick(op, size, rows, stride, cost, supports);
+    (0..size)
+        .map(|vr| traffic(op, pick, vr, size, rows, stride, supports))
+        .collect()
+}
+
+/// What each member sends and receives in [`Group::broadcast_rows`] of a
+/// `rows × stride` buffer over `size` members with `supports`, indexed by
+/// root-relative index, under the schedule [`broadcast_schedule`]
+/// selects. `predict_volume` estimates in `amd_spmm` are built on it.
+pub fn broadcast_cost(
+    size: usize,
+    rows: usize,
+    stride: usize,
+    cost: &CostModel,
+    supports: Option<&[Vec<u32>]>,
+) -> Vec<Traffic> {
+    costs(Op::Broadcast, size, rows, stride, cost, supports)
 }
 
 /// [`broadcast_cost`] for [`Group::reduce_sum_rows`].
 pub fn reduce_cost(
-    vr: usize,
     size: usize,
     rows: usize,
     stride: usize,
     cost: &CostModel,
-) -> Traffic {
-    match large_blocks(Op::Reduce, size, rows, stride, cost) {
-        Some(blocks) => large_reduce_traffic(vr, blocks),
-        None => tree_traffic(Op::Reduce, vr, size, 8 * (rows * stride) as u64),
+    supports: Option<&[Vec<u32>]>,
+) -> Vec<Traffic> {
+    costs(Op::Reduce, size, rows, stride, cost, supports)
+}
+
+/// Panics unless `supports` holds one strictly increasing list of rows
+/// below `rows` per member of a `size`-member group.
+fn check_supports(supports: &[Vec<u32>], size: usize, rows: usize) {
+    assert_eq!(supports.len(), size, "one support per member");
+    for support in supports {
+        assert!(
+            support.windows(2).all(|w| w[0] < w[1])
+                && support.last().is_none_or(|&r| (r as usize) < rows),
+            "a support must be increasing rows of the buffer"
+        );
     }
+}
+
+/// The rows `support` of a row-major buffer of `stride` columns, packed.
+fn pack_rows(buf: &[f64], support: &[u32], stride: usize) -> Vec<f64> {
+    let mut packed = Vec::with_capacity(support.len() * stride);
+    for &r in support {
+        let at = r as usize * stride;
+        packed.extend_from_slice(&buf[at..at + stride]);
+    }
+    packed
 }
 
 /// `acc[i] += other[i]`, the one addition every reduce here is made of.
@@ -556,8 +773,10 @@ impl Group {
 
     /// [`broadcast`](Group::broadcast) of a row-major `rows × stride`
     /// buffer under the schedule [`broadcast_schedule`] selects for the
-    /// machine's cost model. Every member passes the same `rows` and
-    /// `stride`; all return the root's buffer.
+    /// machine's cost model. Every member passes the same `rows`,
+    /// `stride` and `supports`. Without supports all return the root's
+    /// buffer; with them a member's buffer is only promised to hold the
+    /// root's rows on its support (see the [module docs](self#supports)).
     pub fn broadcast_rows(
         &self,
         ctx: &mut RankCtx,
@@ -565,16 +784,79 @@ impl Group {
         data: Option<Arc<Vec<f64>>>,
         rows: usize,
         stride: usize,
+        supports: Option<&[Vec<u32>]>,
     ) -> Arc<Vec<f64>> {
         // The members select from `rows × stride`, not from the buffer.
         assert!(
             data.as_ref().is_none_or(|d| d.len() == rows * stride),
             "broadcast shape mismatch"
         );
-        match broadcast_schedule(self.size(), rows, stride, ctx.cost()) {
-            Schedule::Tree => self.broadcast(ctx, root_idx, data),
-            Schedule::Large => self.broadcast_large(ctx, root_idx, data, rows, stride),
+        match pick(
+            Op::Broadcast,
+            self.size(),
+            rows,
+            stride,
+            ctx.cost(),
+            supports,
+        ) {
+            Pick::Tree => self.broadcast(ctx, root_idx, data),
+            Pick::Large(_) => self.broadcast_large(ctx, root_idx, data, rows, stride),
+            Pick::Sparse => self.broadcast_sparse(
+                ctx,
+                root_idx,
+                data,
+                rows,
+                stride,
+                supports.expect("the sparse schedule runs on supports"),
+            ),
         }
+    }
+
+    /// Sparse broadcast (see the [module docs](self)): the root sends
+    /// every non-root with a non-empty support its support rows, packed,
+    /// and the receiver scatters them into a zeroed `rows × stride`
+    /// buffer. `supports[v]` is the member at root-relative index `v`'s;
+    /// the root's is not read.
+    pub fn broadcast_sparse(
+        &self,
+        ctx: &mut RankCtx,
+        root_idx: usize,
+        data: Option<Arc<Vec<f64>>>,
+        rows: usize,
+        stride: usize,
+        supports: &[Vec<u32>],
+    ) -> Arc<Vec<f64>> {
+        let s = self.size();
+        assert!(stride >= 1, "stride must be positive");
+        check_supports(supports, s, rows);
+        let vr = (self.my_idx + s - root_idx) % s;
+        let tag = self.next_tag(ctx);
+        let before = Traffic::charged(ctx);
+        let buf = if vr == 0 {
+            let buf = data.expect("broadcast root must supply the data");
+            assert_eq!(buf.len(), rows * stride, "broadcast shape mismatch");
+            for (v, support) in supports.iter().enumerate().skip(1) {
+                if !support.is_empty() {
+                    let packed = pack_rows(&buf, support, stride);
+                    ctx.send(self.abs(v, root_idx), tag, packed);
+                }
+            }
+            buf
+        } else {
+            let mut buf = vec![0.0; rows * stride];
+            let support = &supports[vr];
+            if !support.is_empty() {
+                let packed: Vec<f64> = ctx.recv(self.abs(0, root_idx), tag);
+                assert_eq!(packed.len(), support.len() * stride);
+                for (&r, row) in support.iter().zip(packed.chunks_exact(stride)) {
+                    let at = r as usize * stride;
+                    buf[at..at + stride].copy_from_slice(row);
+                }
+            }
+            Arc::new(buf)
+        };
+        sparse_traffic(Op::Broadcast, vr, supports, stride).assert_charged_since(before, ctx);
+        buf
     }
 
     /// Scatter + all-gather broadcast (see the [module docs](self)): the
@@ -673,22 +955,117 @@ impl Group {
 
     /// [`reduce_sum`](Group::reduce_sum) of row-major buffers of `stride`
     /// columns under the schedule [`reduce_schedule`] selects for the
-    /// machine's cost model; the same sum, bit for bit, either way.
-    /// `stride` must agree across members and divide the length
-    /// (`stride = 0` only with empty vectors).
+    /// machine's cost model; the same sum, bit for bit, whichever runs.
+    /// `stride` and `supports` must agree across members and `stride`
+    /// divide the length (`stride = 0` only with empty vectors); a
+    /// member's vector must be `+0.0` off its support.
     pub fn reduce_sum_rows(
         &self,
         ctx: &mut RankCtx,
         root_idx: usize,
         data: Vec<f64>,
         stride: usize,
+        supports: Option<&[Vec<u32>]>,
     ) -> Option<Vec<f64>> {
         let rows = data.len().checked_div(stride).unwrap_or(0);
         assert_eq!(rows * stride, data.len(), "reduce shape mismatch");
-        match reduce_schedule(self.size(), rows, stride, ctx.cost()) {
-            Schedule::Tree => self.reduce_sum(ctx, root_idx, data),
-            Schedule::Large => self.reduce_sum_large(ctx, root_idx, data, stride),
+        match pick(Op::Reduce, self.size(), rows, stride, ctx.cost(), supports) {
+            Pick::Tree => self.reduce_sum(ctx, root_idx, data),
+            Pick::Large(_) => self.reduce_sum_large(ctx, root_idx, data, stride),
+            Pick::Sparse => self.reduce_sum_sparse(
+                ctx,
+                root_idx,
+                data,
+                stride,
+                supports.expect("the sparse schedule runs on supports"),
+            ),
         }
+    }
+
+    /// Sparse reduction (see the [module docs](self)): every non-root
+    /// with a non-empty support ships its support rows, packed, to the
+    /// root, which folds them in the root-last binomial order — a row
+    /// missing from a piece adds `+0.0` there, as the `+0.0` the tree
+    /// would have carried — and adds the result to its own vector.
+    /// `supports[v]` is the member at root-relative index `v`'s, its
+    /// vector `+0.0` off it; the root's is not read.
+    pub fn reduce_sum_sparse(
+        &self,
+        ctx: &mut RankCtx,
+        root_idx: usize,
+        data: Vec<f64>,
+        stride: usize,
+        supports: &[Vec<u32>],
+    ) -> Option<Vec<f64>> {
+        let s = self.size();
+        assert!(stride >= 1, "stride must be positive");
+        let rows = data.len() / stride;
+        assert_eq!(rows * stride, data.len(), "reduce shape mismatch");
+        check_supports(supports, s, rows);
+        let vr = (self.my_idx + s - root_idx) % s;
+        let tag = self.next_tag(ctx);
+        let before = Traffic::charged(ctx);
+        let total = if vr != 0 {
+            let support = &supports[vr];
+            debug_assert!(
+                {
+                    let mut off = vec![true; rows];
+                    support.iter().for_each(|&r| off[r as usize] = false);
+                    data.chunks_exact(stride)
+                        .zip(off)
+                        .all(|(row, off)| !off || row.iter().all(|v| v.to_bits() == 0))
+                },
+                "a reduced vector must be +0.0 off its support"
+            );
+            if !support.is_empty() {
+                let packed = pack_rows(&data, support, stride);
+                ctx.send(self.abs(0, root_idx), tag, packed);
+            }
+            None
+        } else {
+            let mut acc = data;
+            if s > 1 {
+                // The fold runs over the union of the non-roots' supports;
+                // `slot[r]` is row r's place in it.
+                let mut slot = vec![u32::MAX; rows];
+                for &r in supports[1..].iter().flatten() {
+                    slot[r as usize] = 0;
+                }
+                let mut union = 0;
+                for at in slot.iter_mut().filter(|at| **at != u32::MAX) {
+                    *at = union;
+                    union += 1;
+                }
+                let mut pieces = vec![vec![0.0; union as usize * stride]; s - 1];
+                for (piece, (v, support)) in
+                    pieces.iter_mut().zip(supports.iter().enumerate().skip(1))
+                {
+                    if support.is_empty() {
+                        continue;
+                    }
+                    let packed: Vec<f64> = ctx.recv(self.abs(v, root_idx), tag);
+                    assert_eq!(packed.len(), support.len() * stride);
+                    for (&r, row) in support.iter().zip(packed.chunks_exact(stride)) {
+                        let at = slot[r as usize] as usize * stride;
+                        piece[at..at + stride].copy_from_slice(row);
+                    }
+                }
+                let pieces: Vec<&[f64]> = pieces.iter().map(Vec::as_slice).collect();
+                let folded = fold_nonroots(&pieces, s);
+                for (row, &at) in acc.chunks_exact_mut(stride).zip(&slot) {
+                    if at == u32::MAX {
+                        // Every piece is +0.0 here, and so is their sum.
+                        row.iter_mut().for_each(|a| *a += 0.0);
+                    } else {
+                        let at = at as usize * stride;
+                        add_into(row, &folded[at..at + stride]);
+                    }
+                }
+            }
+            Some(acc)
+        };
+        sparse_traffic(Op::Reduce, vr, supports, stride).assert_charged_since(before, ctx);
+        total
     }
 
     /// Reduce-scatter + gather reduction (see the [module docs](self)):

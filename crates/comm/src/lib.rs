@@ -17,9 +17,11 @@
 //! * local work is charged via [`RankCtx::compute_flops`].
 //!
 //! Collectives ([`Group`]) are built from point-to-point messages —
-//! binomial trees, and for large row buffers scatter/all-gather and
-//! reduce-scatter/gather schedules — so their latency and bandwidth terms
-//! emerge from the model rather than being injected as a formula.
+//! binomial trees, for large row buffers scatter/all-gather and
+//! reduce-scatter/gather schedules, and for buffers of which each member
+//! touches a few rows one message of those rows per member — so their
+//! latency and bandwidth terms emerge from the model rather than being
+//! injected as a formula.
 //!
 //! The simulated clock is deterministic given the message pattern: message
 //! timestamps travel with the data and the final times are maxima over

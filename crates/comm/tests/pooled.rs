@@ -126,7 +126,7 @@ fn rank_panic_wakes_the_peers_that_wait_on_it() {
             panic!("injected before the reduce");
         }
         let group = Group::new(ctx, (0..4).collect());
-        group.reduce_sum_rows(ctx, 0, vec![1.0; 8], 2);
+        group.reduce_sum_rows(ctx, 0, vec![1.0; 8], 2, None);
     });
     assert!(
         msg.contains("rank 3 panicked") && msg.contains("injected before the reduce"),
@@ -138,7 +138,7 @@ fn rank_panic_wakes_the_peers_that_wait_on_it() {
     let report = within_ten_seconds(move || {
         machine.run(|ctx| {
             let group = Group::new(ctx, (0..4).collect());
-            group.reduce_sum_rows(ctx, 0, vec![ctx.rank() as f64; 8], 2)
+            group.reduce_sum_rows(ctx, 0, vec![ctx.rank() as f64; 8], 2, None)
         })
     });
     assert_eq!(report.results[0], Some(vec![6.0; 8]));

@@ -179,7 +179,7 @@ fn large_reduce_equals_tree_reduce_bit_for_bit() {
                     for stride in [3usize, 1, 16].into_iter().take(if corner { 3 } else { 1 }) {
                         for rows in row_counts(p) {
                             let data = member_vector(ctx.rank(), rows * stride);
-                            let picked = g.reduce_sum_rows(ctx, root, data.clone(), stride);
+                            let picked = g.reduce_sum_rows(ctx, root, data.clone(), stride, None);
                             let other = if cost == WIRE_BOUND {
                                 g.reduce_sum(ctx, root, data)
                             } else {
@@ -190,8 +190,8 @@ fn large_reduce_equals_tree_reduce_bit_for_bit() {
                             {
                                 mismatches.push((root, rows, stride));
                             }
-                            took_large |=
-                                reduce_schedule(p as usize, rows, stride, &cost) == Schedule::Large;
+                            took_large |= reduce_schedule(p as usize, rows, stride, &cost, None)
+                                == Schedule::Large;
                         }
                     }
                 }
@@ -307,11 +307,11 @@ fn closed_form_costs_match_the_accounting() {
                     let bcast = machine.run(|ctx| {
                         let g = Group::world(ctx);
                         let data = (g.my_idx() == root).then(|| Arc::new(vec![0.5; rows * stride]));
-                        g.broadcast_rows(ctx, root, data, rows, stride);
+                        g.broadcast_rows(ctx, root, data, rows, stride, None);
                     });
                     let reduce = machine.run(|ctx| {
                         let g = Group::world(ctx);
-                        g.reduce_sum_rows(ctx, root, vec![0.5; rows * stride], stride);
+                        g.reduce_sum_rows(ctx, root, vec![0.5; rows * stride], stride, None);
                     });
                     for rank in 0..size {
                         let vr = (rank + size - root) % size;
@@ -319,12 +319,12 @@ fn closed_form_costs_match_the_accounting() {
                             (
                                 "broadcast",
                                 &bcast.stats.ranks[rank],
-                                broadcast_cost(vr, size, rows, stride, &cost),
+                                broadcast_cost(size, rows, stride, &cost, None)[vr],
                             ),
                             (
                                 "reduce",
                                 &reduce.stats.ranks[rank],
-                                reduce_cost(vr, size, rows, stride, &cost),
+                                reduce_cost(size, rows, stride, &cost, None)[vr],
                             ),
                         ] {
                             assert_eq!(
@@ -379,17 +379,18 @@ fn the_selected_schedule_is_the_faster_one_in_the_simulator() {
                 (
                     "broadcast",
                     bcast,
-                    broadcast_schedule(p as usize, rows, 1, &cost),
+                    broadcast_schedule(p as usize, rows, 1, &cost, None),
                 ),
                 (
                     "reduce",
                     reduce,
-                    reduce_schedule(p as usize, rows, 1, &cost),
+                    reduce_schedule(p as usize, rows, 1, &cost, None),
                 ),
             ] {
                 let (taken, rejected) = match picked {
                     Schedule::Tree => (tree, large),
                     Schedule::Large => (large, tree),
+                    Schedule::Sparse => unreachable!("no supports, no sparse schedule"),
                 };
                 assert!(
                     taken <= rejected + cost.alpha,
@@ -399,4 +400,275 @@ fn the_selected_schedule_is_the_faster_one_in_the_simulator() {
             }
         }
     }
+}
+
+// ---- The sparse broadcast and reduce (deterministic sweeps) ----
+
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+
+/// Root-relative supports of a `p`-member group over `rows` rows. In
+/// `mode` 0 member `v`'s is empty, one row, every row or a random third
+/// of them by `v mod 4`; in mode 1 every non-root's is empty or one row;
+/// in mode 2 every member holds a random twentieth — the root too, whose
+/// entry the collectives must not read.
+fn supports(p: usize, rows: usize, mode: usize) -> Vec<Vec<u32>> {
+    let mut rng = ChaCha8Rng::seed_from_u64((p * 131 + rows * 7 + mode) as u64);
+    let mut share = |den: u32| -> Vec<u32> {
+        (0..rows as u32)
+            .filter(|_| rng.gen_range(0..den) == 0)
+            .collect()
+    };
+    (0..p)
+        .map(|v| match (mode, v % 4) {
+            _ if rows == 0 => Vec::new(),
+            (0, 0) | (1, 0) | (1, 2) => Vec::new(),
+            (0, 1) | (1, 1) | (1, 3) => vec![((v * 7) % rows) as u32],
+            (0, 2) => (0..rows as u32).collect(),
+            (2, _) => share(20),
+            _ => share(3),
+        })
+        .collect()
+}
+
+/// Non-integer data with `−0.0` planted in every fifth row: member
+/// `rank`'s vector of `rows × stride`, kept on the rows of `support`
+/// (every row when `None`) and `+0.0` elsewhere.
+fn planted(rank: u32, rows: usize, stride: usize, support: Option<&[u32]>) -> Vec<f64> {
+    let mut v = member_vector(rank, rows * stride);
+    let mut on = vec![support.is_none(); rows];
+    for &r in support.unwrap_or_default() {
+        on[r as usize] = true;
+    }
+    for (r, row) in v.chunks_exact_mut(stride).enumerate() {
+        match (on[r], r % 5) {
+            (false, _) => row.fill(0.0),
+            (true, 0) => row.fill(-0.0),
+            _ => {}
+        }
+    }
+    v
+}
+
+/// What a member's vector is in a reduce over `supports`: the root's is
+/// whole, a non-root's `+0.0` off its support.
+fn reduced_vector(rank: u32, vr: usize, rows: usize, stride: usize, sup: &[Vec<u32>]) -> Vec<f64> {
+    planted(rank, rows, stride, (vr != 0).then(|| sup[vr].as_slice()))
+}
+
+/// (e) The sparse reduce sums in the one association: on non-integer data
+/// with planted `−0.0` rows, over random supports, it returns the bits of
+/// the tree and of the large reduce at the first and last root; and the
+/// sparse broadcast hands each member the root's rows on its support and
+/// `+0.0` elsewhere.
+#[test]
+fn sparse_reduce_equals_tree_and_large_reduce_bit_for_bit() {
+    for p in 2u32..=33 {
+        let size = p as usize;
+        let report = Machine::new(p).with_cost(WIRE_BOUND).run(move |ctx| {
+            let g = Group::world(ctx);
+            // Collected, not asserted (see (a)).
+            let mut mismatches = Vec::new();
+            for root in [0, size - 1] {
+                let vr = (g.my_idx() + size - root) % size;
+                for stride in [1usize, 3, 16] {
+                    for rows in [1usize, 7, 23] {
+                        for mode in 0..3 {
+                            let sup = supports(size, rows, mode);
+                            let data = reduced_vector(ctx.rank(), vr, rows, stride, &sup);
+                            let sparse = g.reduce_sum_sparse(ctx, root, data.clone(), stride, &sup);
+                            let tree = g.reduce_sum(ctx, root, data.clone());
+                            let large = g.reduce_sum_large(ctx, root, data, stride);
+                            if sparse.as_deref().map(bits) != tree.as_deref().map(bits)
+                                || sparse.as_deref().map(bits) != large.as_deref().map(bits)
+                            {
+                                mismatches.push(("reduce", root, stride, rows, mode));
+                            }
+                            let whole = planted(g.member(root), rows, stride, None);
+                            let got = g.broadcast_sparse(
+                                ctx,
+                                root,
+                                (vr == 0).then(|| Arc::new(whole.clone())),
+                                rows,
+                                stride,
+                                &sup,
+                            );
+                            let want = if vr == 0 {
+                                whole
+                            } else {
+                                let mut want = vec![0.0; rows * stride];
+                                for &r in &sup[vr] {
+                                    let at = r as usize * stride;
+                                    want[at..at + stride].copy_from_slice(&whole[at..at + stride]);
+                                }
+                                want
+                            };
+                            if bits(&got) != bits(&want) {
+                                mismatches.push(("broadcast", root, stride, rows, mode));
+                            }
+                        }
+                    }
+                }
+            }
+            mismatches
+        });
+        for mismatches in report.results {
+            assert_eq!(mismatches, [], "p = {p}: (op, root, stride, rows, mode)");
+        }
+    }
+}
+
+/// Every (root, stride, rows, mode) the closed-form and selection sweeps
+/// below run, with the group's supports.
+fn sparse_shapes(size: usize) -> Vec<(usize, usize, usize, Vec<Vec<u32>>)> {
+    let mut shapes = Vec::new();
+    for root in [0, size / 2, size - 1] {
+        for stride in [1usize, 3, 16] {
+            for rows in [0usize, 1, 23, 600] {
+                for mode in 0..3 {
+                    shapes.push((root, stride, rows, supports(size, rows, mode)));
+                }
+            }
+        }
+    }
+    shapes
+}
+
+/// (f) Lockstep for the selecting wrappers given supports: over every
+/// shape of [`sparse_shapes`], what the machine charged each member is
+/// the sum of what [`broadcast_cost`] / [`reduce_cost`] say for it, on
+/// either side of every selection (and the sparse schedule did run).
+#[test]
+fn closed_form_costs_with_supports_match_the_accounting() {
+    for p in 2u32..=33 {
+        let size = p as usize;
+        let shapes = sparse_shapes(size);
+        for cost in [WIRE_BOUND, LATENCY_BOUND, CostModel::default()] {
+            let machine = Machine::new(p).with_cost(cost);
+            let bcast = machine.run(|ctx| {
+                let g = Group::world(ctx);
+                for (root, stride, rows, sup) in &shapes {
+                    let data = (g.my_idx() == *root)
+                        .then(|| Arc::new(planted(ctx.rank(), *rows, *stride, None)));
+                    g.broadcast_rows(ctx, *root, data, *rows, *stride, Some(sup));
+                }
+            });
+            let reduce = machine.run(|ctx| {
+                let g = Group::world(ctx);
+                for (root, stride, rows, sup) in &shapes {
+                    let vr = (g.my_idx() + size - root) % size;
+                    let data = reduced_vector(ctx.rank(), vr, *rows, *stride, sup);
+                    g.reduce_sum_rows(ctx, *root, data, *stride, Some(sup));
+                }
+            });
+            let mut took_sparse = false;
+            for rank in 0..size {
+                let mut want = [(0u64, 0u64, 0u64); 2];
+                for (root, stride, rows, sup) in &shapes {
+                    let vr = (rank + size - root) % size;
+                    for (w, moved) in want.iter_mut().zip([
+                        broadcast_cost(size, *rows, *stride, &cost, Some(sup))[vr],
+                        reduce_cost(size, *rows, *stride, &cost, Some(sup))[vr],
+                    ]) {
+                        *w = (
+                            w.0 + moved.sent_bytes,
+                            w.1 + moved.recv_bytes,
+                            w.2 + moved.msgs,
+                        );
+                    }
+                    took_sparse |= [
+                        broadcast_schedule(size, *rows, *stride, &cost, Some(sup)),
+                        reduce_schedule(size, *rows, *stride, &cost, Some(sup)),
+                    ]
+                    .contains(&Schedule::Sparse);
+                }
+                for (what, stats, want) in [
+                    ("broadcast", &bcast.stats.ranks[rank], want[0]),
+                    ("reduce", &reduce.stats.ranks[rank], want[1]),
+                ] {
+                    assert_eq!(
+                        (
+                            stats.sent_bytes,
+                            stats.recv_bytes,
+                            stats.sent_msgs + stats.recv_msgs
+                        ),
+                        want,
+                        "{what} p={p} rank={rank} cost={cost:?}"
+                    );
+                }
+            }
+            assert!(
+                took_sparse,
+                "p={p} cost={cost:?}: the sparse schedule never ran"
+            );
+        }
+    }
+}
+
+/// (g) The selection rule against the simulator, under the default cost
+/// model: the sparse schedule is taken exactly when, run by name, it
+/// finishes no later than the dense pick and its busiest member moves no
+/// more bytes and no more messages — never when it is slower, never when
+/// it is heavier.
+#[test]
+fn the_sparse_schedule_is_taken_only_when_no_slower_and_no_heavier() {
+    let cost = CostModel::default();
+    // Closed-form and simulated clocks agree to rounding.
+    let tick = 1e-15;
+    // Taken; rejected as slower; rejected, though no slower, by the bytes
+    // guard; and by the message guard alone.
+    let mut seen = [0usize; 4];
+    for p in 2u32..=33 {
+        let size = p as usize;
+        for (root, stride, rows, sup) in sparse_shapes(size) {
+            if root != 0 || rows == 0 {
+                continue;
+            }
+            let run = |program: &(dyn Fn(&mut RankCtx, &Group) + Sync)| {
+                let stats = Machine::new(p)
+                    .run(|ctx| program(ctx, &Group::world(ctx)))
+                    .stats;
+                (stats.sim_time(), stats.max_volume(), stats.max_messages())
+            };
+            let whole = |g: &Group| (g.my_idx() == 0).then(|| Arc::new(vec![0.5; rows * stride]));
+            let part = |ctx: &RankCtx, g: &Group| {
+                reduced_vector(ctx.rank(), g.my_idx(), rows, stride, &sup)
+            };
+            for (what, picked, sparse, dense) in [
+                (
+                    "broadcast",
+                    broadcast_schedule(size, rows, stride, &cost, Some(&sup)),
+                    run(&|ctx, g| drop(g.broadcast_sparse(ctx, 0, whole(g), rows, stride, &sup))),
+                    run(&|ctx, g| drop(g.broadcast_rows(ctx, 0, whole(g), rows, stride, None))),
+                ),
+                (
+                    "reduce",
+                    reduce_schedule(size, rows, stride, &cost, Some(&sup)),
+                    run(&|ctx, g| drop(g.reduce_sum_sparse(ctx, 0, part(ctx, g), stride, &sup))),
+                    run(&|ctx, g| drop(g.reduce_sum_rows(ctx, 0, part(ctx, g), stride, None))),
+                ),
+            ] {
+                let no_slower = sparse.0 <= dense.0 + tick;
+                let (bytes_ok, msgs_ok) = (sparse.1 <= dense.1, sparse.2 <= dense.2);
+                let at = format!(
+                    "{what} p={p} {rows}x{stride}: sparse {sparse:?} vs dense {dense:?}, picked {picked:?}"
+                );
+                if picked == Schedule::Sparse {
+                    assert!(no_slower && bytes_ok && msgs_ok, "{at}");
+                    seen[0] += 1;
+                } else {
+                    assert!(sparse.0 > dense.0 - tick || !bytes_ok || !msgs_ok, "{at}");
+                    seen[match (no_slower, bytes_ok) {
+                        (false, _) => 1,
+                        (true, false) => 2,
+                        (true, true) => 3,
+                    }] += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "a side of the rule never ran: {seen:?}"
+    );
 }

@@ -370,7 +370,7 @@ mod tests {
             ("HP-1D p=4", 4, 6.3712e-6),
             ("2D p=4", 4, 7.2336e-6),
             ("1.5D p=4 c=2", 4, 7.5536e-6),
-            ("Arrow b=16 l=2", 15, 7.855199999999999e-5),
+            ("Arrow b=16 l=2", 15, 7.6392e-5),
         ];
         assert_eq!(got.len(), want.len());
         for ((name, ranks, seconds), want) in got.iter().zip(want) {

@@ -184,6 +184,7 @@ impl DistSpmm for A15dSpmm {
                         payload,
                         (t1 - t0) as usize,
                         k as usize,
+                        None,
                     );
                     // Multiply the matching stationary submatrix.
                     if let Some((tt, sub)) = tile_iter.as_slice().first() {
@@ -237,6 +238,10 @@ impl DistSpmm for A15dSpmm {
         // the machine, `dtype` bytes on a `dtype` wire.
         let scale = self.dtype.bytes() as f64 / 8.0;
         let g = self.grid_rows as usize;
+        // Per tile height, the closed form of the schedule a tile's
+        // broadcast will select, by root-relative index. Tiles come in at
+        // most two heights.
+        let mut heights: Vec<(u32, Vec<_>)> = Vec::new();
         let mut est = CommEstimate::default();
         for rank in 0..self.p {
             let (i, j) = (rank / self.c, rank % self.c);
@@ -245,11 +250,20 @@ impl DistSpmm for A15dSpmm {
             let mut bytes = 0.0;
             let mut msgs = 0.0;
             // Per-round broadcast of X tile t down grid column j from grid
-            // row t: the closed form of the schedule the call will select.
+            // row t.
             for t in (j * self.tiles_per_col)..((j + 1) * self.tiles_per_col).min(self.grid_rows) {
                 let (t0, t1) = block_range(self.n, self.rb, t);
+                let at = match heights.iter().position(|(h, _)| *h == t1 - t0) {
+                    Some(at) => at,
+                    None => {
+                        let costs =
+                            broadcast_cost(g, (t1 - t0) as usize, k as usize, &self.cost, None);
+                        heights.push((t1 - t0, costs));
+                        heights.len() - 1
+                    }
+                };
                 let vr = ((i + self.grid_rows - t) % self.grid_rows) as usize;
-                let moved = broadcast_cost(vr, g, (t1 - t0) as usize, k as usize, &self.cost);
+                let moved = heights[at].1[vr];
                 bytes += moved.bytes() as f64 * scale;
                 msgs += moved.msgs as f64;
             }

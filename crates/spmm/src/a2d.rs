@@ -177,6 +177,7 @@ impl DistSpmm for A2dSpmm {
                         bcast_payload,
                         bcast_rows,
                         fk as usize,
+                        None,
                     );
                     // 3. Partial product A(r, c) · X(c, f).
                     let mut partial = vec![0.0; my_rows * fk as usize];
@@ -238,6 +239,10 @@ impl DistSpmm for A2dSpmm {
         // Collectives are charged per element moved: 8 bytes a value on
         // the machine, `dtype` bytes on a `dtype` wire.
         let scale = self.dtype.bytes() as f64 / 8.0;
+        // Per `(rows, cols)` shape of an X(c, f) broadcast, the closed form
+        // of the schedule it will select, by root-relative index. Blocks
+        // and column ranges come in at most two sizes each.
+        let mut shapes: Vec<((usize, usize), Vec<_>)> = Vec::new();
         let mut est = CommEstimate::default();
         for rank in 0..self.p {
             let (r, c) = (rank / q, rank % q);
@@ -261,10 +266,18 @@ impl DistSpmm for A2dSpmm {
                     msgs += 1.0;
                 }
                 // 2. Broadcast X(c, f) down grid column c from the
-                //    diagonal member (group index c): the closed form of
-                //    the schedule the call will select.
+                //    diagonal member (group index c).
+                let shape = (bcast_rows, (f1 - f0) as usize);
+                let at = match shapes.iter().position(|(s, _)| *s == shape) {
+                    Some(at) => at,
+                    None => {
+                        let costs = broadcast_cost(qs, shape.0, shape.1, &self.cost, None);
+                        shapes.push((shape, costs));
+                        shapes.len() - 1
+                    }
+                };
                 let vr = ((r + q - c) % q) as usize;
-                let moved = broadcast_cost(vr, qs, bcast_rows, (f1 - f0) as usize, &self.cost);
+                let moved = shapes[at].1[vr];
                 bytes += moved.bytes() as f64 * scale;
                 msgs += moved.msgs as f64;
                 // 3. Partial product A(r, c) · X(c, f).

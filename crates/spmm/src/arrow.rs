@@ -13,14 +13,25 @@
 //! 2. **Arrow multiply** (Algorithm 1) per level: broadcast `D(0)` within
 //!    the level, reduce the row-arm partials to the level's rank 0, and
 //!    compute `C(i) = B(i,0)·D(0) + B(i,i)·D(i)` locally. Both collectives
-//!    move one `b × k` block and go through [`Group::broadcast_rows`] /
-//!    [`Group::reduce_sum_rows`], which pick a binomial tree or the
-//!    large-message schedule per call from the machine's cost model and
-//!    the block's size. On the large schedules a rank moves about four
-//!    blocks per level whatever the level's width (the level root two) —
-//!    the constant the paper's volume claim is about; over trees the root
-//!    and the tree's inner ranks moved `2⌈log₂ nb⌉`. Both reduces sum in
-//!    one order, so an answer does not depend on which ran,
+//!    go through [`Group::broadcast_rows`] / [`Group::reduce_sum_rows`],
+//!    which pick a schedule per call from the machine's cost model, the
+//!    block's size and the ranks' **supports**, fixed when the plan is
+//!    built ([`ArrowSpmm::supports`]): rank `i` reads only the rows
+//!    `Sᵢ = colsupp B(i,0) ∪ colsupp B(0,0)[runᵢ]` of `D(0)`, and its
+//!    partial is non-zero only on `Rᵢ = rowsupp B(0,i) ∪ rowsupp
+//!    B(0,0)[runᵢ]`. §6 of the paper prices both collectives as a dense
+//!    `b × k` block; on the binomial tree or the large-message schedule
+//!    they are, and on the large schedules a rank moves about four blocks
+//!    per level whatever the level's width (the level root two) — the
+//!    constant the paper's volume claim is about; over trees the root
+//!    and the tree's inner ranks moved `2⌈log₂ nb⌉`. The sparse schedule
+//!    ships each rank only `Sᵢ` and `Rᵢ`, one message each way, and is
+//!    taken when it is no slower and its busiest rank (the root) moves no
+//!    more bytes and messages than the dense pick's: on a planar input a
+//!    level-0 non-root reads about 1 % of `D(0)` (grid160 at
+//!    `b = 1 600`), on R-MAT nearly all of it and the level stays dense.
+//!    All three reduces sum in one order, so an answer does not depend on
+//!    which ran,
 //!
 //!    **Who multiplies the hub tile.** Algorithm 1 gives `B(0,0)` to the
 //!    level's rank 0 alone. LA-Decompose puts the highest-degree vertices
@@ -61,7 +72,10 @@
 
 use crate::layout::{block_count, block_range};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{broadcast_cost, reduce_cost, CostModel, Group, Machine, RankCtx};
+use amd_comm::{
+    broadcast_cost, broadcast_schedule, reduce_cost, reduce_schedule, CostModel, Group, Machine,
+    RankCtx, Schedule,
+};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{DenseMatrix, Dtype, SparseError, SparseResult};
 use arrow_core::{ArrowDecomposition, ArrowMatrix};
@@ -106,6 +120,14 @@ struct LevelPlan {
     /// Local rank `i` multiplies rows `hub_cuts[i]..hub_cuts[i + 1]` of
     /// the hub tile `B(0,0)` ([`hub_cuts`]).
     hub_cuts: Vec<u32>,
+    /// Per local rank, the support of the level's broadcast: the rows of
+    /// `D(0)` its tiles read, `colsupp B(i,0) ∪ colsupp B(0,0)[run i]`
+    /// ([`supports`]; the root's is empty).
+    reads: Vec<Vec<u32>>,
+    /// Per local rank, the support of the level's reduce: the rows of its
+    /// partial that can be non-zero, `rowsupp B(0,i) ∪ rowsupp
+    /// B(0,0)[run i]` (the root's is empty).
+    writes: Vec<Vec<u32>>,
     /// Per local rank: routing tables.
     rank_plans: Vec<RankPlan>,
 }
@@ -183,6 +205,34 @@ fn hub_cuts(arrow: &ArrowMatrix) -> Vec<u32> {
     cuts
 }
 
+/// The supports of a level's broadcast and reduce, per local rank in
+/// block order ([`LevelPlan::reads`], [`LevelPlan::writes`]): one pass
+/// over each non-root's column-arm tile and hub run, marking the rows of
+/// `D(0)` they read in one array stamped with the rank, and one over the
+/// row lengths of its row-arm tile and hub run.
+fn supports(arrow: &ArrowMatrix, hub_cuts: &[u32]) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+    let hub = arrow.row_tile(0);
+    let d0_rows = hub.rows();
+    let mut stamp = vec![0u32; d0_rows as usize];
+    let (mut reads, mut writes) = (vec![Vec::new()], vec![Vec::new()]);
+    for i in 1..arrow.block_count() {
+        let run = hub_cuts[i as usize]..hub_cuts[i as usize + 1];
+        let hub_run =
+            &hub.indices()[hub.indptr()[run.start as usize]..hub.indptr()[run.end as usize]];
+        for &c in arrow.col_tile(i).indices().iter().chain(hub_run) {
+            stamp[c as usize] = i;
+        }
+        reads.push((0..d0_rows).filter(|&c| stamp[c as usize] == i).collect());
+        let row_tile = arrow.row_tile(i);
+        writes.push(
+            (0..d0_rows)
+                .filter(|&r| row_tile.row_nnz(r) > 0 || (run.contains(&r) && hub.row_nnz(r) > 0))
+                .collect(),
+        );
+    }
+    (reads, writes)
+}
+
 /// Arrow decomposition SpMM bound to a decomposition.
 pub struct ArrowSpmm {
     n: u32,
@@ -212,12 +262,16 @@ impl ArrowSpmm {
         for level in d.levels() {
             let nb = block_count(level.active_n, b);
             let arrow = level.to_arrow(b)?;
+            let hub_cuts = hub_cuts(&arrow);
+            let (reads, writes) = supports(&arrow, &hub_cuts);
             levels.push(LevelPlan {
                 offset,
                 nb,
                 active_n: level.active_n,
-                hub_cuts: hub_cuts(&arrow),
                 arrow,
+                hub_cuts,
+                reads,
+                writes,
                 rank_plans: vec![RankPlan::default(); nb as usize],
             });
             offset += nb;
@@ -355,6 +409,32 @@ impl ArrowSpmm {
             .collect()
     }
 
+    /// Per level: the supports its broadcast and its reduce are given,
+    /// each per rank of the level in block order (the root's empty) — the
+    /// rows of `D(0)` a rank reads, and the rows of its partial that can
+    /// be non-zero.
+    pub fn supports(&self) -> Vec<[&[Vec<u32>]; 2]> {
+        self.levels
+            .iter()
+            .map(|level| [level.reads.as_slice(), level.writes.as_slice()])
+            .collect()
+    }
+
+    /// Per level: the schedules its broadcast and its reduce take on a
+    /// `k`-column operand.
+    pub fn schedules(&self, k: u32) -> Vec<[Schedule; 2]> {
+        self.levels
+            .iter()
+            .map(|level| {
+                let (nb, rows, k) = (level.nb as usize, level.d0_rows() as usize, k as usize);
+                [
+                    broadcast_schedule(nb, rows, k, &self.cost, Some(&level.reads)),
+                    reduce_schedule(nb, rows, k, &self.cost, Some(&level.writes)),
+                ]
+            })
+            .collect()
+    }
+
     /// Locates the level and local index of a machine rank.
     fn locate(&self, rank: u32) -> (usize, u32) {
         for (j, l) in self.levels.iter().enumerate() {
@@ -369,23 +449,26 @@ impl ArrowSpmm {
 /// One level's Algorithm 1: multiply the arrow matrix with the
 /// block-distributed `D`, consuming this rank's `D(i)` block and
 /// returning its `C(i)` block. `group` is the level's ranks in block
-/// order. Tiles multiply the received and owned buffers where they lie
-/// ([`spmm::spmm_slices`]).
+/// order, so this rank is its member `i`. Tiles multiply the received
+/// and owned buffers where they lie ([`spmm::spmm_slices`]). A non-root
+/// leaves its `D(i)` buffer in `spare` for its next call's partial.
 fn arrow_multiply(
     ctx: &mut RankCtx,
     group: &Group,
     level: &LevelPlan,
-    my_i: u32,
     d_block: Vec<f64>,
     k: u32,
     dtype: Dtype,
+    spare: &mut Vec<f64>,
 ) -> Vec<f64> {
+    let my_i = group.my_idx() as u32;
     let (r0, r1) = block_range(level.active_n, level.arrow.b(), my_i);
     let my_rows = (r1 - r0) as usize;
     debug_assert_eq!(d_block.len(), my_rows * k as usize);
 
     // Broadcast D(0) from the level's first rank (Algorithm 1, line 1):
-    // shared, so the root, every relay and every receiver read one buffer.
+    // shared, so the root, every relay and every receiver read one
+    // buffer — or, on the sparse schedule, only the rows the rank reads.
     let d_block = Arc::new(d_block);
     let d0_rows = level.d0_rows();
     let d0 = group.broadcast_rows(
@@ -394,14 +477,21 @@ fn arrow_multiply(
         (my_i == 0).then(|| Arc::clone(&d_block)),
         d0_rows as usize,
         k as usize,
+        Some(&level.reads),
     );
 
     // Row-arm partial B(0,i) · D(i) (line 2). The root's row-arm tile is
     // the hub tile, which the level shares: every rank adds the rows of
     // B(0,0) · D(0) it was planned into its partial, and the reduction
-    // (line 3) carries them to the root with the rest.
-    let mut partial0 = vec![0.0; (d0_rows * k) as usize];
-    if my_i > 0 {
+    // (line 3) carries them to the root with the rest. The root adds its
+    // run into zeros; a non-root's row-arm multiply overwrites every row
+    // (an empty one with +0.0), so its buffer is recycled, not zeroed.
+    let partial_len = (d0_rows * k) as usize;
+    let mut partial0 = if my_i == 0 {
+        vec![0.0; partial_len]
+    } else {
+        let mut partial = std::mem::take(spare);
+        partial.resize(partial_len, 0.0);
         let row_tile = level.arrow.row_tile(my_i);
         ctx.compute_flops(spmm::spmm_flops(row_tile, k));
         spmm::spmm_slices(
@@ -409,12 +499,13 @@ fn arrow_multiply(
             &d_block,
             k,
             None,
-            &mut partial0,
+            &mut partial,
             Finish::Overwrite,
             dtype,
         )
         .expect("row tile shapes align");
-    }
+        partial
+    };
     let run = level.hub_run(my_i);
     ctx.compute_flops(level.hub_flops(my_i, k));
     spmm::spmm_slices_rows(
@@ -427,7 +518,7 @@ fn arrow_multiply(
         dtype,
     )
     .expect("hub tile shapes align");
-    let reduced = group.reduce_sum_rows(ctx, 0, partial0, k as usize);
+    let reduced = group.reduce_sum_rows(ctx, 0, partial0, k as usize, Some(&level.writes));
 
     // C(i) (lines 4–6).
     if my_i == 0 {
@@ -450,6 +541,8 @@ fn arrow_multiply(
             dtype,
         )
         .expect("diagonal tile shapes align");
+        // Only the root's D(i) is broadcast; a non-root's is its own.
+        *spare = Arc::try_unwrap(d_block).unwrap_or_default();
         c
     }
 }
@@ -498,6 +591,7 @@ impl DistSpmm for ArrowSpmm {
             } else {
                 vec![0.0; my_rows * kk]
             };
+            let mut spare = Vec::new();
             for iter in 0..iters {
                 let base_tag = (iter as u64) << 8;
                 // 1. Forward propagation j → j+1 (Algorithm 2, lines 1–5).
@@ -522,7 +616,8 @@ impl DistSpmm for ArrowSpmm {
                     }
                 }
                 // 2. Per-level arrow multiply (Algorithm 1).
-                let mut y_block = arrow_multiply(ctx, &group, level, my_i, x_block, k, self.dtype);
+                let mut y_block =
+                    arrow_multiply(ctx, &group, level, x_block, k, self.dtype, &mut spare);
                 // 3. Backward aggregation j+1 → j (Algorithm 2, lines 7–12).
                 if j + 1 < l {
                     for route in &plan.bwd_recvs {
@@ -586,8 +681,12 @@ impl DistSpmm for ArrowSpmm {
         let scale = self.dtype.bytes() as f64 / 8.0;
         let mut est = CommEstimate::default();
         for level in &self.levels {
-            let nb = level.nb as usize;
-            let d0_rows = level.d0_rows() as usize;
+            let (nb, d0_rows) = (level.nb as usize, level.d0_rows() as usize);
+            // Broadcast of D(0) from, and reduction of the row-arm
+            // partials to, the level root: the closed forms of the
+            // schedule each call will select, on the same supports.
+            let bcast = broadcast_cost(nb, d0_rows, k as usize, &self.cost, Some(&level.reads));
+            let reduce = reduce_cost(nb, d0_rows, k as usize, &self.cost, Some(&level.writes));
             for (i, plan) in level.rank_plans.iter().enumerate() {
                 let mut bytes = 0.0;
                 let mut msgs = 0.0;
@@ -602,13 +701,7 @@ impl DistSpmm for ArrowSpmm {
                     bytes += route.local_rows.len() as f64 * kb;
                     msgs += 1.0;
                 }
-                // Broadcast of D(0) from, and reduction of the row-arm
-                // partials to, the level root: the closed forms of the
-                // schedule each call will select.
-                for moved in [
-                    broadcast_cost(i, nb, d0_rows, k as usize, &self.cost),
-                    reduce_cost(i, nb, d0_rows, k as usize, &self.cost),
-                ] {
+                for moved in [bcast[i], reduce[i]] {
                     bytes += moved.bytes() as f64 * scale;
                     msgs += moved.msgs as f64;
                 }

@@ -1,12 +1,15 @@
-//! The rank programs on both sides of the tree / large-message crossover
-//! of `amd_comm`'s row collectives, on non-integer data: a narrow operand
-//! keeps every collective on the binomial tree, a wide one sends them
-//! through the scatter + all-gather broadcast (all three) and the
-//! reduce-scatter + gather reduce (Arrow). A column's answer must not
-//! depend on which side its run was on — the serving engine batches on
-//! that — and the wide run must still be the product.
+//! The rank programs on both sides of the crossovers of `amd_comm`'s row
+//! collectives, on non-integer data: a narrow operand keeps every
+//! collective on the binomial tree, a wide one sends them through the
+//! scatter + all-gather broadcast (all three) and the reduce-scatter +
+//! gather reduce (Arrow); on a grid, Arrow's level reduce moves from the
+//! tree to the sparse schedule, which ships only the rows a rank's
+//! partial writes. A column's answer must not depend on which side its
+//! run was on — the serving engine batches on that — and the wide run
+//! must still be the product.
 
-use amd_graph::generators::datasets;
+use amd_comm::Schedule;
+use amd_graph::generators::{basic, datasets};
 use amd_sparse::{CsrMatrix, DenseMatrix};
 use amd_spmm::reference::iterated_spmm;
 use amd_spmm::{A15dSpmm, A2dSpmm, ArrowSpmm, DistSpmm};
@@ -37,9 +40,9 @@ fn bits(m: &DenseMatrix<f64>, col: u32) -> Vec<u64> {
 /// two sides used different schedules, agree bit for bit, and that the
 /// wide run is `A^ITERS · X`.
 fn check(alg: &dyn DistSpmm, a: &CsrMatrix<f64>, wide: u32, narrow: u32) {
-    let stride = wide / narrow;
-    let x_wide = DenseMatrix::from_fn(N, wide, |r, c| column(c)(r));
-    let x_narrow = DenseMatrix::from_fn(N, narrow, |r, c| column(c * stride)(r));
+    let (n, stride) = (a.rows(), wide / narrow);
+    let x_wide = DenseMatrix::from_fn(n, wide, |r, c| column(c)(r));
+    let x_narrow = DenseMatrix::from_fn(n, narrow, |r, c| column(c * stride)(r));
     let run_wide = alg.run(&x_wide, ITERS).unwrap();
     let run_narrow = alg.run(&x_narrow, ITERS).unwrap();
     assert_ne!(
@@ -81,6 +84,27 @@ fn arrow_answers_do_not_depend_on_the_schedule() {
     )
     .unwrap();
     check(&ArrowSpmm::new(&d).unwrap(), &a, 64, 1);
+}
+
+/// A 45 × 45 grid at `b = 128`: a level-0 rank writes a few rows of its
+/// partial. At 64 columns level 0's reduce takes the sparse schedule, at
+/// one column the binomial tree (the sparse reduce would put more
+/// messages on its root than the tree's busiest rank handles), so the
+/// summation crosses from one schedule to the other.
+#[test]
+fn arrow_answers_do_not_depend_on_the_sparse_schedule() {
+    let a: CsrMatrix<f64> = basic::grid_2d(45, 45).to_adjacency();
+    let d = la_decompose(
+        &a,
+        &DecomposeConfig::with_width(128),
+        &mut RandomForestLa::new(1),
+    )
+    .unwrap();
+    let arrow = ArrowSpmm::new(&d).unwrap();
+    let level0 = |k| arrow.schedules(k)[0];
+    assert_eq!(level0(64), [Schedule::Tree, Schedule::Sparse]);
+    assert_eq!(level0(1), [Schedule::Tree, Schedule::Tree]);
+    check(&arrow, &a, 64, 1);
 }
 
 #[test]

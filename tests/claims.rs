@@ -130,13 +130,23 @@ fn second_level_is_small_on_sparse_datasets() {
 
 /// Figure 6: under weak scaling (constant arrow width, `n` and `p`
 /// growing together) the paper reports Arrow's per-rank volume growing by
-/// 2.4–6.2 %. One arrow multiply moves a constant number of `b × k`
-/// blocks per rank, so from 8 to 32 ranks the largest per-rank volume may
-/// grow by at most 10 % (over binomial trees of whole buffers it grew by
-/// two thirds: the level root relayed `2⌈log₂ p⌉` blocks).
+/// 2.4–6.2 %: §6 prices both level collectives as a dense `b × k` block,
+/// so a rank moves a constant number of blocks whatever `p` — on the
+/// large-message schedules a non-root about four (over binomial trees of
+/// whole buffers the level root relayed `2⌈log₂ p⌉`). From 8 to 32 ranks
+/// every rank of the run must stay within that constant, four blocks.
+///
+/// The run need not stay at one level below it, and cannot. Where a rank
+/// reads part of `D(0)` the sparse schedule ships only that part, and the
+/// level root, which alone holds `D(0)` and the reduced rows, must send
+/// every row some rank reads and receive every row some rank writes: the
+/// union of the supports, 153 + 166 of 256 rows at `p` = 8 and 230 + 233
+/// at `p` = 32 on this series. The run moves 402 rows' worth at `p` = 8,
+/// so no schedule keeps `p` = 32 within 1.10 of it.
 #[test]
 fn weak_scaling_volume_stays_flat() {
     let (b, k) = (256u32, 64u32);
+    let block = f64::from(8 * b * k);
     let mut volumes = Vec::new();
     for p in [8u32, 16, 32] {
         let n = b * p;
@@ -151,10 +161,10 @@ fn weak_scaling_volume_stays_flat() {
         let x = DenseMatrix::from_fn(n, k, |r, _| (r % 7) as f64);
         volumes.push(alg.run(&x, 1).unwrap().volume_per_iter());
     }
-    let growth = volumes[2] / volumes[0];
+    let blocks: Vec<f64> = volumes.iter().map(|v| v / block).collect();
     assert!(
-        growth <= 1.10,
-        "per-rank volume grew {growth:.3}x from p = 8 to 32: {volumes:?}"
+        blocks.iter().all(|&v| v <= 4.0),
+        "per-rank volume above four b × k blocks at p = 8, 16, 32: {blocks:?}"
     );
 }
 
@@ -261,11 +271,10 @@ fn arrow_compute_is_balanced_on_skewed_inputs() {
 /// The share is water-filled over what a rank multiplies *before* the
 /// reduce, with the root starting one post-reduce tail below the others,
 /// so a hub tile that fits under the root's quota stays with the root
-/// and the level runs as it always did: on the grid every level's root
-/// keeps its whole tile, and neither the grid's nor the paper's headline
-/// input's simulated iteration moves by a digit (the constants are the
-/// readings of the commit before the share). The obvious rule —
-/// balance each rank's *total* entries — does move them: it tops up
+/// and the level runs as Algorithm 1 has it: on the grid every level's
+/// root keeps its whole tile, and the grid's and the paper's headline
+/// input's simulated iterations are pinned to the digit. The obvious
+/// rule — balance each rank's *total* entries — does move them: it tops up
 /// ranks whose light compute hides a heavy reduce entry, and read
 /// 255.37 → 258.14 sim-µs on MAWI-like `n = 16 000` and 127.59 → 128.12
 /// on this one. On this MAWI instance the rule does hand the ragged last
@@ -284,14 +293,49 @@ fn hub_share_leaves_balanced_inputs_alone() {
             "grid level {level}: the root must keep its hub tile, got {runs:?}"
         );
     }
-    assert_eq!(format!("{:.4}", run.sim_time_per_iter() * 1e6), "132.4152");
+    assert_eq!(format!("{:.4}", run.sim_time_per_iter() * 1e6), "83.3952");
 
     let (_, a) = mawi(4096);
     let (plan, run) = arrow_run(&a, 8, 64);
-    assert_eq!(format!("{:.4}", run.sim_time_per_iter() * 1e6), "127.5920");
+    assert_eq!(format!("{:.4}", run.sim_time_per_iter() * 1e6), "54.7448");
     let runs = &plan.hub_runs()[0];
     assert!(
         runs[0].len() > runs[1..].iter().map(|r| r.len()).sum(),
         "MAWI: the root must hold most of its hub tile, got {runs:?}"
+    );
+}
+
+/// §6 prices a level's broadcast and reduce as one dense `b × k` block of
+/// `D(0)` each, and on the large-message schedules a level-0 non-root
+/// moves about four such blocks. A rank multiplies only the rows its
+/// tiles touch; on a planar input that is a sliver of `D(0)` (a 160 × 160
+/// grid at `b = n / 16`: about 1 % per level-0 non-root), and the sparse
+/// schedule ships nothing else. Every level-0 non-root's broadcast plus
+/// reduce must stay within a quarter of one block. The figures are the
+/// closed forms of the schedules the run took, which are its accounting.
+#[test]
+fn arrow_ships_only_the_rows_it_multiplies_on_planar_inputs() {
+    use arrow_matrix::comm::{broadcast_cost, reduce_cost, CostModel};
+    let (p, k) = (16u32, 16u32);
+    let grid: CsrMatrix<f64> = basic::grid_2d(160, 160).to_adjacency();
+    let (arrow, run) = arrow_run(&grid, p, k);
+    assert_eq!(
+        arrow.predict_volume(k).max_rank_bytes,
+        run.volume_per_iter()
+    );
+    let [reads, writes] = arrow.supports()[0];
+    let nb = reads.len();
+    let d0_rows = arrow.hub_runs()[0][nb - 1].end as usize;
+    let block = (8 * d0_rows * k as usize) as f64;
+    let (cost, kk) = (CostModel::default(), k as usize);
+    let bcast = broadcast_cost(nb, d0_rows, kk, &cost, Some(reads));
+    let reduce = reduce_cost(nb, d0_rows, kk, &cost, Some(writes));
+    let shares: Vec<f64> = (1..nb)
+        .map(|i| (bcast[i].bytes() + reduce[i].bytes()) as f64 / block)
+        .collect();
+    let worst = shares.iter().fold(0.0f64, |m, &s| m.max(s));
+    assert!(
+        worst <= 0.25,
+        "a level-0 non-root moves {worst:.3} of a b × k block: {shares:?}"
     );
 }

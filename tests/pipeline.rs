@@ -245,67 +245,97 @@ fn engine_batched_queries_bit_match_per_query_runs() {
     }
 }
 
-/// The batching contract on non-integer data, across the point where the
-/// arrow multiply's collectives change schedule: a one-column run moves
-/// `b · 8`-byte blocks over binomial trees, a 64-column batch moves
-/// `b · 512`-byte ones over the large-message schedules, and both must
-/// sum every column in the same order.
+/// The batching contract on non-integer data, across the points where the
+/// arrow multiply's collectives change schedule: a one-column run and a
+/// 64-column batch of the same bound plan take different schedules, and
+/// both must sum every column in the same order. On MAWI-like data the
+/// level broadcast moves from the binomial tree to the sparse schedule
+/// (the reduce is sparse at both widths); on WebBase-like data level 0's
+/// reduce moves from the tree to the large-message schedule while level
+/// 1 stays sparse. Between them the three schedules all run.
 #[test]
 fn engine_batched_float_queries_bit_match_across_the_schedule_crossover() {
+    use arrow_matrix::comm::Schedule;
     use arrow_matrix::engine::{Engine, EngineConfig, MultiplyQuery};
-    // MAWI-like: the planner binds Arrow, one level of eight ranks whose
-    // dense row arm gives the reduction something to round.
-    let (_, a) = dataset(DatasetKind::Mawi);
-    let mut engine = Engine::new(EngineConfig {
-        arrow_width: 150,
-        target_ranks: 16,
-        max_batch: 64,
-        ..EngineConfig::default()
-    })
-    .unwrap();
-    let id = engine.register(&a).unwrap();
-    let chosen = engine.chosen_algorithm(id).unwrap();
-    assert!(
-        chosen.starts_with("Arrow"),
-        "bound {chosen}: the reduce never switches"
-    );
-
-    let query = |q: u32| MultiplyQuery {
-        matrix: id,
-        x: (0..N)
-            .map(|r| ((q * 13 + r * 7) % 31) as f64 / 7.0 - 1.9)
-            .collect(),
-        iters: 2,
-        sigma: None,
-    };
-    let singles: Vec<_> = (0..64)
-        .map(|q| engine.run_single(query(q)).unwrap())
-        .collect();
-    for q in 0..64 {
-        engine.submit(query(q)).unwrap();
-    }
-    let batched = engine.flush().unwrap();
-    assert_eq!(batched.len(), 64);
-
-    // If both widths ran one schedule the batch would move exactly 64
-    // times the bytes of a single column; it moves fewer, so the runs
-    // really are on the two sides and this test cannot decay.
-    let bytes =
-        |r: &arrow_matrix::engine::QueryResponse| r.cost.as_ref().unwrap().accounted_rank_bytes;
-    assert!(
-        bytes(&batched[0]) < 64.0 * bytes(&singles[0]),
-        "batch {} B vs single {} B: no schedule switch",
-        bytes(&batched[0]),
-        bytes(&singles[0])
-    );
-    for (single, resp) in singles.iter().zip(&batched) {
-        assert_eq!(resp.batch_size, 64);
-        let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&single.y),
-            bits(&resp.y),
-            "batched answer must bit-match the per-query run"
+    let mut ran = Vec::new();
+    for (kind, arrow_width, target_ranks) in
+        [(DatasetKind::Mawi, 150, 16), (DatasetKind::WebBase, 200, 8)]
+    {
+        let (_, a) = dataset(kind);
+        let config = EngineConfig {
+            arrow_width,
+            target_ranks,
+            max_batch: 64,
+            ..EngineConfig::default()
+        };
+        // The plan the engine binds, rebuilt to read its schedules.
+        let plan = ArrowSpmm::new(
+            &la_decompose(
+                &a,
+                &DecomposeConfig::with_width(arrow_width),
+                &mut RandomForestLa::new(config.decompose_seed),
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let (single, batch) = (plan.schedules(1), plan.schedules(64));
+        assert_ne!(
+            single,
+            batch,
+            "{}: both widths take one schedule",
+            kind.name()
         );
+        ran.extend(single.into_iter().chain(batch).flatten());
+
+        let mut engine = Engine::new(config).unwrap();
+        let id = engine.register(&a).unwrap();
+        let chosen = engine.chosen_algorithm(id).unwrap();
+        assert!(
+            chosen.starts_with("Arrow"),
+            "{}: bound {chosen}, not the arrow plan",
+            kind.name()
+        );
+
+        let query = |q: u32| MultiplyQuery {
+            matrix: id,
+            x: (0..N)
+                .map(|r| ((q * 13 + r * 7) % 31) as f64 / 7.0 - 1.9)
+                .collect(),
+            iters: 2,
+            sigma: None,
+        };
+        let singles: Vec<_> = (0..64)
+            .map(|q| engine.run_single(query(q)).unwrap())
+            .collect();
+        for q in 0..64 {
+            engine.submit(query(q)).unwrap();
+        }
+        let batched = engine.flush().unwrap();
+        assert_eq!(batched.len(), 64);
+        // On one schedule the batch would move exactly 64 times the
+        // bytes of a single column; the served runs switched.
+        let bytes =
+            |r: &arrow_matrix::engine::QueryResponse| r.cost.as_ref().unwrap().accounted_rank_bytes;
+        assert!(
+            bytes(&batched[0]) < 64.0 * bytes(&singles[0]),
+            "{}: batch {} B vs single {} B",
+            kind.name(),
+            bytes(&batched[0]),
+            bytes(&singles[0])
+        );
+        for (single, resp) in singles.iter().zip(&batched) {
+            assert_eq!(resp.batch_size, 64);
+            let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&single.y),
+                bits(&resp.y),
+                "{}: batched answer must bit-match the per-query run",
+                kind.name()
+            );
+        }
+    }
+    for schedule in [Schedule::Tree, Schedule::Large, Schedule::Sparse] {
+        assert!(ran.contains(&schedule), "{schedule:?} never ran: {ran:?}");
     }
 }
 
