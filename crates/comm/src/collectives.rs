@@ -132,9 +132,10 @@
 //! 1.5D, which is slower than both (12.3).
 //!
 //! [`broadcast_cost`] and [`reduce_cost`] give what each member sends and
-//! receives under the selected schedule; the large and sparse schedules
-//! assert them on every call, so the closed forms cannot drift from the
-//! code.
+//! receives under the selected schedule, and [`allreduce_ring_cost`] what
+//! it moves in [`Group::allreduce_sum_ring_aligned`]; the large and sparse
+//! schedules and the ring assert them on every call, so the closed forms
+//! cannot drift from the code.
 //!
 //! # Host copies are not wire bytes
 //!
@@ -201,8 +202,10 @@ pub struct Traffic {
     pub sent_bytes: u64,
     /// Bytes received.
     pub recv_bytes: u64,
-    /// Messages sent plus messages received.
-    pub msgs: u64,
+    /// Messages sent.
+    pub sent_msgs: u64,
+    /// Messages received.
+    pub recv_msgs: u64,
 }
 
 impl Traffic {
@@ -211,12 +214,28 @@ impl Traffic {
         self.sent_bytes + self.recv_bytes
     }
 
+    /// Messages sent plus messages received.
+    pub fn msgs(&self) -> u64 {
+        self.sent_msgs + self.recv_msgs
+    }
+
+    /// What was sent received and what was received sent.
+    fn mirrored(self) -> Self {
+        Self {
+            sent_bytes: self.recv_bytes,
+            recv_bytes: self.sent_bytes,
+            sent_msgs: self.recv_msgs,
+            recv_msgs: self.sent_msgs,
+        }
+    }
+
     /// What `ctx` has been charged so far.
     fn charged(ctx: &RankCtx) -> Self {
         Self {
             sent_bytes: ctx.stats.sent_bytes,
             recv_bytes: ctx.stats.recv_bytes,
-            msgs: ctx.stats.sent_msgs + ctx.stats.recv_msgs,
+            sent_msgs: ctx.stats.sent_msgs,
+            recv_msgs: ctx.stats.recv_msgs,
         }
     }
 
@@ -226,7 +245,8 @@ impl Traffic {
         let delta = Self {
             sent_bytes: now.sent_bytes - before.sent_bytes,
             recv_bytes: now.recv_bytes - before.recv_bytes,
-            msgs: now.msgs - before.msgs,
+            sent_msgs: now.sent_msgs - before.sent_msgs,
+            recv_msgs: now.recv_msgs - before.recv_msgs,
         };
         assert_eq!(delta, self, "a schedule and its closed form drifted");
     }
@@ -421,7 +441,7 @@ fn pick(
         (0..size)
             .map(|vr| traffic(op, pick, vr, size, rows, stride, Some(supports)))
             .fold((0, 0), |(bytes, msgs), t| {
-                (bytes.max(t.bytes()), msgs.max(t.msgs))
+                (bytes.max(t.bytes()), msgs.max(t.msgs()))
             })
     };
     let (sparse, dense_load) = (busiest(Pick::Sparse), busiest(dense));
@@ -465,15 +485,15 @@ pub fn reduce_schedule(
 fn tree_traffic(op: Op, vr: usize, size: usize, bytes: u64) -> Traffic {
     let children = binomial_children(vr, size) as u64;
     let parent = u64::from(vr != 0);
-    let (to_children, to_parent) = (children * bytes, parent * bytes);
-    let (sent_bytes, recv_bytes) = match op {
-        Op::Broadcast => (to_children, to_parent),
-        Op::Reduce => (to_parent, to_children),
+    let broadcast = Traffic {
+        sent_bytes: children * bytes,
+        recv_bytes: parent * bytes,
+        sent_msgs: children,
+        recv_msgs: parent,
     };
-    Traffic {
-        sent_bytes,
-        recv_bytes,
-        msgs: children + parent,
+    match op {
+        Op::Broadcast => broadcast,
+        Op::Reduce => broadcast.mirrored(),
     }
 }
 
@@ -482,39 +502,41 @@ fn large_broadcast_traffic(vr: usize, blocks: Blocks) -> Traffic {
     let Some(c) = vr.checked_sub(1) else {
         return Traffic {
             sent_bytes: blocks.run_bytes(0, q),
-            recv_bytes: 0,
-            msgs: q as u64,
+            sent_msgs: q as u64,
+            ..Traffic::default()
         };
     };
     let mut t = Traffic {
-        sent_bytes: 0,
         recv_bytes: blocks.run_bytes(c, 1),
-        msgs: 1,
+        recv_msgs: 1,
+        ..Traffic::default()
     };
     for (d, cnt) in allgather_steps(q) {
         t.sent_bytes += blocks.run_bytes(c, cnt);
         t.recv_bytes += blocks.run_bytes((c + d) % q, cnt);
-        t.msgs += 2;
+        t.sent_msgs += 1;
+        t.recv_msgs += 1;
     }
     t
 }
 
 fn large_reduce_traffic(vr: usize, blocks: Blocks) -> Traffic {
-    let q = blocks.q;
-    let whole = blocks.run_bytes(0, q);
+    let q = blocks.q as u64;
+    let whole = blocks.run_bytes(0, blocks.q);
     let Some(c) = vr.checked_sub(1) else {
         return Traffic {
-            sent_bytes: 0,
             recv_bytes: whole,
-            msgs: q as u64,
+            recv_msgs: q,
+            ..Traffic::default()
         };
     };
     // q − 1 pieces out and the reduced block to the root: the whole
     // vector once. q − 1 pieces of the own block in.
     Traffic {
         sent_bytes: whole,
-        recv_bytes: (q as u64 - 1) * blocks.run_bytes(c, 1),
-        msgs: 2 * (q as u64 - 1) + 1,
+        recv_bytes: (q - 1) * blocks.run_bytes(c, 1),
+        sent_msgs: q,
+        recv_msgs: q - 1,
     }
 }
 
@@ -529,14 +551,14 @@ fn sparse_traffic(op: Op, vr: usize, supports: &[Vec<u32>], stride: usize) -> Tr
         let own = &supports[vr];
         (bytes(own), u64::from(!own.is_empty()))
     };
-    let (sent_bytes, recv_bytes) = match (op, vr == 0) {
-        (Op::Broadcast, true) | (Op::Reduce, false) => (moved, 0),
-        _ => (0, moved),
+    let sends = Traffic {
+        sent_bytes: moved,
+        sent_msgs: msgs,
+        ..Traffic::default()
     };
-    Traffic {
-        sent_bytes,
-        recv_bytes,
-        msgs,
+    match (op, vr == 0) {
+        (Op::Broadcast, true) | (Op::Reduce, false) => sends,
+        _ => sends.mirrored(),
     }
 }
 
@@ -601,6 +623,38 @@ pub fn reduce_cost(
     supports: Option<&[Vec<u32>]>,
 ) -> Vec<Traffic> {
     costs(Op::Reduce, size, rows, stride, cost, supports)
+}
+
+/// What the member at index `me` moves in a ring all-reduce over the
+/// chunks `blocks` (one per member): in step `s` of `2·(g − 1)` it sends
+/// chunk `me − s` and receives chunk `me − s − 1`.
+fn ring_traffic(me: usize, blocks: Blocks) -> Traffic {
+    let g = blocks.q;
+    let steps = 2 * (g - 1);
+    let chunk = |back: usize| blocks.run_bytes((me + 2 * g - back) % g, 1);
+    Traffic {
+        sent_bytes: (0..steps).map(chunk).sum(),
+        recv_bytes: (1..=steps).map(chunk).sum(),
+        sent_msgs: steps as u64,
+        recv_msgs: steps as u64,
+    }
+}
+
+/// What each member sends and receives in
+/// [`Group::allreduce_sum_ring_aligned`] of a `rows × stride` buffer over
+/// `size` members, indexed by member. The chunks are row-aligned, so
+/// where `size` does not divide `rows` members move whole rows more or
+/// less than `2·(size − 1)/size` of the payload.
+pub fn allreduce_ring_cost(size: usize, rows: usize, stride: usize) -> Vec<Traffic> {
+    if size == 1 || rows * stride == 0 {
+        return vec![Traffic::default(); size];
+    }
+    let blocks = Blocks {
+        q: size,
+        rows,
+        stride,
+    };
+    (0..size).map(|me| ring_traffic(me, blocks)).collect()
 }
 
 /// Panics unless `supports` holds one strictly increasing list of rows
@@ -1176,10 +1230,13 @@ impl Group {
             "payload length {len} is not a multiple of the stride {stride}"
         );
         let tag = self.next_tag(ctx);
-        // Chunk boundaries: chunk c covers [bounds[c], bounds[c+1]),
-        // aligned to whole rows of `stride` elements.
-        let rows = len / stride;
-        let bounds: Vec<usize> = (0..=g).map(|c| (c * rows / g) * stride).collect();
+        let before = Traffic::charged(ctx);
+        // Chunk c is block c: whole rows of `stride` elements.
+        let blocks = Blocks {
+            q: g,
+            rows: len / stride,
+            stride,
+        };
         let me = self.my_idx;
         let right = self.members[(me + 1) % g];
         let left = self.members[(me + g - 1) % g];
@@ -1191,12 +1248,12 @@ impl Group {
         // that buffer, so only the very first send is a copy. From the
         // last reduce-scatter step on (all-gather) the received chunk is
         // fully reduced: it is kept and forwarded as it is.
-        let mut chunk = data[bounds[me]..bounds[me + 1]].to_vec();
+        let mut chunk = data[blocks.block(me)].to_vec();
         for s in 0..2 * (g - 1) {
             ctx.send(right, tag, chunk);
             chunk = ctx.recv(left, tag);
             let c = (me + 2 * g - s - 1) % g;
-            let mine = &mut data[bounds[c]..bounds[c + 1]];
+            let mine = &mut data[blocks.block(c)];
             assert_eq!(chunk.len(), mine.len());
             if s < g - 1 {
                 for (slot, &m) in chunk.iter_mut().zip(mine.iter()) {
@@ -1208,6 +1265,7 @@ impl Group {
                 mine.copy_from_slice(&chunk);
             }
         }
+        ring_traffic(me, blocks).assert_charged_since(before, ctx);
         data
     }
 

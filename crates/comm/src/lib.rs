@@ -41,8 +41,8 @@ pub mod routing;
 pub mod stats;
 
 pub use collectives::{
-    binomial_children, broadcast_cost, broadcast_schedule, reduce_cost, reduce_schedule, Group,
-    Schedule, Traffic,
+    allreduce_ring_cost, binomial_children, broadcast_cost, broadcast_schedule, reduce_cost,
+    reduce_schedule, Group, Schedule, Traffic,
 };
 pub use cost::CostModel;
 pub use machine::{Machine, RunReport};

@@ -50,14 +50,6 @@ impl MachineStats {
         self.ranks.iter().map(|r| r.sent_bytes).sum()
     }
 
-    /// Per-rank communication volumes in rank order — the raw samples
-    /// behind [`max_volume`](Self::max_volume), surfaced so an
-    /// observability layer can feed a per-rank volume histogram without
-    /// reaching into [`RankStats`].
-    pub fn rank_volumes(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ranks.iter().map(RankStats::volume)
-    }
-
     /// Largest per-rank message count.
     pub fn max_messages(&self) -> u64 {
         self.ranks

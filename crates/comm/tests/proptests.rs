@@ -124,7 +124,8 @@ proptest! {
 // ---- The large-message broadcast and reduce (deterministic sweeps) ----
 
 use amd_comm::{
-    broadcast_cost, broadcast_schedule, reduce_cost, reduce_schedule, CostModel, RankCtx, Schedule,
+    allreduce_ring_cost, broadcast_cost, broadcast_schedule, reduce_cost, reduce_schedule,
+    CostModel, RankCtx, RankStats, Schedule, Traffic,
 };
 use std::sync::Arc;
 
@@ -292,6 +293,16 @@ fn large_broadcast_shares_the_roots_buffer_and_is_charged_like_copies() {
     }
 }
 
+/// What the machine charged one member, as a closed form states it.
+fn charged(stats: &RankStats) -> Traffic {
+    Traffic {
+        sent_bytes: stats.sent_bytes,
+        recv_bytes: stats.recv_bytes,
+        sent_msgs: stats.sent_msgs,
+        recv_msgs: stats.recv_msgs,
+    }
+}
+
 /// (c) Lockstep: the closed forms equal what the machine charged every
 /// member, for every size and shape, at the first, a middle and the last
 /// root, on either side of the selection — as
@@ -328,12 +339,8 @@ fn closed_form_costs_match_the_accounting() {
                             ),
                         ] {
                             assert_eq!(
-                                (
-                                    stats.sent_bytes,
-                                    stats.recv_bytes,
-                                    stats.sent_msgs + stats.recv_msgs
-                                ),
-                                (want.sent_bytes, want.recv_bytes, want.msgs),
+                                charged(stats),
+                                want,
                                 "{what} p={p} root={root} rank={rank} {rows}x{stride}"
                             );
                         }
@@ -342,6 +349,38 @@ fn closed_form_costs_match_the_accounting() {
             }
         }
     }
+}
+
+/// (c′) Lockstep for the ring all-reduce: [`allreduce_ring_cost`] is what
+/// the machine charged every member, for every size and shape — including
+/// row counts the size does not divide, where the row-aligned chunks make
+/// some member move more than `2·(p − 1)/p` of the payload each way.
+#[test]
+fn ring_allreduce_cost_matches_the_accounting() {
+    let mut uneven = false;
+    for p in 1u32..=33 {
+        let size = p as usize;
+        for (rows, stride) in [
+            (0usize, 4usize),
+            (5, 0),
+            (1, 16),
+            (23, 3),
+            (225, 1),
+            (97, 16),
+        ] {
+            let run = Machine::new(p).run(|ctx| {
+                let g = Group::world(ctx);
+                g.allreduce_sum_ring_aligned(ctx, vec![0.5; rows * stride], stride.max(1));
+            });
+            let want = allreduce_ring_cost(size, rows, stride);
+            for (rank, (stats, want)) in run.stats.ranks.iter().zip(&want).enumerate() {
+                assert_eq!(charged(stats), *want, "p={p} rank={rank} {rows}x{stride}");
+                let fraction = 2.0 * (p - 1) as f64 / p as f64 * (8 * rows * stride) as f64;
+                uneven |= want.sent_bytes as f64 > fraction;
+            }
+        }
+    }
+    assert!(uneven, "no shape split its rows unevenly");
 }
 
 /// (d) The selection rule against the simulator: under the default cost
@@ -573,7 +612,7 @@ fn closed_form_costs_with_supports_match_the_accounting() {
                         *w = (
                             w.0 + moved.sent_bytes,
                             w.1 + moved.recv_bytes,
-                            w.2 + moved.msgs,
+                            w.2 + moved.msgs(),
                         );
                     }
                     took_sparse |= [

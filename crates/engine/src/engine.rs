@@ -20,7 +20,6 @@
 //! deployment also rank dispatch and per-message latency α — once per
 //! batch instead of once per query.
 
-use crate::attribution::{AttributionMetrics, QueryCost, RunAttribution};
 use crate::cache::{CacheStats, DecompositionCache};
 use crate::planner::{plan, plan_local, Plan, PlannerConfig, Prediction};
 use amd_chaos::failpoint;
@@ -147,10 +146,6 @@ pub struct QueryResponse {
     pub y: Vec<f64>,
     /// How many queries shared the run that produced this answer.
     pub batch_size: usize,
-    /// Attributed cost of the run that answered this query (shared by
-    /// the whole batch — divide by `batch_size` for a per-query
-    /// share). `None` when the engine's telemetry is disabled.
-    pub cost: Option<QueryCost>,
 }
 
 /// Serving counters.
@@ -174,9 +169,9 @@ pub struct EngineStats {
     /// Bindings dropped via [`Engine::deregister`] (overlay and cache
     /// reference released with them).
     pub deregistered: u64,
-    /// Rank-agreement checks where the accounted volumes, substituted
-    /// back into the cost model, would have ranked a different
-    /// algorithm first (see [`attribution`](crate::attribution)).
+    /// Retired: always 0. Runs are no longer re-checked against the
+    /// planner's prediction, which is exact (`amd-spmm`'s
+    /// `tests/predict.rs`); the field stays for readers of its name.
     pub mispredictions: u64,
     /// Transient multiply errors absorbed by the in-place retry loop
     /// (injected by the `engine.multiply.transient` failpoint; a real
@@ -349,8 +344,6 @@ struct EngineMetrics {
     /// Serving precision in bytes per value (4 = f32, 8 = f64) — a
     /// config echo so a metrics snapshot identifies the serving mode.
     dtype_bytes: Gauge,
-    /// Cost-attribution handles (`engine.plan.*`, `engine.algo.*`).
-    attribution: AttributionMetrics,
 }
 
 impl EngineMetrics {
@@ -368,7 +361,6 @@ impl EngineMetrics {
             multiply_seconds: registry.histogram("multiply.seconds"),
             refresh_seconds: registry.histogram("refresh.seconds"),
             dtype_bytes: registry.gauge("engine.dtype_bytes"),
-            attribution: AttributionMetrics::new(registry),
         }
     }
 }
@@ -870,7 +862,7 @@ impl Engine {
             corrected_runs: self.metrics.corrected_runs.get(),
             refreshes: self.metrics.refreshes.get(),
             deregistered: self.metrics.deregistered.get(),
-            mispredictions: self.metrics.attribution.mispredictions(),
+            mispredictions: 0,
             multiply_retries: self.metrics.multiply_retries.get(),
         }
     }
@@ -964,7 +956,6 @@ impl Engine {
             ))
         })?;
         let n = bound.n;
-        let k = chunk.len() as u32;
         // Columns side by side: query j is column j.
         let columns: Vec<&[f64]> = chunk.iter().map(|p| p.query.x.as_slice()).collect();
         let x = DenseMatrix::from_columns(n, &columns, std::mem::take(&mut self.operand))?;
@@ -973,19 +964,6 @@ impl Engine {
             Some(delta) => Some(DeltaSpmm::new(&*bound.algo, delta)?.with_cost(self.config.cost)),
             None => None,
         };
-        // Attribution prices this run's envelope at the *served* column
-        // count (the planner ranked at its k hint), through the
-        // corrected path when an overlay is live, outside the timed
-        // section. Skipped entirely when telemetry is off so the
-        // uninstrumented engine stays the zero-cost baseline.
-        let estimate = self
-            .telemetry
-            .registry
-            .is_enabled()
-            .then(|| match &overlay_algo {
-                Some(corrected) => corrected.predict_volume(k),
-                None => bound.algo.predict_volume(k),
-            });
         let sw = Stopwatch::start();
         // The multiply is pure (no state mutated until it returns), so a
         // transient failure — only ever the `engine.multiply.transient`
@@ -1019,20 +997,6 @@ impl Engine {
         self.metrics.queries.add(chunk.len() as u64);
         self.metrics.batch_size.record(chunk.len() as u64);
         self.metrics.largest_batch.record_max(chunk.len() as u64);
-        let cost = estimate.map(|estimate| {
-            self.metrics.attribution.record(
-                &RunAttribution {
-                    algo: &bound.chosen,
-                    predictions: &bound.predictions,
-                    estimate,
-                    corrected: bound.overlay.is_some(),
-                    iters: first.iters,
-                    cost: self.config.cost,
-                    target_ranks: self.config.target_ranks,
-                },
-                &run.stats,
-            )
-        });
         if self.telemetry.tracer.is_enabled() {
             // Predicted cost is per iteration per the planner contract.
             let predicted = bound
@@ -1042,7 +1006,8 @@ impl Engine {
                 .unwrap_or(0.0);
             let mut detail = format!(
                 "algo={} batch={} queries={}..={} iters={} corrected={} \
-                 dtype={} predicted_seconds={:.3e} actual_seconds={:.3e}",
+                 dtype={} predicted_seconds={:.3e} actual_seconds={:.3e} \
+                 max_rank_bytes={}",
                 bound.chosen,
                 chunk.len(),
                 chunk[0].id.0,
@@ -1051,17 +1016,11 @@ impl Engine {
                 bound.overlay.is_some(),
                 self.config.dtype,
                 predicted,
-                multiply_seconds
+                multiply_seconds,
+                run.stats.max_volume()
             );
             if let Some(active_prefix) = bound.active_prefix {
                 let _ = write!(detail, " active_prefix={active_prefix:.3}");
-            }
-            if let Some(c) = &cost {
-                let _ = write!(
-                    detail,
-                    " predicted_rank_bytes={:.0} accounted_rank_bytes={:.0}",
-                    c.predicted_rank_bytes, c.accounted_rank_bytes
-                );
             }
             self.telemetry
                 .tracer
@@ -1076,7 +1035,6 @@ impl Engine {
                 id: p.id,
                 y,
                 batch_size: chunk.len(),
-                cost: cost.clone(),
             })
             .collect())
     }
@@ -1643,97 +1601,6 @@ mod tests {
     }
 
     #[test]
-    fn responses_carry_attributed_costs() {
-        let mut e = engine();
-        // Large enough that the Arrow winner spans several ranks and
-        // actually communicates (tiny graphs fit one rank: volume 0).
-        let a = basic::star(256).to_adjacency();
-        let id = e.register(&a).unwrap();
-        for q in 0..6 {
-            e.submit(MultiplyQuery {
-                matrix: id,
-                x: (0..256).map(|r| ((q + r) % 5) as f64).collect(),
-                iters: 2,
-                sigma: None,
-            })
-            .unwrap();
-        }
-        let responses = e.flush().unwrap();
-        assert_eq!(responses.len(), 6);
-        for r in &responses {
-            let cost = r.cost.as_ref().expect("telemetry is enabled");
-            assert_eq!(cost.algo, e.chosen_algorithm(id).unwrap());
-            assert!(!cost.corrected);
-            assert_eq!(cost.iters, 2);
-            assert!(cost.accounted_rank_bytes > 0.0);
-            assert!(cost.predicted_rank_bytes > 0.0);
-            assert!(cost.sim_seconds > 0.0);
-            // The planner ranked 4 candidates, so the check ran — and
-            // on the star graph the accounted volumes confirm the
-            // planner's (Arrow-first) ranking.
-            assert_eq!(cost.rank_agreement, Some(true));
-        }
-        let snap = e.telemetry().registry.snapshot();
-        assert_eq!(snap.counter("engine.plan.rank_checks"), Some(1));
-        assert_eq!(snap.counter("engine.plan.mispredictions"), Some(0));
-        assert!(snap.counter("engine.plan.predicted_bytes").unwrap_or(0) > 0);
-        assert!(snap.counter("engine.plan.accounted_bytes").unwrap_or(0) > 0);
-        assert_eq!(snap.counter("engine.algo.arrow.runs"), Some(1));
-        assert!(
-            snap.histogram("engine.rank_volume.bytes").unwrap().count > 0,
-            "per-rank volumes sampled"
-        );
-        assert_eq!(e.stats().mispredictions, 0);
-    }
-
-    #[test]
-    fn corrected_runs_attribute_without_a_rank_check() {
-        let mut e = engine();
-        let n = 256;
-        let id = e.register(&ring(n)).unwrap();
-        e.set_delta(id, ring_delta(n)).unwrap();
-        let resp = e
-            .run_single(MultiplyQuery {
-                matrix: id,
-                x: (0..n).map(|r| (r % 3) as f64).collect(),
-                iters: 1,
-                sigma: None,
-            })
-            .unwrap();
-        let cost = resp.cost.expect("telemetry is enabled");
-        assert!(cost.corrected);
-        assert_eq!(
-            cost.rank_agreement, None,
-            "the planner never ranked the correction traffic"
-        );
-        let snap = e.telemetry().registry.snapshot();
-        assert_eq!(snap.counter("engine.plan.rank_checks"), Some(0));
-        assert!(snap.counter("engine.plan.accounted_bytes").unwrap_or(0) > 0);
-    }
-
-    #[test]
-    fn disabled_telemetry_skips_attribution() {
-        let mut e = Engine::with_telemetry(
-            EngineConfig {
-                target_ranks: 4,
-                ..EngineConfig::default()
-            },
-            Telemetry::disabled(),
-        )
-        .unwrap();
-        let id = e.register(&ring(32)).unwrap();
-        let resp = e
-            .run_single(MultiplyQuery {
-                matrix: id,
-                x: vec![1.0; 32],
-                iters: 1,
-                sigma: None,
-            })
-            .unwrap();
-        assert_eq!(resp.cost, None, "no attribution without a registry");
-    }
-
-    #[test]
     fn f32_engine_serves_integer_data_exactly() {
         // Small-integer values and operands round-trip f32 without
         // rounding, so the half-bandwidth engine must answer bit-
@@ -1792,5 +1659,6 @@ mod tests {
             .expect("multiply event traced");
         assert!(mul.detail.contains("dtype=f32"), "{}", mul.detail);
         assert!(mul.detail.contains("active_prefix="), "{}", mul.detail);
+        assert!(mul.detail.contains("max_rank_bytes="), "{}", mul.detail);
     }
 }

@@ -24,16 +24,12 @@
 //! * [`Engine`] — registration plus a request batcher that coalesces
 //!   compatible multiply queries into one multi-RHS run; batching is
 //!   exact (bit-identical to per-query runs) because every algorithm
-//!   computes output columns independently,
-//! * [`attribution`] — per-query cost attribution closing the loop on
-//!   the planner: every run's accounted [`MachineStats`]
-//!   (`amd_comm::MachineStats`) is folded against its prediction
-//!   (`engine.plan.*`, `engine.algo.<slug>.*` calibration counters, a
-//!   per-rank volume histogram, and a rank-agreement check), and every
-//!   [`QueryResponse`] carries the [`QueryCost`] of the run that
-//!   answered it.
+//!   computes output columns independently.
 //!
-//! [`MachineStats`]: amd_comm::MachineStats
+//! A prediction is not re-checked against the run it priced: every
+//! algorithm's `predict_volume` equals the machine's per-iteration
+//! accounting exactly, which `amd-spmm`'s `tests/predict.rs` holds over
+//! generated inputs.
 //!
 //! For **mutating** matrices the engine additionally supports a sparse
 //! delta overlay ([`Engine::set_delta`]) — runs are answered as
@@ -74,12 +70,10 @@
 //! assert_eq!(engine.stats().runs, 1);
 //! ```
 
-pub mod attribution;
 pub mod cache;
 pub mod engine;
 pub mod planner;
 
-pub use attribution::{algo_slug, AttributionMetrics, QueryCost, RunAttribution};
 pub use cache::{CacheStats, DecompositionCache};
 pub use engine::{
     Engine, EngineConfig, EngineStats, MatrixId, MultiplyQuery, QueryId, QueryResponse,

@@ -15,7 +15,7 @@
 
 use crate::layout::block_range;
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{broadcast_cost, CostModel, Group, Machine};
+use amd_comm::{allreduce_ring_cost, broadcast_cost, CostModel, Group, Machine, Traffic};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::sync::Arc;
@@ -106,7 +106,7 @@ impl A15dSpmm {
     ///
     /// The simulated machine still ships `f64` buffers (the narrowing is
     /// emulated value-wise), so at [`Dtype::F32`] the *accounted* volume
-    /// reads ~2× the prediction — the prediction reflects what a real
+    /// reads 2× the prediction — the prediction reflects what a real
     /// narrowed wire costs. The broadcast's schedule is selected on the
     /// bytes the machine charges (`f64`), in the run and in the
     /// prediction alike.
@@ -232,56 +232,56 @@ impl DistSpmm for A15dSpmm {
         })
     }
 
-    fn predict_volume(&self, k: u32) -> CommEstimate {
-        let kb = self.dtype.bytes() as f64 * k as f64;
-        // The broadcast is charged per element moved: 8 bytes a value on
+    fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
+        // Collectives are charged per element moved: 8 bytes a value on
         // the machine, `dtype` bytes on a `dtype` wire.
         let scale = self.dtype.bytes() as f64 / 8.0;
-        let g = self.grid_rows as usize;
-        // Per tile height, the closed form of the schedule a tile's
-        // broadcast will select, by root-relative index. Tiles come in at
-        // most two heights.
-        let mut heights: Vec<(u32, Vec<_>)> = Vec::new();
-        let mut est = CommEstimate::default();
-        for rank in 0..self.p {
-            let (i, j) = (rank / self.c, rank % self.c);
-            let (r0, r1) = block_range(self.n, self.rb, i);
-            let my_bytes = (r1 - r0) as f64 * kb;
-            let mut bytes = 0.0;
-            let mut msgs = 0.0;
-            // Per-round broadcast of X tile t down grid column j from grid
-            // row t.
-            for t in (j * self.tiles_per_col)..((j + 1) * self.tiles_per_col).min(self.grid_rows) {
-                let (t0, t1) = block_range(self.n, self.rb, t);
-                let at = match heights.iter().position(|(h, _)| *h == t1 - t0) {
-                    Some(at) => at,
-                    None => {
-                        let costs =
-                            broadcast_cost(g, (t1 - t0) as usize, k as usize, &self.cost, None);
-                        heights.push((t1 - t0, costs));
-                        heights.len() - 1
-                    }
-                };
-                let vr = ((i + self.grid_rows - t) % self.grid_rows) as usize;
-                let moved = heights[at].1[vr];
-                bytes += moved.bytes() as f64 * scale;
-                msgs += moved.msgs as f64;
+        let height = |t: u32| {
+            let (t0, t1) = block_range(self.n, self.rb, t);
+            (t1 - t0) as usize
+        };
+        // Per block height (blocks come in at most two), the closed forms
+        // of the schedule a tile's broadcast down a grid column will
+        // select, by root-relative index, and of a block's ring all-reduce
+        // across a grid row, by member.
+        let mut shapes: Vec<(usize, Vec<Traffic>, Vec<Traffic>)> = Vec::new();
+        for t in 0..self.grid_rows {
+            let h = height(t);
+            if shapes.iter().all(|(seen, _, _)| *seen != h) {
+                let g = self.grid_rows as usize;
+                let bcast = broadcast_cost(g, h, k as usize, &self.cost, None);
+                let ring = allreduce_ring_cost(self.c as usize, h, k as usize);
+                shapes.push((h, bcast, ring));
             }
-            // Ring all-reduce across the c-member grid row: each member
-            // sends and receives 2·(c−1)/c of the payload in 2·(c−1)
-            // messages each way.
-            if self.c > 1 {
-                let frac = 2.0 * (self.c - 1) as f64 / self.c as f64;
-                bytes += 2.0 * frac * my_bytes;
-                msgs += 4.0 * (self.c - 1) as f64;
-            }
-            let flops: f64 = self.tiles[rank as usize]
-                .iter()
-                .map(|(_, sub)| spmm::spmm_flops(sub, k))
-                .sum();
-            est.envelope(bytes, msgs, flops);
         }
-        est
+        let shape = |t: u32| {
+            let h = height(t);
+            shapes
+                .iter()
+                .find(|(seen, _, _)| *seen == h)
+                .expect("priced")
+        };
+        (0..self.p)
+            .map(|rank| {
+                let (i, j) = (rank / self.c, rank % self.c);
+                // Per-round broadcast of X tile t down grid column j from
+                // grid row t, then the all-reduce of Y_i across grid row i.
+                let tiles =
+                    (j * self.tiles_per_col)..((j + 1) * self.tiles_per_col).min(self.grid_rows);
+                let moved: Vec<Traffic> = tiles
+                    .map(|t| shape(t).1[((i + self.grid_rows - t) % self.grid_rows) as usize])
+                    .chain([shape(i).2[j as usize]])
+                    .collect();
+                CommEstimate {
+                    max_rank_bytes: moved.iter().map(Traffic::bytes).sum::<u64>() as f64 * scale,
+                    max_rank_messages: moved.iter().map(Traffic::msgs).sum::<u64>() as f64,
+                    max_rank_flops: self.tiles[rank as usize]
+                        .iter()
+                        .map(|(_, sub)| spmm::spmm_flops(sub, k))
+                        .sum(),
+                }
+            })
+            .collect()
     }
 }
 

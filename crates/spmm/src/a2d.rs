@@ -232,7 +232,7 @@ impl DistSpmm for A2dSpmm {
         })
     }
 
-    fn predict_volume(&self, k: u32) -> CommEstimate {
+    fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
         let q = self.q;
         let qs = q as usize;
         let col_ranges = even_ranges(k, q);
@@ -243,7 +243,7 @@ impl DistSpmm for A2dSpmm {
         // of the schedule it will select, by root-relative index. Blocks
         // and column ranges come in at most two sizes each.
         let mut shapes: Vec<((usize, usize), Vec<_>)> = Vec::new();
-        let mut est = CommEstimate::default();
+        let mut ranks = Vec::with_capacity(self.p as usize);
         for rank in 0..self.p {
             let (r, c) = (rank / q, rank % q);
             let (r0, r1) = block_range(self.n, self.rb, r);
@@ -279,7 +279,7 @@ impl DistSpmm for A2dSpmm {
                 let vr = ((r + q - c) % q) as usize;
                 let moved = shapes[at].1[vr];
                 bytes += moved.bytes() as f64 * scale;
-                msgs += moved.msgs as f64;
+                msgs += moved.msgs() as f64;
                 // 3. Partial product A(r, c) · X(c, f).
                 flops += spmm::spmm_flops(&self.tiles[rank as usize], f1 - f0);
                 // 4. Reduce across the grid row onto member f (the tree).
@@ -292,9 +292,13 @@ impl DistSpmm for A2dSpmm {
                     msgs += 1.0;
                 }
             }
-            est.envelope(bytes, msgs, flops);
+            ranks.push(CommEstimate {
+                max_rank_bytes: bytes,
+                max_rank_messages: msgs,
+                max_rank_flops: flops,
+            });
         }
-        est
+        ranks
     }
 }
 

@@ -674,12 +674,13 @@ impl DistSpmm for ArrowSpmm {
         })
     }
 
-    fn predict_volume(&self, k: u32) -> CommEstimate {
+    fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
         let kb = self.dtype.bytes() as f64 * k as f64;
         // The collectives are charged per element moved: what the machine
         // moves at 8 bytes a value, a `dtype` wire moves at `dtype` bytes.
         let scale = self.dtype.bytes() as f64 / 8.0;
-        let mut est = CommEstimate::default();
+        // Levels hold consecutive ranks, in level order.
+        let mut ranks = Vec::with_capacity(self.total_ranks as usize);
         for level in &self.levels {
             let (nb, d0_rows) = (level.nb as usize, level.d0_rows() as usize);
             // Broadcast of D(0) from, and reduction of the row-arm
@@ -703,7 +704,7 @@ impl DistSpmm for ArrowSpmm {
                 }
                 for moved in [bcast[i], reduce[i]] {
                     bytes += moved.bytes() as f64 * scale;
-                    msgs += moved.msgs as f64;
+                    msgs += moved.msgs() as f64;
                 }
                 // Local tile multiplies (Algorithm 1, lines 2–6): the
                 // rank's share of the hub tile and its own three.
@@ -713,10 +714,14 @@ impl DistSpmm for ArrowSpmm {
                     flops += spmm::spmm_flops(level.arrow.col_tile(i as u32), k);
                     flops += spmm::spmm_flops(level.arrow.diag_tile(i as u32), k);
                 }
-                est.envelope(bytes, msgs, flops);
+                ranks.push(CommEstimate {
+                    max_rank_bytes: bytes,
+                    max_rank_messages: msgs,
+                    max_rank_flops: flops,
+                });
             }
         }
-        est
+        ranks
     }
 }
 

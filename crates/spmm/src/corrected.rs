@@ -22,13 +22,20 @@
 //!
 //! Cost accounting models the correction as a **broadcast-replicated
 //! post-pass**: each iteration, the delta (16 bytes per entry: two `u32`
-//! coordinates + one `f64` value) is broadcast along a binomial tree to
-//! all ranks of the base plan, and every rank corrects its own output
-//! rows. This is the honest upper envelope for a wrapper that cannot see
+//! coordinates + one `f64` value, i.e. two `f64` slots) is broadcast from
+//! rank 0 to all ranks of the base plan under the schedule
+//! [`amd_comm::broadcast_cost`] selects for it, and every rank corrects
+//! its own output rows. Each rank is charged what that broadcast moves
+//! through it, the α-β time of those messages and the delta product's
+//! flops (the work is replicated); [`predict_ranks`] adds the same
+//! figures to the base's, so prediction and accounting agree rank by
+//! rank. This is the honest upper envelope for a wrapper that cannot see
 //! the base algorithm's row ownership; it makes the predicted cost grow
-//! linearly with delta density, which is exactly the signal the staleness
-//! budget and the planner need. A one-rank base (`LocalSpmm`) has nobody
-//! to broadcast to: its correction is charged flops only.
+//! with delta density, which is exactly the signal the staleness budget
+//! and the planner need. A one-rank base (`LocalSpmm`) has nobody to
+//! broadcast to: its correction is charged flops only.
+//!
+//! [`predict_ranks`]: DistSpmm::predict_ranks
 //!
 //! The correction always runs in `f64`, even when the wrapped base serves
 //! at `f32` half bandwidth: the delta product is the exactness-critical
@@ -37,12 +44,13 @@
 //! relative to the base, so narrowing it would save nothing measurable.
 
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::CostModel;
+use amd_comm::{broadcast_cost, CostModel, Traffic};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 
-/// Bytes on the wire per delta entry (row `u32` + col `u32` + value `f64`).
-const DELTA_ENTRY_BYTES: f64 = 16.0;
+/// `f64` slots on the wire per delta entry (row `u32` + col `u32` + value
+/// `f64`: 16 bytes).
+const DELTA_ENTRY_SLOTS: usize = 2;
 
 /// A [`DistSpmm`] decorator that serves `A₀ + ΔA` as the wrapped base
 /// algorithm plus a per-iteration delta correction. See the
@@ -84,27 +92,19 @@ impl<'a> DeltaSpmm<'a> {
         self.delta.nnz()
     }
 
-    fn broadcast_hops(&self) -> f64 {
-        (self.base.ranks().max(1) as f64).log2().ceil()
-    }
-
-    /// Per-iteration α-β-γ charge of the correction for a `k`-column
-    /// operand (see the [module docs](self) for the model).
-    fn correction_cost(&self, k: u32) -> (f64, f64, f64) {
-        if self.delta.nnz() == 0 {
-            return (0.0, 0.0, 0.0);
-        }
-        let flops = spmm::spmm_flops(self.delta, k);
-        if self.base.ranks() <= 1 {
-            return (0.0, 0.0, flops);
-        }
-        let payload = self.delta.nnz() as f64 * DELTA_ENTRY_BYTES;
-        let hops = self.broadcast_hops();
-        // Envelope: the broadcast root relays `hops` copies; every other
-        // rank receives one. Correction work is replicated.
-        let bytes = (hops + 1.0) * payload;
-        let msgs = hops + 1.0;
-        (bytes, msgs, flops)
+    /// Per-iteration charge of the correction for a `k`-column operand
+    /// (see the [module docs](self) for the model): what the delta's
+    /// broadcast moves through each rank of the base plan, and the flops
+    /// every rank spends on the delta product.
+    fn correction(&self, k: u32) -> (Vec<Traffic>, f64) {
+        let traffic = broadcast_cost(
+            self.base.ranks().max(1) as usize,
+            self.delta.nnz(),
+            DELTA_ENTRY_SLOTS,
+            &self.cost,
+            None,
+        );
+        (traffic, spmm::spmm_flops(self.delta, k))
     }
 }
 
@@ -134,9 +134,8 @@ impl DistSpmm for DeltaSpmm<'_> {
             // handling) answers directly.
             return self.base.run_sigma(x, iters, sigma);
         }
-        let (c_bytes, c_msgs, c_flops) = self.correction_cost(x.cols());
-        let c_time =
-            self.cost.alpha * c_msgs + self.cost.beta * c_bytes + self.cost.compute_time(c_flops);
+        let (traffic, flops) = self.correction(x.cols());
+        let compute = self.cost.compute_time(flops);
         // The operand of an iteration: the caller's `x`, then the
         // previous iteration's output.
         let mut cur: Option<DenseMatrix<f64>> = None;
@@ -177,8 +176,14 @@ impl DistSpmm for DeltaSpmm<'_> {
                 }
             }
             stats.wall_seconds += step.stats.wall_seconds;
-            for r in stats.ranks.iter_mut() {
-                r.sim_time += c_time;
+            for (r, t) in stats.ranks.iter_mut().zip(&traffic) {
+                r.sent_bytes += t.sent_bytes;
+                r.recv_bytes += t.recv_bytes;
+                r.sent_msgs += t.sent_msgs;
+                r.recv_msgs += t.recv_msgs;
+                r.sim_time +=
+                    self.cost.alpha * t.msgs() as f64 + self.cost.beta * t.bytes() as f64 + compute;
+                r.compute_time += compute;
             }
             cur = Some(y);
         }
@@ -189,13 +194,18 @@ impl DistSpmm for DeltaSpmm<'_> {
         })
     }
 
-    fn predict_volume(&self, k: u32) -> CommEstimate {
-        let mut est = self.base.predict_volume(k);
-        let (bytes, msgs, flops) = self.correction_cost(k);
-        est.max_rank_bytes += bytes;
-        est.max_rank_messages += msgs;
-        est.max_rank_flops += flops;
-        est
+    fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
+        let mut ranks = self.base.predict_ranks(k);
+        if self.delta.nnz() == 0 {
+            return ranks;
+        }
+        let (traffic, flops) = self.correction(k);
+        for (rank, t) in ranks.iter_mut().zip(traffic) {
+            rank.max_rank_bytes += t.bytes() as f64;
+            rank.max_rank_messages += t.msgs() as f64;
+            rank.max_rank_flops += flops;
+        }
+        ranks
     }
 }
 

@@ -295,27 +295,21 @@ impl DistSpmm for Hp1dSpmm {
         })
     }
 
-    fn predict_volume(&self, k: u32) -> CommEstimate {
+    fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
         let kb = self.dtype.bytes() as f64 * k as f64;
-        let mut est = CommEstimate::default();
-        for rank in 0..self.p as usize {
-            // Point-to-point fetch/serve lists: exact byte and message
-            // counts straight from the plan.
-            let mut bytes = 0.0;
-            let mut msgs = 0.0;
-            for (_, rows) in &self.serves[rank] {
-                bytes += rows.len() as f64 * kb;
-                msgs += 1.0;
-            }
-            for (_, rows) in &self.fetches[rank] {
-                bytes += rows.len() as f64 * kb;
-                msgs += 1.0;
-            }
-            let flops =
-                spmm::spmm_flops(&self.a_local[rank], k) + spmm::spmm_flops(&self.a_ext[rank], k);
-            est.envelope(bytes, msgs, flops);
-        }
-        est
+        (0..self.p as usize)
+            .map(|rank| {
+                // Point-to-point fetch/serve lists: exact byte and message
+                // counts straight from the plan.
+                let lists = self.serves[rank].iter().chain(&self.fetches[rank]);
+                CommEstimate {
+                    max_rank_bytes: lists.clone().map(|(_, rows)| rows.len() as f64 * kb).sum(),
+                    max_rank_messages: lists.count() as f64,
+                    max_rank_flops: spmm::spmm_flops(&self.a_local[rank], k)
+                        + spmm::spmm_flops(&self.a_ext[rank], k),
+                }
+            })
+            .collect()
     }
 }
 

@@ -146,12 +146,12 @@ impl DistSpmm for LocalSpmm {
         })
     }
 
-    fn predict_volume(&self, k: u32) -> CommEstimate {
-        CommEstimate {
+    fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
+        vec![CommEstimate {
             max_rank_bytes: 0.0,
             max_rank_messages: 0.0,
             max_rank_flops: spmm::spmm_flops(&self.a, k),
-        }
+        }]
     }
 }
 

@@ -28,10 +28,8 @@ impl SpmmRun {
     }
 
     /// Per-iteration maximum per-rank message count — the accounted
-    /// counterpart of [`CommEstimate::max_rank_messages`], normalised
-    /// per multiply so a cost-attribution layer can compare the
-    /// machine's accounting against the planner's prediction
-    /// term-by-term.
+    /// counterpart of [`CommEstimate::max_rank_messages`], which equals
+    /// it (`tests/predict.rs` holds that for every algorithm).
     pub fn messages_per_iter(&self) -> f64 {
         self.stats.max_messages() as f64 / self.iters.max(1) as f64
     }
@@ -48,7 +46,8 @@ pub type Sigma = fn(f64) -> f64;
 /// Components are per-rank envelopes: each field is the maximum over
 /// ranks, taken independently (so the triple is an upper envelope — the
 /// byte maximum and the message maximum may be attained by different
-/// ranks). The serving engine's planner ranks algorithms by
+/// ranks). An entry of [`DistSpmm::predict_ranks`] is the envelope of
+/// one rank. The serving engine's planner ranks algorithms by
 /// [`predicted_seconds`](CommEstimate::predicted_seconds) under a
 /// [`CostModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -102,12 +101,30 @@ pub trait DistSpmm {
         self.run_sigma(x, iters, None)
     }
 
-    /// Predicts the per-iteration communication and compute of `run` with
-    /// a `k`-column operand, from the planned distribution alone (no
-    /// machine is spun up). Point-to-point routes are counted exactly;
-    /// collective traffic is `amd_comm`'s closed form for the schedule
-    /// (tree, large-message or ring) each call will take.
-    fn predict_volume(&self, k: u32) -> CommEstimate;
+    /// Predicts what one iteration of `run` with a `k`-column operand
+    /// charges each rank, indexed by machine rank, from the planned
+    /// distribution alone (no machine is spun up): each entry is one
+    /// rank's bytes, messages and flops. Point-to-point routes are counted
+    /// exactly; collective traffic is `amd_comm`'s closed form for the
+    /// schedule (tree, large-message, sparse or ring) each call will take.
+    fn predict_ranks(&self, k: u32) -> Vec<CommEstimate>;
+
+    /// The envelope of [`predict_ranks`](Self::predict_ranks): what the
+    /// planner ranks by. Its messages are exactly the run's accounted
+    /// [`SpmmRun::messages_per_iter`], and its bytes exactly
+    /// [`SpmmRun::volume_per_iter`] scaled to the serving dtype (the
+    /// machine ships `f64`, so an `f32` plan predicts half of it).
+    fn predict_volume(&self, k: u32) -> CommEstimate {
+        let mut est = CommEstimate::default();
+        for rank in self.predict_ranks(k) {
+            est.envelope(
+                rank.max_rank_bytes,
+                rank.max_rank_messages,
+                rank.max_rank_flops,
+            );
+        }
+        est
+    }
 }
 
 /// Applies an optional σ in place to a block buffer.

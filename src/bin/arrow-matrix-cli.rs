@@ -14,7 +14,6 @@
 //!                         [--dtype f32|f64] [--ranks P]
 //!                         [--metrics-json PATH] [--timeseries PATH] [--trace-json PATH]
 //! arrow-matrix-cli stats <metrics.json>
-//! arrow-matrix-cli report <metrics.json>
 //! arrow-matrix-cli top <timeseries.jsonl>
 //! arrow-matrix-cli catalog ls <dir>
 //! arrow-matrix-cli catalog gc <dir> <retain-last-k>
@@ -56,13 +55,8 @@
 //! histograms) as JSON — rewritten periodically while the run is in
 //! flight and once more on exit — and `stats` pretty-prints such a
 //! snapshot back. `decompose`/`multiply` accept the same flag for
-//! their one-shot runs. Three more observability surfaces close the
-//! loop on the planner's cost model:
+//! their one-shot runs. Two more observability surfaces:
 //!
-//! * `report <metrics.json>` folds the engine's per-algorithm cost
-//!   attribution (`engine.algo.<slug>.*`) into a calibration table —
-//!   predicted vs accounted communication volume, mean/max prediction
-//!   error, and the rank-agreement rate of the planner's choices.
 //! * `--timeseries PATH` appends one `amd-metrics-ts/1` JSONL line per
 //!   checkpoint (windowed QPS, refresh rates, windowed multiply
 //!   latency quantiles); `top <timeseries.jsonl>` renders the latest
@@ -77,27 +71,25 @@
 //! binding — no simulated machine, zero communication), and since that
 //! binding reads no decomposition none is computed, at registration or
 //! at a refresh: both summaries print `decompositions = 0`, `serve`
-//! also `disk loads = 0, spills = 0`, `stream` a `splice :` line of
-//! zeros, and `report` has no active-prefix figure to echo. `P > 1` says
-//! the matrix is spread over `P` ranks: the planner ranks the four
-//! distributed algorithms for that budget and the winner runs on the
-//! simulated α-β machine — the reproduction side of the repository, and
-//! what fills the `report` calibration table with communication volume.
+//! also `disk loads = 0, spills = 0`, and `stream` a `splice :` line of
+//! zeros. `P > 1` says the matrix is spread over `P` ranks: the planner
+//! ranks the four distributed algorithms for that budget and the winner
+//! runs on the simulated α-β machine — the reproduction side of the
+//! repository, and the only deployment that moves bytes.
 //!
 //! Serving precision: `multiply`, `serve`, and `stream` take `--dtype
 //! f32|f64` (default `f64`). `f32` halves the communication volume by
 //! narrowing matrix values and operand entries to single precision
 //! (products accumulate in `f64`); answers stay exact on integer-valued
 //! data and within the documented error bound
-//! (`arrow_core::f32_multiply_error_bound`) otherwise. The `report`
-//! calibration table echoes the serving dtype and the decomposition's
-//! active-prefix fraction when present in the metrics snapshot.
+//! (`arrow_core::f32_multiply_error_bound`) otherwise. A metrics snapshot
+//! records the serving dtype (`engine.dtype_bytes`) and, above one rank,
+//! the decomposition's active-prefix fraction
+//! (`engine.active_prefix_permille`); `stats` prints both.
 
-use arrow_matrix::comm::CostModel;
 use arrow_matrix::core::catalog::RetainPolicy;
 use arrow_matrix::core::stats::DecompositionStats;
 use arrow_matrix::core::{la_decompose, Catalog, CatalogMeta, DecomposeConfig, RandomForestLa};
-use arrow_matrix::engine::{AttributionMetrics, RunAttribution};
 use arrow_matrix::engine::{Engine, EngineConfig, MultiplyQuery};
 use arrow_matrix::graph::degree::DegreeStats;
 use arrow_matrix::graph::generators::datasets::DatasetKind;
@@ -140,7 +132,6 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("stream") => cmd_stream(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
         Some("top") => cmd_top(&args[1..]),
         Some("catalog") => cmd_catalog(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
@@ -159,7 +150,6 @@ fn main() -> ExitCode {
                  \u{20}                       [--dtype f32|f64] [--ranks P]\n  \
                  \u{20}                       [--metrics-json PATH] [--timeseries PATH] [--trace-json PATH]\n  \
                  arrow-matrix-cli stats <metrics.json>\n  \
-                 arrow-matrix-cli report <metrics.json>\n  \
                  arrow-matrix-cli top <timeseries.jsonl>\n  \
                  arrow-matrix-cli catalog ls <dir>\n  \
                  arrow-matrix-cli catalog gc <dir> <retain-last-k>\n  \
@@ -298,136 +288,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Folds the engine's cost-attribution counters
-/// (`engine.algo.<slug>.*`, written by `serve`/`stream`/`multiply`
-/// with `--metrics-json`) into a per-algorithm calibration table:
-/// predicted vs accounted communication volume, mean/max volume
-/// prediction error, and the rank-agreement rate of the planner's
-/// choices.
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let [path] = args else {
-        return Err("report needs <metrics.json>".into());
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let doc = parse_json(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    let Some(members) = doc.members() else {
-        return Err(format!("{path}: metrics snapshot must be a JSON object"));
-    };
-    let mut slugs: Vec<&str> = members
-        .iter()
-        .filter_map(|(name, _)| {
-            name.strip_prefix("engine.algo.")
-                .and_then(|rest| rest.strip_suffix(".runs"))
-        })
-        .collect();
-    slugs.sort_unstable();
-    if slugs.is_empty() {
-        return Err(format!(
-            "{path}: no cost-attribution data (engine.algo.* counters absent — \
-             was the run made with an instrumented engine?)"
-        ));
-    }
-    let num = |key: &str| doc.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-    let hist = |key: &str, field: &str| {
-        doc.get(key)
-            .and_then(|h| h.get(field))
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0)
-    };
-    let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
-    println!(
-        "{:<8} {:>6} {:>14} {:>14} {:>10} {:>9} {:>9} {:>15} {:>11}",
-        "algo",
-        "runs",
-        "predicted MiB",
-        "accounted MiB",
-        "mean err",
-        "max err",
-        "checks",
-        "rank-agreement",
-        "wall ms/run"
-    );
-    for slug in &slugs {
-        let name = |leaf: &str| format!("engine.algo.{slug}.{leaf}");
-        let runs = num(&name("runs"));
-        let err_count = hist(&name("error_permille"), "count");
-        let mean_err = if err_count > 0 {
-            hist(&name("error_permille"), "sum") as f64 / err_count as f64 / 10.0
-        } else {
-            0.0
-        };
-        let max_err = hist(&name("error_permille"), "max") as f64 / 10.0;
-        let checks = num(&name("rank_checks"));
-        let agreement = if checks > 0 {
-            let ok = checks.saturating_sub(num(&name("mispredictions")));
-            format!("{:.1}%", 100.0 * ok as f64 / checks as f64)
-        } else {
-            "n/a".to_string()
-        };
-        let wall_ms_per_run = if runs > 0 {
-            num(&name("wall_nanos")) as f64 / runs as f64 / 1e6
-        } else {
-            0.0
-        };
-        println!(
-            "{:<8} {:>6} {:>14.3} {:>14.3} {:>9.1}% {:>8.1}% {:>9} {:>15} {:>11.3}",
-            slug,
-            runs,
-            mib(num(&name("predicted_bytes"))),
-            mib(num(&name("accounted_bytes"))),
-            mean_err,
-            max_err,
-            checks,
-            agreement,
-            wall_ms_per_run
-        );
-    }
-    let predicted = num("engine.plan.predicted_bytes");
-    let accounted = num("engine.plan.accounted_bytes");
-    let checks = num("engine.plan.rank_checks");
-    let mispredictions = num("engine.plan.mispredictions");
-    println!(
-        "total   : predicted = {:.3} MiB, accounted = {:.3} MiB ({})",
-        mib(predicted),
-        mib(accounted),
-        if accounted > 0 {
-            format!(
-                "predicted/accounted = {:.3}",
-                predicted as f64 / accounted as f64
-            )
-        } else {
-            "no accounted volume".to_string()
-        }
-    );
-    println!(
-        "ranking : {checks} check(s), {mispredictions} misprediction(s){}",
-        if checks > 0 {
-            format!(
-                " — the planner's choice held up in {:.1}% of checked runs",
-                100.0 * checks.saturating_sub(mispredictions) as f64 / checks as f64
-            )
-        } else {
-            String::new()
-        }
-    );
-    if let Some(bytes) = doc.get("engine.dtype_bytes").and_then(JsonValue::as_u64) {
-        let dtype = if bytes == 4 { "f32" } else { "f64" };
-        let prefix = doc
-            .get("engine.active_prefix_permille")
-            .and_then(JsonValue::as_u64)
-            .map(|p| format!(", active prefix = {:.1}% of positions", p as f64 / 10.0))
-            .unwrap_or_default();
-        println!("serving : dtype = {dtype} ({bytes} B/value){prefix}");
-        if bytes == 4 {
-            println!(
-                "          (the simulator ships f64 wires, so accounted volume reads \
-                 ~2x the f32 prediction)"
-            );
-        }
-    }
-    Ok(())
-}
-
 /// Renders the tail of a `--timeseries` JSONL log as a one-shot
 /// terminal dashboard: the latest window's rates and multiply
 /// latency, plus cumulative splice/cache efficiency and the busiest
@@ -484,16 +344,6 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
         hits,
         misses,
         pct(hits, hits + misses)
-    );
-    let checks = c("engine.plan.rank_checks");
-    println!(
-        "planner : {} rank check(s), {} misprediction(s) — agreement {}",
-        checks,
-        c("engine.plan.mispredictions"),
-        pct(
-            checks.saturating_sub(c("engine.plan.mispredictions")),
-            checks
-        )
     );
     // Busiest tenants by cumulative queries + updates.
     let mut tenants: Vec<(u64, u64, u64)> = Vec::new(); // (id, queries, updates)
@@ -761,34 +611,11 @@ fn cmd_multiply(args: &[String]) -> Result<(), String> {
         run.stats.wall_seconds * 1e3,
     );
     if let Some(path) = &metrics_json {
-        // One-shot cost attribution: the same calibration counters the
-        // engine writes, so `report` works on a direct multiply too.
-        // There is no planner ranking here (single algorithm), so the
-        // rank-agreement check stays unchecked.
         let telemetry = Telemetry::new();
         telemetry
             .registry
             .histogram("multiply.seconds")
             .record_seconds(wall);
-        let mut attribution = AttributionMetrics::new(&telemetry.registry);
-        let name = alg.name();
-        let cost = attribution.record(
-            &RunAttribution {
-                algo: &name,
-                predictions: &[],
-                estimate: alg.predict_volume(k),
-                corrected: false,
-                iters,
-                cost: CostModel::default(),
-                target_ranks: alg.ranks(),
-            },
-            &run.stats,
-        );
-        println!(
-            "cost    : predicted {:.1} KiB/iter vs accounted {:.1} KiB/iter per rank",
-            cost.predicted_rank_bytes / 1024.0,
-            cost.accounted_rank_bytes / 1024.0
-        );
         write_metrics_json(path, &telemetry)?;
         println!("metrics : wrote {path}");
     }

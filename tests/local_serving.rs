@@ -90,21 +90,8 @@ fn default_engine_binds_local_and_runs_no_ranks() {
     for (q, response) in responses.iter().enumerate() {
         let x = DenseMatrix::from_vec(1000, 1, column(1000, q as u32, true)).unwrap();
         assert_eq!(response.y, iterated_spmm(&a, &x, 2).unwrap().data());
-        let cost = response.cost.as_ref().expect("telemetry is on");
-        assert_eq!(cost.accounted_rank_bytes, 0.0);
-        assert_eq!(cost.predicted_rank_bytes, 0.0);
-        assert_eq!(cost.rank_agreement, None, "nothing to rank against");
     }
-    let snapshot = engine.telemetry().registry.snapshot();
-    assert_eq!(snapshot.counter("engine.algo.local.runs"), Some(2));
-    assert_eq!(
-        snapshot.counter("engine.algo.local.accounted_bytes"),
-        Some(0)
-    );
-    assert_eq!(
-        snapshot.counter("engine.algo.local.predicted_bytes"),
-        Some(0)
-    );
+    assert_eq!(engine.stats().runs, 2);
 }
 
 #[test]
@@ -158,9 +145,6 @@ fn a_pending_delta_is_served_as_a_cold_rebuild_would() {
         let cold = rebuilt.flush().unwrap();
         for (c, r) in corrected.iter().zip(&cold) {
             assert_eq!(c.y, r.y, "iters {iters}");
-            let cost = c.cost.as_ref().expect("telemetry is on");
-            assert!(cost.corrected);
-            assert_eq!(cost.predicted_rank_bytes, 0.0, "nobody to broadcast to");
         }
     }
     assert_eq!(engine.stats().corrected_runs, 2);

@@ -151,42 +151,6 @@ fn background_refresh_leaves_a_complete_span_tree() {
 }
 
 #[test]
-fn hub_queries_flow_into_the_attribution_counters() {
-    // Cost attribution rides the same telemetry handle the hub was
-    // built with: every answered query carries its run's `QueryCost`,
-    // and the registry snapshot accumulates the per-algorithm
-    // calibration counters that `arrow-matrix report` folds.
-    let n = 64;
-    let mut hub = StreamHub::with_telemetry(small_hub_config(false), Telemetry::new()).unwrap();
-    let t = hub.admit(ring(n)).unwrap();
-    let mut runs = 0u64;
-    for q in 0..4u32 {
-        let x: Vec<f64> = (0..n).map(|r| ((r + q) % 5) as f64).collect();
-        let resp = hub.run_single(t, x, 2, None).unwrap();
-        let cost = resp.cost.expect("telemetry enabled => cost attributed");
-        assert_eq!(cost.iters, 2);
-        assert!(!cost.corrected, "no delta overlay on a fresh tenant");
-        runs += 1;
-    }
-
-    let snap = hub.telemetry().registry.snapshot();
-    // The plan-wide and per-algorithm ledgers both saw every run.
-    assert!(snap.counter("engine.plan.predicted_bytes").is_some());
-    assert!(snap.counter("engine.plan.accounted_bytes").is_some());
-    let per_algo: u64 = snap
-        .metrics()
-        .iter()
-        .filter(|(name, _)| name.starts_with("engine.algo.") && name.ends_with(".runs"))
-        .filter_map(|(name, _)| snap.counter(name))
-        .sum();
-    assert_eq!(per_algo, runs, "each run lands in exactly one algo bucket");
-    let hist = snap
-        .histogram("engine.rank_volume.bytes")
-        .expect("per-rank volume histogram registered");
-    assert!(hist.count > 0, "every run records its rank volumes");
-}
-
-#[test]
 fn snapshot_json_round_trips_through_the_parser() {
     // The CLI `stats` subcommand and the metrics-smoke CI job read the
     // file back with the same parser; schema marker, counters, and

@@ -313,15 +313,15 @@ fn engine_batched_float_queries_bit_match_across_the_schedule_crossover() {
         let batched = engine.flush().unwrap();
         assert_eq!(batched.len(), 64);
         // On one schedule the batch would move exactly 64 times the
-        // bytes of a single column; the served runs switched.
-        let bytes =
-            |r: &arrow_matrix::engine::QueryResponse| r.cost.as_ref().unwrap().accounted_rank_bytes;
+        // bytes of a single column; the bound plan switched. The
+        // prediction is the accounting (`amd-spmm`'s `tests/predict.rs`).
+        let bytes = |k| plan.predict_volume(k).max_rank_bytes;
         assert!(
-            bytes(&batched[0]) < 64.0 * bytes(&singles[0]),
+            bytes(64) < 64.0 * bytes(1),
             "{}: batch {} B vs single {} B",
             kind.name(),
-            bytes(&batched[0]),
-            bytes(&singles[0])
+            bytes(64),
+            bytes(1)
         );
         for (single, resp) in singles.iter().zip(&batched) {
             assert_eq!(resp.batch_size, 64);
