@@ -1,46 +1,14 @@
 //! Dataset registry at bench scale.
+//!
+//! The paper runs 50M–226M rows; the stand-ins are generated at tens of
+//! thousands ([`BENCH_N`](crate::BENCH_N)) so the whole ledger
+//! regenerates in seconds while keeping the relative claims measurable.
 
 use crate::BENCH_SEED;
 use amd_graph::generators::datasets::DatasetKind;
 use amd_graph::Graph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// How large the synthetic stand-ins are generated.
-///
-/// The paper runs 50M–226M rows; we default to tens of thousands so the
-/// whole suite regenerates in minutes while preserving every relative
-/// claim (see DESIGN.md "Scale note"). Override with the
-/// `AMD_BENCH_SCALE` environment variable (`small`, `default`, `large`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BenchScale {
-    /// Quick smoke scale (n ≈ 4k), for CI.
-    Small,
-    /// Standard bench scale (n ≈ 30k).
-    Default,
-    /// Larger runs (n ≈ 120k) when time permits.
-    Large,
-}
-
-impl BenchScale {
-    /// Reads the scale from `AMD_BENCH_SCALE` (defaults to `Default`).
-    pub fn from_env() -> Self {
-        match std::env::var("AMD_BENCH_SCALE").as_deref() {
-            Ok("small") => BenchScale::Small,
-            Ok("large") => BenchScale::Large,
-            _ => BenchScale::Default,
-        }
-    }
-
-    /// Base vertex count for the scale.
-    pub fn base_n(self) -> u32 {
-        match self {
-            BenchScale::Small => 4_000,
-            BenchScale::Default => 30_000,
-            BenchScale::Large => 120_000,
-        }
-    }
-}
 
 /// Generates a dataset stand-in deterministically at the requested size.
 pub fn bench_graph(kind: DatasetKind, n: u32) -> Graph {
@@ -56,12 +24,6 @@ pub fn bench_graph(kind: DatasetKind, n: u32) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scales_ordered() {
-        assert!(BenchScale::Small.base_n() < BenchScale::Default.base_n());
-        assert!(BenchScale::Default.base_n() < BenchScale::Large.base_n());
-    }
 
     #[test]
     fn graphs_deterministic() {

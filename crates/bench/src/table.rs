@@ -23,16 +23,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` if no data row was added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -70,29 +60,6 @@ impl Table {
     }
 }
 
-/// Formats a byte count with a binary-prefix unit.
-pub fn fmt_bytes(bytes: f64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = bytes;
-    let mut u = 0;
-    while v >= 1024.0 && u + 1 < UNITS.len() {
-        v /= 1024.0;
-        u += 1;
-    }
-    format!("{v:.2} {}", UNITS[u])
-}
-
-/// Formats seconds with an adaptive unit.
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.3} s")
-    } else if s >= 1e-3 {
-        format!("{:.3} ms", s * 1e3)
-    } else {
-        format!("{:.3} us", s * 1e6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,8 +72,6 @@ mod tests {
         let r = t.render();
         assert!(r.contains("|   name | value |"));
         assert!(r.contains("| longer |    22 |"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -114,15 +79,5 @@ mod tests {
     fn width_checked() {
         let mut t = Table::new(vec!["a", "b"]);
         t.row(vec!["only one"]);
-    }
-
-    #[test]
-    fn unit_formatting() {
-        assert_eq!(fmt_bytes(512.0), "512.00 B");
-        assert_eq!(fmt_bytes(2048.0), "2.00 KiB");
-        assert!(fmt_bytes(3.0 * 1024.0 * 1024.0).contains("MiB"));
-        assert_eq!(fmt_secs(2.5), "2.500 s");
-        assert!(fmt_secs(0.002).contains("ms"));
-        assert!(fmt_secs(2e-6).contains("us"));
     }
 }

@@ -3,8 +3,8 @@
 //! A failpoint is a call to [`check`] (or [`torn`]) at a named site in
 //! production code. With no plan armed the probe is one relaxed atomic
 //! load and a predicted not-taken branch — cheap enough to leave
-//! compiled into release builds without moving the `obs_overhead`
-//! needle. Arming a [`FaultPlan`](crate::FaultPlan) installs per-site
+//! compiled into release builds without moving the telemetry-overhead
+//! gate (`tests/obs.rs::perf_smoke_telemetry_overhead`). Arming a [`FaultPlan`](crate::FaultPlan) installs per-site
 //! state behind a process-wide exclusive lock; dropping the returned
 //! [`FaultGuard`] disarms everything. Sites are process-wide, so code
 //! that must run fault-free next to code that injects faults (a test's

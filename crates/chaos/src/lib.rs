@@ -7,8 +7,9 @@
 //! * [`failpoint`] — named, deterministic-seeded injection sites
 //!   threaded through catalog I/O, the refresh worker, and the serving
 //!   path. When no fault plan is armed every probe is a single relaxed
-//!   atomic load and a predicted branch, so the `obs_overhead` gate
-//!   (< 3% instrumentation overhead) holds with the probes compiled in.
+//!   atomic load and a predicted branch, so the telemetry-overhead gate
+//!   (`tests/obs.rs::perf_smoke_telemetry_overhead`, < 3%) holds with
+//!   the probes compiled in.
 //! * [`plan`] — [`FaultPlan`]: a named set of (site, action, trigger)
 //!   faults with one seed, armed as an RAII [`FaultGuard`] that holds a
 //!   process-wide exclusive lock (one armed plan at a time) and disarms

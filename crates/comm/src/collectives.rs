@@ -1194,14 +1194,9 @@ impl Group {
     /// Bandwidth-optimal ring all-reduce (reduce-scatter + all-gather):
     /// per-member volume `2·s·(g−1)/g` bytes for a payload of `s` bytes,
     /// at `2(g−1)` messages of latency. This is the variant the 1.5D
-    /// algorithm's `O(β·nkc/p)` term assumes.
-    pub fn allreduce_sum_ring(&self, ctx: &mut RankCtx, data: Vec<f64>) -> Vec<f64> {
-        self.allreduce_sum_ring_aligned(ctx, data, 1)
-    }
-
-    /// [`allreduce_sum_ring`](Group::allreduce_sum_ring) with chunk
-    /// boundaries rounded to multiples of `stride` (`data.len()` must be
-    /// a multiple of `stride`).
+    /// algorithm's `O(β·nkc/p)` term assumes. Chunk boundaries are
+    /// rounded to multiples of `stride` (`data.len()` must be a multiple
+    /// of `stride`; `1` splits at any element).
     ///
     /// For a row-major `rows × stride` buffer this pins every row to one
     /// chunk, which makes the per-element summation order independent of
@@ -1267,84 +1262,6 @@ impl Group {
         }
         ring_traffic(me, blocks).assert_charged_since(before, ctx);
         data
-    }
-
-    /// Gathers one payload per member at `root_idx` (returned in member
-    /// order); non-roots return `None`.
-    pub fn gather<T: Payload>(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: T,
-    ) -> Option<Vec<T>> {
-        let tag = self.next_tag(ctx);
-        if self.my_idx == root_idx {
-            let mut out: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
-            out[root_idx] = Some(data);
-            #[allow(clippy::needless_range_loop)] // root slot is skipped by index
-            for idx in 0..self.size() {
-                if idx != root_idx {
-                    out[idx] = Some(ctx.recv::<T>(self.members[idx], tag));
-                }
-            }
-            Some(
-                out.into_iter()
-                    .map(|o| o.expect("gathered every member"))
-                    .collect(),
-            )
-        } else {
-            ctx.send(self.members[root_idx], tag, data);
-            None
-        }
-    }
-
-    /// Scatters `items[idx]` to member `idx` from `root_idx`; every member
-    /// returns its item. The root passes `Some(items)` with
-    /// `items.len() == size()`.
-    pub fn scatter<T: Payload>(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        items: Option<Vec<T>>,
-    ) -> T {
-        let tag = self.next_tag(ctx);
-        if self.my_idx == root_idx {
-            let items = items.expect("scatter root must supply the items");
-            assert_eq!(items.len(), self.size(), "scatter item count mismatch");
-            let mut own = None;
-            for (idx, item) in items.into_iter().enumerate() {
-                if idx == root_idx {
-                    own = Some(item);
-                } else {
-                    ctx.send(self.members[idx], tag, item);
-                }
-            }
-            own.expect("root keeps its own item")
-        } else {
-            ctx.recv::<T>(self.members[root_idx], tag)
-        }
-    }
-
-    /// Personalised all-to-all: member `i` receives `outgoing[i]` from
-    /// every member, returned in member order (own item passes through a
-    /// self-send so the cost model charges it symmetrically with MPI's
-    /// local copy being free — self messages cost `α`, a negligible
-    /// overcount).
-    pub fn alltoall<T: Payload>(&self, ctx: &mut RankCtx, outgoing: Vec<T>) -> Vec<T> {
-        assert_eq!(outgoing.len(), self.size(), "alltoall item count mismatch");
-        let tag = self.next_tag(ctx);
-        for (idx, item) in outgoing.into_iter().enumerate() {
-            ctx.send(self.members[idx], tag, item);
-        }
-        (0..self.size())
-            .map(|idx| ctx.recv::<T>(self.members[idx], tag))
-            .collect()
-    }
-
-    /// Barrier: gather + broadcast of unit payloads.
-    pub fn barrier(&self, ctx: &mut RankCtx) {
-        let gathered = self.gather(ctx, 0, ());
-        self.broadcast(ctx, 0, gathered.map(|_| ()));
     }
 
     /// Absolute member rank of a virtual (root-relative) index.
@@ -1463,7 +1380,7 @@ mod tests {
             let report = Machine::new(p).run(|ctx| {
                 let g = Group::world(ctx);
                 let data: Vec<f64> = (0..10).map(|i| (ctx.rank() as f64) + i as f64).collect();
-                let ring = g.allreduce_sum_ring(ctx, data.clone());
+                let ring = g.allreduce_sum_ring_aligned(ctx, data.clone(), 1);
                 let tree = g.allreduce_sum(ctx, data);
                 (ring, tree)
             });
@@ -1582,7 +1499,7 @@ mod tests {
         let len = 800usize;
         let report = Machine::new(p).run(|ctx| {
             let g = Group::world(ctx);
-            g.allreduce_sum_ring(ctx, vec![1.0f64; len]);
+            g.allreduce_sum_ring_aligned(ctx, vec![1.0f64; len], 1);
         });
         let bytes = 8 * len as u64;
         let expected = 2 * bytes * (p as u64 - 1) / p as u64;
@@ -1600,7 +1517,7 @@ mod tests {
         // len < g: some chunks are empty.
         let report = Machine::new(6).run(|ctx| {
             let g = Group::world(ctx);
-            g.allreduce_sum_ring(ctx, vec![1.0f64, 2.0])
+            g.allreduce_sum_ring_aligned(ctx, vec![1.0f64, 2.0], 1)
         });
         for r in report.results {
             assert_eq!(r, vec![6.0, 12.0]);
@@ -1619,47 +1536,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_in_member_order() {
-        let report = Machine::new(4).run(|ctx| {
-            let g = Group::world(ctx);
-            g.gather(ctx, 2, ctx.rank() as u64 * 10)
-        });
-        assert_eq!(report.results[2], Some(vec![0, 10, 20, 30]));
-        assert_eq!(report.results[0], None);
-    }
-
-    #[test]
-    fn scatter_distributes_items() {
-        let report = Machine::new(3).run(|ctx| {
-            let g = Group::world(ctx);
-            let items = if g.my_idx() == 0 {
-                Some(vec![vec![0.0f64], vec![1.0], vec![2.0]])
-            } else {
-                None
-            };
-            g.scatter(ctx, 0, items)
-        });
-        for (r, v) in report.results.iter().enumerate() {
-            assert_eq!(v, &vec![r as f64]);
-        }
-    }
-
-    #[test]
-    fn alltoall_personalised() {
-        let report = Machine::new(3).run(|ctx| {
-            let g = Group::world(ctx);
-            let outgoing: Vec<u64> = (0..3)
-                .map(|d| (ctx.rank() as u64) * 10 + d as u64)
-                .collect();
-            g.alltoall(ctx, outgoing)
-        });
-        // Member r receives [0r, 1r, 2r].
-        for (r, v) in report.results.iter().enumerate() {
-            assert_eq!(v, &vec![r as u64, 10 + r as u64, 20 + r as u64]);
-        }
-    }
-
-    #[test]
     fn subgroups_do_not_interfere() {
         // Two disjoint groups run different collectives concurrently.
         let report = Machine::new(6).run(|ctx| {
@@ -1668,7 +1544,7 @@ mod tests {
             let g = Group::new(ctx, members);
             let base = if r < 3 { 100.0 } else { 200.0 };
             let total = g.allreduce_sum(ctx, vec![base]);
-            g.barrier(ctx);
+            g.broadcast(ctx, 0, (g.my_idx() == 0).then_some(()));
             total
         });
         for r in 0..3 {

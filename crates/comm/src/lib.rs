@@ -1,7 +1,7 @@
 //! A message-passing machine with α-β cost accounting.
 //!
 //! This crate is the stand-in for the MPI + GPU cluster of the paper's
-//! evaluation (see DESIGN.md §1). A [`Machine`] runs `p` *ranks* as real
+//! evaluation. A [`Machine`] runs `p` *ranks* as real
 //! OS threads executing the same SPMD closure; ranks exchange real data
 //! through per-rank inboxes (a receiver sleeps until the `(src, tag)` it
 //! asked for arrives and is woken by nothing else), and every message and
@@ -37,7 +37,6 @@ pub mod machine;
 mod mailbox;
 pub mod message;
 pub mod rank;
-pub mod routing;
 pub mod stats;
 
 pub use collectives::{
@@ -48,5 +47,4 @@ pub use cost::CostModel;
 pub use machine::{Machine, RunReport};
 pub use message::Payload;
 pub use rank::RankCtx;
-pub use routing::RoutedItem;
 pub use stats::{MachineStats, RankStats};

@@ -15,7 +15,7 @@
 //! Each generator reproduces that signature at a caller-chosen scale `n`.
 //! The decomposition and the SpMM baselines only "see" the degree
 //! distribution and sparsity structure, so matching the signature
-//! preserves the experimental behaviour (see DESIGN.md §1).
+//! preserves the experimental behaviour.
 
 use crate::builder::GraphBuilder;
 use crate::generators::random::{chung_lu, AliasTable};

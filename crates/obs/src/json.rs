@@ -1,14 +1,15 @@
 //! Dependency-free JSON: a tiny writer (used by
-//! [`Snapshot::to_json`](crate::Snapshot::to_json)) and a minimal
+//! [`Snapshot::to_json`](crate::Snapshot::to_json), the trace exporters
+//! and the paper-reproduction ledger) and a minimal
 //! recursive-descent parser (used by the CLI `stats` subcommand and
 //! the metrics-smoke tests to read snapshots back). The workspace
 //! builds offline, so serde is not an option.
 
 use std::fmt::Write as _;
 
-/// An incremental writer for one JSON object (optionally nested one
-/// level deep — all the snapshot schema needs). Keys are escaped;
-/// values are unsigned integers, floats, raw fragments, or strings.
+/// An incremental writer for one JSON object with nested objects. Keys
+/// are escaped; values are unsigned integers, floats, strings, raw
+/// fragments, or arrays of raw fragments.
 pub struct JsonWriter {
     buf: String,
     /// Pending-comma state per open scope (outer object, inner object).
@@ -90,6 +91,31 @@ impl JsonWriter {
     pub fn field_raw(&mut self, name: &str, raw: &str) {
         self.key(name);
         self.buf.push_str(raw);
+    }
+
+    /// Writes `"name": [item, …]` where every item is a pre-serialized
+    /// JSON value (a compact object, a number). Pretty mode puts one item
+    /// per line, so a diff of two documents shows one changed item as
+    /// one changed line.
+    pub fn field_array<S: AsRef<str>>(&mut self, name: &str, items: &[S]) {
+        self.key(name);
+        self.buf.push('[');
+        let depth = self.first.len();
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                self.buf.push(',');
+            }
+            if !self.compact {
+                self.buf.push('\n');
+                self.buf.push_str(&"  ".repeat(depth + 1));
+            }
+            self.buf.push_str(item.as_ref());
+        }
+        if !self.compact && !items.is_empty() {
+            self.buf.push('\n');
+            self.buf.push_str(&"  ".repeat(depth));
+        }
+        self.buf.push(']');
     }
 
     /// Opens a nested object under `name`.
@@ -441,6 +467,31 @@ mod tests {
                 .and_then(JsonValue::as_str),
             Some("v")
         );
+    }
+
+    #[test]
+    fn arrays_put_one_item_per_line() {
+        let mut w = JsonWriter::object();
+        w.begin_object("e");
+        w.field_array("rows", &["{\"a\": 1}", "{\"a\": 2}"]);
+        w.field_array("none", &[] as &[&str]);
+        w.end_object();
+        let doc = w.finish();
+        assert!(doc.contains("\n      {\"a\": 2}\n    ]"), "{doc}");
+        let v = parse_json(&doc).unwrap();
+        match v.get("e").and_then(|e| e.get("rows")) {
+            Some(JsonValue::Arr(items)) => {
+                assert_eq!(items[1].get("a").and_then(JsonValue::as_u64), Some(2))
+            }
+            other => panic!("expected array, got {other:?}"),
+        }
+        assert_eq!(
+            v.get("e").and_then(|e| e.get("none")),
+            Some(&JsonValue::Arr(vec![]))
+        );
+        let mut w = JsonWriter::compact_object();
+        w.field_array("pair", &["1", "null"]);
+        assert_eq!(w.finish(), "{\"pair\": [1,null]}");
     }
 
     #[test]

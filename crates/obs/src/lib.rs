@@ -34,8 +34,9 @@
 //! [`Telemetry`] bundles one registry and one tracer; layers share it
 //! by cloning (`Engine::telemetry()`, `StreamHub::telemetry()`).
 //! [`Telemetry::disabled`] yields no-op handles whose record calls
-//! compile to a branch on a `None` — the `obs_overhead` bench holds
-//! the instrumented stack to < 3% against this baseline.
+//! compile to a branch on a `None` — the ignored release-mode test
+//! `tests/obs.rs::perf_smoke_telemetry_overhead` holds the instrumented
+//! stack to < 3% against this baseline.
 //!
 //! ```
 //! use amd_obs::Telemetry;
@@ -95,7 +96,8 @@ impl Telemetry {
     }
 
     /// A no-op bundle: every handle it yields skips recording. This is
-    /// the uninstrumented baseline of the `obs_overhead` bench.
+    /// the uninstrumented baseline of the telemetry-overhead gate
+    /// (`tests/obs.rs::perf_smoke_telemetry_overhead`).
     pub fn disabled() -> Self {
         Self {
             registry: Registry::disabled(),

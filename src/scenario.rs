@@ -55,7 +55,7 @@ pub enum Expectation {
     /// No faults: the adversarial workload itself must verify, with at
     /// least one refresh actually committed.
     FaultFree,
-    /// Bit-exact serving only — the criterion for replaying an
+    /// Bit-exact serving only — the rule for replaying an
     /// arbitrary recorded trace that may not refresh at all.
     Exact,
 }
@@ -79,7 +79,7 @@ pub struct Scenario {
     /// After the run, simulate a restart: reopen the catalog directory
     /// cold and assert the recovery invariants.
     pub crash_reopen: bool,
-    /// The scenario-specific pass criterion.
+    /// The scenario-specific pass rule.
     pub expect: Expectation,
 }
 
@@ -446,7 +446,7 @@ fn reopen_and_probe(dir: &Path, report: &mut ScenarioReport) -> SparseResult<()>
     Ok(())
 }
 
-/// Applies the scenario's pass criterion to the collected counters.
+/// Applies the scenario's pass rule to the collected counters.
 fn evaluate(scenario: &Scenario, report: &mut ScenarioReport) {
     if !report.detail.is_empty() {
         report.passed = false;

@@ -1,13 +1,17 @@
 //! Acceptance tests of the unified telemetry layer: every latency
 //! histogram's sample count equals its paired `*Stats` counter (one
 //! timing site feeds both), one background refresh leaves a complete
-//! span tree in the tracer ring, and a registry snapshot survives the
-//! JSON round trip through the hand-rolled writer/parser.
+//! span tree in the tracer ring, a registry snapshot survives the
+//! JSON round trip through the hand-rolled writer/parser, and live
+//! telemetry costs the serving path under 3 % (an ignored release-mode
+//! gate).
 
-use arrow_matrix::engine::EngineConfig;
-use arrow_matrix::obs::{parse_json, Telemetry};
+use arrow_matrix::engine::{Engine, EngineConfig, MatrixId, MultiplyQuery};
+use arrow_matrix::graph::generators::rmat;
+use arrow_matrix::obs::{parse_json, Stopwatch, Telemetry};
 use arrow_matrix::sparse::CsrMatrix;
 use arrow_matrix::stream::{HubConfig, StalenessBudget, StreamHub, TenantId, Update};
+use rand::SeedableRng;
 
 fn ring(n: u32) -> CsrMatrix<f64> {
     arrow_matrix::graph::generators::basic::cycle(n).to_adjacency()
@@ -175,4 +179,101 @@ fn snapshot_json_round_trips_through_the_parser() {
     let count = hist.get("count").and_then(|c| c.as_u64()).unwrap();
     assert_eq!(count, hub.stats().refreshes_completed);
     assert!(hist.get("p50").is_some() && hist.get("p99").is_some());
+}
+
+const QUERIES: usize = 48;
+const ITERS: u32 = 2;
+const BATCH: usize = 8;
+/// Instrumented-vs-uninstrumented regression bound.
+const MAX_OVERHEAD: f64 = 0.03;
+/// Paired measurement rounds (min-of-rounds on both sides): the
+/// per-pass wall time jitters by double-digit percent, so both minima
+/// need many rounds to reach their floors before the ratio means
+/// anything.
+const ROUNDS: usize = 60;
+
+fn engine_with(telemetry: Telemetry, a: &CsrMatrix<f64>) -> (Engine, MatrixId) {
+    let config = EngineConfig {
+        arrow_width: 64,
+        max_batch: BATCH,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::with_telemetry(config, telemetry).expect("engine stands up");
+    let id = engine.register(a).expect("register succeeds");
+    (engine, id)
+}
+
+/// One pass of the query stream through the batcher, in seconds.
+fn serve(engine: &mut Engine, id: MatrixId, stream: &[Vec<f64>]) -> f64 {
+    let t0 = Stopwatch::start();
+    for group in stream.chunks(BATCH) {
+        for x in group {
+            let query = MultiplyQuery {
+                matrix: id,
+                x: x.clone(),
+                iters: ITERS,
+                sigma: None,
+            };
+            engine.submit(query).expect("submit succeeds");
+        }
+        engine.flush().expect("flush succeeds");
+    }
+    t0.elapsed_seconds()
+}
+
+#[test]
+#[ignore = "timing-sensitive: run in release (`cargo test --release --test obs -- --ignored`)"]
+fn perf_smoke_telemetry_overhead() {
+    // The same query stream through an engine with live telemetry
+    // (counters, histograms, tracer) and one with every handle a no-op.
+    // The instrumentation budget is a relaxed atomic add per counter hit
+    // and a leading-zeros bucket index per histogram record, far off the
+    // multiply loop: a change that drags telemetry into the inner loop
+    // fails here.
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(amd_bench::BENCH_SEED);
+    let a: CsrMatrix<f64> =
+        rmat::rmat(10, 8, rmat::RmatParams::graph500(), &mut rng).to_adjacency();
+    let stream: Vec<Vec<f64>> = (0..QUERIES as u32)
+        .map(|q| {
+            (0..a.rows())
+                .map(|r| ((q + 3 * r) % 13) as f64 / 13.0 - 0.5)
+                .collect()
+        })
+        .collect();
+    let (mut instrumented, instr_id) = engine_with(Telemetry::new(), &a);
+    let (mut bare, bare_id) = engine_with(Telemetry::disabled(), &a);
+    // Warm both paths (planner bound, allocators hot).
+    serve(&mut instrumented, instr_id, &stream);
+    serve(&mut bare, bare_id, &stream);
+    // Paired interleaved rounds: min-of-rounds on both sides squeezes
+    // out scheduler noise before the ratio is taken.
+    let (mut instr_secs, mut bare_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROUNDS {
+        instr_secs = instr_secs.min(serve(&mut instrumented, instr_id, &stream));
+        bare_secs = bare_secs.min(serve(&mut bare, bare_id, &stream));
+    }
+    let overhead = instr_secs / bare_secs - 1.0;
+    println!(
+        "telemetry overhead {:.2}% (instrumented {:.3} ms, bare {:.3} ms, \
+         {QUERIES} queries × {ITERS} iters, batch {BATCH})",
+        overhead * 100.0,
+        instr_secs * 1e3,
+        bare_secs * 1e3
+    );
+
+    let snapshot = instrumented.telemetry().registry.snapshot();
+    let runs = snapshot.counter("engine.runs").unwrap_or(0);
+    let multiply = snapshot
+        .histogram("multiply.seconds")
+        .map_or(0, |h| h.count);
+    assert!(
+        multiply >= runs && runs > 0,
+        "instrumented engine must have recorded its runs (runs = {runs}, samples = {multiply})"
+    );
+    assert!(
+        overhead < MAX_OVERHEAD,
+        "telemetry overhead {:.2}% exceeds the {:.0}% budget",
+        overhead * 100.0,
+        MAX_OVERHEAD * 100.0
+    );
 }

@@ -57,7 +57,7 @@ fn one_tenant_sync_hub(a: CsrMatrix<f64>, cap: usize) -> (StreamHub, TenantId) {
 
 #[test]
 fn corrected_multiply_bit_matches_cold_decompose_and_multiply() {
-    // Acceptance criterion 1: a warm engine serving A₀ + ΔA through the
+    // Acceptance check 1: a warm engine serving A₀ + ΔA through the
     // corrected path must answer bit-identically to a *cold* engine that
     // decomposes and multiplies the merged matrix from scratch.
     let n = 700;
@@ -110,7 +110,7 @@ fn corrected_multiply_bit_matches_cold_decompose_and_multiply() {
 
 #[test]
 fn warm_engine_absorbs_stream_with_zero_cold_decomposes_until_budget_trips() {
-    // Acceptance criterion 2, asserted via cache/refresh counters: below
+    // Acceptance check 2, asserted via cache/refresh counters: below
     // the staleness budget every query is served warm (decompositions
     // stays at the single cold registration, refreshes at 0); the first
     // update that crosses the budget triggers exactly one compacting
@@ -408,7 +408,7 @@ fn apply_sym(
 
 #[test]
 fn four_tenant_hub_keeps_serving_during_background_refresh() {
-    // Acceptance criterion: a 4-tenant mutation stream keeps serving
+    // Acceptance check: a 4-tenant mutation stream keeps serving
     // queries while one tenant's refresh decomposes in the background
     // (injected slow-decompose hook), every answer bit-matches a cold
     // decompose-and-multiply reference, and the swap commits afterwards.
@@ -493,7 +493,7 @@ fn four_tenant_hub_keeps_serving_during_background_refresh() {
 
 #[test]
 fn mutations_during_rebuild_are_spliced_and_exact_after_swap() {
-    // Acceptance criterion for the async swap: updates applied *during*
+    // Acceptance check for the async swap: updates applied *during*
     // a background rebuild — including a second budget trip — are
     // answered exactly after the swap, and the re-trip is honoured at
     // commit instead of double-triggering mid-flight.
@@ -832,7 +832,7 @@ fn hub_refresh_is_incremental_and_exact_including_mid_rebuild_mutations() {
 
 #[test]
 fn oversized_region_falls_back_cold_counted_and_exact() {
-    // Acceptance criterion: affected region above the policy threshold →
+    // Acceptance check: affected region above the policy threshold →
     // automatic cold fallback, `fallback_refreshes` increments, results
     // stay exact.
     let n = 200;
@@ -891,7 +891,7 @@ fn catalog_payloads(dir: &std::path::Path) -> usize {
 
 #[test]
 fn warm_restart_from_catalog_bit_matches_cold_with_zero_decomposes() {
-    // Acceptance criterion: a hub restarted over a populated catalog
+    // Acceptance check: a hub restarted over a populated catalog
     // serves identical answers on identical traffic with
     // `decompositions == 0`.
     let dir = std::env::temp_dir().join(format!("amd-warm-restart-{}", std::process::id()));
@@ -945,7 +945,7 @@ fn warm_restart_from_catalog_bit_matches_cold_with_zero_decomposes() {
 
 #[test]
 fn evict_leaves_zero_orphaned_spill_files() {
-    // Acceptance criterion: `StreamHub::evict` leaves zero orphaned
+    // Acceptance check: `StreamHub::evict` leaves zero orphaned
     // spill files — every payload in the catalog dir belongs to a
     // surviving tenant's chain, and evicting everyone empties it.
     let dir = std::env::temp_dir().join(format!("amd-evict-orphans-{}", std::process::id()));
@@ -1001,7 +1001,7 @@ fn evict_leaves_zero_orphaned_spill_files() {
 
 #[test]
 fn evict_then_readmit_is_exact() {
-    // Acceptance criterion: evicting a tenant and re-admitting the same
+    // Acceptance check: evicting a tenant and re-admitting the same
     // content serves bit-identical answers to an untouched tenant.
     let n = 400;
     let a = dataset(n);
