@@ -26,6 +26,7 @@ use amd_graph::mst::random_spanning_forest;
 use amd_linarr::tree_layout::{root_tree, smallest_first_order};
 use amd_obs::{JsonWriter, Stopwatch};
 use amd_sparse::{ops, spmm, CsrMatrix, DeltaBuilder, DenseMatrix, Dtype};
+use amd_spmm::reference::unfused_multiply;
 use arrow_core::incremental::{decompose_snapshot_incremental, IncrementalPolicy};
 use arrow_core::{
     decompose_snapshot, la_decompose, la_decompose_timed, ArrowDecomposition, DecomposeConfig,
@@ -296,7 +297,7 @@ fn fused_vs_naive() -> Section {
         let d = splice_rounds(&base, &cold, &cfg, rounds);
         for k in [8u32, 64] {
             let x = DenseMatrix::from_fn(n, k, |r, c| (((r + c) % 9) as f64) - 4.0);
-            let naive = best_ms(|| d.multiply_unfused(&x).expect("shapes agree"));
+            let naive = best_ms(|| unfused_multiply(&d, &x).expect("shapes agree"));
             let fused = best_ms(|| d.multiply(&x).expect("shapes agree"));
             rows.push(
                 Row::new()

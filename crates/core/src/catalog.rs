@@ -47,7 +47,7 @@ use crate::decomposition::ArrowDecomposition;
 use crate::la_decompose::DecomposeConfig;
 use crate::persist::{self, io_err, put_u64, CatalogMeta};
 use amd_chaos::failpoint;
-use amd_obs::{Counter, Histogram, Registry, Stopwatch};
+use amd_obs::{Registry, Stopwatch};
 use amd_sparse::{SparseError, SparseResult};
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
@@ -146,67 +146,36 @@ pub struct GcReport {
     pub kept: usize,
 }
 
-/// A point-in-time view of the catalog's registry counters (see
-/// [`Catalog::stats`]). Monotonic over the backing registry's
-/// lifetime: a catalog opened with [`Catalog::open_with_registry`]
-/// folds into the caller's `catalog.*` namespace.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CatalogStats {
-    /// Versions written ([`Catalog::put`] that landed a payload).
-    pub puts: u64,
-    /// Payloads loaded successfully ([`Catalog::get`] /
-    /// [`Catalog::restore_at`] hits).
-    pub loads: u64,
-    /// Payloads that failed to load (corrupt/truncated/mismatched); the
-    /// offending record is dropped so the caller's re-put heals it.
-    pub load_failures: u64,
-    /// Versions removed by [`Catalog::gc`] or [`Catalog::remove_chain`].
-    pub removed: u64,
-    /// Manifest records recovered by scanning payload headers (orphans
-    /// from a crash window, or a full rebuild after manifest loss).
-    pub recovered_records: u64,
-    /// Stale `*.tmp` files swept by [`Catalog::open`] — the un-renamed
-    /// half of an `atomic_write` interrupted by a crash. Never live
-    /// data, so sweeping is always safe; before the sweep existed they
-    /// leaked forever.
-    pub stale_tmp_swept: u64,
-}
-
-/// The catalog's registry handles — one `catalog.*` namespace of
-/// counters plus the I/O histograms. Every mutation path records here;
-/// [`Catalog::stats`] is a fold over these cells.
-struct CatalogMetrics {
-    puts: Counter,
-    loads: Counter,
-    load_failures: Counter,
-    removed: Counter,
-    recovered_records: Counter,
-    /// Payload bytes written by [`Catalog::put`].
-    put_bytes: Counter,
-    /// Payload bytes read back by loads (hits only).
-    get_bytes: Counter,
-    /// Payload bytes reclaimed by GC / chain removal.
-    gc_bytes: Counter,
-    /// Stale tmp files swept on open.
-    stale_tmp_swept: Counter,
-    /// Latency of each durable write's `fsync` (nanoseconds).
-    fsync_seconds: Histogram,
-}
-
-impl CatalogMetrics {
-    fn new(registry: &Registry) -> Self {
-        Self {
-            puts: registry.counter("catalog.puts"),
-            loads: registry.counter("catalog.loads"),
-            load_failures: registry.counter("catalog.load_failures"),
-            removed: registry.counter("catalog.removed"),
-            recovered_records: registry.counter("catalog.recovered_records"),
-            put_bytes: registry.counter("catalog.put.bytes"),
-            get_bytes: registry.counter("catalog.get.bytes"),
-            gc_bytes: registry.counter("catalog.gc.bytes"),
-            stale_tmp_swept: registry.counter("catalog.stale_tmp_swept"),
-            fsync_seconds: registry.histogram("catalog.fsync.seconds"),
-        }
+amd_obs::stats_view! {
+    /// A point-in-time view of the catalog's registry counters (see
+    /// [`Catalog::stats`]). Monotonic over the backing registry's
+    /// lifetime: a catalog opened with [`Catalog::open_with_registry`]
+    /// folds into the caller's `catalog.*` namespace.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct CatalogStats {
+        /// Versions written ([`Catalog::put`] that landed a payload).
+        puts: Counter,
+        /// Payloads loaded successfully ([`Catalog::get`] /
+        /// [`Catalog::restore_at`] hits).
+        loads: Counter,
+        /// Payloads that failed to load (corrupt/truncated/mismatched); the
+        /// offending record is dropped so the caller's re-put heals it.
+        load_failures: Counter,
+        /// Versions removed by [`Catalog::gc`] or [`Catalog::remove_chain`].
+        removed: Counter,
+        /// Manifest records recovered by scanning payload headers (orphans
+        /// from a crash window, or a full rebuild after manifest loss).
+        recovered_records: Counter,
+        /// Stale `*.tmp` files swept by [`Catalog::open`] — the un-renamed
+        /// half of an `atomic_write` interrupted by a crash. Never live
+        /// data, so sweeping is always safe; before the sweep existed they
+        /// leaked forever.
+        stale_tmp_swept: Counter,
+    }
+    /// The catalog's registry handles: every mutation path records here.
+    struct CatalogCells {
+        /// Latency of each durable write's `fsync` (nanoseconds).
+        fsync_seconds: Histogram = "catalog.fsync.seconds",
     }
 }
 
@@ -217,7 +186,7 @@ pub struct Catalog {
     /// Manifest rows, ordered by `created_at` (ascending).
     records: Vec<VersionRecord>,
     next_created: u64,
-    metrics: CatalogMetrics,
+    metrics: CatalogCells,
 }
 
 impl Catalog {
@@ -246,7 +215,7 @@ impl Catalog {
             root,
             records: Vec::new(),
             next_created: 1,
-            metrics: CatalogMetrics::new(registry),
+            metrics: CatalogCells::new(registry, "catalog."),
         };
         catalog.sweep_stale_tmp();
         let manifest_records = catalog.read_manifest().unwrap_or_default();
@@ -291,14 +260,7 @@ impl Catalog {
 
     /// A point-in-time fold of the catalog's registry counters.
     pub fn stats(&self) -> CatalogStats {
-        CatalogStats {
-            puts: self.metrics.puts.get(),
-            loads: self.metrics.loads.get(),
-            load_failures: self.metrics.load_failures.get(),
-            removed: self.metrics.removed.get(),
-            recovered_records: self.metrics.recovered_records.get(),
-            stale_tmp_swept: self.metrics.stale_tmp_swept.get(),
-        }
+        self.metrics.view()
     }
 
     /// Total on-disk payload bytes of the versions currently
@@ -389,9 +351,6 @@ impl Catalog {
         // the manifest rewrite — the payload is durable but unreferenced
         // (the orphan-adoption window the next open must heal).
         failpoint::check(failpoint::CATALOG_PAYLOAD_AFTER_RENAME)?;
-        if let Ok(m) = fs::metadata(&path) {
-            self.metrics.put_bytes.add(m.len());
-        }
         self.next_created = self.next_created.saturating_add(1);
         let record = VersionRecord::from_meta(&meta, payload);
         self.records.push(record.clone());
@@ -635,13 +594,12 @@ impl Catalog {
     ) -> SparseResult<Option<(ArrowDecomposition, VersionRecord)>> {
         let loaded = fs::read(self.root.join(&record.payload))
             .ok()
-            .and_then(|bytes| Some((persist::load_catalog(&bytes).ok()?, bytes.len())));
+            .and_then(|bytes| persist::load_catalog(&bytes).ok());
         match loaded {
             // Header/record mismatch means the file was tampered with or
             // mis-adopted; treat it as corrupt.
-            Some(((d, meta), len)) if meta.fingerprint == record.fingerprint => {
+            Some((d, meta)) if meta.fingerprint == record.fingerprint => {
                 self.metrics.loads.inc();
-                self.metrics.get_bytes.add(len as u64);
                 Ok(Some((d, record)))
             }
             _ => {
@@ -669,11 +627,7 @@ impl Catalog {
             return Ok(());
         }
         for payload in &dropped {
-            let path = self.root.join(payload);
-            if let Ok(m) = fs::metadata(&path) {
-                self.metrics.gc_bytes.add(m.len());
-            }
-            let _ = fs::remove_file(path);
+            let _ = fs::remove_file(self.root.join(payload));
         }
         self.metrics.removed.add(dropped.len() as u64);
         self.write_manifest()

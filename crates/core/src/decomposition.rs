@@ -1,7 +1,7 @@
 //! The arrow matrix decomposition `A = Σᵢ P_πᵢ Bᵢ Pᵀ_πᵢ` (§4).
 
 use crate::arrow_matrix::ArrowMatrix;
-use amd_sparse::{kernel, ops, spmm, CsrMatrix, DenseMatrix, Permutation, SparseResult};
+use amd_sparse::{kernel, ops, CsrMatrix, DenseMatrix, Permutation, SparseResult};
 
 /// One level of the decomposition: a permutation `πᵢ` and the arrow matrix
 /// `Bᵢ` expressed in permuted coordinates (positions).
@@ -110,27 +110,13 @@ impl ArrowDecomposition {
     /// ([`kernel::fused_level_acc`]): one register-blocked pass that gathers
     /// `x` through the arrangement, multiplies the banded level matrix and
     /// accumulates straight into `y`, touching only the level's active
-    /// prefix. Bit-identical to [`multiply_unfused`](Self::multiply_unfused)
-    /// for all non-NaN inputs (see the kernel module docs for why).
+    /// prefix. Bit-identical to the three-pass level multiply
+    /// (`amd_spmm::reference::unfused_multiply`) for all non-NaN inputs
+    /// (see the kernel module docs for why).
     pub fn multiply(&self, x: &DenseMatrix<f64>) -> SparseResult<DenseMatrix<f64>> {
         let mut y = DenseMatrix::zeros(self.n, x.cols());
         for level in &self.levels {
             kernel::fused_level_acc(&level.matrix, level.perm.order(), level.active_n, x, &mut y)?;
-        }
-        Ok(y)
-    }
-
-    /// The historical three-pass multiply: materialise `Pᵀ_πᵢ X`, run the
-    /// level SpMM over all `n` rows, permute back, add. Kept as the naive
-    /// comparator for the fused kernel's exactness tests and the
-    /// `kernels` benchmark — not a serving path.
-    pub fn multiply_unfused(&self, x: &DenseMatrix<f64>) -> SparseResult<DenseMatrix<f64>> {
-        let mut y = DenseMatrix::zeros(self.n, x.cols());
-        for level in &self.levels {
-            let px = level.perm.apply_rows(x)?;
-            let yi = spmm::spmm(&level.matrix, &px)?;
-            let back = level.perm.unapply_rows(&yi)?;
-            y.add_assign(&back)?;
         }
         Ok(y)
     }
@@ -204,13 +190,6 @@ mod tests {
             direct = y;
         }
         assert!(it.max_abs_diff(&direct).unwrap() < 1e-9);
-    }
-
-    #[test]
-    fn fused_multiply_bit_matches_unfused() {
-        let (_, d) = decompose_star(60, 4);
-        let x = DenseMatrix::from_fn(60, 7, |r, c| ((r * 7 + c) % 23) as f64 / 4.0 - 2.5);
-        assert_eq!(d.multiply(&x).unwrap(), d.multiply_unfused(&x).unwrap());
     }
 
     #[test]

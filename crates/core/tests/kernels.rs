@@ -5,6 +5,7 @@
 //! An ignored release-mode perf gate asserts the fusion actually pays.
 
 use amd_sparse::{ops, spmm, CooMatrix, CsrMatrix, DeltaBuilder, DenseMatrix};
+use amd_spmm::reference::unfused_multiply;
 use arrow_core::incremental::{decompose_snapshot_incremental, IncrementalPolicy};
 use arrow_core::{
     decompose_snapshot, f32_multiply_error_bound, ArrowDecomposition, DecomposeConfig,
@@ -35,7 +36,7 @@ fn base_graph(n: u32, seed: u64) -> CsrMatrix<f64> {
 /// a plain CSR multiply of the reconstructed operator).
 fn assert_fused_agrees(d: &ArrowDecomposition, a: &CsrMatrix<f64>, k: u32) {
     let x = probe(a.rows(), k, 1);
-    let naive = d.multiply_unfused(&x).unwrap();
+    let naive = unfused_multiply(d, &x).unwrap();
     assert_eq!(d.multiply(&x).unwrap(), naive, "fused == naive");
     assert_eq!(
         d.compile::<f64>().multiply(&x).unwrap(),
@@ -163,7 +164,7 @@ fn perf_smoke_fused_beats_naive() {
     let mut naive_y = None;
     for _ in 0..5 {
         let t = amd_obs::Stopwatch::start();
-        naive_y = Some(d.multiply_unfused(&x).unwrap());
+        naive_y = Some(unfused_multiply(&d, &x).unwrap());
         naive_secs = naive_secs.min(t.elapsed_seconds());
         let t = amd_obs::Stopwatch::start();
         fused_y = Some(d.multiply(&x).unwrap());

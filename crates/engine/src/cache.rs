@@ -23,7 +23,7 @@
 //! [`CacheStats::decompositions`] is the probe tests use to assert the
 //! warm path performs zero LA-Decompose calls.
 
-use amd_obs::{Counter, Histogram, Registry, Stopwatch};
+use amd_obs::{Registry, Stopwatch};
 use amd_sparse::{CsrMatrix, SparseResult};
 use arrow_core::catalog::Catalog;
 use arrow_core::{la_decompose, ArrowDecomposition, DecomposeConfig, RandomForestLa};
@@ -31,72 +31,45 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Counters exposed by the cache (monotonic over its lifetime).
-///
-/// This is a point-in-time view folded from the cache's registry
-/// counters (`cache.*` in a metrics snapshot) — see
-/// [`DecompositionCache::stats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Requests answered from memory.
-    pub hits: u64,
-    /// Requests not answered from memory (catalog loads included).
-    pub misses: u64,
-    /// Requests answered by reloading a catalogued decomposition.
-    pub disk_loads: u64,
-    /// Catalog payloads that failed to load (corrupt/truncated); each
-    /// falls back to a fresh decomposition that re-puts the version.
-    pub load_failures: u64,
-    /// LA-Decompose invocations (the expensive path).
-    pub decompositions: u64,
-    /// Decompositions computed elsewhere (e.g. on a background refresh
-    /// worker) and handed to the cache via
-    /// [`DecompositionCache::admit`].
-    pub admitted: u64,
-    /// Decompositions written through to the catalog.
-    pub spills: u64,
-    /// Write-through attempts that failed (disk full, directory gone);
-    /// the decomposition stays usable in memory.
-    pub spill_failures: u64,
-    /// Entries dropped from memory by the LRU policy.
-    pub evictions: u64,
-    /// Entries dropped from memory by [`DecompositionCache::release`]
-    /// (a binding was deregistered; the catalog copy, if any, remains
-    /// until garbage-collected).
-    pub released: u64,
-}
-
-/// Registry handles behind [`CacheStats`] — the counters are the
-/// single source of truth; the stats struct is a fold over them.
-struct CacheMetrics {
-    hits: Counter,
-    misses: Counter,
-    disk_loads: Counter,
-    load_failures: Counter,
-    decompositions: Counter,
-    admitted: Counter,
-    spills: Counter,
-    spill_failures: Counter,
-    evictions: Counter,
-    released: Counter,
-    decompose_seconds: Histogram,
-}
-
-impl CacheMetrics {
-    fn new(registry: &Registry) -> Self {
-        Self {
-            hits: registry.counter("cache.hits"),
-            misses: registry.counter("cache.misses"),
-            disk_loads: registry.counter("cache.disk_loads"),
-            load_failures: registry.counter("cache.load_failures"),
-            decompositions: registry.counter("cache.decompositions"),
-            admitted: registry.counter("cache.admitted"),
-            spills: registry.counter("cache.spills"),
-            spill_failures: registry.counter("cache.spill_failures"),
-            evictions: registry.counter("cache.evictions"),
-            released: registry.counter("cache.released"),
-            decompose_seconds: registry.histogram("decompose.seconds"),
-        }
+amd_obs::stats_view! {
+    /// Counters exposed by the cache (monotonic over its lifetime): a
+    /// point-in-time view of its registry metrics (`cache.*` in a
+    /// metrics snapshot) — see [`DecompositionCache::stats`].
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Requests answered from memory.
+        hits: Counter,
+        /// Requests not answered from memory (catalog loads included).
+        misses: Counter,
+        /// Requests answered by reloading a catalogued decomposition.
+        disk_loads: Counter,
+        /// Catalog payloads that failed to load (corrupt/truncated); each
+        /// falls back to a fresh decomposition that re-puts the version.
+        load_failures: Counter,
+        /// LA-Decompose invocations (the expensive path), failed ones
+        /// included: the count of `decompose.seconds`.
+        decompositions: u64 = m.decompose_seconds.count(),
+        /// Decompositions computed elsewhere (e.g. on a background refresh
+        /// worker) and handed to the cache via
+        /// [`DecompositionCache::admit`].
+        admitted: Counter,
+        /// Decompositions written through to the catalog.
+        spills: Counter,
+        /// Write-through attempts that failed (disk full, directory gone);
+        /// the decomposition stays usable in memory.
+        spill_failures: Counter,
+        /// Entries dropped from memory by the LRU policy.
+        evictions: Counter,
+        /// Entries dropped from memory by [`DecompositionCache::release`]
+        /// (a binding was deregistered; the catalog copy, if any, remains
+        /// until garbage-collected).
+        released: Counter,
+    }
+    /// The cache's registry handles.
+    struct CacheCells |m| {
+        /// Wall time of every LA-Decompose the cache runs, one sample per
+        /// invocation whether or not it succeeds.
+        decompose_seconds: Histogram = "decompose.seconds",
     }
 }
 
@@ -114,7 +87,7 @@ pub struct DecompositionCache {
     catalog: Option<Catalog>,
     entries: HashMap<u128, Entry>,
     clock: u64,
-    metrics: CacheMetrics,
+    metrics: CacheCells,
 }
 
 impl DecompositionCache {
@@ -147,24 +120,13 @@ impl DecompositionCache {
             catalog,
             entries: HashMap::new(),
             clock: 0,
-            metrics: CacheMetrics::new(registry),
+            metrics: CacheCells::new(registry, "cache."),
         })
     }
 
-    /// Counter snapshot, folded from the registry counters.
+    /// Counter snapshot, folded from the registry.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.metrics.hits.get(),
-            misses: self.metrics.misses.get(),
-            disk_loads: self.metrics.disk_loads.get(),
-            load_failures: self.metrics.load_failures.get(),
-            decompositions: self.metrics.decompositions.get(),
-            admitted: self.metrics.admitted.get(),
-            spills: self.metrics.spills.get(),
-            spill_failures: self.metrics.spill_failures.get(),
-            evictions: self.metrics.evictions.get(),
-            released: self.metrics.released.get(),
-        }
+        self.metrics.view()
     }
 
     /// The write-through catalog, when one is configured.
@@ -291,13 +253,14 @@ impl DecompositionCache {
         // through so restarts stay warm. Persistence is best-effort: a
         // full disk or vanished directory must not discard the freshly
         // computed decomposition — the cache degrades to memory-only and
-        // counts the failure.
-        self.metrics.decompositions.inc();
+        // counts the failure. A decompose that fails is timed (and so
+        // counted) too.
         let sw = Stopwatch::start();
-        let d = Arc::new(la_decompose(a, config, &mut RandomForestLa::new(seed))?);
+        let d = la_decompose(a, config, &mut RandomForestLa::new(seed));
         self.metrics
             .decompose_seconds
             .record_seconds(sw.elapsed_seconds());
+        let d = Arc::new(d?);
         self.write_through(&d, fingerprint, config, seed, version, parent);
         self.insert(key, d.clone());
         Ok(d)
@@ -433,6 +396,23 @@ mod tests {
         assert!(Arc::ptr_eq(&d1, &d2));
         assert_eq!(cache.stats().decompositions, 1);
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn failed_decompose_is_counted_and_timed() {
+        // K₃₂ at width 4 needs many levels; a cap of one fails it. The
+        // invocation still counts, through the histogram that times it.
+        let registry = Registry::new();
+        let mut cache = DecompositionCache::with_registry(2, None, &registry).unwrap();
+        let a: CsrMatrix<f64> = basic::complete(32).to_adjacency();
+        let capped = DecomposeConfig {
+            max_levels: 1,
+            ..DecomposeConfig::with_width(4)
+        };
+        assert!(cache.get_or_decompose(&a, &capped, 1).is_err());
+        assert_eq!(cache.stats().decompositions, 1);
+        let timed = registry.snapshot().histogram("decompose.seconds").unwrap();
+        assert_eq!(timed.count, 1);
     }
 
     #[test]

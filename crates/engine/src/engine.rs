@@ -24,7 +24,7 @@ use crate::cache::{CacheStats, DecompositionCache};
 use crate::planner::{plan, plan_local, Plan, PlannerConfig, Prediction};
 use amd_chaos::failpoint;
 use amd_comm::CostModel;
-use amd_obs::{Counter, Gauge, Histogram, SpanId, Stopwatch, Telemetry};
+use amd_obs::{SpanId, Stopwatch, Telemetry};
 use amd_sparse::{ops, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use amd_spmm::traits::Sigma;
 use amd_spmm::{DeltaSpmm, DistSpmm};
@@ -148,35 +148,47 @@ pub struct QueryResponse {
     pub batch_size: usize,
 }
 
-/// Serving counters.
-///
-/// A point-in-time view folded from the engine's registry counters
-/// (`engine.*` in a metrics snapshot) — see [`Engine::stats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Queries answered.
-    pub queries: u64,
-    /// Distributed runs launched.
-    pub runs: u64,
-    /// Largest batch coalesced so far.
-    pub largest_batch: usize,
-    /// Runs answered through the delta-corrected path (a non-empty
-    /// overlay was pending on the queried matrix).
-    pub corrected_runs: u64,
-    /// Streaming refreshes absorbed: an updated matrix replaced its
-    /// predecessor via [`Engine::refresh`].
-    pub refreshes: u64,
-    /// Bindings dropped via [`Engine::deregister`] (overlay and cache
-    /// reference released with them).
-    pub deregistered: u64,
-    /// Retired: always 0. Runs are no longer re-checked against the
-    /// planner's prediction, which is exact (`amd-spmm`'s
-    /// `tests/predict.rs`); the field stays for readers of its name.
-    pub mispredictions: u64,
-    /// Transient multiply errors absorbed by the in-place retry loop
-    /// (injected by the `engine.multiply.transient` failpoint; a real
-    /// serving run never errors transiently).
-    pub multiply_retries: u64,
+amd_obs::stats_view! {
+    /// Serving counters: a point-in-time view of the engine's registry
+    /// metrics (`engine.*` in a metrics snapshot) — see [`Engine::stats`].
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct EngineStats {
+        /// Queries answered: the sum of `engine.batch_size`.
+        queries: u64 = m.batch_size.sum(),
+        /// Distributed runs launched: the count of `engine.batch_size`.
+        runs: u64 = m.batch_size.count(),
+        /// Largest batch coalesced so far: the max of `engine.batch_size`.
+        largest_batch: usize = m.batch_size.max() as usize,
+        /// Runs answered through the delta-corrected path (a non-empty
+        /// overlay was pending on the queried matrix).
+        corrected_runs: Counter,
+        /// Streaming refreshes absorbed: an updated matrix replaced its
+        /// predecessor via [`Engine::refresh`]. The count of
+        /// `refresh.seconds`.
+        refreshes: u64 = m.refresh_seconds.count(),
+        /// Bindings dropped via [`Engine::deregister`] (overlay and cache
+        /// reference released with them).
+        deregistered: Counter,
+        /// Retired: always 0. Runs are no longer re-checked against the
+        /// planner's prediction, which is exact (`amd-spmm`'s
+        /// `tests/predict.rs`); the field stays for readers of its name.
+        mispredictions: u64 = 0,
+        /// Transient multiply errors absorbed by the in-place retry loop
+        /// (injected by the `engine.multiply.transient` failpoint; a real
+        /// serving run never errors transiently).
+        multiply_retries: Counter,
+    }
+    /// The engine's registry handles: the counters above plus its
+    /// histograms and its serving-precision gauge.
+    struct EngineCells |m| {
+        /// Queries per run, one sample per run.
+        batch_size: Histogram = "engine.batch_size",
+        multiply_seconds: Histogram = "multiply.seconds",
+        refresh_seconds: Histogram = "refresh.seconds",
+        /// Serving precision in bytes per value (4 = f32, 8 = f64) — a
+        /// config echo so a metrics snapshot identifies the serving mode.
+        dtype_bytes: Gauge = "engine.dtype_bytes",
+    }
 }
 
 struct BoundMatrix {
@@ -327,44 +339,6 @@ impl RefreshTicket {
     }
 }
 
-/// Registry handles behind [`EngineStats`] plus the engine's latency
-/// histograms — the counters are the single source of truth; the stats
-/// struct is a fold over them.
-struct EngineMetrics {
-    queries: Counter,
-    runs: Counter,
-    corrected_runs: Counter,
-    refreshes: Counter,
-    deregistered: Counter,
-    multiply_retries: Counter,
-    largest_batch: Gauge,
-    batch_size: Histogram,
-    multiply_seconds: Histogram,
-    refresh_seconds: Histogram,
-    /// Serving precision in bytes per value (4 = f32, 8 = f64) — a
-    /// config echo so a metrics snapshot identifies the serving mode.
-    dtype_bytes: Gauge,
-}
-
-impl EngineMetrics {
-    fn new(telemetry: &Telemetry) -> Self {
-        let registry = &telemetry.registry;
-        Self {
-            queries: registry.counter("engine.queries"),
-            runs: registry.counter("engine.runs"),
-            corrected_runs: registry.counter("engine.corrected_runs"),
-            refreshes: registry.counter("engine.refreshes"),
-            deregistered: registry.counter("engine.deregistered"),
-            multiply_retries: registry.counter("engine.multiply_retries"),
-            largest_batch: registry.gauge("engine.largest_batch"),
-            batch_size: registry.histogram("engine.batch_size"),
-            multiply_seconds: registry.histogram("multiply.seconds"),
-            refresh_seconds: registry.histogram("refresh.seconds"),
-            dtype_bytes: registry.gauge("engine.dtype_bytes"),
-        }
-    }
-}
-
 struct Pending {
     id: QueryId,
     query: MultiplyQuery,
@@ -381,7 +355,7 @@ pub struct Engine {
     operand: Vec<f64>,
     next_query: u64,
     telemetry: Telemetry,
-    metrics: EngineMetrics,
+    metrics: EngineCells,
 }
 
 impl Engine {
@@ -405,7 +379,7 @@ impl Engine {
             config.spill_dir.clone(),
             &telemetry.registry,
         )?;
-        let metrics = EngineMetrics::new(&telemetry);
+        let metrics = EngineCells::new(&telemetry.registry, "engine.");
         Ok(Self {
             config,
             cache,
@@ -722,7 +696,6 @@ impl Engine {
                 }
             }
         }
-        self.metrics.refreshes.inc();
         self.metrics
             .refresh_seconds
             .record_seconds(sw.elapsed_seconds());
@@ -855,16 +828,7 @@ impl Engine {
 
     /// Serving counters, folded from the registry.
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            queries: self.metrics.queries.get(),
-            runs: self.metrics.runs.get(),
-            largest_batch: self.metrics.largest_batch.get() as usize,
-            corrected_runs: self.metrics.corrected_runs.get(),
-            refreshes: self.metrics.refreshes.get(),
-            deregistered: self.metrics.deregistered.get(),
-            mispredictions: 0,
-            multiply_retries: self.metrics.multiply_retries.get(),
-        }
+        self.metrics.view()
     }
 
     /// Queries waiting for the next [`flush`](Engine::flush).
@@ -993,10 +957,7 @@ impl Engine {
         self.metrics
             .multiply_seconds
             .record_seconds(multiply_seconds);
-        self.metrics.runs.inc();
-        self.metrics.queries.add(chunk.len() as u64);
         self.metrics.batch_size.record(chunk.len() as u64);
-        self.metrics.largest_batch.record_max(chunk.len() as u64);
         if self.telemetry.tracer.is_enabled() {
             // Predicted cost is per iteration per the planner contract.
             let predicted = bound

@@ -23,7 +23,6 @@
 use crate::json::JsonWriter;
 use crate::trace::TraceEvent;
 use std::collections::HashSet;
-use std::fmt::Write as _;
 
 /// Lane (Chrome `tid`) of an event: tenants get their own lanes above
 /// the shared engine/hub lane 0.
@@ -109,32 +108,6 @@ fn meta_event(kind: &str, tid: u64, name: &str) -> String {
     w.field_str("name", name);
     w.end_object();
     w.finish()
-}
-
-/// Debug-formats the span forest of a snapshot (indented, parents
-/// before children) — a cheap textual check that the export preserved
-/// the tree. Orphaned children appear at the top level, mirroring
-/// [`chrome_trace_json`].
-pub fn format_span_tree(events: &[TraceEvent]) -> String {
-    let present: HashSet<u64> = events.iter().map(|e| e.id).collect();
-    let mut out = String::new();
-    fn visit(events: &[TraceEvent], parent: u64, depth: usize, out: &mut String) {
-        for e in events.iter().filter(|e| e.parent == parent) {
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
-            let _ = writeln!(out, "{} ({} ns)", e.name, e.duration_nanos);
-            visit(events, e.id, depth + 1, out);
-        }
-    }
-    // Roots: parent 0, or parent evicted from the ring.
-    for e in events {
-        if e.parent == 0 || !present.contains(&e.parent) {
-            let _ = writeln!(out, "{} ({} ns)", e.name, e.duration_nanos);
-            visit(events, e.id, 1, &mut out);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -264,12 +237,6 @@ mod tests {
                 "dangling parent {parent} in export"
             );
         }
-        // The orphan is top-level in the formatted forest too.
-        let forest = format_span_tree(&snapshot);
-        assert!(
-            forest.lines().any(|l| l.starts_with("splice-late")),
-            "orphan not re-rooted:\n{forest}"
-        );
     }
 
     #[test]

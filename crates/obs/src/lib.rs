@@ -20,6 +20,9 @@
 //!   refresh produces a retrievable tree: `refresh` → `queued` →
 //!   `decompose` → `commit`, with instantaneous events (`trip`,
 //!   `grant`, `splice`, …) hanging off the same root.
+//! * [`stats_view!`] — the one declaration of a `*Stats` view: its
+//!   fields, the registry handles they are read from, their names and
+//!   the fold, each written once.
 //! * [`Stopwatch`] — the single wall-clock measurement type. Every
 //!   timing site in the workspace reads one stopwatch and feeds the
 //!   result to *both* its consumer (refresh spans, bench reports)
@@ -42,9 +45,9 @@
 //! use amd_obs::Telemetry;
 //!
 //! let t = Telemetry::new();
-//! let queries = t.registry.counter("engine.queries");
+//! let batch = t.registry.histogram("engine.batch_size");
 //! let lat = t.registry.histogram("multiply.seconds");
-//! queries.inc();
+//! batch.record(8);
 //! lat.record_seconds(0.002);
 //!
 //! let root = t.tracer.start("refresh", amd_obs::SpanId::NONE, Some(7));
@@ -53,7 +56,8 @@
 //! t.tracer.end(root);
 //!
 //! let snap = t.registry.snapshot();
-//! assert_eq!(snap.counter("engine.queries"), Some(1));
+//! let batch = snap.histogram("engine.batch_size").unwrap();
+//! assert_eq!((batch.count, batch.sum), (1, 8)); // one run, eight queries
 //! assert!(snap.to_json().contains("\"multiply.seconds\""));
 //! assert_eq!(t.tracer.snapshot().len(), 2);
 //! ```
@@ -61,10 +65,11 @@
 pub mod chrome;
 mod json;
 mod registry;
+mod stats;
 pub mod timeseries;
 mod trace;
 
-pub use chrome::{chrome_trace_json, format_span_tree};
+pub use chrome::chrome_trace_json;
 pub use json::{parse_json, JsonValue, JsonWriter};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry, Snapshot};
 pub use timeseries::{parse_ts_line, TimeSeriesRecorder, TsPoint, TS_SCHEMA};

@@ -4,8 +4,8 @@
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are clonable
 //! `Arc`ed atomics — recording is lock-free; the registry lock is
 //! taken only on get-or-create and snapshot. A disabled registry
-//! ([`Registry::disabled`]) hands out no-op handles whose record calls
-//! branch on an empty `Option` and return.
+//! ([`Registry::disabled`]) hands out no-op handles (each kind's
+//! `Default`) whose record calls branch on an empty `Option` and return.
 
 use crate::json::JsonWriter;
 use std::collections::BTreeMap;
@@ -23,12 +23,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A no-op counter (what a disabled registry hands out; also the
-    /// `Default`, so structs of handles can derive `Default`).
-    pub fn noop() -> Self {
-        Self { cell: None }
-    }
-
     fn live() -> Self {
         Self {
             cell: Some(Arc::new(AtomicU64::new(0))),
@@ -55,19 +49,13 @@ impl Counter {
     }
 }
 
-/// A `u64` metric that can move both ways (plus a max-tracking update
-/// for high-water marks like the largest batch).
+/// A `u64` metric that can move both ways.
 #[derive(Clone, Default)]
 pub struct Gauge {
     cell: Option<Arc<AtomicU64>>,
 }
 
 impl Gauge {
-    /// A no-op gauge.
-    pub fn noop() -> Self {
-        Self { cell: None }
-    }
-
     fn live() -> Self {
         Self {
             cell: Some(Arc::new(AtomicU64::new(0))),
@@ -79,14 +67,6 @@ impl Gauge {
     pub fn set(&self, v: u64) {
         if let Some(c) = &self.cell {
             c.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Raises the value to `v` if `v` is larger (high-water mark).
-    #[inline]
-    pub fn record_max(&self, v: u64) {
-        if let Some(c) = &self.cell {
-            c.fetch_max(v, Ordering::Relaxed);
         }
     }
 
@@ -144,11 +124,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A no-op histogram.
-    pub fn noop() -> Self {
-        Self { cell: None }
-    }
-
     fn live() -> Self {
         Self {
             cell: Some(Arc::new(HistogramCell::new())),
@@ -481,7 +456,7 @@ impl Registry {
     /// condition).
     pub fn counter(&self, name: &str) -> Counter {
         let Some(mut m) = self.lock() else {
-            return Counter::noop();
+            return Counter::default();
         };
         match m
             .entry(name.to_string())
@@ -496,7 +471,7 @@ impl Registry {
     /// [`counter`](Self::counter)).
     pub fn gauge(&self, name: &str) -> Gauge {
         let Some(mut m) = self.lock() else {
-            return Gauge::noop();
+            return Gauge::default();
         };
         match m
             .entry(name.to_string())
@@ -511,7 +486,7 @@ impl Registry {
     /// [`counter`](Self::counter)).
     pub fn histogram(&self, name: &str) -> Histogram {
         let Some(mut m) = self.lock() else {
-            return Histogram::noop();
+            return Histogram::default();
         };
         match m
             .entry(name.to_string())
@@ -576,10 +551,9 @@ mod tests {
 
         let g = r.gauge("g");
         g.set(7);
-        g.record_max(3);
         assert_eq!(g.get(), 7);
-        g.record_max(11);
-        assert_eq!(g.get(), 11);
+        g.set(3);
+        assert_eq!(r.gauge("g").get(), 3, "a gauge moves both ways");
     }
 
     #[test]

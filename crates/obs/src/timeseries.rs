@@ -3,8 +3,9 @@
 //! A [`TimeSeriesRecorder`] owns a baseline [`Snapshot`] and, on each
 //! [`sample`](TimeSeriesRecorder::sample), emits one single-line JSON
 //! document (`"schema": "amd-metrics-ts/1"`) describing the **window**
-//! since the previous sample: windowed rates (queries/s, updates/s,
-//! refreshes/s) derived from counter deltas, windowed multiply-latency
+//! since the previous sample: windowed rates (queries/s and runs/s from
+//! the `engine.batch_size` histogram's sum and count, updates/s and
+//! refreshes/s from counter deltas), windowed multiply-latency
 //! quantiles derived from histogram *bucket* deltas (so a p99 line
 //! reflects only the window, not the whole run), plus the cumulative
 //! counter values and the raw per-window deltas for downstream
@@ -21,14 +22,14 @@
 //!
 //! let r = Registry::new();
 //! let mut ts = TimeSeriesRecorder::new(&r);
-//! r.counter("engine.queries").add(30);
+//! r.histogram("engine.batch_size").record(30); // one run of 30 queries
 //! let line = ts.sample_at(2.0);
 //! let point = parse_ts_line(&line).unwrap();
-//! assert_eq!(point.qps, 15.0);
+//! assert_eq!((point.qps, point.runs_per_s), (15.0, 0.5));
 //! ```
 
 use crate::json::{parse_json, JsonValue, JsonWriter};
-use crate::registry::{MetricValue, Registry, Snapshot};
+use crate::registry::{HistogramSnapshot, MetricValue, Registry, Snapshot};
 use crate::Stopwatch;
 
 /// Schema marker of one time-series line.
@@ -87,6 +88,14 @@ fn counter_of(snap: &Snapshot, name: &str) -> u64 {
     }
 }
 
+/// What histogram `name` recorded between two snapshots (empty when it
+/// is absent).
+fn window_of(cur: &Snapshot, prev: &Snapshot, name: &str) -> HistogramSnapshot {
+    cur.histogram(name)
+        .unwrap_or_default()
+        .delta(&prev.histogram(name).unwrap_or_default())
+}
+
 /// Windowed rate: `delta / window`, zero for an empty window.
 fn rate(delta: u64, window: f64) -> f64 {
     if window > 0.0 {
@@ -103,8 +112,10 @@ fn render_line(seq: u64, t: f64, window: f64, cur: &Snapshot, prev: &Snapshot) -
     w.field_u64("seq", seq);
     w.field_f64("t_seconds", t);
     w.field_f64("window_seconds", window);
-    w.field_f64("qps", rate(delta("engine.queries"), window));
-    w.field_f64("runs_per_s", rate(delta("engine.runs"), window));
+    // One `engine.batch_size` sample per run, valued at its queries.
+    let batches = window_of(cur, prev, "engine.batch_size");
+    w.field_f64("qps", rate(batches.sum, window));
+    w.field_f64("runs_per_s", rate(batches.count, window));
     w.field_f64("updates_per_s", rate(delta("hub.updates"), window));
     w.field_f64(
         "refreshes_per_s",
@@ -112,10 +123,7 @@ fn render_line(seq: u64, t: f64, window: f64, cur: &Snapshot, prev: &Snapshot) -
     );
     // Windowed multiply latency from histogram bucket deltas: the
     // quantiles of just this window's samples.
-    let mult = cur
-        .histogram("multiply.seconds")
-        .unwrap_or_default()
-        .delta(&prev.histogram("multiply.seconds").unwrap_or_default());
+    let mult = window_of(cur, prev, "multiply.seconds");
     w.field_u64("multiply_window_count", mult.count);
     w.field_f64("multiply_p50_ms", mult.p50 as f64 / 1e6);
     w.field_f64("multiply_p99_ms", mult.p99 as f64 / 1e6);
@@ -229,14 +237,15 @@ mod tests {
         // Single snapshot: the first line's deltas are the cumulative
         // values — there is no earlier sample to subtract.
         let r = Registry::new();
-        r.counter("engine.queries").add(10);
+        r.histogram("engine.batch_size").record(10);
+        r.counter("hub.updates").add(4);
         let mut ts = TimeSeriesRecorder::new(&r);
         let p = parse_ts_line(&ts.sample_at(2.0)).unwrap();
         assert_eq!(p.seq, 0);
         assert_eq!(p.window_seconds, 2.0);
-        assert_eq!(p.qps, 5.0);
-        assert_eq!(p.counter("engine.queries"), 10);
-        assert_eq!(p.deltas, vec![("engine.queries".to_string(), 10)]);
+        assert_eq!((p.qps, p.runs_per_s, p.updates_per_s), (5.0, 0.5, 2.0));
+        assert_eq!(p.counter("hub.updates"), 4);
+        assert_eq!(p.deltas, vec![("hub.updates".to_string(), 4)]);
     }
 
     #[test]
@@ -244,13 +253,14 @@ mod tests {
         let r = Registry::new();
         let mut ts = TimeSeriesRecorder::new(&r);
         let _ = ts.sample_at(1.0);
-        r.counter("engine.queries").add(100);
+        r.histogram("engine.batch_size").record(100);
+        r.counter("hub.updates").add(100);
         // Same timestamp again: zero-width window, rates must be 0 (not
-        // NaN/inf) even though the counters moved.
+        // NaN/inf) even though the metrics moved.
         let p = parse_ts_line(&ts.sample_at(1.0)).unwrap();
         assert_eq!(p.window_seconds, 0.0);
-        assert_eq!(p.qps, 0.0);
-        assert_eq!(p.deltas, vec![("engine.queries".to_string(), 100)]);
+        assert_eq!((p.qps, p.runs_per_s, p.updates_per_s), (0.0, 0.0, 0.0));
+        assert_eq!(p.deltas, vec![("hub.updates".to_string(), 100)]);
     }
 
     #[test]
@@ -270,6 +280,26 @@ mod tests {
             p.deltas
         );
         assert_eq!(p.counter("hub.tenant.1.updates"), 3);
+    }
+
+    #[test]
+    fn qps_and_runs_per_s_come_from_batch_size_deltas() {
+        // Queries and runs are the sum and count of `engine.batch_size`:
+        // a window sees only the batches recorded inside it.
+        let r = Registry::new();
+        let batches = r.histogram("engine.batch_size");
+        batches.record(8);
+        batches.record(4);
+        let mut ts = TimeSeriesRecorder::new(&r);
+        let _ = ts.sample_at(1.0);
+        for b in [16, 16, 32] {
+            batches.record(b);
+        }
+        let p = parse_ts_line(&ts.sample_at(3.0)).unwrap();
+        assert_eq!(p.window_seconds, 2.0);
+        assert_eq!(p.qps, 32.0, "64 queries in 2 s");
+        assert_eq!(p.runs_per_s, 1.5, "3 runs in 2 s");
+        assert!(p.deltas.is_empty(), "no counter moved: {:?}", p.deltas);
     }
 
     #[test]
@@ -294,15 +324,15 @@ mod tests {
     #[test]
     fn lines_round_trip_and_sequence() {
         let r = Registry::new();
-        r.counter("engine.queries").add(1);
-        r.gauge("engine.largest_batch").set(4);
+        r.histogram("engine.batch_size").record(1);
+        r.gauge("engine.dtype_bytes").set(8);
         let mut ts = TimeSeriesRecorder::new(&r);
         let lines = [ts.sample_at(1.0), ts.sample_at(2.0)];
         for (i, line) in lines.iter().enumerate() {
             assert!(!line.contains('\n'), "JSONL line has a newline");
             let p = parse_ts_line(line).unwrap();
             assert_eq!(p.seq, i as u64);
-            assert_eq!(p.counter("engine.largest_batch"), 4);
+            assert_eq!(p.counter("engine.dtype_bytes"), 8);
         }
         // Second window saw no movement.
         let p = parse_ts_line(&lines[1]).unwrap();

@@ -67,12 +67,12 @@
 
 use crate::budget::StalenessBudget;
 use crate::refresh::RefreshState;
-use crate::splice::{SpliceCounters, SpliceStats};
+use crate::splice::{SpliceCells, SpliceStats};
 use crate::update::Update;
 use amd_engine::{
     CacheStats, Engine, EngineConfig, EngineStats, MatrixId, MultiplyQuery, QueryId, QueryResponse,
 };
-use amd_obs::{Counter, Histogram, Registry, SpanId, Telemetry};
+use amd_obs::{SpanId, Telemetry};
 use amd_sparse::{ops, CsrMatrix, DeltaBuilder, SparseError, SparseResult};
 use amd_spmm::traits::Sigma;
 use std::collections::HashMap;
@@ -138,156 +138,109 @@ impl HubConfig {
     }
 }
 
-/// Per-tenant counters (see [`HubStats`] for the hub-wide sums).
-///
-/// A point-in-time view folded from the tenant's registry counters
-/// (`hub.tenant.<id>.*` in a metrics snapshot) plus the tenant's
-/// refresh state — see [`StreamHub::tenant_stats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TenantStats {
-    /// Updates accepted (including no-op updates).
-    pub updates: u64,
-    /// Queries submitted.
-    pub queries: u64,
-    /// Refreshes completed (committed swaps, wherever they were built).
-    pub refreshes: u64,
-    /// Budget trips that arrived while a refresh was already queued or
-    /// in flight — guarded, not double-triggered.
-    pub suppressed_triggers: u64,
-    /// Rebuilds that failed (build error or commit rejection); the
-    /// captured delta was folded back and serving continued on the old
-    /// binding.
-    pub refresh_failures: u64,
-    /// A background rebuild for this tenant is in flight right now.
-    pub refreshing: bool,
-    /// The tenant is waiting in the FIFO refresh queue.
-    pub queued: bool,
-    /// Hub-wide refresh slot (1-based [`HubStats::refreshes_started`]
-    /// value) at which this tenant's latest refresh was granted; 0 when
-    /// it never refreshed. The fairness probe: with `T` tenants queued,
-    /// consecutive grants of the same tenant are at least `T` slots
-    /// apart, so no queued tenant waits more than `T` slots.
-    pub last_granted_slot: u64,
-    /// Incremental-vs-fallback split of this tenant's completed
-    /// refreshes that decomposed (`splice.incremental_refreshes +
-    /// splice.fallback_refreshes = refreshes` on more than one rank; all
-    /// zero on one, where a refresh decomposes nothing).
-    pub splice: SpliceStats,
+amd_obs::stats_view! {
+    /// Per-tenant counters (see [`HubStats`] for the hub-wide sums).
+    ///
+    /// A point-in-time view of the tenant's registry counters
+    /// (`hub.tenant.<id>.*` in a metrics snapshot) plus the tenant's
+    /// refresh state — see [`StreamHub::tenant_stats`].
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct TenantStats {
+        /// Updates accepted (including no-op updates).
+        updates: Counter,
+        /// Queries submitted.
+        queries: Counter,
+        /// Refreshes completed (committed swaps, wherever they were built).
+        refreshes: Counter,
+        /// Budget trips that arrived while a refresh was already queued or
+        /// in flight — guarded, not double-triggered.
+        suppressed_triggers: Counter,
+        /// Rebuilds that failed (build error or commit rejection); the
+        /// captured delta was folded back and serving continued on the old
+        /// binding.
+        refresh_failures: Counter,
+        /// A background rebuild for this tenant is in flight right now.
+        refreshing: bool = t.captured.is_some(),
+        /// The tenant is waiting in the FIFO refresh queue.
+        queued: bool = t.queued,
+        /// Hub-wide refresh slot (1-based [`HubStats::refreshes_started`]
+        /// value) at which this tenant's latest refresh was granted; 0 when
+        /// it never refreshed. The fairness probe: with `T` tenants queued,
+        /// consecutive grants of the same tenant are at least `T` slots
+        /// apart, so no queued tenant waits more than `T` slots.
+        last_granted_slot: u64 = t.last_granted_slot,
+        /// Incremental-vs-fallback split of this tenant's completed
+        /// refreshes that decomposed (`splice.incremental_refreshes +
+        /// splice.fallback_refreshes = refreshes` on more than one rank; all
+        /// zero on one, where a refresh decomposes nothing).
+        splice: SpliceStats in SpliceCells,
+    }
+    /// One tenant's registry handles, named `hub.tenant.<id>.*`; removed
+    /// from the registry when the tenant is evicted (the hub-wide sums
+    /// keep its contributions).
+    pub(crate) struct TenantCells(t: &Tenant) {}
 }
 
-/// Hub-wide counters. Each counter is the sum of the corresponding
-/// [`TenantStats`] counter over all tenants (including tenants since
-/// evicted — their contributions stay in the hub totals).
-///
-/// A point-in-time view folded from the hub's registry counters
-/// (`hub.*` in a metrics snapshot) — see [`StreamHub::stats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HubStats {
-    /// Updates accepted across all tenants.
-    pub updates: u64,
-    /// Queries submitted across all tenants.
-    pub queries: u64,
-    /// Refresh grants taken (a supervision retry takes a new one).
-    pub refreshes_started: u64,
-    /// Refreshes that committed successfully. `refreshes_started` is
-    /// this plus `refresh_failures`, the grants lost to a worker death
-    /// or an eviction, and the rebuilds still in flight.
-    pub refreshes_completed: u64,
-    /// Rebuilds that failed (build error or commit rejection); the
-    /// tenant's delta is restored and serving continues on the old
-    /// binding. A background build's failure surfaces to no caller; an inline
-    /// one is also the error of the call that ran it.
-    pub refresh_failures: u64,
-    /// Budget trips suppressed because a refresh was already pending.
-    pub suppressed_triggers: u64,
-    /// Incremental-vs-fallback split of completed refreshes hub-wide
-    /// (`splice.incremental_refreshes + splice.fallback_refreshes =
-    /// refreshes_completed` on more than one rank, zero on one); sum of
-    /// the per-tenant [`TenantStats::splice`] counters.
-    pub splice: SpliceStats,
-    /// Tenants evicted ([`StreamHub::evict`]).
-    pub evictions: u64,
-    /// Builder threads that died (panicked mid-build) and were replaced
-    /// by supervision: every death is matched by a respawn before the
-    /// dead grant is retried.
-    pub worker_restarts: u64,
-    /// Dead grants requeued by supervision (each with exponential
-    /// backoff). Resets nothing: a grant that needs three retries
-    /// contributes three.
-    pub refresh_retries: u64,
-    /// Refreshes compacted synchronously after three consecutive
-    /// builder deaths on one grant — the bounded-retry escape hatch.
-    pub sync_fallbacks: u64,
-}
-
-/// Registry handles behind [`HubStats`] plus the hub's refresh-phase
-/// latency histograms — the counters are the single source of truth;
-/// the stats struct is a fold over them.
-pub(crate) struct HubMetrics {
-    updates: Counter,
-    queries: Counter,
-    pub(crate) refreshes_started: Counter,
-    pub(crate) refreshes_completed: Counter,
-    pub(crate) refresh_failures: Counter,
-    suppressed_triggers: Counter,
-    evictions: Counter,
-    pub(crate) worker_restarts: Counter,
-    pub(crate) refresh_retries: Counter,
-    pub(crate) sync_fallbacks: Counter,
-    pub(crate) splice: SpliceCounters,
-    /// Decompose seconds of committed refreshes that decomposed, from
-    /// the [`RefreshOutcome`](arrow_core::incremental::RefreshOutcome)'s
-    /// own phase timings.
-    pub(crate) decompose_seconds: Histogram,
-    pub(crate) extract_seconds: Histogram,
-    pub(crate) splice_seconds: Histogram,
-}
-
-impl HubMetrics {
-    fn new(registry: &Registry) -> Self {
-        Self {
-            updates: registry.counter("hub.updates"),
-            queries: registry.counter("hub.queries"),
-            refreshes_started: registry.counter("hub.refreshes_started"),
-            refreshes_completed: registry.counter("hub.refreshes_completed"),
-            refresh_failures: registry.counter("hub.refresh_failures"),
-            suppressed_triggers: registry.counter("hub.suppressed_triggers"),
-            evictions: registry.counter("hub.evictions"),
-            worker_restarts: registry.counter("hub.worker_restarts"),
-            refresh_retries: registry.counter("hub.refresh_retries"),
-            sync_fallbacks: registry.counter("hub.sync_fallbacks"),
-            splice: SpliceCounters::new(registry, "hub."),
-            decompose_seconds: registry.histogram("refresh.decompose.seconds"),
-            extract_seconds: registry.histogram("refresh.extract.seconds"),
-            splice_seconds: registry.histogram("refresh.splice.seconds"),
-        }
+amd_obs::stats_view! {
+    /// Hub-wide counters. Each counter is the sum of the corresponding
+    /// [`TenantStats`] counter over all tenants (including tenants since
+    /// evicted — their contributions stay in the hub totals).
+    ///
+    /// A point-in-time view of the hub's registry counters (`hub.*` in a
+    /// metrics snapshot) — see [`StreamHub::stats`].
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct HubStats {
+        /// Updates accepted across all tenants.
+        updates: Counter,
+        /// Queries submitted across all tenants.
+        queries: Counter,
+        /// Refresh grants taken (a supervision retry takes a new one).
+        refreshes_started: Counter,
+        /// Refreshes that committed successfully. `refreshes_started` is
+        /// this plus `refresh_failures`, the grants lost to a worker death
+        /// or an eviction, and the rebuilds still in flight.
+        refreshes_completed: Counter,
+        /// Rebuilds that failed (build error or commit rejection); the
+        /// tenant's delta is restored and serving continues on the old
+        /// binding. A background build's failure surfaces to no caller; an
+        /// inline one is also the error of the call that ran it.
+        refresh_failures: Counter,
+        /// Budget trips suppressed because a refresh was already pending.
+        suppressed_triggers: Counter,
+        /// Incremental-vs-fallback split of completed refreshes hub-wide
+        /// (`splice.incremental_refreshes + splice.fallback_refreshes =
+        /// refreshes_completed` on more than one rank, zero on one); sum of
+        /// the per-tenant [`TenantStats::splice`] counters.
+        splice: SpliceStats in SpliceCells,
+        /// Tenants evicted ([`StreamHub::evict`]).
+        evictions: Counter,
+        /// Builder threads that died (panicked mid-build) and were replaced
+        /// by supervision: every death is matched by a respawn before the
+        /// dead grant is retried.
+        worker_restarts: Counter,
+        /// Dead grants requeued by supervision (each with exponential
+        /// backoff). Resets nothing: a grant that needs three retries
+        /// contributes three.
+        refresh_retries: Counter,
+        /// Refreshes compacted synchronously after three consecutive
+        /// builder deaths on one grant — the bounded-retry escape hatch.
+        sync_fallbacks: Counter,
+    }
+    /// The hub's registry handles: the counters above plus the
+    /// refresh-phase latency histograms.
+    pub(crate) struct HubCells {
+        /// Decompose seconds of committed refreshes that decomposed, from
+        /// the [`RefreshOutcome`](arrow_core::incremental::RefreshOutcome)'s
+        /// own phase timings.
+        decompose_seconds: Histogram = "refresh.decompose.seconds",
+        extract_seconds: Histogram = "refresh.extract.seconds",
+        splice_seconds: Histogram = "refresh.splice.seconds",
     }
 }
 
-/// Registry handles behind one tenant's [`TenantStats`] counters,
-/// named `hub.tenant.<id>.*`; removed from the registry when the
-/// tenant is evicted (the hub-wide sums keep its contributions).
-pub(crate) struct TenantMetrics {
-    updates: Counter,
-    queries: Counter,
-    pub(crate) refreshes: Counter,
-    suppressed_triggers: Counter,
-    pub(crate) refresh_failures: Counter,
-    pub(crate) splice: SpliceCounters,
-}
-
-impl TenantMetrics {
-    fn new(registry: &Registry, id: TenantId) -> Self {
-        let prefix = format!("hub.tenant.{}.", id.0);
-        Self {
-            updates: registry.counter(&format!("{prefix}updates")),
-            queries: registry.counter(&format!("{prefix}queries")),
-            refreshes: registry.counter(&format!("{prefix}refreshes")),
-            suppressed_triggers: registry.counter(&format!("{prefix}suppressed_triggers")),
-            refresh_failures: registry.counter(&format!("{prefix}refresh_failures")),
-            splice: SpliceCounters::new(registry, &prefix),
-        }
-    }
+/// Where a tenant's metrics live in the registry.
+fn tenant_prefix(id: TenantId) -> String {
+    format!("hub.tenant.{}.", id.0)
 }
 
 pub(crate) struct Tenant {
@@ -303,7 +256,7 @@ pub(crate) struct Tenant {
     /// compacts (`merged = base + captured`), still *served* (merged
     /// into the overlay) until the swap commits.
     pub(crate) captured: Option<DeltaBuilder<f64>>,
-    pub(crate) metrics: TenantMetrics,
+    pub(crate) metrics: TenantCells,
     /// Waiting in the FIFO refresh queue.
     pub(crate) queued: bool,
     /// Hub-wide slot of the latest refresh grant (see
@@ -344,22 +297,6 @@ impl Tenant {
     pub(crate) fn refresh_pending(&self) -> bool {
         self.queued || self.captured.is_some()
     }
-
-    /// The tenant's counters and refresh state as a [`TenantStats`]
-    /// view.
-    fn stats_view(&self) -> TenantStats {
-        TenantStats {
-            updates: self.metrics.updates.get(),
-            queries: self.metrics.queries.get(),
-            refreshes: self.metrics.refreshes.get(),
-            suppressed_triggers: self.metrics.suppressed_triggers.get(),
-            refresh_failures: self.metrics.refresh_failures.get(),
-            refreshing: self.captured.is_some(),
-            queued: self.queued,
-            last_granted_slot: self.last_granted_slot,
-            splice: self.metrics.splice.stats(),
-        }
-    }
 }
 
 /// A multi-tenant streaming hub. See the [module docs](self).
@@ -372,7 +309,7 @@ pub struct StreamHub {
     /// Queue, builder and the grant out (see [`crate::refresh`]).
     pub(crate) refreshes: RefreshState,
     next_tenant: u64,
-    pub(crate) metrics: HubMetrics,
+    pub(crate) metrics: HubCells,
 }
 
 impl StreamHub {
@@ -394,7 +331,7 @@ impl StreamHub {
     pub fn with_telemetry(config: HubConfig, telemetry: Telemetry) -> SparseResult<Self> {
         let engine = Engine::with_telemetry(config.engine.clone(), telemetry)?;
         let refreshes = RefreshState::new(&config, engine.telemetry().tracer.clone());
-        let metrics = HubMetrics::new(&engine.telemetry().registry);
+        let metrics = HubCells::new(&engine.telemetry().registry, "hub.");
         Ok(Self {
             engine,
             config,
@@ -438,7 +375,7 @@ impl StreamHub {
         let matrix = self.engine.register_salted(&a, id.0 as u128)?;
         self.next_tenant += 1;
         let n = a.rows();
-        let metrics = TenantMetrics::new(&self.engine.telemetry().registry, id);
+        let metrics = TenantCells::new(&self.engine.telemetry().registry, &tenant_prefix(id));
         self.tenants.insert(
             id.0,
             Tenant {
@@ -576,14 +513,14 @@ impl StreamHub {
             .expect("tenant validated above");
         self.order.retain(|&x| x != tenant);
         self.metrics.evictions.inc();
-        let stats = t.stats_view();
+        let stats = t.metrics.view(&t);
         // The tenant's metric names leave the registry with it; the
         // hub-wide sums keep its contributions. (The handles in
         // `stats` above already folded their final values.)
         self.engine
             .telemetry()
             .registry
-            .remove_prefix(&format!("hub.tenant.{}.", tenant.0));
+            .remove_prefix(&tenant_prefix(tenant));
         Ok(stats)
     }
 
@@ -741,25 +678,14 @@ impl StreamHub {
     /// Per-tenant counters, folded from the registry (plus the
     /// tenant's live refresh state).
     pub fn tenant_stats(&self, tenant: TenantId) -> SparseResult<TenantStats> {
-        Ok(self.tenant(tenant)?.stats_view())
+        let t = self.tenant(tenant)?;
+        Ok(t.metrics.view(t))
     }
 
     /// Hub-wide counters (sums of the per-tenant ones), folded from
     /// the registry.
     pub fn stats(&self) -> HubStats {
-        HubStats {
-            updates: self.metrics.updates.get(),
-            queries: self.metrics.queries.get(),
-            refreshes_started: self.metrics.refreshes_started.get(),
-            refreshes_completed: self.metrics.refreshes_completed.get(),
-            refresh_failures: self.metrics.refresh_failures.get(),
-            suppressed_triggers: self.metrics.suppressed_triggers.get(),
-            splice: self.metrics.splice.stats(),
-            evictions: self.metrics.evictions.get(),
-            worker_restarts: self.metrics.worker_restarts.get(),
-            refresh_retries: self.metrics.refresh_retries.get(),
-            sync_fallbacks: self.metrics.sync_fallbacks.get(),
-        }
+        self.metrics.view()
     }
 
     /// The wrapped engine's serving counters.

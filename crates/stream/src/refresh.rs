@@ -27,7 +27,7 @@
 //! at a time; the rest wait in a FIFO queue. This is the only module
 //! that names [`crate::worker`].
 
-use crate::hub::{HubConfig, HubMetrics, StreamHub, Tenant, TenantId};
+use crate::hub::{HubCells, HubConfig, StreamHub, Tenant, TenantId};
 use crate::worker::{self, RefreshDone, RefreshJob, RefreshWorker};
 use amd_obs::{SpanId, Tracer};
 use amd_sparse::{DeltaBuilder, SparseError, SparseResult};
@@ -105,7 +105,7 @@ impl Tenant {
 /// that decomposed nothing — every one-rank refresh — have no outcome
 /// and record none of this.
 fn record_outcome(
-    metrics: &HubMetrics,
+    metrics: &HubCells,
     t: &Tenant,
     tracer: &Tracer,
     tenant: TenantId,

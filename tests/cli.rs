@@ -372,34 +372,21 @@ fn serve_writes_metrics_json_snapshot() {
         v.get("schema").and_then(|s| s.as_str()),
         Some("amd-metrics/1")
     );
-    let counter = |name: &str| v.get(name).and_then(|c| c.as_u64()).unwrap_or(0);
-    let hist_count = |name: &str| {
+    let hist = |name: &str, field: &str| {
         v.get(name)
-            .and_then(|h| h.get("count"))
+            .and_then(|h| h.get(field))
             .and_then(|c| c.as_u64())
             .unwrap_or(0)
     };
-    assert!(
-        counter("engine.runs") > 0,
-        "serve recorded its runs: {body}"
-    );
+    let runs = hist("engine.batch_size", "count");
+    assert!(runs > 0, "serve recorded its runs: {body}");
     // 8 queries through the unbatched baseline + the same 8 batched.
-    assert_eq!(counter("engine.queries"), 16, "16 queries served: {body}");
-    assert_eq!(
-        counter("cache.decompositions"),
-        1,
-        "one cold decompose: {body}"
-    );
-    assert_eq!(
-        hist_count("multiply.seconds"),
-        counter("engine.runs"),
-        "one latency sample per run: {body}"
-    );
-    assert_eq!(
-        hist_count("decompose.seconds"),
-        counter("cache.decompositions"),
-        "one decompose duration per decomposition: {body}"
-    );
+    let queries = hist("engine.batch_size", "sum");
+    assert_eq!(queries, 16, "16 queries served: {body}");
+    let decompositions = hist("decompose.seconds", "count");
+    assert_eq!(decompositions, 1, "one cold decompose: {body}");
+    let latencies = hist("multiply.seconds", "count");
+    assert_eq!(latencies, runs, "one latency sample per run: {body}");
     // The stats subcommand renders the same file.
     let out = cli()
         .args(["stats", json.to_str().unwrap()])
@@ -411,7 +398,7 @@ fn serve_writes_metrics_json_snapshot() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(text.contains("engine.runs"), "stats output: {text}");
+    assert!(text.contains("engine.batch_size"), "stats output: {text}");
     assert!(text.contains("multiply.seconds"), "stats output: {text}");
     let _ = std::fs::remove_file(&mtx);
     let _ = std::fs::remove_file(&json);
