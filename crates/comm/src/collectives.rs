@@ -68,7 +68,7 @@
 //! binomial subtree sum of the member at root-relative index `m`. The tree
 //! adds the root's children to each other before adding the root's own
 //! vector; the large schedule's owner replays the tree's mask loop over
-//! the raw pieces (`fold_nonroots`), and so does the sparse schedule's
+//! the raw pieces ([`fold_nonroots`]), and so does the sparse schedule's
 //! root, over the rows some non-root supports, with a row missing from a
 //! member's message standing in as the `+0.0` its vector holds there.
 //! That is a literal `+ 0.0`, never a skipped addition: it turns a `−0.0`
@@ -696,7 +696,13 @@ fn add_into(acc: &mut [f64], other: &[f64]) {
 /// its own — with slot 0 standing for the root's sum of children rather
 /// than the root's vector, so the result is bit for bit what the tree's
 /// root adds to its own.
-fn fold_nonroots(pieces: &[&[f64]], p: usize) -> Vec<f64> {
+///
+/// The one fold of every reduce here: the large schedule's owners and the
+/// sparse schedule's root call it, and so does a caller that gathers the
+/// members' rows itself and adds the result to the root's, as the root
+/// would (the arrow multiply's direct feed). A row a member does not hold
+/// enters as the `+0.0` its vector has there.
+pub fn fold_nonroots(pieces: &[&[f64]], p: usize) -> Vec<f64> {
     assert_eq!(pieces.len() + 1, p, "one piece per non-root");
     assert!(p >= 2, "no non-root to fold");
     // `None`: the member's partial is still its raw piece.

@@ -353,7 +353,9 @@ mod tests {
     #[test]
     fn several_ranks_rank_the_four_distributed_members_as_before() {
         // Names, rank counts and seconds recorded from the commit before
-        // the local member existed: it must not have moved them.
+        // the local member existed: it must not have moved them. Arrow's
+        // seconds were re-pinned (7.6392e-5 → 4.9662e-5) when its second
+        // level began to take the direct feed here; the order stands.
         let a: CsrMatrix<f64> = basic::cycle(200).to_adjacency();
         let d = decompose(&a, 16);
         let config = PlannerConfig {
@@ -370,7 +372,7 @@ mod tests {
             ("HP-1D p=4", 4, 6.3712e-6),
             ("2D p=4", 4, 7.2336e-6),
             ("1.5D p=4 c=2", 4, 7.5536e-6),
-            ("Arrow b=16 l=2", 15, 7.6392e-5),
+            ("Arrow b=16 l=2", 15, 4.966199999999999e-5),
         ];
         assert_eq!(got.len(), want.len());
         for ((name, ranks, seconds), want) in got.iter().zip(want) {

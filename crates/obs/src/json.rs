@@ -231,12 +231,18 @@ impl JsonValue {
     }
 }
 
+/// How deep arrays and objects may nest. Nothing this workspace writes
+/// goes past a handful of levels; the cap keeps a hostile file from
+/// recursing the parser off the end of its stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document. Errors carry the byte offset and a short
-/// description.
+/// description; so does a document nested deeper than [`MAX_DEPTH`].
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -250,6 +256,8 @@ pub fn parse_json(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -278,8 +286,7 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -287,6 +294,24 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// An array or an object, one level deeper.
+    fn nested(&mut self) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
@@ -526,6 +551,20 @@ mod tests {
         assert!(parse_json("{\"a\": 1} x").is_err());
         assert!(parse_json("{\"a\" 1}").is_err());
         assert!(parse_json("[1, ]").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        let objects = "{\"a\": ".repeat(200);
+        assert!(parse_json(&objects)
+            .unwrap_err()
+            .starts_with("nesting deeper than 128"));
+        // At the cap itself the document parses.
+        let ok = format!("{}{}", "[".repeat(128), "]".repeat(128));
+        assert!(parse_json(&ok).is_ok());
     }
 
     #[test]

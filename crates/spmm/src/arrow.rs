@@ -7,12 +7,18 @@
 //! `D(i)` (Figure 2) and a run of rows of the hub tile `B(0,0)` (step 2).
 //! One multiply iteration:
 //!
-//! 1. **Forward propagation** — level `j` ships its X rows to level `j+1`
-//!    through the permutation `π_{j+1} ∘ π_j⁻¹`, chained down the levels
-//!    (only the shrinking active prefix travels),
+//! 1. **Forward propagation** (Algorithm 2) — each rank of a level
+//!    `t ≥ 1` receives its X rows point to point from the ranks that
+//!    *hold* them, through the permutations (only the shrinking active
+//!    prefixes travel). Which rows and from whom is the level's **feed**
+//!    ([below](#who-feeds-a-deeper-level)): under the relay a rank
+//!    receives its block `D(i)`, under the direct feed also the rows of
+//!    `D(0)` it reads,
 //! 2. **Arrow multiply** (Algorithm 1) per level: broadcast `D(0)` within
 //!    the level, reduce the row-arm partials to the level's rank 0, and
-//!    compute `C(i) = B(i,0)·D(0) + B(i,i)·D(i)` locally. Both collectives
+//!    compute `C(i) = B(i,0)·D(0) + B(i,i)·D(i)` locally — on level 0, and
+//!    on every level under the relay; a directly fed level runs the same
+//!    multiplies with no collective. Both collectives
 //!    go through [`Group::broadcast_rows`] / [`Group::reduce_sum_rows`],
 //!    which pick a schedule per call from the machine's cost model, the
 //!    block's size and the ranks' **supports**, fixed when the plan is
@@ -65,16 +71,56 @@
 //!    operand width, which the serving engine's batching relies on
 //!    (column `j` of a batched run bit-matches its single-column run on
 //!    non-integer data too),
-//! 3. **Backward aggregation** — partial results flow back `j → j−1`,
-//!    summed into the coarser level's blocks, leaving `Y` distributed on
-//!    level 0 exactly like the input X (§6.1: the iterate stays in `π₀`
-//!    order, so iterations chain with no extra movement).
+//! 3. **Backward aggregation** (Algorithm 2) — each rank of a level
+//!    `t ≥ 1` returns its rows to the ranks that hold them, which add them
+//!    into their blocks (under the direct feed the partials of `D(0)`
+//!    too, which the holders sum), leaving `Y` distributed on level 0
+//!    exactly like the input X (§6.1: the iterate stays in `π₀` order, so
+//!    iterations chain with no extra movement).
+//!
+//! # Who feeds a deeper level
+//!
+//! A row's holder is the deepest earlier level where its vertex is active
+//! (`plan_routes`). Under Algorithm 1 as written — [`Feed::Relay`] —
+//! the root of a level `t ≥ 1` holds `D(0)`: it receives all of it from
+//! the holders, broadcasts it, takes the partials back in the reduce and
+//! returns `C(0)`, so every row of `D(0)` crosses it twice each way. On
+//! the grids the benchmark runs at `b = ⌈n / 16⌉` that made a level-1
+//! root the busiest rank: on `grid160` at 16 columns it received all
+//! 1 600 rows, re-sent 961 to its two peers, took 961 partial rows back
+//! and returned 1 600, 655 616 B against at most 86 528 B on any level-0
+//! rank.
+//!
+//! Under [`Feed::Direct`] no level below the first runs a collective and
+//! no such level's block 0 holds a row: each rank receives exactly the
+//! rows it reads from their holders — a non-root its `D(i)` and its `Sᵢ`,
+//! the root the columns its hub run touches — and returns its rows there:
+//! a non-root its `C(i)` and its partial on `Rᵢ`, the root its hub run's
+//! rows. A holder completes each row of a level's `D(0)` it holds
+//! (`Fold`): it folds the members' partials in the root-last binomial
+//! order every reduce in `amd_comm` sums in ([`fold_nonroots`]), with a
+//! literal `+0.0` for a member that did not ship the row, adds what the
+//! vertex's next active level returns for it, if anything, and adds the
+//! result into its block — the relay's association, so an answer is bit
+//! for bit the same whichever feed ran. `grid160`'s busiest rank is then a
+//! level-1 non-root at 564 992 B, of which 409 600 B is its own block's
+//! round trip.
+//!
+//! The feed is picked per call, as a collective picks its schedule
+//! ([`ArrowSpmm::feed`], which `predict_ranks` follows): all levels below
+//! the first take the direct feed when its busiest rank moves no more
+//! bytes and no more messages than under the relay, and fewer of one,
+//! from every rank's exact traffic at the machine's `f64` width. Neither
+//! feed wins everywhere. A planar input's level reads a third of `D(0)`
+//! per rank and takes the direct feed; on the R-MAT tenants of the
+//! serving benchmark the direct feed would add 1–13 % to the busiest
+//! rank, and they keep the relay.
 
 use crate::layout::{block_count, block_range};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{
-    broadcast_cost, broadcast_schedule, reduce_cost, reduce_schedule, CostModel, Group, Machine,
-    RankCtx, Schedule,
+    broadcast_cost, broadcast_schedule, fold_nonroots, reduce_cost, reduce_schedule, CostModel,
+    Group, Machine, RankCtx, Schedule,
 };
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{DenseMatrix, Dtype, SparseError, SparseResult};
@@ -82,28 +128,118 @@ use arrow_core::{ArrowDecomposition, ArrowMatrix};
 use std::ops::Range;
 use std::sync::Arc;
 
+/// How the levels below the first are fed and drained (see the
+/// [module docs](self#who-feeds-a-deeper-level)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Feed {
+    /// Algorithm 1 as the paper has it: a deeper level's root receives all
+    /// of `D(0)`, broadcasts it, and gathers the partials back.
+    Relay,
+    /// A deeper level's ranks receive the rows they read from the ranks
+    /// that hold them and return their rows there, with no collective.
+    Direct,
+}
+
 /// Route table entry: rows this rank ships to (or accepts from) one peer.
-/// Sender and receiver hold mirrored routes built from the same position
-/// pairs, so `local_rows` orders agree on both sides.
+/// Sender and receiver hold mirrored routes built from the same moves, so
+/// the two sides list the rows in one order.
 #[derive(Debug, Clone, Default)]
 struct Route {
-    /// Destination (forward) or source (backward) machine rank.
+    /// Destination (sends) or source (receives) machine rank.
     peer: u32,
-    /// Local row indices within this rank's block, in transfer order.
+    /// Per row, in transfer order, where this rank reads or puts it (see
+    /// [`RankPlan`]).
     local_rows: Vec<u32>,
 }
 
-/// Per-rank plan for one level.
+/// One rank's routes under one [`Feed`], and how it completes its block
+/// from what deeper levels return.
+///
+/// A rank names its rows in one index space: with `h` its block's height,
+/// row `r < h` is row `r` of its block — of `D(i)` forward, of `C(i)`
+/// backward — and `h + r` is row `r` of `D(0)` forward and of its partial
+/// backward, which only a non-root of a directly fed level moves. A
+/// directly fed root's block *is* `D(0)`, and what it returns is its
+/// partial. A received backward row goes to an inbox slot.
 #[derive(Debug, Clone, Default)]
 struct RankPlan {
-    /// Forward X sends to the next level.
+    /// Forward X sends to deeper levels: rows of this rank's block.
     fwd_sends: Vec<Route>,
-    /// Forward X receives from the previous level (peer = source).
+    /// Forward X receives (peer = source).
     fwd_recvs: Vec<Route>,
-    /// Backward Y sends to the previous level.
+    /// Backward sends to the ranks that hold the rows.
     bwd_sends: Vec<Route>,
-    /// Backward Y receives from the next level.
+    /// Backward receives: each row's inbox slot.
     bwd_recvs: Vec<Route>,
+    /// Inbox height: the folds' rows first, then the received ones.
+    slots: u32,
+    /// The rows of deeper levels' `D(0)` this rank completes, deepest
+    /// level first.
+    folds: Vec<Fold>,
+    /// `(row, slot)`: row `row` of the block gains inbox slot `slot`.
+    adds: Vec<(u32, u32)>,
+}
+
+/// The rows of one directly fed level's `D(0)` that a holder completes:
+/// the reduction its root would have summed, then what deeper levels
+/// return for them — the relay's association, row by row.
+#[derive(Debug, Clone)]
+struct Fold {
+    level: usize,
+    /// Ranks of the level.
+    members: u32,
+    /// The rows' inbox slots.
+    nodes: Range<u32>,
+    /// `(row, member, slot)`: member `member`'s part of the fold's row
+    /// `row` (counted from `nodes.start`) arrived in inbox slot `slot`.
+    /// A member that sent none has `+0.0` there.
+    parts: Vec<(u32, u32, u32)>,
+    /// `(node, slot)`: inbox slot `node` gains slot `slot`.
+    adds: Vec<(u32, u32)>,
+}
+
+impl Fold {
+    /// `x_root + (c₁ + c₂ + c₄ + …)` per row, in the root-last order of
+    /// every reduce in `amd_comm`, then the deeper levels' rows on top.
+    fn complete(&self, inbox: &mut [f64], kk: usize) {
+        let len = self.nodes.len() * kk;
+        let mut pieces = vec![vec![0.0; len]; self.members as usize];
+        for &(row, member, slot) in &self.parts {
+            let (row, slot) = (row as usize * kk, slot as usize * kk);
+            pieces[member as usize][row..row + kk].copy_from_slice(&inbox[slot..slot + kk]);
+        }
+        let (root, nonroots) = pieces.split_first_mut().expect("a level has a root");
+        if !nonroots.is_empty() {
+            let nonroots: Vec<&[f64]> = nonroots.iter().map(Vec::as_slice).collect();
+            let folded = fold_nonroots(&nonroots, self.members as usize);
+            for (a, b) in root.iter_mut().zip(&folded) {
+                *a += b;
+            }
+        }
+        let first = self.nodes.start as usize * kk;
+        inbox[first..first + len].copy_from_slice(root);
+        add_slots(inbox, &self.adds, kk);
+    }
+}
+
+/// `into[row] += inbox[slot]` for each `(row, slot)`.
+fn add_rows(into: &mut [f64], inbox: &[f64], adds: &[(u32, u32)], kk: usize) {
+    for &(row, slot) in adds {
+        let (row, slot) = (row as usize * kk, slot as usize * kk);
+        for (a, b) in into[row..row + kk].iter_mut().zip(&inbox[slot..slot + kk]) {
+            *a += b;
+        }
+    }
+}
+
+/// [`add_rows`] within one buffer.
+fn add_slots(inbox: &mut [f64], adds: &[(u32, u32)], kk: usize) {
+    for &(node, slot) in adds {
+        let (node, slot) = (node as usize * kk, slot as usize * kk);
+        for c in 0..kk {
+            inbox[node + c] += inbox[slot + c];
+        }
+    }
 }
 
 /// Static description of one level's rank block.
@@ -122,27 +258,31 @@ struct LevelPlan {
     hub_cuts: Vec<u32>,
     /// Per local rank, the support of the level's broadcast: the rows of
     /// `D(0)` its tiles read, `colsupp B(i,0) ∪ colsupp B(0,0)[run i]`
-    /// ([`supports`]; the root's is empty).
+    /// ([`supports`]; the root's, which the collectives do not read, is
+    /// its hub run's alone).
     reads: Vec<Vec<u32>>,
     /// Per local rank, the support of the level's reduce: the rows of its
     /// partial that can be non-zero, `rowsupp B(0,i) ∪ rowsupp
-    /// B(0,0)[run i]` (the root's is empty).
+    /// B(0,0)[run i]` (the root's is its hub run's alone).
     writes: Vec<Vec<u32>>,
-    /// Per local rank: routing tables.
-    rank_plans: Vec<RankPlan>,
 }
 
 impl LevelPlan {
     /// Height of `D(0)`: the rows the level's broadcast and reduction
     /// move (Algorithm 1).
     fn d0_rows(&self) -> u32 {
-        let (z0, z1) = block_range(self.active_n, self.arrow.b(), 0);
-        z1 - z0
+        self.height(0)
     }
 
     /// The rows of `B(0,0)` local rank `i` multiplies.
     fn hub_run(&self, i: u32) -> Range<u32> {
         self.hub_cuts[i as usize]..self.hub_cuts[i as usize + 1]
+    }
+
+    /// Height of local rank `i`'s block.
+    fn height(&self, i: u32) -> u32 {
+        let (r0, r1) = block_range(self.active_n, self.arrow.b(), i);
+        r1 - r0
     }
 
     /// Flops of local rank `i`'s share of `B(0,0) · D(0)`.
@@ -207,30 +347,245 @@ fn hub_cuts(arrow: &ArrowMatrix) -> Vec<u32> {
 
 /// The supports of a level's broadcast and reduce, per local rank in
 /// block order ([`LevelPlan::reads`], [`LevelPlan::writes`]): one pass
-/// over each non-root's column-arm tile and hub run, marking the rows of
+/// over each rank's column-arm tile and hub run, marking the rows of
 /// `D(0)` they read in one array stamped with the rank, and one over the
-/// row lengths of its row-arm tile and hub run.
+/// row lengths of its row-arm tile and hub run. The root's arms are the
+/// hub tile itself, so its supports are its run's.
 fn supports(arrow: &ArrowMatrix, hub_cuts: &[u32]) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
     let hub = arrow.row_tile(0);
     let d0_rows = hub.rows();
-    let mut stamp = vec![0u32; d0_rows as usize];
-    let (mut reads, mut writes) = (vec![Vec::new()], vec![Vec::new()]);
-    for i in 1..arrow.block_count() {
+    let mut stamp = vec![u32::MAX; d0_rows as usize];
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
+    for i in 0..arrow.block_count() {
         let run = hub_cuts[i as usize]..hub_cuts[i as usize + 1];
         let hub_run =
             &hub.indices()[hub.indptr()[run.start as usize]..hub.indptr()[run.end as usize]];
-        for &c in arrow.col_tile(i).indices().iter().chain(hub_run) {
+        let arms = (i > 0).then(|| (arrow.col_tile(i), arrow.row_tile(i)));
+        let col_arm = arms.map_or(&[][..], |(col_tile, _)| col_tile.indices());
+        for &c in col_arm.iter().chain(hub_run) {
             stamp[c as usize] = i;
         }
         reads.push((0..d0_rows).filter(|&c| stamp[c as usize] == i).collect());
-        let row_tile = arrow.row_tile(i);
         writes.push(
             (0..d0_rows)
-                .filter(|&r| row_tile.row_nnz(r) > 0 || (run.contains(&r) && hub.row_nnz(r) > 0))
+                .filter(|&r| {
+                    arms.is_some_and(|(_, row_tile)| row_tile.row_nnz(r) > 0)
+                        || (run.contains(&r) && hub.row_nnz(r) > 0)
+                })
                 .collect(),
         );
     }
     (reads, writes)
+}
+
+/// Where a returned row goes at the rank that holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Target {
+    /// A row of the holder's block.
+    Row(u32),
+    /// Row `pos` of level `level`'s `D(0)`, which the holder completes.
+    Node(usize, u32),
+}
+
+/// What the holder does with one returned row.
+#[derive(Debug, Clone, Copy)]
+enum Back {
+    /// Adds it into `into`.
+    Child(Target),
+    /// Keeps it as member `member`'s part of row `pos` of level `level`'s
+    /// `D(0)`.
+    Part { level: usize, pos: u32, member: u32 },
+}
+
+impl RankPlan {
+    /// Adds inbox slot `slot` into `into` once it is complete; `node` is
+    /// where each folded row sits ([`plan_routes`]). A row gains at most
+    /// one returned row: a vertex's next active level is its only child.
+    fn gain(&mut self, into: Target, slot: u32, node: &[Vec<u32>]) {
+        match into {
+            Target::Row(row) => self.adds.push((row, slot)),
+            Target::Node(s, p) => fold_of(&mut self.folds, s)
+                .adds
+                .push((node[s][p as usize], slot)),
+        }
+    }
+}
+
+/// One feed's moves, before they are grouped into routes: forward
+/// `(holder, reader, holder row, reader row)`, backward `(sender, holder,
+/// sender row, what the holder does with it)`.
+#[derive(Default)]
+struct Moves {
+    fwd: Vec<(u32, u32, u32, u32)>,
+    bwd: Vec<(u32, u32, u32, Back)>,
+}
+
+/// Both feeds' route tables, indexed by [`Feed`] and then machine rank.
+///
+/// Active position `q` of level `t ≥ 1` (vertex `v`) has two homes. Its
+/// *relay home* is the deepest earlier level where `v` is active. In a
+/// nested decomposition (LA-Decompose output, whose active sets shrink
+/// monotonically) that is always level `t − 1`, the chained §6.1 layout. A
+/// spliced decomposition ([`decompose_snapshot_incremental`]) is not
+/// nested: the re-decomposed region is lifted to the deepest levels, so a
+/// vertex can re-enter the active prefix after leaving it, and its X must
+/// be routed from further up the chain. Route content, not level
+/// adjacency, drives the send/recv loops, so the cross-level hops need no
+/// special casing there. Its *direct home* is the deepest earlier level
+/// where `v` is active outside the block of a deeper level's root —
+/// level 0 holds every block — because under the direct feed no such
+/// root holds `D(0)`. The homes differ only where `v` sits in some deeper
+/// level's block 0, and the relay home's row is then a row the direct
+/// home completes ([`Fold`]).
+///
+/// The precondition — every vertex active at a level after the first is
+/// active at an earlier one — holds for everything LA-Decompose and the
+/// splice return: a splice that would break it (the delta attached a
+/// vertex no level held) falls back cold, `FallbackReason::Unroutable`.
+/// The error below is for decompositions assembled elsewhere.
+///
+/// [`decompose_snapshot_incremental`]: arrow_core::incremental::decompose_snapshot_incremental
+fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Vec<RankPlan>; 2]> {
+    let b = d.b();
+    let rank = |s: usize, p: u32| levels[s].offset + p / b;
+    let total = levels.last().map_or(0, |l| (l.offset + l.nb) as usize);
+    let mut plans = [
+        vec![RankPlan::default(); total],
+        vec![RankPlan::default(); total],
+    ];
+    let [mut relay, mut direct] = [Moves::default(), Moves::default()];
+    // node[t][q]: the inbox slot of row q of level t's D(0) at its direct
+    // home, where it is folded.
+    let mut node = vec![Vec::new(); levels.len()];
+    for (t, level) in levels.iter().enumerate().skip(1) {
+        let pi_t = &d.levels()[t].perm;
+        // [relay home, direct home] of each position, as (level, position).
+        let homes = (0..level.active_n)
+            .map(|q| {
+                let v = pi_t.vertex_at(q);
+                let mut relay = None;
+                for s in (0..t).rev() {
+                    let p = d.levels()[s].perm.position(v);
+                    if p < levels[s].active_n {
+                        let relay = *relay.get_or_insert((s, p));
+                        if s == 0 || p >= b {
+                            return Ok([relay, (s, p)]);
+                        }
+                    }
+                }
+                Err(SparseError::InvalidCsr(format!(
+                    "vertex {v} is active at level {t} but at no earlier \
+                     level; the decomposition cannot be distributed"
+                )))
+            })
+            .collect::<SparseResult<Vec<_>>>()?;
+        for (q, &[(s, p), (sd, pd)]) in (0..).zip(&homes) {
+            relay.fwd.push((rank(s, p), rank(t, q), p % b, q % b));
+            let back = Back::Child(Target::Row(p % b));
+            relay.bwd.push((rank(t, q), rank(s, p), q % b, back));
+            // Where the returned row goes: the relay home's row, which the
+            // direct home holds in its block or folds as a row of D(0).
+            let into = if (s, p) == (sd, pd) {
+                Target::Row(pd % b)
+            } else {
+                Target::Node(s, p)
+            };
+            let holder = rank(sd, pd);
+            if q < level.d0_rows() {
+                // Folded at its direct home, from the members' parts below;
+                // a level's rows take consecutive slots there.
+                let plan = &mut plans[Feed::Direct as usize][holder as usize];
+                if plan.folds.last().is_none_or(|f| f.level != t) {
+                    plan.folds.push(Fold {
+                        level: t,
+                        members: level.nb,
+                        nodes: plan.slots..plan.slots,
+                        parts: Vec::new(),
+                        adds: Vec::new(),
+                    });
+                }
+                plan.folds.last_mut().expect("pushed above").nodes.end += 1;
+                node[t].push(plan.slots);
+                plan.gain(into, plan.slots, &node);
+                plan.slots += 1;
+            } else {
+                direct.fwd.push((holder, rank(t, q), pd % b, q % b));
+                direct
+                    .bwd
+                    .push((rank(t, q), holder, q % b, Back::Child(into)));
+            }
+        }
+        // Each member's reads of D(0) and its partial's rows, from and to
+        // the rows' direct homes. The root's block is D(0) itself.
+        for i in 0..level.nb {
+            let at = if i == 0 { 0 } else { level.height(i) };
+            let member = level.offset + i;
+            for &r in &level.reads[i as usize] {
+                let (sd, pd) = homes[r as usize][1];
+                direct.fwd.push((rank(sd, pd), member, pd % b, at + r));
+            }
+            for &r in &level.writes[i as usize] {
+                let (sd, pd) = homes[r as usize][1];
+                let back = Back::Part {
+                    level: t,
+                    pos: r,
+                    member: i,
+                };
+                direct.bwd.push((member, rank(sd, pd), at + r, back));
+            }
+        }
+    }
+    for (plans, mut moves) in plans.iter_mut().zip([relay, direct]) {
+        moves.fwd.sort_unstable();
+        for run in moves.fwd.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (src, dst) = (run[0].0, run[0].1);
+            plans[src as usize].fwd_sends.push(Route {
+                peer: dst,
+                local_rows: run.iter().map(|m| m.2).collect(),
+            });
+            plans[dst as usize].fwd_recvs.push(Route {
+                peer: src,
+                local_rows: run.iter().map(|m| m.3).collect(),
+            });
+        }
+        moves.bwd.sort_unstable_by_key(|m| (m.0, m.1, m.2));
+        for run in moves.bwd.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (src, holder) = (run[0].0, run[0].1);
+            plans[src as usize].bwd_sends.push(Route {
+                peer: holder,
+                local_rows: run.iter().map(|m| m.2).collect(),
+            });
+            let plan = &mut plans[holder as usize];
+            let first = plan.slots;
+            plan.slots += run.len() as u32;
+            plan.bwd_recvs.push(Route {
+                peer: src,
+                local_rows: (first..plan.slots).collect(),
+            });
+            for (slot, &(.., back)) in (first..).zip(run) {
+                match back {
+                    Back::Child(into) => plan.gain(into, slot, &node),
+                    Back::Part { level, pos, member } => {
+                        let fold = fold_of(&mut plan.folds, level);
+                        let row = node[level][pos as usize] - fold.nodes.start;
+                        fold.parts.push((row, member, slot));
+                    }
+                }
+            }
+        }
+        for plan in plans.iter_mut() {
+            plan.folds.reverse();
+        }
+    }
+    Ok(plans)
+}
+
+/// The fold of `level`'s rows among a holder's.
+fn fold_of(folds: &mut [Fold], level: usize) -> &mut Fold {
+    folds
+        .iter_mut()
+        .find(|f| f.level == level)
+        .expect("a row is folded where its parts and children are sent")
 }
 
 /// Arrow decomposition SpMM bound to a decomposition.
@@ -239,6 +594,8 @@ pub struct ArrowSpmm {
     b: u32,
     total_ranks: u32,
     levels: Vec<LevelPlan>,
+    /// Per [`Feed`], per machine rank: its routes ([`plan_routes`]).
+    plans: [Vec<RankPlan>; 2],
     /// Vertex at position `p` of level 0 (`π₀⁻¹`), for X scatter/Y gather.
     level0_vertices: Vec<u32>,
     cost: CostModel,
@@ -272,98 +629,18 @@ impl ArrowSpmm {
                 hub_cuts,
                 reads,
                 writes,
-                rank_plans: vec![RankPlan::default(); nb as usize],
             });
             offset += nb;
         }
         let total_ranks = offset;
-
-        // Routing tables: active position q of level t (vertex v) draws
-        // its X from — and returns its Y through — the *deepest earlier
-        // level where v is still active*. In a nested decomposition
-        // (LA-Decompose output, whose active sets shrink monotonically)
-        // that is always level t-1, the chained §6.1 layout. A spliced
-        // decomposition ([`decompose_snapshot_incremental`]) is not
-        // nested: the re-decomposed region is lifted to the deepest
-        // levels, so a vertex can re-enter the active prefix after
-        // leaving it, and its X must be routed from further up the
-        // chain. Route content, not level adjacency, drives the
-        // send/recv loops, so the cross-level hops need no special
-        // casing there. The precondition — every vertex active at a
-        // level after the first is active at an earlier one — holds for
-        // everything LA-Decompose and the splice return: a splice that
-        // would break it (the delta attached a vertex no level held)
-        // falls back cold, `FallbackReason::Unroutable`. The error
-        // below is for decompositions assembled elsewhere.
-        //
-        // [`decompose_snapshot_incremental`]: arrow_core::incremental::decompose_snapshot_incremental
-        for t in 1..d.order() {
-            let pi_t = &d.levels()[t].perm;
-            let (active_t, off_t) = (levels[t].active_n, levels[t].offset);
-            // (src_level, src_rank, dst_rank, src_row, dst_row).
-            let mut pairs: Vec<(usize, u32, u32, u32, u32)> = Vec::new();
-            for q in 0..active_t {
-                let v = pi_t.vertex_at(q);
-                let Some(s) = (0..t)
-                    .rev()
-                    .find(|&lv| d.levels()[lv].perm.position(v) < levels[lv].active_n)
-                else {
-                    return Err(SparseError::InvalidCsr(format!(
-                        "vertex {v} is active at level {t} but at no earlier \
-                         level; the decomposition cannot be distributed"
-                    )));
-                };
-                let p = d.levels()[s].perm.position(v);
-                let src = levels[s].offset + p / b;
-                let dst = off_t + q / b;
-                pairs.push((s, src, dst, p % b, q % b));
-            }
-            pairs.sort_unstable_by_key(|&(_, src, dst, sr, dr)| (src, dst, sr, dr));
-            let mut idx = 0;
-            while idx < pairs.len() {
-                let (s, src, dst, _, _) = pairs[idx];
-                let off_s = levels[s].offset;
-                let mut local_rows = Vec::new();
-                let mut peer_rows = Vec::new();
-                while idx < pairs.len() && pairs[idx].1 == src && pairs[idx].2 == dst {
-                    local_rows.push(pairs[idx].3);
-                    peer_rows.push(pairs[idx].4);
-                    idx += 1;
-                }
-                // Forward: src (level s) sends to dst (level t).
-                levels[s].rank_plans[(src - off_s) as usize]
-                    .fwd_sends
-                    .push(Route {
-                        peer: dst,
-                        local_rows: local_rows.clone(),
-                    });
-                levels[t].rank_plans[(dst - off_t) as usize]
-                    .fwd_recvs
-                    .push(Route {
-                        peer: src,
-                        local_rows: peer_rows.clone(),
-                    });
-                // Backward: dst (level t) sends Y back to src (level s).
-                levels[t].rank_plans[(dst - off_t) as usize]
-                    .bwd_sends
-                    .push(Route {
-                        peer: src,
-                        local_rows: peer_rows,
-                    });
-                levels[s].rank_plans[(src - off_s) as usize]
-                    .bwd_recvs
-                    .push(Route {
-                        peer: dst,
-                        local_rows,
-                    });
-            }
-        }
+        let plans = plan_routes(d, &levels)?;
         let level0_vertices: Vec<u32> = (0..n).map(|p| d.levels()[0].perm.vertex_at(p)).collect();
         Ok(Self {
             n,
             b,
             total_ranks,
             levels,
+            plans,
             level0_vertices,
             cost: CostModel::default(),
             dtype: Dtype::default(),
@@ -410,9 +687,9 @@ impl ArrowSpmm {
     }
 
     /// Per level: the supports its broadcast and its reduce are given,
-    /// each per rank of the level in block order (the root's empty) — the
-    /// rows of `D(0)` a rank reads, and the rows of its partial that can
-    /// be non-zero.
+    /// each per rank of the level in block order — the rows of `D(0)` a
+    /// rank reads, and the rows of its partial that can be non-zero. The
+    /// root's are its hub run's, which only the direct feed moves.
     pub fn supports(&self) -> Vec<[&[Vec<u32>]; 2]> {
         self.levels
             .iter()
@@ -420,10 +697,11 @@ impl ArrowSpmm {
             .collect()
     }
 
-    /// Per level: the schedules its broadcast and its reduce take on a
-    /// `k`-column operand.
+    /// Per level that runs its collectives on a `k`-column operand —
+    /// level 0, and every level under [`Feed::Relay`] — the schedules its
+    /// broadcast and its reduce take.
     pub fn schedules(&self, k: u32) -> Vec<[Schedule; 2]> {
-        self.levels
+        self.relayed(self.feed(k))
             .iter()
             .map(|level| {
                 let (nb, rows, k) = (level.nb as usize, level.d0_rows() as usize, k as usize);
@@ -433,6 +711,64 @@ impl ArrowSpmm {
                 ]
             })
             .collect()
+    }
+
+    /// The feed a `k`-column operand takes: [`Feed::Direct`] when its
+    /// busiest rank moves no more bytes and no more messages than the
+    /// relay's and fewer of one, judged from every rank's exact traffic at
+    /// the machine's `f64` width (as [`amd_comm`]'s collectives pick a
+    /// schedule); [`Feed::Relay`] otherwise.
+    pub fn feed(&self, k: u32) -> Feed {
+        let busiest = |feed| {
+            self.traffic(k, feed)
+                .into_iter()
+                .fold((0, 0), |(bytes, msgs), (b, m)| (bytes.max(b), msgs.max(m)))
+        };
+        let (relay, direct) = (busiest(Feed::Relay), busiest(Feed::Direct));
+        if direct.0 <= relay.0 && direct.1 <= relay.1 && direct != relay {
+            Feed::Direct
+        } else {
+            Feed::Relay
+        }
+    }
+
+    /// The levels that run Algorithm 1's collectives under `feed`.
+    fn relayed(&self, feed: Feed) -> &[LevelPlan] {
+        match feed {
+            Feed::Relay => &self.levels,
+            Feed::Direct => &self.levels[..1],
+        }
+    }
+
+    /// What each machine rank moves in one iteration under `feed` on a
+    /// `k`-column operand, at 8 bytes a value: `(bytes, messages)`. Routes
+    /// are counted exactly; the collectives are the closed forms of the
+    /// schedule each call will select, on the same supports.
+    fn traffic(&self, k: u32, feed: Feed) -> Vec<(u64, u64)> {
+        let row_bytes = 8 * u64::from(k);
+        let mut ranks: Vec<(u64, u64)> = self.plans[feed as usize]
+            .iter()
+            .map(|plan| {
+                let routes = (plan.fwd_sends.iter())
+                    .chain(&plan.fwd_recvs)
+                    .chain(&plan.bwd_sends)
+                    .chain(&plan.bwd_recvs);
+                routes.fold((0, 0), |(bytes, msgs), route| {
+                    (bytes + route.local_rows.len() as u64 * row_bytes, msgs + 1)
+                })
+            })
+            .collect();
+        for level in self.relayed(feed) {
+            let (nb, rows, k) = (level.nb as usize, level.d0_rows() as usize, k as usize);
+            let bcast = broadcast_cost(nb, rows, k, &self.cost, Some(&level.reads));
+            let reduce = reduce_cost(nb, rows, k, &self.cost, Some(&level.writes));
+            for (i, moved) in bcast.iter().zip(&reduce).enumerate() {
+                let rank = &mut ranks[level.offset as usize + i];
+                rank.0 += moved.0.bytes() + moved.1.bytes();
+                rank.1 += moved.0.msgs() + moved.1.msgs();
+            }
+        }
+        ranks
     }
 
     /// Locates the level and local index of a machine rank.
@@ -462,41 +798,93 @@ fn arrow_multiply(
     spare: &mut Vec<f64>,
 ) -> Vec<f64> {
     let my_i = group.my_idx() as u32;
-    let (r0, r1) = block_range(level.active_n, level.arrow.b(), my_i);
-    let my_rows = (r1 - r0) as usize;
-    debug_assert_eq!(d_block.len(), my_rows * k as usize);
+    debug_assert_eq!(d_block.len(), (level.height(my_i) * k) as usize);
 
     // Broadcast D(0) from the level's first rank (Algorithm 1, line 1):
     // shared, so the root, every relay and every receiver read one
     // buffer — or, on the sparse schedule, only the rows the rank reads.
     let d_block = Arc::new(d_block);
-    let d0_rows = level.d0_rows();
     let d0 = group.broadcast_rows(
         ctx,
         0,
         (my_i == 0).then(|| Arc::clone(&d_block)),
-        d0_rows as usize,
+        level.d0_rows() as usize,
         k as usize,
         Some(&level.reads),
     );
+    let partial = partial(ctx, level, my_i, &d_block, &d0, k, dtype, spare);
+    let reduced = group.reduce_sum_rows(ctx, 0, partial, k as usize, Some(&level.writes));
 
-    // Row-arm partial B(0,i) · D(i) (line 2). The root's row-arm tile is
-    // the hub tile, which the level shares: every rank adds the rows of
-    // B(0,0) · D(0) it was planned into its partial, and the reduction
-    // (line 3) carries them to the root with the rest. The root adds its
-    // run into zeros; a non-root's row-arm multiply overwrites every row
-    // (an empty one with +0.0), so its buffer is recycled, not zeroed.
-    let partial_len = (d0_rows * k) as usize;
-    let mut partial0 = if my_i == 0 {
-        vec![0.0; partial_len]
+    // C(i) (lines 4–6).
+    if my_i == 0 {
+        reduced.expect("rank 0 of the level holds the reduction")
+    } else {
+        let c = block_product(ctx, level, my_i, &d_block, &d0, k, dtype);
+        // Only the root's D(i) is broadcast; a non-root's is its own.
+        *spare = Arc::try_unwrap(d_block).unwrap_or_default();
+        c
+    }
+}
+
+/// Algorithm 1 under the direct feed: the same multiplies, no collective.
+/// A non-root returns `C(i)` and its partial; the root, whose block is
+/// the `D(0)` rows its hub run reads, returns its partial in place of a
+/// block. `d0` holds the rows of `D(0)` a non-root reads. The partials
+/// are summed where the rows are held ([`Fold`]). A non-root's partial
+/// buffer comes from `spare`, where the caller returns it.
+#[allow(clippy::too_many_arguments)]
+fn direct_multiply(
+    ctx: &mut RankCtx,
+    level: &LevelPlan,
+    my_i: u32,
+    d_block: &[f64],
+    d0: &[f64],
+    k: u32,
+    dtype: Dtype,
+    spare: &mut Vec<f64>,
+) -> (Vec<f64>, Vec<f64>) {
+    if my_i == 0 {
+        return (
+            partial(ctx, level, 0, d_block, d_block, k, dtype, spare),
+            Vec::new(),
+        );
+    }
+    let partial = partial(ctx, level, my_i, d_block, d0, k, dtype, spare);
+    (
+        block_product(ctx, level, my_i, d_block, d0, k, dtype),
+        partial,
+    )
+}
+
+/// Rank `i`'s partial of `C(0)` (Algorithm 1, line 2): its row-arm
+/// product `B(0,i) · D(i)` and its run of the hub tile's `B(0,0) · D(0)`.
+/// The root's row-arm tile is the hub tile, which the level shares: every
+/// rank adds the rows of `B(0,0) · D(0)` it was planned into its partial,
+/// and the reduction (line 3) carries them to the root with the rest. The
+/// root adds its run into zeros; a non-root's row-arm multiply overwrites
+/// every row (an empty one with `+0.0`), so it fills `spare`, unzeroed.
+#[allow(clippy::too_many_arguments)]
+fn partial(
+    ctx: &mut RankCtx,
+    level: &LevelPlan,
+    my_i: u32,
+    d_block: &[f64],
+    d0: &[f64],
+    k: u32,
+    dtype: Dtype,
+    spare: &mut Vec<f64>,
+) -> Vec<f64> {
+    let len = (level.d0_rows() * k) as usize;
+    let mut partial = if my_i == 0 {
+        vec![0.0; len]
     } else {
         let mut partial = std::mem::take(spare);
-        partial.resize(partial_len, 0.0);
+        partial.resize(len, 0.0);
         let row_tile = level.arrow.row_tile(my_i);
         ctx.compute_flops(spmm::spmm_flops(row_tile, k));
         spmm::spmm_slices(
             row_tile,
-            &d_block,
+            d_block,
             k,
             None,
             &mut partial,
@@ -511,40 +899,45 @@ fn arrow_multiply(
     spmm::spmm_slices_rows(
         level.arrow.row_tile(0),
         run.clone(),
-        &d0,
+        d0,
         k,
-        &mut partial0[(run.start * k) as usize..(run.end * k) as usize],
+        &mut partial[(run.start * k) as usize..(run.end * k) as usize],
         Finish::Accumulate,
         dtype,
     )
     .expect("hub tile shapes align");
-    let reduced = group.reduce_sum_rows(ctx, 0, partial0, k as usize, Some(&level.writes));
+    partial
+}
 
-    // C(i) (lines 4–6).
-    if my_i == 0 {
-        reduced.expect("rank 0 of the level holds the reduction")
-    } else {
-        let mut c = vec![0.0; my_rows * k as usize];
-        let col_tile = level.arrow.col_tile(my_i);
-        ctx.compute_flops(spmm::spmm_flops(col_tile, k));
-        spmm::spmm_slices(col_tile, &d0, k, None, &mut c, Finish::Overwrite, dtype)
-            .expect("column tile shapes align");
-        let diag_tile = level.arrow.diag_tile(my_i);
-        ctx.compute_flops(spmm::spmm_flops(diag_tile, k));
-        spmm::spmm_slices(
-            diag_tile,
-            &d_block,
-            k,
-            None,
-            &mut c,
-            Finish::Accumulate,
-            dtype,
-        )
-        .expect("diagonal tile shapes align");
-        // Only the root's D(i) is broadcast; a non-root's is its own.
-        *spare = Arc::try_unwrap(d_block).unwrap_or_default();
-        c
-    }
+/// A non-root's `C(i) = B(i,0) · D(0) + B(i,i) · D(i)` (Algorithm 1,
+/// lines 4–6).
+fn block_product(
+    ctx: &mut RankCtx,
+    level: &LevelPlan,
+    my_i: u32,
+    d_block: &[f64],
+    d0: &[f64],
+    k: u32,
+    dtype: Dtype,
+) -> Vec<f64> {
+    let mut c = vec![0.0; d_block.len()];
+    let col_tile = level.arrow.col_tile(my_i);
+    ctx.compute_flops(spmm::spmm_flops(col_tile, k));
+    spmm::spmm_slices(col_tile, d0, k, None, &mut c, Finish::Overwrite, dtype)
+        .expect("column tile shapes align");
+    let diag_tile = level.arrow.diag_tile(my_i);
+    ctx.compute_flops(spmm::spmm_flops(diag_tile, k));
+    spmm::spmm_slices(
+        diag_tile,
+        d_block,
+        k,
+        None,
+        &mut c,
+        Finish::Accumulate,
+        dtype,
+    )
+    .expect("diagonal tile shapes align");
+    c
 }
 
 impl DistSpmm for ArrowSpmm {
@@ -562,6 +955,49 @@ impl DistSpmm for ArrowSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
+        self.run_feed(x, iters, sigma, self.feed(x.cols()))
+    }
+
+    fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
+        // What the machine moves at 8 bytes a value, a `dtype` wire moves
+        // at `dtype` bytes.
+        let scale = self.dtype.bytes() as f64 / 8.0;
+        let traffic = self.traffic(k, self.feed(k));
+        // Levels hold consecutive ranks, in level order.
+        let flops = self.levels.iter().flat_map(|level| {
+            (0..level.nb).map(move |i| {
+                // Local tile multiplies (Algorithm 1, lines 2–6): the
+                // rank's share of the hub tile and its own three.
+                let mut flops = level.hub_flops(i, k);
+                if i > 0 {
+                    flops += spmm::spmm_flops(level.arrow.row_tile(i), k);
+                    flops += spmm::spmm_flops(level.arrow.col_tile(i), k);
+                    flops += spmm::spmm_flops(level.arrow.diag_tile(i), k);
+                }
+                flops
+            })
+        });
+        traffic
+            .into_iter()
+            .zip(flops)
+            .map(|((bytes, msgs), flops)| CommEstimate {
+                max_rank_bytes: bytes as f64 * scale,
+                max_rank_messages: msgs as f64,
+                max_rank_flops: flops,
+            })
+            .collect()
+    }
+}
+
+impl ArrowSpmm {
+    /// [`DistSpmm::run_sigma`] under `feed`, whichever it is.
+    fn run_feed(
+        &self,
+        x: &DenseMatrix<f64>,
+        iters: u32,
+        sigma: Option<Sigma>,
+        feed: Feed,
+    ) -> SparseResult<SpmmRun> {
         if x.rows() != self.n {
             return Err(SparseError::ShapeMismatch {
                 left: (self.n, self.n),
@@ -570,13 +1006,13 @@ impl DistSpmm for ArrowSpmm {
         }
         let k = x.cols();
         let kk = k as usize;
-        let l = self.levels.len();
         let machine = Machine::new(self.total_ranks).with_cost(self.cost);
         let report = machine.run(|ctx| {
             let rank = ctx.rank();
             let (j, my_i) = self.locate(rank);
             let level = &self.levels[j];
-            let plan = &level.rank_plans[my_i as usize];
+            let plan = &self.plans[feed as usize][rank as usize];
+            let direct = feed == Feed::Direct && j > 0;
             let group = Group::new(ctx, (level.offset..level.offset + level.nb).collect());
             let (r0, r1) = block_range(level.active_n, self.b, my_i);
             let my_rows = (r1 - r0) as usize;
@@ -591,54 +1027,76 @@ impl DistSpmm for ArrowSpmm {
             } else {
                 vec![0.0; my_rows * kk]
             };
+            // A directly fed non-root's rows of D(0): only those it reads
+            // are ever written or read.
+            let mut d0 = if direct && my_i > 0 {
+                vec![0.0; (level.d0_rows() * k) as usize]
+            } else {
+                Vec::new()
+            };
             let mut spare = Vec::new();
             for iter in 0..iters {
                 let base_tag = (iter as u64) << 8;
-                // 1. Forward propagation j → j+1 (Algorithm 2, lines 1–5).
-                if j > 0 {
-                    for route in &plan.fwd_recvs {
-                        let buf: Vec<f64> = ctx.recv(route.peer, base_tag | 1);
-                        for (idx, &row) in route.local_rows.iter().enumerate() {
-                            x_block[row as usize * kk..(row as usize + 1) * kk]
-                                .copy_from_slice(&buf[idx * kk..(idx + 1) * kk]);
-                        }
+                // 1. Forward propagation (Algorithm 2, lines 1–5).
+                for route in &plan.fwd_recvs {
+                    let buf: Vec<f64> = ctx.recv(route.peer, base_tag | 1);
+                    for (idx, &row) in route.local_rows.iter().enumerate() {
+                        let row = row as usize;
+                        let (into, at) = if row < my_rows {
+                            (&mut x_block, row)
+                        } else {
+                            (&mut d0, row - my_rows)
+                        };
+                        into[at * kk..(at + 1) * kk]
+                            .copy_from_slice(&buf[idx * kk..(idx + 1) * kk]);
                     }
                 }
-                if j + 1 < l {
-                    for route in &plan.fwd_sends {
-                        let mut buf = Vec::with_capacity(route.local_rows.len() * kk);
-                        for &row in &route.local_rows {
-                            buf.extend_from_slice(
-                                &x_block[row as usize * kk..(row as usize + 1) * kk],
-                            );
-                        }
-                        ctx.send(route.peer, base_tag | 1, buf);
+                for route in &plan.fwd_sends {
+                    let mut buf = Vec::with_capacity(route.local_rows.len() * kk);
+                    for &row in &route.local_rows {
+                        buf.extend_from_slice(&x_block[row as usize * kk..(row as usize + 1) * kk]);
                     }
+                    ctx.send(route.peer, base_tag | 1, buf);
                 }
                 // 2. Per-level arrow multiply (Algorithm 1).
-                let mut y_block =
-                    arrow_multiply(ctx, &group, level, x_block, k, self.dtype, &mut spare);
-                // 3. Backward aggregation j+1 → j (Algorithm 2, lines 7–12).
-                if j + 1 < l {
-                    for route in &plan.bwd_recvs {
-                        let buf: Vec<f64> = ctx.recv(route.peer, base_tag | 2);
-                        for (idx, &row) in route.local_rows.iter().enumerate() {
-                            for col in 0..kk {
-                                y_block[row as usize * kk + col] += buf[idx * kk + col];
-                            }
-                        }
+                let (mut y_block, partial) = if direct {
+                    direct_multiply(ctx, level, my_i, &x_block, &d0, k, self.dtype, &mut spare)
+                } else {
+                    let c = arrow_multiply(ctx, &group, level, x_block, k, self.dtype, &mut spare);
+                    (c, Vec::new())
+                };
+                // 3. Backward aggregation (Algorithm 2, lines 7–12): the
+                // deeper levels' rows land in the inbox, the folds complete
+                // the rows of D(0) this rank holds, and the block gains
+                // each row's returns in level order.
+                let mut inbox = vec![0.0; plan.slots as usize * kk];
+                for route in &plan.bwd_recvs {
+                    let buf: Vec<f64> = ctx.recv(route.peer, base_tag | 2);
+                    for (idx, &slot) in route.local_rows.iter().enumerate() {
+                        let slot = slot as usize;
+                        inbox[slot * kk..(slot + 1) * kk]
+                            .copy_from_slice(&buf[idx * kk..(idx + 1) * kk]);
                     }
                 }
-                if j > 0 {
-                    for route in &plan.bwd_sends {
-                        let mut buf = Vec::with_capacity(route.local_rows.len() * kk);
-                        for &row in &route.local_rows {
-                            buf.extend_from_slice(
-                                &y_block[row as usize * kk..(row as usize + 1) * kk],
-                            );
-                        }
-                        ctx.send(route.peer, base_tag | 2, buf);
+                for fold in &plan.folds {
+                    fold.complete(&mut inbox, kk);
+                }
+                add_rows(&mut y_block, &inbox, &plan.adds, kk);
+                for route in &plan.bwd_sends {
+                    let mut buf = Vec::with_capacity(route.local_rows.len() * kk);
+                    for &row in &route.local_rows {
+                        let row = row as usize;
+                        let (from, at) = if row < my_rows {
+                            (&y_block, row)
+                        } else {
+                            (&partial, row - my_rows)
+                        };
+                        buf.extend_from_slice(&from[at * kk..(at + 1) * kk]);
                     }
+                    ctx.send(route.peer, base_tag | 2, buf);
+                }
+                if direct {
+                    spare = partial;
                 }
                 x_block = y_block;
                 // σ acts on the complete Y, which lives on level 0 after
@@ -673,56 +1131,6 @@ impl DistSpmm for ArrowSpmm {
             iters,
         })
     }
-
-    fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        let kb = self.dtype.bytes() as f64 * k as f64;
-        // The collectives are charged per element moved: what the machine
-        // moves at 8 bytes a value, a `dtype` wire moves at `dtype` bytes.
-        let scale = self.dtype.bytes() as f64 / 8.0;
-        // Levels hold consecutive ranks, in level order.
-        let mut ranks = Vec::with_capacity(self.total_ranks as usize);
-        for level in &self.levels {
-            let (nb, d0_rows) = (level.nb as usize, level.d0_rows() as usize);
-            // Broadcast of D(0) from, and reduction of the row-arm
-            // partials to, the level root: the closed forms of the
-            // schedule each call will select, on the same supports.
-            let bcast = broadcast_cost(nb, d0_rows, k as usize, &self.cost, Some(&level.reads));
-            let reduce = reduce_cost(nb, d0_rows, k as usize, &self.cost, Some(&level.writes));
-            for (i, plan) in level.rank_plans.iter().enumerate() {
-                let mut bytes = 0.0;
-                let mut msgs = 0.0;
-                // Point-to-point propagation/aggregation routes: exact.
-                for route in plan
-                    .fwd_sends
-                    .iter()
-                    .chain(&plan.fwd_recvs)
-                    .chain(&plan.bwd_sends)
-                    .chain(&plan.bwd_recvs)
-                {
-                    bytes += route.local_rows.len() as f64 * kb;
-                    msgs += 1.0;
-                }
-                for moved in [bcast[i], reduce[i]] {
-                    bytes += moved.bytes() as f64 * scale;
-                    msgs += moved.msgs() as f64;
-                }
-                // Local tile multiplies (Algorithm 1, lines 2–6): the
-                // rank's share of the hub tile and its own three.
-                let mut flops = level.hub_flops(i as u32, k);
-                if i > 0 {
-                    flops += spmm::spmm_flops(level.arrow.row_tile(i as u32), k);
-                    flops += spmm::spmm_flops(level.arrow.col_tile(i as u32), k);
-                    flops += spmm::spmm_flops(level.arrow.diag_tile(i as u32), k);
-                }
-                ranks.push(CommEstimate {
-                    max_rank_bytes: bytes,
-                    max_rank_messages: msgs,
-                    max_rank_flops: flops,
-                });
-            }
-        }
-        ranks
-    }
 }
 
 #[cfg(test)]
@@ -731,7 +1139,7 @@ mod tests {
     use crate::reference::iterated_spmm;
     use amd_graph::generators::{basic, datasets, random};
     use amd_sparse::CsrMatrix;
-    use arrow_core::{la_decompose, DecomposeConfig, RandomForestLa};
+    use arrow_core::{la_decompose, ArrowLevel, DecomposeConfig, RandomForestLa};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -756,14 +1164,12 @@ mod tests {
         run
     }
 
-    /// Regression: a *spliced* decomposition (incremental refresh) is
-    /// not nested — the lifted region levels sit below prior levels
-    /// whose active prefix already dropped the region's vertices, so
-    /// their X must route from further up the chain than level t-1.
-    /// The old adjacent-level-only routing silently served wrong
-    /// answers here (the operator sum validates exactly either way).
-    #[test]
-    fn spliced_non_nested_decomposition_stays_exact() {
+    /// A *spliced* decomposition (incremental refresh) of a 64-cycle with
+    /// chords, and the merged matrix it decomposes. It is not nested —
+    /// the lifted region levels sit below prior levels whose active
+    /// prefix already dropped the region's vertices, so their X must
+    /// route from further up the chain than level t-1.
+    fn spliced() -> (CsrMatrix<f64>, ArrowDecomposition) {
         use arrow_core::decompose_snapshot;
         use arrow_core::incremental::{decompose_snapshot_incremental, IncrementalPolicy};
         let n = 64u32;
@@ -810,6 +1216,16 @@ mod tests {
                 .any(|v| prev.perm.position(v) >= prev.active_n)
         });
         assert!(non_nested, "splice produced a nested chain; repro decayed");
+        (merged, d)
+    }
+
+    /// Regression: the old adjacent-level-only routing silently served
+    /// wrong answers on a spliced decomposition (the operator sum
+    /// validates exactly either way).
+    #[test]
+    fn spliced_non_nested_decomposition_stays_exact() {
+        let (merged, d) = spliced();
+        let n = merged.rows();
         let alg = ArrowSpmm::new(&d).unwrap();
         let x = DenseMatrix::from_fn(n, 1, |r, _| (((3 * r) % 11) as f64) - 5.0);
         let run = alg.run(&x, 2).unwrap();
@@ -819,6 +1235,123 @@ mod tests {
             0.0,
             "distributed multiply on the spliced decomposition must be exact"
         );
+    }
+
+    /// Runs `d`'s plan for `a` under both feeds on non-integer data and
+    /// holds them to one answer, bit for bit, and to the product. Returns
+    /// whether the direct feed adds a deeper level's row into a row of
+    /// some level's `D(0)` — a vertex of block 0 of level `t` that is
+    /// active at `t + 1` — which the holder must do before it adds the row
+    /// into its own block, as the relay's root did.
+    fn feeds_agree(a: &CsrMatrix<f64>, d: &ArrowDecomposition, k: u32) -> bool {
+        let alg = ArrowSpmm::new(d).unwrap();
+        let x = DenseMatrix::from_fn(a.rows(), k, |r, c| {
+            ((r * 7 + c * 13) % 31) as f64 / 7.0 - 1.9
+        });
+        let [relay, direct] =
+            [Feed::Relay, Feed::Direct].map(|feed| alg.run_feed(&x, 2, None, feed).unwrap().y);
+        let bits = |y: &DenseMatrix<f64>| y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&relay), bits(&direct), "{} at k = {k}", alg.name());
+        let want = iterated_spmm(a, &x, 2).unwrap();
+        let scale = want.data().iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        assert!(direct.max_abs_diff(&want).unwrap() <= 1e-12 * scale);
+        alg.plans[Feed::Direct as usize]
+            .iter()
+            .flat_map(|plan| &plan.folds)
+            .any(|fold| !fold.adds.is_empty())
+    }
+
+    /// The direct feed sums every row in the relay's association, so the
+    /// feed a plan takes never shows in an answer: grid, OSM-, GenBank-,
+    /// MAWI-like and R-MAT inputs at two widths and four operand widths,
+    /// the spliced chain, whose rows come from further up than the level
+    /// before, and the hand-built one whose holders fold a deeper level's
+    /// row into a row of `D(0)`.
+    #[test]
+    fn both_feeds_give_one_answer_bit_for_bit() {
+        use amd_graph::generators::rmat;
+        let seeded = ChaCha8Rng::seed_from_u64;
+        let inputs: [CsrMatrix<f64>; 5] = [
+            basic::grid_2d(24, 24).to_adjacency(),
+            datasets::osm_like(600, &mut seeded(6)).to_adjacency(),
+            datasets::genbank_like(600, &mut seeded(5)).to_adjacency(),
+            datasets::mawi_like(600, &mut seeded(77)).to_adjacency(),
+            rmat::rmat(9, 8, rmat::RmatParams::graph500(), &mut seeded(13)).to_adjacency(),
+        ];
+        for a in &inputs {
+            for parts in [8, 16] {
+                let d = decompose(a, a.rows() / parts, 1);
+                for k in [1, 6, 16, 64] {
+                    feeds_agree(a, &d, k);
+                }
+            }
+        }
+        let (spliced_a, spliced_d) = spliced();
+        let (hubs_a, hubs_d) = reentering_hubs();
+        for k in [1, 6, 16, 64] {
+            feeds_agree(&spliced_a, &spliced_d, k);
+            assert!(feeds_agree(&hubs_a, &hubs_d, k));
+        }
+    }
+
+    /// A decomposition assembled by hand in which vertices of level 1's
+    /// block 0 are active at level 2, in its block 0 and in its block 1,
+    /// so the direct feed's holder must add level 2's rows into level 1's
+    /// `D(0)` rows before it adds those into its own block. LA-Decompose
+    /// never returns one (a block-0 vertex's edges all lie in its level's
+    /// arms), but nothing in the plan may rely on that.
+    fn reentering_hubs() -> (CsrMatrix<f64>, ArrowDecomposition) {
+        use amd_sparse::{CooMatrix, Permutation};
+        let (n, b) = (48u32, 8u32);
+        // Level 1 places vertex (29·p + 5) mod 48 at position p, 24 of
+        // them active. Level 2's 16 active positions take level 1's
+        // positions 12..16 and 0..4 (its block 0), then 4..8, two
+        // vertices inactive at level 1, and two of its block 2.
+        let order1: Vec<u32> = (0..n).map(|p| (p * 29 + 5) % n).collect();
+        let front: Vec<u32> = [12..16, 0..8, 30..32, 16..18]
+            .into_iter()
+            .flatten()
+            .map(|p| order1[p])
+            .collect();
+        let order2: Vec<u32> = front
+            .iter()
+            .copied()
+            .chain(order1.iter().copied().filter(|v| !front.contains(v)))
+            .collect();
+        let level = |order: Vec<u32>, active_n: u32, salt: u32| {
+            // Entries of the arrow pattern: a column of block 0, one of the
+            // row's own block, and for a row of block 0 one anywhere.
+            let mut coo = CooMatrix::new(n, n);
+            for r in 0..active_n {
+                let own = (r / b) * b;
+                let mut cols = vec![
+                    (r * 5 + salt) % b,
+                    own + (r * 3 + 1) % b.min(active_n - own),
+                ];
+                if r < b {
+                    cols.push((r * 11 + 7 + salt) % active_n);
+                }
+                for c in cols {
+                    let v = ((r * 7 + c * 3 + salt) % 13) as f64 / 7.0 - 0.9;
+                    coo.push(r, c, v).unwrap();
+                }
+            }
+            ArrowLevel {
+                perm: Permutation::from_order(order).unwrap(),
+                matrix: coo.to_csr(),
+                active_n,
+            }
+        };
+        let d = ArrowDecomposition::new(
+            n,
+            b,
+            vec![
+                level((0..n).collect(), n, 0),
+                level(order1, 24, 1),
+                level(order2, 16, 2),
+            ],
+        );
+        (d.reconstruct().unwrap(), d)
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod verify;
 
 pub use a15d::{best_c, A15dSpmm};
 pub use a2d::A2dSpmm;
-pub use arrow::ArrowSpmm;
+pub use arrow::{ArrowSpmm, Feed};
 pub use corrected::DeltaSpmm;
 pub use hp1d::Hp1dSpmm;
 pub use local::LocalSpmm;

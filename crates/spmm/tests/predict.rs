@@ -13,7 +13,7 @@ use amd_graph::generators::{basic, rmat};
 use amd_graph::Graph;
 use amd_partition::{hype_partition, HypeConfig};
 use amd_sparse::{CooMatrix, CsrMatrix, DenseMatrix, Dtype};
-use amd_spmm::{A15dSpmm, A2dSpmm, ArrowSpmm, DeltaSpmm, DistSpmm, Hp1dSpmm, LocalSpmm};
+use amd_spmm::{A15dSpmm, A2dSpmm, ArrowSpmm, DeltaSpmm, DistSpmm, Feed, Hp1dSpmm, LocalSpmm};
 use arrow_core::{decompose_snapshot, la_decompose, DecomposeConfig, RandomForestLa};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -281,4 +281,36 @@ fn the_shapes_once_mispredicted_are_exact() {
     let dm = delta(a.rows(), 20, 7);
     let corrected = DeltaSpmm::new(&base, &dm).unwrap().with_cost(cost());
     exact(&corrected, a.rows(), 1, Dtype::F64).unwrap();
+}
+
+/// Arrow's two feeds, each where it is taken, at `f64` and `f32`: a grid at
+/// `b = n / 16` and 16 columns feeds its second level directly from the
+/// ranks that hold its rows; an R-MAT at scale 10 and one column keeps
+/// the relay through the level root. Bytes, messages and flops are exact
+/// on both sides.
+#[test]
+fn both_arrow_feeds_are_exact() {
+    let mut rng = ChaCha8Rng::seed_from_u64(13);
+    let cases = [
+        (basic::grid_2d(64, 64), 16, Feed::Direct),
+        (
+            rmat::rmat(10, 8, rmat::RmatParams::graph500(), &mut rng),
+            1,
+            Feed::Relay,
+        ),
+    ];
+    for (g, k, feed) in cases {
+        let a: CsrMatrix<f64> = g.to_adjacency();
+        let config = DecomposeConfig::with_width(a.rows() / 16);
+        let d = decompose_snapshot(&a, &config, 1).unwrap();
+        assert!(d.order() > 1, "one level: no feed to choose");
+        for narrow in [false, true] {
+            let alg = ArrowSpmm::new(&d)
+                .unwrap()
+                .with_cost(cost())
+                .with_dtype(dtype(narrow));
+            assert_eq!(alg.feed(k), feed);
+            exact(&alg, a.rows(), k, dtype(narrow)).unwrap();
+        }
+    }
 }

@@ -4,14 +4,15 @@
 //! Rank `i` of a level reads only `Sᵢ = colsupp B(i,0) ∪ colsupp
 //! B(0,0)[runᵢ]` of the broadcast `D(0)`, and its partial is non-zero
 //! only on `Rᵢ = rowsupp B(0,i) ∪ rowsupp B(0,0)[runᵢ]`. Per input, width
-//! and level this prints every non-root's `|Sᵢ| / d0_rows` and
-//! `|Rᵢ| / d0_rows` and the schedule the level's broadcast and reduce
-//! take under `CostModel::default()`. Every figure is exact and
+//! and level this prints the feed the levels below the first take, every
+//! non-root's `|Sᵢ| / d0_rows` and `|Rᵢ| / d0_rows`, and the schedule the
+//! level's broadcast and reduce take under `CostModel::default()` — or
+//! `direct` for a level fed without them. Every figure is exact and
 //! seed-stable; run with `--nocapture` for the table.
 
 use amd_graph::generators::{basic, datasets, rmat};
 use amd_sparse::CsrMatrix;
-use amd_spmm::ArrowSpmm;
+use amd_spmm::{ArrowSpmm, Feed};
 use arrow_core::{la_decompose, DecomposeConfig, RandomForestLa};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -54,8 +55,8 @@ fn shares(v: &[f64]) -> String {
 }
 
 /// The table for `a` at `b = n / parts` and operand width `k`, level by
-/// level.
-fn table(name: &str, a: &CsrMatrix<f64>, parts: u32, k: u32) -> Vec<Level> {
+/// level, and the feed the plan takes.
+fn table(name: &str, a: &CsrMatrix<f64>, parts: u32, k: u32) -> (Feed, Vec<Level>) {
     let b = a.rows() / parts;
     let d = la_decompose(
         a,
@@ -64,11 +65,11 @@ fn table(name: &str, a: &CsrMatrix<f64>, parts: u32, k: u32) -> Vec<Level> {
     )
     .unwrap();
     let arrow = ArrowSpmm::new(&d).unwrap();
+    let (feed, schedules) = (arrow.feed(k), arrow.schedules(k));
     let mut levels = Vec::new();
-    for (j, (([reads, writes], schedules), runs)) in arrow
+    for (j, ([reads, writes], runs)) in arrow
         .supports()
         .into_iter()
-        .zip(arrow.schedules(k))
         .zip(arrow.hub_runs())
         .enumerate()
     {
@@ -79,10 +80,13 @@ fn table(name: &str, a: &CsrMatrix<f64>, parts: u32, k: u32) -> Vec<Level> {
         let level = Level {
             reads: share(reads),
             writes: share(writes),
-            schedules: format!("{:?}/{:?}", schedules[0], schedules[1]),
+            schedules: schedules
+                .get(j)
+                .map_or("direct".into(), |s| format!("{:?}/{:?}", s[0], s[1])),
         };
         println!(
-            "{name:<9} {b:>5} {k:>3} {j:>2} {:>3} {:>13} {:>6.3} {:>6.3}  S: {}  R: {}",
+            "{name:<9} {b:>5} {k:>3} {:>6} {j:>2} {:>3} {:>13} {:>6.3} {:>6.3}  S: {}  R: {}",
+            format!("{feed:?}"),
             reads.len(),
             level.schedules,
             mean(&level.reads),
@@ -92,24 +96,29 @@ fn table(name: &str, a: &CsrMatrix<f64>, parts: u32, k: u32) -> Vec<Level> {
         );
         levels.push(level);
     }
-    levels
+    (feed, levels)
 }
 
 #[test]
 fn support_shares_per_level_and_rank() {
     println!(
-        "{:<9} {:>5} {:>3} {:>2} {:>3} {:>13} {:>6} {:>6}  per non-root",
-        "input", "b", "k", "l", "nb", "bcast/reduce", "S̄", "R̄"
+        "{:<9} {:>5} {:>3} {:>6} {:>2} {:>3} {:>13} {:>6} {:>6}  per non-root",
+        "input", "b", "k", "feed", "l", "nb", "bcast/reduce", "S̄", "R̄"
     );
     for (name, a) in inputs() {
         // `dist-repro`'s width, then `tests/claims.rs`' MAWI volume claim.
         for (parts, k) in [(16, 16), (8, 64), (16, 64)] {
-            let levels = table(name, &a, parts, k);
+            let (feed, levels) = table(name, &a, parts, k);
             if (parts, k) != (16, 16) {
                 continue;
             }
             match name {
                 "grid160" => {
+                    assert_eq!(
+                        feed,
+                        Feed::Direct,
+                        "grid160: the deeper levels must be fed from the ranks that hold their rows"
+                    );
                     let share = mean(&levels[0].reads);
                     assert!(
                         share <= 0.05,

@@ -404,6 +404,26 @@ fn serve_writes_metrics_json_snapshot() {
     let _ = std::fs::remove_file(&json);
 }
 
+/// A million nested `[` once recursed the snapshot parser off its stack
+/// and the process died of `SIGABRT`; now `stats` reports the nesting and
+/// exits 1.
+#[test]
+fn stats_rejects_deep_nesting_with_an_error() {
+    let json = tmp("deep.json");
+    std::fs::write(&json, "[".repeat(1_000_000)).unwrap();
+    let out = cli()
+        .args(["stats", json.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("nesting deeper than 128 at byte 128"),
+        "stderr: {stderr}"
+    );
+    let _ = std::fs::remove_file(&json);
+}
+
 #[test]
 fn usage_on_no_args() {
     let out = cli().output().unwrap();
