@@ -1,141 +1,80 @@
 //! Collective operations over rank groups, built from point-to-point
-//! messages (so the latency and the α-β costs emerge from the model):
-//! binomial trees for small payloads, for large row-major `f64` buffers a
-//! scatter + all-gather broadcast and a reduce-scatter + gather reduce,
-//! and for buffers of which each member touches a few rows, point-to-point
-//! messages of those rows alone; chosen per call.
+//! messages, so the latency and the α-β costs emerge from the model.
+//! Every member of a group calls the same sequence of collectives on it
+//! (SPMD, as with an MPI communicator); a per-group sequence number in
+//! the message tags keeps collectives on different groups apart.
 //!
-//! Every member of a group must call the same sequence of collectives on
-//! that group (SPMD discipline, as with an MPI communicator); a per-group
-//! sequence number embedded in the message tags keeps concurrent
-//! collectives on different groups from interfering.
+//! # Communication as data
 //!
-//! # Three schedules
+//! Every schedule is a [`Plan`]: per member, the ordered steps it
+//! performs — the peer, the direction, which rows of which buffer, and
+//! the slot where a received piece waits for [`fold_nonroots`]. One
+//! interpreter runs every plan, and the steps that run are the steps
+//! counted: [`Plan::traffic`] is a member's bytes and messages,
+//! `rows × 8 × stride` a message. Supports are fixed when a plan is
+//! built, so a plan does not depend on the operand width: a caller builds
+//! its plans once ([`Collective`]) and picks one per call. The arrow
+//! multiply's point-to-point feeds are plans of the same steps
+//! ([`Plan::routes`], run by [`Group::exchange`]).
 //!
-//! A binomial tree moves the *whole* buffer `⌈log₂ p⌉` times through its
-//! root, which is optimal in latency and a factor `log p` off in
-//! bandwidth. The large-message schedules (Thakur, Rabenseifner & Gropp,
-//! IJHPCA 2005) cut a `rows × stride` buffer of `s` bytes into `q = p − 1`
-//! row-aligned blocks, one per **non-root** (`bounds[c] = (c·rows/q)·stride`,
-//! the convention of [`Group::allreduce_sum_ring_aligned`], so a row never
-//! straddles blocks):
-//!
-//! * [`Group::broadcast_large`] — the root sends block `c` to non-root
-//!   `c`; the non-roots all-gather among themselves (Bruck: `⌈log₂ q⌉`
-//!   steps of doubling runs of blocks).
-//! * [`Group::reduce_sum_large`] — every non-root ships the raw piece of
-//!   its vector that falls in block `c` to non-root `c`; owner `c` sums
-//!   the `q` pieces and sends the reduced block to the root, which adds
-//!   it to its own.
-//!
-//! The root moves `s` bytes per collective instead of `⌈log₂ p⌉·s`, a
-//! non-root about `2s`: per-member volume no longer grows with `p`.
-//!
-//! **The root stays out of the exchange.** In the arrow multiply the
-//! level root holds the hub tile and is the slowest rank on skewed
-//! inputs; a schedule with the root inside the reduce-scatter makes every
-//! member wait for it. Kept out, it only sends `q` blocks it already has
-//! and receives `q` reduced ones.
-//!
-//! Both dense schedules move every row to every member. The sparse ones
-//! move a member only its **support** — the rows it reads of a broadcast
-//! buffer, the rows of a reduced vector it may hold non-zero — which the
-//! caller knows when it plans (the arrow multiply: the columns its tiles
-//! touch, the rows its partial writes):
-//!
-//! * [`Group::broadcast_sparse`] — the root sends each non-root with a
-//!   non-empty support its support rows, packed, in one message; the
-//!   receiver scatters them into a zeroed buffer.
-//! * [`Group::reduce_sum_sparse`] — each non-root with a non-empty
-//!   support ships its support rows, packed, to the root, which folds them
-//!   (below) and adds the result to its own vector.
+//! A binomial **tree** moves the whole buffer `⌈log₂ p⌉` times through
+//! its root. The **large**-message schedules (Thakur, Rabenseifner &
+//! Gropp, IJHPCA 2005) cut a `rows`-row buffer into `q = p − 1`
+//! row-aligned blocks (block `c` starts at row `c·rows/q`), one per
+//! non-root: the broadcast scatters them and the non-roots all-gather in
+//! Bruck steps; in the reduce each non-root ships its piece of block `c`
+//! to non-root `c`, which folds the `q` pieces and sends the block to the
+//! root. The root stays out of the exchange: in the arrow multiply it
+//! holds the hub tile and is the slowest rank on skewed inputs. The
+//! **sparse** schedules move a member only its **support** — the rows it
+//! reads of a broadcast, the rows of its vector that may be non-zero in a
+//! reduce — in one packed message to or from the root. The **ring**
+//! all-reduce is a reduce-scatter and an all-gather of row-aligned chunks.
 //!
 //! # Supports
 //!
-//! A caller that has supports passes one strictly increasing row list per
-//! member, indexed like the closed forms by **root-relative** index
-//! (`supports[v]` is the support of member `(root + v) mod p`; the root's
-//! is not read). Every member passes the same lists. Under them a
-//! broadcast promises a member the root's rows on its support and `+0.0`
-//! elsewhere, and a reduce requires a member's vector to be `+0.0` off
-//! its support. Without supports (`None`) nothing changes: the dense pick
-//! runs and every member gets the whole buffer.
+//! Supports are one strictly increasing row list per member, by
+//! **root-relative** index (`supports[v]` is member `(root + v) mod p`'s;
+//! the root's is not read). A broadcast under them promises a member the
+//! root's rows on its support and `+0.0` elsewhere; a reduce requires a
+//! member's vector to be `+0.0` off its support.
 //!
 //! # One association
 //!
-//! All three reduces compute the same sum in the same order, the
-//! **root-last binomial** one: `x_root + (c₁ + c₂ + c₄ + …)`, `c_m` the
-//! binomial subtree sum of the member at root-relative index `m`. The tree
-//! adds the root's children to each other before adding the root's own
-//! vector; the large schedule's owner replays the tree's mask loop over
-//! the raw pieces ([`fold_nonroots`]), and so does the sparse schedule's
-//! root, over the rows some non-root supports, with a row missing from a
-//! member's message standing in as the `+0.0` its vector holds there.
-//! That is a literal `+ 0.0`, never a skipped addition: it turns a `−0.0`
-//! into `+0.0` exactly as the tree does, and a row no non-root supports
-//! still gets the root's `+ 0.0`. The root comes last because the large
-//! schedule keeps it out of the exchange, so that is the only order all
-//! can produce — and they must agree bit for bit: which schedule runs
-//! depends on the payload size, and the serving engine promises that a
-//! column's sum does not depend on how many columns travel with it.
+//! All three reduces sum in the **root-last binomial** order
+//! `x_root + (c₁ + c₂ + c₄ + …)`, `c_m` the binomial subtree sum of member
+//! `m`: the large schedule's owners and the sparse schedule's root replay
+//! the tree's mask loop over the raw pieces ([`fold_nonroots`]), a row
+//! missing from a member's message entering as the `+0.0` its vector
+//! holds — a literal `+ 0.0`, which turns `−0.0` into `+0.0` as the tree
+//! does. Which schedule runs depends on the payload, and the serving
+//! engine promises that a column's sum does not depend on how many
+//! columns travel with it.
 //!
 //! # Selection
 //!
-//! [`broadcast_schedule`] and [`reduce_schedule`] pick per call from the
-//! group size, the payload shape, the supports and the machine's
-//! [`CostModel`] — values every member (and a `predict_volume`) holds, so
-//! all agree without a message. With `T = α + β·s`, `u = 8·stride·⌈rows/q⌉`
-//! the largest block, `L(n) = ⌈log₂ n⌉`, and `σᵥ = 8·stride·|supports[v]|`
-//! summed over the non-roots with a non-empty support, the completion
-//! times when every member enters at once are:
+//! [`Collective::pick`] chooses from values every member (and a
+//! `predict_volume`) holds. With `T = α + β·s`, `u = 8·stride·⌈rows/q⌉`,
+//! `L(n) = ⌈log₂ n⌉` and `σᵥ = 8·stride·|supports[v]|` over the non-roots
+//! with a non-empty support, the completion times are:
 //!
 //! | | tree | large | sparse |
 //! |---|---|---|---|
 //! | broadcast | `L(p)·T` | `q·(α + β·u) + L(q)·α + (q−1)·β·u` | `Σᵥ (α + β·σᵥ)` |
-//! | reduce | `L(p)·T`, less up to `α` when `p` is not a power of two | `(q−1)·(α + β·u) + α + q·β·u` | `α + β·Σᵥ σᵥ` (`0` if every support is empty) |
+//! | reduce | `L(p)·T`, less up to `α` when `p` is not a power of two | `(q−1)·(α + β·u) + α + q·β·u` | `α + β·Σᵥ σᵥ` (`0` if no support) |
 //!
-//! Tree: the root's last child hears after `L(p)` whole-buffer sends, and
-//! a reduce is the mirror (an incomplete last subtree is ready early, so
-//! only its bytes queue on the root's link, not its latency). Large
-//! broadcast: the root's `q` sends serialise, so the last block lands
-//! after `q·(α + β·u)`; from there the all-gather takes `L(q)` steps that
-//! carry `q − 1` blocks between them. Large reduce: a non-root's `q − 1`
-//! pieces leave back to back while the ones it is owed arrive in step
-//! with them, then all `q` reduced blocks set out for the root together
-//! and drain one after the other on its link. These are the simulator's
-//! own times to the tick (`proptests.rs` sweeps them against it), and the
-//! dependence on `p` is the point: the large forms trade `q·α` for the
-//! tree's `L(p)·β·s`, so they win above a few tens of KiB and lose again
-//! where `q·α` overtakes `β·s`. Sparse broadcast: the root's packed sends
-//! serialise and the last one lands when it ends. Sparse reduce: the
-//! packed messages leave together and drain one after the other on the
-//! root's link.
-//!
-//! The **dense pick** is the faster of the tree and the large schedule;
-//! ties and everything with `p < 3` or an empty payload go to the tree.
-//! With supports, the sparse schedule replaces it only when it finishes
-//! no later **and** its busiest member — the root, at `Σᵥ σᵥ` bytes in one
-//! message per non-empty support — moves no more bytes and no more
-//! messages than the dense pick's busiest member (`L(p)·s` bytes in
-//! `L(p)` messages at a tree's root, about `2s` at a large schedule's
-//! non-root and `q` messages at its root). Neither guard is redundant.
-//! A sparse reduce is one hop where a tree is `L(p)`, so on a narrow
-//! operand it can win on time while its root takes every non-root's rows:
-//! without the bytes guard, the arrow plan of the benchmark's one-column
-//! `serve-small` workload takes such a reduce and its busiest rank moves
-//! 30 688 bytes per iteration instead of 19 088 (+61 %). And the
-//! simulator overlaps the latencies of messages that reach one rank
-//! together, which a price of `α` per message at the busiest rank — the
-//! planners' — does not: without the message guard, Arrow on a 600-vertex
-//! star at 16 ranks finishes sooner (7.3 against 11.2 sim-µs) but is
-//! priced at 23 messages instead of 10, and the serving planner binds
-//! 1.5D, which is slower than both (12.3).
-//!
-//! [`broadcast_cost`] and [`reduce_cost`] give what each member sends and
-//! receives under the selected schedule, and [`allreduce_ring_cost`] what
-//! it moves in [`Group::allreduce_sum_ring_aligned`]; the large and sparse
-//! schedules and the ring assert them on every call, so the closed forms
-//! cannot drift from the code.
+//! This table is the selection's time rule and is not replayed from the
+//! steps: the large forms price every block as the largest one, so an
+//! exact replay of the clock would move tree/large picks on uneven
+//! splits. The **dense pick** is the faster of the tree and the large
+//! schedule (ties, `p < 3` and empty payloads go to the tree). The sparse
+//! plan replaces it only when it finishes no later **and** its busiest
+//! member moves no more bytes and no more messages, both counted from
+//! the plans. Without the bytes guard the one-column `serve-small` arrow
+//! plan takes a sparse reduce whose root moves 30 688 bytes an iteration
+//! instead of 19 088; without the message guard Arrow on a 600-vertex
+//! star at 16 ranks is priced at 23 messages instead of 10 and the
+//! serving planner binds the slower 1.5D.
 //!
 //! # Host copies are not wire bytes
 //!
@@ -143,11 +82,10 @@
 //! an `Arc` (a [`Payload`] charged like its content) makes every relay
 //! share the root's buffer; the large schedules send views of one `Arc`
 //! (charged the elements they cover) and every receiver returns the
-//! root's buffer; [`Group::allreduce_sum_ring_aligned`] copies one chunk
-//! per member and forwards received buffers from then on. The sparse
-//! schedules pack the rows they send, so their messages are the bytes
-//! charged. None of it changes a byte, a message or a tick of the
-//! simulated clock.
+//! root's buffer; the ring copies one chunk per member and forwards
+//! received buffers from then on. Sparse messages and routes are packed
+//! rows, so they are the bytes charged. None of it changes a byte, a
+//! message or a tick of the simulated clock.
 
 use crate::cost::CostModel;
 use crate::message::{Payload, SharedRows};
@@ -158,53 +96,24 @@ use std::sync::Arc;
 /// Top bit marks collective traffic; user tags must keep it clear.
 const COLL_BIT: u64 = 1 << 63;
 
-/// Number of copies the member with virtual (root-relative) rank `vr`
-/// sends in [`Group::broadcast`]'s binomial tree over `s` members — and,
-/// by symmetry, the number of partials it receives in
-/// [`Group::reduce_sum`]. Mirrors the mask walk of the implementation
-/// below and lives beside it so the two cannot drift.
-pub fn binomial_children(vr: usize, s: usize) -> usize {
-    let mut mask = 1usize;
-    while mask < s {
-        if vr & mask != 0 {
-            break;
-        }
-        mask <<= 1;
-    }
-    mask >>= 1;
-    let mut children = 0;
-    while mask > 0 {
-        if vr & (mask - 1) == 0 && vr & mask == 0 && vr + mask < s {
-            children += 1;
-        }
-        mask >>= 1;
-    }
-    children
-}
-
-/// How a row-buffer collective runs (see the [module docs](self)).
+/// How a rooted row collective runs (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// Binomial tree of whole buffers.
     Tree,
-    /// Root-excluded scatter + all-gather (broadcast) or reduce-scatter +
-    /// gather (reduce) of row-aligned blocks.
+    /// Root-excluded scatter + all-gather, or reduce-scatter + gather, of
+    /// row-aligned blocks.
     Large,
-    /// One packed message of a member's support rows between the root and
-    /// each non-root whose support is not empty.
+    /// One packed message of a non-root's support rows.
     Sparse,
 }
 
-/// What one member sends and receives in one collective.
+/// What one member sends and receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Traffic {
-    /// Bytes sent.
     pub sent_bytes: u64,
-    /// Bytes received.
     pub recv_bytes: u64,
-    /// Messages sent.
     pub sent_msgs: u64,
-    /// Messages received.
     pub recv_msgs: u64,
 }
 
@@ -218,129 +127,433 @@ impl Traffic {
     pub fn msgs(&self) -> u64 {
         self.sent_msgs + self.recv_msgs
     }
-
-    /// What was sent received and what was received sent.
-    fn mirrored(self) -> Self {
-        Self {
-            sent_bytes: self.recv_bytes,
-            recv_bytes: self.sent_bytes,
-            sent_msgs: self.recv_msgs,
-            recv_msgs: self.sent_msgs,
-        }
-    }
-
-    /// What `ctx` has been charged so far.
-    fn charged(ctx: &RankCtx) -> Self {
-        Self {
-            sent_bytes: ctx.stats.sent_bytes,
-            recv_bytes: ctx.stats.recv_bytes,
-            sent_msgs: ctx.stats.sent_msgs,
-            recv_msgs: ctx.stats.recv_msgs,
-        }
-    }
-
-    /// Panics unless `ctx` was charged exactly `self` since `before`.
-    fn assert_charged_since(self, before: Self, ctx: &RankCtx) {
-        let now = Self::charged(ctx);
-        let delta = Self {
-            sent_bytes: now.sent_bytes - before.sent_bytes,
-            recv_bytes: now.recv_bytes - before.recv_bytes,
-            sent_msgs: now.sent_msgs - before.sent_msgs,
-            recv_msgs: now.recv_msgs - before.recv_msgs,
-        };
-        assert_eq!(delta, self, "a schedule and its closed form drifted");
-    }
 }
 
-/// The row-aligned blocks of a `rows × stride` buffer over `q` owners:
-/// block `c` is elements `start(c) .. start(c + 1)`.
-#[derive(Clone, Copy)]
-struct Blocks {
-    q: usize,
-    rows: usize,
-    stride: usize,
+/// Which way a step of a [`Plan`] goes; a `Keep` takes a view of the member's own
+/// buffer for the fold, with no message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dir {
+    Send,
+    Recv,
+    Keep,
 }
 
-impl Blocks {
-    /// One block per non-root of a `size`-member group.
-    fn over_nonroots(size: usize, rows: usize, stride: usize) -> Self {
-        Self {
-            q: size - 1,
-            rows,
-            stride,
-        }
-    }
-
-    fn start(&self, c: usize) -> usize {
-        (c * self.rows / self.q) * self.stride
-    }
-
-    fn block(&self, c: usize) -> Range<usize> {
-        self.start(c)..self.start(c + 1)
-    }
-
-    /// Blocks `first, first + 1, …` (`cnt` of them, indices mod `q`) as
-    /// the element range up to the end of the buffer and the range
+/// Which rows of a buffer a [`Step`] moves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Rows {
+    /// The whole buffer: a tree's message.
+    All,
+    /// A run of row-aligned blocks: rows to the buffer's end, then rows
     /// wrapped to its front.
-    fn run(&self, first: usize, cnt: usize) -> (Range<usize>, Range<usize>) {
-        let end = first + cnt;
-        if end <= self.q {
-            (self.start(first)..self.start(end), 0..0)
-        } else {
-            (
-                self.start(first)..self.start(self.q),
-                0..self.start(end - self.q),
-            )
-        }
-    }
+    Span(Range<u32>, Range<u32>),
+    /// The plan's row list `l`, packed.
+    List(u32),
+}
 
-    fn run_bytes(&self, first: usize, cnt: usize) -> u64 {
-        let (head, tail) = self.run(first, cnt);
-        8 * (head.len() + tail.len()) as u64
-    }
+/// Which buffer a [`Step`] reads or fills.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Buf {
+    /// The member's own: what a broadcast delivers, what a reduce sums
+    /// into (a received buffer or block is added), what a route moves.
+    Own,
+    /// Slot `m` of the fold: a received piece waits there for
+    /// [`fold_nonroots`] (a tree's root sums its children in slot 0); a
+    /// send of a slot sends the folded sum.
+    Piece(u32),
+    /// The ring's buffer in flight: a received one becomes `own +
+    /// incoming` (`sum`) and is copied over the own chunk (`keep`).
+    Carry { sum: bool, keep: bool },
+}
 
-    fn view(&self, buf: &Arc<Vec<f64>>, first: usize, cnt: usize) -> SharedRows {
-        let (head, tail) = self.run(first, cnt);
-        SharedRows {
-            buf: Arc::clone(buf),
-            head,
-            tail,
-        }
+/// One step of one member's part of a [`Plan`]; `peer` is the other
+/// member by the plan's index (root-relative for a rooted collective).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Step {
+    peer: u32,
+    dir: Dir,
+    rows: Rows,
+    buf: Buf,
+}
+
+fn step(peer: usize, dir: Dir, rows: Rows, buf: Buf) -> Step {
+    let peer = peer as u32;
+    Step {
+        peer,
+        dir,
+        rows,
+        buf,
     }
 }
 
-/// The steps `(distance, blocks sent)` of a Bruck all-gather over `q`
-/// members: member `c` sends the run of `blocks` blocks starting at its
-/// own to `c − distance` and receives the run starting at
-/// `c + distance` from there.
-fn allgather_steps(q: usize) -> impl Iterator<Item = (usize, usize)> {
-    std::iter::successors(Some(1usize), |d| Some(d << 1))
-        .take_while(move |&d| d < q)
-        .map(move |d| (d, d.min(q - d)))
-}
-
-/// The two row collectives the closed forms below describe.
-#[derive(Clone, Copy)]
+/// What a plan does with the rows it moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
+    /// Each row goes where the receiver reads it: a broadcast or a route.
     Broadcast,
+    /// Rows go to the root, summed on the way.
     Reduce,
+    Ring,
+}
+
+/// Block `c` of `rows` rows cut over `q` owners starts at row `c·rows/q`;
+/// `run(first, cnt)` is blocks `first, first + 1, …` (indices mod `q`).
+fn run(q: usize, rows: usize, first: usize, cnt: usize) -> Rows {
+    let start = |c: usize| (c * rows / q) as u32;
+    match (first + cnt).checked_sub(q).filter(|&wrap| wrap > 0) {
+        None => Rows::Span(start(first)..start(first + cnt), 0..0),
+        Some(wrap) => Rows::Span(start(first)..start(q), 0..start(wrap)),
+    }
+}
+
+/// Member `vr`'s binomial-tree steps: a broadcast hears from its parent,
+/// then sends to its children, largest subtree first; a reduce hears from
+/// its children, smallest first (the root keeps their sum apart), then
+/// sends to its parent.
+fn tree_steps(op: Op, vr: usize, size: usize) -> Vec<Step> {
+    let (mut steps, mut mask) = (Vec::new(), 1usize);
+    let reduce = op == Op::Reduce;
+    while mask < size {
+        if vr & mask != 0 {
+            let dir = if reduce { Dir::Send } else { Dir::Recv };
+            steps.push(step(vr - mask, dir, Rows::All, Buf::Own));
+            break;
+        }
+        if reduce && vr + mask < size {
+            let buf = if vr == 0 { Buf::Piece(0) } else { Buf::Own };
+            steps.push(step(vr + mask, Dir::Recv, Rows::All, buf));
+        }
+        mask <<= 1;
+    }
+    while !reduce && mask > 1 {
+        mask >>= 1;
+        if vr & (2 * mask - 1) == 0 && vr + mask < size {
+            steps.push(step(vr + mask, Dir::Send, Rows::All, Buf::Own));
+        }
+    }
+    steps
+}
+
+/// Member `vr`'s large-schedule steps. A non-root `c` of the broadcast
+/// all-gathers in Bruck steps of distance `d`: it sends its run of
+/// `min(d, q − d)` blocks to `c − d` and receives `c + d`'s. One of the
+/// reduce sends to `c + 1, c + 2, …` and drains `c − 1, c − 2, …`, so each
+/// owner is sent to once a round and pieces are taken as they were sent.
+fn large_steps(op: Op, vr: usize, size: usize, rows: usize) -> Vec<Step> {
+    let q = size.saturating_sub(1);
+    let block = |peer, dir, first, cnt, buf| step(peer, dir, run(q, rows, first, cnt), buf);
+    let Some(c) = vr.checked_sub(1) else {
+        let dir = if op == Op::Reduce {
+            Dir::Recv
+        } else {
+            Dir::Send
+        };
+        return (0..q).map(|c| block(1 + c, dir, c, 1, Buf::Own)).collect();
+    };
+    let mut steps = Vec::new();
+    if op == Op::Broadcast {
+        steps.push(block(0, Dir::Recv, c, 1, Buf::Own));
+        for d in std::iter::successors(Some(1), |d| Some(d << 1)).take_while(|&d| d < q) {
+            let (cnt, from) = (d.min(q - d), (c + d) % q);
+            steps.push(block(1 + (c + q - d) % q, Dir::Send, c, cnt, Buf::Own));
+            steps.push(block(1 + from, Dir::Recv, from, cnt, Buf::Own));
+        }
+        return steps;
+    }
+    for owner in (1..q).map(|i| (c + i) % q) {
+        steps.push(block(1 + owner, Dir::Send, owner, 1, Buf::Own));
+    }
+    steps.push(block(vr, Dir::Keep, c, 1, Buf::Piece(c as u32)));
+    for m in (1..q).map(|i| (c + q - i) % q) {
+        steps.push(block(1 + m, Dir::Recv, c, 1, Buf::Piece(m as u32)));
+    }
+    steps.push(block(0, Dir::Send, c, 1, Buf::Piece(c as u32)));
+    steps
+}
+
+/// Member `vr`'s sparse-schedule steps: one packed message of each
+/// non-empty non-root support, between that non-root and the root.
+fn sparse_steps(op: Op, vr: usize, supports: &[Vec<u32>]) -> Vec<Step> {
+    let reduce = op == Op::Reduce;
+    let peers = if vr == 0 { 1..supports.len() } else { 0..1 };
+    let (rooted, there) = (vr == 0, |v: usize| !supports[v.max(vr)].is_empty());
+    peers
+        .filter(|&v| there(v))
+        .map(|v| match (reduce, rooted) {
+            (true, true) => step(v, Dir::Recv, Rows::List(v as u32), Buf::Piece(v as u32 - 1)),
+            (false, true) => step(v, Dir::Send, Rows::List(v as u32), Buf::Own),
+            (true, false) => step(0, Dir::Send, Rows::List(vr as u32), Buf::Own),
+            (false, false) => step(0, Dir::Recv, Rows::List(vr as u32), Buf::Own),
+        })
+        .collect()
+}
+
+/// Member `me`'s ring steps over `g` chunks: in step `s` of `2·(g − 1)`
+/// it sends chunk `me − s` (its own at first, then the buffer it last
+/// received) and receives chunk `me − s − 1`, summing its own part into it
+/// for the first `g − 1` steps and keeping it from the last of those on.
+fn ring_steps(me: usize, g: usize, rows: usize) -> Vec<Step> {
+    let chunk = |back: usize| run(g, rows, (me + 2 * g - back) % g, 1);
+    let mut steps = Vec::new();
+    for s in 0..2 * (g - 1) {
+        let (sum, keep) = (false, false);
+        let sent = if s == 0 {
+            Buf::Own
+        } else {
+            Buf::Carry { sum, keep }
+        };
+        steps.push(step((me + 1) % g, Dir::Send, chunk(s), sent));
+        let (sum, keep) = (s < g - 1, s + 2 >= g);
+        steps.push(step(
+            (me + g - 1) % g,
+            Dir::Recv,
+            chunk(s + 1),
+            Buf::Carry { sum, keep },
+        ));
+    }
+    steps
+}
+
+/// Every member's steps of one collective or exchange, and what each
+/// member moves, counted from them once.
+#[derive(Debug, Clone)]
+pub struct Plan {
+    op: Op,
+    /// `None` for a ring or routes.
+    schedule: Option<Schedule>,
+    /// Height of the buffer: the rows of a whole-buffer message.
+    rows: usize,
+    /// The row lists [`Rows::List`] names.
+    lists: Vec<Vec<u32>>,
+    /// A sparse reduce's root: each row's slot in the union of the
+    /// non-roots' supports (`u32::MAX` off it), and the union's height.
+    union: (Vec<u32>, usize),
+    steps: Vec<Vec<Step>>,
+    /// Per member, its steps' traffic in rows, not bytes.
+    moved: Vec<Traffic>,
+    /// The most rows and the most messages any one member moves.
+    busiest: (u64, u64),
+}
+
+impl Plan {
+    fn new(
+        op: Op,
+        schedule: Option<Schedule>,
+        rows: usize,
+        lists: Vec<Vec<u32>>,
+        steps: Vec<Vec<Step>>,
+    ) -> Self {
+        let count = |steps: &Vec<Step>| {
+            let mut t = Traffic::default();
+            for s in steps {
+                let n = match &s.rows {
+                    Rows::All => rows,
+                    Rows::Span(head, tail) => head.len() + tail.len(),
+                    Rows::List(l) => lists[*l as usize].len(),
+                } as u64;
+                match s.dir {
+                    Dir::Send => (t.sent_bytes, t.sent_msgs) = (t.sent_bytes + n, t.sent_msgs + 1),
+                    Dir::Recv => (t.recv_bytes, t.recv_msgs) = (t.recv_bytes + n, t.recv_msgs + 1),
+                    Dir::Keep => {}
+                }
+            }
+            t
+        };
+        let moved: Vec<Traffic> = steps.iter().map(count).collect();
+        let busiest = (moved.iter()).fold((0, 0), |(r, m), t| (r.max(t.bytes()), m.max(t.msgs())));
+        let mut union = (Vec::new(), 0);
+        if op == Op::Reduce && schedule == Some(Schedule::Sparse) {
+            union.0 = vec![u32::MAX; rows];
+            for &r in lists[1..].iter().flatten() {
+                union.0[r as usize] = 0;
+            }
+            for at in union.0.iter_mut().filter(|at| **at != u32::MAX) {
+                (*at, union.1) = (union.1 as u32, union.1 + 1);
+            }
+        }
+        Self {
+            op,
+            schedule,
+            rows,
+            lists,
+            union,
+            steps,
+            moved,
+            busiest,
+        }
+    }
+
+    /// A plan with no steps, for a call that builds only its own.
+    fn bare(op: Op, schedule: Option<Schedule>, rows: usize) -> Self {
+        Self::new(op, schedule, rows, Vec::new(), Vec::new())
+    }
+
+    fn rooted(op: Op, schedule: Schedule, size: usize, rows: usize, lists: Vec<Vec<u32>>) -> Self {
+        let steps = (0..size).map(|vr| match schedule {
+            Schedule::Tree => tree_steps(op, vr, size),
+            Schedule::Large => large_steps(op, vr, size, rows),
+            Schedule::Sparse => sparse_steps(op, vr, &lists),
+        });
+        let steps = steps.collect();
+        Self::new(op, Some(schedule), rows, lists, steps)
+    }
+
+    /// The ring all-reduce of a `rows`-row buffer over `size` members
+    /// ([`Group::allreduce_plan`]), by member. Chunks are row-aligned, so
+    /// where `size` does not divide `rows` some member moves whole rows
+    /// more than `2·(size − 1)/size` of the buffer.
+    pub fn ring(size: usize, rows: usize) -> Self {
+        let ring = |me| {
+            if size == 1 || rows == 0 {
+                Vec::new()
+            } else {
+                ring_steps(me, size, rows)
+            }
+        };
+        Self::new(
+            Op::Ring,
+            None,
+            rows,
+            Vec::new(),
+            (0..size).map(ring).collect(),
+        )
+    }
+
+    /// Point-to-point routes among `members` ranks, for
+    /// [`Group::exchange`]: each `(src, dst, src_row, dst_row)` moves row
+    /// `src_row` of the sender's buffer to row `dst_row` of the
+    /// receiver's, all rows from one sender to one receiver in one message
+    /// in `src_row` order. A member receives, from each sender in rank
+    /// order, before it sends, to each receiver in rank order.
+    pub fn routes(members: usize, mut moves: Vec<(u32, u32, u32, u32)>) -> Self {
+        moves.sort_unstable();
+        let (mut steps, mut sends) = (vec![Vec::new(); members], vec![Vec::new(); members]);
+        let mut lists = Vec::new();
+        for run in moves.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (src, dst, l) = (run[0].0 as usize, run[0].1 as usize, lists.len() as u32);
+            sends[src].push(step(dst, Dir::Send, Rows::List(l), Buf::Own));
+            steps[dst].push(step(src, Dir::Recv, Rows::List(l + 1), Buf::Own));
+            lists.push(run.iter().map(|m| m.2).collect());
+            lists.push(run.iter().map(|m| m.3).collect());
+        }
+        for (steps, sends) in steps.iter_mut().zip(sends) {
+            steps.extend(sends);
+        }
+        Self::new(Op::Broadcast, None, 0, lists, steps)
+    }
+
+    /// The schedule this plan runs, if it is a rooted collective's.
+    pub fn schedule(&self) -> Option<Schedule> {
+        self.schedule
+    }
+
+    /// What member `v` sends and receives on a `stride`-column buffer (a
+    /// ring of an empty payload sends nothing).
+    pub fn traffic(&self, v: usize, stride: usize) -> Traffic {
+        let (t, row) = (self.moved[v], 8 * stride as u64);
+        if self.op == Op::Ring && stride == 0 {
+            return Traffic::default();
+        }
+        Traffic {
+            sent_bytes: t.sent_bytes * row,
+            recv_bytes: t.recv_bytes * row,
+            ..t
+        }
+    }
+
+    /// The most bytes and the most messages any one member moves on a
+    /// `stride`-column buffer.
+    pub fn busiest(&self, stride: usize) -> (u64, u64) {
+        (self.busiest.0 * 8 * stride as u64, self.busiest.1)
+    }
+}
+
+/// The plans one rooted row collective can take over `size` members and
+/// a `rows`-row buffer — the tree; the large schedule with two non-roots
+/// and a row to cut; the sparse one given supports — built once and
+/// picked per call.
+#[derive(Debug, Clone)]
+pub struct Collective {
+    op: Op,
+    size: usize,
+    rows: usize,
+    tree: Plan,
+    large: Option<Plan>,
+    sparse: Option<Plan>,
+}
+
+impl Collective {
+    /// The candidates of [`Group::broadcast_plan`].
+    pub fn broadcast(size: usize, rows: usize, supports: Option<&[Vec<u32>]>) -> Self {
+        Self::new(Op::Broadcast, size, rows, supports)
+    }
+
+    /// The candidates of [`Group::reduce_plan`].
+    pub fn reduce(size: usize, rows: usize, supports: Option<&[Vec<u32>]>) -> Self {
+        Self::new(Op::Reduce, size, rows, supports)
+    }
+
+    fn new(op: Op, size: usize, rows: usize, supports: Option<&[Vec<u32>]>) -> Self {
+        supports.inspect(|s| check_supports(s, size, rows));
+        let plan = |schedule, lists| Plan::rooted(op, schedule, size, rows, lists);
+        Self {
+            op,
+            size,
+            rows,
+            tree: plan(Schedule::Tree, Vec::new()),
+            large: (size >= 3 && rows > 0).then(|| plan(Schedule::Large, Vec::new())),
+            sparse: supports
+                .filter(|_| size >= 2 && rows > 0)
+                .map(|s| plan(Schedule::Sparse, s.to_vec())),
+        }
+    }
+
+    /// The candidate that runs `schedule`, if there is one.
+    pub fn plan(&self, schedule: Schedule) -> Option<&Plan> {
+        match schedule {
+            Schedule::Tree => Some(&self.tree),
+            Schedule::Large => self.large.as_ref(),
+            Schedule::Sparse => self.sparse.as_ref(),
+        }
+    }
+
+    /// The plan a `stride`-column buffer takes on a machine with `cost`
+    /// (see the [module docs](self#selection)).
+    pub fn pick(&self, stride: usize, cost: &CostModel) -> &Plan {
+        let (op, bytes) = (self.op, 8 * self.rows * stride);
+        let tree_time = match op {
+            Op::Reduce => tree_reduce_time(self.size, bytes, cost),
+            _ => ceil_log2(self.size) * cost.transfer_time(bytes),
+        };
+        let (dense, time) = (self.large.as_ref().filter(|_| bytes > 0))
+            .map(|large| {
+                (
+                    large,
+                    large_time(op, self.size - 1, self.rows, stride, cost),
+                )
+            })
+            .filter(|&(_, large_time)| large_time < tree_time)
+            .unwrap_or((&self.tree, tree_time));
+        match &self.sparse {
+            Some(sparse)
+                if stride > 0
+                    && sparse_time(op, &sparse.lists, stride, cost) <= time
+                    && sparse.busiest.0 <= dense.busiest.0
+                    && sparse.busiest.1 <= dense.busiest.1 =>
+            {
+                sparse
+            }
+            _ => dense,
+        }
+    }
 }
 
 fn ceil_log2(n: usize) -> f64 {
     f64::from(n.next_power_of_two().trailing_zeros())
 }
 
-/// Completion time of [`Group::broadcast`] for `bytes` over `size`
-/// members entering together: the root's last child hears after
-/// `⌈log₂ size⌉` whole-buffer sends.
-fn tree_broadcast_time(size: usize, bytes: usize, cost: &CostModel) -> f64 {
-    ceil_log2(size) * cost.transfer_time(bytes)
-}
-
-/// Completion time of [`Group::reduce_sum`] likewise. A complete subtree
-/// of `2^j` members is ready after `j` transfers; the last child of an
-/// incomplete tree can be ready early, and then only its bytes, not its
-/// latency, queue behind the others on the root's link.
+/// A tree reduce's completion: a complete subtree of `2^j` members is
+/// ready after `j` transfers; the last child of an incomplete tree can be
+/// ready early, and then only its bytes queue on the root's link.
 fn tree_reduce_time(size: usize, bytes: usize, cost: &CostModel) -> f64 {
     if size == 1 {
         return 0.0;
@@ -350,115 +563,29 @@ fn tree_reduce_time(size: usize, bytes: usize, cost: &CostModel) -> f64 {
     complete.max(tree_reduce_time(size - half, bytes, cost) + cost.alpha) + cost.beta * bytes as f64
 }
 
-/// Completion time of the large schedule for `op`, every block taken as
-/// the largest one.
-fn large_time(op: Op, blocks: Blocks, cost: &CostModel) -> f64 {
-    let q = blocks.q;
-    let block = (8 * blocks.stride * blocks.rows.div_ceil(q)) as f64;
-    let latencies = match op {
-        Op::Broadcast => q as f64 + ceil_log2(q),
-        Op::Reduce => q as f64,
-    };
+/// The large schedule's completion over `q` non-roots, every block
+/// priced as the largest.
+fn large_time(op: Op, q: usize, rows: usize, stride: usize, cost: &CostModel) -> f64 {
+    let block = (8 * stride * rows.div_ceil(q)) as f64;
+    let latencies = q as f64 + if op == Op::Reduce { 0.0 } else { ceil_log2(q) };
     latencies * cost.alpha + cost.beta * block * (2 * q - 1) as f64
 }
 
-/// Completion time of the sparse schedule for `op`: the root's packed
-/// sends serialise (broadcast), or the non-roots' packed messages leave
-/// together and drain one after another on the root's link (reduce).
+/// The sparse schedule's completion: the root's packed sends serialise
+/// (broadcast), or the packed messages leave together and drain one
+/// after another on the root's link (reduce).
 fn sparse_time(op: Op, supports: &[Vec<u32>], stride: usize, cost: &CostModel) -> f64 {
-    let mut sent = supports[1..]
-        .iter()
-        .filter(|s| !s.is_empty())
-        .map(|s| 8 * stride * s.len());
+    let mut sent = (supports[1..].iter().filter(|s| !s.is_empty())).map(|s| 8 * stride * s.len());
     match op {
-        Op::Broadcast => sent.fold(0.0, |time, bytes| time + cost.transfer_time(bytes)),
         Op::Reduce => sent.next().map_or(0.0, |first| {
             cost.alpha + cost.beta * (first + sent.sum::<usize>()) as f64
         }),
-    }
-}
-
-/// A row collective's schedule with what running it needs.
-#[derive(Clone, Copy)]
-enum Pick {
-    Tree,
-    Large(Blocks),
-    Sparse,
-}
-
-impl Pick {
-    fn schedule(self) -> Schedule {
-        match self {
-            Pick::Tree => Schedule::Tree,
-            Pick::Large(_) => Schedule::Large,
-            Pick::Sparse => Schedule::Sparse,
-        }
-    }
-}
-
-/// The tree or the large schedule, whichever finishes first for `op`,
-/// and its completion time. The large one needs two non-roots and
-/// something to cut.
-fn dense_pick(op: Op, size: usize, rows: usize, stride: usize, cost: &CostModel) -> (Pick, f64) {
-    let bytes = 8 * rows * stride;
-    let tree = match op {
-        Op::Broadcast => tree_broadcast_time(size, bytes, cost),
-        Op::Reduce => tree_reduce_time(size, bytes, cost),
-    };
-    if size >= 3 && bytes > 0 {
-        let blocks = Blocks::over_nonroots(size, rows, stride);
-        let large = large_time(op, blocks, cost);
-        if large < tree {
-            return (Pick::Large(blocks), large);
-        }
-    }
-    (Pick::Tree, tree)
-}
-
-/// The schedule of a `rows × stride` collective over `size` members (see
-/// the [module docs](self#selection)): the dense pick, or the sparse
-/// schedule when `supports` are given and it finishes no later *and* its
-/// busiest member moves no more bytes and no more messages than the dense
-/// pick's.
-fn pick(
-    op: Op,
-    size: usize,
-    rows: usize,
-    stride: usize,
-    cost: &CostModel,
-    supports: Option<&[Vec<u32>]>,
-) -> Pick {
-    let (dense, dense_time) = dense_pick(op, size, rows, stride, cost);
-    let Some(supports) = supports else {
-        return dense;
-    };
-    assert_eq!(supports.len(), size, "one support per member");
-    if size < 2 || rows * stride == 0 {
-        return dense;
-    }
-    // The most bytes and the most messages any one member moves.
-    let busiest = |pick| {
-        (0..size)
-            .map(|vr| traffic(op, pick, vr, size, rows, stride, Some(supports)))
-            .fold((0, 0), |(bytes, msgs), t| {
-                (bytes.max(t.bytes()), msgs.max(t.msgs()))
-            })
-    };
-    let (sparse, dense_load) = (busiest(Pick::Sparse), busiest(dense));
-    if sparse_time(op, supports, stride, cost) <= dense_time
-        && sparse.0 <= dense_load.0
-        && sparse.1 <= dense_load.1
-    {
-        Pick::Sparse
-    } else {
-        dense
+        _ => sent.fold(0.0, |time, bytes| time + cost.transfer_time(bytes)),
     }
 }
 
 /// The schedule [`Group::broadcast_rows`] takes for a `rows × stride`
-/// buffer over `size` members on a machine with `cost`, given the
-/// members' row supports if the caller has them (see the
-/// [module docs](self#selection)).
+/// buffer over `size` members, given their supports if there are any.
 pub fn broadcast_schedule(
     size: usize,
     rows: usize,
@@ -466,7 +593,8 @@ pub fn broadcast_schedule(
     cost: &CostModel,
     supports: Option<&[Vec<u32>]>,
 ) -> Schedule {
-    pick(Op::Broadcast, size, rows, stride, cost, supports).schedule()
+    let plans = Collective::broadcast(size, rows, supports);
+    plans.pick(stride, cost).schedule.expect("a rooted plan")
 }
 
 /// The schedule [`Group::reduce_sum_rows`] takes, likewise.
@@ -477,184 +605,8 @@ pub fn reduce_schedule(
     cost: &CostModel,
     supports: Option<&[Vec<u32>]>,
 ) -> Schedule {
-    pick(Op::Reduce, size, rows, stride, cost, supports).schedule()
-}
-
-/// What the member at root-relative index `vr` moves in a tree collective
-/// of `bytes`; a reduce mirrors a broadcast.
-fn tree_traffic(op: Op, vr: usize, size: usize, bytes: u64) -> Traffic {
-    let children = binomial_children(vr, size) as u64;
-    let parent = u64::from(vr != 0);
-    let broadcast = Traffic {
-        sent_bytes: children * bytes,
-        recv_bytes: parent * bytes,
-        sent_msgs: children,
-        recv_msgs: parent,
-    };
-    match op {
-        Op::Broadcast => broadcast,
-        Op::Reduce => broadcast.mirrored(),
-    }
-}
-
-fn large_broadcast_traffic(vr: usize, blocks: Blocks) -> Traffic {
-    let q = blocks.q;
-    let Some(c) = vr.checked_sub(1) else {
-        return Traffic {
-            sent_bytes: blocks.run_bytes(0, q),
-            sent_msgs: q as u64,
-            ..Traffic::default()
-        };
-    };
-    let mut t = Traffic {
-        recv_bytes: blocks.run_bytes(c, 1),
-        recv_msgs: 1,
-        ..Traffic::default()
-    };
-    for (d, cnt) in allgather_steps(q) {
-        t.sent_bytes += blocks.run_bytes(c, cnt);
-        t.recv_bytes += blocks.run_bytes((c + d) % q, cnt);
-        t.sent_msgs += 1;
-        t.recv_msgs += 1;
-    }
-    t
-}
-
-fn large_reduce_traffic(vr: usize, blocks: Blocks) -> Traffic {
-    let q = blocks.q as u64;
-    let whole = blocks.run_bytes(0, blocks.q);
-    let Some(c) = vr.checked_sub(1) else {
-        return Traffic {
-            recv_bytes: whole,
-            recv_msgs: q,
-            ..Traffic::default()
-        };
-    };
-    // q − 1 pieces out and the reduced block to the root: the whole
-    // vector once. q − 1 pieces of the own block in.
-    Traffic {
-        sent_bytes: whole,
-        recv_bytes: (q - 1) * blocks.run_bytes(c, 1),
-        sent_msgs: q,
-        recv_msgs: q - 1,
-    }
-}
-
-/// The root sends (broadcast) or receives (reduce) one packed message per
-/// non-empty support; a non-root the mirror of its own.
-fn sparse_traffic(op: Op, vr: usize, supports: &[Vec<u32>], stride: usize) -> Traffic {
-    let bytes = |s: &Vec<u32>| 8 * (stride * s.len()) as u64;
-    let (moved, msgs) = if vr == 0 {
-        let nonempty = supports[1..].iter().filter(|s| !s.is_empty());
-        (nonempty.clone().map(bytes).sum(), nonempty.count() as u64)
-    } else {
-        let own = &supports[vr];
-        (bytes(own), u64::from(!own.is_empty()))
-    };
-    let sends = Traffic {
-        sent_bytes: moved,
-        sent_msgs: msgs,
-        ..Traffic::default()
-    };
-    match (op, vr == 0) {
-        (Op::Broadcast, true) | (Op::Reduce, false) => sends,
-        _ => sends.mirrored(),
-    }
-}
-
-fn traffic(
-    op: Op,
-    pick: Pick,
-    vr: usize,
-    size: usize,
-    rows: usize,
-    stride: usize,
-    supports: Option<&[Vec<u32>]>,
-) -> Traffic {
-    match (pick, op) {
-        (Pick::Tree, _) => tree_traffic(op, vr, size, 8 * (rows * stride) as u64),
-        (Pick::Large(blocks), Op::Broadcast) => large_broadcast_traffic(vr, blocks),
-        (Pick::Large(blocks), Op::Reduce) => large_reduce_traffic(vr, blocks),
-        (Pick::Sparse, _) => sparse_traffic(
-            op,
-            vr,
-            supports.expect("the sparse schedule runs on supports"),
-            stride,
-        ),
-    }
-}
-
-/// What every member sends and receives in one collective, by
-/// root-relative index: one selection for the whole group.
-fn costs(
-    op: Op,
-    size: usize,
-    rows: usize,
-    stride: usize,
-    cost: &CostModel,
-    supports: Option<&[Vec<u32>]>,
-) -> Vec<Traffic> {
-    let pick = pick(op, size, rows, stride, cost, supports);
-    (0..size)
-        .map(|vr| traffic(op, pick, vr, size, rows, stride, supports))
-        .collect()
-}
-
-/// What each member sends and receives in [`Group::broadcast_rows`] of a
-/// `rows × stride` buffer over `size` members with `supports`, indexed by
-/// root-relative index, under the schedule [`broadcast_schedule`]
-/// selects. `predict_volume` estimates in `amd_spmm` are built on it.
-pub fn broadcast_cost(
-    size: usize,
-    rows: usize,
-    stride: usize,
-    cost: &CostModel,
-    supports: Option<&[Vec<u32>]>,
-) -> Vec<Traffic> {
-    costs(Op::Broadcast, size, rows, stride, cost, supports)
-}
-
-/// [`broadcast_cost`] for [`Group::reduce_sum_rows`].
-pub fn reduce_cost(
-    size: usize,
-    rows: usize,
-    stride: usize,
-    cost: &CostModel,
-    supports: Option<&[Vec<u32>]>,
-) -> Vec<Traffic> {
-    costs(Op::Reduce, size, rows, stride, cost, supports)
-}
-
-/// What the member at index `me` moves in a ring all-reduce over the
-/// chunks `blocks` (one per member): in step `s` of `2·(g − 1)` it sends
-/// chunk `me − s` and receives chunk `me − s − 1`.
-fn ring_traffic(me: usize, blocks: Blocks) -> Traffic {
-    let g = blocks.q;
-    let steps = 2 * (g - 1);
-    let chunk = |back: usize| blocks.run_bytes((me + 2 * g - back) % g, 1);
-    Traffic {
-        sent_bytes: (0..steps).map(chunk).sum(),
-        recv_bytes: (1..=steps).map(chunk).sum(),
-        sent_msgs: steps as u64,
-        recv_msgs: steps as u64,
-    }
-}
-
-/// What each member sends and receives in
-/// [`Group::allreduce_sum_ring_aligned`] of a `rows × stride` buffer over
-/// `size` members, indexed by member. The chunks are row-aligned, so
-/// where `size` does not divide `rows` members move whole rows more or
-/// less than `2·(size − 1)/size` of the payload.
-pub fn allreduce_ring_cost(size: usize, rows: usize, stride: usize) -> Vec<Traffic> {
-    if size == 1 || rows * stride == 0 {
-        return vec![Traffic::default(); size];
-    }
-    let blocks = Blocks {
-        q: size,
-        rows,
-        stride,
-    };
-    (0..size).map(|me| ring_traffic(me, blocks)).collect()
+    let plans = Collective::reduce(size, rows, supports);
+    plans.pick(stride, cost).schedule.expect("a rooted plan")
 }
 
 /// Panics unless `supports` holds one strictly increasing list of rows
@@ -670,16 +622,6 @@ fn check_supports(supports: &[Vec<u32>], size: usize, rows: usize) {
     }
 }
 
-/// The rows `support` of a row-major buffer of `stride` columns, packed.
-fn pack_rows(buf: &[f64], support: &[u32], stride: usize) -> Vec<f64> {
-    let mut packed = Vec::with_capacity(support.len() * stride);
-    for &r in support {
-        let at = r as usize * stride;
-        packed.extend_from_slice(&buf[at..at + stride]);
-    }
-    packed
-}
-
 /// `acc[i] += other[i]`, the one addition every reduce here is made of.
 fn add_into(acc: &mut [f64], other: &[f64]) {
     assert_eq!(other.len(), acc.len(), "reduce length mismatch");
@@ -690,18 +632,13 @@ fn add_into(acc: &mut [f64], other: &[f64]) {
 
 /// The non-roots' part of the root-last binomial sum, `c₁ + c₂ + c₄ + …`,
 /// of one block: `pieces[v − 1]` is the raw piece of the member at
-/// root-relative index `v` of a `p`-member group. Replays the mask loop
-/// of [`Group::reduce_sum`] — in round `mask` every member still holding
-/// a partial and clear of that bit adds the partial of `v + mask` into
-/// its own — with slot 0 standing for the root's sum of children rather
-/// than the root's vector, so the result is bit for bit what the tree's
-/// root adds to its own.
-///
-/// The one fold of every reduce here: the large schedule's owners and the
-/// sparse schedule's root call it, and so does a caller that gathers the
-/// members' rows itself and adds the result to the root's, as the root
-/// would (the arrow multiply's direct feed). A row a member does not hold
-/// enters as the `+0.0` its vector has there.
+/// root-relative index `v` of a `p`-member group. Replays the tree
+/// reduce's mask loop — in round `mask` every member still holding a
+/// partial and clear of that bit adds the partial of `v + mask` into its
+/// own — with slot 0 standing for the root's sum of children, so the
+/// result is bit for bit what the tree's root adds to its own. A row a
+/// member does not hold enters as the `+0.0` its vector has there. The
+/// arrow multiply's direct feed folds with it too.
 pub fn fold_nonroots(pieces: &[&[f64]], p: usize) -> Vec<f64> {
     assert_eq!(pieces.len() + 1, p, "one piece per non-root");
     assert!(p >= 2, "no non-root to fold");
@@ -726,6 +663,88 @@ pub fn fold_nonroots(pieces: &[&[f64]], p: usize) -> Vec<f64> {
         mask <<= 1;
     }
     acc[0].take().expect("round 1 fills the root's slot")
+}
+
+/// `rows` as a view of the whole of a buffer of its own.
+fn whole(rows: Vec<f64>) -> SharedRows {
+    let head = 0..rows.len();
+    SharedRows {
+        buf: Arc::new(rows),
+        head,
+        tail: 0..0,
+    }
+}
+
+/// What a member holds while it runs its steps.
+struct Held<T> {
+    /// A broadcast's whole value, which a tree's messages carry.
+    value: Option<T>,
+    /// The member's own buffer.
+    own: Option<Arc<Vec<f64>>>,
+    /// A route's rows from `split` on, which live in `tail`.
+    tail: Vec<f64>,
+    split: usize,
+    /// Received pieces waiting for the fold, by slot.
+    pieces: Vec<Option<SharedRows>>,
+    carry: Vec<f64>,
+}
+
+impl<T> Held<T> {
+    fn new(value: Option<T>, own: Option<Arc<Vec<f64>>>, split: usize) -> Self {
+        let (tail, pieces, carry) = (Vec::new(), Vec::new(), Vec::new());
+        Self {
+            value,
+            own,
+            tail,
+            split,
+            pieces,
+            carry,
+        }
+    }
+
+    fn own(&self) -> &Arc<Vec<f64>> {
+        self.own.as_ref().expect("the member holds its buffer")
+    }
+
+    /// The own buffer, never shared when a plan writes it.
+    fn own_mut(&mut self) -> &mut Vec<f64> {
+        Arc::make_mut(self.own.as_mut().expect("the member holds its buffer"))
+    }
+
+    fn take_own(&mut self) -> Vec<f64> {
+        Arc::unwrap_or_clone(self.own.take().expect("the member holds its buffer"))
+    }
+
+    fn view(&self, head: Range<usize>, tail: Range<usize>) -> SharedRows {
+        SharedRows {
+            buf: Arc::clone(self.own()),
+            head,
+            tail,
+        }
+    }
+
+    fn piece(&mut self, m: u32) -> &mut Option<SharedRows> {
+        let m = m as usize;
+        if self.pieces.len() <= m {
+            self.pieces.resize_with(m + 1, || None);
+        }
+        &mut self.pieces[m]
+    }
+
+    /// The fold of every piece held, a missing one as `empty`.
+    fn fold(&mut self, empty: &[f64]) -> Vec<f64> {
+        let pieces = std::mem::take(&mut self.pieces);
+        let rows: Vec<&[f64]> = (pieces.iter())
+            .map(|p| p.as_ref().map_or(empty, |v| &v.buf[v.head.clone()]))
+            .collect();
+        fold_nonroots(&rows, rows.len() + 1)
+    }
+
+    /// Where row `r` of a `stride`-wide route buffer lives.
+    fn at(&self, r: usize, stride: usize) -> (bool, Range<usize>) {
+        let (tail, r) = r.checked_sub(self.split).map_or((false, r), |r| (true, r));
+        (tail, r * stride..(r + 1) * stride)
+    }
 }
 
 /// A communicator: an ordered list of machine ranks.
@@ -788,6 +807,143 @@ impl Group {
         tag
     }
 
+    /// This member's index relative to `root_idx`.
+    fn vr(&self, root_idx: usize) -> usize {
+        (self.my_idx + self.size() - root_idx) % self.size()
+    }
+
+    /// The interpreter: runs the `steps` of `plan` — those of direction
+    /// `only`, if given — on `held`, peers relative to `root_idx`, on a
+    /// `stride`-column buffer, with message `tag` (the group's next
+    /// collective tag if none).
+    #[allow(clippy::too_many_arguments)]
+    fn exec<T: Payload + Clone>(
+        &self,
+        ctx: &mut RankCtx,
+        tag: Option<u64>,
+        root_idx: usize,
+        plan: &Plan,
+        steps: &[Step],
+        only: Option<Dir>,
+        stride: usize,
+        mut held: Held<T>,
+    ) -> Held<T> {
+        let tag = tag.unwrap_or_else(|| self.next_tag(ctx));
+        let span = |r: &Range<u32>| r.start as usize * stride..r.end as usize * stride;
+        let (broadcast, ring) = (plan.op == Op::Broadcast, plan.op == Op::Ring);
+        for s in steps.iter().filter(|s| only.is_none_or(|d| s.dir == d)) {
+            let peer = self.members[(s.peer as usize + root_idx) % self.size()];
+            match (s.dir, &s.rows, s.buf) {
+                (Dir::Send, Rows::All, _) if broadcast => {
+                    let value = held.value.clone().expect("binomial order guarantees data");
+                    ctx.send(peer, tag, value);
+                }
+                (Dir::Recv, Rows::All, _) if broadcast => held.value = Some(ctx.recv(peer, tag)),
+                (Dir::Send, Rows::All, _) => ctx.send(peer, tag, held.take_own()),
+                (Dir::Recv, Rows::All, Buf::Own) => {
+                    add_into(held.own_mut(), &ctx.recv::<Vec<f64>>(peer, tag))
+                }
+                (Dir::Recv, Rows::All, _) => {
+                    let other: Vec<f64> = ctx.recv(peer, tag);
+                    match held.piece(0) {
+                        Some(sum) => add_into(&mut Arc::make_mut(&mut sum.buf)[..], &other),
+                        children => *children = Some(whole(other)),
+                    }
+                }
+                (Dir::Send, Rows::Span(head, _), Buf::Own) if ring => {
+                    ctx.send(peer, tag, held.own()[span(head)].to_vec())
+                }
+                (Dir::Send, Rows::Span(head, tail), Buf::Own) => {
+                    ctx.send(peer, tag, held.view(span(head), span(tail)));
+                }
+                (Dir::Keep, Rows::Span(head, tail), Buf::Piece(m)) => {
+                    *held.piece(m) = Some(held.view(span(head), span(tail)));
+                }
+                (Dir::Send, Rows::Span(head, _), Buf::Piece(_)) => {
+                    let folded = held.fold(&vec![0.0; span(head).len()]);
+                    ctx.send(peer, tag, folded);
+                }
+                (Dir::Send, Rows::Span(..), Buf::Carry { .. }) => {
+                    ctx.send(peer, tag, std::mem::take(&mut held.carry))
+                }
+                (Dir::Recv, Rows::Span(head, tail), Buf::Own) if broadcast => {
+                    // A view must cover exactly the run the step says it
+                    // does, or the receiver would "hold" rows nobody sent.
+                    let got: SharedRows = ctx.recv(peer, tag);
+                    assert_eq!((got.head, got.tail), (span(head), span(tail)));
+                    match &held.own {
+                        Some(own) => assert!(Arc::ptr_eq(own, &got.buf), "views of two buffers"),
+                        None => held.own = Some(got.buf),
+                    }
+                }
+                (Dir::Recv, Rows::Span(head, _), Buf::Own) => {
+                    let block: Vec<f64> = ctx.recv(peer, tag);
+                    add_into(&mut held.own_mut()[span(head)], &block);
+                }
+                (Dir::Recv, Rows::Span(head, _), Buf::Piece(m)) => {
+                    let view: SharedRows = ctx.recv(peer, tag);
+                    assert_eq!(view.head.len(), span(head).len());
+                    *held.piece(m) = Some(view);
+                }
+                (Dir::Recv, Rows::Span(head, _), Buf::Carry { sum, keep }) => {
+                    let mut chunk: Vec<f64> = ctx.recv(peer, tag);
+                    let mine = &mut held.own_mut()[span(head)];
+                    assert_eq!(chunk.len(), mine.len());
+                    for (slot, &m) in chunk.iter_mut().zip(mine.iter()).filter(|_| sum) {
+                        let incoming = *slot;
+                        *slot = m + incoming;
+                    }
+                    if keep {
+                        mine.copy_from_slice(&chunk);
+                    }
+                    held.carry = chunk;
+                }
+                (Dir::Send, Rows::List(l), _) => {
+                    let list = &plan.lists[*l as usize];
+                    let mut packed = Vec::with_capacity(list.len() * stride);
+                    for &r in list {
+                        let (tail, at) = held.at(r as usize, stride);
+                        packed.extend_from_slice(if tail {
+                            &held.tail[at]
+                        } else {
+                            &held.own()[at]
+                        });
+                    }
+                    ctx.send(peer, tag, packed);
+                }
+                (Dir::Recv, Rows::List(l), buf) => {
+                    let list = &plan.lists[*l as usize];
+                    let packed: Vec<f64> = ctx.recv(peer, tag);
+                    assert_eq!(packed.len(), list.len() * stride);
+                    let rows = list
+                        .iter()
+                        .map(|&r| r as usize)
+                        .zip(packed.chunks_exact(stride));
+                    if let Buf::Piece(m) = buf {
+                        // Laid out over the union of the non-roots' supports.
+                        let mut piece = vec![0.0; plan.union.1 * stride];
+                        for (r, row) in rows {
+                            let at = plan.union.0[r] as usize * stride;
+                            piece[at..at + stride].copy_from_slice(row);
+                        }
+                        *held.piece(m) = Some(whole(piece));
+                        continue;
+                    }
+                    if held.own.is_none() {
+                        held.own = Some(Arc::new(vec![0.0; plan.rows * stride]));
+                    }
+                    for (r, row) in rows {
+                        let (tail, at) = held.at(r, stride);
+                        let buf = if tail { &mut held.tail } else { held.own_mut() };
+                        buf[at].copy_from_slice(row);
+                    }
+                }
+                (dir, rows, buf) => unreachable!("no plan takes {dir:?} {rows:?} {buf:?}"),
+            }
+        }
+        held
+    }
+
     /// Binomial-tree broadcast from `root_idx`. The root passes
     /// `Some(data)`, everyone else `None`; all members return the value.
     pub fn broadcast<T: Payload + Clone>(
@@ -796,47 +952,61 @@ impl Group {
         root_idx: usize,
         data: Option<T>,
     ) -> T {
-        let s = self.size();
-        let tag = self.next_tag(ctx);
-        let vr = (self.my_idx + s - root_idx) % s;
-        let mut value = if vr == 0 {
-            Some(data.expect("broadcast root must supply the data"))
-        } else {
-            None
-        };
-        let mut mask = 1usize;
-        while mask < s {
-            if vr & mask != 0 {
-                let src = self.abs(vr - mask, root_idx);
-                value = Some(ctx.recv::<T>(src, tag));
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vr & (mask - 1) == 0 && vr & mask == 0 && vr + mask < s {
-                let dst = self.abs(vr + mask, root_idx);
-                ctx.send(
-                    dst,
-                    tag,
-                    value
-                        .as_ref()
-                        .expect("binomial order guarantees data")
-                        .clone(),
-                );
-            }
-            mask >>= 1;
-        }
-        value.expect("every member obtains the broadcast value")
+        let vr = self.vr(root_idx);
+        let value = (vr == 0).then(|| data.expect("broadcast root must supply the data"));
+        let (plan, steps) = (
+            Plan::bare(Op::Broadcast, Some(Schedule::Tree), 0),
+            tree_steps(Op::Broadcast, vr, self.size()),
+        );
+        let held = self.exec(
+            ctx,
+            None,
+            root_idx,
+            &plan,
+            &steps,
+            None,
+            0,
+            Held::new(value, None, 0),
+        );
+        held.value
+            .expect("every member obtains the broadcast value")
     }
 
-    /// [`broadcast`](Group::broadcast) of a row-major `rows × stride`
-    /// buffer under the schedule [`broadcast_schedule`] selects for the
-    /// machine's cost model. Every member passes the same `rows`,
-    /// `stride` and `supports`. Without supports all return the root's
-    /// buffer; with them a member's buffer is only promised to hold the
-    /// root's rows on its support (see the [module docs](self#supports)).
+    /// Runs `plan`, one of a [`Collective::broadcast`]'s, on a row-major
+    /// `stride`-column buffer from `root_idx`. Under a dense plan every
+    /// member returns the root's buffer; under a sparse one only its
+    /// support rows are promised (see the [module docs](self#supports)).
+    pub fn broadcast_plan(
+        &self,
+        ctx: &mut RankCtx,
+        root_idx: usize,
+        data: Option<Arc<Vec<f64>>>,
+        plan: &Plan,
+        stride: usize,
+    ) -> Arc<Vec<f64>> {
+        let len = plan.rows * stride;
+        assert!(
+            data.as_ref().is_none_or(|d| d.len() == len),
+            "broadcast shape mismatch"
+        );
+        let vr = self.vr(root_idx);
+        let own = (vr == 0).then(|| data.expect("broadcast root must supply the data"));
+        let held = Held::new(own.clone(), own, plan.rows);
+        let held = self.exec(
+            ctx,
+            None,
+            root_idx,
+            plan,
+            &plan.steps[vr],
+            None,
+            stride,
+            held,
+        );
+        (held.own.or(held.value)).unwrap_or_else(|| Arc::new(vec![0.0; len]))
+    }
+
+    /// [`broadcast_plan`](Group::broadcast_plan) of a `rows × stride`
+    /// buffer under the plan [`broadcast_schedule`] selects.
     pub fn broadcast_rows(
         &self,
         ctx: &mut RankCtx,
@@ -846,37 +1016,11 @@ impl Group {
         stride: usize,
         supports: Option<&[Vec<u32>]>,
     ) -> Arc<Vec<f64>> {
-        // The members select from `rows × stride`, not from the buffer.
-        assert!(
-            data.as_ref().is_none_or(|d| d.len() == rows * stride),
-            "broadcast shape mismatch"
-        );
-        match pick(
-            Op::Broadcast,
-            self.size(),
-            rows,
-            stride,
-            ctx.cost(),
-            supports,
-        ) {
-            Pick::Tree => self.broadcast(ctx, root_idx, data),
-            Pick::Large(_) => self.broadcast_large(ctx, root_idx, data, rows, stride),
-            Pick::Sparse => self.broadcast_sparse(
-                ctx,
-                root_idx,
-                data,
-                rows,
-                stride,
-                supports.expect("the sparse schedule runs on supports"),
-            ),
-        }
+        let plans = Collective::broadcast(self.size(), rows, supports);
+        self.broadcast_plan(ctx, root_idx, data, plans.pick(stride, ctx.cost()), stride)
     }
 
-    /// Sparse broadcast (see the [module docs](self)): the root sends
-    /// every non-root with a non-empty support its support rows, packed,
-    /// and the receiver scatters them into a zeroed `rows × stride`
-    /// buffer. `supports[v]` is the member at root-relative index `v`'s;
-    /// the root's is not read.
+    /// The sparse broadcast by name.
     pub fn broadcast_sparse(
         &self,
         ctx: &mut RankCtx,
@@ -886,43 +1030,19 @@ impl Group {
         stride: usize,
         supports: &[Vec<u32>],
     ) -> Arc<Vec<f64>> {
-        let s = self.size();
         assert!(stride >= 1, "stride must be positive");
-        check_supports(supports, s, rows);
-        let vr = (self.my_idx + s - root_idx) % s;
-        let tag = self.next_tag(ctx);
-        let before = Traffic::charged(ctx);
-        let buf = if vr == 0 {
-            let buf = data.expect("broadcast root must supply the data");
-            assert_eq!(buf.len(), rows * stride, "broadcast shape mismatch");
-            for (v, support) in supports.iter().enumerate().skip(1) {
-                if !support.is_empty() {
-                    let packed = pack_rows(&buf, support, stride);
-                    ctx.send(self.abs(v, root_idx), tag, packed);
-                }
-            }
-            buf
-        } else {
-            let mut buf = vec![0.0; rows * stride];
-            let support = &supports[vr];
-            if !support.is_empty() {
-                let packed: Vec<f64> = ctx.recv(self.abs(0, root_idx), tag);
-                assert_eq!(packed.len(), support.len() * stride);
-                for (&r, row) in support.iter().zip(packed.chunks_exact(stride)) {
-                    let at = r as usize * stride;
-                    buf[at..at + stride].copy_from_slice(row);
-                }
-            }
-            Arc::new(buf)
-        };
-        sparse_traffic(Op::Broadcast, vr, supports, stride).assert_charged_since(before, ctx);
-        buf
+        check_supports(supports, self.size(), rows);
+        let plan = Plan::rooted(
+            Op::Broadcast,
+            Schedule::Sparse,
+            self.size(),
+            rows,
+            supports.to_vec(),
+        );
+        self.broadcast_plan(ctx, root_idx, data, &plan, stride)
     }
 
-    /// Scatter + all-gather broadcast (see the [module docs](self)): the
-    /// root sends row-aligned block `c` to non-root `c`, the non-roots
-    /// all-gather in `⌈log₂ q⌉` Bruck steps. Every message is a view of
-    /// the root's buffer, which every member returns.
+    /// The scatter + all-gather broadcast by name.
     pub fn broadcast_large(
         &self,
         ctx: &mut RankCtx,
@@ -931,94 +1051,96 @@ impl Group {
         rows: usize,
         stride: usize,
     ) -> Arc<Vec<f64>> {
-        let s = self.size();
-        let vr = (self.my_idx + s - root_idx) % s;
-        if s == 1 {
-            return data.expect("broadcast root must supply the data");
-        }
-        let blocks = Blocks::over_nonroots(s, rows, stride);
-        let q = blocks.q;
-        let tag = self.next_tag(ctx);
-        let before = Traffic::charged(ctx);
-        let buf = if let Some(c) = vr.checked_sub(1) {
-            // A view must cover exactly the run the schedule says it
-            // does, or the receiver would "hold" rows nobody sent it.
-            let recv_run = |ctx: &mut RankCtx, from: u32, first: usize, cnt: usize| {
-                let got: SharedRows = ctx.recv(from, tag);
-                assert_eq!((got.head, got.tail), blocks.run(first, cnt));
-                got.buf
-            };
-            let buf = recv_run(ctx, self.abs(0, root_idx), c, 1);
-            for (d, cnt) in allgather_steps(q) {
-                let to = self.abs(1 + (c + q - d) % q, root_idx);
-                ctx.send(to, tag, blocks.view(&buf, c, cnt));
-                let from = (c + d) % q;
-                let got = recv_run(ctx, self.abs(1 + from, root_idx), from, cnt);
-                assert!(Arc::ptr_eq(&got, &buf), "views of two buffers");
-            }
-            buf
-        } else {
-            let buf = data.expect("broadcast root must supply the data");
-            assert_eq!(buf.len(), rows * stride, "broadcast shape mismatch");
-            for c in 0..q {
-                ctx.send(self.abs(1 + c, root_idx), tag, blocks.view(&buf, c, 1));
-            }
-            buf
-        };
-        large_broadcast_traffic(vr, blocks).assert_charged_since(before, ctx);
-        buf
+        let plan = Plan::rooted(
+            Op::Broadcast,
+            Schedule::Large,
+            self.size(),
+            rows,
+            Vec::new(),
+        );
+        self.broadcast_plan(ctx, root_idx, data, &plan, stride)
     }
 
-    /// Binomial-tree sum-reduction of `f64` vectors to `root_idx`; the
-    /// root returns `Some(total)`, everyone else `None`. All vectors must
-    /// have equal length.
-    ///
-    /// The sum is associated root-last (see the [module docs](self)): the
-    /// root adds its children's subtree sums to each other, in the order
-    /// they arrive, and its own vector to the result.
+    /// Binomial-tree sum of `f64` vectors of one length to `root_idx`,
+    /// which returns `Some(total)`: its children's subtree sums added to
+    /// each other as they arrive, and its own vector last.
     pub fn reduce_sum(
         &self,
         ctx: &mut RankCtx,
         root_idx: usize,
         data: Vec<f64>,
     ) -> Option<Vec<f64>> {
-        let s = self.size();
-        let tag = self.next_tag(ctx);
-        let vr = (self.my_idx + s - root_idx) % s;
-        let mut acc = data;
-        // Root only: the sum of the children heard so far.
-        let mut children: Option<Vec<f64>> = None;
-        let mut mask = 1usize;
-        while mask < s {
-            if vr & mask == 0 {
-                let src_vr = vr + mask;
-                if src_vr < s {
-                    let other: Vec<f64> = ctx.recv(self.abs(src_vr, root_idx), tag);
-                    match &mut children {
-                        Some(sum) => add_into(sum, &other),
-                        None if vr == 0 => children = Some(other),
-                        None => add_into(&mut acc, &other),
-                    }
-                }
-            } else {
-                let dst = self.abs(vr - mask, root_idx);
-                ctx.send(dst, tag, acc);
-                return None;
-            }
-            mask <<= 1;
-        }
-        if let Some(sum) = children {
-            add_into(&mut acc, &sum);
-        }
-        Some(acc)
+        let steps = tree_steps(Op::Reduce, self.vr(root_idx), self.size());
+        self.reduce_steps(
+            ctx,
+            root_idx,
+            data,
+            &Plan::bare(Op::Reduce, Some(Schedule::Tree), 0),
+            &steps,
+            0,
+        )
     }
 
-    /// [`reduce_sum`](Group::reduce_sum) of row-major buffers of `stride`
-    /// columns under the schedule [`reduce_schedule`] selects for the
-    /// machine's cost model; the same sum, bit for bit, whichever runs.
-    /// `stride` and `supports` must agree across members and `stride`
-    /// divide the length (`stride = 0` only with empty vectors); a
+    /// Runs `plan`, one of a [`Collective::reduce`]'s, summing row-major
+    /// `stride`-column vectors to `root_idx` in the one association. A
     /// member's vector must be `+0.0` off its support.
+    pub fn reduce_plan(
+        &self,
+        ctx: &mut RankCtx,
+        root_idx: usize,
+        data: Vec<f64>,
+        plan: &Plan,
+        stride: usize,
+    ) -> Option<Vec<f64>> {
+        assert_eq!(plan.rows * stride, data.len(), "reduce shape mismatch");
+        self.reduce_steps(
+            ctx,
+            root_idx,
+            data,
+            plan,
+            &plan.steps[self.vr(root_idx)],
+            stride,
+        )
+    }
+
+    /// The root adds what it summed or folded of the non-roots' vectors to
+    /// its own, last: the tree its children's sum, the sparse schedule the
+    /// fold over the union of the supports — and `+ 0.0` on every row off
+    /// it, as the tree would.
+    fn reduce_steps(
+        &self,
+        ctx: &mut RankCtx,
+        root_idx: usize,
+        data: Vec<f64>,
+        plan: &Plan,
+        steps: &[Step],
+        stride: usize,
+    ) -> Option<Vec<f64>> {
+        let held = Held::<()>::new(None, Some(Arc::new(data)), plan.rows);
+        let mut held = self.exec(ctx, None, root_idx, plan, steps, None, stride, held);
+        if self.vr(root_idx) != 0 {
+            return None;
+        }
+        if plan.schedule == Some(Schedule::Sparse) && self.size() > 1 {
+            held.pieces.resize_with(self.size() - 1, || None);
+            let folded = held.fold(&vec![0.0; plan.union.1 * stride]);
+            for (row, &at) in held.own_mut().chunks_exact_mut(stride).zip(&plan.union.0) {
+                if at == u32::MAX {
+                    // Every piece is +0.0 here, and so is their sum.
+                    row.iter_mut().for_each(|a| *a += 0.0);
+                } else {
+                    let at = at as usize * stride;
+                    add_into(row, &folded[at..at + stride]);
+                }
+            }
+        } else if let Some(Some(children)) = held.pieces.pop() {
+            add_into(held.own_mut(), &children.buf);
+        }
+        Some(held.take_own())
+    }
+
+    /// [`reduce_plan`](Group::reduce_plan) under the plan
+    /// [`reduce_schedule`] selects; the same sum, bit for bit, whichever.
     pub fn reduce_sum_rows(
         &self,
         ctx: &mut RankCtx,
@@ -1029,26 +1151,11 @@ impl Group {
     ) -> Option<Vec<f64>> {
         let rows = data.len().checked_div(stride).unwrap_or(0);
         assert_eq!(rows * stride, data.len(), "reduce shape mismatch");
-        match pick(Op::Reduce, self.size(), rows, stride, ctx.cost(), supports) {
-            Pick::Tree => self.reduce_sum(ctx, root_idx, data),
-            Pick::Large(_) => self.reduce_sum_large(ctx, root_idx, data, stride),
-            Pick::Sparse => self.reduce_sum_sparse(
-                ctx,
-                root_idx,
-                data,
-                stride,
-                supports.expect("the sparse schedule runs on supports"),
-            ),
-        }
+        let plans = Collective::reduce(self.size(), rows, supports);
+        self.reduce_plan(ctx, root_idx, data, plans.pick(stride, ctx.cost()), stride)
     }
 
-    /// Sparse reduction (see the [module docs](self)): every non-root
-    /// with a non-empty support ships its support rows, packed, to the
-    /// root, which folds them in the root-last binomial order — a row
-    /// missing from a piece adds `+0.0` there, as the `+0.0` the tree
-    /// would have carried — and adds the result to its own vector.
-    /// `supports[v]` is the member at root-relative index `v`'s, its
-    /// vector `+0.0` off it; the root's is not read.
+    /// The sparse reduce by name.
     pub fn reduce_sum_sparse(
         &self,
         ctx: &mut RankCtx,
@@ -1057,82 +1164,19 @@ impl Group {
         stride: usize,
         supports: &[Vec<u32>],
     ) -> Option<Vec<f64>> {
-        let s = self.size();
         assert!(stride >= 1, "stride must be positive");
-        let rows = data.len() / stride;
-        assert_eq!(rows * stride, data.len(), "reduce shape mismatch");
-        check_supports(supports, s, rows);
-        let vr = (self.my_idx + s - root_idx) % s;
-        let tag = self.next_tag(ctx);
-        let before = Traffic::charged(ctx);
-        let total = if vr != 0 {
-            let support = &supports[vr];
-            debug_assert!(
-                {
-                    let mut off = vec![true; rows];
-                    support.iter().for_each(|&r| off[r as usize] = false);
-                    data.chunks_exact(stride)
-                        .zip(off)
-                        .all(|(row, off)| !off || row.iter().all(|v| v.to_bits() == 0))
-                },
-                "a reduced vector must be +0.0 off its support"
-            );
-            if !support.is_empty() {
-                let packed = pack_rows(&data, support, stride);
-                ctx.send(self.abs(0, root_idx), tag, packed);
-            }
-            None
-        } else {
-            let mut acc = data;
-            if s > 1 {
-                // The fold runs over the union of the non-roots' supports;
-                // `slot[r]` is row r's place in it.
-                let mut slot = vec![u32::MAX; rows];
-                for &r in supports[1..].iter().flatten() {
-                    slot[r as usize] = 0;
-                }
-                let mut union = 0;
-                for at in slot.iter_mut().filter(|at| **at != u32::MAX) {
-                    *at = union;
-                    union += 1;
-                }
-                let mut pieces = vec![vec![0.0; union as usize * stride]; s - 1];
-                for (piece, (v, support)) in
-                    pieces.iter_mut().zip(supports.iter().enumerate().skip(1))
-                {
-                    if support.is_empty() {
-                        continue;
-                    }
-                    let packed: Vec<f64> = ctx.recv(self.abs(v, root_idx), tag);
-                    assert_eq!(packed.len(), support.len() * stride);
-                    for (&r, row) in support.iter().zip(packed.chunks_exact(stride)) {
-                        let at = slot[r as usize] as usize * stride;
-                        piece[at..at + stride].copy_from_slice(row);
-                    }
-                }
-                let pieces: Vec<&[f64]> = pieces.iter().map(Vec::as_slice).collect();
-                let folded = fold_nonroots(&pieces, s);
-                for (row, &at) in acc.chunks_exact_mut(stride).zip(&slot) {
-                    if at == u32::MAX {
-                        // Every piece is +0.0 here, and so is their sum.
-                        row.iter_mut().for_each(|a| *a += 0.0);
-                    } else {
-                        let at = at as usize * stride;
-                        add_into(row, &folded[at..at + stride]);
-                    }
-                }
-            }
-            Some(acc)
-        };
-        sparse_traffic(Op::Reduce, vr, supports, stride).assert_charged_since(before, ctx);
-        total
+        check_supports(supports, self.size(), data.len() / stride);
+        let plan = Plan::rooted(
+            Op::Reduce,
+            Schedule::Sparse,
+            self.size(),
+            data.len() / stride,
+            supports.to_vec(),
+        );
+        self.reduce_plan(ctx, root_idx, data, &plan, stride)
     }
 
-    /// Reduce-scatter + gather reduction (see the [module docs](self)):
-    /// each non-root ships the piece of its vector in row-aligned block
-    /// `c` to non-root `c` as it is, owner `c` sums the pieces in the
-    /// root-last binomial order and sends the block to the root, which
-    /// adds its own. `data.len()` must be a multiple of `stride ≥ 1`.
+    /// The reduce-scatter + gather reduction by name.
     pub fn reduce_sum_large(
         &self,
         ctx: &mut RankCtx,
@@ -1140,55 +1184,15 @@ impl Group {
         data: Vec<f64>,
         stride: usize,
     ) -> Option<Vec<f64>> {
-        let s = self.size();
-        let vr = (self.my_idx + s - root_idx) % s;
-        if s == 1 {
-            return Some(data);
-        }
         assert!(stride >= 1, "stride must be positive");
-        let blocks = Blocks::over_nonroots(s, data.len() / stride, stride);
-        assert_eq!(blocks.start(blocks.q), data.len(), "reduce shape mismatch");
-        let q = blocks.q;
-        let tag = self.next_tag(ctx);
-        let before = Traffic::charged(ctx);
-        let total = if let Some(c) = vr.checked_sub(1) {
-            // Pieces leave as views of this member's vector. Member c
-            // sends to c + 1, c + 2, … and drains c − 1, c − 2, …: in
-            // every round each owner is sent to once, and pieces are
-            // taken in the order they were sent.
-            let data = Arc::new(data);
-            for i in 1..q {
-                let owner = (c + i) % q;
-                ctx.send(
-                    self.abs(1 + owner, root_idx),
-                    tag,
-                    blocks.view(&data, owner, 1),
-                );
-            }
-            // views[i]: the piece of member c − i.
-            let mut views = vec![blocks.view(&data, c, 1)];
-            for i in 1..q {
-                views.push(ctx.recv(self.abs(1 + (c + q - i) % q, root_idx), tag));
-            }
-            let pieces: Vec<&[f64]> = (0..q)
-                .map(|m| {
-                    let view = &views[(c + q - m) % q];
-                    assert_eq!(view.head.len(), blocks.block(c).len());
-                    &view.buf[view.head.clone()]
-                })
-                .collect();
-            ctx.send(self.abs(0, root_idx), tag, fold_nonroots(&pieces, s));
-            None
-        } else {
-            let mut acc = data;
-            for c in 0..q {
-                let block: Vec<f64> = ctx.recv(self.abs(1 + c, root_idx), tag);
-                add_into(&mut acc[blocks.block(c)], &block);
-            }
-            Some(acc)
-        };
-        large_reduce_traffic(vr, blocks).assert_charged_since(before, ctx);
-        total
+        let plan = Plan::rooted(
+            Op::Reduce,
+            Schedule::Large,
+            self.size(),
+            data.len() / stride,
+            Vec::new(),
+        );
+        self.reduce_plan(ctx, root_idx, data, &plan, stride)
     }
 
     /// All-reduce (sum) of `f64` vectors: reduce to member 0 + broadcast.
@@ -1197,82 +1201,81 @@ impl Group {
         self.broadcast(ctx, 0, reduced)
     }
 
-    /// Bandwidth-optimal ring all-reduce (reduce-scatter + all-gather):
-    /// per-member volume `2·s·(g−1)/g` bytes for a payload of `s` bytes,
-    /// at `2(g−1)` messages of latency. This is the variant the 1.5D
-    /// algorithm's `O(β·nkc/p)` term assumes. Chunk boundaries are
-    /// rounded to multiples of `stride` (`data.len()` must be a multiple
-    /// of `stride`; `1` splits at any element).
-    ///
-    /// For a row-major `rows × stride` buffer this pins every row to one
-    /// chunk, which makes the per-element summation order independent of
-    /// `stride` — the property the serving engine relies on for
-    /// multi-RHS batches to bit-match single-column runs.
-    ///
-    /// Empty payloads return immediately with no messages; as with the
-    /// equal-length requirement, emptiness must agree across members.
-    ///
-    /// Each member copies one chunk (`1/g` of the payload) once; every
-    /// later message is the buffer it last received, summed into or kept.
+    /// Bandwidth-optimal ring all-reduce: per-member volume `2·s·(g−1)/g`
+    /// bytes for `s` bytes at `2(g−1)` messages of latency, the variant
+    /// the 1.5D algorithm's `O(β·nkc/p)` term assumes. Chunks are whole
+    /// rows of `stride` elements (`data.len()` must be a multiple), so the
+    /// summation order does not depend on `stride`: the property the
+    /// serving engine needs for batches to bit-match single columns. An
+    /// empty payload returns at once; emptiness must agree across members.
     pub fn allreduce_sum_ring_aligned(
         &self,
         ctx: &mut RankCtx,
-        mut data: Vec<f64>,
+        data: Vec<f64>,
         stride: usize,
     ) -> Vec<f64> {
-        let g = self.size();
-        if g == 1 || data.is_empty() {
-            return data;
-        }
-        assert!(stride >= 1, "stride must be positive");
-        let len = data.len();
-        assert!(
-            len.is_multiple_of(stride),
-            "payload length {len} is not a multiple of the stride {stride}"
-        );
-        let tag = self.next_tag(ctx);
-        let before = Traffic::charged(ctx);
-        // Chunk c is block c: whole rows of `stride` elements.
-        let blocks = Blocks {
-            q: g,
-            rows: len / stride,
-            stride,
+        let rows = data.len().checked_div(stride).unwrap_or(0);
+        let steps = if rows == 0 || self.size() == 1 {
+            Vec::new()
+        } else {
+            ring_steps(self.my_idx, self.size(), rows)
         };
-        let me = self.my_idx;
-        let right = self.members[(me + 1) % g];
-        let left = self.members[(me + g - 1) % g];
-        // One chunk is in flight per member. In step s it sends chunk
-        // (me − s) and receives chunk (me − s − 1) from the left
-        // neighbour; for the first g − 1 steps (reduce-scatter) it adds
-        // its own part *into the received buffer* — `mine + incoming`,
-        // the order the in-place `mine += incoming` had — and forwards
-        // that buffer, so only the very first send is a copy. From the
-        // last reduce-scatter step on (all-gather) the received chunk is
-        // fully reduced: it is kept and forwarded as it is.
-        let mut chunk = data[blocks.block(me)].to_vec();
-        for s in 0..2 * (g - 1) {
-            ctx.send(right, tag, chunk);
-            chunk = ctx.recv(left, tag);
-            let c = (me + 2 * g - s - 1) % g;
-            let mine = &mut data[blocks.block(c)];
-            assert_eq!(chunk.len(), mine.len());
-            if s < g - 1 {
-                for (slot, &m) in chunk.iter_mut().zip(mine.iter()) {
-                    let incoming = *slot;
-                    *slot = m + incoming;
-                }
-            }
-            if s + 2 >= g {
-                mine.copy_from_slice(&chunk);
-            }
-        }
-        ring_traffic(me, blocks).assert_charged_since(before, ctx);
-        data
+        self.ring(ctx, data, &Plan::bare(Op::Ring, None, rows), &steps, stride)
     }
 
-    /// Absolute member rank of a virtual (root-relative) index.
-    fn abs(&self, vr: usize, root_idx: usize) -> u32 {
-        self.members[(vr + root_idx) % self.size()]
+    /// Runs a [`Plan::ring`] of this group's size on a `stride`-column
+    /// buffer, as [`allreduce_sum_ring_aligned`](Group::allreduce_sum_ring_aligned).
+    pub fn allreduce_plan(
+        &self,
+        ctx: &mut RankCtx,
+        data: Vec<f64>,
+        plan: &Plan,
+        stride: usize,
+    ) -> Vec<f64> {
+        self.ring(ctx, data, plan, &plan.steps[self.my_idx], stride)
+    }
+
+    fn ring(
+        &self,
+        ctx: &mut RankCtx,
+        data: Vec<f64>,
+        plan: &Plan,
+        steps: &[Step],
+        stride: usize,
+    ) -> Vec<f64> {
+        if self.size() == 1 || data.is_empty() {
+            return data;
+        }
+        let len = data.len();
+        assert!(
+            stride >= 1 && len.is_multiple_of(stride),
+            "payload length {len} is not a multiple of the stride {stride}"
+        );
+        assert_eq!(plan.rows * stride, len, "ring shape mismatch");
+        let held = Held::<()>::new(None, Some(Arc::new(data)), plan.rows);
+        self.exec(ctx, None, 0, plan, steps, None, stride, held)
+            .take_own()
+    }
+
+    /// Runs this member's steps of direction `dir` of a [`Plan::routes`]
+    /// over the whole machine (`self` is [`Group::world`]) with `tag`, on
+    /// `stride`-wide rows: a send packs rows of `head` (row `r` below its
+    /// height) and of `tail` (the rows after), a receive puts them there.
+    pub fn exchange(
+        &self,
+        ctx: &mut RankCtx,
+        tag: u64,
+        plan: &Plan,
+        dir: Dir,
+        (head, tail): (&mut Vec<f64>, &mut Vec<f64>),
+        stride: usize,
+    ) {
+        let split = head.len().checked_div(stride).unwrap_or(0);
+        let mut held = Held::<()>::new(None, Some(Arc::new(std::mem::take(head))), split);
+        held.tail = std::mem::take(tail);
+        let steps = &plan.steps[self.my_idx];
+        let mut held = self.exec(ctx, Some(tag), 0, plan, steps, Some(dir), stride, held);
+        (*head, *tail) = (held.take_own(), held.tail);
     }
 }
 
@@ -1343,10 +1346,12 @@ mod tests {
 
     #[test]
     fn binomial_children_matches_actual_broadcast_sends() {
-        // Lockstep guard: the closed-form count must equal the number of
-        // messages each rank really sends in a broadcast, for every tree
-        // size and root. If the tree shape ever changes, this fails.
+        // The sends the binomial tree's steps count for each member are the
+        // messages it really sends in a `broadcast<T>`, for every tree size
+        // and root. If the tree shape ever changes, this fails.
         for p in [1u32, 2, 3, 5, 8, 13, 16] {
+            let tree = Collective::broadcast(p as usize, 1, None);
+            let tree = tree.plan(Schedule::Tree).unwrap();
             for root in [0usize, (p as usize - 1) / 2] {
                 let report = Machine::new(p).run(move |ctx| {
                     let g = Group::world(ctx);
@@ -1356,8 +1361,8 @@ mod tests {
                 for (rank, stats) in report.stats.ranks.iter().enumerate() {
                     let vr = (rank + p as usize - root) % p as usize;
                     assert_eq!(
-                        stats.sent_msgs as usize,
-                        binomial_children(vr, p as usize),
+                        stats.sent_msgs,
+                        tree.traffic(vr, 1).sent_msgs,
                         "p={p} root={root} rank={rank}"
                     );
                 }

@@ -40,8 +40,8 @@ pub mod rank;
 pub mod stats;
 
 pub use collectives::{
-    allreduce_ring_cost, binomial_children, broadcast_cost, broadcast_schedule, fold_nonroots,
-    reduce_cost, reduce_schedule, Group, Schedule, Traffic,
+    broadcast_schedule, fold_nonroots, reduce_schedule, Collective, Dir, Group, Plan, Schedule,
+    Traffic,
 };
 pub use cost::CostModel;
 pub use machine::{Machine, RunReport};

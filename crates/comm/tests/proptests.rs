@@ -85,8 +85,8 @@ proptest! {
 // ---- The large-message broadcast and reduce (deterministic sweeps) ----
 
 use amd_comm::{
-    allreduce_ring_cost, broadcast_cost, broadcast_schedule, reduce_cost, reduce_schedule,
-    CostModel, RankCtx, RankStats, Schedule, Traffic,
+    broadcast_schedule, reduce_schedule, Collective, CostModel, Plan, RankCtx, RankStats, Schedule,
+    Traffic,
 };
 use std::sync::Arc;
 
@@ -252,96 +252,6 @@ fn large_broadcast_shares_the_roots_buffer_and_is_charged_like_copies() {
             }
         }
     }
-}
-
-/// What the machine charged one member, as a closed form states it.
-fn charged(stats: &RankStats) -> Traffic {
-    Traffic {
-        sent_bytes: stats.sent_bytes,
-        recv_bytes: stats.recv_bytes,
-        sent_msgs: stats.sent_msgs,
-        recv_msgs: stats.recv_msgs,
-    }
-}
-
-/// (c) Lockstep: the closed forms equal what the machine charged every
-/// member, for every size and shape, at the first, a middle and the last
-/// root, on either side of the selection — as
-/// `binomial_children_matches_actual_broadcast_sends` holds the tree.
-#[test]
-fn closed_form_costs_match_the_accounting() {
-    for p in 1u32..=33 {
-        let size = p as usize;
-        for cost in [WIRE_BOUND, LATENCY_BOUND, CostModel::default()] {
-            for root in [0, size / 2, size - 1] {
-                for (rows, stride) in [(0usize, 4usize), (5, 0), (1, 16), (23, 3), (4096, 16)] {
-                    let machine = Machine::new(p).with_cost(cost);
-                    let bcast = machine.run(|ctx| {
-                        let g = Group::world(ctx);
-                        let data = (g.my_idx() == root).then(|| Arc::new(vec![0.5; rows * stride]));
-                        g.broadcast_rows(ctx, root, data, rows, stride, None);
-                    });
-                    let reduce = machine.run(|ctx| {
-                        let g = Group::world(ctx);
-                        g.reduce_sum_rows(ctx, root, vec![0.5; rows * stride], stride, None);
-                    });
-                    for rank in 0..size {
-                        let vr = (rank + size - root) % size;
-                        for (what, stats, want) in [
-                            (
-                                "broadcast",
-                                &bcast.stats.ranks[rank],
-                                broadcast_cost(size, rows, stride, &cost, None)[vr],
-                            ),
-                            (
-                                "reduce",
-                                &reduce.stats.ranks[rank],
-                                reduce_cost(size, rows, stride, &cost, None)[vr],
-                            ),
-                        ] {
-                            assert_eq!(
-                                charged(stats),
-                                want,
-                                "{what} p={p} root={root} rank={rank} {rows}x{stride}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// (c′) Lockstep for the ring all-reduce: [`allreduce_ring_cost`] is what
-/// the machine charged every member, for every size and shape — including
-/// row counts the size does not divide, where the row-aligned chunks make
-/// some member move more than `2·(p − 1)/p` of the payload each way.
-#[test]
-fn ring_allreduce_cost_matches_the_accounting() {
-    let mut uneven = false;
-    for p in 1u32..=33 {
-        let size = p as usize;
-        for (rows, stride) in [
-            (0usize, 4usize),
-            (5, 0),
-            (1, 16),
-            (23, 3),
-            (225, 1),
-            (97, 16),
-        ] {
-            let run = Machine::new(p).run(|ctx| {
-                let g = Group::world(ctx);
-                g.allreduce_sum_ring_aligned(ctx, vec![0.5; rows * stride], stride.max(1));
-            });
-            let want = allreduce_ring_cost(size, rows, stride);
-            for (rank, (stats, want)) in run.stats.ranks.iter().zip(&want).enumerate() {
-                assert_eq!(charged(stats), *want, "p={p} rank={rank} {rows}x{stride}");
-                let fraction = 2.0 * (p - 1) as f64 / p as f64 * (8 * rows * stride) as f64;
-                uneven |= want.sent_bytes as f64 > fraction;
-            }
-        }
-    }
-    assert!(uneven, "no shape split its rows unevenly");
 }
 
 /// (d) The selection rule against the simulator: under the default cost
@@ -518,7 +428,7 @@ fn sparse_reduce_equals_tree_and_large_reduce_bit_for_bit() {
     }
 }
 
-/// Every (root, stride, rows, mode) the closed-form and selection sweeps
+/// Every (root, stride, rows, mode) the lockstep and selection sweeps
 /// below run, with the group's supports.
 fn sparse_shapes(size: usize) -> Vec<(usize, usize, usize, Vec<Vec<u32>>)> {
     let mut shapes = Vec::new();
@@ -534,75 +444,165 @@ fn sparse_shapes(size: usize) -> Vec<(usize, usize, usize, Vec<Vec<u32>>)> {
     shapes
 }
 
-/// (f) Lockstep for the selecting wrappers given supports: over every
-/// shape of [`sparse_shapes`], what the machine charged each member is
-/// the sum of what [`broadcast_cost`] / [`reduce_cost`] say for it, on
-/// either side of every selection (and the sparse schedule did run).
+fn charged(s: &RankStats) -> Traffic {
+    Traffic {
+        sent_bytes: s.sent_bytes,
+        recv_bytes: s.recv_bytes,
+        sent_msgs: s.sent_msgs,
+        recv_msgs: s.recv_msgs,
+    }
+}
+
+fn add(a: Traffic, b: Traffic) -> Traffic {
+    Traffic {
+        sent_bytes: a.sent_bytes + b.sent_bytes,
+        recv_bytes: a.recv_bytes + b.recv_bytes,
+        sent_msgs: a.sent_msgs + b.sent_msgs,
+        recv_msgs: a.recv_msgs + b.recv_msgs,
+    }
+}
+
+/// (c) Lockstep, dense: what each member's tree or large plan counts
+/// ([`Plan::traffic`]) is what the machine charged it when the
+/// interpreter ran that plan, alone — for p ∈ 1..=33, three cost models
+/// and three roots. Tree and Large each ran.
+#[test]
+fn closed_form_costs_match_the_accounting() {
+    let mut ran = Vec::new();
+    for p in 1u32..=33 {
+        let size = p as usize;
+        for cost in [WIRE_BOUND, LATENCY_BOUND, CostModel::default()] {
+            let machine = Machine::new(p).with_cost(cost);
+            for root in [0, size / 2, size - 1] {
+                for (rows, stride) in [(0usize, 4usize), (5, 0), (1, 16), (23, 3), (4096, 16)] {
+                    let bcast = Collective::broadcast(size, rows, None);
+                    let reduce = Collective::reduce(size, rows, None);
+                    let (bplan, rplan) = (bcast.pick(stride, &cost), reduce.pick(stride, &cost));
+                    let b = machine.run(|ctx| {
+                        let g = Group::world(ctx);
+                        let data = (g.my_idx() == root).then(|| Arc::new(vec![0.5; rows * stride]));
+                        g.broadcast_plan(ctx, root, data, bplan, stride);
+                    });
+                    let r = machine.run(|ctx| {
+                        let g = Group::world(ctx);
+                        g.reduce_plan(ctx, root, vec![0.5; rows * stride], rplan, stride);
+                    });
+                    for (what, plan, report) in [("broadcast", bplan, &b), ("reduce", rplan, &r)] {
+                        ran.push(plan.schedule());
+                        for (rank, stats) in report.stats.ranks.iter().enumerate() {
+                            assert_eq!(
+                                charged(stats),
+                                plan.traffic((rank + size - root) % size, stride),
+                                "{what} {:?} p={p} root={root} rank={rank} {rows}x{stride}",
+                                plan.schedule()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for schedule in [Schedule::Tree, Schedule::Large] {
+        assert!(ran.contains(&Some(schedule)), "{schedule:?} never ran");
+    }
+}
+
+/// (c′) Lockstep, ring: what each member's ring plan counts is what the
+/// machine charged it, including row counts the size does not divide,
+/// where some member moves more than `2·(p − 1)/p` of the payload.
+#[test]
+fn ring_allreduce_cost_matches_the_accounting() {
+    let (mut ran, mut uneven) = (false, false);
+    for p in 1u32..=33 {
+        let size = p as usize;
+        for (rows, stride) in [
+            (0usize, 4usize),
+            (5, 0),
+            (1, 16),
+            (23, 3),
+            (225, 1),
+            (97, 16),
+        ] {
+            let plan = Plan::ring(size, rows);
+            let run = Machine::new(p).run(|ctx| {
+                let g = Group::world(ctx);
+                g.allreduce_plan(ctx, vec![0.5; rows * stride], &plan, stride);
+            });
+            for (rank, stats) in run.stats.ranks.iter().enumerate() {
+                let want = plan.traffic(rank, stride);
+                assert_eq!(
+                    charged(stats),
+                    want,
+                    "ring p={p} rank={rank} {rows}x{stride}"
+                );
+                let fraction = 2.0 * (p - 1) as f64 / p as f64 * (8 * rows * stride) as f64;
+                uneven |= want.sent_bytes as f64 > fraction;
+                ran |= want.msgs() > 0;
+            }
+        }
+    }
+    assert!(uneven, "no shape split its rows unevenly");
+    assert!(ran, "the ring never ran");
+}
+
+/// (f) Lockstep, with supports: over the supports of [`sparse_shapes`],
+/// each member's picked plans' counts, summed over one run per cost
+/// model, are what the machine charged it. Sparse ran.
 #[test]
 fn closed_form_costs_with_supports_match_the_accounting() {
+    let mut ran = Vec::new();
     for p in 2u32..=33 {
         let size = p as usize;
         let shapes = sparse_shapes(size);
+        let plans: Vec<[Collective; 2]> = shapes
+            .iter()
+            .map(|(_, _, rows, sup)| {
+                let sup = Some(sup.as_slice());
+                [
+                    Collective::broadcast(size, *rows, sup),
+                    Collective::reduce(size, *rows, sup),
+                ]
+            })
+            .collect();
         for cost in [WIRE_BOUND, LATENCY_BOUND, CostModel::default()] {
             let machine = Machine::new(p).with_cost(cost);
             let bcast = machine.run(|ctx| {
                 let g = Group::world(ctx);
-                for (root, stride, rows, sup) in &shapes {
+                for ((root, stride, rows, _), [plans, _]) in shapes.iter().zip(&plans) {
                     let data = (g.my_idx() == *root)
                         .then(|| Arc::new(planted(ctx.rank(), *rows, *stride, None)));
-                    g.broadcast_rows(ctx, *root, data, *rows, *stride, Some(sup));
+                    let plan = plans.pick(*stride, ctx.cost());
+                    g.broadcast_plan(ctx, *root, data, plan, *stride);
                 }
             });
             let reduce = machine.run(|ctx| {
                 let g = Group::world(ctx);
-                for (root, stride, rows, sup) in &shapes {
+                for ((root, stride, rows, sup), [_, plans]) in shapes.iter().zip(&plans) {
                     let vr = (g.my_idx() + size - root) % size;
                     let data = reduced_vector(ctx.rank(), vr, *rows, *stride, sup);
-                    g.reduce_sum_rows(ctx, *root, data, *stride, Some(sup));
+                    let plan = plans.pick(*stride, ctx.cost());
+                    g.reduce_plan(ctx, *root, data, plan, *stride);
                 }
             });
-            let mut took_sparse = false;
             for rank in 0..size {
-                let mut want = [(0u64, 0u64, 0u64); 2];
-                for (root, stride, rows, sup) in &shapes {
-                    let vr = (rank + size - root) % size;
-                    for (w, moved) in want.iter_mut().zip([
-                        broadcast_cost(size, *rows, *stride, &cost, Some(sup))[vr],
-                        reduce_cost(size, *rows, *stride, &cost, Some(sup))[vr],
-                    ]) {
-                        *w = (
-                            w.0 + moved.sent_bytes,
-                            w.1 + moved.recv_bytes,
-                            w.2 + moved.msgs(),
-                        );
+                let mut want = [Traffic::default(); 2];
+                for ((root, stride, ..), candidates) in shapes.iter().zip(&plans) {
+                    for (want, plans) in want.iter_mut().zip(candidates) {
+                        let plan = plans.pick(*stride, &cost);
+                        ran.push(plan.schedule());
+                        *want = add(*want, plan.traffic((rank + size - root) % size, *stride));
                     }
-                    took_sparse |= [
-                        broadcast_schedule(size, *rows, *stride, &cost, Some(sup)),
-                        reduce_schedule(size, *rows, *stride, &cost, Some(sup)),
-                    ]
-                    .contains(&Schedule::Sparse);
                 }
-                for (what, stats, want) in [
-                    ("broadcast", &bcast.stats.ranks[rank], want[0]),
-                    ("reduce", &reduce.stats.ranks[rank], want[1]),
-                ] {
-                    assert_eq!(
-                        (
-                            stats.sent_bytes,
-                            stats.recv_bytes,
-                            stats.sent_msgs + stats.recv_msgs
-                        ),
-                        want,
-                        "{what} p={p} rank={rank} cost={cost:?}"
-                    );
+                for (what, report, want) in
+                    [("broadcast", &bcast, want[0]), ("reduce", &reduce, want[1])]
+                {
+                    let got = charged(&report.stats.ranks[rank]);
+                    assert_eq!(got, want, "{what} p={p} rank={rank} cost={cost:?}");
                 }
             }
-            assert!(
-                took_sparse,
-                "p={p} cost={cost:?}: the sparse schedule never ran"
-            );
         }
     }
+    assert!(ran.contains(&Some(Schedule::Sparse)), "Sparse never ran");
 }
 
 /// (g) The selection rule against the simulator, under the default cost

@@ -15,7 +15,7 @@
 
 use crate::layout::block_range;
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{allreduce_ring_cost, broadcast_cost, CostModel, Group, Machine, Traffic};
+use amd_comm::{Collective, CostModel, Group, Machine, Plan, Traffic};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::sync::Arc;
@@ -45,6 +45,9 @@ pub struct A15dSpmm {
     tiles_per_col: u32,
     /// `tiles[rank]` = per-round submatrices `(tile index t, A(i, cols of t))`.
     tiles: Vec<Vec<(u32, CsrMatrix<f64>)>>,
+    /// Per block height (blocks come in at most two): a tile's broadcast
+    /// down a grid column and a block's ring all-reduce across a grid row.
+    plans: Vec<(u32, Collective, Plan)>,
     cost: CostModel,
     dtype: Dtype,
 }
@@ -81,6 +84,15 @@ impl A15dSpmm {
             }
             tiles.push(mine);
         }
+        let mut plans: Vec<(u32, Collective, Plan)> = Vec::new();
+        for t in 0..grid_rows {
+            let (t0, t1) = block_range(n, rb, t);
+            let h = t1 - t0;
+            if plans.iter().all(|(seen, ..)| *seen != h) {
+                let bcast = Collective::broadcast(grid_rows as usize, h as usize, None);
+                plans.push((h, bcast, Plan::ring(c as usize, h as usize)));
+            }
+        }
         Ok(Self {
             n,
             p,
@@ -89,6 +101,7 @@ impl A15dSpmm {
             rb,
             tiles_per_col,
             tiles,
+            plans,
             cost: CostModel::default(),
             dtype: Dtype::default(),
         })
@@ -120,6 +133,15 @@ impl A15dSpmm {
     /// The replication factor.
     pub fn c(&self) -> u32 {
         self.c
+    }
+
+    /// The plans of grid row `t`'s block: its broadcast and its ring.
+    fn plans(&self, t: u32) -> (&Collective, &Plan) {
+        let (t0, t1) = block_range(self.n, self.rb, t);
+        let (_, bcast, ring) = (self.plans.iter())
+            .find(|(h, ..)| *h == t1 - t0)
+            .expect("every height is planned");
+        (bcast, ring)
     }
 }
 
@@ -177,15 +199,8 @@ impl DistSpmm for A15dSpmm {
                     // Broadcast X tile t down grid column j from grid row
                     // t: one shared buffer for the root and every relay.
                     let payload = (i == t).then(|| Arc::clone(&x_cur));
-                    let (t0, t1) = block_range(self.n, self.rb, t);
-                    let xt = col_group.broadcast_rows(
-                        ctx,
-                        t as usize,
-                        payload,
-                        (t1 - t0) as usize,
-                        k as usize,
-                        None,
-                    );
+                    let plan = self.plans(t).0.pick(k as usize, ctx.cost());
+                    let xt = col_group.broadcast_plan(ctx, t as usize, payload, plan, k as usize);
                     // Multiply the matching stationary submatrix.
                     if let Some((tt, sub)) = tile_iter.as_slice().first() {
                         if *tt == t && !xt.is_empty() && my_rows > 0 {
@@ -205,7 +220,8 @@ impl DistSpmm for A15dSpmm {
                 // was. Row-aligned chunks keep the reduction order
                 // independent of k, so batched multi-RHS runs bit-match
                 // single-column runs.
-                let mut y = row_group.allreduce_sum_ring_aligned(ctx, partial, k as usize);
+                let ring = self.plans(i).1;
+                let mut y = row_group.allreduce_plan(ctx, partial, ring, k as usize);
                 apply_sigma(&mut y, sigma);
                 spare =
                     Arc::try_unwrap(std::mem::replace(&mut x_cur, Arc::new(y))).unwrap_or_default();
@@ -236,31 +252,7 @@ impl DistSpmm for A15dSpmm {
         // Collectives are charged per element moved: 8 bytes a value on
         // the machine, `dtype` bytes on a `dtype` wire.
         let scale = self.dtype.bytes() as f64 / 8.0;
-        let height = |t: u32| {
-            let (t0, t1) = block_range(self.n, self.rb, t);
-            (t1 - t0) as usize
-        };
-        // Per block height (blocks come in at most two), the closed forms
-        // of the schedule a tile's broadcast down a grid column will
-        // select, by root-relative index, and of a block's ring all-reduce
-        // across a grid row, by member.
-        let mut shapes: Vec<(usize, Vec<Traffic>, Vec<Traffic>)> = Vec::new();
-        for t in 0..self.grid_rows {
-            let h = height(t);
-            if shapes.iter().all(|(seen, _, _)| *seen != h) {
-                let g = self.grid_rows as usize;
-                let bcast = broadcast_cost(g, h, k as usize, &self.cost, None);
-                let ring = allreduce_ring_cost(self.c as usize, h, k as usize);
-                shapes.push((h, bcast, ring));
-            }
-        }
-        let shape = |t: u32| {
-            let h = height(t);
-            shapes
-                .iter()
-                .find(|(seen, _, _)| *seen == h)
-                .expect("priced")
-        };
+        let (g, kk) = (self.grid_rows, k as usize);
         (0..self.p)
             .map(|rank| {
                 let (i, j) = (rank / self.c, rank % self.c);
@@ -269,8 +261,11 @@ impl DistSpmm for A15dSpmm {
                 let tiles =
                     (j * self.tiles_per_col)..((j + 1) * self.tiles_per_col).min(self.grid_rows);
                 let moved: Vec<Traffic> = tiles
-                    .map(|t| shape(t).1[((i + self.grid_rows - t) % self.grid_rows) as usize])
-                    .chain([shape(i).2[j as usize]])
+                    .map(|t| {
+                        let bcast = self.plans(t).0.pick(kk, &self.cost);
+                        bcast.traffic(((i + g - t) % g) as usize, kk)
+                    })
+                    .chain([self.plans(i).1.traffic(j as usize, kk)])
                     .collect();
                 CommEstimate {
                     max_rank_bytes: moved.iter().map(Traffic::bytes).sum::<u64>() as f64 * scale,

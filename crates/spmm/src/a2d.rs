@@ -25,7 +25,7 @@
 
 use crate::layout::{block_range, even_ranges};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{binomial_children, broadcast_cost, CostModel, Group, Machine};
+use amd_comm::{Collective, CostModel, Group, Machine, Plan, Schedule};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::sync::Arc;
@@ -40,6 +40,10 @@ pub struct A2dSpmm {
     rb: u32,
     /// `tiles[rank]` = the stationary tile `A(r, c)` of rank `r·q + c`.
     tiles: Vec<CsrMatrix<f64>>,
+    /// Per block height (at most two): the broadcast of a tile of that
+    /// height down a grid column, and the tree reduce of a block across a
+    /// grid row.
+    plans: Vec<(u32, Collective, Plan)>,
     cost: CostModel,
     dtype: Dtype,
 }
@@ -68,12 +72,23 @@ impl A2dSpmm {
             let (c0, c1) = block_range(n, rb, c);
             tiles.push(a.submatrix(r0, r1, c0, c1));
         }
+        let mut plans: Vec<(u32, Collective, Plan)> = Vec::new();
+        for r in 0..q {
+            let (r0, r1) = block_range(n, rb, r);
+            let (h, qs) = (r1 - r0, q as usize);
+            if plans.iter().all(|(seen, ..)| *seen != h) {
+                let reduce = Collective::reduce(qs, h as usize, None);
+                let tree = reduce.plan(Schedule::Tree).expect("a tree").clone();
+                plans.push((h, Collective::broadcast(qs, h as usize, None), tree));
+            }
+        }
         Ok(Self {
             n,
             p,
             q,
             rb,
             tiles,
+            plans,
             cost: CostModel::default(),
             dtype: Dtype::default(),
         })
@@ -100,6 +115,15 @@ impl A2dSpmm {
     pub fn with_dtype(mut self, dtype: Dtype) -> Self {
         self.dtype = dtype;
         self
+    }
+
+    /// The plans of grid row (or column) `r`'s block height.
+    fn plans(&self, r: u32) -> (&Collective, &Plan) {
+        let (r0, r1) = block_range(self.n, self.rb, r);
+        let (_, bcast, reduce) = (self.plans.iter())
+            .find(|(h, ..)| *h == r1 - r0)
+            .expect("every height is planned");
+        (bcast, reduce)
     }
 }
 
@@ -137,9 +161,6 @@ impl DistSpmm for A2dSpmm {
             let row_group = Group::new(ctx, (0..q).map(|j| r * q + j).collect());
             let (r0, r1) = block_range(self.n, self.rb, r);
             let my_rows = (r1 - r0) as usize;
-            // Rows of the tiles X(c, ·) broadcast down grid column c.
-            let (c0, c1) = block_range(self.n, self.rb, c);
-            let bcast_rows = (c1 - c0) as usize;
             let (k0, k1) = col_ranges[c as usize];
             // X(r, c): row block r, feature columns [k0, k1).
             let mut x_cur: Vec<f64> = {
@@ -171,14 +192,9 @@ impl DistSpmm for A2dSpmm {
                     };
                     // 2. Broadcast X(c, f) down grid column c from the
                     //    diagonal member (index c).
-                    let xt = col_group.broadcast_rows(
-                        ctx,
-                        c as usize,
-                        bcast_payload,
-                        bcast_rows,
-                        fk as usize,
-                        None,
-                    );
+                    let plan = self.plans(c).0.pick(fk as usize, ctx.cost());
+                    let xt =
+                        col_group.broadcast_plan(ctx, c as usize, bcast_payload, plan, fk as usize);
                     // 3. Partial product A(r, c) · X(c, f).
                     let mut partial = vec![0.0; my_rows * fk as usize];
                     if my_rows > 0 && !xt.is_empty() && fk > 0 {
@@ -201,7 +217,9 @@ impl DistSpmm for A2dSpmm {
                     //    this pipeline more simulated time than it saves
                     //    (grid160 + rmat13, p = 16, k = 16: 719 → 767
                     //    sim-µs) and moves no max-rank byte.
-                    let reduced = row_group.reduce_sum(ctx, f as usize, partial);
+                    let tree = self.plans(r).1;
+                    let reduced =
+                        row_group.reduce_plan(ctx, f as usize, partial, tree, fk as usize);
                     if c == f {
                         y_mine = reduced.expect("member f holds the phase result");
                     }
@@ -234,28 +252,22 @@ impl DistSpmm for A2dSpmm {
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
         let q = self.q;
-        let qs = q as usize;
         let col_ranges = even_ranges(k, q);
         // Collectives are charged per element moved: 8 bytes a value on
         // the machine, `dtype` bytes on a `dtype` wire.
         let scale = self.dtype.bytes() as f64 / 8.0;
-        // Per `(rows, cols)` shape of an X(c, f) broadcast, the closed form
-        // of the schedule it will select, by root-relative index. Blocks
-        // and column ranges come in at most two sizes each.
-        let mut shapes: Vec<((usize, usize), Vec<_>)> = Vec::new();
         let mut ranks = Vec::with_capacity(self.p as usize);
         for rank in 0..self.p {
             let (r, c) = (rank / q, rank % q);
             let (r0, r1) = block_range(self.n, self.rb, r);
             let my_rows = (r1 - r0) as f64;
-            let (ac0, ac1) = block_range(self.n, self.rb, c);
-            let bcast_rows = (ac1 - ac0) as usize;
             let mut bytes = 0.0;
             let mut msgs = 0.0;
             let mut flops = 0.0;
             for f in 0..q {
                 let (f0, f1) = col_ranges[f as usize];
-                let fkb = self.dtype.bytes() as f64 * (f1 - f0) as f64;
+                let fk = (f1 - f0) as usize;
+                let fkb = self.dtype.bytes() as f64 * fk as f64;
                 // 1. Route X(r, f) to the diagonal of grid column r.
                 if c == f && r != c {
                     bytes += my_rows * fkb;
@@ -266,31 +278,19 @@ impl DistSpmm for A2dSpmm {
                     msgs += 1.0;
                 }
                 // 2. Broadcast X(c, f) down grid column c from the
-                //    diagonal member (group index c).
-                let shape = (bcast_rows, (f1 - f0) as usize);
-                let at = match shapes.iter().position(|(s, _)| *s == shape) {
-                    Some(at) => at,
-                    None => {
-                        let costs = broadcast_cost(qs, shape.0, shape.1, &self.cost, None);
-                        shapes.push((shape, costs));
-                        shapes.len() - 1
-                    }
-                };
-                let vr = ((r + q - c) % q) as usize;
-                let moved = shapes[at].1[vr];
-                bytes += moved.bytes() as f64 * scale;
-                msgs += moved.msgs() as f64;
+                //    diagonal member (group index c), and 4. reduce across
+                //    the grid row onto member f (the tree).
+                let bcast = self.plans(c).0.pick(fk, &self.cost);
+                let moved = [
+                    bcast.traffic(((r + q - c) % q) as usize, fk),
+                    self.plans(r).1.traffic(((c + q - f) % q) as usize, fk),
+                ];
+                for moved in moved {
+                    bytes += moved.bytes() as f64 * scale;
+                    msgs += moved.msgs() as f64;
+                }
                 // 3. Partial product A(r, c) · X(c, f).
                 flops += spmm::spmm_flops(&self.tiles[rank as usize], f1 - f0);
-                // 4. Reduce across the grid row onto member f (the tree).
-                let rvr = ((c + q - f) % q) as usize;
-                let rchildren = binomial_children(rvr, qs) as f64;
-                bytes += rchildren * my_rows * fkb;
-                msgs += rchildren;
-                if rvr != 0 {
-                    bytes += my_rows * fkb;
-                    msgs += 1.0;
-                }
             }
             ranks.push(CommEstimate {
                 max_rank_bytes: bytes,

@@ -1,126 +1,74 @@
 //! Distributed SpMM through an arrow matrix decomposition
 //! (§4.1, Algorithms 1 and 2 of the paper).
 //!
-//! Ranks are grouped per arrow matrix: level `j` with `active_n_j` active
-//! positions gets `⌈active_n_j / b⌉` consecutive ranks; rank `i` of a
-//! level holds the tiles `B(0,i)`, `B(i,0)`, `B(i,i)`, the feature block
-//! `D(i)` (Figure 2) and a run of rows of the hub tile `B(0,0)` (step 2).
-//! One multiply iteration:
+//! Level `j` with `active_n_j` active positions gets `⌈active_n_j / b⌉`
+//! consecutive ranks; rank `i` of a level holds the tiles `B(0,i)`,
+//! `B(i,0)`, `B(i,i)`, the feature block `D(i)` (Figure 2) and a run of
+//! rows of the hub tile `B(0,0)`. One multiply iteration:
 //!
-//! 1. **Forward propagation** (Algorithm 2) — each rank of a level
-//!    `t ≥ 1` receives its X rows point to point from the ranks that
-//!    *hold* them, through the permutations (only the shrinking active
-//!    prefixes travel). Which rows and from whom is the level's **feed**
-//!    ([below](#who-feeds-a-deeper-level)): under the relay a rank
-//!    receives its block `D(i)`, under the direct feed also the rows of
-//!    `D(0)` it reads,
-//! 2. **Arrow multiply** (Algorithm 1) per level: broadcast `D(0)` within
-//!    the level, reduce the row-arm partials to the level's rank 0, and
-//!    compute `C(i) = B(i,0)·D(0) + B(i,i)·D(i)` locally — on level 0, and
-//!    on every level under the relay; a directly fed level runs the same
-//!    multiplies with no collective. Both collectives
-//!    go through [`Group::broadcast_rows`] / [`Group::reduce_sum_rows`],
-//!    which pick a schedule per call from the machine's cost model, the
-//!    block's size and the ranks' **supports**, fixed when the plan is
-//!    built ([`ArrowSpmm::supports`]): rank `i` reads only the rows
-//!    `Sᵢ = colsupp B(i,0) ∪ colsupp B(0,0)[runᵢ]` of `D(0)`, and its
+//! 1. **Forward propagation** (Algorithm 2): each rank of a level `t ≥ 1`
+//!    receives its rows point to point from the ranks that *hold* them —
+//!    its block `D(i)`, and under the direct feed also the rows of `D(0)`
+//!    it reads ([below](#who-feeds-a-deeper-level)).
+//! 2. **Arrow multiply** (Algorithm 1): broadcast `D(0)` within the level,
+//!    reduce the row-arm partials to the level's rank 0, and compute
+//!    `C(i) = B(i,0)·D(0) + B(i,i)·D(i)`. A directly fed level runs the
+//!    same multiplies with no collective. Rank `i` reads only the rows
+//!    `Sᵢ = colsupp B(i,0) ∪ colsupp B(0,0)[runᵢ]` of `D(0)` and its
 //!    partial is non-zero only on `Rᵢ = rowsupp B(0,i) ∪ rowsupp
-//!    B(0,0)[runᵢ]`. §6 of the paper prices both collectives as a dense
-//!    `b × k` block; on the binomial tree or the large-message schedule
-//!    they are, and on the large schedules a rank moves about four blocks
-//!    per level whatever the level's width (the level root two) — the
-//!    constant the paper's volume claim is about; over trees the root
-//!    and the tree's inner ranks moved `2⌈log₂ nb⌉`. The sparse schedule
-//!    ships each rank only `Sᵢ` and `Rᵢ`, one message each way, and is
-//!    taken when it is no slower and its busiest rank (the root) moves no
-//!    more bytes and messages than the dense pick's: on a planar input a
-//!    level-0 non-root reads about 1 % of `D(0)` (grid160 at
-//!    `b = 1 600`), on R-MAT nearly all of it and the level stays dense.
-//!    All three reduces sum in one order, so an answer does not depend on
-//!    which ran,
+//!    B(0,0)[runᵢ]` ([`ArrowSpmm::supports`]), and the collectives pick a
+//!    plan per call from those supports ([`Collective`]): the sparse one
+//!    ships each rank only `Sᵢ` and `Rᵢ` (a level-0 non-root of grid160 at
+//!    `b = 1 600` reads about 1 % of `D(0)`), the dense ones the `b × k`
+//!    block §6 prices — on the large schedules about four blocks a rank,
+//!    whatever the level's width. All reduces sum in one order.
 //!
-//!    **Who multiplies the hub tile.** Algorithm 1 gives `B(0,0)` to the
-//!    level's rank 0 alone. LA-Decompose puts the highest-degree vertices
-//!    first, so on a skewed input that one tile holds a third of the
-//!    matrix and rank 0 computes for the whole iteration while the others
-//!    wait in the reduce. Here rank `i`'s partial is
-//!    `B(0,i)·D(i) + B(0,0)[rows of i]·D(0)`: the rows of the hub tile are
-//!    split over the level's ranks ([`ArrowSpmm::hub_runs`]). It costs no
-//!    message — after the broadcast every rank holds `D(0)`, and the
-//!    reduction sums whatever the ranks put in their partials, so the
-//!    rows arrive at the root with the sum that already runs.
-//!
-//!    *The rule.* The reduce cannot start before the slowest rank's
-//!    pre-reduce work; the column-arm and diagonal multiplies run after a
-//!    rank has left the reduce; the root waits for the reduce anyway. So
-//!    the hub's entries are water-filled over the loads `own₀ = 0`,
-//!    `ownᵢ = nnz B(0,i) + maxⱼ (nnz B(j,0) + nnz B(j,j))` — the root
-//!    starts below the others by the longest post-reduce tail, which it
-//!    would wait for regardless: with `T` the smallest level such that
-//!    `Σᵢ max(0, T − ownᵢ) ≥ nnz B(0,0)`, rank `i`'s quota is `T − ownᵢ`,
-//!    and the runs are cut in rank order at the row boundaries nearest to
-//!    the running sum of the quotas. A hub tile that fits under the
-//!    root's quota stays whole with the root and the level runs exactly
+//!    **Who multiplies the hub tile.** On a skewed input `B(0,0)` holds a
+//!    third of the matrix, so its rows are split over the level's ranks
+//!    ([`ArrowSpmm::hub_runs`]) at no message cost: every rank holds
+//!    `D(0)` after the broadcast and the reduce sums whatever the partials
+//!    hold. The entries are water-filled over the loads `own₀ = 0`,
+//!    `ownᵢ = nnz B(0,i) + maxⱼ (nnz B(j,0) + nnz B(j,j))` (the root waits
+//!    for the reduce anyway, and the post-reduce tails run after it), and
+//!    cut in rank order at the row boundaries nearest the running quota.
+//!    A hub that fits under the root's quota stays whole with the root,
 //!    as Algorithm 1 has it (grids, MAWI-, OSM- and GenBank-like inputs).
-//!    Balancing each rank's *total* entries instead tops up ranks whose
-//!    light compute hides a heavy reduce entry, and slows those inputs.
-//!
-//!    *What the rule may read.* Entry counts of the level's tiles, fixed
-//!    when the plan is built — not `k`, the cost model or the dtype. A
-//!    row of `C(0)` is then summed in one association whatever the
-//!    operand width, which the serving engine's batching relies on
-//!    (column `j` of a batched run bit-matches its single-column run on
-//!    non-integer data too),
-//! 3. **Backward aggregation** (Algorithm 2) — each rank of a level
-//!    `t ≥ 1` returns its rows to the ranks that hold them, which add them
-//!    into their blocks (under the direct feed the partials of `D(0)`
-//!    too, which the holders sum), leaving `Y` distributed on level 0
-//!    exactly like the input X (§6.1: the iterate stays in `π₀` order, so
-//!    iterations chain with no extra movement).
+//!    The rule reads entry counts only — not `k`, the cost model or the
+//!    dtype — so a row of `C(0)` is summed in one association whatever
+//!    the operand width, which the engine's batching relies on.
+//! 3. **Backward aggregation** (Algorithm 2): each rank of a level `t ≥ 1`
+//!    returns its rows to their holders, which add them into their blocks
+//!    (under the direct feed the partials of `D(0)` too, summed there),
+//!    leaving `Y` on level 0 laid out like `X` (§6.1), so iterations chain.
 //!
 //! # Who feeds a deeper level
 //!
 //! A row's holder is the deepest earlier level where its vertex is active
-//! (`plan_routes`). Under Algorithm 1 as written — [`Feed::Relay`] —
-//! the root of a level `t ≥ 1` holds `D(0)`: it receives all of it from
-//! the holders, broadcasts it, takes the partials back in the reduce and
-//! returns `C(0)`, so every row of `D(0)` crosses it twice each way. On
-//! the grids the benchmark runs at `b = ⌈n / 16⌉` that made a level-1
-//! root the busiest rank: on `grid160` at 16 columns it received all
-//! 1 600 rows, re-sent 961 to its two peers, took 961 partial rows back
-//! and returned 1 600, 655 616 B against at most 86 528 B on any level-0
-//! rank.
+//! (`plan_routes`). Under [`Feed::Relay`], Algorithm 1 as written, a
+//! deeper level's root receives all of `D(0)`, broadcasts it, and returns
+//! `C(0)` after the reduce; on grid160 at `k = 16` that made a level-1
+//! root the busiest rank (655 616 B). Under [`Feed::Direct`] no deeper
+//! level runs a collective: each rank receives exactly the rows it reads
+//! from their holders and returns its rows there, and a holder completes
+//! each row of the level's `D(0)` it holds (`Fold`) in the root-last
+//! order every reduce sums in ([`fold_nonroots`]), a member that did not
+//! ship the row entering as a literal `+0.0` — so answers are bit for bit
+//! the same whichever feed ran.
 //!
-//! Under [`Feed::Direct`] no level below the first runs a collective and
-//! no such level's block 0 holds a row: each rank receives exactly the
-//! rows it reads from their holders — a non-root its `D(i)` and its `Sᵢ`,
-//! the root the columns its hub run touches — and returns its rows there:
-//! a non-root its `C(i)` and its partial on `Rᵢ`, the root its hub run's
-//! rows. A holder completes each row of a level's `D(0)` it holds
-//! (`Fold`): it folds the members' partials in the root-last binomial
-//! order every reduce in `amd_comm` sums in ([`fold_nonroots`]), with a
-//! literal `+0.0` for a member that did not ship the row, adds what the
-//! vertex's next active level returns for it, if anything, and adds the
-//! result into its block — the relay's association, so an answer is bit
-//! for bit the same whichever feed ran. `grid160`'s busiest rank is then a
-//! level-1 non-root at 564 992 B, of which 409 600 B is its own block's
-//! round trip.
-//!
-//! The feed is picked per call, as a collective picks its schedule
-//! ([`ArrowSpmm::feed`], which `predict_ranks` follows): all levels below
-//! the first take the direct feed when its busiest rank moves no more
-//! bytes and no more messages than under the relay, and fewer of one,
-//! from every rank's exact traffic at the machine's `f64` width. Neither
-//! feed wins everywhere. A planar input's level reads a third of `D(0)`
-//! per rank and takes the direct feed; on the R-MAT tenants of the
-//! serving benchmark the direct feed would add 1–13 % to the busiest
-//! rank, and they keep the relay.
+//! Routes and collectives are one kind of step list: `ArrowSpmm::new`
+//! builds every level's candidate collective plans and both feeds'
+//! forward and backward routes ([`Plan::routes`]) once, the one
+//! interpreter in `amd_comm` runs them, and the traffic the feed choice,
+//! [`ArrowSpmm::schedules`] and `predict_ranks` read is counted from the
+//! same steps. The direct feed is taken when its busiest rank moves no
+//! more bytes and no more messages than under the relay, and fewer of
+//! one: the grids take it; the R-MAT tenants of the serving benchmark
+//! keep the relay, where it would add 1–13 % to the busiest rank.
 
 use crate::layout::{block_count, block_range};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{
-    broadcast_cost, broadcast_schedule, fold_nonroots, reduce_cost, reduce_schedule, CostModel,
-    Group, Machine, RankCtx, Schedule,
+    fold_nonroots, Collective, CostModel, Dir, Group, Machine, Plan, RankCtx, Schedule,
 };
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{DenseMatrix, Dtype, SparseError, SparseResult};
@@ -140,19 +88,8 @@ pub enum Feed {
     Direct,
 }
 
-/// Route table entry: rows this rank ships to (or accepts from) one peer.
-/// Sender and receiver hold mirrored routes built from the same moves, so
-/// the two sides list the rows in one order.
-#[derive(Debug, Clone, Default)]
-struct Route {
-    /// Destination (sends) or source (receives) machine rank.
-    peer: u32,
-    /// Per row, in transfer order, where this rank reads or puts it (see
-    /// [`RankPlan`]).
-    local_rows: Vec<u32>,
-}
-
-/// One rank's routes under one [`Feed`], and how it completes its block
+/// One feed's point-to-point steps — forward the rows each rank reads,
+/// backward the rows it returns — and how each rank completes its block
 /// from what deeper levels return.
 ///
 /// A rank names its rows in one index space: with `h` its block's height,
@@ -160,17 +97,17 @@ struct Route {
 /// backward — and `h + r` is row `r` of `D(0)` forward and of its partial
 /// backward, which only a non-root of a directly fed level moves. A
 /// directly fed root's block *is* `D(0)`, and what it returns is its
-/// partial. A received backward row goes to an inbox slot.
+/// partial. A received backward row lands in an inbox slot.
+struct Routes {
+    fwd: Plan,
+    bwd: Plan,
+    /// Per machine rank.
+    ranks: Vec<RankPlan>,
+}
+
+/// How one rank completes its block from its inbox.
 #[derive(Debug, Clone, Default)]
 struct RankPlan {
-    /// Forward X sends to deeper levels: rows of this rank's block.
-    fwd_sends: Vec<Route>,
-    /// Forward X receives (peer = source).
-    fwd_recvs: Vec<Route>,
-    /// Backward sends to the ranks that hold the rows.
-    bwd_sends: Vec<Route>,
-    /// Backward receives: each row's inbox slot.
-    bwd_recvs: Vec<Route>,
     /// Inbox height: the folds' rows first, then the received ones.
     slots: u32,
     /// The rows of deeper levels' `D(0)` this rank completes, deepest
@@ -265,6 +202,10 @@ struct LevelPlan {
     /// partial that can be non-zero, `rowsupp B(0,i) ∪ rowsupp
     /// B(0,0)[run i]` (the root's is its hub run's alone).
     writes: Vec<Vec<u32>>,
+    /// The plans the level's broadcast of `D(0)` and reduce of the
+    /// partials can take, on those supports.
+    bcast: Collective,
+    reduce: Collective,
 }
 
 impl LevelPlan {
@@ -387,17 +328,13 @@ enum Target {
     Node(usize, u32),
 }
 
-/// What the holder does with one returned row.
-#[derive(Debug, Clone, Copy)]
-enum Back {
-    /// Adds it into `into`.
-    Child(Target),
-    /// Keeps it as member `member`'s part of row `pos` of level `level`'s
-    /// `D(0)`.
-    Part { level: usize, pos: u32, member: u32 },
-}
-
 impl RankPlan {
+    /// A fresh inbox slot.
+    fn slot(&mut self) -> u32 {
+        self.slots += 1;
+        self.slots - 1
+    }
+
     /// Adds inbox slot `slot` into `into` once it is complete; `node` is
     /// where each folded row sits ([`plan_routes`]). A row gains at most
     /// one returned row: a vertex's next active level is its only child.
@@ -411,16 +348,12 @@ impl RankPlan {
     }
 }
 
-/// One feed's moves, before they are grouped into routes: forward
-/// `(holder, reader, holder row, reader row)`, backward `(sender, holder,
-/// sender row, what the holder does with it)`.
-#[derive(Default)]
-struct Moves {
-    fwd: Vec<(u32, u32, u32, u32)>,
-    bwd: Vec<(u32, u32, u32, Back)>,
-}
+/// A feed's forward and backward moves ([`plan_routes`]).
+type Moves = [Vec<(u32, u32, u32, u32)>; 2];
 
-/// Both feeds' route tables, indexed by [`Feed`] and then machine rank.
+/// Both feeds' routes, indexed by [`Feed`]: forward moves `(holder,
+/// reader, holder row, reader row)` and backward moves `(sender, holder,
+/// sender row, inbox slot)`, each slot taken as its move is planned.
 ///
 /// Active position `q` of level `t ≥ 1` (vertex `v`) has two homes. Its
 /// *relay home* is the deepest earlier level where `v` is active. In a
@@ -445,7 +378,7 @@ struct Moves {
 /// The error below is for decompositions assembled elsewhere.
 ///
 /// [`decompose_snapshot_incremental`]: arrow_core::incremental::decompose_snapshot_incremental
-fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Vec<RankPlan>; 2]> {
+fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Routes; 2]> {
     let b = d.b();
     let rank = |s: usize, p: u32| levels[s].offset + p / b;
     let total = levels.last().map_or(0, |l| (l.offset + l.nb) as usize);
@@ -453,7 +386,7 @@ fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Ve
         vec![RankPlan::default(); total],
         vec![RankPlan::default(); total],
     ];
-    let [mut relay, mut direct] = [Moves::default(), Moves::default()];
+    let [mut relay, mut direct]: [Moves; 2] = Default::default();
     // node[t][q]: the inbox slot of row q of level t's D(0) at its direct
     // home, where it is folded.
     let mut node = vec![Vec::new(); levels.len()];
@@ -480,9 +413,11 @@ fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Ve
             })
             .collect::<SparseResult<Vec<_>>>()?;
         for (q, &[(s, p), (sd, pd)]) in (0..).zip(&homes) {
-            relay.fwd.push((rank(s, p), rank(t, q), p % b, q % b));
-            let back = Back::Child(Target::Row(p % b));
-            relay.bwd.push((rank(t, q), rank(s, p), q % b, back));
+            relay[0].push((rank(s, p), rank(t, q), p % b, q % b));
+            let home = &mut plans[Feed::Relay as usize][rank(s, p) as usize];
+            let slot = home.slot();
+            home.adds.push((p % b, slot));
+            relay[1].push((rank(t, q), rank(s, p), q % b, slot));
             // Where the returned row goes: the relay home's row, which the
             // direct home holds in its block or folds as a row of D(0).
             let into = if (s, p) == (sd, pd) {
@@ -491,10 +426,10 @@ fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Ve
                 Target::Node(s, p)
             };
             let holder = rank(sd, pd);
+            let plan = &mut plans[Feed::Direct as usize][holder as usize];
             if q < level.d0_rows() {
                 // Folded at its direct home, from the members' parts below;
                 // a level's rows take consecutive slots there.
-                let plan = &mut plans[Feed::Direct as usize][holder as usize];
                 if plan.folds.last().is_none_or(|f| f.level != t) {
                     plan.folds.push(Fold {
                         level: t,
@@ -509,10 +444,10 @@ fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Ve
                 plan.gain(into, plan.slots, &node);
                 plan.slots += 1;
             } else {
-                direct.fwd.push((holder, rank(t, q), pd % b, q % b));
-                direct
-                    .bwd
-                    .push((rank(t, q), holder, q % b, Back::Child(into)));
+                direct[0].push((holder, rank(t, q), pd % b, q % b));
+                let slot = plan.slot();
+                plan.gain(into, slot, &node);
+                direct[1].push((rank(t, q), holder, q % b, slot));
             }
         }
         // Each member's reads of D(0) and its partial's rows, from and to
@@ -522,62 +457,26 @@ fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Ve
             let member = level.offset + i;
             for &r in &level.reads[i as usize] {
                 let (sd, pd) = homes[r as usize][1];
-                direct.fwd.push((rank(sd, pd), member, pd % b, at + r));
+                direct[0].push((rank(sd, pd), member, pd % b, at + r));
             }
             for &r in &level.writes[i as usize] {
                 let (sd, pd) = homes[r as usize][1];
-                let back = Back::Part {
-                    level: t,
-                    pos: r,
-                    member: i,
-                };
-                direct.bwd.push((member, rank(sd, pd), at + r, back));
+                let holder = &mut plans[Feed::Direct as usize][rank(sd, pd) as usize];
+                let slot = holder.slot();
+                let fold = fold_of(&mut holder.folds, t);
+                fold.parts
+                    .push((node[t][r as usize] - fold.nodes.start, i, slot));
+                direct[1].push((member, rank(sd, pd), at + r, slot));
             }
         }
     }
-    for (plans, mut moves) in plans.iter_mut().zip([relay, direct]) {
-        moves.fwd.sort_unstable();
-        for run in moves.fwd.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            let (src, dst) = (run[0].0, run[0].1);
-            plans[src as usize].fwd_sends.push(Route {
-                peer: dst,
-                local_rows: run.iter().map(|m| m.2).collect(),
-            });
-            plans[dst as usize].fwd_recvs.push(Route {
-                peer: src,
-                local_rows: run.iter().map(|m| m.3).collect(),
-            });
-        }
-        moves.bwd.sort_unstable_by_key(|m| (m.0, m.1, m.2));
-        for run in moves.bwd.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            let (src, holder) = (run[0].0, run[0].1);
-            plans[src as usize].bwd_sends.push(Route {
-                peer: holder,
-                local_rows: run.iter().map(|m| m.2).collect(),
-            });
-            let plan = &mut plans[holder as usize];
-            let first = plan.slots;
-            plan.slots += run.len() as u32;
-            plan.bwd_recvs.push(Route {
-                peer: src,
-                local_rows: (first..plan.slots).collect(),
-            });
-            for (slot, &(.., back)) in (first..).zip(run) {
-                match back {
-                    Back::Child(into) => plan.gain(into, slot, &node),
-                    Back::Part { level, pos, member } => {
-                        let fold = fold_of(&mut plan.folds, level);
-                        let row = node[level][pos as usize] - fold.nodes.start;
-                        fold.parts.push((row, member, slot));
-                    }
-                }
-            }
-        }
-        for plan in plans.iter_mut() {
-            plan.folds.reverse();
-        }
-    }
-    Ok(plans)
+    let routes = |mut ranks: Vec<RankPlan>, [fwd, bwd]: Moves| {
+        ranks.iter_mut().for_each(|plan| plan.folds.reverse());
+        let (fwd, bwd) = (Plan::routes(total, fwd), Plan::routes(total, bwd));
+        Routes { fwd, bwd, ranks }
+    };
+    let [relay_ranks, direct_ranks] = plans;
+    Ok([routes(relay_ranks, relay), routes(direct_ranks, direct)])
 }
 
 /// The fold of `level`'s rows among a holder's.
@@ -594,8 +493,8 @@ pub struct ArrowSpmm {
     b: u32,
     total_ranks: u32,
     levels: Vec<LevelPlan>,
-    /// Per [`Feed`], per machine rank: its routes ([`plan_routes`]).
-    plans: [Vec<RankPlan>; 2],
+    /// Per [`Feed`]: its routes ([`plan_routes`]).
+    feeds: [Routes; 2],
     /// Vertex at position `p` of level 0 (`π₀⁻¹`), for X scatter/Y gather.
     level0_vertices: Vec<u32>,
     cost: CostModel,
@@ -621,7 +520,11 @@ impl ArrowSpmm {
             let arrow = level.to_arrow(b)?;
             let hub_cuts = hub_cuts(&arrow);
             let (reads, writes) = supports(&arrow, &hub_cuts);
+            let (r0, r1) = block_range(level.active_n, b, 0);
+            let rows = (r1 - r0) as usize;
             levels.push(LevelPlan {
+                bcast: Collective::broadcast(nb as usize, rows, Some(&reads)),
+                reduce: Collective::reduce(nb as usize, rows, Some(&writes)),
                 offset,
                 nb,
                 active_n: level.active_n,
@@ -633,14 +536,14 @@ impl ArrowSpmm {
             offset += nb;
         }
         let total_ranks = offset;
-        let plans = plan_routes(d, &levels)?;
+        let feeds = plan_routes(d, &levels)?;
         let level0_vertices: Vec<u32> = (0..n).map(|p| d.levels()[0].perm.vertex_at(p)).collect();
         Ok(Self {
             n,
             b,
             total_ranks,
             levels,
-            plans,
+            feeds,
             level0_vertices,
             cost: CostModel::default(),
             dtype: Dtype::default(),
@@ -655,15 +558,9 @@ impl ArrowSpmm {
 
     /// Selects the serving precision: local tile multiplies run at
     /// `dtype` ([`spmm::spmm_slices`]) and [`predict_volume`] charges
-    /// `dtype` bytes per value moved.
-    ///
-    /// The simulated machine still ships `f64` buffers (the narrowing is
-    /// emulated value-wise), so at [`Dtype::F32`] the *accounted* volume
-    /// reads ~2× the prediction — the prediction reflects what a real
-    /// narrowed wire costs. The collectives' schedules are selected on
-    /// the bytes the machine charges (`f64`), in the run and in the
-    /// prediction alike, so an `F32` plan predicts the messages the run
-    /// will send and exactly half its bytes.
+    /// `dtype` bytes per value moved. The machine still ships (and the
+    /// plans are picked on) `f64` buffers, so an `F32` plan predicts the
+    /// messages the run sends and exactly half its accounted bytes.
     ///
     /// [`predict_volume`]: DistSpmm::predict_volume
     pub fn with_dtype(mut self, dtype: Dtype) -> Self {
@@ -701,15 +598,9 @@ impl ArrowSpmm {
     /// level 0, and every level under [`Feed::Relay`] — the schedules its
     /// broadcast and its reduce take.
     pub fn schedules(&self, k: u32) -> Vec<[Schedule; 2]> {
-        self.relayed(self.feed(k))
-            .iter()
-            .map(|level| {
-                let (nb, rows, k) = (level.nb as usize, level.d0_rows() as usize, k as usize);
-                [
-                    broadcast_schedule(nb, rows, k, &self.cost, Some(&level.reads)),
-                    reduce_schedule(nb, rows, k, &self.cost, Some(&level.writes)),
-                ]
-            })
+        let picked = |c: &Collective| c.pick(k as usize, &self.cost).schedule();
+        (self.relayed(self.feed(k)).iter())
+            .map(|level| [&level.bcast, &level.reduce].map(|c| picked(c).expect("a rooted plan")))
             .collect()
     }
 
@@ -720,7 +611,7 @@ impl ArrowSpmm {
     /// schedule); [`Feed::Relay`] otherwise.
     pub fn feed(&self, k: u32) -> Feed {
         let busiest = |feed| {
-            self.traffic(k, feed)
+            self.moved(k, feed)
                 .into_iter()
                 .fold((0, 0), |(bytes, msgs), (b, m)| (bytes.max(b), msgs.max(m)))
         };
@@ -741,31 +632,26 @@ impl ArrowSpmm {
     }
 
     /// What each machine rank moves in one iteration under `feed` on a
-    /// `k`-column operand, at 8 bytes a value: `(bytes, messages)`. Routes
-    /// are counted exactly; the collectives are the closed forms of the
-    /// schedule each call will select, on the same supports.
-    fn traffic(&self, k: u32, feed: Feed) -> Vec<(u64, u64)> {
-        let row_bytes = 8 * u64::from(k);
-        let mut ranks: Vec<(u64, u64)> = self.plans[feed as usize]
-            .iter()
-            .map(|plan| {
-                let routes = (plan.fwd_sends.iter())
-                    .chain(&plan.fwd_recvs)
-                    .chain(&plan.bwd_sends)
-                    .chain(&plan.bwd_recvs);
-                routes.fold((0, 0), |(bytes, msgs), route| {
-                    (bytes + route.local_rows.len() as u64 * row_bytes, msgs + 1)
-                })
-            })
-            .collect();
+    /// `k`-column operand, at 8 bytes a value: `(bytes, messages)`,
+    /// counted from the cached plans — the feed's routes and the plan each
+    /// level's collectives pick.
+    fn moved(&self, k: u32, feed: Feed) -> Vec<(u64, u64)> {
+        let (routes, kk) = (&self.feeds[feed as usize], k as usize);
+        let mut ranks = vec![(0u64, 0u64); self.total_ranks as usize];
+        let mut charge = |rank: usize, t: amd_comm::Traffic| {
+            ranks[rank].0 += t.bytes();
+            ranks[rank].1 += t.msgs();
+        };
+        for r in 0..self.total_ranks as usize {
+            charge(r, routes.fwd.traffic(r, kk));
+            charge(r, routes.bwd.traffic(r, kk));
+        }
         for level in self.relayed(feed) {
-            let (nb, rows, k) = (level.nb as usize, level.d0_rows() as usize, k as usize);
-            let bcast = broadcast_cost(nb, rows, k, &self.cost, Some(&level.reads));
-            let reduce = reduce_cost(nb, rows, k, &self.cost, Some(&level.writes));
-            for (i, moved) in bcast.iter().zip(&reduce).enumerate() {
-                let rank = &mut ranks[level.offset as usize + i];
-                rank.0 += moved.0.bytes() + moved.1.bytes();
-                rank.1 += moved.0.msgs() + moved.1.msgs();
+            for c in [&level.bcast, &level.reduce] {
+                let plan = c.pick(kk, &self.cost);
+                for i in 0..level.nb as usize {
+                    charge(level.offset as usize + i, plan.traffic(i, kk));
+                }
             }
         }
         ranks
@@ -804,16 +690,12 @@ fn arrow_multiply(
     // shared, so the root, every relay and every receiver read one
     // buffer — or, on the sparse schedule, only the rows the rank reads.
     let d_block = Arc::new(d_block);
-    let d0 = group.broadcast_rows(
-        ctx,
-        0,
-        (my_i == 0).then(|| Arc::clone(&d_block)),
-        level.d0_rows() as usize,
-        k as usize,
-        Some(&level.reads),
-    );
+    let root_block = (my_i == 0).then(|| Arc::clone(&d_block));
+    let bcast = level.bcast.pick(k as usize, ctx.cost());
+    let d0 = group.broadcast_plan(ctx, 0, root_block, bcast, k as usize);
     let partial = partial(ctx, level, my_i, &d_block, &d0, k, dtype, spare);
-    let reduced = group.reduce_sum_rows(ctx, 0, partial, k as usize, Some(&level.writes));
+    let reduce = level.reduce.pick(k as usize, ctx.cost());
+    let reduced = group.reduce_plan(ctx, 0, partial, reduce, k as usize);
 
     // C(i) (lines 4–6).
     if my_i == 0 {
@@ -824,36 +706,6 @@ fn arrow_multiply(
         *spare = Arc::try_unwrap(d_block).unwrap_or_default();
         c
     }
-}
-
-/// Algorithm 1 under the direct feed: the same multiplies, no collective.
-/// A non-root returns `C(i)` and its partial; the root, whose block is
-/// the `D(0)` rows its hub run reads, returns its partial in place of a
-/// block. `d0` holds the rows of `D(0)` a non-root reads. The partials
-/// are summed where the rows are held ([`Fold`]). A non-root's partial
-/// buffer comes from `spare`, where the caller returns it.
-#[allow(clippy::too_many_arguments)]
-fn direct_multiply(
-    ctx: &mut RankCtx,
-    level: &LevelPlan,
-    my_i: u32,
-    d_block: &[f64],
-    d0: &[f64],
-    k: u32,
-    dtype: Dtype,
-    spare: &mut Vec<f64>,
-) -> (Vec<f64>, Vec<f64>) {
-    if my_i == 0 {
-        return (
-            partial(ctx, level, 0, d_block, d_block, k, dtype, spare),
-            Vec::new(),
-        );
-    }
-    let partial = partial(ctx, level, my_i, d_block, d0, k, dtype, spare);
-    (
-        block_product(ctx, level, my_i, d_block, d0, k, dtype),
-        partial,
-    )
 }
 
 /// Rank `i`'s partial of `C(0)` (Algorithm 1, line 2): its row-arm
@@ -962,7 +814,7 @@ impl DistSpmm for ArrowSpmm {
         // What the machine moves at 8 bytes a value, a `dtype` wire moves
         // at `dtype` bytes.
         let scale = self.dtype.bytes() as f64 / 8.0;
-        let traffic = self.traffic(k, self.feed(k));
+        let traffic = self.moved(k, self.feed(k));
         // Levels hold consecutive ranks, in level order.
         let flops = self.levels.iter().flat_map(|level| {
             (0..level.nb).map(move |i| {
@@ -1011,9 +863,11 @@ impl ArrowSpmm {
             let rank = ctx.rank();
             let (j, my_i) = self.locate(rank);
             let level = &self.levels[j];
-            let plan = &self.plans[feed as usize][rank as usize];
+            let routes = &self.feeds[feed as usize];
+            let plan = &routes.ranks[rank as usize];
             let direct = feed == Feed::Direct && j > 0;
             let group = Group::new(ctx, (level.offset..level.offset + level.nb).collect());
+            let world = Group::world(ctx);
             let (r0, r1) = block_range(level.active_n, self.b, my_i);
             let my_rows = (r1 - r0) as usize;
             // Level 0 starts with its X block (initial layout, free);
@@ -1038,63 +892,41 @@ impl ArrowSpmm {
             for iter in 0..iters {
                 let base_tag = (iter as u64) << 8;
                 // 1. Forward propagation (Algorithm 2, lines 1–5).
-                for route in &plan.fwd_recvs {
-                    let buf: Vec<f64> = ctx.recv(route.peer, base_tag | 1);
-                    for (idx, &row) in route.local_rows.iter().enumerate() {
-                        let row = row as usize;
-                        let (into, at) = if row < my_rows {
-                            (&mut x_block, row)
-                        } else {
-                            (&mut d0, row - my_rows)
-                        };
-                        into[at * kk..(at + 1) * kk]
-                            .copy_from_slice(&buf[idx * kk..(idx + 1) * kk]);
-                    }
-                }
-                for route in &plan.fwd_sends {
-                    let mut buf = Vec::with_capacity(route.local_rows.len() * kk);
-                    for &row in &route.local_rows {
-                        buf.extend_from_slice(&x_block[row as usize * kk..(row as usize + 1) * kk]);
-                    }
-                    ctx.send(route.peer, base_tag | 1, buf);
+                for dir in [Dir::Recv, Dir::Send] {
+                    let bufs = (&mut x_block, &mut d0);
+                    world.exchange(ctx, base_tag | 1, &routes.fwd, dir, bufs, kk);
                 }
                 // 2. Per-level arrow multiply (Algorithm 1).
-                let (mut y_block, partial) = if direct {
-                    direct_multiply(ctx, level, my_i, &x_block, &d0, k, self.dtype, &mut spare)
-                } else {
-                    let c = arrow_multiply(ctx, &group, level, x_block, k, self.dtype, &mut spare);
-                    (c, Vec::new())
+                // Directly fed, the same multiplies with no collective: a
+                // non-root returns C(i) and its partial, the root (whose
+                // block is the rows of D(0) its hub run reads) its partial.
+                let dtype = self.dtype;
+                let (mut y_block, mut partial) = match (direct, my_i) {
+                    (false, _) => {
+                        let c = arrow_multiply(ctx, &group, level, x_block, k, dtype, &mut spare);
+                        (c, Vec::new())
+                    }
+                    (true, 0) => {
+                        let p = partial(ctx, level, 0, &x_block, &x_block, k, dtype, &mut spare);
+                        (p, Vec::new())
+                    }
+                    (true, _) => {
+                        let p = partial(ctx, level, my_i, &x_block, &d0, k, dtype, &mut spare);
+                        (block_product(ctx, level, my_i, &x_block, &d0, k, dtype), p)
+                    }
                 };
                 // 3. Backward aggregation (Algorithm 2, lines 7–12): the
                 // deeper levels' rows land in the inbox, the folds complete
                 // the rows of D(0) this rank holds, and the block gains
                 // each row's returns in level order.
+                let (bwd, tag) = (&routes.bwd, base_tag | 2);
                 let mut inbox = vec![0.0; plan.slots as usize * kk];
-                for route in &plan.bwd_recvs {
-                    let buf: Vec<f64> = ctx.recv(route.peer, base_tag | 2);
-                    for (idx, &slot) in route.local_rows.iter().enumerate() {
-                        let slot = slot as usize;
-                        inbox[slot * kk..(slot + 1) * kk]
-                            .copy_from_slice(&buf[idx * kk..(idx + 1) * kk]);
-                    }
-                }
+                world.exchange(ctx, tag, bwd, Dir::Recv, (&mut inbox, &mut Vec::new()), kk);
                 for fold in &plan.folds {
                     fold.complete(&mut inbox, kk);
                 }
                 add_rows(&mut y_block, &inbox, &plan.adds, kk);
-                for route in &plan.bwd_sends {
-                    let mut buf = Vec::with_capacity(route.local_rows.len() * kk);
-                    for &row in &route.local_rows {
-                        let row = row as usize;
-                        let (from, at) = if row < my_rows {
-                            (&y_block, row)
-                        } else {
-                            (&partial, row - my_rows)
-                        };
-                        buf.extend_from_slice(&from[at * kk..(at + 1) * kk]);
-                    }
-                    ctx.send(route.peer, base_tag | 2, buf);
-                }
+                world.exchange(ctx, tag, bwd, Dir::Send, (&mut y_block, &mut partial), kk);
                 if direct {
                     spare = partial;
                 }
@@ -1255,7 +1087,8 @@ mod tests {
         let want = iterated_spmm(a, &x, 2).unwrap();
         let scale = want.data().iter().fold(1.0f64, |m, v| m.max(v.abs()));
         assert!(direct.max_abs_diff(&want).unwrap() <= 1e-12 * scale);
-        alg.plans[Feed::Direct as usize]
+        alg.feeds[Feed::Direct as usize]
+            .ranks
             .iter()
             .flat_map(|plan| &plan.folds)
             .any(|fold| !fold.adds.is_empty())

@@ -23,8 +23,8 @@
 //! Cost accounting models the correction as a **broadcast-replicated
 //! post-pass**: each iteration, the delta (16 bytes per entry: two `u32`
 //! coordinates + one `f64` value, i.e. two `f64` slots) is broadcast from
-//! rank 0 to all ranks of the base plan under the schedule
-//! [`amd_comm::broadcast_cost`] selects for it, and every rank corrects
+//! rank 0 to all ranks of the base plan under the plan
+//! [`amd_comm::Collective::pick`] selects for it, and every rank corrects
 //! its own output rows. Each rank is charged what that broadcast moves
 //! through it, the α-β time of those messages and the delta product's
 //! flops (the work is replicated); [`predict_ranks`] adds the same
@@ -44,7 +44,7 @@
 //! relative to the base, so narrowing it would save nothing measurable.
 
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{broadcast_cost, CostModel, Traffic};
+use amd_comm::{Collective, CostModel, Traffic};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 
@@ -59,6 +59,8 @@ pub struct DeltaSpmm<'a> {
     base: &'a (dyn DistSpmm + Send + Sync),
     delta: &'a CsrMatrix<f64>,
     cost: CostModel,
+    /// The delta's broadcast over the base plan's ranks.
+    broadcast: Collective,
 }
 
 impl<'a> DeltaSpmm<'a> {
@@ -78,6 +80,7 @@ impl<'a> DeltaSpmm<'a> {
             base,
             delta,
             cost: CostModel::default(),
+            broadcast: Collective::broadcast(base.ranks().max(1) as usize, delta.nnz(), None),
         })
     }
 
@@ -97,13 +100,10 @@ impl<'a> DeltaSpmm<'a> {
     /// broadcast moves through each rank of the base plan, and the flops
     /// every rank spends on the delta product.
     fn correction(&self, k: u32) -> (Vec<Traffic>, f64) {
-        let traffic = broadcast_cost(
-            self.base.ranks().max(1) as usize,
-            self.delta.nnz(),
-            DELTA_ENTRY_SLOTS,
-            &self.cost,
-            None,
-        );
+        let plan = self.broadcast.pick(DELTA_ENTRY_SLOTS, &self.cost);
+        let traffic = (0..self.base.ranks().max(1) as usize)
+            .map(|rank| plan.traffic(rank, DELTA_ENTRY_SLOTS))
+            .collect();
         (traffic, spmm::spmm_flops(self.delta, k))
     }
 }

@@ -104,9 +104,9 @@ pub trait DistSpmm {
     /// Predicts what one iteration of `run` with a `k`-column operand
     /// charges each rank, indexed by machine rank, from the planned
     /// distribution alone (no machine is spun up): each entry is one
-    /// rank's bytes, messages and flops. Point-to-point routes are counted
-    /// exactly; collective traffic is `amd_comm`'s closed form for the
-    /// schedule (tree, large-message, sparse or ring) each call will take.
+    /// rank's bytes, messages and flops. Routes and collectives are
+    /// counted from the `amd_comm::Plan` each call will run (tree,
+    /// large-message, sparse, ring or route steps).
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate>;
 
     /// The envelope of [`predict_ranks`](Self::predict_ranks): what the

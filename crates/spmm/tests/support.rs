@@ -7,9 +7,13 @@
 //! and level this prints the feed the levels below the first take, every
 //! non-root's `|Sᵢ| / d0_rows` and `|Rᵢ| / d0_rows`, and the schedule the
 //! level's broadcast and reduce take under `CostModel::default()` — or
-//! `direct` for a level fed without them. Every figure is exact and
-//! seed-stable; run with `--nocapture` for the table.
+//! `direct` for a level fed without them. A second table counts, per
+//! level, the busiest rank's bytes and messages of its broadcast and its
+//! reduce under each of Tree, Large and Sparse, from `amd_comm`'s plan
+//! builders over the same supports, beside the schedule taken. Every
+//! figure is exact and seed-stable; run with `--nocapture` for the tables.
 
+use amd_comm::{Collective, CostModel, Schedule};
 use amd_graph::generators::{basic, datasets, rmat};
 use amd_sparse::CsrMatrix;
 use amd_spmm::{ArrowSpmm, Feed};
@@ -131,6 +135,77 @@ fn support_shares_per_level_and_rank() {
                     "rmat13: level 0 reads nearly all of D(0) and stays dense"
                 ),
                 _ => {}
+            }
+        }
+    }
+}
+
+/// The busiest rank's `(bytes, messages)` of `plans` under each schedule
+/// at `k` columns, `None` where the schedule cannot run, and the one the
+/// selection takes.
+fn loads(plans: &Collective, k: usize) -> ([Option<(u64, u64)>; 3], Schedule) {
+    let schedules = [Schedule::Tree, Schedule::Large, Schedule::Sparse];
+    let loads = schedules.map(|s| plans.plan(s).map(|plan| plan.busiest(k)));
+    let picked = plans.pick(k, &CostModel::default()).schedule().unwrap();
+    (loads, picked)
+}
+
+#[test]
+fn schedule_loads_per_level() {
+    println!(
+        "{:<9} {:>5} {:>3} {:>2} {:>3}  {:<9} {:>15} {:>15} {:>15}  taken",
+        "input", "b", "k", "l", "nb", "op", "tree B/msg", "large B/msg", "sparse B/msg"
+    );
+    let show = |load: Option<(u64, u64)>| load.map_or("-".into(), |(b, m)| format!("{b}/{m}"));
+    for (name, a) in inputs() {
+        for (parts, k) in [(16, 16), (8, 64), (16, 64)] {
+            let b = a.rows() / parts;
+            let d = la_decompose(
+                &a,
+                &DecomposeConfig::with_width(b),
+                &mut RandomForestLa::new(1),
+            )
+            .unwrap();
+            let arrow = ArrowSpmm::new(&d).unwrap();
+            let taken = arrow.schedules(k);
+            for (j, ([reads, writes], runs)) in arrow
+                .supports()
+                .into_iter()
+                .zip(arrow.hub_runs())
+                .enumerate()
+            {
+                let (nb, rows) = (reads.len(), runs.last().map_or(0, |r| r.end) as usize);
+                let ops = [
+                    ("broadcast", Collective::broadcast(nb, rows, Some(reads))),
+                    ("reduce", Collective::reduce(nb, rows, Some(writes))),
+                ];
+                for (o, (op, plans)) in ops.iter().enumerate() {
+                    let (loads, picked) = loads(plans, k as usize);
+                    let run = taken.get(j).map(|t| t[o]);
+                    println!(
+                        "{name:<9} {b:>5} {k:>3} {j:>2} {nb:>3}  {op:<9} {:>15} {:>15} {:>15}  {}",
+                        show(loads[0]),
+                        show(loads[1]),
+                        show(loads[2]),
+                        run.map_or("direct".into(), |s| format!("{s:?}")),
+                    );
+                    // The level's collective took the plan the rule picks,
+                    // and a sparse pick is never heavier than the dense
+                    // schedules on either count.
+                    assert!(run.is_none_or(|run| run == picked), "{name} l={j} {op}");
+                    if picked == Schedule::Sparse {
+                        let sparse = loads[2].unwrap();
+                        let dense = loads[..2].iter().flatten();
+                        assert!(dense.clone().any(|d| sparse.0 <= d.0 && sparse.1 <= d.1));
+                    }
+                    if (name, parts, k, j) == ("grid160", 16, 16, 0) {
+                        let (large, sparse) = (loads[1].unwrap(), loads[2].unwrap());
+                        assert!(
+                            sparse.0 < large.0 && sparse.1 <= large.1,
+                            "grid160 level 0 {op}: sparse {sparse:?} vs large {large:?}"
+                        );
+                    }
+                }
             }
         }
     }

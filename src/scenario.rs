@@ -30,6 +30,7 @@
 use amd_chaos::failpoint;
 use amd_chaos::{generators, FaultPlan, ScenarioTrace, TraceOp};
 use amd_engine::EngineConfig;
+use amd_obs::JsonWriter;
 use amd_sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix, SparseResult};
 use amd_spmm::reference::iterated_spmm;
 use amd_stream::{HubConfig, StalenessBudget, StreamHub, Update};
@@ -120,15 +121,6 @@ pub struct ScenarioReport {
     pub stale_tmp_swept: u64,
     /// Per-site failpoint activity: `(site, hits, fired)`.
     pub fired: Vec<(String, u64, u64)>,
-    /// Median per-query serving latency (wall-clock around
-    /// `run_single`), milliseconds. `0.0` when no queries ran.
-    pub latency_p50_ms: f64,
-    /// 99th-percentile per-query serving latency, milliseconds.
-    pub latency_p99_ms: f64,
-    /// 99.9th-percentile per-query serving latency, milliseconds —
-    /// the tail a fault injection (retry, restart, sync fallback)
-    /// shows up in even when the median stays flat.
-    pub latency_p999_ms: f64,
 }
 
 impl ScenarioReport {
@@ -322,7 +314,6 @@ fn replay(
         .map(|_| hub.admit(base.clone()))
         .collect::<SparseResult<_>>()?;
     let mut truth = vec![base.clone(); scenario.trace.tenants];
-    let mut latencies_ms: Vec<f64> = Vec::new();
     for op in &scenario.trace.ops {
         match *op {
             TraceOp::Add {
@@ -356,9 +347,7 @@ fn replay(
                 iters,
             } => {
                 let x = operand(n, salt);
-                let sw = amd_obs::Stopwatch::start();
                 let resp = hub.run_single(ids[tenant], x.clone(), iters as u32, None)?;
-                latencies_ms.push(sw.elapsed_seconds() * 1e3);
                 let xm = DenseMatrix::from_vec(n, 1, x)?;
                 let want = iterated_spmm(&truth[tenant], &xm, iters as u32)?;
                 let got = DenseMatrix::from_vec(n, 1, resp.y)?;
@@ -374,9 +363,6 @@ fn replay(
         }
     }
     hub.wait_refreshes()?;
-    report.latency_p50_ms = percentile_ms(&mut latencies_ms, 50.0);
-    report.latency_p99_ms = percentile_ms(&mut latencies_ms, 99.0);
-    report.latency_p999_ms = percentile_ms(&mut latencies_ms, 99.9);
     let hstats = hub.stats();
     report.worker_restarts = hstats.worker_restarts;
     report.refresh_retries = hstats.refresh_retries;
@@ -541,69 +527,53 @@ fn first_failure(scenario: &Scenario, report: &ScenarioReport) -> Option<String>
     None
 }
 
-/// The `BENCH_scenarios.json` artifact (schema `amd-scenarios/1`).
+/// The `BENCH_scenarios.json` artifact (schema `amd-scenarios/1`): one
+/// line per scenario, exact counters only, so two runs of one seed write
+/// the same bytes.
 pub fn reports_to_json(seed: u64, reports: &[ScenarioReport]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"amd-scenarios/1\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let passed = reports.iter().filter(|r| r.passed).count();
-    let _ = writeln!(out, "  \"passed\": {passed},");
-    let _ = writeln!(out, "  \"failed\": {},", reports.len() - passed);
-    let _ = writeln!(out, "  \"scenarios\": [");
-    for (i, r) in reports.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(out, "      \"passed\": {},", r.passed);
-        let _ = writeln!(out, "      \"verified\": {},", r.verified);
-        let _ = writeln!(out, "      \"max_abs_err\": {:?},", r.max_abs_err);
-        let _ = writeln!(out, "      \"worker_restarts\": {},", r.worker_restarts);
-        let _ = writeln!(out, "      \"refresh_retries\": {},", r.refresh_retries);
-        let _ = writeln!(out, "      \"sync_fallbacks\": {},", r.sync_fallbacks);
-        let _ = writeln!(
-            out,
-            "      \"refreshes_completed\": {},",
-            r.refreshes_completed
-        );
-        let _ = writeln!(out, "      \"multiply_retries\": {},", r.multiply_retries);
-        let _ = writeln!(out, "      \"spill_failures\": {},", r.spill_failures);
-        let _ = writeln!(out, "      \"load_failures\": {},", r.load_failures);
-        let _ = writeln!(out, "      \"recovered_records\": {},", r.recovered_records);
-        let _ = writeln!(out, "      \"stale_tmp_swept\": {},", r.stale_tmp_swept);
-        let _ = writeln!(out, "      \"latency_p50_ms\": {:.4},", r.latency_p50_ms);
-        let _ = writeln!(out, "      \"latency_p99_ms\": {:.4},", r.latency_p99_ms);
-        let _ = writeln!(out, "      \"latency_p999_ms\": {:.4},", r.latency_p999_ms);
-        let _ = writeln!(out, "      \"fired\": [");
-        for (j, (site, hits, fired)) in r.fired.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "        {{\"site\": \"{site}\", \"hits\": {hits}, \"fired\": {fired}}}{}",
-                if j + 1 < r.fired.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "      ],");
-        let _ = writeln!(out, "      \"detail\": \"{}\"", r.detail.replace('"', "'"));
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 < reports.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    out.push('}');
-    out.push('\n');
-    out
-}
-
-/// Nearest-rank percentile over per-query latencies, sorting in place.
-/// `0.0` for an empty sample (a trace with no queries fails the
-/// `verified == 0` invariant anyway).
-fn percentile_ms(samples: &mut [f64], pct: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(f64::total_cmp);
-    let rank = ((pct / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1]
+    let passed = reports.iter().filter(|r| r.passed).count() as u64;
+    let scenarios: Vec<String> = reports
+        .iter()
+        .map(|r| {
+            let mut w = JsonWriter::compact_object();
+            w.field_str("name", &r.name);
+            w.field_raw("passed", &r.passed.to_string());
+            w.field_u64("verified", r.verified);
+            w.field_f64("max_abs_err", r.max_abs_err);
+            for (name, value) in [
+                ("worker_restarts", r.worker_restarts),
+                ("refresh_retries", r.refresh_retries),
+                ("sync_fallbacks", r.sync_fallbacks),
+                ("refreshes_completed", r.refreshes_completed),
+                ("multiply_retries", r.multiply_retries),
+                ("spill_failures", r.spill_failures),
+                ("load_failures", r.load_failures),
+                ("recovered_records", r.recovered_records),
+                ("stale_tmp_swept", r.stale_tmp_swept),
+            ] {
+                w.field_u64(name, value);
+            }
+            let fired: Vec<String> = (r.fired.iter())
+                .map(|(site, hits, fired)| {
+                    let mut f = JsonWriter::compact_object();
+                    f.field_str("site", site);
+                    f.field_u64("hits", *hits);
+                    f.field_u64("fired", *fired);
+                    f.finish()
+                })
+                .collect();
+            w.field_array("fired", &fired);
+            w.field_str("detail", &r.detail);
+            w.finish()
+        })
+        .collect();
+    let mut w = JsonWriter::object();
+    w.field_str("schema", "amd-scenarios/1");
+    w.field_u64("seed", seed);
+    w.field_u64("passed", passed);
+    w.field_u64("failed", reports.len() as u64 - passed);
+    w.field_array("scenarios", &scenarios);
+    w.finish()
 }
 
 /// Deterministic integer-valued base: a symmetric ring with a heavy
@@ -645,4 +615,30 @@ fn mirror(
 /// Per-process, per-scenario scratch directory for catalog runs.
 fn scratch_dir(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("amd-chaos-{}-{}", std::process::id(), name))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amd_obs::{parse_json, JsonValue};
+
+    #[test]
+    fn a_detail_with_a_backslash_quote_and_newline_reads_back_unchanged() {
+        let detail = "torn \\ payload \"x\"\nsecond line";
+        let report = ScenarioReport {
+            name: "escapes".into(),
+            detail: detail.into(),
+            fired: vec![("site \"a\"".into(), 2, 1)],
+            ..ScenarioReport::default()
+        };
+        let doc = parse_json(&reports_to_json(7, &[report])).expect("valid JSON");
+        let Some(JsonValue::Arr(scenarios)) = doc.get("scenarios") else {
+            panic!("no scenarios array");
+        };
+        assert_eq!(
+            scenarios[0].get("detail").and_then(JsonValue::as_str),
+            Some(detail)
+        );
+        assert_eq!(doc.get("failed").and_then(JsonValue::as_u64), Some(1));
+    }
 }

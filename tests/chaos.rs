@@ -56,11 +56,6 @@ fn builtin_scenarios_pass_end_to_end() {
         assert!(report.passed, "{name} failed: {}", report.detail);
         assert!(report.verified > 0, "{name} verified no answers");
         assert_eq!(report.max_abs_err, 0.0, "{name} served inexactly");
-        // Queries ran, so the latency tails must be populated and
-        // ordered (nearest-rank percentiles of the same sample).
-        assert!(report.latency_p50_ms > 0.0, "{name} has no p50");
-        assert!(report.latency_p99_ms >= report.latency_p50_ms);
-        assert!(report.latency_p999_ms >= report.latency_p99_ms);
     }
 }
 
@@ -213,9 +208,6 @@ fn chaos_cli_writes_scenario_report() {
     assert!(json.contains("\"schema\": \"amd-scenarios/1\""));
     assert!(json.contains("\"name\": \"worker-kill\""));
     assert!(json.contains("\"worker_restarts\""));
-    assert!(json.contains("\"latency_p50_ms\""));
-    assert!(json.contains("\"latency_p99_ms\""));
-    assert!(json.contains("\"latency_p999_ms\""));
     assert!(json.contains("\"passed\": true"));
     let _ = std::fs::remove_file(&out_path);
 }

@@ -314,10 +314,10 @@ fn hub_share_leaves_balanced_inputs_alone() {
 /// grid at `b = n / 16`: about 1 % per level-0 non-root), and the sparse
 /// schedule ships nothing else. Every level-0 non-root's broadcast plus
 /// reduce must stay within a quarter of one block. The figures are the
-/// closed forms of the schedules the run took, which are its accounting.
+/// counted steps of the plans the run took, which are its accounting.
 #[test]
 fn arrow_ships_only_the_rows_it_multiplies_on_planar_inputs() {
-    use arrow_matrix::comm::{broadcast_cost, reduce_cost, CostModel};
+    use arrow_matrix::comm::{Collective, CostModel};
     let (p, k) = (16u32, 16u32);
     let grid: CsrMatrix<f64> = basic::grid_2d(160, 160).to_adjacency();
     let (arrow, run) = arrow_run(&grid, p, k);
@@ -330,10 +330,11 @@ fn arrow_ships_only_the_rows_it_multiplies_on_planar_inputs() {
     let d0_rows = arrow.hub_runs()[0][nb - 1].end as usize;
     let block = (8 * d0_rows * k as usize) as f64;
     let (cost, kk) = (CostModel::default(), k as usize);
-    let bcast = broadcast_cost(nb, d0_rows, kk, &cost, Some(reads));
-    let reduce = reduce_cost(nb, d0_rows, kk, &cost, Some(writes));
+    let bcast = Collective::broadcast(nb, d0_rows, Some(reads));
+    let reduce = Collective::reduce(nb, d0_rows, Some(writes));
+    let (bcast, reduce) = (bcast.pick(kk, &cost), reduce.pick(kk, &cost));
     let shares: Vec<f64> = (1..nb)
-        .map(|i| (bcast[i].bytes() + reduce[i].bytes()) as f64 / block)
+        .map(|i| (bcast.traffic(i, kk).bytes() + reduce.traffic(i, kk).bytes()) as f64 / block)
         .collect();
     let worst = shares.iter().fold(0.0f64, |m, &s| m.max(s));
     assert!(
