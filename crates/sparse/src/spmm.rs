@@ -260,9 +260,10 @@ pub fn spmm_acc<T: Scalar>(
 /// multiply them.
 ///
 /// `x` has `k` columns; its row for column index `c` of `a` is `c`, or
-/// `gather[c]` when a map is given (every mapped value must be a row of
-/// `x`; one that is not panics). `y` is `a.rows() × k`. Mismatched
-/// lengths are the shape errors of [`spmm_acc`].
+/// `gather[c]` when a map is given — then `x` may have any number of
+/// rows, and every mapped value must be one of them (one that is not
+/// panics). `y` is `a.rows() × k`. Mismatched lengths are the shape
+/// errors of [`spmm_acc`].
 pub fn spmm_slices<T: Scalar>(
     a: &CsrMatrix<T>,
     x: &[T],
@@ -328,8 +329,13 @@ fn check_slices<'a, T: Scalar>(
     y_rows: u32,
 ) -> SparseResult<Operands<'a, T>> {
     let kk = k as usize;
-    let x_rows = gather.map_or(a.cols() as usize, <[u32]>::len);
-    if x_rows < a.cols() as usize || x.len() != x_rows * kk {
+    // Through a map, `x` is whole rows, as many as the caller has.
+    let x_rows = match gather {
+        Some(map) if map.len() < a.cols() as usize => None,
+        Some(_) => Some(x.len().checked_div(kk).unwrap_or(0)),
+        None => Some(a.cols() as usize),
+    };
+    if x_rows.is_none_or(|rows| x.len() != rows * kk) {
         return Err(SparseError::ShapeMismatch {
             left: (a.rows(), a.cols()),
             right: (x.len().checked_div(kk).unwrap_or(0) as u32, k),
@@ -638,6 +644,21 @@ mod tests {
         let x0 = DenseMatrix::<f64>::zeros(2, 0);
         let mut y0 = DenseMatrix::<f64>::zeros(2, 0);
         spmm_parallel(&a, &x0, &mut y0, Dtype::F64).unwrap();
+    }
+
+    #[test]
+    fn a_gather_map_reads_rows_of_an_operand_of_any_height() {
+        // A = [0 1; 2 3] through the map [2, 0]: column 0 reads row 2 of a
+        // three-row x, column 1 reads row 0.
+        let (a, _) = small();
+        let x = [10.0, 20.0, 0.0, 0.0, 1.0, 2.0];
+        let mut y = [0.0; 4];
+        let mut run = |x: &[f64], map: &[u32]| {
+            spmm_slices(&a, x, 2, Some(map), &mut y, Finish::Overwrite, Dtype::F64).map(|()| y)
+        };
+        assert_eq!(run(&x, &[2, 0]).unwrap(), [10.0, 20.0, 32.0, 64.0]);
+        assert!(run(&x, &[2]).is_err(), "a map must cover every column");
+        assert!(run(&x[..5], &[2, 0]).is_err(), "x must be whole rows");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! 1. **Forward propagation** (Algorithm 2): each rank of a level `t ≥ 1`
 //!    receives its rows point to point from the ranks that *hold* them —
 //!    its block `D(i)`, and under the direct feed also the rows of `D(0)`
-//!    it reads ([below](#who-feeds-a-deeper-level)).
+//!    it reads. Under the gather feed the deeper ranks sit out, and each
+//!    level-0 rank receives instead the rows of `X` that the deeper rows
+//!    it holds read ([below](#who-feeds-a-deeper-level)).
 //! 2. **Arrow multiply** (Algorithm 1): broadcast `D(0)` within the level,
 //!    reduce the row-arm partials to the level's rank 0, and compute
 //!    `C(i) = B(i,0)·D(0) + B(i,i)·D(i)`. A directly fed level runs the
@@ -40,30 +42,51 @@
 //!    returns its rows to their holders, which add them into their blocks
 //!    (under the direct feed the partials of `D(0)` too, summed there),
 //!    leaving `Y` on level 0 laid out like `X` (§6.1), so iterations chain.
+//!    Gathered, a level-0 rank multiplies the deeper rows it holds after
+//!    its own level's multiply and adds them in the same way, with nothing
+//!    to return.
 //!
 //! # Who feeds a deeper level
 //!
 //! A row's holder is the deepest earlier level where its vertex is active
-//! (`plan_routes`). Under [`Feed::Relay`], Algorithm 1 as written, a
-//! deeper level's root receives all of `D(0)`, broadcasts it, and returns
-//! `C(0)` after the reduce; on grid160 at `k = 16` that made a level-1
-//! root the busiest rank (655 616 B). Under [`Feed::Direct`] no deeper
-//! level runs a collective: each rank receives exactly the rows it reads
-//! from their holders and returns its rows there, and a holder completes
-//! each row of the level's `D(0)` it holds (`Fold`) in the root-last
-//! order every reduce sums in ([`fold_nonroots`]), a member that did not
-//! ship the row entering as a literal `+0.0` — so answers are bit for bit
-//! the same whichever feed ran.
+//! (`plan_routes`). There are three feeds, and answers are bit for bit
+//! the same whichever runs: every row is summed in the association the
+//! relay gives it, `Y[v] = C₀[v] + (C₁[v] + (C₂[v] + …))`, and a row of a
+//! deeper level's `D(0)` is folded from its members' partials in the
+//! root-last order every reduce sums in ([`fold_nonroots`], `Fold`), a
+//! member that has no part entering as a literal `+0.0`.
+//!
+//! - [`Feed::Relay`], Algorithm 1 as written: a deeper level's root
+//!   receives all of `D(0)`, broadcasts it, and returns `C(0)` after the
+//!   reduce. On grid160 at `k = 16` that makes a level-1 root the busiest
+//!   rank (669 440 B).
+//! - [`Feed::Direct`]: no deeper level runs a collective. Each rank
+//!   receives exactly the rows it reads from their holders and returns its
+//!   rows there, and a holder completes each row of the level's `D(0)` it
+//!   holds. Every block still makes a round trip: on grid160 a level-1
+//!   non-root is the busiest rank (574 464 B in 30 messages), 409 600 B of
+//!   it its own block's.
+//! - [`Feed::Gather`]: no deeper rank moves or multiplies anything. Each
+//!   row of a deeper level is multiplied on the level-0 rank that holds
+//!   its vertex (`plan_gather`), from the rows of `X` one exchange
+//!   brings there — each once per rank, however many levels read it —
+//!   with the same kernels, so `f32` products round as they do on the
+//!   deeper ranks. A rank sends its rows before its level-0 multiply and
+//!   receives after it. A row is co-located, not a block: a deeper
+//!   block's rows are spread over the level-0 ranks. On grid160 the
+//!   busiest rank falls to 95 360 B in 16 messages.
 //!
 //! Routes and collectives are one kind of step list: `ArrowSpmm::new`
-//! builds every level's candidate collective plans and both feeds'
-//! forward and backward routes ([`Plan::routes`]) once, the one
-//! interpreter in `amd_comm` runs them, and the traffic the feed choice,
-//! [`ArrowSpmm::schedules`] and `predict_ranks` read is counted from the
-//! same steps. The direct feed is taken when its busiest rank moves no
-//! more bytes and no more messages than under the relay, and fewer of
-//! one: the grids take it; the R-MAT tenants of the serving benchmark
-//! keep the relay, where it would add 1–13 % to the busiest rank.
+//! builds every level's candidate collective plans and the three feeds'
+//! routes ([`Plan::routes`]) once, the one interpreter in `amd_comm` runs
+//! them, and the traffic the feed choice, [`ArrowSpmm::schedules`] and
+//! `predict_ranks` read is counted from the same steps. The feeds are
+//! weighed in turn, and a later one is taken when its busiest rank moves
+//! no more bytes and no more messages than the one held, and fewer of one
+//! ([`ArrowSpmm::feed`]): the grids gather; R-MAT keeps the relay or the
+//! direct feed, since there a hub row of a deeper level reads so many rows
+//! that gathering them loads a level-0 rank more (rmat13 at `b = 512`,
+//! `k = 16`: 416 256 B in 44 messages, against 362 624 B in 38 direct).
 
 use crate::layout::{block_count, block_range};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
@@ -71,7 +94,7 @@ use amd_comm::{
     fold_nonroots, Collective, CostModel, Dir, Group, Machine, Plan, RankCtx, Schedule,
 };
 use amd_sparse::spmm::{self, Finish};
-use amd_sparse::{DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::{CsrBuilder, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use arrow_core::{ArrowDecomposition, ArrowMatrix};
 use std::ops::Range;
 use std::sync::Arc;
@@ -86,7 +109,14 @@ pub enum Feed {
     /// A deeper level's ranks receive the rows they read from the ranks
     /// that hold them and return their rows there, with no collective.
     Direct,
+    /// No deeper level's rank moves or multiplies anything: every deeper
+    /// row is multiplied on the level-0 rank that holds its vertex, from
+    /// the rows of `X` gathered there.
+    Gather,
 }
+
+/// The feeds in the order [`ArrowSpmm::feed`] weighs them.
+const FEEDS: [Feed; 3] = [Feed::Relay, Feed::Direct, Feed::Gather];
 
 /// One feed's point-to-point steps — forward the rows each rank reads,
 /// backward the rows it returns — and how each rank completes its block
@@ -97,7 +127,9 @@ pub enum Feed {
 /// backward — and `h + r` is row `r` of `D(0)` forward and of its partial
 /// backward, which only a non-root of a directly fed level moves. A
 /// directly fed root's block *is* `D(0)`, and what it returns is its
-/// partial. A received backward row lands in an inbox slot.
+/// partial. A received backward row lands in an inbox slot. The gather
+/// feed moves only forward, level 0 to level 0: row `h + r` is row `r` of
+/// what the receiver gathers ([`Products`]).
 struct Routes {
     fwd: Plan,
     bwd: Plan,
@@ -108,28 +140,44 @@ struct Routes {
 /// How one rank completes its block from its inbox.
 #[derive(Debug, Clone, Default)]
 struct RankPlan {
-    /// Inbox height: the folds' rows first, then the received ones.
+    /// Inbox height: the folds' rows first, then the received ones — or,
+    /// gathered, one slot per row of the products.
     slots: u32,
-    /// The rows of deeper levels' `D(0)` this rank completes, deepest
-    /// level first.
+    /// The rows of deeper levels this rank completes, deepest level
+    /// first.
     folds: Vec<Fold>,
     /// `(row, slot)`: row `row` of the block gains inbox slot `slot`.
     adds: Vec<(u32, u32)>,
+    /// Under the gather feed, the deeper rows a level-0 rank multiplies.
+    products: Option<Products>,
 }
 
-/// The rows of one directly fed level's `D(0)` that a holder completes:
-/// the reduction its root would have summed, then what deeper levels
-/// return for them — the relay's association, row by row.
+/// The deeper levels' rows a level-0 rank multiplies under the gather
+/// feed ([`plan_gather`]): row `s` of `rows` fills inbox slot `s`, and its
+/// entry `e` reads row `gather[e]` of the operand — the rank's block of
+/// `X`, then the rows the exchange brings it, `height` rows in all. Each
+/// entry is a column of its own, so a row keeps its tiles' order.
+#[derive(Debug, Clone)]
+struct Products {
+    rows: CsrMatrix<f64>,
+    gather: Vec<u32>,
+    height: u32,
+}
+
+/// The rows of one deeper level that a holder completes: for its
+/// `D(0)` rows the reduction the level's root would have summed, then
+/// for every row what deeper levels return for it — the relay's
+/// association, row by row.
 #[derive(Debug, Clone)]
 struct Fold {
     level: usize,
     /// Ranks of the level.
     members: u32,
-    /// The rows' inbox slots.
+    /// The inbox slots of the rows of the level's `D(0)` held here.
     nodes: Range<u32>,
     /// `(row, member, slot)`: member `member`'s part of the fold's row
-    /// `row` (counted from `nodes.start`) arrived in inbox slot `slot`.
-    /// A member that sent none has `+0.0` there.
+    /// `row` (counted from `nodes.start`) is in inbox slot `slot`.
+    /// A member that has none has `+0.0` there.
     parts: Vec<(u32, u32, u32)>,
     /// `(node, slot)`: inbox slot `node` gains slot `slot`.
     adds: Vec<(u32, u32)>,
@@ -335,6 +383,25 @@ impl RankPlan {
         self.slots - 1
     }
 
+    /// The fold of `level`'s rows here, opened at the next slot if there
+    /// is none yet.
+    fn fold(&mut self, level: usize, members: u32) -> &mut Fold {
+        let at = match self.folds.iter().position(|f| f.level == level) {
+            Some(at) => at,
+            None => {
+                self.folds.push(Fold {
+                    level,
+                    members,
+                    nodes: self.slots..self.slots,
+                    parts: Vec::new(),
+                    adds: Vec::new(),
+                });
+                self.folds.len() - 1
+            }
+        };
+        &mut self.folds[at]
+    }
+
     /// Adds inbox slot `slot` into `into` once it is complete; `node` is
     /// where each folded row sits ([`plan_routes`]). A row gains at most
     /// one returned row: a vertex's next active level is its only child.
@@ -351,9 +418,11 @@ impl RankPlan {
 /// A feed's forward and backward moves ([`plan_routes`]).
 type Moves = [Vec<(u32, u32, u32, u32)>; 2];
 
-/// Both feeds' routes, indexed by [`Feed`]: forward moves `(holder,
-/// reader, holder row, reader row)` and backward moves `(sender, holder,
-/// sender row, inbox slot)`, each slot taken as its move is planned.
+/// Every feed's routes, indexed by [`Feed`] — the relay's and the direct
+/// feed's here, the gather feed's from each position's relay home
+/// ([`plan_gather`]): forward moves `(holder, reader, holder row, reader
+/// row)` and backward moves `(sender, holder, sender row, inbox slot)`,
+/// each slot taken as its move is planned.
 ///
 /// Active position `q` of level `t ≥ 1` (vertex `v`) has two homes. Its
 /// *relay home* is the deepest earlier level where `v` is active. In a
@@ -378,7 +447,7 @@ type Moves = [Vec<(u32, u32, u32, u32)>; 2];
 /// The error below is for decompositions assembled elsewhere.
 ///
 /// [`decompose_snapshot_incremental`]: arrow_core::incremental::decompose_snapshot_incremental
-fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Routes; 2]> {
+fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Routes; 3]> {
     let b = d.b();
     let rank = |s: usize, p: u32| levels[s].offset + p / b;
     let total = levels.last().map_or(0, |l| (l.offset + l.nb) as usize);
@@ -390,6 +459,8 @@ fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Ro
     // node[t][q]: the inbox slot of row q of level t's D(0) at its direct
     // home, where it is folded.
     let mut node = vec![Vec::new(); levels.len()];
+    // relay_homes[t][q]: the relay home of position q of level t.
+    let mut relay_homes = vec![Vec::new(); levels.len()];
     for (t, level) in levels.iter().enumerate().skip(1) {
         let pi_t = &d.levels()[t].perm;
         // [relay home, direct home] of each position, as (level, position).
@@ -430,16 +501,7 @@ fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Ro
             if q < level.d0_rows() {
                 // Folded at its direct home, from the members' parts below;
                 // a level's rows take consecutive slots there.
-                if plan.folds.last().is_none_or(|f| f.level != t) {
-                    plan.folds.push(Fold {
-                        level: t,
-                        members: level.nb,
-                        nodes: plan.slots..plan.slots,
-                        parts: Vec::new(),
-                        adds: Vec::new(),
-                    });
-                }
-                plan.folds.last_mut().expect("pushed above").nodes.end += 1;
+                plan.fold(t, level.nb).nodes.end += 1;
                 node[t].push(plan.slots);
                 plan.gain(into, plan.slots, &node);
                 plan.slots += 1;
@@ -469,15 +531,147 @@ fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Ro
                 direct[1].push((member, rank(sd, pd), at + r, slot));
             }
         }
+        relay_homes[t] = homes.into_iter().map(|[relay, _]| relay).collect();
     }
-    let routes = |mut ranks: Vec<RankPlan>, [fwd, bwd]: Moves| {
-        ranks.iter_mut().for_each(|plan| plan.folds.reverse());
-        let (fwd, bwd) = (Plan::routes(total, fwd), Plan::routes(total, bwd));
-        Routes { fwd, bwd, ranks }
-    };
     let [relay_ranks, direct_ranks] = plans;
-    Ok([routes(relay_ranks, relay), routes(direct_ranks, direct)])
+    let gather = plan_gather(d, levels, &relay_homes);
+    Ok([
+        routes(relay_ranks, relay),
+        routes(direct_ranks, direct),
+        gather,
+    ])
 }
+
+/// A feed's [`Routes`] from its ranks' plans and its moves.
+fn routes(mut ranks: Vec<RankPlan>, [fwd, bwd]: Moves) -> Routes {
+    ranks
+        .iter_mut()
+        .for_each(|plan| plan.folds.sort_by_key(|f| std::cmp::Reverse(f.level)));
+    let total = ranks.len();
+    let (fwd, bwd) = (Plan::routes(total, fwd), Plan::routes(total, bwd));
+    Routes { fwd, bwd, ranks }
+}
+
+/// The gather feed: every row of a deeper level is multiplied on the
+/// level-0 rank that holds its vertex ([`Products`]) and completed there
+/// in the relay's association.
+///
+/// - A row of block `i ≥ 1` is one row product from `+0.0`, the column
+///   tile's entries then the diagonal tile's: the sum `B(i,0)·D(0)` and
+///   `B(i,i)·D(i)` make of it.
+/// - A row of the level's `D(0)` is a [`Fold`] of one piece per member:
+///   the member's row-arm entries from `+0.0`, then its hub run's if the
+///   run holds the row — its partial's row. A member with neither
+///   enters as `+0.0`, as in the reduce.
+/// - Each row then gains the row its vertex returns from the next level
+///   down, where the relay would have added it (`relay`: each position's
+///   relay home, as [`plan_routes`] finds it).
+///
+/// The one exchange brings each holder every row of `X` its products
+/// read that another level-0 rank holds, once however many rows read it.
+fn plan_gather(
+    d: &ArrowDecomposition,
+    levels: &[LevelPlan],
+    relay: &[Vec<(usize, u32)>],
+) -> Routes {
+    let (b, level0) = (d.b(), &d.levels()[0].perm);
+    let total = levels.last().map_or(0, |l| (l.offset + l.nb) as usize);
+    let mut ranks = vec![RankPlan::default(); total];
+    // Per level-0 rank: its product rows so far, and the level-0 position
+    // of the row of X each entry reads.
+    let mut built = vec![(CsrBuilder::with_capacity(0, 0), Vec::new()); levels[0].nb as usize];
+    // slot[t][q]: the inbox slot of row q of level t at its holder.
+    let mut slot = vec![Vec::new(); levels.len()];
+    for (t, level) in levels.iter().enumerate().skip(1) {
+        let perm = &d.levels()[t].perm;
+        let position = |q: u32| level0.position(perm.vertex_at(q));
+        let holder = |q: u32| (position(q) / b) as usize;
+        // A product row at `h` summing row `r` of each tile, whose column
+        // `c` reads the vertex at position `at + c`; returns its slot.
+        let mut product = |ranks: &mut [RankPlan], h: usize, tiles: &[Option<Tile>]| {
+            let (rows, reads) = &mut built[h];
+            for &(tile, r, at) in tiles.iter().flatten() {
+                for (&c, &v) in tile.row_indices(r).iter().zip(tile.row_values(r)) {
+                    rows.push(reads.len() as u32, v);
+                    reads.push(position(at + c));
+                }
+            }
+            rows.end_row();
+            ranks[h].slot()
+        };
+        let arrow = &level.arrow;
+        // The rows of D(0) first, on consecutive slots at each holder.
+        for q in 0..level.d0_rows() {
+            let h = holder(q);
+            ranks[h].fold(t, level.nb).nodes.end += 1;
+            slot[t].push(product(&mut ranks, h, &[]));
+        }
+        for q in 0..level.d0_rows() {
+            let h = holder(q);
+            for i in 0..level.nb {
+                let arm = (i > 0).then(|| (arrow.row_tile(i), q, i * b));
+                let hub = level
+                    .hub_run(i)
+                    .contains(&q)
+                    .then(|| (arrow.row_tile(0), q, 0));
+                let tiles = [arm, hub];
+                if tiles
+                    .iter()
+                    .flatten()
+                    .all(|(tile, r, _)| tile.row_nnz(*r) == 0)
+                {
+                    continue;
+                }
+                let piece = product(&mut ranks, h, &tiles);
+                let fold = ranks[h].fold(t, level.nb);
+                fold.parts
+                    .push((slot[t][q as usize] - fold.nodes.start, i, piece));
+            }
+        }
+        for q in level.d0_rows()..level.active_n {
+            let (i, r) = (q / b, q % b);
+            let tiles = [(arrow.col_tile(i), r, 0), (arrow.diag_tile(i), r, i * b)];
+            slot[t].push(product(&mut ranks, holder(q), &tiles.map(Some)));
+        }
+        for (q, &(s, p)) in (0..).zip(&relay[t]) {
+            let (h, child) = (holder(q), slot[t][q as usize]);
+            if s == 0 {
+                ranks[h].adds.push((p % b, child));
+            } else {
+                let parent = slot[s][p as usize];
+                ranks[h].fold(s, levels[s].nb).adds.push((parent, child));
+            }
+        }
+    }
+    // Each holder's operand: its block, then the rows it receives in
+    // level-0 order; row_of[p] is where position p sits at the holder
+    // being planned.
+    let mut row_of = vec![0u32; d.n() as usize];
+    let mut moves = Vec::new();
+    for (h, (rows, reads)) in (0..).zip(built) {
+        let (r0, r1) = block_range(levels[0].active_n, b, h);
+        (r0..r1).for_each(|p| row_of[p as usize] = p - r0);
+        let mut remote: Vec<u32> = reads.iter().copied().filter(|p| p / b != h).collect();
+        remote.sort_unstable();
+        remote.dedup();
+        for (&p, at) in remote.iter().zip(r1 - r0..) {
+            row_of[p as usize] = at;
+            moves.push((p / b, h, p % b, at));
+        }
+        let plan = &mut ranks[h as usize];
+        if plan.slots > 0 {
+            plan.products = Some(Products {
+                rows: rows.finish(reads.len() as u32),
+                gather: reads.iter().map(|&p| row_of[p as usize]).collect(),
+                height: r1 - r0 + remote.len() as u32,
+            });
+        }
+    }
+    routes(ranks, [moves, Vec::new()])
+}
+
+/// Row `r` of a tile whose column `c` is the level's position `at + c`.
+type Tile<'a> = (&'a CsrMatrix<f64>, u32, u32);
 
 /// The fold of `level`'s rows among a holder's.
 fn fold_of(folds: &mut [Fold], level: usize) -> &mut Fold {
@@ -494,7 +688,7 @@ pub struct ArrowSpmm {
     total_ranks: u32,
     levels: Vec<LevelPlan>,
     /// Per [`Feed`]: its routes ([`plan_routes`]).
-    feeds: [Routes; 2],
+    feeds: [Routes; 3],
     /// Vertex at position `p` of level 0 (`π₀⁻¹`), for X scatter/Y gather.
     level0_vertices: Vec<u32>,
     cost: CostModel,
@@ -604,30 +798,36 @@ impl ArrowSpmm {
             .collect()
     }
 
-    /// The feed a `k`-column operand takes: [`Feed::Direct`] when its
-    /// busiest rank moves no more bytes and no more messages than the
-    /// relay's and fewer of one, judged from every rank's exact traffic at
-    /// the machine's `f64` width (as [`amd_comm`]'s collectives pick a
-    /// schedule); [`Feed::Relay`] otherwise.
+    /// The feed a `k`-column operand takes. The candidates are weighed in
+    /// turn — [`Feed::Relay`], [`Feed::Direct`], [`Feed::Gather`] — and a
+    /// later one replaces the one held when its busiest rank moves no more
+    /// bytes and no more messages, and fewer of one, judged from every
+    /// rank's exact traffic at the machine's `f64` width (as [`amd_comm`]'s
+    /// collectives pick a schedule).
     pub fn feed(&self, k: u32) -> Feed {
-        let busiest = |feed| {
-            self.moved(k, feed)
-                .into_iter()
-                .fold((0, 0), |(bytes, msgs), (b, m)| (bytes.max(b), msgs.max(m)))
-        };
-        let (relay, direct) = (busiest(Feed::Relay), busiest(Feed::Direct));
-        if direct.0 <= relay.0 && direct.1 <= relay.1 && direct != relay {
-            Feed::Direct
-        } else {
-            Feed::Relay
+        let mut held = (FEEDS[0], self.busiest(k, FEEDS[0]));
+        for &feed in &FEEDS[1..] {
+            let load = self.busiest(k, feed);
+            if load.0 <= held.1 .0 && load.1 <= held.1 .1 && load != held.1 {
+                held = (feed, load);
+            }
         }
+        held.0
+    }
+
+    /// The busiest rank's bytes and messages in one iteration under
+    /// `feed` on a `k`-column operand, each the most of any rank, counted
+    /// from the plans at 8 bytes a value — what [`Self::feed`] weighs.
+    pub fn busiest(&self, k: u32, feed: Feed) -> (u64, u64) {
+        (self.moved(k, feed).into_iter())
+            .fold((0, 0), |(bytes, msgs), (b, m)| (bytes.max(b), msgs.max(m)))
     }
 
     /// The levels that run Algorithm 1's collectives under `feed`.
     fn relayed(&self, feed: Feed) -> &[LevelPlan] {
         match feed {
             Feed::Relay => &self.levels,
-            Feed::Direct => &self.levels[..1],
+            Feed::Direct | Feed::Gather => &self.levels[..1],
         }
     }
 
@@ -814,9 +1014,15 @@ impl DistSpmm for ArrowSpmm {
         // What the machine moves at 8 bytes a value, a `dtype` wire moves
         // at `dtype` bytes.
         let scale = self.dtype.bytes() as f64 / 8.0;
-        let traffic = self.moved(k, self.feed(k));
-        // Levels hold consecutive ranks, in level order.
-        let flops = self.levels.iter().flat_map(|level| {
+        let feed = self.feed(k);
+        let traffic = self.moved(k, feed);
+        // Levels hold consecutive ranks, in level order; gathered, the
+        // deeper levels' tiles are multiplied on level 0 instead.
+        let multiplying = match feed {
+            Feed::Gather => &self.levels[..1],
+            Feed::Relay | Feed::Direct => &self.levels[..],
+        };
+        let flops = multiplying.iter().flat_map(|level| {
             (0..level.nb).map(move |i| {
                 // Local tile multiplies (Algorithm 1, lines 2–6): the
                 // rank's share of the hub tile and its own three.
@@ -829,9 +1035,13 @@ impl DistSpmm for ArrowSpmm {
                 flops
             })
         });
+        let gathered = self.feeds[feed as usize].ranks.iter().map(|plan| {
+            (plan.products.as_ref()).map_or(0.0, |products| spmm::spmm_flops(&products.rows, k))
+        });
+        let flops = flops.chain(std::iter::repeat(0.0)).zip(gathered);
         traffic
             .into_iter()
-            .zip(flops)
+            .zip(flops.map(|(tiles, gathered)| tiles + gathered))
             .map(|((bytes, msgs), flops)| CommEstimate {
                 max_rank_bytes: bytes as f64 * scale,
                 max_rank_messages: msgs as f64,
@@ -865,6 +1075,11 @@ impl ArrowSpmm {
             let level = &self.levels[j];
             let routes = &self.feeds[feed as usize];
             let plan = &routes.ranks[rank as usize];
+            let gather = feed == Feed::Gather;
+            if gather && j > 0 {
+                // Its rows are multiplied where their vertices are held.
+                return Vec::new();
+            }
             let direct = feed == Feed::Direct && j > 0;
             let group = Group::new(ctx, (level.offset..level.offset + level.nb).collect());
             let world = Group::world(ctx);
@@ -891,11 +1106,23 @@ impl ArrowSpmm {
             let mut spare = Vec::new();
             for iter in 0..iters {
                 let base_tag = (iter as u64) << 8;
-                // 1. Forward propagation (Algorithm 2, lines 1–5).
-                for dir in [Dir::Recv, Dir::Send] {
+                // 1. Forward propagation (Algorithm 2, lines 1–5). Gathered,
+                // a level-0 rank sends here and receives after its multiply,
+                // into its operand: its block of X, then the rows it gathers.
+                let fwd: &[Dir] = if gather {
+                    &[Dir::Send]
+                } else {
+                    &[Dir::Recv, Dir::Send]
+                };
+                for &dir in fwd {
                     let bufs = (&mut x_block, &mut d0);
                     world.exchange(ctx, base_tag | 1, &routes.fwd, dir, bufs, kk);
                 }
+                let mut operand = plan.products.as_ref().map(|products| {
+                    let mut operand = x_block.clone();
+                    operand.resize(products.height as usize * kk, 0.0);
+                    operand
+                });
                 // 2. Per-level arrow multiply (Algorithm 1).
                 // Directly fed, the same multiplies with no collective: a
                 // non-root returns C(i) and its partial, the root (whose
@@ -916,11 +1143,27 @@ impl ArrowSpmm {
                     }
                 };
                 // 3. Backward aggregation (Algorithm 2, lines 7–12): the
-                // deeper levels' rows land in the inbox, the folds complete
-                // the rows of D(0) this rank holds, and the block gains
-                // each row's returns in level order.
+                // deeper levels' rows land in the inbox — or, gathered, are
+                // multiplied into it here — the folds complete the rows of
+                // deeper levels this rank holds, and the block gains each
+                // row's returns in level order.
                 let (bwd, tag) = (&routes.bwd, base_tag | 2);
                 let mut inbox = vec![0.0; plan.slots as usize * kk];
+                if let (Some(products), Some(operand)) = (&plan.products, &mut operand) {
+                    let bufs = (&mut *operand, &mut Vec::new());
+                    world.exchange(ctx, base_tag | 1, &routes.fwd, Dir::Recv, bufs, kk);
+                    ctx.compute_flops(spmm::spmm_flops(&products.rows, k));
+                    spmm::spmm_slices(
+                        &products.rows,
+                        operand,
+                        k,
+                        Some(&products.gather),
+                        &mut inbox,
+                        Finish::Overwrite,
+                        dtype,
+                    )
+                    .expect("gathered rows align");
+                }
                 world.exchange(ctx, tag, bwd, Dir::Recv, (&mut inbox, &mut Vec::new()), kk);
                 for fold in &plan.folds {
                     fold.complete(&mut inbox, kk);
@@ -1069,37 +1312,46 @@ mod tests {
         );
     }
 
-    /// Runs `d`'s plan for `a` under both feeds on non-integer data and
-    /// holds them to one answer, bit for bit, and to the product. Returns
-    /// whether the direct feed adds a deeper level's row into a row of
-    /// some level's `D(0)` — a vertex of block 0 of level `t` that is
-    /// active at `t + 1` — which the holder must do before it adds the row
-    /// into its own block, as the relay's root did.
-    fn feeds_agree(a: &CsrMatrix<f64>, d: &ArrowDecomposition, k: u32) -> bool {
-        let alg = ArrowSpmm::new(d).unwrap();
+    /// Runs `d`'s plan for `a` at `dtype` under every feed on non-integer
+    /// data and holds them to one answer, bit for bit, and at `f64` to the
+    /// product. Returns whether the direct and the gather feed add a deeper
+    /// level's row into a row of some level's `D(0)` — a vertex of block 0
+    /// of level `t` that is active at `t + 1` — which the holder must do
+    /// before it adds the row into its own block, as the relay's root did.
+    fn feeds_agree(a: &CsrMatrix<f64>, d: &ArrowDecomposition, k: u32, dtype: Dtype) -> bool {
+        let alg = ArrowSpmm::new(d).unwrap().with_dtype(dtype);
         let x = DenseMatrix::from_fn(a.rows(), k, |r, c| {
             ((r * 7 + c * 13) % 31) as f64 / 7.0 - 1.9
         });
-        let [relay, direct] =
-            [Feed::Relay, Feed::Direct].map(|feed| alg.run_feed(&x, 2, None, feed).unwrap().y);
+        let ys = FEEDS.map(|feed| alg.run_feed(&x, 2, None, feed).unwrap().y);
         let bits = |y: &DenseMatrix<f64>| y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&relay), bits(&direct), "{} at k = {k}", alg.name());
-        let want = iterated_spmm(a, &x, 2).unwrap();
-        let scale = want.data().iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        assert!(direct.max_abs_diff(&want).unwrap() <= 1e-12 * scale);
-        alg.feeds[Feed::Direct as usize]
-            .ranks
-            .iter()
-            .flat_map(|plan| &plan.folds)
-            .any(|fold| !fold.adds.is_empty())
+        for (feed, y) in FEEDS.iter().zip(&ys) {
+            let name = alg.name();
+            assert_eq!(
+                bits(&ys[0]),
+                bits(y),
+                "{feed:?}: {name} at k = {k}, {dtype}"
+            );
+        }
+        if dtype == Dtype::F64 {
+            let want = iterated_spmm(a, &x, 2).unwrap();
+            let scale = want.data().iter().fold(1.0f64, |m, v| m.max(v.abs()));
+            assert!(ys[0].max_abs_diff(&want).unwrap() <= 1e-12 * scale);
+        }
+        [Feed::Direct, Feed::Gather].iter().all(|&feed| {
+            (alg.feeds[feed as usize].ranks.iter())
+                .flat_map(|plan| &plan.folds)
+                .any(|fold| fold.adds.iter().any(|(node, _)| fold.nodes.contains(node)))
+        })
     }
 
-    /// The direct feed sums every row in the relay's association, so the
-    /// feed a plan takes never shows in an answer: grid, OSM-, GenBank-,
-    /// MAWI-like and R-MAT inputs at two widths and four operand widths,
-    /// the spliced chain, whose rows come from further up than the level
-    /// before, and the hand-built one whose holders fold a deeper level's
-    /// row into a row of `D(0)`.
+    /// The direct and the gather feed sum every row in the relay's
+    /// association, so the feed a plan takes never shows in an answer:
+    /// grid, OSM-, GenBank-, MAWI-like and R-MAT inputs at two widths and
+    /// four operand widths, the spliced chain, whose rows come from
+    /// further up than the level before, the hand-built one whose holders
+    /// fold a deeper level's row into a row of `D(0)`, and a grid whose
+    /// products round through `f32`.
     #[test]
     fn both_feeds_give_one_answer_bit_for_bit() {
         use amd_graph::generators::rmat;
@@ -1115,16 +1367,18 @@ mod tests {
             for parts in [8, 16] {
                 let d = decompose(a, a.rows() / parts, 1);
                 for k in [1, 6, 16, 64] {
-                    feeds_agree(a, &d, k);
+                    feeds_agree(a, &d, k, Dtype::F64);
                 }
             }
         }
         let (spliced_a, spliced_d) = spliced();
         let (hubs_a, hubs_d) = reentering_hubs();
         for k in [1, 6, 16, 64] {
-            feeds_agree(&spliced_a, &spliced_d, k);
-            assert!(feeds_agree(&hubs_a, &hubs_d, k));
+            feeds_agree(&spliced_a, &spliced_d, k, Dtype::F64);
+            assert!(feeds_agree(&hubs_a, &hubs_d, k, Dtype::F64));
         }
+        let grid = &inputs[0];
+        feeds_agree(grid, &decompose(grid, grid.rows() / 16, 1), 16, Dtype::F32);
     }
 
     /// A decomposition assembled by hand in which vertices of level 1's

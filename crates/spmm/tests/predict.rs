@@ -283,20 +283,25 @@ fn the_shapes_once_mispredicted_are_exact() {
     exact(&corrected, a.rows(), 1, Dtype::F64).unwrap();
 }
 
-/// Arrow's two feeds, each where it is taken, at `f64` and `f32`: a grid at
-/// `b = n / 16` and 16 columns feeds its second level directly from the
-/// ranks that hold its rows; an R-MAT at scale 10 and one column keeps
-/// the relay through the level root. Bytes, messages and flops are exact
-/// on both sides.
+/// Arrow's three feeds, each where it is taken, at `f64` and `f32`, all at
+/// `b = n / 16`: a grid at 16 columns multiplies its deeper rows on the
+/// level-0 ranks that hold them; an R-MAT at scale 10 and one column keeps
+/// the relay through the level root; the R-MAT at scale 13 and 16 columns
+/// feeds its deeper levels directly from the ranks that hold their rows,
+/// since gathering there would load its busiest rank with 416 256 B in 44
+/// messages against 362 624 B in 38. Bytes, messages and flops are exact
+/// on every side.
 #[test]
-fn both_arrow_feeds_are_exact() {
-    let mut rng = ChaCha8Rng::seed_from_u64(13);
+fn every_arrow_feed_is_exact() {
+    let seeded = ChaCha8Rng::seed_from_u64;
+    let graph500 = rmat::RmatParams::graph500();
     let cases = [
-        (basic::grid_2d(64, 64), 16, Feed::Direct),
+        (basic::grid_2d(64, 64), 16, Feed::Gather),
+        (rmat::rmat(10, 8, graph500, &mut seeded(13)), 1, Feed::Relay),
         (
-            rmat::rmat(10, 8, rmat::RmatParams::graph500(), &mut rng),
-            1,
-            Feed::Relay,
+            rmat::rmat(13, 8, graph500, &mut seeded(13)),
+            16,
+            Feed::Direct,
         ),
     ];
     for (g, k, feed) in cases {

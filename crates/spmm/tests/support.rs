@@ -7,11 +7,14 @@
 //! and level this prints the feed the levels below the first take, every
 //! non-root's `|Sᵢ| / d0_rows` and `|Rᵢ| / d0_rows`, and the schedule the
 //! level's broadcast and reduce take under `CostModel::default()` — or
-//! `direct` for a level fed without them. A second table counts, per
-//! level, the busiest rank's bytes and messages of its broadcast and its
-//! reduce under each of Tree, Large and Sparse, from `amd_comm`'s plan
-//! builders over the same supports, beside the schedule taken. Every
-//! figure is exact and seed-stable; run with `--nocapture` for the tables.
+//! the feed's name for a level that runs without them. A second table
+//! counts, per level, the busiest rank's bytes and messages of its
+//! broadcast and its reduce under each of Tree, Large and Sparse, from
+//! `amd_comm`'s plan builders over the same supports, beside the schedule
+//! taken. A third prints, per input, width and operand width, the busiest
+//! rank's bytes and messages under each feed — Relay, Direct, Gather — and
+//! marks the one taken. Every figure is exact and seed-stable; run with
+//! `--nocapture` for the tables.
 
 use amd_comm::{Collective, CostModel, Schedule};
 use amd_graph::generators::{basic, datasets, rmat};
@@ -61,14 +64,8 @@ fn shares(v: &[f64]) -> String {
 /// The table for `a` at `b = n / parts` and operand width `k`, level by
 /// level, and the feed the plan takes.
 fn table(name: &str, a: &CsrMatrix<f64>, parts: u32, k: u32) -> (Feed, Vec<Level>) {
-    let b = a.rows() / parts;
-    let d = la_decompose(
-        a,
-        &DecomposeConfig::with_width(b),
-        &mut RandomForestLa::new(1),
-    )
-    .unwrap();
-    let arrow = ArrowSpmm::new(&d).unwrap();
+    let arrow = decompose(a, parts);
+    let b = arrow.b();
     let (feed, schedules) = (arrow.feed(k), arrow.schedules(k));
     let mut levels = Vec::new();
     for (j, ([reads, writes], runs)) in arrow
@@ -86,7 +83,7 @@ fn table(name: &str, a: &CsrMatrix<f64>, parts: u32, k: u32) -> (Feed, Vec<Level
             writes: share(writes),
             schedules: schedules
                 .get(j)
-                .map_or("direct".into(), |s| format!("{:?}/{:?}", s[0], s[1])),
+                .map_or(format!("{feed:?}"), |s| format!("{:?}/{:?}", s[0], s[1])),
         };
         println!(
             "{name:<9} {b:>5} {k:>3} {:>6} {j:>2} {:>3} {:>13} {:>6.3} {:>6.3}  S: {}  R: {}",
@@ -120,8 +117,8 @@ fn support_shares_per_level_and_rank() {
                 "grid160" => {
                     assert_eq!(
                         feed,
-                        Feed::Direct,
-                        "grid160: the deeper levels must be fed from the ranks that hold their rows"
+                        Feed::Gather,
+                        "grid160: the deeper rows must be multiplied where their vertices are held"
                     );
                     let share = mean(&levels[0].reads);
                     assert!(
@@ -135,6 +132,59 @@ fn support_shares_per_level_and_rank() {
                     "rmat13: level 0 reads nearly all of D(0) and stays dense"
                 ),
                 _ => {}
+            }
+        }
+    }
+}
+
+fn decompose(a: &CsrMatrix<f64>, parts: u32) -> ArrowSpmm {
+    let config = DecomposeConfig::with_width(a.rows() / parts);
+    let d = la_decompose(a, &config, &mut RandomForestLa::new(1)).unwrap();
+    ArrowSpmm::new(&d).unwrap()
+}
+
+/// The busiest rank's bytes and messages under each feed, and the one
+/// taken: the rule weighs Relay, Direct, Gather in turn, and a later feed
+/// replaces the one held when it is no heavier on either count and
+/// lighter on one.
+#[test]
+fn feed_loads_per_input() {
+    println!(
+        "{:<9} {:>5} {:>3}  {:>17} {:>17} {:>17}  taken",
+        "input", "b", "k", "relay B/msg", "direct B/msg", "gather B/msg"
+    );
+    let feeds = [Feed::Relay, Feed::Direct, Feed::Gather];
+    for (name, a) in inputs() {
+        for (parts, k) in [(16, 16), (8, 64), (16, 64)] {
+            let arrow = decompose(&a, parts);
+            let loads = feeds.map(|feed| arrow.busiest(k, feed));
+            let mut held = 0;
+            for f in 1..feeds.len() {
+                let (load, was) = (loads[f], loads[held]);
+                if load.0 <= was.0 && load.1 <= was.1 && load != was {
+                    held = f;
+                }
+            }
+            let taken = arrow.feed(k);
+            let show = |f: usize| {
+                let (bytes, msgs) = loads[f];
+                let mark = if feeds[f] == taken { "*" } else { " " };
+                format!("{bytes}/{msgs}{mark}")
+            };
+            println!(
+                "{name:<9} {:>5} {k:>3}  {:>17} {:>17} {:>17}  {taken:?}",
+                arrow.b(),
+                show(0),
+                show(1),
+                show(2),
+            );
+            assert_eq!(taken, feeds[held], "{name} b={} k={k}", arrow.b());
+            if (name, parts, k) == ("grid160", 16, 16) {
+                let [_, direct, gather] = loads;
+                assert!(
+                    gather.0 < direct.0 && gather.1 < direct.1,
+                    "grid160: gather {gather:?} vs direct {direct:?}"
+                );
             }
         }
     }
@@ -159,15 +209,8 @@ fn schedule_loads_per_level() {
     let show = |load: Option<(u64, u64)>| load.map_or("-".into(), |(b, m)| format!("{b}/{m}"));
     for (name, a) in inputs() {
         for (parts, k) in [(16, 16), (8, 64), (16, 64)] {
-            let b = a.rows() / parts;
-            let d = la_decompose(
-                &a,
-                &DecomposeConfig::with_width(b),
-                &mut RandomForestLa::new(1),
-            )
-            .unwrap();
-            let arrow = ArrowSpmm::new(&d).unwrap();
-            let taken = arrow.schedules(k);
+            let arrow = decompose(&a, parts);
+            let (b, taken) = (arrow.b(), arrow.schedules(k));
             for (j, ([reads, writes], runs)) in arrow
                 .supports()
                 .into_iter()
@@ -187,7 +230,7 @@ fn schedule_loads_per_level() {
                         show(loads[0]),
                         show(loads[1]),
                         show(loads[2]),
-                        run.map_or("direct".into(), |s| format!("{s:?}")),
+                        run.map_or(format!("{:?}", arrow.feed(k)), |s| format!("{s:?}")),
                     );
                     // The level's collective took the plan the rule picks,
                     // and a sparse pick is never heavier than the dense

@@ -275,7 +275,9 @@ fn arrow_compute_is_balanced_on_skewed_inputs() {
 /// root keeps its whole tile, and the grid's and the paper's headline
 /// input's simulated iterations are pinned to the digit (the grid's was
 /// re-pinned, 83.3952 → 78.4848, when its second level took the direct
-/// feed, which moves no hub row). The obvious
+/// feed, and 78.4848 → 53.3760 when its deeper rows moved onto the
+/// level-0 ranks that hold them, the gather feed; neither moves a hub
+/// row). The obvious
 /// rule — balance each rank's *total* entries — does move them: it tops up
 /// ranks whose light compute hides a heavy reduce entry, and read
 /// 255.37 → 258.14 sim-µs on MAWI-like `n = 16 000` and 127.59 → 128.12
@@ -295,7 +297,7 @@ fn hub_share_leaves_balanced_inputs_alone() {
             "grid level {level}: the root must keep its hub tile, got {runs:?}"
         );
     }
-    assert_eq!(format!("{:.4}", run.sim_time_per_iter() * 1e6), "78.4848");
+    assert_eq!(format!("{:.4}", run.sim_time_per_iter() * 1e6), "53.3760");
 
     let (_, a) = mawi(4096);
     let (plan, run) = arrow_run(&a, 8, 64);
