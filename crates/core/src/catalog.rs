@@ -2,7 +2,7 @@
 //! decomposition the serving stack keeps.
 //!
 //! One directory, one manifest mapping **content fingerprint → version
-//! chain**, one payload format ([`persist`]'s checksummed AMD3), shared
+//! chain**, one payload format ([`persist`]'s checksummed AMD4), shared
 //! by every consumer; the CLI's one-shot files
 //! ([`Catalog::save_file`] / [`Catalog::load_file`]) are the same
 //! payloads outside a directory.
@@ -12,7 +12,7 @@
 //! ```text
 //! <root>/
 //!   manifest.amdm            record list (rewritten last, atomically)
-//!   amd3-<fp>-<id>.amd       one payload per version (AMD3: full
+//!   amd4-<fp>-<id>.amd       one payload per version (AMD4: full
 //!                            provenance header + decomposition)
 //! ```
 //!
@@ -27,12 +27,16 @@
 //!
 //! Every write is temp-file + atomic rename, and the manifest is always
 //! rewritten **last**: a crash between a payload landing and the
-//! manifest rename leaves an orphan payload whose AMD3 header carries
+//! manifest rename leaves an orphan payload whose AMD4 header carries
 //! its complete manifest record — [`Catalog::open`] adopts it. A
 //! missing or corrupt manifest is rebuilt the same way, by scanning
 //! payload headers (header-only reads; the level data is never parsed).
-//! A `*.amd` file that is not an AMD3 payload is left where it is and
-//! never adopted.
+//! A `*.amd` file that is not an AMD4 payload is left where it is and
+//! never adopted. That includes an older build's `amd3-` payloads. Their
+//! rows are keyed by the retired byte-wise fingerprint, so lookups miss
+//! them; a row that is reached anyway fails to load, is dropped
+//! (counted as a load failure), and the caller's fresh decomposition
+//! re-puts over it as AMD4.
 //!
 //! ## Lifecycle
 //!
@@ -195,7 +199,7 @@ impl Catalog {
     /// against the directory: records whose payload vanished are
     /// dropped, and payload files the manifest does not know (a crash
     /// between payload rename and manifest rewrite, or a lost manifest)
-    /// are adopted from their AMD3 headers.
+    /// are adopted from their AMD4 headers.
     pub fn open<P: Into<PathBuf>>(root: P) -> SparseResult<Self> {
         Self::open_with_registry(root, &Registry::new())
     }
@@ -229,7 +233,7 @@ impl Catalog {
                 continue;
             }
             // Orphan payload: adopt it if (and only if) it carries a
-            // full AMD3 header; anything else is left alone.
+            // full AMD4 header; anything else is left alone.
             let path = catalog.root.join(&name);
             if let Ok(file) = File::open(&path) {
                 if let Ok(meta) = persist::peek_catalog_header(BufReader::new(file)) {
@@ -506,7 +510,7 @@ impl Catalog {
     }
 
     /// Writes a decomposition as a standalone one-shot file outside any
-    /// catalog directory — the same checksummed AMD3 payload
+    /// catalog directory — the same checksummed AMD4 payload
     /// [`put`](Self::put) writes. The CLI `decompose` and
     /// `catalog restore` path.
     pub fn save_file<P: AsRef<Path>>(
@@ -547,7 +551,7 @@ impl Catalog {
             h ^= byte as u64;
             h = h.wrapping_mul(PRIME);
         }
-        format!("amd3-{fingerprint:032x}-{h:016x}.{PAYLOAD_EXT}")
+        format!("amd4-{fingerprint:032x}-{h:016x}.{PAYLOAD_EXT}")
     }
 
     /// Removes `*.tmp` debris left by a crash mid-[`atomic_write`]
@@ -883,6 +887,43 @@ mod tests {
         assert!(c.get(9, &cfg(), 1).unwrap().is_none());
         assert!(victim.exists());
         let _ = fs::remove_file(&victim);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retired_amd3_payload_is_decomposed_afresh_and_reput_as_amd4() {
+        // What an older build leaves behind: a sealed payload under the
+        // AMD3 magic and `amd3-` name, and the manifest row naming it.
+        let dir = tmpdir("retired");
+        let (a, d) = sample(40);
+        let fp = a.fingerprint();
+        let old = {
+            let mut c = Catalog::open(&dir).unwrap();
+            let rec = c.put(&d, fp, &cfg(), 1, 0, 0).unwrap();
+            let mut bytes = fs::read(c.payload_path(&rec)).unwrap();
+            bytes[..4].copy_from_slice(b"AMD3");
+            persist::reseal(&mut bytes);
+            let old = rec.payload.replacen("amd4-", "amd3-", 1);
+            fs::write(dir.join(&old), &bytes).unwrap();
+            fs::remove_file(c.payload_path(&rec)).unwrap();
+            c.records[0].payload = old.clone();
+            c.write_manifest().unwrap();
+            old
+        };
+        let mut c = Catalog::open(&dir).unwrap();
+        assert_eq!(c.len(), 1, "the manifest row survives the open");
+        assert!(c.get(fp, &cfg(), 1).unwrap().is_none());
+        assert_eq!(c.stats().load_failures, 1);
+        assert_eq!(c.len(), 0, "the retired record is dropped");
+        assert!(!dir.join(&old).exists(), "with its payload");
+        // The caller decomposes afresh; the re-put is an AMD4 payload.
+        let fresh = decompose_snapshot(&a, &cfg(), 1).unwrap();
+        let rec = c.put(&fresh, fp, &cfg(), 1, 0, 0).unwrap();
+        assert!(rec.payload.starts_with("amd4-"), "{}", rec.payload);
+        assert_eq!(&fs::read(c.payload_path(&rec)).unwrap()[..4], b"AMD4");
+        let (got, _) = c.get(fp, &cfg(), 1).unwrap().unwrap();
+        assert_eq!(got, d);
+        assert_eq!(c.stats().load_failures, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

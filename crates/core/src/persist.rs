@@ -6,7 +6,7 @@
 //! binary stream so the same workflow works here: decompose, save, and
 //! load on later runs without repeating the arrangement computation.
 //!
-//! There is one format. A stream is the magic `AMD3`, a [`CatalogMeta`]
+//! There is one format. A stream is the magic `AMD4`, a [`CatalogMeta`]
 //! header — content **fingerprint** of the decomposed matrix, lineage
 //! **version** and **parent fingerprint**, the catalog **created-at**
 //! counter and the full decompose identity (arrangement seed, arrow
@@ -18,6 +18,13 @@
 //! carries a complete manifest record, a lost or corrupt manifest can be
 //! rebuilt by reading nothing but payload headers
 //! ([`peek_catalog_header`]).
+//!
+//! The magic names the fingerprint as well as the layout: `AMD4` has
+//! `AMD3`'s layout and checksum, but its fingerprints are the word-wise
+//! [`CsrMatrix::fingerprint`], not the byte-wise FNV-1a of earlier
+//! builds. An `AMD3` file's recorded fingerprint can match no matrix
+//! this build hashes, so `AMD1`–`AMD3` are refused as retired formats
+//! (decompose again), never reported as belonging to another matrix.
 //!
 //! [`load_catalog`] trusts nothing it has not checked: after the
 //! fixed-size header it verifies the footer over the whole buffer
@@ -37,7 +44,9 @@ use crate::la_decompose::DecomposeConfig;
 use amd_sparse::{CsrMatrix, Permutation, SparseError, SparseResult};
 use std::io::{Read, Write};
 
-const MAGIC: &[u8; 4] = b"AMD3";
+const MAGIC: &[u8; 4] = b"AMD4";
+/// Magics of earlier builds' payloads, refused with a "retired" error.
+const RETIRED: [&[u8; 4]; 3] = [b"AMD1", b"AMD2", b"AMD3"];
 /// Magic plus the [`CatalogMeta`] fields: two `u128`s and six `u64`s.
 const HEADER_LEN: usize = 4 + 2 * 16 + 6 * 8;
 const FOOTER_LEN: usize = 8;
@@ -191,12 +200,17 @@ impl<'a> Cursor<'a> {
 
     fn header(&mut self) -> SparseResult<CatalogMeta> {
         let magic = self.take(MAGIC.len()).ok();
-        if magic != Some(MAGIC.as_slice()) {
-            return Err(SparseError::InvalidCsr(format!(
-                "bad magic {magic:?}: not an AMD3 arrow decomposition file"
-            )));
+        match magic {
+            Some(m) if m == MAGIC => self.meta(),
+            Some(m) if RETIRED.iter().any(|r| m == *r) => Err(SparseError::InvalidCsr(format!(
+                "bad magic {}: a retired arrow decomposition format, this build reads AMD4 \
+                 (decompose the matrix again)",
+                String::from_utf8_lossy(m),
+            ))),
+            _ => Err(SparseError::InvalidCsr(format!(
+                "bad magic {magic:?}: not an AMD4 arrow decomposition file"
+            ))),
         }
-        self.meta()
     }
 
     pub(crate) fn meta(&mut self) -> SparseResult<CatalogMeta> {
@@ -309,6 +323,15 @@ pub(crate) fn io_err(e: std::io::Error) -> SparseError {
     SparseError::InvalidCsr(format!("I/O error: {e}"))
 }
 
+/// Recomputes the footer after a deliberate edit, so the parser — not
+/// the checksum — is what must catch it.
+#[cfg(test)]
+pub(crate) fn reseal(buf: &mut [u8]) {
+    let body = buf.len() - FOOTER_LEN;
+    let digest = fnv1a(FNV_OFFSET, &buf[..body]);
+    buf[body..].copy_from_slice(&digest.to_le_bytes());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,14 +371,6 @@ mod tests {
         buf
     }
 
-    /// Recomputes the footer after a deliberate edit, so the parser —
-    /// not the checksum — is what must catch it.
-    fn reseal(buf: &mut [u8]) {
-        let body = buf.len() - FOOTER_LEN;
-        let digest = fnv1a(FNV_OFFSET, &buf[..body]);
-        buf[body..].copy_from_slice(&digest.to_le_bytes());
-    }
-
     #[test]
     fn roundtrip_preserves_decomposition() {
         let (a, d) = sample();
@@ -376,20 +391,23 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        // Any other magic — the two retired format versions included.
+        // Any other magic — the three retired format versions included,
+        // which say so.
         let (a, d) = sample();
         let good = saved(&d, &meta_for(&a));
-        for magic in [
-            *b"NOPE",
-            *b"AMDM",
-            [b'A', b'M', b'D', b'1'],
-            [b'A', b'M', b'D', b'2'],
+        for (magic, retired) in [
+            (b"NOPE", false),
+            (b"AMDM", false),
+            (b"AMD1", true),
+            (b"AMD2", true),
+            (b"AMD3", true),
         ] {
             let mut buf = good.clone();
-            buf[..4].copy_from_slice(&magic);
+            buf[..4].copy_from_slice(magic);
             reseal(&mut buf);
-            let err = load_catalog(&buf).unwrap_err();
-            assert!(err.to_string().contains("bad magic"), "{err}");
+            let err = load_catalog(&buf).unwrap_err().to_string();
+            assert!(err.contains("bad magic"), "{err}");
+            assert_eq!(err.contains("retired"), retired, "{err}");
             assert!(peek_catalog_header(buf.as_slice()).is_err());
         }
     }

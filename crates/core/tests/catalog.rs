@@ -249,7 +249,7 @@ fn probe_loaders(bytes: &[u8], a: &CsrMatrix<f64>, dir: &Path) -> bool {
 
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).unwrap();
-    let path = dir.join("amd3-probe.amd");
+    let path = dir.join("amd4-probe.amd");
     std::fs::write(&path, bytes).unwrap();
     let (from_file, peak) = largest_request(|| Catalog::load_file(&path));
     assert!(peak <= budget, "load_file requested {peak} bytes");
@@ -306,7 +306,7 @@ proptest! {
         let (a, _) = valid_payload();
         let mut bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
         if magic && bytes.len() >= 4 {
-            bytes[..4].copy_from_slice(b"AMD3");
+            bytes[..4].copy_from_slice(b"AMD4");
         }
         if sealed {
             reseal(&mut bytes);

@@ -270,40 +270,56 @@ impl<T: Scalar> CsrMatrix<T> {
         Self::from_raw_unchecked(r1 - r0, c1 - c0, indptr, indices, values)
     }
 
-    /// Content fingerprint: a 128-bit FNV-1a hash over the shape and the
-    /// exact CSR arrays (column structure and value bit patterns).
+    /// Content fingerprint: a 128-bit hash of the shape and the exact
+    /// CSR arrays (column structure and value bit patterns), computed
+    /// a 64-bit word at a time.
     ///
-    /// Bit-identical content hashes equal; any structural or numeric
-    /// change — a permutation, a perturbed value, an added entry — changes
-    /// the fingerprint (up to the 2⁻¹²⁸ collision probability of the
-    /// hash). Values are compared by bit pattern, which is *stricter*
-    /// than `==`: `-0.0` and `+0.0` fingerprint differently, and NaN
-    /// payloads are distinguished. For the serving engine's cache that
-    /// strictness errs on the safe side — the worst case is a spurious
-    /// re-decomposition, never a wrong cache hit.
+    /// It hashes four sections of little-endian `u64` words, in order.
+    /// The persisted catalog key depends on this layout:
+    ///
+    /// 1. the header: `rows | cols << 32`, then `indptr.len()`,
+    ///    `indices.len()` and `values.len()`;
+    /// 2. `indptr`, each offset as one word;
+    /// 3. `indices`, packed two per word: `indices[2j] | indices[2j+1] << 32`,
+    ///    with an odd last index alone in the low half;
+    /// 4. `values`, each as the bits of its `f64` widening.
+    ///
+    /// Word `j` of a section goes to lane `j mod 4` of four 64-bit
+    /// lanes. Each lane xors the word in, multiplies by an odd
+    /// constant and xor-shifts, and every step is a bijection of the
+    /// lane. Two different bijective finalizers fold the lanes into
+    /// the low and the high 64 bits.
+    ///
+    /// Guarantees: equal content hashes equal. A change confined to one
+    /// word (one value, one offset, one index pair, the column count) is
+    /// always detected: it moves exactly one lane, and each half of the
+    /// fold is a bijection of any one lane while the other three stay
+    /// fixed. Other accidental collisions are negligible. As with any
+    /// non-cryptographic hash (FNV-1a included), a deliberately chosen
+    /// collision is not resisted.
+    ///
+    /// Values are compared by bit pattern, which is *stricter* than `==`:
+    /// `-0.0` and `+0.0` fingerprint differently, and NaN payloads are
+    /// distinguished. For the serving engine's cache that strictness errs
+    /// on the safe side: the worst case is a spurious re-decomposition,
+    /// never a wrong cache hit.
     pub fn fingerprint(&self) -> u128 {
-        const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-        const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-        #[inline]
-        fn eat(h: &mut u128, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= b as u128;
-                *h = h.wrapping_mul(PRIME);
-            }
-        }
-        let mut h = OFFSET;
-        eat(&mut h, &self.rows.to_le_bytes());
-        eat(&mut h, &self.cols.to_le_bytes());
-        for &off in &self.indptr {
-            eat(&mut h, &(off as u64).to_le_bytes());
-        }
-        for &c in &self.indices {
-            eat(&mut h, &c.to_le_bytes());
-        }
-        for v in &self.values {
-            eat(&mut h, &v.to_f64().to_bits().to_le_bytes());
-        }
-        h
+        let mut lanes = Lanes::new();
+        lanes.section::<_, 1>(
+            &[
+                self.rows as u64 | (self.cols as u64) << 32,
+                self.indptr.len() as u64,
+                self.indices.len() as u64,
+                self.values.len() as u64,
+            ],
+            |w| w[0],
+        );
+        lanes.section::<_, 1>(&self.indptr, |w| w[0] as u64);
+        lanes.section::<_, 2>(&self.indices, |w| {
+            w[0] as u64 | (w.get(1).copied().unwrap_or(0) as u64) << 32
+        });
+        lanes.section::<_, 1>(&self.values, |w| w[0].to_f64().to_bits());
+        lanes.finish()
     }
 
     /// Maximum absolute difference to `other` over all positions.
@@ -342,6 +358,76 @@ impl<T: Scalar> CsrMatrix<T> {
             }
         }
         Ok(max)
+    }
+}
+
+/// The four independent lanes of [`CsrMatrix::fingerprint`]. They run
+/// in parallel, so the pass is bound by the multiply's throughput, not
+/// by its latency.
+struct Lanes([u64; 4]);
+
+impl Lanes {
+    /// Odd, so multiplying by it is a bijection of the lane.
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn new() -> Self {
+        // Hex digits of π: distinct seeds, so a word sequence fed to two
+        // different lanes leaves two different states.
+        Self([
+            0x243f_6a88_85a3_08d3,
+            0x1319_8a2e_0370_7344,
+            0xa409_3822_299f_31d0,
+            0x082e_fa98_ec4e_6c89,
+        ])
+    }
+
+    /// One lane step. For a fixed state it is a bijection of the word,
+    /// and for a fixed word a bijection of the state.
+    #[inline(always)]
+    fn absorb(lane: u64, word: u64) -> u64 {
+        let x = (lane ^ word).wrapping_mul(Self::MUL);
+        x ^ (x >> 32)
+    }
+
+    /// Absorbs one section, `N` items per word: word `j` (made by
+    /// `word` from items `N·j ..`; the last word may get fewer) goes to
+    /// lane `j mod 4`.
+    #[inline]
+    fn section<S, const N: usize>(&mut self, items: &[S], word: impl Fn(&[S]) -> u64) {
+        let [mut a, mut b, mut c, mut d] = self.0;
+        let mut quads = items.chunks_exact(4 * N);
+        for q in &mut quads {
+            a = Self::absorb(a, word(&q[..N]));
+            b = Self::absorb(b, word(&q[N..2 * N]));
+            c = Self::absorb(c, word(&q[2 * N..3 * N]));
+            d = Self::absorb(d, word(&q[3 * N..]));
+        }
+        self.0 = [a, b, c, d];
+        for (lane, w) in self.0.iter_mut().zip(quads.remainder().chunks(N)) {
+            *lane = Self::absorb(*lane, word(w));
+        }
+    }
+
+    /// Folds the lanes into 128 bits. Each half is a bijective
+    /// finalizer of a sum in which every lane enters through a
+    /// bijection, so a change to one lane moves both halves.
+    fn finish(self) -> u128 {
+        let [a, b, c, d] = self.0;
+        // MurmurHash3's fmix64.
+        let mut lo = a ^ b.rotate_left(16) ^ c.rotate_left(32) ^ d.rotate_left(48);
+        lo = (lo ^ (lo >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        lo = (lo ^ (lo >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        lo ^= lo >> 33;
+        // SplitMix64's finalizer.
+        let mut hi = a
+            .rotate_left(40)
+            .wrapping_add(b.rotate_left(8))
+            .wrapping_add(c.rotate_left(56))
+            .wrapping_add(d.rotate_left(24));
+        hi = (hi ^ (hi >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        hi = (hi ^ (hi >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        hi ^= hi >> 31;
+        (hi as u128) << 64 | lo as u128
     }
 }
 
@@ -426,6 +512,44 @@ mod tests {
         coo.push(2, 0, 3.0).unwrap();
         coo.push(2, 1, 4.0).unwrap();
         coo.to_csr()
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // The fingerprint is the catalog key, stored in every payload
+        // header and manifest row. A change to this value strands every
+        // catalog written before it, so it must come with a new payload
+        // magic (the persisted format) that retires the old files.
+        assert_eq!(
+            sample().fingerprint(),
+            0xe029_c48e_29a2_d1b4_0813_7303_f57a_300b
+        );
+    }
+
+    #[test]
+    fn every_single_word_change_moves_the_lanes() {
+        // Streams of 0..12 words, every word, every single-bit flip and
+        // a full inversion: the fold of the lanes must move each time.
+        let fold = |words: &[u64]| {
+            let mut lanes = Lanes::new();
+            lanes.section::<_, 1>(words, |w| w[0]);
+            lanes.finish()
+        };
+        for len in 0..12u64 {
+            let words: Vec<u64> = (0..len)
+                .map(|i| i.wrapping_mul(0x0123_4567_89ab_cdef))
+                .collect();
+            let base = fold(&words);
+            for at in 0..words.len() {
+                for flip in (0..64).map(|b| 1u64 << b).chain([u64::MAX]) {
+                    let mut changed = words.clone();
+                    changed[at] ^= flip;
+                    let moved = fold(&changed);
+                    assert_ne!(base as u64, moved as u64, "low half, len {len} word {at}");
+                    assert_ne!(base >> 64, moved >> 64, "high half, len {len} word {at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -274,6 +274,14 @@ proptest! {
             a.indptr().to_vec(), a.indices().to_vec(), a.values().to_vec(),
         ).unwrap();
         prop_assert_ne!(a.fingerprint(), widened.fingerprint());
+        // So does one more (empty) row over the same indices and values.
+        let mut indptr = a.indptr().to_vec();
+        indptr.push(a.nnz());
+        let taller = CsrMatrix::from_raw(
+            a.rows() + 1, a.cols(),
+            indptr, a.indices().to_vec(), a.values().to_vec(),
+        ).unwrap();
+        prop_assert_ne!(a.fingerprint(), taller.fingerprint());
     }
 
     #[test]
@@ -302,6 +310,123 @@ proptest! {
             return Ok(()); // drew the identity (or a symmetry of A)
         }
         prop_assert_ne!(a.fingerprint(), permuted.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_moves_on_every_value_bit(
+        (coo, seed) in coo_strategy().prop_flat_map(|c| (Just(c), any::<u64>()))
+    ) {
+        use rand::prelude::*;
+        let a = coo.to_csr();
+        if a.nnz() == 0 {
+            return Ok(());
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let idx = rng.gen_range(0..a.nnz());
+        let fp = a.fingerprint();
+        let with_value = |v: f64| {
+            let mut values = a.values().to_vec();
+            values[idx] = v;
+            CsrMatrix::from_raw(
+                a.rows(), a.cols(),
+                a.indptr().to_vec(), a.indices().to_vec(), values,
+            ).unwrap()
+        };
+        for bit in 0..64 {
+            let flipped = with_value(f64::from_bits(a.values()[idx].to_bits() ^ 1 << bit));
+            prop_assert_ne!(fp, flipped.fingerprint(), "bit {}", bit);
+        }
+        // Equal under `==`, different bit patterns.
+        prop_assert_ne!(with_value(0.0).fingerprint(), with_value(-0.0).fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_moves_when_an_entry_crosses_a_row_boundary(
+        (coo, seed) in coo_strategy().prop_flat_map(|c| (Just(c), any::<u64>()))
+    ) {
+        use rand::prelude::*;
+        let a = coo.to_csr();
+        // Boundaries that can move: indptr[r] for 0 < r < rows, with an
+        // entry on the side it moves away from.
+        let movable: Vec<(usize, bool)> = (1..a.rows() as usize)
+            .flat_map(|r| [(r, true), (r, false)])
+            .filter(|&(r, up)| {
+                let p = a.indptr();
+                if up { p[r] < p[r + 1] } else { p[r - 1] < p[r] }
+            })
+            .collect();
+        if movable.is_empty() {
+            return Ok(());
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let (r, up) = movable[rng.gen_range(0..movable.len())];
+        // Same indices and values; one boundary shifted by one entry
+        // (the rows may lose sorted order, the hash does not look).
+        let mut indptr = a.indptr().to_vec();
+        if up { indptr[r] += 1 } else { indptr[r] -= 1 }
+        let moved = CsrMatrix::from_raw_unchecked(
+            a.rows(), a.cols(), indptr, a.indices().to_vec(), a.values().to_vec(),
+        );
+        prop_assert_ne!(a.fingerprint(), moved.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_moves_on_any_single_word_of_the_stream(
+        (coo, seed) in coo_strategy().prop_flat_map(|c| (Just(c), any::<u64>()))
+    ) {
+        use rand::prelude::*;
+        // The stream is the header (`rows | cols << 32` and three
+        // lengths), `indptr`, `indices` two per word, and the value
+        // bits. Change one word to any other value, keeping every
+        // length (so the header's length words and the rows half stay).
+        let a = coo.to_csr();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        // The xor applied to the word: confined to its low half, to its
+        // high half (one index of a pair, a value's sign and exponent),
+        // or anywhere.
+        let half = rng.gen_range(1..=u64::from(u32::MAX));
+        let delta = match rng.gen_range(0..3) {
+            0 => half,
+            1 => half << 32,
+            _ => rng.gen_range(1..=u64::MAX),
+        };
+        let (mut cols, mut indptr, mut indices, mut values) =
+            (a.cols(), a.indptr().to_vec(), a.indices().to_vec(), a.values().to_vec());
+        let index_words = a.nnz().div_ceil(2);
+        let words = 1 + indptr.len() + index_words + a.nnz();
+        match rng.gen_range(0..words) {
+            0 => cols ^= ((delta >> 32) as u32).max(1),
+            w if w <= indptr.len() => indptr[w - 1] ^= delta as usize,
+            w if w <= indptr.len() + index_words => {
+                let j = 2 * (w - 1 - indptr.len());
+                if j + 1 < indices.len() {
+                    indices[j] ^= delta as u32;
+                    indices[j + 1] ^= (delta >> 32) as u32;
+                } else {
+                    // An odd last index: the high half is padding.
+                    indices[j] ^= (delta as u32).max(1);
+                }
+            }
+            w => {
+                let j = w - 1 - indptr.len() - index_words;
+                values[j] = f64::from_bits(values[j].to_bits() ^ delta);
+            }
+        }
+        let changed = CsrMatrix::from_raw_unchecked(a.rows(), cols, indptr, indices, values);
+        prop_assert_ne!(a.fingerprint(), changed.fingerprint());
+    }
+}
+
+#[test]
+fn empty_matrices_of_different_shapes_fingerprint_apart() {
+    let mut seen = std::collections::HashMap::new();
+    for rows in 0..32 {
+        for cols in 0..32 {
+            let fp = CsrMatrix::<f64>::zeros(rows, cols).fingerprint();
+            if let Some(shape) = seen.insert(fp, (rows, cols)) {
+                panic!("{rows}×{cols} and {}×{} share {fp:032x}", shape.0, shape.1);
+            }
+        }
     }
 }
 

@@ -16,7 +16,7 @@
 //!   high-degree pruning, arrow matrices, decomposition statistics) and
 //!   the **versioned persistence catalog** (`core::catalog`): one
 //!   crash-safe on-disk directory of `fingerprint → version chain`
-//!   manifests and checksummed AMD3 payloads — the one on-disk format —
+//!   manifests and checksummed AMD4 payloads — the one on-disk format —
 //!   shared by every serving layer, with point-in-time restore and
 //!   garbage collection.
 //! * [`comm`] — the message-passing machine with α-β cost accounting.

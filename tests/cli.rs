@@ -519,6 +519,34 @@ fn multiply_refuses_the_decomposition_of_another_matrix_of_the_same_size() {
 }
 
 #[test]
+fn multiply_refuses_a_retired_amd3_file_as_retired() {
+    // An older build's file: the same layout under the AMD3 magic,
+    // resealed (the checksum covers the magic). Its recorded fingerprint
+    // is the one this build computes, so only the magic can refuse it.
+    let (mtx, amd) = generated_and_decomposed("retired", "600", "3");
+    let mut bytes = std::fs::read(&amd).unwrap();
+    assert_eq!(&bytes[..4], b"AMD4");
+    bytes[..4].copy_from_slice(b"AMD3");
+    let body = bytes.len() - 8;
+    let digest = bytes[..body]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    bytes[body..].copy_from_slice(&digest.to_le_bytes());
+    std::fs::write(&amd, &bytes).unwrap();
+    // One line, and it names the format, not another matrix.
+    assert_multiply_refuses(
+        &mtx,
+        &amd,
+        "bad magic AMD3: a retired arrow decomposition format",
+    );
+    for f in [mtx, amd] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
 fn missing_file_fails_cleanly() {
     let out = cli()
         .args(["info", "/nonexistent/path.mtx"])
