@@ -46,7 +46,8 @@ pub enum TraceOp {
         salt: u64,
         iters: usize,
     },
-    /// Request a refresh for `tenant`.
+    /// Request a refresh for `tenant` once every earlier refresh has
+    /// committed, so whether it is granted does not depend on build timing.
     Refresh { tenant: usize },
     /// Settle: wait until every in-flight refresh has committed.
     Settle,

@@ -12,10 +12,14 @@
 //! interpreter runs every plan, and the steps that run are the steps
 //! counted: [`Plan::traffic`] is a member's bytes and messages,
 //! `rows × 8 × stride` a message. Supports are fixed when a plan is
-//! built, so a plan does not depend on the operand width: a caller builds
-//! its plans once ([`Collective`]) and picks one per call. The arrow
-//! multiply's point-to-point feeds are plans of the same steps
-//! ([`Plan::routes`], run by [`Group::exchange`]).
+//! built, so a plan does not depend on the operand width. That gives every
+//! row collective one call path: a caller builds its candidates once
+//! ([`Collective`]), takes one per call ([`Collective::pick`], or
+//! [`Collective::plan`] by schedule) and runs it ([`Group::broadcast_plan`],
+//! [`Group::reduce_plan`]); the ring is a [`Plan::ring`] run by
+//! [`Group::allreduce_plan`]. The arrow multiply's point-to-point feeds are
+//! plans of the same steps ([`Plan::routes`], run by [`Group::exchange`]).
+//! A runner asserts that its plan has one step list per group member.
 //!
 //! A binomial **tree** moves the whole buffer `⌈log₂ p⌉` times through
 //! its root. The **large**-message schedules (Thakur, Rabenseifner &
@@ -584,31 +588,6 @@ fn sparse_time(op: Op, supports: &[Vec<u32>], stride: usize, cost: &CostModel) -
     }
 }
 
-/// The schedule [`Group::broadcast_rows`] takes for a `rows × stride`
-/// buffer over `size` members, given their supports if there are any.
-pub fn broadcast_schedule(
-    size: usize,
-    rows: usize,
-    stride: usize,
-    cost: &CostModel,
-    supports: Option<&[Vec<u32>]>,
-) -> Schedule {
-    let plans = Collective::broadcast(size, rows, supports);
-    plans.pick(stride, cost).schedule.expect("a rooted plan")
-}
-
-/// The schedule [`Group::reduce_sum_rows`] takes, likewise.
-pub fn reduce_schedule(
-    size: usize,
-    rows: usize,
-    stride: usize,
-    cost: &CostModel,
-    supports: Option<&[Vec<u32>]>,
-) -> Schedule {
-    let plans = Collective::reduce(size, rows, supports);
-    plans.pick(stride, cost).schedule.expect("a rooted plan")
-}
-
 /// Panics unless `supports` holds one strictly increasing list of rows
 /// below `rows` per member of a `size`-member group.
 fn check_supports(supports: &[Vec<u32>], size: usize, rows: usize) {
@@ -812,6 +791,17 @@ impl Group {
         (self.my_idx + self.size() - root_idx) % self.size()
     }
 
+    /// Panics unless `plan` has one step list per member: a plan of
+    /// another size would index peers modulo this group's and wait on
+    /// messages that go elsewhere.
+    fn check_plan(&self, plan: &Plan) {
+        let (members, size) = (plan.steps.len(), self.size());
+        assert_eq!(
+            members, size,
+            "a {members}-member plan on a {size}-member group"
+        );
+    }
+
     /// The interpreter: runs the `steps` of `plan` — those of direction
     /// `only`, if given — on `held`, peers relative to `root_idx`, on a
     /// `stride`-column buffer, with message `tag` (the group's next
@@ -954,20 +944,10 @@ impl Group {
     ) -> T {
         let vr = self.vr(root_idx);
         let value = (vr == 0).then(|| data.expect("broadcast root must supply the data"));
-        let (plan, steps) = (
-            Plan::bare(Op::Broadcast, Some(Schedule::Tree), 0),
-            tree_steps(Op::Broadcast, vr, self.size()),
-        );
-        let held = self.exec(
-            ctx,
-            None,
-            root_idx,
-            &plan,
-            &steps,
-            None,
-            0,
-            Held::new(value, None, 0),
-        );
+        let plan = Plan::bare(Op::Broadcast, Some(Schedule::Tree), 0);
+        let steps = tree_steps(Op::Broadcast, vr, self.size());
+        let held = Held::new(value, None, 0);
+        let held = self.exec(ctx, None, root_idx, &plan, &steps, None, 0, held);
         held.value
             .expect("every member obtains the broadcast value")
     }
@@ -984,6 +964,7 @@ impl Group {
         plan: &Plan,
         stride: usize,
     ) -> Arc<Vec<f64>> {
+        self.check_plan(plan);
         let len = plan.rows * stride;
         assert!(
             data.as_ref().is_none_or(|d| d.len() == len),
@@ -1005,62 +986,6 @@ impl Group {
         (held.own.or(held.value)).unwrap_or_else(|| Arc::new(vec![0.0; len]))
     }
 
-    /// [`broadcast_plan`](Group::broadcast_plan) of a `rows × stride`
-    /// buffer under the plan [`broadcast_schedule`] selects.
-    pub fn broadcast_rows(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: Option<Arc<Vec<f64>>>,
-        rows: usize,
-        stride: usize,
-        supports: Option<&[Vec<u32>]>,
-    ) -> Arc<Vec<f64>> {
-        let plans = Collective::broadcast(self.size(), rows, supports);
-        self.broadcast_plan(ctx, root_idx, data, plans.pick(stride, ctx.cost()), stride)
-    }
-
-    /// The sparse broadcast by name.
-    pub fn broadcast_sparse(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: Option<Arc<Vec<f64>>>,
-        rows: usize,
-        stride: usize,
-        supports: &[Vec<u32>],
-    ) -> Arc<Vec<f64>> {
-        assert!(stride >= 1, "stride must be positive");
-        check_supports(supports, self.size(), rows);
-        let plan = Plan::rooted(
-            Op::Broadcast,
-            Schedule::Sparse,
-            self.size(),
-            rows,
-            supports.to_vec(),
-        );
-        self.broadcast_plan(ctx, root_idx, data, &plan, stride)
-    }
-
-    /// The scatter + all-gather broadcast by name.
-    pub fn broadcast_large(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: Option<Arc<Vec<f64>>>,
-        rows: usize,
-        stride: usize,
-    ) -> Arc<Vec<f64>> {
-        let plan = Plan::rooted(
-            Op::Broadcast,
-            Schedule::Large,
-            self.size(),
-            rows,
-            Vec::new(),
-        );
-        self.broadcast_plan(ctx, root_idx, data, &plan, stride)
-    }
-
     /// Binomial-tree sum of `f64` vectors of one length to `root_idx`,
     /// which returns `Some(total)`: its children's subtree sums added to
     /// each other as they arrive, and its own vector last.
@@ -1070,15 +995,9 @@ impl Group {
         root_idx: usize,
         data: Vec<f64>,
     ) -> Option<Vec<f64>> {
+        let plan = Plan::bare(Op::Reduce, Some(Schedule::Tree), 0);
         let steps = tree_steps(Op::Reduce, self.vr(root_idx), self.size());
-        self.reduce_steps(
-            ctx,
-            root_idx,
-            data,
-            &Plan::bare(Op::Reduce, Some(Schedule::Tree), 0),
-            &steps,
-            0,
-        )
+        self.reduce_steps(ctx, root_idx, data, &plan, &steps, 0)
     }
 
     /// Runs `plan`, one of a [`Collective::reduce`]'s, summing row-major
@@ -1092,15 +1011,10 @@ impl Group {
         plan: &Plan,
         stride: usize,
     ) -> Option<Vec<f64>> {
+        self.check_plan(plan);
         assert_eq!(plan.rows * stride, data.len(), "reduce shape mismatch");
-        self.reduce_steps(
-            ctx,
-            root_idx,
-            data,
-            plan,
-            &plan.steps[self.vr(root_idx)],
-            stride,
-        )
+        let steps = &plan.steps[self.vr(root_idx)];
+        self.reduce_steps(ctx, root_idx, data, plan, steps, stride)
     }
 
     /// The root adds what it summed or folded of the non-roots' vectors to
@@ -1139,92 +1053,20 @@ impl Group {
         Some(held.take_own())
     }
 
-    /// [`reduce_plan`](Group::reduce_plan) under the plan
-    /// [`reduce_schedule`] selects; the same sum, bit for bit, whichever.
-    pub fn reduce_sum_rows(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: Vec<f64>,
-        stride: usize,
-        supports: Option<&[Vec<u32>]>,
-    ) -> Option<Vec<f64>> {
-        let rows = data.len().checked_div(stride).unwrap_or(0);
-        assert_eq!(rows * stride, data.len(), "reduce shape mismatch");
-        let plans = Collective::reduce(self.size(), rows, supports);
-        self.reduce_plan(ctx, root_idx, data, plans.pick(stride, ctx.cost()), stride)
-    }
-
-    /// The sparse reduce by name.
-    pub fn reduce_sum_sparse(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: Vec<f64>,
-        stride: usize,
-        supports: &[Vec<u32>],
-    ) -> Option<Vec<f64>> {
-        assert!(stride >= 1, "stride must be positive");
-        check_supports(supports, self.size(), data.len() / stride);
-        let plan = Plan::rooted(
-            Op::Reduce,
-            Schedule::Sparse,
-            self.size(),
-            data.len() / stride,
-            supports.to_vec(),
-        );
-        self.reduce_plan(ctx, root_idx, data, &plan, stride)
-    }
-
-    /// The reduce-scatter + gather reduction by name.
-    pub fn reduce_sum_large(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: Vec<f64>,
-        stride: usize,
-    ) -> Option<Vec<f64>> {
-        assert!(stride >= 1, "stride must be positive");
-        let plan = Plan::rooted(
-            Op::Reduce,
-            Schedule::Large,
-            self.size(),
-            data.len() / stride,
-            Vec::new(),
-        );
-        self.reduce_plan(ctx, root_idx, data, &plan, stride)
-    }
-
     /// All-reduce (sum) of `f64` vectors: reduce to member 0 + broadcast.
     pub fn allreduce_sum(&self, ctx: &mut RankCtx, data: Vec<f64>) -> Vec<f64> {
         let reduced = self.reduce_sum(ctx, 0, data);
         self.broadcast(ctx, 0, reduced)
     }
 
-    /// Bandwidth-optimal ring all-reduce: per-member volume `2·s·(g−1)/g`
-    /// bytes for `s` bytes at `2(g−1)` messages of latency, the variant
-    /// the 1.5D algorithm's `O(β·nkc/p)` term assumes. Chunks are whole
-    /// rows of `stride` elements (`data.len()` must be a multiple), so the
-    /// summation order does not depend on `stride`: the property the
-    /// serving engine needs for batches to bit-match single columns. An
-    /// empty payload returns at once; emptiness must agree across members.
-    pub fn allreduce_sum_ring_aligned(
-        &self,
-        ctx: &mut RankCtx,
-        data: Vec<f64>,
-        stride: usize,
-    ) -> Vec<f64> {
-        let rows = data.len().checked_div(stride).unwrap_or(0);
-        let steps = if rows == 0 || self.size() == 1 {
-            Vec::new()
-        } else {
-            ring_steps(self.my_idx, self.size(), rows)
-        };
-        self.ring(ctx, data, &Plan::bare(Op::Ring, None, rows), &steps, stride)
-    }
-
-    /// Runs a [`Plan::ring`] of this group's size on a `stride`-column
-    /// buffer, as [`allreduce_sum_ring_aligned`](Group::allreduce_sum_ring_aligned).
+    /// Runs a [`Plan::ring`] of this group's size: the bandwidth-optimal
+    /// all-reduce, `2·(g − 1)` messages moving `2·s·(g − 1)/g` of an
+    /// `s`-byte buffer per member, the variant the 1.5D algorithm's
+    /// `O(β·nkc/p)` term assumes. Chunks are whole rows of `stride`
+    /// elements, so the summation order does not depend on `stride`: the
+    /// property the serving engine needs for batches to bit-match single
+    /// columns. An empty payload returns at once; emptiness must agree
+    /// across members.
     pub fn allreduce_plan(
         &self,
         ctx: &mut RankCtx,
@@ -1232,17 +1074,7 @@ impl Group {
         plan: &Plan,
         stride: usize,
     ) -> Vec<f64> {
-        self.ring(ctx, data, plan, &plan.steps[self.my_idx], stride)
-    }
-
-    fn ring(
-        &self,
-        ctx: &mut RankCtx,
-        data: Vec<f64>,
-        plan: &Plan,
-        steps: &[Step],
-        stride: usize,
-    ) -> Vec<f64> {
+        self.check_plan(plan);
         if self.size() == 1 || data.is_empty() {
             return data;
         }
@@ -1253,6 +1085,7 @@ impl Group {
         );
         assert_eq!(plan.rows * stride, len, "ring shape mismatch");
         let held = Held::<()>::new(None, Some(Arc::new(data)), plan.rows);
+        let steps = &plan.steps[self.my_idx];
         self.exec(ctx, None, 0, plan, steps, None, stride, held)
             .take_own()
     }
@@ -1270,6 +1103,7 @@ impl Group {
         (head, tail): (&mut Vec<f64>, &mut Vec<f64>),
         stride: usize,
     ) {
+        self.check_plan(plan);
         let split = head.len().checked_div(stride).unwrap_or(0);
         let mut held = Held::<()>::new(None, Some(Arc::new(std::mem::take(head))), split);
         held.tail = std::mem::take(tail);
@@ -1391,7 +1225,7 @@ mod tests {
             let report = Machine::new(p).run(|ctx| {
                 let g = Group::world(ctx);
                 let data: Vec<f64> = (0..10).map(|i| (ctx.rank() as f64) + i as f64).collect();
-                let ring = g.allreduce_sum_ring_aligned(ctx, data.clone(), 1);
+                let ring = g.allreduce_plan(ctx, data.clone(), &Plan::ring(p as usize, 10), 1);
                 let tree = g.allreduce_sum(ctx, data);
                 (ring, tree)
             });
@@ -1458,7 +1292,8 @@ mod tests {
                             .map(|i| ((i * 7 + ctx.rank() as usize * 13) % 31) as f64 / 7.0 - 1.9)
                             .collect();
                         let before = ctx.stats.clone();
-                        let new = group.allreduce_sum_ring_aligned(ctx, data.clone(), stride);
+                        let ring = Plan::ring(g as usize, rows);
+                        let new = group.allreduce_plan(ctx, data.clone(), &ring, stride);
                         let mid = ctx.stats.clone();
                         let old = ring_copying(&group, ctx, data, stride);
                         let after = ctx.stats.clone();
@@ -1510,7 +1345,7 @@ mod tests {
         let len = 800usize;
         let report = Machine::new(p).run(|ctx| {
             let g = Group::world(ctx);
-            g.allreduce_sum_ring_aligned(ctx, vec![1.0f64; len], 1);
+            g.allreduce_plan(ctx, vec![1.0f64; len], &Plan::ring(p as usize, len), 1);
         });
         let bytes = 8 * len as u64;
         let expected = 2 * bytes * (p as u64 - 1) / p as u64;
@@ -1528,7 +1363,7 @@ mod tests {
         // len < g: some chunks are empty.
         let report = Machine::new(6).run(|ctx| {
             let g = Group::world(ctx);
-            g.allreduce_sum_ring_aligned(ctx, vec![1.0f64, 2.0], 1)
+            g.allreduce_plan(ctx, vec![1.0f64, 2.0], &Plan::ring(6, 2), 1)
         });
         for r in report.results {
             assert_eq!(r, vec![6.0, 12.0]);
@@ -1600,6 +1435,65 @@ mod tests {
         Machine::new(2).run(|ctx| {
             if ctx.rank() == 1 {
                 let _ = Group::new(ctx, vec![0]);
+            }
+        });
+    }
+
+    #[test]
+    fn candidates_follow_size_rows_and_supports() {
+        for size in 1..=6 {
+            for rows in [0usize, 1, 5] {
+                let sup: Vec<Vec<u32>> = (0..size)
+                    .map(|v| {
+                        (0..rows as u32)
+                            .filter(|r| r % (v as u32 + 1) == 0)
+                            .collect()
+                    })
+                    .collect();
+                for supports in [None, Some(sup.as_slice())] {
+                    for c in [
+                        Collective::broadcast(size, rows, supports),
+                        Collective::reduce(size, rows, supports),
+                    ] {
+                        let at = format!("size={size} rows={rows} supports={}", supports.is_some());
+                        let has = |s| c.plan(s).map(|plan| plan.schedule()) == Some(Some(s));
+                        assert!(has(Schedule::Tree), "{at}");
+                        assert_eq!(has(Schedule::Large), size >= 3 && rows > 0, "{at}");
+                        let sparse = supports.is_some() && size >= 2 && rows > 0;
+                        assert_eq!(has(Schedule::Sparse), sparse, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one support per member")]
+    fn supports_of_the_wrong_count_panic() {
+        Collective::broadcast(3, 4, Some(&[vec![0], vec![1]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "a support must be increasing rows of the buffer")]
+    fn a_non_increasing_support_panics() {
+        Collective::reduce(2, 4, Some(&[vec![], vec![2, 2]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "a support must be increasing rows of the buffer")]
+    fn a_support_row_past_the_buffer_panics() {
+        Collective::broadcast(2, 4, Some(&[vec![], vec![1, 4]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "a 4-member plan on a 2-member group")]
+    fn a_plan_of_another_size_panics() {
+        let plan = Collective::reduce(4, 3, None);
+        let plan = plan.plan(Schedule::Tree).unwrap();
+        Machine::new(4).run(|ctx| {
+            if ctx.rank() < 2 {
+                let g = Group::new(ctx, vec![0, 1]);
+                g.reduce_plan(ctx, 0, vec![1.0; 3], plan, 1);
             }
         });
     }

@@ -23,6 +23,15 @@
 //! latency and bandwidth terms emerge from the model rather than being
 //! injected as a formula.
 //!
+//! A row collective is reached one way: build its [`Collective`] once,
+//! take a [`Plan`] with [`Collective::pick`] (or [`Collective::plan`] by
+//! schedule), and run it with [`Group::broadcast_plan`] or
+//! [`Group::reduce_plan`]. The ring all-reduce is a [`Plan::ring`] run by
+//! [`Group::allreduce_plan`], and point-to-point routes are a
+//! [`Plan::routes`] run by [`Group::exchange`]. [`Group::broadcast`],
+//! [`Group::reduce_sum`] and [`Group::allreduce_sum`] run the binomial
+//! tree on any [`Payload`].
+//!
 //! The simulated clock is deterministic given the message pattern: message
 //! timestamps travel with the data and the final times are maxima over
 //! them, independent of real thread scheduling.
@@ -39,10 +48,7 @@ pub mod message;
 pub mod rank;
 pub mod stats;
 
-pub use collectives::{
-    broadcast_schedule, fold_nonroots, reduce_schedule, Collective, Dir, Group, Plan, Schedule,
-    Traffic,
-};
+pub use collectives::{fold_nonroots, Collective, Dir, Group, Plan, Schedule, Traffic};
 pub use cost::CostModel;
 pub use machine::{Machine, RunReport};
 pub use message::Payload;

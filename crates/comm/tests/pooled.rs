@@ -2,7 +2,7 @@
 //! slots and pool lifecycle (drop and rebuild). CI runs this in release
 //! in its `exec-smoke` job.
 
-use amd_comm::{Group, Machine};
+use amd_comm::{Collective, Group, Machine};
 use amd_exec::ExecPool;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -126,7 +126,9 @@ fn rank_panic_wakes_the_peers_that_wait_on_it() {
             panic!("injected before the reduce");
         }
         let group = Group::new(ctx, (0..4).collect());
-        group.reduce_sum_rows(ctx, 0, vec![1.0; 8], 2, None);
+        let reduce = Collective::reduce(4, 4, None);
+        let plan = reduce.pick(2, ctx.cost());
+        group.reduce_plan(ctx, 0, vec![1.0; 8], plan, 2);
     });
     assert!(
         msg.contains("rank 3 panicked") && msg.contains("injected before the reduce"),
@@ -138,7 +140,9 @@ fn rank_panic_wakes_the_peers_that_wait_on_it() {
     let report = within_ten_seconds(move || {
         machine.run(|ctx| {
             let group = Group::new(ctx, (0..4).collect());
-            group.reduce_sum_rows(ctx, 0, vec![ctx.rank() as f64; 8], 2, None)
+            let reduce = Collective::reduce(4, 4, None);
+            let plan = reduce.pick(2, ctx.cost());
+            group.reduce_plan(ctx, 0, vec![ctx.rank() as f64; 8], plan, 2)
         })
     });
     assert_eq!(report.results[0], Some(vec![6.0; 8]));

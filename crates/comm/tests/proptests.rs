@@ -70,7 +70,7 @@ proptest! {
                 if me < split { (0..split).collect() } else { (split..p).collect() };
             let g = Group::new(ctx, members);
             let data = vec![me as f64 + 1.0; len];
-            g.allreduce_sum_ring_aligned(ctx, data, 1)
+            g.allreduce_plan(ctx, data, &Plan::ring(g.size(), len), 1)
         });
         let lower: f64 = (0..split).map(|r| r as f64 + 1.0).sum();
         let upper: f64 = (split..p).map(|r| r as f64 + 1.0).sum();
@@ -84,10 +84,7 @@ proptest! {
 
 // ---- The large-message broadcast and reduce (deterministic sweeps) ----
 
-use amd_comm::{
-    broadcast_schedule, reduce_schedule, Collective, CostModel, Plan, RankCtx, RankStats, Schedule,
-    Traffic,
-};
+use amd_comm::{Collective, CostModel, Plan, RankCtx, RankStats, Schedule, Traffic};
 use std::sync::Arc;
 
 /// Bandwidth is everything: the large schedules win wherever they can run.
@@ -120,15 +117,37 @@ fn row_counts(p: u32) -> [usize; 6] {
     [0, 1, (p as usize).saturating_sub(2), 7, 23, 97]
 }
 
+/// The large plan of `c`, over `p` members and `rows` rows. There is none
+/// below two non-roots or without a row to cut, and there the tree
+/// answers instead.
+fn large_or_tree(c: &Collective, p: u32, rows: usize) -> &Plan {
+    let large = c.plan(Schedule::Large);
+    assert_eq!(large.is_some(), p >= 3 && rows > 0, "p={p} rows={rows}");
+    large.unwrap_or_else(|| {
+        c.plan(Schedule::Tree)
+            .expect("the tree is always a candidate")
+    })
+}
+
+/// The sparse plan of `c`, built with supports over two members and a row.
+fn sparse_of(c: &Collective) -> &Plan {
+    c.plan(Schedule::Sparse)
+        .expect("supports, two members and a row")
+}
+
 /// (a) One association: the large reduce and the tree reduce return the
 /// same bits on non-integer data, for every group size, root and shape.
-/// The selecting wrapper is forced onto each side by a cost model and
-/// compared with the other schedule called by name.
+/// The pick is forced onto each side by a cost model and compared with
+/// the other candidate. Where there is no large candidate (two members,
+/// no rows) both sides are the tree.
 #[test]
 fn large_reduce_equals_tree_reduce_bit_for_bit() {
     for p in 2u32..=33 {
+        let plans = row_counts(p).map(|rows| Collective::reduce(p as usize, rows, None));
+        let large = (plans.iter().zip(row_counts(p))).map(|(c, rows)| large_or_tree(c, p, rows));
+        let large: Vec<&Plan> = large.collect();
         for cost in [WIRE_BOUND, LATENCY_BOUND] {
-            let report = Machine::new(p).with_cost(cost).run(move |ctx| {
+            let report = Machine::new(p).with_cost(cost).run(|ctx| {
                 let g = Group::world(ctx);
                 let mut took_large = false;
                 // Collected, not asserted: a rank that panics mid-run
@@ -139,27 +158,29 @@ fn large_reduce_equals_tree_reduce_bit_for_bit() {
                     // a root only rotates the members.
                     let corner = root == 0 || root + 1 == p as usize;
                     for stride in [3usize, 1, 16].into_iter().take(if corner { 3 } else { 1 }) {
-                        for rows in row_counts(p) {
+                        for ((rows, plans), large) in
+                            row_counts(p).into_iter().zip(&plans).zip(&large)
+                        {
                             let data = member_vector(ctx.rank(), rows * stride);
-                            let picked = g.reduce_sum_rows(ctx, root, data.clone(), stride, None);
+                            let picked = plans.pick(stride, &cost);
+                            let got = g.reduce_plan(ctx, root, data.clone(), picked, stride);
                             let other = if cost == WIRE_BOUND {
                                 g.reduce_sum(ctx, root, data)
                             } else {
-                                g.reduce_sum_large(ctx, root, data, stride)
+                                g.reduce_plan(ctx, root, data, large, stride)
                             };
-                            if picked.is_some() != (g.my_idx() == root)
-                                || picked.as_deref().map(bits) != other.as_deref().map(bits)
+                            if got.is_some() != (g.my_idx() == root)
+                                || got.as_deref().map(bits) != other.as_deref().map(bits)
                             {
                                 mismatches.push((root, rows, stride));
                             }
-                            took_large |= reduce_schedule(p as usize, rows, stride, &cost, None)
-                                == Schedule::Large;
+                            took_large |= picked.schedule() == Some(Schedule::Large);
                         }
                     }
                 }
                 (took_large, mismatches)
             });
-            // The wrapper really was on each side.
+            // The pick really was on each side.
             let expect_large = cost == WIRE_BOUND && p >= 3;
             for (took_large, mismatches) in report.results {
                 assert_eq!(took_large, expect_large, "p = {p}");
@@ -215,6 +236,8 @@ fn broadcast_large_owned(
 
 /// (b) The large broadcast hands every member the root's buffer itself,
 /// and its views are charged what owned copies of the same rows are.
+/// Where there is no large candidate (two members, no rows) the tree
+/// hands every member the root's buffer instead.
 #[test]
 fn large_broadcast_shares_the_roots_buffer_and_is_charged_like_copies() {
     for p in 2u32..=33 {
@@ -226,26 +249,34 @@ fn large_broadcast_shares_the_roots_buffer_and_is_charged_like_copies() {
                 (23, 3),
                 (97, 16),
             ] {
+                let plans = Collective::broadcast(p as usize, rows, None);
+                let plan = large_or_tree(&plans, p, rows);
                 let run = |shared: bool| {
-                    Machine::new(p).run(move |ctx| {
+                    Machine::new(p).run(|ctx| {
                         let g = Group::world(ctx);
                         let data =
                             (g.my_idx() == root).then(|| member_vector(ctx.rank(), rows * stride));
                         if shared {
-                            g.broadcast_large(ctx, root, data.map(Arc::new), rows, stride)
+                            g.broadcast_plan(ctx, root, data.map(Arc::new), plan, stride)
                         } else {
                             Arc::new(broadcast_large_owned(&g, ctx, root, data, rows, stride))
                         }
                     })
                 };
-                let (shared, owned) = (run(true), run(false));
+                let shared = run(true);
                 let want = member_vector(root as u32, rows * stride);
-                for (s, o) in shared.results.iter().zip(&owned.results) {
+                for s in &shared.results {
                     assert!(
                         Arc::ptr_eq(s, &shared.results[root]),
                         "a copy was assembled"
                     );
                     assert_eq!(bits(s), bits(&want));
+                }
+                if plan.schedule() == Some(Schedule::Tree) {
+                    continue;
+                }
+                let owned = run(false);
+                for o in &owned.results {
                     assert_eq!(bits(o), bits(&want), "the schedule lost a row");
                 }
                 assert_eq!(shared.stats.ranks, owned.stats.ranks, "p={p} root={root}");
@@ -273,34 +304,32 @@ fn the_selected_schedule_is_the_faster_one_in_the_simulator() {
         for bytes in [0usize, 512, 8 << 10, 32 << 10, 64 << 10, 128 << 10, 1 << 20] {
             let rows = bytes / 8;
             let root_data = |g: &Group| (g.my_idx() == 0).then(|| Arc::new(vec![1.0; rows]));
+            // No rows, no large candidate: both sides are the tree.
+            let plans = [
+                Collective::broadcast(p as usize, rows, None),
+                Collective::reduce(p as usize, rows, None),
+            ];
+            let [blarge, rlarge] = [0, 1].map(|i| large_or_tree(&plans[i], p, rows));
             let bcast = [
                 makespan(p, &|ctx, g| drop(g.broadcast(ctx, 0, root_data(g)))),
                 makespan(p, &|ctx, g| {
-                    drop(g.broadcast_large(ctx, 0, root_data(g), rows, 1))
+                    drop(g.broadcast_plan(ctx, 0, root_data(g), blarge, 1))
                 }),
             ];
             let reduce = [
                 makespan(p, &|ctx, g| drop(g.reduce_sum(ctx, 0, vec![1.0; rows]))),
                 makespan(p, &|ctx, g| {
-                    drop(g.reduce_sum_large(ctx, 0, vec![1.0; rows], 1))
+                    drop(g.reduce_plan(ctx, 0, vec![1.0; rows], rlarge, 1))
                 }),
             ];
-            for (what, [tree, large], picked) in [
-                (
-                    "broadcast",
-                    bcast,
-                    broadcast_schedule(p as usize, rows, 1, &cost, None),
-                ),
-                (
-                    "reduce",
-                    reduce,
-                    reduce_schedule(p as usize, rows, 1, &cost, None),
-                ),
-            ] {
+            let [bpick, rpick] = [0, 1].map(|i| plans[i].pick(1, &cost).schedule());
+            for (what, [tree, large], picked) in
+                [("broadcast", bcast, bpick), ("reduce", reduce, rpick)]
+            {
                 let (taken, rejected) = match picked {
-                    Schedule::Tree => (tree, large),
-                    Schedule::Large => (large, tree),
-                    Schedule::Sparse => unreachable!("no supports, no sparse schedule"),
+                    Some(Schedule::Tree) => (tree, large),
+                    Some(Schedule::Large) => (large, tree),
+                    _ => unreachable!("no supports, no sparse schedule"),
                 };
                 assert!(
                     taken <= rejected + cost.alpha,
@@ -375,47 +404,52 @@ fn reduced_vector(rank: u32, vr: usize, rows: usize, stride: usize, sup: &[Vec<u
 fn sparse_reduce_equals_tree_and_large_reduce_bit_for_bit() {
     for p in 2u32..=33 {
         let size = p as usize;
-        let report = Machine::new(p).with_cost(WIRE_BOUND).run(move |ctx| {
+        // Per (rows, mode): the supports and the two collectives over them.
+        let shapes: Vec<_> = [1usize, 7, 23]
+            .into_iter()
+            .flat_map(|rows| (0..3).map(move |mode| (rows, mode, supports(size, rows, mode))))
+            .map(|(rows, mode, sup)| {
+                let (bcast, reduce) = (
+                    Collective::broadcast(size, rows, Some(&sup)),
+                    Collective::reduce(size, rows, Some(&sup)),
+                );
+                (rows, mode, sup, bcast, reduce)
+            })
+            .collect();
+        let report = Machine::new(p).with_cost(WIRE_BOUND).run(|ctx| {
             let g = Group::world(ctx);
             // Collected, not asserted (see (a)).
             let mut mismatches = Vec::new();
             for root in [0, size - 1] {
                 let vr = (g.my_idx() + size - root) % size;
                 for stride in [1usize, 3, 16] {
-                    for rows in [1usize, 7, 23] {
-                        for mode in 0..3 {
-                            let sup = supports(size, rows, mode);
-                            let data = reduced_vector(ctx.rank(), vr, rows, stride, &sup);
-                            let sparse = g.reduce_sum_sparse(ctx, root, data.clone(), stride, &sup);
-                            let tree = g.reduce_sum(ctx, root, data.clone());
-                            let large = g.reduce_sum_large(ctx, root, data, stride);
-                            if sparse.as_deref().map(bits) != tree.as_deref().map(bits)
-                                || sparse.as_deref().map(bits) != large.as_deref().map(bits)
-                            {
-                                mismatches.push(("reduce", root, stride, rows, mode));
+                    for &(rows, mode, ref sup, ref bcast, ref reduce) in &shapes {
+                        let data = reduced_vector(ctx.rank(), vr, rows, stride, sup);
+                        let got = g.reduce_plan(ctx, root, data.clone(), sparse_of(reduce), stride);
+                        let tree = g.reduce_sum(ctx, root, data.clone());
+                        // Two members: no large candidate, the tree again.
+                        let large = large_or_tree(reduce, p, rows);
+                        let large = g.reduce_plan(ctx, root, data, large, stride);
+                        if got.as_deref().map(bits) != tree.as_deref().map(bits)
+                            || got.as_deref().map(bits) != large.as_deref().map(bits)
+                        {
+                            mismatches.push(("reduce", root, stride, rows, mode));
+                        }
+                        let whole = planted(g.member(root), rows, stride, None);
+                        let data = (vr == 0).then(|| Arc::new(whole.clone()));
+                        let got = g.broadcast_plan(ctx, root, data, sparse_of(bcast), stride);
+                        let want = if vr == 0 {
+                            whole
+                        } else {
+                            let mut want = vec![0.0; rows * stride];
+                            for &r in &sup[vr] {
+                                let at = r as usize * stride;
+                                want[at..at + stride].copy_from_slice(&whole[at..at + stride]);
                             }
-                            let whole = planted(g.member(root), rows, stride, None);
-                            let got = g.broadcast_sparse(
-                                ctx,
-                                root,
-                                (vr == 0).then(|| Arc::new(whole.clone())),
-                                rows,
-                                stride,
-                                &sup,
-                            );
-                            let want = if vr == 0 {
-                                whole
-                            } else {
-                                let mut want = vec![0.0; rows * stride];
-                                for &r in &sup[vr] {
-                                    let at = r as usize * stride;
-                                    want[at..at + stride].copy_from_slice(&whole[at..at + stride]);
-                                }
-                                want
-                            };
-                            if bits(&got) != bits(&want) {
-                                mismatches.push(("broadcast", root, stride, rows, mode));
-                            }
+                            want
+                        };
+                        if bits(&got) != bits(&want) {
+                            mismatches.push(("broadcast", root, stride, rows, mode));
                         }
                     }
                 }
@@ -606,8 +640,8 @@ fn closed_form_costs_with_supports_match_the_accounting() {
 }
 
 /// (g) The selection rule against the simulator, under the default cost
-/// model: the sparse schedule is taken exactly when, run by name, it
-/// finishes no later than the dense pick and its busiest member moves no
+/// model: the sparse schedule is taken exactly when, run as its own plan,
+/// it finishes no later than the dense pick and its busiest member moves no
 /// more bytes and no more messages — never when it is slower, never when
 /// it is heavier.
 #[test]
@@ -634,18 +668,27 @@ fn the_sparse_schedule_is_taken_only_when_no_slower_and_no_heavier() {
             let part = |ctx: &RankCtx, g: &Group| {
                 reduced_vector(ctx.rank(), g.my_idx(), rows, stride, &sup)
             };
+            // With supports, and the dense pick without them.
+            let [bcast, reduce, bdense, rdense] = [
+                Collective::broadcast(size, rows, Some(&sup)),
+                Collective::reduce(size, rows, Some(&sup)),
+                Collective::broadcast(size, rows, None),
+                Collective::reduce(size, rows, None),
+            ];
+            let (bsparse, rsparse) = (sparse_of(&bcast), sparse_of(&reduce));
+            let (bdense, rdense) = (bdense.pick(stride, &cost), rdense.pick(stride, &cost));
             for (what, picked, sparse, dense) in [
                 (
                     "broadcast",
-                    broadcast_schedule(size, rows, stride, &cost, Some(&sup)),
-                    run(&|ctx, g| drop(g.broadcast_sparse(ctx, 0, whole(g), rows, stride, &sup))),
-                    run(&|ctx, g| drop(g.broadcast_rows(ctx, 0, whole(g), rows, stride, None))),
+                    bcast.pick(stride, &cost).schedule(),
+                    run(&|ctx, g| drop(g.broadcast_plan(ctx, 0, whole(g), bsparse, stride))),
+                    run(&|ctx, g| drop(g.broadcast_plan(ctx, 0, whole(g), bdense, stride))),
                 ),
                 (
                     "reduce",
-                    reduce_schedule(size, rows, stride, &cost, Some(&sup)),
-                    run(&|ctx, g| drop(g.reduce_sum_sparse(ctx, 0, part(ctx, g), stride, &sup))),
-                    run(&|ctx, g| drop(g.reduce_sum_rows(ctx, 0, part(ctx, g), stride, None))),
+                    reduce.pick(stride, &cost).schedule(),
+                    run(&|ctx, g| drop(g.reduce_plan(ctx, 0, part(ctx, g), rsparse, stride))),
+                    run(&|ctx, g| drop(g.reduce_plan(ctx, 0, part(ctx, g), rdense, stride))),
                 ),
             ] {
                 let no_slower = sparse.0 <= dense.0 + tick;
@@ -653,7 +696,7 @@ fn the_sparse_schedule_is_taken_only_when_no_slower_and_no_heavier() {
                 let at = format!(
                     "{what} p={p} {rows}x{stride}: sparse {sparse:?} vs dense {dense:?}, picked {picked:?}"
                 );
-                if picked == Schedule::Sparse {
+                if picked == Some(Schedule::Sparse) {
                     assert!(no_slower && bytes_ok && msgs_ok, "{at}");
                     seen[0] += 1;
                 } else {

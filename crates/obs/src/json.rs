@@ -237,7 +237,7 @@ impl JsonValue {
 const MAX_DEPTH: usize = 128;
 
 /// Parses one JSON document. Errors carry the byte offset and a short
-/// description; so does a document nested deeper than [`MAX_DEPTH`].
+/// description; so does a document nested deeper than `MAX_DEPTH` (128).
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),

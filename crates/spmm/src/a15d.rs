@@ -7,11 +7,12 @@
 //! into `p/c` row tiles, tile `i` replicated on the `c` processors of grid
 //! row `i`. Each grid column `j` needs the `⌈(p/c)/c⌉` X-tiles covering
 //! its column block; these are broadcast down the column one round at a
-//! time ([`Group::broadcast_rows`]: a binomial tree, or scatter +
-//! all-gather when the tile is large enough for the machine's cost
-//! model), each processor accumulating `A(i,j)·X_t`. A ring all-reduce
-//! across each grid row then produces `Y_i` replicated exactly like the
-//! input — so iterations chain without data movement.
+//! time (a [`Collective::pick`] run by [`Group::broadcast_plan`]: a
+//! binomial tree, or scatter + all-gather when the tile is large enough
+//! for the machine's cost model), each processor accumulating
+//! `A(i,j)·X_t`. A ring all-reduce across each grid row then produces
+//! `Y_i` replicated exactly like the input — so iterations chain without
+//! data movement.
 
 use crate::layout::block_range;
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};

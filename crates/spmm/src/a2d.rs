@@ -10,9 +10,9 @@
 //! 1. **route** — the owner `(j, f)` of `X(j, f)` sends it to the diagonal
 //!    processor `(j, j)` of grid column `j`,
 //! 2. **broadcast** — `(j, j)` broadcasts the tile down grid column `j`
-//!    (static groups; [`Group::broadcast_rows`]: a binomial tree, or
-//!    scatter + all-gather when the tile is large enough for the
-//!    machine's cost model),
+//!    (static groups; a [`Collective::pick`] run by
+//!    [`Group::broadcast_plan`]: a binomial tree, or scatter + all-gather
+//!    when the tile is large enough for the machine's cost model),
 //! 3. **multiply** — each `(r, c)` computes the partial `A(r, c)·X(c, f)`,
 //! 4. **reduce** — grid row `r` sum-reduces onto `(r, f)` over a binomial
 //!    tree, which stores `Y(r, f)` — the same layout as the input, so

@@ -355,6 +355,12 @@ fn replay(
                 report.verified += 1;
             }
             TraceOp::Refresh { tenant } => {
+                // Land every earlier build first, so this request is
+                // granted here, on the delta it has here, however fast the
+                // builder is. Waiting out only this tenant's build is not
+                // enough: a grant queued behind another tenant's would
+                // capture whatever updates arrive before the builder frees.
+                hub.wait_refreshes()?;
                 hub.refresh(ids[tenant])?;
             }
             TraceOp::Settle => {
