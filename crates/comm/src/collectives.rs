@@ -905,10 +905,12 @@ impl Group {
                     let list = &plan.lists[*l as usize];
                     let packed: Vec<f64> = ctx.recv(peer, tag);
                     assert_eq!(packed.len(), list.len() * stride);
+                    // Zero-width rows (a `k = 0` operand) arrive empty
+                    // and write nothing.
                     let rows = list
                         .iter()
                         .map(|&r| r as usize)
-                        .zip(packed.chunks_exact(stride));
+                        .zip(packed.chunks_exact(stride.max(1)));
                     if let Buf::Piece(m) = buf {
                         // Laid out over the union of the non-roots' supports.
                         let mut piece = vec![0.0; plan.union.1 * stride];

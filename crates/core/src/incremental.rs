@@ -403,7 +403,7 @@ pub fn decompose_snapshot_incremental(
     if prior.n() != n {
         return cold(FallbackReason::ShapeMismatch, 0, 0.0);
     }
-    if prior.b() != cfg.arrow_width.max(1) {
+    if prior.b() != cfg.arrow_width {
         return cold(FallbackReason::WidthMismatch, 0, 0.0);
     }
 

@@ -146,7 +146,9 @@ impl Laps {
 ///
 /// The sparsity structure is symmetrised for the graph view (an entry at
 /// `(i, j)` or `(j, i)` creates the edge `{i, j}`); values are carried
-/// per direction, so non-symmetric matrices decompose correctly too.
+/// per direction, so non-symmetric matrices decompose correctly too. An
+/// arrow width of 0 is refused, as
+/// [`ArrowMatrix::from_csr`](crate::ArrowMatrix::from_csr) refuses it.
 pub fn la_decompose(
     a: &CsrMatrix<f64>,
     cfg: &DecomposeConfig,
@@ -167,8 +169,13 @@ pub fn la_decompose_timed(
             right: (a.cols(), a.rows()),
         });
     }
+    if cfg.arrow_width == 0 {
+        return Err(SparseError::InvalidCsr(
+            "arrow width must be at least 1".into(),
+        ));
+    }
     let n = a.rows();
-    let b = cfg.arrow_width.max(1);
+    let b = cfg.arrow_width;
     let mut timings = DecomposeTimings::default();
     let mut laps = Laps {
         clock: Stopwatch::start(),
@@ -715,6 +722,18 @@ mod tests {
     fn rectangular_rejected() {
         let a = CsrMatrix::<f64>::zeros(3, 4);
         assert!(la_decompose(&a, &DecomposeConfig::default(), &mut IdentityLa).is_err());
+    }
+
+    /// Width 0 is refused up front; it was once coerced to 1 and then
+    /// reported as a decomposition that did not converge.
+    #[test]
+    fn zero_width_rejected() {
+        let a: CsrMatrix<f64> = basic::cycle(16).to_adjacency();
+        let err = la_decompose(&a, &DecomposeConfig::with_width(0), &mut IdentityLa).unwrap_err();
+        assert!(
+            err.to_string().contains("arrow width must be at least 1"),
+            "{err}"
+        );
     }
 
     #[test]

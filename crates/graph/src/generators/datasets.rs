@@ -87,7 +87,16 @@ impl DatasetKind {
         }
     }
 
-    /// Generates the stand-in graph at scale `n`.
+    /// The smallest scale `n` the stand-in generator accepts.
+    pub fn min_n(&self) -> u32 {
+        match self {
+            DatasetKind::Mawi | DatasetKind::GenBank => 16,
+            _ => 64,
+        }
+    }
+
+    /// Generates the stand-in graph at scale `n` (at least
+    /// [`min_n`](Self::min_n)).
     pub fn generate<R: Rng>(&self, n: u32, rng: &mut R) -> Graph {
         match self {
             DatasetKind::Mawi => mawi_like(n, rng),
@@ -100,11 +109,20 @@ impl DatasetKind {
     }
 }
 
+fn assert_min_n(kind: DatasetKind, n: u32) {
+    assert!(
+        n >= kind.min_n(),
+        "the {} stand-in needs n >= {}, got {n}",
+        kind.name(),
+        kind.min_n()
+    );
+}
+
 /// MAWI-like: one giant star covering ≈ 90% of the vertices, a few
 /// second-tier stars, and chains filling the remaining average degree to
 /// ≈ 2.1 (`Δ ≈ 0.93 n`, giant stars cause the pruning behaviour of §7.2).
 pub fn mawi_like<R: Rng>(n: u32, rng: &mut R) -> Graph {
-    assert!(n >= 16, "mawi_like needs n >= 16");
+    assert_min_n(DatasetKind::Mawi, n);
     let mut b = GraphBuilder::with_capacity(n, (1.05 * n as f64) as usize + 8);
     let hub = 0u32;
     let giant = (0.90 * n as f64) as u32;
@@ -136,7 +154,7 @@ pub fn mawi_like<R: Rng>(n: u32, rng: &mut R) -> Graph {
 /// GenBank-like k-mer graph: a union of long paths with occasional
 /// branching, maximum degree bounded by a small constant (paper: 8–35).
 pub fn genbank_like<R: Rng>(n: u32, rng: &mut R) -> Graph {
-    assert!(n >= 16);
+    assert_min_n(DatasetKind::GenBank, n);
     let mut b = GraphBuilder::with_capacity(n, (1.05 * n as f64) as usize);
     // Partition vertices into paths of random length 50..500.
     let mut v = 0u32;
@@ -164,30 +182,26 @@ pub fn genbank_like<R: Rng>(n: u32, rng: &mut R) -> Graph {
 /// WebBase-like: Chung-Lu with truncated-Zipf weights capped at
 /// `0.7% · n`, average degree ≈ 8.6.
 pub fn webbase_like<R: Rng>(n: u32, rng: &mut R) -> Graph {
-    power_law_like(n, 8.63, 0.0069, 1.9, rng)
+    power_law_like(DatasetKind::WebBase, n, 1.9, rng)
 }
 
 /// GAP-twitter-like: heavier power law, average degree ≈ 23.9, Δ ≈ 1.25% n.
 pub fn gap_twitter_like<R: Rng>(n: u32, rng: &mut R) -> Graph {
-    power_law_like(n, 23.85, 0.0125, 1.8, rng)
+    power_law_like(DatasetKind::GapTwitter, n, 1.8, rng)
 }
 
 /// sk-2005-like: very heavy power law, average degree ≈ 38.5, Δ ≈ 17% n.
 pub fn sk2005_like<R: Rng>(n: u32, rng: &mut R) -> Graph {
-    power_law_like(n, 38.5, 0.17, 1.6, rng)
+    power_law_like(DatasetKind::Sk2005, n, 1.6, rng)
 }
 
-/// Common power-law scaffold: Zipf(α) vertex weights capped at
-/// `max_frac · n`, then Chung-Lu sampling of `avg_degree · n / 2` edges,
-/// with a final boost of the heaviest vertex to hit the Δ target.
-fn power_law_like<R: Rng>(
-    n: u32,
-    avg_degree: f64,
-    max_frac: f64,
-    alpha: f64,
-    rng: &mut R,
-) -> Graph {
-    assert!(n >= 64);
+/// Common power-law scaffold: Zipf(α) vertex weights capped at `kind`'s
+/// Δ target `max_frac · n`, then Chung-Lu sampling of `avg_degree · n /
+/// 2` edges at its degree target, with a final boost of the heaviest
+/// vertex to hit the Δ target.
+fn power_law_like<R: Rng>(kind: DatasetKind, n: u32, alpha: f64, rng: &mut R) -> Graph {
+    assert_min_n(kind, n);
+    let (avg_degree, max_frac) = (kind.target_avg_degree(), kind.target_max_degree_fraction());
     let zipf = TruncatedZipf::new(n as u64, alpha);
     let cap = (max_frac * n as f64).max(8.0);
     let mut weights: Vec<f64> = (0..n).map(|_| (zipf.sample(rng) as f64).min(cap)).collect();
@@ -224,7 +238,7 @@ fn power_law_like<R: Rng>(
 /// segments are subdivided into chains, giving mostly degree-2 vertices,
 /// bounded maximum degree, and near-planar structure.
 pub fn osm_like<R: Rng>(n: u32, rng: &mut R) -> Graph {
-    assert!(n >= 64);
+    assert_min_n(DatasetKind::OsmEurope, n);
     // Roughly n / (1 + chain) intersections on a grid; chain ≈ 8 gives the
     // degree-2-dominated profile of road networks.
     let chain = 8u32;
@@ -367,6 +381,18 @@ mod tests {
             assert!(g.m() > 0);
             assert!(!kind.name().is_empty());
             assert!(kind.target_avg_degree() > 0.0);
+        }
+    }
+
+    /// `min_n` is the floor the generators hold: each kind builds at it
+    /// and refuses one below it.
+    #[test]
+    fn every_kind_generates_at_its_floor_and_not_below() {
+        for kind in DatasetKind::ALL {
+            let n = kind.min_n();
+            assert_eq!(kind.generate(n, &mut rng()).n(), n);
+            let below = std::panic::catch_unwind(|| kind.generate(n - 1, &mut rng()));
+            assert!(below.is_err(), "{} accepted n = {}", kind.name(), n - 1);
         }
     }
 

@@ -319,3 +319,16 @@ fn every_arrow_feed_is_exact() {
         }
     }
 }
+
+/// A zero-column operand: every algorithm answers it, and predicts what
+/// it charges exactly — nothing but the messages its schedule still
+/// sends. Arrow's packed receives once split an empty buffer into
+/// zero-width rows and panicked every rank.
+#[test]
+fn a_zero_column_operand_is_exact() {
+    let g = graph(6, 600, 3);
+    for kind in 0..5 {
+        let alg = algorithm(kind, 1, &g, 3, Dtype::F64);
+        exact(&*alg, g.n(), 0, Dtype::F64).unwrap();
+    }
+}

@@ -889,3 +889,165 @@ fn stream_rejects_bad_tenant_flag() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
     let _ = std::fs::remove_file(&mtx);
 }
+
+/// Every subcommand against its edge cases — zero and tiny sizes, a
+/// zero-column operand, a zero arrow width, missing files and
+/// directories, bad numbers, unknown flags, flags without their value.
+/// Each row exits with the code it names (never 101, a panic) and names
+/// what it is about: on stderr when it fails, on stdout when the case is
+/// one the program answers.
+#[test]
+fn malformed_arguments_never_panic() {
+    let dir = tmp("edge");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (mtx, amd, out, missing) = (path("m.mtx"), path("m.amd"), path("out"), path("missing"));
+    let (empty, rect, in_missing) = (path("empty.mtx"), path("rect.mtx"), path("missing/out"));
+    let here = dir.to_str().unwrap().to_string();
+    for setup in [
+        vec!["generate", "osm", "400", &mtx, "3"],
+        vec!["decompose", &mtx, "32", &amd],
+    ] {
+        assert!(cli().args(setup).output().unwrap().status.success());
+    }
+    let header = "%%MatrixMarket matrix coordinate real general\n";
+    std::fs::write(&empty, format!("{header}0 0 0\n")).unwrap();
+    std::fs::write(&rect, format!("{header}2 3 1\n1 1 2\n")).unwrap();
+    let rows: Vec<(Vec<&str>, i32, &str)> = vec![
+        (vec!["generate", "osm", "0", &out], 1, "bad n: 0"),
+        (vec!["generate", "mawi", "15", &out], 1, "bad n: 15"),
+        (vec!["generate", "webbase", "63", &out], 1, "bad n: 63"),
+        (vec!["generate", "osm", "many", &out], 1, "bad n"),
+        (vec!["generate", "osm", "100", &out, "-1"], 1, "bad seed"),
+        (
+            vec!["generate", "nonsense", "100", &out],
+            1,
+            "unknown dataset",
+        ),
+        (vec!["generate", "osm", "100", &in_missing], 1, &in_missing),
+        (vec!["generate", "osm"], 1, "generate needs <dataset>"),
+        (
+            vec!["generate", "osm", "100", &out, "--seed", "3"],
+            1,
+            "unknown flag --seed",
+        ),
+        (vec!["info", &missing], 1, &missing),
+        (vec!["info"], 1, "info needs <matrix.mtx>"),
+        (
+            vec!["decompose", &mtx, "0", &out],
+            1,
+            "arrow width must be at least 1",
+        ),
+        (vec!["decompose", &mtx, "b", &out], 1, "bad b"),
+        (vec!["decompose", &missing, "8", &out], 1, &missing),
+        (
+            vec!["decompose", &mtx, "8", &out, "--metrics-json"],
+            1,
+            "--metrics-json needs",
+        ),
+        (vec!["multiply", &mtx, &amd, "0"], 0, "k = 0"),
+        (vec!["multiply", &mtx, &amd, "4", "0"], 0, "0 iterations"),
+        (vec!["multiply", &mtx, &amd, "-1"], 1, "bad k"),
+        (vec!["multiply", &mtx, &missing], 1, &missing),
+        (
+            vec!["multiply", &mtx, &amd, "4", "2", "--dtype", "f16"],
+            1,
+            "bad --dtype",
+        ),
+        (vec!["multiply", &mtx, &amd, "--dtype"], 1, "--dtype needs"),
+        (vec!["serve", &mtx, "0"], 0, "decompositions = 0"),
+        (
+            vec!["serve", &mtx, "0", "4", "4", "1", "--ranks", "4"],
+            1,
+            "arrow width",
+        ),
+        (vec!["serve", &mtx, "32", "0", "0", "0"], 0, "0 queries"),
+        (vec!["serve", &mtx, "32", "many"], 1, "bad queries"),
+        (vec!["serve", &mtx, "32", "--ranks", "0"], 1, "bad --ranks"),
+        (vec!["serve", &mtx, "32", "--catalog"], 1, "--catalog needs"),
+        (vec!["serve", &rect, "4"], 1, "square"),
+        (vec!["stream", &mtx, "32", "0", "0"], 0, "0 updates"),
+        (vec!["stream", &empty, "32"], 1, &empty),
+        (
+            vec!["stream", &mtx, "32", "8", "4", "-0.5"],
+            1,
+            "bad budget-frac",
+        ),
+        (
+            vec!["stream", &mtx, "32", "--tenants", "x"],
+            1,
+            "bad --tenants",
+        ),
+        (
+            vec!["stream", &mtx, "32", "--tenants"],
+            1,
+            "--tenants needs",
+        ),
+        (
+            vec!["stream", &mtx, "32", "--frobnicate"],
+            1,
+            "unknown flag --frobnicate",
+        ),
+        (vec!["stats", &missing], 1, &missing),
+        (vec!["top", &empty], 1, &empty),
+        (vec!["catalog", "ls", &missing], 1, &missing),
+        (vec!["catalog", "gc", &missing, "1"], 1, &missing),
+        (vec!["catalog", "gc", &here, "x"], 1, "bad retain-last-k"),
+        (
+            vec!["catalog", "restore", &missing, "zz", "0", &out],
+            1,
+            "bad fingerprint",
+        ),
+        (
+            vec!["catalog", "restore", &missing, "ab", "0", &out],
+            1,
+            &missing,
+        ),
+        (
+            vec!["catalog", "prune", &missing],
+            1,
+            "catalog needs ls|gc|restore",
+        ),
+        (vec!["chaos", "nosuch"], 1, "unknown scenario nosuch"),
+        (vec!["chaos", "--seed", "x"], 1, "bad --seed"),
+        (vec!["chaos", "record"], 1, "chaos record needs"),
+        (vec!["chaos", "replay", &missing], 1, &missing),
+        (vec!["--threads", "0", "info", &mtx], 2, "--threads"),
+        (vec!["info", &mtx, "--threads"], 2, "--threads"),
+        (vec!["frobnicate"], 2, "usage"),
+    ];
+    for (args, code, needle) in &rows {
+        let run = cli().args(args).output().unwrap();
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&run.stdout),
+            String::from_utf8_lossy(&run.stderr),
+        );
+        assert_eq!(run.status.code(), Some(*code), "{args:?}: {stderr}");
+        let named = if *code == 0 { &stdout } else { &stderr };
+        assert!(
+            named.contains(needle),
+            "{args:?} must name {needle:?}: {named}"
+        );
+    }
+    assert!(
+        !std::path::Path::new(&missing).exists(),
+        "inspecting a missing catalog created it"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// README's `## CLI` block is the binary's no-argument usage, verbatim,
+/// so the two cannot drift apart.
+#[test]
+fn readme_synopsis_is_the_usage_text() {
+    let usage = String::from_utf8(cli().output().unwrap().stderr).unwrap();
+    let readme =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md")).unwrap();
+    let block = readme
+        .split_once("## CLI\n\n```\n")
+        .and_then(|(_, rest)| rest.split_once("```"))
+        .map(|(block, _)| block)
+        .expect("README has a ## CLI code block");
+    assert_eq!(block.trim_end(), usage.trim_end());
+}
