@@ -142,7 +142,9 @@ pub struct MultiplyQuery {
 pub struct QueryResponse {
     /// The query this answers.
     pub id: QueryId,
-    /// Result column (`n` entries).
+    /// Result column (`n` entries), in the storage of the query's own
+    /// [`MultiplyQuery::x`]: the vector submitted comes back holding
+    /// the answer, so serving it allocates nothing per query.
     pub y: Vec<f64>,
     /// How many queries shared the run that produced this answer.
     pub batch_size: usize,
@@ -902,21 +904,25 @@ impl Engine {
             groups[group].push(p);
         }
         let mut responses = Vec::new();
-        for members in groups {
-            for chunk in members.chunks(self.config.max_batch.max(1)) {
-                responses.extend(self.run_batch(chunk)?);
+        let width = self.config.max_batch.max(1);
+        for mut members in groups {
+            while !members.is_empty() {
+                let rest = members.split_off(width.min(members.len()));
+                responses.extend(self.run_batch(members)?);
+                members = rest;
             }
         }
         responses.sort_by_key(|r| r.id.0);
         Ok(responses)
     }
 
-    fn run_batch(&mut self, chunk: &[Pending]) -> SparseResult<Vec<QueryResponse>> {
+    fn run_batch(&mut self, mut chunk: Vec<Pending>) -> SparseResult<Vec<QueryResponse>> {
         let first = &chunk[0].query;
-        let bound = self.bound.get(&first.matrix.0).ok_or_else(|| {
+        let (matrix, iters, sigma) = (first.matrix, first.iters, first.sigma);
+        let bound = self.bound.get(&matrix.0).ok_or_else(|| {
             SparseError::InvalidCsr(format!(
                 "matrix {:032x} was deregistered while queries were pending",
-                first.matrix.0
+                matrix.0
             ))
         })?;
         let n = bound.n;
@@ -929,27 +935,23 @@ impl Engine {
             None => None,
         };
         let sw = Stopwatch::start();
-        // The multiply is pure (no state mutated until it returns), so a
-        // transient failure — only ever the `engine.multiply.transient`
-        // chaos failpoint — is safely retried in place.
+        // A transient failure — only ever the `engine.multiply.transient`
+        // chaos failpoint — fires before the operand is handed over, so
+        // it is safely retried in place with the same operand.
         let mut attempts = 0u32;
-        let run = loop {
-            let result = match failpoint::check(failpoint::ENGINE_MULTIPLY_TRANSIENT) {
-                Err(e) => Err(e),
-                Ok(()) => match &overlay_algo {
-                    Some(corrected) => corrected.run_sigma(&x, first.iters, first.sigma),
-                    None => bound.algo.run_sigma(&x, first.iters, first.sigma),
-                },
-            };
-            match result {
-                Ok(run) => break run,
-                Err(e) if failpoint::is_injected(&e) && attempts < MAX_MULTIPLY_RETRIES => {
-                    attempts += 1;
-                    self.metrics.multiply_retries.inc();
-                }
-                Err(e) => return Err(e),
+        while let Err(e) = failpoint::check(failpoint::ENGINE_MULTIPLY_TRANSIENT) {
+            if !failpoint::is_injected(&e) || attempts == MAX_MULTIPLY_RETRIES {
+                return Err(e);
             }
-        };
+            attempts += 1;
+            self.metrics.multiply_retries.inc();
+        }
+        // The run may answer in the operand's own storage, which then
+        // becomes the next batch's operand.
+        let run = match &overlay_algo {
+            Some(corrected) => corrected.run_owned(x, iters, sigma),
+            None => bound.algo.run_owned(x, iters, sigma),
+        }?;
         if overlay_algo.is_some() {
             self.metrics.corrected_runs.inc();
         }
@@ -963,7 +965,7 @@ impl Engine {
             let predicted = bound
                 .predictions
                 .first()
-                .map(|p| p.seconds * first.iters as f64)
+                .map(|p| p.seconds * iters as f64)
                 .unwrap_or(0.0);
             let mut detail = format!(
                 "algo={} batch={} queries={}..={} iters={} corrected={} \
@@ -973,7 +975,7 @@ impl Engine {
                 chunk.len(),
                 chunk[0].id.0,
                 chunk[chunk.len() - 1].id.0,
-                first.iters,
+                iters,
                 bound.overlay.is_some(),
                 self.config.dtype,
                 predicted,
@@ -987,15 +989,18 @@ impl Engine {
                 .tracer
                 .event("multiply", SpanId::NONE, None, detail);
         }
-        let answers = run.y.to_columns();
-        self.operand = x.into_vec();
+        // Each query's own vector carries its answer back.
+        let mut columns: Vec<&mut [f64]> =
+            chunk.iter_mut().map(|p| p.query.x.as_mut_slice()).collect();
+        run.y.write_columns(&mut columns)?;
+        self.operand = run.y.into_vec();
+        let batch_size = chunk.len();
         Ok(chunk
-            .iter()
-            .zip(answers)
-            .map(|(p, y)| QueryResponse {
+            .into_iter()
+            .map(|p| QueryResponse {
                 id: p.id,
-                y,
-                batch_size: chunk.len(),
+                y: p.query.x,
+                batch_size,
             })
             .collect())
     }
@@ -1005,7 +1010,7 @@ impl Engine {
     pub fn run_single(&mut self, query: MultiplyQuery) -> SparseResult<QueryResponse> {
         self.submit(query)?;
         let pending = self.pending.pop().expect("just submitted");
-        let mut responses = self.run_batch(&[pending])?;
+        let mut responses = self.run_batch(vec![pending])?;
         Ok(responses.pop().expect("one response per query"))
     }
 }

@@ -9,7 +9,7 @@ use crate::error::{SparseError, SparseResult};
 use crate::scalar::Scalar;
 
 /// Rows per block of the column ↔ row-major transposes
-/// ([`DenseMatrix::from_columns`], [`DenseMatrix::to_columns`]): a block
+/// ([`DenseMatrix::from_columns`], [`DenseMatrix::write_columns`]): a block
 /// of the row-major side (32 rows × up to 64 `f64` columns = 16 KiB)
 /// stays L1-resident while every column contributes one contiguous run.
 const TRANSPOSE_ROWS: usize = 32;
@@ -88,22 +88,44 @@ impl<T: Scalar> DenseMatrix<T> {
         Self::from_vec(rows, k as u32, storage)
     }
 
-    /// The columns of `self`, each as its own vector — the inverse of
-    /// [`from_columns`](Self::from_columns), blocked the same way.
-    pub fn to_columns(&self) -> Vec<Vec<T>> {
+    /// Writes column `j` of `self` into `columns[j]` (each `rows` long)
+    /// — the inverse of [`from_columns`](Self::from_columns), blocked the
+    /// same way, into storage the caller already owns: how a batch's
+    /// answers go back into its queries' own vectors. One column is a
+    /// single copy.
+    pub fn write_columns(&self, columns: &mut [&mut [T]]) -> SparseResult<()> {
         let n = self.rows as usize;
         let k = self.cols as usize;
-        if k == 1 {
-            return vec![self.data.clone()];
+        let bad_len = columns.iter().map(|c| c.len()).find(|&len| len != n);
+        if columns.len() != k || bad_len.is_some() {
+            return Err(SparseError::ShapeMismatch {
+                left: (self.rows, self.cols),
+                right: (bad_len.unwrap_or(n) as u32, columns.len() as u32),
+            });
         }
-        let mut columns: Vec<Vec<T>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
+        if let [only] = columns {
+            only.copy_from_slice(&self.data);
+            return Ok(());
+        }
         for r0 in (0..n).step_by(TRANSPOSE_ROWS) {
             let r1 = (r0 + TRANSPOSE_ROWS).min(n);
             let block = &self.data[r0 * k..r1 * k];
             for (j, column) in columns.iter_mut().enumerate() {
-                column.extend(block.chunks_exact(k).map(|row| row[j]));
+                for (out, row) in column[r0..r1].iter_mut().zip(block.chunks_exact(k)) {
+                    *out = row[j];
+                }
             }
         }
+        Ok(())
+    }
+
+    /// The columns of `self`, each as a vector of its own
+    /// ([`write_columns`](Self::write_columns) into fresh storage).
+    pub fn to_columns(&self) -> Vec<Vec<T>> {
+        let mut columns = vec![vec![T::ZERO; self.rows as usize]; self.cols as usize];
+        let mut slices: Vec<&mut [T]> = columns.iter_mut().map(Vec::as_mut_slice).collect();
+        self.write_columns(&mut slices)
+            .expect("one column per matrix column, each one row long");
         columns
     }
 
@@ -282,8 +304,11 @@ mod tests {
         // 77 rows: two full transpose blocks and a ragged third.
         for k in [0u32, 1, 3, 64] {
             let want = DenseMatrix::from_fn(77, k, |r, c| (r * 100 + c) as f64);
-            let columns = want.to_columns();
-            assert_eq!(columns.len(), k as usize);
+            // Caller-owned storage full of other values.
+            let mut columns = vec![vec![f64::NAN; 77]; k as usize];
+            let mut outs: Vec<&mut [f64]> = columns.iter_mut().map(Vec::as_mut_slice).collect();
+            want.write_columns(&mut outs).unwrap();
+            assert_eq!(columns, want.to_columns());
             for (j, column) in columns.iter().enumerate() {
                 let expect: Vec<f64> = (0..77).map(|r| want.get(r, j as u32)).collect();
                 assert_eq!(column, &expect, "k={k} column {j}");
@@ -296,8 +321,11 @@ mod tests {
                 want
             );
         }
-        let short = [1.0f64, 2.0];
+        let mut short = [1.0f64, 2.0];
         assert!(DenseMatrix::from_columns(3, &[&short[..]], Vec::new()).is_err());
+        let three = DenseMatrix::from_fn(3, 1, |r, _| r as f64);
+        assert!(three.write_columns(&mut [&mut short[..]]).is_err());
+        assert!(three.write_columns(&mut []).is_err());
     }
 
     #[test]

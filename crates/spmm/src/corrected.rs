@@ -43,10 +43,12 @@
 //! bit-identical to a cold rebuild on integer data), and a delta is tiny
 //! relative to the base, so narrowing it would save nothing measurable.
 
+use crate::local::{LocalSpmm, Operand};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{Collective, CostModel, Traffic};
+use amd_comm::{Collective, CostModel, MachineStats, Traffic};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use std::time::Instant;
 
 /// `f64` slots on the wire per delta entry (row `u32` + col `u32` + value
 /// `f64`: 16 bytes).
@@ -106,6 +108,118 @@ impl<'a> DeltaSpmm<'a> {
             .collect();
         (traffic, spmm::spmm_flops(self.delta, k))
     }
+
+    fn check(&self, x: &DenseMatrix<f64>) -> SparseResult<()> {
+        if self.delta.rows() != x.rows() {
+            return Err(SparseError::ShapeMismatch {
+                left: (self.delta.rows(), self.delta.cols()),
+                right: (x.rows(), x.cols()),
+            });
+        }
+        Ok(())
+    }
+
+    /// `y += ΔA · x` in the fixed reduction order: each delta row's
+    /// product summed from `+0.0` in ascending column order (the serial
+    /// reference order), then added onto the base result in one step.
+    /// Only the delta's non-empty rows are touched: an empty row would
+    /// add `+0.0`, and the base result — itself summed from `+0.0` — is
+    /// never `−0.0`, the one value that addition would change.
+    fn fold(&self, x: &DenseMatrix<f64>, y: &mut DenseMatrix<f64>) -> SparseResult<()> {
+        spmm::spmm_slices(
+            self.delta,
+            x.data(),
+            x.cols(),
+            None,
+            y.data_mut(),
+            Finish::Fold,
+            Dtype::F64,
+        )
+    }
+
+    /// Adds one iteration to `stats`: the base run's accounting `step`,
+    /// then the correction's charge ([`correction`](Self::correction)).
+    fn charge(
+        &self,
+        stats: &mut MachineStats,
+        step: &MachineStats,
+        (traffic, flops): &(Vec<Traffic>, f64),
+    ) {
+        if stats.ranks.is_empty() {
+            stats.ranks = step.ranks.clone();
+        } else {
+            for (acc, r) in stats.ranks.iter_mut().zip(&step.ranks) {
+                acc.sent_bytes += r.sent_bytes;
+                acc.recv_bytes += r.recv_bytes;
+                acc.sent_msgs += r.sent_msgs;
+                acc.recv_msgs += r.recv_msgs;
+                acc.sim_time += r.sim_time;
+                acc.compute_time += r.compute_time;
+            }
+        }
+        stats.wall_seconds += step.wall_seconds;
+        let compute = self.cost.compute_time(*flops);
+        for (r, t) in stats.ranks.iter_mut().zip(traffic) {
+            r.sent_bytes += t.sent_bytes;
+            r.recv_bytes += t.recv_bytes;
+            r.sent_msgs += t.sent_msgs;
+            r.recv_msgs += t.recv_msgs;
+            r.sim_time +=
+                self.cost.alpha * t.msgs() as f64 + self.cost.beta * t.bytes() as f64 + compute;
+            r.compute_time += compute;
+        }
+    }
+
+    /// A one-rank base: the delta is folded in inside the base's own
+    /// iteration loop, so the run ping-pongs between the same two
+    /// buffers as an uncorrected one.
+    fn run_local(
+        &self,
+        local: &LocalSpmm,
+        x: Operand<'_>,
+        iters: u32,
+        sigma: Option<Sigma>,
+    ) -> SparseResult<SpmmRun> {
+        let started = Instant::now();
+        let k = x.get().cols();
+        let y = local.iterate(x, iters, sigma, Some(&|x, y| self.fold(x, y)))?;
+        let (step, correction) = (local.charged(k, 1), self.correction(k));
+        let mut stats = MachineStats::default();
+        for _ in 0..iters {
+            self.charge(&mut stats, &step, &correction);
+        }
+        stats.wall_seconds = started.elapsed().as_secs_f64();
+        Ok(SpmmRun { y, stats, iters })
+    }
+
+    /// A distributed base: one base run per iteration (σ deferred: the
+    /// activation must see the corrected sum), then the fold.
+    fn run_distributed(
+        &self,
+        x: &DenseMatrix<f64>,
+        iters: u32,
+        sigma: Option<Sigma>,
+    ) -> SparseResult<SpmmRun> {
+        // The operand of an iteration: the caller's `x`, then the
+        // previous iteration's output.
+        let mut cur: Option<DenseMatrix<f64>> = None;
+        let mut stats = MachineStats::default();
+        let correction = self.correction(x.cols());
+        for _ in 0..iters {
+            let src = cur.as_ref().unwrap_or(x);
+            let step = self.base.run(src, 1)?;
+            let mut y = step.y;
+            self.fold(src, &mut y)?;
+            apply_sigma(y.data_mut(), sigma);
+            self.charge(&mut stats, &step.stats, &correction);
+            cur = Some(y);
+        }
+        Ok(SpmmRun {
+            y: cur.unwrap_or_else(|| x.clone()),
+            stats,
+            iters,
+        })
+    }
 }
 
 impl DistSpmm for DeltaSpmm<'_> {
@@ -123,75 +237,32 @@ impl DistSpmm for DeltaSpmm<'_> {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        if self.delta.rows() != x.rows() {
-            return Err(SparseError::ShapeMismatch {
-                left: (self.delta.rows(), self.delta.cols()),
-                right: (x.rows(), x.cols()),
-            });
-        }
+        self.check(x)?;
         if self.delta.nnz() == 0 {
             // Nothing pending: the base path (including its internal σ
             // handling) answers directly.
             return self.base.run_sigma(x, iters, sigma);
         }
-        let (traffic, flops) = self.correction(x.cols());
-        let compute = self.cost.compute_time(flops);
-        // The operand of an iteration: the caller's `x`, then the
-        // previous iteration's output.
-        let mut cur: Option<DenseMatrix<f64>> = None;
-        let mut stats = amd_comm::MachineStats::default();
-        for _ in 0..iters {
-            let src = cur.as_ref().unwrap_or(x);
-            // Base contribution first (σ deferred: the activation must see
-            // the corrected sum).
-            let step = self.base.run(src, 1)?;
-            let mut y = step.y;
-            // Fixed reduction order: each delta row's product summed from
-            // `+0.0` in ascending column order (the serial reference
-            // order), then added onto the base result in one step. Only
-            // the delta's non-empty rows are touched: an empty row would
-            // add `+0.0`, and the base result — itself summed from `+0.0`
-            // — is never `−0.0`, the one value that addition would change.
-            spmm::spmm_slices(
-                self.delta,
-                src.data(),
-                src.cols(),
-                None,
-                y.data_mut(),
-                Finish::Fold,
-                Dtype::F64,
-            )?;
-            apply_sigma(y.data_mut(), sigma);
-            // Accumulate base accounting, then charge the correction.
-            if stats.ranks.is_empty() {
-                stats.ranks = step.stats.ranks.clone();
-            } else {
-                for (acc, r) in stats.ranks.iter_mut().zip(&step.stats.ranks) {
-                    acc.sent_bytes += r.sent_bytes;
-                    acc.recv_bytes += r.recv_bytes;
-                    acc.sent_msgs += r.sent_msgs;
-                    acc.recv_msgs += r.recv_msgs;
-                    acc.sim_time += r.sim_time;
-                    acc.compute_time += r.compute_time;
-                }
-            }
-            stats.wall_seconds += step.stats.wall_seconds;
-            for (r, t) in stats.ranks.iter_mut().zip(&traffic) {
-                r.sent_bytes += t.sent_bytes;
-                r.recv_bytes += t.recv_bytes;
-                r.sent_msgs += t.sent_msgs;
-                r.recv_msgs += t.recv_msgs;
-                r.sim_time +=
-                    self.cost.alpha * t.msgs() as f64 + self.cost.beta * t.bytes() as f64 + compute;
-                r.compute_time += compute;
-            }
-            cur = Some(y);
+        match self.base.as_local() {
+            Some(local) => self.run_local(local, Operand::Borrowed(x), iters, sigma),
+            None => self.run_distributed(x, iters, sigma),
         }
-        Ok(SpmmRun {
-            y: cur.unwrap_or_else(|| x.clone()),
-            stats,
-            iters,
-        })
+    }
+
+    fn run_owned(
+        &self,
+        x: DenseMatrix<f64>,
+        iters: u32,
+        sigma: Option<Sigma>,
+    ) -> SparseResult<SpmmRun> {
+        self.check(&x)?;
+        if self.delta.nnz() == 0 {
+            return self.base.run_owned(x, iters, sigma);
+        }
+        match self.base.as_local() {
+            Some(local) => self.run_local(local, Operand::Owned(x), iters, sigma),
+            None => self.run_distributed(&x, iters, sigma),
+        }
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {

@@ -11,12 +11,17 @@
 //! message exists, so the accounting is a single rank that carries only
 //! charged compute.
 //!
-//! The intermediate iterates of a multi-iteration run are kept between
-//! runs: a serving binding answers the same shape over and over, and on
-//! the hosts measured first-touching a fresh `n × k` buffer costs more
-//! than multiplying into a warm one. The kernel overwrites its output,
-//! so stale content is harmless. Only the final iterate is allocated per
-//! run — it is handed to the caller.
+//! A run ping-pongs between two `n × k` buffers: its operand's storage
+//! and one spare the binding keeps between runs. A serving binding
+//! answers the same shape over and over, and on the hosts measured
+//! first-touching a fresh `n × k` buffer costs more than multiplying
+//! into a warm one. The kernel overwrites its output, so stale content
+//! is harmless. Through [`DistSpmm::run_owned`] the caller hands its
+//! operand over and the answer comes back in one of the two buffers
+//! (`x`'s own storage when `iters` is even), so a steady-state run
+//! allocates nothing of size `n × k`; through
+//! [`run_sigma`](DistSpmm::run_sigma) the borrowed operand is read in
+//! place and only the buffer its answer is handed back in is fresh.
 
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{CostModel, MachineStats, RankStats};
@@ -24,16 +29,38 @@ use amd_sparse::{spmm, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult}
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
+/// The operand of a run: borrowed from the caller, or handed over with
+/// its storage.
+pub(crate) enum Operand<'x> {
+    Borrowed(&'x DenseMatrix<f64>),
+    Owned(DenseMatrix<f64>),
+}
+
+impl Operand<'_> {
+    pub(crate) fn get(&self) -> &DenseMatrix<f64> {
+        match self {
+            Operand::Borrowed(x) => x,
+            Operand::Owned(x) => x,
+        }
+    }
+}
+
+/// A per-iteration correction `dst += f(src)`, applied after the base
+/// product and before σ (how [`DeltaSpmm`](crate::DeltaSpmm) folds its
+/// delta into a one-rank run).
+pub(crate) type Correction<'c> =
+    &'c dyn Fn(&DenseMatrix<f64>, &mut DenseMatrix<f64>) -> SparseResult<()>;
+
 /// Shared-memory SpMM bound to a matrix: [`DistSpmm`] with one rank.
 pub struct LocalSpmm {
     a: CsrMatrix<f64>,
     cost: CostModel,
     dtype: Dtype,
-    /// Storage of the intermediate iterates, alternating: iterate `t`
-    /// (1-based, `t < iters`) lives in slot `(t − 1) % 2`. A run holds
-    /// the lock throughout, so concurrent runs on one binding take
-    /// turns.
-    iterates: Mutex<[Vec<f64>; 2]>,
+    /// The spare iterate buffer: after a run, whichever of its two
+    /// buffers does not hold the answer. Taken out for the run, so two
+    /// concurrent runs on one binding never wait on each other (one of
+    /// them sizes a buffer of its own).
+    spare: Mutex<Vec<f64>>,
 }
 
 impl LocalSpmm {
@@ -50,7 +77,7 @@ impl LocalSpmm {
             a: a.clone(),
             cost: CostModel::default(),
             dtype: Dtype::default(),
-            iterates: Mutex::new([Vec::new(), Vec::new()]),
+            spare: Mutex::new(Vec::new()),
         })
     }
 
@@ -65,6 +92,86 @@ impl LocalSpmm {
     pub fn with_dtype(mut self, dtype: Dtype) -> Self {
         self.dtype = dtype;
         self
+    }
+
+    /// The one iteration loop behind every entry: `iters` steps of
+    /// `dst ← σ(A·src + correct(src))`, each reading buffer 0 and writing
+    /// buffer 1, after which the two swap. A handed-over operand starts
+    /// as buffer 0 and the spare as buffer 1. A borrowed operand is read
+    /// in place by the first step, which writes a fresh buffer 1 — so
+    /// such a run allocates exactly the one buffer its answer may leave
+    /// in. The answer ends in buffer 0; buffer 1 becomes the spare.
+    pub(crate) fn iterate(
+        &self,
+        x: Operand<'_>,
+        iters: u32,
+        sigma: Option<Sigma>,
+        correct: Option<Correction<'_>>,
+    ) -> SparseResult<DenseMatrix<f64>> {
+        let (n, k) = (self.a.rows(), x.get().cols());
+        if x.get().rows() != n {
+            return Err(SparseError::ShapeMismatch {
+                left: (n, n),
+                right: (x.get().rows(), k),
+            });
+        }
+        let (first, mut bufs) = match x {
+            Operand::Borrowed(x) if iters == 0 => return Ok(x.clone()),
+            Operand::Owned(x) if iters == 0 => return Ok(x),
+            Operand::Borrowed(x) => (Some(x), [self.take_spare(n, k), DenseMatrix::zeros(n, k)]),
+            Operand::Owned(x) => (None, [x, self.take_spare(n, k)]),
+        };
+        for step in 0..iters {
+            let [src, dst] = &mut bufs;
+            let src = first.filter(|_| step == 0).unwrap_or(src);
+            spmm::spmm_parallel(&self.a, src, dst, self.dtype)?;
+            if let Some(correct) = correct {
+                correct(src, dst)?;
+            }
+            apply_sigma(dst.data_mut(), sigma);
+            bufs.swap(0, 1);
+        }
+        let [answer, spare] = bufs;
+        *self.spare.lock().unwrap_or_else(PoisonError::into_inner) = spare.into_vec();
+        Ok(answer)
+    }
+
+    /// The spare buffer as an `n × k` matrix. Any content is a valid
+    /// starting state (the kernel overwrites), so a run that panicked
+    /// while it held the buffer leaves nothing to repair.
+    fn take_spare(&self, n: u32, k: u32) -> DenseMatrix<f64> {
+        let mut data =
+            std::mem::take(&mut *self.spare.lock().unwrap_or_else(PoisonError::into_inner));
+        data.resize(n as usize * k as usize, 0.0);
+        DenseMatrix::from_vec(n, k, data).expect("resized to n × k")
+    }
+
+    /// What `iters` iterations on a `k`-column operand charge the one
+    /// rank: their compute, and nothing else.
+    pub(crate) fn charged(&self, k: u32, iters: u32) -> MachineStats {
+        let compute = self.cost.compute_time(spmm::spmm_flops(&self.a, k)) * f64::from(iters);
+        MachineStats {
+            ranks: vec![RankStats {
+                sim_time: compute,
+                compute_time: compute,
+                ..RankStats::default()
+            }],
+            wall_seconds: 0.0,
+        }
+    }
+
+    fn run_operand(
+        &self,
+        x: Operand<'_>,
+        iters: u32,
+        sigma: Option<Sigma>,
+    ) -> SparseResult<SpmmRun> {
+        let started = Instant::now();
+        let k = x.get().cols();
+        let y = self.iterate(x, iters, sigma, None)?;
+        let mut stats = self.charged(k, iters);
+        stats.wall_seconds = started.elapsed().as_secs_f64();
+        Ok(SpmmRun { y, stats, iters })
     }
 }
 
@@ -83,67 +190,20 @@ impl DistSpmm for LocalSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        let n = self.a.rows();
-        if x.rows() != n {
-            return Err(SparseError::ShapeMismatch {
-                left: (n, n),
-                right: (x.rows(), x.cols()),
-            });
-        }
-        let started = Instant::now();
-        let k = x.cols();
-        let y = if iters == 0 {
-            x.clone()
-        } else {
-            // Any buffer content is a valid starting state (the kernel
-            // overwrites), so a run that panicked under the lock leaves
-            // nothing to repair.
-            let mut kept = self.iterates.lock().unwrap_or_else(PoisonError::into_inner);
-            let len = n as usize * k as usize;
-            // Only the slots this run writes are sized (and so touched):
-            // iterate `t` is an intermediate when `t < iters`.
-            let mut slots = [0usize, 1].map(|slot| {
-                let mut data = std::mem::take(&mut kept[slot]);
-                if slot + 1 < iters as usize {
-                    data.resize(len, 0.0);
-                    DenseMatrix::from_vec(n, k, data).expect("resized to n × k")
-                } else {
-                    data.clear();
-                    DenseMatrix::from_vec(0, 0, data).expect("emptied")
-                }
-            });
-            let mut y = DenseMatrix::zeros(n, k);
-            for step in 0..iters {
-                let (even, odd) = slots.split_at_mut(1);
-                let (from, to) = if step % 2 == 0 {
-                    (&odd[0], &mut even[0])
-                } else {
-                    (&even[0], &mut odd[0])
-                };
-                let src = if step == 0 { x } else { from };
-                let dst = if step + 1 == iters { &mut y } else { to };
-                spmm::spmm_parallel(&self.a, src, dst, self.dtype)
-                    .expect("operand and iterates are all n × k");
-                apply_sigma(dst.data_mut(), sigma);
-            }
-            for (slot, used) in kept.iter_mut().zip(slots) {
-                *slot = used.into_vec();
-            }
-            y
-        };
-        let compute = self.cost.compute_time(spmm::spmm_flops(&self.a, k)) * f64::from(iters);
-        Ok(SpmmRun {
-            y,
-            stats: MachineStats {
-                ranks: vec![RankStats {
-                    sim_time: compute,
-                    compute_time: compute,
-                    ..RankStats::default()
-                }],
-                wall_seconds: started.elapsed().as_secs_f64(),
-            },
-            iters,
-        })
+        self.run_operand(Operand::Borrowed(x), iters, sigma)
+    }
+
+    fn run_owned(
+        &self,
+        x: DenseMatrix<f64>,
+        iters: u32,
+        sigma: Option<Sigma>,
+    ) -> SparseResult<SpmmRun> {
+        self.run_operand(Operand::Owned(x), iters, sigma)
+    }
+
+    fn as_local(&self) -> Option<&LocalSpmm> {
+        Some(self)
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {

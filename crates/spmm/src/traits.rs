@@ -1,5 +1,6 @@
 //! The common interface of the distributed SpMM algorithms.
 
+use crate::LocalSpmm;
 use amd_comm::{CostModel, MachineStats};
 use amd_sparse::{DenseMatrix, SparseResult};
 
@@ -99,6 +100,29 @@ pub trait DistSpmm {
     /// returning the final iterate and accounting.
     fn run(&self, x: &DenseMatrix<f64>, iters: u32) -> SparseResult<SpmmRun> {
         self.run_sigma(x, iters, None)
+    }
+
+    /// [`run_sigma`](Self::run_sigma) on an operand the caller hands
+    /// over, equal to it bit for bit. An algorithm that multiplies in
+    /// shared memory ([`LocalSpmm`], and [`DeltaSpmm`](crate::DeltaSpmm)
+    /// over it) iterates in `x`'s own storage and may return the answer
+    /// there, so a caller that recycles [`SpmmRun::y`]'s storage as its
+    /// next operand allocates no `n × k` buffer per run. The default
+    /// borrows `x` and drops it.
+    fn run_owned(
+        &self,
+        x: DenseMatrix<f64>,
+        iters: u32,
+        sigma: Option<Sigma>,
+    ) -> SparseResult<SpmmRun> {
+        self.run_sigma(&x, iters, sigma)
+    }
+
+    /// The shared-memory binding behind this algorithm, if it is one:
+    /// what [`DeltaSpmm`](crate::DeltaSpmm) folds its correction into
+    /// inside [`LocalSpmm`]'s own iteration loop.
+    fn as_local(&self) -> Option<&LocalSpmm> {
+        None
     }
 
     /// Predicts what one iteration of `run` with a `k`-column operand
