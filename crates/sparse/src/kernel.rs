@@ -13,9 +13,13 @@
 //!
 //! The row gather `x[order[c]]` *is* the permutation `Pᵀ_πᵢ X`, the scatter
 //! through `order[p]` *is* `P_πᵢ`, and nothing outside the active prefix is
-//! read or written. The arithmetic is the crate's one strip primitive
-//! ([`crate::spmm`]) in its gathering, [`Finish::Fold`] form: a row's sums
-//! for up to 16 columns of `X` are built in registers across the row's
+//! read or written. The arithmetic is the crate's one row walker
+//! ([`crate::spmm`]) in its gathering, [`Finish::Fold`] form, fed
+//! `(row, slot)` pairs: the serial kernel walks positions `0..active_n`
+//! as one contiguous run of `indptr` and sends each to the `y` row of its
+//! vertex; the parallel one takes, per chunk of `y` rows, the active
+//! positions of those vertices. A row's sum (at `k = 1`) or its sums for
+//! up to 16 columns of `X` are built in registers across the row's
 //! nonzeros and added to `y` once — there is no accumulator buffer, on the
 //! heap or anywhere else, and no block width to choose.
 //!
@@ -36,7 +40,7 @@ use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{SparseError, SparseResult};
 use crate::scalar::{Dtype, Scalar};
-use crate::spmm::{for_each_chunk, strips, Finish, Operands};
+use crate::spmm::{for_each_chunk, pairs_of, run_of, strips, Finish, Operands};
 
 fn check_level_shapes<T: Scalar>(
     matrix: &CsrMatrix<T>,
@@ -60,20 +64,6 @@ fn check_level_shapes<T: Scalar>(
     Ok(())
 }
 
-/// The level's multiply operands: `x` rows gathered through `order`.
-fn gathered<'a, T: Scalar>(
-    matrix: &'a CsrMatrix<T>,
-    order: &'a [u32],
-    x: &'a DenseMatrix<T>,
-) -> Operands<'a, T> {
-    Operands {
-        a: matrix,
-        x: x.data(),
-        k: x.cols() as usize,
-        gather: Some(order),
-    }
-}
-
 /// Serial fused level accumulate: `y[order[p]] += Σ_c B[p, c]·x[order[c]]`
 /// for every position `p` in the active prefix.
 ///
@@ -93,9 +83,21 @@ pub fn fused_level_acc<T: Scalar>(
     if k == 0 {
         return Ok(());
     }
-    let ops = gathered(matrix, order, x);
-    let rows = (0..active_n).map(|p| (p, order[p as usize] as usize));
-    strips(ops, rows, y.data_mut(), Finish::Fold, Dtype::F64);
+    let ops = Operands {
+        a: matrix,
+        x: x.data(),
+        k,
+    };
+    // Positions `0..active_n` in order, each into its vertex's row.
+    let rows = run_of(matrix, 0..active_n).map(|(entries, p)| (entries, order[p] as usize));
+    strips(
+        ops,
+        Some(order),
+        rows,
+        y.data_mut(),
+        Finish::Fold,
+        Dtype::F64,
+    );
     Ok(())
 }
 
@@ -127,7 +129,11 @@ pub fn fused_level_acc_parallel<T: Scalar>(
     if k == 0 {
         return Ok(());
     }
-    let ops = gathered(matrix, order, x);
+    let ops = Operands {
+        a: matrix,
+        x: x.data(),
+        k,
+    };
     let chunk_rows = rows_per_chunk.max(1);
     for_each_chunk(y.data_mut(), chunk_rows * k, |chunk, out| {
         // Output row `at` of this chunk is the vertex at position `p`.
@@ -136,7 +142,14 @@ pub fn fused_level_acc_parallel<T: Scalar>(
             .zip(0..)
             .filter(|&(&p, _)| p < active_n)
             .map(|(&p, at)| (p, at));
-        strips(ops, rows, out, Finish::Fold, Dtype::F64);
+        strips(
+            ops,
+            Some(order),
+            pairs_of(matrix, rows),
+            out,
+            Finish::Fold,
+            Dtype::F64,
+        );
     });
     Ok(())
 }

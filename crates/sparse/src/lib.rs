@@ -6,15 +6,16 @@
 //! * [`CooMatrix`] — a coordinate-format builder for sparse matrices,
 //! * [`CsrMatrix`] — compressed sparse row storage, multiplied by the
 //!   serial, pool-parallel and borrowed-slice SpMM entry points of
-//!   [`spmm`], all of them one register-blocked strip primitive,
+//!   [`spmm`], all of them one row walker (a one-sum loop at `k = 1`,
+//!   register-blocked strips above it),
 //! * [`DenseMatrix`] — row-major dense storage for the tall-skinny feature
 //!   matrices `X ∈ R^{n×k}` of the paper,
 //! * [`Permutation`] — vertex/row permutations `π` and the symmetric
 //!   reorderings `PᵀAP` used throughout the decomposition,
 //! * [`DeltaBuilder`] — the coalescing `ΔA` accumulator of the streaming
 //!   update layer, with [`ops::apply_delta`] folding a delta into a base,
-//! * fused active-prefix level kernels ([`kernel`]) — the same strip
-//!   primitive gathering through an arrangement: permute, band-multiply
+//! * fused active-prefix level kernels ([`kernel`]) — the same row
+//!   walker gathering through an arrangement: permute, band-multiply
 //!   and accumulate in one pass, generic over [`Scalar`] with a [`Dtype`]
 //!   selector for f32 half-bandwidth serving,
 //! * bandwidth and arrow-width measures ([`band`]).

@@ -4,35 +4,53 @@
 //! algorithms — the role played by cuSPARSE CSRMM in the original
 //! evaluation — and, on one rank, the serving path itself.
 //!
-//! # One inner loop
+//! # One row walker
 //!
 //! Every multiply in this crate — [`spmm`], [`spmm_acc`],
-//! [`spmm_parallel`], [`spmm_acc_dtype`], [`spmm_slices`] and the fused
-//! level kernels of [`crate::kernel`] — runs the same **strip
-//! primitive**. An output row of `k` columns is cut
-//! greedily into strips of 16, 8, 4 and 1 columns; for each strip the
-//! row's stored entries are walked once with the strip's sums held in a
-//! `[T; W]` that the compiler keeps in registers, and only the finished
-//! sums touch the output ([`Finish`]: overwrite it, continue from what it
-//! held, or fold into it with one addition). The `x` row of an entry is
-//! found directly or through a position→vertex map (the fused kernels'
-//! gather); products are exact or rounded through `f32` ([`Dtype`]).
+//! [`spmm_parallel`], [`spmm_acc_dtype`], [`spmm_slices`],
+//! [`spmm_slices_rows`] and the fused level kernels of [`crate::kernel`]
+//! — runs the same **row walker**. It is handed its rows as
+//! `(entry extent, output slot)` pairs from one of two sources:
+//!
+//! * a **contiguous run** of rows into consecutive slots — the plain
+//!   multiplies, each block of [`spmm_parallel`] and the run of
+//!   [`spmm_slices_rows`] — whose extents come from one pass over
+//!   `indptr`, each offset read once;
+//! * **explicit `(row, slot)` pairs** — the fused kernels, whose rows
+//!   scatter through a position→vertex map.
+//!
+//! At `k = 1` a row is one sum: a single accumulator walks the row's
+//! stored entries and the finished sum touches the output once. A wider
+//! row is cut greedily into strips of 16, 8, 4 and 1 columns; for each
+//! strip the row's entries are walked once with the strip's sums held in
+//! a `[T; W]` that the compiler keeps in registers. Either way only the
+//! finished sums touch the output ([`Finish`]: overwrite it, continue
+//! from what it held, or fold into it with one addition). The `x` row of
+//! an entry is its column index or found through a position→vertex map
+//! (the fused kernels' gather); products are exact or rounded through
+//! `f32` ([`Dtype`]). Whether there is a map, the finish and the product
+//! mode are properties of the call, fixed when it enters the walker:
+//! each combination is its own instantiation, so the loop over a row's
+//! entries tests none of them.
 //!
 //! # Why every result is bit-identical to the loop it replaced
 //!
 //! The loops this replaces did `out[j] += v · x[c][j]` entry by entry,
 //! loading and storing the output row each time. Per output *element* the
-//! strip performs the very same sequence — the same starting value, the
+//! walker performs the very same sequence — the same starting value, the
 //! same products in the same (column) order, one rounding per product and
-//! one per addition — it merely keeps the running sum in a register
-//! between entries. Elements never interact, so cutting a row into strips
-//! reorders nothing. No fused multiply-add is ever emitted (Rust does not
-//! contract `a + b · c`, and the AVX2 instantiation does not enable
-//! `fma`), and nothing is reassociated.
+//! one per addition, the same finish — it merely keeps the running sum in
+//! a register between entries. The `k = 1` loop is that sequence for the
+//! row's one element, and a strip is it for `W` elements side by side.
+//! Elements never interact, so cutting a row into strips, or where a
+//! row's extent and slot come from, reorders nothing. No fused
+//! multiply-add is ever emitted (Rust does not contract `a + b · c`, and
+//! the AVX2 instantiation does not enable `fma`), and nothing is
+//! reassociated.
 //!
 //! # What is selected at run time
 //!
-//! On x86-64 the strip body is compiled twice: once for the build's
+//! On x86-64 the walker is compiled twice: once for the build's
 //! baseline target and once under `#[target_feature(enable = "avx2")]`,
 //! where a 16-column strip is four 256-bit registers. Which one runs is
 //! decided per call by `is_x86_feature_detected!("avx2")` — from the CPU,
@@ -71,49 +89,110 @@ pub enum Finish {
 }
 
 /// The read-only side of a multiply: `a`, and the row-major `x` with `k`
-/// columns whose row for column index `c` is `c` itself or `gather[c]`.
+/// columns. A gather map, when `x` is read through one, is passed beside
+/// it.
 #[derive(Clone, Copy)]
 pub(crate) struct Operands<'a, T: Scalar> {
     pub a: &'a CsrMatrix<T>,
     pub x: &'a [T],
     pub k: usize,
-    pub gather: Option<&'a [u32]>,
+}
+
+/// One output row for the walker: the extent of its stored entries in
+/// `a`'s `indices` / `values`, and its slot — which `k`-element row of
+/// `y` it finishes into.
+pub(crate) type Row = (Range<usize>, usize);
+
+/// The rows `rows` of `a`, into consecutive slots from 0: one pass over
+/// `indptr`, each offset read once.
+pub(crate) fn run_of<T: Scalar>(
+    a: &CsrMatrix<T>,
+    rows: Range<u32>,
+) -> impl Iterator<Item = Row> + '_ {
+    a.indptr()[rows.start as usize..=rows.end as usize]
+        .windows(2)
+        .map(|w| w[0]..w[1])
+        .zip(0..)
+}
+
+/// Explicit `(row, slot)` pairs of `a`, in the caller's order.
+pub(crate) fn pairs_of<'a, T: Scalar>(
+    a: &'a CsrMatrix<T>,
+    pairs: impl Iterator<Item = (u32, usize)> + 'a,
+) -> impl Iterator<Item = Row> + 'a {
+    let indptr = a.indptr();
+    pairs.map(move |(r, at)| (indptr[r as usize]..indptr[r as usize + 1], at))
+}
+
+/// Where the `x` row of an entry with column index `c` is, fixed per
+/// instantiation of the walker: `c` itself, or `map[c]` for a gather map
+/// `map: &[u32]`.
+trait Gather: Copy {
+    fn row(self, c: u32) -> usize;
+}
+
+/// No gather map: an entry's `x` row is its column index.
+#[derive(Clone, Copy)]
+struct Direct;
+
+impl Gather for Direct {
+    #[inline(always)]
+    fn row(self, c: u32) -> usize {
+        c as usize
+    }
+}
+
+impl Gather for &[u32] {
+    #[inline(always)]
+    fn row(self, c: u32) -> usize {
+        self[c as usize] as usize
+    }
+}
+
+// `Finish` as a const parameter of the walker.
+const OVERWRITE: u8 = Finish::Overwrite as u8;
+const ACCUMULATE: u8 = Finish::Accumulate as u8;
+const FOLD: u8 = Finish::Fold as u8;
+
+/// `v · x`, exact or rounded through `f32` (then summed at `T`; a no-op
+/// narrowing when `T = f32`).
+#[inline(always)]
+fn product<T: Scalar, const NARROW: bool>(v: T, x: T) -> T {
+    if NARROW {
+        T::from_f64((v.to_f64() as f32 * x.to_f64() as f32) as f64)
+    } else {
+        v * x
+    }
 }
 
 /// One `W`-column strip of one output row: walks the row's entries once
 /// with the sums in `acc`, then finishes into `out[j0..j0 + W]`.
 #[inline(always)]
-fn strip<T: Scalar, const W: usize, const NARROW: bool>(
+fn strip<T: Scalar, G: Gather, const W: usize, const NARROW: bool, const FIN: u8>(
     ops: Operands<'_, T>,
+    gather: G,
     cols: &[u32],
     vals: &[T],
     j0: usize,
     out: &mut [T],
-    finish: Finish,
 ) {
     let out: &mut [T; W] = (&mut out[j0..j0 + W])
         .try_into()
         .expect("slice of W columns");
-    let mut acc = if finish == Finish::Accumulate {
+    let mut acc = if FIN == ACCUMULATE {
         *out
     } else {
         [T::ZERO; W]
     };
     for (&c, &v) in cols.iter().zip(vals) {
-        let row = ops.gather.map_or(c, |g| g[c as usize]) as usize;
-        let xs: &[T; W] = ops.x[row * ops.k + j0..][..W]
+        let xs: &[T; W] = ops.x[gather.row(c) * ops.k + j0..][..W]
             .try_into()
             .expect("slice of W columns");
         for j in 0..W {
-            acc[j] += if NARROW {
-                // f32 product, sum at T (a no-op narrowing when T = f32).
-                T::from_f64((v.to_f64() as f32 * xs[j].to_f64() as f32) as f64)
-            } else {
-                v * xs[j]
-            };
+            acc[j] += product::<T, NARROW>(v, xs[j]);
         }
     }
-    if finish == Finish::Fold {
+    if FIN == FOLD {
         for j in 0..W {
             out[j] += acc[j];
         }
@@ -122,56 +201,87 @@ fn strip<T: Scalar, const W: usize, const NARROW: bool>(
     }
 }
 
-/// The strip primitive: for every `(r, at)` of `rows`, row `r` of
-/// `A · X` finished into `y[at·k .. (at + 1)·k]`.
+/// The row walker: every row of `rows` of `A · X`, finished into its slot
+/// of `y` as `FIN` says. At `k = 1` a row is one sum; wider rows are cut
+/// greedily into strips of 16, 8, 4 and 1 columns.
 #[inline(always)]
-fn strip_rows<T: Scalar, const NARROW: bool>(
+fn walk<T: Scalar, G: Gather, const NARROW: bool, const FIN: u8>(
     ops: Operands<'_, T>,
-    rows: impl Iterator<Item = (u32, usize)>,
+    gather: G,
+    rows: impl Iterator<Item = Row>,
     y: &mut [T],
-    finish: Finish,
 ) {
-    let k = ops.k;
-    for (r, at) in rows {
-        let cols = ops.a.row_indices(r);
-        if cols.is_empty() && finish != Finish::Overwrite {
-            continue;
+    let (indices, values, k) = (ops.a.indices(), ops.a.values(), ops.k);
+    // An empty row leaves its slot as it is, except under `Overwrite`.
+    let rows = rows.filter(|(entries, _)| FIN == OVERWRITE || !entries.is_empty());
+    if k == 1 {
+        for (entries, at) in rows {
+            let out = &mut y[at];
+            let mut acc = if FIN == ACCUMULATE { *out } else { T::ZERO };
+            for (&c, &v) in indices[entries.clone()].iter().zip(&values[entries]) {
+                acc += product::<T, NARROW>(v, ops.x[gather.row(c)]);
+            }
+            *out = if FIN == FOLD { *out + acc } else { acc };
         }
-        let vals = ops.a.row_values(r);
-        let out = &mut y[at * k..(at + 1) * k];
+        return;
+    }
+    for (entries, at) in rows {
+        let (cols, vals) = (&indices[entries.clone()], &values[entries]);
+        let out = &mut y[at * k..][..k];
         let mut j = 0;
         while k - j >= 16 {
-            strip::<T, 16, NARROW>(ops, cols, vals, j, out, finish);
+            strip::<T, G, 16, NARROW, FIN>(ops, gather, cols, vals, j, out);
             j += 16;
         }
         if k - j >= 8 {
-            strip::<T, 8, NARROW>(ops, cols, vals, j, out, finish);
+            strip::<T, G, 8, NARROW, FIN>(ops, gather, cols, vals, j, out);
             j += 8;
         }
         if k - j >= 4 {
-            strip::<T, 4, NARROW>(ops, cols, vals, j, out, finish);
+            strip::<T, G, 4, NARROW, FIN>(ops, gather, cols, vals, j, out);
             j += 4;
         }
         while j < k {
-            strip::<T, 1, NARROW>(ops, cols, vals, j, out, finish);
+            strip::<T, G, 1, NARROW, FIN>(ops, gather, cols, vals, j, out);
             j += 1;
         }
     }
 }
 
-/// [`strip_rows`] compiled for the build's baseline target — the only
-/// body outside x86-64. `Dtype::F32` rounds each product through `f32`.
+/// [`walk`] instantiated for this call's finish and product mode.
 #[inline(always)]
-fn strips_portable<T: Scalar>(
+fn walk_as<T: Scalar, G: Gather>(
     ops: Operands<'_, T>,
-    rows: impl Iterator<Item = (u32, usize)>,
+    gather: G,
+    rows: impl Iterator<Item = Row>,
     y: &mut [T],
     finish: Finish,
     dtype: Dtype,
 ) {
-    match dtype {
-        Dtype::F64 => strip_rows::<T, false>(ops, rows, y, finish),
-        Dtype::F32 => strip_rows::<T, true>(ops, rows, y, finish),
+    match (dtype, finish) {
+        (Dtype::F64, Finish::Overwrite) => walk::<T, G, false, OVERWRITE>(ops, gather, rows, y),
+        (Dtype::F64, Finish::Accumulate) => walk::<T, G, false, ACCUMULATE>(ops, gather, rows, y),
+        (Dtype::F64, Finish::Fold) => walk::<T, G, false, FOLD>(ops, gather, rows, y),
+        (Dtype::F32, Finish::Overwrite) => walk::<T, G, true, OVERWRITE>(ops, gather, rows, y),
+        (Dtype::F32, Finish::Accumulate) => walk::<T, G, true, ACCUMULATE>(ops, gather, rows, y),
+        (Dtype::F32, Finish::Fold) => walk::<T, G, true, FOLD>(ops, gather, rows, y),
+    }
+}
+
+/// The walker compiled for the build's baseline target — the only body
+/// outside x86-64. `Dtype::F32` rounds each product through `f32`.
+#[inline(always)]
+fn strips_portable<T: Scalar>(
+    ops: Operands<'_, T>,
+    gather: Option<&[u32]>,
+    rows: impl Iterator<Item = Row>,
+    y: &mut [T],
+    finish: Finish,
+    dtype: Dtype,
+) {
+    match gather {
+        None => walk_as(ops, Direct, rows, y, finish, dtype),
+        Some(map) => walk_as(ops, map, rows, y, finish, dtype),
     }
 }
 
@@ -184,20 +294,23 @@ fn strips_portable<T: Scalar>(
 #[target_feature(enable = "avx2")]
 unsafe fn strips_avx2<T: Scalar>(
     ops: Operands<'_, T>,
-    rows: impl Iterator<Item = (u32, usize)>,
+    gather: Option<&[u32]>,
+    rows: impl Iterator<Item = Row>,
     y: &mut [T],
     finish: Finish,
     dtype: Dtype,
 ) {
-    strips_portable(ops, rows, y, finish, dtype)
+    strips_portable(ops, gather, rows, y, finish, dtype)
 }
 
-/// The strip primitive on the widest body this CPU runs (see the
-/// [module docs](self)). Shapes are the caller's to have checked; a
-/// wrong one panics on a slice bound.
+/// The walker on the widest body this CPU runs (see the
+/// [module docs](self)), for every row of `rows`; an entry's `x` row is
+/// read through `gather` when a map is given. Shapes are the caller's to
+/// have checked; a wrong one panics on a slice bound.
 pub(crate) fn strips<T: Scalar>(
     ops: Operands<'_, T>,
-    rows: impl Iterator<Item = (u32, usize)>,
+    gather: Option<&[u32]>,
+    rows: impl Iterator<Item = Row>,
     y: &mut [T],
     finish: Finish,
     dtype: Dtype,
@@ -205,9 +318,9 @@ pub(crate) fn strips<T: Scalar>(
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `avx2` was detected on this CPU on the line above.
-        return unsafe { strips_avx2(ops, rows, y, finish, dtype) };
+        return unsafe { strips_avx2(ops, gather, rows, y, finish, dtype) };
     }
-    strips_portable(ops, rows, y, finish, dtype)
+    strips_portable(ops, gather, rows, y, finish, dtype)
 }
 
 /// Rows `first..` of `A · X` into the whole output rows `y`.
@@ -223,14 +336,9 @@ fn fill_rows<T: Scalar>(
     if k == 0 {
         return;
     }
-    let ops = Operands {
-        a,
-        x: x.data(),
-        k,
-        gather: None,
-    };
-    let rows = (first..).zip(0..y.len() / k);
-    strips(ops, rows, y, finish, dtype);
+    let ops = Operands { a, x: x.data(), k };
+    let rows = run_of(a, first..first + (y.len() / k) as u32);
+    strips(ops, None, rows, y, finish, dtype);
 }
 
 /// Serial `Y = A · X` for CSR `A` and dense `X`.
@@ -274,7 +382,7 @@ pub fn spmm_slices<T: Scalar>(
     dtype: Dtype,
 ) -> SparseResult<()> {
     let ops = check_slices(a, x, k, gather, y, a.rows())?;
-    strips(ops, (0..a.rows()).zip(0..), y, finish, dtype);
+    strips(ops, gather, run_of(a, 0..a.rows()), y, finish, dtype);
     Ok(())
 }
 
@@ -299,11 +407,11 @@ pub fn spmm_slices_rows<T: Scalar>(
         });
     }
     let ops = check_slices(a, x, k, None, y, rows.end - rows.start)?;
-    strips(ops, rows.zip(0..), y, finish, dtype);
+    strips(ops, None, run_of(a, rows), y, finish, dtype);
     Ok(())
 }
 
-/// [`spmm_slices`] on the portable strip body whatever the CPU offers:
+/// [`spmm_slices`] on the portable walker whatever the CPU offers:
 /// what every non-x86 build runs, callable everywhere so the two bodies
 /// can be compared on one host.
 pub fn spmm_slices_portable<T: Scalar>(
@@ -316,7 +424,7 @@ pub fn spmm_slices_portable<T: Scalar>(
     dtype: Dtype,
 ) -> SparseResult<()> {
     let ops = check_slices(a, x, k, gather, y, a.rows())?;
-    strips_portable(ops, (0..a.rows()).zip(0..), y, finish, dtype);
+    strips_portable(ops, gather, run_of(a, 0..a.rows()), y, finish, dtype);
     Ok(())
 }
 
@@ -347,38 +455,35 @@ fn check_slices<'a, T: Scalar>(
             right: (y.len().checked_div(kk).unwrap_or(0) as u32, k),
         });
     }
-    Ok(Operands {
-        a,
-        x,
-        k: kk,
-        gather,
-    })
+    Ok(Operands { a, x, k: kk })
 }
 
 /// Steps of serial work below which [`spmm_parallel`] stays on the
 /// calling thread, in the unit of [`spmm_work`].
 ///
-/// Re-derived for the strip kernel from a sweep over R-MAT scale 8–14 ×
-/// `k` ∈ {1, 4, 8, 16, 64} on the 2-core reference host: the serial side
-/// spends 0.10–0.16 ns per step while its operands stay in cache (0.2 and
-/// more once a `k = 64` operand spills) — less than half of the 0.4 ns of
-/// the loop it replaced — and handing row blocks to the pool and joining
-/// costs 6–15 µs more than not doing so (2 600 entries, `k = 1`: 2.7 µs
-/// serial, 8.3 µs through the pool). `2¹⁸` steps are ≈ 35 µs of serial
-/// work, which is where two threads now break even (230 k steps: 1.01×,
-/// 290 k: 0.81×, 307 k: 1.07×); they reach 1.1–1.4× between `2¹⁹` and
-/// `2²⁰` (483 k: 1.10×, 644 k: 1.33×, 859 k: 1.39×) and 1.7–1.9× from
-/// 2 M steps on. Below the constant the pool loses outright (109 k:
-/// 0.84×, 51 k: 0.43×), which is the case it exists to exclude.
+/// Re-measured for the row walker (two sweeps over R-MAT scale 8–14 ×
+/// `k` ∈ {1, 4, 8, 16, 64} on the 2-core reference host, pool = 8 row
+/// blocks through [`for_each_part`]): the serial side spends 0.10–0.17
+/// ns per step while its operands stay in cache (0.2–0.38 once a `k = 64`
+/// operand spills). Below ≈ 1.3·10⁵ steps the pool loses outright (22 k
+/// steps: 0.45–0.59×, 50 k: 0.59–0.94×, 89 k: 0.59–0.68×, 107 k:
+/// 0.73–0.94×), which is the case the constant exists to exclude; between
+/// there and ≈ 3·10⁵ two threads break even (134 k: 0.75–1.12×, 191 k:
+/// 0.86–1.10×, 229 k: 0.98–1.46×, 305 k: 0.80–1.00×); from 4·10⁵ they
+/// mostly win (401 k: 1.35–1.38×, 480 k: 1.06–1.81×, 611 k: 1.09–1.43×)
+/// and reach 1.2–2.4× from 2 M steps on. `2¹⁸` steps are ≈ 30 µs of
+/// serial work, inside the break-even band.
 pub const PARALLEL_MIN_WORK: usize = 1 << 18;
 
 /// Serial cost of `A · X` for a `k`-column operand in kernel steps: every
 /// stored entry costs its `k` multiply-adds plus about 8 steps of walking
 /// to it (index load, `x` row lookup, the serial dependency of its sum)
 /// — the fixed part is why a `k = 1` multiply is far slower per flop than
-/// a `k = 64` one. Measured per entry on cache-resident operands: 1.1–1.3
-/// ns at `k = 1`, 2.4–3.0 ns at `k = 16`, 11–13 ns at `k = 64`; `k + 8`
-/// sits between the slope of the narrow widths and that of the wide one.
+/// a `k = 64` one. Measured per entry on the row walker with
+/// cache-resident operands: 0.92–1.0 ns at `k = 1` (1.2–1.7 once R-MAT
+/// 13–14's `x` spills), 2.3–3.7 ns at `k = 16`, 10–15 ns at `k = 64`;
+/// `k + 8` sits between the slope of the narrow widths and that of the
+/// wide one.
 pub fn spmm_work(a: &CsrMatrix<f64>, k: u32) -> usize {
     a.nnz().saturating_mul(k as usize + 8)
 }

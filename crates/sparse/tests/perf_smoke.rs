@@ -1,8 +1,11 @@
 //! Timing gates for the sparse substrate (ignored by default; run in
 //! release mode with
-//! `cargo test --release -p amd-sparse --test perf_smoke -- --ignored perf_smoke`).
+//! `cargo test --release -p amd-sparse --test perf_smoke -- --ignored perf_smoke
+//! --test-threads=1`: two gates timed at once on a small host disturb
+//! each other).
 
-use amd_sparse::CsrMatrix;
+use amd_sparse::spmm::{self, Finish};
+use amd_sparse::{CsrMatrix, Dtype};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -76,5 +79,97 @@ fn perf_smoke_fingerprint() {
         "fingerprint ({:.3} ms) must stay within 3x a plain read ({:.3} ms), took {ratio:.2}x",
         hash_secs * 1e3,
         read_secs * 1e3,
+    );
+}
+
+/// Median wall times of five runs each of `a` and `b`, taken in
+/// alternation after one warm-up run of each, so that both see the same
+/// phases of a shared host.
+fn medians_of_5_alternating(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    a();
+    b();
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    };
+    let (mut ta, mut tb): (Vec<f64>, Vec<f64>) =
+        (0..5).map(|_| (time(&mut a), time(&mut b))).unzip();
+    ta.sort_by(f64::total_cmp);
+    tb.sort_by(f64::total_cmp);
+    (ta[2], tb[2])
+}
+
+/// A plain one-accumulator CSR × vector loop: what a `k = 1` multiply
+/// costs with nothing but the arithmetic, summed in the same order.
+fn plain_spmv(a: &CsrMatrix<f64>, x: &[f64], y: &mut [f64]) {
+    let (indices, values) = (a.indices(), a.values());
+    for (out, w) in y.iter_mut().zip(a.indptr().windows(2)) {
+        let mut sum = 0.0;
+        for i in w[0]..w[1] {
+            sum += values[i] * x[indices[i] as usize];
+        }
+        *out = sum;
+    }
+}
+
+/// A one-column multiply through `spmm_slices` must take at most 1.3×
+/// the plain loop above on the 160 × 160 grid (25 600 rows of at most 4
+/// entries, the shape where per-row overhead shows most). A ratio, so
+/// the pace of the host cancels.
+#[test]
+#[ignore = "perf smoke: release-mode timing gate, run explicitly in CI"]
+fn perf_smoke_spmv() {
+    let side = 160u32;
+    let n = side * side;
+    let mut indptr = vec![0usize];
+    let mut indices = Vec::new();
+    for v in 0..n {
+        let (r, c) = (v / side, v % side);
+        // Neighbours in ascending column order: up, left, right, down.
+        let up = (r > 0).then(|| v - side);
+        let left = (c > 0).then(|| v - 1);
+        let right = (c + 1 < side).then_some(v + 1);
+        let down = (r + 1 < side).then_some(v + side);
+        indices.extend([up, left, right, down].into_iter().flatten());
+        indptr.push(indices.len());
+    }
+    let values: Vec<f64> = (0..indices.len())
+        .map(|i| (i % 7) as f64 * 0.31 - 0.9)
+        .collect();
+    let a = CsrMatrix::from_raw(n, n, indptr, indices, values).unwrap();
+    let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64 / 3.0 - 1.7).collect();
+
+    let mut want = vec![0.0; n as usize];
+    let mut got = vec![f64::NAN; n as usize];
+    let (plain_secs, kernel_secs) = medians_of_5_alternating(
+        || plain_spmv(black_box(&a), black_box(&x), &mut want),
+        || {
+            spmm::spmm_slices(
+                black_box(&a),
+                black_box(&x),
+                1,
+                None,
+                &mut got,
+                Finish::Overwrite,
+                Dtype::F64,
+            )
+            .unwrap()
+        },
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got), bits(&want), "same sums, same order");
+    let ratio = kernel_secs / plain_secs;
+    println!(
+        "perf_smoke: grid{side} nnz={} plain={:.1} µs spmm_slices={:.1} µs ratio={ratio:.2}x",
+        a.nnz(),
+        plain_secs * 1e6,
+        kernel_secs * 1e6,
+    );
+    assert!(
+        ratio <= 1.3,
+        "spmm_slices at k = 1 ({:.1} µs) must stay within 1.3x a plain loop ({:.1} µs), took {ratio:.2}x",
+        kernel_secs * 1e6,
+        plain_secs * 1e6,
     );
 }

@@ -564,3 +564,56 @@ proptest! {
         check_strips(&a32, &map, |v| v.iter().map(|x| u64::from(x.to_bits())).collect())?;
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `spmm_parallel` on a matrix above `PARALLEL_MIN_WORK`, so that
+    /// with two or more pool workers its row blocks start mid-matrix,
+    /// against the one-element-at-a-time reference — not against the
+    /// serial entry, which runs the same walker. Run at
+    /// `AMD_EXEC_THREADS=1` and `2` (the serial fall-through and real
+    /// dispatch).
+    #[test]
+    fn parallel_blocks_bit_match_the_scalar_reference(
+        (rows, seed) in (900u32..1400, any::<u64>())
+    ) {
+        use rand::prelude::*;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        // An odd number of fourteenths: non-integer, so never `-0.0`.
+        let value =
+            |rng: &mut rand_chacha::ChaCha8Rng| (rng.gen_range(0..4000) as f64 + 0.5) / 7.0 - 285.0;
+        let cols = rows + 37;
+        let mut indptr = vec![0usize];
+        let mut indices = Vec::new();
+        for r in 0..rows {
+            // Every eighth row is empty; the others hold up to 100 entries.
+            let count = if r % 8 == 5 { 0 } else { rng.gen_range(0..=100) };
+            let mut row: Vec<u32> = (0..count).map(|_| rng.gen_range(0..cols)).collect();
+            row.sort_unstable();
+            row.dedup();
+            indices.extend(row);
+            indptr.push(indices.len());
+        }
+        let values: Vec<f64> = (0..indices.len()).map(|_| value(&mut rng)).collect();
+        let a = CsrMatrix::from_raw(rows, cols, indptr, indices, values).unwrap();
+        for k in [1u32, 3, 4, 8, 16, 17, 64] {
+            let work = spmm::spmm_work(&a, k);
+            prop_assert!(work >= spmm::PARALLEL_MIN_WORK, "k={} work={}", k, work);
+            if amd_exec::requested_threads() > 1 {
+                prop_assert!(spmm::part_count(work, spmm::PARALLEL_MIN_WORK) > 1);
+            }
+            let x = DenseMatrix::from_fn(cols, k, |_, _| value(&mut rng));
+            for dtype in [Dtype::F64, Dtype::F32] {
+                let mut want = vec![0.0; rows as usize * k as usize];
+                let overwrite = spmm::Finish::Overwrite;
+                strip_reference(&a, x.data(), k as usize, None, &mut want, overwrite, dtype);
+                // Whatever the output held is overwritten.
+                let mut got = DenseMatrix::from_fn(rows, k, |_, _| value(&mut rng));
+                spmm::spmm_parallel(&a, &x, &mut got, dtype).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(got.data()), bits(&want), "k={} {}", k, dtype);
+            }
+        }
+    }
+}
