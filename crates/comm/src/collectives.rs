@@ -617,7 +617,7 @@ fn add_into(acc: &mut [f64], other: &[f64]) {
 /// own — with slot 0 standing for the root's sum of children, so the
 /// result is bit for bit what the tree's root adds to its own. A row a
 /// member does not hold enters as the `+0.0` its vector has there. The
-/// arrow multiply's direct feed folds with it too.
+/// arrow multiply's placed feeds fold with it too.
 pub fn fold_nonroots(pieces: &[&[f64]], p: usize) -> Vec<f64> {
     assert_eq!(pieces.len() + 1, p, "one piece per non-root");
     assert!(p >= 2, "no non-root to fold");
@@ -660,22 +660,17 @@ struct Held<T> {
     value: Option<T>,
     /// The member's own buffer.
     own: Option<Arc<Vec<f64>>>,
-    /// A route's rows from `split` on, which live in `tail`.
-    tail: Vec<f64>,
-    split: usize,
     /// Received pieces waiting for the fold, by slot.
     pieces: Vec<Option<SharedRows>>,
     carry: Vec<f64>,
 }
 
 impl<T> Held<T> {
-    fn new(value: Option<T>, own: Option<Arc<Vec<f64>>>, split: usize) -> Self {
-        let (tail, pieces, carry) = (Vec::new(), Vec::new(), Vec::new());
+    fn new(value: Option<T>, own: Option<Arc<Vec<f64>>>) -> Self {
+        let (pieces, carry) = (Vec::new(), Vec::new());
         Self {
             value,
             own,
-            tail,
-            split,
             pieces,
             carry,
         }
@@ -717,12 +712,6 @@ impl<T> Held<T> {
             .map(|p| p.as_ref().map_or(empty, |v| &v.buf[v.head.clone()]))
             .collect();
         fold_nonroots(&rows, rows.len() + 1)
-    }
-
-    /// Where row `r` of a `stride`-wide route buffer lives.
-    fn at(&self, r: usize, stride: usize) -> (bool, Range<usize>) {
-        let (tail, r) = r.checked_sub(self.split).map_or((false, r), |r| (true, r));
-        (tail, r * stride..(r + 1) * stride)
     }
 }
 
@@ -892,12 +881,8 @@ impl Group {
                     let list = &plan.lists[*l as usize];
                     let mut packed = Vec::with_capacity(list.len() * stride);
                     for &r in list {
-                        let (tail, at) = held.at(r as usize, stride);
-                        packed.extend_from_slice(if tail {
-                            &held.tail[at]
-                        } else {
-                            &held.own()[at]
-                        });
+                        let r = r as usize * stride;
+                        packed.extend_from_slice(&held.own()[r..r + stride]);
                     }
                     ctx.send(peer, tag, packed);
                 }
@@ -924,10 +909,9 @@ impl Group {
                     if held.own.is_none() {
                         held.own = Some(Arc::new(vec![0.0; plan.rows * stride]));
                     }
+                    let own = held.own_mut();
                     for (r, row) in rows {
-                        let (tail, at) = held.at(r, stride);
-                        let buf = if tail { &mut held.tail } else { held.own_mut() };
-                        buf[at].copy_from_slice(row);
+                        own[r * stride..(r + 1) * stride].copy_from_slice(row);
                     }
                 }
                 (dir, rows, buf) => unreachable!("no plan takes {dir:?} {rows:?} {buf:?}"),
@@ -948,7 +932,7 @@ impl Group {
         let value = (vr == 0).then(|| data.expect("broadcast root must supply the data"));
         let plan = Plan::bare(Op::Broadcast, Some(Schedule::Tree), 0);
         let steps = tree_steps(Op::Broadcast, vr, self.size());
-        let held = Held::new(value, None, 0);
+        let held = Held::new(value, None);
         let held = self.exec(ctx, None, root_idx, &plan, &steps, None, 0, held);
         held.value
             .expect("every member obtains the broadcast value")
@@ -974,7 +958,7 @@ impl Group {
         );
         let vr = self.vr(root_idx);
         let own = (vr == 0).then(|| data.expect("broadcast root must supply the data"));
-        let held = Held::new(own.clone(), own, plan.rows);
+        let held = Held::new(own.clone(), own);
         let held = self.exec(
             ctx,
             None,
@@ -1032,7 +1016,7 @@ impl Group {
         steps: &[Step],
         stride: usize,
     ) -> Option<Vec<f64>> {
-        let held = Held::<()>::new(None, Some(Arc::new(data)), plan.rows);
+        let held = Held::<()>::new(None, Some(Arc::new(data)));
         let mut held = self.exec(ctx, None, root_idx, plan, steps, None, stride, held);
         if self.vr(root_idx) != 0 {
             return None;
@@ -1086,7 +1070,7 @@ impl Group {
             "payload length {len} is not a multiple of the stride {stride}"
         );
         assert_eq!(plan.rows * stride, len, "ring shape mismatch");
-        let held = Held::<()>::new(None, Some(Arc::new(data)), plan.rows);
+        let held = Held::<()>::new(None, Some(Arc::new(data)));
         let steps = &plan.steps[self.my_idx];
         self.exec(ctx, None, 0, plan, steps, None, stride, held)
             .take_own()
@@ -1094,24 +1078,21 @@ impl Group {
 
     /// Runs this member's steps of direction `dir` of a [`Plan::routes`]
     /// over the whole machine (`self` is [`Group::world`]) with `tag`, on
-    /// `stride`-wide rows: a send packs rows of `head` (row `r` below its
-    /// height) and of `tail` (the rows after), a receive puts them there.
+    /// the `stride`-wide rows of `buf`: a send packs them, a receive puts
+    /// them there.
     pub fn exchange(
         &self,
         ctx: &mut RankCtx,
         tag: u64,
         plan: &Plan,
         dir: Dir,
-        (head, tail): (&mut Vec<f64>, &mut Vec<f64>),
+        buf: &mut Vec<f64>,
         stride: usize,
     ) {
         self.check_plan(plan);
-        let split = head.len().checked_div(stride).unwrap_or(0);
-        let mut held = Held::<()>::new(None, Some(Arc::new(std::mem::take(head))), split);
-        held.tail = std::mem::take(tail);
+        let held = Held::<()>::new(None, Some(Arc::new(std::mem::take(buf))));
         let steps = &plan.steps[self.my_idx];
-        let mut held = self.exec(ctx, Some(tag), 0, plan, steps, Some(dir), stride, held);
-        (*head, *tail) = (held.take_own(), held.tail);
+        *buf = (self.exec(ctx, Some(tag), 0, plan, steps, Some(dir), stride, held)).take_own();
     }
 }
 

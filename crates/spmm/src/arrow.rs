@@ -6,16 +6,15 @@
 //! `B(i,0)`, `B(i,i)`, the feature block `D(i)` (Figure 2) and a run of
 //! rows of the hub tile `B(0,0)`. One multiply iteration:
 //!
-//! 1. **Forward propagation** (Algorithm 2): each rank of a level `t ≥ 1`
-//!    receives its rows point to point from the ranks that *hold* them —
-//!    its block `D(i)`, and under the direct feed also the rows of `D(0)`
-//!    it reads. Under the gather feed the deeper ranks sit out, and each
-//!    level-0 rank receives instead the rows of `X` that the deeper rows
-//!    it holds read ([below](#who-feeds-a-deeper-level)).
-//! 2. **Arrow multiply** (Algorithm 1): broadcast `D(0)` within the level,
-//!    reduce the row-arm partials to the level's rank 0, and compute
-//!    `C(i) = B(i,0)·D(0) + B(i,i)·D(i)`. A directly fed level runs the
-//!    same multiplies with no collective. Rank `i` reads only the rows
+//! 1. **Forward propagation** (Algorithm 2): every rank receives the rows
+//!    of `X` it multiplies with point to point, from the ranks that hold
+//!    them ([below](#who-feeds-a-deeper-level)). A level-0 rank sends its
+//!    rows before its own multiply and receives after it; a deeper rank
+//!    receives, then passes rows on.
+//! 2. **Arrow multiply** (Algorithm 1), on level 0 and, relayed, on every
+//!    level: broadcast `D(0)` within the level, reduce the row-arm partials
+//!    to the level's rank 0, and compute `C(i) = B(i,0)·D(0) + B(i,i)·D(i)`.
+//!    Rank `i` reads only the rows
 //!    `Sᵢ = colsupp B(i,0) ∪ colsupp B(0,0)[runᵢ]` of `D(0)` and its
 //!    partial is non-zero only on `Rᵢ = rowsupp B(0,i) ∪ rowsupp
 //!    B(0,0)[runᵢ]` ([`ArrowSpmm::supports`]), and the collectives pick a
@@ -38,43 +37,54 @@
 //!    The rule reads entry counts only — not `k`, the cost model or the
 //!    dtype — so a row of `C(0)` is summed in one association whatever
 //!    the operand width, which the engine's batching relies on.
-//! 3. **Backward aggregation** (Algorithm 2): each rank of a level `t ≥ 1`
-//!    returns its rows to their holders, which add them into their blocks
-//!    (under the direct feed the partials of `D(0)` too, summed there),
-//!    leaving `Y` on level 0 laid out like `X` (§6.1), so iterations chain.
-//!    Gathered, a level-0 rank multiplies the deeper rows it holds after
-//!    its own level's multiply and adds them in the same way, with nothing
-//!    to return.
+//! 3. **Backward aggregation** (Algorithm 2): every row of a deeper level
+//!    is completed and returned to where the row it adds into is
+//!    completed, leaving `Y` on level 0 laid out like `X` (§6.1), so
+//!    iterations chain.
 //!
 //! # Who feeds a deeper level
 //!
-//! A row's holder is the deepest earlier level where its vertex is active
-//! (`plan_routes`). There are three feeds, and answers are bit for bit
-//! the same whichever runs: every row is summed in the association the
-//! relay gives it, `Y[v] = C₀[v] + (C₁[v] + (C₂[v] + …))`, and a row of a
-//! deeper level's `D(0)` is folded from its members' partials in the
-//! root-last order every reduce sums in ([`fold_nonroots`], `Fold`), a
-//! member that has no part entering as a literal `+0.0`.
+//! [`Feed::Relay`] is Algorithm 1 as written (`plan_relay`): every level
+//! runs the collectives, a deeper level's ranks receive their blocks from
+//! the ranks that hold their rows and return `C(i)` there, and its root
+//! broadcasts `D(0)` and gathers the partials. On grid160 at `k = 16` that
+//! makes a level-1 root the busiest rank (669 440 B).
 //!
-//! - [`Feed::Relay`], Algorithm 1 as written: a deeper level's root
-//!   receives all of `D(0)`, broadcasts it, and returns `C(0)` after the
-//!   reduce. On grid160 at `k = 16` that makes a level-1 root the busiest
-//!   rank (669 440 B).
-//! - [`Feed::Direct`]: no deeper level runs a collective. Each rank
-//!   receives exactly the rows it reads from their holders and returns its
-//!   rows there, and a holder completes each row of the level's `D(0)` it
-//!   holds. Every block still makes a round trip: on grid160 a level-1
-//!   non-root is the busiest rank (574 464 B in 30 messages), 409 600 B of
-//!   it its own block's.
-//! - [`Feed::Gather`]: no deeper rank moves or multiplies anything. Each
-//!   row of a deeper level is multiplied on the level-0 rank that holds
-//!   its vertex (`plan_gather`), from the rows of `X` one exchange
-//!   brings there — each once per rank, however many levels read it —
-//!   with the same kernels, so `f32` products round as they do on the
-//!   deeper ranks. A rank sends its rows before its level-0 multiply and
-//!   receives after it. A row is co-located, not a block: a deeper
-//!   block's rows are spread over the level-0 ranks. On grid160 the
-//!   busiest rank falls to 95 360 B in 16 messages.
+//! The other two feeds are one rule over a **placement map**
+//! (`plan_placed`). A deeper level's *product rows* are its block rows —
+//! the column tile's entries, then the diagonal tile's — and each member's
+//! piece of each row of its `D(0)` — the row-arm tile's entries, then the
+//! hub run's. The map sends every product row to a rank, and the rest
+//! follows from it:
+//!
+//! - A rank holds the `X` row of every block row placed on it. If the row
+//!   is not already there, the rank fetches it from the rank that holds
+//!   the vertex at the row's direct home (`homes`).
+//! - A rank fetches every other `X` row its products read once per vertex,
+//!   from the rank that holds it.
+//! - A result goes where its relay parent is completed: the parent row's
+//!   rank, or, for a row of `D(0)`, the fold at the rank that holds its
+//!   `X` row. Folds run deepest level first.
+//!
+//! The two maps:
+//!
+//! - [`Feed::Direct`] places each row on its own level's rank, member `i`'s
+//!   piece on member `i`. No deeper level runs a collective, but every
+//!   block makes a round trip: on grid160 a level-1 non-root is the
+//!   busiest rank (574 464 B in 30 messages), 409 600 B of it its own
+//!   block's.
+//! - [`Feed::Gather`] places each row on the level-0 rank that holds its
+//!   vertex, so no deeper rank moves or multiplies anything, and a deeper
+//!   block's rows spread over level 0. On grid160 the busiest rank falls
+//!   to 95 360 B in 16 messages.
+//!
+//! Answers are bit for bit the same whichever feed runs. Every row is
+//! summed in the association the relay gives it,
+//! `Y[v] = C₀[v] + (C₁[v] + (C₂[v] + …))`. A product row sums from `+0.0`
+//! in its tiles' order with the same kernels, so `f32` products round as
+//! the relay's do. A row of a deeper `D(0)` is folded from its members'
+//! pieces in the root-last order every reduce sums in ([`fold_nonroots`],
+//! `Fold`), a member that has no piece entering as a literal `+0.0`.
 //!
 //! Routes and collectives are one kind of step list: `ArrowSpmm::new`
 //! builds every level's candidate collective plans and the three feeds'
@@ -106,30 +116,25 @@ pub enum Feed {
     /// Algorithm 1 as the paper has it: a deeper level's root receives all
     /// of `D(0)`, broadcasts it, and gathers the partials back.
     Relay,
-    /// A deeper level's ranks receive the rows they read from the ranks
-    /// that hold them and return their rows there, with no collective.
+    /// Every product row of a deeper level is multiplied on its own
+    /// level's rank, with no collective.
     Direct,
-    /// No deeper level's rank moves or multiplies anything: every deeper
-    /// row is multiplied on the level-0 rank that holds its vertex, from
-    /// the rows of `X` gathered there.
+    /// Every product row of a deeper level is multiplied on the level-0
+    /// rank that holds its vertex.
     Gather,
 }
 
 /// The feeds in the order [`ArrowSpmm::feed`] weighs them.
 const FEEDS: [Feed; 3] = [Feed::Relay, Feed::Direct, Feed::Gather];
 
-/// One feed's point-to-point steps — forward the rows each rank reads,
-/// backward the rows it returns — and how each rank completes its block
-/// from what deeper levels return.
-///
-/// A rank names its rows in one index space: with `h` its block's height,
-/// row `r < h` is row `r` of its block — of `D(i)` forward, of `C(i)`
-/// backward — and `h + r` is row `r` of `D(0)` forward and of its partial
-/// backward, which only a non-root of a directly fed level moves. A
-/// directly fed root's block *is* `D(0)`, and what it returns is its
-/// partial. A received backward row lands in an inbox slot. The gather
-/// feed moves only forward, level 0 to level 0: row `h + r` is row `r` of
-/// what the receiver gathers ([`Products`]).
+/// One feed's point-to-point steps — forward the rows of `X` each rank
+/// fetches, backward the rows it returns — and every rank's part in them
+/// ([module docs](self#who-feeds-a-deeper-level)). Relayed, a rank's
+/// operand and its result are its level's blocks. Placed, one rule
+/// derives them from a map of every deeper product row to a rank — the
+/// row's own level rank (Direct) or the level-0 rank that holds its
+/// vertex (Gather): a rank fetches the `X` rows its products read, once
+/// per vertex, and a result goes where its relay parent is completed.
 struct Routes {
     fwd: Plan,
     bwd: Plan,
@@ -137,45 +142,40 @@ struct Routes {
     ranks: Vec<RankPlan>,
 }
 
-/// How one rank completes its block from its inbox.
-#[derive(Debug, Clone, Default)]
+/// One rank's part of a feed: its operand, the product rows its feed's
+/// map placed on it, which it multiplies into its inbox, and how it
+/// completes rows from the inbox.
+#[derive(Debug, Clone)]
 struct RankPlan {
-    /// Inbox height: the folds' rows first, then the received ones — or,
-    /// gathered, one slot per row of the products.
-    slots: u32,
+    /// Operand height: the rank's block of `X` (level 0) or of `D`
+    /// (relayed), then the rows the forward exchange brings it.
+    height: u32,
+    /// One row per inbox slot. A product row placed here reads operand
+    /// row `gather[e]` at its entry `e`, each entry a column of its own so
+    /// the row keeps its tiles' order. A slot without entries holds a row
+    /// that is received or folded.
+    products: CsrMatrix<f64>,
+    gather: Vec<u32>,
     /// The rows of deeper levels this rank completes, deepest level
     /// first.
     folds: Vec<Fold>,
-    /// `(row, slot)`: row `row` of the block gains inbox slot `slot`.
+    /// `(row, slot)`: row `row` of the rank's block gains inbox slot
+    /// `slot`.
     adds: Vec<(u32, u32)>,
-    /// Under the gather feed, the deeper rows a level-0 rank multiplies.
-    products: Option<Products>,
 }
 
-/// The deeper levels' rows a level-0 rank multiplies under the gather
-/// feed ([`plan_gather`]): row `s` of `rows` fills inbox slot `s`, and its
-/// entry `e` reads row `gather[e]` of the operand — the rank's block of
-/// `X`, then the rows the exchange brings it, `height` rows in all. Each
-/// entry is a column of its own, so a row keeps its tiles' order.
-#[derive(Debug, Clone)]
-struct Products {
-    rows: CsrMatrix<f64>,
-    gather: Vec<u32>,
-    height: u32,
-}
-
-/// The rows of one deeper level that a holder completes: for its
-/// `D(0)` rows the reduction the level's root would have summed, then
-/// for every row what deeper levels return for it — the relay's
-/// association, row by row.
+/// The rows of one deeper level that a rank completes: for its `D(0)`
+/// rows the reduction the level's root would have summed, then for every
+/// row what deeper levels return for it — the relay's association, row by
+/// row.
 #[derive(Debug, Clone)]
 struct Fold {
     level: usize,
     /// Ranks of the level.
     members: u32,
-    /// The inbox slots of the rows of the level's `D(0)` held here.
+    /// The inbox slots of the rows of the level's `D(0)` folded here.
     nodes: Range<u32>,
-    /// `(row, member, slot)`: member `member`'s part of the fold's row
+    /// `(row, member, slot)`: member `member`'s piece of the fold's row
     /// `row` (counted from `nodes.start`) is in inbox slot `slot`.
     /// A member that has none has `+0.0` there.
     parts: Vec<(u32, u32, u32)>,
@@ -367,18 +367,103 @@ fn supports(arrow: &ArrowMatrix, hub_cuts: &[u32]) -> (Vec<Vec<u32>>, Vec<Vec<u3
     (reads, writes)
 }
 
-/// Where a returned row goes at the rank that holds it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Target {
-    /// A row of the holder's block.
-    Row(u32),
-    /// Row `pos` of level `level`'s `D(0)`, which the holder completes.
-    Node(usize, u32),
+/// A position's relay home and direct home, as `(level, position)`.
+type Homes = [(usize, u32); 2];
+
+/// Per level, per active position: its two homes (none at level 0).
+///
+/// Active position `q` of level `t ≥ 1` (vertex `v`) has two homes. Its
+/// *relay home* is the deepest earlier level where `v` is active. In a
+/// nested decomposition (LA-Decompose output, whose active sets shrink
+/// monotonically) that is always level `t − 1`, the chained §6.1 layout. A
+/// spliced decomposition ([`decompose_snapshot_incremental`]) is not
+/// nested: the re-decomposed region is lifted to the deepest levels, so a
+/// vertex can re-enter the active prefix after leaving it, and its X must
+/// be routed from further up the chain. Route content, not level
+/// adjacency, drives the send/recv loops, so the cross-level hops need no
+/// special casing there. Its *direct home* is the deepest earlier level
+/// where `v` is active outside the block of a deeper level's root —
+/// level 0 holds every block — since a deeper `D(0)` row is never placed
+/// whole. The homes differ only where `v` sits in some deeper level's
+/// block 0, and the relay home's row is then a row folded where the
+/// direct home's `X` row is held.
+///
+/// The precondition — every vertex active at a level after the first is
+/// active at an earlier one — holds for everything LA-Decompose and the
+/// splice return: a splice that would break it (the delta attached a
+/// vertex no level held) falls back cold, `FallbackReason::Unroutable`.
+/// The error below is for decompositions assembled elsewhere.
+///
+/// [`decompose_snapshot_incremental`]: arrow_core::incremental::decompose_snapshot_incremental
+fn homes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<Vec<Vec<Homes>>> {
+    let mut homes = vec![Vec::new()];
+    for (t, level) in levels.iter().enumerate().skip(1) {
+        let perm = &d.levels()[t].perm;
+        let home = |q: u32| {
+            let v = perm.vertex_at(q);
+            let mut relay = None;
+            for s in (0..t).rev() {
+                let p = d.levels()[s].perm.position(v);
+                if p < levels[s].active_n {
+                    let relay = *relay.get_or_insert((s, p));
+                    if s == 0 || p >= d.b() {
+                        return Ok([relay, (s, p)]);
+                    }
+                }
+            }
+            Err(SparseError::InvalidCsr(format!(
+                "vertex {v} is active at level {t} but at no earlier \
+                 level; the decomposition cannot be distributed"
+            )))
+        };
+        homes.push((0..level.active_n).map(home).collect::<SparseResult<_>>()?);
+    }
+    Ok(homes)
 }
 
-impl RankPlan {
-    /// A fresh inbox slot.
+/// A product row of a deeper level, as a placement map sees it: block row
+/// `q` of level `level`, or, with `member` `Some(i)`, member `i`'s piece
+/// of the level's `D(0)` row `q`. `at0` is its vertex's level-0 position.
+#[derive(Debug, Clone, Copy)]
+struct Product {
+    level: usize,
+    q: u32,
+    member: Option<u32>,
+    at0: u32,
+}
+
+/// One rank's [`RankPlan`] while a feed is planned.
+struct Draft {
+    /// The operand rows before the fetched ones ([`RankPlan::height`]).
+    base: u32,
+    /// One row per inbox slot so far.
+    rows: CsrBuilder<f64>,
+    slots: u32,
+    /// The level-0 position of the `X` row each entry reads.
+    reads: Vec<u32>,
+    /// `(level-0 position, holder)` of each `X` row to fetch.
+    needs: Vec<(u32, u32)>,
+    folds: Vec<Fold>,
+    adds: Vec<(u32, u32)>,
+}
+
+impl Draft {
+    /// An empty draft whose operand starts with `base` rows of its own.
+    fn new(base: u32) -> Self {
+        Self {
+            base,
+            rows: CsrBuilder::with_capacity(0, 0),
+            slots: 0,
+            reads: Vec::new(),
+            needs: Vec::new(),
+            folds: Vec::new(),
+            adds: Vec::new(),
+        }
+    }
+
+    /// Closes the open inbox row and returns its slot.
     fn slot(&mut self) -> u32 {
+        self.rows.end_row();
         self.slots += 1;
         self.slots - 1
     }
@@ -402,283 +487,213 @@ impl RankPlan {
         &mut self.folds[at]
     }
 
-    /// Adds inbox slot `slot` into `into` once it is complete; `node` is
-    /// where each folded row sits ([`plan_routes`]). A row gains at most
-    /// one returned row: a vertex's next active level is its only child.
-    fn gain(&mut self, into: Target, slot: u32, node: &[Vec<u32>]) {
-        match into {
-            Target::Row(row) => self.adds.push((row, slot)),
-            Target::Node(s, p) => fold_of(&mut self.folds, s)
-                .adds
-                .push((node[s][p as usize], slot)),
-        }
-    }
-}
-
-/// A feed's forward and backward moves ([`plan_routes`]).
-type Moves = [Vec<(u32, u32, u32, u32)>; 2];
-
-/// Every feed's routes, indexed by [`Feed`] — the relay's and the direct
-/// feed's here, the gather feed's from each position's relay home
-/// ([`plan_gather`]): forward moves `(holder, reader, holder row, reader
-/// row)` and backward moves `(sender, holder, sender row, inbox slot)`,
-/// each slot taken as its move is planned.
-///
-/// Active position `q` of level `t ≥ 1` (vertex `v`) has two homes. Its
-/// *relay home* is the deepest earlier level where `v` is active. In a
-/// nested decomposition (LA-Decompose output, whose active sets shrink
-/// monotonically) that is always level `t − 1`, the chained §6.1 layout. A
-/// spliced decomposition ([`decompose_snapshot_incremental`]) is not
-/// nested: the re-decomposed region is lifted to the deepest levels, so a
-/// vertex can re-enter the active prefix after leaving it, and its X must
-/// be routed from further up the chain. Route content, not level
-/// adjacency, drives the send/recv loops, so the cross-level hops need no
-/// special casing there. Its *direct home* is the deepest earlier level
-/// where `v` is active outside the block of a deeper level's root —
-/// level 0 holds every block — because under the direct feed no such
-/// root holds `D(0)`. The homes differ only where `v` sits in some deeper
-/// level's block 0, and the relay home's row is then a row the direct
-/// home completes ([`Fold`]).
-///
-/// The precondition — every vertex active at a level after the first is
-/// active at an earlier one — holds for everything LA-Decompose and the
-/// splice return: a splice that would break it (the delta attached a
-/// vertex no level held) falls back cold, `FallbackReason::Unroutable`.
-/// The error below is for decompositions assembled elsewhere.
-///
-/// [`decompose_snapshot_incremental`]: arrow_core::incremental::decompose_snapshot_incremental
-fn plan_routes(d: &ArrowDecomposition, levels: &[LevelPlan]) -> SparseResult<[Routes; 3]> {
-    let b = d.b();
-    let rank = |s: usize, p: u32| levels[s].offset + p / b;
-    let total = levels.last().map_or(0, |l| (l.offset + l.nb) as usize);
-    let mut plans = [
-        vec![RankPlan::default(); total],
-        vec![RankPlan::default(); total],
-    ];
-    let [mut relay, mut direct]: [Moves; 2] = Default::default();
-    // node[t][q]: the inbox slot of row q of level t's D(0) at its direct
-    // home, where it is folded.
-    let mut node = vec![Vec::new(); levels.len()];
-    // relay_homes[t][q]: the relay home of position q of level t.
-    let mut relay_homes = vec![Vec::new(); levels.len()];
-    for (t, level) in levels.iter().enumerate().skip(1) {
-        let pi_t = &d.levels()[t].perm;
-        // [relay home, direct home] of each position, as (level, position).
-        let homes = (0..level.active_n)
-            .map(|q| {
-                let v = pi_t.vertex_at(q);
-                let mut relay = None;
-                for s in (0..t).rev() {
-                    let p = d.levels()[s].perm.position(v);
-                    if p < levels[s].active_n {
-                        let relay = *relay.get_or_insert((s, p));
-                        if s == 0 || p >= b {
-                            return Ok([relay, (s, p)]);
-                        }
-                    }
-                }
-                Err(SparseError::InvalidCsr(format!(
-                    "vertex {v} is active at level {t} but at no earlier \
-                     level; the decomposition cannot be distributed"
-                )))
-            })
-            .collect::<SparseResult<Vec<_>>>()?;
-        for (q, &[(s, p), (sd, pd)]) in (0..).zip(&homes) {
-            relay[0].push((rank(s, p), rank(t, q), p % b, q % b));
-            let home = &mut plans[Feed::Relay as usize][rank(s, p) as usize];
-            let slot = home.slot();
-            home.adds.push((p % b, slot));
-            relay[1].push((rank(t, q), rank(s, p), q % b, slot));
-            // Where the returned row goes: the relay home's row, which the
-            // direct home holds in its block or folds as a row of D(0).
-            let into = if (s, p) == (sd, pd) {
-                Target::Row(pd % b)
-            } else {
-                Target::Node(s, p)
-            };
-            let holder = rank(sd, pd);
-            let plan = &mut plans[Feed::Direct as usize][holder as usize];
-            if q < level.d0_rows() {
-                // Folded at its direct home, from the members' parts below;
-                // a level's rows take consecutive slots there.
-                plan.fold(t, level.nb).nodes.end += 1;
-                node[t].push(plan.slots);
-                plan.gain(into, plan.slots, &node);
-                plan.slots += 1;
-            } else {
-                direct[0].push((holder, rank(t, q), pd % b, q % b));
-                let slot = plan.slot();
-                plan.gain(into, slot, &node);
-                direct[1].push((rank(t, q), holder, q % b, slot));
-            }
-        }
-        // Each member's reads of D(0) and its partial's rows, from and to
-        // the rows' direct homes. The root's block is D(0) itself.
-        for i in 0..level.nb {
-            let at = if i == 0 { 0 } else { level.height(i) };
-            let member = level.offset + i;
-            for &r in &level.reads[i as usize] {
-                let (sd, pd) = homes[r as usize][1];
-                direct[0].push((rank(sd, pd), member, pd % b, at + r));
-            }
-            for &r in &level.writes[i as usize] {
-                let (sd, pd) = homes[r as usize][1];
-                let holder = &mut plans[Feed::Direct as usize][rank(sd, pd) as usize];
-                let slot = holder.slot();
-                let fold = fold_of(&mut holder.folds, t);
-                fold.parts
-                    .push((node[t][r as usize] - fold.nodes.start, i, slot));
-                direct[1].push((member, rank(sd, pd), at + r, slot));
-            }
-        }
-        relay_homes[t] = homes.into_iter().map(|[relay, _]| relay).collect();
-    }
-    let [relay_ranks, direct_ranks] = plans;
-    let gather = plan_gather(d, levels, &relay_homes);
-    Ok([
-        routes(relay_ranks, relay),
-        routes(direct_ranks, direct),
-        gather,
-    ])
-}
-
-/// A feed's [`Routes`] from its ranks' plans and its moves.
-fn routes(mut ranks: Vec<RankPlan>, [fwd, bwd]: Moves) -> Routes {
-    ranks
-        .iter_mut()
-        .for_each(|plan| plan.folds.sort_by_key(|f| std::cmp::Reverse(f.level)));
-    let total = ranks.len();
-    let (fwd, bwd) = (Plan::routes(total, fwd), Plan::routes(total, bwd));
-    Routes { fwd, bwd, ranks }
-}
-
-/// The gather feed: every row of a deeper level is multiplied on the
-/// level-0 rank that holds its vertex ([`Products`]) and completed there
-/// in the relay's association.
-///
-/// - A row of block `i ≥ 1` is one row product from `+0.0`, the column
-///   tile's entries then the diagonal tile's: the sum `B(i,0)·D(0)` and
-///   `B(i,i)·D(i)` make of it.
-/// - A row of the level's `D(0)` is a [`Fold`] of one piece per member:
-///   the member's row-arm entries from `+0.0`, then its hub run's if the
-///   run holds the row — its partial's row. A member with neither
-///   enters as `+0.0`, as in the reduce.
-/// - Each row then gains the row its vertex returns from the next level
-///   down, where the relay would have added it (`relay`: each position's
-///   relay home, as [`plan_routes`] finds it).
-///
-/// The one exchange brings each holder every row of `X` its products
-/// read that another level-0 rank holds, once however many rows read it.
-fn plan_gather(
-    d: &ArrowDecomposition,
-    levels: &[LevelPlan],
-    relay: &[Vec<(usize, u32)>],
-) -> Routes {
-    let (b, level0) = (d.b(), &d.levels()[0].perm);
-    let total = levels.last().map_or(0, |l| (l.offset + l.nb) as usize);
-    let mut ranks = vec![RankPlan::default(); total];
-    // Per level-0 rank: its product rows so far, and the level-0 position
-    // of the row of X each entry reads.
-    let mut built = vec![(CsrBuilder::with_capacity(0, 0), Vec::new()); levels[0].nb as usize];
-    // slot[t][q]: the inbox slot of row q of level t at its holder.
-    let mut slot = vec![Vec::new(); levels.len()];
-    for (t, level) in levels.iter().enumerate().skip(1) {
-        let perm = &d.levels()[t].perm;
-        let position = |q: u32| level0.position(perm.vertex_at(q));
-        let holder = |q: u32| (position(q) / b) as usize;
-        // A product row at `h` summing row `r` of each tile, whose column
-        // `c` reads the vertex at position `at + c`; returns its slot.
-        let mut product = |ranks: &mut [RankPlan], h: usize, tiles: &[Option<Tile>]| {
-            let (rows, reads) = &mut built[h];
-            for &(tile, r, at) in tiles.iter().flatten() {
-                for (&c, &v) in tile.row_indices(r).iter().zip(tile.row_values(r)) {
-                    rows.push(reads.len() as u32, v);
-                    reads.push(position(at + c));
+    /// A product row on rank `me` summing row `r` of each tile, whose
+    /// column `c` is the level's position `at + c`: position `c` reads the
+    /// `X` row of level-0 position `at0[c]`, held on rank `hold[c]`.
+    fn product(&mut self, me: u32, tiles: &[Option<Tile>], at0: &[u32], hold: &[u32]) -> u32 {
+        for &(tile, r, at) in tiles.iter().flatten() {
+            for (&c, &v) in tile.row_indices(r).iter().zip(tile.row_values(r)) {
+                let c = (at + c) as usize;
+                self.rows.push(self.reads.len() as u32, v);
+                self.reads.push(at0[c]);
+                if hold[c] != me {
+                    self.needs.push((at0[c], hold[c]));
                 }
             }
-            rows.end_row();
-            ranks[h].slot()
-        };
-        let arrow = &level.arrow;
-        // The rows of D(0) first, on consecutive slots at each holder.
-        for q in 0..level.d0_rows() {
-            let h = holder(q);
-            ranks[h].fold(t, level.nb).nodes.end += 1;
-            slot[t].push(product(&mut ranks, h, &[]));
         }
-        for q in 0..level.d0_rows() {
-            let h = holder(q);
-            for i in 0..level.nb {
-                let arm = (i > 0).then(|| (arrow.row_tile(i), q, i * b));
-                let hub = level
-                    .hub_run(i)
-                    .contains(&q)
-                    .then(|| (arrow.row_tile(0), q, 0));
-                let tiles = [arm, hub];
-                if tiles
-                    .iter()
-                    .flatten()
-                    .all(|(tile, r, _)| tile.row_nnz(*r) == 0)
-                {
-                    continue;
-                }
-                let piece = product(&mut ranks, h, &tiles);
-                let fold = ranks[h].fold(t, level.nb);
-                fold.parts
-                    .push((slot[t][q as usize] - fold.nodes.start, i, piece));
-            }
-        }
-        for q in level.d0_rows()..level.active_n {
-            let (i, r) = (q / b, q % b);
-            let tiles = [(arrow.col_tile(i), r, 0), (arrow.diag_tile(i), r, i * b)];
-            slot[t].push(product(&mut ranks, holder(q), &tiles.map(Some)));
-        }
-        for (q, &(s, p)) in (0..).zip(&relay[t]) {
-            let (h, child) = (holder(q), slot[t][q as usize]);
-            if s == 0 {
-                ranks[h].adds.push((p % b, child));
-            } else {
-                let parent = slot[s][p as usize];
-                ranks[h].fold(s, levels[s].nb).adds.push((parent, child));
-            }
-        }
+        self.slot()
     }
-    // Each holder's operand: its block, then the rows it receives in
-    // level-0 order; row_of[p] is where position p sits at the holder
-    // being planned.
-    let mut row_of = vec![0u32; d.n() as usize];
-    let mut moves = Vec::new();
-    for (h, (rows, reads)) in (0..).zip(built) {
-        let (r0, r1) = block_range(levels[0].active_n, b, h);
-        (r0..r1).for_each(|p| row_of[p as usize] = p - r0);
-        let mut remote: Vec<u32> = reads.iter().copied().filter(|p| p / b != h).collect();
-        remote.sort_unstable();
-        remote.dedup();
-        for (&p, at) in remote.iter().zip(r1 - r0..) {
-            row_of[p as usize] = at;
-            moves.push((p / b, h, p % b, at));
-        }
-        let plan = &mut ranks[h as usize];
-        if plan.slots > 0 {
-            plan.products = Some(Products {
-                rows: rows.finish(reads.len() as u32),
-                gather: reads.iter().map(|&p| row_of[p as usize]).collect(),
-                height: r1 - r0 + remote.len() as u32,
-            });
-        }
-    }
-    routes(ranks, [moves, Vec::new()])
 }
 
 /// Row `r` of a tile whose column `c` is the level's position `at + c`.
 type Tile<'a> = (&'a CsrMatrix<f64>, u32, u32);
 
-/// The fold of `level`'s rows among a holder's.
-fn fold_of(folds: &mut [Fold], level: usize) -> &mut Fold {
-    folds
-        .iter_mut()
-        .find(|f| f.level == level)
-        .expect("a row is folded where its parts and children are sent")
+/// One empty draft per machine rank, each with its block as the base of
+/// its operand where it has one: on level 0, and on every level relayed.
+fn drafts(levels: &[LevelPlan], relayed: bool) -> Vec<Draft> {
+    let mut drafts = Vec::new();
+    for (j, level) in levels.iter().enumerate() {
+        let based = j == 0 || relayed;
+        for i in 0..level.nb {
+            drafts.push(Draft::new(if based { level.height(i) } else { 0 }));
+        }
+    }
+    drafts
+}
+
+/// A feed's [`Routes`] from its ranks' drafts and its moves, each
+/// `(sender, receiver, sender row, receiver row)`. Every draft's reads
+/// are operand rows by now.
+fn routes(drafts: Vec<Draft>, fwd: Vec<Move>, bwd: Vec<Move>) -> Routes {
+    let total = drafts.len();
+    let ranks = (drafts.into_iter())
+        .map(|mut d| {
+            d.folds.sort_by_key(|f| std::cmp::Reverse(f.level));
+            RankPlan {
+                height: d.base,
+                products: d.rows.finish(d.reads.len() as u32),
+                gather: d.reads,
+                folds: d.folds,
+                adds: d.adds,
+            }
+        })
+        .collect();
+    let (fwd, bwd) = (Plan::routes(total, fwd), Plan::routes(total, bwd));
+    Routes { fwd, bwd, ranks }
+}
+
+/// `(sender, receiver, sender row, receiver row)`.
+type Move = (u32, u32, u32, u32);
+
+/// Algorithm 2 as written: every position's block row comes from its
+/// relay home's rank and returns there, where it is added into the row.
+fn plan_relay(b: u32, levels: &[LevelPlan], homes: &[Vec<Homes>]) -> Routes {
+    let rank = |s: usize, p: u32| levels[s].offset + p / b;
+    let mut drafts = drafts(levels, true);
+    let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
+    for (t, homes) in homes.iter().enumerate() {
+        for (q, &[(s, p), _]) in (0..).zip(homes) {
+            fwd.push((rank(s, p), rank(t, q), p % b, q % b));
+            let home = &mut drafts[rank(s, p) as usize];
+            let slot = home.slot();
+            home.adds.push((p % b, slot));
+            bwd.push((rank(t, q), rank(s, p), q % b, slot));
+        }
+    }
+    routes(drafts, fwd, bwd)
+}
+
+/// A placed feed: `place` sends every [`Product`] row of a deeper level
+/// to a rank, and the rule in the [module
+/// docs](self#who-feeds-a-deeper-level) derives the rest — which `X` rows
+/// each rank fetches and from where, which rows it folds, and where each
+/// result goes.
+fn plan_placed(
+    d: &ArrowDecomposition,
+    levels: &[LevelPlan],
+    homes: &[Vec<Homes>],
+    place: impl Fn(Product) -> u32,
+) -> Routes {
+    let (b, level0) = (d.b(), &d.levels()[0].perm);
+    let mut drafts = drafts(levels, false);
+    let mut bwd = Vec::new();
+    // Sends row `slot` of rank `from` to rank `to` unless it is there;
+    // returns its slot at `to`.
+    let mut send = |drafts: &mut [Draft], (from, slot): (u32, u32), to: u32| {
+        if from == to {
+            return slot;
+        }
+        let at = drafts[to as usize].slot();
+        bwd.push((from, to, slot, at));
+        at
+    };
+    // Per level and position: the rank that holds its X row, and the rank
+    // and inbox slot where the row is completed (level 0 needs none).
+    let mut hold = vec![(0..levels[0].active_n).map(|p| p / b).collect::<Vec<u32>>()];
+    let mut done: Vec<Vec<(u32, u32)>> = vec![Vec::new()];
+    for (t, level) in levels.iter().enumerate().skip(1) {
+        let perm = &d.levels()[t].perm;
+        let at0_t: Vec<u32> = (0..level.active_n)
+            .map(|q| level0.position(perm.vertex_at(q)))
+            .collect();
+        let direct = |q: u32| homes[t][q as usize][1];
+        let block = |q: u32| Product {
+            level: t,
+            q,
+            member: None,
+            at0: at0_t[q as usize],
+        };
+        // A block row's X is held where it is placed, a D(0) row's where
+        // its direct home's is.
+        let hold_t: Vec<u32> = (0..level.active_n)
+            .map(|q| {
+                if q >= b {
+                    place(block(q))
+                } else {
+                    let (s, p) = direct(q);
+                    hold[s][p as usize]
+                }
+            })
+            .collect();
+        let mut done_t = Vec::with_capacity(level.active_n as usize);
+        // The rows of D(0) first, on consecutive slots at each fold.
+        for q in 0..level.d0_rows() {
+            let draft = &mut drafts[hold_t[q as usize] as usize];
+            draft.fold(t, level.nb).nodes.end += 1;
+            done_t.push((hold_t[q as usize], draft.slot()));
+        }
+        let arrow = &level.arrow;
+        // Each member's piece of every row of D(0) its partial writes.
+        for (i, writes) in (0..).zip(&level.writes) {
+            for &q in writes {
+                let arm = (i > 0).then(|| (arrow.row_tile(i), q, i * b));
+                let hub = level.hub_run(i).contains(&q);
+                let tiles = [arm, hub.then(|| (arrow.row_tile(0), q, 0))];
+                let at = place(Product {
+                    member: Some(i),
+                    ..block(q)
+                });
+                let piece = drafts[at as usize].product(at, &tiles, &at0_t, &hold_t);
+                let (f, node) = done_t[q as usize];
+                let slot = send(&mut drafts, (at, piece), f);
+                let fold = drafts[f as usize].fold(t, level.nb);
+                fold.parts.push((node - fold.nodes.start, i, slot));
+            }
+        }
+        for q in level.d0_rows()..level.active_n {
+            let ((i, r), at) = ((q / b, q % b), hold_t[q as usize]);
+            let (s, p) = direct(q);
+            let draft = &mut drafts[at as usize];
+            if hold[s][p as usize] != at {
+                draft.needs.push((at0_t[q as usize], hold[s][p as usize]));
+            }
+            let tiles = [(arrow.col_tile(i), r, 0), (arrow.diag_tile(i), r, i * b)];
+            done_t.push((at, draft.product(at, &tiles.map(Some), &at0_t, &hold_t)));
+        }
+        // Each row's result goes where its relay parent is completed.
+        for (&child, &[(s, p), _]) in done_t.iter().zip(&homes[t]) {
+            if s == 0 {
+                let slot = send(&mut drafts, child, p / b);
+                drafts[(p / b) as usize].adds.push((p % b, slot));
+            } else {
+                let (to, parent) = done[s][p as usize];
+                let slot = send(&mut drafts, child, to);
+                let fold = drafts[to as usize].fold(s, levels[s].nb);
+                fold.adds.push((parent, slot));
+            }
+        }
+        hold.push(hold_t);
+        done.push(done_t);
+    }
+    // Each rank's operand: its block, then the rows it fetches in level-0
+    // order, each once.
+    let fetched: Vec<Vec<(u32, u32)>> = (drafts.iter_mut())
+        .map(|draft| {
+            let mut needs = std::mem::take(&mut draft.needs);
+            needs.sort_unstable();
+            needs.dedup_by_key(|n| n.0);
+            needs
+        })
+        .collect();
+    let nb0 = levels[0].nb;
+    let bases: Vec<u32> = drafts.iter().map(|d| d.base).collect();
+    // Where level-0 position `p` sits in `rank`'s operand.
+    let row_of = |rank: u32, p: u32| {
+        if rank < nb0 && p / b == rank {
+            return p % b;
+        }
+        let at = fetched[rank as usize].binary_search_by_key(&p, |n| n.0);
+        bases[rank as usize] + at.expect("a rank holds every row it sends or reads") as u32
+    };
+    let mut fwd = Vec::new();
+    for (to, (draft, list)) in (0..).zip(drafts.iter_mut().zip(&fetched)) {
+        for (&(p, from), at) in list.iter().zip(draft.base..) {
+            fwd.push((from, to, row_of(from, p), at));
+        }
+        draft.reads.iter_mut().for_each(|p| *p = row_of(to, *p));
+        draft.base += list.len() as u32;
+    }
+    routes(drafts, fwd, bwd)
 }
 
 /// Arrow decomposition SpMM bound to a decomposition.
@@ -687,7 +702,7 @@ pub struct ArrowSpmm {
     b: u32,
     total_ranks: u32,
     levels: Vec<LevelPlan>,
-    /// Per [`Feed`]: its routes ([`plan_routes`]).
+    /// Per [`Feed`]: its routes ([`plan_relay`], [`plan_placed`]).
     feeds: [Routes; 3],
     /// Vertex at position `p` of level 0 (`π₀⁻¹`), for X scatter/Y gather.
     level0_vertices: Vec<u32>,
@@ -730,7 +745,16 @@ impl ArrowSpmm {
             offset += nb;
         }
         let total_ranks = offset;
-        let feeds = plan_routes(d, &levels)?;
+        let homes = homes(d, &levels)?;
+        let feeds = FEEDS.map(|feed| match feed {
+            Feed::Relay => plan_relay(b, &levels, &homes),
+            // Each row on its own level's rank, a piece on its member.
+            Feed::Direct => plan_placed(d, &levels, &homes, |row| {
+                levels[row.level].offset + row.member.unwrap_or(row.q / b)
+            }),
+            // Each row on the level-0 rank that holds its vertex.
+            Feed::Gather => plan_placed(d, &levels, &homes, |row| row.at0 / b),
+        });
         let level0_vertices: Vec<u32> = (0..n).map(|p| d.levels()[0].perm.vertex_at(p)).collect();
         Ok(Self {
             n,
@@ -780,7 +804,8 @@ impl ArrowSpmm {
     /// Per level: the supports its broadcast and its reduce are given,
     /// each per rank of the level in block order — the rows of `D(0)` a
     /// rank reads, and the rows of its partial that can be non-zero. The
-    /// root's are its hub run's, which only the direct feed moves.
+    /// root's are its hub run's, which the collectives do not read; a
+    /// placed feed builds each member's pieces of `D(0)` on its writes.
     pub fn supports(&self) -> Vec<[&[Vec<u32>]; 2]> {
         self.levels
             .iter()
@@ -823,7 +848,8 @@ impl ArrowSpmm {
             .fold((0, 0), |(bytes, msgs), (b, m)| (bytes.max(b), msgs.max(m)))
     }
 
-    /// The levels that run Algorithm 1's collectives under `feed`.
+    /// The levels that run Algorithm 1 under `feed`: every level relayed,
+    /// level 0 placed.
     fn relayed(&self, feed: Feed) -> &[LevelPlan] {
         match feed {
             Feed::Relay => &self.levels,
@@ -885,6 +911,10 @@ fn arrow_multiply(
 ) -> Vec<f64> {
     let my_i = group.my_idx() as u32;
     debug_assert_eq!(d_block.len(), (level.height(my_i) * k) as usize);
+    let tile = |ctx: &mut RankCtx, tile, x: &[f64], y: &mut [f64], finish| {
+        ctx.compute_flops(spmm::spmm_flops(tile, k));
+        spmm::spmm_slices(tile, x, k, None, y, finish, dtype).expect("tile shapes align");
+    };
 
     // Broadcast D(0) from the level's first rank (Algorithm 1, line 1):
     // shared, so the root, every relay and every receiver read one
@@ -893,102 +923,57 @@ fn arrow_multiply(
     let root_block = (my_i == 0).then(|| Arc::clone(&d_block));
     let bcast = level.bcast.pick(k as usize, ctx.cost());
     let d0 = group.broadcast_plan(ctx, 0, root_block, bcast, k as usize);
-    let partial = partial(ctx, level, my_i, &d_block, &d0, k, dtype, spare);
-    let reduce = level.reduce.pick(k as usize, ctx.cost());
-    let reduced = group.reduce_plan(ctx, 0, partial, reduce, k as usize);
 
-    // C(i) (lines 4–6).
-    if my_i == 0 {
-        reduced.expect("rank 0 of the level holds the reduction")
-    } else {
-        let c = block_product(ctx, level, my_i, &d_block, &d0, k, dtype);
-        // Only the root's D(i) is broadcast; a non-root's is its own.
-        *spare = Arc::try_unwrap(d_block).unwrap_or_default();
-        c
-    }
-}
-
-/// Rank `i`'s partial of `C(0)` (Algorithm 1, line 2): its row-arm
-/// product `B(0,i) · D(i)` and its run of the hub tile's `B(0,0) · D(0)`.
-/// The root's row-arm tile is the hub tile, which the level shares: every
-/// rank adds the rows of `B(0,0) · D(0)` it was planned into its partial,
-/// and the reduction (line 3) carries them to the root with the rest. The
-/// root adds its run into zeros; a non-root's row-arm multiply overwrites
-/// every row (an empty one with `+0.0`), so it fills `spare`, unzeroed.
-#[allow(clippy::too_many_arguments)]
-fn partial(
-    ctx: &mut RankCtx,
-    level: &LevelPlan,
-    my_i: u32,
-    d_block: &[f64],
-    d0: &[f64],
-    k: u32,
-    dtype: Dtype,
-    spare: &mut Vec<f64>,
-) -> Vec<f64> {
-    let len = (level.d0_rows() * k) as usize;
-    let mut partial = if my_i == 0 {
-        vec![0.0; len]
-    } else {
-        let mut partial = std::mem::take(spare);
-        partial.resize(len, 0.0);
+    // Rank i's partial of C(0) (line 2): its row-arm product B(0,i) · D(i)
+    // and its run of the hub tile's B(0,0) · D(0). The root's row-arm tile
+    // is the hub tile, which the level shares: every rank adds the rows of
+    // B(0,0) · D(0) it was planned into its partial, and the reduction
+    // (line 3) carries them to the root with the rest. The root adds its
+    // run into zeros (it never leaves a spare); a non-root's row-arm
+    // multiply overwrites every row (an empty one with +0.0), so it fills
+    // `spare`, unzeroed.
+    let mut partial = std::mem::take(spare);
+    partial.resize((level.d0_rows() * k) as usize, 0.0);
+    if my_i > 0 {
         let row_tile = level.arrow.row_tile(my_i);
-        ctx.compute_flops(spmm::spmm_flops(row_tile, k));
-        spmm::spmm_slices(
-            row_tile,
-            d_block,
-            k,
-            None,
-            &mut partial,
-            Finish::Overwrite,
-            dtype,
-        )
-        .expect("row tile shapes align");
-        partial
-    };
+        tile(ctx, row_tile, &d_block, &mut partial, Finish::Overwrite);
+    }
     let run = level.hub_run(my_i);
     ctx.compute_flops(level.hub_flops(my_i, k));
     spmm::spmm_slices_rows(
         level.arrow.row_tile(0),
         run.clone(),
-        d0,
+        &d0,
         k,
         &mut partial[(run.start * k) as usize..(run.end * k) as usize],
         Finish::Accumulate,
         dtype,
     )
     .expect("hub tile shapes align");
-    partial
-}
+    let reduce = level.reduce.pick(k as usize, ctx.cost());
+    let reduced = group.reduce_plan(ctx, 0, partial, reduce, k as usize);
 
-/// A non-root's `C(i) = B(i,0) · D(0) + B(i,i) · D(i)` (Algorithm 1,
-/// lines 4–6).
-fn block_product(
-    ctx: &mut RankCtx,
-    level: &LevelPlan,
-    my_i: u32,
-    d_block: &[f64],
-    d0: &[f64],
-    k: u32,
-    dtype: Dtype,
-) -> Vec<f64> {
+    // C(i) = B(i,0) · D(0) + B(i,i) · D(i) (lines 4–6).
+    if my_i == 0 {
+        return reduced.expect("rank 0 of the level holds the reduction");
+    }
     let mut c = vec![0.0; d_block.len()];
-    let col_tile = level.arrow.col_tile(my_i);
-    ctx.compute_flops(spmm::spmm_flops(col_tile, k));
-    spmm::spmm_slices(col_tile, d0, k, None, &mut c, Finish::Overwrite, dtype)
-        .expect("column tile shapes align");
-    let diag_tile = level.arrow.diag_tile(my_i);
-    ctx.compute_flops(spmm::spmm_flops(diag_tile, k));
-    spmm::spmm_slices(
-        diag_tile,
-        d_block,
-        k,
-        None,
+    tile(
+        ctx,
+        level.arrow.col_tile(my_i),
+        &d0,
+        &mut c,
+        Finish::Overwrite,
+    );
+    tile(
+        ctx,
+        level.arrow.diag_tile(my_i),
+        &d_block,
         &mut c,
         Finish::Accumulate,
-        dtype,
-    )
-    .expect("diagonal tile shapes align");
+    );
+    // Only the root's D(i) is broadcast; a non-root's is its own.
+    *spare = Arc::try_unwrap(d_block).unwrap_or_default();
     c
 }
 
@@ -1016,13 +1001,9 @@ impl DistSpmm for ArrowSpmm {
         let scale = self.dtype.bytes() as f64 / 8.0;
         let feed = self.feed(k);
         let traffic = self.moved(k, feed);
-        // Levels hold consecutive ranks, in level order; gathered, the
-        // deeper levels' tiles are multiplied on level 0 instead.
-        let multiplying = match feed {
-            Feed::Gather => &self.levels[..1],
-            Feed::Relay | Feed::Direct => &self.levels[..],
-        };
-        let flops = multiplying.iter().flat_map(|level| {
+        // Levels hold consecutive ranks, in level order; the levels that
+        // run Algorithm 1 come first.
+        let tiles = self.relayed(feed).iter().flat_map(|level| {
             (0..level.nb).map(move |i| {
                 // Local tile multiplies (Algorithm 1, lines 2–6): the
                 // rank's share of the hub tile and its own three.
@@ -1035,13 +1016,12 @@ impl DistSpmm for ArrowSpmm {
                 flops
             })
         });
-        let gathered = self.feeds[feed as usize].ranks.iter().map(|plan| {
-            (plan.products.as_ref()).map_or(0.0, |products| spmm::spmm_flops(&products.rows, k))
-        });
-        let flops = flops.chain(std::iter::repeat(0.0)).zip(gathered);
+        let products = (self.feeds[feed as usize].ranks.iter())
+            .map(|plan| spmm::spmm_flops(&plan.products, k));
+        let flops = tiles.chain(std::iter::repeat(0.0)).zip(products);
         traffic
             .into_iter()
-            .zip(flops.map(|(tiles, gathered)| tiles + gathered))
+            .zip(flops.map(|(tiles, products)| tiles + products))
             .map(|((bytes, msgs), flops)| CommEstimate {
                 max_rank_bytes: bytes as f64 * scale,
                 max_rank_messages: msgs as f64,
@@ -1068,110 +1048,85 @@ impl ArrowSpmm {
         }
         let k = x.cols();
         let kk = k as usize;
+        let (routes, relayed) = (&self.feeds[feed as usize], feed == Feed::Relay);
         let machine = Machine::new(self.total_ranks).with_cost(self.cost);
         let report = machine.run(|ctx| {
             let rank = ctx.rank();
             let (j, my_i) = self.locate(rank);
             let level = &self.levels[j];
-            let routes = &self.feeds[feed as usize];
             let plan = &routes.ranks[rank as usize];
-            let gather = feed == Feed::Gather;
-            if gather && j > 0 {
-                // Its rows are multiplied where their vertices are held.
-                return Vec::new();
-            }
-            let direct = feed == Feed::Direct && j > 0;
+            // Level 0 runs Algorithm 1, and relayed so does every level.
+            let multiplies = j == 0 || relayed;
             let group = Group::new(ctx, (level.offset..level.offset + level.nb).collect());
             let world = Group::world(ctx);
             let (r0, r1) = block_range(level.active_n, self.b, my_i);
-            let my_rows = (r1 - r0) as usize;
+            let block = (r1 - r0) as usize * kk;
             // Level 0 starts with its X block (initial layout, free);
             // other levels start empty and are filled by propagation.
             let mut x_block: Vec<f64> = if j == 0 {
-                let mut buf = Vec::with_capacity(my_rows * kk);
-                for p in r0..r1 {
-                    buf.extend_from_slice(x.row(self.level0_vertices[p as usize]));
-                }
-                buf
-            } else {
-                vec![0.0; my_rows * kk]
-            };
-            // A directly fed non-root's rows of D(0): only those it reads
-            // are ever written or read.
-            let mut d0 = if direct && my_i > 0 {
-                vec![0.0; (level.d0_rows() * k) as usize]
+                let rows = (r0..r1).map(|p| x.row(self.level0_vertices[p as usize]));
+                rows.flatten().copied().collect()
             } else {
                 Vec::new()
             };
             let mut spare = Vec::new();
             for iter in 0..iters {
                 let base_tag = (iter as u64) << 8;
-                // 1. Forward propagation (Algorithm 2, lines 1–5). Gathered,
-                // a level-0 rank sends here and receives after its multiply,
-                // into its operand: its block of X, then the rows it gathers.
-                let fwd: &[Dir] = if gather {
-                    &[Dir::Send]
-                } else {
-                    &[Dir::Recv, Dir::Send]
-                };
-                for &dir in fwd {
-                    let bufs = (&mut x_block, &mut d0);
-                    world.exchange(ctx, base_tag | 1, &routes.fwd, dir, bufs, kk);
+                let (fwd, bwd) = (base_tag | 1, base_tag | 2);
+                // 1. Forward propagation (Algorithm 2, lines 1–5) into the
+                // operand: the rank's block, then the rows it fetches. A
+                // deeper rank receives, then passes rows on; level 0
+                // sends here and receives after its multiply.
+                let mut operand = x_block;
+                operand.resize(plan.height as usize * kk, 0.0);
+                if j > 0 {
+                    world.exchange(ctx, fwd, &routes.fwd, Dir::Recv, &mut operand, kk);
                 }
-                let mut operand = plan.products.as_ref().map(|products| {
-                    let mut operand = x_block.clone();
-                    operand.resize(products.height as usize * kk, 0.0);
-                    operand
-                });
-                // 2. Per-level arrow multiply (Algorithm 1).
-                // Directly fed, the same multiplies with no collective: a
-                // non-root returns C(i) and its partial, the root (whose
-                // block is the rows of D(0) its hub run reads) its partial.
+                world.exchange(ctx, fwd, &routes.fwd, Dir::Send, &mut operand, kk);
+                // 2. Algorithm 1 where it runs, on the rank's block; the
+                // operand stays if the products read it.
                 let dtype = self.dtype;
-                let (mut y_block, mut partial) = match (direct, my_i) {
-                    (false, _) => {
-                        let c = arrow_multiply(ctx, &group, level, x_block, k, dtype, &mut spare);
-                        (c, Vec::new())
-                    }
-                    (true, 0) => {
-                        let p = partial(ctx, level, 0, &x_block, &x_block, k, dtype, &mut spare);
-                        (p, Vec::new())
-                    }
-                    (true, _) => {
-                        let p = partial(ctx, level, my_i, &x_block, &d0, k, dtype, &mut spare);
-                        (block_product(ctx, level, my_i, &x_block, &d0, k, dtype), p)
-                    }
-                };
-                // 3. Backward aggregation (Algorithm 2, lines 7–12): the
-                // deeper levels' rows land in the inbox — or, gathered, are
-                // multiplied into it here — the folds complete the rows of
-                // deeper levels this rank holds, and the block gains each
-                // row's returns in level order.
-                let (bwd, tag) = (&routes.bwd, base_tag | 2);
-                let mut inbox = vec![0.0; plan.slots as usize * kk];
-                if let (Some(products), Some(operand)) = (&plan.products, &mut operand) {
-                    let bufs = (&mut *operand, &mut Vec::new());
-                    world.exchange(ctx, base_tag | 1, &routes.fwd, Dir::Recv, bufs, kk);
-                    ctx.compute_flops(spmm::spmm_flops(&products.rows, k));
+                let mut y_block = Vec::new();
+                if multiplies {
+                    let d_block = if operand.len() > block || plan.products.nnz() > 0 {
+                        operand[..block].to_vec()
+                    } else {
+                        std::mem::take(&mut operand)
+                    };
+                    y_block = arrow_multiply(ctx, &group, level, d_block, k, dtype, &mut spare);
+                }
+                if j == 0 {
+                    world.exchange(ctx, fwd, &routes.fwd, Dir::Recv, &mut operand, kk);
+                }
+                // The product rows placed here fill the inbox, then the
+                // returned rows land in it and the folds complete the rows
+                // of deeper levels this rank holds.
+                let mut inbox = vec![0.0; plan.products.rows() as usize * kk];
+                if plan.products.nnz() > 0 {
+                    ctx.compute_flops(spmm::spmm_flops(&plan.products, k));
                     spmm::spmm_slices(
-                        &products.rows,
-                        operand,
+                        &plan.products,
+                        &operand,
                         k,
-                        Some(&products.gather),
+                        Some(&plan.gather),
                         &mut inbox,
                         Finish::Overwrite,
                         dtype,
                     )
-                    .expect("gathered rows align");
+                    .expect("product rows align");
                 }
-                world.exchange(ctx, tag, bwd, Dir::Recv, (&mut inbox, &mut Vec::new()), kk);
+                world.exchange(ctx, bwd, &routes.bwd, Dir::Recv, &mut inbox, kk);
                 for fold in &plan.folds {
                     fold.complete(&mut inbox, kk);
                 }
+                // 3. Backward aggregation (Algorithm 2, lines 7–12): a
+                // block gains each row's returns in level order, and a
+                // deeper rank sends its rows on — its block relayed, its
+                // inbox placed.
                 add_rows(&mut y_block, &inbox, &plan.adds, kk);
-                world.exchange(ctx, tag, bwd, Dir::Send, (&mut y_block, &mut partial), kk);
-                if direct {
-                    spare = partial;
+                if j > 0 {
+                    let rows = if relayed { &mut y_block } else { &mut inbox };
+                    world.exchange(ctx, bwd, &routes.bwd, Dir::Send, rows, kk);
                 }
                 x_block = y_block;
                 // σ acts on the complete Y, which lives on level 0 after
@@ -1349,9 +1304,10 @@ mod tests {
     /// association, so the feed a plan takes never shows in an answer:
     /// grid, OSM-, GenBank-, MAWI-like and R-MAT inputs at two widths and
     /// four operand widths, the spliced chain, whose rows come from
-    /// further up than the level before, the hand-built one whose holders
-    /// fold a deeper level's row into a row of `D(0)`, and a grid whose
-    /// products round through `f32`.
+    /// further up than the level before, generated chains whose holders
+    /// fold a deeper level's row into a row of `D(0)` and whose vertices
+    /// re-enter after leaving, and a grid and a chain whose products round
+    /// through `f32`.
     #[test]
     fn both_feeds_give_one_answer_bit_for_bit() {
         use amd_graph::generators::rmat;
@@ -1372,55 +1328,51 @@ mod tests {
             }
         }
         let (spliced_a, spliced_d) = spliced();
-        let (hubs_a, hubs_d) = reentering_hubs();
         for k in [1, 6, 16, 64] {
             feeds_agree(&spliced_a, &spliced_d, k, Dtype::F64);
-            assert!(feeds_agree(&hubs_a, &hubs_d, k, Dtype::F64));
+        }
+        for seed in 0..8 {
+            let (a, d) = generated_chain(seed);
+            for k in [1, 6, 64] {
+                assert!(feeds_agree(&a, &d, k, Dtype::F64), "seed {seed}");
+            }
         }
         let grid = &inputs[0];
         feeds_agree(grid, &decompose(grid, grid.rows() / 16, 1), 16, Dtype::F32);
+        let (a, d) = generated_chain(8);
+        feeds_agree(&a, &d, 16, Dtype::F32);
     }
 
-    /// A decomposition assembled by hand in which vertices of level 1's
-    /// block 0 are active at level 2, in its block 0 and in its block 1,
-    /// so the direct feed's holder must add level 2's rows into level 1's
-    /// `D(0)` rows before it adds those into its own block. LA-Decompose
-    /// never returns one (a block-0 vertex's edges all lie in its level's
-    /// arms), but nothing in the plan may rely on that.
-    fn reentering_hubs() -> (CsrMatrix<f64>, ArrowDecomposition) {
+    /// A decomposition drawn from `seed` that LA-Decompose never returns,
+    /// though nothing in the plan may rely on that: level 0 holds every
+    /// vertex, and each of 3–4 deeper levels arranges the vertices at
+    /// random and keeps a random prefix of them active, with entries drawn
+    /// in its arrow pattern. Asserted of every draw: a vertex of some
+    /// deeper level's block 0 is active further down, so a holder adds a
+    /// deeper row into a row of that level's `D(0)` before it adds that
+    /// row into its own; and a vertex leaves the chain and re-enters it,
+    /// so its row comes from further up than the level before.
+    fn generated_chain(seed: u64) -> (CsrMatrix<f64>, ArrowDecomposition) {
         use amd_sparse::{CooMatrix, Permutation};
-        let (n, b) = (48u32, 8u32);
-        // Level 1 places vertex (29·p + 5) mod 48 at position p, 24 of
-        // them active. Level 2's 16 active positions take level 1's
-        // positions 12..16 and 0..4 (its block 0), then 4..8, two
-        // vertices inactive at level 1, and two of its block 2.
-        let order1: Vec<u32> = (0..n).map(|p| (p * 29 + 5) % n).collect();
-        let front: Vec<u32> = [12..16, 0..8, 30..32, 16..18]
-            .into_iter()
-            .flatten()
-            .map(|p| order1[p])
-            .collect();
-        let order2: Vec<u32> = front
-            .iter()
-            .copied()
-            .chain(order1.iter().copied().filter(|v| !front.contains(v)))
-            .collect();
-        let level = |order: Vec<u32>, active_n: u32, salt: u32| {
-            // Entries of the arrow pattern: a column of block 0, one of the
-            // row's own block, and for a row of block 0 one anywhere.
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (n, b) = (64u32, 8u32);
+        let level = |rng: &mut ChaCha8Rng, order: Vec<u32>, active_n: u32| {
+            // Per row: a column of block 0, one of the row's own block,
+            // and for a row of block 0 one anywhere.
             let mut coo = CooMatrix::new(n, n);
             for r in 0..active_n {
                 let own = (r / b) * b;
                 let mut cols = vec![
-                    (r * 5 + salt) % b,
-                    own + (r * 3 + 1) % b.min(active_n - own),
+                    rng.gen_range(0..b.min(active_n)),
+                    own + rng.gen_range(0..b.min(active_n - own)),
                 ];
                 if r < b {
-                    cols.push((r * 11 + 7 + salt) % active_n);
+                    cols.push(rng.gen_range(0..active_n));
                 }
                 for c in cols {
-                    let v = ((r * 7 + c * 3 + salt) % 13) as f64 / 7.0 - 0.9;
-                    coo.push(r, c, v).unwrap();
+                    coo.push(r, c, rng.gen_range(-1.0..1.0)).unwrap();
                 }
             }
             ArrowLevel {
@@ -1429,14 +1381,25 @@ mod tests {
                 active_n,
             }
         };
-        let d = ArrowDecomposition::new(
-            n,
-            b,
-            vec![
-                level((0..n).collect(), n, 0),
-                level(order1, 24, 1),
-                level(order2, 16, 2),
-            ],
+        let mut levels = vec![level(&mut rng, (0..n).collect(), n)];
+        for _ in 0..rng.gen_range(3..=4) {
+            let mut order: Vec<u32> = (0..n).collect();
+            order.shuffle(&mut rng);
+            let active_n = rng.gen_range(b + 1..n);
+            levels.push(level(&mut rng, order, active_n));
+        }
+        let d = ArrowDecomposition::new(n, b, levels);
+        let active = |t: usize, v: u32| {
+            let level = &d.levels()[t];
+            level.perm.position(v) < level.active_n
+        };
+        let below = |t: usize, v: u32| (t + 1..d.order()).any(|u| active(u, v));
+        let hub_deeper =
+            (1..d.order()).any(|t| (0..b).any(|p| below(t, d.levels()[t].perm.vertex_at(p))));
+        let reenters = (0..n).any(|v| (1..d.order()).any(|t| !active(t, v) && below(t, v)));
+        assert!(
+            hub_deeper && reenters,
+            "seed {seed} drew a chain without the cases"
         );
         (d.reconstruct().unwrap(), d)
     }
