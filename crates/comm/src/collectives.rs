@@ -14,7 +14,7 @@
 //! `rows × 8 × stride` a message. Supports are fixed when a plan is
 //! built, so a plan does not depend on the operand width. That gives every
 //! row collective one call path: a caller builds its candidates once
-//! ([`Collective`]), takes one per call ([`Collective::pick`], or
+//! ([`Collective`]), takes one per operand width ([`Collective::pick`], or
 //! [`Collective::plan`] by schedule) and runs it ([`Group::broadcast_plan`],
 //! [`Group::reduce_plan`]); the ring is a [`Plan::ring`] run by
 //! [`Group::allreduce_plan`]. The arrow multiply's point-to-point feeds are
@@ -57,28 +57,32 @@
 //!
 //! # Selection
 //!
-//! [`Collective::pick`] chooses from values every member (and a
-//! `predict_volume`) holds. With `T = α + β·s`, `u = 8·stride·⌈rows/q⌉`,
-//! `L(n) = ⌈log₂ n⌉` and `σᵥ = 8·stride·|supports[v]|` over the non-roots
-//! with a non-empty support, the completion times are:
-//!
-//! | | tree | large | sparse |
-//! |---|---|---|---|
-//! | broadcast | `L(p)·T` | `q·(α + β·u) + L(q)·α + (q−1)·β·u` | `Σᵥ (α + β·σᵥ)` |
-//! | reduce | `L(p)·T`, less up to `α` when `p` is not a power of two | `(q−1)·(α + β·u) + α + q·β·u` | `α + β·Σᵥ σᵥ` (`0` if no support) |
-//!
-//! This table is the selection's time rule and is not replayed from the
-//! steps: the large forms price every block as the largest one, so an
-//! exact replay of the clock would move tree/large picks on uneven
-//! splits. The **dense pick** is the faster of the tree and the large
+//! [`Collective::pick`] times every candidate on the machine's own clock.
+//! [`Plan::replay`] walks each member's steps under the α-β rules the
+//! ranks run on (one `Clock` serves both), without payloads, and a plan's
+//! time is its makespan: what the machine reports when the plan runs
+//! alone. The **dense pick** is the faster of the tree and the large
 //! schedule (ties, `p < 3` and empty payloads go to the tree). The sparse
 //! plan replaces it only when it finishes no later **and** its busiest
-//! member moves no more bytes and no more messages, both counted from
-//! the plans. Without the bytes guard the one-column `serve-small` arrow
-//! plan takes a sparse reduce whose root moves 30 688 bytes an iteration
+//! member moves no more bytes and no more messages, both counted from the
+//! plans. Without the bytes guard the one-column `serve-small` arrow plan
+//! takes a sparse reduce whose root moves 30 688 bytes an iteration
 //! instead of 19 088; without the message guard Arrow on a 600-vertex
 //! star at 16 ranks is priced at 23 messages instead of 10 and the
 //! serving planner binds the slower 1.5D.
+//!
+//! The replay replaced hand-derived completion formulas, which priced
+//! every large block as the largest one. Under the default model, over
+//! sizes 2–64, 14 row counts (1–4 096), 8 strides (1–512) and 4 support
+//! densities, the two pick differently in 90 of 14 112 dense cases and
+//! 317 of 56 448 supported ones. All 90, and 289 of the 317, are a tree or
+//! large call on a split `q` does not divide, where the two makespans lie
+//! within 1.43× of each other; the other 28 are sparse-versus-dense ties
+//! the formulas gave the tree. The replay's pick is never the slower on
+//! the machine's clock, and none of these cases is on the reproduction
+//! ledger or the benchmark's workloads. A replay is not free (the large
+//! reduce has `Θ(p²)` steps), so a caller picks once per run on the host
+//! and hands the plans to its rank programs.
 //!
 //! # Host copies are not wire bytes
 //!
@@ -93,7 +97,7 @@
 
 use crate::cost::CostModel;
 use crate::message::{Payload, SharedRows};
-use crate::rank::RankCtx;
+use crate::rank::{Clock, RankCtx};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -177,6 +181,18 @@ pub(crate) struct Step {
     dir: Dir,
     rows: Rows,
     buf: Buf,
+}
+
+impl Step {
+    /// The rows the step moves, in a plan of a `rows`-row buffer whose
+    /// row lists are `lists`.
+    fn moves(&self, rows: usize, lists: &[Vec<u32>]) -> usize {
+        match &self.rows {
+            Rows::All => rows,
+            Rows::Span(head, tail) => head.len() + tail.len(),
+            Rows::List(l) => lists[*l as usize].len(),
+        }
+    }
 }
 
 fn step(peer: usize, dir: Dir, rows: Rows, buf: Buf) -> Step {
@@ -295,10 +311,11 @@ fn sparse_steps(op: Op, vr: usize, supports: &[Vec<u32>]) -> Vec<Step> {
 /// it sends chunk `me − s` (its own at first, then the buffer it last
 /// received) and receives chunk `me − s − 1`, summing its own part into it
 /// for the first `g − 1` steps and keeping it from the last of those on.
+/// An empty buffer takes no step.
 fn ring_steps(me: usize, g: usize, rows: usize) -> Vec<Step> {
     let chunk = |back: usize| run(g, rows, (me + 2 * g - back) % g, 1);
     let mut steps = Vec::new();
-    for s in 0..2 * (g - 1) {
+    for s in (0..2 * (g - 1)).filter(|_| rows > 0) {
         let (sum, keep) = (false, false);
         let sent = if s == 0 {
             Buf::Own
@@ -349,11 +366,7 @@ impl Plan {
         let count = |steps: &Vec<Step>| {
             let mut t = Traffic::default();
             for s in steps {
-                let n = match &s.rows {
-                    Rows::All => rows,
-                    Rows::Span(head, tail) => head.len() + tail.len(),
-                    Rows::List(l) => lists[*l as usize].len(),
-                } as u64;
+                let n = s.moves(rows, &lists) as u64;
                 match s.dir {
                     Dir::Send => (t.sent_bytes, t.sent_msgs) = (t.sent_bytes + n, t.sent_msgs + 1),
                     Dir::Recv => (t.recv_bytes, t.recv_msgs) = (t.recv_bytes + n, t.recv_msgs + 1),
@@ -406,20 +419,8 @@ impl Plan {
     /// where `size` does not divide `rows` some member moves whole rows
     /// more than `2·(size − 1)/size` of the buffer.
     pub fn ring(size: usize, rows: usize) -> Self {
-        let ring = |me| {
-            if size == 1 || rows == 0 {
-                Vec::new()
-            } else {
-                ring_steps(me, size, rows)
-            }
-        };
-        Self::new(
-            Op::Ring,
-            None,
-            rows,
-            Vec::new(),
-            (0..size).map(ring).collect(),
-        )
+        let steps = (0..size).map(|me| ring_steps(me, size, rows)).collect();
+        Self::new(Op::Ring, None, rows, Vec::new(), steps)
     }
 
     /// Point-to-point routes among `members` ranks, for
@@ -450,6 +451,44 @@ impl Plan {
         self.schedule
     }
 
+    /// Every member's clock once it has run its steps on a `stride`-column
+    /// buffer, alone and from time zero, on a machine with `cost`: each
+    /// member walks its steps on its own clock under the machine's α-β
+    /// rules, with no payloads, a receive taking the earliest message its
+    /// peer sent it that no earlier receive took. A ring of an empty
+    /// payload sends nothing. Panics if the steps deadlock.
+    pub fn replay(&self, stride: usize, cost: &CostModel) -> Vec<f64> {
+        let size = self.steps.len();
+        let mut clocks = vec![Clock::default(); size];
+        // Per member: its next step, and the messages sent to it and not
+        // yet received, `(sender, departure, bytes)` in send order.
+        let (mut at, mut inbox) = (vec![0; size], vec![Vec::new(); size]);
+        let mut left: usize = self.steps.iter().map(Vec::len).sum();
+        // An empty ring sends nothing.
+        let empty = self.op == Op::Ring && stride == 0;
+        while left > 0 && !empty {
+            let before = left;
+            for (m, steps) in self.steps.iter().enumerate() {
+                while let Some(s) = steps.get(at[m]) {
+                    let bytes = 8 * stride * s.moves(self.rows, &self.lists);
+                    if s.dir == Dir::Send {
+                        let depart = clocks[m].send(cost, bytes);
+                        inbox[s.peer as usize].push((m as u32, depart, bytes));
+                    } else if s.dir == Dir::Recv {
+                        let Some(i) = inbox[m].iter().position(|msg| msg.0 == s.peer) else {
+                            break;
+                        };
+                        let (_, depart, bytes) = inbox[m].remove(i);
+                        clocks[m].recv(cost, depart, bytes);
+                    }
+                    (at[m], left) = (at[m] + 1, left - 1);
+                }
+            }
+            assert!(left < before, "the plan's steps deadlock");
+        }
+        clocks.iter().map(|clock| clock.now).collect()
+    }
+
     /// What member `v` sends and receives on a `stride`-column buffer (a
     /// ring of an empty payload sends nothing).
     pub fn traffic(&self, v: usize, stride: usize) -> Traffic {
@@ -474,12 +513,9 @@ impl Plan {
 /// The plans one rooted row collective can take over `size` members and
 /// a `rows`-row buffer — the tree; the large schedule with two non-roots
 /// and a row to cut; the sparse one given supports — built once and
-/// picked per call.
+/// picked per operand width.
 #[derive(Debug, Clone)]
 pub struct Collective {
-    op: Op,
-    size: usize,
-    rows: usize,
     tree: Plan,
     large: Option<Plan>,
     sparse: Option<Plan>,
@@ -500,9 +536,6 @@ impl Collective {
         supports.inspect(|s| check_supports(s, size, rows));
         let plan = |schedule, lists| Plan::rooted(op, schedule, size, rows, lists);
         Self {
-            op,
-            size,
-            rows,
             tree: plan(Schedule::Tree, Vec::new()),
             large: (size >= 3 && rows > 0).then(|| plan(Schedule::Large, Vec::new())),
             sparse: supports
@@ -520,71 +553,28 @@ impl Collective {
         }
     }
 
-    /// The plan a `stride`-column buffer takes on a machine with `cost`
-    /// (see the [module docs](self#selection)).
+    /// The plan a `stride`-column buffer takes on a machine with `cost`,
+    /// by the candidates' replayed makespans (see the [module
+    /// docs](self#selection)). A replay is not free: pick once per run on
+    /// the host, not in a rank program.
     pub fn pick(&self, stride: usize, cost: &CostModel) -> &Plan {
-        let (op, bytes) = (self.op, 8 * self.rows * stride);
-        let tree_time = match op {
-            Op::Reduce => tree_reduce_time(self.size, bytes, cost),
-            _ => ceil_log2(self.size) * cost.transfer_time(bytes),
-        };
-        let (dense, time) = (self.large.as_ref().filter(|_| bytes > 0))
-            .map(|large| {
-                (
-                    large,
-                    large_time(op, self.size - 1, self.rows, stride, cost),
-                )
-            })
-            .filter(|&(_, large_time)| large_time < tree_time)
-            .unwrap_or((&self.tree, tree_time));
+        if stride == 0 || (self.large.is_none() && self.sparse.is_none()) {
+            return &self.tree;
+        }
+        let time = |plan: &Plan| plan.replay(stride, cost).into_iter().fold(0.0, f64::max);
+        let tree = (&self.tree, time(&self.tree));
+        let large = self.large.as_ref().map(|large| (large, time(large)));
+        let (dense, t) = large.filter(|large| large.1 < tree.1).unwrap_or(tree);
         match &self.sparse {
             Some(sparse)
-                if stride > 0
-                    && sparse_time(op, &sparse.lists, stride, cost) <= time
-                    && sparse.busiest.0 <= dense.busiest.0
-                    && sparse.busiest.1 <= dense.busiest.1 =>
+                if sparse.busiest.0 <= dense.busiest.0
+                    && sparse.busiest.1 <= dense.busiest.1
+                    && time(sparse) <= t =>
             {
                 sparse
             }
             _ => dense,
         }
-    }
-}
-
-fn ceil_log2(n: usize) -> f64 {
-    f64::from(n.next_power_of_two().trailing_zeros())
-}
-
-/// A tree reduce's completion: a complete subtree of `2^j` members is
-/// ready after `j` transfers; the last child of an incomplete tree can be
-/// ready early, and then only its bytes queue on the root's link.
-fn tree_reduce_time(size: usize, bytes: usize, cost: &CostModel) -> f64 {
-    if size == 1 {
-        return 0.0;
-    }
-    let half = size.next_power_of_two() / 2;
-    let complete = ceil_log2(half) * cost.transfer_time(bytes);
-    complete.max(tree_reduce_time(size - half, bytes, cost) + cost.alpha) + cost.beta * bytes as f64
-}
-
-/// The large schedule's completion over `q` non-roots, every block
-/// priced as the largest.
-fn large_time(op: Op, q: usize, rows: usize, stride: usize, cost: &CostModel) -> f64 {
-    let block = (8 * stride * rows.div_ceil(q)) as f64;
-    let latencies = q as f64 + if op == Op::Reduce { 0.0 } else { ceil_log2(q) };
-    latencies * cost.alpha + cost.beta * block * (2 * q - 1) as f64
-}
-
-/// The sparse schedule's completion: the root's packed sends serialise
-/// (broadcast), or the packed messages leave together and drain one
-/// after another on the root's link (reduce).
-fn sparse_time(op: Op, supports: &[Vec<u32>], stride: usize, cost: &CostModel) -> f64 {
-    let mut sent = (supports[1..].iter().filter(|s| !s.is_empty())).map(|s| 8 * stride * s.len());
-    match op {
-        Op::Reduce => sent.next().map_or(0.0, |first| {
-            cost.alpha + cost.beta * (first + sent.sum::<usize>()) as f64
-        }),
-        _ => sent.fold(0.0, |time, bytes| time + cost.transfer_time(bytes)),
     }
 }
 
@@ -959,16 +949,8 @@ impl Group {
         let vr = self.vr(root_idx);
         let own = (vr == 0).then(|| data.expect("broadcast root must supply the data"));
         let held = Held::new(own.clone(), own);
-        let held = self.exec(
-            ctx,
-            None,
-            root_idx,
-            plan,
-            &plan.steps[vr],
-            None,
-            stride,
-            held,
-        );
+        let steps = &plan.steps[vr];
+        let held = self.exec(ctx, None, root_idx, plan, steps, None, stride, held);
         (held.own.or(held.value)).unwrap_or_else(|| Arc::new(vec![0.0; len]))
     }
 
@@ -1024,7 +1006,8 @@ impl Group {
         if plan.schedule == Some(Schedule::Sparse) && self.size() > 1 {
             held.pieces.resize_with(self.size() - 1, || None);
             let folded = held.fold(&vec![0.0; plan.union.1 * stride]);
-            for (row, &at) in held.own_mut().chunks_exact_mut(stride).zip(&plan.union.0) {
+            let rows = held.own_mut().chunks_exact_mut(stride.max(1));
+            for (row, &at) in rows.zip(&plan.union.0) {
                 if at == u32::MAX {
                     // Every piece is +0.0 here, and so is their sum.
                     row.iter_mut().for_each(|a| *a += 0.0);

@@ -7,6 +7,45 @@ use crate::stats::RankStats;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// A rank's two simulated clocks and the α-β rules that advance them
+/// under a machine's cost model. The machine's ranks run on one, and so
+/// does a plan's replay ([`Plan::replay`](crate::Plan::replay)), so the
+/// two cannot disagree.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Clock {
+    /// The CPU clock: the rank's simulated time.
+    pub(crate) now: f64,
+    /// Inbound-link clock: the NIC drains one message at a time, so a
+    /// rank's aggregate incoming volume serialises at β bytes/s even when
+    /// the CPU clock is ahead (single-port, full-duplex model).
+    nic: f64,
+}
+
+impl Clock {
+    /// A send of `bytes` occupies the sender for `α + β·bytes`; returns
+    /// when it departed.
+    pub(crate) fn send(&mut self, cost: &CostModel, bytes: usize) -> f64 {
+        let depart = self.now;
+        self.now += cost.transfer_time(bytes);
+        depart
+    }
+
+    /// A message of `bytes` that departed at `depart` occupies the inbound
+    /// link for `β·bytes` from no earlier than `depart + α`, and the CPU
+    /// clock advances to its arrival.
+    pub(crate) fn recv(&mut self, cost: &CostModel, depart: f64, bytes: usize) {
+        self.nic = (self.nic.max(depart + cost.alpha)) + cost.beta * bytes as f64;
+        self.now = self.now.max(self.nic);
+    }
+
+    /// Charges `flops` of local work; returns its time.
+    pub(crate) fn compute(&mut self, cost: &CostModel, flops: f64) -> f64 {
+        let t = cost.compute_time(flops);
+        self.now += t;
+        t
+    }
+}
+
 /// Handle a rank's program uses to communicate, charge compute, and read
 /// its simulated clock.
 pub struct RankCtx {
@@ -15,11 +54,7 @@ pub struct RankCtx {
     cost: CostModel,
     /// Every rank's inbox; this rank receives from its own.
     post: Arc<PostOffice>,
-    sim_time: f64,
-    /// Inbound-link clock: the NIC drains one message at a time, so a
-    /// rank's aggregate incoming volume serialises at β bytes/s even when
-    /// the CPU clock is ahead (single-port, full-duplex model).
-    nic_time: f64,
+    clock: Clock,
     pub(crate) stats: RankStats,
     /// Per-group collective sequence numbers (see `collectives`).
     pub(crate) coll_seq: HashMap<u64, u64>,
@@ -32,8 +67,7 @@ impl RankCtx {
             p,
             cost,
             post,
-            sim_time: 0.0,
-            nic_time: 0.0,
+            clock: Clock::default(),
             stats: RankStats::default(),
             coll_seq: HashMap::new(),
         }
@@ -60,7 +94,7 @@ impl RankCtx {
     /// Current simulated clock in seconds.
     #[inline]
     pub fn sim_time(&self) -> f64 {
-        self.sim_time
+        self.clock.now
     }
 
     /// Sends `data` to `to` with a user `tag` (tags with the top bit set
@@ -77,8 +111,7 @@ impl RankCtx {
 
     pub(crate) fn send_internal<T: Payload>(&mut self, to: u32, tag: u64, data: T) {
         let bytes = data.payload_bytes();
-        let depart = self.sim_time;
-        self.sim_time += self.cost.transfer_time(bytes);
+        let depart = self.clock.send(&self.cost, bytes);
         self.stats.sent_bytes += bytes as u64;
         self.stats.sent_msgs += 1;
         let pkt = Packet {
@@ -107,9 +140,7 @@ impl RankCtx {
     /// Panics if the payload type does not match the sender's.
     pub fn recv<T: Payload>(&mut self, from: u32, tag: u64) -> T {
         let pkt = self.post.take(self.rank, from, tag);
-        self.nic_time =
-            (self.nic_time.max(pkt.depart + self.cost.alpha)) + self.cost.beta * pkt.bytes as f64;
-        self.sim_time = self.sim_time.max(self.nic_time);
+        self.clock.recv(&self.cost, pkt.depart, pkt.bytes);
         self.stats.recv_bytes += pkt.bytes as u64;
         self.stats.recv_msgs += 1;
         *pkt.data.downcast::<T>().unwrap_or_else(|_| {
@@ -122,13 +153,11 @@ impl RankCtx {
 
     /// Charges `flops` of local computation to the simulated clock.
     pub fn compute_flops(&mut self, flops: f64) {
-        let t = self.cost.compute_time(flops);
-        self.sim_time += t;
-        self.stats.compute_time += t;
+        self.stats.compute_time += self.clock.compute(&self.cost, flops);
     }
 
     pub(crate) fn finalize(mut self) -> RankStats {
-        self.stats.sim_time = self.sim_time;
+        self.stats.sim_time = self.clock.now;
         std::mem::take(&mut self.stats)
     }
 }

@@ -7,9 +7,10 @@
 //! into `p/c` row tiles, tile `i` replicated on the `c` processors of grid
 //! row `i`. Each grid column `j` needs the `⌈(p/c)/c⌉` X-tiles covering
 //! its column block; these are broadcast down the column one round at a
-//! time (a [`Collective::pick`] run by [`Group::broadcast_plan`]: a
-//! binomial tree, or scatter + all-gather when the tile is large enough
-//! for the machine's cost model), each processor accumulating
+//! time (the [`Collective::pick`] of the tile's height, made once per run,
+//! run by [`Group::broadcast_plan`]: a binomial tree, or scatter +
+//! all-gather when the tile is large enough for the machine's cost
+//! model), each processor accumulating
 //! `A(i,j)·X_t`. A ring all-reduce across each grid row then produces
 //! `Y_i` replicated exactly like the input — so iterations chain without
 //! data movement.
@@ -136,13 +137,20 @@ impl A15dSpmm {
         self.c
     }
 
-    /// The plans of grid row `t`'s block: its broadcast and its ring.
-    fn plans(&self, t: u32) -> (&Collective, &Plan) {
+    /// Which of [`Self::plans`] grid row `t`'s block takes.
+    fn height(&self, t: u32) -> usize {
         let (t0, t1) = block_range(self.n, self.rb, t);
-        let (_, bcast, ring) = (self.plans.iter())
-            .find(|(h, ..)| *h == t1 - t0)
-            .expect("every height is planned");
-        (bcast, ring)
+        (self.plans.iter())
+            .position(|(h, ..)| *h == t1 - t0)
+            .expect("every height is planned")
+    }
+
+    /// Per planned height, the broadcast a `k`-column tile takes: picked
+    /// once per run or prediction, on the host.
+    fn picks(&self, k: u32) -> Vec<&Plan> {
+        (self.plans.iter())
+            .map(|(_, bcast, _)| bcast.pick(k as usize, &self.cost))
+            .collect()
     }
 }
 
@@ -172,6 +180,7 @@ impl DistSpmm for A15dSpmm {
             });
         }
         let k = x.cols();
+        let picks = self.picks(k);
         let machine = Machine::new(self.p).with_cost(self.cost);
         let report = machine.run(|ctx| {
             let rank = ctx.rank();
@@ -200,7 +209,7 @@ impl DistSpmm for A15dSpmm {
                     // Broadcast X tile t down grid column j from grid row
                     // t: one shared buffer for the root and every relay.
                     let payload = (i == t).then(|| Arc::clone(&x_cur));
-                    let plan = self.plans(t).0.pick(k as usize, ctx.cost());
+                    let plan = picks[self.height(t)];
                     let xt = col_group.broadcast_plan(ctx, t as usize, payload, plan, k as usize);
                     // Multiply the matching stationary submatrix.
                     if let Some((tt, sub)) = tile_iter.as_slice().first() {
@@ -221,7 +230,7 @@ impl DistSpmm for A15dSpmm {
                 // was. Row-aligned chunks keep the reduction order
                 // independent of k, so batched multi-RHS runs bit-match
                 // single-column runs.
-                let ring = self.plans(i).1;
+                let ring = &self.plans[self.height(i)].2;
                 let mut y = row_group.allreduce_plan(ctx, partial, ring, k as usize);
                 apply_sigma(&mut y, sigma);
                 spare =
@@ -253,7 +262,7 @@ impl DistSpmm for A15dSpmm {
         // Collectives are charged per element moved: 8 bytes a value on
         // the machine, `dtype` bytes on a `dtype` wire.
         let scale = self.dtype.bytes() as f64 / 8.0;
-        let (g, kk) = (self.grid_rows, k as usize);
+        let (g, kk, picks) = (self.grid_rows, k as usize, self.picks(k));
         (0..self.p)
             .map(|rank| {
                 let (i, j) = (rank / self.c, rank % self.c);
@@ -262,11 +271,8 @@ impl DistSpmm for A15dSpmm {
                 let tiles =
                     (j * self.tiles_per_col)..((j + 1) * self.tiles_per_col).min(self.grid_rows);
                 let moved: Vec<Traffic> = tiles
-                    .map(|t| {
-                        let bcast = self.plans(t).0.pick(kk, &self.cost);
-                        bcast.traffic(((i + g - t) % g) as usize, kk)
-                    })
-                    .chain([self.plans(i).1.traffic(j as usize, kk)])
+                    .map(|t| picks[self.height(t)].traffic(((i + g - t) % g) as usize, kk))
+                    .chain([self.plans[self.height(i)].2.traffic(j as usize, kk)])
                     .collect();
                 CommEstimate {
                     max_rank_bytes: moved.iter().map(Traffic::bytes).sum::<u64>() as f64 * scale,

@@ -10,9 +10,10 @@
 //! 1. **route** — the owner `(j, f)` of `X(j, f)` sends it to the diagonal
 //!    processor `(j, j)` of grid column `j`,
 //! 2. **broadcast** — `(j, j)` broadcasts the tile down grid column `j`
-//!    (static groups; a [`Collective::pick`] run by
-//!    [`Group::broadcast_plan`]: a binomial tree, or scatter + all-gather
-//!    when the tile is large enough for the machine's cost model),
+//!    (static groups; the [`Collective::pick`] of the tile's height and
+//!    width, made once per run, run by [`Group::broadcast_plan`]: a
+//!    binomial tree, or scatter + all-gather when the tile is large enough
+//!    for the machine's cost model),
 //! 3. **multiply** — each `(r, c)` computes the partial `A(r, c)·X(c, f)`,
 //! 4. **reduce** — grid row `r` sum-reduces onto `(r, f)` over a binomial
 //!    tree, which stores `Y(r, f)` — the same layout as the input, so
@@ -117,13 +118,26 @@ impl A2dSpmm {
         self
     }
 
-    /// The plans of grid row (or column) `r`'s block height.
-    fn plans(&self, r: u32) -> (&Collective, &Plan) {
+    /// Which of [`Self::plans`] grid row (or column) `r`'s block takes.
+    fn height(&self, r: u32) -> usize {
         let (r0, r1) = block_range(self.n, self.rb, r);
-        let (_, bcast, reduce) = (self.plans.iter())
-            .find(|(h, ..)| *h == r1 - r0)
-            .expect("every height is planned");
-        (bcast, reduce)
+        (self.plans.iter())
+            .position(|(h, ..)| *h == r1 - r0)
+            .expect("every height is planned")
+    }
+
+    /// Per planned height, per phase of a `k`-column operand, the
+    /// broadcast the phase's tile takes: picked once per run or
+    /// prediction, on the host.
+    fn picks(&self, k: u32) -> Vec<Vec<&Plan>> {
+        let phases = even_ranges(k, self.q);
+        (self.plans.iter())
+            .map(|(_, bcast, _)| {
+                (phases.iter())
+                    .map(|&(f0, f1)| bcast.pick((f1 - f0) as usize, &self.cost))
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -151,6 +165,7 @@ impl DistSpmm for A2dSpmm {
         let k = x.cols();
         let q = self.q;
         let col_ranges = even_ranges(k, q);
+        let picks = self.picks(k);
         let machine = Machine::new(self.p).with_cost(self.cost);
         let report = machine.run(|ctx| {
             let rank = ctx.rank();
@@ -192,7 +207,7 @@ impl DistSpmm for A2dSpmm {
                     };
                     // 2. Broadcast X(c, f) down grid column c from the
                     //    diagonal member (index c).
-                    let plan = self.plans(c).0.pick(fk as usize, ctx.cost());
+                    let plan = picks[self.height(c)][f as usize];
                     let xt =
                         col_group.broadcast_plan(ctx, c as usize, bcast_payload, plan, fk as usize);
                     // 3. Partial product A(r, c) · X(c, f).
@@ -217,7 +232,7 @@ impl DistSpmm for A2dSpmm {
                     //    this pipeline more simulated time than it saves
                     //    (grid160 + rmat13, p = 16, k = 16: 719 → 767
                     //    sim-µs) and moves no max-rank byte.
-                    let tree = self.plans(r).1;
+                    let tree = &self.plans[self.height(r)].2;
                     let reduced =
                         row_group.reduce_plan(ctx, f as usize, partial, tree, fk as usize);
                     if c == f {
@@ -252,7 +267,7 @@ impl DistSpmm for A2dSpmm {
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
         let q = self.q;
-        let col_ranges = even_ranges(k, q);
+        let (col_ranges, picks) = (even_ranges(k, q), self.picks(k));
         // Collectives are charged per element moved: 8 bytes a value on
         // the machine, `dtype` bytes on a `dtype` wire.
         let scale = self.dtype.bytes() as f64 / 8.0;
@@ -268,22 +283,21 @@ impl DistSpmm for A2dSpmm {
                 let (f0, f1) = col_ranges[f as usize];
                 let fk = (f1 - f0) as usize;
                 let fkb = self.dtype.bytes() as f64 * fk as f64;
-                // 1. Route X(r, f) to the diagonal of grid column r.
-                if c == f && r != c {
-                    bytes += my_rows * fkb;
-                    msgs += 1.0;
-                }
-                if r == c && c != f {
+                // 1. Route X(r, f) to the diagonal of grid column r: the
+                //    owner sends it, the diagonal receives it, unless the
+                //    owner is the diagonal.
+                if (c == f) != (r == c) {
                     bytes += my_rows * fkb;
                     msgs += 1.0;
                 }
                 // 2. Broadcast X(c, f) down grid column c from the
                 //    diagonal member (group index c), and 4. reduce across
                 //    the grid row onto member f (the tree).
-                let bcast = self.plans(c).0.pick(fk, &self.cost);
+                let bcast = picks[self.height(c)][f as usize];
+                let tree = &self.plans[self.height(r)].2;
                 let moved = [
                     bcast.traffic(((r + q - c) % q) as usize, fk),
-                    self.plans(r).1.traffic(((c + q - f) % q) as usize, fk),
+                    tree.traffic(((c + q - f) % q) as usize, fk),
                 ];
                 for moved in moved {
                     bytes += moved.bytes() as f64 * scale;

@@ -17,8 +17,8 @@
 //!    Rank `i` reads only the rows
 //!    `Sᵢ = colsupp B(i,0) ∪ colsupp B(0,0)[runᵢ]` of `D(0)` and its
 //!    partial is non-zero only on `Rᵢ = rowsupp B(0,i) ∪ rowsupp
-//!    B(0,0)[runᵢ]` ([`ArrowSpmm::supports`]), and the collectives pick a
-//!    plan per call from those supports ([`Collective`]): the sparse one
+//!    B(0,0)[runᵢ]` ([`ArrowSpmm::supports`]), and each run picks the
+//!    level's plans once from those supports ([`Collective`]): the sparse one
 //!    ships each rank only `Sᵢ` and `Rᵢ` (a level-0 non-root of grid160 at
 //!    `b = 1 600` reads about 1 % of `D(0)`), the dense ones the `b × k`
 //!    block §6 prices — on the large schedules about four blocks a rank,
@@ -817,9 +817,9 @@ impl ArrowSpmm {
     /// level 0, and every level under [`Feed::Relay`] — the schedules its
     /// broadcast and its reduce take.
     pub fn schedules(&self, k: u32) -> Vec<[Schedule; 2]> {
-        let picked = |c: &Collective| c.pick(k as usize, &self.cost).schedule();
-        (self.relayed(self.feed(k)).iter())
-            .map(|level| [&level.bcast, &level.reduce].map(|c| picked(c).expect("a rooted plan")))
+        let (feed, picks) = self.choose(k);
+        (picks[..self.relayed(feed).len()].iter())
+            .map(|plans| plans.map(|plan| plan.schedule().expect("a rooted plan")))
             .collect()
     }
 
@@ -830,21 +830,37 @@ impl ArrowSpmm {
     /// rank's exact traffic at the machine's `f64` width (as [`amd_comm`]'s
     /// collectives pick a schedule).
     pub fn feed(&self, k: u32) -> Feed {
-        let mut held = (FEEDS[0], self.busiest(k, FEEDS[0]));
+        self.choose(k).0
+    }
+
+    /// The feed a `k`-column operand takes ([`Self::feed`]) and, per
+    /// level, the plans its broadcast of `D(0)` and its reduce of the
+    /// partials take: picked once per run or prediction, on the host, and
+    /// read by everything that follows.
+    fn choose(&self, k: u32) -> (Feed, Vec<[&Plan; 2]>) {
+        let picks: Vec<[&Plan; 2]> = (self.levels.iter())
+            .map(|level| [&level.bcast, &level.reduce].map(|c| c.pick(k as usize, &self.cost)))
+            .collect();
+        let mut held = (FEEDS[0], self.load(k, FEEDS[0], &picks));
         for &feed in &FEEDS[1..] {
-            let load = self.busiest(k, feed);
+            let load = self.load(k, feed, &picks);
             if load.0 <= held.1 .0 && load.1 <= held.1 .1 && load != held.1 {
                 held = (feed, load);
             }
         }
-        held.0
+        (held.0, picks)
     }
 
     /// The busiest rank's bytes and messages in one iteration under
     /// `feed` on a `k`-column operand, each the most of any rank, counted
     /// from the plans at 8 bytes a value — what [`Self::feed`] weighs.
     pub fn busiest(&self, k: u32, feed: Feed) -> (u64, u64) {
-        (self.moved(k, feed).into_iter())
+        self.load(k, feed, &self.choose(k).1)
+    }
+
+    /// [`Self::busiest`] under the levels' `picks`.
+    fn load(&self, k: u32, feed: Feed, picks: &[[&Plan; 2]]) -> (u64, u64) {
+        (self.moved(k, feed, picks).into_iter())
             .fold((0, 0), |(bytes, msgs), (b, m)| (bytes.max(b), msgs.max(m)))
     }
 
@@ -859,9 +875,9 @@ impl ArrowSpmm {
 
     /// What each machine rank moves in one iteration under `feed` on a
     /// `k`-column operand, at 8 bytes a value: `(bytes, messages)`,
-    /// counted from the cached plans — the feed's routes and the plan each
-    /// level's collectives pick.
-    fn moved(&self, k: u32, feed: Feed) -> Vec<(u64, u64)> {
+    /// counted from the cached plans — the feed's routes and each level's
+    /// `picks`.
+    fn moved(&self, k: u32, feed: Feed, picks: &[[&Plan; 2]]) -> Vec<(u64, u64)> {
         let (routes, kk) = (&self.feeds[feed as usize], k as usize);
         let mut ranks = vec![(0u64, 0u64); self.total_ranks as usize];
         let mut charge = |rank: usize, t: amd_comm::Traffic| {
@@ -872,9 +888,8 @@ impl ArrowSpmm {
             charge(r, routes.fwd.traffic(r, kk));
             charge(r, routes.bwd.traffic(r, kk));
         }
-        for level in self.relayed(feed) {
-            for c in [&level.bcast, &level.reduce] {
-                let plan = c.pick(kk, &self.cost);
+        for (level, plans) in self.relayed(feed).iter().zip(picks) {
+            for plan in plans {
                 for i in 0..level.nb as usize {
                     charge(level.offset as usize + i, plan.traffic(i, kk));
                 }
@@ -897,13 +912,16 @@ impl ArrowSpmm {
 /// One level's Algorithm 1: multiply the arrow matrix with the
 /// block-distributed `D`, consuming this rank's `D(i)` block and
 /// returning its `C(i)` block. `group` is the level's ranks in block
-/// order, so this rank is its member `i`. Tiles multiply the received
-/// and owned buffers where they lie ([`spmm::spmm_slices`]). A non-root
-/// leaves its `D(i)` buffer in `spare` for its next call's partial.
+/// order, so this rank is its member `i`; `plans` are the level's picked
+/// broadcast and reduce. Tiles multiply the received and owned buffers
+/// where they lie ([`spmm::spmm_slices`]). A non-root leaves its `D(i)`
+/// buffer in `spare` for its next call's partial.
+#[allow(clippy::too_many_arguments)]
 fn arrow_multiply(
     ctx: &mut RankCtx,
     group: &Group,
     level: &LevelPlan,
+    [bcast, reduce]: [&Plan; 2],
     d_block: Vec<f64>,
     k: u32,
     dtype: Dtype,
@@ -921,7 +939,6 @@ fn arrow_multiply(
     // buffer — or, on the sparse schedule, only the rows the rank reads.
     let d_block = Arc::new(d_block);
     let root_block = (my_i == 0).then(|| Arc::clone(&d_block));
-    let bcast = level.bcast.pick(k as usize, ctx.cost());
     let d0 = group.broadcast_plan(ctx, 0, root_block, bcast, k as usize);
 
     // Rank i's partial of C(0) (line 2): its row-arm product B(0,i) · D(i)
@@ -950,7 +967,6 @@ fn arrow_multiply(
         dtype,
     )
     .expect("hub tile shapes align");
-    let reduce = level.reduce.pick(k as usize, ctx.cost());
     let reduced = group.reduce_plan(ctx, 0, partial, reduce, k as usize);
 
     // C(i) = B(i,0) · D(0) + B(i,i) · D(i) (lines 4–6).
@@ -958,20 +974,9 @@ fn arrow_multiply(
         return reduced.expect("rank 0 of the level holds the reduction");
     }
     let mut c = vec![0.0; d_block.len()];
-    tile(
-        ctx,
-        level.arrow.col_tile(my_i),
-        &d0,
-        &mut c,
-        Finish::Overwrite,
-    );
-    tile(
-        ctx,
-        level.arrow.diag_tile(my_i),
-        &d_block,
-        &mut c,
-        Finish::Accumulate,
-    );
+    let (col_tile, diag_tile) = (level.arrow.col_tile(my_i), level.arrow.diag_tile(my_i));
+    tile(ctx, col_tile, &d0, &mut c, Finish::Overwrite);
+    tile(ctx, diag_tile, &d_block, &mut c, Finish::Accumulate);
     // Only the root's D(i) is broadcast; a non-root's is its own.
     *spare = Arc::try_unwrap(d_block).unwrap_or_default();
     c
@@ -992,15 +997,16 @@ impl DistSpmm for ArrowSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        self.run_feed(x, iters, sigma, self.feed(x.cols()))
+        let (feed, picks) = self.choose(x.cols());
+        self.run_feed(x, iters, sigma, feed, &picks)
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
         // What the machine moves at 8 bytes a value, a `dtype` wire moves
         // at `dtype` bytes.
         let scale = self.dtype.bytes() as f64 / 8.0;
-        let feed = self.feed(k);
-        let traffic = self.moved(k, feed);
+        let (feed, picks) = self.choose(k);
+        let traffic = self.moved(k, feed, &picks);
         // Levels hold consecutive ranks, in level order; the levels that
         // run Algorithm 1 come first.
         let tiles = self.relayed(feed).iter().flat_map(|level| {
@@ -1032,13 +1038,15 @@ impl DistSpmm for ArrowSpmm {
 }
 
 impl ArrowSpmm {
-    /// [`DistSpmm::run_sigma`] under `feed`, whichever it is.
+    /// [`DistSpmm::run_sigma`] under `feed`, whichever it is, each level's
+    /// collectives on its `picks`.
     fn run_feed(
         &self,
         x: &DenseMatrix<f64>,
         iters: u32,
         sigma: Option<Sigma>,
         feed: Feed,
+        picks: &[[&Plan; 2]],
     ) -> SparseResult<SpmmRun> {
         if x.rows() != self.n {
             return Err(SparseError::ShapeMismatch {
@@ -1093,7 +1101,9 @@ impl ArrowSpmm {
                     } else {
                         std::mem::take(&mut operand)
                     };
-                    y_block = arrow_multiply(ctx, &group, level, d_block, k, dtype, &mut spare);
+                    let plans = picks[j];
+                    y_block =
+                        arrow_multiply(ctx, &group, level, plans, d_block, k, dtype, &mut spare);
                 }
                 if j == 0 {
                     world.exchange(ctx, fwd, &routes.fwd, Dir::Recv, &mut operand, kk);
@@ -1278,7 +1288,8 @@ mod tests {
         let x = DenseMatrix::from_fn(a.rows(), k, |r, c| {
             ((r * 7 + c * 13) % 31) as f64 / 7.0 - 1.9
         });
-        let ys = FEEDS.map(|feed| alg.run_feed(&x, 2, None, feed).unwrap().y);
+        let picks = alg.choose(k).1;
+        let ys = FEEDS.map(|feed| alg.run_feed(&x, 2, None, feed, &picks).unwrap().y);
         let bits = |y: &DenseMatrix<f64>| y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (feed, y) in FEEDS.iter().zip(&ys) {
             let name = alg.name();
