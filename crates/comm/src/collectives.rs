@@ -464,22 +464,24 @@ impl Plan {
         // yet received, `(sender, departure, bytes)` in send order.
         let (mut at, mut inbox) = (vec![0; size], vec![Vec::new(); size]);
         let mut left: usize = self.steps.iter().map(Vec::len).sum();
-        // An empty ring sends nothing.
-        let empty = self.op == Op::Ring && stride == 0;
-        while left > 0 && !empty {
+        while left > 0 && !self.silent(stride) {
             let before = left;
             for (m, steps) in self.steps.iter().enumerate() {
                 while let Some(s) = steps.get(at[m]) {
                     let bytes = 8 * stride * s.moves(self.rows, &self.lists);
-                    if s.dir == Dir::Send {
-                        let depart = clocks[m].send(cost, bytes);
-                        inbox[s.peer as usize].push((m as u32, depart, bytes));
-                    } else if s.dir == Dir::Recv {
-                        let Some(i) = inbox[m].iter().position(|msg| msg.0 == s.peer) else {
-                            break;
-                        };
-                        let (_, depart, bytes) = inbox[m].remove(i);
-                        clocks[m].recv(cost, depart, bytes);
+                    match s.dir {
+                        Dir::Send => {
+                            let depart = clocks[m].send(cost, bytes);
+                            inbox[s.peer as usize].push((m as u32, depart, bytes));
+                        }
+                        Dir::Recv => {
+                            let Some(i) = inbox[m].iter().position(|msg| msg.0 == s.peer) else {
+                                break;
+                            };
+                            let (_, depart, bytes) = inbox[m].remove(i);
+                            clocks[m].recv(cost, depart, bytes);
+                        }
+                        Dir::Keep => {}
                     }
                     (at[m], left) = (at[m] + 1, left - 1);
                 }
@@ -489,11 +491,17 @@ impl Plan {
         clocks.iter().map(|clock| clock.now).collect()
     }
 
-    /// What member `v` sends and receives on a `stride`-column buffer (a
-    /// ring of an empty payload sends nothing).
+    /// Whether the plan sends nothing on a `stride`-column buffer, though
+    /// it has steps: a ring of an empty payload ([`Group::allreduce_plan`]
+    /// returns at once).
+    fn silent(&self, stride: usize) -> bool {
+        self.op == Op::Ring && stride == 0
+    }
+
+    /// What member `v` sends and receives on a `stride`-column buffer.
     pub fn traffic(&self, v: usize, stride: usize) -> Traffic {
         let (t, row) = (self.moved[v], 8 * stride as u64);
-        if self.op == Op::Ring && stride == 0 {
+        if self.silent(stride) {
             return Traffic::default();
         }
         Traffic {
@@ -949,8 +957,16 @@ impl Group {
         let vr = self.vr(root_idx);
         let own = (vr == 0).then(|| data.expect("broadcast root must supply the data"));
         let held = Held::new(own.clone(), own);
-        let steps = &plan.steps[vr];
-        let held = self.exec(ctx, None, root_idx, plan, steps, None, stride, held);
+        let held = self.exec(
+            ctx,
+            None,
+            root_idx,
+            plan,
+            &plan.steps[vr],
+            None,
+            stride,
+            held,
+        );
         (held.own.or(held.value)).unwrap_or_else(|| Arc::new(vec![0.0; len]))
     }
 

@@ -283,10 +283,12 @@ impl DistSpmm for A2dSpmm {
                 let (f0, f1) = col_ranges[f as usize];
                 let fk = (f1 - f0) as usize;
                 let fkb = self.dtype.bytes() as f64 * fk as f64;
-                // 1. Route X(r, f) to the diagonal of grid column r: the
-                //    owner sends it, the diagonal receives it, unless the
-                //    owner is the diagonal.
-                if (c == f) != (r == c) {
+                // 1. Route X(r, f) to the diagonal of grid column r.
+                if c == f && r != c {
+                    bytes += my_rows * fkb;
+                    msgs += 1.0;
+                }
+                if r == c && c != f {
                     bytes += my_rows * fkb;
                     msgs += 1.0;
                 }

@@ -833,14 +833,11 @@ impl ArrowSpmm {
         self.choose(k).0
     }
 
-    /// The feed a `k`-column operand takes ([`Self::feed`]) and, per
-    /// level, the plans its broadcast of `D(0)` and its reduce of the
-    /// partials take: picked once per run or prediction, on the host, and
-    /// read by everything that follows.
+    /// The feed a `k`-column operand takes ([`Self::feed`]) and the
+    /// levels' [`Self::picks`]: chosen once per run or prediction, on the
+    /// host, and read by everything that follows.
     fn choose(&self, k: u32) -> (Feed, Vec<[&Plan; 2]>) {
-        let picks: Vec<[&Plan; 2]> = (self.levels.iter())
-            .map(|level| [&level.bcast, &level.reduce].map(|c| c.pick(k as usize, &self.cost)))
-            .collect();
+        let picks = self.picks(k);
         let mut held = (FEEDS[0], self.load(k, FEEDS[0], &picks));
         for &feed in &FEEDS[1..] {
             let load = self.load(k, feed, &picks);
@@ -855,7 +852,15 @@ impl ArrowSpmm {
     /// `feed` on a `k`-column operand, each the most of any rank, counted
     /// from the plans at 8 bytes a value — what [`Self::feed`] weighs.
     pub fn busiest(&self, k: u32, feed: Feed) -> (u64, u64) {
-        self.load(k, feed, &self.choose(k).1)
+        self.load(k, feed, &self.picks(k))
+    }
+
+    /// Per level, the plans its broadcast of `D(0)` and its reduce of the
+    /// partials take on a `k`-column operand.
+    fn picks(&self, k: u32) -> Vec<[&Plan; 2]> {
+        (self.levels.iter())
+            .map(|level| [&level.bcast, &level.reduce].map(|c| c.pick(k as usize, &self.cost)))
+            .collect()
     }
 
     /// [`Self::busiest`] under the levels' `picks`.
@@ -974,9 +979,20 @@ fn arrow_multiply(
         return reduced.expect("rank 0 of the level holds the reduction");
     }
     let mut c = vec![0.0; d_block.len()];
-    let (col_tile, diag_tile) = (level.arrow.col_tile(my_i), level.arrow.diag_tile(my_i));
-    tile(ctx, col_tile, &d0, &mut c, Finish::Overwrite);
-    tile(ctx, diag_tile, &d_block, &mut c, Finish::Accumulate);
+    tile(
+        ctx,
+        level.arrow.col_tile(my_i),
+        &d0,
+        &mut c,
+        Finish::Overwrite,
+    );
+    tile(
+        ctx,
+        level.arrow.diag_tile(my_i),
+        &d_block,
+        &mut c,
+        Finish::Accumulate,
+    );
     // Only the root's D(i) is broadcast; a non-root's is its own.
     *spare = Arc::try_unwrap(d_block).unwrap_or_default();
     c
