@@ -401,12 +401,14 @@ impl Engine {
         &self.telemetry
     }
 
-    /// Registers `a`: fingerprint, plan, and bind the cheapest algorithm
-    /// — on more than one rank after decomposing `a` through the cache.
-    /// Registering the same content twice is a no-op returning the same
-    /// id.
+    /// Registers a copy of `a`: fingerprint, plan, and bind the cheapest
+    /// algorithm — on more than one rank after decomposing `a` through
+    /// the cache. Registering the same content twice is a no-op returning
+    /// the same id. A caller done with `a` hands it over through
+    /// [`register_salted`](Self::register_salted) with salt zero instead,
+    /// and nothing is copied.
     pub fn register(&mut self, a: &CsrMatrix<f64>) -> SparseResult<MatrixId> {
-        self.register_salted(a, 0)
+        self.register_salted(a.clone(), 0)
     }
 
     /// [`register`](Self::register) under a caller-chosen salt: identical
@@ -415,13 +417,23 @@ impl Engine {
     /// decomposition cache still dedups the LA-Decompose by content. A
     /// multi-tenant holder passes its tenant id here. Salt zero is plain
     /// registration.
-    pub fn register_salted(&mut self, a: &CsrMatrix<f64>, salt: u128) -> SparseResult<MatrixId> {
+    ///
+    /// `a` is shared, not copied: a one-rank binding multiplies by this
+    /// very allocation, so a holder that keeps the matrix too (a hub
+    /// tenant's base) passes a clone of its `Arc`.
+    pub fn register_salted(
+        &mut self,
+        a: impl Into<Arc<CsrMatrix<f64>>>,
+        salt: u128,
+    ) -> SparseResult<MatrixId> {
+        let a = a.into();
         let cold = Lineage {
             version: 0,
             salt,
             parent: 0,
         };
-        self.register_versioned(a, a.fingerprint(), cold, None)
+        let fingerprint = a.fingerprint();
+        self.register_versioned(a, fingerprint, cold, None)
     }
 
     /// `fingerprint` is `a.fingerprint()`, hashed once by whoever
@@ -429,7 +441,7 @@ impl Engine {
     /// `a`, when it made one.
     fn register_versioned(
         &mut self,
-        a: &CsrMatrix<f64>,
+        a: Arc<CsrMatrix<f64>>,
         fingerprint: u128,
         lineage: Lineage,
         precomputed: Option<Arc<ArrowDecomposition>>,
@@ -449,6 +461,7 @@ impl Engine {
                 right: (a.cols(), a.rows()),
             });
         }
+        let n = a.rows();
         let planner_config = PlannerConfig {
             cost: self.config.cost,
             target_ranks: self.config.target_ranks,
@@ -460,7 +473,7 @@ impl Engine {
         // that computes, caches or persists it is inside this arm.
         let (planned, active_prefix, source) = if self.config.target_ranks > 1 {
             let (d, source) =
-                self.cached_decomposition(a, fingerprint, version, precomputed, parent)?;
+                self.cached_decomposition(&a, fingerprint, version, precomputed, parent)?;
             let active_prefix = d.active_prefix_fraction();
             // Of the most recently planned binding, in permille (gauges
             // are integers); a one-rank engine never publishes the name.
@@ -468,7 +481,7 @@ impl Engine {
                 .registry
                 .gauge("engine.active_prefix_permille")
                 .set((active_prefix * 1000.0).round() as u64);
-            (plan(a, &d, &planner_config)?, Some(active_prefix), source)
+            (plan(&a, &d, &planner_config)?, Some(active_prefix), source)
         } else {
             (plan_local(a, &planner_config)?, None, "none")
         };
@@ -495,7 +508,7 @@ impl Engine {
         self.bound.insert(
             id,
             BoundMatrix {
-                n: a.rows(),
+                n,
                 fingerprint,
                 algo,
                 chosen,
@@ -583,13 +596,14 @@ impl Engine {
     /// say what changed: [`prepare_refresh`](Self::prepare_refresh)
     /// without a touched set, the ticket's build from its merge step on
     /// ([`RefreshTicket::build_merged`]), and
-    /// [`commit_refresh`](Self::commit_refresh). A holder that tracks its
-    /// delta passes the touched set, runs [`RefreshTicket::build`] on
-    /// whichever thread it likes and commits the result.
+    /// [`commit_refresh`](Self::commit_refresh) of a copy of `merged`. A
+    /// holder that tracks its delta passes the touched set, runs
+    /// [`RefreshTicket::build`] on whichever thread it likes and commits
+    /// the result it owns.
     pub fn refresh(&mut self, old: MatrixId, merged: &CsrMatrix<f64>) -> SparseResult<MatrixId> {
         let ticket = self.prepare_refresh(old, None)?;
         let built = ticket.build_merged(merged, merged.fingerprint())?;
-        self.commit_refresh(&ticket, merged, built)
+        self.commit_refresh(&ticket, merged.clone(), built)
     }
 
     /// The first step of a refresh: validates that `old` is bound and
@@ -648,14 +662,18 @@ impl Engine {
     /// write-through). `built` must be that ticket's build of this
     /// `merged`. Pending queries are remapped and the version lineage
     /// carried forward exactly as in [`refresh`](Self::refresh); on error
-    /// the old binding keeps serving.
+    /// the old binding keeps serving. Like
+    /// [`register_salted`](Self::register_salted), `merged` is shared,
+    /// not copied: a holder that keeps it as its new base passes a clone
+    /// of its `Arc`.
     pub fn commit_refresh(
         &mut self,
         ticket: &RefreshTicket,
-        merged: &CsrMatrix<f64>,
+        merged: impl Into<Arc<CsrMatrix<f64>>>,
         built: RefreshBuild,
     ) -> SparseResult<MatrixId> {
         let sw = Stopwatch::start();
+        let merged = merged.into();
         let old = ticket.old;
         let old_bound = self.bound.remove(&old.0).ok_or_else(|| {
             SparseError::InvalidCsr(format!("matrix {:032x} is not registered", old.0))
@@ -1320,7 +1338,7 @@ mod tests {
         let ticket = e.prepare_refresh(old, Some(touched.to_vec())).unwrap();
         let built = ticket.build_merged(merged, merged.fingerprint()).unwrap();
         let outcome = built.outcome();
-        let id = e.commit_refresh(&ticket, merged, built).unwrap();
+        let id = e.commit_refresh(&ticket, merged.clone(), built).unwrap();
         (id, outcome)
     }
 
@@ -1445,8 +1463,8 @@ mod tests {
     fn deregister_keeps_cache_entry_shared_by_another_salt() {
         let mut e = engine();
         let a = ring(36);
-        let id1 = e.register_salted(&a, 1).unwrap();
-        let id2 = e.register_salted(&a, 2).unwrap();
+        let id1 = e.register_salted(a.clone(), 1).unwrap();
+        let id2 = e.register_salted(a.clone(), 2).unwrap();
         assert_ne!(id1, id2);
         assert_eq!(e.cache_stats().decompositions, 1, "content shared");
         e.deregister(id1).unwrap();
@@ -1493,8 +1511,8 @@ mod tests {
         let mut e = engine();
         let n = 32;
         let a = ring(n);
-        let id1 = e.register_salted(&a, 1).unwrap();
-        let id2 = e.register_salted(&a, 2).unwrap();
+        let id1 = e.register_salted(a.clone(), 1).unwrap();
+        let id2 = e.register_salted(a.clone(), 2).unwrap();
         let x = vec![1.0; n as usize];
         let q1 = e
             .submit(MultiplyQuery {

@@ -35,6 +35,7 @@ use amd_spmm::{best_c, A15dSpmm, A2dSpmm, ArrowSpmm, CommEstimate, DistSpmm, Hp1
 use arrow_core::ArrowDecomposition;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// Planner knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,7 +105,9 @@ pub struct Plan {
 /// The one-rank plan: [`LocalSpmm`] alone. It multiplies by the CSR
 /// and reads nothing else, so no decomposition is asked for — which is
 /// what lets a one-rank engine admit and refresh without computing one.
-pub fn plan_local(a: &CsrMatrix<f64>, config: &PlannerConfig) -> SparseResult<Plan> {
+/// The binding shares `a`: a caller that keeps the matrix too holds the
+/// same allocation.
+pub fn plan_local(a: impl Into<Arc<CsrMatrix<f64>>>, config: &PlannerConfig) -> SparseResult<Plan> {
     let local = LocalSpmm::new(a)?
         .with_cost(config.cost)
         .with_dtype(config.dtype);
@@ -124,10 +127,10 @@ pub fn plan_local(a: &CsrMatrix<f64>, config: &PlannerConfig) -> SparseResult<Pl
 
 /// Plans the serving algorithm for `a` given its decomposition.
 ///
-/// On a one-rank deployment the plan is [`plan_local`]'s and `d` goes
-/// unread. Otherwise all four distributed candidates are constructed
-/// and ranked; ties break toward the earlier candidate in the order
-/// arrow, 1.5D, 2D, HP-1D.
+/// On a one-rank deployment the plan is [`plan_local`]'s, bound to a
+/// copy of `a`, and `d` goes unread. Otherwise all four distributed
+/// candidates are constructed and ranked; ties break toward the earlier
+/// candidate in the order arrow, 1.5D, 2D, HP-1D.
 pub fn plan(
     a: &CsrMatrix<f64>,
     d: &ArrowDecomposition,
@@ -136,7 +139,7 @@ pub fn plan(
     let k = config.k_hint.max(1);
     let p = config.target_ranks.max(1);
     if p == 1 {
-        return plan_local(a, config);
+        return plan_local(a.clone(), config);
     }
     let mut candidates: Vec<(Box<dyn DistSpmm + Send + Sync>, CommEstimate)> = Vec::new();
 
@@ -337,7 +340,7 @@ mod tests {
         let d = decompose(&a, 16);
         let plan = plan(&a, &d, &PlannerConfig::default()).unwrap();
         assert_eq!(plan.predictions.len(), 1);
-        let local = LocalSpmm::new(&a).unwrap();
+        let local = LocalSpmm::new(a.clone()).unwrap();
         assert_eq!(plan.chosen, local.name());
         assert_eq!(plan.algo.name(), local.name());
         let only = &plan.predictions[0];

@@ -10,12 +10,12 @@ use crate::scalar::Scalar;
 
 /// `A + B` as a new CSR matrix.
 pub fn add<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> SparseResult<CsrMatrix<T>> {
-    merge(a, b, |x, y| x + y)
+    merge(a, b, |x, y| x + y, false)
 }
 
 /// `A − B` as a new CSR matrix.
 pub fn sub<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> SparseResult<CsrMatrix<T>> {
-    merge(a, b, |x, y| x - y)
+    merge(a, b, |x, y| x - y, false)
 }
 
 /// Folds an additive delta into a base matrix: `A + ΔA`, with positions
@@ -26,18 +26,24 @@ pub fn sub<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> SparseResult<CsrMat
 /// column order, one addition per shared position), so for a fixed pair
 /// of operands the result is deterministic — the "fixed reduction order"
 /// the corrected multiply path is verified against. Dropping exact zeros
-/// means a delta that removes an edge really shrinks the structure.
+/// means a delta that removes an edge really shrinks the structure. The
+/// zeros are dropped during the walk, so the result's arrays are
+/// allocated once.
 pub fn apply_delta<T: Scalar>(
     a: &CsrMatrix<T>,
     delta: &CsrMatrix<T>,
 ) -> SparseResult<CsrMatrix<T>> {
-    Ok(add(a, delta)?.prune_zeros())
+    merge(a, delta, |x, y| x + y, true)
 }
 
+/// The row-wise two-pointer walk behind [`add`], [`sub`] and
+/// [`apply_delta`]; with `prune`, combined values that are exactly zero
+/// are not stored.
 fn merge<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
     combine: impl Fn(T, T) -> T,
+    prune: bool,
 ) -> SparseResult<CsrMatrix<T>> {
     if a.rows() != b.rows() || a.cols() != b.cols() {
         return Err(SparseError::ShapeMismatch {
@@ -53,18 +59,21 @@ fn merge<T: Scalar>(
         let (ai, av) = (a.row_indices(r), a.row_values(r));
         let (bi, bv) = (b.row_indices(r), b.row_values(r));
         let (mut x, mut y) = (0usize, 0usize);
+        let mut push = |c: u32, v: T| {
+            if !prune || v != T::ZERO {
+                indices.push(c);
+                values.push(v);
+            }
+        };
         while x < ai.len() || y < bi.len() {
             if y >= bi.len() || (x < ai.len() && ai[x] < bi[y]) {
-                indices.push(ai[x]);
-                values.push(combine(av[x], T::ZERO));
+                push(ai[x], combine(av[x], T::ZERO));
                 x += 1;
             } else if x >= ai.len() || bi[y] < ai[x] {
-                indices.push(bi[y]);
-                values.push(combine(T::ZERO, bv[y]));
+                push(bi[y], combine(T::ZERO, bv[y]));
                 y += 1;
             } else {
-                indices.push(ai[x]);
-                values.push(combine(av[x], bv[y]));
+                push(ai[x], combine(av[x], bv[y]));
                 x += 1;
                 y += 1;
             }
@@ -204,6 +213,19 @@ mod tests {
         assert_eq!(apply_delta(&a, &empty).unwrap(), a);
         // Shape mismatch is rejected.
         assert!(apply_delta(&a, &CsrMatrix::<f64>::zeros(3, 3)).is_err());
+        // Pruning during the walk stores what pruning the sum does:
+        // explicit zeros on either side, a cancellation, a −0.0 sum.
+        let a = m(
+            &[(0, 0, 0.0), (0, 2, 1.0), (1, 1, -0.0), (1, 2, 2.0)],
+            (2, 3),
+        );
+        let delta = m(
+            &[(0, 1, 0.0), (0, 2, -1.0), (1, 0, 4.0), (1, 2, 0.25)],
+            (2, 3),
+        );
+        let pruned = add(&a, &delta).unwrap().prune_zeros();
+        assert_eq!(apply_delta(&a, &delta).unwrap(), pruned);
+        assert_eq!(pruned.nnz(), 2);
     }
 
     #[test]

@@ -331,11 +331,11 @@ mod tests {
     fn one_rank_base_is_corrected_exactly_and_charged_flops_only() {
         let n = 48;
         let a: CsrMatrix<f64> = basic::cycle(n).to_adjacency();
-        let local = LocalSpmm::new(&a).unwrap();
+        let local = LocalSpmm::new(a.clone()).unwrap();
         let dm = delta(n);
         let corrected = DeltaSpmm::new(&local, &dm).unwrap();
         let merged = ops::apply_delta(&a, &dm).unwrap();
-        let rebuilt = LocalSpmm::new(&merged).unwrap();
+        let rebuilt = LocalSpmm::new(merged.clone()).unwrap();
         let x = DenseMatrix::from_fn(n, 3, |r, c| ((r * 5 + c) % 7) as f64 - 3.0);
         for iters in [1u32, 2, 3] {
             let got = corrected.run(&x, iters).unwrap();

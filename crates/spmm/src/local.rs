@@ -26,7 +26,7 @@
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{CostModel, MachineStats, RankStats};
 use amd_sparse::{spmm, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// The operand of a run: borrowed from the caller, or handed over with
@@ -53,7 +53,7 @@ pub(crate) type Correction<'c> =
 
 /// Shared-memory SpMM bound to a matrix: [`DistSpmm`] with one rank.
 pub struct LocalSpmm {
-    a: CsrMatrix<f64>,
+    a: Arc<CsrMatrix<f64>>,
     cost: CostModel,
     dtype: Dtype,
     /// The spare iterate buffer: after a run, whichever of its two
@@ -64,9 +64,12 @@ pub struct LocalSpmm {
 }
 
 impl LocalSpmm {
-    /// Binds the square matrix `a` (copied: the binding owns what it
-    /// multiplies by, like the tiles of its distributed siblings).
-    pub fn new(a: &CsrMatrix<f64>) -> SparseResult<Self> {
+    /// Binds the square matrix `a`, shared, not copied: a holder that
+    /// keeps the matrix itself (a hub tenant's base) hands over an
+    /// `Arc` of it, so the two are one allocation; an owned matrix is
+    /// moved in.
+    pub fn new(a: impl Into<Arc<CsrMatrix<f64>>>) -> SparseResult<Self> {
+        let a = a.into();
         if a.rows() != a.cols() {
             return Err(SparseError::ShapeMismatch {
                 left: (a.rows(), a.cols()),
@@ -74,7 +77,7 @@ impl LocalSpmm {
             });
         }
         Ok(Self {
-            a: a.clone(),
+            a,
             cost: CostModel::default(),
             dtype: Dtype::default(),
             spare: Mutex::new(Vec::new()),
@@ -273,8 +276,8 @@ mod tests {
         for (n, entries) in [(61u32, 3u32), (1031, 5)] {
             for integer in [true, false] {
                 let a = matrix(n, entries, integer);
-                let local = LocalSpmm::new(&a).unwrap();
-                let narrow = LocalSpmm::new(&a).unwrap().with_dtype(Dtype::F32);
+                let local = LocalSpmm::new(a.clone()).unwrap();
+                let narrow = LocalSpmm::new(a.clone()).unwrap().with_dtype(Dtype::F32);
                 for k in [1u32, 3, 64] {
                     let x = operand(n, k, integer);
                     for iters in [0u32, 1, 3] {
@@ -301,7 +304,7 @@ mod tests {
     #[test]
     fn a_second_run_on_reused_buffers_equals_the_first() {
         let a = matrix(1031, 5, false);
-        let local = LocalSpmm::new(&a).unwrap();
+        let local = LocalSpmm::new(a.clone()).unwrap();
         let wide = operand(1031, 64, false);
         let first = local.run(&wide, 3).unwrap();
         // A narrower run in between leaves the kept buffers at another
@@ -324,7 +327,7 @@ mod tests {
             beta: 1.0,
             compute_rate: 1e6,
         };
-        let local = LocalSpmm::new(&a).unwrap().with_cost(cost);
+        let local = LocalSpmm::new(a.clone()).unwrap().with_cost(cost);
         assert_eq!(local.ranks(), 1);
         assert!(local.name().starts_with("Local"));
         let est = local.predict_volume(4);
@@ -344,8 +347,8 @@ mod tests {
     #[test]
     fn shape_mismatches_rejected() {
         let rect = CsrMatrix::<f64>::zeros(4, 5);
-        assert!(LocalSpmm::new(&rect).is_err());
-        let local = LocalSpmm::new(&matrix(61, 3, true)).unwrap();
+        assert!(LocalSpmm::new(rect).is_err());
+        let local = LocalSpmm::new(matrix(61, 3, true)).unwrap();
         assert!(local.run(&DenseMatrix::zeros(60, 2), 1).is_err());
     }
 }

@@ -98,7 +98,7 @@ fn run_owned_equals_run_sigma_bit_for_bit() {
     let relu: Sigma = |v| v.max(0.0);
     let (a, d) = (matrix(), delta());
     for dtype in [Dtype::F64, Dtype::F32] {
-        let local = LocalSpmm::new(&a).unwrap().with_dtype(dtype);
+        let local = LocalSpmm::new(a.clone()).unwrap().with_dtype(dtype);
         let opaque = Opaque(&local);
         let corrected = DeltaSpmm::new(&local, &d).unwrap();
         let per_iteration = DeltaSpmm::new(&opaque, &d).unwrap();
@@ -129,7 +129,7 @@ fn run_owned_equals_run_sigma_bit_for_bit() {
 #[test]
 fn recycled_storage_answers_like_fresh_storage() {
     let (a, d) = (matrix(), delta());
-    let local = LocalSpmm::new(&a).unwrap();
+    let local = LocalSpmm::new(a.clone()).unwrap();
     let corrected = DeltaSpmm::new(&local, &d).unwrap();
     let mut storage = Vec::new();
     for (step, (k, iters)) in [
@@ -165,7 +165,7 @@ fn recycled_storage_answers_like_fresh_storage() {
 #[test]
 fn run_owned_rejects_a_wrong_shape() {
     let (a, d) = (matrix(), delta());
-    let local = LocalSpmm::new(&a).unwrap();
+    let local = LocalSpmm::new(a.clone()).unwrap();
     let corrected = DeltaSpmm::new(&local, &d).unwrap();
     for iters in [0u32, 1] {
         assert!(local

@@ -111,7 +111,7 @@ fn algorithm(
             )
         }
         _ => Box::new(
-            LocalSpmm::new(&a)
+            LocalSpmm::new(a.clone())
                 .unwrap()
                 .with_cost(cost())
                 .with_dtype(dtype),

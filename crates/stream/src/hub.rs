@@ -243,6 +243,10 @@ fn tenant_prefix(id: TenantId) -> String {
     format!("hub.tenant.{}.", id.0)
 }
 
+fn not_admitted(id: TenantId) -> SparseError {
+    SparseError::InvalidCsr(format!("{id} is not admitted"))
+}
+
 pub(crate) struct Tenant {
     pub(crate) matrix: MatrixId,
     /// Shared with the refresh build while one is in flight.
@@ -287,6 +291,16 @@ impl Tenant {
             Some(c) => ops::apply_delta(&c.to_csr(), &self.delta.to_csr()),
             None => Ok(self.delta.to_csr()),
         }
+    }
+
+    /// Pushes the pending correction into `engine` as this tenant's
+    /// overlay (no-op when already in sync).
+    fn sync_overlay(&mut self, engine: &mut Engine) -> SparseResult<()> {
+        if self.overlay_dirty {
+            engine.set_delta(self.matrix, self.overlay_csr()?)?;
+            self.overlay_dirty = false;
+        }
+        Ok(())
     }
 
     pub(crate) fn needs_refresh(&self) -> bool {
@@ -352,6 +366,9 @@ impl StreamHub {
     /// Admits a mutating matrix under the hub's default budget: a
     /// fingerprint and a plan — on more than one rank after one cold
     /// decompose (or a cache/disk hit), with a full planner ranking.
+    /// `a` is stored once: it becomes the tenant's base, and a one-rank
+    /// binding multiplies by that same allocation (as it does by each
+    /// refresh's merged matrix), so admission copies no CSR array.
     pub fn admit(&mut self, a: CsrMatrix<f64>) -> SparseResult<TenantId> {
         self.admit_with_budget(a, self.config.budget)
     }
@@ -372,7 +389,8 @@ impl StreamHub {
             });
         }
         let id = TenantId(self.next_tenant);
-        let matrix = self.engine.register_salted(&a, id.0 as u128)?;
+        let a = Arc::new(a);
+        let matrix = self.engine.register_salted(Arc::clone(&a), id.0 as u128)?;
         self.next_tenant += 1;
         let n = a.rows();
         let metrics = TenantCells::new(&self.engine.telemetry().registry, &tenant_prefix(id));
@@ -380,7 +398,7 @@ impl StreamHub {
             id.0,
             Tenant {
                 matrix,
-                base: Arc::new(a),
+                base: a,
                 delta: DeltaBuilder::new(n, n),
                 budget,
                 overlay_dirty: false,
@@ -403,15 +421,11 @@ impl StreamHub {
     }
 
     pub(crate) fn tenant(&self, id: TenantId) -> SparseResult<&Tenant> {
-        self.tenants
-            .get(&id.0)
-            .ok_or_else(|| SparseError::InvalidCsr(format!("{id} is not admitted")))
+        self.tenants.get(&id.0).ok_or_else(|| not_admitted(id))
     }
 
     pub(crate) fn tenant_mut(&mut self, id: TenantId) -> SparseResult<&mut Tenant> {
-        self.tenants
-            .get_mut(&id.0)
-            .ok_or_else(|| SparseError::InvalidCsr(format!("{id} is not admitted")))
+        self.tenants.get_mut(&id.0).ok_or_else(|| not_admitted(id))
     }
 
     /// Applies one update to a tenant's served matrix; returns `true`
@@ -524,19 +538,13 @@ impl StreamHub {
         Ok(stats)
     }
 
-    /// Pushes a tenant's pending correction into the engine as an
-    /// overlay (no-op when already in sync).
+    /// [`Tenant::sync_overlay`] of one tenant.
     fn sync_overlay(&mut self, tenant: TenantId) -> SparseResult<()> {
-        let (matrix, overlay) = {
-            let t = self.tenant(tenant)?;
-            if !t.overlay_dirty {
-                return Ok(());
-            }
-            (t.matrix, t.overlay_csr()?)
-        };
-        self.engine.set_delta(matrix, overlay)?;
-        self.tenant_mut(tenant)?.overlay_dirty = false;
-        Ok(())
+        let t = self
+            .tenants
+            .get_mut(&tenant.0)
+            .ok_or_else(|| not_admitted(tenant))?;
+        t.sync_overlay(&mut self.engine)
     }
 
     /// Enqueues a multiply query against a tenant's served matrix;
@@ -567,8 +575,9 @@ impl StreamHub {
     /// coalesce into one multi-RHS run.
     pub fn flush(&mut self) -> SparseResult<Vec<QueryResponse>> {
         self.poll()?;
-        for tenant in self.order.clone() {
-            self.sync_overlay(tenant)?;
+        for id in &self.order {
+            let t = self.tenants.get_mut(&id.0).expect("an admitted tenant");
+            t.sync_overlay(&mut self.engine)?;
         }
         self.engine.flush()
     }

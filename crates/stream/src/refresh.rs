@@ -359,7 +359,10 @@ impl StreamHub {
         let tracer = self.engine.telemetry().tracer.clone();
         let swapped = done.result.and_then(|(merged, built)| {
             let outcome = built.outcome();
-            let new_id = self.engine.commit_refresh(&done.ticket, &merged, built)?;
+            let merged = Arc::new(merged);
+            let new_id = self
+                .engine
+                .commit_refresh(&done.ticket, Arc::clone(&merged), built)?;
             Ok((new_id, merged, outcome))
         });
         // A completion can outlive its tenant (evicted mid-drain in a
@@ -379,7 +382,7 @@ impl StreamHub {
         };
         self.metrics.refreshes_completed.inc();
         t.matrix = new_id;
-        t.base = Arc::new(merged);
+        t.base = merged;
         t.captured = None;
         t.retries = 0;
         t.metrics.refreshes.inc();

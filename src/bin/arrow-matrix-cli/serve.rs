@@ -21,13 +21,13 @@ pub fn run(args: &Args) -> Outcome {
     })?;
     let mut sink = Sink::open(args, engine.telemetry())?;
 
-    let n = a.rows();
+    let (n, nnz) = (a.rows(), a.nnz());
     let t0 = Stopwatch::start();
-    let id = engine.register(&a)?;
+    // Handed over, not copied: the engine's binding is the one copy.
+    let id = engine.register_salted(a, 0)?;
     println!(
-        "registered {input} in {:.1} ms (n = {n}, nnz = {})",
-        t0.elapsed_seconds() * 1e3,
-        a.nnz()
+        "registered {input} in {:.1} ms (n = {n}, nnz = {nnz})",
+        t0.elapsed_seconds() * 1e3
     );
     // First checkpoint: registration (at more than one rank, its
     // decompose or disk load) done.

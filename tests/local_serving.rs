@@ -70,7 +70,7 @@ fn default_engine_binds_local_and_runs_no_ranks() {
     let a = matrix();
     let mut engine = Engine::new(EngineConfig::default()).unwrap();
     let id = engine.register(&a).unwrap();
-    let local = LocalSpmm::new(&a).unwrap();
+    let local = LocalSpmm::new(a.clone()).unwrap();
     assert_eq!(engine.chosen_algorithm(id), Some(local.name().as_str()));
     assert_eq!(engine.plan_report(id).unwrap().len(), 1);
 
@@ -278,7 +278,7 @@ fn replay(hub: &mut StreamHub, scale: f64) -> (TenantId, Vec<Answer>) {
         // adopted is `expected`'s own.
         let mut cold = Engine::new(EngineConfig::default()).unwrap();
         assert_eq!(
-            cold.register_salted(&expected, t.0 as u128).unwrap(),
+            cold.register_salted(expected.clone(), t.0 as u128).unwrap(),
             hub.matrix_id(t).unwrap(),
             "round {round}: fingerprint"
         );
@@ -487,9 +487,7 @@ fn the_build_merges_and_fingerprints_as_the_caller_would() {
         assert_eq!(built_matrix, merged, "{ranks} rank(s)");
         assert_eq!(built.fingerprint(), merged.fingerprint(), "{ranks} rank(s)");
         assert_eq!(built.outcome().is_some(), ranks > 1, "{ranks} rank(s)");
-        let new = engine
-            .commit_refresh(&ticket, &built_matrix, built)
-            .unwrap();
+        let new = engine.commit_refresh(&ticket, built_matrix, built).unwrap();
         assert_eq!(engine.binding_fingerprint(new), Some(merged.fingerprint()));
         assert_eq!(engine.matrix_version(new), Some(1));
         assert_eq!(

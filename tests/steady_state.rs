@@ -6,6 +6,11 @@
 //! its answer back. A `LocalSpmm` caller that recycles each answer as
 //! its next operand is held to the same bound.
 //!
+//! A tenant's matrix is stored once: a one-rank hub admits it without
+//! requesting a block the size of one of its CSR arrays, and an inline
+//! refresh requests the merged matrix's arrays once — the binding
+//! shares the tenant's base instead of copying it.
+//!
 //! Lives in a test binary of its own: the allocator below counts every
 //! thread of the process (the `amd-exec` pool's workers included), so
 //! each test holds `EXCLUSIVE` for its whole body.
@@ -22,11 +27,18 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Largest single block requested since the last reset, on any thread.
 static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
 
+/// Blocks of at least [`CSR_ARRAY_BYTES`] requested since the last
+/// reset, on any thread.
+static CSR_SIZED_REQUESTS: AtomicUsize = AtomicUsize::new(0);
+
 /// The system allocator, noting the size of every request.
 struct NotingAlloc;
 
 fn note(size: usize) {
     LARGEST_REQUEST.fetch_max(size, Ordering::Relaxed);
+    if size >= CSR_ARRAY_BYTES {
+        CSR_SIZED_REQUESTS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -72,10 +84,21 @@ fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, LARGEST_REQUEST.load(Ordering::Relaxed))
 }
 
+/// Runs `f` and reports how many blocks of at least [`CSR_ARRAY_BYTES`]
+/// it requested.
+fn csr_sized_requests<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    CSR_SIZED_REQUESTS.store(0, Ordering::Relaxed);
+    let out = f();
+    (out, CSR_SIZED_REQUESTS.load(Ordering::Relaxed))
+}
+
 const N: u32 = 4096;
 const K: u32 = 16;
 /// One `n`-long column of `f64`: the smallest block the bound forbids.
 const COLUMN_BYTES: usize = N as usize * 8;
+/// The fixture's smallest CSR array: its `n + 1` row offsets (the
+/// column indices and values hold four entries a row).
+const CSR_ARRAY_BYTES: usize = (N as usize + 1) * std::mem::size_of::<usize>();
 
 /// A ring with chords: four stored values per row, integer-valued, so
 /// every path's answer is exact.
@@ -210,7 +233,7 @@ fn a_warm_wide_hub_flush_allocates_no_column() {
 fn a_local_binding_answers_in_recycled_storage() {
     let _exclusive = exclusive();
     let a = matrix();
-    let local = LocalSpmm::new(&a).unwrap();
+    let local = LocalSpmm::new(a.clone()).unwrap();
     let operand = DenseMatrix::from_fn(N, K, |r, c| column(c)[r as usize]);
     for iters in 1..=3 {
         let want = iterated_spmm(&a, &operand, iters).unwrap();
@@ -232,5 +255,40 @@ fn a_local_binding_answers_in_recycled_storage() {
             }
             storage = run.y.into_vec();
         }
+    }
+}
+
+#[test]
+fn a_one_rank_tenant_stores_its_matrix_once() {
+    let _exclusive = exclusive();
+    let a = matrix();
+    let merged = ops::apply_delta(&a, &delta()).unwrap();
+    // Refreshes only when asked, on the calling thread.
+    let mut hub = StreamHub::new(HubConfig {
+        budget: StalenessBudget::nnz_fraction(1e9),
+        auto_refresh: false,
+        async_refresh: false,
+        ..HubConfig::default()
+    })
+    .unwrap();
+    let to_admit = a.clone();
+    let (t, requested) = csr_sized_requests(|| hub.admit(to_admit).unwrap());
+    assert_eq!(requested, 0, "admission copied the tenant's CSR");
+    for (row, col, delta) in DELTA {
+        hub.update(t, Update::Add { row, col, delta }).unwrap();
+    }
+    let (refreshed, requested) = csr_sized_requests(|| hub.refresh(t).unwrap());
+    assert!(refreshed);
+    // The grant's delta CSR (its row counts, their running copy and its
+    // row offsets: 3) and the merged matrix's three arrays, once: 3.
+    assert_eq!(requested, 6, "an inline refresh's CSR-sized blocks");
+    assert_eq!(hub.base(t).unwrap(), &merged);
+    let want = expected(&merged, 2);
+    for x in (0..K).map(column) {
+        hub.submit(t, x, 2, None).unwrap();
+    }
+    let responses = hub.flush().unwrap();
+    for (j, response) in responses.iter().enumerate() {
+        assert_eq!(response.y, want[j], "column {j} after the refresh");
     }
 }
