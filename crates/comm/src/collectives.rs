@@ -17,8 +17,11 @@
 //! ([`Collective`]), takes one per operand width ([`Collective::pick`], or
 //! [`Collective::plan`] by schedule) and runs it ([`Group::broadcast_plan`],
 //! [`Group::reduce_plan`]); the ring is a [`Plan::ring`] run by
-//! [`Group::allreduce_plan`]. The arrow multiply's point-to-point feeds are
-//! plans of the same steps ([`Plan::routes`], run by [`Group::exchange`]).
+//! [`Group::allreduce_plan`]. Point-to-point traffic is plans of the same
+//! steps: routes ([`Plan::routes`], run by [`Group::exchange`]) for the
+//! arrow multiply's feeds and HP-1D's fetches, a two-member tree broadcast
+//! for the 2D algorithm's tile route, so every distributed SpMM algorithm
+//! sends only plan steps.
 //! A runner asserts that its plan has one step list per group member.
 //!
 //! A binomial **tree** moves the whole buffer `⌈log₂ p⌉` times through

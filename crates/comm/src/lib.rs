@@ -28,9 +28,11 @@
 //! schedule), and run it with [`Group::broadcast_plan`] or
 //! [`Group::reduce_plan`]. The ring all-reduce is a [`Plan::ring`] run by
 //! [`Group::allreduce_plan`], and point-to-point routes are a
-//! [`Plan::routes`] run by [`Group::exchange`]. [`Group::broadcast`],
-//! [`Group::reduce_sum`] and [`Group::allreduce_sum`] run the binomial
-//! tree on any [`Payload`].
+//! [`Plan::routes`] run by [`Group::exchange`]. The distributed SpMM
+//! algorithms send nothing else: every message of theirs is a step of
+//! one of these plans, counted by [`Plan::traffic`] where it runs.
+//! [`Group::broadcast`], [`Group::reduce_sum`] and
+//! [`Group::allreduce_sum`] run the binomial tree on any [`Payload`].
 //!
 //! The simulated clock is deterministic given the message pattern: message
 //! timestamps travel with the data and the final times are maxima over

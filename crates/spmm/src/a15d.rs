@@ -15,9 +15,9 @@
 //! `Y_i` replicated exactly like the input — so iterations chain without
 //! data movement.
 
-use crate::layout::block_range;
+use crate::layout::{block_range, run_blocks};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{Collective, CostModel, Group, Machine, Plan, Traffic};
+use amd_comm::{Collective, CostModel, Group, Plan, RankCtx};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::sync::Arc;
@@ -173,25 +173,22 @@ impl DistSpmm for A15dSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        if x.rows() != self.n {
-            return Err(SparseError::ShapeMismatch {
-                left: (self.n, self.n),
-                right: (x.rows(), x.cols()),
-            });
-        }
         let k = x.cols();
         let picks = self.picks(k);
-        let machine = Machine::new(self.p).with_cost(self.cost);
-        let report = machine.run(|ctx| {
+        // X tile i, replicated across grid row i.
+        let blocks = |rank: u32| {
+            let (r0, r1) = block_range(self.n, self.rb, rank / self.c);
+            (r0..r1, 0..k as usize)
+        };
+        let program = |ctx: &mut RankCtx, x_block: Vec<f64>| {
             let rank = ctx.rank();
             let (i, j) = (rank / self.c, rank % self.c);
             let col_group =
                 Group::new(ctx, (0..self.grid_rows).map(|gi| gi * self.c + j).collect());
             let row_group = Group::new(ctx, (0..self.c).map(|gj| i * self.c + gj).collect());
-            // X tile i, replicated across grid row i (initial layout, free).
             let (r0, r1) = block_range(self.n, self.rb, i);
-            let mut x_cur = Arc::new(x.rows_slice(r0, r1).to_vec());
             let my_rows = (r1 - r0) as usize;
+            let mut x_cur = Arc::new(x_block);
             // The iterate about to be replaced becomes the next partial
             // sum when no peer still reads it (a broadcast shares it).
             let mut spare: Vec<f64> = Vec::new();
@@ -237,31 +234,12 @@ impl DistSpmm for A15dSpmm {
                     Arc::try_unwrap(std::mem::replace(&mut x_cur, Arc::new(y))).unwrap_or_default();
             }
             // Grid column 0 returns the final blocks for host assembly.
-            if j == 0 {
-                Arc::try_unwrap(x_cur).expect("the final iterate was never broadcast")
-            } else {
-                Vec::new()
-            }
-        });
-        // Assemble Y from grid column 0.
-        let mut y = DenseMatrix::zeros(self.n, k);
-        for i in 0..self.grid_rows {
-            let (r0, r1) = block_range(self.n, self.rb, i);
-            let block = &report.results[(i * self.c) as usize];
-            debug_assert_eq!(block.len(), ((r1 - r0) * k) as usize);
-            y.data_mut()[(r0 * k) as usize..(r1 * k) as usize].copy_from_slice(block);
-        }
-        Ok(SpmmRun {
-            y,
-            stats: report.stats,
-            iters,
-        })
+            (j == 0).then(|| Arc::try_unwrap(x_cur).expect("the final iterate was never broadcast"))
+        };
+        run_blocks(x, self.n, self.p, self.cost, iters, blocks, program)
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        // Collectives are charged per element moved: 8 bytes a value on
-        // the machine, `dtype` bytes on a `dtype` wire.
-        let scale = self.dtype.bytes() as f64 / 8.0;
         let (g, kk, picks) = (self.grid_rows, k as usize, self.picks(k));
         (0..self.p)
             .map(|rank| {
@@ -270,18 +248,13 @@ impl DistSpmm for A15dSpmm {
                 // grid row t, then the all-reduce of Y_i across grid row i.
                 let tiles =
                     (j * self.tiles_per_col)..((j + 1) * self.tiles_per_col).min(self.grid_rows);
-                let moved: Vec<Traffic> = tiles
+                let moved = tiles
                     .map(|t| picks[self.height(t)].traffic(((i + g - t) % g) as usize, kk))
-                    .chain([self.plans[self.height(i)].2.traffic(j as usize, kk)])
-                    .collect();
-                CommEstimate {
-                    max_rank_bytes: moved.iter().map(Traffic::bytes).sum::<u64>() as f64 * scale,
-                    max_rank_messages: moved.iter().map(Traffic::msgs).sum::<u64>() as f64,
-                    max_rank_flops: self.tiles[rank as usize]
-                        .iter()
-                        .map(|(_, sub)| spmm::spmm_flops(sub, k))
-                        .sum(),
-                }
+                    .chain([self.plans[self.height(i)].2.traffic(j as usize, kk)]);
+                let flops = (self.tiles[rank as usize].iter())
+                    .map(|(_, sub)| spmm::spmm_flops(sub, k))
+                    .sum();
+                CommEstimate::of_rank(moved, self.dtype, flops)
             })
             .collect()
     }

@@ -8,7 +8,9 @@
 //! `f`-th column block of `Y`:
 //!
 //! 1. **route** — the owner `(j, f)` of `X(j, f)` sends it to the diagonal
-//!    processor `(j, j)` of grid column `j`,
+//!    processor `(j, j)` of grid column `j`: a two-member tree broadcast
+//!    run by [`Group::broadcast_plan`], the tile travelling as the shared
+//!    buffer the broadcast down the column then reads,
 //! 2. **broadcast** — `(j, j)` broadcasts the tile down grid column `j`
 //!    (static groups; the [`Collective::pick`] of the tile's height and
 //!    width, made once per run, run by [`Group::broadcast_plan`]: a
@@ -24,9 +26,9 @@
 //! cites for preferring 1.5D on skinny feature matrices, which this
 //! implementation makes measurable.
 
-use crate::layout::{block_range, even_ranges};
+use crate::layout::{block_range, even_ranges, run_blocks};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{Collective, CostModel, Group, Machine, Plan, Schedule};
+use amd_comm::{Collective, CostModel, Group, Plan, RankCtx, Schedule};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::sync::Arc;
@@ -42,9 +44,10 @@ pub struct A2dSpmm {
     /// `tiles[rank]` = the stationary tile `A(r, c)` of rank `r·q + c`.
     tiles: Vec<CsrMatrix<f64>>,
     /// Per block height (at most two): the broadcast of a tile of that
-    /// height down a grid column, and the tree reduce of a block across a
-    /// grid row.
-    plans: Vec<(u32, Collective, Plan)>,
+    /// height down a grid column, the tree reduce of a block across a
+    /// grid row, and the route of a tile from its owner to the diagonal
+    /// (a two-member tree broadcast).
+    plans: Vec<(u32, Collective, Plan, Plan)>,
     cost: CostModel,
     dtype: Dtype,
 }
@@ -73,14 +76,16 @@ impl A2dSpmm {
             let (c0, c1) = block_range(n, rb, c);
             tiles.push(a.submatrix(r0, r1, c0, c1));
         }
-        let mut plans: Vec<(u32, Collective, Plan)> = Vec::new();
+        let mut plans: Vec<(u32, Collective, Plan, Plan)> = Vec::new();
         for r in 0..q {
             let (r0, r1) = block_range(n, rb, r);
             let (h, qs) = (r1 - r0, q as usize);
             if plans.iter().all(|(seen, ..)| *seen != h) {
-                let reduce = Collective::reduce(qs, h as usize, None);
-                let tree = reduce.plan(Schedule::Tree).expect("a tree").clone();
-                plans.push((h, Collective::broadcast(qs, h as usize, None), tree));
+                let tree = |c: Collective| c.plan(Schedule::Tree).expect("a tree").clone();
+                let reduce = tree(Collective::reduce(qs, h as usize, None));
+                let route = tree(Collective::broadcast(2, h as usize, None));
+                let bcast = Collective::broadcast(qs, h as usize, None);
+                plans.push((h, bcast, reduce, route));
             }
         }
         Ok(Self {
@@ -132,7 +137,7 @@ impl A2dSpmm {
     fn picks(&self, k: u32) -> Vec<Vec<&Plan>> {
         let phases = even_ranges(k, self.q);
         (self.plans.iter())
-            .map(|(_, bcast, _)| {
+            .map(|(_, bcast, ..)| {
                 (phases.iter())
                     .map(|&(f0, f1)| bcast.pick((f1 - f0) as usize, &self.cost))
                     .collect()
@@ -156,60 +161,52 @@ impl DistSpmm for A2dSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        if x.rows() != self.n {
-            return Err(SparseError::ShapeMismatch {
-                left: (self.n, self.n),
-                right: (x.rows(), x.cols()),
-            });
-        }
-        let k = x.cols();
         let q = self.q;
-        let col_ranges = even_ranges(k, q);
-        let picks = self.picks(k);
-        let machine = Machine::new(self.p).with_cost(self.cost);
-        let report = machine.run(|ctx| {
+        let col_ranges = even_ranges(x.cols(), q);
+        let picks = self.picks(x.cols());
+        // X(r, c): row block r, feature columns [k0, k1).
+        let blocks = |rank: u32| {
+            let (r0, r1) = block_range(self.n, self.rb, rank / q);
+            let (k0, k1) = col_ranges[(rank % q) as usize];
+            (r0..r1, k0 as usize..k1 as usize)
+        };
+        let program = |ctx: &mut RankCtx, mut x_cur: Vec<f64>| {
             let rank = ctx.rank();
             let (r, c) = (rank / q, rank % q);
             // Static groups: member index = grid row (column group) or
-            // grid column (row group).
+            // grid column (row group); per phase f, the route from the
+            // owner of X(r, f) to the diagonal, if this rank is on it.
             let col_group = Group::new(ctx, (0..q).map(|i| i * q + c).collect());
             let row_group = Group::new(ctx, (0..q).map(|j| r * q + j).collect());
+            let routes: Vec<Option<Group>> = (0..q)
+                .map(|f| {
+                    (f != r && (c == f || c == r))
+                        .then(|| Group::new(ctx, vec![r * q + f, r * q + r]))
+                })
+                .collect();
             let (r0, r1) = block_range(self.n, self.rb, r);
             let my_rows = (r1 - r0) as usize;
-            let (k0, k1) = col_ranges[c as usize];
-            // X(r, c): row block r, feature columns [k0, k1).
-            let mut x_cur: Vec<f64> = {
-                let mut buf = Vec::with_capacity(my_rows * (k1 - k0) as usize);
-                for row in r0..r1 {
-                    buf.extend_from_slice(&x.row(row)[k0 as usize..k1 as usize]);
-                }
-                buf
-            };
             let a_tile = &self.tiles[rank as usize];
-            for iter in 0..iters {
+            let (.., tree, route) = &self.plans[self.height(r)];
+            for _ in 0..iters {
                 let mut y_mine: Vec<f64> = Vec::new();
                 for f in 0..q {
                     let (f0, f1) = col_ranges[f as usize];
                     let fk = f1 - f0;
-                    let tag = ((iter as u64) << 8) | f as u64;
                     // 1. Route X(r, f) (if I own it) to the diagonal of
                     //    grid column r; receive on the diagonal. The tile
                     //    is used once per iteration, in this phase, so it
                     //    moves into the shared buffer every hop reads.
                     let mine = (c == f).then(|| Arc::new(std::mem::take(&mut x_cur)));
-                    let bcast_payload: Option<Arc<Vec<f64>>> = if r == c {
-                        mine.or_else(|| Some(ctx.recv(r * q + f, tag)))
-                    } else {
-                        if let Some(tile) = mine {
-                            ctx.send(r * q + r, tag, tile);
-                        }
-                        None
+                    let tile = match &routes[f as usize] {
+                        Some(pair) => Some(pair.broadcast_plan(ctx, 0, mine, route, fk as usize)),
+                        None => mine,
                     };
                     // 2. Broadcast X(c, f) down grid column c from the
                     //    diagonal member (index c).
                     let plan = picks[self.height(c)][f as usize];
-                    let xt =
-                        col_group.broadcast_plan(ctx, c as usize, bcast_payload, plan, fk as usize);
+                    let payload = tile.filter(|_| r == c);
+                    let xt = col_group.broadcast_plan(ctx, c as usize, payload, plan, fk as usize);
                     // 3. Partial product A(r, c) · X(c, f).
                     let mut partial = vec![0.0; my_rows * fk as usize];
                     if my_rows > 0 && !xt.is_empty() && fk > 0 {
@@ -232,7 +229,6 @@ impl DistSpmm for A2dSpmm {
                     //    this pipeline more simulated time than it saves
                     //    (grid160 + rmat13, p = 16, k = 16: 719 → 767
                     //    sim-µs) and moves no max-rank byte.
-                    let tree = &self.plans[self.height(r)].2;
                     let reduced =
                         row_group.reduce_plan(ctx, f as usize, partial, tree, fk as usize);
                     if c == f {
@@ -242,79 +238,40 @@ impl DistSpmm for A2dSpmm {
                 x_cur = y_mine;
                 apply_sigma(&mut x_cur, sigma);
             }
-            x_cur
-        });
-        // Assemble Y from the (r, c) tiles.
-        let mut y = DenseMatrix::zeros(self.n, k);
-        for rank in 0..self.p {
-            let (r, c) = (rank / q, rank % q);
-            let (r0, r1) = block_range(self.n, self.rb, r);
-            let (k0, k1) = col_ranges[c as usize];
-            let w = (k1 - k0) as usize;
-            let block = &report.results[rank as usize];
-            debug_assert_eq!(block.len(), (r1 - r0) as usize * w);
-            for (i, row) in (r0..r1).enumerate() {
-                y.row_mut(row)[k0 as usize..k1 as usize]
-                    .copy_from_slice(&block[i * w..(i + 1) * w]);
-            }
-        }
-        Ok(SpmmRun {
-            y,
-            stats: report.stats,
-            iters,
-        })
+            Some(x_cur)
+        };
+        run_blocks(x, self.n, self.p, self.cost, iters, blocks, program)
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
         let q = self.q;
         let (col_ranges, picks) = (even_ranges(k, q), self.picks(k));
-        // Collectives are charged per element moved: 8 bytes a value on
-        // the machine, `dtype` bytes on a `dtype` wire.
-        let scale = self.dtype.bytes() as f64 / 8.0;
-        let mut ranks = Vec::with_capacity(self.p as usize);
-        for rank in 0..self.p {
-            let (r, c) = (rank / q, rank % q);
-            let (r0, r1) = block_range(self.n, self.rb, r);
-            let my_rows = (r1 - r0) as f64;
-            let mut bytes = 0.0;
-            let mut msgs = 0.0;
-            let mut flops = 0.0;
-            for f in 0..q {
-                let (f0, f1) = col_ranges[f as usize];
-                let fk = (f1 - f0) as usize;
-                let fkb = self.dtype.bytes() as f64 * fk as f64;
-                // 1. Route X(r, f) to the diagonal of grid column r.
-                if c == f && r != c {
-                    bytes += my_rows * fkb;
-                    msgs += 1.0;
+        (0..self.p)
+            .map(|rank| {
+                let (r, c) = (rank / q, rank % q);
+                let (.., tree, route) = &self.plans[self.height(r)];
+                let mut moved = Vec::new();
+                let mut flops = 0.0;
+                for f in 0..q {
+                    let (f0, f1) = col_ranges[f as usize];
+                    let fk = (f1 - f0) as usize;
+                    // 1. Route X(r, f) from its owner (member 0) to the
+                    //    diagonal of grid column r (member 1).
+                    if f != r && (c == f || c == r) {
+                        moved.push(route.traffic((c == r) as usize, fk));
+                    }
+                    // 2. Broadcast X(c, f) down grid column c from the
+                    //    diagonal member (group index c), and 4. reduce across
+                    //    the grid row onto member f (the tree).
+                    let bcast = picks[self.height(c)][f as usize];
+                    moved.push(bcast.traffic(((r + q - c) % q) as usize, fk));
+                    moved.push(tree.traffic(((c + q - f) % q) as usize, fk));
+                    // 3. Partial product A(r, c) · X(c, f).
+                    flops += spmm::spmm_flops(&self.tiles[rank as usize], f1 - f0);
                 }
-                if r == c && c != f {
-                    bytes += my_rows * fkb;
-                    msgs += 1.0;
-                }
-                // 2. Broadcast X(c, f) down grid column c from the
-                //    diagonal member (group index c), and 4. reduce across
-                //    the grid row onto member f (the tree).
-                let bcast = picks[self.height(c)][f as usize];
-                let tree = &self.plans[self.height(r)].2;
-                let moved = [
-                    bcast.traffic(((r + q - c) % q) as usize, fk),
-                    tree.traffic(((c + q - f) % q) as usize, fk),
-                ];
-                for moved in moved {
-                    bytes += moved.bytes() as f64 * scale;
-                    msgs += moved.msgs() as f64;
-                }
-                // 3. Partial product A(r, c) · X(c, f).
-                flops += spmm::spmm_flops(&self.tiles[rank as usize], f1 - f0);
-            }
-            ranks.push(CommEstimate {
-                max_rank_bytes: bytes,
-                max_rank_messages: msgs,
-                max_rank_flops: flops,
-            });
-        }
-        ranks
+                CommEstimate::of_rank(moved, self.dtype, flops)
+            })
+            .collect()
     }
 }
 

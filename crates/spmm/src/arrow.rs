@@ -98,10 +98,10 @@
 //! that gathering them loads a level-0 rank more (rmat13 at `b = 512`,
 //! `k = 16`: 416 256 B in 44 messages, against 362 624 B in 38 direct).
 
-use crate::layout::{block_count, block_range};
+use crate::layout::{block_count, block_range, run_blocks};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{
-    fold_nonroots, Collective, CostModel, Dir, Group, Machine, Plan, RankCtx, Schedule,
+    fold_nonroots, Collective, CostModel, Dir, Group, Plan, RankCtx, Schedule, Traffic,
 };
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrBuilder, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
@@ -865,8 +865,9 @@ impl ArrowSpmm {
 
     /// [`Self::busiest`] under the levels' `picks`.
     fn load(&self, k: u32, feed: Feed, picks: &[[&Plan; 2]]) -> (u64, u64) {
-        (self.moved(k, feed, picks).into_iter())
-            .fold((0, 0), |(bytes, msgs), (b, m)| (bytes.max(b), msgs.max(m)))
+        (self.moved(k, feed, picks).into_iter()).fold((0, 0), |(bytes, msgs), t| {
+            (bytes.max(t.bytes()), msgs.max(t.msgs()))
+        })
     }
 
     /// The levels that run Algorithm 1 under `feed`: every level relayed,
@@ -879,15 +880,17 @@ impl ArrowSpmm {
     }
 
     /// What each machine rank moves in one iteration under `feed` on a
-    /// `k`-column operand, at 8 bytes a value: `(bytes, messages)`,
-    /// counted from the cached plans — the feed's routes and each level's
-    /// `picks`.
-    fn moved(&self, k: u32, feed: Feed, picks: &[[&Plan; 2]]) -> Vec<(u64, u64)> {
+    /// `k`-column operand, at 8 bytes a value, counted from the cached
+    /// plans — the feed's routes and each level's `picks`.
+    fn moved(&self, k: u32, feed: Feed, picks: &[[&Plan; 2]]) -> Vec<Traffic> {
         let (routes, kk) = (&self.feeds[feed as usize], k as usize);
-        let mut ranks = vec![(0u64, 0u64); self.total_ranks as usize];
-        let mut charge = |rank: usize, t: amd_comm::Traffic| {
-            ranks[rank].0 += t.bytes();
-            ranks[rank].1 += t.msgs();
+        let mut ranks = vec![Traffic::default(); self.total_ranks as usize];
+        let mut charge = |rank: usize, t: Traffic| {
+            let sum = &mut ranks[rank];
+            (sum.sent_bytes, sum.recv_bytes) =
+                (sum.sent_bytes + t.sent_bytes, sum.recv_bytes + t.recv_bytes);
+            (sum.sent_msgs, sum.recv_msgs) =
+                (sum.sent_msgs + t.sent_msgs, sum.recv_msgs + t.recv_msgs);
         };
         for r in 0..self.total_ranks as usize {
             charge(r, routes.fwd.traffic(r, kk));
@@ -1018,9 +1021,6 @@ impl DistSpmm for ArrowSpmm {
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        // What the machine moves at 8 bytes a value, a `dtype` wire moves
-        // at `dtype` bytes.
-        let scale = self.dtype.bytes() as f64 / 8.0;
         let (feed, picks) = self.choose(k);
         let traffic = self.moved(k, feed, &picks);
         // Levels hold consecutive ranks, in level order; the levels that
@@ -1041,14 +1041,9 @@ impl DistSpmm for ArrowSpmm {
         let products = (self.feeds[feed as usize].ranks.iter())
             .map(|plan| spmm::spmm_flops(&plan.products, k));
         let flops = tiles.chain(std::iter::repeat(0.0)).zip(products);
-        traffic
-            .into_iter()
+        (traffic.into_iter())
             .zip(flops.map(|(tiles, products)| tiles + products))
-            .map(|((bytes, msgs), flops)| CommEstimate {
-                max_rank_bytes: bytes as f64 * scale,
-                max_rank_messages: msgs as f64,
-                max_rank_flops: flops,
-            })
+            .map(|(moved, flops)| CommEstimate::of_rank([moved], self.dtype, flops))
             .collect()
     }
 }
@@ -1064,18 +1059,22 @@ impl ArrowSpmm {
         feed: Feed,
         picks: &[[&Plan; 2]],
     ) -> SparseResult<SpmmRun> {
-        if x.rows() != self.n {
-            return Err(SparseError::ShapeMismatch {
-                left: (self.n, self.n),
-                right: (x.rows(), x.cols()),
-            });
-        }
-        let k = x.cols();
-        let kk = k as usize;
+        let kk = x.cols() as usize;
         let (routes, relayed) = (&self.feeds[feed as usize], feed == Feed::Relay);
-        let machine = Machine::new(self.total_ranks).with_cost(self.cost);
-        let report = machine.run(|ctx| {
-            let rank = ctx.rank();
+        // Level 0's ranks come first and start with their X blocks; a
+        // deeper rank's range is past level 0's rows, so it starts empty
+        // and is filled by propagation.
+        let blocks = |rank: u32| {
+            let (r0, r1) = block_range(self.levels[0].active_n, self.b, rank);
+            (
+                self.level0_vertices[r0 as usize..r1 as usize]
+                    .iter()
+                    .copied(),
+                0..kk,
+            )
+        };
+        let program = |ctx: &mut RankCtx, mut x_block: Vec<f64>| {
+            let (k, rank) = (kk as u32, ctx.rank());
             let (j, my_i) = self.locate(rank);
             let level = &self.levels[j];
             let plan = &routes.ranks[rank as usize];
@@ -1085,14 +1084,6 @@ impl ArrowSpmm {
             let world = Group::world(ctx);
             let (r0, r1) = block_range(level.active_n, self.b, my_i);
             let block = (r1 - r0) as usize * kk;
-            // Level 0 starts with its X block (initial layout, free);
-            // other levels start empty and are filled by propagation.
-            let mut x_block: Vec<f64> = if j == 0 {
-                let rows = (r0..r1).map(|p| x.row(self.level0_vertices[p as usize]));
-                rows.flatten().copied().collect()
-            } else {
-                Vec::new()
-            };
             let mut spare = Vec::new();
             for iter in 0..iters {
                 let base_tag = (iter as u64) << 8;
@@ -1162,30 +1153,11 @@ impl ArrowSpmm {
                     apply_sigma(&mut x_block, sigma);
                 }
             }
-            if j == 0 {
-                x_block
-            } else {
-                Vec::new()
-            }
-        });
-        // Assemble Y: level 0 blocks hold positions 0..active_0; rows of
-        // vertices isolated in A are zero.
-        let mut y = DenseMatrix::zeros(self.n, k);
-        let level0 = &self.levels[0];
-        for i in 0..level0.nb {
-            let (r0, r1) = block_range(level0.active_n, self.b, i);
-            let block = &report.results[(level0.offset + i) as usize];
-            for (offset, p) in (r0..r1).enumerate() {
-                let v = self.level0_vertices[p as usize];
-                y.row_mut(v)
-                    .copy_from_slice(&block[offset * kk..(offset + 1) * kk]);
-            }
-        }
-        Ok(SpmmRun {
-            y,
-            stats: report.stats,
-            iters,
-        })
+            // Level 0 blocks hold positions 0..active_0; rows of
+            // vertices isolated in A are zero.
+            (j == 0).then_some(x_block)
+        };
+        run_blocks(x, self.n, self.ranks(), self.cost, iters, blocks, program)
     }
 }
 

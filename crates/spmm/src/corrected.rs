@@ -26,14 +26,16 @@
 //! rank 0 to all ranks of the base plan under the plan
 //! [`amd_comm::Collective::pick`] selects for it, and every rank corrects
 //! its own output rows. Each rank is charged what that broadcast moves
-//! through it, the α-β time of those messages and the delta product's
-//! flops (the work is replicated); [`predict_ranks`] adds the same
-//! figures to the base's, so prediction and accounting agree rank by
-//! rank. This is the honest upper envelope for a wrapper that cannot see
-//! the base algorithm's row ownership; it makes the predicted cost grow
-//! with delta density, which is exactly the signal the staleness budget
-//! and the planner need. A one-rank base (`LocalSpmm`) has nobody to
-//! broadcast to: its correction is charged flops only.
+//! through it, its clock when the broadcast runs alone
+//! ([`amd_comm::Plan::replay`], the machine's own α-β rules) and the
+//! delta product's flops (the work is replicated); [`predict_ranks`] adds
+//! the same bytes, messages and flops to the base's, so prediction and
+//! accounting agree rank by rank. This is the honest upper envelope for a
+//! wrapper that cannot see the base algorithm's row ownership; it makes
+//! the predicted cost grow with delta density, which is exactly the signal
+//! the staleness budget and the planner need. A one-rank base
+//! (`LocalSpmm`) has nobody to broadcast to: its one-member plan has no
+//! step, so its correction is charged flops only.
 //!
 //! [`predict_ranks`]: DistSpmm::predict_ranks
 //!
@@ -99,14 +101,16 @@ impl<'a> DeltaSpmm<'a> {
 
     /// Per-iteration charge of the correction for a `k`-column operand
     /// (see the [module docs](self) for the model): what the delta's
-    /// broadcast moves through each rank of the base plan, and the flops
-    /// every rank spends on the delta product.
-    fn correction(&self, k: u32) -> (Vec<Traffic>, f64) {
+    /// broadcast moves through each rank of the base plan and the rank's
+    /// replayed clock, and the flops every rank spends on the delta
+    /// product.
+    fn correction(&self, k: u32) -> (Vec<(Traffic, f64)>, f64) {
         let plan = self.broadcast.pick(DELTA_ENTRY_SLOTS, &self.cost);
-        let traffic = (0..self.base.ranks().max(1) as usize)
-            .map(|rank| plan.traffic(rank, DELTA_ENTRY_SLOTS))
+        let clocks = plan.replay(DELTA_ENTRY_SLOTS, &self.cost);
+        let ranks = (clocks.into_iter().enumerate())
+            .map(|(rank, clock)| (plan.traffic(rank, DELTA_ENTRY_SLOTS), clock))
             .collect();
-        (traffic, spmm::spmm_flops(self.delta, k))
+        (ranks, spmm::spmm_flops(self.delta, k))
     }
 
     fn check(&self, x: &DenseMatrix<f64>) -> SparseResult<()> {
@@ -143,7 +147,7 @@ impl<'a> DeltaSpmm<'a> {
         &self,
         stats: &mut MachineStats,
         step: &MachineStats,
-        (traffic, flops): &(Vec<Traffic>, f64),
+        (traffic, flops): &(Vec<(Traffic, f64)>, f64),
     ) {
         if stats.ranks.is_empty() {
             stats.ranks = step.ranks.clone();
@@ -159,13 +163,12 @@ impl<'a> DeltaSpmm<'a> {
         }
         stats.wall_seconds += step.wall_seconds;
         let compute = self.cost.compute_time(*flops);
-        for (r, t) in stats.ranks.iter_mut().zip(traffic) {
+        for (r, (t, clock)) in stats.ranks.iter_mut().zip(traffic) {
             r.sent_bytes += t.sent_bytes;
             r.recv_bytes += t.recv_bytes;
             r.sent_msgs += t.sent_msgs;
             r.recv_msgs += t.recv_msgs;
-            r.sim_time +=
-                self.cost.alpha * t.msgs() as f64 + self.cost.beta * t.bytes() as f64 + compute;
+            r.sim_time = r.sim_time + clock + compute;
             r.compute_time += compute;
         }
     }
@@ -271,7 +274,7 @@ impl DistSpmm for DeltaSpmm<'_> {
             return ranks;
         }
         let (traffic, flops) = self.correction(k);
-        for (rank, t) in ranks.iter_mut().zip(traffic) {
+        for (rank, (t, _)) in ranks.iter_mut().zip(traffic) {
             rank.max_rank_bytes += t.bytes() as f64;
             rank.max_rank_messages += t.msgs() as f64;
             rank.max_rank_flops += flops;
@@ -353,6 +356,28 @@ mod tests {
             est.max_rank_flops,
             base.max_rank_flops + spmm::spmm_flops(&dm, 8)
         );
+    }
+
+    #[test]
+    fn each_rank_is_charged_its_replayed_broadcast_and_compute() {
+        let n = 48;
+        let (_, alg) = base_setup(n);
+        let dm = delta(n);
+        let cost = CostModel::default();
+        let corrected = DeltaSpmm::new(&alg, &dm).unwrap().with_cost(cost);
+        let x = DenseMatrix::from_fn(n, 3, |r, c| ((r * 5 + c) % 7) as f64 - 3.0);
+        let base = alg.run(&x, 1).unwrap().stats.ranks;
+        let got = corrected.run(&x, 1).unwrap().stats.ranks;
+        let p = alg.ranks() as usize;
+        let plan = Collective::broadcast(p, dm.nnz(), None);
+        let replay = plan.pick(2, &cost).replay(2, &cost);
+        let compute = cost.compute_time(spmm::spmm_flops(&dm, 3));
+        assert!(p > 1 && replay.iter().all(|&t| t > 0.0));
+        assert_eq!((got.len(), replay.len()), (p, p));
+        for rank in 0..p {
+            let want = base[rank].sim_time + replay[rank] + compute;
+            assert_eq!(got[rank].sim_time.to_bits(), want.to_bits(), "rank {rank}");
+        }
     }
 
     #[test]

@@ -4,17 +4,21 @@
 //! The matrix is symmetrically permuted so that each part's rows are
 //! contiguous, then split row-wise. One iteration per rank:
 //!
-//! 1. send the locally-owned X rows other ranks need (precomputed lists),
+//! 1. send the locally-owned X rows other ranks need: the sending half of
+//!    one [`Plan::routes`] over the machine, built once from every part's
+//!    external rows,
 //! 2. compute the *local* SpMM (columns within the own range) — this
 //!    overlaps with the incoming transfers,
-//! 3. receive the remote rows and compute the *non-local* SpMM.
+//! 3. receive the remote rows (the plan's receiving half, each into its
+//!    compact external index) and compute the *non-local* SpMM.
 //!
 //! The fetched row set of a part is exactly the partition's "external
 //! rows" metric; on star-heavy graphs it degenerates to nearly all of `X`
 //! for the hub's part, which is the scaling failure the paper reports.
 
+use crate::layout::run_blocks;
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{CostModel, Machine};
+use amd_comm::{CostModel, Dir, Group, Plan, RankCtx};
 use amd_partition::Partition;
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{
@@ -33,11 +37,11 @@ pub struct Hp1dSpmm {
     a_local: Vec<CsrMatrix<f64>>,
     /// External submatrix per rank (columns renumbered to the fetch list).
     a_ext: Vec<CsrMatrix<f64>>,
-    /// Per rank: `(owner, rows)` to fetch, ascending owner; `rows` are
-    /// permuted row ids owned by `owner`, ascending.
-    fetches: Vec<Vec<(u32, Vec<u32>)>>,
-    /// Per rank: `(requester, rows)` to send, mirror of `fetches`.
-    serves: Vec<Vec<(u32, Vec<u32>)>>,
+    /// Per rank: how many external rows it fetches.
+    externals: Vec<u32>,
+    /// Every owner's rows, from its block to each fetcher's compact
+    /// external index.
+    fetch: Plan,
     cost: CostModel,
     dtype: Dtype,
 }
@@ -70,8 +74,10 @@ impl Hp1dSpmm {
         let owner_of = |row: u32| -> u32 { (starts.partition_point(|&s| s <= row) - 1) as u32 };
         let mut a_local = Vec::with_capacity(p as usize);
         let mut a_ext = Vec::with_capacity(p as usize);
-        let mut fetches: Vec<Vec<(u32, Vec<u32>)>> = Vec::with_capacity(p as usize);
-        let mut serves: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); p as usize];
+        let mut externals = Vec::with_capacity(p as usize);
+        // Fetches by owner: each owner's come by fetcher and row, so the
+        // routes arrive already in the order they are sorted into.
+        let mut moves = vec![Vec::new(); p as usize];
         // Each rank's two blocks are written straight into CSR arrays:
         // a permuted row, once sorted by column, is a run of local
         // columns between two runs of external ones, and the compact
@@ -118,8 +124,10 @@ impl Hp1dSpmm {
             // Distinct external columns, ascending (= grouped by owner,
             // because parts are contiguous in permuted coordinates).
             ext_cols.sort_unstable();
-            for (i, &c) in ext_cols.iter().enumerate() {
-                fetch_index[c as usize] = i as u32;
+            for (i, &c) in (0..).zip(&ext_cols) {
+                fetch_index[c as usize] = i;
+                let o = owner_of(c);
+                moves[o as usize].push((o, rank, c - starts[o as usize], i));
             }
             for c in ext.indices_mut() {
                 *c = fetch_index[*c as usize];
@@ -129,19 +137,7 @@ impl Hp1dSpmm {
             }
             a_local.push(local.finish(e - s));
             a_ext.push(ext.finish(ext_cols.len().max(1) as u32));
-            // Group the fetch list by owner.
-            let mut by_owner: Vec<(u32, Vec<u32>)> = Vec::new();
-            for &c in &ext_cols {
-                let o = owner_of(c);
-                match by_owner.last_mut() {
-                    Some((last, rows)) if *last == o => rows.push(c),
-                    _ => by_owner.push((o, vec![c])),
-                }
-            }
-            for (o, rows) in &by_owner {
-                serves[*o as usize].push((rank, rows.clone()));
-            }
-            fetches.push(by_owner);
+            externals.push(ext_cols.len() as u32);
         }
         Ok(Self {
             n,
@@ -150,8 +146,8 @@ impl Hp1dSpmm {
             starts,
             a_local,
             a_ext,
-            fetches,
-            serves,
+            externals,
+            fetch: Plan::routes(p as usize, moves.concat()),
             cost: CostModel::default(),
             dtype: Dtype::default(),
         })
@@ -181,11 +177,7 @@ impl Hp1dSpmm {
     /// Largest per-rank external fetch (rows of X), the partition-quality
     /// bottleneck.
     pub fn max_external_rows(&self) -> usize {
-        self.fetches
-            .iter()
-            .map(|f| f.iter().map(|(_, rows)| rows.len()).sum::<usize>())
-            .max()
-            .unwrap_or(0)
+        self.externals.iter().max().map_or(0, |&rows| rows as usize)
     }
 }
 
@@ -204,110 +196,54 @@ impl DistSpmm for Hp1dSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        if x.rows() != self.n {
-            return Err(SparseError::ShapeMismatch {
-                left: (self.n, self.n),
-                right: (x.rows(), x.cols()),
-            });
-        }
-        let k = x.cols();
-        let machine = Machine::new(self.p).with_cost(self.cost);
-        let report = machine.run(|ctx| {
-            let rank = ctx.rank();
-            let (s, e) = (self.starts[rank as usize], self.starts[rank as usize + 1]);
-            let rows = (e - s) as usize;
-            // Own X rows in permuted order (initial layout, free).
-            let mut x_cur: Vec<f64> = Vec::with_capacity(rows * k as usize);
-            for q in s..e {
-                x_cur.extend_from_slice(x.row(self.pi.vertex_at(q)));
-            }
+        let kk = x.cols() as usize;
+        let blocks = |rank: u32| {
+            let rows = self.starts[rank as usize]..self.starts[rank as usize + 1];
+            (rows.map(|q| self.pi.vertex_at(q)), 0..kk)
+        };
+        let program = |ctx: &mut RankCtx, mut x_cur: Vec<f64>| {
+            let rank = ctx.rank() as usize;
+            let world = Group::world(ctx);
             // The output of one iteration is the operand of the next:
             // two buffers swap roles, and the fetched rows land in a
             // third that keeps its allocation.
-            let mut y_cur = vec![0.0; rows * k as usize];
-            let mut ext_x: Vec<f64> = Vec::new();
+            let mut y_cur = vec![0.0; x_cur.len()];
+            let mut ext_x = vec![0.0; self.externals[rank] as usize * kk];
+            let (a_local, a_ext) = (&self.a_local[rank], &self.a_ext[rank]);
+            let k = kk as u32;
             for iter in 0..iters {
                 let tag = iter as u64;
                 // 1. Serve remote requests first (sends never block).
-                for (requester, req_rows) in &self.serves[rank as usize] {
-                    let mut buf = Vec::with_capacity(req_rows.len() * k as usize);
-                    for &q in req_rows {
-                        let local = (q - s) as usize;
-                        buf.extend_from_slice(&x_cur[local * k as usize..(local + 1) * k as usize]);
-                    }
-                    ctx.send(*requester, tag, buf);
-                }
+                world.exchange(ctx, tag, &self.fetch, Dir::Send, &mut x_cur, kk);
                 // 2. Local SpMM overlaps with the transfers.
-                let a_local = &self.a_local[rank as usize];
-                spmm::spmm_slices(
-                    a_local,
-                    &x_cur,
-                    k,
-                    None,
-                    &mut y_cur,
-                    Finish::Overwrite,
-                    self.dtype,
-                )
-                .expect("local tile shapes align");
+                let finish = Finish::Overwrite;
+                spmm::spmm_slices(a_local, &x_cur, k, None, &mut y_cur, finish, self.dtype)
+                    .expect("local tile shapes align");
                 ctx.compute_flops(spmm::spmm_flops(a_local, k));
                 // 3. Receive external rows (ascending owner = ascending
                 //    compact index) and run the non-local SpMM.
-                ext_x.clear();
-                for (owner, req_rows) in &self.fetches[rank as usize] {
-                    let buf: Vec<f64> = ctx.recv(*owner, tag);
-                    debug_assert_eq!(buf.len(), req_rows.len() * k as usize);
-                    ext_x.extend_from_slice(&buf);
-                }
-                let a_ext = &self.a_ext[rank as usize];
+                world.exchange(ctx, tag, &self.fetch, Dir::Recv, &mut ext_x, kk);
                 if !ext_x.is_empty() {
-                    spmm::spmm_slices(
-                        a_ext,
-                        &ext_x,
-                        k,
-                        None,
-                        &mut y_cur,
-                        Finish::Accumulate,
-                        self.dtype,
-                    )
-                    .expect("external tile shapes align");
+                    let finish = Finish::Accumulate;
+                    spmm::spmm_slices(a_ext, &ext_x, k, None, &mut y_cur, finish, self.dtype)
+                        .expect("external tile shapes align");
                     ctx.compute_flops(spmm::spmm_flops(a_ext, k));
                 }
                 std::mem::swap(&mut x_cur, &mut y_cur);
                 apply_sigma(&mut x_cur, sigma);
             }
-            x_cur
-        });
-        // Assemble in original row order.
-        let mut y = DenseMatrix::zeros(self.n, k);
-        for rank in 0..self.p {
-            let (s, e) = (self.starts[rank as usize], self.starts[rank as usize + 1]);
-            let block = &report.results[rank as usize];
-            for (offset, q) in (s..e).enumerate() {
-                let v = self.pi.vertex_at(q);
-                y.row_mut(v)
-                    .copy_from_slice(&block[offset * k as usize..(offset + 1) * k as usize]);
-            }
-        }
-        Ok(SpmmRun {
-            y,
-            stats: report.stats,
-            iters,
-        })
+            Some(x_cur)
+        };
+        run_blocks(x, self.n, self.p, self.cost, iters, blocks, program)
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        let kb = self.dtype.bytes() as f64 * k as f64;
         (0..self.p as usize)
             .map(|rank| {
-                // Point-to-point fetch/serve lists: exact byte and message
-                // counts straight from the plan.
-                let lists = self.serves[rank].iter().chain(&self.fetches[rank]);
-                CommEstimate {
-                    max_rank_bytes: lists.clone().map(|(_, rows)| rows.len() as f64 * kb).sum(),
-                    max_rank_messages: lists.count() as f64,
-                    max_rank_flops: spmm::spmm_flops(&self.a_local[rank], k)
-                        + spmm::spmm_flops(&self.a_ext[rank], k),
-                }
+                let flops = spmm::spmm_flops(&self.a_local[rank], k)
+                    + spmm::spmm_flops(&self.a_ext[rank], k);
+                let moved = [self.fetch.traffic(rank, k as usize)];
+                CommEstimate::of_rank(moved, self.dtype, flops)
             })
             .collect()
     }

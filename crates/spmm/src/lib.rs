@@ -29,11 +29,10 @@
 //!
 //! All algorithms implement [`DistSpmm`]: a `run(x, iters)` producing the
 //! final iterate (in original row order) and the machine's communication
-//! accounting. The initial operand distribution is not charged (all three
-//! algorithms start from their natural layout, as in the paper), and the
-//! result stays distributed between iterations — the returned `Y` is
-//! assembled host-side from the per-rank return values, so the stats
-//! contain exactly the steady-state communication.
+//! accounting. The four distributed ones share one shape: every message
+//! is a step of an `amd_comm::Plan`, so what runs is what
+//! `predict_ranks` counts, and one driver scatters the operand, runs the
+//! rank programs and gathers `Y` (see [`layout`]).
 
 pub mod a15d;
 pub mod a2d;

@@ -210,11 +210,8 @@ impl DistSpmm for LocalSpmm {
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        vec![CommEstimate {
-            max_rank_bytes: 0.0,
-            max_rank_messages: 0.0,
-            max_rank_flops: spmm::spmm_flops(&self.a, k),
-        }]
+        let flops = spmm::spmm_flops(&self.a, k);
+        vec![CommEstimate::of_rank([], self.dtype, flops)]
     }
 }
 

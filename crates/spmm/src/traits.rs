@@ -1,8 +1,8 @@
 //! The common interface of the distributed SpMM algorithms.
 
 use crate::LocalSpmm;
-use amd_comm::{CostModel, MachineStats};
-use amd_sparse::{DenseMatrix, SparseResult};
+use amd_comm::{CostModel, MachineStats, Traffic};
+use amd_sparse::{DenseMatrix, Dtype, SparseResult};
 
 /// Result of a distributed run.
 #[derive(Debug, Clone)]
@@ -62,6 +62,23 @@ pub struct CommEstimate {
 }
 
 impl CommEstimate {
+    /// One rank's estimate: what the plans it runs move through it,
+    /// `moved` (counted at the machine's 8 bytes a value), priced at
+    /// `dtype` bytes a value, and its `flops`.
+    pub(crate) fn of_rank(
+        moved: impl IntoIterator<Item = Traffic>,
+        dtype: Dtype,
+        flops: f64,
+    ) -> Self {
+        let (bytes, msgs) =
+            (moved.into_iter()).fold((0, 0), |(b, m), t| (b + t.bytes(), m + t.msgs()));
+        Self {
+            max_rank_bytes: bytes as f64 * (dtype.bytes() as f64 / 8.0),
+            max_rank_messages: msgs as f64,
+            max_rank_flops: flops,
+        }
+    }
+
     /// α-β-γ prediction: `α·messages + β·bytes + flops/rate`.
     pub fn predicted_seconds(&self, cost: &CostModel) -> f64 {
         cost.alpha * self.max_rank_messages

@@ -2,9 +2,9 @@
 //! the prediction equals what the simulated machine charges per
 //! iteration — its busiest rank's bytes (scaled to the serving dtype: the
 //! machine ships `f64`, a plan prices its own wire), its busiest rank's
-//! messages and its busiest rank's flops. The serving planner ranks by
-//! these figures, so this is where they are checked, once, rather than on
-//! every served batch. A mismatch is a bug on one side and is fixed
+//! messages and its busiest rank's flops — and the same three rank by
+//! rank. The serving planner ranks by these figures, so this is where
+//! they are checked, once, rather than on every served batch. A mismatch is a bug on one side and is fixed
 //! there; nothing here is a tolerance.
 
 use amd_comm::CostModel;
@@ -12,7 +12,7 @@ use amd_graph::generators::datasets::DatasetKind;
 use amd_graph::generators::{basic, rmat};
 use amd_graph::Graph;
 use amd_partition::{hype_partition, HypeConfig};
-use amd_sparse::{CooMatrix, CsrMatrix, DenseMatrix, Dtype};
+use amd_sparse::{CooMatrix, CsrMatrix, DenseMatrix, Dtype, SparseError};
 use amd_spmm::{A15dSpmm, A2dSpmm, ArrowSpmm, DeltaSpmm, DistSpmm, Feed, Hp1dSpmm, LocalSpmm};
 use arrow_core::{decompose_snapshot, la_decompose, DecomposeConfig, RandomForestLa};
 use proptest::prelude::*;
@@ -120,7 +120,8 @@ fn algorithm(
 }
 
 /// Runs `alg` for two iterations on a `k`-column operand and holds the
-/// prediction to the accounting, term by term.
+/// prediction to the accounting, term by term: the envelope, then every
+/// rank's own bytes, messages and flops.
 fn exact(alg: &dyn DistSpmm, n: u32, k: u32, dtype: Dtype) -> Result<(), TestCaseError> {
     let iters = 2;
     let x = DenseMatrix::from_fn(n, k, |r, c| (((r + c) % 7) as f64) - 3.0);
@@ -148,6 +149,26 @@ fn exact(alg: &dyn DistSpmm, n: u32, k: u32, dtype: Dtype) -> Result<(), TestCas
          vs accounted {accounted:?} (bytes scaled to 8 B per value)",
         alg.name()
     );
+    let ranks = alg.predict_ranks(k);
+    prop_assert_eq!(ranks.len(), run.stats.ranks.len());
+    for (rank, (est, r)) in ranks.iter().zip(&run.stats.ranks).enumerate() {
+        let per_iter = |v: f64| v / iters as f64;
+        let predicted = (
+            est.max_rank_bytes * 8.0,
+            est.max_rank_messages,
+            est.max_rank_flops,
+        );
+        let accounted = (
+            per_iter(r.volume() as f64) * dtype.bytes() as f64,
+            per_iter((r.sent_msgs + r.recv_msgs) as f64),
+            per_iter(r.compute_time),
+        );
+        prop_assert!(
+            predicted == accounted,
+            "{} at k = {k}, {dtype}, rank {rank}: predicted {predicted:?} vs accounted {accounted:?}",
+            alg.name()
+        );
+    }
     Ok(())
 }
 
@@ -330,5 +351,28 @@ fn a_zero_column_operand_is_exact() {
     for kind in 0..5 {
         let alg = algorithm(kind, 1, &g, 3, Dtype::F64);
         exact(&*alg, g.n(), 0, Dtype::F64).unwrap();
+    }
+}
+
+/// Every algorithm refuses an operand of the wrong height, borrowed or
+/// handed over, with the shape error rather than a panic on some rank.
+#[test]
+fn an_operand_of_the_wrong_height_is_a_shape_error() {
+    let g = graph(0, 100, 5);
+    let n = g.n();
+    for kind in 0..5 {
+        let alg = algorithm(kind, 1, &g, 5, Dtype::F64);
+        let x = DenseMatrix::zeros(n + 1, 2);
+        let want = SparseError::ShapeMismatch {
+            left: (n, n),
+            right: (n + 1, 2),
+        };
+        assert_eq!(alg.run(&x, 1).unwrap_err(), want, "{}", alg.name());
+        assert_eq!(
+            alg.run_owned(x, 1, None).unwrap_err(),
+            want,
+            "{}",
+            alg.name()
+        );
     }
 }
