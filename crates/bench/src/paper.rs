@@ -11,6 +11,7 @@
 use crate::ledger::{stated, Claim, Experiment, Row, Section};
 use crate::runner::{arrow_for, arrow_with_ranks, hp1d_for, spmm_15d_for};
 use crate::{bench_graph, BENCH_SEED};
+use amd_comm::MachineStats;
 use amd_graph::degree::DegreeStats;
 use amd_graph::generators::datasets::DatasetKind;
 use amd_graph::generators::random::tree_with_degree_targets;
@@ -63,14 +64,30 @@ struct Run {
 }
 
 impl Run {
+    /// `alg` run on `x`, operand and all.
     fn of(alg: &dyn DistSpmm, x: &DenseMatrix<f64>) -> Self {
         let run = alg.run(x, ITERS).expect("distributed run succeeds");
+        Self::accounted(alg, &run.stats)
+    }
+
+    /// What a run of `alg` on a `k`-column operand accounts, walked dry
+    /// ([`DistSpmm::dry_run`]): the same figures, bit for bit, with no
+    /// operand. The ledger never checks these answers; the algorithms'
+    /// reference tests do.
+    fn dry(alg: &dyn DistSpmm, k: u32) -> Self {
+        Self::accounted(alg, &alg.dry_run(k, ITERS))
+    }
+
+    /// [`Run`] of `alg` from what `ITERS` iterations accounted, as
+    /// [`amd_spmm::SpmmRun`] divides it per iteration.
+    fn accounted(alg: &dyn DistSpmm, stats: &MachineStats) -> Self {
+        let per_iter = |v: f64| v / f64::from(ITERS);
         Self {
             name: alg.name(),
             ranks: alg.ranks(),
-            sim_ms: run.sim_time_per_iter() * 1e3,
-            bytes: run.volume_per_iter(),
-            msgs: run.messages_per_iter(),
+            sim_ms: per_iter(stats.sim_time()) * 1e3,
+            bytes: per_iter(stats.max_volume() as f64),
+            msgs: per_iter(stats.max_messages() as f64),
         }
     }
 
@@ -329,8 +346,7 @@ pub fn fig4_weak_15d(n: u32) -> Experiment {
                     continue;
                 }
                 let alg = A15dSpmm::new(a, p, c).expect("valid grid");
-                let x = DenseMatrix::from_fn(n, k, |r, cc| ((r + cc) % 7) as f64);
-                let run = Run::of(&alg, &x);
+                let run = Run::dry(&alg, k);
                 rows.push(
                     Row::new()
                         .int("k", k as u64)
@@ -390,8 +406,8 @@ pub fn fig5_strong(n: u32) -> Experiment {
                 let (_, arrow) = arrow_with_ranks(&a, p).expect("arrow setup");
                 let runs = [
                     Run::of(&arrow, &x),
-                    Run::of(&spmm_15d_for(&a, p).expect("1.5D setup"), &x),
-                    Run::of(&hp1d_for(&g, &a, p).expect("HP-1D setup"), &x),
+                    Run::dry(&spmm_15d_for(&a, p).expect("1.5D setup"), k),
+                    Run::dry(&hp1d_for(&g, &a, p).expect("HP-1D setup"), k),
                 ];
                 for run in &runs {
                     let row = Row::new()
@@ -493,7 +509,10 @@ pub fn fig6_weak_arrow(n: u32) -> Experiment {
         for (i, (n, p, algs)) in points.iter().enumerate() {
             let x = DenseMatrix::from_fn(*n, k, |r, c| ((r + 2 * c) % 9) as f64 - 4.0);
             for (j, alg) in algs.iter().enumerate() {
-                let run = Run::of(alg.as_ref(), &x);
+                let run = match j {
+                    0 => Run::of(alg.as_ref(), &x),
+                    _ => Run::dry(alg.as_ref(), k),
+                };
                 if i == 0 {
                     first[j] = run.sim_ms;
                 }
@@ -851,8 +870,8 @@ pub fn ablation_2d_vs_15d(n: u32) -> Experiment {
         for p in [16u32, 64] {
             let q = (p as f64).sqrt() as u32;
             let runs = [
-                Run::of(&A15dSpmm::new(&a, p, q).expect("1.5D"), &x),
-                Run::of(&A2dSpmm::new(&a, p).expect("2D"), &x),
+                Run::dry(&A15dSpmm::new(&a, p, q).expect("1.5D"), k),
+                Run::dry(&A2dSpmm::new(&a, p).expect("2D"), k),
                 Run::of(&arrow_with_ranks(&a, p).expect("arrow setup").1, &x),
             ];
             for run in &runs {

@@ -1,8 +1,10 @@
 //! Collective operations over rank groups, built from point-to-point
 //! messages, so the latency and the α-β costs emerge from the model.
 //! Every member of a group calls the same sequence of collectives on it
-//! (SPMD, as with an MPI communicator); a per-group sequence number in
-//! the message tags keeps collectives on different groups apart.
+//! (SPMD, as with an MPI communicator), and a rank's inbox keeps each
+//! sender's messages of one tag in order, so every message meets the call
+//! it belongs to; the tag — the group's, a hash of its member list, or a
+//! step's — keeps collectives on different groups apart.
 //!
 //! # Communication as data
 //!
@@ -10,15 +12,15 @@
 //! performs — the peer, the direction, which rows of which buffer, and
 //! the slot where a received piece waits for [`fold_nonroots`]. One
 //! interpreter runs every plan, and the steps that run are the steps
-//! counted: [`Plan::traffic`] is a member's bytes and messages,
-//! `rows × 8 × stride` a message. Supports are fixed when a plan is
+//! counted: a message of a plan's moves `rows × 8 × stride` bytes, and a
+//! dry [`walk`](crate::walk) of the steps reads them. Supports are fixed when a plan is
 //! built, so a plan does not depend on the operand width. That gives every
 //! row collective one call path: a caller builds its candidates once
 //! ([`Collective`]), takes one per operand width ([`Collective::pick`], or
 //! [`Collective::plan`] by schedule) and runs it ([`Group::broadcast_plan`],
 //! [`Group::reduce_plan`]); the ring is a [`Plan::ring`] run by
 //! [`Group::allreduce_plan`]. Point-to-point traffic is plans of the same
-//! steps: routes ([`Plan::routes`], run by [`Group::exchange`]) for the
+//! steps: routes ([`Plan::routes`], run by [`Cursor::exchange`](crate::Cursor::exchange)) for the
 //! arrow multiply's feeds and HP-1D's fetches, a two-member tree broadcast
 //! for the 2D algorithm's tile route, so every distributed SpMM algorithm
 //! sends only plan steps.
@@ -50,7 +52,7 @@
 //!
 //! All three reduces sum in the **root-last binomial** order
 //! `x_root + (c₁ + c₂ + c₄ + …)`, `c_m` the binomial subtree sum of member
-//! `m`: the large schedule's owners and the sparse schedule's root replay
+//! `m`: the large schedule's owners and the sparse schedule's root rerun
 //! the tree's mask loop over the raw pieces ([`fold_nonroots`]), a row
 //! missing from a member's message entering as the `+0.0` its vector
 //! holds — a literal `+ 0.0`, which turns `−0.0` into `+0.0` as the tree
@@ -60,32 +62,34 @@
 //!
 //! # Selection
 //!
-//! [`Collective::pick`] times every candidate on the machine's own clock.
-//! [`Plan::replay`] walks each member's steps under the α-β rules the
-//! ranks run on (one `Clock` serves both), without payloads, and a plan's
-//! time is its makespan: what the machine reports when the plan runs
-//! alone. The **dense pick** is the faster of the tree and the large
-//! schedule (ties, `p < 3` and empty payloads go to the tree). The sparse
-//! plan replaces it only when it finishes no later **and** its busiest
-//! member moves no more bytes and no more messages, both counted from the
-//! plans. Without the bytes guard the one-column `serve-small` arrow plan
-//! takes a sparse reduce whose root moves 30 688 bytes an iteration
-//! instead of 19 088; without the message guard Arrow on a 600-vertex
-//! star at 16 ranks is priced at 23 messages instead of 10 and the
-//! serving planner binds the slower 1.5D.
+//! [`Collective::pick`] weighs every candidate run alone, from time zero,
+//! on the machine's own clock: [`Plan::alone`] is the dry [`walk`](crate::walk) of a
+//! one-step list per member, under the α-β rules the ranks run on (one
+//! `Clock` serves both) and without payloads, and a plan's time is its
+//! makespan — what the machine reports when the plan runs alone. The
+//! **dense pick** is the faster of the tree and the large schedule (ties,
+//! `p < 3` and empty payloads go to the tree). The sparse plan replaces it
+//! only when it finishes no later **and** its busiest member moves no more
+//! bytes and no more messages, read from the same walks. Without the bytes
+//! guard the one-column `serve-small` arrow plan takes a sparse reduce
+//! whose root moves 30 688 bytes an iteration instead of 19 088; without
+//! the message guard Arrow on a 600-vertex star at 16 ranks is priced at
+//! 23 messages instead of 10 and the serving planner binds the slower
+//! 1.5D.
 //!
-//! The replay replaced hand-derived completion formulas, which priced
-//! every large block as the largest one. Under the default model, over
-//! sizes 2–64, 14 row counts (1–4 096), 8 strides (1–512) and 4 support
-//! densities, the two pick differently in 90 of 14 112 dense cases and
-//! 317 of 56 448 supported ones. All 90, and 289 of the 317, are a tree or
-//! large call on a split `q` does not divide, where the two makespans lie
-//! within 1.43× of each other; the other 28 are sparse-versus-dense ties
-//! the formulas gave the tree. The replay's pick is never the slower on
-//! the machine's clock, and none of these cases is on the reproduction
-//! ledger or the benchmark's workloads. A replay is not free (the large
-//! reduce has `Θ(p²)` steps), so a caller picks once per run on the host
-//! and hands the plans to its rank programs.
+//! Timing a plan by its walk replaced hand-derived completion formulas,
+//! which priced every large block as the largest one. Under the default
+//! model, over sizes 2–64, 14 row counts (1–4 096), 8 strides (1–512) and
+//! 4 support densities, the two pick differently in 90 of 14 112 dense
+//! cases and 317 of 56 448 supported ones. All 90, and 289 of the 317, are
+//! a tree or large call on a split `q` does not divide, where the two
+//! makespans lie within 1.43× of each other; the other 28 are
+//! sparse-versus-dense ties the formulas gave the tree. The walk's pick is
+//! never the slower on the machine's clock, and none of these cases is on
+//! the reproduction ledger or the benchmark's workloads. A walk is not
+//! free (the large reduce has `Θ(p²)` steps), so a caller picks once per
+//! run on the host and hands the plans to its rank programs in their
+//! steps.
 //!
 //! # Host copies are not wire bytes
 //!
@@ -100,7 +104,8 @@
 
 use crate::cost::CostModel;
 use crate::message::{Payload, SharedRows};
-use crate::rank::{Clock, RankCtx};
+use crate::rank::RankCtx;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -119,27 +124,6 @@ pub enum Schedule {
     Sparse,
 }
 
-/// What one member sends and receives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Traffic {
-    pub sent_bytes: u64,
-    pub recv_bytes: u64,
-    pub sent_msgs: u64,
-    pub recv_msgs: u64,
-}
-
-impl Traffic {
-    /// Bytes sent plus bytes received: the member's volume.
-    pub fn bytes(&self) -> u64 {
-        self.sent_bytes + self.recv_bytes
-    }
-
-    /// Messages sent plus messages received.
-    pub fn msgs(&self) -> u64 {
-        self.sent_msgs + self.recv_msgs
-    }
-}
-
 /// Which way a step of a [`Plan`] goes; a `Keep` takes a view of the member's own
 /// buffer for the fold, with no message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,7 +133,7 @@ pub enum Dir {
     Keep,
 }
 
-/// Which rows of a buffer a [`Step`] moves.
+/// Which rows of a buffer a [`Hop`] moves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Rows {
     /// The whole buffer: a tree's message.
@@ -161,7 +145,7 @@ pub(crate) enum Rows {
     List(u32),
 }
 
-/// Which buffer a [`Step`] reads or fills.
+/// Which buffer a [`Hop`] reads or fills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Buf {
     /// The member's own: what a broadcast delivers, what a reduce sums
@@ -176,17 +160,18 @@ pub(crate) enum Buf {
     Carry { sum: bool, keep: bool },
 }
 
-/// One step of one member's part of a [`Plan`]; `peer` is the other
-/// member by the plan's index (root-relative for a rooted collective).
+/// One step of one member's part of a [`Plan`] — a message it sends or
+/// receives, or a view it keeps; `peer` is the other member by the plan's
+/// index (root-relative for a rooted collective).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Step {
+struct Hop {
     peer: u32,
     dir: Dir,
     rows: Rows,
     buf: Buf,
 }
 
-impl Step {
+impl Hop {
     /// The rows the step moves, in a plan of a `rows`-row buffer whose
     /// row lists are `lists`.
     fn moves(&self, rows: usize, lists: &[Vec<u32>]) -> usize {
@@ -198,9 +183,9 @@ impl Step {
     }
 }
 
-fn step(peer: usize, dir: Dir, rows: Rows, buf: Buf) -> Step {
+fn step(peer: usize, dir: Dir, rows: Rows, buf: Buf) -> Hop {
     let peer = peer as u32;
-    Step {
+    Hop {
         peer,
         dir,
         rows,
@@ -232,7 +217,7 @@ fn run(q: usize, rows: usize, first: usize, cnt: usize) -> Rows {
 /// then sends to its children, largest subtree first; a reduce hears from
 /// its children, smallest first (the root keeps their sum apart), then
 /// sends to its parent.
-fn tree_steps(op: Op, vr: usize, size: usize) -> Vec<Step> {
+fn tree_steps(op: Op, vr: usize, size: usize) -> Vec<Hop> {
     let (mut steps, mut mask) = (Vec::new(), 1usize);
     let reduce = op == Op::Reduce;
     while mask < size {
@@ -261,7 +246,7 @@ fn tree_steps(op: Op, vr: usize, size: usize) -> Vec<Step> {
 /// `min(d, q − d)` blocks to `c − d` and receives `c + d`'s. One of the
 /// reduce sends to `c + 1, c + 2, …` and drains `c − 1, c − 2, …`, so each
 /// owner is sent to once a round and pieces are taken as they were sent.
-fn large_steps(op: Op, vr: usize, size: usize, rows: usize) -> Vec<Step> {
+fn large_steps(op: Op, vr: usize, size: usize, rows: usize) -> Vec<Hop> {
     let q = size.saturating_sub(1);
     let block = |peer, dir, first, cnt, buf| step(peer, dir, run(q, rows, first, cnt), buf);
     let Some(c) = vr.checked_sub(1) else {
@@ -295,7 +280,7 @@ fn large_steps(op: Op, vr: usize, size: usize, rows: usize) -> Vec<Step> {
 
 /// Member `vr`'s sparse-schedule steps: one packed message of each
 /// non-empty non-root support, between that non-root and the root.
-fn sparse_steps(op: Op, vr: usize, supports: &[Vec<u32>]) -> Vec<Step> {
+fn sparse_steps(op: Op, vr: usize, supports: &[Vec<u32>]) -> Vec<Hop> {
     let reduce = op == Op::Reduce;
     let peers = if vr == 0 { 1..supports.len() } else { 0..1 };
     let (rooted, there) = (vr == 0, |v: usize| !supports[v.max(vr)].is_empty());
@@ -315,7 +300,7 @@ fn sparse_steps(op: Op, vr: usize, supports: &[Vec<u32>]) -> Vec<Step> {
 /// received) and receives chunk `me − s − 1`, summing its own part into it
 /// for the first `g − 1` steps and keeping it from the last of those on.
 /// An empty buffer takes no step.
-fn ring_steps(me: usize, g: usize, rows: usize) -> Vec<Step> {
+fn ring_steps(me: usize, g: usize, rows: usize) -> Vec<Hop> {
     let chunk = |back: usize| run(g, rows, (me + 2 * g - back) % g, 1);
     let mut steps = Vec::new();
     for s in (0..2 * (g - 1)).filter(|_| rows > 0) {
@@ -337,8 +322,7 @@ fn ring_steps(me: usize, g: usize, rows: usize) -> Vec<Step> {
     steps
 }
 
-/// Every member's steps of one collective or exchange, and what each
-/// member moves, counted from them once.
+/// Every member's steps of one collective or exchange.
 #[derive(Debug, Clone)]
 pub struct Plan {
     op: Op,
@@ -351,11 +335,7 @@ pub struct Plan {
     /// A sparse reduce's root: each row's slot in the union of the
     /// non-roots' supports (`u32::MAX` off it), and the union's height.
     union: (Vec<u32>, usize),
-    steps: Vec<Vec<Step>>,
-    /// Per member, its steps' traffic in rows, not bytes.
-    moved: Vec<Traffic>,
-    /// The most rows and the most messages any one member moves.
-    busiest: (u64, u64),
+    steps: Vec<Vec<Hop>>,
 }
 
 impl Plan {
@@ -364,22 +344,8 @@ impl Plan {
         schedule: Option<Schedule>,
         rows: usize,
         lists: Vec<Vec<u32>>,
-        steps: Vec<Vec<Step>>,
+        steps: Vec<Vec<Hop>>,
     ) -> Self {
-        let count = |steps: &Vec<Step>| {
-            let mut t = Traffic::default();
-            for s in steps {
-                let n = s.moves(rows, &lists) as u64;
-                match s.dir {
-                    Dir::Send => (t.sent_bytes, t.sent_msgs) = (t.sent_bytes + n, t.sent_msgs + 1),
-                    Dir::Recv => (t.recv_bytes, t.recv_msgs) = (t.recv_bytes + n, t.recv_msgs + 1),
-                    Dir::Keep => {}
-                }
-            }
-            t
-        };
-        let moved: Vec<Traffic> = steps.iter().map(count).collect();
-        let busiest = (moved.iter()).fold((0, 0), |(r, m), t| (r.max(t.bytes()), m.max(t.msgs())));
         let mut union = (Vec::new(), 0);
         if op == Op::Reduce && schedule == Some(Schedule::Sparse) {
             union.0 = vec![u32::MAX; rows];
@@ -397,8 +363,6 @@ impl Plan {
             lists,
             union,
             steps,
-            moved,
-            busiest,
         }
     }
 
@@ -427,7 +391,7 @@ impl Plan {
     }
 
     /// Point-to-point routes among `members` ranks, for
-    /// [`Group::exchange`]: each `(src, dst, src_row, dst_row)` moves row
+    /// an exchange step: each `(src, dst, src_row, dst_row)` moves row
     /// `src_row` of the sender's buffer to row `dst_row` of the
     /// receiver's, all rows from one sender to one receiver in one message
     /// in `src_row` order. A member receives, from each sender in rank
@@ -454,70 +418,42 @@ impl Plan {
         self.schedule
     }
 
-    /// Every member's clock once it has run its steps on a `stride`-column
-    /// buffer, alone and from time zero, on a machine with `cost`: each
-    /// member walks its steps on its own clock under the machine's α-β
-    /// rules, with no payloads, a receive taking the earliest message its
-    /// peer sent it that no earlier receive took. A ring of an empty
-    /// payload sends nothing. Panics if the steps deadlock.
-    pub fn replay(&self, stride: usize, cost: &CostModel) -> Vec<f64> {
-        let size = self.steps.len();
-        let mut clocks = vec![Clock::default(); size];
-        // Per member: its next step, and the messages sent to it and not
-        // yet received, `(sender, departure, bytes)` in send order.
-        let (mut at, mut inbox) = (vec![0; size], vec![Vec::new(); size]);
-        let mut left: usize = self.steps.iter().map(Vec::len).sum();
-        while left > 0 && !self.silent(stride) {
-            let before = left;
-            for (m, steps) in self.steps.iter().enumerate() {
-                while let Some(s) = steps.get(at[m]) {
-                    let bytes = 8 * stride * s.moves(self.rows, &self.lists);
-                    match s.dir {
-                        Dir::Send => {
-                            let depart = clocks[m].send(cost, bytes);
-                            inbox[s.peer as usize].push((m as u32, depart, bytes));
-                        }
-                        Dir::Recv => {
-                            let Some(i) = inbox[m].iter().position(|msg| msg.0 == s.peer) else {
-                                break;
-                            };
-                            let (_, depart, bytes) = inbox[m].remove(i);
-                            clocks[m].recv(cost, depart, bytes);
-                        }
-                        Dir::Keep => {}
-                    }
-                    (at[m], left) = (at[m] + 1, left - 1);
-                }
-            }
-            assert!(left < before, "the plan's steps deadlock");
-        }
-        clocks.iter().map(|clock| clock.now).collect()
+    /// Member `vr`'s messages on a `stride`-column buffer, in order — those
+    /// of direction `only`, if given: each one's direction, its peer by the
+    /// plan's index and its bytes, `rows × 8 × stride`. A ring of an empty
+    /// payload sends nothing ([`Group::allreduce_plan`] returns at once).
+    pub(crate) fn messages(
+        &self,
+        vr: usize,
+        only: Option<Dir>,
+        stride: usize,
+    ) -> impl Iterator<Item = (Dir, usize, usize)> + '_ {
+        let silent = self.op == Op::Ring && stride == 0;
+        let hops = if silent { &[][..] } else { &self.steps[vr] };
+        (hops.iter())
+            .filter(move |h| h.dir != Dir::Keep && only.is_none_or(|d| h.dir == d))
+            .map(move |h| {
+                (
+                    h.dir,
+                    h.peer as usize,
+                    8 * stride * h.moves(self.rows, &self.lists),
+                )
+            })
     }
 
-    /// Whether the plan sends nothing on a `stride`-column buffer, though
-    /// it has steps: a ring of an empty payload ([`Group::allreduce_plan`]
-    /// returns at once).
-    fn silent(&self, stride: usize) -> bool {
-        self.op == Op::Ring && stride == 0
-    }
-
-    /// What member `v` sends and receives on a `stride`-column buffer.
-    pub fn traffic(&self, v: usize, stride: usize) -> Traffic {
-        let (t, row) = (self.moved[v], 8 * stride as u64);
-        if self.silent(stride) {
-            return Traffic::default();
-        }
-        Traffic {
-            sent_bytes: t.sent_bytes * row,
-            recv_bytes: t.recv_bytes * row,
-            ..t
+    /// What runs this plan, as a [`Cursor`](crate::Cursor) names it.
+    pub(crate) fn kind(&self) -> &'static str {
+        match (self.op, self.schedule) {
+            (Op::Reduce, _) => "a reduce",
+            (Op::Ring, _) => "an all-reduce",
+            (Op::Broadcast, None) => "an exchange",
+            (Op::Broadcast, Some(_)) => "a broadcast",
         }
     }
 
-    /// The most bytes and the most messages any one member moves on a
-    /// `stride`-column buffer.
-    pub fn busiest(&self, stride: usize) -> (u64, u64) {
-        (self.busiest.0 * 8 * stride as u64, self.busiest.1)
+    /// Number of members.
+    pub(crate) fn size(&self) -> usize {
+        self.steps.len()
     }
 }
 
@@ -565,25 +501,23 @@ impl Collective {
     }
 
     /// The plan a `stride`-column buffer takes on a machine with `cost`,
-    /// by the candidates' replayed makespans (see the [module
-    /// docs](self#selection)). A replay is not free: pick once per run on
+    /// by the candidates' makespans and busiest members, each read from
+    /// the plan run alone ([`Plan::alone`]; see the [module
+    /// docs](self#selection)). A walk is not free: pick once per run on
     /// the host, not in a rank program.
     pub fn pick(&self, stride: usize, cost: &CostModel) -> &Plan {
         if stride == 0 || (self.large.is_none() && self.sparse.is_none()) {
             return &self.tree;
         }
-        let time = |plan: &Plan| plan.replay(stride, cost).into_iter().fold(0.0, f64::max);
-        let tree = (&self.tree, time(&self.tree));
-        let large = self.large.as_ref().map(|large| (large, time(large)));
-        let (dense, t) = large.filter(|large| large.1 < tree.1).unwrap_or(tree);
-        match &self.sparse {
-            Some(sparse)
-                if sparse.busiest.0 <= dense.busiest.0
-                    && sparse.busiest.1 <= dense.busiest.1
-                    && time(sparse) <= t =>
-            {
-                sparse
-            }
+        let load = |plan: &Plan| {
+            let stats = plan.alone(stride, cost);
+            (stats.sim_time(), stats.max_volume(), stats.max_messages())
+        };
+        let tree = (&self.tree, load(&self.tree));
+        let large = self.large.as_ref().map(|large| (large, load(large)));
+        let (dense, d) = large.filter(|large| large.1 .0 < tree.1 .0).unwrap_or(tree);
+        match self.sparse.as_ref().map(|sparse| (sparse, load(sparse))) {
+            Some((sparse, s)) if s.1 <= d.1 && s.2 <= d.2 && s.0 <= d.0 => sparse,
             _ => dense,
         }
     }
@@ -716,31 +650,37 @@ impl<T> Held<T> {
     }
 }
 
-/// A communicator: an ordered list of machine ranks.
+/// A communicator: an ordered list of machine ranks, as one of them sees
+/// it.
 ///
-/// Cheap to clone; identified by a hash of its member list, which the
-/// tag scheme uses to isolate concurrent collectives.
+/// Every message of a group built here carries the group's tag, a hash
+/// of its member list, which keeps apart collectives on different groups;
+/// a step's group ([`Run`](crate::steps::Run)) borrows the step's members
+/// and tags every message with the step's tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Group {
-    members: Vec<u32>,
+pub struct Group<'m> {
+    members: Cow<'m, [u32]>,
     my_idx: usize,
-    gid: u64,
+    tag: u64,
 }
 
-impl Group {
+impl<'m> Group<'m> {
     /// Builds the group view for the calling rank. All members must build
     /// the group with an identical `members` list (order matters).
     pub fn new(ctx: &RankCtx, members: Vec<u32>) -> Self {
+        let tag = COLL_BIT | fnv1a(&members);
+        Self::of(members.into(), ctx.rank(), tag)
+    }
+
+    /// `rank`'s view of `members`, every message tagged `tag`.
+    pub(crate) fn of(members: Cow<'m, [u32]>, rank: u32, tag: u64) -> Self {
         assert!(!members.is_empty(), "group must be non-empty");
-        let my_idx = members
-            .iter()
-            .position(|&m| m == ctx.rank())
-            .unwrap_or_else(|| panic!("rank {} not in group {members:?}", ctx.rank()));
-        let gid = fnv1a(&members);
+        let my_idx = (members.iter().position(|&m| m == rank))
+            .unwrap_or_else(|| panic!("rank {rank} not in group {members:?}"));
         Self {
             members,
             my_idx,
-            gid,
+            tag,
         }
     }
 
@@ -769,23 +709,16 @@ impl Group {
         &self.members
     }
 
-    fn next_tag(&self, ctx: &mut RankCtx) -> u64 {
-        let seq = ctx.coll_seq.entry(self.gid).or_insert(0);
-        let tag = COLL_BIT | ((self.gid & 0xFFFF_FFFF) << 24) | (*seq & 0xFF_FFFF);
-        *seq += 1;
-        tag
-    }
-
     /// This member's index relative to `root_idx`.
-    fn vr(&self, root_idx: usize) -> usize {
+    pub(crate) fn vr(&self, root_idx: usize) -> usize {
         (self.my_idx + self.size() - root_idx) % self.size()
     }
 
     /// Panics unless `plan` has one step list per member: a plan of
     /// another size would index peers modulo this group's and wait on
     /// messages that go elsewhere.
-    fn check_plan(&self, plan: &Plan) {
-        let (members, size) = (plan.steps.len(), self.size());
+    pub(crate) fn check_plan(&self, plan: &Plan) {
+        let (members, size) = (plan.size(), self.size());
         assert_eq!(
             members, size,
             "a {members}-member plan on a {size}-member group"
@@ -794,21 +727,19 @@ impl Group {
 
     /// The interpreter: runs the `steps` of `plan` — those of direction
     /// `only`, if given — on `held`, peers relative to `root_idx`, on a
-    /// `stride`-column buffer, with message `tag` (the group's next
-    /// collective tag if none).
+    /// `stride`-column buffer, every message tagged with the group's tag.
     #[allow(clippy::too_many_arguments)]
     fn exec<T: Payload + Clone>(
         &self,
         ctx: &mut RankCtx,
-        tag: Option<u64>,
         root_idx: usize,
         plan: &Plan,
-        steps: &[Step],
+        steps: &[Hop],
         only: Option<Dir>,
         stride: usize,
         mut held: Held<T>,
     ) -> Held<T> {
-        let tag = tag.unwrap_or_else(|| self.next_tag(ctx));
+        let tag = self.tag;
         let span = |r: &Range<u32>| r.start as usize * stride..r.end as usize * stride;
         let (broadcast, ring) = (plan.op == Op::Broadcast, plan.op == Op::Ring);
         for s in steps.iter().filter(|s| only.is_none_or(|d| s.dir == d)) {
@@ -934,7 +865,7 @@ impl Group {
         let plan = Plan::bare(Op::Broadcast, Some(Schedule::Tree), 0);
         let steps = tree_steps(Op::Broadcast, vr, self.size());
         let held = Held::new(value, None);
-        let held = self.exec(ctx, None, root_idx, &plan, &steps, None, 0, held);
+        let held = self.exec(ctx, root_idx, &plan, &steps, None, 0, held);
         held.value
             .expect("every member obtains the broadcast value")
     }
@@ -960,16 +891,7 @@ impl Group {
         let vr = self.vr(root_idx);
         let own = (vr == 0).then(|| data.expect("broadcast root must supply the data"));
         let held = Held::new(own.clone(), own);
-        let held = self.exec(
-            ctx,
-            None,
-            root_idx,
-            plan,
-            &plan.steps[vr],
-            None,
-            stride,
-            held,
-        );
+        let held = self.exec(ctx, root_idx, plan, &plan.steps[vr], None, stride, held);
         (held.own.or(held.value)).unwrap_or_else(|| Arc::new(vec![0.0; len]))
     }
 
@@ -1014,11 +936,11 @@ impl Group {
         root_idx: usize,
         data: Vec<f64>,
         plan: &Plan,
-        steps: &[Step],
+        steps: &[Hop],
         stride: usize,
     ) -> Option<Vec<f64>> {
         let held = Held::<()>::new(None, Some(Arc::new(data)));
-        let mut held = self.exec(ctx, None, root_idx, plan, steps, None, stride, held);
+        let mut held = self.exec(ctx, root_idx, plan, steps, None, stride, held);
         if self.vr(root_idx) != 0 {
             return None;
         }
@@ -1074,27 +996,25 @@ impl Group {
         assert_eq!(plan.rows * stride, len, "ring shape mismatch");
         let held = Held::<()>::new(None, Some(Arc::new(data)));
         let steps = &plan.steps[self.my_idx];
-        self.exec(ctx, None, 0, plan, steps, None, stride, held)
+        self.exec(ctx, 0, plan, steps, None, stride, held)
             .take_own()
     }
 
-    /// Runs this member's steps of direction `dir` of a [`Plan::routes`]
-    /// over the whole machine (`self` is [`Group::world`]) with `tag`, on
-    /// the `stride`-wide rows of `buf`: a send packs them, a receive puts
-    /// them there.
-    pub fn exchange(
+    /// Runs this member's steps of a [`Plan::routes`] — those of direction
+    /// `only`, if given — on the `stride`-wide rows of `buf`: a send packs
+    /// them, a receive puts them there.
+    pub(crate) fn exchange(
         &self,
         ctx: &mut RankCtx,
-        tag: u64,
         plan: &Plan,
-        dir: Dir,
+        only: Option<Dir>,
         buf: &mut Vec<f64>,
         stride: usize,
     ) {
         self.check_plan(plan);
         let held = Held::<()>::new(None, Some(Arc::new(std::mem::take(buf))));
         let steps = &plan.steps[self.my_idx];
-        *buf = (self.exec(ctx, Some(tag), 0, plan, steps, Some(dir), stride, held)).take_own();
+        *buf = (self.exec(ctx, 0, plan, steps, only, stride, held)).take_own();
     }
 }
 
@@ -1171,6 +1091,7 @@ mod tests {
         for p in [1u32, 2, 3, 5, 8, 13, 16] {
             let tree = Collective::broadcast(p as usize, 1, None);
             let tree = tree.plan(Schedule::Tree).unwrap();
+            let sends = tree.alone(1, &CostModel::default()).ranks;
             for root in [0usize, (p as usize - 1) / 2] {
                 let report = Machine::new(p).run(move |ctx| {
                     let g = Group::world(ctx);
@@ -1180,8 +1101,7 @@ mod tests {
                 for (rank, stats) in report.stats.ranks.iter().enumerate() {
                     let vr = (rank + p as usize - root) % p as usize;
                     assert_eq!(
-                        stats.sent_msgs,
-                        tree.traffic(vr, 1).sent_msgs,
+                        stats.sent_msgs, sends[vr].sent_msgs,
                         "p={p} root={root} rank={rank}"
                     );
                 }
@@ -1228,7 +1148,7 @@ mod tests {
         if n == 1 || data.is_empty() {
             return data;
         }
-        let tag = g.next_tag(ctx);
+        let tag = g.tag;
         let rows = data.len() / stride;
         let bounds: Vec<usize> = (0..=n).map(|c| (c * rows / n) * stride).collect();
         let me = g.my_idx();

@@ -14,7 +14,7 @@
 //!   `max(local, depart + α + β·s)` when the message is consumed — which
 //!   means computation placed *before* a receive naturally overlaps with
 //!   the transfer, exactly like nonblocking MPI,
-//! * local work is charged via [`RankCtx::compute_flops`].
+//! * local work is charged via [`RankCtx::compute_flops`] (a [`Step::Compute`]).
 //!
 //! Collectives ([`Group`]) are built from point-to-point messages —
 //! binomial trees, for large row buffers scatter/all-gather and
@@ -28,11 +28,20 @@
 //! schedule), and run it with [`Group::broadcast_plan`] or
 //! [`Group::reduce_plan`]. The ring all-reduce is a [`Plan::ring`] run by
 //! [`Group::allreduce_plan`], and point-to-point routes are a
-//! [`Plan::routes`] run by [`Group::exchange`]. The distributed SpMM
-//! algorithms send nothing else: every message of theirs is a step of
-//! one of these plans, counted by [`Plan::traffic`] where it runs.
+//! [`Plan::routes`] run by an exchange ([`Cursor::exchange`]).
 //! [`Group::broadcast`], [`Group::reduce_sum`] and
 //! [`Group::allreduce_sum`] run the binomial tree on any [`Payload`].
+//!
+//! An iteration of a distributed SpMM algorithm is data ([`steps`]): per
+//! rank, an ordered list of [`Step`]s — its part in a plan, or a charge of
+//! local work — built once on the host. The rank program follows its list
+//! through a [`Cursor`], which runs each plan as above, and [`walk`] reads
+//! the same lists without a program or a payload: it returns every rank's
+//! [`RankStats`], bit for bit what the machine charges, which is how the
+//! algorithms predict and account without running and how
+//! [`Collective::pick`] weighs its candidates ([`Plan::alone`]). The
+//! algorithms send nothing else, so the steps that run are the steps
+//! counted.
 //!
 //! The simulated clock is deterministic given the message pattern: message
 //! timestamps travel with the data and the final times are maxima over
@@ -49,10 +58,12 @@ mod mailbox;
 pub mod message;
 pub mod rank;
 pub mod stats;
+pub mod steps;
 
-pub use collectives::{fold_nonroots, Collective, Dir, Group, Plan, Schedule, Traffic};
+pub use collectives::{fold_nonroots, Collective, Dir, Group, Plan, Schedule};
 pub use cost::CostModel;
 pub use machine::{Machine, RunReport};
 pub use message::Payload;
 pub use rank::RankCtx;
 pub use stats::{MachineStats, RankStats};
+pub use steps::{walk, Cursor, Step};

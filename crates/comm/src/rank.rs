@@ -4,13 +4,12 @@ use crate::cost::CostModel;
 use crate::mailbox::PostOffice;
 use crate::message::{Packet, Payload};
 use crate::stats::RankStats;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A rank's two simulated clocks and the α-β rules that advance them
 /// under a machine's cost model. The machine's ranks run on one, and so
-/// does a plan's replay ([`Plan::replay`](crate::Plan::replay)), so the
-/// two cannot disagree.
+/// does each rank of a dry [`walk`](crate::walk), so the two cannot
+/// disagree.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Clock {
     /// The CPU clock: the rank's simulated time.
@@ -56,8 +55,6 @@ pub struct RankCtx {
     post: Arc<PostOffice>,
     clock: Clock,
     pub(crate) stats: RankStats,
-    /// Per-group collective sequence numbers (see `collectives`).
-    pub(crate) coll_seq: HashMap<u64, u64>,
 }
 
 impl RankCtx {
@@ -69,7 +66,6 @@ impl RankCtx {
             post,
             clock: Clock::default(),
             stats: RankStats::default(),
-            coll_seq: HashMap::new(),
         }
     }
 

@@ -84,7 +84,7 @@ proptest! {
 
 // ---- The large-message broadcast and reduce (deterministic sweeps) ----
 
-use amd_comm::{Collective, CostModel, Plan, RankCtx, RankStats, Schedule, Traffic};
+use amd_comm::{Collective, CostModel, Plan, RankCtx, RankStats, Schedule};
 use std::sync::Arc;
 
 /// Bandwidth is everything: the large schedules win wherever they can run.
@@ -478,26 +478,26 @@ fn sparse_shapes(size: usize) -> Vec<(usize, usize, usize, Vec<Vec<u32>>)> {
     shapes
 }
 
+/// Bytes sent and received, messages sent and received.
+type Traffic = (u64, u64, u64, u64);
+
 fn charged(s: &RankStats) -> Traffic {
-    Traffic {
-        sent_bytes: s.sent_bytes,
-        recv_bytes: s.recv_bytes,
-        sent_msgs: s.sent_msgs,
-        recv_msgs: s.recv_msgs,
-    }
+    (s.sent_bytes, s.recv_bytes, s.sent_msgs, s.recv_msgs)
 }
 
 fn add(a: Traffic, b: Traffic) -> Traffic {
-    Traffic {
-        sent_bytes: a.sent_bytes + b.sent_bytes,
-        recv_bytes: a.recv_bytes + b.recv_bytes,
-        sent_msgs: a.sent_msgs + b.sent_msgs,
-        recv_msgs: a.recv_msgs + b.recv_msgs,
-    }
+    (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3)
 }
 
-/// (c) Lockstep, dense: what each member's tree or large plan counts
-/// ([`Plan::traffic`]) is what the machine charged it when the
+/// What each member of `plan` is charged when it runs alone: the dry walk
+/// of a one-step list, by member.
+fn alone(plan: &Plan, stride: usize) -> Vec<Traffic> {
+    let ranks = plan.alone(stride, &CostModel::default()).ranks;
+    ranks.iter().map(charged).collect()
+}
+
+/// (c) Lockstep, dense: what each member's tree or large plan is charged
+/// in the dry walk ([`Plan::alone`]) is what the machine charged it when the
 /// interpreter ran that plan, alone — for p ∈ 1..=33, three cost models
 /// and three roots. Tree and Large each ran.
 #[test]
@@ -523,10 +523,11 @@ fn closed_form_costs_match_the_accounting() {
                     });
                     for (what, plan, report) in [("broadcast", bplan, &b), ("reduce", rplan, &r)] {
                         ran.push(plan.schedule());
+                        let want = alone(plan, stride);
                         for (rank, stats) in report.stats.ranks.iter().enumerate() {
                             assert_eq!(
                                 charged(stats),
-                                plan.traffic((rank + size - root) % size, stride),
+                                want[(rank + size - root) % size],
                                 "{what} {:?} p={p} root={root} rank={rank} {rows}x{stride}",
                                 plan.schedule()
                             );
@@ -562,16 +563,17 @@ fn ring_allreduce_cost_matches_the_accounting() {
                 let g = Group::world(ctx);
                 g.allreduce_plan(ctx, vec![0.5; rows * stride], &plan, stride);
             });
+            let walked = alone(&plan, stride);
             for (rank, stats) in run.stats.ranks.iter().enumerate() {
-                let want = plan.traffic(rank, stride);
+                let want = walked[rank];
                 assert_eq!(
                     charged(stats),
                     want,
                     "ring p={p} rank={rank} {rows}x{stride}"
                 );
                 let fraction = 2.0 * (p - 1) as f64 / p as f64 * (8 * rows * stride) as f64;
-                uneven |= want.sent_bytes as f64 > fraction;
-                ran |= want.msgs() > 0;
+                uneven |= want.0 as f64 > fraction;
+                ran |= want.2 + want.3 > 0;
             }
         }
     }
@@ -618,15 +620,18 @@ fn closed_form_costs_with_supports_match_the_accounting() {
                     g.reduce_plan(ctx, *root, data, plan, *stride);
                 }
             });
-            for rank in 0..size {
-                let mut want = [Traffic::default(); 2];
-                for ((root, stride, ..), candidates) in shapes.iter().zip(&plans) {
-                    for (want, plans) in want.iter_mut().zip(candidates) {
-                        let plan = plans.pick(*stride, &cost);
-                        ran.push(plan.schedule());
-                        *want = add(*want, plan.traffic((rank + size - root) % size, *stride));
+            let mut wants = vec![[(0, 0, 0, 0); 2]; size];
+            for ((root, stride, ..), candidates) in shapes.iter().zip(&plans) {
+                for (op, plans) in candidates.iter().enumerate() {
+                    let plan = plans.pick(*stride, &cost);
+                    ran.push(plan.schedule());
+                    let walked = alone(plan, *stride);
+                    for (rank, want) in wants.iter_mut().enumerate() {
+                        want[op] = add(want[op], walked[(rank + size - root) % size]);
                     }
                 }
+            }
+            for (rank, want) in wants.into_iter().enumerate() {
                 for (what, report, want) in
                     [("broadcast", &bcast, want[0]), ("reduce", &reduce, want[1])]
                 {

@@ -1,9 +1,14 @@
-//! A plan's replay is the machine's clock: every candidate a collective
-//! can pick from, the ring and point-to-point routes, run alone on a
-//! [`Machine`], leave each rank at the very time [`Plan::replay`] gives
-//! its member, bit for bit.
+//! The dry walk is the machine: every candidate a collective can pick
+//! from, the ring and point-to-point routes, run alone on a [`Machine`],
+//! leave each rank with the very stats — clock, bytes and messages — the
+//! [`walk`] of a one-step list gives it, bit for bit; and so do lists of
+//! many steps that rank programs follow through a [`Cursor`], where the
+//! walk must match each receive to its send by tag.
 
-use amd_comm::{Collective, CostModel, Dir, Group, Machine, Plan, RankCtx, Schedule};
+use amd_comm::{
+    walk, Collective, CostModel, Cursor, Dir, Group, Machine, Plan, RankCtx, RankStats, Schedule,
+    Step,
+};
 use std::sync::Arc;
 
 const ROWS: [usize; 6] = [1, 3, 7, 31, 100, 257];
@@ -40,28 +45,40 @@ fn routes(size: usize, rows: usize) -> Plan {
     Plan::routes(size, moves)
 }
 
-/// Per rank, its clock after `program` ran alone on `size` ranks.
-fn clocks(size: usize, program: &(dyn Fn(&mut RankCtx, &Group) + Sync)) -> Vec<f64> {
+/// Per rank, its stats after `program` ran alone on `size` ranks.
+fn charged(size: usize, program: &(dyn Fn(&mut RankCtx, &Group) + Sync)) -> Vec<RankStats> {
     let report = Machine::new(size as u32).run(|ctx| {
         let g = Group::world(ctx);
         program(ctx, &g);
-        ctx.sim_time()
     });
-    report.results
+    report.stats.ranks
+}
+
+/// A stats list with every clock as its bits, so that equal means bit for
+/// bit.
+fn exact(ranks: &[RankStats]) -> Vec<(u64, u64, u64, u64, u64, u64)> {
+    (ranks.iter())
+        .map(|r| {
+            let (t, c) = (r.sim_time.to_bits(), r.compute_time.to_bits());
+            (r.sent_bytes, r.recv_bytes, r.sent_msgs, r.recv_msgs, t, c)
+        })
+        .collect()
 }
 
 #[test]
 fn the_replay_of_every_plan_is_the_machines_clock() {
     let cost = CostModel::default();
     let (mut runs, mut mismatches, mut ran) = (0usize, Vec::new(), Vec::new());
-    let mut check = |what: String, plan: &Plan, root: usize, stride: usize, ranks: Vec<f64>| {
-        let (size, replay) = (ranks.len(), plan.replay(stride, &cost));
-        let member = |rank: usize| replay[(rank + size - root) % size];
-        runs += 1;
-        if (0..size).any(|rank| ranks[rank].to_bits() != member(rank).to_bits()) {
-            mismatches.push(format!("{what}: machine {ranks:?}, replay {replay:?}"));
-        }
-    };
+    let mut check =
+        |what: String, plan: &Plan, root: usize, stride: usize, ranks: Vec<RankStats>| {
+            let members: Arc<[u32]> = (0..ranks.len() as u32).collect();
+            let list = vec![vec![Step::run(plan, &members, root, None, stride, 0)]; ranks.len()];
+            let walked = walk(&list, 1, &cost).0.ranks;
+            runs += 1;
+            if exact(&ranks) != exact(&walked) {
+                mismatches.push(format!("{what}: machine {ranks:?}, walk {walked:?}"));
+            }
+        };
     for size in 1..=33usize {
         for rows in ROWS {
             let sup = supports(size, rows);
@@ -84,11 +101,12 @@ fn the_replay_of_every_plan_is_the_machines_clock() {
                 })
                 .collect();
             let (ring, routes) = (Plan::ring(size, rows), routes(size, rows));
+            let members: Arc<[u32]> = (0..size as u32).collect();
             for stride in STRIDES {
                 let root = (rows + stride) % size;
                 let at = format!("p={size} {rows}x{stride} root={root}");
                 for &(op, plan) in &candidates {
-                    let ranks = clocks(size, &|ctx, g| {
+                    let ranks = charged(size, &|ctx, g| {
                         let data = vec![0.5; rows * stride];
                         if op == 0 {
                             let data = (g.my_idx() == root).then(|| Arc::new(data));
@@ -102,14 +120,13 @@ fn the_replay_of_every_plan_is_the_machines_clock() {
                     check(what, plan, root, stride, ranks);
                     ran.push(plan.schedule());
                 }
-                let ranks = clocks(size, &|ctx, g| {
+                let ranks = charged(size, &|ctx, g| {
                     g.allreduce_plan(ctx, vec![0.5; rows * stride], &ring, stride);
                 });
                 check(format!("ring {at}"), &ring, 0, stride, ranks);
-                let ranks = clocks(size, &|ctx, g| {
-                    let mut buf = vec![0.5; rows * stride];
-                    g.exchange(ctx, 1, &routes, Dir::Recv, &mut buf, stride);
-                    g.exchange(ctx, 1, &routes, Dir::Send, &mut buf, stride);
+                let whole = [Step::run(&routes, &members, 0, None, stride, 1)];
+                let ranks = charged(size, &|ctx, _| {
+                    Cursor::new(ctx, &whole).exchange(&mut vec![0.5; rows * stride]);
                 });
                 check(format!("routes {at}"), &routes, 0, stride, ranks);
             }
@@ -124,6 +141,87 @@ fn the_replay_of_every_plan_is_the_machines_clock() {
         "{} of {runs} runs",
         mismatches.len()
     );
-    // An empty ring sends nothing, and its replay says so.
-    assert_eq!(Plan::ring(5, 7).replay(0, &cost), [0.0; 5]);
+    // An empty ring sends nothing, and its walk says so.
+    let empty = Plan::ring(5, 7).alone(0, &cost).ranks;
+    assert_eq!(empty, vec![RankStats::default(); 5]);
+}
+
+/// Rank `r`'s operand: `rows × stride` values that differ by rank.
+fn operand(r: u32, rows: usize, stride: usize) -> Vec<f64> {
+    (0..rows * stride)
+        .map(|i| (i as f64 + 0.25) * f64::from(r + 1))
+        .collect()
+}
+
+/// Lists of many steps on six ranks, run by rank programs that follow
+/// them through a [`Cursor`] for three iterations, and walked dry: the
+/// same stats, bit for bit. Each rank sends its half of some routes, runs
+/// a broadcast on its half of the machine and a compute, then receives
+/// its half of the routes; and ranks 0 and 1 exchange two route plans,
+/// rank 0 sending the first before the second and rank 1 receiving the
+/// second first, so only the tags tell the walk which message is which.
+#[test]
+fn multi_step_lists_walk_like_the_machine() {
+    let (cost, iters, stride, rows) = (CostModel::default(), 3, 3, 40);
+    let routes = Plan::routes(
+        6,
+        (0..6u32)
+            .flat_map(|src| (0..6u32).map(move |dst| (src, dst)))
+            .filter(|(src, dst)| src != dst && (src * 7 + dst * 3) % 4 == 1)
+            .flat_map(|(src, dst)| (0..1 + (src + dst) % 5).map(move |i| (src, dst, i, i + dst)))
+            .collect(),
+    );
+    let first = Plan::routes(2, (0..9).map(|i| (0, 1, i, i)).collect());
+    let second = Plan::routes(2, (0..2).map(|i| (0, 1, i, i)).collect());
+    let world: Arc<[u32]> = (0..6).collect();
+    let (low, high): (Arc<[u32]>, Arc<[u32]>) = ((0..3).collect(), (3..6).collect());
+    let pair: Arc<[u32]> = [0, 1].into();
+    let bcast = Collective::broadcast(3, rows, None);
+    let bcast = bcast.plan(Schedule::Tree).unwrap();
+    let lists: Vec<Vec<Step>> = (0..6u32)
+        .map(|r| {
+            let half = if r < 3 { &low } else { &high };
+            let mut steps = vec![
+                Step::run(&routes, &world, 0, Some(Dir::Send), stride, 1),
+                Step::run(bcast, half, 1, None, stride, 2),
+                Step::Compute(f64::from(1000 * (r + 1))),
+                Step::run(&routes, &world, 0, Some(Dir::Recv), stride, 1),
+            ];
+            let dir = Some([Dir::Send, Dir::Recv][r as usize % 2]);
+            let one = Step::run(&first, &pair, 0, dir, stride, 3);
+            let two = Step::run(&second, &pair, 0, dir, stride, 4);
+            match r {
+                0 => steps.extend([one, two]),
+                1 => steps.extend([two, one]),
+                _ => {}
+            }
+            steps
+        })
+        .collect();
+    let report = Machine::new(6).run(|ctx| {
+        let r = ctx.rank();
+        let mut steps = Cursor::new(ctx, &lists[r as usize]);
+        for _ in 0..iters {
+            let mut buf = operand(r, rows, stride);
+            steps.exchange(&mut buf);
+            let root = r % 3 == 1;
+            steps.broadcast(root.then(|| Arc::new(operand(r, rows, stride))));
+            steps.compute();
+            steps.exchange(&mut buf);
+            let mut pair = operand(r, 9, stride);
+            for _ in (0..2).filter(|_| r < 2) {
+                steps.exchange(&mut pair);
+            }
+            steps.end();
+        }
+    });
+    let (walked, flops) = walk(&lists, iters, &cost);
+    assert_eq!(exact(&report.stats.ranks), exact(&walked.ranks));
+    assert_eq!(flops[5], 3.0 * 6000.0);
+    // Received in the order they were sent, the pair's messages leave
+    // rank 1 at another time: the walk told them apart by tag alone.
+    let mut in_order = lists.clone();
+    in_order[1].swap(4, 5);
+    let in_order = walk(&in_order, iters, &cost).0;
+    assert_ne!(in_order.ranks[1].sim_time, walked.ranks[1].sim_time);
 }

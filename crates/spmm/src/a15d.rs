@@ -7,17 +7,16 @@
 //! into `p/c` row tiles, tile `i` replicated on the `c` processors of grid
 //! row `i`. Each grid column `j` needs the `⌈(p/c)/c⌉` X-tiles covering
 //! its column block; these are broadcast down the column one round at a
-//! time (the [`Collective::pick`] of the tile's height, made once per run,
-//! run by [`Group::broadcast_plan`]: a binomial tree, or scatter +
-//! all-gather when the tile is large enough for the machine's cost
-//! model), each processor accumulating
+//! time (the [`Collective::pick`] of the tile's height, made once per run:
+//! a binomial tree, or scatter + all-gather when the tile is large enough
+//! for the machine's cost model), each processor accumulating
 //! `A(i,j)·X_t`. A ring all-reduce across each grid row then produces
 //! `Y_i` replicated exactly like the input — so iterations chain without
 //! data movement.
 
-use crate::layout::{block_range, run_blocks};
+use crate::layout::{block_range, grid_groups, run_blocks};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{Collective, CostModel, Group, Plan, RankCtx};
+use amd_comm::{walk, Collective, CostModel, Cursor, MachineStats, Plan, Step};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::sync::Arc;
@@ -145,12 +144,40 @@ impl A15dSpmm {
             .expect("every height is planned")
     }
 
-    /// Per planned height, the broadcast a `k`-column tile takes: picked
-    /// once per run or prediction, on the host.
-    fn picks(&self, k: u32) -> Vec<&Plan> {
-        (self.plans.iter())
-            .map(|(_, bcast, _)| bcast.pick(k as usize, &self.cost))
-            .collect()
+    /// Grid column `j`'s broadcast rounds: the grid rows of the X tiles
+    /// it multiplies.
+    fn rounds(&self, j: u32) -> std::ops::Range<u32> {
+        let tpc = self.tiles_per_col;
+        (j * tpc)..((j + 1) * tpc).min(self.grid_rows)
+    }
+
+    /// Every rank's steps in one iteration on a `k`-column operand: per
+    /// round `t`, the broadcast of X tile `t` down the rank's grid column
+    /// from grid row `t` (the tile height's pick, made here once, on the
+    /// host; tagged `t`) and the multiply of the matching stationary tile;
+    /// then the ring all-reduce of `Y_i` across its grid row (tagged past
+    /// every round).
+    fn steps(&self, k: u32) -> Vec<Vec<Step<'_>>> {
+        let (kk, [cols, rows]) = (k as usize, grid_groups(self.grid_rows, self.c));
+        let picks: Vec<&Plan> = (self.plans.iter())
+            .map(|(_, bcast, _)| bcast.pick(kk, &self.cost))
+            .collect();
+        let mut lists = Vec::with_capacity(self.p as usize);
+        for (rank, tiles) in (0..self.p).zip(&self.tiles) {
+            let (i, j, mut tiles) = (rank / self.c, rank % self.c, tiles.iter().peekable());
+            let mut steps = Vec::new();
+            for t in self.rounds(j) {
+                let (plan, col) = (picks[self.height(t)], &cols[j as usize]);
+                steps.push(Step::run(plan, col, t as usize, None, kk, t.into()));
+                if let Some((_, sub)) = tiles.next_if(|(tt, _)| *tt == t && k > 0) {
+                    steps.push(Step::Compute(spmm::spmm_flops(sub, k)));
+                }
+            }
+            let (ring, row) = (&self.plans[self.height(i)].2, &rows[i as usize]);
+            steps.push(Step::run(ring, row, 0, None, kk, self.grid_rows.into()));
+            lists.push(steps);
+        }
+        lists
     }
 }
 
@@ -174,18 +201,15 @@ impl DistSpmm for A15dSpmm {
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
         let k = x.cols();
-        let picks = self.picks(k);
+        let steps = self.steps(k);
         // X tile i, replicated across grid row i.
         let blocks = |rank: u32| {
             let (r0, r1) = block_range(self.n, self.rb, rank / self.c);
             (r0..r1, 0..k as usize)
         };
-        let program = |ctx: &mut RankCtx, x_block: Vec<f64>| {
-            let rank = ctx.rank();
+        let program = |steps: &mut Cursor, x_block: Vec<f64>| {
+            let rank = steps.rank();
             let (i, j) = (rank / self.c, rank % self.c);
-            let col_group =
-                Group::new(ctx, (0..self.grid_rows).map(|gi| gi * self.c + j).collect());
-            let row_group = Group::new(ctx, (0..self.c).map(|gj| i * self.c + gj).collect());
             let (r0, r1) = block_range(self.n, self.rb, i);
             let my_rows = (r1 - r0) as usize;
             let mut x_cur = Arc::new(x_block);
@@ -199,24 +223,17 @@ impl DistSpmm for A15dSpmm {
                 let mut partial = std::mem::take(&mut spare);
                 partial.resize(my_rows * k as usize, 0.0);
                 let mut finish = Finish::Overwrite;
-                let mut tile_iter = self.tiles[rank as usize].iter();
-                for t in
-                    (j * self.tiles_per_col)..((j + 1) * self.tiles_per_col).min(self.grid_rows)
-                {
+                let mut tiles = self.tiles[rank as usize].iter().peekable();
+                for t in self.rounds(j) {
                     // Broadcast X tile t down grid column j from grid row
                     // t: one shared buffer for the root and every relay.
-                    let payload = (i == t).then(|| Arc::clone(&x_cur));
-                    let plan = picks[self.height(t)];
-                    let xt = col_group.broadcast_plan(ctx, t as usize, payload, plan, k as usize);
+                    let xt = steps.broadcast((i == t).then(|| Arc::clone(&x_cur)));
                     // Multiply the matching stationary submatrix.
-                    if let Some((tt, sub)) = tile_iter.as_slice().first() {
-                        if *tt == t && !xt.is_empty() && my_rows > 0 {
-                            tile_iter.next();
-                            spmm::spmm_slices(sub, &xt, k, None, &mut partial, finish, self.dtype)
-                                .expect("stationary tile shapes align");
-                            finish = Finish::Accumulate;
-                            ctx.compute_flops(spmm::spmm_flops(sub, k));
-                        }
+                    if let Some((_, sub)) = tiles.next_if(|(tt, _)| *tt == t && !xt.is_empty()) {
+                        spmm::spmm_slices(sub, &xt, k, None, &mut partial, finish, self.dtype)
+                            .expect("stationary tile shapes align");
+                        finish = Finish::Accumulate;
+                        steps.compute();
                     }
                 }
                 if finish == Finish::Overwrite {
@@ -227,36 +244,24 @@ impl DistSpmm for A15dSpmm {
                 // was. Row-aligned chunks keep the reduction order
                 // independent of k, so batched multi-RHS runs bit-match
                 // single-column runs.
-                let ring = &self.plans[self.height(i)].2;
-                let mut y = row_group.allreduce_plan(ctx, partial, ring, k as usize);
+                let mut y = steps.allreduce(partial);
                 apply_sigma(&mut y, sigma);
                 spare =
                     Arc::try_unwrap(std::mem::replace(&mut x_cur, Arc::new(y))).unwrap_or_default();
+                steps.end();
             }
             // Grid column 0 returns the final blocks for host assembly.
             (j == 0).then(|| Arc::try_unwrap(x_cur).expect("the final iterate was never broadcast"))
         };
-        run_blocks(x, self.n, self.p, self.cost, iters, blocks, program)
+        run_blocks(x, self.n, &steps, self.cost, iters, blocks, program)
+    }
+
+    fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
+        walk(&self.steps(k), iters, &self.cost).0
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        let (g, kk, picks) = (self.grid_rows, k as usize, self.picks(k));
-        (0..self.p)
-            .map(|rank| {
-                let (i, j) = (rank / self.c, rank % self.c);
-                // Per-round broadcast of X tile t down grid column j from
-                // grid row t, then the all-reduce of Y_i across grid row i.
-                let tiles =
-                    (j * self.tiles_per_col)..((j + 1) * self.tiles_per_col).min(self.grid_rows);
-                let moved = tiles
-                    .map(|t| picks[self.height(t)].traffic(((i + g - t) % g) as usize, kk))
-                    .chain([self.plans[self.height(i)].2.traffic(j as usize, kk)]);
-                let flops = (self.tiles[rank as usize].iter())
-                    .map(|(_, sub)| spmm::spmm_flops(sub, k))
-                    .sum();
-                CommEstimate::of_rank(moved, self.dtype, flops)
-            })
-            .collect()
+        CommEstimate::of_steps(&self.steps(k), &self.cost, self.dtype)
     }
 }
 

@@ -8,14 +8,13 @@
 //! `f`-th column block of `Y`:
 //!
 //! 1. **route** — the owner `(j, f)` of `X(j, f)` sends it to the diagonal
-//!    processor `(j, j)` of grid column `j`: a two-member tree broadcast
-//!    run by [`Group::broadcast_plan`], the tile travelling as the shared
-//!    buffer the broadcast down the column then reads,
+//!    processor `(j, j)` of grid column `j`: a two-member tree broadcast,
+//!    the tile travelling as the shared buffer the broadcast down the
+//!    column then reads,
 //! 2. **broadcast** — `(j, j)` broadcasts the tile down grid column `j`
 //!    (static groups; the [`Collective::pick`] of the tile's height and
-//!    width, made once per run, run by [`Group::broadcast_plan`]: a
-//!    binomial tree, or scatter + all-gather when the tile is large enough
-//!    for the machine's cost model),
+//!    width, made once per run: a binomial tree, or scatter + all-gather
+//!    when the tile is large enough for the machine's cost model),
 //! 3. **multiply** — each `(r, c)` computes the partial `A(r, c)·X(c, f)`,
 //! 4. **reduce** — grid row `r` sum-reduces onto `(r, f)` over a binomial
 //!    tree, which stores `Y(r, f)` — the same layout as the input, so
@@ -26,9 +25,9 @@
 //! cites for preferring 1.5D on skinny feature matrices, which this
 //! implementation makes measurable.
 
-use crate::layout::{block_range, even_ranges, run_blocks};
+use crate::layout::{block_range, even_ranges, grid_groups, run_blocks};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{Collective, CostModel, Group, Plan, RankCtx, Schedule};
+use amd_comm::{walk, Collective, CostModel, Cursor, MachineStats, Plan, Schedule, Step};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::sync::Arc;
@@ -131,18 +130,47 @@ impl A2dSpmm {
             .expect("every height is planned")
     }
 
-    /// Per planned height, per phase of a `k`-column operand, the
-    /// broadcast the phase's tile takes: picked once per run or
-    /// prediction, on the host.
-    fn picks(&self, k: u32) -> Vec<Vec<&Plan>> {
-        let phases = even_ranges(k, self.q);
-        (self.plans.iter())
+    /// Every rank's steps in one iteration on a `k`-column operand: per
+    /// phase `f`, the route of `X(r, f)` to the diagonal if the rank is on
+    /// it, the broadcast of `X(c, f)` down its grid column (the pick of
+    /// the tile's height and width, made here once, on the host), the
+    /// partial product, and the tree reduce across its grid row onto
+    /// member `f`.
+    fn steps(&self, k: u32) -> Vec<Vec<Step<'_>>> {
+        let (q, phases, [cols, rows]) =
+            (self.q, even_ranges(k, self.q), grid_groups(self.q, self.q));
+        let picks: Vec<Vec<&Plan>> = (self.plans.iter())
             .map(|(_, bcast, ..)| {
                 (phases.iter())
                     .map(|&(f0, f1)| bcast.pick((f1 - f0) as usize, &self.cost))
                     .collect()
             })
-            .collect()
+            .collect();
+        let height = |r| self.plans[self.height(r)].0;
+        let mut lists = Vec::with_capacity(self.p as usize);
+        for (rank, tile) in (0..self.p).zip(&self.tiles) {
+            let (r, c) = (rank / q, rank % q);
+            let (.., tree, route) = &self.plans[self.height(r)];
+            let mut steps = Vec::new();
+            for (f, &(f0, f1)) in (0..q).zip(&phases) {
+                // Phase f's route, broadcast and reduce are tagged 3f,
+                // 3f + 1 and 3f + 2.
+                let (fk, tag) = ((f1 - f0) as usize, 3 * u64::from(f));
+                if f != r && (c == f || c == r) {
+                    let pair = [r * q + f, r * q + r].into();
+                    steps.push(Step::run(route, &pair, 0, None, fk, tag));
+                }
+                let (bcast, col) = (picks[self.height(c)][f as usize], &cols[c as usize]);
+                steps.push(Step::run(bcast, col, c as usize, None, fk, tag + 1));
+                if height(r) > 0 && height(c) > 0 && fk > 0 {
+                    steps.push(Step::Compute(spmm::spmm_flops(tile, f1 - f0)));
+                }
+                let row = &rows[r as usize];
+                steps.push(Step::run(tree, row, f as usize, None, fk, tag + 2));
+            }
+            lists.push(steps);
+        }
+        lists
     }
 }
 
@@ -163,31 +191,19 @@ impl DistSpmm for A2dSpmm {
     ) -> SparseResult<SpmmRun> {
         let q = self.q;
         let col_ranges = even_ranges(x.cols(), q);
-        let picks = self.picks(x.cols());
+        let steps = self.steps(x.cols());
         // X(r, c): row block r, feature columns [k0, k1).
         let blocks = |rank: u32| {
             let (r0, r1) = block_range(self.n, self.rb, rank / q);
             let (k0, k1) = col_ranges[(rank % q) as usize];
             (r0..r1, k0 as usize..k1 as usize)
         };
-        let program = |ctx: &mut RankCtx, mut x_cur: Vec<f64>| {
-            let rank = ctx.rank();
+        let program = |steps: &mut Cursor, mut x_cur: Vec<f64>| {
+            let rank = steps.rank();
             let (r, c) = (rank / q, rank % q);
-            // Static groups: member index = grid row (column group) or
-            // grid column (row group); per phase f, the route from the
-            // owner of X(r, f) to the diagonal, if this rank is on it.
-            let col_group = Group::new(ctx, (0..q).map(|i| i * q + c).collect());
-            let row_group = Group::new(ctx, (0..q).map(|j| r * q + j).collect());
-            let routes: Vec<Option<Group>> = (0..q)
-                .map(|f| {
-                    (f != r && (c == f || c == r))
-                        .then(|| Group::new(ctx, vec![r * q + f, r * q + r]))
-                })
-                .collect();
             let (r0, r1) = block_range(self.n, self.rb, r);
             let my_rows = (r1 - r0) as usize;
             let a_tile = &self.tiles[rank as usize];
-            let (.., tree, route) = &self.plans[self.height(r)];
             for _ in 0..iters {
                 let mut y_mine: Vec<f64> = Vec::new();
                 for f in 0..q {
@@ -198,19 +214,18 @@ impl DistSpmm for A2dSpmm {
                     //    is used once per iteration, in this phase, so it
                     //    moves into the shared buffer every hop reads.
                     let mine = (c == f).then(|| Arc::new(std::mem::take(&mut x_cur)));
-                    let tile = match &routes[f as usize] {
-                        Some(pair) => Some(pair.broadcast_plan(ctx, 0, mine, route, fk as usize)),
-                        None => mine,
+                    let tile = if f != r && (c == f || c == r) {
+                        Some(steps.broadcast(mine))
+                    } else {
+                        mine
                     };
                     // 2. Broadcast X(c, f) down grid column c from the
                     //    diagonal member (index c).
-                    let plan = picks[self.height(c)][f as usize];
-                    let payload = tile.filter(|_| r == c);
-                    let xt = col_group.broadcast_plan(ctx, c as usize, payload, plan, fk as usize);
+                    let xt = steps.broadcast(tile.filter(|_| r == c));
                     // 3. Partial product A(r, c) · X(c, f).
                     let mut partial = vec![0.0; my_rows * fk as usize];
                     if my_rows > 0 && !xt.is_empty() && fk > 0 {
-                        ctx.compute_flops(spmm::spmm_flops(a_tile, fk));
+                        steps.compute();
                         spmm::spmm_slices(
                             a_tile,
                             &xt,
@@ -229,49 +244,26 @@ impl DistSpmm for A2dSpmm {
                     //    this pipeline more simulated time than it saves
                     //    (grid160 + rmat13, p = 16, k = 16: 719 → 767
                     //    sim-µs) and moves no max-rank byte.
-                    let reduced =
-                        row_group.reduce_plan(ctx, f as usize, partial, tree, fk as usize);
+                    let reduced = steps.reduce(partial);
                     if c == f {
                         y_mine = reduced.expect("member f holds the phase result");
                     }
                 }
                 x_cur = y_mine;
                 apply_sigma(&mut x_cur, sigma);
+                steps.end();
             }
             Some(x_cur)
         };
-        run_blocks(x, self.n, self.p, self.cost, iters, blocks, program)
+        run_blocks(x, self.n, &steps, self.cost, iters, blocks, program)
+    }
+
+    fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
+        walk(&self.steps(k), iters, &self.cost).0
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        let q = self.q;
-        let (col_ranges, picks) = (even_ranges(k, q), self.picks(k));
-        (0..self.p)
-            .map(|rank| {
-                let (r, c) = (rank / q, rank % q);
-                let (.., tree, route) = &self.plans[self.height(r)];
-                let mut moved = Vec::new();
-                let mut flops = 0.0;
-                for f in 0..q {
-                    let (f0, f1) = col_ranges[f as usize];
-                    let fk = (f1 - f0) as usize;
-                    // 1. Route X(r, f) from its owner (member 0) to the
-                    //    diagonal of grid column r (member 1).
-                    if f != r && (c == f || c == r) {
-                        moved.push(route.traffic((c == r) as usize, fk));
-                    }
-                    // 2. Broadcast X(c, f) down grid column c from the
-                    //    diagonal member (group index c), and 4. reduce across
-                    //    the grid row onto member f (the tree).
-                    let bcast = picks[self.height(c)][f as usize];
-                    moved.push(bcast.traffic(((r + q - c) % q) as usize, fk));
-                    moved.push(tree.traffic(((c + q - f) % q) as usize, fk));
-                    // 3. Partial product A(r, c) · X(c, f).
-                    flops += spmm::spmm_flops(&self.tiles[rank as usize], f1 - f0);
-                }
-                CommEstimate::of_rank(moved, self.dtype, flops)
-            })
-            .collect()
+        CommEstimate::of_steps(&self.steps(k), &self.cost, self.dtype)
     }
 }
 

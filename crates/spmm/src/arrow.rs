@@ -86,11 +86,14 @@
 //! pieces in the root-last order every reduce sums in ([`fold_nonroots`],
 //! `Fold`), a member that has no piece entering as a literal `+0.0`.
 //!
-//! Routes and collectives are one kind of step list: `ArrowSpmm::new`
-//! builds every level's candidate collective plans and the three feeds'
-//! routes ([`Plan::routes`]) once, the one interpreter in `amd_comm` runs
-//! them, and the traffic the feed choice, [`ArrowSpmm::schedules`] and
-//! `predict_ranks` read is counted from the same steps. The feeds are
+//! Routes and collectives are one kind of plan: `ArrowSpmm::new` builds
+//! every level's candidate collective plans and the three feeds' routes
+//! ([`Plan::routes`]) once. A run or a prediction picks the levels' plans
+//! and states the iteration once, as every rank's list of steps (its part
+//! in a plan, or a tile's flops); the rank programs follow those lists
+//! and the one interpreter in `amd_comm` runs the plans, while the feed
+//! choice, [`ArrowSpmm::busiest`], `dry_run` and `predict_ranks` read the
+//! dry walk of the same lists ([`amd_comm::walk`]). The feeds are
 //! weighed in turn, and a later one is taken when its busiest rank moves
 //! no more bytes and no more messages than the one held, and fewer of one
 //! ([`ArrowSpmm::feed`]): the grids gather; R-MAT keeps the relay or the
@@ -101,7 +104,7 @@
 use crate::layout::{block_count, block_range, run_blocks};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{
-    fold_nonroots, Collective, CostModel, Dir, Group, Plan, RankCtx, Schedule, Traffic,
+    fold_nonroots, walk, Collective, CostModel, Cursor, Dir, MachineStats, Plan, Schedule, Step,
 };
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrBuilder, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
@@ -826,9 +829,9 @@ impl ArrowSpmm {
     /// The feed a `k`-column operand takes. The candidates are weighed in
     /// turn — [`Feed::Relay`], [`Feed::Direct`], [`Feed::Gather`] — and a
     /// later one replaces the one held when its busiest rank moves no more
-    /// bytes and no more messages, and fewer of one, judged from every
-    /// rank's exact traffic at the machine's `f64` width (as [`amd_comm`]'s
-    /// collectives pick a schedule).
+    /// bytes and no more messages, and fewer of one, judged from the dry
+    /// walk of every rank's steps at the machine's `f64` width (as
+    /// [`amd_comm`]'s collectives pick a schedule).
     pub fn feed(&self, k: u32) -> Feed {
         self.choose(k).0
     }
@@ -838,9 +841,9 @@ impl ArrowSpmm {
     /// host, and read by everything that follows.
     fn choose(&self, k: u32) -> (Feed, Vec<[&Plan; 2]>) {
         let picks = self.picks(k);
-        let mut held = (FEEDS[0], self.load(k, FEEDS[0], &picks));
+        let mut held = (FEEDS[0], self.busiest_on(k, FEEDS[0], &picks));
         for &feed in &FEEDS[1..] {
-            let load = self.load(k, feed, &picks);
+            let load = self.busiest_on(k, feed, &picks);
             if load.0 <= held.1 .0 && load.1 <= held.1 .1 && load != held.1 {
                 held = (feed, load);
             }
@@ -849,10 +852,10 @@ impl ArrowSpmm {
     }
 
     /// The busiest rank's bytes and messages in one iteration under
-    /// `feed` on a `k`-column operand, each the most of any rank, counted
-    /// from the plans at 8 bytes a value — what [`Self::feed`] weighs.
+    /// `feed` on a `k`-column operand, each the most of any rank, from the
+    /// walk of its steps at 8 bytes a value — what [`Self::feed`] weighs.
     pub fn busiest(&self, k: u32, feed: Feed) -> (u64, u64) {
-        self.load(k, feed, &self.picks(k))
+        self.busiest_on(k, feed, &self.picks(k))
     }
 
     /// Per level, the plans its broadcast of `D(0)` and its reduce of the
@@ -864,10 +867,9 @@ impl ArrowSpmm {
     }
 
     /// [`Self::busiest`] under the levels' `picks`.
-    fn load(&self, k: u32, feed: Feed, picks: &[[&Plan; 2]]) -> (u64, u64) {
-        (self.moved(k, feed, picks).into_iter()).fold((0, 0), |(bytes, msgs), t| {
-            (bytes.max(t.bytes()), msgs.max(t.msgs()))
-        })
+    fn busiest_on(&self, k: u32, feed: Feed, picks: &[[&Plan; 2]]) -> (u64, u64) {
+        let (stats, _) = walk(&self.steps(k, feed, picks), 1, &self.cost);
+        (stats.max_volume(), stats.max_messages())
     }
 
     /// The levels that run Algorithm 1 under `feed`: every level relayed,
@@ -879,31 +881,49 @@ impl ArrowSpmm {
         }
     }
 
-    /// What each machine rank moves in one iteration under `feed` on a
-    /// `k`-column operand, at 8 bytes a value, counted from the cached
-    /// plans — the feed's routes and each level's `picks`.
-    fn moved(&self, k: u32, feed: Feed, picks: &[[&Plan; 2]]) -> Vec<Traffic> {
+    /// Every machine rank's steps in one iteration under `feed` on a
+    /// `k`-column operand, each level's collectives on its `picks`: the
+    /// forward exchange (a deeper rank receives, then passes rows on;
+    /// level 0 sends, and receives after its multiply), Algorithm 1 where
+    /// it runs — the broadcast of `D(0)`, the rank's row-arm tile and hub
+    /// run, the reduce, its column-arm and diagonal tiles — the product
+    /// rows placed on the rank, and the backward exchange (a deeper rank
+    /// receives, then sends its rows on).
+    fn steps<'a>(&'a self, k: u32, feed: Feed, picks: &[[&'a Plan; 2]]) -> Vec<Vec<Step<'a>>> {
         let (routes, kk) = (&self.feeds[feed as usize], k as usize);
-        let mut ranks = vec![Traffic::default(); self.total_ranks as usize];
-        let mut charge = |rank: usize, t: Traffic| {
-            let sum = &mut ranks[rank];
-            (sum.sent_bytes, sum.recv_bytes) =
-                (sum.sent_bytes + t.sent_bytes, sum.recv_bytes + t.recv_bytes);
-            (sum.sent_msgs, sum.recv_msgs) =
-                (sum.sent_msgs + t.sent_msgs, sum.recv_msgs + t.recv_msgs);
-        };
-        for r in 0..self.total_ranks as usize {
-            charge(r, routes.fwd.traffic(r, kk));
-            charge(r, routes.bwd.traffic(r, kk));
-        }
-        for (level, plans) in self.relayed(feed).iter().zip(picks) {
-            for plan in plans {
-                for i in 0..level.nb as usize {
-                    charge(level.offset as usize + i, plan.traffic(i, kk));
+        // Tags, one per call site: 1 forward, 2 backward, 3 the level's
+        // broadcast, 4 its reduce.
+        let world: Arc<[u32]> = (0..self.total_ranks).collect();
+        let (fwd, bwd) = (
+            |dir| Step::run(&routes.fwd, &world, 0, Some(dir), kk, 1),
+            |dir| Step::run(&routes.bwd, &world, 0, Some(dir), kk, 2),
+        );
+        let tile = |tile: &CsrMatrix<f64>| Step::Compute(spmm::spmm_flops(tile, k));
+        let mut lists = Vec::with_capacity(self.total_ranks as usize);
+        for (j, level) in self.levels.iter().enumerate() {
+            let group: Arc<[u32]> = (level.offset..level.offset + level.nb).collect();
+            for i in 0..level.nb {
+                let mut steps: Vec<_> = (j > 0).then(|| fwd(Dir::Recv)).into_iter().collect();
+                steps.push(fwd(Dir::Send));
+                if j < self.relayed(feed).len() {
+                    let arrow = &level.arrow;
+                    steps.push(Step::run(picks[j][0], &group, 0, None, kk, 3));
+                    steps.extend((i > 0).then(|| tile(arrow.row_tile(i))));
+                    steps.push(Step::Compute(level.hub_flops(i, k)));
+                    steps.push(Step::run(picks[j][1], &group, 0, None, kk, 4));
+                    if i > 0 {
+                        steps.extend([tile(arrow.col_tile(i)), tile(arrow.diag_tile(i))]);
+                    }
                 }
+                steps.extend((j == 0).then(|| fwd(Dir::Recv)));
+                let products = &routes.ranks[(level.offset + i) as usize].products;
+                steps.extend((products.nnz() > 0).then(|| tile(products)));
+                steps.push(bwd(Dir::Recv));
+                steps.extend((j > 0).then(|| bwd(Dir::Send)));
+                lists.push(steps);
             }
         }
-        ranks
+        lists
     }
 
     /// Locates the level and local index of a machine rank.
@@ -919,26 +939,22 @@ impl ArrowSpmm {
 
 /// One level's Algorithm 1: multiply the arrow matrix with the
 /// block-distributed `D`, consuming this rank's `D(i)` block and
-/// returning its `C(i)` block. `group` is the level's ranks in block
-/// order, so this rank is its member `i`; `plans` are the level's picked
-/// broadcast and reduce. Tiles multiply the received and owned buffers
-/// where they lie ([`spmm::spmm_slices`]). A non-root leaves its `D(i)`
-/// buffer in `spare` for its next call's partial.
-#[allow(clippy::too_many_arguments)]
+/// returning its `C(i)` block, this rank being member `my_i` of the level
+/// and its `steps` at the level's broadcast. Tiles multiply the received
+/// and owned buffers where they lie ([`spmm::spmm_slices`]). A non-root
+/// leaves its `D(i)` buffer in `spare` for its next call's partial.
 fn arrow_multiply(
-    ctx: &mut RankCtx,
-    group: &Group,
+    steps: &mut Cursor,
     level: &LevelPlan,
-    [bcast, reduce]: [&Plan; 2],
+    my_i: u32,
     d_block: Vec<f64>,
     k: u32,
     dtype: Dtype,
     spare: &mut Vec<f64>,
 ) -> Vec<f64> {
-    let my_i = group.my_idx() as u32;
     debug_assert_eq!(d_block.len(), (level.height(my_i) * k) as usize);
-    let tile = |ctx: &mut RankCtx, tile, x: &[f64], y: &mut [f64], finish| {
-        ctx.compute_flops(spmm::spmm_flops(tile, k));
+    let tile = |steps: &mut Cursor, tile, x: &[f64], y: &mut [f64], finish| {
+        steps.compute();
         spmm::spmm_slices(tile, x, k, None, y, finish, dtype).expect("tile shapes align");
     };
 
@@ -946,8 +962,7 @@ fn arrow_multiply(
     // shared, so the root, every relay and every receiver read one
     // buffer — or, on the sparse schedule, only the rows the rank reads.
     let d_block = Arc::new(d_block);
-    let root_block = (my_i == 0).then(|| Arc::clone(&d_block));
-    let d0 = group.broadcast_plan(ctx, 0, root_block, bcast, k as usize);
+    let d0 = steps.broadcast((my_i == 0).then(|| Arc::clone(&d_block)));
 
     // Rank i's partial of C(0) (line 2): its row-arm product B(0,i) · D(i)
     // and its run of the hub tile's B(0,0) · D(0). The root's row-arm tile
@@ -961,10 +976,10 @@ fn arrow_multiply(
     partial.resize((level.d0_rows() * k) as usize, 0.0);
     if my_i > 0 {
         let row_tile = level.arrow.row_tile(my_i);
-        tile(ctx, row_tile, &d_block, &mut partial, Finish::Overwrite);
+        tile(steps, row_tile, &d_block, &mut partial, Finish::Overwrite);
     }
     let run = level.hub_run(my_i);
-    ctx.compute_flops(level.hub_flops(my_i, k));
+    steps.compute();
     spmm::spmm_slices_rows(
         level.arrow.row_tile(0),
         run.clone(),
@@ -975,7 +990,7 @@ fn arrow_multiply(
         dtype,
     )
     .expect("hub tile shapes align");
-    let reduced = group.reduce_plan(ctx, 0, partial, reduce, k as usize);
+    let reduced = steps.reduce(partial);
 
     // C(i) = B(i,0) · D(0) + B(i,i) · D(i) (lines 4–6).
     if my_i == 0 {
@@ -983,14 +998,14 @@ fn arrow_multiply(
     }
     let mut c = vec![0.0; d_block.len()];
     tile(
-        ctx,
+        steps,
         level.arrow.col_tile(my_i),
         &d0,
         &mut c,
         Finish::Overwrite,
     );
     tile(
-        ctx,
+        steps,
         level.arrow.diag_tile(my_i),
         &d_block,
         &mut c,
@@ -1017,47 +1032,30 @@ impl DistSpmm for ArrowSpmm {
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
         let (feed, picks) = self.choose(x.cols());
-        self.run_feed(x, iters, sigma, feed, &picks)
+        self.run_feed(x, iters, sigma, feed, &self.steps(x.cols(), feed, &picks))
+    }
+
+    fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
+        let (feed, picks) = self.choose(k);
+        walk(&self.steps(k, feed, &picks), iters, &self.cost).0
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
         let (feed, picks) = self.choose(k);
-        let traffic = self.moved(k, feed, &picks);
-        // Levels hold consecutive ranks, in level order; the levels that
-        // run Algorithm 1 come first.
-        let tiles = self.relayed(feed).iter().flat_map(|level| {
-            (0..level.nb).map(move |i| {
-                // Local tile multiplies (Algorithm 1, lines 2–6): the
-                // rank's share of the hub tile and its own three.
-                let mut flops = level.hub_flops(i, k);
-                if i > 0 {
-                    flops += spmm::spmm_flops(level.arrow.row_tile(i), k);
-                    flops += spmm::spmm_flops(level.arrow.col_tile(i), k);
-                    flops += spmm::spmm_flops(level.arrow.diag_tile(i), k);
-                }
-                flops
-            })
-        });
-        let products = (self.feeds[feed as usize].ranks.iter())
-            .map(|plan| spmm::spmm_flops(&plan.products, k));
-        let flops = tiles.chain(std::iter::repeat(0.0)).zip(products);
-        (traffic.into_iter())
-            .zip(flops.map(|(tiles, products)| tiles + products))
-            .map(|(moved, flops)| CommEstimate::of_rank([moved], self.dtype, flops))
-            .collect()
+        CommEstimate::of_steps(&self.steps(k, feed, &picks), &self.cost, self.dtype)
     }
 }
 
 impl ArrowSpmm {
-    /// [`DistSpmm::run_sigma`] under `feed`, whichever it is, each level's
-    /// collectives on its `picks`.
+    /// [`DistSpmm::run_sigma`] under `feed`, whichever it is, each rank
+    /// following its list of `feed`'s `steps`.
     fn run_feed(
         &self,
         x: &DenseMatrix<f64>,
         iters: u32,
         sigma: Option<Sigma>,
         feed: Feed,
-        picks: &[[&Plan; 2]],
+        steps: &[Vec<Step<'_>>],
     ) -> SparseResult<SpmmRun> {
         let kk = x.cols() as usize;
         let (routes, relayed) = (&self.feeds[feed as usize], feed == Feed::Relay);
@@ -1073,21 +1071,17 @@ impl ArrowSpmm {
                 0..kk,
             )
         };
-        let program = |ctx: &mut RankCtx, mut x_block: Vec<f64>| {
-            let (k, rank) = (kk as u32, ctx.rank());
+        let program = |steps: &mut Cursor, mut x_block: Vec<f64>| {
+            let (k, rank) = (kk as u32, steps.rank());
             let (j, my_i) = self.locate(rank);
             let level = &self.levels[j];
             let plan = &routes.ranks[rank as usize];
             // Level 0 runs Algorithm 1, and relayed so does every level.
             let multiplies = j == 0 || relayed;
-            let group = Group::new(ctx, (level.offset..level.offset + level.nb).collect());
-            let world = Group::world(ctx);
             let (r0, r1) = block_range(level.active_n, self.b, my_i);
             let block = (r1 - r0) as usize * kk;
             let mut spare = Vec::new();
-            for iter in 0..iters {
-                let base_tag = (iter as u64) << 8;
-                let (fwd, bwd) = (base_tag | 1, base_tag | 2);
+            for _ in 0..iters {
                 // 1. Forward propagation (Algorithm 2, lines 1–5) into the
                 // operand: the rank's block, then the rows it fetches. A
                 // deeper rank receives, then passes rows on; level 0
@@ -1095,9 +1089,9 @@ impl ArrowSpmm {
                 let mut operand = x_block;
                 operand.resize(plan.height as usize * kk, 0.0);
                 if j > 0 {
-                    world.exchange(ctx, fwd, &routes.fwd, Dir::Recv, &mut operand, kk);
+                    steps.exchange(&mut operand);
                 }
-                world.exchange(ctx, fwd, &routes.fwd, Dir::Send, &mut operand, kk);
+                steps.exchange(&mut operand);
                 // 2. Algorithm 1 where it runs, on the rank's block; the
                 // operand stays if the products read it.
                 let dtype = self.dtype;
@@ -1108,19 +1102,17 @@ impl ArrowSpmm {
                     } else {
                         std::mem::take(&mut operand)
                     };
-                    let plans = picks[j];
-                    y_block =
-                        arrow_multiply(ctx, &group, level, plans, d_block, k, dtype, &mut spare);
+                    y_block = arrow_multiply(steps, level, my_i, d_block, k, dtype, &mut spare);
                 }
                 if j == 0 {
-                    world.exchange(ctx, fwd, &routes.fwd, Dir::Recv, &mut operand, kk);
+                    steps.exchange(&mut operand);
                 }
                 // The product rows placed here fill the inbox, then the
                 // returned rows land in it and the folds complete the rows
                 // of deeper levels this rank holds.
                 let mut inbox = vec![0.0; plan.products.rows() as usize * kk];
                 if plan.products.nnz() > 0 {
-                    ctx.compute_flops(spmm::spmm_flops(&plan.products, k));
+                    steps.compute();
                     spmm::spmm_slices(
                         &plan.products,
                         &operand,
@@ -1132,7 +1124,7 @@ impl ArrowSpmm {
                     )
                     .expect("product rows align");
                 }
-                world.exchange(ctx, bwd, &routes.bwd, Dir::Recv, &mut inbox, kk);
+                steps.exchange(&mut inbox);
                 for fold in &plan.folds {
                     fold.complete(&mut inbox, kk);
                 }
@@ -1142,8 +1134,7 @@ impl ArrowSpmm {
                 // inbox placed.
                 add_rows(&mut y_block, &inbox, &plan.adds, kk);
                 if j > 0 {
-                    let rows = if relayed { &mut y_block } else { &mut inbox };
-                    world.exchange(ctx, bwd, &routes.bwd, Dir::Send, rows, kk);
+                    steps.exchange(if relayed { &mut y_block } else { &mut inbox });
                 }
                 x_block = y_block;
                 // σ acts on the complete Y, which lives on level 0 after
@@ -1152,12 +1143,13 @@ impl ArrowSpmm {
                 if j == 0 {
                     apply_sigma(&mut x_block, sigma);
                 }
+                steps.end();
             }
             // Level 0 blocks hold positions 0..active_0; rows of
             // vertices isolated in A are zero.
             (j == 0).then_some(x_block)
         };
-        run_blocks(x, self.n, self.ranks(), self.cost, iters, blocks, program)
+        run_blocks(x, self.n, steps, self.cost, iters, blocks, program)
     }
 }
 
@@ -1277,7 +1269,10 @@ mod tests {
             ((r * 7 + c * 13) % 31) as f64 / 7.0 - 1.9
         });
         let picks = alg.choose(k).1;
-        let ys = FEEDS.map(|feed| alg.run_feed(&x, 2, None, feed, &picks).unwrap().y);
+        let ys = FEEDS.map(|feed| {
+            let steps = alg.steps(k, feed, &picks);
+            alg.run_feed(&x, 2, None, feed, &steps).unwrap().y
+        });
         let bits = |y: &DenseMatrix<f64>| y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (feed, y) in FEEDS.iter().zip(&ys) {
             let name = alg.name();

@@ -25,10 +25,12 @@
 //! coordinates + one `f64` value, i.e. two `f64` slots) is broadcast from
 //! rank 0 to all ranks of the base plan under the plan
 //! [`amd_comm::Collective::pick`] selects for it, and every rank corrects
-//! its own output rows. Each rank is charged what that broadcast moves
-//! through it, its clock when the broadcast runs alone
-//! ([`amd_comm::Plan::replay`], the machine's own α-β rules) and the
-//! delta product's flops (the work is replicated); [`predict_ranks`] adds
+//! its own output rows. Each rank is charged, on top of the base's
+//! iteration, what the dry walk of that broadcast run alone gives it
+//! ([`amd_comm::Plan::alone`]: its bytes, messages and clock, on the
+//! machine's own α-β rules) and the delta product's flops (the work is
+//! replicated): `sim_time = base + broadcast + compute`. [`dry_run`]
+//! charges the same without running the base, and [`predict_ranks`] adds
 //! the same bytes, messages and flops to the base's, so prediction and
 //! accounting agree rank by rank. This is the honest upper envelope for a
 //! wrapper that cannot see the base algorithm's row ownership; it makes
@@ -38,6 +40,7 @@
 //! step, so its correction is charged flops only.
 //!
 //! [`predict_ranks`]: DistSpmm::predict_ranks
+//! [`dry_run`]: DistSpmm::dry_run
 //!
 //! The correction always runs in `f64`, even when the wrapped base serves
 //! at `f32` half bandwidth: the delta product is the exactness-critical
@@ -47,7 +50,7 @@
 
 use crate::local::{LocalSpmm, Operand};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{Collective, CostModel, MachineStats, Traffic};
+use amd_comm::{Collective, CostModel, MachineStats, RankStats};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::time::Instant;
@@ -101,16 +104,13 @@ impl<'a> DeltaSpmm<'a> {
 
     /// Per-iteration charge of the correction for a `k`-column operand
     /// (see the [module docs](self) for the model): what the delta's
-    /// broadcast moves through each rank of the base plan and the rank's
-    /// replayed clock, and the flops every rank spends on the delta
-    /// product.
-    fn correction(&self, k: u32) -> (Vec<(Traffic, f64)>, f64) {
+    /// broadcast charges each rank of the base plan when it runs alone —
+    /// its bytes, messages and clock — and the flops every rank spends on
+    /// the delta product.
+    fn correction(&self, k: u32) -> (MachineStats, f64) {
         let plan = self.broadcast.pick(DELTA_ENTRY_SLOTS, &self.cost);
-        let clocks = plan.replay(DELTA_ENTRY_SLOTS, &self.cost);
-        let ranks = (clocks.into_iter().enumerate())
-            .map(|(rank, clock)| (plan.traffic(rank, DELTA_ENTRY_SLOTS), clock))
-            .collect();
-        (ranks, spmm::spmm_flops(self.delta, k))
+        let broadcast = plan.alone(DELTA_ENTRY_SLOTS, &self.cost);
+        (broadcast, spmm::spmm_flops(self.delta, k))
     }
 
     fn check(&self, x: &DenseMatrix<f64>) -> SparseResult<()> {
@@ -147,29 +147,23 @@ impl<'a> DeltaSpmm<'a> {
         &self,
         stats: &mut MachineStats,
         step: &MachineStats,
-        (traffic, flops): &(Vec<(Traffic, f64)>, f64),
+        (broadcast, flops): &(MachineStats, f64),
     ) {
-        if stats.ranks.is_empty() {
-            stats.ranks = step.ranks.clone();
-        } else {
-            for (acc, r) in stats.ranks.iter_mut().zip(&step.ranks) {
-                acc.sent_bytes += r.sent_bytes;
-                acc.recv_bytes += r.recv_bytes;
-                acc.sent_msgs += r.sent_msgs;
-                acc.recv_msgs += r.recv_msgs;
-                acc.sim_time += r.sim_time;
-                acc.compute_time += r.compute_time;
-            }
-        }
+        stats.ranks.resize(step.ranks.len(), RankStats::default());
         stats.wall_seconds += step.wall_seconds;
         let compute = self.cost.compute_time(*flops);
-        for (r, (t, clock)) in stats.ranks.iter_mut().zip(traffic) {
-            r.sent_bytes += t.sent_bytes;
-            r.recv_bytes += t.recv_bytes;
-            r.sent_msgs += t.sent_msgs;
-            r.recv_msgs += t.recv_msgs;
-            r.sim_time = r.sim_time + clock + compute;
-            r.compute_time += compute;
+        for ((acc, r), b) in stats
+            .ranks
+            .iter_mut()
+            .zip(&step.ranks)
+            .zip(&broadcast.ranks)
+        {
+            acc.sent_bytes += r.sent_bytes + b.sent_bytes;
+            acc.recv_bytes += r.recv_bytes + b.recv_bytes;
+            acc.sent_msgs += r.sent_msgs + b.sent_msgs;
+            acc.recv_msgs += r.recv_msgs + b.recv_msgs;
+            acc.sim_time = acc.sim_time + r.sim_time + b.sim_time + compute;
+            acc.compute_time = acc.compute_time + r.compute_time + compute;
         }
     }
 
@@ -186,11 +180,7 @@ impl<'a> DeltaSpmm<'a> {
         let started = Instant::now();
         let k = x.get().cols();
         let y = local.iterate(x, iters, sigma, Some(&|x, y| self.fold(x, y)))?;
-        let (step, correction) = (local.charged(k, 1), self.correction(k));
-        let mut stats = MachineStats::default();
-        for _ in 0..iters {
-            self.charge(&mut stats, &step, &correction);
-        }
+        let mut stats = self.dry_run(k, iters);
         stats.wall_seconds = started.elapsed().as_secs_f64();
         Ok(SpmmRun { y, stats, iters })
     }
@@ -268,15 +258,29 @@ impl DistSpmm for DeltaSpmm<'_> {
         }
     }
 
+    /// The base's one iteration, and the correction's charge, per
+    /// iteration.
+    fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
+        if self.delta.nnz() == 0 {
+            return self.base.dry_run(k, iters);
+        }
+        let (step, correction) = (self.base.dry_run(k, 1), self.correction(k));
+        let mut stats = MachineStats::default();
+        for _ in 0..iters {
+            self.charge(&mut stats, &step, &correction);
+        }
+        stats
+    }
+
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
         let mut ranks = self.base.predict_ranks(k);
         if self.delta.nnz() == 0 {
             return ranks;
         }
-        let (traffic, flops) = self.correction(k);
-        for (rank, (t, _)) in ranks.iter_mut().zip(traffic) {
-            rank.max_rank_bytes += t.bytes() as f64;
-            rank.max_rank_messages += t.msgs() as f64;
+        let (broadcast, flops) = self.correction(k);
+        for (rank, b) in ranks.iter_mut().zip(&broadcast.ranks) {
+            rank.max_rank_bytes += b.volume() as f64;
+            rank.max_rank_messages += (b.sent_msgs + b.recv_msgs) as f64;
             rank.max_rank_flops += flops;
         }
         ranks
@@ -370,12 +374,12 @@ mod tests {
         let got = corrected.run(&x, 1).unwrap().stats.ranks;
         let p = alg.ranks() as usize;
         let plan = Collective::broadcast(p, dm.nnz(), None);
-        let replay = plan.pick(2, &cost).replay(2, &cost);
+        let alone = plan.pick(2, &cost).alone(2, &cost).ranks;
         let compute = cost.compute_time(spmm::spmm_flops(&dm, 3));
-        assert!(p > 1 && replay.iter().all(|&t| t > 0.0));
-        assert_eq!((got.len(), replay.len()), (p, p));
+        assert!(p > 1 && alone.iter().all(|r| r.sim_time > 0.0));
+        assert_eq!((got.len(), alone.len()), (p, p));
         for rank in 0..p {
-            let want = base[rank].sim_time + replay[rank] + compute;
+            let want = base[rank].sim_time + alone[rank].sim_time + compute;
             assert_eq!(got[rank].sim_time.to_bits(), want.to_bits(), "rank {rank}");
         }
     }

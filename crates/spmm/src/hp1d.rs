@@ -18,12 +18,13 @@
 
 use crate::layout::run_blocks;
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{CostModel, Dir, Group, Plan, RankCtx};
+use amd_comm::{walk, CostModel, Cursor, Dir, MachineStats, Plan, Step};
 use amd_partition::Partition;
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{
     CsrBuilder, CsrMatrix, DenseMatrix, Dtype, Permutation, SparseError, SparseResult,
 };
+use std::sync::Arc;
 
 /// HP-1D SpMM bound to a matrix and a partition.
 pub struct Hp1dSpmm {
@@ -179,6 +180,24 @@ impl Hp1dSpmm {
     pub fn max_external_rows(&self) -> usize {
         self.externals.iter().max().map_or(0, |&rows| rows as usize)
     }
+
+    /// Every rank's steps in one iteration on a `k`-column operand: serve
+    /// the rows others fetch, the local multiply, receive the external
+    /// rows, and the non-local multiply if there are any.
+    fn steps(&self, k: u32) -> Vec<Vec<Step<'_>>> {
+        let (world, kk): (Arc<[u32]>, _) = ((0..self.p).collect(), k as usize);
+        let fetch = |dir| Step::run(&self.fetch, &world, 0, Some(dir), kk, 0);
+        (0..self.p as usize)
+            .map(|rank| {
+                let local = Step::Compute(spmm::spmm_flops(&self.a_local[rank], k));
+                let mut steps = vec![fetch(Dir::Send), local, fetch(Dir::Recv)];
+                if self.externals[rank] > 0 && k > 0 {
+                    steps.push(Step::Compute(spmm::spmm_flops(&self.a_ext[rank], k)));
+                }
+                steps
+            })
+            .collect()
+    }
 }
 
 impl DistSpmm for Hp1dSpmm {
@@ -197,13 +216,13 @@ impl DistSpmm for Hp1dSpmm {
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
         let kk = x.cols() as usize;
+        let steps = self.steps(x.cols());
         let blocks = |rank: u32| {
             let rows = self.starts[rank as usize]..self.starts[rank as usize + 1];
             (rows.map(|q| self.pi.vertex_at(q)), 0..kk)
         };
-        let program = |ctx: &mut RankCtx, mut x_cur: Vec<f64>| {
-            let rank = ctx.rank() as usize;
-            let world = Group::world(ctx);
+        let program = |steps: &mut Cursor, mut x_cur: Vec<f64>| {
+            let rank = steps.rank() as usize;
             // The output of one iteration is the operand of the next:
             // two buffers swap roles, and the fetched rows land in a
             // third that keeps its allocation.
@@ -211,41 +230,38 @@ impl DistSpmm for Hp1dSpmm {
             let mut ext_x = vec![0.0; self.externals[rank] as usize * kk];
             let (a_local, a_ext) = (&self.a_local[rank], &self.a_ext[rank]);
             let k = kk as u32;
-            for iter in 0..iters {
-                let tag = iter as u64;
+            for _ in 0..iters {
                 // 1. Serve remote requests first (sends never block).
-                world.exchange(ctx, tag, &self.fetch, Dir::Send, &mut x_cur, kk);
+                steps.exchange(&mut x_cur);
                 // 2. Local SpMM overlaps with the transfers.
                 let finish = Finish::Overwrite;
                 spmm::spmm_slices(a_local, &x_cur, k, None, &mut y_cur, finish, self.dtype)
                     .expect("local tile shapes align");
-                ctx.compute_flops(spmm::spmm_flops(a_local, k));
+                steps.compute();
                 // 3. Receive external rows (ascending owner = ascending
                 //    compact index) and run the non-local SpMM.
-                world.exchange(ctx, tag, &self.fetch, Dir::Recv, &mut ext_x, kk);
+                steps.exchange(&mut ext_x);
                 if !ext_x.is_empty() {
                     let finish = Finish::Accumulate;
                     spmm::spmm_slices(a_ext, &ext_x, k, None, &mut y_cur, finish, self.dtype)
                         .expect("external tile shapes align");
-                    ctx.compute_flops(spmm::spmm_flops(a_ext, k));
+                    steps.compute();
                 }
                 std::mem::swap(&mut x_cur, &mut y_cur);
                 apply_sigma(&mut x_cur, sigma);
+                steps.end();
             }
             Some(x_cur)
         };
-        run_blocks(x, self.n, self.p, self.cost, iters, blocks, program)
+        run_blocks(x, self.n, &steps, self.cost, iters, blocks, program)
+    }
+
+    fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
+        walk(&self.steps(k), iters, &self.cost).0
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        (0..self.p as usize)
-            .map(|rank| {
-                let flops = spmm::spmm_flops(&self.a_local[rank], k)
-                    + spmm::spmm_flops(&self.a_ext[rank], k);
-                let moved = [self.fetch.traffic(rank, k as usize)];
-                CommEstimate::of_rank(moved, self.dtype, flops)
-            })
-            .collect()
+        CommEstimate::of_steps(&self.steps(k), &self.cost, self.dtype)
     }
 }
 

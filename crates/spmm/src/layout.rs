@@ -2,12 +2,15 @@
 //! the one driver that runs them.
 
 use crate::traits::SpmmRun;
-use amd_comm::{CostModel, Machine, RankCtx};
+use amd_comm::{CostModel, Cursor, Machine, Step};
 use amd_sparse::{DenseMatrix, SparseError, SparseResult};
 use std::ops::Range;
+use std::sync::Arc;
 
-/// Runs `program` on `p` ranks of a machine with `cost` for `iters`
-/// iterations of an `n`-row operand `x`, and assembles the answer.
+/// Runs `program` for `iters` iterations of an `n`-row operand `x` on a
+/// machine with `cost` and one rank per list of `steps` — one iteration's
+/// steps of each rank, which the rank's program follows through its
+/// [`Cursor`] — and assembles the answer.
 ///
 /// `block(rank)` is where the rank's block of `X`, and of `Y`, lives: the
 /// rows of `x` in block order and one column range. Each rank starts from
@@ -21,7 +24,7 @@ use std::ops::Range;
 pub(crate) fn run_blocks<I, B, P>(
     x: &DenseMatrix<f64>,
     n: u32,
-    p: u32,
+    steps: &[Vec<Step<'_>>],
     cost: CostModel,
     iters: u32,
     block: B,
@@ -30,7 +33,7 @@ pub(crate) fn run_blocks<I, B, P>(
 where
     I: ExactSizeIterator<Item = u32>,
     B: Fn(u32) -> (I, Range<usize>) + Sync,
-    P: Fn(&mut RankCtx, Vec<f64>) -> Option<Vec<f64>> + Sync,
+    P: Fn(&mut Cursor, Vec<f64>) -> Option<Vec<f64>> + Sync,
 {
     if x.rows() != n {
         return Err(SparseError::ShapeMismatch {
@@ -38,13 +41,15 @@ where
             right: (x.rows(), x.cols()),
         });
     }
+    let p = steps.len() as u32;
     let report = Machine::new(p).with_cost(cost).run(|ctx| {
         let (rows, cols) = block(ctx.rank());
         let mut x_block = Vec::with_capacity(rows.len() * cols.len());
         for row in rows {
             x_block.extend_from_slice(&x.row(row)[cols.clone()]);
         }
-        program(ctx, x_block)
+        let steps = &steps[ctx.rank() as usize];
+        program(&mut Cursor::new(ctx, steps), x_block)
     });
     let mut y = DenseMatrix::zeros(n, x.cols());
     for (rank, y_block) in (0..p).zip(&report.results) {
@@ -60,6 +65,14 @@ where
         stats: report.stats,
         iters,
     })
+}
+
+/// The groups of a row-major `rows × cols` grid of ranks: the ranks of
+/// each grid column, and of each grid row.
+pub(crate) fn grid_groups(rows: u32, cols: u32) -> [Vec<Arc<[u32]>>; 2] {
+    let col = |j| (0..rows).map(|i| i * cols + j).collect();
+    let row = |i| (0..cols).map(|j| i * cols + j).collect();
+    [(0..cols).map(col).collect(), (0..rows).map(row).collect()]
 }
 
 /// The half-open row range `[start, end)` of block `i` when `n` rows are

@@ -29,10 +29,14 @@
 //!
 //! All algorithms implement [`DistSpmm`]: a `run(x, iters)` producing the
 //! final iterate (in original row order) and the machine's communication
-//! accounting. The four distributed ones share one shape: every message
-//! is a step of an `amd_comm::Plan`, so what runs is what
-//! `predict_ranks` counts, and one driver scatters the operand, runs the
-//! rank programs and gathers `Y` (see [`layout`]).
+//! accounting, and a `dry_run(k, iters)` giving that accounting bit for
+//! bit without running. The four distributed ones share one shape: each
+//! states its iteration once, as every rank's list of `amd_comm::Step`s
+//! (its part in an `amd_comm::Plan`, or a charge of flops) built on the
+//! host; one driver scatters the operand, runs the rank programs, which
+//! follow their lists, and gathers `Y` (see [`layout`]), and
+//! `amd_comm::walk` reads the same lists for `dry_run` and
+//! `predict_ranks`.
 
 pub mod a15d;
 pub mod a2d;

@@ -149,20 +149,6 @@ impl LocalSpmm {
         DenseMatrix::from_vec(n, k, data).expect("resized to n × k")
     }
 
-    /// What `iters` iterations on a `k`-column operand charge the one
-    /// rank: their compute, and nothing else.
-    pub(crate) fn charged(&self, k: u32, iters: u32) -> MachineStats {
-        let compute = self.cost.compute_time(spmm::spmm_flops(&self.a, k)) * f64::from(iters);
-        MachineStats {
-            ranks: vec![RankStats {
-                sim_time: compute,
-                compute_time: compute,
-                ..RankStats::default()
-            }],
-            wall_seconds: 0.0,
-        }
-    }
-
     fn run_operand(
         &self,
         x: Operand<'_>,
@@ -172,7 +158,7 @@ impl LocalSpmm {
         let started = Instant::now();
         let k = x.get().cols();
         let y = self.iterate(x, iters, sigma, None)?;
-        let mut stats = self.charged(k, iters);
+        let mut stats = self.dry_run(k, iters);
         stats.wall_seconds = started.elapsed().as_secs_f64();
         Ok(SpmmRun { y, stats, iters })
     }
@@ -209,9 +195,25 @@ impl DistSpmm for LocalSpmm {
         Some(self)
     }
 
+    /// The one rank is charged its compute, and nothing else.
+    fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
+        let compute = self.cost.compute_time(spmm::spmm_flops(&self.a, k)) * f64::from(iters);
+        MachineStats {
+            ranks: vec![RankStats {
+                sim_time: compute,
+                compute_time: compute,
+                ..RankStats::default()
+            }],
+            wall_seconds: 0.0,
+        }
+    }
+
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        let flops = spmm::spmm_flops(&self.a, k);
-        vec![CommEstimate::of_rank([], self.dtype, flops)]
+        let max_rank_flops = spmm::spmm_flops(&self.a, k);
+        vec![CommEstimate {
+            max_rank_flops,
+            ..CommEstimate::default()
+        }]
     }
 }
 

@@ -1,7 +1,7 @@
 //! The common interface of the distributed SpMM algorithms.
 
 use crate::LocalSpmm;
-use amd_comm::{CostModel, MachineStats, Traffic};
+use amd_comm::{walk, CostModel, MachineStats, Step};
 use amd_sparse::{DenseMatrix, Dtype, SparseResult};
 
 /// Result of a distributed run.
@@ -62,21 +62,19 @@ pub struct CommEstimate {
 }
 
 impl CommEstimate {
-    /// One rank's estimate: what the plans it runs move through it,
-    /// `moved` (counted at the machine's 8 bytes a value), priced at
-    /// `dtype` bytes a value, and its `flops`.
-    pub(crate) fn of_rank(
-        moved: impl IntoIterator<Item = Traffic>,
-        dtype: Dtype,
-        flops: f64,
-    ) -> Self {
-        let (bytes, msgs) =
-            (moved.into_iter()).fold((0, 0), |(b, m), t| (b + t.bytes(), m + t.msgs()));
-        Self {
-            max_rank_bytes: bytes as f64 * (dtype.bytes() as f64 / 8.0),
-            max_rank_messages: msgs as f64,
-            max_rank_flops: flops,
-        }
+    /// Every rank's estimate from the dry walk of one iteration's `steps`
+    /// on a machine with `cost`: what the walk charges it (at the
+    /// machine's 8 bytes a value), priced at `dtype` bytes a value, and
+    /// its flops.
+    pub(crate) fn of_steps(steps: &[Vec<Step<'_>>], cost: &CostModel, dtype: Dtype) -> Vec<Self> {
+        let (stats, flops) = walk(steps, 1, cost);
+        (stats.ranks.iter().zip(flops))
+            .map(|(rank, flops)| Self {
+                max_rank_bytes: rank.volume() as f64 * (dtype.bytes() as f64 / 8.0),
+                max_rank_messages: (rank.sent_msgs + rank.recv_msgs) as f64,
+                max_rank_flops: flops,
+            })
+            .collect()
     }
 
     /// α-β-γ prediction: `α·messages + β·bytes + flops/rate`.
@@ -142,12 +140,17 @@ pub trait DistSpmm {
         None
     }
 
+    /// What [`run`](Self::run) of `iters` iterations on a `k`-column
+    /// operand accounts, without running it: every rank's bytes, messages,
+    /// charged compute and simulated clock, bit for bit (`wall_seconds` is
+    /// zero). A distributed algorithm walks the step lists its rank
+    /// programs follow ([`amd_comm::walk`]).
+    fn dry_run(&self, k: u32, iters: u32) -> MachineStats;
+
     /// Predicts what one iteration of `run` with a `k`-column operand
-    /// charges each rank, indexed by machine rank, from the planned
-    /// distribution alone (no machine is spun up): each entry is one
-    /// rank's bytes, messages and flops. Routes and collectives are
-    /// counted from the `amd_comm::Plan` each call will run (tree,
-    /// large-message, sparse, ring or route steps).
+    /// charges each rank, indexed by machine rank, without running it:
+    /// each entry is one rank's bytes, messages and flops, read from the
+    /// same walk as [`dry_run`](Self::dry_run).
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate>;
 
     /// The envelope of [`predict_ranks`](Self::predict_ranks): what the

@@ -56,6 +56,7 @@
 //! where the relay would have added it. The R-MAT keeps the direct feed
 //! (gathering would not lighten its busiest rank), so its row stands.
 
+use amd_comm::MachineStats;
 use amd_graph::generators::{basic, rmat};
 use amd_graph::Graph;
 use amd_partition::{hype_partition, HypeConfig};
@@ -68,11 +69,25 @@ use rand_chacha::ChaCha8Rng;
 const K: u32 = 6;
 const ITERS: u32 = 2;
 
+/// Every rank's bytes, messages, clock and charged compute, the two
+/// times as their bits.
+fn exact(stats: &MachineStats) -> Vec<(u64, u64, u64, u64, u64, u64)> {
+    (stats.ranks.iter())
+        .map(|r| {
+            let (t, c) = (r.sim_time.to_bits(), r.compute_time.to_bits());
+            (r.sent_bytes, r.recv_bytes, r.sent_msgs, r.recv_msgs, t, c)
+        })
+        .collect()
+}
+
 /// `(max_volume, max_messages, sim_time, FNV-1a of the answer's bits)`
-/// of a two-iteration run on non-integer data.
+/// of a two-iteration run on non-integer data, whose every rank's
+/// accounting the dry method gives too, bit for bit.
 fn account(alg: &dyn DistSpmm, n: u32) -> (u64, u64, f64, u64) {
     let x = DenseMatrix::from_fn(n, K, |r, c| ((r * 7 + c * 3) % 11) as f64 / 7.0 - 0.6);
     let run = alg.run(&x, ITERS).unwrap();
+    let dry = alg.dry_run(K, ITERS);
+    assert_eq!(exact(&dry), exact(&run.stats), "{}: dry vs run", alg.name());
     let bits = run.y.data().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
         (h ^ v.to_bits()).wrapping_mul(0x1000_0000_01b3)
     });

@@ -32,6 +32,10 @@ impl DistSpmm for Opaque<'_> {
         self.0.run_sigma(x, iters, sigma)
     }
 
+    fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
+        self.0.dry_run(k, iters)
+    }
+
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
         self.0.predict_ranks(k)
     }

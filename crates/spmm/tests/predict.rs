@@ -7,7 +7,7 @@
 //! they are checked, once, rather than on every served batch. A mismatch is a bug on one side and is fixed
 //! there; nothing here is a tolerance.
 
-use amd_comm::CostModel;
+use amd_comm::{CostModel, MachineStats};
 use amd_graph::generators::datasets::DatasetKind;
 use amd_graph::generators::{basic, rmat};
 use amd_graph::Graph;
@@ -169,6 +169,21 @@ fn exact(alg: &dyn DistSpmm, n: u32, k: u32, dtype: Dtype) -> Result<(), TestCas
             alg.name()
         );
     }
+    // The dry method is the run's accounting, rank by rank, bit for bit.
+    let exact = |stats: &MachineStats| {
+        (stats.ranks.iter())
+            .map(|r| {
+                let (t, c) = (r.sim_time.to_bits(), r.compute_time.to_bits());
+                (r.sent_bytes, r.recv_bytes, r.sent_msgs, r.recv_msgs, t, c)
+            })
+            .collect::<Vec<_>>()
+    };
+    let (dry, ran) = (exact(&alg.dry_run(k, iters)), exact(&run.stats));
+    prop_assert!(
+        dry == ran,
+        "{} at k = {k}, {dtype}: dry {dry:?} vs run {ran:?}",
+        alg.name()
+    );
     Ok(())
 }
 

@@ -17,7 +17,7 @@
 //! Every figure is exact and seed-stable; run with `--nocapture` for the
 //! tables.
 
-use amd_comm::{Collective, CostModel, Schedule};
+use amd_comm::{Collective, CostModel, Plan, Schedule};
 use amd_graph::generators::{basic, datasets, rmat};
 use amd_sparse::CsrMatrix;
 use amd_spmm::{ArrowSpmm, Feed};
@@ -213,8 +213,13 @@ fn feed_loads_per_input() {
 /// selection takes.
 fn loads(plans: &Collective, k: usize) -> ([Option<(u64, u64)>; 3], Schedule) {
     let schedules = [Schedule::Tree, Schedule::Large, Schedule::Sparse];
-    let loads = schedules.map(|s| plans.plan(s).map(|plan| plan.busiest(k)));
-    let picked = plans.pick(k, &CostModel::default()).schedule().unwrap();
+    let cost = CostModel::default();
+    let busiest = |plan: &Plan| {
+        let stats = plan.alone(k, &cost);
+        (stats.max_volume(), stats.max_messages())
+    };
+    let loads = schedules.map(|s| plans.plan(s).map(busiest));
+    let picked = plans.pick(k, &cost).schedule().unwrap();
     (loads, picked)
 }
 

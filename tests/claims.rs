@@ -316,7 +316,7 @@ fn hub_share_leaves_balanced_inputs_alone() {
 /// grid at `b = n / 16`: about 1 % per level-0 non-root), and the sparse
 /// schedule ships nothing else. Every level-0 non-root's broadcast plus
 /// reduce must stay within a quarter of one block. The figures are the
-/// counted steps of the plans the run took, which are its accounting.
+/// walks of the plans the run took, which are its accounting.
 #[test]
 fn arrow_ships_only_the_rows_it_multiplies_on_planar_inputs() {
     use arrow_matrix::comm::{Collective, CostModel};
@@ -334,9 +334,9 @@ fn arrow_ships_only_the_rows_it_multiplies_on_planar_inputs() {
     let (cost, kk) = (CostModel::default(), k as usize);
     let bcast = Collective::broadcast(nb, d0_rows, Some(reads));
     let reduce = Collective::reduce(nb, d0_rows, Some(writes));
-    let (bcast, reduce) = (bcast.pick(kk, &cost), reduce.pick(kk, &cost));
+    let [bcast, reduce] = [bcast, reduce].map(|c| c.pick(kk, &cost).alone(kk, &cost).ranks);
     let shares: Vec<f64> = (1..nb)
-        .map(|i| (bcast.traffic(i, kk).bytes() + reduce.traffic(i, kk).bytes()) as f64 / block)
+        .map(|i| (bcast[i].volume() + reduce[i].volume()) as f64 / block)
         .collect();
     let worst = shares.iter().fold(0.0f64, |m, &s| m.max(s));
     assert!(
