@@ -20,10 +20,10 @@
 //! [`Collective::plan`] by schedule) and runs it ([`Group::broadcast_plan`],
 //! [`Group::reduce_plan`]); the ring is a [`Plan::ring`] run by
 //! [`Group::allreduce_plan`]. Point-to-point traffic is plans of the same
-//! steps: routes ([`Plan::routes`], run by [`Cursor::exchange`](crate::Cursor::exchange)) for the
-//! arrow multiply's feeds and HP-1D's fetches, a two-member tree broadcast
-//! for the 2D algorithm's tile route, so every distributed SpMM algorithm
-//! sends only plan steps.
+//! steps: routes ([`Plan::routes`], a step of a rank's list that
+//! [`execute`](crate::execute) runs) for the arrow multiply's feeds and
+//! HP-1D's fetches, a two-member tree broadcast for the 2D algorithm's
+//! tile route, so every distributed SpMM algorithm sends only plan steps.
 //! A runner asserts that its plan has one step list per group member.
 //!
 //! A binomial **tree** moves the whole buffer `⌈log₂ p⌉` times through
@@ -88,8 +88,7 @@
 //! never the slower on the machine's clock, and none of these cases is on
 //! the reproduction ledger or the benchmark's workloads. A walk is not
 //! free (the large reduce has `Θ(p²)` steps), so a caller picks once per
-//! run on the host and hands the plans to its rank programs in their
-//! steps.
+//! run on the host, into its ranks' step lists.
 //!
 //! # Host copies are not wire bytes
 //!
@@ -105,6 +104,7 @@
 use crate::cost::CostModel;
 use crate::message::{Payload, SharedRows};
 use crate::rank::RankCtx;
+use crate::steps::Run;
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
@@ -441,16 +441,6 @@ impl Plan {
             })
     }
 
-    /// What runs this plan, as a [`Cursor`](crate::Cursor) names it.
-    pub(crate) fn kind(&self) -> &'static str {
-        match (self.op, self.schedule) {
-            (Op::Reduce, _) => "a reduce",
-            (Op::Ring, _) => "an all-reduce",
-            (Op::Broadcast, None) => "an exchange",
-            (Op::Broadcast, Some(_)) => "a broadcast",
-        }
-    }
-
     /// Number of members.
     pub(crate) fn size(&self) -> usize {
         self.steps.len()
@@ -504,7 +494,7 @@ impl Collective {
     /// by the candidates' makespans and busiest members, each read from
     /// the plan run alone ([`Plan::alone`]; see the [module
     /// docs](self#selection)). A walk is not free: pick once per run on
-    /// the host, not in a rank program.
+    /// the host, not on a rank.
     pub fn pick(&self, stride: usize, cost: &CostModel) -> &Plan {
         if stride == 0 || (self.large.is_none() && self.sparse.is_none()) {
             return &self.tree;
@@ -1000,21 +990,35 @@ impl<'m> Group<'m> {
             .take_own()
     }
 
-    /// Runs this member's steps of a [`Plan::routes`] — those of direction
-    /// `only`, if given — on the `stride`-wide rows of `buf`: a send packs
-    /// them, a receive puts them there.
-    pub(crate) fn exchange(
-        &self,
-        ctx: &mut RankCtx,
-        plan: &Plan,
-        only: Option<Dir>,
-        buf: &mut Vec<f64>,
-        stride: usize,
-    ) {
-        self.check_plan(plan);
-        let held = Held::<()>::new(None, Some(Arc::new(std::mem::take(buf))));
-        let steps = &plan.steps[self.my_idx];
-        *buf = (self.exec(ctx, 0, plan, steps, only, stride, held)).take_own();
+    /// Runs this member's part in a step's plan on `buf`, as
+    /// [`execute`](crate::execute) describes it: a broadcast's root shares
+    /// the buffer and every other member's is replaced by what it
+    /// receives; a reduce or a ring takes the buffer and leaves the result
+    /// (a reduce's non-root is left empty); routes — those of the step's
+    /// direction, if it has one — send rows of it and put the rows they
+    /// receive there.
+    pub(crate) fn step(&self, ctx: &mut RankCtx, run: &Run, buf: Arc<Vec<f64>>) -> Arc<Vec<f64>> {
+        let (plan, root_idx, stride) = (run.plan, run.root, run.stride);
+        match (plan.op, plan.schedule) {
+            (Op::Broadcast, Some(_)) => {
+                let root = self.vr(root_idx) == 0;
+                self.broadcast_plan(ctx, root_idx, root.then_some(buf), plan, stride)
+            }
+            (Op::Broadcast, None) => {
+                self.check_plan(plan);
+                let (steps, held) = (&plan.steps[self.my_idx], Held::<()>::new(None, Some(buf)));
+                let held = self.exec(ctx, 0, plan, steps, run.dir, stride, held);
+                held.own.expect("the member holds its buffer")
+            }
+            (Op::Reduce, _) => {
+                let sum = self.reduce_plan(ctx, root_idx, Arc::unwrap_or_clone(buf), plan, stride);
+                Arc::new(sum.unwrap_or_default())
+            }
+            (Op::Ring, _) => {
+                let data = Arc::unwrap_or_clone(buf);
+                Arc::new(self.allreduce_plan(ctx, data, plan, stride))
+            }
+        }
     }
 }
 

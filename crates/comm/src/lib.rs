@@ -28,15 +28,17 @@
 //! schedule), and run it with [`Group::broadcast_plan`] or
 //! [`Group::reduce_plan`]. The ring all-reduce is a [`Plan::ring`] run by
 //! [`Group::allreduce_plan`], and point-to-point routes are a
-//! [`Plan::routes`] run by an exchange ([`Cursor::exchange`]).
+//! [`Plan::routes`], run only as a step of a rank's list.
 //! [`Group::broadcast`], [`Group::reduce_sum`] and
 //! [`Group::allreduce_sum`] run the binomial tree on any [`Payload`].
 //!
 //! An iteration of a distributed SpMM algorithm is data ([`steps`]): per
-//! rank, an ordered list of [`Step`]s — its part in a plan, or a charge of
-//! local work — built once on the host. The rank program follows its list
-//! through a [`Cursor`], which runs each plan as above, and [`walk`] reads
-//! the same lists without a program or a payload: it returns every rank's
+//! rank, an ordered list of [`Step`]s — its part in a plan on one of its
+//! buffers, or a piece of local work of a type the caller chooses
+//! ([`Work`]) — built once on the host. The list is the rank's program:
+//! [`execute`] runs it, each plan as above and each piece of work charged
+//! and then done by the caller's kernel runner, and [`walk`] reads the
+//! same lists without a machine or a payload: it returns every rank's
 //! [`RankStats`], bit for bit what the machine charges, which is how the
 //! algorithms predict and account without running and how
 //! [`Collective::pick`] weighs its candidates ([`Plan::alone`]). The
@@ -66,4 +68,4 @@ pub use machine::{Machine, RunReport};
 pub use message::Payload;
 pub use rank::RankCtx;
 pub use stats::{MachineStats, RankStats};
-pub use steps::{walk, Cursor, Step};
+pub use steps::{execute, walk, Step, Work};

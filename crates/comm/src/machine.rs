@@ -79,7 +79,7 @@ impl Machine {
         let post = Arc::new(PostOffice::new(p));
         let pool = self.exec.clone().unwrap_or_else(amd_exec::global);
         let start = Stopwatch::start();
-        let program = &program;
+        let spmd = &program;
         let tasks: Vec<Box<dyn FnOnce() -> (T, RankStats) + Send + '_>> = (0..p as u32)
             .map(|r| {
                 let post = Arc::clone(&post);
@@ -87,7 +87,7 @@ impl Machine {
                 Box::new(move || {
                     // Dropped by an unwinding program, `ctx` aborts the run.
                     let mut ctx = RankCtx::new(r, p as u32, cost, post);
-                    let out = program(&mut ctx);
+                    let out = spmd(&mut ctx);
                     (out, ctx.finalize())
                 }) as Box<dyn FnOnce() -> (T, RankStats) + Send + '_>
             })

@@ -2,11 +2,11 @@
 //! from, the ring and point-to-point routes, run alone on a [`Machine`],
 //! leave each rank with the very stats — clock, bytes and messages — the
 //! [`walk`] of a one-step list gives it, bit for bit; and so do lists of
-//! many steps that rank programs follow through a [`Cursor`], where the
-//! walk must match each receive to its send by tag.
+//! many steps that ranks run through [`execute`], where the walk must
+//! match each receive to its send by tag.
 
 use amd_comm::{
-    walk, Collective, CostModel, Cursor, Dir, Group, Machine, Plan, RankCtx, RankStats, Schedule,
+    execute, walk, Collective, CostModel, Dir, Group, Machine, Plan, RankCtx, RankStats, Schedule,
     Step,
 };
 use std::sync::Arc;
@@ -72,7 +72,8 @@ fn the_replay_of_every_plan_is_the_machines_clock() {
     let mut check =
         |what: String, plan: &Plan, root: usize, stride: usize, ranks: Vec<RankStats>| {
             let members: Arc<[u32]> = (0..ranks.len() as u32).collect();
-            let list = vec![vec![Step::run(plan, &members, root, None, stride, 0)]; ranks.len()];
+            let list: Vec<Vec<Step>> =
+                vec![vec![Step::run(plan, &members, root, None, stride, 0, 0)]; ranks.len()];
             let walked = walk(&list, 1, &cost).0.ranks;
             runs += 1;
             if exact(&ranks) != exact(&walked) {
@@ -124,9 +125,10 @@ fn the_replay_of_every_plan_is_the_machines_clock() {
                     g.allreduce_plan(ctx, vec![0.5; rows * stride], &ring, stride);
                 });
                 check(format!("ring {at}"), &ring, 0, stride, ranks);
-                let whole = [Step::run(&routes, &members, 0, None, stride, 1)];
+                let whole: [Step; 1] = [Step::run(&routes, &members, 0, None, stride, 1, 0)];
                 let ranks = charged(size, &|ctx, _| {
-                    Cursor::new(ctx, &whole).exchange(&mut vec![0.5; rows * stride]);
+                    let mut bufs = [Arc::new(vec![0.5; rows * stride])];
+                    execute(ctx, &whole, 1, &mut bufs, |_, _| {});
                 });
                 check(format!("routes {at}"), &routes, 0, stride, ranks);
             }
@@ -153,13 +155,14 @@ fn operand(r: u32, rows: usize, stride: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Lists of many steps on six ranks, run by rank programs that follow
-/// them through a [`Cursor`] for three iterations, and walked dry: the
-/// same stats, bit for bit. Each rank sends its half of some routes, runs
-/// a broadcast on its half of the machine and a compute, then receives
-/// its half of the routes; and ranks 0 and 1 exchange two route plans,
-/// rank 0 sending the first before the second and rank 1 receiving the
-/// second first, so only the tags tell the walk which message is which.
+/// Lists of many steps on six ranks, run through [`execute`] for three
+/// iterations, and walked dry: the same stats, bit for bit. Each rank
+/// sends its half of some routes from its buffer 0, runs a broadcast on
+/// its half of the machine on buffer 1 and a compute, then receives its
+/// half of the routes into buffer 0; and ranks 0 and 1 exchange two route
+/// plans on buffer 2, rank 0 sending the first before the second and rank
+/// 1 receiving the second first, so only the tags tell the walk which
+/// message is which.
 #[test]
 fn multi_step_lists_walk_like_the_machine() {
     let (cost, iters, stride, rows) = (CostModel::default(), 3, 3, 40);
@@ -182,14 +185,14 @@ fn multi_step_lists_walk_like_the_machine() {
         .map(|r| {
             let half = if r < 3 { &low } else { &high };
             let mut steps = vec![
-                Step::run(&routes, &world, 0, Some(Dir::Send), stride, 1),
-                Step::run(bcast, half, 1, None, stride, 2),
+                Step::run(&routes, &world, 0, Some(Dir::Send), stride, 1, 0),
+                Step::run(bcast, half, 1, None, stride, 2, 1),
                 Step::Compute(f64::from(1000 * (r + 1))),
-                Step::run(&routes, &world, 0, Some(Dir::Recv), stride, 1),
+                Step::run(&routes, &world, 0, Some(Dir::Recv), stride, 1, 0),
             ];
             let dir = Some([Dir::Send, Dir::Recv][r as usize % 2]);
-            let one = Step::run(&first, &pair, 0, dir, stride, 3);
-            let two = Step::run(&second, &pair, 0, dir, stride, 4);
+            let one = Step::run(&first, &pair, 0, dir, stride, 3, 2);
+            let two = Step::run(&second, &pair, 0, dir, stride, 4, 2);
             match r {
                 0 => steps.extend([one, two]),
                 1 => steps.extend([two, one]),
@@ -200,20 +203,9 @@ fn multi_step_lists_walk_like_the_machine() {
         .collect();
     let report = Machine::new(6).run(|ctx| {
         let r = ctx.rank();
-        let mut steps = Cursor::new(ctx, &lists[r as usize]);
-        for _ in 0..iters {
-            let mut buf = operand(r, rows, stride);
-            steps.exchange(&mut buf);
-            let root = r % 3 == 1;
-            steps.broadcast(root.then(|| Arc::new(operand(r, rows, stride))));
-            steps.compute();
-            steps.exchange(&mut buf);
-            let mut pair = operand(r, 9, stride);
-            for _ in (0..2).filter(|_| r < 2) {
-                steps.exchange(&mut pair);
-            }
-            steps.end();
-        }
+        let mut bufs = [(rows, stride), (rows, stride), (9, stride)]
+            .map(|(rows, stride)| Arc::new(operand(r, rows, stride)));
+        execute(ctx, &lists[r as usize], iters, &mut bufs, |_, _| {});
     });
     let (walked, flops) = walk(&lists, iters, &cost);
     assert_eq!(exact(&report.stats.ranks), exact(&walked.ranks));

@@ -12,14 +12,14 @@
 //! for the machine's cost model), each processor accumulating
 //! `A(i,j)·X_t`. A ring all-reduce across each grid row then produces
 //! `Y_i` replicated exactly like the input — so iterations chain without
-//! data movement.
+//! data movement. An iteration is every rank's list of those steps, which
+//! the one driver runs ([`crate::layout`]).
 
-use crate::layout::{block_range, grid_groups, run_blocks};
-use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{walk, Collective, CostModel, Cursor, MachineStats, Plan, Step};
-use amd_sparse::spmm::{self, Finish};
+use crate::layout::{block_range, grid_groups, run_blocks, Buf, Kernel, Lists, Multiply};
+use crate::traits::{CommEstimate, DistSpmm, Sigma, SpmmRun};
+use amd_comm::{walk, Collective, CostModel, MachineStats, Plan, Step};
+use amd_sparse::spmm::Finish;
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
-use std::sync::Arc;
 
 /// The paper's replication choice for the 1.5D baseline: the largest
 /// divisor of `p` that is at most `⌊√p⌋` ("we use c = ⌊√p⌋ in our
@@ -115,8 +115,8 @@ impl A15dSpmm {
     }
 
     /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`spmm::spmm_slices`]) and [`predict_volume`] charges
-    /// `dtype` bytes per value moved.
+    /// `dtype` ([`amd_sparse::spmm::spmm_slices`]) and
+    /// [`predict_volume`] charges `dtype` bytes per value moved.
     ///
     /// The simulated machine still ships `f64` buffers (the narrowing is
     /// emulated value-wise), so at [`Dtype::F32`] the *accounted* volume
@@ -154,10 +154,17 @@ impl A15dSpmm {
     /// Every rank's steps in one iteration on a `k`-column operand: per
     /// round `t`, the broadcast of X tile `t` down the rank's grid column
     /// from grid row `t` (the tile height's pick, made here once, on the
-    /// host; tagged `t`) and the multiply of the matching stationary tile;
-    /// then the ring all-reduce of `Y_i` across its grid row (tagged past
-    /// every round).
-    fn steps(&self, k: u32) -> Vec<Vec<Step<'_>>> {
+    /// host; tagged `t`) — the root shares its block, every other member
+    /// receives the one buffer every hop reads — and the multiply of the
+    /// matching stationary tile into the partial sum. The first multiply
+    /// overwrites whatever the buffer held (its sums start at `+0.0`, as a
+    /// zeroed buffer's would); with none, the partial sum is zero. Then the
+    /// ring all-reduce of `Y_i` across its grid row (tagged past every
+    /// round), which leaves `Y_i` replicated like `X` was — its
+    /// row-aligned chunks keep the summation order independent of `k`, so
+    /// batched runs bit-match single-column ones — and `Y_i` becomes the
+    /// iterate, the iterate it replaces the next partial sum.
+    fn steps(&self, k: u32) -> Lists<'_> {
         let (kk, [cols, rows]) = (k as usize, grid_groups(self.grid_rows, self.c));
         let picks: Vec<&Plan> = (self.plans.iter())
             .map(|(_, bcast, _)| bcast.pick(kk, &self.cost))
@@ -165,16 +172,28 @@ impl A15dSpmm {
         let mut lists = Vec::with_capacity(self.p as usize);
         for (rank, tiles) in (0..self.p).zip(&self.tiles) {
             let (i, j, mut tiles) = (rank / self.c, rank % self.c, tiles.iter().peekable());
-            let mut steps = Vec::new();
+            let (mut steps, mut finish) = (Vec::new(), Finish::Overwrite);
             for t in self.rounds(j) {
                 let (plan, col) = (picks[self.height(t)], &cols[j as usize]);
-                steps.push(Step::run(plan, col, t as usize, None, kk, t.into()));
+                let xt = if i == t { Buf::X } else { Buf::Recv };
+                let (root, tag, buf) = (t as usize, t.into(), xt as usize);
+                steps.push(Step::run(plan, col, root, None, kk, tag, buf));
                 if let Some((_, sub)) = tiles.next_if(|(tt, _)| *tt == t && k > 0) {
-                    steps.push(Step::Compute(spmm::spmm_flops(sub, k)));
+                    let bufs = [xt, Buf::Partial];
+                    steps.push(Multiply::new(sub, bufs, k, finish, self.dtype).step());
+                    finish = Finish::Accumulate;
                 }
             }
+            if finish == Finish::Overwrite {
+                let (r0, r1) = block_range(self.n, self.rb, i);
+                let zero = Kernel::Zero(Buf::Partial, (r1 - r0) as usize * kk);
+                steps.push(Step::Compute(zero));
+            }
             let (ring, row) = (&self.plans[self.height(i)].2, &rows[i as usize]);
-            steps.push(Step::run(ring, row, 0, None, kk, self.grid_rows.into()));
+            let (tag, buf) = (self.grid_rows.into(), Buf::Partial as usize);
+            steps.push(Step::run(ring, row, 0, None, kk, tag, buf));
+            steps.push(Step::Compute(Kernel::Swap(Buf::X, Buf::Partial)));
+            steps.push(Step::Compute(Kernel::Sigma(Buf::X)));
             lists.push(steps);
         }
         lists
@@ -200,60 +219,15 @@ impl DistSpmm for A15dSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        let k = x.cols();
-        let steps = self.steps(k);
-        // X tile i, replicated across grid row i.
+        let k = x.cols() as usize;
+        // X tile i, replicated across grid row i; grid column 0's blocks
+        // are gathered.
         let blocks = |rank: u32| {
             let (r0, r1) = block_range(self.n, self.rb, rank / self.c);
-            (r0..r1, 0..k as usize)
+            (r0..r1, 0..k, rank.is_multiple_of(self.c))
         };
-        let program = |steps: &mut Cursor, x_block: Vec<f64>| {
-            let rank = steps.rank();
-            let (i, j) = (rank / self.c, rank % self.c);
-            let (r0, r1) = block_range(self.n, self.rb, i);
-            let my_rows = (r1 - r0) as usize;
-            let mut x_cur = Arc::new(x_block);
-            // The iterate about to be replaced becomes the next partial
-            // sum when no peer still reads it (a broadcast shares it).
-            let mut spare: Vec<f64> = Vec::new();
-            for _ in 0..iters {
-                // The recycled buffer is not zeroed: the first tile
-                // multiplied overwrites it (its sums start at +0.0, which
-                // is what a zeroed buffer would have held).
-                let mut partial = std::mem::take(&mut spare);
-                partial.resize(my_rows * k as usize, 0.0);
-                let mut finish = Finish::Overwrite;
-                let mut tiles = self.tiles[rank as usize].iter().peekable();
-                for t in self.rounds(j) {
-                    // Broadcast X tile t down grid column j from grid row
-                    // t: one shared buffer for the root and every relay.
-                    let xt = steps.broadcast((i == t).then(|| Arc::clone(&x_cur)));
-                    // Multiply the matching stationary submatrix.
-                    if let Some((_, sub)) = tiles.next_if(|(tt, _)| *tt == t && !xt.is_empty()) {
-                        spmm::spmm_slices(sub, &xt, k, None, &mut partial, finish, self.dtype)
-                            .expect("stationary tile shapes align");
-                        finish = Finish::Accumulate;
-                        steps.compute();
-                    }
-                }
-                if finish == Finish::Overwrite {
-                    // No tile multiplied: the partial sum is zero.
-                    partial.fill(0.0);
-                }
-                // Row-wise ring all-reduce leaves Y_i replicated like X
-                // was. Row-aligned chunks keep the reduction order
-                // independent of k, so batched multi-RHS runs bit-match
-                // single-column runs.
-                let mut y = steps.allreduce(partial);
-                apply_sigma(&mut y, sigma);
-                spare =
-                    Arc::try_unwrap(std::mem::replace(&mut x_cur, Arc::new(y))).unwrap_or_default();
-                steps.end();
-            }
-            // Grid column 0 returns the final blocks for host assembly.
-            (j == 0).then(|| Arc::try_unwrap(x_cur).expect("the final iterate was never broadcast"))
-        };
-        run_blocks(x, self.n, &steps, self.cost, iters, blocks, program)
+        let steps = self.steps(x.cols());
+        run_blocks(x, self.n, &steps, self.cost, iters, sigma, blocks)
     }
 
     fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
@@ -261,7 +235,7 @@ impl DistSpmm for A15dSpmm {
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        CommEstimate::of_steps(&self.steps(k), &self.cost, self.dtype)
+        CommEstimate::of_walk(walk(&self.steps(k), 1, &self.cost), self.dtype)
     }
 }
 

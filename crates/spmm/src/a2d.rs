@@ -20,17 +20,20 @@
 //!    tree, which stores `Y(r, f)` — the same layout as the input, so
 //!    iterations chain.
 //!
+//! An iteration is every rank's list of those steps, which the one driver
+//! runs ([`crate::layout`]).
+//!
 //! Compared to 1.5D with `c = √p`, storage drops by `√p` but latency grows
 //! by `Θ(√p)` and bandwidth by `Θ(log p)` (§3) — the trade-off the paper
 //! cites for preferring 1.5D on skinny feature matrices, which this
 //! implementation makes measurable.
 
 use crate::layout::{block_range, even_ranges, grid_groups, run_blocks};
-use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{walk, Collective, CostModel, Cursor, MachineStats, Plan, Schedule, Step};
-use amd_sparse::spmm::{self, Finish};
+use crate::layout::{Buf, Kernel, Lists, Multiply};
+use crate::traits::{CommEstimate, DistSpmm, Sigma, SpmmRun};
+use amd_comm::{walk, Collective, CostModel, MachineStats, Plan, Schedule, Step};
+use amd_sparse::spmm::Finish;
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
-use std::sync::Arc;
 
 /// 2D A-stationary SpMM bound to a matrix.
 pub struct A2dSpmm {
@@ -81,6 +84,12 @@ impl A2dSpmm {
             let (h, qs) = (r1 - r0, q as usize);
             if plans.iter().all(|(seen, ..)| *seen != h) {
                 let tree = |c: Collective| c.plan(Schedule::Tree).expect("a tree").clone();
+                // The reduce is always the tree: its leaves send and move
+                // on to the next phase, where the large-message reduce
+                // makes every non-root wait for every other — alone that
+                // costs this pipeline more simulated time than it saves
+                // (grid160 + rmat13, p = 16, k = 16: 719 → 767 sim-µs) and
+                // moves no max-rank byte.
                 let reduce = tree(Collective::reduce(qs, h as usize, None));
                 let route = tree(Collective::broadcast(2, h as usize, None));
                 let bcast = Collective::broadcast(qs, h as usize, None);
@@ -106,8 +115,8 @@ impl A2dSpmm {
     }
 
     /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`spmm::spmm_slices`]) and [`predict_volume`] charges
-    /// `dtype` bytes per value moved.
+    /// `dtype` ([`amd_sparse::spmm::spmm_slices`]) and
+    /// [`predict_volume`] charges `dtype` bytes per value moved.
     ///
     /// The simulated machine still ships `f64` buffers (the narrowing is
     /// emulated value-wise), so at [`Dtype::F32`] the *accounted* volume
@@ -132,11 +141,13 @@ impl A2dSpmm {
 
     /// Every rank's steps in one iteration on a `k`-column operand: per
     /// phase `f`, the route of `X(r, f)` to the diagonal if the rank is on
-    /// it, the broadcast of `X(c, f)` down its grid column (the pick of
-    /// the tile's height and width, made here once, on the host), the
-    /// partial product, and the tree reduce across its grid row onto
-    /// member `f`.
-    fn steps(&self, k: u32) -> Vec<Vec<Step<'_>>> {
+    /// it — the owner's block, shared, into the diagonal's
+    /// [`Buf::Recv`] — the broadcast of `X(c, f)` down its grid column
+    /// from the diagonal (the pick of the tile's height and width, made
+    /// here once, on the host), the partial product `A(r, c) · X(c, f)`,
+    /// and the tree reduce across its grid row onto member `f`, whose
+    /// partial is its block of `Y`. `Y` is the next iterate.
+    fn steps(&self, k: u32) -> Lists<'_> {
         let (q, phases, [cols, rows]) =
             (self.q, even_ranges(k, self.q), grid_groups(self.q, self.q));
         let picks: Vec<Vec<&Plan>> = (self.plans.iter())
@@ -158,16 +169,25 @@ impl A2dSpmm {
                 let (fk, tag) = ((f1 - f0) as usize, 3 * u64::from(f));
                 if f != r && (c == f || c == r) {
                     let pair = [r * q + f, r * q + r].into();
-                    steps.push(Step::run(route, &pair, 0, None, fk, tag));
+                    let tile = if c == f { Buf::X } else { Buf::Recv };
+                    steps.push(Step::run(route, &pair, 0, None, fk, tag, tile as usize));
                 }
                 let (bcast, col) = (picks[self.height(c)][f as usize], &cols[c as usize]);
-                steps.push(Step::run(bcast, col, c as usize, None, fk, tag + 1));
-                if height(r) > 0 && height(c) > 0 && fk > 0 {
-                    steps.push(Step::Compute(spmm::spmm_flops(tile, f1 - f0)));
-                }
-                let row = &rows[r as usize];
-                steps.push(Step::run(tree, row, f as usize, None, fk, tag + 2));
+                let xt = if r == c && f == r { Buf::X } else { Buf::Recv };
+                let (root, buf) = (c as usize, xt as usize);
+                steps.push(Step::run(bcast, col, root, None, fk, tag + 1, buf));
+                let partial = if c == f { Buf::Y } else { Buf::Partial };
+                steps.push(if height(r) > 0 && height(c) > 0 && fk > 0 {
+                    let dtype = self.dtype;
+                    Multiply::new(tile, [xt, partial], f1 - f0, Finish::Overwrite, dtype).step()
+                } else {
+                    Step::Compute(Kernel::Zero(partial, height(r) as usize * fk))
+                });
+                let (row, at, buf) = (&rows[r as usize], f as usize, partial as usize);
+                steps.push(Step::run(tree, row, at, None, fk, tag + 2, buf));
             }
+            steps.push(Step::Compute(Kernel::Move(Buf::Y, Buf::X)));
+            steps.push(Step::Compute(Kernel::Sigma(Buf::X)));
             lists.push(steps);
         }
         lists
@@ -191,71 +211,14 @@ impl DistSpmm for A2dSpmm {
     ) -> SparseResult<SpmmRun> {
         let q = self.q;
         let col_ranges = even_ranges(x.cols(), q);
-        let steps = self.steps(x.cols());
         // X(r, c): row block r, feature columns [k0, k1).
         let blocks = |rank: u32| {
             let (r0, r1) = block_range(self.n, self.rb, rank / q);
             let (k0, k1) = col_ranges[(rank % q) as usize];
-            (r0..r1, k0 as usize..k1 as usize)
+            (r0..r1, k0 as usize..k1 as usize, true)
         };
-        let program = |steps: &mut Cursor, mut x_cur: Vec<f64>| {
-            let rank = steps.rank();
-            let (r, c) = (rank / q, rank % q);
-            let (r0, r1) = block_range(self.n, self.rb, r);
-            let my_rows = (r1 - r0) as usize;
-            let a_tile = &self.tiles[rank as usize];
-            for _ in 0..iters {
-                let mut y_mine: Vec<f64> = Vec::new();
-                for f in 0..q {
-                    let (f0, f1) = col_ranges[f as usize];
-                    let fk = f1 - f0;
-                    // 1. Route X(r, f) (if I own it) to the diagonal of
-                    //    grid column r; receive on the diagonal. The tile
-                    //    is used once per iteration, in this phase, so it
-                    //    moves into the shared buffer every hop reads.
-                    let mine = (c == f).then(|| Arc::new(std::mem::take(&mut x_cur)));
-                    let tile = if f != r && (c == f || c == r) {
-                        Some(steps.broadcast(mine))
-                    } else {
-                        mine
-                    };
-                    // 2. Broadcast X(c, f) down grid column c from the
-                    //    diagonal member (index c).
-                    let xt = steps.broadcast(tile.filter(|_| r == c));
-                    // 3. Partial product A(r, c) · X(c, f).
-                    let mut partial = vec![0.0; my_rows * fk as usize];
-                    if my_rows > 0 && !xt.is_empty() && fk > 0 {
-                        steps.compute();
-                        spmm::spmm_slices(
-                            a_tile,
-                            &xt,
-                            fk,
-                            None,
-                            &mut partial,
-                            Finish::Overwrite,
-                            self.dtype,
-                        )
-                        .expect("2D tile shapes align");
-                    }
-                    // 4. Reduce across the grid row onto member f. Always the
-                    //    tree: its leaves send and move on to the next
-                    //    phase, where the large-message reduce makes every
-                    //    non-root wait for every other — alone that costs
-                    //    this pipeline more simulated time than it saves
-                    //    (grid160 + rmat13, p = 16, k = 16: 719 → 767
-                    //    sim-µs) and moves no max-rank byte.
-                    let reduced = steps.reduce(partial);
-                    if c == f {
-                        y_mine = reduced.expect("member f holds the phase result");
-                    }
-                }
-                x_cur = y_mine;
-                apply_sigma(&mut x_cur, sigma);
-                steps.end();
-            }
-            Some(x_cur)
-        };
-        run_blocks(x, self.n, &steps, self.cost, iters, blocks, program)
+        let steps = self.steps(x.cols());
+        run_blocks(x, self.n, &steps, self.cost, iters, sigma, blocks)
     }
 
     fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
@@ -263,7 +226,7 @@ impl DistSpmm for A2dSpmm {
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        CommEstimate::of_steps(&self.steps(k), &self.cost, self.dtype)
+        CommEstimate::of_walk(walk(&self.steps(k), 1, &self.cost), self.dtype)
     }
 }
 

@@ -89,24 +89,27 @@
 //! Routes and collectives are one kind of plan: `ArrowSpmm::new` builds
 //! every level's candidate collective plans and the three feeds' routes
 //! ([`Plan::routes`]) once. A run or a prediction picks the levels' plans
-//! and states the iteration once, as every rank's list of steps (its part
-//! in a plan, or a tile's flops); the rank programs follow those lists
-//! and the one interpreter in `amd_comm` runs the plans, while the feed
-//! choice, [`ArrowSpmm::busiest`], `dry_run` and `predict_ranks` read the
-//! dry walk of the same lists ([`amd_comm::walk`]). The feeds are
-//! weighed in turn, and a later one is taken when its busiest rank moves
+//! and states the iteration once, as every rank's list of steps: its part
+//! in a plan on one of its buffers, a multiply of a tile, or an uncharged
+//! local step — the operand's assembly, the folds and adds, σ, and
+//! handing `Y` to the next iteration. The list is the rank's program: the
+//! one driver runs it ([`crate::layout`]), while the feed choice,
+//! [`ArrowSpmm::busiest`], `dry_run` and `predict_ranks` read the dry walk
+//! of the same lists ([`amd_comm::walk`]); a run builds the chosen feed's
+//! lists once, and a prediction reads the walk that chose it. The feeds
+//! are weighed in turn, and a later one is taken when its busiest rank moves
 //! no more bytes and no more messages than the one held, and fewer of one
 //! ([`ArrowSpmm::feed`]): the grids gather; R-MAT keeps the relay or the
 //! direct feed, since there a hub row of a deeper level reads so many rows
 //! that gathering them loads a level-0 rank more (rmat13 at `b = 512`,
 //! `k = 16`: 416 256 B in 44 messages, against 362 624 B in 38 direct).
 
-use crate::layout::{block_count, block_range, run_blocks};
-use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
+use crate::layout::{block_count, block_range, run_blocks, Buf, Kernel, List, Lists, Multiply};
+use crate::traits::{CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{
-    fold_nonroots, walk, Collective, CostModel, Cursor, Dir, MachineStats, Plan, Schedule, Step,
+    fold_nonroots, walk, Collective, CostModel, Dir, MachineStats, Plan, Schedule, Step,
 };
-use amd_sparse::spmm::{self, Finish};
+use amd_sparse::spmm::Finish;
 use amd_sparse::{CsrBuilder, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use arrow_core::{ArrowDecomposition, ArrowMatrix};
 use std::ops::Range;
@@ -172,7 +175,7 @@ struct RankPlan {
 /// row what deeper levels return for it — the relay's association, row by
 /// row.
 #[derive(Debug, Clone)]
-struct Fold {
+pub(crate) struct Fold {
     level: usize,
     /// Ranks of the level.
     members: u32,
@@ -189,7 +192,7 @@ struct Fold {
 impl Fold {
     /// `x_root + (c₁ + c₂ + c₄ + …)` per row, in the root-last order of
     /// every reduce in `amd_comm`, then the deeper levels' rows on top.
-    fn complete(&self, inbox: &mut [f64], kk: usize) {
+    pub(crate) fn complete(&self, inbox: &mut [f64], kk: usize) {
         let len = self.nodes.len() * kk;
         let mut pieces = vec![vec![0.0; len]; self.members as usize];
         for &(row, member, slot) in &self.parts {
@@ -211,7 +214,7 @@ impl Fold {
 }
 
 /// `into[row] += inbox[slot]` for each `(row, slot)`.
-fn add_rows(into: &mut [f64], inbox: &[f64], adds: &[(u32, u32)], kk: usize) {
+pub(crate) fn add_rows(into: &mut [f64], inbox: &[f64], adds: &[(u32, u32)], kk: usize) {
     for &(row, slot) in adds {
         let (row, slot) = (row as usize * kk, slot as usize * kk);
         for (a, b) in into[row..row + kk].iter_mut().zip(&inbox[slot..slot + kk]) {
@@ -275,13 +278,6 @@ impl LevelPlan {
     fn height(&self, i: u32) -> u32 {
         let (r0, r1) = block_range(self.active_n, self.arrow.b(), i);
         r1 - r0
-    }
-
-    /// Flops of local rank `i`'s share of `B(0,0) · D(0)`.
-    fn hub_flops(&self, i: u32, k: u32) -> f64 {
-        let indptr = self.arrow.row_tile(0).indptr();
-        let run = self.hub_run(i);
-        2.0 * (indptr[run.end as usize] - indptr[run.start as usize]) as f64 * k as f64
     }
 }
 
@@ -778,10 +774,11 @@ impl ArrowSpmm {
     }
 
     /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`spmm::spmm_slices`]) and [`predict_volume`] charges
-    /// `dtype` bytes per value moved. The machine still ships (and the
-    /// plans are picked on) `f64` buffers, so an `F32` plan predicts the
-    /// messages the run sends and exactly half its accounted bytes.
+    /// `dtype` ([`amd_sparse::spmm::spmm_slices`]) and
+    /// [`predict_volume`] charges `dtype` bytes per value moved. The
+    /// machine still ships (and the plans are picked on) `f64` buffers, so
+    /// an `F32` plan predicts the messages the run sends and exactly half
+    /// its accounted bytes.
     ///
     /// [`predict_volume`]: DistSpmm::predict_volume
     pub fn with_dtype(mut self, dtype: Dtype) -> Self {
@@ -820,8 +817,8 @@ impl ArrowSpmm {
     /// level 0, and every level under [`Feed::Relay`] — the schedules its
     /// broadcast and its reduce take.
     pub fn schedules(&self, k: u32) -> Vec<[Schedule; 2]> {
-        let (feed, picks) = self.choose(k);
-        (picks[..self.relayed(feed).len()].iter())
+        let relayed = self.relayed(self.feed(k)).len();
+        (self.picks(k)[..relayed].iter())
             .map(|plans| plans.map(|plan| plan.schedule().expect("a rooted plan")))
             .collect()
     }
@@ -836,26 +833,35 @@ impl ArrowSpmm {
         self.choose(k).0
     }
 
-    /// The feed a `k`-column operand takes ([`Self::feed`]) and the
-    /// levels' [`Self::picks`]: chosen once per run or prediction, on the
-    /// host, and read by everything that follows.
-    fn choose(&self, k: u32) -> (Feed, Vec<[&Plan; 2]>) {
+    /// The feed a `k`-column operand takes ([`Self::feed`]), every rank's
+    /// steps under it on the levels' [`Self::picks`], and the walk of one
+    /// iteration of them: chosen once per run or prediction, on the host,
+    /// and read by everything that follows.
+    fn choose(&self, k: u32) -> (Feed, Lists<'_>, (MachineStats, Vec<f64>)) {
         let picks = self.picks(k);
-        let mut held = (FEEDS[0], self.busiest_on(k, FEEDS[0], &picks));
+        let weigh = |feed| {
+            let steps = self.steps(k, feed, &picks);
+            let walked = walk(&steps, 1, &self.cost);
+            (feed, steps, walked)
+        };
+        let load = |(stats, _): &(MachineStats, _)| (stats.max_volume(), stats.max_messages());
+        let mut held = weigh(FEEDS[0]);
         for &feed in &FEEDS[1..] {
-            let load = self.busiest_on(k, feed, &picks);
-            if load.0 <= held.1 .0 && load.1 <= held.1 .1 && load != held.1 {
-                held = (feed, load);
+            let next = weigh(feed);
+            let (new, old) = (load(&next.2), load(&held.2));
+            if new.0 <= old.0 && new.1 <= old.1 && new != old {
+                held = next;
             }
         }
-        (held.0, picks)
+        held
     }
 
     /// The busiest rank's bytes and messages in one iteration under
     /// `feed` on a `k`-column operand, each the most of any rank, from the
     /// walk of its steps at 8 bytes a value — what [`Self::feed`] weighs.
     pub fn busiest(&self, k: u32, feed: Feed) -> (u64, u64) {
-        self.busiest_on(k, feed, &self.picks(k))
+        let (stats, _) = walk(&self.steps(k, feed, &self.picks(k)), 1, &self.cost);
+        (stats.max_volume(), stats.max_messages())
     }
 
     /// Per level, the plans its broadcast of `D(0)` and its reduce of the
@@ -864,12 +870,6 @@ impl ArrowSpmm {
         (self.levels.iter())
             .map(|level| [&level.bcast, &level.reduce].map(|c| c.pick(k as usize, &self.cost)))
             .collect()
-    }
-
-    /// [`Self::busiest`] under the levels' `picks`.
-    fn busiest_on(&self, k: u32, feed: Feed, picks: &[[&Plan; 2]]) -> (u64, u64) {
-        let (stats, _) = walk(&self.steps(k, feed, picks), 1, &self.cost);
-        (stats.max_volume(), stats.max_messages())
     }
 
     /// The levels that run Algorithm 1 under `feed`: every level relayed,
@@ -882,138 +882,124 @@ impl ArrowSpmm {
     }
 
     /// Every machine rank's steps in one iteration under `feed` on a
-    /// `k`-column operand, each level's collectives on its `picks`: the
-    /// forward exchange (a deeper rank receives, then passes rows on;
-    /// level 0 sends, and receives after its multiply), Algorithm 1 where
-    /// it runs — the broadcast of `D(0)`, the rank's row-arm tile and hub
-    /// run, the reduce, its column-arm and diagonal tiles — the product
-    /// rows placed on the rank, and the backward exchange (a deeper rank
-    /// receives, then sends its rows on).
-    fn steps<'a>(&'a self, k: u32, feed: Feed, picks: &[[&'a Plan; 2]]) -> Vec<Vec<Step<'a>>> {
+    /// `k`-column operand, each level's collectives on its `picks`:
+    ///
+    /// 1. **Forward propagation** (Algorithm 2, lines 1–5) into the
+    ///    operand, [`Buf::X`]: the rank's block, then the rows it fetches.
+    ///    A deeper rank receives, then passes rows on; level 0 sends here
+    ///    and receives after its multiply.
+    /// 2. **Algorithm 1** where it runs ([`Self::multiply`]), on the rank's
+    ///    block `D(i)`: the operand itself, or a copy of its first rows
+    ///    where it holds more or the product rows read it.
+    /// 3. The product rows placed on the rank fill its inbox, the returned
+    ///    rows land in it, and the folds complete the rows of deeper levels
+    ///    the rank holds.
+    /// 4. **Backward aggregation** (Algorithm 2, lines 7–12): the rank's
+    ///    block of `Y` gains each row's returns in level order, and a
+    ///    deeper rank sends its rows on — its block relayed, its inbox
+    ///    placed. `Y` is the next iterate; σ acts on level 0's, which is
+    ///    all of it, and a deeper level's is overwritten by the next
+    ///    forward propagation.
+    fn steps<'a>(&'a self, k: u32, feed: Feed, picks: &[[&'a Plan; 2]]) -> Lists<'a> {
         let (routes, kk) = (&self.feeds[feed as usize], k as usize);
         // Tags, one per call site: 1 forward, 2 backward, 3 the level's
         // broadcast, 4 its reduce.
         let world: Arc<[u32]> = (0..self.total_ranks).collect();
-        let (fwd, bwd) = (
-            |dir| Step::run(&routes.fwd, &world, 0, Some(dir), kk, 1),
-            |dir| Step::run(&routes.bwd, &world, 0, Some(dir), kk, 2),
-        );
-        let tile = |tile: &CsrMatrix<f64>| Step::Compute(spmm::spmm_flops(tile, k));
+        let fwd = |dir| Step::run(&routes.fwd, &world, 0, Some(dir), kk, 1, Buf::X as usize);
+        let bwd = |dir, buf| Step::run(&routes.bwd, &world, 0, Some(dir), kk, 2, buf as usize);
+        let local = Step::Compute;
         let mut lists = Vec::with_capacity(self.total_ranks as usize);
         for (j, level) in self.levels.iter().enumerate() {
             let group: Arc<[u32]> = (level.offset..level.offset + level.nb).collect();
+            let relayed = j < self.relayed(feed).len();
             for i in 0..level.nb {
-                let mut steps: Vec<_> = (j > 0).then(|| fwd(Dir::Recv)).into_iter().collect();
+                let plan = &routes.ranks[(level.offset + i) as usize];
+                let (height, products) = (plan.height as usize * kk, &plan.products);
+                let mut steps = vec![local(Kernel::Resize(Buf::X, height))];
+                steps.extend((j > 0).then(|| fwd(Dir::Recv)));
                 steps.push(fwd(Dir::Send));
-                if j < self.relayed(feed).len() {
-                    let arrow = &level.arrow;
-                    steps.push(Step::run(picks[j][0], &group, 0, None, kk, 3));
-                    steps.extend((i > 0).then(|| tile(arrow.row_tile(i))));
-                    steps.push(Step::Compute(level.hub_flops(i, k)));
-                    steps.push(Step::run(picks[j][1], &group, 0, None, kk, 4));
-                    if i > 0 {
-                        steps.extend([tile(arrow.col_tile(i)), tile(arrow.diag_tile(i))]);
-                    }
+                if relayed {
+                    let block = level.height(i) as usize * kk;
+                    let d = if height > block || products.nnz() > 0 {
+                        steps.push(local(Kernel::Head(Buf::X, Buf::Block, block)));
+                        Buf::Block
+                    } else {
+                        Buf::X
+                    };
+                    self.multiply(&mut steps, level, i, k, (picks[j], &group), d);
                 }
                 steps.extend((j == 0).then(|| fwd(Dir::Recv)));
-                let products = &routes.ranks[(level.offset + i) as usize].products;
-                steps.extend((products.nnz() > 0).then(|| tile(products)));
-                steps.push(bwd(Dir::Recv));
-                steps.extend((j > 0).then(|| bwd(Dir::Send)));
+                steps.push(if products.nnz() > 0 {
+                    let over = Finish::Overwrite;
+                    let m = Multiply::new(products, [Buf::X, Buf::Inbox], k, over, self.dtype);
+                    let gather = Some(&plan.gather[..]);
+                    Multiply { gather, ..m }.step()
+                } else {
+                    local(Kernel::Zero(Buf::Inbox, products.rows() as usize * kk))
+                });
+                steps.push(bwd(Dir::Recv, Buf::Inbox));
+                steps.extend((plan.folds.iter()).map(|fold| local(Kernel::Fold(fold, kk))));
+                if !plan.adds.is_empty() {
+                    steps.push(local(Kernel::Add(&plan.adds, kk)));
+                }
+                let returned = if relayed { Buf::Y } else { Buf::Inbox };
+                steps.extend((j > 0).then(|| bwd(Dir::Send, returned)));
+                steps.push(local(Kernel::Move(Buf::Y, Buf::X)));
+                steps.extend((j == 0).then(|| local(Kernel::Sigma(Buf::X))));
                 lists.push(steps);
             }
         }
         lists
     }
 
-    /// Locates the level and local index of a machine rank.
-    fn locate(&self, rank: u32) -> (usize, u32) {
-        for (j, l) in self.levels.iter().enumerate() {
-            if rank < l.offset + l.nb {
-                return (j, rank - l.offset);
-            }
+    /// Appends member `i`'s steps of one level's Algorithm 1 on a
+    /// `k`-column operand to its `steps`, its `D(i)` in buffer `d`, on the
+    /// level's broadcast and reduce and its group, leaving its `C(i)` in
+    /// [`Buf::Y`].
+    ///
+    /// The root broadcasts `D(0)` (line 1): shared, so the root, every
+    /// relay and every receiver read one buffer — or, on the sparse
+    /// schedule, only the rows the rank reads. Rank `i`'s partial of `C(0)`
+    /// (line 2) is its row-arm product `B(0,i) · D(i)` and its run of the
+    /// hub tile's `B(0,0) · D(0)`. The root's row-arm tile is the hub tile,
+    /// which the level shares: every rank adds the rows of `B(0,0) · D(0)`
+    /// it was planned into its partial, and the reduction (line 3) carries
+    /// them to the root with the rest, where they are `C(0)`. The root adds
+    /// its run into zeros; a non-root's row-arm multiply overwrites every
+    /// row (an empty one with `+0.0`) of the buffer its last `D(i)` left.
+    /// Then `C(i) = B(i,0) · D(0) + B(i,i) · D(i)` (lines 4–6), and a
+    /// non-root's `D(i)`, which only it read, is its next partial.
+    fn multiply<'a>(
+        &self,
+        steps: &mut List<'a>,
+        level: &'a LevelPlan,
+        i: u32,
+        k: u32,
+        ([bcast, reduce], group): ([&'a Plan; 2], &Arc<[u32]>),
+        d: Buf,
+    ) {
+        let (arrow, kk, dtype) = (&level.arrow, k as usize, self.dtype);
+        let (over, acc) = (Finish::Overwrite, Finish::Accumulate);
+        let (d0, partial) = match i {
+            0 => (d, Buf::Y),
+            _ => (Buf::Recv, Buf::Partial),
+        };
+        steps.push(Step::run(bcast, group, 0, None, kk, 3, d0 as usize));
+        steps.push(match i {
+            0 => Step::Compute(Kernel::Zero(Buf::Y, level.d0_rows() as usize * kk)),
+            _ => Multiply::new(arrow.row_tile(i), [d, partial], k, over, dtype).step(),
+        });
+        let hub = Multiply::new(arrow.row_tile(0), [d0, partial], k, acc, dtype);
+        let rows = level.hub_run(i);
+        steps.push(Multiply { rows, ..hub }.step());
+        steps.push(Step::run(reduce, group, 0, None, kk, 4, partial as usize));
+        if i > 0 {
+            let col = Multiply::new(arrow.col_tile(i), [Buf::Recv, Buf::Y], k, over, dtype);
+            let diag = Multiply::new(arrow.diag_tile(i), [d, Buf::Y], k, acc, dtype);
+            steps.extend([col.step(), diag.step()]);
+            steps.push(Step::Compute(Kernel::Move(d, Buf::Partial)));
         }
-        unreachable!("rank {rank} beyond total {}", self.total_ranks)
     }
-}
-
-/// One level's Algorithm 1: multiply the arrow matrix with the
-/// block-distributed `D`, consuming this rank's `D(i)` block and
-/// returning its `C(i)` block, this rank being member `my_i` of the level
-/// and its `steps` at the level's broadcast. Tiles multiply the received
-/// and owned buffers where they lie ([`spmm::spmm_slices`]). A non-root
-/// leaves its `D(i)` buffer in `spare` for its next call's partial.
-fn arrow_multiply(
-    steps: &mut Cursor,
-    level: &LevelPlan,
-    my_i: u32,
-    d_block: Vec<f64>,
-    k: u32,
-    dtype: Dtype,
-    spare: &mut Vec<f64>,
-) -> Vec<f64> {
-    debug_assert_eq!(d_block.len(), (level.height(my_i) * k) as usize);
-    let tile = |steps: &mut Cursor, tile, x: &[f64], y: &mut [f64], finish| {
-        steps.compute();
-        spmm::spmm_slices(tile, x, k, None, y, finish, dtype).expect("tile shapes align");
-    };
-
-    // Broadcast D(0) from the level's first rank (Algorithm 1, line 1):
-    // shared, so the root, every relay and every receiver read one
-    // buffer — or, on the sparse schedule, only the rows the rank reads.
-    let d_block = Arc::new(d_block);
-    let d0 = steps.broadcast((my_i == 0).then(|| Arc::clone(&d_block)));
-
-    // Rank i's partial of C(0) (line 2): its row-arm product B(0,i) · D(i)
-    // and its run of the hub tile's B(0,0) · D(0). The root's row-arm tile
-    // is the hub tile, which the level shares: every rank adds the rows of
-    // B(0,0) · D(0) it was planned into its partial, and the reduction
-    // (line 3) carries them to the root with the rest. The root adds its
-    // run into zeros (it never leaves a spare); a non-root's row-arm
-    // multiply overwrites every row (an empty one with +0.0), so it fills
-    // `spare`, unzeroed.
-    let mut partial = std::mem::take(spare);
-    partial.resize((level.d0_rows() * k) as usize, 0.0);
-    if my_i > 0 {
-        let row_tile = level.arrow.row_tile(my_i);
-        tile(steps, row_tile, &d_block, &mut partial, Finish::Overwrite);
-    }
-    let run = level.hub_run(my_i);
-    steps.compute();
-    spmm::spmm_slices_rows(
-        level.arrow.row_tile(0),
-        run.clone(),
-        &d0,
-        k,
-        &mut partial[(run.start * k) as usize..(run.end * k) as usize],
-        Finish::Accumulate,
-        dtype,
-    )
-    .expect("hub tile shapes align");
-    let reduced = steps.reduce(partial);
-
-    // C(i) = B(i,0) · D(0) + B(i,i) · D(i) (lines 4–6).
-    if my_i == 0 {
-        return reduced.expect("rank 0 of the level holds the reduction");
-    }
-    let mut c = vec![0.0; d_block.len()];
-    tile(
-        steps,
-        level.arrow.col_tile(my_i),
-        &d0,
-        &mut c,
-        Finish::Overwrite,
-    );
-    tile(
-        steps,
-        level.arrow.diag_tile(my_i),
-        &d_block,
-        &mut c,
-        Finish::Accumulate,
-    );
-    // Only the root's D(i) is broadcast; a non-root's is its own.
-    *spare = Arc::try_unwrap(d_block).unwrap_or_default();
-    c
 }
 
 impl DistSpmm for ArrowSpmm {
@@ -1031,125 +1017,43 @@ impl DistSpmm for ArrowSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        let (feed, picks) = self.choose(x.cols());
-        self.run_feed(x, iters, sigma, feed, &self.steps(x.cols(), feed, &picks))
+        let (_, steps, _) = self.choose(x.cols());
+        self.run_steps(x, iters, sigma, &steps)
     }
 
     fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
-        let (feed, picks) = self.choose(k);
-        walk(&self.steps(k, feed, &picks), iters, &self.cost).0
+        let (_, steps, _) = self.choose(k);
+        walk(&steps, iters, &self.cost).0
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        let (feed, picks) = self.choose(k);
-        CommEstimate::of_steps(&self.steps(k, feed, &picks), &self.cost, self.dtype)
+        let (_, _, walked) = self.choose(k);
+        CommEstimate::of_walk(walked, self.dtype)
     }
 }
 
 impl ArrowSpmm {
-    /// [`DistSpmm::run_sigma`] under `feed`, whichever it is, each rank
-    /// following its list of `feed`'s `steps`.
-    fn run_feed(
+    /// [`DistSpmm::run_sigma`] of one iteration's `steps`, under whichever
+    /// feed built them.
+    fn run_steps(
         &self,
         x: &DenseMatrix<f64>,
         iters: u32,
         sigma: Option<Sigma>,
-        feed: Feed,
-        steps: &[Vec<Step<'_>>],
+        steps: &[List<'_>],
     ) -> SparseResult<SpmmRun> {
-        let kk = x.cols() as usize;
-        let (routes, relayed) = (&self.feeds[feed as usize], feed == Feed::Relay);
-        // Level 0's ranks come first and start with their X blocks; a
-        // deeper rank's range is past level 0's rows, so it starts empty
-        // and is filled by propagation.
+        // Level 0's ranks come first and start with their X blocks, which
+        // are gathered; a deeper rank's range is past level 0's rows, so
+        // it starts empty and is filled by propagation. Level 0 blocks
+        // hold positions 0..active_0; rows of vertices isolated in A are
+        // zero.
         let blocks = |rank: u32| {
             let (r0, r1) = block_range(self.levels[0].active_n, self.b, rank);
-            (
-                self.level0_vertices[r0 as usize..r1 as usize]
-                    .iter()
-                    .copied(),
-                0..kk,
-            )
+            let vertices = &self.level0_vertices[r0 as usize..r1 as usize];
+            let level0 = rank < self.levels[0].nb;
+            (vertices.iter().copied(), 0..x.cols() as usize, level0)
         };
-        let program = |steps: &mut Cursor, mut x_block: Vec<f64>| {
-            let (k, rank) = (kk as u32, steps.rank());
-            let (j, my_i) = self.locate(rank);
-            let level = &self.levels[j];
-            let plan = &routes.ranks[rank as usize];
-            // Level 0 runs Algorithm 1, and relayed so does every level.
-            let multiplies = j == 0 || relayed;
-            let (r0, r1) = block_range(level.active_n, self.b, my_i);
-            let block = (r1 - r0) as usize * kk;
-            let mut spare = Vec::new();
-            for _ in 0..iters {
-                // 1. Forward propagation (Algorithm 2, lines 1–5) into the
-                // operand: the rank's block, then the rows it fetches. A
-                // deeper rank receives, then passes rows on; level 0
-                // sends here and receives after its multiply.
-                let mut operand = x_block;
-                operand.resize(plan.height as usize * kk, 0.0);
-                if j > 0 {
-                    steps.exchange(&mut operand);
-                }
-                steps.exchange(&mut operand);
-                // 2. Algorithm 1 where it runs, on the rank's block; the
-                // operand stays if the products read it.
-                let dtype = self.dtype;
-                let mut y_block = Vec::new();
-                if multiplies {
-                    let d_block = if operand.len() > block || plan.products.nnz() > 0 {
-                        operand[..block].to_vec()
-                    } else {
-                        std::mem::take(&mut operand)
-                    };
-                    y_block = arrow_multiply(steps, level, my_i, d_block, k, dtype, &mut spare);
-                }
-                if j == 0 {
-                    steps.exchange(&mut operand);
-                }
-                // The product rows placed here fill the inbox, then the
-                // returned rows land in it and the folds complete the rows
-                // of deeper levels this rank holds.
-                let mut inbox = vec![0.0; plan.products.rows() as usize * kk];
-                if plan.products.nnz() > 0 {
-                    steps.compute();
-                    spmm::spmm_slices(
-                        &plan.products,
-                        &operand,
-                        k,
-                        Some(&plan.gather),
-                        &mut inbox,
-                        Finish::Overwrite,
-                        dtype,
-                    )
-                    .expect("product rows align");
-                }
-                steps.exchange(&mut inbox);
-                for fold in &plan.folds {
-                    fold.complete(&mut inbox, kk);
-                }
-                // 3. Backward aggregation (Algorithm 2, lines 7–12): a
-                // block gains each row's returns in level order, and a
-                // deeper rank sends its rows on — its block relayed, its
-                // inbox placed.
-                add_rows(&mut y_block, &inbox, &plan.adds, kk);
-                if j > 0 {
-                    steps.exchange(if relayed { &mut y_block } else { &mut inbox });
-                }
-                x_block = y_block;
-                // σ acts on the complete Y, which lives on level 0 after
-                // aggregation; deeper levels are overwritten by the next
-                // forward propagation.
-                if j == 0 {
-                    apply_sigma(&mut x_block, sigma);
-                }
-                steps.end();
-            }
-            // Level 0 blocks hold positions 0..active_0; rows of
-            // vertices isolated in A are zero.
-            (j == 0).then_some(x_block)
-        };
-        run_blocks(x, self.n, steps, self.cost, iters, blocks, program)
+        run_blocks(x, self.n, steps, self.cost, iters, sigma, blocks)
     }
 }
 
@@ -1268,10 +1172,10 @@ mod tests {
         let x = DenseMatrix::from_fn(a.rows(), k, |r, c| {
             ((r * 7 + c * 13) % 31) as f64 / 7.0 - 1.9
         });
-        let picks = alg.choose(k).1;
+        let picks = alg.picks(k);
         let ys = FEEDS.map(|feed| {
             let steps = alg.steps(k, feed, &picks);
-            alg.run_feed(&x, 2, None, feed, &steps).unwrap().y
+            alg.run_steps(&x, 2, None, &steps).unwrap().y
         });
         let bits = |y: &DenseMatrix<f64>| y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (feed, y) in FEEDS.iter().zip(&ys) {

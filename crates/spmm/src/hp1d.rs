@@ -15,12 +15,16 @@
 //! The fetched row set of a part is exactly the partition's "external
 //! rows" metric; on star-heavy graphs it degenerates to nearly all of `X`
 //! for the hub's part, which is the scaling failure the paper reports.
+//!
+//! An iteration is every rank's list of those steps, which the one driver
+//! runs ([`crate::layout`]); where the receive sits in a rank's list is
+//! where the rank waits for its rows.
 
-use crate::layout::run_blocks;
-use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{walk, CostModel, Cursor, Dir, MachineStats, Plan, Step};
+use crate::layout::{run_blocks, Buf, Kernel, List, Lists, Multiply};
+use crate::traits::{CommEstimate, DistSpmm, Sigma, SpmmRun};
+use amd_comm::{walk, CostModel, Dir, MachineStats, Plan, Step};
 use amd_partition::Partition;
-use amd_sparse::spmm::{self, Finish};
+use amd_sparse::spmm::Finish;
 use amd_sparse::{
     CsrBuilder, CsrMatrix, DenseMatrix, Dtype, Permutation, SparseError, SparseResult,
 };
@@ -161,8 +165,8 @@ impl Hp1dSpmm {
     }
 
     /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`spmm::spmm_slices`]) and [`predict_volume`] charges
-    /// `dtype` bytes per value moved.
+    /// `dtype` ([`amd_sparse::spmm::spmm_slices`]) and
+    /// [`predict_volume`] charges `dtype` bytes per value moved.
     ///
     /// The simulated machine still ships `f64` buffers (the narrowing is
     /// emulated value-wise), so at [`Dtype::F32`] the *accounted* volume
@@ -181,19 +185,48 @@ impl Hp1dSpmm {
         self.externals.iter().max().map_or(0, |&rows| rows as usize)
     }
 
-    /// Every rank's steps in one iteration on a `k`-column operand: serve
-    /// the rows others fetch, the local multiply, receive the external
-    /// rows, and the non-local multiply if there are any.
-    fn steps(&self, k: u32) -> Vec<Vec<Step<'_>>> {
+    /// [`DistSpmm::run_sigma`] of one iteration's `steps`.
+    fn run_steps(
+        &self,
+        x: &DenseMatrix<f64>,
+        iters: u32,
+        sigma: Option<Sigma>,
+        steps: &[List<'_>],
+    ) -> SparseResult<SpmmRun> {
+        let (starts, cols) = (&self.starts, 0..x.cols() as usize);
+        let blocks = |rank: u32| {
+            let rows = starts[rank as usize]..starts[rank as usize + 1];
+            (rows.map(|q| self.pi.vertex_at(q)), cols.clone(), true)
+        };
+        run_blocks(x, self.n, steps, self.cost, iters, sigma, blocks)
+    }
+
+    /// Every rank's steps in one iteration on a `k`-column operand: make
+    /// room for the external rows, serve the rows others fetch (sends never
+    /// block), the local multiply, which overlaps with the transfers,
+    /// receive the external rows (ascending owner = ascending compact
+    /// index), and the non-local multiply if there are any. The product is
+    /// the next iterate, and the iterate it replaces the next product's
+    /// buffer.
+    fn steps(&self, k: u32) -> Lists<'_> {
         let (world, kk): (Arc<[u32]>, _) = ((0..self.p).collect(), k as usize);
-        let fetch = |dir| Step::run(&self.fetch, &world, 0, Some(dir), kk, 0);
+        let fetch = |dir, buf| Step::run(&self.fetch, &world, 0, Some(dir), kk, 0, buf as usize);
+        let multiply = |tile, x, finish| Multiply::new(tile, [x, Buf::Y], k, finish, self.dtype);
         (0..self.p as usize)
             .map(|rank| {
-                let local = Step::Compute(spmm::spmm_flops(&self.a_local[rank], k));
-                let mut steps = vec![fetch(Dir::Send), local, fetch(Dir::Recv)];
-                if self.externals[rank] > 0 && k > 0 {
-                    steps.push(Step::Compute(spmm::spmm_flops(&self.a_ext[rank], k)));
+                let externals = self.externals[rank] as usize;
+                let mut steps = vec![
+                    Step::Compute(Kernel::Resize(Buf::Recv, externals * kk)),
+                    fetch(Dir::Send, Buf::X),
+                    multiply(&self.a_local[rank], Buf::X, Finish::Overwrite).step(),
+                    fetch(Dir::Recv, Buf::Recv),
+                ];
+                if externals > 0 && k > 0 {
+                    let ext = multiply(&self.a_ext[rank], Buf::Recv, Finish::Accumulate);
+                    steps.push(ext.step());
                 }
+                steps.push(Step::Compute(Kernel::Swap(Buf::X, Buf::Y)));
+                steps.push(Step::Compute(Kernel::Sigma(Buf::X)));
                 steps
             })
             .collect()
@@ -215,45 +248,7 @@ impl DistSpmm for Hp1dSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        let kk = x.cols() as usize;
-        let steps = self.steps(x.cols());
-        let blocks = |rank: u32| {
-            let rows = self.starts[rank as usize]..self.starts[rank as usize + 1];
-            (rows.map(|q| self.pi.vertex_at(q)), 0..kk)
-        };
-        let program = |steps: &mut Cursor, mut x_cur: Vec<f64>| {
-            let rank = steps.rank() as usize;
-            // The output of one iteration is the operand of the next:
-            // two buffers swap roles, and the fetched rows land in a
-            // third that keeps its allocation.
-            let mut y_cur = vec![0.0; x_cur.len()];
-            let mut ext_x = vec![0.0; self.externals[rank] as usize * kk];
-            let (a_local, a_ext) = (&self.a_local[rank], &self.a_ext[rank]);
-            let k = kk as u32;
-            for _ in 0..iters {
-                // 1. Serve remote requests first (sends never block).
-                steps.exchange(&mut x_cur);
-                // 2. Local SpMM overlaps with the transfers.
-                let finish = Finish::Overwrite;
-                spmm::spmm_slices(a_local, &x_cur, k, None, &mut y_cur, finish, self.dtype)
-                    .expect("local tile shapes align");
-                steps.compute();
-                // 3. Receive external rows (ascending owner = ascending
-                //    compact index) and run the non-local SpMM.
-                steps.exchange(&mut ext_x);
-                if !ext_x.is_empty() {
-                    let finish = Finish::Accumulate;
-                    spmm::spmm_slices(a_ext, &ext_x, k, None, &mut y_cur, finish, self.dtype)
-                        .expect("external tile shapes align");
-                    steps.compute();
-                }
-                std::mem::swap(&mut x_cur, &mut y_cur);
-                apply_sigma(&mut x_cur, sigma);
-                steps.end();
-            }
-            Some(x_cur)
-        };
-        run_blocks(x, self.n, &steps, self.cost, iters, blocks, program)
+        self.run_steps(x, iters, sigma, &self.steps(x.cols()))
     }
 
     fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
@@ -261,7 +256,7 @@ impl DistSpmm for Hp1dSpmm {
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        CommEstimate::of_steps(&self.steps(k), &self.cost, self.dtype)
+        CommEstimate::of_walk(walk(&self.steps(k), 1, &self.cost), self.dtype)
     }
 }
 
@@ -348,6 +343,47 @@ mod tests {
                 right: (7, 7)
             })
         ));
+    }
+
+    /// The step list is the rank's program, so reordering a rank's work
+    /// is an edit of its list: one rank's fetch receive moved ahead of its
+    /// local multiply, and nothing else. The answer does not move by a bit,
+    /// the run is charged what the walk of the moved list says, and the
+    /// rank now waits for its rows before it multiplies, so its clock
+    /// moves.
+    #[test]
+    fn a_fetch_receive_moved_in_the_list_moves_only_the_clock() {
+        let a: CsrMatrix<f64> = basic::grid_2d(12, 12).to_adjacency();
+        let alg = Hp1dSpmm::new(&a, &block_partition(144, 4)).unwrap();
+        let x = DenseMatrix::from_fn(144, 3, |r, c| ((r * 7 + c * 5) % 13) as f64 / 3.0 - 2.0);
+        // Rank 3's rows leave rank 2 in its second send, after rank 3's
+        // own send is done.
+        let (rank, steps) = (3, alg.steps(3));
+        let mut moved = steps.clone();
+        let list = &mut moved[rank];
+        let recv = (list.iter())
+            .position(|step| matches!(step, Step::Run(run) if run.dir == Some(Dir::Recv)))
+            .unwrap();
+        let local = (list.iter())
+            .position(|step| matches!(step, Step::Compute(Kernel::Multiply(_))))
+            .unwrap();
+        assert_eq!(
+            local + 1,
+            recv,
+            "the local multiply comes before the receive"
+        );
+        list.swap(local, recv);
+        let [before, after] = [&steps, &moved].map(|steps| alg.run_steps(&x, 2, None, steps));
+        let (before, after) = (before.unwrap(), after.unwrap());
+        let bits = |y: &DenseMatrix<f64>| y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&before.y), bits(&after.y));
+        assert_eq!(after.stats.ranks, walk(&moved, 2, &alg.cost).0.ranks);
+        assert_eq!(before.stats.ranks, walk(&steps, 2, &alg.cost).0.ranks);
+        let clock = |run: &SpmmRun| run.stats.ranks[rank].sim_time;
+        assert!(
+            clock(&after) > clock(&before),
+            "the rank's clock did not move"
+        );
     }
 
     #[test]

@@ -32,11 +32,14 @@
 //! accounting, and a `dry_run(k, iters)` giving that accounting bit for
 //! bit without running. The four distributed ones share one shape: each
 //! states its iteration once, as every rank's list of `amd_comm::Step`s
-//! (its part in an `amd_comm::Plan`, or a charge of flops) built on the
-//! host; one driver scatters the operand, runs the rank programs, which
-//! follow their lists, and gathers `Y` (see [`layout`]), and
-//! `amd_comm::walk` reads the same lists for `dry_run` and
-//! `predict_ranks`.
+//! built on the host — its part in an `amd_comm::Plan` on one of its
+//! buffers, or a piece of local work: a multiply, whose flops its
+//! descriptor gives, or an uncharged step that moves a buffer. The list is
+//! the rank's program and there is no other: one driver scatters the
+//! operand, runs every rank's list through `amd_comm::execute`, and
+//! gathers `Y` (see [`layout`]), and `amd_comm::walk` reads the same lists
+//! for `dry_run` and `predict_ranks`. Reordering a rank's work is an edit
+//! of its list.
 
 pub mod a15d;
 pub mod a2d;

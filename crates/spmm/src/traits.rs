@@ -1,7 +1,7 @@
 //! The common interface of the distributed SpMM algorithms.
 
 use crate::LocalSpmm;
-use amd_comm::{walk, CostModel, MachineStats, Step};
+use amd_comm::{CostModel, MachineStats};
 use amd_sparse::{DenseMatrix, Dtype, SparseResult};
 
 /// Result of a distributed run.
@@ -62,12 +62,10 @@ pub struct CommEstimate {
 }
 
 impl CommEstimate {
-    /// Every rank's estimate from the dry walk of one iteration's `steps`
-    /// on a machine with `cost`: what the walk charges it (at the
-    /// machine's 8 bytes a value), priced at `dtype` bytes a value, and
-    /// its flops.
-    pub(crate) fn of_steps(steps: &[Vec<Step<'_>>], cost: &CostModel, dtype: Dtype) -> Vec<Self> {
-        let (stats, flops) = walk(steps, 1, cost);
+    /// Every rank's estimate from the [`walk`] of one iteration: what the walk
+    /// charges it (at the machine's 8 bytes a value), priced at `dtype`
+    /// bytes a value, and its flops.
+    pub(crate) fn of_walk((stats, flops): (MachineStats, Vec<f64>), dtype: Dtype) -> Vec<Self> {
         (stats.ranks.iter().zip(flops))
             .map(|(rank, flops)| Self {
                 max_rank_bytes: rank.volume() as f64 * (dtype.bytes() as f64 / 8.0),
@@ -143,8 +141,8 @@ pub trait DistSpmm {
     /// What [`run`](Self::run) of `iters` iterations on a `k`-column
     /// operand accounts, without running it: every rank's bytes, messages,
     /// charged compute and simulated clock, bit for bit (`wall_seconds` is
-    /// zero). A distributed algorithm walks the step lists its rank
-    /// programs follow ([`amd_comm::walk`]).
+    /// zero). A distributed algorithm walks the step lists its ranks run
+    /// ([`amd_comm::walk`]).
     fn dry_run(&self, k: u32, iters: u32) -> MachineStats;
 
     /// Predicts what one iteration of `run` with a `k`-column operand
