@@ -275,19 +275,41 @@ fn probe_loaders(bytes: &[u8], a: &CsrMatrix<f64>, dir: &Path) -> bool {
     in_memory.is_ok()
 }
 
+/// Scoped threads [`probe_each`] spreads its probes over.
+const PROBE_THREADS: usize = 8;
+
+/// Runs `probe(item, dir)` for every item, spread over [`PROBE_THREADS`]
+/// scoped threads with a directory of its own each under `root`. A probe
+/// whose warm restart adopts its payload rewrites the manifest and
+/// waits for its `fsync`, so on a slow disk a long run of probes is
+/// bound by those waits, not by the CPU; spread out, they wait together.
+/// A failed assertion in a probe fails the caller once every thread has
+/// finished.
+fn probe_each<I: Sync>(items: &[I], root: &Path, probe: impl Fn(&I, &Path) + Sync) {
+    let per_thread = items.len().div_ceil(PROBE_THREADS).max(1);
+    std::thread::scope(|s| {
+        for (t, share) in items.chunks(per_thread).enumerate() {
+            let (dir, probe) = (root.join(format!("probe-{t}")), &probe);
+            s.spawn(move || share.iter().for_each(|item| probe(item, &dir)));
+        }
+    });
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// (b) A valid payload cut at every length is rejected by every loader.
 #[test]
 fn truncated_payloads_are_rejected_at_every_length() {
     let dir = tmpdir("truncated");
     let (a, valid) = valid_payload();
     assert!(probe_loaders(&valid, &a, &dir), "the intact payload loads");
-    for cut in 0..valid.len() {
+    let cuts: Vec<usize> = (0..valid.len()).collect();
+    probe_each(&cuts, &dir, |&cut, dir| {
         assert!(
-            !probe_loaders(&valid[..cut], &a, &dir),
+            !probe_loaders(&valid[..cut], &a, dir),
             "cut at {cut} of {} loaded",
             valid.len()
         );
-    }
+    });
 }
 
 proptest! {
@@ -342,18 +364,21 @@ proptest! {
         let dir = tmpdir("words");
         let (a, valid) = valid_payload();
         // Fields are 8-aligned from the end of the 4-byte magic.
-        for (at, random) in (4..=valid.len() - 8).step_by(8).zip(randoms.iter().cycle()) {
-            for value in [u64::MAX, 1 << 40, 0, *random] {
-                let mut bytes = valid.clone();
-                bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
-                let changed = bytes != valid;
-                prop_assert!(
-                    !(changed && probe_loaders(&bytes, &a, &dir)),
-                    "stale checksum accepted (word at {}, value {})", at, value
-                );
-                reseal(&mut bytes);
-                probe_loaders(&bytes, &a, &dir);
-            }
-        }
+        let words: Vec<(usize, u64)> = (4..=valid.len() - 8)
+            .step_by(8)
+            .zip(randoms.iter().cycle())
+            .flat_map(|(at, &random)| [u64::MAX, 1 << 40, 0, random].map(|value| (at, value)))
+            .collect();
+        probe_each(&words, &dir, |&(at, value), dir| {
+            let mut bytes = valid.clone();
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let changed = bytes != valid;
+            assert!(
+                !(changed && probe_loaders(&bytes, &a, dir)),
+                "stale checksum accepted (word at {at}, value {value})"
+            );
+            reseal(&mut bytes);
+            probe_loaders(&bytes, &a, dir);
+        });
     }
 }

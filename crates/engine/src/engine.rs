@@ -185,7 +185,13 @@ amd_obs::stats_view! {
     struct EngineCells |m| {
         /// Queries per run, one sample per run.
         batch_size: Histogram = "engine.batch_size",
+        /// Packing a run's query vectors into its operand, one sample
+        /// per run.
+        pack_seconds: Histogram = "pack.seconds",
         multiply_seconds: Histogram = "multiply.seconds",
+        /// Writing a run's answer columns back into its queries'
+        /// vectors, one sample per run.
+        unpack_seconds: Histogram = "unpack.seconds",
         refresh_seconds: Histogram = "refresh.seconds",
         /// Serving precision in bytes per value (4 = f32, 8 = f64) — a
         /// config echo so a metrics snapshot identifies the serving mode.
@@ -946,7 +952,9 @@ impl Engine {
         let n = bound.n;
         // Columns side by side: query j is column j.
         let columns: Vec<&[f64]> = chunk.iter().map(|p| p.query.x.as_slice()).collect();
+        let sw = Stopwatch::start();
         let x = DenseMatrix::from_columns(n, &columns, std::mem::take(&mut self.operand))?;
+        self.metrics.pack_seconds.record(sw.elapsed_nanos());
         // Pending updates: serve A₀ + ΔA through the corrected path.
         let overlay_algo = match &bound.overlay {
             Some(delta) => Some(DeltaSpmm::new(&*bound.algo, delta)?.with_cost(self.config.cost)),
@@ -1010,7 +1018,9 @@ impl Engine {
         // Each query's own vector carries its answer back.
         let mut columns: Vec<&mut [f64]> =
             chunk.iter_mut().map(|p| p.query.x.as_mut_slice()).collect();
+        let sw = Stopwatch::start();
         run.y.write_columns(&mut columns)?;
+        self.metrics.unpack_seconds.record(sw.elapsed_nanos());
         self.operand = run.y.into_vec();
         let batch_size = chunk.len();
         Ok(chunk

@@ -7,12 +7,64 @@
 
 use crate::error::{SparseError, SparseResult};
 use crate::scalar::Scalar;
+use crate::spmm::{self, PARALLEL_MIN_WORK};
 
 /// Rows per block of the column ↔ row-major transposes
 /// ([`DenseMatrix::from_columns`], [`DenseMatrix::write_columns`]): a block
 /// of the row-major side (32 rows × up to 64 `f64` columns = 16 KiB)
 /// stays L1-resident while every column contributes one contiguous run.
+/// Both passes cut the rows into parts of a multiple of this height and
+/// run the parts on the shared `amd-exec` pool
+/// ([`transpose_part_rows`]); a part walks its rows block by block.
 const TRANSPOSE_ROWS: usize = 32;
+
+/// Rows per part of an `n × k` transpose: one part — the pass stays on
+/// the caller — below [`PARALLEL_MIN_WORK`] elements or on a one-thread
+/// pool, else [`spmm::part_count`]'s share of the rows rounded up to
+/// whole [`TRANSPOSE_ROWS`] blocks. Each element is copied once either
+/// way, so the result does not depend on the part count.
+fn transpose_part_rows(n: usize, k: usize) -> usize {
+    let parts = spmm::part_count(n * k, PARALLEL_MIN_WORK);
+    n.div_ceil(parts)
+        .next_multiple_of(TRANSPOSE_ROWS)
+        .max(TRANSPOSE_ROWS)
+}
+
+/// Packs rows `first..` of `columns` into `block` (whole rows of
+/// `columns.len()` values), [`TRANSPOSE_ROWS`] rows at a time.
+fn pack_rows<T: Scalar>(columns: &[&[T]], first: usize, block: &mut [T]) {
+    let k = columns.len();
+    let n = block.len() / k;
+    for r0 in (0..n).step_by(TRANSPOSE_ROWS) {
+        let r1 = (r0 + TRANSPOSE_ROWS).min(n);
+        let rows = &mut block[r0 * k..r1 * k];
+        for (j, column) in columns.iter().enumerate() {
+            for (row, &v) in rows
+                .chunks_exact_mut(k)
+                .zip(&column[first + r0..first + r1])
+            {
+                row[j] = v;
+            }
+        }
+    }
+}
+
+/// Writes column `j` of the row-major `block` into `columns[j]` (all
+/// equally long), [`TRANSPOSE_ROWS`] rows at a time — the inverse of
+/// [`pack_rows`].
+fn unpack_rows<T: Scalar>(block: &[T], columns: &mut [&mut [T]]) {
+    let k = columns.len();
+    let n = columns[0].len();
+    for r0 in (0..n).step_by(TRANSPOSE_ROWS) {
+        let r1 = (r0 + TRANSPOSE_ROWS).min(n);
+        let rows = &block[r0 * k..r1 * k];
+        for (j, column) in columns.iter_mut().enumerate() {
+            for (out, row) in column[r0..r1].iter_mut().zip(rows.chunks_exact(k)) {
+                *out = row[j];
+            }
+        }
+    }
+}
 
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,10 +109,13 @@ impl<T: Scalar> DenseMatrix<T> {
     /// Packs `columns` (each `rows` long) side by side: column `j` of the
     /// result is `columns[j]`. A cache-blocked transpose — the way a
     /// batch of single-column queries becomes one multi-RHS operand —
-    /// into `storage`, which is emptied and regrown as needed: a caller
-    /// that packs the same shape again and again passes the previous
-    /// operand's [`into_vec`](Self::into_vec) and skips the allocation
-    /// and first touch of a fresh buffer (`Vec::new()` otherwise).
+    /// run as row-block parts on the shared `amd-exec` pool (one part on
+    /// the caller below [`PARALLEL_MIN_WORK`] elements), into `storage`,
+    /// which is cut or grown to `rows × k` but not cleared, since every
+    /// element is overwritten: a caller that packs the same shape again
+    /// and again passes the previous operand's
+    /// [`into_vec`](Self::into_vec) and skips the allocation and first
+    /// touch of a fresh buffer (`Vec::new()` otherwise).
     pub fn from_columns(rows: u32, columns: &[&[T]], mut storage: Vec<T>) -> SparseResult<Self> {
         let n = rows as usize;
         let k = columns.len();
@@ -70,29 +125,31 @@ impl<T: Scalar> DenseMatrix<T> {
                 right: (bad.len() as u32, 1),
             });
         }
-        storage.clear();
         if k == 1 {
+            storage.clear();
             storage.extend_from_slice(columns[0]);
             return Self::from_vec(rows, 1, storage);
         }
         storage.resize(n * k, T::ZERO);
-        for r0 in (0..n).step_by(TRANSPOSE_ROWS) {
-            let r1 = (r0 + TRANSPOSE_ROWS).min(n);
-            let block = &mut storage[r0 * k..r1 * k];
-            for (j, column) in columns.iter().enumerate() {
-                for (row, &v) in block.chunks_exact_mut(k).zip(&column[r0..r1]) {
-                    row[j] = v;
-                }
-            }
+        if k == 0 {
+            return Self::from_vec(rows, 0, storage);
+        }
+        let part_rows = transpose_part_rows(n, k);
+        if part_rows >= n {
+            pack_rows(columns, 0, &mut storage);
+        } else {
+            spmm::for_each_chunk(&mut storage, part_rows * k, |part, block| {
+                pack_rows(columns, part * part_rows, block)
+            });
         }
         Self::from_vec(rows, k as u32, storage)
     }
 
     /// Writes column `j` of `self` into `columns[j]` (each `rows` long)
-    /// — the inverse of [`from_columns`](Self::from_columns), blocked the
-    /// same way, into storage the caller already owns: how a batch's
-    /// answers go back into its queries' own vectors. One column is a
-    /// single copy.
+    /// — the inverse of [`from_columns`](Self::from_columns), cut into
+    /// the same row-block parts on the shared `amd-exec` pool, into
+    /// storage the caller already owns: how a batch's answers go back
+    /// into its queries' own vectors. One column is a single copy.
     pub fn write_columns(&self, columns: &mut [&mut [T]]) -> SparseResult<()> {
         let n = self.rows as usize;
         let k = self.cols as usize;
@@ -107,15 +164,28 @@ impl<T: Scalar> DenseMatrix<T> {
             only.copy_from_slice(&self.data);
             return Ok(());
         }
-        for r0 in (0..n).step_by(TRANSPOSE_ROWS) {
-            let r1 = (r0 + TRANSPOSE_ROWS).min(n);
-            let block = &self.data[r0 * k..r1 * k];
-            for (j, column) in columns.iter_mut().enumerate() {
-                for (out, row) in column[r0..r1].iter_mut().zip(block.chunks_exact(k)) {
-                    *out = row[j];
-                }
+        if k == 0 {
+            return Ok(());
+        }
+        let part_rows = transpose_part_rows(n, k);
+        // One part walks the caller's columns as they are, with no part
+        // lists to build.
+        if part_rows >= n {
+            unpack_rows(&self.data, columns);
+            return Ok(());
+        }
+        // Part `p` holds rows `p · part_rows..` of every column.
+        let mut parts: Vec<Vec<&mut [T]>> = (0..n.div_ceil(part_rows))
+            .map(|_| Vec::with_capacity(k))
+            .collect();
+        for column in columns.iter_mut() {
+            for (part, piece) in parts.iter_mut().zip(column.chunks_mut(part_rows)) {
+                part.push(piece);
             }
         }
+        spmm::for_each_part(parts, |part, mut pieces| {
+            unpack_rows(&self.data[part * part_rows * k..], &mut pieces)
+        });
         Ok(())
     }
 
@@ -326,6 +396,39 @@ mod tests {
         let three = DenseMatrix::from_fn(3, 1, |r, _| r as f64);
         assert!(three.write_columns(&mut [&mut short[..]]).is_err());
         assert!(three.write_columns(&mut []).is_err());
+    }
+
+    #[test]
+    fn pooled_transposes_match_an_element_loop_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in [2usize, 3, 17, 64] {
+            // At or above the pool's work floor, in a row count that is
+            // not a multiple of a transpose block (so of no part height).
+            let n = (PARALLEL_MIN_WORK / k + 1).next_multiple_of(TRANSPOSE_ROWS) + 7;
+            assert!(n * k >= PARALLEL_MIN_WORK);
+            let rows = n as u32;
+            let columns: Vec<Vec<f64>> = (0..k)
+                .map(|c| (0..n).map(|r| (r * k + c) as f64 * 0.37 - 1e5).collect())
+                .collect();
+            let slices: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+            let mut want = Vec::with_capacity(n * k);
+            for r in 0..n {
+                want.extend(columns.iter().map(|column| column[r]));
+            }
+            // Recycled storage longer, shorter and as long, all NaN.
+            for len in [n * k + 100, 5, n * k] {
+                let packed = DenseMatrix::from_columns(rows, &slices, vec![f64::NAN; len]).unwrap();
+                assert_eq!((packed.rows(), packed.cols()), (rows, k as u32));
+                assert_eq!(bits(packed.data()), bits(&want), "pack, k={k}, len={len}");
+            }
+            let packed = DenseMatrix::from_vec(rows, k as u32, want.clone()).unwrap();
+            let mut outs = vec![vec![f64::NAN; n]; k];
+            let mut targets: Vec<&mut [f64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+            packed.write_columns(&mut targets).unwrap();
+            for (j, (got, column)) in outs.iter().zip(&columns).enumerate() {
+                assert_eq!(bits(got), bits(column), "unpack, k={k}, column {j}");
+            }
+        }
     }
 
     #[test]

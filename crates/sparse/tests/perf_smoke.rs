@@ -5,7 +5,7 @@
 //! each other).
 
 use amd_sparse::spmm::{self, Finish};
-use amd_sparse::{CsrMatrix, Dtype};
+use amd_sparse::{CsrMatrix, DenseMatrix, Dtype};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -172,4 +172,98 @@ fn perf_smoke_spmv() {
         kernel_secs * 1e6,
         plain_secs * 1e6,
     );
+}
+
+/// The serial blocked pack the pooled [`DenseMatrix::from_columns`]
+/// replaced: clear and zero-fill `storage`, then 32 rows at a time.
+fn serial_pack(columns: &[&[f64]], mut storage: Vec<f64>) -> Vec<f64> {
+    let (n, k) = (columns[0].len(), columns.len());
+    storage.clear();
+    storage.resize(n * k, 0.0);
+    for r0 in (0..n).step_by(32) {
+        let r1 = (r0 + 32).min(n);
+        let block = &mut storage[r0 * k..r1 * k];
+        for (j, column) in columns.iter().enumerate() {
+            for (row, &v) in block.chunks_exact_mut(k).zip(&column[r0..r1]) {
+                row[j] = v;
+            }
+        }
+    }
+    storage
+}
+
+/// The serial blocked unpack the pooled
+/// [`DenseMatrix::write_columns`] replaced.
+fn serial_unpack(data: &[f64], columns: &mut [&mut [f64]]) {
+    let (n, k) = (columns[0].len(), columns.len());
+    for r0 in (0..n).step_by(32) {
+        let r1 = (r0 + 32).min(n);
+        let block = &data[r0 * k..r1 * k];
+        for (j, column) in columns.iter_mut().enumerate() {
+            for (out, row) in column[r0..r1].iter_mut().zip(block.chunks_exact(k)) {
+                *out = row[j];
+            }
+        }
+    }
+}
+
+/// A wide batch's pack and unpack (`n = 16 384`, `k = 64`, the
+/// `serve-wide` shape) through `DenseMatrix` must take at most the time
+/// of the serial blocked loops above on a pool of two or more threads;
+/// on one thread both run the same loop, and the ratio is only printed.
+/// Both sides recycle their operand and answer storage, as the engine
+/// does.
+#[test]
+#[ignore = "perf smoke: release-mode timing gate, run explicitly in CI"]
+fn perf_smoke_transpose() {
+    let (n, k) = (16_384usize, 64usize);
+    let columns: Vec<Vec<f64>> = (0..k)
+        .map(|c| (0..n).map(|r| (r * k + c) as f64 * 0.37 - 9.5).collect())
+        .collect();
+    let slices: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+    let (mut serial_storage, mut pooled_storage) = (Vec::new(), Vec::new());
+    let mut serial_out = vec![vec![f64::NAN; n]; k];
+    let mut pooled_out = vec![vec![f64::NAN; n]; k];
+    let (serial_secs, pooled_secs) = medians_of_5_alternating(
+        || {
+            let packed = serial_pack(black_box(&slices), std::mem::take(&mut serial_storage));
+            let mut outs: Vec<&mut [f64]> = serial_out.iter_mut().map(Vec::as_mut_slice).collect();
+            serial_unpack(&packed, &mut outs);
+            serial_storage = packed;
+        },
+        || {
+            let packed = DenseMatrix::from_columns(
+                n as u32,
+                black_box(&slices),
+                std::mem::take(&mut pooled_storage),
+            )
+            .unwrap();
+            let mut outs: Vec<&mut [f64]> = pooled_out.iter_mut().map(Vec::as_mut_slice).collect();
+            packed.write_columns(&mut outs).unwrap();
+            pooled_storage = packed.into_vec();
+        },
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&pooled_storage),
+        bits(&serial_storage),
+        "same packed bits"
+    );
+    assert_eq!(pooled_out, columns, "the round trip gives the columns back");
+    assert_eq!(serial_out, columns);
+    let threads = amd_exec::requested_threads();
+    let ratio = pooled_secs / serial_secs;
+    println!(
+        "perf_smoke: n={n} k={k} threads={threads} serial={:.3} ms pooled={:.3} ms ratio={ratio:.2}x",
+        serial_secs * 1e3,
+        pooled_secs * 1e3,
+    );
+    if threads >= 2 {
+        assert!(
+            ratio <= 1.0,
+            "pooled pack + unpack ({:.3} ms) must not lose to the serial loops ({:.3} ms), took {ratio:.2}x",
+            pooled_secs * 1e3,
+            serial_secs * 1e3,
+        );
+    }
 }

@@ -74,7 +74,9 @@ fn assert_views_read_their_metrics(hub: &StreamHub) {
             multiply_retries: c("engine.multiply_retries"),
         }
     );
-    assert_eq!(batches.count, h("multiply.seconds").count, "one per run");
+    for layer in ["pack.seconds", "multiply.seconds", "unpack.seconds"] {
+        assert_eq!(batches.count, h(layer).count, "{layer}: one per run");
+    }
     assert_eq!(
         hub.cache_stats(),
         CacheStats {

@@ -3,8 +3,9 @@
 //! `StreamHub`, with and without a pending delta — requests no single
 //! block of `n × 8` bytes or more on any thread. The packed operand is
 //! recycled as the answer buffer, and each query's own vector carries
-//! its answer back. A `LocalSpmm` caller that recycles each answer as
-//! its next operand is held to the same bound.
+//! its answer back. A batch wide enough that its pack and unpack run as
+//! row-block parts on the pool is held to the same bound, and so is a
+//! `LocalSpmm` caller that recycles each answer as its next operand.
 //!
 //! A tenant's matrix is stored once: a one-rank hub admits it without
 //! requesting a block the size of one of its CSR arrays, and an inline
@@ -131,7 +132,13 @@ fn column(q: u32) -> Vec<f64> {
 
 /// The reference answers of the `K` columns after `iters` iterations.
 fn expected(a: &CsrMatrix<f64>, iters: u32) -> Vec<Vec<f64>> {
-    (0..K)
+    expected_columns(a, iters, K)
+}
+
+/// The reference answers of the first `k` columns after `iters`
+/// iterations.
+fn expected_columns(a: &CsrMatrix<f64>, iters: u32, k: u32) -> Vec<Vec<f64>> {
+    (0..k)
         .map(|q| {
             let x = DenseMatrix::from_vec(N, 1, column(q)).unwrap();
             iterated_spmm(a, &x, iters).unwrap().into_vec()
@@ -144,14 +151,24 @@ fn expected(a: &CsrMatrix<f64>, iters: u32) -> Vec<Vec<f64>> {
 fn third_request_allocates_no_column(
     case: &str,
     want: &[Vec<f64>],
+    request: impl FnMut(Vec<Vec<f64>>) -> Vec<QueryResponse>,
+) {
+    third_request_of_width_allocates_no_column(case, K, want, request);
+}
+
+/// [`third_request_allocates_no_column`] for a request of `k` queries.
+fn third_request_of_width_allocates_no_column(
+    case: &str,
+    k: u32,
+    want: &[Vec<f64>],
     mut request: impl FnMut(Vec<Vec<f64>>) -> Vec<QueryResponse>,
 ) {
     for round in 0..3 {
-        let columns: Vec<Vec<f64>> = (0..K).map(column).collect();
+        let columns: Vec<Vec<f64>> = (0..k).map(column).collect();
         let (responses, largest) = largest_request(|| request(columns));
-        assert_eq!(responses.len(), K as usize, "{case}");
+        assert_eq!(responses.len(), k as usize, "{case}");
         for (j, response) in responses.iter().enumerate() {
-            assert_eq!(response.batch_size, K as usize, "{case}");
+            assert_eq!(response.batch_size, k as usize, "{case}");
             assert_eq!(response.y, want[j], "{case}, round {round}, column {j}");
         }
         if round == 2 {
@@ -227,6 +244,33 @@ fn a_warm_wide_hub_flush_allocates_no_column() {
             });
         }
     }
+}
+
+/// A batch of 64 queries: `N · 64 = 2¹⁸` elements, so the batch's pack
+/// and unpack run as row-block parts on the pool (at two or more pool
+/// workers), held to the same bound through the engine and the hub.
+#[test]
+fn a_warm_pooled_transpose_flush_allocates_no_column() {
+    const WIDE: u32 = 64;
+    let _exclusive = exclusive();
+    let a = matrix();
+    let want = expected_columns(&a, 2, WIDE);
+    let mut engine = Engine::new(EngineConfig::default()).unwrap();
+    let id = engine.register(&a).unwrap();
+    third_request_of_width_allocates_no_column("engine, k = 64", WIDE, &want, |columns| {
+        for x in columns {
+            engine.submit(query(id, x, 2)).unwrap();
+        }
+        engine.flush().unwrap()
+    });
+    let mut hub = StreamHub::new(HubConfig::default()).unwrap();
+    let t = hub.admit(a.clone()).unwrap();
+    third_request_of_width_allocates_no_column("hub, k = 64", WIDE, &want, |columns| {
+        for x in columns {
+            hub.submit(t, x, 2, None).unwrap();
+        }
+        hub.flush().unwrap()
+    });
 }
 
 #[test]
