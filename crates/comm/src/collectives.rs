@@ -11,20 +11,22 @@
 //! Every schedule is a [`Plan`]: per member, the ordered steps it
 //! performs — the peer, the direction, which rows of which buffer, and
 //! the slot where a received piece waits for [`fold_nonroots`]. One
-//! interpreter runs every plan, and the steps that run are the steps
+//! runner runs every plan, and the steps that run are the steps
 //! counted: a message of a plan's moves `rows × 8 × stride` bytes, and a
 //! dry [`walk`](crate::walk) of the steps reads them. Supports are fixed when a plan is
 //! built, so a plan does not depend on the operand width. That gives every
 //! row collective one call path: a caller builds its candidates once
 //! ([`Collective`]), takes one per operand width ([`Collective::pick`], or
-//! [`Collective::plan`] by schedule) and runs it ([`Group::broadcast_plan`],
-//! [`Group::reduce_plan`]); the ring is a [`Plan::ring`] run by
-//! [`Group::allreduce_plan`]. Point-to-point traffic is plans of the same
-//! steps: routes ([`Plan::routes`], a step of a rank's list that
-//! [`execute`](crate::execute) runs) for the arrow multiply's feeds and
+//! [`Collective::plan`] by schedule) and puts it in a rank's step list,
+//! which [`execute`](crate::execute) hands to the runner; the ring is a
+//! [`Plan::ring`] taken the same way. Point-to-point traffic is plans of the same
+//! steps: routes ([`Plan::routes`]) for the arrow multiply's feeds and
 //! HP-1D's fetches, a two-member tree broadcast for the 2D algorithm's
 //! tile route, so every distributed SpMM algorithm sends only plan steps.
-//! A runner asserts that its plan has one step list per group member.
+//! The closure collectives ([`Group::broadcast`], [`Group::reduce_sum`],
+//! [`Group::allreduce_sum`]) build a tree plan and run it on the same
+//! runner. A step whose plan has another number of members than its group
+//! panics, in [`execute`](crate::execute) and in the walk alike.
 //!
 //! A binomial **tree** moves the whole buffer `⌈log₂ p⌉` times through
 //! its root. The **large**-message schedules (Thakur, Rabenseifner &
@@ -92,19 +94,19 @@
 //!
 //! # Host copies are not wire bytes
 //!
-//! [`Group::broadcast`] clones its value once per child, so broadcasting
-//! an `Arc` (a [`Payload`] charged like its content) makes every relay
-//! share the root's buffer; the large schedules send views of one `Arc`
-//! (charged the elements they cover) and every receiver returns the
-//! root's buffer; the ring copies one chunk per member and forwards
-//! received buffers from then on. Sparse messages and routes are packed
-//! rows, so they are the bytes charged. None of it changes a byte, a
-//! message or a tick of the simulated clock.
+//! A tree broadcast's relay hands every child the buffer it received (an
+//! `Arc`, charged like its content), so every member shares the root's
+//! buffer; the large schedules send views of one `Arc` (charged the
+//! elements they cover) and every receiver returns the root's buffer; the
+//! ring copies one chunk per member and forwards received buffers from
+//! then on. Sparse messages and routes are packed rows, so they are the
+//! bytes charged. None of it changes a byte, a message or a tick of the
+//! simulated clock. [`Group::broadcast`] returns an owned vector, so a
+//! member whose buffer is still shared when it returns copies it once.
 
 use crate::cost::CostModel;
-use crate::message::{Payload, SharedRows};
+use crate::message::SharedRows;
 use crate::rank::RankCtx;
-use crate::steps::Run;
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
@@ -366,11 +368,6 @@ impl Plan {
         }
     }
 
-    /// A plan with no steps, for a call that builds only its own.
-    fn bare(op: Op, schedule: Option<Schedule>, rows: usize) -> Self {
-        Self::new(op, schedule, rows, Vec::new(), Vec::new())
-    }
-
     fn rooted(op: Op, schedule: Schedule, size: usize, rows: usize, lists: Vec<Vec<u32>>) -> Self {
         let steps = (0..size).map(|vr| match schedule {
             Schedule::Tree => tree_steps(op, vr, size),
@@ -381,10 +378,14 @@ impl Plan {
         Self::new(op, Some(schedule), rows, lists, steps)
     }
 
-    /// The ring all-reduce of a `rows`-row buffer over `size` members
-    /// ([`Group::allreduce_plan`]), by member. Chunks are row-aligned, so
-    /// where `size` does not divide `rows` some member moves whole rows
-    /// more than `2·(size − 1)/size` of the buffer.
+    /// The ring all-reduce of a `rows`-row buffer over `size` members, by
+    /// member: the bandwidth-optimal all-reduce, `2·(size − 1)` messages
+    /// moving `2·s·(size − 1)/size` of an `s`-byte buffer per member, the
+    /// variant the 1.5D algorithm's `O(β·nkc/p)` term assumes. Chunks are
+    /// whole rows, so the summation order does not depend on the stride:
+    /// the property the serving engine needs for batches to bit-match
+    /// single columns. Where `size` does not divide `rows` some member
+    /// moves whole rows more than `2·(size − 1)/size` of the buffer.
     pub fn ring(size: usize, rows: usize) -> Self {
         let steps = (0..size).map(|me| ring_steps(me, size, rows)).collect();
         Self::new(Op::Ring, None, rows, Vec::new(), steps)
@@ -421,7 +422,7 @@ impl Plan {
     /// Member `vr`'s messages on a `stride`-column buffer, in order — those
     /// of direction `only`, if given: each one's direction, its peer by the
     /// plan's index and its bytes, `rows × 8 × stride`. A ring of an empty
-    /// payload sends nothing ([`Group::allreduce_plan`] returns at once).
+    /// payload sends nothing (the runner returns at once).
     pub(crate) fn messages(
         &self,
         vr: usize,
@@ -459,12 +460,14 @@ pub struct Collective {
 }
 
 impl Collective {
-    /// The candidates of [`Group::broadcast_plan`].
+    /// The candidates of a broadcast of a `rows`-row buffer from a root
+    /// over `size` members.
     pub fn broadcast(size: usize, rows: usize, supports: Option<&[Vec<u32>]>) -> Self {
         Self::new(Op::Broadcast, size, rows, supports)
     }
 
-    /// The candidates of [`Group::reduce_plan`].
+    /// The candidates of a reduce of `rows`-row buffers to a root over
+    /// `size` members.
     pub fn reduce(size: usize, rows: usize, supports: Option<&[Vec<u32>]>) -> Self {
         Self::new(Op::Reduce, size, rows, supports)
     }
@@ -580,9 +583,7 @@ fn whole(rows: Vec<f64>) -> SharedRows {
 }
 
 /// What a member holds while it runs its steps.
-struct Held<T> {
-    /// A broadcast's whole value, which a tree's messages carry.
-    value: Option<T>,
+struct Held {
     /// The member's own buffer.
     own: Option<Arc<Vec<f64>>>,
     /// Received pieces waiting for the fold, by slot.
@@ -590,17 +591,7 @@ struct Held<T> {
     carry: Vec<f64>,
 }
 
-impl<T> Held<T> {
-    fn new(value: Option<T>, own: Option<Arc<Vec<f64>>>) -> Self {
-        let (pieces, carry) = (Vec::new(), Vec::new());
-        Self {
-            value,
-            own,
-            pieces,
-            carry,
-        }
-    }
-
+impl Held {
     fn own(&self) -> &Arc<Vec<f64>> {
         self.own.as_ref().expect("the member holds its buffer")
     }
@@ -704,42 +695,55 @@ impl<'m> Group<'m> {
         (self.my_idx + self.size() - root_idx) % self.size()
     }
 
-    /// Panics unless `plan` has one step list per member: a plan of
-    /// another size would index peers modulo this group's and wait on
-    /// messages that go elsewhere.
-    pub(crate) fn check_plan(&self, plan: &Plan) {
-        let (members, size) = (plan.size(), self.size());
-        assert_eq!(
-            members, size,
-            "a {members}-member plan on a {size}-member group"
-        );
-    }
-
-    /// The interpreter: runs the `steps` of `plan` — those of direction
-    /// `only`, if given — on `held`, peers relative to `root_idx`, on a
-    /// `stride`-column buffer, every message tagged with the group's tag.
-    #[allow(clippy::too_many_arguments)]
-    fn exec<T: Payload + Clone>(
+    /// The runner, the one way a [`Plan`] runs: this member's part in
+    /// `plan` — its steps of direction `only`, if given — on a row-major
+    /// `stride`-column `buf`, peers relative to `root_idx`, every message
+    /// tagged with the group's tag. A broadcast's root shares `buf` and
+    /// every other member's is replaced by what it receives (under a
+    /// sparse plan only its support rows are promised, see the [module
+    /// docs](self#supports)); a reduce sums every member's `buf` into the
+    /// root's in the one association and leaves a non-root's empty; a ring
+    /// leaves the sum in every member's, and an empty `buf` returns at
+    /// once (emptiness must agree across members); routes send rows of
+    /// `buf` and put the rows they receive there.
+    pub(crate) fn run(
         &self,
         ctx: &mut RankCtx,
-        root_idx: usize,
         plan: &Plan,
-        steps: &[Hop],
+        root_idx: usize,
         only: Option<Dir>,
         stride: usize,
-        mut held: Held<T>,
-    ) -> Held<T> {
-        let tag = self.tag;
-        let span = |r: &Range<u32>| r.start as usize * stride..r.end as usize * stride;
+        buf: Arc<Vec<f64>>,
+    ) -> Arc<Vec<f64>> {
+        let (vr, len, tag) = (self.vr(root_idx), plan.rows * stride, self.tag);
         let (broadcast, ring) = (plan.op == Op::Broadcast, plan.op == Op::Ring);
-        for s in steps.iter().filter(|s| only.is_none_or(|d| s.dir == d)) {
+        if ring && (self.size() == 1 || buf.is_empty()) {
+            return buf;
+        }
+        // Routes move rows of whatever buffer the member holds. A
+        // broadcast's non-root drops its buffer, which a peer may still
+        // share, and holds what it receives.
+        let routes = broadcast && plan.schedule.is_none();
+        let holds = !broadcast || routes || vr == 0;
+        if holds && !routes {
+            assert_eq!(buf.len(), len, "{:?} shape mismatch", plan.op);
+        }
+        let mut held = Held {
+            own: holds.then_some(buf),
+            pieces: Vec::new(),
+            carry: Vec::new(),
+        };
+        let span = |r: &Range<u32>| r.start as usize * stride..r.end as usize * stride;
+        let steps = plan.steps[vr]
+            .iter()
+            .filter(|s| only.is_none_or(|d| s.dir == d));
+        for s in steps {
             let peer = self.members[(s.peer as usize + root_idx) % self.size()];
             match (s.dir, &s.rows, s.buf) {
                 (Dir::Send, Rows::All, _) if broadcast => {
-                    let value = held.value.clone().expect("binomial order guarantees data");
-                    ctx.send(peer, tag, value);
+                    ctx.send(peer, tag, Arc::clone(held.own()));
                 }
-                (Dir::Recv, Rows::All, _) if broadcast => held.value = Some(ctx.recv(peer, tag)),
+                (Dir::Recv, Rows::All, _) if broadcast => held.own = Some(ctx.recv(peer, tag)),
                 (Dir::Send, Rows::All, _) => ctx.send(peer, tag, held.take_own()),
                 (Dir::Recv, Rows::All, Buf::Own) => {
                     add_into(held.own_mut(), &ctx.recv::<Vec<f64>>(peer, tag))
@@ -828,10 +832,8 @@ impl<'m> Group<'m> {
                         *held.piece(m) = Some(whole(piece));
                         continue;
                     }
-                    if held.own.is_none() {
-                        held.own = Some(Arc::new(vec![0.0; plan.rows * stride]));
-                    }
-                    let own = held.own_mut();
+                    let own = held.own.get_or_insert_with(|| Arc::new(vec![0.0; len]));
+                    let own = Arc::make_mut(own);
                     for (r, row) in rows {
                         own[r * stride..(r + 1) * stride].copy_from_slice(row);
                     }
@@ -839,101 +841,16 @@ impl<'m> Group<'m> {
                 (dir, rows, buf) => unreachable!("no plan takes {dir:?} {rows:?} {buf:?}"),
             }
         }
-        held
-    }
-
-    /// Binomial-tree broadcast from `root_idx`. The root passes
-    /// `Some(data)`, everyone else `None`; all members return the value.
-    pub fn broadcast<T: Payload + Clone>(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: Option<T>,
-    ) -> T {
-        let vr = self.vr(root_idx);
-        let value = (vr == 0).then(|| data.expect("broadcast root must supply the data"));
-        let plan = Plan::bare(Op::Broadcast, Some(Schedule::Tree), 0);
-        let steps = tree_steps(Op::Broadcast, vr, self.size());
-        let held = Held::new(value, None);
-        let held = self.exec(ctx, root_idx, &plan, &steps, None, 0, held);
-        held.value
-            .expect("every member obtains the broadcast value")
-    }
-
-    /// Runs `plan`, one of a [`Collective::broadcast`]'s, on a row-major
-    /// `stride`-column buffer from `root_idx`. Under a dense plan every
-    /// member returns the root's buffer; under a sparse one only its
-    /// support rows are promised (see the [module docs](self#supports)).
-    pub fn broadcast_plan(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: Option<Arc<Vec<f64>>>,
-        plan: &Plan,
-        stride: usize,
-    ) -> Arc<Vec<f64>> {
-        self.check_plan(plan);
-        let len = plan.rows * stride;
-        assert!(
-            data.as_ref().is_none_or(|d| d.len() == len),
-            "broadcast shape mismatch"
-        );
-        let vr = self.vr(root_idx);
-        let own = (vr == 0).then(|| data.expect("broadcast root must supply the data"));
-        let held = Held::new(own.clone(), own);
-        let held = self.exec(ctx, root_idx, plan, &plan.steps[vr], None, stride, held);
-        (held.own.or(held.value)).unwrap_or_else(|| Arc::new(vec![0.0; len]))
-    }
-
-    /// Binomial-tree sum of `f64` vectors of one length to `root_idx`,
-    /// which returns `Some(total)`: its children's subtree sums added to
-    /// each other as they arrive, and its own vector last.
-    pub fn reduce_sum(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: Vec<f64>,
-    ) -> Option<Vec<f64>> {
-        let plan = Plan::bare(Op::Reduce, Some(Schedule::Tree), 0);
-        let steps = tree_steps(Op::Reduce, self.vr(root_idx), self.size());
-        self.reduce_steps(ctx, root_idx, data, &plan, &steps, 0)
-    }
-
-    /// Runs `plan`, one of a [`Collective::reduce`]'s, summing row-major
-    /// `stride`-column vectors to `root_idx` in the one association. A
-    /// member's vector must be `+0.0` off its support.
-    pub fn reduce_plan(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: Vec<f64>,
-        plan: &Plan,
-        stride: usize,
-    ) -> Option<Vec<f64>> {
-        self.check_plan(plan);
-        assert_eq!(plan.rows * stride, data.len(), "reduce shape mismatch");
-        let steps = &plan.steps[self.vr(root_idx)];
-        self.reduce_steps(ctx, root_idx, data, plan, steps, stride)
-    }
-
-    /// The root adds what it summed or folded of the non-roots' vectors to
-    /// its own, last: the tree its children's sum, the sparse schedule the
-    /// fold over the union of the supports — and `+ 0.0` on every row off
-    /// it, as the tree would.
-    fn reduce_steps(
-        &self,
-        ctx: &mut RankCtx,
-        root_idx: usize,
-        data: Vec<f64>,
-        plan: &Plan,
-        steps: &[Hop],
-        stride: usize,
-    ) -> Option<Vec<f64>> {
-        let held = Held::<()>::new(None, Some(Arc::new(data)));
-        let mut held = self.exec(ctx, root_idx, plan, steps, None, stride, held);
-        if self.vr(root_idx) != 0 {
-            return None;
+        if plan.op != Op::Reduce {
+            return held.own.unwrap_or_else(|| Arc::new(vec![0.0; len]));
         }
+        if vr != 0 {
+            return Arc::default();
+        }
+        // The root adds what it summed or folded of the non-roots' vectors
+        // to its own, last: the tree its children's sum, the sparse
+        // schedule the fold over the union of the supports — and `+ 0.0`
+        // on every row off it, as the tree would.
         if plan.schedule == Some(Schedule::Sparse) && self.size() > 1 {
             held.pieces.resize_with(self.size() - 1, || None);
             let folded = held.fold(&vec![0.0; plan.union.1 * stride]);
@@ -950,75 +867,53 @@ impl<'m> Group<'m> {
         } else if let Some(Some(children)) = held.pieces.pop() {
             add_into(held.own_mut(), &children.buf);
         }
-        Some(held.take_own())
+        held.own.expect("the root holds its buffer")
     }
 
-    /// All-reduce (sum) of `f64` vectors: reduce to member 0 + broadcast.
-    pub fn allreduce_sum(&self, ctx: &mut RankCtx, data: Vec<f64>) -> Vec<f64> {
-        let reduced = self.reduce_sum(ctx, 0, data);
-        self.broadcast(ctx, 0, reduced)
+    /// A binomial tree of `op` over this group, on a `rows`-row buffer.
+    fn tree(&self, op: Op, rows: usize) -> Plan {
+        Plan::rooted(op, Schedule::Tree, self.size(), rows, Vec::new())
     }
 
-    /// Runs a [`Plan::ring`] of this group's size: the bandwidth-optimal
-    /// all-reduce, `2·(g − 1)` messages moving `2·s·(g − 1)/g` of an
-    /// `s`-byte buffer per member, the variant the 1.5D algorithm's
-    /// `O(β·nkc/p)` term assumes. Chunks are whole rows of `stride`
-    /// elements, so the summation order does not depend on `stride`: the
-    /// property the serving engine needs for batches to bit-match single
-    /// columns. An empty payload returns at once; emptiness must agree
-    /// across members.
-    pub fn allreduce_plan(
+    /// Binomial-tree broadcast from `root_idx`, a tree [`Plan`] run by the
+    /// runner. The root passes `Some(data)`, everyone else `None`; all
+    /// members return the root's vector. The tree's steps do not depend
+    /// on the vector's length, which only the root knows, and a relay
+    /// hands every child the buffer it received.
+    pub fn broadcast(
         &self,
         ctx: &mut RankCtx,
-        data: Vec<f64>,
-        plan: &Plan,
-        stride: usize,
+        root_idx: usize,
+        data: Option<Vec<f64>>,
     ) -> Vec<f64> {
-        self.check_plan(plan);
-        if self.size() == 1 || data.is_empty() {
-            return data;
-        }
-        let len = data.len();
-        assert!(
-            stride >= 1 && len.is_multiple_of(stride),
-            "payload length {len} is not a multiple of the stride {stride}"
-        );
-        assert_eq!(plan.rows * stride, len, "ring shape mismatch");
-        let held = Held::<()>::new(None, Some(Arc::new(data)));
-        let steps = &plan.steps[self.my_idx];
-        self.exec(ctx, 0, plan, steps, None, stride, held)
-            .take_own()
+        let root = self.vr(root_idx) == 0;
+        let data = root.then(|| data.expect("broadcast root must supply the data"));
+        let plan = self.tree(Op::Broadcast, data.as_ref().map_or(0, Vec::len));
+        let buf = data.map(Arc::new).unwrap_or_default();
+        Arc::unwrap_or_clone(self.run(ctx, &plan, root_idx, None, 1, buf))
     }
 
-    /// Runs this member's part in a step's plan on `buf`, as
-    /// [`execute`](crate::execute) describes it: a broadcast's root shares
-    /// the buffer and every other member's is replaced by what it
-    /// receives; a reduce or a ring takes the buffer and leaves the result
-    /// (a reduce's non-root is left empty); routes — those of the step's
-    /// direction, if it has one — send rows of it and put the rows they
-    /// receive there.
-    pub(crate) fn step(&self, ctx: &mut RankCtx, run: &Run, buf: Arc<Vec<f64>>) -> Arc<Vec<f64>> {
-        let (plan, root_idx, stride) = (run.plan, run.root, run.stride);
-        match (plan.op, plan.schedule) {
-            (Op::Broadcast, Some(_)) => {
-                let root = self.vr(root_idx) == 0;
-                self.broadcast_plan(ctx, root_idx, root.then_some(buf), plan, stride)
-            }
-            (Op::Broadcast, None) => {
-                self.check_plan(plan);
-                let (steps, held) = (&plan.steps[self.my_idx], Held::<()>::new(None, Some(buf)));
-                let held = self.exec(ctx, 0, plan, steps, run.dir, stride, held);
-                held.own.expect("the member holds its buffer")
-            }
-            (Op::Reduce, _) => {
-                let sum = self.reduce_plan(ctx, root_idx, Arc::unwrap_or_clone(buf), plan, stride);
-                Arc::new(sum.unwrap_or_default())
-            }
-            (Op::Ring, _) => {
-                let data = Arc::unwrap_or_clone(buf);
-                Arc::new(self.allreduce_plan(ctx, data, plan, stride))
-            }
-        }
+    /// Binomial-tree sum of `f64` vectors of one length to `root_idx`,
+    /// which returns `Some(total)`: its children's subtree sums added to
+    /// each other as they arrive, and its own vector last.
+    pub fn reduce_sum(
+        &self,
+        ctx: &mut RankCtx,
+        root_idx: usize,
+        data: Vec<f64>,
+    ) -> Option<Vec<f64>> {
+        let plan = self.tree(Op::Reduce, data.len());
+        let sum = self.run(ctx, &plan, root_idx, None, 1, Arc::new(data));
+        (self.vr(root_idx) == 0).then(|| Arc::unwrap_or_clone(sum))
+    }
+
+    /// All-reduce (sum) of `f64` vectors of one length: the tree reduce to
+    /// member 0, then its tree broadcast.
+    pub fn allreduce_sum(&self, ctx: &mut RankCtx, data: Vec<f64>) -> Vec<f64> {
+        let len = data.len();
+        let sum = self.run(ctx, &self.tree(Op::Reduce, len), 0, None, 1, Arc::new(data));
+        let plan = self.tree(Op::Broadcast, len);
+        Arc::unwrap_or_clone(self.run(ctx, &plan, 0, None, 1, sum))
     }
 }
 
@@ -1038,6 +933,24 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::machine::Machine;
+    use crate::steps::{execute, walk, Step};
+
+    /// This member's part in `plan` on `buf`, run as a one-step list
+    /// through [`execute`]: what the step leaves in the buffer.
+    fn run_alone(
+        ctx: &mut RankCtx,
+        g: &Group,
+        plan: &Plan,
+        root: usize,
+        stride: usize,
+        buf: Vec<f64>,
+    ) -> Vec<f64> {
+        let members: Arc<[u32]> = g.members().into();
+        let mut bufs = [Arc::new(buf)];
+        let step: Step = Step::run(plan, &members, root, None, stride, 1, 0);
+        execute(ctx, &[step], 1, &mut bufs, |_, _| {});
+        Arc::unwrap_or_clone(std::mem::take(&mut bufs[0]))
+    }
 
     #[test]
     fn broadcast_reaches_all_ranks() {
@@ -1061,10 +974,10 @@ mod tests {
     fn broadcast_from_nonzero_root() {
         let report = Machine::new(6).run(|ctx| {
             let g = Group::world(ctx);
-            let data = if g.my_idx() == 4 { Some(7.5f64) } else { None };
+            let data = (g.my_idx() == 4).then(|| vec![7.5]);
             g.broadcast(ctx, 4, data)
         });
-        assert!(report.results.iter().all(|&v| v == 7.5));
+        assert!(report.results.iter().all(|v| *v == [7.5]));
     }
 
     #[test]
@@ -1078,7 +991,11 @@ mod tests {
         };
         let report = Machine::new(16).with_cost(cost).run(|ctx| {
             let g = Group::world(ctx);
-            let data = if g.my_idx() == 0 { Some(()) } else { None };
+            let data = if g.my_idx() == 0 {
+                Some(Vec::new())
+            } else {
+                None
+            };
             g.broadcast(ctx, 0, data);
             ctx.sim_time()
         });
@@ -1089,27 +1006,44 @@ mod tests {
 
     #[test]
     fn binomial_children_matches_actual_broadcast_sends() {
-        // The sends the binomial tree's steps count for each member are the
-        // messages it really sends in a `broadcast<T>`, for every tree size
-        // and root. If the tree shape ever changes, this fails.
+        // The closure collectives charge every member what the tree's plan
+        // run alone charges it — bytes, messages and clock — for every
+        // tree size and root: the all-reduce what the walk of its reduce
+        // and broadcast steps does. If the tree shape ever changes, or a
+        // closure collective stops running the tree's plan, this fails.
+        let (cost, rows) = (CostModel::default(), 3);
         for p in [1u32, 2, 3, 5, 8, 13, 16] {
-            let tree = Collective::broadcast(p as usize, 1, None);
-            let tree = tree.plan(Schedule::Tree).unwrap();
-            let sends = tree.alone(1, &CostModel::default()).ranks;
-            for root in [0usize, (p as usize - 1) / 2] {
+            let size = p as usize;
+            let (bcast, reduce) = (
+                Collective::broadcast(size, rows, None),
+                Collective::reduce(size, rows, None),
+            );
+            let [bcast, reduce] = [&bcast, &reduce].map(|c| c.plan(Schedule::Tree).unwrap());
+            let run = |op: usize, root: usize| {
                 let report = Machine::new(p).run(move |ctx| {
                     let g = Group::world(ctx);
-                    let data = if g.my_idx() == root { Some(0u64) } else { None };
-                    g.broadcast(ctx, root, data);
+                    let data = vec![0.5; rows];
+                    match op {
+                        0 => drop(g.broadcast(ctx, root, Some(data))),
+                        1 => drop(g.reduce_sum(ctx, root, data)),
+                        _ => drop(g.allreduce_sum(ctx, data)),
+                    }
                 });
-                for (rank, stats) in report.stats.ranks.iter().enumerate() {
-                    let vr = (rank + p as usize - root) % p as usize;
-                    assert_eq!(
-                        stats.sent_msgs, sends[vr].sent_msgs,
-                        "p={p} root={root} rank={rank}"
-                    );
+                report.stats.ranks
+            };
+            for root in [0usize, (size - 1) / 2] {
+                for (op, plan) in [(0, bcast), (1, reduce)] {
+                    let alone = plan.alone(1, &cost).ranks;
+                    for (rank, stats) in run(op, root).iter().enumerate() {
+                        let vr = (rank + size - root) % size;
+                        assert_eq!(*stats, alone[vr], "p={p} root={root} op={op} rank={rank}");
+                    }
                 }
             }
+            let members: Arc<[u32]> = (0..p).collect();
+            let both: Vec<[Step; 2]> =
+                vec![[reduce, bcast].map(|plan| Step::run(plan, &members, 0, None, 1, 0, 0)); size];
+            assert_eq!(run(2, 0), walk(&both, 1, &cost).0.ranks, "p={p}");
         }
     }
 
@@ -1134,7 +1068,7 @@ mod tests {
             let report = Machine::new(p).run(|ctx| {
                 let g = Group::world(ctx);
                 let data: Vec<f64> = (0..10).map(|i| (ctx.rank() as f64) + i as f64).collect();
-                let ring = g.allreduce_plan(ctx, data.clone(), &Plan::ring(p as usize, 10), 1);
+                let ring = run_alone(ctx, &g, &Plan::ring(p as usize, 10), 0, 1, data.clone());
                 let tree = g.allreduce_sum(ctx, data);
                 (ring, tree)
             });
@@ -1202,7 +1136,7 @@ mod tests {
                             .collect();
                         let before = ctx.stats.clone();
                         let ring = Plan::ring(g as usize, rows);
-                        let new = group.allreduce_plan(ctx, data.clone(), &ring, stride);
+                        let new = run_alone(ctx, &group, &ring, 0, stride, data.clone());
                         let mid = ctx.stats.clone();
                         let old = ring_copying(&group, ctx, data, stride);
                         let after = ctx.stats.clone();
@@ -1227,34 +1161,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_broadcast_is_charged_like_an_owned_one() {
-        let run = |shared: bool| {
-            Machine::new(7).run(move |ctx| {
-                let g = Group::world(ctx);
-                let data = (g.my_idx() == 2).then(|| vec![0.25f64; 33]);
-                if shared {
-                    let got = g.broadcast(ctx, 2, data.map(std::sync::Arc::new));
-                    got.to_vec()
-                } else {
-                    g.broadcast(ctx, 2, data)
-                }
-            })
-        };
-        let (owned, shared) = (run(false), run(true));
-        assert_eq!(owned.results, shared.results);
-        for (o, s) in owned.stats.ranks.iter().zip(&shared.stats.ranks) {
-            assert_eq!(o, s);
-        }
-    }
-
-    #[test]
     fn ring_allreduce_volume_is_bandwidth_optimal() {
         // Per-rank volume must be ≈ 2·s·(g−1)/g, not s·log g.
         let p = 8u32;
         let len = 800usize;
         let report = Machine::new(p).run(|ctx| {
             let g = Group::world(ctx);
-            g.allreduce_plan(ctx, vec![1.0f64; len], &Plan::ring(p as usize, len), 1);
+            run_alone(ctx, &g, &Plan::ring(p as usize, len), 0, 1, vec![1.0; len]);
         });
         let bytes = 8 * len as u64;
         let expected = 2 * bytes * (p as u64 - 1) / p as u64;
@@ -1272,7 +1185,7 @@ mod tests {
         // len < g: some chunks are empty.
         let report = Machine::new(6).run(|ctx| {
             let g = Group::world(ctx);
-            g.allreduce_plan(ctx, vec![1.0f64, 2.0], &Plan::ring(6, 2), 1)
+            run_alone(ctx, &g, &Plan::ring(6, 2), 0, 1, vec![1.0, 2.0])
         });
         for r in report.results {
             assert_eq!(r, vec![6.0, 12.0]);
@@ -1299,7 +1212,7 @@ mod tests {
             let g = Group::new(ctx, members);
             let base = if r < 3 { 100.0 } else { 200.0 };
             let total = g.allreduce_sum(ctx, vec![base]);
-            g.broadcast(ctx, 0, (g.my_idx() == 0).then_some(()));
+            g.broadcast(ctx, 0, (g.my_idx() == 0).then(Vec::new));
             total
         });
         for r in 0..3 {
@@ -1402,7 +1315,7 @@ mod tests {
         Machine::new(4).run(|ctx| {
             if ctx.rank() < 2 {
                 let g = Group::new(ctx, vec![0, 1]);
-                g.reduce_plan(ctx, 0, vec![1.0; 3], plan, 1);
+                run_alone(ctx, &g, plan, 0, 1, vec![1.0; 3]);
             }
         });
     }

@@ -25,12 +25,12 @@
 //!
 //! A row collective is reached one way: build its [`Collective`] once,
 //! take a [`Plan`] with [`Collective::pick`] (or [`Collective::plan`] by
-//! schedule), and run it with [`Group::broadcast_plan`] or
-//! [`Group::reduce_plan`]. The ring all-reduce is a [`Plan::ring`] run by
-//! [`Group::allreduce_plan`], and point-to-point routes are a
-//! [`Plan::routes`], run only as a step of a rank's list.
-//! [`Group::broadcast`], [`Group::reduce_sum`] and
-//! [`Group::allreduce_sum`] run the binomial tree on any [`Payload`].
+//! schedule), and name it in a [`Step::run`] of a rank's list, which
+//! [`execute`] hands to the group's one runner. The ring all-reduce is a
+//! [`Plan::ring`] and point-to-point routes are a [`Plan::routes`], run the
+//! same way. [`Group::broadcast`], [`Group::reduce_sum`] and
+//! [`Group::allreduce_sum`] run a binomial tree's plan on the same runner,
+//! on vectors of `f64` — the only payload a program sends.
 //!
 //! An iteration of a distributed SpMM algorithm is data ([`steps`]): per
 //! rank, an ordered list of [`Step`]s — its part in a plan on one of its

@@ -152,16 +152,16 @@ mod tests {
         let report = Machine::new(p).run(|ctx| {
             let r = ctx.rank();
             if r == 0 {
-                ctx.send(1, 0, 0u64);
-                let total: u64 = ctx.recv(p - 1, 0);
-                total
+                ctx.send(1, 0, vec![0.0]);
+                let total: Vec<f64> = ctx.recv(p - 1, 0);
+                total[0]
             } else {
-                let acc: u64 = ctx.recv(r - 1, 0);
-                ctx.send((r + 1) % p, 0, acc + r as u64);
-                0
+                let acc: Vec<f64> = ctx.recv(r - 1, 0);
+                ctx.send((r + 1) % p, 0, vec![acc[0] + f64::from(r)]);
+                0.0
             }
         });
-        assert_eq!(report.results[0], (0..8).sum::<u64>());
+        assert_eq!(report.results[0], 28.0);
         // Latency chain: p sequential messages → sim time ≥ p · α.
         let alpha = CostModel::default().alpha;
         assert!(report.stats.sim_time() >= p as f64 * alpha);
@@ -179,11 +179,11 @@ mod tests {
                             let _: Vec<f64> = ctx.recv(s, 1);
                         }
                         for s in 1..6 {
-                            ctx.send(s, 2, 1.0f64);
+                            ctx.send(s, 2, vec![1.0]);
                         }
                     } else {
                         ctx.send(0, 1, vec![0.0f64; r as usize * 10]);
-                        let _: f64 = ctx.recv(0, 2);
+                        let _: Vec<f64> = ctx.recv(0, 2);
                     }
                     ctx.sim_time()
                 })
@@ -206,11 +206,11 @@ mod tests {
             let r = ctx.rank();
             let right = (r + 1) % 64;
             let left = (r + 63) % 64;
-            ctx.send(right, 0, r as u64);
-            let v: u64 = ctx.recv(left, 0);
-            v
+            ctx.send(right, 0, vec![f64::from(r)]);
+            let v: Vec<f64> = ctx.recv(left, 0);
+            v[0]
         });
-        assert_eq!(report.results[1], 0);
-        assert_eq!(report.results[0], 63);
+        assert_eq!(report.results[1], 0.0);
+        assert_eq!(report.results[0], 63.0);
     }
 }

@@ -1,11 +1,13 @@
 //! Message payloads and the in-flight packet representation.
 //!
-//! A payload may be *shared*: `Arc<P>` is a payload wherever `P` is, and
-//! it is charged exactly the bytes of its content — the cost model prices
-//! what would cross a wire, and on a wire a shared buffer is sent in full
-//! every time. Sharing only spares the simulator's host the copies: a
-//! broadcast relay hands each child the same allocation instead of a
-//! fresh clone of it.
+//! Every message is rows of `f64`, in one of three forms: a `Vec<f64>`
+//! the sender gives away, an `Arc` of one it goes on sharing, or a
+//! `SharedRows` view of part of a shared buffer. A shared payload is
+//! charged exactly the bytes of its content — the cost model prices what
+//! would cross a wire, and on a wire a shared buffer is sent in full every
+//! time. Sharing only spares the simulator's host the copies: a tree
+//! broadcast's relay hands each child the buffer it received instead of
+//! a fresh clone of it.
 //!
 //! `SharedRows` extends that to *part* of a buffer: the large-message
 //! schedules of [`collectives`](crate::collectives) move blocks of a
@@ -26,49 +28,7 @@ pub trait Payload: Send + 'static {
     fn payload_bytes(&self) -> usize;
 }
 
-impl Payload for () {
-    fn payload_bytes(&self) -> usize {
-        0
-    }
-}
-
-impl Payload for f64 {
-    fn payload_bytes(&self) -> usize {
-        8
-    }
-}
-
-impl Payload for u64 {
-    fn payload_bytes(&self) -> usize {
-        8
-    }
-}
-
-impl Payload for u32 {
-    fn payload_bytes(&self) -> usize {
-        4
-    }
-}
-
 impl Payload for Vec<f64> {
-    fn payload_bytes(&self) -> usize {
-        8 * self.len()
-    }
-}
-
-impl Payload for Vec<f32> {
-    fn payload_bytes(&self) -> usize {
-        4 * self.len()
-    }
-}
-
-impl Payload for Vec<u32> {
-    fn payload_bytes(&self) -> usize {
-        4 * self.len()
-    }
-}
-
-impl Payload for Vec<u64> {
     fn payload_bytes(&self) -> usize {
         8 * self.len()
     }
@@ -99,18 +59,6 @@ impl Payload for SharedRows {
     }
 }
 
-impl<A: Payload, B: Payload> Payload for (A, B) {
-    fn payload_bytes(&self) -> usize {
-        self.0.payload_bytes() + self.1.payload_bytes()
-    }
-}
-
-impl<A: Payload, B: Payload, C: Payload> Payload for (A, B, C) {
-    fn payload_bytes(&self) -> usize {
-        self.0.payload_bytes() + self.1.payload_bytes() + self.2.payload_bytes()
-    }
-}
-
 /// A typed message in flight.
 pub(crate) struct Packet {
     pub src: u32,
@@ -127,12 +75,7 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        assert_eq!(().payload_bytes(), 0);
-        assert_eq!(1.5f64.payload_bytes(), 8);
-        assert_eq!(vec![0u32; 5].payload_bytes(), 20);
         assert_eq!(vec![0.0f64; 3].payload_bytes(), 24);
-        assert_eq!((vec![0u32; 2], vec![0.0f64; 2]).payload_bytes(), 24);
-        assert_eq!((1u32, 2u64, vec![0.0f64; 1]).payload_bytes(), 20);
     }
 
     #[test]
@@ -142,7 +85,7 @@ mod tests {
         assert_eq!(shared.payload_bytes(), owned.payload_bytes());
         // A second handle on the same buffer is a second full payload.
         assert_eq!(Arc::clone(&shared).payload_bytes(), 56);
-        assert_eq!(Arc::new((1u32, vec![0u64; 2])).payload_bytes(), 20);
+        assert_eq!(Arc::new(Arc::new(vec![0.0f64; 2])).payload_bytes(), 16);
         assert_eq!(Arc::new(Vec::<f64>::new()).payload_bytes(), 0);
     }
 

@@ -102,10 +102,6 @@ impl RankCtx {
             "send to rank {to} out of range (p = {})",
             self.p
         );
-        self.send_internal(to, tag, data);
-    }
-
-    pub(crate) fn send_internal<T: Payload>(&mut self, to: u32, tag: u64, data: T) {
         let bytes = data.payload_bytes();
         let depart = self.clock.send(&self.cost, bytes);
         self.stats.sent_bytes += bytes as u64;
@@ -221,14 +217,14 @@ mod tests {
     fn out_of_order_tags_are_buffered() {
         let report = Machine::new(2).run(|ctx| {
             if ctx.rank() == 0 {
-                ctx.send(1, 1, 10u64);
-                ctx.send(1, 2, 20u64);
+                ctx.send(1, 1, vec![10.0]);
+                ctx.send(1, 2, vec![20.0]);
                 0
             } else {
                 // Receive in reverse tag order.
-                let b: u64 = ctx.recv(0, 2);
-                let a: u64 = ctx.recv(0, 1);
-                assert_eq!((a, b), (10, 20));
+                let b: Vec<f64> = ctx.recv(0, 2);
+                let a: Vec<f64> = ctx.recv(0, 1);
+                assert_eq!((a, b), (vec![10.0], vec![20.0]));
                 1
             }
         });
@@ -273,36 +269,39 @@ mod tests {
         let report = Machine::new(2).run(|ctx| {
             if ctx.rank() == 0 {
                 for i in 0..50u64 {
-                    ctx.send(1, 9, i); // same tag stream
-                    ctx.send(1, 1000 + i, ()); // decoy traffic
+                    ctx.send(1, 9, vec![i as f64]); // same tag stream
+                    ctx.send(1, 1000 + i, Vec::new()); // decoy traffic
                 }
                 Vec::new()
             } else {
                 // Buffer everything by first receiving all decoys.
                 for i in 0..50u64 {
-                    let _: () = ctx.recv(0, 1000 + i);
+                    let _: Vec<f64> = ctx.recv(0, 1000 + i);
                 }
-                (0..50).map(|_| ctx.recv::<u64>(0, 9)).collect::<Vec<u64>>()
+                (0..50).map(|_| ctx.recv::<Vec<f64>>(0, 9)[0]).collect()
             }
         });
-        assert_eq!(report.results[1], (0..50).collect::<Vec<u64>>());
+        assert_eq!(
+            report.results[1],
+            (0..50).map(f64::from).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn self_send_works() {
         let report = Machine::new(1).run(|ctx| {
-            ctx.send(0, 3, 5u32);
-            let v: u32 = ctx.recv(0, 3);
+            ctx.send(0, 3, vec![5.0]);
+            let v: Vec<f64> = ctx.recv(0, 3);
             v
         });
-        assert_eq!(report.results, vec![5]);
+        assert_eq!(report.results, vec![vec![5.0]]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn send_out_of_range_panics() {
         Machine::new(1).run(|ctx| {
-            ctx.send(5, 0, ());
+            ctx.send(5, 0, Vec::new());
         });
     }
 
@@ -310,14 +309,13 @@ mod tests {
     fn stats_account_volume() {
         let report = Machine::new(2).run(|ctx| {
             if ctx.rank() == 0 {
-                ctx.send(1, 0, vec![0u32; 25]); // 100 bytes
+                ctx.send(1, 0, vec![0.0; 25]); // 200 bytes
             } else {
-                let _: Vec<u32> = ctx.recv(0, 0);
+                let _: Vec<f64> = ctx.recv(0, 0);
             }
         });
-        assert_eq!(report.stats.ranks[0].sent_bytes, 100);
-        assert_eq!(report.stats.ranks[1].recv_bytes, 100);
-        assert_eq!(report.stats.total_sent(), 100);
-        assert_eq!(report.stats.max_volume(), 100);
+        assert_eq!(report.stats.ranks[0].sent_bytes, 200);
+        assert_eq!(report.stats.ranks[1].recv_bytes, 200);
+        assert_eq!(report.stats.max_volume(), 200);
     }
 }

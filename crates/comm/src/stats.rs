@@ -45,11 +45,6 @@ impl MachineStats {
         self.ranks.iter().map(RankStats::volume).max().unwrap_or(0)
     }
 
-    /// Total bytes sent across all ranks (each message counted once).
-    pub fn total_sent(&self) -> u64 {
-        self.ranks.iter().map(|r| r.sent_bytes).sum()
-    }
-
     /// Largest per-rank message count.
     pub fn max_messages(&self) -> u64 {
         self.ranks
@@ -107,7 +102,6 @@ mod tests {
         let m = stats(&[(10, 20, 1.0, 0.5), (40, 5, 2.0, 1.5)]);
         assert_eq!(m.sim_time(), 2.0);
         assert_eq!(m.max_volume(), 45);
-        assert_eq!(m.total_sent(), 50);
         assert_eq!(m.max_messages(), 2);
         assert_eq!(m.compute_imbalance(), 1.5);
     }

@@ -1,7 +1,7 @@
 //! An iteration as data: per rank, the ordered [`Step`]s it takes — its
 //! part in a [`Plan`] on one of its buffers, or a piece of local work.
 //! The list is the rank's program: [`execute`] takes one rank's list,
-//! hands each plan to the one interpreter on the buffer the step names,
+//! hands each plan to the one runner on the buffer the step names,
 //! and charges each piece of work before the caller's kernel runner does
 //! it. [`walk`] reads the same lists without a machine or a payload and
 //! returns what the machine charges every rank, bit for bit. The steps
@@ -77,16 +77,23 @@ impl<'p, W> Step<'p, W> {
 }
 
 impl Run<'_> {
-    /// `rank`'s view of the group, every message tagged.
+    /// `rank`'s view of the group, every message tagged. Panics unless the
+    /// plan has one step list per member: a plan of another size would
+    /// index peers modulo this group's and wait on messages that go
+    /// elsewhere.
     fn group(&self, rank: u32) -> Group<'_> {
         let group = Group::of(self.members[..].into(), rank, self.tag);
-        group.check_plan(self.plan);
+        let (members, size) = (self.plan.size(), group.size());
+        assert_eq!(
+            members, size,
+            "a {members}-member plan on a {size}-member group"
+        );
         group
     }
 }
 
 /// Runs rank `ctx`'s `steps` `iters` times over, on its buffers `bufs`.
-/// A [`Run`] goes to the group interpreter on the buffer it names: a
+/// A [`Run`] goes to the group's runner on the buffer it names: a
 /// broadcast's root shares the buffer and every other member's is
 /// replaced by what it receives, a reduce or a ring all-reduce hands the
 /// buffer over and leaves the result there (nothing, on a reduce's
@@ -111,7 +118,8 @@ pub fn execute<W: Work>(
                 }
                 Step::Run(run) => {
                     let buf = std::mem::take(&mut bufs[run.buf]);
-                    bufs[run.buf] = run.group(ctx.rank()).step(ctx, run, buf);
+                    let group = run.group(ctx.rank());
+                    bufs[run.buf] = group.run(ctx, run.plan, run.root, run.dir, run.stride, buf);
                 }
             }
         }

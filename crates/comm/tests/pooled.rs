@@ -2,9 +2,9 @@
 //! slots and pool lifecycle (drop and rebuild). CI runs this in release
 //! in its `exec-smoke` job.
 
-use amd_comm::{Collective, Group, Machine};
+use amd_comm::{execute, Collective, Machine, Step};
 use amd_exec::ExecPool;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// A small SPMD program with real cross-rank traffic: ring exchange
@@ -113,7 +113,7 @@ fn rank_panic_wakes_the_peers_that_wait_on_it() {
         if ctx.rank() == 2 {
             panic!("injected rank failure");
         }
-        let _: u64 = ctx.recv(2, 1);
+        let _: Vec<f64> = ctx.recv(2, 1);
     });
     assert!(
         msg.contains("rank 2 panicked") && msg.contains("injected rank failure"),
@@ -125,10 +125,8 @@ fn rank_panic_wakes_the_peers_that_wait_on_it() {
         if ctx.rank() == 3 {
             panic!("injected before the reduce");
         }
-        let group = Group::new(ctx, (0..4).collect());
         let reduce = Collective::reduce(4, 4, None);
-        let plan = reduce.pick(2, ctx.cost());
-        group.reduce_plan(ctx, 0, vec![1.0; 8], plan, 2);
+        reduce_of_four(ctx, &reduce, vec![1.0; 8]);
     });
     assert!(
         msg.contains("rank 3 panicked") && msg.contains("injected before the reduce"),
@@ -139,14 +137,27 @@ fn rank_panic_wakes_the_peers_that_wait_on_it() {
     let machine = Machine::new(4).with_exec(pool.clone());
     let report = within_ten_seconds(move || {
         machine.run(|ctx| {
-            let group = Group::new(ctx, (0..4).collect());
             let reduce = Collective::reduce(4, 4, None);
-            let plan = reduce.pick(2, ctx.cost());
-            group.reduce_plan(ctx, 0, vec![ctx.rank() as f64; 8], plan, 2)
+            reduce_of_four(ctx, &reduce, vec![ctx.rank() as f64; 8])
         })
     });
-    assert_eq!(report.results[0], Some(vec![6.0; 8]));
+    assert_eq!(*report.results[0], vec![6.0; 8]);
     assert_eq!(pool.stats().rank_threads_spawned, spawned_before);
+}
+
+/// The picked plan of `reduce` over ranks 0–3, summing this rank's
+/// `data`, a buffer of 2 columns, to rank 0: a one-step list run through
+/// [`execute`]. Returns what the step leaves in the buffer.
+fn reduce_of_four(
+    ctx: &mut amd_comm::RankCtx,
+    reduce: &Collective,
+    data: Vec<f64>,
+) -> Arc<Vec<f64>> {
+    let members: Arc<[u32]> = (0..4).collect();
+    let step: Step = Step::run(reduce.pick(2, ctx.cost()), &members, 0, None, 2, 1, 0);
+    let mut bufs = [Arc::new(data)];
+    execute(ctx, &[step], 1, &mut bufs, |_, _| {});
+    std::mem::take(&mut bufs[0])
 }
 
 /// Dropping a pool joins its threads; a rebuilt pool serves the same

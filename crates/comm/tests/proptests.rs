@@ -70,7 +70,7 @@ proptest! {
                 if me < split { (0..split).collect() } else { (split..p).collect() };
             let g = Group::new(ctx, members);
             let data = vec![me as f64 + 1.0; len];
-            g.allreduce_plan(ctx, data, &Plan::ring(g.size(), len), 1)
+            run_plan(ctx, &g, 0, data, &Plan::ring(g.size(), len), 1)
         });
         let lower: f64 = (0..split).map(|r| r as f64 + 1.0).sum();
         let upper: f64 = (split..p).map(|r| r as f64 + 1.0).sum();
@@ -84,8 +84,41 @@ proptest! {
 
 // ---- The large-message broadcast and reduce (deterministic sweeps) ----
 
-use amd_comm::{Collective, CostModel, Plan, RankCtx, RankStats, Schedule};
+use amd_comm::{execute, Collective, CostModel, Plan, RankCtx, RankStats, Schedule, Step};
 use std::sync::Arc;
+
+/// `plan` from `root` on this member's `stride`-column `buf`, run as a
+/// one-step list through [`execute`]: what the step leaves in the buffer
+/// (a broadcast's non-root drops its own and holds what it received).
+fn run_plan(
+    ctx: &mut RankCtx,
+    g: &Group,
+    root: usize,
+    buf: Vec<f64>,
+    plan: &Plan,
+    stride: usize,
+) -> Arc<Vec<f64>> {
+    let members: Arc<[u32]> = g.members().into();
+    let step: Step = Step::run(plan, &members, root, None, stride, 1, 0);
+    let mut bufs = [Arc::new(buf)];
+    execute(ctx, &[step], 1, &mut bufs, |_, _| {});
+    std::mem::take(&mut bufs[0])
+}
+
+/// A reduce `plan` to `root` through [`run_plan`], as the root sees it:
+/// `Some` sum at the root, `None` where a non-root's buffer was left
+/// empty.
+fn reduce_to_root(
+    ctx: &mut RankCtx,
+    g: &Group,
+    root: usize,
+    data: Vec<f64>,
+    plan: &Plan,
+    stride: usize,
+) -> Option<Vec<f64>> {
+    let sum = run_plan(ctx, g, root, data, plan, stride);
+    (g.my_idx() == root || !sum.is_empty()).then(|| Arc::unwrap_or_clone(sum))
+}
 
 /// Bandwidth is everything: the large schedules win wherever they can run.
 const WIRE_BOUND: CostModel = CostModel {
@@ -163,11 +196,11 @@ fn large_reduce_equals_tree_reduce_bit_for_bit() {
                         {
                             let data = member_vector(ctx.rank(), rows * stride);
                             let picked = plans.pick(stride, &cost);
-                            let got = g.reduce_plan(ctx, root, data.clone(), picked, stride);
+                            let got = reduce_to_root(ctx, &g, root, data.clone(), picked, stride);
                             let other = if cost == WIRE_BOUND {
                                 g.reduce_sum(ctx, root, data)
                             } else {
-                                g.reduce_plan(ctx, root, data, large, stride)
+                                reduce_to_root(ctx, &g, root, data, large, stride)
                             };
                             if got.is_some() != (g.my_idx() == root)
                                 || got.as_deref().map(bits) != other.as_deref().map(bits)
@@ -257,7 +290,7 @@ fn large_broadcast_shares_the_roots_buffer_and_is_charged_like_copies() {
                         let data =
                             (g.my_idx() == root).then(|| member_vector(ctx.rank(), rows * stride));
                         if shared {
-                            g.broadcast_plan(ctx, root, data.map(Arc::new), plan, stride)
+                            run_plan(ctx, &g, root, data.unwrap_or_default(), plan, stride)
                         } else {
                             Arc::new(broadcast_large_owned(&g, ctx, root, data, rows, stride))
                         }
@@ -303,7 +336,7 @@ fn the_selected_schedule_is_the_faster_one_in_the_simulator() {
     for p in 3u32..=33 {
         for bytes in [0usize, 512, 8 << 10, 32 << 10, 64 << 10, 128 << 10, 1 << 20] {
             let rows = bytes / 8;
-            let root_data = |g: &Group| (g.my_idx() == 0).then(|| Arc::new(vec![1.0; rows]));
+            let root_data = |g: &Group| (g.my_idx() == 0).then(|| vec![1.0; rows]);
             // No rows, no large candidate: both sides are the tree.
             let plans = [
                 Collective::broadcast(p as usize, rows, None),
@@ -313,13 +346,14 @@ fn the_selected_schedule_is_the_faster_one_in_the_simulator() {
             let bcast = [
                 makespan(p, &|ctx, g| drop(g.broadcast(ctx, 0, root_data(g)))),
                 makespan(p, &|ctx, g| {
-                    drop(g.broadcast_plan(ctx, 0, root_data(g), blarge, 1))
+                    let data = root_data(g).unwrap_or_default();
+                    drop(run_plan(ctx, g, 0, data, blarge, 1))
                 }),
             ];
             let reduce = [
                 makespan(p, &|ctx, g| drop(g.reduce_sum(ctx, 0, vec![1.0; rows]))),
                 makespan(p, &|ctx, g| {
-                    drop(g.reduce_plan(ctx, 0, vec![1.0; rows], rlarge, 1))
+                    drop(run_plan(ctx, g, 0, vec![1.0; rows], rlarge, 1))
                 }),
             ];
             let [bpick, rpick] = [0, 1].map(|i| plans[i].pick(1, &cost).schedule());
@@ -425,19 +459,20 @@ fn sparse_reduce_equals_tree_and_large_reduce_bit_for_bit() {
                 for stride in [1usize, 3, 16] {
                     for &(rows, mode, ref sup, ref bcast, ref reduce) in &shapes {
                         let data = reduced_vector(ctx.rank(), vr, rows, stride, sup);
-                        let got = g.reduce_plan(ctx, root, data.clone(), sparse_of(reduce), stride);
+                        let got =
+                            reduce_to_root(ctx, &g, root, data.clone(), sparse_of(reduce), stride);
                         let tree = g.reduce_sum(ctx, root, data.clone());
                         // Two members: no large candidate, the tree again.
                         let large = large_or_tree(reduce, p, rows);
-                        let large = g.reduce_plan(ctx, root, data, large, stride);
+                        let large = reduce_to_root(ctx, &g, root, data, large, stride);
                         if got.as_deref().map(bits) != tree.as_deref().map(bits)
                             || got.as_deref().map(bits) != large.as_deref().map(bits)
                         {
                             mismatches.push(("reduce", root, stride, rows, mode));
                         }
                         let whole = planted(g.member(root), rows, stride, None);
-                        let data = (vr == 0).then(|| Arc::new(whole.clone()));
-                        let got = g.broadcast_plan(ctx, root, data, sparse_of(bcast), stride);
+                        let data = if vr == 0 { whole.clone() } else { Vec::new() };
+                        let got = run_plan(ctx, &g, root, data, sparse_of(bcast), stride);
                         let want = if vr == 0 {
                             whole
                         } else {
@@ -514,12 +549,12 @@ fn closed_form_costs_match_the_accounting() {
                     let (bplan, rplan) = (bcast.pick(stride, &cost), reduce.pick(stride, &cost));
                     let b = machine.run(|ctx| {
                         let g = Group::world(ctx);
-                        let data = (g.my_idx() == root).then(|| Arc::new(vec![0.5; rows * stride]));
-                        g.broadcast_plan(ctx, root, data, bplan, stride);
+                        let data = vec![0.5; if g.my_idx() == root { rows * stride } else { 0 }];
+                        run_plan(ctx, &g, root, data, bplan, stride);
                     });
                     let r = machine.run(|ctx| {
                         let g = Group::world(ctx);
-                        g.reduce_plan(ctx, root, vec![0.5; rows * stride], rplan, stride);
+                        run_plan(ctx, &g, root, vec![0.5; rows * stride], rplan, stride);
                     });
                     for (what, plan, report) in [("broadcast", bplan, &b), ("reduce", rplan, &r)] {
                         ran.push(plan.schedule());
@@ -561,7 +596,7 @@ fn ring_allreduce_cost_matches_the_accounting() {
             let plan = Plan::ring(size, rows);
             let run = Machine::new(p).run(|ctx| {
                 let g = Group::world(ctx);
-                g.allreduce_plan(ctx, vec![0.5; rows * stride], &plan, stride);
+                run_plan(ctx, &g, 0, vec![0.5; rows * stride], &plan, stride);
             });
             let walked = alone(&plan, stride);
             for (rank, stats) in run.stats.ranks.iter().enumerate() {
@@ -605,10 +640,10 @@ fn closed_form_costs_with_supports_match_the_accounting() {
             let bcast = machine.run(|ctx| {
                 let g = Group::world(ctx);
                 for ((root, stride, rows, _), [plans, _]) in shapes.iter().zip(&plans) {
-                    let data = (g.my_idx() == *root)
-                        .then(|| Arc::new(planted(ctx.rank(), *rows, *stride, None)));
+                    let data =
+                        (g.my_idx() == *root).then(|| planted(ctx.rank(), *rows, *stride, None));
                     let plan = plans.pick(*stride, ctx.cost());
-                    g.broadcast_plan(ctx, *root, data, plan, *stride);
+                    run_plan(ctx, &g, *root, data.unwrap_or_default(), plan, *stride);
                 }
             });
             let reduce = machine.run(|ctx| {
@@ -617,7 +652,7 @@ fn closed_form_costs_with_supports_match_the_accounting() {
                     let vr = (g.my_idx() + size - root) % size;
                     let data = reduced_vector(ctx.rank(), vr, *rows, *stride, sup);
                     let plan = plans.pick(*stride, ctx.cost());
-                    g.reduce_plan(ctx, *root, data, plan, *stride);
+                    run_plan(ctx, &g, *root, data, plan, *stride);
                 }
             });
             let mut wants = vec![[(0, 0, 0, 0); 2]; size];
@@ -667,7 +702,7 @@ fn the_sparse_schedule_is_taken_only_when_no_slower_and_no_heavier() {
                     .stats;
                 (stats.sim_time(), stats.max_volume(), stats.max_messages())
             };
-            let whole = |g: &Group| (g.my_idx() == 0).then(|| Arc::new(vec![0.5; rows * stride]));
+            let whole = |g: &Group| vec![0.5; if g.my_idx() == 0 { rows * stride } else { 0 }];
             let part = |ctx: &RankCtx, g: &Group| {
                 reduced_vector(ctx.rank(), g.my_idx(), rows, stride, &sup)
             };
@@ -684,14 +719,14 @@ fn the_sparse_schedule_is_taken_only_when_no_slower_and_no_heavier() {
                 (
                     "broadcast",
                     bcast.pick(stride, &cost).schedule(),
-                    run(&|ctx, g| drop(g.broadcast_plan(ctx, 0, whole(g), bsparse, stride))),
-                    run(&|ctx, g| drop(g.broadcast_plan(ctx, 0, whole(g), bdense, stride))),
+                    run(&|ctx, g| drop(run_plan(ctx, g, 0, whole(g), bsparse, stride))),
+                    run(&|ctx, g| drop(run_plan(ctx, g, 0, whole(g), bdense, stride))),
                 ),
                 (
                     "reduce",
                     reduce.pick(stride, &cost).schedule(),
-                    run(&|ctx, g| drop(g.reduce_plan(ctx, 0, part(ctx, g), rsparse, stride))),
-                    run(&|ctx, g| drop(g.reduce_plan(ctx, 0, part(ctx, g), rdense, stride))),
+                    run(&|ctx, g| drop(run_plan(ctx, g, 0, part(ctx, g), rsparse, stride))),
+                    run(&|ctx, g| drop(run_plan(ctx, g, 0, part(ctx, g), rdense, stride))),
                 ),
             ] {
                 let no_slower = sparse.0 <= dense.0;

@@ -6,8 +6,7 @@
 //! match each receive to its send by tag.
 
 use amd_comm::{
-    execute, walk, Collective, CostModel, Dir, Group, Machine, Plan, RankCtx, RankStats, Schedule,
-    Step,
+    execute, walk, Collective, CostModel, Dir, Machine, Plan, RankStats, Schedule, Step,
 };
 use std::sync::Arc;
 
@@ -43,15 +42,6 @@ fn routes(size: usize, rows: usize) -> Plan {
         }
     }
     Plan::routes(size, moves)
-}
-
-/// Per rank, its stats after `program` ran alone on `size` ranks.
-fn charged(size: usize, program: &(dyn Fn(&mut RankCtx, &Group) + Sync)) -> Vec<RankStats> {
-    let report = Machine::new(size as u32).run(|ctx| {
-        let g = Group::world(ctx);
-        program(ctx, &g);
-    });
-    report.stats.ranks
 }
 
 /// A stats list with every clock as its bits, so that equal means bit for
@@ -106,31 +96,24 @@ fn the_replay_of_every_plan_is_the_machines_clock() {
             for stride in STRIDES {
                 let root = (rows + stride) % size;
                 let at = format!("p={size} {rows}x{stride} root={root}");
-                for &(op, plan) in &candidates {
-                    let ranks = charged(size, &|ctx, g| {
-                        let data = vec![0.5; rows * stride];
-                        if op == 0 {
-                            let data = (g.my_idx() == root).then(|| Arc::new(data));
-                            g.broadcast_plan(ctx, root, data, plan, stride);
-                        } else {
-                            g.reduce_plan(ctx, root, data, plan, stride);
-                        }
+                // Per rank, its stats after the plan ran alone on `size`
+                // ranks, as a one-step list through `execute`.
+                let run = |plan: &Plan, root: usize| {
+                    let whole: [Step; 1] = [Step::run(plan, &members, root, None, stride, 1, 0)];
+                    let report = Machine::new(size as u32).run(|ctx| {
+                        let mut bufs = [Arc::new(vec![0.5; rows * stride])];
+                        execute(ctx, &whole, 1, &mut bufs, |_, _| {});
                     });
+                    report.stats.ranks
+                };
+                for &(op, plan) in &candidates {
                     let what =
                         format!("{} {:?} {at}", ["broadcast", "reduce"][op], plan.schedule());
-                    check(what, plan, root, stride, ranks);
+                    check(what, plan, root, stride, run(plan, root));
                     ran.push(plan.schedule());
                 }
-                let ranks = charged(size, &|ctx, g| {
-                    g.allreduce_plan(ctx, vec![0.5; rows * stride], &ring, stride);
-                });
-                check(format!("ring {at}"), &ring, 0, stride, ranks);
-                let whole: [Step; 1] = [Step::run(&routes, &members, 0, None, stride, 1, 0)];
-                let ranks = charged(size, &|ctx, _| {
-                    let mut bufs = [Arc::new(vec![0.5; rows * stride])];
-                    execute(ctx, &whole, 1, &mut bufs, |_, _| {});
-                });
-                check(format!("routes {at}"), &routes, 0, stride, ranks);
+                check(format!("ring {at}"), &ring, 0, stride, run(&ring, 0));
+                check(format!("routes {at}"), &routes, 0, stride, run(&routes, 0));
             }
         }
     }

@@ -11,8 +11,7 @@
 //! * **Compute workers** execute short, non-blocking jobs — kernel
 //!   chunks, scope tasks — with per-worker LIFO deques, a global FIFO
 //!   injector, random-victim stealing, and condvar parking when idle.
-//!   See [`ExecPool::scope`], [`ExecPool::for_each_index`], and
-//!   [`ExecPool::for_each_take`].
+//!   See [`ExecPool::scope`] and [`ExecPool::for_each_take`].
 //! * **Rank slots** execute *blocking* SPMD rank programs (a rank
 //!   sleeps on its inbox inside `RankCtx::recv` mid-protocol, so it
 //!   must own a thread). Slots are parked threads cached between runs:

@@ -301,40 +301,12 @@ impl ExecPool {
         }
     }
 
-    /// Data-parallel loop over `0..count`, dynamically load-balanced:
-    /// up to `threads()` runner tasks (the caller is one of them) pull
-    /// indices from a shared atomic counter. Serial fallthrough when
-    /// `count <= 1` or the pool has a single worker — no task is
-    /// spawned and no allocation happens.
-    pub fn for_each_index<F>(&self, count: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if count == 0 {
-            return;
-        }
-        if count == 1 || self.threads() <= 1 {
-            for i in 0..count {
-                f(i);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        let runners = self.threads().min(count);
-        let f = &f;
-        let next_ref = &next;
-        self.scope(|s| {
-            for _ in 1..runners {
-                s.spawn(move || run_indices(next_ref, count, f));
-            }
-            run_indices(next_ref, count, f);
-        });
-    }
-
-    /// Like [`for_each_index`](Self::for_each_index) but moves each
-    /// element of `items` into `f` exactly once (the sparse kernels'
-    /// chunk dispatch). Serial fallthrough when `items.len() <= 1` or
-    /// the pool has a single worker.
+    /// Data-parallel loop that moves each element of `items` into `f`
+    /// exactly once, with its index (the sparse kernels' chunk dispatch),
+    /// dynamically load-balanced: up to `threads()` runner tasks (the
+    /// caller is one of them) claim indices from a shared atomic counter.
+    /// Serial fallthrough when `items.len() <= 1` or the pool has a single
+    /// worker — no task is spawned and no allocation happens.
     ///
     /// If `f` panics, elements not yet claimed may be leaked (never
     /// dropped) — acceptable for the kernels' `&mut` chunk items, which
@@ -395,31 +367,8 @@ impl ExecPool {
         self.inner.ranks.run_tasks(tasks)
     }
 
-    /// Convenience SPMD entry point: runs `f(0..p)` on `p` rank slots.
-    pub fn run_ranks<T, F>(&self, p: usize, f: F) -> Vec<std::thread::Result<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let f = &f;
-        let tasks: Vec<Box<dyn FnOnce() -> T + Send + '_>> = (0..p)
-            .map(|r| Box::new(move || f(r)) as Box<dyn FnOnce() -> T + Send + '_>)
-            .collect();
-        self.run_tasks(tasks)
-    }
-
     pub(crate) fn push_erased(&self, job: Job) {
         self.inner.shared.push_job(job);
-    }
-}
-
-fn run_indices(next: &AtomicUsize, count: usize, f: &(impl Fn(usize) + Sync)) {
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= count {
-            return;
-        }
-        f(i);
     }
 }
 
@@ -485,6 +434,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// One rank program per rank `0..p`, each returning `f(rank)`.
+    fn rank_tasks<T: Send + 'static>(
+        p: usize,
+        f: fn(usize) -> T,
+    ) -> Vec<Box<dyn FnOnce() -> T + Send>> {
+        (0..p)
+            .map(|r| Box::new(move || f(r)) as Box<dyn FnOnce() -> T + Send>)
+            .collect()
+    }
+
     #[test]
     fn scope_runs_borrowing_tasks() {
         let pool = ExecPool::new(4);
@@ -533,10 +492,10 @@ mod tests {
     }
 
     #[test]
-    fn for_each_index_covers_every_index_once() {
+    fn for_each_take_covers_every_index_once() {
         let pool = ExecPool::new(3);
         let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        pool.for_each_index(1000, |i| {
+        pool.for_each_take(vec![(); 1000], |i, ()| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -571,7 +530,7 @@ mod tests {
         assert!(caught.is_err());
         // The pool still executes work afterwards.
         let counter = AtomicU64::new(0);
-        pool.for_each_index(100, |_| {
+        pool.for_each_take(vec![(); 100], |_, ()| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 100);
@@ -586,7 +545,7 @@ mod tests {
                 let total = &total;
                 let pool2 = pool.clone();
                 s.spawn(move || {
-                    pool2.for_each_index(16, |_| {
+                    pool2.for_each_take(vec![(); 16], |_, ()| {
                         total.fetch_add(1, Ordering::Relaxed);
                     });
                 });
@@ -596,10 +555,10 @@ mod tests {
     }
 
     #[test]
-    fn run_ranks_returns_in_order_and_reuses_threads() {
+    fn run_tasks_returns_in_order_and_reuses_threads() {
         let pool = ExecPool::new(1);
         let out: Vec<u32> = pool
-            .run_ranks(8, |r| r as u32 * 10)
+            .run_tasks(rank_tasks(8, |r| r as u32 * 10))
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
@@ -607,9 +566,11 @@ mod tests {
         let first = pool.stats();
         assert_eq!(first.rank_threads_spawned, 8);
         // Second run reuses every parked slot.
-        pool.run_ranks(8, |r| r).into_iter().for_each(|r| {
-            r.unwrap();
-        });
+        pool.run_tasks(rank_tasks(8, |r| r))
+            .into_iter()
+            .for_each(|r| {
+                r.unwrap();
+            });
         let second = pool.stats();
         assert_eq!(second.rank_threads_spawned, 8);
         assert_eq!(second.rank_threads_reused, 8);
@@ -619,16 +580,16 @@ mod tests {
     #[test]
     fn rank_panic_comes_back_as_err_and_slot_survives() {
         let pool = ExecPool::new(1);
-        let results = pool.run_ranks(4, |r| {
+        let results = pool.run_tasks(rank_tasks(4, |r| {
             if r == 2 {
                 panic!("rank 2 down");
             }
             r
-        });
+        }));
         assert!(results[2].is_err());
         assert_eq!(*results[0].as_ref().unwrap(), 0);
         // The pool is not poisoned: the same slots serve the next run.
-        let ok = pool.run_ranks(4, |r| r + 100);
+        let ok = pool.run_tasks(rank_tasks(4, |r| r + 100));
         assert!(ok.iter().all(|r| r.is_ok()));
         let stats = pool.stats();
         assert_eq!(stats.rank_threads_spawned, 4, "panicked slot was respawned");
@@ -637,22 +598,17 @@ mod tests {
     #[test]
     fn pool_drop_joins_all_threads() {
         let pool = ExecPool::new(3);
-        pool.run_ranks(5, |r| r).into_iter().for_each(|r| {
-            r.unwrap();
-        });
+        pool.run_tasks(rank_tasks(5, |r| r))
+            .into_iter()
+            .for_each(|r| {
+                r.unwrap();
+            });
         drop(pool); // must not hang
     }
 
     #[test]
     fn serial_fallthrough_paths() {
         let pool = ExecPool::new(4);
-        pool.for_each_index(0, |_| panic!("must not run"));
-        let one = AtomicU64::new(0);
-        pool.for_each_index(1, |i| {
-            assert_eq!(i, 0);
-            one.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(one.load(Ordering::Relaxed), 1);
         pool.for_each_take(Vec::<u8>::new(), |_, _| panic!("must not run"));
         let single = Mutex::new(0u8);
         pool.for_each_take(vec![7u8], |i, v| {

@@ -55,7 +55,9 @@ pub struct A15dSpmm {
 
 impl A15dSpmm {
     /// Prepares the stationary distribution of `a` on `p` ranks with
-    /// replication factor `c` (`c` must divide `p`).
+    /// replication factor `c`, the ranks a `(p / c) × c` grid. A `p` or `c`
+    /// of zero, or a `c` that does not divide `p`, is refused with a
+    /// `ShapeMismatch` of the rank count, `p × 1`, against that grid.
     pub fn new(a: &CsrMatrix<f64>, p: u32, c: u32) -> SparseResult<Self> {
         if a.rows() != a.cols() {
             return Err(SparseError::ShapeMismatch {
@@ -63,11 +65,12 @@ impl A15dSpmm {
                 right: (a.cols(), a.rows()),
             });
         }
-        assert!(p >= 1 && c >= 1, "need p, c >= 1");
-        assert!(
-            p.is_multiple_of(c),
-            "replication factor c = {c} must divide p = {p}"
-        );
+        if p == 0 || c == 0 || !p.is_multiple_of(c) {
+            return Err(SparseError::ShapeMismatch {
+                left: (p, 1),
+                right: (p / c.max(1), c),
+            });
+        }
         let n = a.rows();
         let grid_rows = p / c;
         let rb = n.div_ceil(grid_rows).max(1);
@@ -323,8 +326,13 @@ mod tests {
     #[test]
     fn c_must_divide_p() {
         let a: CsrMatrix<f64> = basic::path(4).to_adjacency();
-        let result = std::panic::catch_unwind(|| A15dSpmm::new(&a, 6, 4));
-        assert!(result.is_err());
+        for (p, c) in [(6, 4), (0, 1), (4, 0), (0, 0)] {
+            let refused = A15dSpmm::new(&a, p, c);
+            assert!(
+                matches!(refused, Err(SparseError::ShapeMismatch { .. })),
+                "p = {p}, c = {c}"
+            );
+        }
     }
 
     #[test]

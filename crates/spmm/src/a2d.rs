@@ -55,8 +55,9 @@ pub struct A2dSpmm {
 }
 
 impl A2dSpmm {
-    /// Prepares the distribution on `p` ranks; `p` must be a perfect
-    /// square.
+    /// Prepares the distribution on `p` ranks, a `q × q` grid. A `p` that
+    /// is not a positive square is refused with a `ShapeMismatch` of the
+    /// rank count, `p × 1`, against the nearest grid.
     pub fn new(a: &CsrMatrix<f64>, p: u32) -> SparseResult<Self> {
         if a.rows() != a.cols() {
             return Err(SparseError::ShapeMismatch {
@@ -65,10 +66,12 @@ impl A2dSpmm {
             });
         }
         let q = (p as f64).sqrt().round() as u32;
-        assert!(
-            q * q == p,
-            "2D A-stationary needs a square rank count, got {p}"
-        );
+        if p == 0 || q * q != p {
+            return Err(SparseError::ShapeMismatch {
+                left: (p, 1),
+                right: (q, q),
+            });
+        }
         let n = a.rows();
         let rb = n.div_ceil(q).max(1);
         let mut tiles = Vec::with_capacity(p as usize);
@@ -291,9 +294,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "square rank count")]
     fn non_square_p_rejected() {
         let a: CsrMatrix<f64> = basic::path(4).to_adjacency();
-        let _ = A2dSpmm::new(&a, 6);
+        for p in [6, 0, 2] {
+            let refused = A2dSpmm::new(&a, p);
+            assert!(
+                matches!(refused, Err(SparseError::ShapeMismatch { .. })),
+                "p = {p}"
+            );
+        }
     }
 }
