@@ -187,20 +187,6 @@ impl ScenarioTrace {
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         Self::from_text(&text)
     }
-
-    /// The largest tenant index any op addresses, if any op does.
-    pub fn max_tenant(&self) -> Option<usize> {
-        self.ops
-            .iter()
-            .filter_map(|op| match op {
-                TraceOp::Add { tenant, .. }
-                | TraceOp::Set { tenant, .. }
-                | TraceOp::Query { tenant, .. }
-                | TraceOp::Refresh { tenant } => Some(*tenant),
-                TraceOp::Settle => None,
-            })
-            .max()
-    }
 }
 
 fn parse_kv<T: std::str::FromStr>(part: Option<&str>, key: &str) -> Result<T, String> {
@@ -287,7 +273,8 @@ mod tests {
         let text = "amd-trace/1 n=8 tenants=1\n\n# comment\na 0 1 2 3.0  # inline\nw\n";
         let t = ScenarioTrace::from_text(text).unwrap();
         assert_eq!(t.ops.len(), 2);
-        assert_eq!(t.max_tenant(), Some(0));
+        assert!(matches!(t.ops[0], TraceOp::Add { tenant: 0, .. }));
+        assert_eq!(t.ops[1], TraceOp::Settle);
     }
 
     #[test]

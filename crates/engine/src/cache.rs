@@ -21,10 +21,12 @@
 //! per-key files.
 //!
 //! [`CacheStats::decompositions`] is the probe tests use to assert the
-//! warm path performs zero LA-Decompose calls.
+//! warm path performs zero LA-Decompose calls. Only an engine of more
+//! than one rank builds a cache; a one-rank engine's counters are all
+//! zero.
 
 use amd_obs::{Registry, Stopwatch};
-use amd_sparse::{CsrMatrix, SparseResult};
+use amd_sparse::{CsrMatrix, SparseError, SparseResult};
 use arrow_core::catalog::Catalog;
 use arrow_core::{la_decompose, ArrowDecomposition, DecomposeConfig, RandomForestLa};
 use std::collections::HashMap;
@@ -34,7 +36,7 @@ use std::sync::Arc;
 amd_obs::stats_view! {
     /// Counters exposed by the cache (monotonic over its lifetime): a
     /// point-in-time view of its registry metrics (`cache.*` in a
-    /// metrics snapshot) — see [`DecompositionCache::stats`].
+    /// metrics snapshot) — see [`Engine::cache_stats`](crate::Engine::cache_stats).
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct CacheStats {
         /// Requests answered from memory.
@@ -50,8 +52,7 @@ amd_obs::stats_view! {
         /// included: the count of `decompose.seconds`.
         decompositions: u64 = m.decompose_seconds.count(),
         /// Decompositions computed elsewhere (e.g. on a background refresh
-        /// worker) and handed to the cache via
-        /// [`DecompositionCache::admit`].
+        /// worker) and handed to the cache at a refresh's commit.
         admitted: Counter,
         /// Decompositions written through to the catalog.
         spills: Counter,
@@ -60,9 +61,8 @@ amd_obs::stats_view! {
         spill_failures: Counter,
         /// Entries dropped from memory by the LRU policy.
         evictions: Counter,
-        /// Entries dropped from memory by [`DecompositionCache::release`]
-        /// (a binding was deregistered; the catalog copy, if any, remains
-        /// until garbage-collected).
+        /// Entries dropped from memory because a binding was deregistered
+        /// (the catalog copy, if any, remains until garbage-collected).
         released: Counter,
     }
     /// The cache's registry handles.
@@ -82,7 +82,7 @@ struct Entry {
 /// [`cache_key`](Self::cache_key) — the [`CsrMatrix::fingerprint`]
 /// folded with the decompose configuration and seed — with optional
 /// write-through into an on-disk [`Catalog`].
-pub struct DecompositionCache {
+pub(crate) struct DecompositionCache {
     capacity: usize,
     catalog: Option<Catalog>,
     entries: HashMap<u128, Entry>,
@@ -91,26 +91,24 @@ pub struct DecompositionCache {
 }
 
 impl DecompositionCache {
-    /// A cache holding at most `capacity` decompositions in memory.
-    /// With `catalog_dir` set, every decomposition is also persisted
-    /// there as a catalog version (write-through), and lookups fall
-    /// back to the catalog before decomposing; pass `None` for a
-    /// memory-only cache.
-    pub fn new(capacity: usize, catalog_dir: Option<PathBuf>) -> SparseResult<Self> {
-        Self::with_registry(capacity, catalog_dir, &Registry::new())
-    }
-
-    /// [`new`](Self::new), publishing the cache's counters (`cache.*`,
-    /// `decompose.seconds`) and the catalog's (`catalog.*`) into the
-    /// caller's metrics registry instead of a private one — the hookup
-    /// used by [`Engine`](crate::Engine) so one snapshot covers the
+    /// A cache holding at most `capacity` decompositions in memory (a
+    /// `capacity` of 0 is refused). With `catalog_dir` set, every
+    /// decomposition is also persisted there as a catalog version
+    /// (write-through), and lookups fall back to the catalog before
+    /// decomposing; pass `None` for a memory-only cache. The cache's
+    /// counters (`cache.*`, `decompose.seconds`) and the catalog's
+    /// (`catalog.*`) register in `registry`, so one snapshot covers the
     /// whole serving stack.
     pub fn with_registry(
         capacity: usize,
         catalog_dir: Option<PathBuf>,
         registry: &Registry,
     ) -> SparseResult<Self> {
-        assert!(capacity >= 1, "cache capacity must be at least 1");
+        if capacity == 0 {
+            return Err(SparseError::InvalidCsr(
+                "cache_capacity must be at least 1".into(),
+            ));
+        }
         let catalog = match catalog_dir {
             Some(dir) => Some(Catalog::open_with_registry(dir, registry)?),
             None => None,
@@ -139,28 +137,12 @@ impl DecompositionCache {
         self.catalog.as_mut()
     }
 
-    /// Number of decompositions resident in memory.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// `true` if the given [`cache_key`](Self::cache_key) is resident in
-    /// memory (does not touch recency or counters).
-    pub fn contains(&self, key: u128) -> bool {
-        self.entries.contains_key(&key)
-    }
-
     /// The cache identity of a request: the matrix content fingerprint
     /// folded with every input that shapes the decomposition — arrow
     /// width, pruning flag, level cap, and the arrangement seed. Two
     /// requests share an entry (or a catalog version) only when they
     /// would produce the same decomposition.
-    pub fn cache_key(fingerprint: u128, config: &DecomposeConfig, seed: u64) -> u128 {
+    fn cache_key(fingerprint: u128, config: &DecomposeConfig, seed: u64) -> u128 {
         const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
         let mut h = fingerprint;
         for byte in config
@@ -177,37 +159,14 @@ impl DecompositionCache {
         h
     }
 
-    /// The decomposition for `a`, from memory, the catalog, or (last
-    /// resort) a fresh LA-Decompose with `config` and the random-forest
-    /// strategy seeded by `seed`.
-    pub fn get_or_decompose(
-        &mut self,
-        a: &CsrMatrix<f64>,
-        config: &DecomposeConfig,
-        seed: u64,
-    ) -> SparseResult<Arc<ArrowDecomposition>> {
-        self.get_or_decompose_keyed(a, a.fingerprint(), config, seed)
-    }
-
-    /// [`get_or_decompose`](Self::get_or_decompose) with the content
-    /// fingerprint supplied by the caller (who typically already
-    /// computed it for its own bookkeeping — hashing is `O(nnz)`, worth
-    /// doing once).
-    pub fn get_or_decompose_keyed(
-        &mut self,
-        a: &CsrMatrix<f64>,
-        fingerprint: u128,
-        config: &DecomposeConfig,
-        seed: u64,
-    ) -> SparseResult<Arc<ArrowDecomposition>> {
-        self.get_or_decompose_lineage(a, fingerprint, config, seed, 0, 0)
-    }
-
-    /// [`get_or_decompose_keyed`](Self::get_or_decompose_keyed) with
-    /// catalog lineage: should a fresh decomposition be computed, its
-    /// write-through records `version` and `parent` (the fingerprint it
-    /// was refreshed from) instead of a root version — the synchronous
-    /// refresh path of a serving engine.
+    /// The decomposition for `a` (whose content fingerprint the caller
+    /// supplies — hashing is `O(nnz)`, worth doing once), from memory,
+    /// the catalog, or (last resort) a fresh LA-Decompose with `config`
+    /// and the random-forest strategy seeded by `seed`. Should a fresh
+    /// one be computed, its write-through records `version` and `parent`
+    /// (the fingerprint it was refreshed from; 0 for a root). Also says
+    /// where it came from — `"hit"`, `"disk"` or `"decompose"` — for
+    /// the trace.
     pub fn get_or_decompose_lineage(
         &mut self,
         a: &CsrMatrix<f64>,
@@ -216,13 +175,13 @@ impl DecompositionCache {
         seed: u64,
         version: u64,
         parent: u128,
-    ) -> SparseResult<Arc<ArrowDecomposition>> {
+    ) -> SparseResult<(Arc<ArrowDecomposition>, &'static str)> {
         let key = Self::cache_key(fingerprint, config, seed);
         self.clock += 1;
         if let Some(entry) = self.entries.get_mut(&key) {
             entry.last_used = self.clock;
             self.metrics.hits.inc();
-            return Ok(entry.d.clone());
+            return Ok((entry.d.clone(), "hit"));
         }
         self.metrics.misses.inc();
         // Catalog fallback: a previous run (or an evicted entry) may
@@ -238,7 +197,7 @@ impl DecompositionCache {
                     let d = Arc::new(d);
                     self.metrics.disk_loads.inc();
                     self.insert(key, d.clone());
-                    return Ok(d);
+                    return Ok((d, "disk"));
                 }
                 Ok(Some(_)) => self.metrics.load_failures.inc(), // wrong shape
                 Ok(None) => {
@@ -263,7 +222,7 @@ impl DecompositionCache {
         let d = Arc::new(d?);
         self.write_through(&d, fingerprint, config, seed, version, parent);
         self.insert(key, d.clone());
-        Ok(d)
+        Ok((d, "decompose"))
     }
 
     /// The resident decomposition for a content/config/seed identity,
@@ -296,7 +255,8 @@ impl DecompositionCache {
     /// the given lineage: `version` is the revision counter and
     /// `parent` the fingerprint this decomposition was refreshed from
     /// (0 for a root) — an incremental refresh's spliced result thus
-    /// persists as a child version of its prior.
+    /// persists as a child version of its prior. Also says which of the
+    /// two happened — `"hit"` or `"admitted"` — for the trace.
     pub fn admit(
         &mut self,
         fingerprint: u128,
@@ -305,32 +265,29 @@ impl DecompositionCache {
         d: Arc<ArrowDecomposition>,
         version: u64,
         parent: u128,
-    ) -> Arc<ArrowDecomposition> {
+    ) -> (Arc<ArrowDecomposition>, &'static str) {
         let key = Self::cache_key(fingerprint, config, seed);
         self.clock += 1;
         if let Some(entry) = self.entries.get_mut(&key) {
             entry.last_used = self.clock;
             self.metrics.hits.inc();
-            return entry.d.clone();
+            return (entry.d.clone(), "hit");
         }
         self.metrics.admitted.inc();
         self.write_through(&d, fingerprint, config, seed, version, parent);
         self.insert(key, d.clone());
-        d
+        (d, "admitted")
     }
 
     /// Drops the resident entry for an identity, if present — the
     /// deregistration path: the binding that pinned this decomposition
     /// is gone, so the memory can go too. The catalog version (if any)
-    /// survives until GC'd or its chain is removed. Returns whether an
-    /// entry was dropped.
-    pub fn release(&mut self, fingerprint: u128, config: &DecomposeConfig, seed: u64) -> bool {
+    /// survives until GC'd or its chain is removed.
+    pub fn release(&mut self, fingerprint: u128, config: &DecomposeConfig, seed: u64) {
         let key = Self::cache_key(fingerprint, config, seed);
-        let dropped = self.entries.remove(&key).is_some();
-        if dropped {
+        if self.entries.remove(&key).is_some() {
             self.metrics.released.inc();
         }
-        dropped
     }
 
     fn write_through(
@@ -387,13 +344,29 @@ mod tests {
         DecomposeConfig::with_width(8)
     }
 
+    fn open(capacity: usize, dir: Option<PathBuf>) -> SparseResult<DecompositionCache> {
+        DecompositionCache::with_registry(capacity, dir, &Registry::new())
+    }
+
+    /// A root-version lookup of `a`, hashing it here, and where the
+    /// decomposition came from.
+    fn get(
+        cache: &mut DecompositionCache,
+        a: &CsrMatrix<f64>,
+        config: &DecomposeConfig,
+        seed: u64,
+    ) -> SparseResult<(Arc<ArrowDecomposition>, &'static str)> {
+        cache.get_or_decompose_lineage(a, a.fingerprint(), config, seed, 0, 0)
+    }
+
     #[test]
     fn second_request_is_a_memory_hit() {
-        let mut cache = DecompositionCache::new(2, None).unwrap();
+        let mut cache = open(2, None).unwrap();
         let a = matrix(40);
-        let d1 = cache.get_or_decompose(&a, &cfg(), 1).unwrap();
-        let d2 = cache.get_or_decompose(&a, &cfg(), 1).unwrap();
+        let (d1, cold) = get(&mut cache, &a, &cfg(), 1).unwrap();
+        let (d2, warm) = get(&mut cache, &a, &cfg(), 1).unwrap();
         assert!(Arc::ptr_eq(&d1, &d2));
+        assert_eq!((cold, warm), ("decompose", "hit"));
         assert_eq!(cache.stats().decompositions, 1);
         assert_eq!(cache.stats().hits, 1);
     }
@@ -409,7 +382,7 @@ mod tests {
             max_levels: 1,
             ..DecomposeConfig::with_width(4)
         };
-        assert!(cache.get_or_decompose(&a, &capped, 1).is_err());
+        assert!(get(&mut cache, &a, &capped, 1).is_err());
         assert_eq!(cache.stats().decompositions, 1);
         let timed = registry.snapshot().histogram("decompose.seconds").unwrap();
         assert_eq!(timed.count, 1);
@@ -417,17 +390,17 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_and_capacity_holds() {
-        let mut cache = DecompositionCache::new(2, None).unwrap();
+        let mut cache = open(2, None).unwrap();
         let (a, b, c) = (matrix(30), matrix(40), matrix(50));
-        cache.get_or_decompose(&a, &cfg(), 1).unwrap();
-        cache.get_or_decompose(&b, &cfg(), 1).unwrap();
+        get(&mut cache, &a, &cfg(), 1).unwrap();
+        get(&mut cache, &b, &cfg(), 1).unwrap();
         // Touch a so b becomes the LRU victim.
-        cache.get_or_decompose(&a, &cfg(), 1).unwrap();
-        cache.get_or_decompose(&c, &cfg(), 1).unwrap();
-        assert_eq!(cache.len(), 2);
+        get(&mut cache, &a, &cfg(), 1).unwrap();
+        get(&mut cache, &c, &cfg(), 1).unwrap();
+        assert_eq!(cache.entries.len(), 2);
         let key = |m: &CsrMatrix<f64>| DecompositionCache::cache_key(m.fingerprint(), &cfg(), 1);
-        assert!(cache.contains(key(&a)));
-        assert!(!cache.contains(key(&b)));
+        assert!(cache.entries.contains_key(&key(&a)));
+        assert!(!cache.entries.contains_key(&key(&b)));
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -435,21 +408,15 @@ mod tests {
     fn different_configs_get_distinct_entries() {
         // Same matrix at two widths must produce two decompositions —
         // the cache identity covers the config, not just the content.
-        let mut cache = DecompositionCache::new(4, None).unwrap();
+        let mut cache = open(4, None).unwrap();
         let a = matrix(40);
-        let d8 = cache
-            .get_or_decompose(&a, &DecomposeConfig::with_width(8), 1)
-            .unwrap();
-        let d16 = cache
-            .get_or_decompose(&a, &DecomposeConfig::with_width(16), 1)
-            .unwrap();
+        let (d8, _) = get(&mut cache, &a, &DecomposeConfig::with_width(8), 1).unwrap();
+        let (d16, _) = get(&mut cache, &a, &DecomposeConfig::with_width(16), 1).unwrap();
         assert_eq!(cache.stats().decompositions, 2);
         assert_eq!(d8.b(), 8);
         assert_eq!(d16.b(), 16);
         // A different seed is likewise its own entry.
-        cache
-            .get_or_decompose(&a, &DecomposeConfig::with_width(8), 2)
-            .unwrap();
+        get(&mut cache, &a, &DecomposeConfig::with_width(8), 2).unwrap();
         assert_eq!(cache.stats().decompositions, 3);
     }
 
@@ -459,8 +426,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let a = matrix(60);
         {
-            let mut cache = DecompositionCache::new(2, Some(dir.clone())).unwrap();
-            cache.get_or_decompose(&a, &cfg(), 1).unwrap();
+            let mut cache = open(2, Some(dir.clone())).unwrap();
+            get(&mut cache, &a, &cfg(), 1).unwrap();
             assert_eq!(cache.stats().decompositions, 1);
             assert_eq!(cache.stats().spills, 1);
             // The write-through is a catalog root version.
@@ -471,8 +438,9 @@ mod tests {
             assert_eq!(rec.parent, 0);
         }
         // Fresh cache, same directory: warm restart, zero LA-Decompose.
-        let mut cache = DecompositionCache::new(2, Some(dir.clone())).unwrap();
-        let d = cache.get_or_decompose(&a, &cfg(), 1).unwrap();
+        let mut cache = open(2, Some(dir.clone())).unwrap();
+        let (d, from) = get(&mut cache, &a, &cfg(), 1).unwrap();
+        assert_eq!(from, "disk");
         assert_eq!(cache.stats().decompositions, 0);
         assert_eq!(cache.stats().disk_loads, 1);
         assert_eq!(d.validate(&a).unwrap(), 0.0);
@@ -485,22 +453,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let a = matrix(50);
         let payload = {
-            let mut cache = DecompositionCache::new(2, Some(dir.clone())).unwrap();
-            cache.get_or_decompose(&a, &cfg(), 1).unwrap();
+            let mut cache = open(2, Some(dir.clone())).unwrap();
+            get(&mut cache, &a, &cfg(), 1).unwrap();
             let catalog = cache.catalog().unwrap();
             catalog.payload_path(catalog.record(a.fingerprint(), &cfg(), 1).unwrap())
         };
         // Truncate the payload: the warm path must survive it.
         let bytes = std::fs::read(&payload).unwrap();
         std::fs::write(&payload, &bytes[..20]).unwrap();
-        let mut cache = DecompositionCache::new(2, Some(dir.clone())).unwrap();
-        let d = cache.get_or_decompose(&a, &cfg(), 1).unwrap();
+        let mut cache = open(2, Some(dir.clone())).unwrap();
+        let (d, _) = get(&mut cache, &a, &cfg(), 1).unwrap();
         assert_eq!(cache.stats().load_failures, 1);
         assert_eq!(cache.stats().decompositions, 1, "fell back to decompose");
         assert_eq!(d.validate(&a).unwrap(), 0.0);
         // The bad version was replaced: a third cache loads it cleanly.
-        let mut cache = DecompositionCache::new(2, Some(dir.clone())).unwrap();
-        cache.get_or_decompose(&a, &cfg(), 1).unwrap();
+        let mut cache = open(2, Some(dir.clone())).unwrap();
+        get(&mut cache, &a, &cfg(), 1).unwrap();
         assert_eq!(cache.stats().decompositions, 0);
         assert_eq!(cache.stats().disk_loads, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -510,11 +478,11 @@ mod tests {
     fn eviction_then_rerequest_reloads_from_disk() {
         let dir = std::env::temp_dir().join(format!("amd-cache-evict-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cache = DecompositionCache::new(1, Some(dir.clone())).unwrap();
+        let mut cache = open(1, Some(dir.clone())).unwrap();
         let (a, b) = (matrix(30), matrix(44));
-        cache.get_or_decompose(&a, &cfg(), 1).unwrap();
-        cache.get_or_decompose(&b, &cfg(), 1).unwrap(); // evicts a
-        cache.get_or_decompose(&a, &cfg(), 1).unwrap(); // disk, not decompose
+        get(&mut cache, &a, &cfg(), 1).unwrap();
+        get(&mut cache, &b, &cfg(), 1).unwrap(); // evicts a
+        get(&mut cache, &a, &cfg(), 1).unwrap(); // disk, not decompose
         assert_eq!(cache.stats().decompositions, 2);
         assert_eq!(cache.stats().disk_loads, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -524,22 +492,24 @@ mod tests {
     fn admit_records_lineage_in_the_catalog() {
         let dir = std::env::temp_dir().join(format!("amd-cache-lineage-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cache = DecompositionCache::new(4, Some(dir.clone())).unwrap();
+        let mut cache = open(4, Some(dir.clone())).unwrap();
         let a = matrix(30);
         let b = matrix(32);
-        let da = cache.get_or_decompose(&a, &cfg(), 1).unwrap();
+        let (da, _) = get(&mut cache, &a, &cfg(), 1).unwrap();
         // Simulate a refresh: b's decomposition admitted as version 1
         // with a as its parent.
         let db = Arc::new(arrow_core::decompose_snapshot(&b, &cfg(), 1).unwrap());
-        cache.admit(b.fingerprint(), &cfg(), 1, db, 1, a.fingerprint());
+        let (_, from) = cache.admit(b.fingerprint(), &cfg(), 1, db, 1, a.fingerprint());
+        assert_eq!(from, "admitted");
         assert_eq!(cache.stats().admitted, 1);
         let catalog = cache.catalog().unwrap();
         let rec = catalog.record(b.fingerprint(), &cfg(), 1).unwrap();
         assert_eq!(rec.version, 1);
         assert_eq!(rec.parent, a.fingerprint());
         // Admitting a resident identity returns the resident Arc.
-        let da2 = cache.admit(a.fingerprint(), &cfg(), 1, da.clone(), 7, 0);
+        let (da2, from) = cache.admit(a.fingerprint(), &cfg(), 1, da.clone(), 7, 0);
         assert!(Arc::ptr_eq(&da, &da2));
+        assert_eq!(from, "hit");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -547,15 +517,15 @@ mod tests {
     fn release_drops_memory_but_not_the_catalog() {
         let dir = std::env::temp_dir().join(format!("amd-cache-release-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cache = DecompositionCache::new(4, Some(dir.clone())).unwrap();
+        let mut cache = open(4, Some(dir.clone())).unwrap();
         let a = matrix(30);
-        cache.get_or_decompose(&a, &cfg(), 1).unwrap();
-        assert!(cache.release(a.fingerprint(), &cfg(), 1));
-        assert!(!cache.release(a.fingerprint(), &cfg(), 1), "already gone");
+        get(&mut cache, &a, &cfg(), 1).unwrap();
+        cache.release(a.fingerprint(), &cfg(), 1);
+        cache.release(a.fingerprint(), &cfg(), 1); // already gone
         assert_eq!(cache.stats().released, 1);
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
         // The catalog copy still answers the next request.
-        cache.get_or_decompose(&a, &cfg(), 1).unwrap();
+        get(&mut cache, &a, &cfg(), 1).unwrap();
         assert_eq!(cache.stats().disk_loads, 1);
         assert_eq!(cache.stats().decompositions, 1, "no second decompose");
         let _ = std::fs::remove_dir_all(&dir);

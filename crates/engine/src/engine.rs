@@ -3,33 +3,31 @@
 //! A matrix is **registered** once: fingerprinted, planned by the
 //! [`planner`](crate::planner), and bound to the winning algorithm — on
 //! a deployment of more than one rank after being decomposed through the
-//! [`DecompositionCache`], because the distributed candidates are built
-//! from a decomposition; on one rank without, because the plan there
-//! reads the CSR and nothing else (see [`EngineConfig::target_ranks`]).
-//! **Queries** — single-column multiply requests against a
+//! decomposition cache, which only such an engine builds; on one rank
+//! without, because the plan there reads the CSR and nothing else (see
+//! [`EngineConfig::target_ranks`]). **Queries** — single-column multiply requests against a
 //! registered matrix — are then submitted to a queue; [`Engine::flush`]
 //! coalesces all compatible pending queries (same matrix, iteration
 //! count, and σ) into one multi-RHS [`DenseMatrix`] run.
 //!
-//! Batching is exact, not approximate: every algorithm here — the
-//! shared-memory one a default engine binds and the four distributed
-//! ones — computes output columns independently (the per-column
-//! accumulation order does not depend on the operand width), so a
-//! batched answer is bit-identical to the per-query answer while paying
-//! the per-run fixed costs — one walk over the matrix; on a distributed
-//! deployment also rank dispatch and per-message latency α — once per
-//! batch instead of once per query.
+//! Batching is exact: every algorithm computes output columns
+//! independently (the per-column accumulation order does not depend on
+//! the operand width), so a batched answer is bit-identical to the
+//! per-query one, while the per-run fixed costs — one walk over the
+//! matrix; on a distributed deployment also rank dispatch and latency
+//! α — are paid once per batch.
 
-use crate::cache::{CacheStats, DecompositionCache};
-use crate::planner::{plan, plan_local, Plan, PlannerConfig, Prediction};
+use crate::cache::CacheStats;
+use crate::distributed::{DecomposeJob, Distributed};
+use crate::planner::{plan_local, Plan, PlannerConfig, Prediction};
 use amd_chaos::failpoint;
 use amd_comm::CostModel;
 use amd_obs::{SpanId, Stopwatch, Telemetry};
 use amd_sparse::{ops, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use amd_spmm::traits::Sigma;
 use amd_spmm::{DeltaSpmm, DistSpmm};
-use arrow_core::incremental::{decompose_snapshot_incremental, IncrementalPolicy, RefreshOutcome};
-use arrow_core::{ArrowDecomposition, DecomposeConfig};
+use arrow_core::incremental::{IncrementalPolicy, RefreshOutcome};
+use arrow_core::ArrowDecomposition;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -74,15 +72,19 @@ pub struct QueryId(pub u64);
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Arrow width used when decomposing registered matrices.
+    /// Arrow width used when decomposing registered matrices (read on
+    /// more than one rank only).
     pub arrow_width: u32,
-    /// Seed for the decomposition's random-forest arrangement.
+    /// Seed for the decomposition's random-forest arrangement (read on
+    /// more than one rank only).
     pub decompose_seed: u64,
-    /// Decompositions held in memory (LRU beyond this).
+    /// Decompositions held in memory (LRU beyond this). Read on more
+    /// than one rank only, where `0` is refused with an error.
     pub cache_capacity: usize,
     /// Write-through spill directory for decompositions; `None`
-    /// disables persistence. A one-rank engine computes none, so it
-    /// leaves the directory empty.
+    /// disables persistence. Read on more than one rank only: a one-rank
+    /// engine computes no decomposition, and neither creates nor opens
+    /// the directory.
     pub spill_dir: Option<PathBuf>,
     /// Cost model for the planner.
     pub cost: CostModel,
@@ -99,7 +101,7 @@ pub struct EngineConfig {
     pub max_batch: usize,
     /// When a refresh may splice the prior decomposition instead of
     /// re-running LA-Decompose from scratch (see
-    /// [`arrow_core::incremental`]).
+    /// [`arrow_core::incremental`]). Read on more than one rank only.
     pub incremental: IncrementalPolicy,
     /// Serving precision: every candidate algorithm is planned and run
     /// at this dtype. `f32` halves the bytes the cost model charges per
@@ -224,18 +226,6 @@ struct BoundMatrix {
     active_prefix: Option<f64>,
 }
 
-/// Where a registration sits in its binding's history.
-struct Lineage {
-    /// Streaming revision (0 for a cold registration).
-    version: u64,
-    /// Registration salt (see [`MatrixId`]).
-    salt: u128,
-    /// Content fingerprint this registration was refreshed from (0 for
-    /// a cold one) — recorded in the persistence catalog so version
-    /// chains track delta lineage.
-    parent: u128,
-}
-
 /// The immutable half of a refresh, produced by
 /// [`Engine::prepare_refresh`]: everything [`build`](Self::build) needs
 /// to produce the next binding's inputs *off-thread* — while the engine
@@ -248,28 +238,10 @@ pub struct RefreshTicket {
     pub old: MatrixId,
     /// Dimension of that binding; a build of any other shape is refused.
     pub n: u32,
-    /// Whether the build computes a decomposition of the merged matrix
-    /// (splice or cold, per `prior`, `touched` and `incremental`): on a
-    /// deployment of more than one rank, when the caller named the
-    /// touched vertices. A one-rank binding reads no decomposition, and
-    /// a refresh that cannot say what changed takes its decomposition
-    /// from the cache at commit.
-    pub decompose: bool,
-    /// Decomposition parameters the engine would use (arrow width etc.).
-    pub config: DecomposeConfig,
-    /// Arrangement seed the engine would use.
-    pub seed: u64,
-    /// The old binding's decomposition, when it was still resident in
-    /// the cache at [`prepare_refresh`](Engine::prepare_refresh) time —
-    /// the splice base of an incremental re-decomposition.
-    pub prior: Option<Arc<ArrowDecomposition>>,
-    /// Every vertex incident to a difference between the old binding's
-    /// content and the merged snapshot; `None` when unknown.
-    pub touched: Option<Vec<u32>>,
-    /// The engine's incremental-refresh policy, carried along so a
-    /// worker thread decides incremental-vs-cold exactly as the engine
-    /// would.
-    pub incremental: IncrementalPolicy,
+    /// What the build needs to decompose the merged matrix; `None` on
+    /// one rank and when the caller named no touched vertices (see
+    /// [`Engine::prepare_refresh`]).
+    decompose: Option<DecomposeJob>,
 }
 
 /// What a refresh build hands to [`Engine::commit_refresh`] beside the
@@ -328,17 +300,9 @@ impl RefreshTicket {
                 right: (merged.rows(), merged.cols()),
             });
         }
-        let decomposition = if self.decompose {
-            Some(decompose_snapshot_incremental(
-                merged,
-                &self.config,
-                self.seed,
-                self.prior.as_deref(),
-                self.touched.as_deref(),
-                &self.incremental,
-            )?)
-        } else {
-            None
+        let decomposition = match &self.decompose {
+            Some(job) => Some(job.run(merged)?),
+            None => None,
         };
         Ok(RefreshBuild {
             fingerprint,
@@ -356,7 +320,8 @@ struct Pending {
 /// cost-model planner. See the [module docs](self).
 pub struct Engine {
     config: EngineConfig,
-    cache: DecompositionCache,
+    /// The many-rank arm; `None` on one rank.
+    distributed: Option<Distributed>,
     bound: HashMap<u128, BoundMatrix>,
     pending: Vec<Pending>,
     /// Storage of the last batch's packed operand, reused by the next.
@@ -367,8 +332,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine; opens (creating if needed) the persistence
-    /// catalog when a spill directory is configured. Telemetry is
+    /// Builds an engine; on more than one rank, opens (creating if
+    /// needed) the persistence catalog when a spill directory is
+    /// configured, and refuses a `cache_capacity` of 0. Telemetry is
     /// enabled with a fresh registry and tracer — use
     /// [`with_telemetry`](Self::with_telemetry) to share or disable it.
     pub fn new(config: EngineConfig) -> SparseResult<Self> {
@@ -376,21 +342,19 @@ impl Engine {
     }
 
     /// [`new`](Self::new) observing into caller-supplied telemetry: the
-    /// engine's counters and histograms (`engine.*`, `cache.*`,
-    /// `catalog.*`, `decompose.seconds`, `multiply.seconds`,
-    /// `refresh.seconds`) register there, and request-path trace events
-    /// go to its tracer. Pass [`Telemetry::disabled`] for a zero-cost
+    /// engine's counters and histograms (`engine.*`, `pack.seconds`,
+    /// `multiply.seconds`, `unpack.seconds`, `refresh.seconds`) register
+    /// there — on more than one rank also the cache's and the catalog's
+    /// (`cache.*`, `catalog.*`, `decompose.seconds`), which a one-rank
+    /// engine never registers — and request-path trace events go to its
+    /// tracer. Pass [`Telemetry::disabled`] for a zero-cost
     /// uninstrumented engine.
     pub fn with_telemetry(config: EngineConfig, telemetry: Telemetry) -> SparseResult<Self> {
-        let cache = DecompositionCache::with_registry(
-            config.cache_capacity,
-            config.spill_dir.clone(),
-            &telemetry.registry,
-        )?;
+        let distributed = Distributed::new(&config, &telemetry.registry)?;
         let metrics = EngineCells::new(&telemetry.registry, "engine.");
         Ok(Self {
             config,
-            cache,
+            distributed,
             bound: HashMap::new(),
             pending: Vec::new(),
             operand: Vec::new(),
@@ -433,30 +397,23 @@ impl Engine {
         salt: u128,
     ) -> SparseResult<MatrixId> {
         let a = a.into();
-        let cold = Lineage {
-            version: 0,
-            salt,
-            parent: 0,
-        };
         let fingerprint = a.fingerprint();
-        self.register_versioned(a, fingerprint, cold, None)
+        self.register_versioned(a, fingerprint, salt, (0, 0), None)
     }
 
     /// `fingerprint` is `a.fingerprint()`, hashed once by whoever
-    /// produced `a`; `precomputed` is a refresh build's decomposition of
-    /// `a`, when it made one.
+    /// produced `a`; `version` is the streaming revision and `parent` the
+    /// fingerprint it was refreshed from (both 0 when cold; the catalog
+    /// chains versions by it); `precomputed` is a refresh build's
+    /// decomposition of `a`, when it made one.
     fn register_versioned(
         &mut self,
         a: Arc<CsrMatrix<f64>>,
         fingerprint: u128,
-        lineage: Lineage,
+        salt: u128,
+        (version, parent): (u64, u128),
         precomputed: Option<Arc<ArrowDecomposition>>,
     ) -> SparseResult<MatrixId> {
-        let Lineage {
-            version,
-            salt,
-            parent,
-        } = lineage;
         let id = salted_id(fingerprint, salt);
         if self.bound.contains_key(&id) {
             return Ok(MatrixId(id));
@@ -468,28 +425,17 @@ impl Engine {
             });
         }
         let n = a.rows();
-        let planner_config = PlannerConfig {
+        let planner = PlannerConfig {
             cost: self.config.cost,
-            target_ranks: self.config.target_ranks,
             k_hint: (self.config.max_batch as u32).clamp(1, 64),
             dtype: self.config.dtype,
             ..PlannerConfig::default()
         };
         // Only a plan that reads a decomposition gets one: everything
-        // that computes, caches or persists it is inside this arm.
-        let (planned, active_prefix, source) = if self.config.target_ranks > 1 {
-            let (d, source) =
-                self.cached_decomposition(&a, fingerprint, version, precomputed, parent)?;
-            let active_prefix = d.active_prefix_fraction();
-            // Of the most recently planned binding, in permille (gauges
-            // are integers); a one-rank engine never publishes the name.
-            self.telemetry
-                .registry
-                .gauge("engine.active_prefix_permille")
-                .set((active_prefix * 1000.0).round() as u64);
-            (plan(&a, &d, &planner_config)?, Some(active_prefix), source)
-        } else {
-            (plan_local(a, &planner_config)?, None, "none")
+        // that computes, caches or persists it is in the many-rank arm.
+        let (planned, active_prefix, source) = match &mut self.distributed {
+            Some(d) => d.plan(&a, fingerprint, (version, parent), precomputed, planner)?,
+            None => (plan_local(a, &planner)?, None, "none"),
         };
         let Plan {
             algo,
@@ -528,70 +474,11 @@ impl Engine {
         Ok(MatrixId(id))
     }
 
-    /// The decomposition a many-rank binding of `a` is planned from,
-    /// through the cache: `precomputed` (a refresh build's) is admitted,
-    /// anything else is looked up in memory, then in the catalog, then
-    /// decomposed. Also says which of those it was, for the trace.
-    fn cached_decomposition(
-        &mut self,
-        a: &CsrMatrix<f64>,
-        fingerprint: u128,
-        version: u64,
-        precomputed: Option<Arc<ArrowDecomposition>>,
-        parent: u128,
-    ) -> SparseResult<(Arc<ArrowDecomposition>, &'static str)> {
-        let decompose_config = DecomposeConfig::with_width(self.config.arrow_width);
-        let before = self.cache.stats();
-        let d = match precomputed {
-            Some(d) => {
-                if d.n() != a.rows() || d.b() != self.config.arrow_width {
-                    return Err(SparseError::InvalidCsr(format!(
-                        "precomputed decomposition (n = {}, b = {}) does not fit \
-                         matrix (n = {}) at width {}",
-                        d.n(),
-                        d.b(),
-                        a.rows(),
-                        self.config.arrow_width
-                    )));
-                }
-                self.cache.admit(
-                    fingerprint,
-                    &decompose_config,
-                    self.config.decompose_seed,
-                    d,
-                    version,
-                    parent,
-                )
-            }
-            None => self.cache.get_or_decompose_lineage(
-                a,
-                fingerprint,
-                &decompose_config,
-                self.config.decompose_seed,
-                version,
-                parent,
-            )?,
-        };
-        let after = self.cache.stats();
-        let source = if after.decompositions > before.decompositions {
-            "decompose"
-        } else if after.disk_loads > before.disk_loads {
-            "disk"
-        } else if after.admitted > before.admitted {
-            "admitted"
-        } else {
-            "hit"
-        };
-        Ok((d, source))
-    }
-
-    /// Replaces the binding of `old` with a re-planned binding of
-    /// `merged` (the compacted `A₀ + ΔA`), carrying the streaming version
-    /// forward. This is the engine half of a staleness refresh: on more
-    /// than one rank the decomposition goes through the cache
-    /// (write-through under the merged matrix's new fingerprint), the
-    /// planner plans afresh against the merged structure, and any
-    /// pending overlay on the old binding is discarded along with it.
+    /// Replaces the binding of `old` with a binding of `merged` (the
+    /// compacted `A₀ + ΔA`) planned afresh, carrying the streaming
+    /// version forward and discarding any pending overlay; on more than
+    /// one rank the merged matrix's decomposition goes through the cache
+    /// (write-through under its new fingerprint).
     ///
     /// Queries already queued against `old` are answered by the *new*
     /// binding at the next flush — their [`MatrixId`] is remapped, which
@@ -600,12 +487,10 @@ impl Engine {
     ///
     /// This is the refresh pipeline run inline by a caller that cannot
     /// say what changed: [`prepare_refresh`](Self::prepare_refresh)
-    /// without a touched set, the ticket's build from its merge step on
-    /// ([`RefreshTicket::build_merged`]), and
+    /// without a touched set, [`RefreshTicket::build_merged`] and
     /// [`commit_refresh`](Self::commit_refresh) of a copy of `merged`. A
-    /// holder that tracks its delta passes the touched set, runs
-    /// [`RefreshTicket::build`] on whichever thread it likes and commits
-    /// the result it owns.
+    /// holder that tracks its delta passes the touched set and runs
+    /// [`RefreshTicket::build`] on whichever thread it likes.
     pub fn refresh(&mut self, old: MatrixId, merged: &CsrMatrix<f64>) -> SparseResult<MatrixId> {
         let ticket = self.prepare_refresh(old, None)?;
         let built = ticket.build_merged(merged, merged.fingerprint())?;
@@ -617,21 +502,15 @@ impl Engine {
     /// its delta overlay) keeps serving until
     /// [`commit_refresh`](Self::commit_refresh).
     ///
-    /// With `touched`, on more than one rank, the ticket asks the build
-    /// for a decomposition and carries what an incremental one needs —
-    /// the old binding's decomposition (when still resident in the
-    /// cache) and the touched set — so whoever runs the build can splice
-    /// instead of rebuilding. `touched` must cover **every** vertex
+    /// With `touched`, on more than one rank, the build decomposes the
+    /// merged matrix — spliced from the old binding's decomposition when
+    /// that is still cached. `touched` must cover **every** vertex
     /// incident to a difference between the old binding's content and
-    /// the merged matrix; an incomplete set makes the spliced
-    /// decomposition serve the wrong operator. Holders that track their
-    /// delta in a [`DeltaBuilder`](amd_sparse::DeltaBuilder) get it from
-    /// `touched_vertices()`.
-    ///
-    /// Without it — and on one rank, whose binding reads no
-    /// decomposition — the build decomposes nothing; where the
-    /// deployment needs a decomposition, commit takes it from the cache
-    /// (a hit, a catalog reload, or a counted cold LA-Decompose).
+    /// the merged matrix (an incomplete set makes the splice serve the
+    /// wrong operator); a [`DeltaBuilder`](amd_sparse::DeltaBuilder)'s
+    /// `touched_vertices()` does. Otherwise the build decomposes nothing,
+    /// and where the deployment needs a decomposition, commit takes it
+    /// from the cache (a hit, a catalog reload, or a cold LA-Decompose).
     pub fn prepare_refresh(
         &mut self,
         old: MatrixId,
@@ -640,25 +519,12 @@ impl Engine {
         let old_bound = self.bound.get(&old.0).ok_or_else(|| {
             SparseError::InvalidCsr(format!("matrix {:032x} is not registered", old.0))
         })?;
-        let (n, prior_fp) = (old_bound.n, old_bound.fingerprint);
-        let config = DecomposeConfig::with_width(self.config.arrow_width);
-        let seed = self.config.decompose_seed;
-        let decompose = self.config.target_ranks > 1 && touched.is_some();
-        let prior = if decompose && self.config.incremental.enabled {
-            self.cache.peek(prior_fp, &config, seed)
-        } else {
-            None
+        let (n, fingerprint) = (old_bound.n, old_bound.fingerprint);
+        let decompose = match (&mut self.distributed, touched) {
+            (Some(d), Some(touched)) => Some(d.refresh_job(fingerprint, touched)),
+            _ => None,
         };
-        Ok(RefreshTicket {
-            old,
-            n,
-            decompose,
-            config,
-            seed,
-            prior,
-            touched,
-            incremental: self.config.incremental,
-        })
+        Ok(RefreshTicket { old, n, decompose })
     }
 
     /// The last step of a refresh: swaps the binding of `ticket.old`
@@ -693,14 +559,11 @@ impl Engine {
             });
         }
         let version = old_bound.version + 1;
-        let lineage = Lineage {
-            version,
-            salt: old_bound.salt,
-            parent: old_bound.fingerprint,
-        };
+        let lineage = (version, old_bound.fingerprint);
         let decomposition = built.decomposition.map(|(d, _)| Arc::new(d));
+        let (fingerprint, salt) = (built.fingerprint, old_bound.salt);
         let new_id =
-            match self.register_versioned(merged, built.fingerprint, lineage, decomposition) {
+            match self.register_versioned(merged, fingerprint, salt, lineage, decomposition) {
                 Ok(id) => id,
                 Err(e) => {
                     // Leave the engine serving the old binding on failure.
@@ -728,11 +591,11 @@ impl Engine {
         Ok(new_id)
     }
 
-    /// Drops the binding of `id`: its overlay goes with it, its cache
-    /// reference is released (the resident decomposition is dropped
-    /// unless another binding of the same content still pins it — the
-    /// catalog version, if any, stays until garbage-collected), and the
-    /// drop is counted in [`EngineStats::deregistered`].
+    /// Drops the binding of `id` and its overlay, counted in
+    /// [`EngineStats::deregistered`]. On more than one rank its cached
+    /// decomposition is released unless another binding of the same
+    /// content (another tenant's salted registration) still serves from
+    /// it; the catalog version, if any, stays until garbage-collected.
     ///
     /// The **pending-query ownership check**: deregistration refuses
     /// while queries against `id` sit in the queue — answering them
@@ -752,16 +615,10 @@ impl Engine {
         }
         let fingerprint = bound.fingerprint;
         self.bound.remove(&id.0);
-        // Release the cached decomposition only when no other binding
-        // (another tenant's salted registration of identical content)
-        // still serves from it.
-        let shared = self.bound.values().any(|b| b.fingerprint == fingerprint);
-        if !shared {
-            self.cache.release(
-                fingerprint,
-                &DecomposeConfig::with_width(self.config.arrow_width),
-                self.config.decompose_seed,
-            );
+        if let Some(distributed) = &mut self.distributed {
+            if !self.bound.values().any(|b| b.fingerprint == fingerprint) {
+                distributed.release(fingerprint);
+            }
         }
         self.metrics.deregistered.inc();
         Ok(())
@@ -785,15 +642,15 @@ impl Engine {
     }
 
     /// The persistence catalog behind the decomposition cache, when the
-    /// engine was configured with a spill directory (GC, chain removal,
-    /// restore tooling).
+    /// engine has more than one rank and a spill directory (GC, chain
+    /// removal, restore tooling).
     pub fn catalog(&self) -> Option<&arrow_core::Catalog> {
-        self.cache.catalog()
+        self.distributed.as_ref()?.cache.catalog()
     }
 
     /// Mutable access to the persistence catalog.
     pub fn catalog_mut(&mut self) -> Option<&mut arrow_core::Catalog> {
-        self.cache.catalog_mut()
+        self.distributed.as_mut()?.cache.catalog_mut()
     }
 
     /// Sets (or replaces) the sparse correction `ΔA` pending on `id`.
@@ -847,19 +704,16 @@ impl Engine {
     }
 
     /// Cache counters (the decompose-count probe lives here), folded
-    /// from the registry.
+    /// from the registry; all zero on one rank, which has no cache.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.distributed
+            .as_ref()
+            .map_or_else(CacheStats::default, |d| d.cache.stats())
     }
 
     /// Serving counters, folded from the registry.
     pub fn stats(&self) -> EngineStats {
         self.metrics.view()
-    }
-
-    /// Queries waiting for the next [`flush`](Engine::flush).
-    pub fn pending_queries(&self) -> usize {
-        self.pending.len()
     }
 
     /// Enqueues a query; answers arrive from [`flush`](Engine::flush).
@@ -1070,6 +924,22 @@ mod tests {
         assert_eq!(e.cache_stats().decompositions, 1);
         assert!(e.chosen_algorithm(id1).is_some());
         assert_eq!(e.plan_report(id1).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn zero_cache_capacity_is_refused_on_many_ranks_and_ignored_on_one() {
+        let zero = |target_ranks| {
+            Engine::new(EngineConfig {
+                cache_capacity: 0,
+                target_ranks,
+                ..EngineConfig::default()
+            })
+        };
+        let mut local = zero(1).expect("a one-rank engine has no cache to size");
+        let id = local.register(&ring(16)).unwrap();
+        assert!(local.chosen_algorithm(id).is_some());
+        let err = zero(4).err().expect("a many-rank engine needs a slot");
+        assert!(err.to_string().contains("cache_capacity"), "{err}");
     }
 
     #[test]
@@ -1550,7 +1420,7 @@ mod tests {
         assert_eq!(mine.len(), 2, "only salt-1 queries drained");
         assert!(mine.iter().any(|r| r.id == q1));
         assert_eq!(mine[0].batch_size, 2, "owned queries still batch");
-        assert_eq!(e.pending_queries(), 1, "salt-2 query still queued");
+        assert_eq!(e.pending_for(id2), 1, "salt-2 query still queued");
         let rest = e.flush().unwrap();
         assert_eq!(rest.len(), 1);
     }

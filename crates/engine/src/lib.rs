@@ -6,12 +6,15 @@
 //! only when the plan it is about to bind reads one, which a one-rank
 //! plan does not:
 //!
-//! * [`DecompositionCache`] — an LRU keyed by
+//! * the decomposition cache — an LRU keyed by
 //!   [`CsrMatrix::fingerprint`](amd_sparse::CsrMatrix::fingerprint),
 //!   write-through persisted into the versioned
 //!   [`arrow_core::catalog`] (lineage-tracked version chains) so warm
-//!   restarts skip LA-Decompose entirely; reached on deployments of
-//!   more than one rank only,
+//!   restarts skip LA-Decompose entirely. Only an engine of more than
+//!   one rank builds it (with the catalog, and the decomposition
+//!   settings of [`EngineConfig`]); a one-rank engine reads none of
+//!   those settings and has no cache, catalog or `cache.*` metrics —
+//!   [`Engine::cache_stats`] reads all zero there,
 //! * [`planner`] — binds one [`DistSpmm`](amd_spmm::DistSpmm) per
 //!   matrix. On the default one-rank deployment
 //!   ([`EngineConfig::target_ranks`]` = 1`: the host this process runs
@@ -71,10 +74,11 @@
 //! ```
 
 pub mod cache;
+mod distributed;
 pub mod engine;
 pub mod planner;
 
-pub use cache::{CacheStats, DecompositionCache};
+pub use cache::CacheStats;
 pub use engine::{
     Engine, EngineConfig, EngineStats, MatrixId, MultiplyQuery, QueryId, QueryResponse,
     RefreshBuild, RefreshTicket,

@@ -37,6 +37,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
+/// Seed for the HYPE partition of the HP-1D candidate.
+const PARTITION_SEED: u64 = 0x9a27;
+
 /// Planner knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
@@ -50,8 +53,6 @@ pub struct PlannerConfig {
     /// RHS column count the prediction is evaluated at (the engine plans
     /// for its typical batch width).
     pub k_hint: u32,
-    /// Seed for the HYPE partition of the HP-1D candidate.
-    pub partition_seed: u64,
     /// Serving precision every candidate is constructed with: `f32`
     /// halves the bytes each candidate's estimate charges per value
     /// moved, and the bound winner runs its local multiplies at that
@@ -65,7 +66,6 @@ impl Default for PlannerConfig {
             cost: CostModel::default(),
             target_ranks: 1,
             k_hint: 8,
-            partition_seed: 0x9a27,
             dtype: Dtype::default(),
         }
     }
@@ -163,7 +163,7 @@ pub fn plan(
     candidates.push((Box::new(a2), est));
 
     let g = Graph::from_matrix_structure(a);
-    let mut rng = ChaCha8Rng::seed_from_u64(config.partition_seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(PARTITION_SEED);
     let part = hype_partition(&g, p, &HypeConfig::default(), &mut rng);
     let hp = Hp1dSpmm::new(a, &part)?
         .with_cost(config.cost)

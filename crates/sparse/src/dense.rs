@@ -262,16 +262,6 @@ impl<T: Scalar> DenseMatrix<T> {
         &self.data[r0 as usize * k..r1 as usize * k]
     }
 
-    /// Copies rows `r0..r1` into a new matrix.
-    pub fn row_block(&self, r0: u32, r1: u32) -> Self {
-        assert!(r0 <= r1 && r1 <= self.rows);
-        Self {
-            rows: r1 - r0,
-            cols: self.cols,
-            data: self.rows_slice(r0, r1).to_vec(),
-        }
-    }
-
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Self) -> SparseResult<()> {
         if self.rows != other.rows || self.cols != other.cols {
@@ -429,14 +419,6 @@ mod tests {
                 assert_eq!(bits(got), bits(column), "unpack, k={k}, column {j}");
             }
         }
-    }
-
-    #[test]
-    fn row_block_copies_contiguously() {
-        let m = DenseMatrix::from_fn(4, 2, |r, _| r as f64);
-        let b = m.row_block(1, 3);
-        assert_eq!(b.rows(), 2);
-        assert_eq!(b.data(), &[1.0, 1.0, 2.0, 2.0]);
     }
 
     #[test]

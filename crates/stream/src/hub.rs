@@ -702,13 +702,14 @@ impl StreamHub {
         self.engine.stats()
     }
 
-    /// The wrapped engine's decomposition-cache counters.
+    /// The wrapped engine's decomposition-cache counters (all zero on
+    /// one rank, which has no cache).
     pub fn cache_stats(&self) -> CacheStats {
         self.engine.cache_stats()
     }
 
     /// The persistence catalog behind the engine's cache, when the hub
-    /// was configured with a spill directory.
+    /// has more than one rank and was configured with a spill directory.
     pub fn catalog(&self) -> Option<&arrow_core::Catalog> {
         self.engine.catalog()
     }

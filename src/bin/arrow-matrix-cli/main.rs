@@ -30,7 +30,8 @@
 //! of re-decomposing — and the `catalog` subcommand inspects (`ls`),
 //! prunes (`gc`), and point-in-time-restores (`restore`) the chains of an
 //! existing catalog directory. Decompositions exist at `--ranks` above 1
-//! only, so at the default the directory stays empty.
+//! only, so at the default the catalog is neither opened nor created:
+//! the directory does not appear.
 //!
 //! Telemetry ([`sink`]): `serve`/`stream` take `--metrics-json PATH` to
 //! dump the engine's metrics registry (counters, gauges, and latency

@@ -317,6 +317,20 @@ fn a_one_rank_hub_admits_and_refreshes_without_a_decomposition() {
             "{name}"
         );
         assert_eq!(payload_files(&catalog), 0, "{name}: catalog stays empty");
+        // Nothing of the many-rank arm exists: no catalog directory, no
+        // catalog, no cache or catalog metric names.
+        assert!(!catalog.exists(), "{name}: {} created", catalog.display());
+        assert!(local.catalog().is_none(), "{name}");
+        let snapshot = local.telemetry().registry.snapshot();
+        let many_rank: Vec<&str> = snapshot
+            .metrics()
+            .iter()
+            .map(|(metric, _)| metric.as_str())
+            .filter(|m| {
+                m.starts_with("cache.") || m.starts_with("catalog.") || *m == "decompose.seconds"
+            })
+            .collect();
+        assert!(many_rank.is_empty(), "{name}: {many_rank:?} registered");
         let stats = local.stats();
         assert_eq!(stats.refreshes_completed, ROUNDS as u64, "{name}");
         assert_eq!(
@@ -481,7 +495,6 @@ fn the_build_merges_and_fingerprints_as_the_caller_would() {
         .unwrap();
         let old = engine.register(&a).unwrap();
         let ticket = engine.prepare_refresh(old, Some(touched.clone())).unwrap();
-        assert_eq!(ticket.decompose, ranks > 1, "{ranks} rank(s)");
         // What a refresh worker runs, off the engine.
         let (built_matrix, built) = ticket.build(&a, &delta).unwrap();
         assert_eq!(built_matrix, merged, "{ranks} rank(s)");
