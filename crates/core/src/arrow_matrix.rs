@@ -17,7 +17,7 @@
 //!
 //! Tiling never sorts: a CSR row's columns ascend, so the part of a row
 //! that falls in one tile is a run of it, already in order, and a tile
-//! receives its rows in order. [`ArrowMatrix::from_csr`] therefore makes a
+//! receives its rows in order. [`ArrowMatrix::from_leading_block`] therefore makes a
 //! count pass (entries per tile, which is also where an entry outside the
 //! pattern is found) and a fill pass that appends each run to its tile's
 //! CSR arrays. Every tile is a function of the input's arrays alone.
@@ -40,18 +40,14 @@ pub struct ArrowMatrix {
 }
 
 impl ArrowMatrix {
-    /// Builds the tiled form from an `n × n` CSR matrix whose nonzeros all
-    /// lie in the arrow pattern for width `b` (first `b` rows, first `b`
-    /// columns, or a diagonal `b × b` block).
-    ///
-    /// Returns an error if any entry falls outside the pattern.
-    pub fn from_csr(a: &CsrMatrix<f64>, b: u32) -> SparseResult<Self> {
-        Self::from_leading_block(a, a.rows(), b)
-    }
-
-    /// [`from_csr`](Self::from_csr) of the leading `n × n` block of a
-    /// larger square matrix, without copying the block out first. Entries
+    /// Builds the tiled form of the leading `n × n` block of a square CSR
+    /// matrix, without copying the block out first, when the block's
+    /// nonzeros all lie in the arrow pattern for width `b` (first `b`
+    /// rows, first `b` columns, or a diagonal `b × b` block). Entries
     /// outside the block are not part of it and are not looked at.
+    ///
+    /// Returns an error if any entry of the block falls outside the
+    /// pattern.
     pub fn from_leading_block(a: &CsrMatrix<f64>, n: u32, b: u32) -> SparseResult<Self> {
         if a.rows() != a.cols() {
             return Err(SparseError::ShapeMismatch {
@@ -262,7 +258,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_matrix() {
         let a = arrow_csr(12, 3);
-        let arrow = ArrowMatrix::from_csr(&a, 3).unwrap();
+        let arrow = ArrowMatrix::from_leading_block(&a, a.rows(), 3).unwrap();
         assert_eq!(arrow.to_csr(), a);
         assert_eq!(arrow.nnz(), a.nnz());
         assert_eq!(arrow.block_count(), 4);
@@ -273,13 +269,13 @@ mod tests {
         let mut coo = CooMatrix::new(9, 9);
         coo.push(4, 8, 1.0).unwrap(); // blocks (1, 2): off-pattern for b=3
         let a = coo.to_csr();
-        assert!(ArrowMatrix::from_csr(&a, 3).is_err());
+        assert!(ArrowMatrix::from_leading_block(&a, a.rows(), 3).is_err());
     }
 
     #[test]
     fn accepts_all_arm_and_diag_positions() {
         let a = arrow_csr(12, 4);
-        let arrow = ArrowMatrix::from_csr(&a, 4).unwrap();
+        let arrow = ArrowMatrix::from_leading_block(&a, a.rows(), 4).unwrap();
         // Arrow width of the reassembled matrix is ≤ b by construction.
         assert!(arrow_width(&arrow.to_csr()) <= 4 + 3); // block diag ⇒ |i−j| < b
                                                         // Tile accessors.
@@ -292,7 +288,7 @@ mod tests {
     fn ragged_last_tile() {
         // n = 10, b = 4 → blocks of 4, 4, 2.
         let a = arrow_csr(10, 4);
-        let arrow = ArrowMatrix::from_csr(&a, 4).unwrap();
+        let arrow = ArrowMatrix::from_leading_block(&a, a.rows(), 4).unwrap();
         assert_eq!(arrow.block_count(), 3);
         assert_eq!(arrow.row_tile(2).cols(), 2);
         assert_eq!(arrow.diag_tile(2).rows(), 2);
@@ -306,7 +302,7 @@ mod tests {
         coo.push(5, 0, 1.0).unwrap(); // col tile (1,0)
         coo.push(9, 10, 1.0).unwrap(); // diag tile (3,3) with b=3? 9/3=3 ✓
         let a = coo.to_csr();
-        let arrow = ArrowMatrix::from_csr(&a, 3).unwrap();
+        let arrow = ArrowMatrix::from_leading_block(&a, a.rows(), 3).unwrap();
         assert_eq!(arrow.nonzero_tiles(), 3);
     }
 
@@ -317,7 +313,7 @@ mod tests {
             let copied = a.submatrix(0, m, 0, m);
             assert_eq!(
                 ArrowMatrix::from_leading_block(&a, m, 3).unwrap(),
-                ArrowMatrix::from_csr(&copied, 3).unwrap(),
+                ArrowMatrix::from_leading_block(&copied, copied.rows(), 3).unwrap(),
                 "m = {m}"
             );
         }
@@ -328,7 +324,7 @@ mod tests {
     fn zero_width_is_an_error_not_a_panic() {
         let a = arrow_csr(12, 3);
         assert!(matches!(
-            ArrowMatrix::from_csr(&a, 0),
+            ArrowMatrix::from_leading_block(&a, a.rows(), 0),
             Err(SparseError::InvalidCsr(_))
         ));
     }
@@ -336,7 +332,7 @@ mod tests {
     #[test]
     fn rectangular_input_rejected() {
         let a = CsrMatrix::<f64>::zeros(3, 4);
-        assert!(ArrowMatrix::from_csr(&a, 2).is_err());
+        assert!(ArrowMatrix::from_leading_block(&a, a.rows(), 2).is_err());
     }
 
     #[test]
@@ -349,7 +345,7 @@ mod tests {
             coo.push(j, j, 2.0).unwrap();
         }
         let a = coo.to_csr();
-        let arrow = ArrowMatrix::from_csr(&a, 1).unwrap();
+        let arrow = ArrowMatrix::from_leading_block(&a, a.rows(), 1).unwrap();
         assert_eq!(arrow.block_count(), 5);
         assert_eq!(arrow.to_csr(), a);
     }

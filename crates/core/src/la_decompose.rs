@@ -148,7 +148,8 @@ impl Laps {
 /// `(i, j)` or `(j, i)` creates the edge `{i, j}`); values are carried
 /// per direction, so non-symmetric matrices decompose correctly too. An
 /// arrow width of 0 is refused, as
-/// [`ArrowMatrix::from_csr`](crate::ArrowMatrix::from_csr) refuses it.
+/// [`ArrowMatrix::from_leading_block`](crate::ArrowMatrix::from_leading_block)
+/// refuses it.
 pub fn la_decompose(
     a: &CsrMatrix<f64>,
     cfg: &DecomposeConfig,

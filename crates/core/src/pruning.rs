@@ -6,41 +6,12 @@
 //! many vertices must be pruned so the remainder has bounded degree, and
 //! Corollary 2 turns that into the width recommendation `b = ω(n^{1/α})`.
 
-use amd_graph::zipf::{survival_bound, TruncatedZipf};
-
-/// Lemma 5: upper bound on the probability that more than `b` vertices
-/// have degree ≥ `delta0` in an `n`-vertex Zipf(α) degree model:
-/// `n · Δ₀^{1−α} / (b (α−1) ζ(α))` (clamped to 1).
-pub fn lemma5_probability(n: u64, alpha: f64, b: u64, delta0: f64) -> f64 {
-    assert!(alpha > 1.0 && b > 0);
-    let p = n as f64 * survival_bound(delta0, alpha) / b as f64;
-    p.min(1.0)
-}
-
 /// The balance point of §5.6: pruning `b ≈ n^{1/α}` vertices leaves
 /// maximum degree ≈ `n^{1/α}` with probability `1 − o(1)`. Returns the
 /// recommended arrow width for a power-law graph (`δ = 1/α`).
 pub fn recommended_width(n: u64, alpha: f64) -> u64 {
     assert!(alpha > 1.0);
     ((n as f64).powf(1.0 / alpha).ceil() as u64).max(1)
-}
-
-/// Expected maximum degree of the graph that remains after removing the
-/// `b` highest-degree vertices, under the Zipf(α) degree model: the
-/// smallest `Δ₀` with `n·S(Δ₀) ≤ b`.
-pub fn residual_max_degree(n: u64, alpha: f64, b: u64) -> u64 {
-    let z = TruncatedZipf::new(n, alpha);
-    // S is monotone decreasing: binary search the threshold.
-    let (mut lo, mut hi) = (1u64, n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if n as f64 * z.survival(mid) <= b as f64 {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    lo
 }
 
 /// Empirical counterpart used in tests and the E8 ablation: number of
@@ -52,8 +23,36 @@ pub fn count_above(degrees: &[u32], x: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amd_graph::zipf::{survival_bound, TruncatedZipf};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Lemma 5: upper bound on the probability that more than `b` vertices
+    /// have degree ≥ `delta0` in an `n`-vertex Zipf(α) degree model:
+    /// `n · Δ₀^{1−α} / (b (α−1) ζ(α))` (clamped to 1).
+    fn lemma5_probability(n: u64, alpha: f64, b: u64, delta0: f64) -> f64 {
+        assert!(alpha > 1.0 && b > 0);
+        let p = n as f64 * survival_bound(delta0, alpha) / b as f64;
+        p.min(1.0)
+    }
+
+    /// Expected maximum degree of the graph that remains after removing the
+    /// `b` highest-degree vertices, under the Zipf(α) degree model: the
+    /// smallest `Δ₀` with `n·S(Δ₀) ≤ b`.
+    fn residual_max_degree(n: u64, alpha: f64, b: u64) -> u64 {
+        let z = TruncatedZipf::new(n, alpha);
+        // S is monotone decreasing: binary search the threshold.
+        let (mut lo, mut hi) = (1u64, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if n as f64 * z.survival(mid) <= b as f64 {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
 
     #[test]
     fn lemma5_probability_shrinks_with_b_and_delta() {
@@ -86,7 +85,7 @@ mod tests {
         // number of vertices above Δ₀ should rarely exceed n·S(Δ₀) by much.
         let n = 50_000u64;
         let alpha = 2.0;
-        let z = amd_graph::zipf::TruncatedZipf::new(n, alpha);
+        let z = TruncatedZipf::new(n, alpha);
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         let degrees: Vec<u32> = (0..n).map(|_| z.sample(&mut rng) as u32).collect();
         for delta0 in [10u32, 50, 200] {

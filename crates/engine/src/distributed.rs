@@ -4,9 +4,10 @@
 //! The distributed candidates are built from an arrow decomposition, so
 //! a many-rank engine decomposes every matrix it binds — once, through
 //! the [`DecompositionCache`] and, with a spill directory, its catalog —
-//! and a refresh that names its touched vertices may splice the old
-//! decomposition instead of rebuilding it. A one-rank plan reads the CSR
-//! alone ([`plan_local`](crate::plan_local)): there [`Distributed::new`]
+//! and a refresh that hands over its delta may splice the old
+//! decomposition instead of rebuilding it; deregistering a binding
+//! releases its decomposition and removes its catalog chain. A one-rank
+//! plan reads the CSR alone ([`plan_local`](crate::plan_local)): there [`Distributed::new`]
 //! returns `None`, so that engine holds no cache, opens no catalog and
 //! registers none of their metric names.
 
@@ -14,7 +15,7 @@ use crate::cache::DecompositionCache;
 use crate::engine::EngineConfig;
 use crate::planner::{plan, Plan, PlannerConfig};
 use amd_obs::Registry;
-use amd_sparse::{CsrMatrix, SparseError, SparseResult};
+use amd_sparse::{CsrMatrix, DeltaBuilder, SparseError, SparseResult};
 use arrow_core::incremental::{decompose_snapshot_incremental, IncrementalPolicy, RefreshOutcome};
 use arrow_core::{ArrowDecomposition, DecomposeConfig};
 use std::sync::Arc;
@@ -146,11 +147,16 @@ impl Distributed {
     }
 
     /// What a refresh build of the binding with content `fingerprint`
-    /// needs to decompose its merged matrix, `touched` being every
-    /// vertex the refresh changed. The prior is looked up in memory
+    /// needs to decompose its merged matrix, `delta` being the change
+    /// the refresh applies; its touched vertices are collected here, the
+    /// only place a refresh reads them. The prior is looked up in memory
     /// only, and only when the policy allows a splice: a miss sends the
     /// build cold.
-    pub(crate) fn refresh_job(&mut self, fingerprint: u128, touched: Vec<u32>) -> DecomposeJob {
+    pub(crate) fn refresh_job(
+        &mut self,
+        fingerprint: u128,
+        delta: &DeltaBuilder<f64>,
+    ) -> DecomposeJob {
         let prior = if self.incremental.enabled {
             self.cache.peek(fingerprint, &self.config, self.seed)
         } else {
@@ -160,14 +166,23 @@ impl Distributed {
             config: self.config,
             seed: self.seed,
             prior,
-            touched,
+            touched: delta.touched_vertices(),
             incremental: self.incremental,
         }
     }
 
-    /// Drops the resident decomposition of `fingerprint` (its catalog
-    /// version, if any, stays until garbage-collected).
-    pub(crate) fn release(&mut self, fingerprint: u128) {
-        self.cache.release(fingerprint, &self.config, self.seed);
+    /// Tears down what a deregistered binding of `fingerprint` held,
+    /// `live` being the fingerprints still bound: the resident
+    /// decomposition unless a live binding shares it, then the binding's
+    /// catalog version chain, sparing every revision a live binding
+    /// still reaches.
+    pub(crate) fn release(&mut self, fingerprint: u128, live: &[u128]) -> SparseResult<()> {
+        if !live.contains(&fingerprint) {
+            self.cache.release(fingerprint, &self.config, self.seed);
+        }
+        if let Some(catalog) = self.cache.catalog_mut() {
+            catalog.remove_chain(fingerprint, live)?;
+        }
+        Ok(())
     }
 }

@@ -23,7 +23,7 @@ use crate::planner::{plan_local, Plan, PlannerConfig, Prediction};
 use amd_chaos::failpoint;
 use amd_comm::CostModel;
 use amd_obs::{SpanId, Stopwatch, Telemetry};
-use amd_sparse::{ops, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::{ops, CsrMatrix, DeltaBuilder, DenseMatrix, Dtype, SparseError, SparseResult};
 use amd_spmm::traits::Sigma;
 use amd_spmm::{DeltaSpmm, DistSpmm};
 use arrow_core::incremental::{IncrementalPolicy, RefreshOutcome};
@@ -239,7 +239,7 @@ pub struct RefreshTicket {
     /// Dimension of that binding; a build of any other shape is refused.
     pub n: u32,
     /// What the build needs to decompose the merged matrix; `None` on
-    /// one rank and when the caller named no touched vertices (see
+    /// one rank and when the caller passed no delta (see
     /// [`Engine::prepare_refresh`]).
     decompose: Option<DecomposeJob>,
 }
@@ -487,9 +487,9 @@ impl Engine {
     ///
     /// This is the refresh pipeline run inline by a caller that cannot
     /// say what changed: [`prepare_refresh`](Self::prepare_refresh)
-    /// without a touched set, [`RefreshTicket::build_merged`] and
+    /// without a delta, [`RefreshTicket::build_merged`] and
     /// [`commit_refresh`](Self::commit_refresh) of a copy of `merged`. A
-    /// holder that tracks its delta passes the touched set and runs
+    /// holder that tracks its delta passes it and runs
     /// [`RefreshTicket::build`] on whichever thread it likes.
     pub fn refresh(&mut self, old: MatrixId, merged: &CsrMatrix<f64>) -> SparseResult<MatrixId> {
         let ticket = self.prepare_refresh(old, None)?;
@@ -502,26 +502,26 @@ impl Engine {
     /// its delta overlay) keeps serving until
     /// [`commit_refresh`](Self::commit_refresh).
     ///
-    /// With `touched`, on more than one rank, the build decomposes the
+    /// With `delta`, on more than one rank, the build decomposes the
     /// merged matrix — spliced from the old binding's decomposition when
-    /// that is still cached. `touched` must cover **every** vertex
-    /// incident to a difference between the old binding's content and
-    /// the merged matrix (an incomplete set makes the splice serve the
-    /// wrong operator); a [`DeltaBuilder`](amd_sparse::DeltaBuilder)'s
-    /// `touched_vertices()` does. Otherwise the build decomposes nothing,
-    /// and where the deployment needs a decomposition, commit takes it
-    /// from the cache (a hit, a catalog reload, or a cold LA-Decompose).
+    /// that is still cached, around the delta's touched vertices, which
+    /// only this arm collects. `delta` must be **the whole** difference
+    /// between the old binding's content and the merged matrix (a
+    /// partial one makes the splice serve the wrong operator). Otherwise
+    /// — one rank, or no delta — the build decomposes nothing, and where
+    /// the deployment needs a decomposition, commit takes it from the
+    /// cache (a hit, a catalog reload, or a cold LA-Decompose).
     pub fn prepare_refresh(
         &mut self,
         old: MatrixId,
-        touched: Option<Vec<u32>>,
+        delta: Option<&DeltaBuilder<f64>>,
     ) -> SparseResult<RefreshTicket> {
         let old_bound = self.bound.get(&old.0).ok_or_else(|| {
             SparseError::InvalidCsr(format!("matrix {:032x} is not registered", old.0))
         })?;
         let (n, fingerprint) = (old_bound.n, old_bound.fingerprint);
-        let decompose = match (&mut self.distributed, touched) {
-            (Some(d), Some(touched)) => Some(d.refresh_job(fingerprint, touched)),
+        let decompose = match (&mut self.distributed, delta) {
+            (Some(d), Some(delta)) => Some(d.refresh_job(fingerprint, delta)),
             _ => None,
         };
         Ok(RefreshTicket { old, n, decompose })
@@ -592,10 +592,13 @@ impl Engine {
     }
 
     /// Drops the binding of `id` and its overlay, counted in
-    /// [`EngineStats::deregistered`]. On more than one rank its cached
-    /// decomposition is released unless another binding of the same
-    /// content (another tenant's salted registration) still serves from
-    /// it; the catalog version, if any, stays until garbage-collected.
+    /// [`EngineStats::deregistered`]. On more than one rank it also
+    /// tears down what the binding held there: its cached decomposition
+    /// is released unless another binding of the same content (another
+    /// tenant's salted registration) still serves from it, and its
+    /// catalog version chain is removed, sparing every revision a live
+    /// binding still reaches. A catalog error comes back after the
+    /// binding is gone.
     ///
     /// The **pending-query ownership check**: deregistration refuses
     /// while queries against `id` sit in the queue — answering them
@@ -615,24 +618,17 @@ impl Engine {
         }
         let fingerprint = bound.fingerprint;
         self.bound.remove(&id.0);
-        if let Some(distributed) = &mut self.distributed {
-            if !self.bound.values().any(|b| b.fingerprint == fingerprint) {
-                distributed.release(fingerprint);
-            }
-        }
         self.metrics.deregistered.inc();
+        if let Some(distributed) = &mut self.distributed {
+            let live: Vec<u128> = self.bound.values().map(|b| b.fingerprint).collect();
+            distributed.release(fingerprint, &live)?;
+        }
         Ok(())
     }
 
     /// Queries queued against one binding.
     pub fn pending_for(&self, id: MatrixId) -> usize {
         self.pending.iter().filter(|p| p.query.matrix == id).count()
-    }
-
-    /// Content fingerprints of every live binding — the "still
-    /// referenced" set a catalog sweep must not collect.
-    pub fn bound_fingerprints(&self) -> Vec<u128> {
-        self.bound.values().map(|b| b.fingerprint).collect()
     }
 
     /// Content fingerprint of a binding (the head of its catalog
@@ -642,22 +638,17 @@ impl Engine {
     }
 
     /// The persistence catalog behind the decomposition cache, when the
-    /// engine has more than one rank and a spill directory (GC, chain
-    /// removal, restore tooling).
+    /// engine has more than one rank and a spill directory (inspection
+    /// and restore tooling; [`deregister`](Self::deregister) removes a
+    /// binding's chain).
     pub fn catalog(&self) -> Option<&arrow_core::Catalog> {
         self.distributed.as_ref()?.cache.catalog()
-    }
-
-    /// Mutable access to the persistence catalog.
-    pub fn catalog_mut(&mut self) -> Option<&mut arrow_core::Catalog> {
-        self.distributed.as_mut()?.cache.catalog_mut()
     }
 
     /// Sets (or replaces) the sparse correction `ΔA` pending on `id`.
     /// While the overlay is non-empty, every run against `id` goes
     /// through the delta-corrected path, serving `A₀ + ΔA` without
-    /// re-decomposing. Pass an empty matrix to clear it (or use
-    /// [`clear_delta`](Self::clear_delta)).
+    /// re-decomposing. Pass an empty matrix to clear it.
     pub fn set_delta(&mut self, id: MatrixId, delta: CsrMatrix<f64>) -> SparseResult<()> {
         let bound = self.bound.get_mut(&id.0).ok_or_else(|| {
             SparseError::InvalidCsr(format!("matrix {:032x} is not registered", id.0))
@@ -670,13 +661,6 @@ impl Engine {
         }
         bound.overlay = if delta.nnz() == 0 { None } else { Some(delta) };
         Ok(())
-    }
-
-    /// Drops any pending correction on `id` (no-op if there is none).
-    pub fn clear_delta(&mut self, id: MatrixId) {
-        if let Some(bound) = self.bound.get_mut(&id.0) {
-            bound.overlay = None;
-        }
     }
 
     /// Stored entries of the correction pending on `id` (0 if none).
@@ -1088,8 +1072,8 @@ mod tests {
         let want = amd_spmm::reference::iterated_spmm(&merged, &xm, 2).unwrap();
         assert_eq!(resp.y, want.data());
         assert_eq!(e.stats().corrected_runs, 1);
-        // Clearing the overlay restores the base path.
-        e.clear_delta(id);
+        // An empty overlay clears it and restores the base path.
+        e.set_delta(id, CsrMatrix::zeros(n, n)).unwrap();
         assert_eq!(e.delta_nnz(id), 0);
     }
 
@@ -1207,19 +1191,25 @@ mod tests {
     }
 
     /// The refresh pipeline as a holder that tracks its delta runs it,
-    /// inline: ticket with the touched set, build, commit. Returns the
-    /// new binding and what the build's decompose did.
-    fn refresh_touched(
+    /// inline: ticket with the delta, build, commit. `chords` are
+    /// symmetric additions to `a`. Returns the merged matrix, the new
+    /// binding and what the build's decompose did.
+    fn refresh_delta(
         e: &mut Engine,
         old: MatrixId,
-        merged: &CsrMatrix<f64>,
-        touched: &[u32],
-    ) -> (MatrixId, Option<RefreshOutcome>) {
-        let ticket = e.prepare_refresh(old, Some(touched.to_vec())).unwrap();
-        let built = ticket.build_merged(merged, merged.fingerprint()).unwrap();
+        a: &CsrMatrix<f64>,
+        chords: &[(u32, u32, f64)],
+    ) -> (CsrMatrix<f64>, MatrixId, Option<RefreshOutcome>) {
+        let n = a.rows();
+        let mut delta = DeltaBuilder::new(n, n);
+        for &(r, c, v) in chords {
+            delta.add_sym(r, c, v).unwrap();
+        }
+        let ticket = e.prepare_refresh(old, Some(&delta)).unwrap();
+        let (merged, built) = ticket.build(a, &delta.to_csr()).unwrap();
         let outcome = built.outcome();
         let id = e.commit_refresh(&ticket, merged.clone(), built).unwrap();
-        (id, outcome)
+        (merged, id, outcome)
     }
 
     #[test]
@@ -1235,11 +1225,7 @@ mod tests {
         let id = e.register(&a).unwrap();
         assert_eq!(e.cache_stats().decompositions, 1);
         // One localized chord.
-        let mut coo = amd_sparse::CooMatrix::new(n, n);
-        coo.push_sym(10, 13, 2.0).unwrap();
-        let delta = coo.to_csr();
-        let merged = amd_sparse::ops::apply_delta(&a, &delta).unwrap();
-        let (new_id, outcome) = refresh_touched(&mut e, id, &merged, &[10, 13]);
+        let (merged, new_id, outcome) = refresh_delta(&mut e, id, &a, &[(10, 13, 2.0)]);
         let outcome = outcome.expect("more than one rank decomposes");
         assert!(outcome.incremental, "fallback: {:?}", outcome.fallback);
         assert!(outcome.reused_fraction() > 0.5);
@@ -1279,10 +1265,7 @@ mod tests {
         let id = e.register(&a).unwrap();
         // Evict a's decomposition from the one-slot cache.
         e.register(&basic::star(n).to_adjacency()).unwrap();
-        let mut coo = amd_sparse::CooMatrix::new(n, n);
-        coo.push_sym(3, 6, 1.0).unwrap();
-        let merged = amd_sparse::ops::apply_delta(&a, &coo.to_csr()).unwrap();
-        let (new_id, outcome) = refresh_touched(&mut e, id, &merged, &[3, 6]);
+        let (_, new_id, outcome) = refresh_delta(&mut e, id, &a, &[(3, 6, 1.0)]);
         let outcome = outcome.expect("more than one rank decomposes");
         assert!(!outcome.incremental);
         assert_eq!(
@@ -1298,10 +1281,7 @@ mod tests {
         let n = 64;
         let a = ring(n);
         let id = e.register(&a).unwrap();
-        let mut coo = amd_sparse::CooMatrix::new(n, n);
-        coo.push_sym(3, 6, 1.0).unwrap();
-        let merged = amd_sparse::ops::apply_delta(&a, &coo.to_csr()).unwrap();
-        let (new_id, outcome) = refresh_touched(&mut e, id, &merged, &[3, 6]);
+        let (merged, new_id, outcome) = refresh_delta(&mut e, id, &a, &[(3, 6, 1.0)]);
         assert!(outcome.is_none(), "nothing was decomposed: {outcome:?}");
         assert_eq!(e.matrix_version(new_id), Some(1));
         assert_eq!(e.binding_fingerprint(new_id), Some(merged.fingerprint()));
@@ -1363,6 +1343,44 @@ mod tests {
         // Now the last reference goes, and the memory with it.
         e.deregister(id2).unwrap();
         assert_eq!(e.cache_stats().released, 1);
+    }
+
+    #[test]
+    fn deregister_removes_the_catalog_chain_no_live_binding_reaches() {
+        let dir = std::env::temp_dir().join(format!("amd-engine-sweep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut e = Engine::new(EngineConfig {
+            target_ranks: 4,
+            spill_dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let (a, b) = (ring(36), ring(40));
+        let mut chord = amd_sparse::CooMatrix::new(40, 40);
+        chord.push_sym(0, 20, 1.0).unwrap();
+        let b2 = ops::apply_delta(&b, &chord.to_csr()).unwrap();
+        let shared1 = e.register_salted(a.clone(), 1).unwrap();
+        let shared2 = e.register_salted(a.clone(), 2).unwrap();
+        // The third binding's chain is two versions long: b, then b2.
+        let other = e.register_salted(b.clone(), 3).unwrap();
+        let other = e.refresh(other, &b2).unwrap();
+        let versions = |e: &Engine| {
+            let catalog = e
+                .catalog()
+                .expect("a many-rank engine with a spill directory");
+            [&a, &b, &b2].map(|m| catalog.versions(m.fingerprint()).len())
+        };
+        assert_eq!(versions(&e), [1, 1, 1]);
+        // Salt 2 still serves `a`, and `other` reaches both of its versions.
+        e.deregister(shared1).unwrap();
+        assert_eq!(versions(&e), [1, 1, 1]);
+        // The last binding of `a` takes its chain along.
+        e.deregister(shared2).unwrap();
+        assert_eq!(versions(&e), [0, 1, 1]);
+        e.deregister(other).unwrap();
+        assert_eq!(versions(&e), [0, 0, 0]);
+        assert_eq!(e.stats().deregistered, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -41,18 +41,19 @@
 //! compacted successor (new fingerprint, full planner re-ranking,
 //! version carried forward; on more than one rank a fresh decomposition
 //! through the cache). A refresh is one pipeline, whoever runs it:
-//! [`Engine::prepare_refresh`] (the ticket; with the touched vertices a
+//! [`Engine::prepare_refresh`] (the ticket; with the delta a
 //! many-rank build may splice the old decomposition instead of
 //! rebuilding), one *build* — [`RefreshTicket::build`]: merge,
 //! fingerprint, decompose only if the ticket asks — that touches no
 //! engine state, so a holder can run it on another thread, and
 //! [`Engine::commit_refresh`]. [`Engine::refresh`] is those three steps
-//! inline, without a touched set. The `amd-stream` crate drives them
+//! inline, without a delta. The `amd-stream` crate drives them
 //! from a budgeted update stream.
 //!
 //! Bindings have a full lifecycle: [`Engine::deregister`] drops one
-//! (refusing while it still owns pending queries, releasing its cache
-//! reference once no other binding shares the content), and
+//! (refusing while it still owns pending queries; on more than one rank
+//! releasing its cache reference once no other binding shares the
+//! content and removing its catalog version chain), and
 //! [`Engine::flush_owned`] drains just the queries registered under one
 //! salt — the per-tenant flush of a multi-tenant holder.
 //!

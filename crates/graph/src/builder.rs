@@ -55,11 +55,6 @@ impl GraphBuilder {
         self.edges.push(if u < v { (u, v) } else { (v, u) });
     }
 
-    /// Grows the vertex set (never shrinks).
-    pub fn ensure_vertices(&mut self, n: u32) {
-        self.n = self.n.max(n);
-    }
-
     /// Builds the graph, deduplicating staged edges.
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
@@ -91,16 +86,6 @@ mod tests {
     fn out_of_range_panics() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 2);
-    }
-
-    #[test]
-    fn ensure_vertices_grows() {
-        let mut b = GraphBuilder::new(2);
-        b.ensure_vertices(5);
-        b.add_edge(0, 4);
-        let g = b.build();
-        assert_eq!(g.n(), 5);
-        assert!(g.has_edge(0, 4));
     }
 
     #[test]

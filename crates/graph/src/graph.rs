@@ -141,19 +141,6 @@ impl Graph {
     pub fn from_matrix_structure<T: Scalar>(a: &CsrMatrix<T>) -> Self {
         Self::from_edges(a.rows(), &structure_edges(a))
     }
-
-    /// The subgraph induced by vertices with `keep[v] == true`, on the
-    /// *same* vertex set (edges incident to dropped vertices removed,
-    /// dropped vertices become isolated). This matches `G_i[V_i \ V_h]` in
-    /// LA-Decompose where vertex identities must be preserved.
-    pub fn filter_vertices(&self, keep: &[bool]) -> Self {
-        assert_eq!(keep.len(), self.n() as usize);
-        let edges: Vec<(u32, u32)> = self
-            .edges()
-            .filter(|&(u, v)| keep[u as usize] && keep[v as usize])
-            .collect();
-        Self::from_edges(self.n(), &edges)
-    }
 }
 
 /// The edges of the off-diagonal sparsity structure of a square matrix,
@@ -198,6 +185,22 @@ pub fn structure_edges<T: Scalar>(a: &CsrMatrix<T>) -> Vec<(u32, u32)> {
         edges.sort_unstable();
     }
     edges
+}
+
+#[cfg(test)]
+impl Graph {
+    /// The subgraph induced by vertices with `keep[v] == true`, on the
+    /// *same* vertex set (edges incident to dropped vertices removed,
+    /// dropped vertices become isolated) — what the separator tests
+    /// check their pieces against.
+    pub(crate) fn filter_vertices(&self, keep: &[bool]) -> Self {
+        assert_eq!(keep.len(), self.n() as usize);
+        let edges: Vec<(u32, u32)> = self
+            .edges()
+            .filter(|&(u, v)| keep[u as usize] && keep[v as usize])
+            .collect();
+        Self::from_edges(self.n(), &edges)
+    }
 }
 
 #[cfg(test)]

@@ -76,17 +76,6 @@ impl TruncatedZipf {
         self.alpha
     }
 
-    /// Probability mass `p(x)` for `x ∈ 1..=n`.
-    pub fn pmf(&self, x: u64) -> f64 {
-        assert!((1..=self.n).contains(&x));
-        let prev = if x == 1 {
-            0.0
-        } else {
-            self.cdf[x as usize - 2]
-        };
-        self.cdf[x as usize - 1] - prev
-    }
-
     /// Exact survival `S(x) = P(X > x)`; `S(0) = 1`.
     pub fn survival(&self, x: u64) -> f64 {
         if x == 0 {
@@ -104,18 +93,6 @@ impl TruncatedZipf {
         let idx = self.cdf.partition_point(|&c| c < u);
         idx as u64 + 1
     }
-
-    /// Draws `count` samples.
-    pub fn sample_many<R: Rng>(&self, rng: &mut R, count: usize) -> Vec<u64> {
-        (0..count).map(|_| self.sample(rng)).collect()
-    }
-}
-
-/// Expected number of vertices of degree > `x` among `n` Zipf-distributed
-/// degrees — the quantity `n·S(x)` of Lemma 5.
-pub fn expected_high_degree_count(n: u64, alpha: f64, x: u64) -> f64 {
-    let z = TruncatedZipf::new(n, alpha);
-    n as f64 * z.survival(x)
 }
 
 #[cfg(test)]
@@ -123,6 +100,26 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    impl TruncatedZipf {
+        /// Probability mass `p(x)` for `x ∈ 1..=n`.
+        fn pmf(&self, x: u64) -> f64 {
+            assert!((1..=self.n).contains(&x));
+            let prev = if x == 1 {
+                0.0
+            } else {
+                self.cdf[x as usize - 2]
+            };
+            self.cdf[x as usize - 1] - prev
+        }
+    }
+
+    /// Expected number of vertices of degree > `x` among `n` Zipf-distributed
+    /// degrees — the quantity `n·S(x)` of Lemma 5.
+    fn expected_high_degree_count(n: u64, alpha: f64, x: u64) -> f64 {
+        let z = TruncatedZipf::new(n, alpha);
+        n as f64 * z.survival(x)
+    }
 
     #[test]
     fn harmonic_small_values() {
@@ -178,7 +175,7 @@ mod tests {
     fn sampling_matches_pmf_roughly() {
         let z = TruncatedZipf::new(50, 2.0);
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let samples = z.sample_many(&mut rng, 20_000);
+        let samples: Vec<u64> = (0..20_000).map(|_| z.sample(&mut rng)).collect();
         let ones = samples.iter().filter(|&&s| s == 1).count() as f64 / 20_000.0;
         assert!(
             (ones - z.pmf(1)).abs() < 0.02,

@@ -61,23 +61,6 @@ pub fn is_arrow_width<T: Scalar>(a: &CsrMatrix<T>, b: u32) -> bool {
     true
 }
 
-/// Fraction of stored entries within a band of half-width `w` around the
-/// diagonal. Used to evaluate Lemma 3 empirically.
-pub fn in_band_fraction<T: Scalar>(a: &CsrMatrix<T>, w: u32) -> f64 {
-    if a.nnz() == 0 {
-        return 1.0;
-    }
-    let mut inside = 0usize;
-    for r in 0..a.rows() {
-        for &c in a.row_indices(r) {
-            if r.abs_diff(c) <= w {
-                inside += 1;
-            }
-        }
-    }
-    inside as f64 / a.nnz() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,15 +115,6 @@ mod tests {
         let m = from_entries(10, &[(0, 9), (9, 0)]);
         assert!(is_arrow_width(&m, 1));
         assert_eq!(arrow_width(&m), 1);
-    }
-
-    #[test]
-    fn in_band_fraction_measures_band() {
-        let m = from_entries(6, &[(0, 1), (1, 2), (0, 5)]);
-        assert!((in_band_fraction(&m, 1) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(in_band_fraction(&m, 5), 1.0);
-        let empty = CsrMatrix::<f64>::zeros(3, 3);
-        assert_eq!(in_band_fraction(&empty, 0), 1.0);
     }
 
     #[test]

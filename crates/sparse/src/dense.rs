@@ -255,13 +255,6 @@ impl<T: Scalar> DenseMatrix<T> {
         &mut self.data[r as usize * k..(r as usize + 1) * k]
     }
 
-    /// Contiguous block of rows `r0..r1` as a slice.
-    #[inline]
-    pub fn rows_slice(&self, r0: u32, r1: u32) -> &[T] {
-        let k = self.cols as usize;
-        &self.data[r0 as usize * k..r1 as usize * k]
-    }
-
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Self) -> SparseResult<()> {
         if self.rows != other.rows || self.cols != other.cols {

@@ -13,8 +13,11 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// `F64` is the exact default used everywhere the paper's algorithms are
 /// verified bit-for-bit. `F32` halves the bandwidth of every multiply (and
 /// the bytes moved by the distributed algorithms' cost model) at the price
-/// of a bounded rounding error — see the f32 error-bound helpers in
-/// `arrow-core` for the derived bound.
+/// of a bounded rounding error: matrix values and `x` entries are narrowed
+/// to `f32` and multiplied in `f32`, while running sums stay `f64` — the
+/// wire format between simulated ranks — so each product carries relative
+/// error at most `(1 + u)³ − 1` with `u = 2⁻²⁴`. See the f32 error-bound
+/// helpers in `arrow-core` for the summed per-entry bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Dtype {
     /// 32-bit floats: half the bytes per value, unit roundoff `2⁻²⁴`.
@@ -30,14 +33,6 @@ impl Dtype {
         match self {
             Dtype::F32 => 4,
             Dtype::F64 => 8,
-        }
-    }
-
-    /// Unit roundoff `u` (half the machine epsilon) of this precision.
-    pub const fn unit_roundoff(self) -> f64 {
-        match self {
-            Dtype::F32 => 5.960_464_477_539_063e-8,    // 2⁻²⁴
-            Dtype::F64 => 1.110_223_024_625_156_5e-16, // 2⁻⁵³
         }
     }
 
@@ -178,8 +173,6 @@ mod tests {
         assert_eq!(Dtype::default(), Dtype::F64);
         assert_eq!(Dtype::F32.bytes(), 4);
         assert_eq!(Dtype::F64.bytes(), 8);
-        assert_eq!(Dtype::F32.unit_roundoff(), (f32::EPSILON / 2.0) as f64);
-        assert_eq!(Dtype::F64.unit_roundoff(), f64::EPSILON / 2.0);
         assert_eq!(Dtype::parse("f32"), Some(Dtype::F32));
         assert_eq!(Dtype::parse("f64"), Some(Dtype::F64));
         assert_eq!(Dtype::parse("f16"), None);

@@ -6,9 +6,8 @@
 //!
 //! # One row walker
 //!
-//! Every multiply in this crate — [`spmm`], [`spmm_acc`],
-//! [`spmm_parallel`], [`spmm_acc_dtype`], [`spmm_slices`],
-//! [`spmm_slices_rows`] and the fused level kernels of [`crate::kernel`]
+//! Every multiply in this crate — [`spmm`], [`spmm_parallel`],
+//! [`spmm_slices`], [`spmm_slices_rows`] and the fused level kernels of [`crate::kernel`]
 //! — runs the same **row walker**. It is handed its rows as
 //! `(entry extent, output slot)` pairs from one of two sources:
 //!
@@ -76,8 +75,8 @@ pub enum Finish {
     /// `y = Σ`: the sums start at `+0.0` and replace whatever `y` held —
     /// the order of [`spmm`], without needing a zeroed buffer.
     Overwrite,
-    /// `y += Σ`, term by term: the sums start from `y`'s content — the
-    /// order of [`spmm_acc`].
+    /// `y += Σ`, term by term: the sums start from `y`'s content, each
+    /// product added onto the running value.
     Accumulate,
     /// `y += (Σ from +0.0)`: one addition per element after the row's
     /// product is complete — the order of "multiply, then add" (the
@@ -349,18 +348,6 @@ pub fn spmm<T: Scalar>(a: &CsrMatrix<T>, x: &DenseMatrix<T>) -> SparseResult<Den
     Ok(y)
 }
 
-/// Serial `Y += A · X` into a pre-allocated output (no allocation).
-pub fn spmm_acc<T: Scalar>(
-    a: &CsrMatrix<T>,
-    x: &DenseMatrix<T>,
-    y: &mut DenseMatrix<T>,
-) -> SparseResult<()> {
-    check_shapes(a, x)?;
-    check_output(a, x, y)?;
-    fill_rows(a, x, 0, y.data_mut(), Finish::Accumulate, Dtype::F64);
-    Ok(())
-}
-
 /// `A · X` over borrowed row-major slices, finished into `y` as `finish`
 /// says, with products at `dtype` — the multiply of a caller that holds
 /// its operand and output as plain buffers (a rank program's received
@@ -370,8 +357,7 @@ pub fn spmm_acc<T: Scalar>(
 /// `x` has `k` columns; its row for column index `c` of `a` is `c`, or
 /// `gather[c]` when a map is given — then `x` may have any number of
 /// rows, and every mapped value must be one of them (one that is not
-/// panics). `y` is `a.rows() × k`. Mismatched lengths are the shape
-/// errors of [`spmm_acc`].
+/// panics). `y` is `a.rows() × k`. Mismatched lengths are shape errors.
 pub fn spmm_slices<T: Scalar>(
     a: &CsrMatrix<T>,
     x: &[T],
@@ -513,7 +499,7 @@ pub fn part_count(work: usize, min_work: usize) -> usize {
 /// Every output row is owned by one block and summed in the order
 /// [`spmm`] uses (`0`, then the row's entries in column order), so the
 /// result is bit-identical to [`spmm`] at [`Dtype::F64`] and to
-/// [`spmm_acc_dtype`] into zeros at [`Dtype::F32`] — for any block count
+/// [`spmm_slices`] at [`Dtype::F32`] — for any block count
 /// and for any previous content of `y`, which lets a caller keep one
 /// output buffer across multiplies instead of allocating (and
 /// first-touching) a fresh one each time. Work below
@@ -567,30 +553,6 @@ pub fn for_each_part<P: Send>(mut parts: Vec<P>, f: impl Fn(usize, P) + Sync) {
         return;
     }
     amd_exec::global().for_each_take(parts, f);
-}
-
-/// Serial `Y += A · X` at a selectable serving precision, over `f64`
-/// containers.
-///
-/// `Dtype::F64` is exactly [`spmm_acc`]. `Dtype::F32` emulates the
-/// half-bandwidth kernel of an f32 serving rank: matrix values and gathered
-/// `x` entries are narrowed to `f32` and multiplied in `f32`, while the
-/// running sums stay `f64` — which is the wire format the simulated machine
-/// transports between ranks, so cross-rank reduction order and precision
-/// are unchanged. Each emulated product therefore carries relative error at
-/// most `(1 + u)³ − 1` with `u = 2⁻²⁴` (narrow `a`, narrow `x`, round the
-/// product); see the error-bound helpers in `arrow-core` for the summed
-/// per-entry bound.
-pub fn spmm_acc_dtype(
-    a: &CsrMatrix<f64>,
-    x: &DenseMatrix<f64>,
-    y: &mut DenseMatrix<f64>,
-    dtype: Dtype,
-) -> SparseResult<()> {
-    check_shapes(a, x)?;
-    check_output(a, x, y)?;
-    fill_rows(a, x, 0, y.data_mut(), Finish::Accumulate, dtype);
-    Ok(())
 }
 
 /// Flop count of `A · X`: 2 · nnz(A) · k, the quantity charged to the
@@ -649,7 +611,7 @@ mod tests {
     use super::*;
     use crate::CooMatrix;
 
-    /// Allocating variant of [`spmm_acc_dtype`]: `Y = A · X` at `dtype`.
+    /// Serial `Y = A · X` at `dtype`.
     fn spmm_dtype(
         a: &CsrMatrix<f64>,
         x: &DenseMatrix<f64>,
@@ -776,7 +738,16 @@ mod tests {
     fn accumulating_variant_adds() {
         let (a, x) = small();
         let mut y = DenseMatrix::from_fn(2, 2, |_, _| 100.0);
-        spmm_acc(&a, &x, &mut y).unwrap();
+        spmm_slices(
+            &a,
+            x.data(),
+            2,
+            None,
+            y.data_mut(),
+            Finish::Accumulate,
+            Dtype::F64,
+        )
+        .unwrap();
         assert_eq!(y.data(), &[103.0, 104.0, 111.0, 116.0]);
     }
 
@@ -787,7 +758,7 @@ mod tests {
         assert!(spmm(&a, &bad).is_err());
         let mut y = DenseMatrix::<f64>::zeros(3, 2);
         let x = DenseMatrix::<f64>::zeros(2, 2);
-        assert!(spmm_acc(&a, &x, &mut y).is_err());
+        assert!(spmm_parallel(&a, &x, &mut y, Dtype::F64).is_err());
     }
 
     #[test]
@@ -855,6 +826,6 @@ mod tests {
         assert!(spmm_dtype(&a, &bad, Dtype::F32).is_err());
         let x = DenseMatrix::<f64>::zeros(2, 2);
         let mut y = DenseMatrix::<f64>::zeros(3, 2);
-        assert!(spmm_acc_dtype(&a, &x, &mut y, Dtype::F32).is_err());
+        assert!(spmm_parallel(&a, &x, &mut y, Dtype::F32).is_err());
     }
 }

@@ -1046,7 +1046,7 @@ impl ArrowSpmm {
         // are gathered; a deeper rank's range is past level 0's rows, so
         // it starts empty and is filled by propagation. Level 0 blocks
         // hold positions 0..active_0; rows of vertices isolated in A are
-        // zero.
+        // gathered from no rank.
         let blocks = |rank: u32| {
             let (r0, r1) = block_range(self.levels[0].active_n, self.b, rank);
             let vertices = &self.level0_vertices[r0 as usize..r1 as usize];
@@ -1239,6 +1239,46 @@ mod tests {
         feeds_agree(grid, &decompose(grid, grid.rows() / 16, 1), 16, Dtype::F32);
         let (a, d) = generated_chain(8);
         feeds_agree(&a, &d, 16, Dtype::F32);
+    }
+
+    /// No iteration answers the operand itself, bit for bit, on every
+    /// algorithm — Arrow under each feed, 1.5D, 2D, HP-1D, the one-rank
+    /// multiply and the delta-corrected Arrow — with the run's stats equal
+    /// to `dry_run(k, 0)`. The MAWI-like input has isolated vertices,
+    /// whose rows no arrow rank gathers.
+    #[test]
+    fn zero_iterations_return_the_operand_bit_for_bit() {
+        use crate::{A15dSpmm, A2dSpmm, DeltaSpmm, Hp1dSpmm, LocalSpmm};
+        use amd_partition::block_partition;
+        let a = datasets::mawi_like(300, &mut ChaCha8Rng::seed_from_u64(42)).to_adjacency();
+        let n = a.rows();
+        assert!((0..n).any(|r| a.row_nnz(r) == 0), "no isolated vertex");
+        let k = 3;
+        let x = DenseMatrix::from_fn(n, k, |r, c| ((r * 7 + c * 13) % 31) as f64 / 7.0 - 1.9);
+        let bits = |y: &DenseMatrix<f64>| y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let arrow = ArrowSpmm::new(&decompose(&a, 16, 1)).unwrap();
+        let picks = arrow.picks(k);
+        for feed in FEEDS {
+            let steps = arrow.steps(k, feed, &picks);
+            let y = arrow.run_steps(&x, 0, None, &steps).unwrap().y;
+            assert_eq!(bits(&y), bits(&x), "arrow under {feed:?}");
+        }
+        let mut chord = amd_sparse::CooMatrix::new(n, n);
+        chord.push_sym(0, 1, 2.0).unwrap();
+        let chord = chord.to_csr();
+        let algorithms: [Box<dyn DistSpmm + '_>; 6] = [
+            Box::new(ArrowSpmm::new(&decompose(&a, 16, 1)).unwrap()),
+            Box::new(A15dSpmm::new(&a, 4, 2).unwrap()),
+            Box::new(A2dSpmm::new(&a, 4).unwrap()),
+            Box::new(Hp1dSpmm::new(&a, &block_partition(n, 4)).unwrap()),
+            Box::new(LocalSpmm::new(a.clone()).unwrap()),
+            Box::new(DeltaSpmm::new(&arrow, &chord).unwrap()),
+        ];
+        for alg in &algorithms {
+            let run = alg.run(&x, 0).unwrap();
+            assert_eq!(bits(&run.y), bits(&x), "{}", alg.name());
+            assert_eq!(alg.dry_run(k, 0).ranks, run.stats.ranks, "{}", alg.name());
+        }
     }
 
     /// A decomposition drawn from `seed` that LA-Decompose never returns,

@@ -238,7 +238,14 @@ where
         });
         gathered.then(|| std::mem::take(&mut bufs[Buf::X as usize]))
     });
-    let mut y = DenseMatrix::zeros(n, x.cols());
+    // No iteration answers `x` itself, so a row no rank gathers keeps
+    // it; after one, such a row (under Arrow, a vertex isolated in A) is
+    // zero.
+    let mut y = if iters == 0 {
+        x.clone()
+    } else {
+        DenseMatrix::zeros(n, x.cols())
+    };
     for (rank, y_block) in (0..p).zip(&report.results) {
         let Some(y_block) = y_block else { continue };
         let (rows, cols, _) = block(rank);

@@ -91,7 +91,7 @@ impl LocalSpmm {
     }
 
     /// Selects the serving precision of the multiply
-    /// ([`spmm::spmm_acc_dtype`] semantics: `f32` products, `f64` sums).
+    /// ([`Dtype::F32`]: `f32` products, `f64` sums).
     pub fn with_dtype(mut self, dtype: Dtype) -> Self {
         self.dtype = dtype;
         self
@@ -260,7 +260,16 @@ mod tests {
         let mut cur = x.clone();
         for _ in 0..iters {
             let mut next = DenseMatrix::zeros(a.rows(), x.cols());
-            spmm::spmm_acc_dtype(a, &cur, &mut next, dtype).unwrap();
+            spmm::spmm_slices(
+                a,
+                cur.data(),
+                x.cols(),
+                None,
+                next.data_mut(),
+                spmm::Finish::Overwrite,
+                dtype,
+            )
+            .unwrap();
             apply_sigma(next.data_mut(), sigma);
             cur = next;
         }

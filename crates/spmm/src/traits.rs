@@ -81,13 +81,6 @@ impl CommEstimate {
             + cost.beta * self.max_rank_bytes
             + cost.compute_time(self.max_rank_flops)
     }
-
-    /// Accumulates another rank's totals into the envelope.
-    pub fn envelope(&mut self, bytes: f64, messages: f64, flops: f64) {
-        self.max_rank_bytes = self.max_rank_bytes.max(bytes);
-        self.max_rank_messages = self.max_rank_messages.max(messages);
-        self.max_rank_flops = self.max_rank_flops.max(flops);
-    }
 }
 
 /// A distributed SpMM algorithm bound to a fixed sparse matrix.
@@ -157,15 +150,13 @@ pub trait DistSpmm {
     /// [`SpmmRun::volume_per_iter`] scaled to the serving dtype (the
     /// machine ships `f64`, so an `f32` plan predicts half of it).
     fn predict_volume(&self, k: u32) -> CommEstimate {
-        let mut est = CommEstimate::default();
-        for rank in self.predict_ranks(k) {
-            est.envelope(
-                rank.max_rank_bytes,
-                rank.max_rank_messages,
-                rank.max_rank_flops,
-            );
+        let ranks = self.predict_ranks(k);
+        let max = |field: fn(&CommEstimate) -> f64| ranks.iter().map(field).fold(0.0, f64::max);
+        CommEstimate {
+            max_rank_bytes: max(|rank| rank.max_rank_bytes),
+            max_rank_messages: max(|rank| rank.max_rank_messages),
+            max_rank_flops: max(|rank| rank.max_rank_flops),
         }
-        est
     }
 }
 

@@ -13,12 +13,12 @@
 //! ## Lifecycle
 //!
 //! Tenants are not forever: [`evict`](StreamHub::evict) tears one down
-//! completely — any in-flight refresh grant is drained, the salted
-//! binding is deregistered from the engine (overlay and cache reference
-//! released), and the tenant's version chain is removed from the
-//! persistence catalog, sparing only revisions another live binding
-//! still references — so a long-lived hub serving a churning tenant set
-//! leaks neither memory nor spill files.
+//! completely — any in-flight refresh grant is drained and the salted
+//! binding is deregistered from the engine, which drops its overlay and,
+//! on more than one rank, releases its cache reference and removes its
+//! version chain from the persistence catalog, sparing only revisions
+//! another live binding still references — so a long-lived hub serving
+//! a churning tenant set leaks neither memory nor spill files.
 //!
 //! ## Double-buffered refresh
 //!
@@ -124,16 +124,6 @@ impl Default for HubConfig {
             auto_refresh: true,
             async_refresh: true,
             decompose_delay: None,
-        }
-    }
-}
-
-impl HubConfig {
-    /// Default hub with the given per-tenant staleness budget.
-    pub fn with_budget(budget: StalenessBudget) -> Self {
-        Self {
-            budget,
-            ..Self::default()
         }
     }
 }
@@ -492,10 +482,11 @@ impl StreamHub {
     /// engine's ownership check refuses otherwise), any queued or
     /// in-flight background rebuild is **drained** — the grant is given
     /// up without committing, other tenants' completions commit
-    /// normally — the salted binding is deregistered (overlay and cache
-    /// reference released), and the tenant's catalog version chain is
-    /// removed, sparing only revisions another live binding still
-    /// depends on. Returns the tenant's final [`TenantStats`]; the hub
+    /// normally — and the salted binding is deregistered, in one
+    /// [`Engine::deregister`](amd_engine::Engine::deregister), which on
+    /// more than one rank also releases the cache reference and removes
+    /// the tenant's catalog version chain (sparing only revisions another
+    /// live binding still depends on). Returns the tenant's final [`TenantStats`]; the hub
     /// no longer knows the id afterwards. Any pending (un-compacted)
     /// delta is discarded with the tenant — eviction is a teardown, not
     /// a checkpoint; refresh first if the mutations must survive.
@@ -511,16 +502,7 @@ impl StreamHub {
             )));
         }
         self.drain_grant(tenant)?;
-        let head = self.engine.binding_fingerprint(matrix);
         self.engine.deregister(matrix)?;
-        // Catalog sweep: drop the tenant's version chain, sparing
-        // revisions other live bindings still reach.
-        if let Some(head) = head {
-            let live = self.engine.bound_fingerprints();
-            if let Some(catalog) = self.engine.catalog_mut() {
-                catalog.remove_chain(head, &live)?;
-            }
-        }
         let t = self
             .tenants
             .remove(&tenant.0)
@@ -712,12 +694,6 @@ impl StreamHub {
     /// has more than one rank and was configured with a spill directory.
     pub fn catalog(&self) -> Option<&arrow_core::Catalog> {
         self.engine.catalog()
-    }
-
-    /// Mutable access to the persistence catalog (GC sweeps between
-    /// serving bursts).
-    pub fn catalog_mut(&mut self) -> Option<&mut arrow_core::Catalog> {
-        self.engine.catalog_mut()
     }
 }
 

@@ -42,7 +42,10 @@
 //! let a: CsrMatrix<f64> = basic::cycle(64).to_adjacency();
 //! // A 4-rank deployment: the matrix is decomposed, once, at admission.
 //! // (The default is one rank, which decomposes nothing.)
-//! let mut config = HubConfig::with_budget(StalenessBudget::nnz_cap(8));
+//! let mut config = HubConfig {
+//!     budget: StalenessBudget::nnz_cap(8),
+//!     ..HubConfig::default()
+//! };
 //! config.engine.target_ranks = 4;
 //! let mut hub = StreamHub::new(config).unwrap();
 //! let t = hub.admit(a).unwrap();

@@ -10,7 +10,8 @@
 //!    `grant` event and the `decompose` span under the tenant's
 //!    `refresh` span, and ask the engine for the ticket
 //!    ([`Engine::prepare_refresh`](amd_engine::Engine::prepare_refresh)
-//!    with the delta's touched vertices);
+//!    with the tenant's delta, whose touched vertices only a many-rank
+//!    engine collects);
 //! 2. **build** ([`worker::run`]): merge, fingerprint and — on more than
 //!    one rank — decompose, spliced or cold as the ticket's policy says;
 //! 3. **commit** ([`StreamHub::commit`], the one place a grant lands):
@@ -182,13 +183,14 @@ impl StreamHub {
     }
 
     /// Takes the refresh grant of a tenant that left the queue: what the
-    /// build needs, at `O(nnz(ΔA))` — the delta's CSR and the touched
-    /// set that localizes a re-decomposition; the merge and the hash are
-    /// the build's. `None` when the delta drained meanwhile.
+    /// build needs, at `O(nnz(ΔA))` — the delta's CSR and the engine's
+    /// ticket (on more than one rank the engine reads the delta's
+    /// touched set there, to localize a re-decomposition); the merge and
+    /// the hash are the build's. `None` when the delta drained meanwhile.
     fn grant(&mut self, tenant: TenantId) -> SparseResult<Option<RefreshJob>> {
         let tracer = self.engine.telemetry().tracer.clone();
         let base_delay = self.config.decompose_delay;
-        let (delay, old, touched, delta) = {
+        let (delay, old, delta) = {
             let t = self.tenant_mut(tenant)?;
             t.queued = false;
             // The supervisor's retry backoff stacks on top of the
@@ -202,14 +204,12 @@ impl StreamHub {
                 t.end_refresh_span(&tracer, "drained before launch");
                 return Ok(None);
             }
-            (
-                delay,
-                t.matrix,
-                t.delta.touched_vertices(),
-                t.delta.to_csr(),
-            )
+            (delay, t.matrix, t.delta.to_csr())
         };
-        let ticket = self.engine.prepare_refresh(old, Some(touched))?;
+        // The tenant was found above; its delta is captured only below.
+        let ticket = self
+            .engine
+            .prepare_refresh(old, Some(&self.tenants[&tenant.0].delta))?;
         self.metrics.refreshes_started.inc();
         let slot = self.metrics.refreshes_started.get();
         self.refreshes.granted = true;

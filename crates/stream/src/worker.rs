@@ -8,10 +8,9 @@
 //! overlay while [`run`] **builds the next binding's inputs** with
 //! [`RefreshTicket::build`]: merge `A₀ + ΔA`, fingerprint the result,
 //! and, only when the ticket asks (a deployment of more than one rank),
-//! decompose it — splicing via
-//! [`arrow_core::incremental::decompose_snapshot_incremental`] when the
-//! ticket carries the prior decomposition and the touched set, cold per
-//! the ticket's policy otherwise. On one rank the build is the merge
+//! decompose it — spliced from the prior decomposition around the
+//! delta's touched set when the ticket carries both, cold per the
+//! ticket's policy otherwise; the engine's many-rank arm decides which. On one rank the build is the merge
 //! and the hash. [`HubConfig::async_refresh`] chooses the thread, not
 //! the work: on, the builder thread runs [`run`] and the merged matrix
 //! and the build travel back over a channel for the hub to commit at its

@@ -191,6 +191,15 @@ fn dtype(args: &Args) -> Result<Dtype, String> {
     Dtype::parse(s).ok_or_else(|| format!("bad --dtype: {s} (expected f32 or f64)"))
 }
 
+/// The largest `max |Δ|` against a serial reference whose largest entry
+/// is `max_abs_ref` that a run at `dtype` may show and still verify:
+/// `1e-9 · max(1, max |ref|)` at f64, and `1e-5 · max(1, max |ref|)` at
+/// f32, whose product error compounds over iterations.
+fn tolerance(dtype: Dtype, max_abs_ref: f64) -> f64 {
+    let scale = if dtype == Dtype::F32 { 1e-5 } else { 1e-9 };
+    scale * max_abs_ref.max(1.0)
+}
+
 /// The engine `serve` and `stream` stand up: arrow width `<b>`, and the
 /// `--catalog`, `--dtype` and `--ranks` flags.
 fn engine_config(args: &Args) -> Result<EngineConfig, String> {

@@ -1,5 +1,6 @@
 //! `multiply`: run Arrow SpMM against a saved decomposition and verify
-//! it against the serial reference.
+//! it against the serial reference; an answer off by more than
+//! [`tolerance`](crate::tolerance) is an error.
 
 use crate::args::{Args, Outcome};
 use crate::sink::Sink;
@@ -37,6 +38,11 @@ pub fn run(args: &Args) -> Outcome {
     let wall = sw.elapsed_seconds();
     let reference = arrow_matrix::spmm::reference::iterated_spmm(&a, &x, iters)?;
     let err = run.y.max_abs_diff(&reference)?;
+    let max_abs_ref = reference.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let bound = crate::tolerance(dtype, max_abs_ref);
+    if err > bound {
+        return Err(format!("max |Δ| vs serial reference = {err:.2e} exceeds {bound:.2e}").into());
+    }
     println!(
         "verified: max |Δ| vs serial reference = {err:.2e}\n\
          per iteration: simulated time = {:.3} ms, max per-rank volume = {:.1} KiB, \

@@ -5,7 +5,7 @@
 use crate::args::{Args, Outcome};
 use crate::sink::Sink;
 use arrow_matrix::obs::Stopwatch;
-use arrow_matrix::sparse::{CooMatrix, CsrMatrix, DenseMatrix, Dtype};
+use arrow_matrix::sparse::{CsrMatrix, DenseMatrix, Dtype};
 use arrow_matrix::stream::{HubConfig, StalenessBudget, StreamHub, TenantId, Update};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -107,17 +107,7 @@ pub fn run(args: &Args) -> Outcome {
             };
             for part in update.sym_pair() {
                 let (r, c) = part.position();
-                // Mirror onto the tenant's truth matrix through a
-                // one-entry delta.
-                let old_value = truth[tenant_idx].get(r, c);
-                let new_value = match part {
-                    Update::Add { delta, .. } => old_value + delta,
-                    Update::Set { value, .. } => value,
-                };
-                let mut patch = CooMatrix::new(n, n);
-                patch.push(r, c, new_value - old_value)?;
-                truth[tenant_idx] =
-                    arrow_matrix::sparse::ops::apply_delta(&truth[tenant_idx], &patch.to_csr())?;
+                arrow_matrix::scenario::mirror(&mut truth[tenant_idx], part)?;
                 let t0 = Stopwatch::start();
                 hub.update(ids[tenant_idx], part)?;
                 stream_secs += t0.elapsed_seconds();
@@ -154,9 +144,7 @@ pub fn run(args: &Args) -> Outcome {
     let tolerance = if exact {
         0.0
     } else if dtype == Dtype::F32 {
-        // f32 product error compounds over iterations; scale to the
-        // reference magnitude.
-        1e-5 * max_abs_ref.max(1.0)
+        crate::tolerance(dtype, max_abs_ref)
     } else {
         1e-9
     };

@@ -322,15 +322,13 @@ fn replay(
                 col,
                 value,
             } => {
-                mirror(&mut truth[tenant], row, col, value, true)?;
-                hub.update(
-                    ids[tenant],
-                    Update::Add {
-                        row,
-                        col,
-                        delta: value,
-                    },
-                )?;
+                let update = Update::Add {
+                    row,
+                    col,
+                    delta: value,
+                };
+                mirror(&mut truth[tenant], update)?;
+                hub.update(ids[tenant], update)?;
             }
             TraceOp::Set {
                 tenant,
@@ -338,8 +336,9 @@ fn replay(
                 col,
                 value,
             } => {
-                mirror(&mut truth[tenant], row, col, value, false)?;
-                hub.update(ids[tenant], Update::Set { row, col, value })?;
+                let update = Update::Set { row, col, value };
+                mirror(&mut truth[tenant], update)?;
+                hub.update(ids[tenant], update)?;
             }
             TraceOp::Query {
                 tenant,
@@ -602,18 +601,12 @@ fn operand(n: u32, salt: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Mirrors one update onto a truth matrix through a one-entry delta.
-fn mirror(
-    truth: &mut CsrMatrix<f64>,
-    row: u32,
-    col: u32,
-    value: f64,
-    additive: bool,
-) -> SparseResult<()> {
-    let old = truth.get(row, col);
-    let new = if additive { old + value } else { value };
+/// Mirrors one update onto a truth matrix through a one-entry delta: the
+/// serial reference a streaming holder's answers are checked against.
+pub fn mirror(truth: &mut CsrMatrix<f64>, update: Update) -> SparseResult<()> {
+    let (row, col) = update.position();
     let mut patch = CooMatrix::new(truth.rows(), truth.cols());
-    patch.push(row, col, new - old)?;
+    patch.push(row, col, update.additive(truth.get(row, col)))?;
     *truth = ops::apply_delta(truth, &patch.to_csr())?;
     Ok(())
 }

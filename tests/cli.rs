@@ -506,6 +506,34 @@ fn multiply_refuses_a_torn_decomposition_file() {
 }
 
 #[test]
+fn multiply_at_zero_iterations_answers_the_operand_on_isolated_vertices() {
+    // A MAWI matrix has vertices isolated in A; at zero iterations their
+    // rows are the operand's, not zeros.
+    let (mtx, amd) = (tmp("iso.mtx"), tmp("iso.amd"));
+    let (mtx_s, amd_s) = (mtx.to_str().unwrap(), amd.to_str().unwrap());
+    for args in [
+        ["generate", "mawi", "300", mtx_s],
+        ["decompose", mtx_s, "16", amd_s],
+    ] {
+        assert!(cli().args(args).output().unwrap().status.success());
+    }
+    let out = cli()
+        .args(["multiply", mtx_s, amd_s, "4", "0"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    let err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(out.status.success(), "stdout: {text}\nstderr: {err}");
+    assert!(
+        text.contains("max |Δ| vs serial reference = 0.00e0"),
+        "{text}"
+    );
+    for f in [mtx, amd] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
 fn multiply_refuses_the_decomposition_of_another_matrix_of_the_same_size() {
     // Same generator, same n, another seed: only the recorded
     // fingerprint tells the two apart.

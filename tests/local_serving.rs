@@ -17,7 +17,7 @@
 use arrow_matrix::chaos::{failpoint, FaultPlan};
 use arrow_matrix::engine::{Engine, EngineConfig, MatrixId, MultiplyQuery};
 use arrow_matrix::graph::generators::rmat;
-use arrow_matrix::sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix};
+use arrow_matrix::sparse::{ops, CooMatrix, CsrMatrix, DeltaBuilder, DenseMatrix};
 use arrow_matrix::spmm::reference::iterated_spmm;
 use arrow_matrix::spmm::{DistSpmm, LocalSpmm};
 use arrow_matrix::stream::{HubConfig, StalenessBudget, StreamHub, TenantId, Update};
@@ -476,14 +476,13 @@ fn the_build_merges_and_fingerprints_as_the_caller_would() {
     let a = tenant_matrix(1.0 / 7.0);
     let n = a.rows();
     let stored_col = a.row_indices(0)[0];
-    let mut delta = CooMatrix::new(n, n);
+    let mut edits = DeltaBuilder::new(n, n);
     // A new entry, a stored one changed, and a stored one cancelled to
     // exactly zero.
-    delta.push(3, 200, 0.25).unwrap();
-    delta.push(1, a.row_indices(1)[0], 1.0 / 3.0).unwrap();
-    delta.push(0, stored_col, -a.row_values(0)[0]).unwrap();
-    let delta = delta.to_csr();
-    let touched = vec![0, 1, 3, 200, stored_col, a.row_indices(1)[0]];
+    edits.add(3, 200, 0.25).unwrap();
+    edits.add(1, a.row_indices(1)[0], 1.0 / 3.0).unwrap();
+    edits.add(0, stored_col, -a.row_values(0)[0]).unwrap();
+    let delta = edits.to_csr();
     let merged = ops::apply_delta(&a, &delta).unwrap();
     assert_eq!(merged.get(0, stored_col), 0.0);
 
@@ -494,7 +493,7 @@ fn the_build_merges_and_fingerprints_as_the_caller_would() {
         })
         .unwrap();
         let old = engine.register(&a).unwrap();
-        let ticket = engine.prepare_refresh(old, Some(touched.clone())).unwrap();
+        let ticket = engine.prepare_refresh(old, Some(&edits)).unwrap();
         // What a refresh worker runs, off the engine.
         let (built_matrix, built) = ticket.build(&a, &delta).unwrap();
         assert_eq!(built_matrix, merged, "{ranks} rank(s)");
