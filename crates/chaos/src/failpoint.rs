@@ -43,7 +43,7 @@ pub const CATALOG_PAYLOAD_TORN: &str = "catalog.payload.torn";
 pub const CATALOG_MANIFEST_BEFORE_REWRITE: &str = "catalog.manifest.before_rewrite";
 /// Catalog manifest write: fail before the manifest tmp is fsynced.
 pub const CATALOG_MANIFEST_BEFORE_FSYNC: &str = "catalog.manifest.before_fsync";
-/// Refresh worker: panic mid-decompose (kills the worker thread).
+/// Refresh worker: panic mid-decompose (the builder catches it).
 pub const WORKER_DECOMPOSE_PANIC: &str = "worker.decompose.panic";
 /// Refresh worker: injected delay before the decompose starts.
 pub const WORKER_DECOMPOSE_DELAY: &str = "worker.decompose.delay";
@@ -288,7 +288,7 @@ pub fn fired_counts() -> Vec<(String, u64, u64)> {
 /// Installs (once per process) a panic hook that swallows the panic
 /// message for *injected* worker panics and forwards everything else
 /// to the previous hook. Keeps chaos test and CLI output readable:
-/// injected worker deaths are expected, reported through supervision
+/// injected build panics are expected, reported through supervision
 /// counters, and should not spray backtrace noise on stderr.
 pub fn quiet_injected_panics() {
     static ONCE: OnceLock<()> = OnceLock::new();

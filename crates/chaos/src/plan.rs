@@ -52,9 +52,9 @@ impl FaultPlan {
         guard.rearm(self.seed, &self.faults);
     }
 
-    /// Kill one refresh worker: the first decompose job panics
-    /// mid-flight. Supervision must respawn the worker and requeue the
-    /// grant with the stream serving bit-exactly throughout.
+    /// Kill one refresh build: the first decompose job panics
+    /// mid-flight. Supervision must count it and requeue the grant
+    /// with the stream serving bit-exactly throughout.
     pub fn worker_kill(seed: u64) -> Self {
         Self::new(seed).with(
             failpoint::WORKER_DECOMPOSE_PANIC,

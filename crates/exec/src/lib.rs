@@ -1,4 +1,4 @@
-//! # amd-exec — the persistent work-stealing executor
+//! # amd-exec — the persistent thread pool
 //!
 //! One shared thread pool for everything the serving stack runs in
 //! parallel: simulated machine ranks, data-parallel kernel chunks
@@ -9,9 +9,9 @@
 //! The pool has two kinds of threads, both persistent:
 //!
 //! * **Compute workers** execute short, non-blocking jobs — kernel
-//!   chunks, scope tasks — with per-worker LIFO deques, a global FIFO
-//!   injector, random-victim stealing, and condvar parking when idle.
-//!   See [`ExecPool::scope`] and [`ExecPool::for_each_take`].
+//!   chunks, scope tasks — taken in order from one FIFO queue; an idle
+//!   worker parks on one condvar under the queue's lock. See
+//!   [`ExecPool::scope`] and [`ExecPool::for_each_take`].
 //! * **Rank slots** execute *blocking* SPMD rank programs (a rank
 //!   sleeps on its inbox inside `RankCtx::recv` mid-protocol, so it
 //!   must own a thread). Slots are parked threads cached between runs:
@@ -22,10 +22,11 @@
 //!   pool.
 //!
 //! Scoped execution ([`Scope`]) lets tasks borrow stack data without
-//! `'static` bounds: the scope blocks (and *helps* — it steals and runs
-//! queued jobs while waiting) until every spawned task has finished, so
-//! borrows stay valid. Task panics are caught, the first one is
-//! re-thrown at the end of the scope, and the worker thread survives.
+//! `'static` bounds: the scope blocks (and *helps* — it runs jobs from
+//! the same queue while waiting) until every spawned task has
+//! finished, so borrows stay valid. Task panics are caught, the first
+//! one is re-thrown at the end of the scope, and the worker thread
+//! survives.
 //!
 //! ## The global pool
 //!

@@ -1,15 +1,14 @@
-//! The compute-worker half of the pool: per-worker LIFO deques, a
-//! global FIFO injector, random-victim stealing, condvar parking, and
-//! scoped fork-join on top.
+//! The compute-worker half of the pool: one FIFO job queue, workers
+//! parked on one condvar under the queue's lock, and scoped fork-join
+//! on top.
 
 use crate::ranks::RankSlots;
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -18,100 +17,33 @@ use std::time::Duration;
 /// it spawned has finished.
 pub(crate) type Job = Box<dyn FnOnce() + Send>;
 
-thread_local! {
-    /// `(pool identity, worker index)` when the current thread is a
-    /// compute worker — lets [`Shared::push_job`] target the worker's
-    /// own deque (LIFO locality) instead of the injector.
-    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-}
-
 /// Shared state between the pool handle and its worker threads.
-pub(crate) struct Shared {
-    /// Global FIFO queue: jobs submitted from outside the pool.
-    injector: Mutex<VecDeque<Job>>,
-    /// Per-worker deques: owners pop LIFO from the back, thieves steal
-    /// FIFO from the front.
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    /// Parking lot for idle workers. `push_job` takes this lock before
-    /// notifying so a worker can never miss a wakeup between its
-    /// empty-queue check and its wait.
-    idle: Mutex<()>,
+struct Shared {
+    /// The one FIFO queue every job goes through. An idle worker checks
+    /// it and parks on `wake` under this lock, so a push (which takes
+    /// the lock) can never slip between the check and the wait.
+    queue: Mutex<VecDeque<Job>>,
     wake: Condvar,
     shutdown: AtomicBool,
     jobs_executed: AtomicU64,
 }
 
 impl Shared {
-    fn new(threads: usize) -> Self {
-        Self {
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            jobs_executed: AtomicU64::new(0),
-        }
+    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Job>> {
+        self.queue
+            .lock()
+            .expect("no job runs under the queue's lock")
     }
 
-    fn identity(self: &Arc<Self>) -> usize {
-        Arc::as_ptr(self) as usize
-    }
-
-    /// Enqueues a job: onto the submitting worker's own deque when the
-    /// caller is a worker of this pool, else onto the injector.
-    fn push_job(self: &Arc<Self>, job: Job) {
-        let own = WORKER
-            .with(|w| w.get())
-            .filter(|&(id, _)| id == self.identity());
-        match own {
-            Some((_, idx)) => self.deques[idx].lock().unwrap().push_back(job),
-            None => self.injector.lock().unwrap().push_back(job),
-        }
-        // Lock-fence + notify: a parked worker is either inside `wait`
-        // (the lock acquisition below can only succeed once it is, so
-        // the notify lands) or has not checked the queues yet (it will
-        // see the job).
-        drop(self.idle.lock().unwrap());
+    fn push_job(&self, job: Job) {
+        self.lock_queue().push_back(job);
         self.wake.notify_one();
     }
 
-    /// Pops the next runnable job: own deque (LIFO), injector (FIFO),
-    /// then a random-victim rotation over the other workers' deques
-    /// (stealing from the front, so thieves take the oldest work).
-    fn find_job(&self, own: Option<usize>, rng: &mut u64) -> Option<Job> {
-        if let Some(idx) = own {
-            if let Some(job) = self.deques[idx].lock().unwrap().pop_back() {
-                return Some(job);
-            }
-        }
-        if let Some(job) = self.injector.lock().unwrap().pop_front() {
-            return Some(job);
-        }
-        let n = self.deques.len();
-        if n == 0 {
-            return None;
-        }
-        *rng ^= *rng << 13;
-        *rng ^= *rng >> 7;
-        *rng ^= *rng << 17;
-        let start = (*rng % n as u64) as usize;
-        for i in 0..n {
-            let victim = (start + i) % n;
-            if Some(victim) == own {
-                continue;
-            }
-            if let Some(job) = self.deques[victim].lock().unwrap().pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn any_queued(&self) -> bool {
-        if !self.injector.lock().unwrap().is_empty() {
-            return true;
-        }
-        self.deques.iter().any(|d| !d.lock().unwrap().is_empty())
+    /// The queue's lock is released on return, before the caller runs
+    /// the job.
+    fn pop_job(&self) -> Option<Job> {
+        self.lock_queue().pop_front()
     }
 
     fn run_job(&self, job: Job) {
@@ -123,27 +55,25 @@ impl Shared {
     }
 }
 
-fn worker_main(shared: Arc<Shared>, index: usize) {
-    WORKER.with(|w| w.set(Some((shared.identity(), index))));
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (index as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407);
+fn worker_main(shared: Arc<Shared>) {
+    let mut queue = shared.lock_queue();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if let Some(job) = shared.find_job(Some(index), &mut rng) {
+        if let Some(job) = queue.pop_front() {
+            drop(queue);
             shared.run_job(job);
+            queue = shared.lock_queue();
             continue;
         }
-        let guard = shared.idle.lock().unwrap();
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if shared.any_queued() {
-            continue;
-        }
-        // The timeout is belt-and-braces only; the push_job lock-fence
-        // makes wakeups reliable.
-        let _ = shared.wake.wait_timeout(guard, Duration::from_millis(100));
+        // The timeout is belt-and-braces only: checking and parking
+        // under the queue's lock makes wakeups reliable.
+        queue = shared
+            .wake
+            .wait_timeout(queue, Duration::from_millis(100))
+            .expect("no job runs under the queue's lock")
+            .0;
     }
 }
 
@@ -172,10 +102,10 @@ struct Inner {
 impl Drop for Inner {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        {
-            drop(self.shared.idle.lock().unwrap());
-            self.shared.wake.notify_all();
-        }
+        // Taking the lock waits out any worker between its shutdown
+        // check and its park, so the notify reaches it.
+        drop(self.shared.queue.lock());
+        self.shared.wake.notify_all();
         for handle in self.workers.lock().unwrap().drain(..) {
             let _ = handle.join();
         }
@@ -183,10 +113,10 @@ impl Drop for Inner {
     }
 }
 
-/// A persistent work-stealing executor. Cheap to clone (an `Arc`
-/// handle); all clones share the same worker threads and rank-slot
-/// cache. See the [crate docs](crate) for the execution model and
-/// [`crate::global`] for the process-wide instance.
+/// A persistent thread pool. Cheap to clone (an `Arc` handle); all
+/// clones share the same worker threads and rank-slot cache. See the
+/// [crate docs](crate) for the execution model and [`crate::global`]
+/// for the process-wide instance.
 #[derive(Clone)]
 pub struct ExecPool {
     inner: Arc<Inner>,
@@ -206,13 +136,18 @@ impl ExecPool {
     /// `threads`.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let shared = Arc::new(Shared::new(threads));
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(VecDeque::new()),
+            wake: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            jobs_executed: AtomicU64::new(0),
+        });
         let workers = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("amd-exec-worker-{i}"))
-                    .spawn(move || worker_main(shared, i))
+                    .spawn(move || worker_main(shared))
                     .expect("worker thread spawns")
             })
             .collect();
@@ -273,11 +208,6 @@ impl ExecPool {
 
     fn wait_scope(&self, state: &ScopeState) {
         let shared = &self.inner.shared;
-        let own = WORKER
-            .with(|w| w.get())
-            .filter(|&(id, _)| id == shared.identity())
-            .map(|(_, idx)| idx);
-        let mut rng = (state as *const ScopeState as u64) | 1;
         loop {
             if state.pending.load(Ordering::Acquire) == 0 {
                 return;
@@ -285,7 +215,7 @@ impl ExecPool {
             // Help: run queued jobs (possibly from other scopes) so a
             // scope waiting inside a worker can never deadlock the
             // pool.
-            if let Some(job) = shared.find_job(own, &mut rng) {
+            if let Some(job) = shared.pop_job() {
                 shared.run_job(job);
                 continue;
             }
@@ -294,7 +224,7 @@ impl ExecPool {
                 return;
             }
             // Short timeout: a new *helpable* job does not signal
-            // `done_cv`, so re-poll the queues at a modest cadence.
+            // `done_cv`, so re-poll the queue at a modest cadence.
             let _ = state
                 .done_cv
                 .wait_timeout(guard, Duration::from_micros(200));
@@ -366,10 +296,6 @@ impl ExecPool {
     ) -> Vec<std::thread::Result<T>> {
         self.inner.ranks.run_tasks(tasks)
     }
-
-    pub(crate) fn push_erased(&self, job: Job) {
-        self.inner.shared.push_job(job);
-    }
 }
 
 /// Raw pointer wrapper so runner closures capturing it stay `Send`;
@@ -425,7 +351,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
                 wrapped,
             )
         };
-        self.pool.push_erased(job);
+        self.pool.inner.shared.push_job(job);
     }
 }
 
@@ -538,20 +464,29 @@ mod tests {
 
     #[test]
     fn nested_scopes_do_not_deadlock() {
-        let pool = ExecPool::new(2);
-        let total = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..8 {
-                let total = &total;
-                let pool2 = pool.clone();
-                s.spawn(move || {
-                    pool2.for_each_take(vec![(); 16], |_, ()| {
-                        total.fetch_add(1, Ordering::Relaxed);
+        // Each outer task dispatches sixteen jobs from inside a scope
+        // task, one worker included: there the only worker (or the
+        // caller) waits on jobs queued behind it and must run them.
+        for threads in [1, 2, 4] {
+            let pool = ExecPool::new(threads);
+            let total = AtomicU64::new(0);
+            pool.scope(|s| {
+                for _ in 0..8 {
+                    let total = &total;
+                    let pool2 = pool.clone();
+                    s.spawn(move || {
+                        pool2.scope(|inner| {
+                            for _ in 0..16 {
+                                inner.spawn(|| {
+                                    total.fetch_add(1, Ordering::Relaxed);
+                                });
+                            }
+                        });
                     });
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 8 * 16);
+                }
+            });
+            assert_eq!(total.load(Ordering::Relaxed), 8 * 16, "{threads} workers");
+        }
     }
 
     #[test]
@@ -592,7 +527,10 @@ mod tests {
         let ok = pool.run_tasks(rank_tasks(4, |r| r + 100));
         assert!(ok.iter().all(|r| r.is_ok()));
         let stats = pool.stats();
-        assert_eq!(stats.rank_threads_spawned, 4, "panicked slot was respawned");
+        assert_eq!(
+            stats.rank_threads_spawned, 4,
+            "the panicked slot must serve again, not be replaced"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A machine rank sleeps on its inbox inside `RankCtx::recv`
 //! mid-protocol waiting for a peer, so it must own a thread — running
-//! ranks as work-stealing jobs would deadlock whenever `p` exceeds the
+//! ranks as compute-worker jobs would deadlock whenever `p` exceeds the
 //! worker count. Instead the pool keeps a cache of parked threads, each
 //! waiting on its own mpsc channel; a run acquires `p` of them, sends
 //! one erased job per rank, blocks until all report done, and parks the

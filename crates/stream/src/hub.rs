@@ -187,8 +187,8 @@ amd_obs::stats_view! {
         /// Refresh grants taken (a supervision retry takes a new one).
         refreshes_started: Counter,
         /// Refreshes that committed successfully. `refreshes_started` is
-        /// this plus `refresh_failures`, the grants lost to a worker death
-        /// or an eviction, and the rebuilds still in flight.
+        /// this plus `refresh_failures`, the grants lost to a panicked
+        /// build or an eviction, and the rebuilds still in flight.
         refreshes_completed: Counter,
         /// Rebuilds that failed (build error or commit rejection); the
         /// tenant's delta is restored and serving continues on the old
@@ -204,16 +204,16 @@ amd_obs::stats_view! {
         splice: SpliceStats in SpliceCells,
         /// Tenants evicted ([`StreamHub::evict`]).
         evictions: Counter,
-        /// Builder threads that died (panicked mid-build) and were replaced
-        /// by supervision: every death is matched by a respawn before the
-        /// dead grant is retried.
+        /// Builds the refresh builder caught panicking. The builder thread
+        /// carries on with its next job; supervision retries the grant
+        /// (or, past the retry bound, builds it inline).
         worker_restarts: Counter,
-        /// Dead grants requeued by supervision (each with exponential
+        /// Panicked grants requeued by supervision (each with exponential
         /// backoff). Resets nothing: a grant that needs three retries
         /// contributes three.
         refresh_retries: Counter,
         /// Refreshes compacted synchronously after three consecutive
-        /// builder deaths on one grant — the bounded-retry escape hatch.
+        /// panicked builds of one grant — the bounded-retry escape hatch.
         sync_fallbacks: Counter,
     }
     /// The hub's registry handles: the counters above plus the
@@ -486,10 +486,13 @@ impl StreamHub {
     /// [`Engine::deregister`](amd_engine::Engine::deregister), which on
     /// more than one rank also releases the cache reference and removes
     /// the tenant's catalog version chain (sparing only revisions another
-    /// live binding still depends on). Returns the tenant's final [`TenantStats`]; the hub
-    /// no longer knows the id afterwards. Any pending (un-compacted)
-    /// delta is discarded with the tenant — eviction is a teardown, not
-    /// a checkpoint; refresh first if the mutations must survive.
+    /// live binding still depends on). Returns the tenant's final
+    /// [`TenantStats`]; the hub no longer knows the id afterwards. If
+    /// that catalog sweep fails, the binding is already gone: the tenant
+    /// is removed all the same and the sweep's error comes back. Any
+    /// pending (un-compacted) delta is discarded with the tenant —
+    /// eviction is a teardown, not a checkpoint; refresh first if the
+    /// mutations must survive.
     pub fn evict(&mut self, tenant: TenantId) -> SparseResult<TenantStats> {
         self.poll()?;
         let matrix = self.tenant(tenant)?.matrix;
@@ -502,11 +505,26 @@ impl StreamHub {
             )));
         }
         self.drain_grant(tenant)?;
-        self.engine.deregister(matrix)?;
+        if let Err(e) = self.engine.deregister(matrix) {
+            // A refusal leaves the binding, and so the tenant, in place.
+            // A failed catalog sweep comes after the binding is gone: the
+            // tenant goes too, then the sweep's error comes back.
+            if self.engine.matrix_version(matrix).is_none() {
+                self.remove_tenant(tenant);
+            }
+            return Err(e);
+        }
+        Ok(self.remove_tenant(tenant))
+    }
+
+    /// The hub's half of an eviction, once the binding is gone: drops
+    /// the tenant and its metric names and counts the eviction. Returns
+    /// the tenant's final stats.
+    fn remove_tenant(&mut self, tenant: TenantId) -> TenantStats {
         let t = self
             .tenants
             .remove(&tenant.0)
-            .expect("tenant validated above");
+            .expect("tenant validated by evict");
         self.order.retain(|&x| x != tenant);
         self.metrics.evictions.inc();
         let stats = t.metrics.view(&t);
@@ -517,7 +535,7 @@ impl StreamHub {
             .telemetry()
             .registry
             .remove_prefix(&tenant_prefix(tenant));
-        Ok(stats)
+        stats
     }
 
     /// [`Tenant::sync_overlay`] of one tenant.

@@ -37,11 +37,11 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Builder deaths on one grant that supervision requeues before the hub
-/// builds it on the calling thread instead.
+/// Panicked builds of one grant that supervision requeues before the
+/// hub builds it on the calling thread instead.
 const MAX_REFRESH_RETRIES: u32 = 3;
 
-/// Backoff before the first requeue of a dead grant, doubled per
+/// Backoff before the first requeue of a panicked grant, doubled per
 /// consecutive retry of the same grant.
 const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
@@ -74,7 +74,7 @@ pub(crate) enum Landed {
     /// The build or the engine's commit failed with this; the tenant has
     /// its captured delta back and the old binding keeps serving.
     Failed(SparseError),
-    /// Nothing landed: the worker died and supervision requeued the
+    /// Nothing landed: the build panicked and supervision requeued the
     /// grant, or the tenant was evicted meanwhile.
     Nothing,
 }
@@ -264,15 +264,6 @@ impl StreamHub {
         self.refreshes.worker.as_ref()?.wait_done()
     }
 
-    /// Supervision's first move on a reported death: count it and
-    /// replace the builder, so nothing waits on a dead thread.
-    fn respawn_builder(&mut self) {
-        self.metrics.worker_restarts.inc();
-        if let Some(w) = &mut self.refreshes.worker {
-            w.respawn();
-        }
-    }
-
     /// Gives up whatever grant `tenant` holds or waits for, without
     /// committing it — the first half of an eviction: a queued grant is
     /// handed back, an in-flight build is waited for and its result
@@ -292,10 +283,10 @@ impl StreamHub {
             };
             if done.tenant == tenant {
                 self.refreshes.granted = false;
-                // Even a grant we are about to discard must leave a
-                // builder behind if its thread died producing it.
+                // A panicked build counts even when its grant is
+                // discarded.
                 if done.panicked {
-                    self.respawn_builder();
+                    self.metrics.worker_restarts.inc();
                 }
                 let t = self.tenant_mut(tenant)?;
                 t.captured = None;
@@ -404,17 +395,16 @@ impl StreamHub {
         Ok(Landed::Swapped)
     }
 
-    /// Supervision: the builder died running this grant. Respawn it,
-    /// restore the captured delta so serving stays bit-exact, and either
+    /// Supervision: the build of this grant panicked (the builder caught
+    /// it and carries on). Count it, restore the captured delta so
+    /// serving stays bit-exact, and either
     /// requeue the grant with exponential backoff or — past
     /// [`MAX_REFRESH_RETRIES`] — grant it again and build on this thread
     /// so the tenant still converges.
     fn supervise_panic(&mut self, done: RefreshDone) -> SparseResult<Landed> {
         let tenant = done.tenant;
         let tracer = self.engine.telemetry().tracer.clone();
-        // Respawn FIRST: even when the tenant is gone, a builder must be
-        // there before anything can wait on it again.
-        self.respawn_builder();
+        self.metrics.worker_restarts.inc();
         let Some(t) = self.tenants.get_mut(&tenant.0) else {
             return Ok(Landed::Nothing);
         };
@@ -440,7 +430,7 @@ impl StreamHub {
             self.refreshes.queue.push_back(tenant);
             return Ok(Landed::Nothing);
         }
-        // The builder keeps dying on this grant; give up on it and build
+        // The builder keeps panicking on this grant; give up on it and build
         // here. The commit closes the refresh span.
         self.metrics.sync_fallbacks.inc();
         t.retries = 0;
@@ -448,7 +438,7 @@ impl StreamHub {
             "sync-fallback",
             t.refresh_span,
             Some(tenant.0),
-            format!("after {retries} worker deaths"),
+            format!("after {retries} panicked builds"),
         );
         match self.grant(tenant)? {
             Some(job) => self.run_inline(job),

@@ -10,39 +10,34 @@
 //! and, only when the ticket asks (a deployment of more than one rank),
 //! decompose it — spliced from the prior decomposition around the
 //! delta's touched set when the ticket carries both, cold per the
-//! ticket's policy otherwise; the engine's many-rank arm decides which. On one rank the build is the merge
-//! and the hash. [`HubConfig::async_refresh`] chooses the thread, not
-//! the work: on, the builder thread runs [`run`] and the merged matrix
-//! and the build travel back over a channel for the hub to commit at its
-//! next poll point; off, the hub calls [`run`] itself and commits at
-//! once. Either way the commit is [`Engine::commit_refresh`], which
-//! adopts both without re-deriving either.
+//! ticket's policy otherwise; the engine's many-rank arm decides which.
+//! On one rank the build is the merge and the hash.
+//! [`HubConfig::async_refresh`] chooses the thread, not the work: on,
+//! the builder thread runs [`run`] and the merged matrix and the build
+//! travel back over a channel for the hub to commit at its next poll
+//! point; off, the hub calls [`run`] itself and commits at once. Either
+//! way the commit is [`Engine::commit_refresh`], which adopts both
+//! without re-deriving either.
 //!
 //! The builder is one `std::thread` fed over `std::sync::mpsc`: the hub
-//! grants one refresh at a time, so one thread is the whole pool. Its
-//! job receiver sits behind an `Arc<Mutex<_>>` so a replacement thread
-//! can take it over; the lock is held only while waiting for the next
-//! job, never across a build. Completions come back on a second channel
-//! the hub drains without blocking.
+//! grants one refresh at a time, so one thread is the whole pool. It
+//! owns the job receiver and the only completion sender; completions
+//! come back on that second channel, which the hub drains without
+//! blocking, and which closes only once the thread is gone.
 //!
 //! ## Supervision
 //!
 //! Each job runs under `catch_unwind`. A panicking build (the
-//! `worker.decompose.panic` chaos failpoint, or a real build bug)
-//! reports its death as a [`RefreshDone`] with `panicked = true` —
-//! *before* its thread exits; the hub still holds the captured delta,
-//! so nothing is lost. The hub then [`respawn`]s the builder and
-//! requeues the dead grant, so a death never loses a refresh and never
-//! leaves the queue without a thread. The send-before-exit ordering is
-//! what makes [`wait_done`] safe: an in-flight job is observable on the
-//! completion channel even if its thread is already gone.
+//! `worker.decompose.panic` chaos failpoint, or a real build bug) is
+//! reported as a [`RefreshDone`] with `panicked = true`, and the same
+//! thread takes its next job. The hub still holds the captured delta,
+//! so nothing is lost: it restores the delta and requeues the grant, so
+//! a panic never loses a refresh.
 //!
 //! [`StreamHub`]: crate::StreamHub
 //! [`HubConfig::async_refresh`]: crate::HubConfig::async_refresh
 //! [`Engine::prepare_refresh`]: amd_engine::Engine::prepare_refresh
 //! [`Engine::commit_refresh`]: amd_engine::Engine::commit_refresh
-//! [`respawn`]: RefreshWorker::respawn
-//! [`wait_done`]: RefreshWorker::wait_done
 
 use crate::hub::TenantId;
 use amd_chaos::failpoint;
@@ -50,8 +45,8 @@ use amd_engine::{RefreshBuild, RefreshTicket};
 use amd_obs::{SpanId, Stopwatch, Tracer};
 use amd_sparse::{CsrMatrix, SparseError, SparseResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -75,7 +70,7 @@ pub(crate) struct RefreshJob {
 
 impl RefreshJob {
     /// The completion of this job: the ticket rides back with what
-    /// [`run`] (or the death of the thread running it) made of it.
+    /// [`run`] (or its panic) made of it.
     pub fn done(
         self,
         result: SparseResult<(CsrMatrix<f64>, RefreshBuild)>,
@@ -135,27 +130,21 @@ pub(crate) struct RefreshDone {
     /// The merged matrix `A₀ + ΔA` and what the build made of it.
     pub result: SparseResult<(CsrMatrix<f64>, RefreshBuild)>,
     /// Wall-clock seconds of the build itself (excluding the delay),
-    /// reported on the refresh span at commit; 0 for a death.
+    /// reported on the refresh span at commit; 0 for a panicked build.
     pub build_seconds: f64,
-    /// The builder died producing this: `result` is the panic message
-    /// and the thread is gone. The hub must respawn it and requeue (or
+    /// The build panicked: `result` is the panic message. The builder
+    /// caught it and takes its next job; the hub must requeue (or
     /// sync-fallback) the grant.
     pub panicked: bool,
 }
 
-/// The background builder, supervised by the hub: a death is reported
-/// (see [`RefreshDone::panicked`]) and answered with
-/// [`respawn`](Self::respawn).
+/// The background builder: one thread that runs every job it is sent,
+/// in order, and reports each as a [`RefreshDone`] — a panicking build
+/// too (see [`RefreshDone::panicked`]).
 pub(crate) struct RefreshWorker {
+    /// `None` only while the hub drops the worker.
     jobs: Option<Sender<RefreshJob>>,
-    /// Shared so a respawned builder takes over the same job queue.
-    jobs_rx: Arc<Mutex<Receiver<RefreshJob>>>,
     done: Receiver<RefreshDone>,
-    /// Kept for respawns. Consequence: the completion channel never
-    /// closes from the sender side, so [`wait_done`](Self::wait_done)
-    /// detects a dead builder by thread liveness instead.
-    done_tx: Sender<RefreshDone>,
-    tracer: Tracer,
     /// `None` only while the hub drops the worker.
     builder: Option<JoinHandle<()>>,
 }
@@ -165,27 +154,38 @@ impl RefreshWorker {
     /// the jobs it runs via `tracer`, so the refresh span tree records
     /// the off-thread work.
     pub fn spawn(tracer: Tracer) -> Self {
-        let (jobs_tx, jobs_rx) = channel();
-        let (done_tx, done) = channel();
-        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
-        let builder = Some(spawn_builder(&jobs_rx, &done_tx, &tracer));
+        let (jobs_tx, jobs) = channel::<RefreshJob>();
+        let (completions, done) = channel();
+        let builder = std::thread::Builder::new()
+            .name("amd-refresh".into())
+            .spawn(move || {
+                for job in jobs {
+                    // `catch_unwind` so a panicking build (injected by
+                    // the chaos failpoint, or a real bug) is reported and
+                    // the thread carries on. The closure only borrows, so
+                    // the job survives the unwind and its ticket rides
+                    // back to the hub.
+                    let done =
+                        match catch_unwind(AssertUnwindSafe(|| run(&job, builder_faults, &tracer)))
+                        {
+                            Ok((result, build_seconds)) => job.done(result, build_seconds, false),
+                            Err(payload) => {
+                                let msg = panic_message(payload.as_ref());
+                                tracer.end_with(job.span, format!("worker panic: {msg}"));
+                                let died = Err(SparseError::InvalidCsr(format!(
+                                    "refresh worker panicked: {msg}"
+                                )));
+                                job.done(died, 0.0, true)
+                            }
+                        };
+                    let _ = completions.send(done);
+                }
+            })
+            .expect("spawn the refresh builder thread");
         Self {
             jobs: Some(jobs_tx),
-            jobs_rx,
             done,
-            done_tx,
-            tracer,
-            builder,
-        }
-    }
-
-    /// Replaces the builder after the hub observed its `panicked` done.
-    /// The dead thread sent that done as its last act, so joining it
-    /// returns at once.
-    pub fn respawn(&mut self) {
-        let fresh = spawn_builder(&self.jobs_rx, &self.done_tx, &self.tracer);
-        if let Some(dead) = self.builder.replace(fresh) {
-            let _ = dead.join();
+            builder: Some(builder),
         }
     }
 
@@ -202,85 +202,16 @@ impl RefreshWorker {
     }
 
     /// Blocks until a job completes. `None` only when nothing can ever
-    /// complete: the builder is gone *and* the completion queue is
-    /// empty. That state is unreachable while the hub keeps its
-    /// supervision invariant (respawn on every `panicked` done), because
-    /// a dying builder always sends its done before exiting — the check
-    /// is the backstop that turns an invariant violation into a clean
-    /// `None` instead of a deadlock.
+    /// complete: the builder owns the only completion sender, so the
+    /// channel closes once its thread is gone and every completion it
+    /// sent has been taken.
     pub fn wait_done(&self) -> Option<RefreshDone> {
-        loop {
-            if let Ok(done) = self.done.try_recv() {
-                return Some(done);
-            }
-            if self.builder.as_ref().is_none_or(JoinHandle::is_finished) {
-                // One final poll closes the race where the builder sent
-                // its done after the try_recv above.
-                return self.done.try_recv().ok();
-            }
-            // Bounded wait, then re-check liveness: a builder observed
-            // alive above may have been mid-exit (it sends its done
-            // before dying), and a one-shot check followed by a plain
-            // blocking recv would sleep forever on that window.
-            match self.done.recv_timeout(Duration::from_millis(50)) {
-                Ok(done) => return Some(done),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return None,
-            }
-        }
+        self.done.recv().ok()
     }
 }
 
-/// Starts a builder thread on the shared job queue.
-fn spawn_builder(
-    jobs: &Arc<Mutex<Receiver<RefreshJob>>>,
-    done: &Sender<RefreshDone>,
-    tracer: &Tracer,
-) -> JoinHandle<()> {
-    let (jobs, done, tracer) = (Arc::clone(jobs), done.clone(), tracer.clone());
-    std::thread::Builder::new()
-        .name("amd-refresh".into())
-        .spawn(move || {
-            while let Some(job) = next_job(&jobs) {
-                // `catch_unwind` so a panicking build (injected by the
-                // chaos failpoint, or a real bug) reports its death
-                // instead of silently leaving the queue without a
-                // thread. The closure only borrows, so the job survives
-                // the unwind and its ticket rides back to the hub.
-                match catch_unwind(AssertUnwindSafe(|| run(&job, builder_faults, &tracer))) {
-                    Ok((result, build_seconds)) => {
-                        let _ = done.send(job.done(result, build_seconds, false));
-                    }
-                    Err(payload) => {
-                        // This thread is dying. Report the death FIRST
-                        // (the hub's supervision depends on the done
-                        // message preceding the exit), then leave the
-                        // unwound stack behind for good.
-                        let msg = panic_message(payload.as_ref());
-                        tracer.end_with(job.span, format!("worker panic: {msg}"));
-                        let died = Err(SparseError::InvalidCsr(format!(
-                            "refresh worker panicked: {msg}"
-                        )));
-                        let _ = done.send(job.done(died, 0.0, true));
-                        return;
-                    }
-                }
-            }
-        })
-        .expect("spawn the refresh builder thread")
-}
-
-/// The next job, or `None` once the hub closed the queue. The lock is
-/// released before the job runs.
-fn next_job(jobs: &Mutex<Receiver<RefreshJob>>) -> Option<RefreshJob> {
-    // The lock only ever guards a `recv`, which leaves the receiver
-    // valid whatever happens, so a poisoned lock is safe to take over.
-    let rx = jobs.lock().unwrap_or_else(PoisonError::into_inner);
-    rx.recv().ok()
-}
-
-/// The chaos failpoints of a background build: a builder death, a slow
-/// decompose.
+/// The chaos failpoints of a background build: a panicking build, a
+/// slow decompose.
 fn builder_faults() -> SparseResult<()> {
     failpoint::check(failpoint::WORKER_DECOMPOSE_PANIC)?;
     failpoint::check(failpoint::WORKER_DECOMPOSE_DELAY)

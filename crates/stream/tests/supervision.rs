@@ -1,15 +1,16 @@
-//! Worker supervision under injected panics.
+//! Worker supervision under injected faults.
 //!
-//! These tests arm the `worker.decompose.panic` failpoint so the
-//! refresh worker dies mid-decompose, then assert the hub's
-//! supervision protocol: the worker is respawned, the captured delta
-//! is restored and the grant requeued (with bounded retries before a
-//! counted synchronous fallback), and serving stays bit-exact through
-//! every death. Lives in its own integration-test binary so the
-//! process-wide failpoint table is not shared with unrelated tests;
-//! each test holds the arm guard for its whole body (an empty plan
-//! until the fault window opens), so its healthy phases cannot be hit
-//! by the plan the other test has armed.
+//! These tests arm the `worker.decompose.panic` failpoint so a refresh
+//! build panics mid-decompose, then assert the hub's supervision
+//! protocol: the panic is counted, the builder thread carries on, the
+//! captured delta is restored and the grant requeued (with bounded
+//! retries before a counted synchronous fallback), and serving stays
+//! bit-exact through every panic. One more test fails an eviction's
+//! catalog sweep and checks the tenant still leaves. Lives in its own
+//! integration-test binary so the process-wide failpoint table is not
+//! shared with unrelated tests; each test holds the arm guard for its
+//! whole body (an empty plan until the fault window opens), so its
+//! healthy phases cannot be hit by the plan another test has armed.
 
 use amd_chaos::{failpoint, FaultPlan};
 use amd_engine::EngineConfig;
@@ -81,9 +82,9 @@ fn assert_exact(hub: &mut StreamHub, t: amd_stream::TenantId, truth: &CsrMatrix<
     );
 }
 
-/// One injected worker death: the supervisor respawns the worker,
-/// requeues the captured delta, and the retried refresh commits. The
-/// answer stream is bit-exact before, during, and after the death.
+/// One injected build panic: the supervisor counts it, requeues the
+/// captured delta, and the retried refresh commits. The answer stream
+/// is bit-exact before, during, and after the panic.
 #[test]
 fn worker_panic_is_supervised_and_serving_stays_exact() {
     failpoint::quiet_injected_panics();
@@ -105,7 +106,7 @@ fn worker_panic_is_supervised_and_serving_stays_exact() {
     faults.disarm();
 
     let stats = hub.stats();
-    assert_eq!(stats.worker_restarts, 1, "one death, one respawn");
+    assert_eq!(stats.worker_restarts, 1, "one panicked build, counted");
     assert_eq!(stats.refresh_retries, 1, "one requeue");
     assert_eq!(stats.sync_fallbacks, 0, "retry succeeded, no fallback");
     assert_eq!(stats.refreshes_completed, 1);
@@ -139,8 +140,8 @@ fn exhausted_retries_fall_back_to_sync_refresh() {
     faults.disarm();
 
     let stats = hub.stats();
-    // Initial launch + 3 retries all die before the fallback.
-    assert_eq!(stats.worker_restarts, 4, "every death respawns the worker");
+    // Initial launch + 3 retries all panic before the fallback.
+    assert_eq!(stats.worker_restarts, 4, "every panicked build is counted");
     assert_eq!(stats.refresh_retries, 3, "bounded at three requeues");
     assert_eq!(stats.sync_fallbacks, 1, "then the hub refreshes inline");
     assert_eq!(stats.refreshes_completed, 1);
@@ -149,19 +150,21 @@ fn exhausted_retries_fall_back_to_sync_refresh() {
     assert_exact(&mut hub, t, &truth, 5);
 }
 
-/// Refresh builder threads alive in this process, by thread name; `None`
-/// where `/proc` cannot tell.
-fn refresh_threads() -> Option<usize> {
+/// The `/proc/self/task` ids of the refresh builder threads alive in
+/// this process, by thread name, in id order; `None` where `/proc`
+/// cannot tell.
+fn refresh_threads() -> Option<Vec<String>> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
-    Some(
-        tasks
-            .flatten()
-            .filter(|task| {
-                std::fs::read_to_string(task.path().join("comm"))
-                    .is_ok_and(|name| name.trim() == "amd-refresh")
-            })
-            .count(),
-    )
+    let mut ids: Vec<String> = tasks
+        .flatten()
+        .filter(|task| {
+            std::fs::read_to_string(task.path().join("comm"))
+                .is_ok_and(|name| name.trim() == "amd-refresh")
+        })
+        .map(|task| task.file_name().to_string_lossy().into_owned())
+        .collect();
+    ids.sort();
+    Some(ids)
 }
 
 /// Waits (up to 5 s) until `/proc` shows `want` builder threads: a new
@@ -169,10 +172,74 @@ fn refresh_threads() -> Option<usize> {
 /// `/proc` for a moment after `join`.
 fn await_refresh_threads(want: usize, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);
-    while refresh_threads().is_some_and(|live| live != want) {
+    while refresh_threads().is_some_and(|live| live.len() != want) {
         assert!(Instant::now() < deadline, "{what}");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// A caught build panic leaves the builder thread in place: the same
+/// `amd-refresh` thread that was there before the injected panic is
+/// the only one there after the retried refresh commits.
+#[test]
+fn the_builder_thread_outlives_a_panicked_build() {
+    failpoint::quiet_injected_panics();
+    let mut faults = FaultPlan::new(0).arm();
+    let n = 40;
+    let mut hub = StreamHub::new(config()).unwrap();
+    let t = hub.admit(ring(n)).unwrap();
+    let mut truth = ring(n);
+    apply(&mut hub, t, &mut truth, n, 0, n / 2);
+    await_refresh_threads(1, "one builder per hub");
+    let before = refresh_threads();
+
+    FaultPlan::worker_kill(23).rearm(&mut faults);
+    assert!(hub.refresh(t).unwrap(), "refresh must launch");
+    assert_eq!(hub.wait_refreshes().unwrap(), 1, "the retry must commit");
+    faults.disarm();
+
+    assert_eq!(hub.stats().worker_restarts, 1, "the build panicked once");
+    assert_eq!(
+        refresh_threads(),
+        before,
+        "the builder thread must carry on, not be replaced"
+    );
+    assert_exact(&mut hub, t, &truth, 4);
+}
+
+/// An eviction whose catalog sweep fails still removes the tenant: the
+/// binding is gone by then, so the hub finishes its own teardown before
+/// it reports the sweep's error, and the other tenant serves on.
+#[test]
+fn a_failed_catalog_sweep_still_evicts_the_tenant() {
+    let mut faults = FaultPlan::new(0).arm();
+    let dir = std::env::temp_dir().join(format!("amd-supervision-evict-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut hub = StreamHub::new(HubConfig {
+        engine: EngineConfig {
+            spill_dir: Some(dir.clone()),
+            ..config().engine
+        },
+        ..config()
+    })
+    .unwrap();
+    // Two different matrices, so the evicted tenant's chain is nobody
+    // else's and the sweep must rewrite the manifest.
+    let doomed = hub.admit(ring(36)).unwrap();
+    let kept = hub.admit(ring(40)).unwrap();
+
+    FaultPlan::crash_at(0, failpoint::CATALOG_MANIFEST_BEFORE_REWRITE, 1).rearm(&mut faults);
+    let swept = hub.evict(doomed);
+    faults.disarm();
+
+    let err = swept.expect_err("the sweep's manifest rewrite was failed");
+    assert!(failpoint::is_injected(&err), "{err}");
+    assert_eq!(hub.tenants(), [kept], "the evicted tenant is gone");
+    let again = hub.evict(doomed).expect_err("a second eviction");
+    assert!(again.to_string().contains("not admitted"), "{again}");
+    assert_exact(&mut hub, kept, &ring(40), 6);
+    drop(hub);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Dropping a hub mid-build returns, joins its builder and leaks no

@@ -20,7 +20,7 @@
 //!   shared by every serving layer, with point-in-time restore and
 //!   garbage collection.
 //! * [`comm`] — the message-passing machine with α-β cost accounting.
-//! * [`exec`] — the persistent work-stealing executor: one shared
+//! * [`exec`] — the persistent thread pool: one shared
 //!   thread pool for machine ranks (cached blocking rank slots),
 //!   data-parallel kernel chunks (the sparse kernels' row blocks), and
 //!   the refresh worker's decompose. Sized once per process

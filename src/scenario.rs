@@ -5,7 +5,7 @@
 //! 1. **Serving is bit-exact under faults.** Every query answer is
 //!    checked against a serial reference multiply on a truth mirror of
 //!    the tenant's matrix; traces and operands are integer-valued, so
-//!    the comparison is `max |Δ| == 0.0` exactly — a worker death, a
+//!    the comparison is `max |Δ| == 0.0` exactly — a panicked build, a
 //!    retried multiply, or a crashed catalog write must not perturb a
 //!    single bit.
 //! 2. **Restart after any injected crash recovers with zero orphans.**
@@ -41,7 +41,7 @@ use std::path::{Path, PathBuf};
 /// What a scenario must demonstrate beyond bit-exact serving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expectation {
-    /// At least one worker death, respawned without a sync fallback.
+    /// At least one panicked build, retried without a sync fallback.
     WorkerKill,
     /// Retries exhaust: the hub takes the counted sync-refresh
     /// fallback at least once.
@@ -490,7 +490,7 @@ fn first_failure(scenario: &Scenario, report: &ScenarioReport) -> Option<String>
     match scenario.expect {
         Expectation::WorkerKill => {
             if report.worker_restarts == 0 {
-                return Some("no worker death was observed".to_string());
+                return Some("no panicked build was observed".to_string());
             }
             if report.sync_fallbacks != 0 {
                 return Some("unexpected sync fallback".to_string());

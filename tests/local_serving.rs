@@ -556,7 +556,7 @@ fn a_worker_death_at_one_rank_is_requeued_and_exact() {
     faults.disarm();
 
     let stats = local.stats();
-    assert_eq!(stats.worker_restarts, 1, "one death, one respawn");
+    assert_eq!(stats.worker_restarts, 1, "one panicked build, counted");
     assert_eq!(stats.refresh_retries, 1, "one requeue");
     assert_eq!(stats.sync_fallbacks, 0, "the retry succeeded");
     assert_eq!(stats.refreshes_completed, 1);
