@@ -68,4 +68,4 @@ pub use machine::{Machine, RunReport};
 pub use message::Payload;
 pub use rank::RankCtx;
 pub use stats::{MachineStats, RankStats};
-pub use steps::{execute, walk, Step, Work};
+pub use steps::{execute, order, walk, Step, Work};

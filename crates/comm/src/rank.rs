@@ -31,10 +31,13 @@ impl Clock {
 
     /// A message of `bytes` that departed at `depart` occupies the inbound
     /// link for `β·bytes` from no earlier than `depart + α`, and the CPU
-    /// clock advances to its arrival.
-    pub(crate) fn recv(&mut self, cost: &CostModel, depart: f64, bytes: usize) {
+    /// clock advances to its arrival; returns how far the clock moved, the
+    /// time the rank waited.
+    pub(crate) fn recv(&mut self, cost: &CostModel, depart: f64, bytes: usize) -> f64 {
         self.nic = (self.nic.max(depart + cost.alpha)) + cost.beta * bytes as f64;
+        let before = self.now;
         self.now = self.now.max(self.nic);
+        self.now - before
     }
 
     /// Charges `flops` of local work; returns its time.
@@ -132,7 +135,7 @@ impl RankCtx {
     /// Panics if the payload type does not match the sender's.
     pub fn recv<T: Payload>(&mut self, from: u32, tag: u64) -> T {
         let pkt = self.post.take(self.rank, from, tag);
-        self.clock.recv(&self.cost, pkt.depart, pkt.bytes);
+        self.stats.wait_time += self.clock.recv(&self.cost, pkt.depart, pkt.bytes);
         self.stats.recv_bytes += pkt.bytes as u64;
         self.stats.recv_msgs += 1;
         *pkt.data.downcast::<T>().unwrap_or_else(|_| {

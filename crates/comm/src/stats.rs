@@ -15,6 +15,9 @@ pub struct RankStats {
     pub sim_time: f64,
     /// Portion of the clock spent in charged compute.
     pub compute_time: f64,
+    /// Portion of the clock spent waiting: the simulated time by which
+    /// receives moved the clock forward to a message's arrival.
+    pub wait_time: f64,
 }
 
 impl RankStats {
@@ -91,6 +94,7 @@ mod tests {
                     recv_msgs: 1,
                     sim_time: t,
                     compute_time: c,
+                    wait_time: 0.0,
                 })
                 .collect(),
             wall_seconds: 0.0,

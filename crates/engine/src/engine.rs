@@ -447,7 +447,7 @@ impl Engine {
             .set(self.config.dtype.bytes() as u64);
         if self.telemetry.tracer.is_enabled() {
             let mut detail = format!(
-                "algo={} predicted_seconds={:.3e} cache={source} dtype={}",
+                "algo={} predicted_sim_seconds={:.3e} cache={source} dtype={}",
                 chosen, predictions[0].seconds, self.config.dtype
             );
             if let Some(active_prefix) = active_prefix {
@@ -825,7 +825,9 @@ impl Engine {
             .record_seconds(multiply_seconds);
         self.metrics.batch_size.record(chunk.len() as u64);
         if self.telemetry.tracer.is_enabled() {
-            // Predicted cost is per iteration per the planner contract.
+            // Predicted cost is per iteration per the planner contract. The
+            // prediction and the run's makespan are simulated seconds; the
+            // multiply's own time is wall seconds.
             let predicted = bound
                 .predictions
                 .first()
@@ -833,8 +835,8 @@ impl Engine {
                 .unwrap_or(0.0);
             let mut detail = format!(
                 "algo={} batch={} queries={}..={} iters={} corrected={} \
-                 dtype={} predicted_seconds={:.3e} actual_seconds={:.3e} \
-                 max_rank_bytes={}",
+                 dtype={} predicted_sim_seconds={:.3e} sim_seconds={:.3e} \
+                 wall_seconds={:.3e} max_rank_bytes={}",
                 bound.chosen,
                 chunk.len(),
                 chunk[0].id.0,
@@ -843,6 +845,7 @@ impl Engine {
                 bound.overlay.is_some(),
                 self.config.dtype,
                 predicted,
+                run.stats.sim_time(),
                 multiply_seconds,
                 run.stats.max_volume()
             );
@@ -1542,5 +1545,40 @@ mod tests {
         assert!(mul.detail.contains("dtype=f32"), "{}", mul.detail);
         assert!(mul.detail.contains("active_prefix="), "{}", mul.detail);
         assert!(mul.detail.contains("max_rank_bytes="), "{}", mul.detail);
+    }
+
+    /// Simulated and wall seconds are never reported under one name: a
+    /// traced batch on four ranks names the prediction and the makespan
+    /// as simulated seconds and the multiply's own time as wall seconds,
+    /// and the plan names its prediction as simulated.
+    #[test]
+    fn trace_events_name_simulated_and_wall_seconds_apart() {
+        let mut e = engine();
+        let id = e.register(&ring(48)).unwrap();
+        for column in 0..3 {
+            let x = (0..48).map(|r| f64::from((r + column) % 5)).collect();
+            let (matrix, iters, sigma) = (id, 2, None);
+            e.submit(MultiplyQuery {
+                matrix,
+                x,
+                iters,
+                sigma,
+            })
+            .unwrap();
+        }
+        assert_eq!(e.flush().unwrap().len(), 3);
+        let events = e.telemetry().tracer.snapshot();
+        let detail = |name: &str| {
+            let event = events.iter().find(|ev| ev.name == name);
+            event.expect("event traced").detail.clone()
+        };
+        let (plan, mul) = (detail("plan"), detail("multiply"));
+        assert!(mul.contains("batch=3"), "{mul}");
+        for name in ["predicted_sim_seconds=", "sim_seconds=", "wall_seconds="] {
+            assert!(mul.contains(name), "{mul}");
+        }
+        assert!(!mul.contains("actual_seconds"), "{mul}");
+        assert!(plan.contains("predicted_sim_seconds="), "{plan}");
+        assert!(!plan.contains(" predicted_seconds"), "{plan}");
     }
 }

@@ -12,12 +12,13 @@
 //! for the machine's cost model), each processor accumulating
 //! `A(i,j)·X_t`. A ring all-reduce across each grid row then produces
 //! `Y_i` replicated exactly like the input — so iterations chain without
-//! data movement. An iteration is every rank's list of those steps, which
-//! the one driver runs ([`crate::layout`]).
+//! data movement. An iteration is every rank's list of those steps, in
+//! the order that fills its waits ([`amd_comm::order`]), which the one
+//! driver runs ([`crate::layout`]).
 
-use crate::layout::{block_range, grid_groups, run_blocks, Buf, Kernel, Lists, Multiply};
+use crate::layout::{block_range, grid_groups, run_blocks, Buf, Kernel, List, Lists, Multiply};
 use crate::traits::{CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{walk, Collective, CostModel, MachineStats, Plan, Step};
+use amd_comm::{order, walk, Collective, CostModel, MachineStats, Plan, Step};
 use amd_sparse::spmm::Finish;
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 
@@ -167,7 +168,7 @@ impl A15dSpmm {
     /// row-aligned chunks keep the summation order independent of `k`, so
     /// batched runs bit-match single-column ones — and `Y_i` becomes the
     /// iterate, the iterate it replaces the next partial sum.
-    fn steps(&self, k: u32) -> Lists<'_> {
+    pub(crate) fn steps(&self, k: u32) -> Lists<'_> {
         let (kk, [cols, rows]) = (k as usize, grid_groups(self.grid_rows, self.c));
         let picks: Vec<&Plan> = (self.plans.iter())
             .map(|(_, bcast, _)| bcast.pick(kk, &self.cost))
@@ -201,6 +202,32 @@ impl A15dSpmm {
         }
         lists
     }
+
+    /// [`Self::steps`] in the order that fills the ranks' waits
+    /// ([`amd_comm::order`]), and the walk of one iteration of them.
+    pub(crate) fn ordered(&self, k: u32) -> (Lists<'_>, (MachineStats, Vec<f64>)) {
+        let mut steps = self.steps(k);
+        let walked = order(&mut steps, &self.cost);
+        (steps, walked)
+    }
+
+    /// [`DistSpmm::run_sigma`] of one iteration's `steps`.
+    pub(crate) fn run_steps(
+        &self,
+        x: &DenseMatrix<f64>,
+        iters: u32,
+        sigma: Option<Sigma>,
+        steps: &[List<'_>],
+    ) -> SparseResult<SpmmRun> {
+        let k = x.cols() as usize;
+        // X tile i, replicated across grid row i; grid column 0's blocks
+        // are gathered.
+        let blocks = |rank: u32| {
+            let (r0, r1) = block_range(self.n, self.rb, rank / self.c);
+            (r0..r1, 0..k, rank.is_multiple_of(self.c))
+        };
+        run_blocks(x, self.n, steps, self.cost, iters, sigma, blocks)
+    }
 }
 
 impl DistSpmm for A15dSpmm {
@@ -222,23 +249,15 @@ impl DistSpmm for A15dSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        let k = x.cols() as usize;
-        // X tile i, replicated across grid row i; grid column 0's blocks
-        // are gathered.
-        let blocks = |rank: u32| {
-            let (r0, r1) = block_range(self.n, self.rb, rank / self.c);
-            (r0..r1, 0..k, rank.is_multiple_of(self.c))
-        };
-        let steps = self.steps(x.cols());
-        run_blocks(x, self.n, &steps, self.cost, iters, sigma, blocks)
+        self.run_steps(x, iters, sigma, &self.ordered(x.cols()).0)
     }
 
     fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
-        walk(&self.steps(k), iters, &self.cost).0
+        walk(&self.ordered(k).0, iters, &self.cost).0
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        CommEstimate::of_walk(walk(&self.steps(k), 1, &self.cost), self.dtype)
+        CommEstimate::of_walk(self.ordered(k).1, self.dtype)
     }
 }
 

@@ -20,8 +20,9 @@
 //!    tree, which stores `Y(r, f)` — the same layout as the input, so
 //!    iterations chain.
 //!
-//! An iteration is every rank's list of those steps, which the one driver
-//! runs ([`crate::layout`]).
+//! An iteration is every rank's list of those steps, in the order that
+//! fills its waits ([`amd_comm::order`]), which the one driver runs
+//! ([`crate::layout`]).
 //!
 //! Compared to 1.5D with `c = √p`, storage drops by `√p` but latency grows
 //! by `Θ(√p)` and bandwidth by `Θ(log p)` (§3) — the trade-off the paper
@@ -29,9 +30,9 @@
 //! implementation makes measurable.
 
 use crate::layout::{block_range, even_ranges, grid_groups, run_blocks};
-use crate::layout::{Buf, Kernel, Lists, Multiply};
+use crate::layout::{Buf, Kernel, List, Lists, Multiply};
 use crate::traits::{CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{walk, Collective, CostModel, MachineStats, Plan, Schedule, Step};
+use amd_comm::{order, walk, Collective, CostModel, MachineStats, Plan, Schedule, Step};
 use amd_sparse::spmm::Finish;
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 
@@ -150,7 +151,7 @@ impl A2dSpmm {
     /// here once, on the host), the partial product `A(r, c) · X(c, f)`,
     /// and the tree reduce across its grid row onto member `f`, whose
     /// partial is its block of `Y`. `Y` is the next iterate.
-    fn steps(&self, k: u32) -> Lists<'_> {
+    pub(crate) fn steps(&self, k: u32) -> Lists<'_> {
         let (q, phases, [cols, rows]) =
             (self.q, even_ranges(k, self.q), grid_groups(self.q, self.q));
         let picks: Vec<Vec<&Plan>> = (self.plans.iter())
@@ -195,6 +196,33 @@ impl A2dSpmm {
         }
         lists
     }
+
+    /// [`Self::steps`] in the order that fills the ranks' waits
+    /// ([`amd_comm::order`]), and the walk of one iteration of them.
+    pub(crate) fn ordered(&self, k: u32) -> (Lists<'_>, (MachineStats, Vec<f64>)) {
+        let mut steps = self.steps(k);
+        let walked = order(&mut steps, &self.cost);
+        (steps, walked)
+    }
+
+    /// [`DistSpmm::run_sigma`] of one iteration's `steps`.
+    pub(crate) fn run_steps(
+        &self,
+        x: &DenseMatrix<f64>,
+        iters: u32,
+        sigma: Option<Sigma>,
+        steps: &[List<'_>],
+    ) -> SparseResult<SpmmRun> {
+        let q = self.q;
+        let col_ranges = even_ranges(x.cols(), q);
+        // X(r, c): row block r, feature columns [k0, k1).
+        let blocks = |rank: u32| {
+            let (r0, r1) = block_range(self.n, self.rb, rank / q);
+            let (k0, k1) = col_ranges[(rank % q) as usize];
+            (r0..r1, k0 as usize..k1 as usize, true)
+        };
+        run_blocks(x, self.n, steps, self.cost, iters, sigma, blocks)
+    }
 }
 
 impl DistSpmm for A2dSpmm {
@@ -212,24 +240,15 @@ impl DistSpmm for A2dSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        let q = self.q;
-        let col_ranges = even_ranges(x.cols(), q);
-        // X(r, c): row block r, feature columns [k0, k1).
-        let blocks = |rank: u32| {
-            let (r0, r1) = block_range(self.n, self.rb, rank / q);
-            let (k0, k1) = col_ranges[(rank % q) as usize];
-            (r0..r1, k0 as usize..k1 as usize, true)
-        };
-        let steps = self.steps(x.cols());
-        run_blocks(x, self.n, &steps, self.cost, iters, sigma, blocks)
+        self.run_steps(x, iters, sigma, &self.ordered(x.cols()).0)
     }
 
     fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
-        walk(&self.steps(k), iters, &self.cost).0
+        walk(&self.ordered(k).0, iters, &self.cost).0
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        CommEstimate::of_walk(walk(&self.steps(k), 1, &self.cost), self.dtype)
+        CommEstimate::of_walk(self.ordered(k).1, self.dtype)
     }
 }
 

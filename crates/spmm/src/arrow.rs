@@ -103,11 +103,31 @@
 //! direct feed, since there a hub row of a deeper level reads so many rows
 //! that gathering them loads a level-0 rank more (rmat13 at `b = 512`,
 //! `k = 16`: 416 256 B in 44 messages, against 362 624 B in 38 direct).
+//!
+//! # Order
+//!
+//! The steps are built in Algorithm 1's order, and a rank sits idle at a
+//! receive while work it could already do waits behind it in its list: a
+//! level member's row-arm product `B(0,i)·D(i)` reads nothing the
+//! broadcast of `D(0)` brings, and `C(i)` reads nothing the reduce
+//! carries. Once the feed is chosen, the lists go through
+//! [`amd_comm::order`], which moves a multiply or a fold before an
+//! earlier step only when neither writes a buffer the other touches
+//! (`Kernel`'s buffers), so every buffer sees its operations in their
+//! order and the answer, every byte and every message stay as built. A
+//! move before a run in which the rank only receives is never worse: a
+//! rank at `t₀` whose receives complete at `a` finishes the pair at
+//! `max(t₀ + c, a) ≤ max(t₀, a) + c`, and no event of any rank is later.
+//! A move before a run in which it also sends is tried at each wait on
+//! the walk's critical path and kept only if the makespan falls, or on a
+//! tie the sum of the ranks' clocks, 32 trial walks at most. On rmat13
+//! at `b = 512`, `k = 8` (the direct feed) the iteration falls from
+//! 62.02 to 53.41 sim-µs.
 
 use crate::layout::{block_count, block_range, run_blocks, Buf, Kernel, List, Lists, Multiply};
 use crate::traits::{CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{
-    fold_nonroots, walk, Collective, CostModel, Dir, MachineStats, Plan, Schedule, Step,
+    fold_nonroots, order, walk, Collective, CostModel, Dir, MachineStats, Plan, Schedule, Step,
 };
 use amd_sparse::spmm::Finish;
 use amd_sparse::{CsrBuilder, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
@@ -834,9 +854,11 @@ impl ArrowSpmm {
     }
 
     /// The feed a `k`-column operand takes ([`Self::feed`]), every rank's
-    /// steps under it on the levels' [`Self::picks`], and the walk of one
-    /// iteration of them: chosen once per run or prediction, on the host,
-    /// and read by everything that follows.
+    /// steps under it on the levels' [`Self::picks`], put in the order
+    /// that fills the ranks' waits ([`amd_comm::order`]), and the walk of
+    /// one iteration of them: chosen once per run or prediction, on the
+    /// host, and read by everything that follows. The order moves no byte
+    /// and no message, so it does not change the feed.
     fn choose(&self, k: u32) -> (Feed, Lists<'_>, (MachineStats, Vec<f64>)) {
         let picks = self.picks(k);
         let weigh = |feed| {
@@ -853,7 +875,9 @@ impl ArrowSpmm {
                 held = next;
             }
         }
-        held
+        let (feed, mut steps, _) = held;
+        let walked = order(&mut steps, &self.cost);
+        (feed, steps, walked)
     }
 
     /// The busiest rank's bytes and messages in one iteration under
@@ -1279,6 +1303,84 @@ mod tests {
             assert_eq!(bits(&run.y), bits(&x), "{}", alg.name());
             assert_eq!(alg.dry_run(k, 0).ranks, run.stats.ranks, "{}", alg.name());
         }
+    }
+
+    /// The order that fills the ranks' waits edits the lists and nothing
+    /// else. On the support table's inputs and the spliced chain, each of
+    /// the four algorithms' ordered lists answers bit for bit what its
+    /// lists as built answer, at `f64` on non-integer data and at `f32`,
+    /// after one iteration and after eight; every rank moves the bytes
+    /// and messages it moved, for the flops it was charged, as the walk
+    /// of the ordered lists says; and the makespan is no higher.
+    #[test]
+    fn ordered_lists_answer_as_built_and_finish_no_later() {
+        use crate::{A15dSpmm, A2dSpmm, Hp1dSpmm};
+        use amd_graph::generators::rmat;
+        use amd_partition::block_partition;
+        let seeded = ChaCha8Rng::seed_from_u64;
+        let mut inputs: Vec<(CsrMatrix<f64>, ArrowDecomposition)> = [
+            basic::grid_2d(160, 160).to_adjacency(),
+            rmat::rmat(13, 8, rmat::RmatParams::graph500(), &mut seeded(13)).to_adjacency(),
+            datasets::mawi_like(4096, &mut seeded(77)).to_adjacency(),
+            datasets::osm_like(16_384, &mut seeded(6)).to_adjacency(),
+        ]
+        .into_iter()
+        .map(|a| {
+            let d = decompose(&a, a.rows() / 16, 1);
+            (a, d)
+        })
+        .collect();
+        inputs.push(spliced());
+        let (k, cost, fell) = (5, CostModel::default(), std::cell::Cell::new(0));
+        let bits = |y: &DenseMatrix<f64>| y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let traffic = |stats: &MachineStats| {
+            (stats.ranks.iter())
+                .map(|r| (r.sent_bytes, r.recv_bytes, r.sent_msgs, r.recv_msgs))
+                .collect::<Vec<_>>()
+        };
+        let compare = |name: &str,
+                       built: &[List<'_>],
+                       ordered: &[List<'_>],
+                       run: &dyn Fn(&[List<'_>], u32) -> SpmmRun| {
+            for iters in [1, 8] {
+                let [before, after] = [built, ordered].map(|steps| run(steps, iters));
+                let walked = walk(ordered, iters, &cost);
+                assert_eq!(bits(&before.y), bits(&after.y), "{name}, {iters} passes");
+                assert_eq!(traffic(&before.stats), traffic(&after.stats), "{name}");
+                assert_eq!(walk(built, iters, &cost).1, walked.1, "{name}: flops");
+                assert_eq!(walked.0.ranks, after.stats.ranks, "{name}: walk vs run");
+                let (was, is) = (before.stats.sim_time(), after.stats.sim_time());
+                assert!(is <= was, "{name}, {iters} passes: makespan {was} -> {is}");
+                fell.set(fell.get() + usize::from(is < was));
+            }
+        };
+        for (a, d) in &inputs {
+            let n = a.rows();
+            let x = DenseMatrix::from_fn(n, k, |r, c| ((r * 7 + c * 13) % 31) as f64 / 7.0 - 1.9);
+            for dtype in [Dtype::F64, Dtype::F32] {
+                let arrow = ArrowSpmm::new(d).unwrap().with_dtype(dtype);
+                let (feed, ordered, _) = arrow.choose(k);
+                let built = arrow.steps(k, feed, &arrow.picks(k));
+                let run =
+                    |steps: &[List<'_>], iters| arrow.run_steps(&x, iters, None, steps).unwrap();
+                compare(&arrow.name(), &built, &ordered, &run);
+                let a15d = A15dSpmm::new(a, 16, 4).unwrap().with_dtype(dtype);
+                let run =
+                    |steps: &[List<'_>], iters| a15d.run_steps(&x, iters, None, steps).unwrap();
+                compare(&a15d.name(), &a15d.steps(k), &a15d.ordered(k).0, &run);
+                let a2d = A2dSpmm::new(a, 16).unwrap().with_dtype(dtype);
+                let run =
+                    |steps: &[List<'_>], iters| a2d.run_steps(&x, iters, None, steps).unwrap();
+                compare(&a2d.name(), &a2d.steps(k), &a2d.ordered(k).0, &run);
+                let hp1d = Hp1dSpmm::new(a, &block_partition(n, 16))
+                    .unwrap()
+                    .with_dtype(dtype);
+                let run =
+                    |steps: &[List<'_>], iters| hp1d.run_steps(&x, iters, None, steps).unwrap();
+                compare(&hp1d.name(), &hp1d.steps(k), &hp1d.ordered(k).0, &run);
+            }
+        }
+        assert!(fell.get() > 0, "no makespan fell: the test orders nothing");
     }
 
     /// A decomposition drawn from `seed` that LA-Decompose never returns,

@@ -164,6 +164,7 @@ impl<'a> DeltaSpmm<'a> {
             acc.recv_msgs += r.recv_msgs + b.recv_msgs;
             acc.sim_time = acc.sim_time + r.sim_time + b.sim_time + compute;
             acc.compute_time = acc.compute_time + r.compute_time + compute;
+            acc.wait_time = acc.wait_time + r.wait_time + b.wait_time;
         }
     }
 

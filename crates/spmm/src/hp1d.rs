@@ -16,13 +16,14 @@
 //! rows" metric; on star-heavy graphs it degenerates to nearly all of `X`
 //! for the hub's part, which is the scaling failure the paper reports.
 //!
-//! An iteration is every rank's list of those steps, which the one driver
-//! runs ([`crate::layout`]); where the receive sits in a rank's list is
-//! where the rank waits for its rows.
+//! An iteration is every rank's list of those steps, in the order that
+//! fills its waits ([`amd_comm::order`]), which the one driver runs
+//! ([`crate::layout`]); where the receive sits in a rank's list is where
+//! the rank waits for its rows.
 
 use crate::layout::{run_blocks, Buf, Kernel, List, Lists, Multiply};
 use crate::traits::{CommEstimate, DistSpmm, Sigma, SpmmRun};
-use amd_comm::{walk, CostModel, Dir, MachineStats, Plan, Step};
+use amd_comm::{order, walk, CostModel, Dir, MachineStats, Plan, Step};
 use amd_partition::Partition;
 use amd_sparse::spmm::Finish;
 use amd_sparse::{
@@ -186,7 +187,7 @@ impl Hp1dSpmm {
     }
 
     /// [`DistSpmm::run_sigma`] of one iteration's `steps`.
-    fn run_steps(
+    pub(crate) fn run_steps(
         &self,
         x: &DenseMatrix<f64>,
         iters: u32,
@@ -208,7 +209,7 @@ impl Hp1dSpmm {
     /// index), and the non-local multiply if there are any. The product is
     /// the next iterate, and the iterate it replaces the next product's
     /// buffer.
-    fn steps(&self, k: u32) -> Lists<'_> {
+    pub(crate) fn steps(&self, k: u32) -> Lists<'_> {
         let (world, kk): (Arc<[u32]>, _) = ((0..self.p).collect(), k as usize);
         let fetch = |dir, buf| Step::run(&self.fetch, &world, 0, Some(dir), kk, 0, buf as usize);
         let multiply = |tile, x, finish| Multiply::new(tile, [x, Buf::Y], k, finish, self.dtype);
@@ -231,6 +232,14 @@ impl Hp1dSpmm {
             })
             .collect()
     }
+
+    /// [`Self::steps`] in the order that fills the ranks' waits
+    /// ([`amd_comm::order`]), and the walk of one iteration of them.
+    pub(crate) fn ordered(&self, k: u32) -> (Lists<'_>, (MachineStats, Vec<f64>)) {
+        let mut steps = self.steps(k);
+        let walked = order(&mut steps, &self.cost);
+        (steps, walked)
+    }
 }
 
 impl DistSpmm for Hp1dSpmm {
@@ -248,15 +257,15 @@ impl DistSpmm for Hp1dSpmm {
         iters: u32,
         sigma: Option<Sigma>,
     ) -> SparseResult<SpmmRun> {
-        self.run_steps(x, iters, sigma, &self.steps(x.cols()))
+        self.run_steps(x, iters, sigma, &self.ordered(x.cols()).0)
     }
 
     fn dry_run(&self, k: u32, iters: u32) -> MachineStats {
-        walk(&self.steps(k), iters, &self.cost).0
+        walk(&self.ordered(k).0, iters, &self.cost).0
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        CommEstimate::of_walk(walk(&self.steps(k), 1, &self.cost), self.dtype)
+        CommEstimate::of_walk(self.ordered(k).1, self.dtype)
     }
 }
 

@@ -114,6 +114,28 @@ impl Work for Kernel<'_> {
         let nnz = indptr[rows.end as usize] - indptr[rows.start as usize];
         Some(2.0 * nnz as f64 * m.k as f64)
     }
+
+    /// A multiply reads `x`, and `y` unless it overwrites it from its
+    /// first row, and writes `y`; an add reads the inbox and `Y` and
+    /// writes `Y`; a head reads its source and writes its target; a zero
+    /// only writes its buffer; every other step reads and writes each
+    /// buffer it names.
+    fn buffers(&self) -> Option<[u64; 2]> {
+        let bit = |buf: Buf| 1 << buf as u32;
+        Some(match *self {
+            Kernel::Multiply(ref m) => {
+                let over = m.finish == Finish::Overwrite && m.rows.start == 0;
+                let y = if over { 0 } else { bit(m.y) };
+                [bit(m.x) | y, bit(m.y)]
+            }
+            Kernel::Zero(buf, _) => [0, bit(buf)],
+            Kernel::Resize(buf, _) | Kernel::Sigma(buf) => [bit(buf); 2],
+            Kernel::Head(from, to, _) => [bit(from), bit(to)],
+            Kernel::Swap(a, b) | Kernel::Move(a, b) => [bit(a) | bit(b); 2],
+            Kernel::Fold(..) => [bit(Buf::Inbox); 2],
+            Kernel::Add(..) => [bit(Buf::Inbox) | bit(Buf::Y), bit(Buf::Y)],
+        })
+    }
 }
 
 /// A rank's steps in one iteration.

@@ -277,7 +277,9 @@ fn arrow_compute_is_balanced_on_skewed_inputs() {
 /// re-pinned, 83.3952 → 78.4848, when its second level took the direct
 /// feed, and 78.4848 → 53.3760 when its deeper rows moved onto the
 /// level-0 ranks that hold them, the gather feed; neither moves a hub
-/// row). The obvious
+/// row). The MAWI figure was re-pinned, 54.7448 → 54.2320, when each
+/// rank's steps were ordered to fill its waits (`amd_comm::order`),
+/// which moves no hub row, byte or message. The obvious
 /// rule — balance each rank's *total* entries — does move them: it tops up
 /// ranks whose light compute hides a heavy reduce entry, and read
 /// 255.37 → 258.14 sim-µs on MAWI-like `n = 16 000` and 127.59 → 128.12
@@ -301,7 +303,7 @@ fn hub_share_leaves_balanced_inputs_alone() {
 
     let (_, a) = mawi(4096);
     let (plan, run) = arrow_run(&a, 8, 64);
-    assert_eq!(format!("{:.4}", run.sim_time_per_iter() * 1e6), "54.7448");
+    assert_eq!(format!("{:.4}", run.sim_time_per_iter() * 1e6), "54.2320");
     let runs = &plan.hub_runs()[0];
     assert!(
         runs[0].len() > runs[1..].iter().map(|r| r.len()).sum(),
