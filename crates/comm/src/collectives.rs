@@ -18,7 +18,7 @@
 //! row collective one call path: a caller builds its candidates once
 //! ([`Collective`]), takes one per operand width ([`Collective::pick`], or
 //! [`Collective::plan`] by schedule) and puts it in a rank's step list,
-//! which [`execute`](crate::execute) hands to the runner; the ring is a
+//! whose loop ([`run`](crate::run)) hands it to the runner; the ring is a
 //! [`Plan::ring`] taken the same way. Point-to-point traffic is plans of the same
 //! steps: routes ([`Plan::routes`]) for the arrow multiply's feeds and
 //! HP-1D's fetches, a two-member tree broadcast for the 2D algorithm's
@@ -26,7 +26,13 @@
 //! The closure collectives ([`Group::broadcast`], [`Group::reduce_sum`],
 //! [`Group::allreduce_sum`]) build a tree plan and run it on the same
 //! runner. A step whose plan has another number of members than its group
-//! panics, in [`execute`](crate::execute) and in the walk alike.
+//! panics, in a payload run and in the walk alike.
+//!
+//! The runner is resumable (`Held`): a member's state between one hop
+//! and the next is what it holds, a send produces a message and a
+//! receive consumes one, so the step-list loop can leave a rank waiting
+//! for a message and take it up again, and the closure collectives drive
+//! the same halves with blocking receives.
 //!
 //! A binomial **tree** moves the whole buffer `⌈log₂ p⌉` times through
 //! its root. The **large**-message schedules (Thakur, Rabenseifner &
@@ -107,7 +113,6 @@
 use crate::cost::CostModel;
 use crate::message::SharedRows;
 use crate::rank::RankCtx;
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -166,9 +171,9 @@ pub(crate) enum Buf {
 /// receives, or a view it keeps; `peer` is the other member by the plan's
 /// index (root-relative for a rooted collective).
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Hop {
-    peer: u32,
-    dir: Dir,
+pub(crate) struct Hop {
+    pub(crate) peer: u32,
+    pub(crate) dir: Dir,
     rows: Rows,
     buf: Buf,
 }
@@ -419,27 +424,21 @@ impl Plan {
         self.schedule
     }
 
-    /// Member `vr`'s messages on a `stride`-column buffer, in order — those
-    /// of direction `only`, if given: each one's direction, its peer by the
-    /// plan's index and its bytes, `rows × 8 × stride`. A ring of an empty
-    /// payload sends nothing (the runner returns at once).
-    pub(crate) fn messages(
-        &self,
-        vr: usize,
-        only: Option<Dir>,
-        stride: usize,
-    ) -> impl Iterator<Item = (Dir, usize, usize)> + '_ {
+    /// Member `vr`'s hops on a `stride`-column buffer, in order; none in a
+    /// ring of an empty payload.
+    pub(crate) fn hops(&self, vr: usize, stride: usize) -> &[Hop] {
         let silent = self.op == Op::Ring && stride == 0;
-        let hops = if silent { &[][..] } else { &self.steps[vr] };
-        (hops.iter())
-            .filter(move |h| h.dir != Dir::Keep && only.is_none_or(|d| h.dir == d))
-            .map(move |h| {
-                (
-                    h.dir,
-                    h.peer as usize,
-                    8 * stride * h.moves(self.rows, &self.lists),
-                )
-            })
+        if silent {
+            &[]
+        } else {
+            &self.steps[vr]
+        }
+    }
+
+    /// The bytes `hop` moves on a `stride`-column buffer, `rows × 8 ×
+    /// stride`: what it is charged, in a payload run or a dry walk.
+    pub(crate) fn bytes(&self, hop: &Hop, stride: usize) -> usize {
+        8 * stride * hop.moves(self.rows, &self.lists)
     }
 
     /// Number of members.
@@ -529,6 +528,13 @@ fn check_supports(supports: &[Vec<u32>], size: usize, rows: usize) {
     }
 }
 
+/// `rank`'s index in the group `members`.
+pub(crate) fn member_index(members: &[u32], rank: u32) -> usize {
+    assert!(!members.is_empty(), "group must be non-empty");
+    (members.iter().position(|&m| m == rank))
+        .unwrap_or_else(|| panic!("rank {rank} not in group {members:?}"))
+}
+
 /// `acc[i] += other[i]`, the one addition every reduce here is made of.
 fn add_into(acc: &mut [f64], other: &[f64]) {
     assert_eq!(other.len(), acc.len(), "reduce length mismatch");
@@ -572,18 +578,23 @@ pub fn fold_nonroots(pieces: &[&[f64]], p: usize) -> Vec<f64> {
     acc[0].take().expect("round 1 fills the root's slot")
 }
 
-/// `rows` as a view of the whole of a buffer of its own.
-fn whole(rows: Vec<f64>) -> SharedRows {
-    let head = 0..rows.len();
-    SharedRows {
-        buf: Arc::new(rows),
-        head,
-        tail: 0..0,
-    }
+/// The elements of rows `r` of a `stride`-column buffer.
+fn span(r: &Range<u32>, stride: usize) -> Range<usize> {
+    r.start as usize * stride..r.end as usize * stride
 }
 
-/// What a member holds while it runs its steps.
-struct Held {
+/// What a member holds while it takes its hops of a plan, from one hop to
+/// the next: the runner's state. [`start`](Self::start) takes the
+/// member's buffer, each hop goes through [`send`](Self::send) (a
+/// message out), [`recv`](Self::recv) (a message in) or
+/// [`keep`](Self::keep), and [`finish`](Self::finish) hands the buffer
+/// back. A broadcast's root shares its buffer and every other member's is
+/// replaced by what it receives (under a sparse plan only its support
+/// rows are promised, see the [module docs](self#supports)); a reduce sums
+/// every member's buffer into the root's in the one association and
+/// leaves a non-root's empty; a ring leaves the sum in every member's;
+/// routes send rows of the buffer and put the rows they receive there.
+pub(crate) struct Held {
     /// The member's own buffer.
     own: Option<Arc<Vec<f64>>>,
     /// Received pieces waiting for the fold, by slot.
@@ -592,6 +603,27 @@ struct Held {
 }
 
 impl Held {
+    /// Member `vr`'s state at the start of `plan` on its row-major
+    /// `stride`-column `buf`.
+    pub(crate) fn start(plan: &Plan, vr: usize, stride: usize, buf: Arc<Vec<f64>>) -> Self {
+        // Routes move rows of whatever buffer the member holds. A
+        // broadcast's non-root drops its buffer, which a peer may still
+        // share, and holds what it receives.
+        let broadcast = plan.op == Op::Broadcast;
+        let routes = broadcast && plan.schedule.is_none();
+        let holds = !broadcast || routes || vr == 0;
+        if holds && !routes {
+            let len = plan.rows * stride;
+            assert_eq!(buf.len(), len, "{:?} shape mismatch", plan.op);
+        }
+        let own = holds.then_some(buf);
+        Self {
+            own,
+            pieces: Vec::new(),
+            carry: Vec::new(),
+        }
+    }
+
     fn own(&self) -> &Arc<Vec<f64>> {
         self.own.as_ref().expect("the member holds its buffer")
     }
@@ -599,10 +631,6 @@ impl Held {
     /// The own buffer, never shared when a plan writes it.
     fn own_mut(&mut self) -> &mut Vec<f64> {
         Arc::make_mut(self.own.as_mut().expect("the member holds its buffer"))
-    }
-
-    fn take_own(&mut self) -> Vec<f64> {
-        Arc::unwrap_or_clone(self.own.take().expect("the member holds its buffer"))
     }
 
     fn view(&self, head: Range<usize>, tail: Range<usize>) -> SharedRows {
@@ -629,35 +657,166 @@ impl Held {
             .collect();
         fold_nonroots(&rows, rows.len() + 1)
     }
+
+    /// The message `hop` of `plan`, a send, carries.
+    pub(crate) fn send(&mut self, plan: &Plan, hop: &Hop, stride: usize) -> SharedRows {
+        let span = |r: &Range<u32>| span(r, stride);
+        match (&hop.rows, hop.buf) {
+            (Rows::All, _) if plan.op == Op::Broadcast => SharedRows::whole(Arc::clone(self.own())),
+            (Rows::All, _) => {
+                SharedRows::whole(self.own.take().expect("the member holds its buffer"))
+            }
+            (Rows::Span(head, _), Buf::Own) if plan.op == Op::Ring => {
+                SharedRows::whole(self.own()[span(head)].to_vec())
+            }
+            (Rows::Span(head, tail), Buf::Own) => self.view(span(head), span(tail)),
+            (Rows::Span(head, _), Buf::Piece(_)) => {
+                SharedRows::whole(self.fold(&vec![0.0; span(head).len()]))
+            }
+            (Rows::Span(..), Buf::Carry { .. }) => {
+                SharedRows::whole(std::mem::take(&mut self.carry))
+            }
+            (Rows::List(l), _) => {
+                let list = &plan.lists[*l as usize];
+                let mut packed = Vec::with_capacity(list.len() * stride);
+                for &r in list {
+                    let r = r as usize * stride;
+                    packed.extend_from_slice(&self.own()[r..r + stride]);
+                }
+                SharedRows::whole(packed)
+            }
+        }
+    }
+
+    /// Takes `got`, the message `hop` of `plan`, a receive, carries.
+    pub(crate) fn recv(&mut self, plan: &Plan, hop: &Hop, stride: usize, got: SharedRows) {
+        let span = |r: &Range<u32>| span(r, stride);
+        let broadcast = plan.op == Op::Broadcast;
+        match (&hop.rows, hop.buf) {
+            (Rows::All, _) if broadcast => self.own = Some(got.buf),
+            (Rows::All, Buf::Own) => add_into(self.own_mut(), got.rows()),
+            (Rows::All, _) => match self.piece(0) {
+                Some(sum) => add_into(&mut Arc::make_mut(&mut sum.buf)[..], got.rows()),
+                children => *children = Some(got),
+            },
+            (Rows::Span(head, tail), Buf::Own) if broadcast => {
+                // A view must cover exactly the run the step says it
+                // does, or the receiver would "hold" rows nobody sent.
+                assert_eq!((got.head, got.tail), (span(head), span(tail)));
+                match &self.own {
+                    Some(own) => assert!(Arc::ptr_eq(own, &got.buf), "views of two buffers"),
+                    None => self.own = Some(got.buf),
+                }
+            }
+            (Rows::Span(head, _), Buf::Own) => {
+                add_into(&mut self.own_mut()[span(head)], got.rows())
+            }
+            (Rows::Span(head, _), Buf::Piece(m)) => {
+                assert_eq!(got.head.len(), span(head).len());
+                *self.piece(m) = Some(got);
+            }
+            (Rows::Span(head, _), Buf::Carry { sum, keep }) => {
+                let mut chunk = Arc::unwrap_or_clone(got.buf);
+                let mine = &mut self.own_mut()[span(head)];
+                assert_eq!(chunk.len(), mine.len());
+                for (slot, &m) in chunk.iter_mut().zip(mine.iter()).filter(|_| sum) {
+                    let incoming = *slot;
+                    *slot = m + incoming;
+                }
+                if keep {
+                    mine.copy_from_slice(&chunk);
+                }
+                self.carry = chunk;
+            }
+            (Rows::List(l), buf) => {
+                let list = &plan.lists[*l as usize];
+                let packed = got.rows();
+                assert_eq!(packed.len(), list.len() * stride);
+                // Zero-width rows (a `k = 0` operand) arrive empty
+                // and write nothing.
+                let rows = list
+                    .iter()
+                    .map(|&r| r as usize)
+                    .zip(packed.chunks_exact(stride.max(1)));
+                if let Buf::Piece(m) = buf {
+                    // Laid out over the union of the non-roots' supports.
+                    let mut piece = vec![0.0; plan.union.1 * stride];
+                    for (r, row) in rows {
+                        let at = plan.union.0[r] as usize * stride;
+                        piece[at..at + stride].copy_from_slice(row);
+                    }
+                    *self.piece(m) = Some(SharedRows::whole(piece));
+                } else {
+                    let len = plan.rows * stride;
+                    let own = self.own.get_or_insert_with(|| Arc::new(vec![0.0; len]));
+                    let own = Arc::make_mut(own);
+                    for (r, row) in rows {
+                        own[r * stride..(r + 1) * stride].copy_from_slice(row);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Takes `hop`, a keep: a view of the own buffer waits in its slot.
+    pub(crate) fn keep(&mut self, hop: &Hop, stride: usize) {
+        let (Rows::Span(head, tail), Buf::Piece(m)) = (&hop.rows, hop.buf) else {
+            unreachable!("no plan keeps {:?} {:?}", hop.rows, hop.buf)
+        };
+        *self.piece(m) = Some(self.view(span(head, stride), span(tail, stride)));
+    }
+
+    /// The member's buffer once it has taken every hop of `plan` on a
+    /// `stride`-column buffer, member `vr`.
+    pub(crate) fn finish(mut self, plan: &Plan, vr: usize, stride: usize) -> Arc<Vec<f64>> {
+        if plan.op != Op::Reduce {
+            return (self.own).unwrap_or_else(|| Arc::new(vec![0.0; plan.rows * stride]));
+        }
+        if vr != 0 {
+            return Arc::default();
+        }
+        // The root adds what it summed or folded of the non-roots' vectors
+        // to its own, last: the tree its children's sum, the sparse
+        // schedule the fold over the union of the supports — and `+ 0.0`
+        // on every row off it, as the tree would.
+        if plan.schedule == Some(Schedule::Sparse) && plan.size() > 1 {
+            self.pieces.resize_with(plan.size() - 1, || None);
+            let folded = self.fold(&vec![0.0; plan.union.1 * stride]);
+            let rows = self.own_mut().chunks_exact_mut(stride.max(1));
+            for (row, &at) in rows.zip(&plan.union.0) {
+                if at == u32::MAX {
+                    // Every piece is +0.0 here, and so is their sum.
+                    row.iter_mut().for_each(|a| *a += 0.0);
+                } else {
+                    let at = at as usize * stride;
+                    add_into(row, &folded[at..at + stride]);
+                }
+            }
+        } else if let Some(Some(children)) = self.pieces.pop() {
+            add_into(self.own_mut(), &children.buf);
+        }
+        self.own.expect("the root holds its buffer")
+    }
 }
 
 /// A communicator: an ordered list of machine ranks, as one of them sees
 /// it.
 ///
-/// Every message of a group built here carries the group's tag, a hash
-/// of its member list, which keeps apart collectives on different groups;
-/// a step's group ([`Run`](crate::steps::Run)) borrows the step's members
-/// and tags every message with the step's tag.
+/// Every message of a group carries the group's tag, a hash of its member
+/// list, which keeps apart collectives on different groups.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Group<'m> {
-    members: Cow<'m, [u32]>,
+pub struct Group {
+    members: Vec<u32>,
     my_idx: usize,
     tag: u64,
 }
 
-impl<'m> Group<'m> {
+impl Group {
     /// Builds the group view for the calling rank. All members must build
     /// the group with an identical `members` list (order matters).
     pub fn new(ctx: &RankCtx, members: Vec<u32>) -> Self {
         let tag = COLL_BIT | fnv1a(&members);
-        Self::of(members.into(), ctx.rank(), tag)
-    }
-
-    /// `rank`'s view of `members`, every message tagged `tag`.
-    pub(crate) fn of(members: Cow<'m, [u32]>, rank: u32, tag: u64) -> Self {
-        assert!(!members.is_empty(), "group must be non-empty");
-        let my_idx = (members.iter().position(|&m| m == rank))
-            .unwrap_or_else(|| panic!("rank {rank} not in group {members:?}"));
+        let my_idx = member_index(&members, ctx.rank());
         Self {
             members,
             my_idx,
@@ -680,194 +839,33 @@ impl<'m> Group<'m> {
         self.my_idx
     }
 
-    /// Global rank of member `idx`.
-    pub fn member(&self, idx: usize) -> u32 {
-        self.members[idx]
-    }
-
-    /// The member list.
-    pub fn members(&self) -> &[u32] {
-        &self.members
-    }
-
     /// This member's index relative to `root_idx`.
     pub(crate) fn vr(&self, root_idx: usize) -> usize {
         (self.my_idx + self.size() - root_idx) % self.size()
     }
 
-    /// The runner, the one way a [`Plan`] runs: this member's part in
-    /// `plan` — its steps of direction `only`, if given — on a row-major
-    /// `stride`-column `buf`, peers relative to `root_idx`, every message
-    /// tagged with the group's tag. A broadcast's root shares `buf` and
-    /// every other member's is replaced by what it receives (under a
-    /// sparse plan only its support rows are promised, see the [module
-    /// docs](self#supports)); a reduce sums every member's `buf` into the
-    /// root's in the one association and leaves a non-root's empty; a ring
-    /// leaves the sum in every member's, and an empty `buf` returns at
-    /// once (emptiness must agree across members); routes send rows of
-    /// `buf` and put the rows they receive there.
-    pub(crate) fn run(
+    /// The closure collectives' driver of the runner: this member's part
+    /// in `plan` on a one-column `buf`, peers relative to `root_idx`,
+    /// every message tagged with the group's tag, each receive blocking
+    /// the rank's thread until its message arrives.
+    fn run(
         &self,
         ctx: &mut RankCtx,
         plan: &Plan,
         root_idx: usize,
-        only: Option<Dir>,
-        stride: usize,
         buf: Arc<Vec<f64>>,
     ) -> Arc<Vec<f64>> {
-        let (vr, len, tag) = (self.vr(root_idx), plan.rows * stride, self.tag);
-        let (broadcast, ring) = (plan.op == Op::Broadcast, plan.op == Op::Ring);
-        if ring && (self.size() == 1 || buf.is_empty()) {
-            return buf;
-        }
-        // Routes move rows of whatever buffer the member holds. A
-        // broadcast's non-root drops its buffer, which a peer may still
-        // share, and holds what it receives.
-        let routes = broadcast && plan.schedule.is_none();
-        let holds = !broadcast || routes || vr == 0;
-        if holds && !routes {
-            assert_eq!(buf.len(), len, "{:?} shape mismatch", plan.op);
-        }
-        let mut held = Held {
-            own: holds.then_some(buf),
-            pieces: Vec::new(),
-            carry: Vec::new(),
-        };
-        let span = |r: &Range<u32>| r.start as usize * stride..r.end as usize * stride;
-        let steps = plan.steps[vr]
-            .iter()
-            .filter(|s| only.is_none_or(|d| s.dir == d));
-        for s in steps {
-            let peer = self.members[(s.peer as usize + root_idx) % self.size()];
-            match (s.dir, &s.rows, s.buf) {
-                (Dir::Send, Rows::All, _) if broadcast => {
-                    ctx.send(peer, tag, Arc::clone(held.own()));
-                }
-                (Dir::Recv, Rows::All, _) if broadcast => held.own = Some(ctx.recv(peer, tag)),
-                (Dir::Send, Rows::All, _) => ctx.send(peer, tag, held.take_own()),
-                (Dir::Recv, Rows::All, Buf::Own) => {
-                    add_into(held.own_mut(), &ctx.recv::<Vec<f64>>(peer, tag))
-                }
-                (Dir::Recv, Rows::All, _) => {
-                    let other: Vec<f64> = ctx.recv(peer, tag);
-                    match held.piece(0) {
-                        Some(sum) => add_into(&mut Arc::make_mut(&mut sum.buf)[..], &other),
-                        children => *children = Some(whole(other)),
-                    }
-                }
-                (Dir::Send, Rows::Span(head, _), Buf::Own) if ring => {
-                    ctx.send(peer, tag, held.own()[span(head)].to_vec())
-                }
-                (Dir::Send, Rows::Span(head, tail), Buf::Own) => {
-                    ctx.send(peer, tag, held.view(span(head), span(tail)));
-                }
-                (Dir::Keep, Rows::Span(head, tail), Buf::Piece(m)) => {
-                    *held.piece(m) = Some(held.view(span(head), span(tail)));
-                }
-                (Dir::Send, Rows::Span(head, _), Buf::Piece(_)) => {
-                    let folded = held.fold(&vec![0.0; span(head).len()]);
-                    ctx.send(peer, tag, folded);
-                }
-                (Dir::Send, Rows::Span(..), Buf::Carry { .. }) => {
-                    ctx.send(peer, tag, std::mem::take(&mut held.carry))
-                }
-                (Dir::Recv, Rows::Span(head, tail), Buf::Own) if broadcast => {
-                    // A view must cover exactly the run the step says it
-                    // does, or the receiver would "hold" rows nobody sent.
-                    let got: SharedRows = ctx.recv(peer, tag);
-                    assert_eq!((got.head, got.tail), (span(head), span(tail)));
-                    match &held.own {
-                        Some(own) => assert!(Arc::ptr_eq(own, &got.buf), "views of two buffers"),
-                        None => held.own = Some(got.buf),
-                    }
-                }
-                (Dir::Recv, Rows::Span(head, _), Buf::Own) => {
-                    let block: Vec<f64> = ctx.recv(peer, tag);
-                    add_into(&mut held.own_mut()[span(head)], &block);
-                }
-                (Dir::Recv, Rows::Span(head, _), Buf::Piece(m)) => {
-                    let view: SharedRows = ctx.recv(peer, tag);
-                    assert_eq!(view.head.len(), span(head).len());
-                    *held.piece(m) = Some(view);
-                }
-                (Dir::Recv, Rows::Span(head, _), Buf::Carry { sum, keep }) => {
-                    let mut chunk: Vec<f64> = ctx.recv(peer, tag);
-                    let mine = &mut held.own_mut()[span(head)];
-                    assert_eq!(chunk.len(), mine.len());
-                    for (slot, &m) in chunk.iter_mut().zip(mine.iter()).filter(|_| sum) {
-                        let incoming = *slot;
-                        *slot = m + incoming;
-                    }
-                    if keep {
-                        mine.copy_from_slice(&chunk);
-                    }
-                    held.carry = chunk;
-                }
-                (Dir::Send, Rows::List(l), _) => {
-                    let list = &plan.lists[*l as usize];
-                    let mut packed = Vec::with_capacity(list.len() * stride);
-                    for &r in list {
-                        let r = r as usize * stride;
-                        packed.extend_from_slice(&held.own()[r..r + stride]);
-                    }
-                    ctx.send(peer, tag, packed);
-                }
-                (Dir::Recv, Rows::List(l), buf) => {
-                    let list = &plan.lists[*l as usize];
-                    let packed: Vec<f64> = ctx.recv(peer, tag);
-                    assert_eq!(packed.len(), list.len() * stride);
-                    // Zero-width rows (a `k = 0` operand) arrive empty
-                    // and write nothing.
-                    let rows = list
-                        .iter()
-                        .map(|&r| r as usize)
-                        .zip(packed.chunks_exact(stride.max(1)));
-                    if let Buf::Piece(m) = buf {
-                        // Laid out over the union of the non-roots' supports.
-                        let mut piece = vec![0.0; plan.union.1 * stride];
-                        for (r, row) in rows {
-                            let at = plan.union.0[r] as usize * stride;
-                            piece[at..at + stride].copy_from_slice(row);
-                        }
-                        *held.piece(m) = Some(whole(piece));
-                        continue;
-                    }
-                    let own = held.own.get_or_insert_with(|| Arc::new(vec![0.0; len]));
-                    let own = Arc::make_mut(own);
-                    for (r, row) in rows {
-                        own[r * stride..(r + 1) * stride].copy_from_slice(row);
-                    }
-                }
-                (dir, rows, buf) => unreachable!("no plan takes {dir:?} {rows:?} {buf:?}"),
+        let vr = self.vr(root_idx);
+        let mut held = Held::start(plan, vr, 1, buf);
+        for hop in plan.hops(vr, 1) {
+            let peer = self.members[(hop.peer as usize + root_idx) % self.size()];
+            match hop.dir {
+                Dir::Send => ctx.send(peer, self.tag, held.send(plan, hop, 1)),
+                Dir::Recv => held.recv(plan, hop, 1, ctx.recv(peer, self.tag)),
+                Dir::Keep => held.keep(hop, 1),
             }
         }
-        if plan.op != Op::Reduce {
-            return held.own.unwrap_or_else(|| Arc::new(vec![0.0; len]));
-        }
-        if vr != 0 {
-            return Arc::default();
-        }
-        // The root adds what it summed or folded of the non-roots' vectors
-        // to its own, last: the tree its children's sum, the sparse
-        // schedule the fold over the union of the supports — and `+ 0.0`
-        // on every row off it, as the tree would.
-        if plan.schedule == Some(Schedule::Sparse) && self.size() > 1 {
-            held.pieces.resize_with(self.size() - 1, || None);
-            let folded = held.fold(&vec![0.0; plan.union.1 * stride]);
-            let rows = held.own_mut().chunks_exact_mut(stride.max(1));
-            for (row, &at) in rows.zip(&plan.union.0) {
-                if at == u32::MAX {
-                    // Every piece is +0.0 here, and so is their sum.
-                    row.iter_mut().for_each(|a| *a += 0.0);
-                } else {
-                    let at = at as usize * stride;
-                    add_into(row, &folded[at..at + stride]);
-                }
-            }
-        } else if let Some(Some(children)) = held.pieces.pop() {
-            add_into(held.own_mut(), &children.buf);
-        }
-        held.own.expect("the root holds its buffer")
+        held.finish(plan, vr, 1)
     }
 
     /// A binomial tree of `op` over this group, on a `rows`-row buffer.
@@ -890,7 +888,7 @@ impl<'m> Group<'m> {
         let data = root.then(|| data.expect("broadcast root must supply the data"));
         let plan = self.tree(Op::Broadcast, data.as_ref().map_or(0, Vec::len));
         let buf = data.map(Arc::new).unwrap_or_default();
-        Arc::unwrap_or_clone(self.run(ctx, &plan, root_idx, None, 1, buf))
+        Arc::unwrap_or_clone(self.run(ctx, &plan, root_idx, buf))
     }
 
     /// Binomial-tree sum of `f64` vectors of one length to `root_idx`,
@@ -903,7 +901,7 @@ impl<'m> Group<'m> {
         data: Vec<f64>,
     ) -> Option<Vec<f64>> {
         let plan = self.tree(Op::Reduce, data.len());
-        let sum = self.run(ctx, &plan, root_idx, None, 1, Arc::new(data));
+        let sum = self.run(ctx, &plan, root_idx, Arc::new(data));
         (self.vr(root_idx) == 0).then(|| Arc::unwrap_or_clone(sum))
     }
 
@@ -911,9 +909,9 @@ impl<'m> Group<'m> {
     /// member 0, then its tree broadcast.
     pub fn allreduce_sum(&self, ctx: &mut RankCtx, data: Vec<f64>) -> Vec<f64> {
         let len = data.len();
-        let sum = self.run(ctx, &self.tree(Op::Reduce, len), 0, None, 1, Arc::new(data));
+        let sum = self.run(ctx, &self.tree(Op::Reduce, len), 0, Arc::new(data));
         let plan = self.tree(Op::Broadcast, len);
-        Arc::unwrap_or_clone(self.run(ctx, &plan, 0, None, 1, sum))
+        Arc::unwrap_or_clone(self.run(ctx, &plan, 0, sum))
     }
 }
 
@@ -933,23 +931,35 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::machine::Machine;
-    use crate::steps::{execute, walk, Step};
+    use crate::stats::RankStats;
+    use crate::steps::{run, walk, Step};
 
-    /// This member's part in `plan` on `buf`, run as a one-step list
-    /// through [`execute`]: what the step leaves in the buffer.
+    impl Group {
+        fn member(&self, idx: usize) -> u32 {
+            self.members[idx]
+        }
+
+        fn members(&self) -> &[u32] {
+            &self.members
+        }
+    }
+
+    /// `plan` from `root` run alone as a one-step list in the one loop, on
+    /// ranks `0..` holding `bufs`, `stride` columns wide: what each rank
+    /// was charged and what its step left in its buffer.
     fn run_alone(
-        ctx: &mut RankCtx,
-        g: &Group,
         plan: &Plan,
         root: usize,
         stride: usize,
-        buf: Vec<f64>,
-    ) -> Vec<f64> {
-        let members: Arc<[u32]> = g.members().into();
-        let mut bufs = [Arc::new(buf)];
+        bufs: Vec<Vec<f64>>,
+    ) -> (Vec<RankStats>, Vec<Vec<f64>>) {
+        let members: Arc<[u32]> = (0..bufs.len() as u32).collect();
         let step: Step = Step::run(plan, &members, root, None, stride, 1, 0);
-        execute(ctx, &[step], 1, &mut bufs, |_, _| {});
-        Arc::unwrap_or_clone(std::mem::take(&mut bufs[0]))
+        let lists = vec![[step]; bufs.len()];
+        let bufs = bufs.into_iter().map(|buf| [Arc::new(buf)]).collect();
+        let (stats, bufs) = run(&lists, 1, &CostModel::default(), bufs, |_, _| {});
+        let bufs = bufs.into_iter().map(|[buf]| Arc::unwrap_or_clone(buf));
+        (stats.ranks, bufs.collect())
     }
 
     #[test]
@@ -1065,16 +1075,22 @@ mod tests {
     #[test]
     fn ring_allreduce_matches_tree_allreduce() {
         for p in [1u32, 2, 3, 4, 7, 8] {
-            let report = Machine::new(p).run(|ctx| {
+            let data = |r: u32| {
+                (0..10)
+                    .map(|i| f64::from(r) + i as f64)
+                    .collect::<Vec<f64>>()
+            };
+            let (_, ring) = run_alone(
+                &Plan::ring(p as usize, 10),
+                0,
+                1,
+                (0..p).map(data).collect(),
+            );
+            let tree = Machine::new(p).run(|ctx| {
                 let g = Group::world(ctx);
-                let data: Vec<f64> = (0..10).map(|i| (ctx.rank() as f64) + i as f64).collect();
-                let ring = run_alone(ctx, &g, &Plan::ring(p as usize, 10), 0, 1, data.clone());
-                let tree = g.allreduce_sum(ctx, data);
-                (ring, tree)
+                g.allreduce_sum(ctx, data(ctx.rank()))
             });
-            for (ring, tree) in report.results {
-                assert_eq!(ring, tree, "p = {p}");
-            }
+            assert_eq!(ring, tree.results, "p = {p}");
         }
     }
 
@@ -1129,31 +1145,28 @@ mod tests {
                 // Fewer rows than members, a ragged split, and the empty
                 // payload of a k = 0 operand.
                 for rows in [0usize, 2, 7, 23] {
-                    let report = Machine::new(g).run(move |ctx| {
+                    let data = |r: u32| -> Vec<f64> {
+                        (0..rows * stride)
+                            .map(|i| ((i * 7 + r as usize * 13) % 31) as f64 / 7.0 - 1.9)
+                            .collect()
+                    };
+                    let ring = Plan::ring(g as usize, rows);
+                    let (charged, new) = run_alone(&ring, 0, stride, (0..g).map(data).collect());
+                    let copying = Machine::new(g).run(move |ctx| {
                         let group = Group::world(ctx);
-                        let data: Vec<f64> = (0..rows * stride)
-                            .map(|i| ((i * 7 + ctx.rank() as usize * 13) % 31) as f64 / 7.0 - 1.9)
-                            .collect();
-                        let before = ctx.stats.clone();
-                        let ring = Plan::ring(g as usize, rows);
-                        let new = run_alone(ctx, &group, &ring, 0, stride, data.clone());
-                        let mid = ctx.stats.clone();
-                        let old = ring_copying(&group, ctx, data, stride);
-                        let after = ctx.stats.clone();
-                        let charged = |a: &crate::RankStats, b: &crate::RankStats| {
-                            (
-                                b.sent_bytes - a.sent_bytes,
-                                b.recv_bytes - a.recv_bytes,
-                                b.sent_msgs - a.sent_msgs,
-                                b.recv_msgs - a.recv_msgs,
-                            )
-                        };
-                        assert_eq!(charged(&before, &mid), charged(&mid, &after));
-                        (new, old)
+                        ring_copying(&group, ctx, data(ctx.rank()), stride)
                     });
-                    for (new, old) in report.results {
-                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(&new), bits(&old), "g={g} stride={stride} rows={rows}");
+                    let traffic =
+                        |r: &RankStats| (r.sent_bytes, r.recv_bytes, r.sent_msgs, r.recv_msgs);
+                    let at = format!("g={g} stride={stride} rows={rows}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    for (r, (new, old)) in new.iter().zip(&copying.results).enumerate() {
+                        assert_eq!(bits(new), bits(old), "{at}");
+                        assert_eq!(
+                            traffic(&charged[r]),
+                            traffic(&copying.stats.ranks[r]),
+                            "{at}"
+                        );
                     }
                 }
             }
@@ -1165,13 +1178,10 @@ mod tests {
         // Per-rank volume must be ≈ 2·s·(g−1)/g, not s·log g.
         let p = 8u32;
         let len = 800usize;
-        let report = Machine::new(p).run(|ctx| {
-            let g = Group::world(ctx);
-            run_alone(ctx, &g, &Plan::ring(p as usize, len), 0, 1, vec![1.0; len]);
-        });
+        let (charged, _) = run_alone(&Plan::ring(p as usize, len), 0, 1, vec![vec![1.0; len]; 8]);
         let bytes = 8 * len as u64;
         let expected = 2 * bytes * (p as u64 - 1) / p as u64;
-        for r in &report.stats.ranks {
+        for r in &charged {
             assert!(
                 r.sent_bytes <= expected + 64,
                 "sent {} > ring bound {expected}",
@@ -1183,11 +1193,8 @@ mod tests {
     #[test]
     fn ring_allreduce_short_vector() {
         // len < g: some chunks are empty.
-        let report = Machine::new(6).run(|ctx| {
-            let g = Group::world(ctx);
-            run_alone(ctx, &g, &Plan::ring(6, 2), 0, 1, vec![1.0, 2.0])
-        });
-        for r in report.results {
+        let (_, sums) = run_alone(&Plan::ring(6, 2), 0, 1, vec![vec![1.0, 2.0]; 6]);
+        for r in sums {
             assert_eq!(r, vec![6.0, 12.0]);
         }
     }
@@ -1312,11 +1319,15 @@ mod tests {
     fn a_plan_of_another_size_panics() {
         let plan = Collective::reduce(4, 3, None);
         let plan = plan.plan(Schedule::Tree).unwrap();
-        Machine::new(4).run(|ctx| {
-            if ctx.rank() < 2 {
-                let g = Group::new(ctx, vec![0, 1]);
-                run_alone(ctx, &g, plan, 0, 1, vec![1.0; 3]);
-            }
-        });
+        let pair: Arc<[u32]> = [0, 1].into();
+        let step: Step = Step::run(plan, &pair, 0, None, 1, 1, 0);
+        let bufs = vec![[Arc::new(vec![1.0; 3])]; 2];
+        run(
+            &[[step.clone()], [step]],
+            1,
+            &CostModel::default(),
+            bufs,
+            |_, _| {},
+        );
     }
 }

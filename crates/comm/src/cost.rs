@@ -12,8 +12,8 @@ pub struct CostModel {
     pub alpha: f64,
     /// Per-byte transfer cost β in seconds (1 / bandwidth).
     pub beta: f64,
-    /// Local compute throughput in flop/s used by
-    /// [`compute_flops`](crate::RankCtx::compute_flops).
+    /// Local compute throughput in flop/s, which prices a
+    /// [`Step::Compute`](crate::Step::Compute).
     pub compute_rate: f64,
 }
 

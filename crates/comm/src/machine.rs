@@ -1,12 +1,15 @@
-//! The machine: runs the SPMD closure on `p` ranks, collects stats.
+//! The machine: runs an SPMD closure on `p` ranks, collects stats.
 //!
 //! Ranks execute on cached rank-slot threads of a persistent
 //! [`amd_exec::ExecPool`] (the process-global pool unless one is
-//! supplied via [`Machine::with_exec`]), so a serving stack answering
-//! many small queries does not pay thread creation per run. Results,
-//! per-rank simulated clocks, and message accounting do not depend on
-//! which thread runs which rank: the clocks are purely logical (derived
-//! from message sizes and the cost model, never from the OS scheduler).
+//! supplied via [`Machine::with_exec`]), because a closure's receive
+//! blocks its thread. Only closure programs run here — the benchmark's
+//! communication probe, the wall-clock table's broadcast row and the
+//! crate's tests; step lists run in the one loop of
+//! [`steps`](crate::steps), with no thread per rank. Results, per-rank
+//! simulated clocks, and message accounting do not depend on which
+//! thread runs which rank: the clocks are purely logical (derived from
+//! message sizes and the cost model, never from the OS scheduler).
 
 use crate::cost::CostModel;
 use crate::mailbox::PostOffice;
@@ -56,11 +59,6 @@ impl Machine {
     pub fn with_exec(mut self, pool: ExecPool) -> Self {
         self.exec = Some(pool);
         self
-    }
-
-    /// Number of ranks.
-    pub fn p(&self) -> u32 {
-        self.p
     }
 
     /// Runs `program` on every rank (SPMD) and joins.

@@ -1,19 +1,19 @@
 //! Message payloads and the in-flight packet representation.
 //!
-//! Every message is rows of `f64`, in one of three forms: a `Vec<f64>`
-//! the sender gives away, an `Arc` of one it goes on sharing, or a
-//! `SharedRows` view of part of a shared buffer. A shared payload is
-//! charged exactly the bytes of its content — the cost model prices what
-//! would cross a wire, and on a wire a shared buffer is sent in full every
-//! time. Sharing only spares the simulator's host the copies: a tree
-//! broadcast's relay hands each child the buffer it received instead of
-//! a fresh clone of it.
+//! Every message of a plan is a `SharedRows`: rows of `f64` as a view of
+//! part of a shared buffer — the whole of a vector the sender gives
+//! away, the whole of a buffer it goes on sharing, or a part of one. On
+//! a machine a shared payload is charged exactly the bytes of its
+//! content — the cost model prices what would cross a wire, and on a
+//! wire a shared buffer is sent in full every time. Sharing only spares
+//! the simulator's host the copies: a tree broadcast's relay hands each
+//! child the buffer it received instead of a fresh clone of it.
 //!
-//! `SharedRows` extends that to *part* of a buffer: the large-message
-//! schedules of [`collectives`](crate::collectives) move blocks of a
-//! row-major `f64` buffer, and a block is sent as the buffer's `Arc` plus
-//! the element ranges it stands for, charged `8` bytes per element in
-//! those ranges and nothing for the rest.
+//! The large-message schedules of [`collectives`](crate::collectives)
+//! move blocks of a row-major `f64` buffer, and a block is sent as the
+//! buffer's `Arc` plus the element ranges it stands for, charged `8`
+//! bytes per element in those ranges and nothing for the rest. Closure
+//! programs also send a `Vec<f64>` of their own.
 
 use std::any::Any;
 use std::ops::Range;
@@ -34,14 +34,6 @@ impl Payload for Vec<f64> {
     }
 }
 
-/// A shared payload costs what its content costs (see the
-/// [module docs](self)).
-impl<P: Payload + Sync> Payload for Arc<P> {
-    fn payload_bytes(&self) -> usize {
-        (**self).payload_bytes()
-    }
-}
-
 /// Up to two element ranges of a shared `f64` buffer, charged as the
 /// elements in the ranges (see the [module docs](self)). Two ranges
 /// because a run of consecutive blocks may wrap around the end of the
@@ -51,6 +43,24 @@ pub(crate) struct SharedRows {
     pub buf: Arc<Vec<f64>>,
     pub head: Range<usize>,
     pub tail: Range<usize>,
+}
+
+impl SharedRows {
+    /// The whole of `buf`.
+    pub(crate) fn whole(buf: impl Into<Arc<Vec<f64>>>) -> Self {
+        let buf = buf.into();
+        let head = 0..buf.len();
+        Self {
+            buf,
+            head,
+            tail: 0..0,
+        }
+    }
+
+    /// The rows of a view that does not wrap.
+    pub(crate) fn rows(&self) -> &[f64] {
+        &self.buf[self.head.clone()]
+    }
 }
 
 impl Payload for SharedRows {
@@ -82,11 +92,11 @@ mod tests {
     fn shared_payload_is_charged_its_content() {
         let owned = vec![0.5f64; 7];
         let shared = Arc::new(owned.clone());
-        assert_eq!(shared.payload_bytes(), owned.payload_bytes());
+        let whole = SharedRows::whole(Arc::clone(&shared));
+        assert_eq!(whole.payload_bytes(), owned.payload_bytes());
         // A second handle on the same buffer is a second full payload.
-        assert_eq!(Arc::clone(&shared).payload_bytes(), 56);
-        assert_eq!(Arc::new(Arc::new(vec![0.0f64; 2])).payload_bytes(), 16);
-        assert_eq!(Arc::new(Vec::<f64>::new()).payload_bytes(), 0);
+        assert_eq!(SharedRows::whole(shared).payload_bytes(), 56);
+        assert_eq!(SharedRows::whole(Vec::new()).payload_bytes(), 0);
     }
 
     #[test]

@@ -84,12 +84,6 @@ impl RankCtx {
         self.p
     }
 
-    /// The machine's cost model.
-    #[inline]
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Current simulated clock in seconds.
     #[inline]
     pub fn sim_time(&self) -> f64 {
@@ -146,11 +140,6 @@ impl RankCtx {
         })
     }
 
-    /// Charges `flops` of local computation to the simulated clock.
-    pub fn compute_flops(&mut self, flops: f64) {
-        self.stats.compute_time += self.clock.compute(&self.cost, flops);
-    }
-
     pub(crate) fn finalize(mut self) -> RankStats {
         self.stats.sim_time = self.clock.now;
         std::mem::take(&mut self.stats)
@@ -172,6 +161,13 @@ impl Drop for RankCtx {
 mod tests {
     use super::*;
     use crate::machine::Machine;
+
+    impl RankCtx {
+        /// Charges `flops` of local computation to the simulated clock.
+        fn compute_flops(&mut self, flops: f64) {
+            self.stats.compute_time += self.clock.compute(&self.cost, flops);
+        }
+    }
 
     #[test]
     fn clock_advances_on_send_and_recv() {

@@ -1,12 +1,19 @@
 //! An iteration as data: per rank, the ordered [`Step`]s it takes — its
 //! part in a [`Plan`] on one of its buffers, or a piece of local work.
-//! The list is the rank's program: [`execute`] takes one rank's list,
-//! hands each plan to the one runner on the buffer the step names,
-//! and charges each piece of work before the caller's kernel runner does
-//! it. [`walk`] reads the same lists without a machine or a payload and
-//! returns what the machine charges every rank, bit for bit. The steps
-//! that run are the steps counted, because they are one list, and
-//! reordering a rank's work is an edit of its list.
+//! The list is the rank's program, and one loop runs every rank's list
+//! on one clock per rank (a replay of per-rank schedules, after
+//! LogGOPSim: Hoefler, Schneider and Lumsdaine, 2010). A rank is its
+//! step index, its hop index inside the current run, what it holds of
+//! that run and its buffers, so a receive whose message has not arrived
+//! leaves the rank waiting for its `(src, tag)` instead of blocking a
+//! thread. [`run`] takes the lists with payloads: each plan goes to the
+//! one runner on the buffer the step names, and each piece of work is
+//! charged, then done by the caller's kernel runner, the ranks of each
+//! round on the pool. [`walk`] takes the same lists in the same loop
+//! without payloads, inline, and returns what [`run`] charges every
+//! rank, bit for bit: both charge a message the bytes its plan says it
+//! moves. The steps that run are the steps counted, because they are one
+//! list, and reordering a rank's work is an edit of its list.
 //!
 //! # Order
 //!
@@ -31,11 +38,14 @@
 //!   the waiting step, which may delay the rank's sends. A move stays
 //!   only if the walk's makespan falls, or on a tie the sum of the
 //!   ranks' clocks; the search stops after 32 trial walks (`TRIALS`).
-use crate::collectives::{Dir, Group, Plan};
+use crate::collectives::{member_index, Dir, Held, Plan};
 use crate::cost::CostModel;
-use crate::rank::{Clock, RankCtx};
+use crate::message::SharedRows;
+use crate::rank::Clock;
 use crate::stats::{MachineStats, RankStats};
-use std::sync::Arc;
+use amd_exec::ExecPool;
+use amd_obs::Stopwatch;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// What a [`Step::Compute`] charges, and the buffers it touches.
 pub trait Work {
@@ -107,90 +117,28 @@ impl<'p, W> Step<'p, W> {
 }
 
 impl Run<'_> {
-    /// `rank`'s view of the group, every message tagged. Panics unless the
-    /// plan has one step list per member: a plan of another size would
-    /// index peers modulo this group's and wait on messages that go
-    /// elsewhere.
-    fn group(&self, rank: u32) -> Group<'_> {
-        let group = Group::of(self.members[..].into(), rank, self.tag);
-        let (members, size) = (self.plan.size(), group.size());
+    /// `rank`'s index in the plan. Panics unless the plan has one step
+    /// list per member: a plan of another size would index peers modulo
+    /// this group's and wait on messages that go elsewhere.
+    fn vr(&self, rank: u32) -> usize {
+        let (members, size) = (self.plan.size(), self.members.len());
         assert_eq!(
             members, size,
             "a {members}-member plan on a {size}-member group"
         );
-        group
+        (member_index(&self.members, rank) + size - self.root) % size
     }
 }
 
-/// Runs rank `ctx`'s `steps` `iters` times over, on its buffers `bufs`.
-/// A [`Run`] goes to the group's runner on the buffer it names: a
-/// broadcast's root shares the buffer and every other member's is
-/// replaced by what it receives, a reduce or a ring all-reduce hands the
-/// buffer over and leaves the result there (nothing, on a reduce's
-/// non-root), and routes send rows of it and put the rows they receive
-/// there. A [`Step::Compute`] is charged its flops, then handed to
-/// `kernel` with the buffers. The clock moves as [`walk`] says it does.
-pub fn execute<W: Work>(
-    ctx: &mut RankCtx,
-    steps: &[Step<'_, W>],
-    iters: u32,
-    bufs: &mut [Arc<Vec<f64>>],
-    mut kernel: impl FnMut(&W, &mut [Arc<Vec<f64>>]),
-) {
-    for _ in 0..iters {
-        for step in steps {
-            match step {
-                Step::Compute(work) => {
-                    if let Some(flops) = work.flops() {
-                        ctx.compute_flops(flops);
-                    }
-                    kernel(work, bufs);
-                }
-                Step::Run(run) => {
-                    let buf = std::mem::take(&mut bufs[run.buf]);
-                    let group = run.group(ctx.rank());
-                    bufs[run.buf] = group.run(ctx, run.plan, run.root, run.dir, run.stride, buf);
-                }
-            }
-        }
-    }
-}
+/// A message in flight: `(src, tag, departure, bytes, the sender's step,
+/// counted over every pass, and in a payload run the rows it carries)`.
+type Message = (u32, u64, f64, usize, usize, Option<SharedRows>);
 
-/// One message or charge of a rank's steps, as [`walk`] takes them.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// The start of the rank's next step.
-    Step,
-    /// `(to, tag, bytes)`.
-    Send(u32, u64, usize),
-    /// `(from, tag)`.
-    Recv(u32, u64),
-    Compute(f64),
-}
+/// A rank's inbox: what was sent to it and not yet received, oldest
+/// first, and the `(src, tag)` it waits for.
+type Inbox = (Vec<Message>, Option<(u32, u64)>);
 
-/// Appends rank `rank`'s `steps` to `events` as the messages and charges
-/// they make, each step's behind a [`Event::Step`].
-fn events<W: Work>(rank: u32, steps: &[Step<'_, W>], events: &mut Vec<Event>) {
-    for step in steps {
-        events.push(Event::Step);
-        match step {
-            Step::Compute(work) => events.extend(work.flops().map(Event::Compute)),
-            Step::Run(run) => {
-                let (members, tag) = (&run.members, run.tag);
-                let vr = run.group(rank).vr(run.root);
-                for (dir, peer, bytes) in run.plan.messages(vr, run.dir, run.stride) {
-                    let peer = members[(peer + run.root) % members.len()];
-                    events.push(match dir {
-                        Dir::Send => Event::Send(peer, tag, bytes),
-                        _ => Event::Recv(peer, tag),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// One step of a rank's list as [`walk`] took it: the interval it held
+/// One step of a rank's list as the loop took it: the interval it held
 /// the rank's clock, and, if a receive in it moved the clock forward, the
 /// step `(rank, index)` that sent what it waited for and when that
 /// message departed. Indices count over every pass.
@@ -201,130 +149,366 @@ struct Span {
     waited: Option<(u32, usize, f64)>,
 }
 
-/// One rank of a [`walk`].
-#[derive(Debug, Clone, Default)]
-struct Walker {
+/// One rank of a run: what the loop keeps of it between its stretches,
+/// the steps it takes from one wait to the next.
+#[derive(Default)]
+struct Rank<B> {
     clock: Clock,
     stats: RankStats,
     flops: f64,
-    /// Its steps so far, the last one current.
-    spans: Vec<Span>,
-    /// Its next event, counted over every pass.
+    /// Its step, counted over every pass, and its next hop in it.
     at: usize,
-    /// The `(src, tag)` it waits for.
-    waits: Option<(u32, u64)>,
-    /// Sent to it and not yet received, oldest first: `(src, tag,
-    /// departure, bytes, the sender's step)`.
-    inbox: Vec<(u32, u64, f64, usize, usize)>,
+    hop: usize,
+    /// In a payload run: its buffers, and what it holds of the run it is
+    /// in, from its first hop to its last.
+    bufs: Option<B>,
+    held: Option<Held>,
+    /// Its steps so far, the last one current, if the run keeps them.
+    spans: Vec<Span>,
 }
 
-/// What a [`walk`] found: every rank's stats and flops, and its [`Span`]s.
+/// The kernel runner of a payload run: does a piece of work on a rank's
+/// buffers.
+type Kernel<'k, W> = &'k (dyn Fn(&W, &mut [Arc<Vec<f64>>]) + Sync);
+
+/// One run of the loop: the lists, passes and cost model, the kernel
+/// runner, whether the run keeps [`Span`]s, every rank and its inbox, and
+/// the ranks that can go.
+struct Loop<'l, L, W, B> {
+    lists: &'l [L],
+    iters: u32,
+    cost: &'l CostModel,
+    kernel: Kernel<'l, W>,
+    traced: bool,
+    ranks: Vec<Mutex<Rank<B>>>,
+    inboxes: Vec<Mutex<Inbox>>,
+    ready: Mutex<Ready>,
+    /// Signalled when a rank can go, and when none can or will.
+    wake: Condvar,
+}
+
+/// The ranks that can go, the last woken first; how many are going and
+/// how many runners wait for one; and whether a stretch panicked.
+#[derive(Default)]
+struct Ready {
+    ranks: Vec<u32>,
+    going: usize,
+    idle: usize,
+    failed: bool,
+}
+
+/// Locks `m`, whose holder updates it whole or not at all: a panicking
+/// kernel leaves it as it was.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<'p, L, W, B> Loop<'_, L, W, B>
+where
+    L: AsRef<[Step<'p, W>]>,
+    W: Work + 'p,
+    B: AsMut<[Arc<Vec<f64>>]>,
+{
+    /// Runs stretches of ranks that can go until none can and none is
+    /// going, or a stretch panicked.
+    fn work(&self) {
+        let mut ready = lock(&self.ready);
+        while !ready.failed {
+            let Some(r) = ready.ranks.pop() else {
+                if ready.going == 0 {
+                    return;
+                }
+                ready.idle += 1;
+                ready = self
+                    .wake
+                    .wait(ready)
+                    .unwrap_or_else(PoisonError::into_inner);
+                ready.idle -= 1;
+                continue;
+            };
+            ready.going += 1;
+            drop(ready);
+            let stretch = Stretch(self);
+            lock(&self.ranks[r as usize]).advance(r, self);
+            drop(stretch);
+            ready = lock(&self.ready);
+        }
+    }
+}
+
+impl<L, W, B> Loop<'_, L, W, B> {
+    /// Puts `m` in rank `to`'s inbox; if `to` waits for it, it can go.
+    fn deliver(&self, to: u32, m: Message) {
+        let mut inbox = lock(&self.inboxes[to as usize]);
+        let woken = inbox.1 == Some((m.0, m.1));
+        inbox.0.push(m);
+        if woken {
+            inbox.1 = None;
+            drop(inbox);
+            let mut ready = lock(&self.ready);
+            ready.ranks.push(to);
+            if ready.idle > 0 {
+                self.wake.notify_one();
+            }
+        }
+    }
+}
+
+/// A rank's stretch, going: ends it when dropped — also when its kernel
+/// panics, which then stops every runner of the loop.
+struct Stretch<'s, L, W, B>(&'s Loop<'s, L, W, B>);
+
+impl<L, W, B> Drop for Stretch<'_, L, W, B> {
+    fn drop(&mut self) {
+        let mut ready = lock(&self.0.ready);
+        ready.going -= 1;
+        ready.failed |= std::thread::panicking();
+        let done = ready.failed || ready.going + ready.ranks.len() == 0;
+        if done && ready.idle > 0 {
+            self.0.wake.notify_all();
+        }
+    }
+}
+
+impl<B: AsMut<[Arc<Vec<f64>>]>> Rank<B> {
+    /// Takes rank `me`'s steps from where it is until it waits for a
+    /// message or has made every pass. A compute is charged its flops,
+    /// then, in a payload run, handed to the kernel runner.
+    fn advance<'p, L, W>(&mut self, me: u32, run: &Loop<'_, L, W, B>)
+    where
+        L: AsRef<[Step<'p, W>]>,
+        W: Work + 'p,
+    {
+        let list = run.lists[me as usize].as_ref();
+        while self.at < list.len() * run.iters as usize {
+            if run.traced && self.spans.len() == self.at {
+                let now = self.clock.now;
+                let (start, end, waited) = (now, now, None);
+                self.spans.push(Span { start, end, waited });
+            }
+            let done = match &list[self.at % list.len()] {
+                Step::Compute(work) => {
+                    if let Some(flops) = work.flops() {
+                        self.stats.compute_time += self.clock.compute(run.cost, flops);
+                        self.flops += flops;
+                    }
+                    if let Some(bufs) = &mut self.bufs {
+                        (run.kernel)(work, bufs.as_mut());
+                    }
+                    true
+                }
+                Step::Run(step) => self.hops(me, step, run),
+            };
+            if run.traced {
+                self.spans[self.at].end = self.clock.now;
+            }
+            if !done {
+                return;
+            }
+            self.at += 1;
+        }
+    }
+
+    /// Takes rank `me`'s hops of `step` from its next one, each charged
+    /// the bytes its plan says it moves; in a payload run the first takes
+    /// the buffer the step names and the last hands it back. Returns
+    /// false if the rank waits for a message.
+    fn hops<L, W>(&mut self, me: u32, step: &Run<'_>, run: &Loop<'_, L, W, B>) -> bool {
+        let (plan, stride, tag) = (step.plan, step.stride, step.tag);
+        let vr = step.vr(me);
+        if let (Some(bufs), None) = (&mut self.bufs, &self.held) {
+            let buf = std::mem::take(&mut bufs.as_mut()[step.buf]);
+            self.held = Some(Held::start(plan, vr, stride, buf));
+        }
+        for hop in &plan.hops(vr, stride)[self.hop..] {
+            let peer = step.members[(hop.peer as usize + step.root) % step.members.len()];
+            match hop.dir {
+                _ if step.dir.is_some_and(|d| d != hop.dir) => {}
+                Dir::Send => {
+                    let bytes = plan.bytes(hop, stride);
+                    let depart = self.clock.send(run.cost, bytes);
+                    self.stats.sent_bytes += bytes as u64;
+                    self.stats.sent_msgs += 1;
+                    let rows = (self.held.as_mut()).map(|h| h.send(plan, hop, stride));
+                    run.deliver(peer, (me, tag, depart, bytes, self.at, rows));
+                }
+                Dir::Recv => {
+                    let mut inbox = lock(&run.inboxes[me as usize]);
+                    let Some(i) = inbox.0.iter().position(|m| (m.0, m.1) == (peer, tag)) else {
+                        inbox.1 = Some((peer, tag));
+                        return false;
+                    };
+                    let (.., depart, bytes, sent, rows) = inbox.0.remove(i);
+                    drop(inbox);
+                    let wait = self.clock.recv(run.cost, depart, bytes);
+                    self.stats.wait_time += wait;
+                    self.stats.recv_bytes += bytes as u64;
+                    self.stats.recv_msgs += 1;
+                    if run.traced && wait > 0.0 {
+                        self.spans[self.at].waited = Some((peer, sent, depart));
+                    }
+                    if let (Some(held), Some(rows)) = (&mut self.held, rows) {
+                        held.recv(plan, hop, stride, rows);
+                    }
+                }
+                Dir::Keep => self.held.iter_mut().for_each(|h| h.keep(hop, stride)),
+            }
+            self.hop += 1;
+        }
+        self.hop = 0;
+        if let (Some(bufs), Some(held)) = (&mut self.bufs, self.held.take()) {
+            bufs.as_mut()[step.buf] = held.finish(plan, vr, stride);
+        }
+        true
+    }
+}
+
+/// What a run found: every rank's stats and flops, and, if it kept them,
+/// its [`Span`]s.
+#[derive(Default)]
 struct Walked {
     stats: MachineStats,
     flops: Vec<f64>,
     spans: Vec<Vec<Span>>,
 }
 
-/// What the machine charges every rank for `iters` passes over its steps
-/// (`steps[r]` is rank `r`'s), found without a machine or a payload:
-/// each rank takes its steps in order on its own clock under the
-/// machine's α-β rules, a receive taking the oldest message its peer sent
-/// it under the step's tag that no receive took yet — how the ranks'
-/// inboxes match. Returns every rank's [`RankStats`] (`wall_seconds` is
-/// zero) and the flops it was charged. Panics, naming every waiting
-/// `(rank, src, tag)`, if the steps deadlock.
-pub fn walk<'p, W, L>(steps: &[L], iters: u32, cost: &CostModel) -> (MachineStats, Vec<f64>)
+/// The one loop that runs step lists: every rank's list (`lists[r]` is
+/// rank `r`'s) `iters` times over, on the buffers `bufs` gives it (none,
+/// in a dry walk), each rank on its own clock under the machine's α-β
+/// rules, a receive taking the oldest message its peer sent it under the
+/// step's tag that no receive took yet. A rank goes until it waits for a
+/// message or ends: a stretch. A send puts its message in the receiver's
+/// inbox at once, and a receiver that waited for it can go again, the
+/// last woken first — on `pool`'s threads, the caller one of them, or
+/// inline. Matching by `(src, tag)` in send order and the logical clocks
+/// make the result independent of the schedule. Panics, naming every
+/// waiting `(rank, src, tag)`, if the steps deadlock.
+#[allow(clippy::too_many_arguments)]
+fn drive<'p, L, W, B>(
+    lists: &[L],
+    iters: u32,
+    cost: &CostModel,
+    kernel: Kernel<'_, W>,
+    traced: bool,
+    bufs: impl Iterator<Item = Option<B>>,
+    pool: Option<&ExecPool>,
+) -> (Walked, Vec<B>)
 where
-    W: Work + 'p,
-    L: AsRef<[Step<'p, W>]>,
+    L: AsRef<[Step<'p, W>]> + Sync,
+    W: Work + Sync + 'p,
+    B: AsMut<[Arc<Vec<f64>>]> + Default + Send,
 {
-    let walked = trace(steps, iters, cost);
-    (walked.stats, walked.flops)
-}
-
-/// [`walk`], with every rank's [`Span`] of every step.
-fn trace<'p, W, L>(steps: &[L], iters: u32, cost: &CostModel) -> Walked
-where
-    W: Work + 'p,
-    L: AsRef<[Step<'p, W>]>,
-{
-    // Every rank's events in one buffer, rank `r`'s from `starts[r]`.
-    let (mut all, mut starts) = (Vec::new(), vec![0]);
-    for (r, list) in (0..).zip(steps) {
-        events(r, list.as_ref(), &mut all);
-        starts.push(all.len());
+    let ranks: Vec<_> = bufs
+        .map(|bufs| {
+            Mutex::new(Rank {
+                bufs,
+                ..Rank::default()
+            })
+        })
+        .collect();
+    assert_eq!(ranks.len(), lists.len(), "one rank per list");
+    let inboxes = ranks.iter().map(|_| Mutex::default()).collect();
+    let ready = Mutex::new(Ready {
+        ranks: (0..lists.len() as u32).rev().collect(),
+        ..Ready::default()
+    });
+    let wake = Condvar::new();
+    let run = Loop {
+        lists,
+        iters,
+        cost,
+        kernel,
+        traced,
+        ranks,
+        inboxes,
+        ready,
+        wake,
+    };
+    match pool.map_or(1, |pool| pool.threads().min(lists.len())) {
+        1 => run.work(),
+        runners => pool.expect("a pool").scope(|s| {
+            (1..runners).for_each(|_| s.spawn(|| run.work()));
+            run.work();
+        }),
     }
-    let mut ranks = vec![Walker::default(); steps.len()];
-    let mut ready: Vec<usize> = (0..steps.len()).rev().collect();
-    while let Some(r) = ready.pop() {
-        let (list, me) = (&all[starts[r]..starts[r + 1]], r as u32);
-        while ranks[r].at < list.len() * iters as usize {
-            let w = &mut ranks[r];
-            match list[w.at % list.len()] {
-                Event::Step => {
-                    let now = w.clock.now;
-                    let (start, end, waited) = (now, now, None);
-                    w.spans.push(Span { start, end, waited });
-                }
-                Event::Compute(flops) => {
-                    w.stats.compute_time += w.clock.compute(cost, flops);
-                    w.flops += flops;
-                }
-                Event::Send(to, tag, bytes) => {
-                    let depart = w.clock.send(cost, bytes);
-                    w.stats.sent_bytes += bytes as u64;
-                    w.stats.sent_msgs += 1;
-                    let step = w.spans.len() - 1;
-                    let peer = &mut ranks[to as usize];
-                    peer.inbox.push((me, tag, depart, bytes, step));
-                    if peer.waits == Some((me, tag)) {
-                        peer.waits = None;
-                        ready.push(to as usize);
-                    }
-                }
-                Event::Recv(from, tag) => {
-                    let Some(i) = w.inbox.iter().position(|m| (m.0, m.1) == (from, tag)) else {
-                        w.waits = Some((from, tag));
-                        break;
-                    };
-                    let (.., depart, bytes, step) = w.inbox.remove(i);
-                    let wait = w.clock.recv(cost, depart, bytes);
-                    w.stats.wait_time += wait;
-                    w.stats.recv_bytes += bytes as u64;
-                    w.stats.recv_msgs += 1;
-                    if wait > 0.0 {
-                        w.spans.last_mut().expect("a step").waited = Some((from, step, depart));
-                    }
-                }
-            }
-            let w = &mut ranks[r];
-            w.spans.last_mut().expect("a step").end = w.clock.now;
-            w.at += 1;
-        }
-    }
-    let waiting: Vec<String> = (ranks.iter().enumerate())
-        .filter_map(|(r, w)| w.waits.map(|(src, tag)| format!("({r}, {src}, {tag:#x})")))
+    let waits = run.inboxes.iter().map(|inbox| lock(inbox).1);
+    let waiting: Vec<String> = (0..)
+        .zip(waits)
+        .filter_map(|(r, w)| w.map(|(src, tag)| format!("({r}, {src}, {tag:#x})")))
         .collect();
     assert!(
         waiting.is_empty(),
         "the steps deadlock; waiting (rank, src, tag): {}",
         waiting.join(" ")
     );
-    let flops = ranks.iter().map(|w| w.flops).collect();
-    let mut stats = MachineStats::default();
-    let mut spans = Vec::with_capacity(ranks.len());
-    for w in ranks {
-        stats.ranks.push(RankStats {
-            sim_time: w.clock.now,
-            ..w.stats
-        });
-        spans.push(w.spans);
+    let (mut walked, mut out) = (Walked::default(), Vec::with_capacity(lists.len()));
+    for w in run.ranks {
+        let w = w.into_inner().expect("no stretch panicked");
+        let mut stats = w.stats;
+        stats.sim_time = w.clock.now;
+        walked.stats.ranks.push(stats);
+        walked.flops.push(w.flops);
+        walked.spans.push(w.spans);
+        out.extend(w.bufs);
     }
-    Walked {
-        stats,
-        flops,
-        spans,
-    }
+    (walked, out)
+}
+
+/// What a payload [`run`] charges every rank for `iters` passes over its
+/// steps (`steps[r]` is rank `r`'s), found without a payload: the one
+/// loop with no buffers, inline. Returns every rank's [`RankStats`]
+/// (`wall_seconds` is zero) and the flops it was charged. Panics, naming
+/// every waiting `(rank, src, tag)`, if the steps deadlock.
+pub fn walk<'p, W, L>(steps: &[L], iters: u32, cost: &CostModel) -> (MachineStats, Vec<f64>)
+where
+    W: Work + Sync + 'p,
+    L: AsRef<[Step<'p, W>]> + Sync,
+{
+    let walked = trace(steps, iters, cost, false);
+    (walked.stats, walked.flops)
+}
+
+/// [`walk`], keeping every rank's [`Span`] of every step if `traced`.
+fn trace<'p, W, L>(steps: &[L], iters: u32, cost: &CostModel, traced: bool) -> Walked
+where
+    W: Work + Sync + 'p,
+    L: AsRef<[Step<'p, W>]> + Sync,
+{
+    let none = steps.iter().map(|_| None::<[Arc<Vec<f64>>; 0]>);
+    drive(steps, iters, cost, &|_, _| {}, traced, none, None).0
+}
+
+/// Runs every rank's `steps` (`steps[r]` is rank `r`'s) `iters` times
+/// over on its buffers `bufs[r]`, in the one loop, on the process-wide
+/// pool: a [`Run`] goes to the group's runner on the buffer it names — a
+/// broadcast's root shares the buffer and every other member's is
+/// replaced by what it receives, a reduce or a ring all-reduce hands the
+/// buffer over and leaves the result there (nothing, on a reduce's
+/// non-root), and routes send rows of it and put the rows they receive
+/// there — and a [`Step::Compute`] is charged its flops, then handed to
+/// `kernel` with the rank's buffers. Returns what every rank was charged,
+/// the stats [`walk`] returns with the loop's wall time, and every rank's
+/// buffers.
+pub fn run<'p, W, L, B>(
+    steps: &[L],
+    iters: u32,
+    cost: &CostModel,
+    bufs: Vec<B>,
+    kernel: impl Fn(&W, &mut [Arc<Vec<f64>>]) + Sync,
+) -> (MachineStats, Vec<B>)
+where
+    W: Work + Sync + 'p,
+    L: AsRef<[Step<'p, W>]> + Sync,
+    B: AsMut<[Arc<Vec<f64>>]> + Default + Send,
+{
+    let (start, pool, some) = (
+        Stopwatch::start(),
+        amd_exec::global(),
+        bufs.into_iter().map(Some),
+    );
+    let (mut walked, bufs) = drive(steps, iters, cost, &kernel, false, some, Some(&pool));
+    walked.stats.wall_seconds = start.elapsed_seconds();
+    (walked.stats, bufs)
 }
 
 impl Walked {
@@ -391,8 +575,9 @@ fn receives_only<W: Work>(rank: u32, step: &Step<'_, W>) -> bool {
     let Step::Run(run) = step else {
         return false;
     };
-    let vr = run.group(rank).vr(run.root);
-    (run.plan.messages(vr, run.dir, run.stride)).all(|(dir, ..)| dir == Dir::Recv)
+    let vr = run.vr(rank);
+    let hops = run.plan.hops(vr, run.stride).iter();
+    (hops.filter(|h| run.dir.is_none_or(|d| h.dir == d))).all(|h| h.dir != Dir::Send)
 }
 
 /// The never-worse moves ([module docs](self#order)): each charged compute
@@ -427,7 +612,7 @@ fn fill_waits<W: Work>(lists: &mut [Vec<Step<'_, W>>]) {
 /// most 32 trial walks. The moves keep each buffer's operations
 /// in their order, so the lists give the answer, the bytes and the
 /// messages they gave, and every rank's flops.
-pub fn order<'p, W: Work + 'p>(
+pub fn order<'p, W: Work + Sync + 'p>(
     lists: &mut [Vec<Step<'p, W>>],
     cost: &CostModel,
 ) -> (MachineStats, Vec<f64>) {
@@ -435,7 +620,7 @@ pub fn order<'p, W: Work + 'p>(
     // Path-guided: at each wait on the critical path, oldest first, the
     // rank's next charged compute that commutes with every step from the
     // wait on moves before it, and stays if the walk scores lower.
-    let mut best = trace(lists, 1, cost);
+    let mut best = trace(lists, 1, cost, true);
     let (mut trials, mut tried) = (0, Vec::new());
     'search: while trials < TRIALS {
         for (r, at) in best.critical().into_iter().rev() {
@@ -456,7 +641,7 @@ pub fn order<'p, W: Work + 'p>(
             }
             trials += 1;
             lists[r][at..=j].rotate_right(1);
-            let trial = trace(lists, 1, cost);
+            let trial = trace(lists, 1, cost, true);
             let ((m, sum), (best_m, best_sum)) = (trial.score(), best.score());
             if m < best_m || (m == best_m && sum < best_sum) {
                 best = trial;
@@ -486,7 +671,6 @@ impl Plan {
 mod tests {
     use super::*;
     use crate::collectives::{Collective, Schedule};
-    use crate::machine::Machine;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -510,31 +694,55 @@ mod tests {
         }
     }
 
-    /// 1–4 plans on `p` ranks: routes of 1–5 random rows, and tree
-    /// broadcasts and reduces of 1–8 rows.
-    fn plans(p: usize, rng: &mut ChaCha8Rng) -> Vec<Plan> {
-        let tree = |c: Collective| c.plan(Schedule::Tree).expect("a tree").clone();
+    /// A plan of a test list, whether a rank runs it whole (a route runs
+    /// in halves), and the rows of the buffer it runs on.
+    type Phase = (Plan, bool, usize);
+
+    /// 1–4 plans on `p` ranks: routes of 1–5 random rows among 4; tree,
+    /// large and sparse broadcasts and reduces of 1–8 rows (a tree where
+    /// there is no large plan, below three ranks); and rings of 0–8 rows.
+    fn plans(p: usize, rng: &mut ChaCha8Rng) -> Vec<Phase> {
         (0..rng.gen_range(1..5))
-            .map(|_| match rng.gen_range(0..3) {
-                0 => {
-                    let row = |rng: &mut ChaCha8Rng| {
-                        let [from, to] = [0; 2].map(|_| rng.gen_range(0..p as u32));
-                        (from, to, rng.gen_range(0..4), rng.gen_range(0..4))
-                    };
-                    Plan::routes(p, (0..rng.gen_range(1..6)).map(|_| row(rng)).collect())
+            .map(|_| {
+                let rows = rng.gen_range(1..9);
+                match rng.gen_range(0..4) {
+                    0 => {
+                        let row = |rng: &mut ChaCha8Rng| {
+                            let [from, to] = [0; 2].map(|_| rng.gen_range(0..p as u32));
+                            (from, to, rng.gen_range(0..4), rng.gen_range(0..4))
+                        };
+                        let moves = (0..rng.gen_range(1..6)).map(|_| row(rng)).collect();
+                        (Plan::routes(p, moves), false, 4)
+                    }
+                    1 | 2 => {
+                        let support = |rng: &mut ChaCha8Rng| {
+                            (0..rows as u32).filter(|_| rng.gen_bool(0.4)).collect()
+                        };
+                        let supports: Vec<Vec<u32>> = (0..p).map(|_| support(rng)).collect();
+                        let c = match rng.gen_bool(0.5) {
+                            true => Collective::broadcast(p, rows, Some(&supports)),
+                            false => Collective::reduce(p, rows, Some(&supports)),
+                        };
+                        let schedule = [Schedule::Tree, Schedule::Large, Schedule::Sparse];
+                        let schedule = schedule[rng.gen_range(0..3)];
+                        let plan = c.plan(schedule).or(c.plan(Schedule::Tree));
+                        (plan.expect("a tree").clone(), true, rows)
+                    }
+                    _ => {
+                        let rows = rng.gen_range(0..9);
+                        (Plan::ring(p, rows), true, rows)
+                    }
                 }
-                1 => tree(Collective::broadcast(p, rng.gen_range(1..9), None)),
-                _ => tree(Collective::reduce(p, rng.gen_range(1..9), None)),
             })
             .collect()
     }
 
-    /// Every rank's list over `plans` in order, phase `t` tagged `t` and
-    /// rooted at rank `t % p`, on a random one of three buffers: a route's
-    /// sending half, then its receiving half; a tree whole. Before each
-    /// phase, between a route's halves and at the end, 0–2 computes on
-    /// random buffers, a quarter of them uncharged.
-    fn lists<'p>(plans: &'p [Plan], p: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<Step<'p, Touch>>> {
+    /// Every rank's list over `plans` in order, phase `t` tagged `t`,
+    /// rooted at rank `t % p` and on buffer `t`: a route's sending half,
+    /// then its receiving half; any other plan whole. Before each phase,
+    /// between a route's halves and at the end, 0–2 computes on random
+    /// buffers, a quarter of them uncharged.
+    fn lists<'p>(plans: &'p [Phase], p: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<Step<'p, Touch>>> {
         let members: Arc<[u32]> = (0..p as u32).collect();
         let mut id = 0;
         let mut computes = |list: &mut Vec<Step<'p, Touch>>, rng: &mut ChaCha8Rng| {
@@ -543,18 +751,17 @@ mod tests {
                 let flops = rng
                     .gen_bool(0.75)
                     .then(|| f64::from(rng.gen_range(1..200u32)));
-                let buffers = [0; 2].map(|_| rng.gen_range(0..8));
+                let buffers = [0; 2].map(|_| rng.gen_range(0..1 << plans.len()));
                 list.push(Step::Compute(Touch { id, flops, buffers }));
             }
         };
         (0..p)
             .map(|_| {
                 let mut list = Vec::new();
-                for (t, plan) in plans.iter().enumerate() {
+                for (t, (plan, whole, _)) in plans.iter().enumerate() {
                     computes(&mut list, rng);
-                    let buf = rng.gen_range(0..3);
-                    let run = |dir| Step::run(plan, &members, t % p, dir, 2, t as u64, buf);
-                    if plan.schedule().is_some() {
+                    let run = |dir| Step::run(plan, &members, t % p, dir, 2, t as u64, t);
+                    if *whole {
                         list.push(run(None));
                     } else {
                         list.push(run(Some(Dir::Send)));
@@ -564,6 +771,44 @@ mod tests {
                 }
                 computes(&mut list, rng);
                 list
+            })
+            .collect()
+    }
+
+    /// One pass over `lists` with payloads, every rank's buffer `t` the
+    /// rows phase `t` runs on, two columns wide, the computes doing
+    /// nothing: what each rank was charged.
+    fn with_payloads(
+        lists: &[Vec<Step<'_, Touch>>],
+        plans: &[Phase],
+        cost: &CostModel,
+    ) -> Vec<RankStats> {
+        let bufs = (0..lists.len())
+            .map(|r| {
+                (plans.iter())
+                    .map(|&(.., rows)| Arc::new(vec![r as f64 + 0.5; 2 * rows]))
+                    .collect()
+            })
+            .collect();
+        let (stats, _): (_, Vec<Vec<_>>) = run(lists, 1, cost, bufs, |_, _| {});
+        stats.ranks
+    }
+
+    /// Every rank's stats, each clock as its bits, so that equal means bit
+    /// for bit.
+    fn exact(ranks: &[RankStats]) -> Vec<[u64; 7]> {
+        (ranks.iter())
+            .map(|r| {
+                let [t, c, w] = [r.sim_time, r.compute_time, r.wait_time].map(f64::to_bits);
+                [
+                    r.sent_bytes,
+                    r.recv_bytes,
+                    r.sent_msgs,
+                    r.recv_msgs,
+                    t,
+                    c,
+                    w,
+                ]
             })
             .collect()
     }
@@ -598,8 +843,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random route plans, tree broadcasts and reduces, and computes
-        /// on random buffers, on 2–4 ranks. After the never-worse moves no
+        /// Random route plans, tree, large and sparse broadcasts and
+        /// reduces, rings, and computes on random buffers, on 2–4 ranks.
+        /// Run with payloads, the lists are charged what their walk says,
+        /// bit for bit, before and after the moves. After the never-worse moves no
         /// rank's clock is later, over one pass or three, and every rank
         /// moves the bytes and messages it moved. After the path-guided
         /// ones too, the makespan is no higher, the traffic is the same,
@@ -618,6 +865,10 @@ mod tests {
             let built = lists(&plans, p, &mut rng);
             let mut moved = built.clone();
             fill_waits(&mut moved);
+            for lists in [&built, &moved] {
+                let walked = walk(lists, 1, &cost).0.ranks;
+                prop_assert_eq!(exact(&with_payloads(lists, &plans, &cost)), exact(&walked));
+            }
             for iters in [1, 3] {
                 let [before, after] = [&built, &moved].map(|lists| walk(lists, iters, &cost).0);
                 prop_assert_eq!(traffic(&before), traffic(&after));
@@ -632,6 +883,7 @@ mod tests {
             let (stats, _) = order(&mut ordered, &cost);
             let before = walk(&built, 1, &cost).0;
             prop_assert_eq!(&stats.ranks, &walk(&ordered, 1, &cost).0.ranks);
+            prop_assert_eq!(exact(&with_payloads(&ordered, &plans, &cost)), exact(&stats.ranks));
             prop_assert_eq!(traffic(&before), traffic(&stats));
             prop_assert!(stats.sim_time() <= before.sim_time());
             for (was, is) in built.iter().zip(&ordered) {
@@ -664,9 +916,30 @@ mod tests {
         );
     }
 
+    /// The same pair run with payloads, on the pool, stops the same way:
+    /// no rank can go, and no watchdog is involved.
+    #[test]
+    #[should_panic(
+        expected = "the steps deadlock; waiting (rank, src, tag): (0, 1, 0x7) (1, 0, 0x7)"
+    )]
+    fn a_crossed_pair_with_payloads_deadlocks_on_the_pool() {
+        let swap = Plan::routes(2, vec![(0, 1, 0, 0), (1, 0, 0, 0)]);
+        let pair: Arc<[u32]> = [0, 1].into();
+        let crossed: [Step; 2] =
+            [Dir::Recv, Dir::Send].map(|dir| Step::run(&swap, &pair, 0, Some(dir), 1, 7, 0));
+        let bufs = vec![[Arc::new(vec![1.0])]; 2];
+        run(
+            &[crossed.clone(), crossed],
+            1,
+            &CostModel::default(),
+            bufs,
+            |_, _| {},
+        );
+    }
+
     /// Two passes over a list charge each step twice, in order, on one
-    /// clock: the machine's figures, with each compute handed to the
-    /// kernel runner once per pass.
+    /// clock: a payload run's figures are the walk's, with each compute
+    /// handed to the kernel runner once per pass.
     #[test]
     fn passes_repeat_the_list_on_one_clock() {
         let cost = CostModel {
@@ -683,18 +956,19 @@ mod tests {
             vec![send, flops, recv]
         };
         let lists = [list(0), list(1)];
-        let report = Machine::new(2).with_cost(cost).run(|ctx| {
-            let (steps, mut runs) = (&lists[ctx.rank() as usize], Vec::new());
-            let mut bufs = [Arc::new(vec![f64::from(ctx.rank()); 4])];
-            execute(ctx, steps, 2, &mut bufs, |flops, _| runs.push(*flops));
-            (runs, bufs)
+        // Buffer 1 records each compute the kernel runner was handed.
+        let bufs = (0..2)
+            .map(|r| [Arc::new(vec![f64::from(r); 4]), Arc::default()])
+            .collect();
+        let (ran, bufs) = run(&lists, 2, &cost, bufs, |flops, bufs| {
+            Arc::make_mut(&mut bufs[1]).push(*flops)
         });
         let (walked, flops) = walk(&lists, 2, &cost);
-        assert_eq!(walked.ranks, report.stats.ranks);
-        assert_eq!(report.results[1].0, [10.0, 10.0]);
+        assert_eq!(walked.ranks, ran.ranks);
+        assert_eq!(*bufs[1][1], [10.0, 10.0]);
         // Rank 0's row 1 came from rank 1, and rank 1's row 0 from rank 0.
-        assert_eq!(*report.results[0].1[0], [0.0, 0.0, 1.0, 1.0]);
-        assert_eq!(*report.results[1].1[0], [0.0, 0.0, 1.0, 1.0]);
+        assert_eq!(*bufs[0][0], [0.0, 0.0, 1.0, 1.0]);
+        assert_eq!(*bufs[1][0], [0.0, 0.0, 1.0, 1.0]);
         assert_eq!(flops, [8.0, 20.0]);
         assert_eq!(walked.ranks[0].sent_bytes, 2 * 16);
     }

@@ -1,8 +1,8 @@
-//! Machine-level pooled execution: panic containment in a pool's rank
-//! slots and pool lifecycle (drop and rebuild). CI runs this in release
-//! in its `exec-smoke` job.
+//! Pooled execution: panic containment in a pool's rank slots, pool
+//! lifecycle (drop and rebuild), and a kernel panic in the one loop. CI
+//! runs this in release in its `exec-smoke` job.
 
-use amd_comm::{execute, Collective, Machine, Step};
+use amd_comm::{run, CostModel, Group, Machine, Plan, Step};
 use amd_exec::ExecPool;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -125,8 +125,7 @@ fn rank_panic_wakes_the_peers_that_wait_on_it() {
         if ctx.rank() == 3 {
             panic!("injected before the reduce");
         }
-        let reduce = Collective::reduce(4, 4, None);
-        reduce_of_four(ctx, &reduce, vec![1.0; 8]);
+        Group::world(ctx).reduce_sum(ctx, 0, vec![1.0; 8]);
     });
     assert!(
         msg.contains("rank 3 panicked") && msg.contains("injected before the reduce"),
@@ -136,28 +135,49 @@ fn rank_panic_wakes_the_peers_that_wait_on_it() {
     let spawned_before = pool.stats().rank_threads_spawned;
     let machine = Machine::new(4).with_exec(pool.clone());
     let report = within_ten_seconds(move || {
-        machine.run(|ctx| {
-            let reduce = Collective::reduce(4, 4, None);
-            reduce_of_four(ctx, &reduce, vec![ctx.rank() as f64; 8])
-        })
+        machine.run(|ctx| Group::world(ctx).reduce_sum(ctx, 0, vec![ctx.rank() as f64; 8]))
     });
-    assert_eq!(*report.results[0], vec![6.0; 8]);
+    assert_eq!(report.results[0], Some(vec![6.0; 8]));
     assert_eq!(pool.stats().rank_threads_spawned, spawned_before);
 }
 
-/// The picked plan of `reduce` over ranks 0–3, summing this rank's
-/// `data`, a buffer of 2 columns, to rank 0: a one-step list run through
-/// [`execute`]. Returns what the step leaves in the buffer.
-fn reduce_of_four(
-    ctx: &mut amd_comm::RankCtx,
-    reduce: &Collective,
-    data: Vec<f64>,
-) -> Arc<Vec<f64>> {
+/// A kernel that panics on one rank of a payload run surfaces to the
+/// caller with its message, and the loop's pool keeps serving: the same
+/// lists run again to the same answer.
+#[test]
+fn a_kernel_panic_in_the_loop_reaches_the_caller() {
+    let ring = Plan::ring(4, 8);
     let members: Arc<[u32]> = (0..4).collect();
-    let step: Step = Step::run(reduce.pick(2, ctx.cost()), &members, 0, None, 2, 1, 0);
-    let mut bufs = [Arc::new(data)];
-    execute(ctx, &[step], 1, &mut bufs, |_, _| {});
-    std::mem::take(&mut bufs[0])
+    let lists: Vec<[Step; 2]> = (0..4)
+        .map(|r| {
+            [
+                Step::Compute(f64::from(r)),
+                Step::run(&ring, &members, 0, None, 1, 1, 0),
+            ]
+        })
+        .collect();
+    let bufs = || {
+        (0..4)
+            .map(|r| [Arc::new(vec![f64::from(r); 8])])
+            .collect::<Vec<_>>()
+    };
+    let cost = CostModel::default();
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run(&lists, 3, &cost, bufs(), |&rank, _| {
+            assert!(rank != 2.0, "injected kernel failure");
+        })
+    }));
+    let payload = caught.expect_err("a kernel panic must propagate");
+    let msg = (payload.downcast_ref::<String>().cloned())
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(msg.contains("injected kernel failure"), "{msg}");
+    for _ in 0..2 {
+        let (_, sums) = run(&lists, 3, &cost, bufs(), |_, _| {});
+        for sum in &sums {
+            assert_eq!(*sum[0], vec![6.0 * 4.0 * 4.0; 8]);
+        }
+    }
 }
 
 /// Dropping a pool joins its threads; a rebuilt pool serves the same

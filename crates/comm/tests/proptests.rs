@@ -1,7 +1,7 @@
 //! Property tests for the message-passing machine: arbitrary communication
 //! patterns must deliver exactly, deterministically, and without deadlock.
 
-use amd_comm::{Group, Machine};
+use amd_comm::{run, Group, Machine};
 use proptest::prelude::*;
 
 proptest! {
@@ -64,17 +64,19 @@ proptest! {
         len in 1usize..20,
     ) {
         let split = split.min(p - 1).max(1);
-        let report = Machine::new(p).run(|ctx| {
-            let me = ctx.rank();
-            let members: Vec<u32> =
-                if me < split { (0..split).collect() } else { (split..p).collect() };
-            let g = Group::new(ctx, members);
-            let data = vec![me as f64 + 1.0; len];
-            run_plan(ctx, &g, 0, data, &Plan::ring(g.size(), len), 1)
-        });
+        let rings = [Plan::ring(split as usize, len), Plan::ring((p - split) as usize, len)];
+        let groups: [Arc<[u32]>; 2] = [(0..split).collect(), (split..p).collect()];
+        let lists: Vec<[Step; 1]> = (0..p)
+            .map(|me| {
+                let half = usize::from(me >= split);
+                [Step::run(&rings[half], &groups[half], 0, None, 1, 1, 0)]
+            })
+            .collect();
+        let bufs = (0..p).map(|me| [Arc::new(vec![me as f64 + 1.0; len])]).collect();
+        let (_, sums) = run(&lists, 1, &CostModel::default(), bufs, |_, _| {});
         let lower: f64 = (0..split).map(|r| r as f64 + 1.0).sum();
         let upper: f64 = (split..p).map(|r| r as f64 + 1.0).sum();
-        for (r, v) in report.results.iter().enumerate() {
+        for (r, [v]) in sums.iter().enumerate() {
             let want = if (r as u32) < split { lower } else { upper };
             prop_assert!(v.iter().all(|&x| (x - want).abs() < 1e-9),
                 "rank {r}: {v:?} != {want}");
@@ -84,40 +86,35 @@ proptest! {
 
 // ---- The large-message broadcast and reduce (deterministic sweeps) ----
 
-use amd_comm::{execute, Collective, CostModel, Plan, RankCtx, RankStats, Schedule, Step};
+use amd_comm::{Collective, CostModel, MachineStats, Plan, RankCtx, RankStats, Schedule, Step};
 use std::sync::Arc;
 
-/// `plan` from `root` on this member's `stride`-column `buf`, run as a
-/// one-step list through [`execute`]: what the step leaves in the buffer
-/// (a broadcast's non-root drops its own and holds what it received).
+/// `plan` from `root` run alone as a one-step list in the one loop, on a
+/// machine of `p` ranks with `cost`, rank `r` holding the `stride`-column
+/// buffer `data(r)`: what each rank was charged and what its step left in
+/// its buffer (a broadcast's non-root drops its own and holds what it
+/// received).
 fn run_plan(
-    ctx: &mut RankCtx,
-    g: &Group,
+    p: u32,
     root: usize,
-    buf: Vec<f64>,
+    data: impl Fn(u32) -> Vec<f64>,
     plan: &Plan,
     stride: usize,
-) -> Arc<Vec<f64>> {
-    let members: Arc<[u32]> = g.members().into();
+    cost: &CostModel,
+) -> (MachineStats, Vec<Arc<Vec<f64>>>) {
+    let members: Arc<[u32]> = (0..p).collect();
     let step: Step = Step::run(plan, &members, root, None, stride, 1, 0);
-    let mut bufs = [Arc::new(buf)];
-    execute(ctx, &[step], 1, &mut bufs, |_, _| {});
-    std::mem::take(&mut bufs[0])
+    let bufs = (0..p).map(|r| [Arc::new(data(r))]).collect();
+    let (stats, bufs) = run(&vec![[step]; p as usize], 1, cost, bufs, |_, _| {});
+    (stats, bufs.into_iter().map(|[buf]| buf).collect())
 }
 
-/// A reduce `plan` to `root` through [`run_plan`], as the root sees it:
-/// `Some` sum at the root, `None` where a non-root's buffer was left
-/// empty.
-fn reduce_to_root(
-    ctx: &mut RankCtx,
-    g: &Group,
-    root: usize,
-    data: Vec<f64>,
-    plan: &Plan,
-    stride: usize,
-) -> Option<Vec<f64>> {
-    let sum = run_plan(ctx, g, root, data, plan, stride);
-    (g.my_idx() == root || !sum.is_empty()).then(|| Arc::unwrap_or_clone(sum))
+/// What a reduce left in every rank's buffer, as the root sees it: `Some`
+/// sum at the root, `None` where a non-root's buffer was left empty.
+fn reduced(bufs: Vec<Arc<Vec<f64>>>, root: usize) -> Vec<Option<Vec<f64>>> {
+    (bufs.into_iter().enumerate())
+        .map(|(r, sum)| (r == root || !sum.is_empty()).then(|| Arc::unwrap_or_clone(sum)))
+        .collect()
 }
 
 /// Bandwidth is everything: the large schedules win wherever they can run.
@@ -143,6 +140,11 @@ fn member_vector(rank: u32, len: usize) -> Vec<f64> {
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// [`bits`] of every rank's [`reduced`] vector.
+fn all_bits(sums: &[Option<Vec<f64>>]) -> Vec<Option<Vec<u64>>> {
+    sums.iter().map(|sum| sum.as_deref().map(bits)).collect()
 }
 
 /// Fewer rows than members, ragged, empty.
@@ -171,54 +173,64 @@ fn sparse_of(c: &Collective) -> &Plan {
 /// (a) One association: the large reduce and the tree reduce return the
 /// same bits on non-integer data, for every group size, root and shape.
 /// The pick is forced onto each side by a cost model and compared with
-/// the other candidate. Where there is no large candidate (two members,
-/// no rows) both sides are the tree.
+/// the other candidate — on the large side with the closure tree reduce
+/// ([`Group::reduce_sum`]), which runs on the machine's rank threads.
+/// Where there is no large candidate (two members, no rows) both sides
+/// are the tree.
 #[test]
 fn large_reduce_equals_tree_reduce_bit_for_bit() {
     for p in 2u32..=33 {
         let plans = row_counts(p).map(|rows| Collective::reduce(p as usize, rows, None));
         let large = (plans.iter().zip(row_counts(p))).map(|(c, rows)| large_or_tree(c, p, rows));
         let large: Vec<&Plan> = large.collect();
-        for cost in [WIRE_BOUND, LATENCY_BOUND] {
-            let report = Machine::new(p).with_cost(cost).run(|ctx| {
-                let g = Group::world(ctx);
-                let mut took_large = false;
-                // Collected, not asserted: a rank that panics mid-run
-                // leaves the others waiting for its messages.
-                let mut mismatches = Vec::new();
-                for root in 0..p as usize {
-                    // Every stride at the first and last root, one elsewhere:
-                    // a root only rotates the members.
-                    let corner = root == 0 || root + 1 == p as usize;
-                    for stride in [3usize, 1, 16].into_iter().take(if corner { 3 } else { 1 }) {
-                        for ((rows, plans), large) in
-                            row_counts(p).into_iter().zip(&plans).zip(&large)
-                        {
-                            let data = member_vector(ctx.rank(), rows * stride);
-                            let picked = plans.pick(stride, &cost);
-                            let got = reduce_to_root(ctx, &g, root, data.clone(), picked, stride);
-                            let other = if cost == WIRE_BOUND {
-                                g.reduce_sum(ctx, root, data)
-                            } else {
-                                reduce_to_root(ctx, &g, root, data, large, stride)
-                            };
-                            if got.is_some() != (g.my_idx() == root)
-                                || got.as_deref().map(bits) != other.as_deref().map(bits)
-                            {
-                                mismatches.push((root, rows, stride));
-                            }
-                            took_large |= picked.schedule() == Some(Schedule::Large);
-                        }
-                    }
-                }
-                (took_large, mismatches)
-            });
-            // The pick really was on each side.
-            let expect_large = cost == WIRE_BOUND && p >= 3;
-            for (took_large, mismatches) in report.results {
-                assert_eq!(took_large, expect_large, "p = {p}");
-                assert_eq!(mismatches, [], "p = {p}: (root, rows, stride)");
+        // Every stride at the first and last root, one elsewhere: a root
+        // only rotates the members. As (root, stride, shape).
+        let mut shapes = Vec::new();
+        for root in 0..p as usize {
+            let corner = root == 0 || root + 1 == p as usize;
+            for stride in [3usize, 1, 16].into_iter().take(if corner { 3 } else { 1 }) {
+                shapes.extend((0..row_counts(p).len()).map(|i| (root, stride, i)));
             }
+        }
+        let data = |r: u32, i: usize, stride: usize| member_vector(r, row_counts(p)[i] * stride);
+        for cost in [WIRE_BOUND, LATENCY_BOUND] {
+            let closure = (cost == WIRE_BOUND).then(|| {
+                let machine = Machine::new(p).with_cost(cost);
+                machine
+                    .run(|ctx| {
+                        let g = Group::world(ctx);
+                        let sums = shapes.iter().map(|&(root, stride, i)| {
+                            g.reduce_sum(ctx, root, data(ctx.rank(), i, stride))
+                        });
+                        sums.collect::<Vec<_>>()
+                    })
+                    .results
+            });
+            let (mut took_large, mut mismatches) = (false, Vec::new());
+            for (at, &(root, stride, i)) in shapes.iter().enumerate() {
+                let picked = plans[i].pick(stride, &cost);
+                let got = run_plan(p, root, |r| data(r, i, stride), picked, stride, &cost);
+                let got = reduced(got.1, root);
+                let other = match &closure {
+                    Some(sums) => sums.iter().map(|sums| sums[at].clone()).collect(),
+                    None => {
+                        let other =
+                            run_plan(p, root, |r| data(r, i, stride), large[i], stride, &cost);
+                        reduced(other.1, root)
+                    }
+                };
+                let rooted = got
+                    .iter()
+                    .enumerate()
+                    .all(|(r, sum)| sum.is_some() == (r == root));
+                if !rooted || all_bits(&got) != all_bits(&other) {
+                    mismatches.push((root, row_counts(p)[i], stride));
+                }
+                took_large |= picked.schedule() == Some(Schedule::Large);
+            }
+            // The pick really was on each side.
+            assert_eq!(took_large, cost == WIRE_BOUND && p >= 3, "p = {p}");
+            assert_eq!(mismatches, [], "p = {p}: (root, rows, stride)");
         }
     }
 }
@@ -240,7 +252,7 @@ fn broadcast_large_owned(
     let q = p - 1;
     let vr = (g.my_idx() + p - root) % p;
     let at = |c: usize| (c * rows / q) * stride;
-    let member = |v: usize| g.member((v + root) % p);
+    let member = |v: usize| ((v + root) % p) as u32;
     if vr == 0 {
         let data = data.unwrap();
         for c in 0..q {
@@ -284,35 +296,32 @@ fn large_broadcast_shares_the_roots_buffer_and_is_charged_like_copies() {
             ] {
                 let plans = Collective::broadcast(p as usize, rows, None);
                 let plan = large_or_tree(&plans, p, rows);
-                let run = |shared: bool| {
-                    Machine::new(p).run(|ctx| {
-                        let g = Group::world(ctx);
-                        let data =
-                            (g.my_idx() == root).then(|| member_vector(ctx.rank(), rows * stride));
-                        if shared {
-                            run_plan(ctx, &g, root, data.unwrap_or_default(), plan, stride)
-                        } else {
-                            Arc::new(broadcast_large_owned(&g, ctx, root, data, rows, stride))
-                        }
-                    })
-                };
-                let shared = run(true);
+                let data = |r: u32| (r as usize == root).then(|| member_vector(r, rows * stride));
+                let cost = CostModel::default();
+                let (charged, shared) = run_plan(
+                    p,
+                    root,
+                    |r| data(r).unwrap_or_default(),
+                    plan,
+                    stride,
+                    &cost,
+                );
                 let want = member_vector(root as u32, rows * stride);
-                for s in &shared.results {
-                    assert!(
-                        Arc::ptr_eq(s, &shared.results[root]),
-                        "a copy was assembled"
-                    );
+                for s in &shared {
+                    assert!(Arc::ptr_eq(s, &shared[root]), "a copy was assembled");
                     assert_eq!(bits(s), bits(&want));
                 }
                 if plan.schedule() == Some(Schedule::Tree) {
                     continue;
                 }
-                let owned = run(false);
+                let owned = Machine::new(p).run(|ctx| {
+                    let g = Group::world(ctx);
+                    broadcast_large_owned(&g, ctx, root, data(ctx.rank()), rows, stride)
+                });
                 for o in &owned.results {
                     assert_eq!(bits(o), bits(&want), "the schedule lost a row");
                 }
-                assert_eq!(shared.stats.ranks, owned.stats.ranks, "p={p} root={root}");
+                assert_eq!(charged.ranks, owned.stats.ranks, "p={p} root={root}");
             }
         }
     }
@@ -320,7 +329,9 @@ fn large_broadcast_shares_the_roots_buffer_and_is_charged_like_copies() {
 
 /// (d) The selection rule against the simulator: under the default cost
 /// model the schedule it picks finishes no later than the one it
-/// rejected, exactly, for every group size and payload.
+/// rejected, exactly, for every group size and payload — the tree timed
+/// by the closure collectives on the machine's rank threads, the large
+/// schedule by the one loop.
 #[test]
 fn the_selected_schedule_is_the_faster_one_in_the_simulator() {
     let cost = CostModel::default();
@@ -343,18 +354,16 @@ fn the_selected_schedule_is_the_faster_one_in_the_simulator() {
                 Collective::reduce(p as usize, rows, None),
             ];
             let [blarge, rlarge] = [0, 1].map(|i| large_or_tree(&plans[i], p, rows));
+            let alone = |plan, data: &dyn Fn(u32) -> Vec<f64>| {
+                run_plan(p, 0, data, plan, 1, &cost).0.sim_time()
+            };
             let bcast = [
                 makespan(p, &|ctx, g| drop(g.broadcast(ctx, 0, root_data(g)))),
-                makespan(p, &|ctx, g| {
-                    let data = root_data(g).unwrap_or_default();
-                    drop(run_plan(ctx, g, 0, data, blarge, 1))
-                }),
+                alone(blarge, &|r| vec![1.0; if r == 0 { rows } else { 0 }]),
             ];
             let reduce = [
                 makespan(p, &|ctx, g| drop(g.reduce_sum(ctx, 0, vec![1.0; rows]))),
-                makespan(p, &|ctx, g| {
-                    drop(run_plan(ctx, g, 0, vec![1.0; rows], rlarge, 1))
-                }),
+                alone(rlarge, &|_| vec![1.0; rows]),
             ];
             let [bpick, rpick] = [0, 1].map(|i| plans[i].pick(1, &cost).schedule());
             for (what, [tree, large], picked) in
@@ -431,7 +440,7 @@ fn reduced_vector(rank: u32, vr: usize, rows: usize, stride: usize, sup: &[Vec<u
 
 /// (e) The sparse reduce sums in the one association: on non-integer data
 /// with planted `−0.0` rows, over random supports, it returns the bits of
-/// the tree and of the large reduce at the first and last root; and the
+/// the tree and of the large reduce plans at the first and last root; and the
 /// sparse broadcast hands each member the root's rows on its support and
 /// `+0.0` elsewhere.
 #[test]
@@ -450,50 +459,49 @@ fn sparse_reduce_equals_tree_and_large_reduce_bit_for_bit() {
                 (rows, mode, sup, bcast, reduce)
             })
             .collect();
-        let report = Machine::new(p).with_cost(WIRE_BOUND).run(|ctx| {
-            let g = Group::world(ctx);
-            // Collected, not asserted (see (a)).
-            let mut mismatches = Vec::new();
-            for root in [0, size - 1] {
-                let vr = (g.my_idx() + size - root) % size;
-                for stride in [1usize, 3, 16] {
-                    for &(rows, mode, ref sup, ref bcast, ref reduce) in &shapes {
-                        let data = reduced_vector(ctx.rank(), vr, rows, stride, sup);
-                        let got =
-                            reduce_to_root(ctx, &g, root, data.clone(), sparse_of(reduce), stride);
-                        let tree = g.reduce_sum(ctx, root, data.clone());
-                        // Two members: no large candidate, the tree again.
-                        let large = large_or_tree(reduce, p, rows);
-                        let large = reduce_to_root(ctx, &g, root, data, large, stride);
-                        if got.as_deref().map(bits) != tree.as_deref().map(bits)
-                            || got.as_deref().map(bits) != large.as_deref().map(bits)
-                        {
-                            mismatches.push(("reduce", root, stride, rows, mode));
+        let mut mismatches = Vec::new();
+        for root in [0, size - 1] {
+            let vr = |r: u32| (r as usize + size - root) % size;
+            for stride in [1usize, 3, 16] {
+                for &(rows, mode, ref sup, ref bcast, ref reduce) in &shapes {
+                    let data = |r: u32| reduced_vector(r, vr(r), rows, stride, sup);
+                    let sum =
+                        |plan| reduced(run_plan(p, root, data, plan, stride, &WIRE_BOUND).1, root);
+                    let got = sum(sparse_of(reduce));
+                    // Two members: no large candidate, the tree again.
+                    let tree = sum(reduce.plan(Schedule::Tree).expect("a tree"));
+                    let large = sum(large_or_tree(reduce, p, rows));
+                    if all_bits(&got) != all_bits(&tree) || all_bits(&got) != all_bits(&large) {
+                        mismatches.push(("reduce", root, stride, rows, mode));
+                    }
+                    let whole = planted(root as u32, rows, stride, None);
+                    let data = |r: u32| {
+                        if vr(r) == 0 {
+                            whole.clone()
+                        } else {
+                            Vec::new()
                         }
-                        let whole = planted(g.member(root), rows, stride, None);
-                        let data = if vr == 0 { whole.clone() } else { Vec::new() };
-                        let got = run_plan(ctx, &g, root, data, sparse_of(bcast), stride);
-                        let want = if vr == 0 {
-                            whole
+                    };
+                    let got = run_plan(p, root, data, sparse_of(bcast), stride, &WIRE_BOUND).1;
+                    for (r, got) in (0..p).zip(&got) {
+                        let want = if vr(r) == 0 {
+                            whole.clone()
                         } else {
                             let mut want = vec![0.0; rows * stride];
-                            for &r in &sup[vr] {
-                                let at = r as usize * stride;
+                            for &row in &sup[vr(r)] {
+                                let at = row as usize * stride;
                                 want[at..at + stride].copy_from_slice(&whole[at..at + stride]);
                             }
                             want
                         };
-                        if bits(&got) != bits(&want) {
+                        if bits(got) != bits(&want) {
                             mismatches.push(("broadcast", root, stride, rows, mode));
                         }
                     }
                 }
             }
-            mismatches
-        });
-        for mismatches in report.results {
-            assert_eq!(mismatches, [], "p = {p}: (op, root, stride, rows, mode)");
         }
+        assert_eq!(mismatches, [], "p = {p}: (op, root, stride, rows, mode)");
     }
 }
 
@@ -532,34 +540,28 @@ fn alone(plan: &Plan, stride: usize) -> Vec<Traffic> {
 }
 
 /// (c) Lockstep, dense: what each member's tree or large plan is charged
-/// in the dry walk ([`Plan::alone`]) is what the machine charged it when the
-/// interpreter ran that plan, alone — for p ∈ 1..=33, three cost models
-/// and three roots. Tree and Large each ran.
+/// in the dry walk ([`Plan::alone`]) is what the payload run charged it
+/// when the runner ran that plan, alone — for p ∈ 1..=33, three cost
+/// models and three roots. Tree and Large each ran.
 #[test]
 fn closed_form_costs_match_the_accounting() {
     let mut ran = Vec::new();
     for p in 1u32..=33 {
         let size = p as usize;
         for cost in [WIRE_BOUND, LATENCY_BOUND, CostModel::default()] {
-            let machine = Machine::new(p).with_cost(cost);
             for root in [0, size / 2, size - 1] {
                 for (rows, stride) in [(0usize, 4usize), (5, 0), (1, 16), (23, 3), (4096, 16)] {
                     let bcast = Collective::broadcast(size, rows, None);
                     let reduce = Collective::reduce(size, rows, None);
                     let (bplan, rplan) = (bcast.pick(stride, &cost), reduce.pick(stride, &cost));
-                    let b = machine.run(|ctx| {
-                        let g = Group::world(ctx);
-                        let data = vec![0.5; if g.my_idx() == root { rows * stride } else { 0 }];
-                        run_plan(ctx, &g, root, data, bplan, stride);
-                    });
-                    let r = machine.run(|ctx| {
-                        let g = Group::world(ctx);
-                        run_plan(ctx, &g, root, vec![0.5; rows * stride], rplan, stride);
-                    });
+                    let whole =
+                        |r: u32| vec![0.5; if r as usize == root { rows * stride } else { 0 }];
+                    let b = run_plan(p, root, whole, bplan, stride, &cost).0;
+                    let r = run_plan(p, root, |_| vec![0.5; rows * stride], rplan, stride, &cost).0;
                     for (what, plan, report) in [("broadcast", bplan, &b), ("reduce", rplan, &r)] {
                         ran.push(plan.schedule());
                         let want = alone(plan, stride);
-                        for (rank, stats) in report.stats.ranks.iter().enumerate() {
+                        for (rank, stats) in report.ranks.iter().enumerate() {
                             assert_eq!(
                                 charged(stats),
                                 want[(rank + size - root) % size],
@@ -578,7 +580,7 @@ fn closed_form_costs_match_the_accounting() {
 }
 
 /// (c′) Lockstep, ring: what each member's ring plan counts is what the
-/// machine charged it, including row counts the size does not divide,
+/// payload run charged it, including row counts the size does not divide,
 /// where some member moves more than `2·(p − 1)/p` of the payload.
 #[test]
 fn ring_allreduce_cost_matches_the_accounting() {
@@ -594,12 +596,16 @@ fn ring_allreduce_cost_matches_the_accounting() {
             (97, 16),
         ] {
             let plan = Plan::ring(size, rows);
-            let run = Machine::new(p).run(|ctx| {
-                let g = Group::world(ctx);
-                run_plan(ctx, &g, 0, vec![0.5; rows * stride], &plan, stride);
-            });
+            let charged_by = run_plan(
+                p,
+                0,
+                |_| vec![0.5; rows * stride],
+                &plan,
+                stride,
+                &CostModel::default(),
+            );
             let walked = alone(&plan, stride);
-            for (rank, stats) in run.stats.ranks.iter().enumerate() {
+            for (rank, stats) in charged_by.0.ranks.iter().enumerate() {
                 let want = walked[rank];
                 assert_eq!(
                     charged(stats),
@@ -618,7 +624,8 @@ fn ring_allreduce_cost_matches_the_accounting() {
 
 /// (f) Lockstep, with supports: over the supports of [`sparse_shapes`],
 /// each member's picked plans' counts, summed over one run per cost
-/// model, are what the machine charged it. Sparse ran.
+/// model, are what a payload run of a list of every shape's plan charged
+/// it. Sparse ran.
 #[test]
 fn closed_form_costs_with_supports_match_the_accounting() {
     let mut ran = Vec::new();
@@ -636,24 +643,31 @@ fn closed_form_costs_with_supports_match_the_accounting() {
             })
             .collect();
         for cost in [WIRE_BOUND, LATENCY_BOUND, CostModel::default()] {
-            let machine = Machine::new(p).with_cost(cost);
-            let bcast = machine.run(|ctx| {
-                let g = Group::world(ctx);
-                for ((root, stride, rows, _), [plans, _]) in shapes.iter().zip(&plans) {
-                    let data =
-                        (g.my_idx() == *root).then(|| planted(ctx.rank(), *rows, *stride, None));
-                    let plan = plans.pick(*stride, ctx.cost());
-                    run_plan(ctx, &g, *root, data.unwrap_or_default(), plan, *stride);
-                }
-            });
-            let reduce = machine.run(|ctx| {
-                let g = Group::world(ctx);
-                for ((root, stride, rows, sup), [_, plans]) in shapes.iter().zip(&plans) {
-                    let vr = (g.my_idx() + size - root) % size;
-                    let data = reduced_vector(ctx.rank(), vr, *rows, *stride, sup);
-                    let plan = plans.pick(*stride, ctx.cost());
-                    run_plan(ctx, &g, *root, data, plan, *stride);
-                }
+            // Every shape's picked broadcast, and then every reduce, in one
+            // list per rank, shape `t` on buffer `t` under tag `t`.
+            let world: Arc<[u32]> = (0..p).collect();
+            let [bcast, reduce] = [0, 1].map(|op| {
+                let steps = (shapes.iter().zip(&plans).enumerate()).map(
+                    |(t, ((root, stride, ..), plans))| {
+                        let plan = plans[op].pick(*stride, &cost);
+                        Step::run(plan, &world, *root, None, *stride, t as u64, t)
+                    },
+                );
+                let list: Vec<Step> = steps.collect();
+                let bufs = (0..p)
+                    .map(|r| {
+                        let bufs = shapes.iter().map(|(root, stride, rows, sup)| {
+                            let vr = (r as usize + size - root) % size;
+                            Arc::new(match op {
+                                0 if vr == 0 => planted(r, *rows, *stride, None),
+                                0 => Vec::new(),
+                                _ => reduced_vector(r, vr, *rows, *stride, sup),
+                            })
+                        });
+                        bufs.collect::<Vec<_>>()
+                    })
+                    .collect();
+                run(&vec![list; size], 1, &cost, bufs, |_, _| {}).0
             });
             let mut wants = vec![[(0, 0, 0, 0); 2]; size];
             for ((root, stride, ..), candidates) in shapes.iter().zip(&plans) {
@@ -670,7 +684,7 @@ fn closed_form_costs_with_supports_match_the_accounting() {
                 for (what, report, want) in
                     [("broadcast", &bcast, want[0]), ("reduce", &reduce, want[1])]
                 {
-                    let got = charged(&report.stats.ranks[rank]);
+                    let got = charged(&report.ranks[rank]);
                     assert_eq!(got, want, "{what} p={p} rank={rank} cost={cost:?}");
                 }
             }
@@ -696,16 +710,12 @@ fn the_sparse_schedule_is_taken_only_when_no_slower_and_no_heavier() {
             if root != 0 || rows == 0 {
                 continue;
             }
-            let run = |program: &(dyn Fn(&mut RankCtx, &Group) + Sync)| {
-                let stats = Machine::new(p)
-                    .run(|ctx| program(ctx, &Group::world(ctx)))
-                    .stats;
+            let load = |plan, data: &dyn Fn(u32) -> Vec<f64>| {
+                let stats = run_plan(p, 0, data, plan, stride, &cost).0;
                 (stats.sim_time(), stats.max_volume(), stats.max_messages())
             };
-            let whole = |g: &Group| vec![0.5; if g.my_idx() == 0 { rows * stride } else { 0 }];
-            let part = |ctx: &RankCtx, g: &Group| {
-                reduced_vector(ctx.rank(), g.my_idx(), rows, stride, &sup)
-            };
+            let whole = |r: u32| vec![0.5; if r == 0 { rows * stride } else { 0 }];
+            let part = |r: u32| reduced_vector(r, r as usize, rows, stride, &sup);
             // With supports, and the dense pick without them.
             let [bcast, reduce, bdense, rdense] = [
                 Collective::broadcast(size, rows, Some(&sup)),
@@ -719,14 +729,14 @@ fn the_sparse_schedule_is_taken_only_when_no_slower_and_no_heavier() {
                 (
                     "broadcast",
                     bcast.pick(stride, &cost).schedule(),
-                    run(&|ctx, g| drop(run_plan(ctx, g, 0, whole(g), bsparse, stride))),
-                    run(&|ctx, g| drop(run_plan(ctx, g, 0, whole(g), bdense, stride))),
+                    load(bsparse, &whole),
+                    load(bdense, &whole),
                 ),
                 (
                     "reduce",
                     reduce.pick(stride, &cost).schedule(),
-                    run(&|ctx, g| drop(run_plan(ctx, g, 0, part(ctx, g), rsparse, stride))),
-                    run(&|ctx, g| drop(run_plan(ctx, g, 0, part(ctx, g), rdense, stride))),
+                    load(rsparse, &part),
+                    load(rdense, &part),
                 ),
             ] {
                 let no_slower = sparse.0 <= dense.0;

@@ -1,13 +1,11 @@
-//! The dry walk is the machine: every candidate a collective can pick
-//! from, the ring and point-to-point routes, run alone on a [`Machine`],
-//! leave each rank with the very stats — clock, bytes and messages — the
-//! [`walk`] of a one-step list gives it, bit for bit; and so do lists of
-//! many steps that ranks run through [`execute`], where the walk must
-//! match each receive to its send by tag.
+//! The dry walk is the payload run: every candidate a collective can pick
+//! from, the ring and point-to-point routes, run alone with payloads
+//! ([`run`]), leave each rank with the very stats — clock, bytes and
+//! messages — the [`walk`] of a one-step list gives it, bit for bit; and
+//! so do lists of many steps run with payloads, where the loop must match
+//! each receive to its send by tag.
 
-use amd_comm::{
-    execute, walk, Collective, CostModel, Dir, Machine, Plan, RankStats, Schedule, Step,
-};
+use amd_comm::{run, walk, Collective, CostModel, Dir, Plan, RankStats, Schedule, Step};
 use std::sync::Arc;
 
 const ROWS: [usize; 6] = [1, 3, 7, 31, 100, 257];
@@ -97,14 +95,11 @@ fn the_replay_of_every_plan_is_the_machines_clock() {
                 let root = (rows + stride) % size;
                 let at = format!("p={size} {rows}x{stride} root={root}");
                 // Per rank, its stats after the plan ran alone on `size`
-                // ranks, as a one-step list through `execute`.
+                // ranks, as a one-step list with payloads.
                 let run = |plan: &Plan, root: usize| {
                     let whole: [Step; 1] = [Step::run(plan, &members, root, None, stride, 1, 0)];
-                    let report = Machine::new(size as u32).run(|ctx| {
-                        let mut bufs = [Arc::new(vec![0.5; rows * stride])];
-                        execute(ctx, &whole, 1, &mut bufs, |_, _| {});
-                    });
-                    report.stats.ranks
+                    let bufs = vec![[Arc::new(vec![0.5; rows * stride])]; size];
+                    run(&vec![whole; size], 1, &cost, bufs, |_, _| {}).0.ranks
                 };
                 for &(op, plan) in &candidates {
                     let what =
@@ -138,7 +133,7 @@ fn operand(r: u32, rows: usize, stride: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Lists of many steps on six ranks, run through [`execute`] for three
+/// Lists of many steps on six ranks, run with payloads for three
 /// iterations, and walked dry: the same stats, bit for bit. Each rank
 /// sends its half of some routes from its buffer 0, runs a broadcast on
 /// its half of the machine on buffer 1 and a compute, then receives its
@@ -184,14 +179,15 @@ fn multi_step_lists_walk_like_the_machine() {
             steps
         })
         .collect();
-    let report = Machine::new(6).run(|ctx| {
-        let r = ctx.rank();
-        let mut bufs = [(rows, stride), (rows, stride), (9, stride)]
-            .map(|(rows, stride)| Arc::new(operand(r, rows, stride)));
-        execute(ctx, &lists[r as usize], iters, &mut bufs, |_, _| {});
-    });
+    let bufs = (0..6u32)
+        .map(|r| {
+            [(rows, stride), (rows, stride), (9, stride)]
+                .map(|(rows, stride)| Arc::new(operand(r, rows, stride)))
+        })
+        .collect();
+    let (ran, _) = run(&lists, iters, &cost, bufs, |_, _| {});
     let (walked, flops) = walk(&lists, iters, &cost);
-    assert_eq!(exact(&report.stats.ranks), exact(&walked.ranks));
+    assert_eq!(exact(&ran.ranks), exact(&walked.ranks));
     assert_eq!(flops[5], 3.0 * 6000.0);
     // Received in the order they were sent, the pair's messages leave
     // rank 1 at another time: the walk told them apart by tag alone.

@@ -1,25 +1,28 @@
 //! # amd-exec — the persistent thread pool
 //!
 //! One shared thread pool for everything the serving stack runs in
-//! parallel: simulated machine ranks, data-parallel kernel chunks
-//! (`amd-sparse`'s row blocks), and the refresh worker's decompose —
-//! so a serving stack answering millions of small queries pays no
-//! thread-creation latency on its hottest path.
+//! parallel: data-parallel kernel chunks (`amd-sparse`'s row blocks),
+//! the ranks of each round of `amd-comm`'s step-list loop, and the
+//! refresh worker's decompose — so a serving stack answering millions of
+//! small queries pays no thread-creation latency on its hottest path.
 //!
 //! The pool has two kinds of threads, both persistent:
 //!
 //! * **Compute workers** execute short, non-blocking jobs — kernel
-//!   chunks, scope tasks — taken in order from one FIFO queue; an idle
-//!   worker parks on one condvar under the queue's lock. See
+//!   chunks, scope tasks, a round's ranks, each running until it waits
+//!   for a message — taken in order from one FIFO queue; an idle worker
+//!   parks on one condvar under the queue's lock. See
 //!   [`ExecPool::scope`] and [`ExecPool::for_each_take`].
-//! * **Rank slots** execute *blocking* SPMD rank programs (a rank
+//! * **Rank slots** execute *blocking* SPMD closure programs (a rank
 //!   sleeps on its inbox inside `RankCtx::recv` mid-protocol, so it
-//!   must own a thread). Slots are parked threads cached between runs:
-//!   [`ExecPool::run_tasks`] acquires `p` of them, reusing parked
-//!   threads and spawning only when the cache is short. A panicking
-//!   rank is caught on its slot thread, reported to the caller, and
-//!   the thread returns to the cache — one bad query never poisons the
-//!   pool.
+//!   must own a thread). Only `amd-comm`'s closure `Machine` uses them —
+//!   the benchmark's communication probe, the wall-clock table's
+//!   broadcast row and the comm tests; no multiply does. Slots are
+//!   parked threads cached between runs: [`ExecPool::run_tasks`]
+//!   acquires `p` of them, reusing parked threads and spawning only when
+//!   the cache is short. A panicking rank is caught on its slot thread,
+//!   reported to the caller, and the thread returns to the cache — one
+//!   bad program never poisons the pool.
 //!
 //! Scoped execution ([`Scope`]) lets tasks borrow stack data without
 //! `'static` bounds: the scope blocks (and *helps* — it runs jobs from
@@ -34,9 +37,9 @@
 //! it is built lazily, sized by [`configure_global_threads`] (the CLI's
 //! `--threads N`), else the `AMD_EXEC_THREADS` environment variable,
 //! else `std::thread::available_parallelism`. Determinism note: none of
-//! the results computed on the pool depend on its size — machine ranks
-//! keep their own mailboxes and simulated clocks, and kernel chunks
-//! write disjoint output rows — so `--threads` trades wall time only.
+//! the results computed on the pool depend on its size — ranks keep
+//! their own inboxes and simulated clocks, and kernel chunks write
+//! disjoint output rows — so `--threads` trades wall time only.
 
 mod pool;
 mod ranks;

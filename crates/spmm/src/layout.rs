@@ -3,7 +3,7 @@
 
 use crate::arrow::{add_rows, Fold};
 use crate::traits::{apply_sigma, Sigma, SpmmRun};
-use amd_comm::{execute, CostModel, Machine, Step, Work};
+use amd_comm::{CostModel, Step, Work};
 use amd_sparse::spmm::{self, Finish};
 use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
 use std::ops::Range;
@@ -160,15 +160,12 @@ impl Kernel<'_> {
         match self {
             Kernel::Multiply(m) => {
                 let (rows, k, kk) = (m.rows.clone(), m.k, m.k as usize);
+                if m.finish == Finish::Overwrite {
+                    let len = rows.end as usize * kk;
+                    fresh(&mut bufs[at(m.y)]).resize(len, 0.0);
+                }
                 let mut y = std::mem::take(&mut bufs[at(m.y)]);
-                let y_all = match m.finish {
-                    Finish::Overwrite => {
-                        let y = fresh(&mut y);
-                        y.resize(rows.end as usize * kk, 0.0);
-                        y
-                    }
-                    _ => Arc::make_mut(&mut y),
-                };
+                let y_all = Arc::make_mut(&mut y);
                 let x = &bufs[at(m.x)][..];
                 let done = match m.gather {
                     Some(_) => spmm::spmm_slices(m.tile, x, k, m.gather, y_all, m.finish, m.dtype),
@@ -187,10 +184,9 @@ impl Kernel<'_> {
             }
             &Kernel::Resize(buf, len) => Arc::make_mut(&mut bufs[at(buf)]).resize(len, 0.0),
             &Kernel::Head(from, to, len) => {
+                fresh(&mut bufs[at(to)]).clear();
                 let mut head = std::mem::take(&mut bufs[at(to)]);
-                let into = fresh(&mut head);
-                into.clear();
-                into.extend_from_slice(&bufs[at(from)][..len]);
+                Arc::make_mut(&mut head).extend_from_slice(&bufs[at(from)][..len]);
                 bufs[at(to)] = head;
             }
             &Kernel::Swap(a, b) => bufs.swap(at(a), at(b)),
@@ -215,8 +211,9 @@ impl Kernel<'_> {
 
 /// Runs `iters` iterations of an `n`-row operand `x` under `sigma` on a
 /// machine with `cost` and one rank per list of `steps` — one
-/// iteration's steps of each rank, which [`execute`] runs — and assembles
-/// the answer: scatter, executor, gather.
+/// iteration's steps of each rank, which [`amd_comm::run`]'s loop runs
+/// on the pool, with no thread of its own per rank — and assembles the
+/// answer: scatter, the loop, gather.
 ///
 /// `block(rank)` is where the rank's block of `X`, and of `Y`, lives: the
 /// rows of `x` in block order and one column range, and whether the host
@@ -237,7 +234,7 @@ pub(crate) fn run_blocks<I, B>(
 ) -> SparseResult<SpmmRun>
 where
     I: ExactSizeIterator<Item = u32>,
-    B: Fn(u32) -> (I, Range<usize>, bool) + Sync,
+    B: Fn(u32) -> (I, Range<usize>, bool),
 {
     if x.rows() != n {
         return Err(SparseError::ShapeMismatch {
@@ -246,19 +243,18 @@ where
         });
     }
     let p = steps.len() as u32;
-    let report = Machine::new(p).with_cost(cost).run(|ctx| {
-        let (rows, cols, gathered) = block(ctx.rank());
+    let scatter = (0..p).map(|rank| {
+        let (rows, cols, _) = block(rank);
         let mut x_block = Vec::with_capacity(rows.len() * cols.len());
         for row in rows {
             x_block.extend_from_slice(&x.row(row)[cols.clone()]);
         }
         let mut bufs: [Arc<Vec<f64>>; BUFS] = Default::default();
         bufs[Buf::X as usize] = Arc::new(x_block);
-        let steps = &steps[ctx.rank() as usize];
-        execute(ctx, steps, iters, &mut bufs, |work, bufs| {
-            work.run(bufs, sigma)
-        });
-        gathered.then(|| std::mem::take(&mut bufs[Buf::X as usize]))
+        bufs
+    });
+    let (stats, bufs) = amd_comm::run(steps, iters, &cost, scatter.collect(), |work, bufs| {
+        Kernel::run(work, bufs, sigma)
     });
     // No iteration answers `x` itself, so a row no rank gathers keeps
     // it; after one, such a row (under Arrow, a vertex isolated in A) is
@@ -268,19 +264,18 @@ where
     } else {
         DenseMatrix::zeros(n, x.cols())
     };
-    for (rank, y_block) in (0..p).zip(&report.results) {
-        let Some(y_block) = y_block else { continue };
-        let (rows, cols, _) = block(rank);
+    for (rank, bufs) in (0..p).zip(&bufs) {
+        let (rows, cols, gathered) = block(rank);
+        if !gathered {
+            continue;
+        }
+        let y_block = &bufs[Buf::X as usize];
         debug_assert_eq!(y_block.len(), rows.len() * cols.len());
         for (row, values) in rows.zip(y_block.chunks_exact(cols.len().max(1))) {
             y.row_mut(row)[cols.clone()].copy_from_slice(values);
         }
     }
-    Ok(SpmmRun {
-        y,
-        stats: report.stats,
-        iters,
-    })
+    Ok(SpmmRun { y, stats, iters })
 }
 
 /// The groups of a row-major `rows × cols` grid of ranks: the ranks of

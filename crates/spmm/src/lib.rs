@@ -36,9 +36,10 @@
 //! buffers, or a piece of local work: a multiply, whose flops its
 //! descriptor gives, or an uncharged step that moves a buffer. The list is
 //! the rank's program and there is no other: one driver scatters the
-//! operand, runs every rank's list through `amd_comm::execute`, and
-//! gathers `Y` (see [`layout`]), and `amd_comm::walk` reads the same lists
-//! for `dry_run` and `predict_ranks`. Reordering a rank's work is an edit
+//! operand, runs every rank's list in `amd_comm::run`'s loop — the ranks
+//! of each round on the pool, no thread of their own — and gathers `Y`
+//! (see [`layout`]), and `amd_comm::walk` takes the same lists through the
+//! same loop without payloads for `dry_run` and `predict_ranks`. Reordering a rank's work is an edit
 //! of its list.
 
 pub mod a15d;
