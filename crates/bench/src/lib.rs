@@ -9,7 +9,7 @@
 //!   `BENCH_repro.json`: simulated clocks, bytes, messages, rank counts
 //!   and decomposition shapes, no host stamp, byte-identical from run to
 //!   run;
-//! * [`wall`] — every wall-clock table (decomposition phases, the K1–K8
+//! * [`wall`] — every wall-clock table (decomposition phases, the K1–K5
 //!   kernels, refresh latency) goes to `BENCH_wall.json`, stamped with
 //!   the host that timed it.
 //!

@@ -21,7 +21,7 @@ const SIZES: [u32; 2] = [10_000, 50_000];
 const LOCALITIES: [f64; 3] = [0.001, 0.01, 0.10];
 
 /// Ring plus short chords: banded, several levels, localized structure.
-pub(crate) fn banded(n: u32) -> CsrMatrix<f64> {
+fn banded(n: u32) -> CsrMatrix<f64> {
     let mut coo = CooMatrix::new(n, n);
     for v in 0..n {
         coo.push_sym(v, (v + 1) % n, 1.0).unwrap();

@@ -1,5 +1,5 @@
 //! Every wall-clock table: what a decomposition costs (E7's timing
-//! half), the K1–K8 kernels, and refresh latency. Each cell is the best
+//! half), the K1–K5 kernels, and refresh latency. Each cell is the best
 //! of five runs; the file is stamped with the host that ran them
 //! ([`wall_json`]), because these numbers mean nothing without it.
 //!
@@ -7,35 +7,24 @@
 //!   serial kernel and the pool-parallel kernel.
 //! * K2–K5 — LA-Decompose, random spanning forests, the smallest-first
 //!   layout and rooting, and the binomial broadcast of the comm
-//!   substrate.
-//! * K6 / K8 — the fused active-prefix level multiply against the naive
-//!   three-pass reference, over operand widths and splice depths (the
-//!   spliced levels have tiny active prefixes, so the naive path's
-//!   full-`n` permutes dominate as refreshes stack).
-//! * K7 — compiled `f32` against `f64` serving (the same fused kernel at
-//!   half the bytes per value).
+//!   substrate, run as one-step lists in the one loop.
 
 use crate::ledger::{Row, Section};
 use crate::paper::table3_widths;
-use crate::refresh::banded;
 use crate::{bench_graph, BENCH_SEED};
-use amd_comm::{Group, Machine};
+use amd_comm::{run, Collective, CostModel, Schedule, Step};
 use amd_graph::generators::datasets::DatasetKind;
 use amd_graph::generators::random::random_tree;
 use amd_graph::mst::random_spanning_forest;
 use amd_linarr::tree_layout::{root_tree, smallest_first_order};
 use amd_obs::{JsonWriter, Stopwatch};
-use amd_sparse::{ops, spmm, CsrMatrix, DeltaBuilder, DenseMatrix, Dtype};
-use amd_spmm::reference::unfused_multiply;
-use arrow_core::incremental::{decompose_snapshot_incremental, IncrementalPolicy};
-use arrow_core::{
-    decompose_snapshot, la_decompose, la_decompose_timed, ArrowDecomposition, DecomposeConfig,
-    RandomForestLa,
-};
+use amd_sparse::{spmm, CsrMatrix, DenseMatrix, Dtype};
+use arrow_core::{la_decompose, la_decompose_timed, DecomposeConfig, RandomForestLa};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Timed runs per cell; every cell reports the fastest.
 pub(crate) const SAMPLES: usize = 5;
@@ -64,8 +53,6 @@ pub fn all(n: u32) -> Vec<Section> {
         decomposition(n),
         local_spmm(),
         single_kernels(),
-        fused_vs_naive(),
-        dtype(),
         crate::refresh::latency(),
     ]
 }
@@ -229,116 +216,27 @@ fn single_kernels() -> Section {
         "random tree 20k",
         best_ms(|| root_tree(&tree, 0)),
     ));
+    // 32 KiB from rank 0 down the binomial tree, as each rank's one-step list.
+    let (words, cost) = (4096, CostModel::default());
     for p in [8u32, 32] {
-        let ms = best_ms(|| {
-            Machine::new(p).run(|ctx| {
-                let g = Group::world(ctx);
-                let data = (g.my_idx() == 0).then(|| vec![1.0f64; 4096]);
-                g.broadcast(ctx, 0, data).len()
-            })
+        let bcast = Collective::broadcast(p as usize, words, None);
+        let plan = bcast
+            .plan(Schedule::Tree)
+            .expect("every broadcast has a tree");
+        let members: Arc<[u32]> = (0..p).collect();
+        let list: [Step; 1] = [Step::run(plan, &members, 0, None, 1, 0, 0)];
+        let lists = vec![list; p as usize];
+        let root = Arc::new(vec![1.0f64; words]);
+        let (ms, bufs) = best(|| {
+            let mut bufs = vec![[Arc::default()]; p as usize];
+            bufs[0] = [Arc::clone(&root)];
+            run(&lists, 1, &cost, bufs, |_, _| {}).1
         });
+        assert!(
+            bufs.iter().all(|[b]| b == &root),
+            "every rank holds the root's words"
+        );
         rows.push(row("K5", "broadcast 32 KiB", &format!("p = {p}"), ms));
     }
     Section::new("kernels", "K2–K5 — construction and comm kernels", rows)
-}
-
-/// Splices `rounds` localized deltas onto `d`, deepening the level stack
-/// with small-active-prefix levels.
-fn splice_rounds(
-    base: &CsrMatrix<f64>,
-    d: &ArrowDecomposition,
-    cfg: &DecomposeConfig,
-    rounds: u32,
-) -> ArrowDecomposition {
-    let n = base.rows();
-    let policy = IncrementalPolicy {
-        max_affected_fraction: 1.0,
-        max_order: 256,
-        ..Default::default()
-    };
-    let mut cur = base.clone();
-    let mut dec = d.clone();
-    for round in 0..rounds {
-        let start = 1000 + round * 50;
-        let mut delta = DeltaBuilder::<f64>::new(n, n);
-        for i in 0..12u32 {
-            let u = (start + 3 * i) % n;
-            delta.add_sym(u, (u + 2) % n, 1.0).unwrap();
-        }
-        let merged = ops::apply_delta(&cur, &delta.to_csr()).expect("delta applies");
-        let (next, outcome) = decompose_snapshot_incremental(
-            &merged,
-            cfg,
-            BENCH_SEED,
-            Some(&dec),
-            Some(&delta.touched_vertices()),
-            &policy,
-        )
-        .expect("refresh decomposes");
-        assert!(
-            outcome.incremental,
-            "splice fell back: {:?}",
-            outcome.fallback
-        );
-        cur = merged;
-        dec = next;
-    }
-    dec
-}
-
-/// K6 / K8 — fused against naive, over RHS widths and splice depths.
-fn fused_vs_naive() -> Section {
-    let n = 20_000u32;
-    let base = banded(n);
-    let cfg = DecomposeConfig::with_width(64);
-    let cold = decompose_snapshot(&base, &cfg, BENCH_SEED).expect("decomposes");
-    let mut rows = Vec::new();
-    for rounds in [0u32, 4, 8] {
-        let d = splice_rounds(&base, &cold, &cfg, rounds);
-        for k in [8u32, 64] {
-            let x = DenseMatrix::from_fn(n, k, |r, c| (((r + c) % 9) as f64) - 4.0);
-            let naive = best_ms(|| unfused_multiply(&d, &x).expect("shapes agree"));
-            let fused = best_ms(|| d.multiply(&x).expect("shapes agree"));
-            rows.push(
-                Row::new()
-                    .int("n", n as u64)
-                    .int("k", k as u64)
-                    .int("splice_rounds", rounds as u64)
-                    .int("levels", d.order() as u64)
-                    .num("active_prefix", d.active_prefix_fraction(), 4)
-                    .num("naive_ms", naive, 3)
-                    .num("fused_ms", fused, 3)
-                    .num("speedup", naive / fused, 2),
-            );
-        }
-    }
-    Section::new(
-        "fused_vs_naive",
-        "K6/K8 — fused vs naive level multiply",
-        rows,
-    )
-}
-
-/// K7 — compiled `f32` against `f64`.
-fn dtype() -> Section {
-    let n = 20_000u32;
-    let d = decompose_snapshot(&banded(n), &DecomposeConfig::with_width(64), BENCH_SEED)
-        .expect("decomposes");
-    let (c64, c32) = (d.compile::<f64>(), d.compile::<f32>());
-    let rows = [8u32, 64]
-        .into_iter()
-        .map(|k| {
-            let x64 = DenseMatrix::from_fn(n, k, |r, c| (((r + c) % 9) as f64) - 4.0);
-            let x32 = DenseMatrix::from_fn(n, k, |r, c| (((r + c) % 9) as f32) - 4.0);
-            let f64_ms = best_ms(|| c64.multiply(&x64).expect("shapes agree"));
-            let f32_ms = best_ms(|| c32.multiply(&x32).expect("shapes agree"));
-            Row::new()
-                .int("n", n as u64)
-                .int("k", k as u64)
-                .num("f64_ms", f64_ms, 3)
-                .num("f32_ms", f32_ms, 3)
-                .num("speedup", f64_ms / f32_ms, 2)
-        })
-        .collect();
-    Section::new("dtype", "K7 — compiled f32 vs f64 serving multiply", rows)
 }

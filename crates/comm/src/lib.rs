@@ -47,8 +47,8 @@
 //! sleeping until its `(src, tag)` arrives. [`Group::broadcast`],
 //! [`Group::reduce_sum`] and [`Group::allreduce_sum`] run a binomial
 //! tree's plan there, on vectors of `f64`, through the same runner. No
-//! step list runs on it: it serves the benchmark's communication probe,
-//! the wall-clock table's broadcast row and this crate's tests. A rank
+//! step list runs on it: it serves the benchmark's communication probe
+//! and this crate's tests. A rank
 //! program that panics aborts its run: peers that wait on a message
 //! panic too instead of waiting forever, and [`Machine::run`] re-raises
 //! the first rank's panic once every rank has returned.

@@ -1,21 +1,18 @@
 //! The machine: runs an SPMD closure on `p` ranks, collects stats.
 //!
-//! Ranks execute on cached rank-slot threads of a persistent
-//! [`amd_exec::ExecPool`] (the process-global pool unless one is
-//! supplied via [`Machine::with_exec`]), because a closure's receive
-//! blocks its thread. Only closure programs run here — the benchmark's
-//! communication probe, the wall-clock table's broadcast row and the
-//! crate's tests; step lists run in the one loop of
-//! [`steps`](crate::steps), with no thread per rank. Results, per-rank
-//! simulated clocks, and message accounting do not depend on which
-//! thread runs which rank: the clocks are purely logical (derived from
-//! message sizes and the cost model, never from the OS scheduler).
+//! Ranks execute on cached rank-slot threads of the process-global
+//! [`amd_exec::ExecPool`], because a closure's receive blocks its
+//! thread. Only closure programs run here — the benchmark's
+//! communication probe and the crate's tests; step lists run in the one
+//! loop of [`steps`](crate::steps), with no thread per rank. Results,
+//! per-rank simulated clocks, and message accounting do not depend on
+//! which thread runs which rank: the clocks are purely logical (derived
+//! from message sizes and the cost model, never from the OS scheduler).
 
 use crate::cost::CostModel;
 use crate::mailbox::PostOffice;
 use crate::rank::RankCtx;
 use crate::stats::{MachineStats, RankStats};
-use amd_exec::ExecPool;
 use amd_obs::Stopwatch;
 use std::sync::Arc;
 
@@ -24,9 +21,6 @@ use std::sync::Arc;
 pub struct Machine {
     p: u32,
     cost: CostModel,
-    /// Private pool for the rank slots; the process-global pool when
-    /// `None`.
-    exec: Option<ExecPool>,
 }
 
 /// Results and accounting of one run.
@@ -45,19 +39,12 @@ impl Machine {
         Self {
             p,
             cost: CostModel::default(),
-            exec: None,
         }
     }
 
     /// Overrides the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Runs ranks on slots of `pool` instead of the global pool.
-    pub fn with_exec(mut self, pool: ExecPool) -> Self {
-        self.exec = Some(pool);
         self
     }
 
@@ -75,7 +62,7 @@ impl Machine {
     {
         let p = self.p as usize;
         let post = Arc::new(PostOffice::new(p));
-        let pool = self.exec.clone().unwrap_or_else(amd_exec::global);
+        let pool = amd_exec::global();
         let start = Stopwatch::start();
         let spmd = &program;
         let tasks: Vec<Box<dyn FnOnce() -> (T, RankStats) + Send + '_>> = (0..p as u32)

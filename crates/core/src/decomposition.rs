@@ -1,7 +1,7 @@
 //! The arrow matrix decomposition `A = Σᵢ P_πᵢ Bᵢ Pᵀ_πᵢ` (§4).
 
 use crate::arrow_matrix::ArrowMatrix;
-use amd_sparse::{kernel, ops, CsrMatrix, DenseMatrix, Permutation, SparseResult};
+use amd_sparse::{ops, spmm, CsrMatrix, DenseMatrix, Permutation, Scalar, SparseResult};
 
 /// One level of the decomposition: a permutation `πᵢ` and the arrow matrix
 /// `Bᵢ` expressed in permuted coordinates (positions).
@@ -92,9 +92,8 @@ impl ArrowDecomposition {
     /// Fraction of positions that are active, averaged over levels
     /// (`Σᵢ active_nᵢ / (l · n)`). Spliced levels produced by incremental
     /// refresh have tiny active prefixes, so a low fraction means the
-    /// fused multiply skips most of the permutation work a naive
-    /// level-by-level multiply would pay. `1.0` for an empty decomposition
-    /// (nothing is skippable).
+    /// distributed multiply gives most levels few ranks. `1.0` for an
+    /// empty decomposition.
     pub fn active_prefix_fraction(&self) -> f64 {
         if self.levels.is_empty() || self.n == 0 {
             return 1.0;
@@ -104,21 +103,10 @@ impl ArrowDecomposition {
     }
 
     /// `Y = A · X` through the decomposition (Eq. 1):
-    /// `AX = Σᵢ P_πᵢ (Bᵢ (Pᵀ_πᵢ X))`.
-    ///
-    /// Each level runs the fused active-prefix kernel
-    /// ([`kernel::fused_level_acc`]): one register-blocked pass that gathers
-    /// `x` through the arrangement, multiplies the banded level matrix and
-    /// accumulates straight into `y`, touching only the level's active
-    /// prefix. Bit-identical to the three-pass level multiply
-    /// (`amd_spmm::reference::unfused_multiply`) for all non-NaN inputs
-    /// (see the kernel module docs for why).
+    /// `AX = Σᵢ P_πᵢ (Bᵢ (Pᵀ_πᵢ X))`, level by level.
     pub fn multiply(&self, x: &DenseMatrix<f64>) -> SparseResult<DenseMatrix<f64>> {
-        let mut y = DenseMatrix::zeros(self.n, x.cols());
-        for level in &self.levels {
-            kernel::fused_level_acc(&level.matrix, level.perm.order(), level.active_n, x, &mut y)?;
-        }
-        Ok(y)
+        let levels = self.levels.iter().map(|l| (&l.perm, &l.matrix));
+        eq1_multiply(self.n, levels, x)
     }
 
     /// Iterated multiply `X_{t+1} = σ(A X_t)` for `steps` iterations.
@@ -136,6 +124,22 @@ impl ArrowDecomposition {
         }
         Ok(x)
     }
+}
+
+/// Eq. 1 over `levels` at any precision: for each arrangement `πᵢ` and
+/// its level matrix `Bᵢ` (in position coordinates), permute `X`
+/// (`Pᵀ_πᵢ X`), multiply by `Bᵢ`, permute back and add into `Y`.
+pub(crate) fn eq1_multiply<'a, T: Scalar>(
+    n: u32,
+    levels: impl Iterator<Item = (&'a Permutation, &'a CsrMatrix<T>)>,
+    x: &DenseMatrix<T>,
+) -> SparseResult<DenseMatrix<T>> {
+    let mut y = DenseMatrix::zeros(n, x.cols());
+    for (perm, matrix) in levels {
+        let yi = spmm::spmm(matrix, &perm.apply_rows(x)?)?;
+        y.add_assign(&perm.unapply_rows(&yi)?)?;
+    }
+    Ok(y)
 }
 
 #[cfg(test)]

@@ -8,10 +8,9 @@
 //!   `b × b` tiles (row arm `B(0,j)`, column arm `B(i,0)`, block diagonal
 //!   `B(i,i)`; Figure 2 of the paper),
 //! * [`ArrowDecomposition`] — `A = Σᵢ P_πᵢ Bᵢ Pᵀ_πᵢ` with validation,
-//!   reconstruction and fused active-prefix multiplication (Eq. 1),
-//! * [`CompiledDecomposition`] — the decomposition lowered to a serving
-//!   precision (`f64`, or `f32` for half-bandwidth multiplies with the
-//!   derived error bound of [`f32_multiply_error_bound`]),
+//!   reconstruction and the level-by-level multiply of Eq. 1,
+//! * [`CompiledDecomposition`] — the decomposition lowered to `f64` or
+//!   `f32`, multiplied by the same Eq. 1 function,
 //! * [`la_decompose()`] — the LA-Decompose framework (§5.1): prune the `b`
 //!   highest-degree vertices, lay out the remainder with a pluggable
 //!   [`ArrangementStrategy`], peel off the arrow-shaped part, recurse,
@@ -52,7 +51,7 @@ pub mod strategy;
 
 pub use arrow_matrix::ArrowMatrix;
 pub use catalog::{Catalog, CatalogStats, GcReport, RetainPolicy, VersionRecord};
-pub use compiled::{f32_multiply_error_bound, CompiledDecomposition};
+pub use compiled::CompiledDecomposition;
 pub use decomposition::{ArrowDecomposition, ArrowLevel};
 pub use incremental::{
     decompose_snapshot_incremental, FallbackReason, IncrementalPolicy, RefreshOutcome,

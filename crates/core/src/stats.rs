@@ -16,10 +16,9 @@ pub struct LevelStats {
     pub nonzero_rows: u32,
     /// The dense active prefix length (positions that may host entries).
     pub active_n: u32,
-    /// `active_n / n`: the share of positions the fused multiply kernel
-    /// actually touches at this level. Spliced levels from incremental
-    /// refresh sit near `0`, which is what makes serving deep splices
-    /// cheap.
+    /// `active_n / n`: the share of positions that may host entries at
+    /// this level. Spliced levels from incremental refresh sit near `0`,
+    /// so the distributed multiply gives them few ranks.
     pub active_fraction: f64,
     /// Nonzero `b × b` tiles in the arrow layout.
     pub nonzero_tiles: usize,
@@ -43,7 +42,7 @@ pub struct DecompositionStats {
     pub second_level_row_fraction: f64,
     /// Level-averaged active-prefix share
     /// ([`ArrowDecomposition::active_prefix_fraction`]): the fraction of
-    /// per-level positions the fused serving kernel reads/writes.
+    /// per-level positions that may host entries.
     pub active_prefix_fraction: f64,
 }
 

@@ -221,8 +221,8 @@ struct BoundMatrix {
     salt: u128,
     /// Mean active-prefix fraction of the levels of the decomposition
     /// the binding was planned from (Σ activeᵢ / (levels · n)) — the
-    /// share of permuted rows the fused kernel actually touches; carried
-    /// into trace events. `None` on one rank, where there is none.
+    /// share of positions that may host entries; carried into trace
+    /// events. `None` on one rank, where there is none.
     active_prefix: Option<f64>,
 }
 

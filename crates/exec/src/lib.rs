@@ -16,8 +16,8 @@
 //! * **Rank slots** execute *blocking* SPMD closure programs (a rank
 //!   sleeps on its inbox inside `RankCtx::recv` mid-protocol, so it
 //!   must own a thread). Only `amd-comm`'s closure `Machine` uses them —
-//!   the benchmark's communication probe, the wall-clock table's
-//!   broadcast row and the comm tests; no multiply does. Slots are
+//!   the benchmark's communication probe and the comm tests; no
+//!   multiply does. Slots are
 //!   parked threads cached between runs: [`ExecPool::run_tasks`]
 //!   acquires `p` of them, reusing parked threads and spawning only when
 //!   the cache is short. A panicking rank is caught on its slot thread,

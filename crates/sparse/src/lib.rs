@@ -14,10 +14,6 @@
 //!   reorderings `PᵀAP` used throughout the decomposition,
 //! * [`DeltaBuilder`] — the coalescing `ΔA` accumulator of the streaming
 //!   update layer, with [`ops::apply_delta`] folding a delta into a base,
-//! * fused active-prefix level kernels ([`kernel`]) — the same row
-//!   walker gathering through an arrangement: permute, band-multiply
-//!   and accumulate in one pass, generic over [`Scalar`] with a [`Dtype`]
-//!   selector for f32 half-bandwidth serving,
 //! * bandwidth and arrow-width measures ([`band`]).
 //!
 //! Conventions follow the paper (Gianinazzi et al., PPoPP'24): matrices are
@@ -32,7 +28,6 @@ pub mod delta;
 pub mod dense;
 pub mod error;
 pub mod io;
-pub mod kernel;
 pub mod ops;
 pub mod permutation;
 pub mod scalar;

@@ -7,16 +7,11 @@
 //! # One row walker
 //!
 //! Every multiply in this crate — [`spmm`], [`spmm_parallel`],
-//! [`spmm_slices`], [`spmm_slices_rows`] and the fused level kernels of [`crate::kernel`]
-//! — runs the same **row walker**. It is handed its rows as
-//! `(entry extent, output slot)` pairs from one of two sources:
-//!
-//! * a **contiguous run** of rows into consecutive slots — the plain
-//!   multiplies, each block of [`spmm_parallel`] and the run of
-//!   [`spmm_slices_rows`] — whose extents come from one pass over
-//!   `indptr`, each offset read once;
-//! * **explicit `(row, slot)` pairs** — the fused kernels, whose rows
-//!   scatter through a position→vertex map.
+//! [`spmm_slices`] and [`spmm_slices_rows`] — runs the same **row
+//! walker**. It takes its rows as one **contiguous run** into
+//! consecutive output rows — the whole matrix, a block of
+//! [`spmm_parallel`] or the run of [`spmm_slices_rows`] — whose entry
+//! extents come from one pass over `indptr`, each offset read once.
 //!
 //! At `k = 1` a row is one sum: a single accumulator walks the row's
 //! stored entries and the finished sum touches the output once. A wider
@@ -25,8 +20,8 @@
 //! a `[T; W]` that the compiler keeps in registers. Either way only the
 //! finished sums touch the output ([`Finish`]: overwrite it, continue
 //! from what it held, or fold into it with one addition). The `x` row of
-//! an entry is its column index or found through a position→vertex map
-//! (the fused kernels' gather); products are exact or rounded through
+//! an entry is its column index or found through a gather map (the
+//! Arrow multiply's gather feed); products are exact or rounded through
 //! `f32` ([`Dtype`]). Whether there is a map, the finish and the product
 //! mode are properties of the call, fixed when it enters the walker:
 //! each combination is its own instantiation, so the loop over a row's
@@ -80,10 +75,10 @@ pub enum Finish {
     Accumulate,
     /// `y += (Σ from +0.0)`: one addition per element after the row's
     /// product is complete — the order of "multiply, then add" (the
-    /// fused level kernels, the delta correction). Rows without stored
-    /// entries are left untouched: they would add `+0.0`, which changes
-    /// only a `−0.0` — a value no `y` that was itself summed from `+0.0`
-    /// (a zeroed buffer, a base product) ever holds.
+    /// delta correction). Rows without stored entries are left
+    /// untouched: they would add `+0.0`, which changes only a `−0.0` — a
+    /// value no `y` that was itself summed from `+0.0` (a zeroed buffer,
+    /// a base product) ever holds.
     Fold,
 }
 
@@ -112,15 +107,6 @@ pub(crate) fn run_of<T: Scalar>(
         .windows(2)
         .map(|w| w[0]..w[1])
         .zip(0..)
-}
-
-/// Explicit `(row, slot)` pairs of `a`, in the caller's order.
-pub(crate) fn pairs_of<'a, T: Scalar>(
-    a: &'a CsrMatrix<T>,
-    pairs: impl Iterator<Item = (u32, usize)> + 'a,
-) -> impl Iterator<Item = Row> + 'a {
-    let indptr = a.indptr();
-    pairs.map(move |(r, at)| (indptr[r as usize]..indptr[r as usize + 1], at))
 }
 
 /// Where the `x` row of an entry with column index `c` is, fixed per

@@ -1,7 +1,6 @@
 //! Serial reference SpMM used for verification.
 
 use amd_sparse::{spmm, CsrMatrix, DenseMatrix, SparseResult};
-use arrow_core::ArrowDecomposition;
 
 /// `A^iters · X` computed serially.
 pub fn iterated_spmm(
@@ -14,24 +13,6 @@ pub fn iterated_spmm(
         cur = spmm::spmm(a, &cur)?;
     }
     Ok(cur)
-}
-
-/// `A · X` through an arrow decomposition the three-pass way, level by
-/// level: materialise `Pᵀ_πᵢ X`, run the level SpMM over all `n` rows,
-/// permute back, add. The naive comparator the fused kernel
-/// ([`ArrowDecomposition::multiply`]) must bit-match.
-pub fn unfused_multiply(
-    d: &ArrowDecomposition,
-    x: &DenseMatrix<f64>,
-) -> SparseResult<DenseMatrix<f64>> {
-    let mut y = DenseMatrix::zeros(d.n(), x.cols());
-    for level in d.levels() {
-        let px = level.perm.apply_rows(x)?;
-        let yi = spmm::spmm(&level.matrix, &px)?;
-        let back = level.perm.unapply_rows(&yi)?;
-        y.add_assign(&back)?;
-    }
-    Ok(y)
 }
 
 #[cfg(test)]

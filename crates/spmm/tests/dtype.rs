@@ -1,6 +1,6 @@
 //! Dtype acceptance properties across all four distributed algorithms:
 //! at `f64` every algorithm must bit-match the serial iterated reference
-//! (the fused serving path changes nothing), and at `f32` the answers
+//! (the one-rank serving path changes nothing), and at `f32` the answers
 //! stay bit-exact on integer data (small integers round-trip `f32`
 //! narrowing losslessly and products accumulate in `f64`). The `f32`
 //! wire format must also halve every algorithm's predicted volume

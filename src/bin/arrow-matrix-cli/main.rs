@@ -64,8 +64,8 @@
 //! f32|f64` (default `f64`). `f32` halves the communication volume by
 //! narrowing matrix values and operand entries to single precision
 //! (products accumulate in `f64`); answers stay exact on integer-valued
-//! data and within the documented error bound
-//! (`arrow_core::f32_multiply_error_bound`) otherwise. A metrics snapshot
+//! data, and `multiply` and `stream` check every answer against a serial
+//! reference within `tolerance` (below) otherwise. A metrics snapshot
 //! records the serving dtype (`engine.dtype_bytes`) and, above one rank,
 //! the decomposition's active-prefix fraction
 //! (`engine.active_prefix_permille`); `stats` prints both.
