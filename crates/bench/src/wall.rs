@@ -15,6 +15,7 @@ use crate::{bench_graph, BENCH_SEED};
 use amd_comm::{run, Collective, CostModel, Schedule, Step};
 use amd_graph::generators::datasets::DatasetKind;
 use amd_graph::generators::random::random_tree;
+use amd_graph::generators::rmat::{rmat, RmatParams};
 use amd_graph::mst::random_spanning_forest;
 use amd_linarr::tree_layout::{root_tree, smallest_first_order};
 use amd_obs::{JsonWriter, Stopwatch};
@@ -148,25 +149,33 @@ fn scalar_floor(a: &CsrMatrix<f64>, x: &[f64], k: usize, y: &mut [f64]) {
     }
 }
 
-/// K1 — into one kept output buffer, as a server multiplies.
+/// K1 — into one kept output buffer, as a server multiplies: WebBase-like
+/// at `k` ∈ {1, 8, 16, 64}, and R-MAT scale 14 at `k = 64`, the shape of
+/// the benchmark's wide serving workload.
 fn local_spmm() -> Section {
-    let a: CsrMatrix<f64> = bench_graph(DatasetKind::WebBase, 10_000).to_adjacency();
-    let rows = [1u32, 8, 16, 64]
+    let webbase: CsrMatrix<f64> = bench_graph(DatasetKind::WebBase, 10_000).to_adjacency();
+    let mut rng = ChaCha8Rng::seed_from_u64(BENCH_SEED);
+    let rmat14: CsrMatrix<f64> = rmat(14, 8, RmatParams::graph500(), &mut rng).to_adjacency();
+    let cells = [1u32, 8, 16, 64]
+        .map(|k| ("WebBase 10k", &webbase, k))
         .into_iter()
-        .map(|k| {
+        .chain([("R-MAT 14", &rmat14, 64)]);
+    let rows = cells
+        .map(|(input, a, k)| {
             let x = DenseMatrix::from_fn(a.cols(), k, |r, c| ((r + c) % 13) as f64 / 3.0 - 2.0);
             let mut y = DenseMatrix::zeros(a.rows(), k);
-            let floor = best_ms(|| scalar_floor(&a, x.data(), k as usize, y.data_mut()));
+            let floor = best_ms(|| scalar_floor(a, x.data(), k as usize, y.data_mut()));
             let floor_y = y.clone();
             let serial = best_ms(|| {
                 let (x, y) = (x.data(), y.data_mut());
-                spmm::spmm_slices(&a, x, k, None, y, spmm::Finish::Overwrite, Dtype::F64)
+                spmm::spmm_slices(a, x, k, None, y, spmm::Finish::Overwrite, Dtype::F64)
                     .expect("shapes agree")
             });
             assert_eq!(y, floor_y, "the kernel and the floor agree bit for bit");
             let pool =
-                best_ms(|| spmm::spmm_parallel(&a, &x, &mut y, Dtype::F64).expect("shapes agree"));
+                best_ms(|| spmm::spmm_parallel(a, &x, &mut y, Dtype::F64).expect("shapes agree"));
             Row::new()
+                .text("input", input)
                 .int("n", a.rows() as u64)
                 .int("nnz", a.nnz() as u64)
                 .int("k", k as u64)
@@ -176,7 +185,7 @@ fn local_spmm() -> Section {
                 .num("floor_over_serial", floor / serial, 2)
         })
         .collect();
-    Section::new("local_spmm", "K1 — local SpMM (WebBase-like)", rows)
+    Section::new("local_spmm", "K1 — local SpMM", rows)
 }
 
 /// K2–K5, one timing each.

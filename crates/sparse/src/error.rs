@@ -33,6 +33,9 @@ pub enum SparseError {
     /// match on this variant so injected transients are retried while
     /// real structural errors still propagate.
     Injected(String),
+    /// A multiply asked for a compiled body of the row walker (named by
+    /// the string) that this CPU cannot run.
+    UnsupportedBody(String),
 }
 
 impl fmt::Display for SparseError {
@@ -55,6 +58,9 @@ impl fmt::Display for SparseError {
             SparseError::InvalidCsr(msg) => write!(f, "invalid CSR structure: {msg}"),
             SparseError::InvalidPermutation(msg) => write!(f, "invalid permutation: {msg}"),
             SparseError::Injected(site) => write!(f, "injected fault at failpoint `{site}`"),
+            SparseError::UnsupportedBody(body) => {
+                write!(f, "this CPU cannot run the {body} multiply body")
+            }
         }
     }
 }

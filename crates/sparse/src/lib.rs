@@ -7,7 +7,8 @@
 //! * [`CsrMatrix`] — compressed sparse row storage, multiplied by the
 //!   serial, pool-parallel and borrowed-slice SpMM entry points of
 //!   [`spmm`], all of them one row walker (a one-sum loop at `k = 1`,
-//!   register-blocked strips above it),
+//!   register-blocked strips above it, up to 64 columns wide on an
+//!   AVX-512 CPU, the widest prefetching the `x` rows of coming entries),
 //! * [`DenseMatrix`] — row-major dense storage for the tall-skinny feature
 //!   matrices `X ∈ R^{n×k}` of the paper,
 //! * [`Permutation`] — vertex/row permutations `π` and the symmetric

@@ -15,9 +15,12 @@
 //!
 //! At `k = 1` a row is one sum: a single accumulator walks the row's
 //! stored entries and the finished sum touches the output once. A wider
-//! row is cut greedily into strips of 16, 8, 4 and 1 columns; for each
-//! strip the row's entries are walked once with the strip's sums held in
-//! a `[T; W]` that the compiler keeps in registers. Either way only the
+//! row is cut greedily into strips: as many of the body's widest strip
+//! as fit (16 columns on the portable body, 32 on the AVX2 one, 64 on
+//! the AVX-512 one), then at most one each of the narrower widths 32,
+//! 16, 8 and 4, then single columns. For each strip the row's entries
+//! are walked once with the strip's sums held in a `[T; W]` that the
+//! compiler keeps in registers. Either way only the
 //! finished sums touch the output ([`Finish`]: overwrite it, continue
 //! from what it held, or fold into it with one addition). The `x` row of
 //! an entry is its column index or found through a gather map (the
@@ -26,6 +29,16 @@
 //! mode are properties of the call, fixed when it enters the walker:
 //! each combination is its own instantiation, so the loop over a row's
 //! entries tests none of them.
+//!
+//! A strip of 32 or more columns also prefetches: before it walks entry
+//! `i` (counted over all of `a`'s stored entries, so the look-ahead runs
+//! on past the row's end) it asks for every cache line of its columns of
+//! the `x` row of entry `i + 8` — that entry's column index, through the
+//! gather map when there is one — unless no such entry exists or the
+//! address is not inside `x`. A wide operand's `x` rows are too many for
+//! L2 and are read in a random order, so without the hint every entry
+//! waits on L3. A prefetch is a hint that writes nothing; narrower strips
+//! issue none and do no work for it.
 //!
 //! # Why every result is bit-identical to the loop it replaced
 //!
@@ -36,22 +49,29 @@
 //! one per addition, the same finish — it merely keeps the running sum in
 //! a register between entries. The `k = 1` loop is that sequence for the
 //! row's one element, and a strip is it for `W` elements side by side.
-//! Elements never interact, so cutting a row into strips, or where a
-//! row's extent and slot come from, reorders nothing. No fused
-//! multiply-add is ever emitted (Rust does not contract `a + b · c`, and
-//! the AVX2 instantiation does not enable `fma`), and nothing is
+//! Elements never interact, so cutting a row into strips of any width, or
+//! where a row's extent and slot come from, reorders nothing, and a
+//! prefetch touches no value. No fused multiply-add is ever emitted: Rust
+//! never contracts `a + b · c`, the AVX2 body does not enable `fma`, and
+//! the AVX-512 body enables only `avx512f` (whose FMA units Rust then
+//! still never uses for an addition of a product); nothing is
 //! reassociated.
 //!
 //! # What is selected at run time
 //!
-//! On x86-64 the walker is compiled twice: once for the build's
-//! baseline target and once under `#[target_feature(enable = "avx2")]`,
-//! where a 16-column strip is four 256-bit registers. Which one runs is
-//! decided per call by `is_x86_feature_detected!("avx2")` — from the CPU,
-//! not from a field, an environment variable or a cargo feature. Every
-//! other architecture has only the portable body. Both execute the same
-//! IEEE operations, so the choice never changes a bit of any result;
-//! [`spmm_slices_portable`] exists so a test can hold them side by side.
+//! On x86-64 the walker is compiled three times ([`Body`]): for the
+//! build's baseline target with strips of up to 16 columns, under
+//! `#[target_feature(enable = "avx2")]` with strips of up to 32 (eight
+//! 256-bit registers at `f64`), and under
+//! `#[target_feature(enable = "avx512f")]` with strips of up to 64 (eight
+//! 512-bit registers). Which one runs is decided per call from the CPU
+//! and the operand's width — the AVX-512 body from 32 columns on, where
+//! it is faster (below, it ties or loses), else the AVX2 body — by
+//! `is_x86_feature_detected!`, not from a field, an environment variable
+//! or a cargo feature. Every other architecture has only the portable
+//! body. All three execute the same IEEE operations, so the choice never
+//! changes a bit of any result; [`spmm_slices_on`] runs a named body so a
+//! test can hold each of them to one reference.
 //!
 //! The parallel variant splits over blocks of output rows on the shared
 //! `amd-exec` pool, which is the natural decomposition for CSR ×
@@ -114,6 +134,8 @@ pub(crate) fn run_of<T: Scalar>(
 /// `map: &[u32]`.
 trait Gather: Copy {
     fn row(self, c: u32) -> usize;
+    /// [`Gather::row`], or `None` for an index the map does not cover.
+    fn try_row(self, c: u32) -> Option<usize>;
 }
 
 /// No gather map: an entry's `x` row is its column index.
@@ -125,6 +147,10 @@ impl Gather for Direct {
     fn row(self, c: u32) -> usize {
         c as usize
     }
+    #[inline(always)]
+    fn try_row(self, c: u32) -> Option<usize> {
+        Some(c as usize)
+    }
 }
 
 impl Gather for &[u32] {
@@ -132,12 +158,23 @@ impl Gather for &[u32] {
     fn row(self, c: u32) -> usize {
         self[c as usize] as usize
     }
+    #[inline(always)]
+    fn try_row(self, c: u32) -> Option<usize> {
+        self.get(c as usize).map(|&r| r as usize)
+    }
 }
 
 // `Finish` as a const parameter of the walker.
 const OVERWRITE: u8 = Finish::Overwrite as u8;
 const ACCUMULATE: u8 = Finish::Accumulate as u8;
 const FOLD: u8 = Finish::Fold as u8;
+
+/// Strips at least this wide prefetch the `x` rows of coming entries.
+const PREFETCH_MIN_W: usize = 32;
+
+/// How many stored entries ahead of the one being walked a wide strip
+/// prefetches.
+const PREFETCH_AHEAD: usize = 8;
 
 /// `v · x`, exact or rounded through `f32` (then summed at `T`; a no-op
 /// narrowing when `T = f32`).
@@ -150,12 +187,57 @@ fn product<T: Scalar, const NARROW: bool>(v: T, x: T) -> T {
     }
 }
 
+/// Asks for every cache line of the columns `j0..j0 + W` of the `x` row
+/// of stored entry `at` (an offset into `indices`, `a`'s column indices,
+/// in any row) to be brought into L1. A hint: it changes no result, and
+/// nothing is asked when there is no such entry or its row is not inside
+/// `x`.
+#[inline(always)]
+fn prefetch<T: Scalar, G: Gather, const W: usize>(
+    ops: Operands<'_, T>,
+    indices: &[u32],
+    gather: G,
+    at: usize,
+    j0: usize,
+) {
+    let Some(row) = indices.get(at).and_then(|&c| gather.try_row(c)) else {
+        return;
+    };
+    let start = row * ops.k + j0;
+    let Some(xs) = ops.x.get(start..start + W) else {
+        return;
+    };
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let (p, bytes) = (xs.as_ptr().cast::<i8>(), size_of_val(xs));
+        // One address per line from the first byte, then the last byte,
+        // whose line the others miss when `xs` does not start a line.
+        for line in 0..bytes / LINE {
+            // SAFETY: `line * LINE < bytes`, so the address lies inside
+            // `xs`; a prefetch reads nothing into the program and cannot
+            // fault.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(p.add(line * LINE)) };
+        }
+        // SAFETY: as above, for the last byte of `xs`.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.add(bytes - 1)) };
+    }
+    // Strips this wide run only in the x86-64 bodies.
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = xs;
+}
+
 /// One `W`-column strip of one output row: walks the row's entries once
-/// with the sums in `acc`, then finishes into `out[j0..j0 + W]`.
+/// with the sums in `acc`, then finishes into `out[j0..j0 + W]`. `cols`
+/// and `vals` are the row's entries, stored from offset `start` of `a`;
+/// a strip of at least [`PREFETCH_MIN_W`] columns prefetches the `x` row
+/// of the entry [`PREFETCH_AHEAD`] ahead, in this row or a later one.
 #[inline(always)]
 fn strip<T: Scalar, G: Gather, const W: usize, const NARROW: bool, const FIN: u8>(
     ops: Operands<'_, T>,
     gather: G,
+    start: usize,
     cols: &[u32],
     vals: &[T],
     j0: usize,
@@ -169,7 +251,11 @@ fn strip<T: Scalar, G: Gather, const W: usize, const NARROW: bool, const FIN: u8
     } else {
         [T::ZERO; W]
     };
-    for (&c, &v) in cols.iter().zip(vals) {
+    let indices = ops.a.indices();
+    for (e, (&c, &v)) in cols.iter().zip(vals).enumerate() {
+        if W >= PREFETCH_MIN_W {
+            prefetch::<T, G, W>(ops, indices, gather, start + e + PREFETCH_AHEAD, j0);
+        }
         let xs: &[T; W] = ops.x[gather.row(c) * ops.k + j0..][..W]
             .try_into()
             .expect("slice of W columns");
@@ -188,9 +274,10 @@ fn strip<T: Scalar, G: Gather, const W: usize, const NARROW: bool, const FIN: u8
 
 /// The row walker: every row of `rows` of `A · X`, finished into its slot
 /// of `y` as `FIN` says. At `k = 1` a row is one sum; wider rows are cut
-/// greedily into strips of 16, 8, 4 and 1 columns.
+/// greedily into strips of `WIDE` (16, 32 or 64), then 32, 16, 8, 4 and
+/// 1 columns.
 #[inline(always)]
-fn walk<T: Scalar, G: Gather, const NARROW: bool, const FIN: u8>(
+fn walk<T: Scalar, G: Gather, const WIDE: usize, const NARROW: bool, const FIN: u8>(
     ops: Operands<'_, T>,
     gather: G,
     rows: impl Iterator<Item = Row>,
@@ -211,23 +298,32 @@ fn walk<T: Scalar, G: Gather, const NARROW: bool, const FIN: u8>(
         return;
     }
     for (entries, at) in rows {
+        let start = entries.start;
         let (cols, vals) = (&indices[entries.clone()], &values[entries]);
         let out = &mut y[at * k..][..k];
         let mut j = 0;
-        while k - j >= 16 {
-            strip::<T, G, 16, NARROW, FIN>(ops, gather, cols, vals, j, out);
+        while k - j >= WIDE {
+            strip::<T, G, WIDE, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
+            j += WIDE;
+        }
+        if WIDE > 32 && k - j >= 32 {
+            strip::<T, G, 32, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
+            j += 32;
+        }
+        if WIDE > 16 && k - j >= 16 {
+            strip::<T, G, 16, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
             j += 16;
         }
         if k - j >= 8 {
-            strip::<T, G, 8, NARROW, FIN>(ops, gather, cols, vals, j, out);
+            strip::<T, G, 8, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
             j += 8;
         }
         if k - j >= 4 {
-            strip::<T, G, 4, NARROW, FIN>(ops, gather, cols, vals, j, out);
+            strip::<T, G, 4, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
             j += 4;
         }
         while j < k {
-            strip::<T, G, 1, NARROW, FIN>(ops, gather, cols, vals, j, out);
+            strip::<T, G, 1, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
             j += 1;
         }
     }
@@ -235,7 +331,7 @@ fn walk<T: Scalar, G: Gather, const NARROW: bool, const FIN: u8>(
 
 /// [`walk`] instantiated for this call's finish and product mode.
 #[inline(always)]
-fn walk_as<T: Scalar, G: Gather>(
+fn walk_as<T: Scalar, G: Gather, const WIDE: usize>(
     ops: Operands<'_, T>,
     gather: G,
     rows: impl Iterator<Item = Row>,
@@ -244,19 +340,28 @@ fn walk_as<T: Scalar, G: Gather>(
     dtype: Dtype,
 ) {
     match (dtype, finish) {
-        (Dtype::F64, Finish::Overwrite) => walk::<T, G, false, OVERWRITE>(ops, gather, rows, y),
-        (Dtype::F64, Finish::Accumulate) => walk::<T, G, false, ACCUMULATE>(ops, gather, rows, y),
-        (Dtype::F64, Finish::Fold) => walk::<T, G, false, FOLD>(ops, gather, rows, y),
-        (Dtype::F32, Finish::Overwrite) => walk::<T, G, true, OVERWRITE>(ops, gather, rows, y),
-        (Dtype::F32, Finish::Accumulate) => walk::<T, G, true, ACCUMULATE>(ops, gather, rows, y),
-        (Dtype::F32, Finish::Fold) => walk::<T, G, true, FOLD>(ops, gather, rows, y),
+        (Dtype::F64, Finish::Overwrite) => {
+            walk::<T, G, WIDE, false, OVERWRITE>(ops, gather, rows, y)
+        }
+        (Dtype::F64, Finish::Accumulate) => {
+            walk::<T, G, WIDE, false, ACCUMULATE>(ops, gather, rows, y)
+        }
+        (Dtype::F64, Finish::Fold) => walk::<T, G, WIDE, false, FOLD>(ops, gather, rows, y),
+        (Dtype::F32, Finish::Overwrite) => {
+            walk::<T, G, WIDE, true, OVERWRITE>(ops, gather, rows, y)
+        }
+        (Dtype::F32, Finish::Accumulate) => {
+            walk::<T, G, WIDE, true, ACCUMULATE>(ops, gather, rows, y)
+        }
+        (Dtype::F32, Finish::Fold) => walk::<T, G, WIDE, true, FOLD>(ops, gather, rows, y),
     }
 }
 
-/// The walker compiled for the build's baseline target — the only body
-/// outside x86-64. `Dtype::F32` rounds each product through `f32`.
+/// [`walk`] with strips of up to `WIDE` columns, instantiated for this
+/// call's gather map, finish and product mode. `Dtype::F32` rounds each
+/// product through `f32`.
 #[inline(always)]
-fn strips_portable<T: Scalar>(
+fn body<T: Scalar, const WIDE: usize>(
     ops: Operands<'_, T>,
     gather: Option<&[u32]>,
     rows: impl Iterator<Item = Row>,
@@ -265,19 +370,19 @@ fn strips_portable<T: Scalar>(
     dtype: Dtype,
 ) {
     match gather {
-        None => walk_as(ops, Direct, rows, y, finish, dtype),
-        Some(map) => walk_as(ops, map, rows, y, finish, dtype),
+        None => walk_as::<T, _, WIDE>(ops, Direct, rows, y, finish, dtype),
+        Some(map) => walk_as::<T, _, WIDE>(ops, map, rows, y, finish, dtype),
     }
 }
 
-/// [`strips_portable`] compiled with AVX2 enabled.
+/// [`body`] with 32-column strips, compiled with AVX2 enabled.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn strips_avx2<T: Scalar>(
+unsafe fn body_avx2<T: Scalar>(
     ops: Operands<'_, T>,
     gather: Option<&[u32]>,
     rows: impl Iterator<Item = Row>,
@@ -285,13 +390,100 @@ unsafe fn strips_avx2<T: Scalar>(
     finish: Finish,
     dtype: Dtype,
 ) {
-    strips_portable(ops, gather, rows, y, finish, dtype)
+    body::<T, 32>(ops, gather, rows, y, finish, dtype)
 }
 
-/// The walker on the widest body this CPU runs (see the
-/// [module docs](self)), for every row of `rows`; an entry's `x` row is
-/// read through `gather` when a map is given. Shapes are the caller's to
+/// [`body`] with 64-column strips, compiled with AVX-512F enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn body_avx512<T: Scalar>(
+    ops: Operands<'_, T>,
+    gather: Option<&[u32]>,
+    rows: impl Iterator<Item = Row>,
+    y: &mut [T],
+    finish: Finish,
+    dtype: Dtype,
+) {
+    body::<T, 64>(ops, gather, rows, y, finish, dtype)
+}
+
+/// A compiled body of the row walker (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Body {
+    /// The build's baseline target, strips of up to 16 columns: the only
+    /// body outside x86-64.
+    Portable,
+    /// AVX2, strips of up to 32 columns.
+    Avx2,
+    /// AVX-512F, strips of up to 64 columns.
+    Avx512,
+}
+
+impl Body {
+    /// Every body.
+    pub const ALL: [Body; 3] = [Body::Portable, Body::Avx2, Body::Avx512];
+
+    /// Whether this CPU runs the body.
+    pub fn runs_here(self) -> bool {
+        match self {
+            Body::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The body a `k`-column multiply runs on this CPU: AVX-512 from 32
+    /// columns on, else AVX2, else the portable one.
+    fn pick(k: usize) -> Body {
+        if k >= 32 && Body::Avx512.runs_here() {
+            Body::Avx512
+        } else if Body::Avx2.runs_here() {
+            Body::Avx2
+        } else {
+            Body::Portable
+        }
+    }
+}
+
+/// The walker on `body` for every row of `rows`; an entry's `x` row is
+/// read through `gather` when a map is given. Returns `false`, having
+/// run nothing, when this CPU lacks `body`. Shapes are the caller's to
 /// have checked; a wrong one panics on a slice bound.
+fn strips_on<T: Scalar>(
+    body: Body,
+    ops: Operands<'_, T>,
+    gather: Option<&[u32]>,
+    rows: impl Iterator<Item = Row>,
+    y: &mut [T],
+    finish: Finish,
+    dtype: Dtype,
+) -> bool {
+    match body {
+        Body::Portable => self::body::<T, 16>(ops, gather, rows, y, finish, dtype),
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx2 if body.runs_here() => {
+            // SAFETY: the guard detected AVX2 on this CPU.
+            unsafe { body_avx2(ops, gather, rows, y, finish, dtype) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx512 if body.runs_here() => {
+            // SAFETY: the guard detected AVX-512F on this CPU.
+            unsafe { body_avx512(ops, gather, rows, y, finish, dtype) }
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// The walker on the body this CPU and `ops.k` pick ([`Body::pick`]).
 pub(crate) fn strips<T: Scalar>(
     ops: Operands<'_, T>,
     gather: Option<&[u32]>,
@@ -300,12 +492,8 @@ pub(crate) fn strips<T: Scalar>(
     finish: Finish,
     dtype: Dtype,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `avx2` was detected on this CPU on the line above.
-        return unsafe { strips_avx2(ops, gather, rows, y, finish, dtype) };
-    }
-    strips_portable(ops, gather, rows, y, finish, dtype)
+    let ran = strips_on(Body::pick(ops.k), ops, gather, rows, y, finish, dtype);
+    debug_assert!(ran, "a picked body runs on this CPU");
 }
 
 /// Rows `first..` of `A · X` into the whole output rows `y`.
@@ -383,10 +571,13 @@ pub fn spmm_slices_rows<T: Scalar>(
     Ok(())
 }
 
-/// [`spmm_slices`] on the portable walker whatever the CPU offers:
-/// what every non-x86 build runs, callable everywhere so the two bodies
-/// can be compared on one host.
-pub fn spmm_slices_portable<T: Scalar>(
+/// [`spmm_slices`] on the walker body `body`, whatever [`Body`] the CPU
+/// and `k` would pick: what lets a test hold every body this CPU runs to
+/// one reference. A body the CPU lacks is refused with
+/// [`SparseError::UnsupportedBody`], before anything is written.
+#[allow(clippy::too_many_arguments)]
+pub fn spmm_slices_on<T: Scalar>(
+    body: Body,
     a: &CsrMatrix<T>,
     x: &[T],
     k: u32,
@@ -396,8 +587,11 @@ pub fn spmm_slices_portable<T: Scalar>(
     dtype: Dtype,
 ) -> SparseResult<()> {
     let ops = check_slices(a, x, k, gather, y, a.rows())?;
-    strips_portable(ops, gather, run_of(a, 0..a.rows()), y, finish, dtype);
-    Ok(())
+    if strips_on(body, ops, gather, run_of(a, 0..a.rows()), y, finish, dtype) {
+        Ok(())
+    } else {
+        Err(SparseError::UnsupportedBody(format!("{body:?}")))
+    }
 }
 
 fn check_slices<'a, T: Scalar>(
@@ -453,9 +647,10 @@ pub const PARALLEL_MIN_WORK: usize = 1 << 18;
 /// — the fixed part is why a `k = 1` multiply is far slower per flop than
 /// a `k = 64` one. Measured per entry on the row walker with
 /// cache-resident operands: 0.92–1.0 ns at `k = 1` (1.2–1.7 once R-MAT
-/// 13–14's `x` spills), 2.3–3.7 ns at `k = 16`, 10–15 ns at `k = 64`;
-/// `k + 8` sits between the slope of the narrow widths and that of the
-/// wide one.
+/// 13–14's `x` spills), 2.3–3.7 ns at `k = 16`, 10–15 ns at `k = 64`
+/// (21.6–24.6 ns on R-MAT 14, whose 8.4 MB `x` is read from L3 even with
+/// the wide strips' prefetch; 28.5–30 ns before it); `k + 8` sits
+/// between the slope of the narrow widths and that of the wide one.
 pub fn spmm_work(a: &CsrMatrix<f64>, k: u32) -> usize {
     a.nnz().saturating_mul(k as usize + 8)
 }

@@ -467,12 +467,14 @@ fn strip_reference<T: amd_sparse::Scalar>(
     }
 }
 
-/// Runs the dispatched entry and the portable body on every width in
-/// `0..=70` (each strip width alone and every greedy mix with its
-/// remainder), in the three finish modes and both product modes, with and
-/// without the gather map, and compares each with [`strip_reference`]
-/// bit for bit — and a run of rows multiplied alone
-/// ([`spmm::spmm_slices_rows`]) with its part of the same reference.
+/// Runs the dispatched entry and every walker body this CPU runs
+/// ([`spmm::Body`]) on every width in `0..=70` and `95..=96`,
+/// `127..=130` (each strip width alone and every greedy mix of 64, 32,
+/// 16, 8, 4 and 1 columns), in the three finish modes and both product
+/// modes, with and without the gather map, and compares each with
+/// [`strip_reference`] bit for bit — and a run of rows multiplied alone
+/// ([`spmm::spmm_slices_rows`]) with its part of the same reference. A
+/// body the CPU lacks must be refused, leaving the output as it was.
 fn check_strips<T: amd_sparse::Scalar>(
     a: &CsrMatrix<T>,
     map: &[u32],
@@ -480,7 +482,7 @@ fn check_strips<T: amd_sparse::Scalar>(
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     // Non-integer, never `-0.0` (which a fold of `+0.0` would not keep).
     let value = |i: usize| T::from_f64(((i * 37 + 11) % 101) as f64 / 13.0 - 3.7);
-    for k in 0..=70usize {
+    for k in (0..=70usize).chain(95..=96).chain(127..=130) {
         for gather in [None, Some(map)] {
             let x_rows = gather.map_or(a.cols() as usize, <[u32]>::len);
             let x: Vec<T> = (0..x_rows * k).map(value).collect();
@@ -503,17 +505,27 @@ fn check_strips<T: amd_sparse::Scalar>(
                         finish,
                         dtype
                     );
-                    let mut got = y0.clone();
-                    spmm::spmm_slices_portable(a, &x, k as u32, gather, &mut got, finish, dtype)
-                        .unwrap();
-                    prop_assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "portable k={} {:?} {}",
-                        k,
-                        finish,
-                        dtype
-                    );
+                    for body in spmm::Body::ALL {
+                        let mut got = y0.clone();
+                        let ran = spmm::spmm_slices_on(
+                            body, a, &x, k as u32, gather, &mut got, finish, dtype,
+                        );
+                        if !body.runs_here() {
+                            prop_assert!(ran.is_err(), "{:?} ran on a CPU without it", body);
+                            prop_assert_eq!(bits(&got), bits(&y0), "refused {:?} wrote", body);
+                            continue;
+                        }
+                        ran.unwrap();
+                        prop_assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{:?} k={} {:?} {}",
+                            body,
+                            k,
+                            finish,
+                            dtype
+                        );
+                    }
                     if gather.is_none() {
                         // A run of rows alone is that part of the whole.
                         let (lo, hi) = (a.rows() / 3, a.rows() - a.rows() / 4);
@@ -597,7 +609,7 @@ proptest! {
         }
         let values: Vec<f64> = (0..indices.len()).map(|_| value(&mut rng)).collect();
         let a = CsrMatrix::from_raw(rows, cols, indptr, indices, values).unwrap();
-        for k in [1u32, 3, 4, 8, 16, 17, 64] {
+        for k in [1u32, 3, 4, 8, 16, 17, 32, 33, 64, 96, 128] {
             let work = spmm::spmm_work(&a, k);
             prop_assert!(work >= spmm::PARALLEL_MIN_WORK, "k={} work={}", k, work);
             if amd_exec::requested_threads() > 1 {
