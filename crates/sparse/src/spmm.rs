@@ -134,8 +134,6 @@ pub(crate) fn run_of<T: Scalar>(
 /// `map: &[u32]`.
 trait Gather: Copy {
     fn row(self, c: u32) -> usize;
-    /// [`Gather::row`], or `None` for an index the map does not cover.
-    fn try_row(self, c: u32) -> Option<usize>;
 }
 
 /// No gather map: an entry's `x` row is its column index.
@@ -147,20 +145,12 @@ impl Gather for Direct {
     fn row(self, c: u32) -> usize {
         c as usize
     }
-    #[inline(always)]
-    fn try_row(self, c: u32) -> Option<usize> {
-        Some(c as usize)
-    }
 }
 
 impl Gather for &[u32] {
     #[inline(always)]
     fn row(self, c: u32) -> usize {
         self[c as usize] as usize
-    }
-    #[inline(always)]
-    fn try_row(self, c: u32) -> Option<usize> {
-        self.get(c as usize).map(|&r| r as usize)
     }
 }
 
@@ -200,7 +190,7 @@ fn prefetch<T: Scalar, G: Gather, const W: usize>(
     at: usize,
     j0: usize,
 ) {
-    let Some(row) = indices.get(at).and_then(|&c| gather.try_row(c)) else {
+    let Some(row) = indices.get(at).map(|&c| gather.row(c)) else {
         return;
     };
     let start = row * ops.k + j0;
