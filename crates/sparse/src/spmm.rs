@@ -38,7 +38,7 @@
 //! address is not inside `x`. A wide operand's `x` rows are too many for
 //! L2 and are read in a random order, so without the hint every entry
 //! waits on L3. A prefetch is a hint that writes nothing; narrower strips
-//! issue none and do no work for it.
+//! prefetch nothing and do no work for it.
 //!
 //! # Why every result is bit-identical to the loop it replaced
 //!
