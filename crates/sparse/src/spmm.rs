@@ -638,8 +638,8 @@ pub const PARALLEL_MIN_WORK: usize = 1 << 18;
 /// a `k = 64` one. Measured per entry on the row walker with
 /// cache-resident operands: 0.92–1.0 ns at `k = 1` (1.2–1.7 once R-MAT
 /// 13–14's `x` spills), 2.3–3.7 ns at `k = 16`, 10–15 ns at `k = 64`
-/// (21.6–24.6 ns on R-MAT 14, whose 8.4 MB `x` is read from L3 even with
-/// the wide strips' prefetch; 28.5–30 ns before it); `k + 8` sits
+/// (15–25 ns on R-MAT 14, whose 8.4 MB `x` is read from L3 even with the
+/// wide strips' prefetch; 22–30 ns before it); `k + 8` sits
 /// between the slope of the narrow widths and that of the wide one.
 pub fn spmm_work(a: &CsrMatrix<f64>, k: u32) -> usize {
     a.nnz().saturating_mul(k as usize + 8)
