@@ -19,7 +19,7 @@ use amd_graph::generators::rmat::{rmat, RmatParams};
 use amd_graph::mst::random_spanning_forest;
 use amd_linarr::tree_layout::{root_tree, smallest_first_order};
 use amd_obs::{JsonWriter, Stopwatch};
-use amd_sparse::{spmm, CsrMatrix, DenseMatrix, Dtype};
+use amd_sparse::{spmm, CsrMatrix, DenseMatrix};
 use arrow_core::{la_decompose, la_decompose_timed, DecomposeConfig, RandomForestLa};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -168,12 +168,10 @@ fn local_spmm() -> Section {
             let floor_y = y.clone();
             let serial = best_ms(|| {
                 let (x, y) = (x.data(), y.data_mut());
-                spmm::spmm_slices(a, x, k, None, y, spmm::Finish::Overwrite, Dtype::F64)
-                    .expect("shapes agree")
+                spmm::spmm_slices(a, x, k, None, y, spmm::Finish::Overwrite).expect("shapes agree")
             });
             assert_eq!(y, floor_y, "the kernel and the floor agree bit for bit");
-            let pool =
-                best_ms(|| spmm::spmm_parallel(a, &x, &mut y, Dtype::F64).expect("shapes agree"));
+            let pool = best_ms(|| spmm::spmm_parallel(a, &x, &mut y).expect("shapes agree"));
             Row::new()
                 .text("input", input)
                 .int("n", a.rows() as u64)

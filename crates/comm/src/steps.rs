@@ -1,7 +1,7 @@
 //! An iteration as data: per rank, the ordered [`Step`]s it takes — its
 //! part in a [`Plan`] on one of its buffers, or a piece of local work.
 //! The list is the rank's program, and one loop runs every rank's list
-//! on one clock per rank (a replay of per-rank schedules, after
+//! on one clock per rank (a simulation of per-rank schedules, after
 //! LogGOPSim: Hoefler, Schneider and Lumsdaine, 2010). A rank is its
 //! step index, its hop index inside the current run, what it holds of
 //! that run and its buffers, so a receive whose message has not arrived

@@ -103,10 +103,9 @@ pub struct EngineConfig {
     /// re-running LA-Decompose from scratch (see
     /// [`arrow_core::incremental`]). Read on more than one rank only.
     pub incremental: IncrementalPolicy,
-    /// Serving precision: every candidate algorithm is planned and run
-    /// at this dtype. `f32` halves the bytes the cost model charges per
-    /// value moved and runs local tile multiplies at emulated f32
-    /// precision (f64 accumulation); `f64` is the exact default.
+    /// Unread: the engine serves at `f64` only. It stays, with
+    /// [`Dtype`], until the benchmark package stops naming
+    /// `PlannerConfig::dtype` (ROADMAP item 29 step 1).
     pub dtype: Dtype,
 }
 
@@ -183,7 +182,7 @@ amd_obs::stats_view! {
         multiply_retries: Counter,
     }
     /// The engine's registry handles: the counters above plus its
-    /// histograms and its serving-precision gauge.
+    /// histograms.
     struct EngineCells |m| {
         /// Queries per run, one sample per run.
         batch_size: Histogram = "engine.batch_size",
@@ -195,9 +194,6 @@ amd_obs::stats_view! {
         /// vectors, one sample per run.
         unpack_seconds: Histogram = "unpack.seconds",
         refresh_seconds: Histogram = "refresh.seconds",
-        /// Serving precision in bytes per value (4 = f32, 8 = f64) — a
-        /// config echo so a metrics snapshot identifies the serving mode.
-        dtype_bytes: Gauge = "engine.dtype_bytes",
     }
 }
 
@@ -428,7 +424,6 @@ impl Engine {
         let planner = PlannerConfig {
             cost: self.config.cost,
             k_hint: (self.config.max_batch as u32).clamp(1, 64),
-            dtype: self.config.dtype,
             ..PlannerConfig::default()
         };
         // Only a plan that reads a decomposition gets one: everything
@@ -442,13 +437,10 @@ impl Engine {
             chosen,
             predictions,
         } = planned;
-        self.metrics
-            .dtype_bytes
-            .set(self.config.dtype.bytes() as u64);
         if self.telemetry.tracer.is_enabled() {
             let mut detail = format!(
-                "algo={} predicted_sim_seconds={:.3e} cache={source} dtype={}",
-                chosen, predictions[0].seconds, self.config.dtype
+                "algo={} predicted_sim_seconds={:.3e} cache={source}",
+                chosen, predictions[0].seconds
             );
             if let Some(active_prefix) = active_prefix {
                 let _ = write!(detail, " active_prefix={active_prefix:.3}");
@@ -835,7 +827,7 @@ impl Engine {
                 .unwrap_or(0.0);
             let mut detail = format!(
                 "algo={} batch={} queries={}..={} iters={} corrected={} \
-                 dtype={} predicted_sim_seconds={:.3e} sim_seconds={:.3e} \
+                 predicted_sim_seconds={:.3e} sim_seconds={:.3e} \
                  wall_seconds={:.3e} max_rank_bytes={}",
                 bound.chosen,
                 chunk.len(),
@@ -843,7 +835,6 @@ impl Engine {
                 chunk[chunk.len() - 1].id.0,
                 iters,
                 bound.overlay.is_some(),
-                self.config.dtype,
                 predicted,
                 run.stats.sim_time(),
                 multiply_seconds,
@@ -1485,41 +1476,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn f32_engine_serves_integer_data_exactly() {
-        // Small-integer values and operands round-trip f32 without
-        // rounding, so the half-bandwidth engine must answer bit-
-        // identically to the exact one.
-        let n = 96;
-        let a = ring(n);
-        let x: Vec<f64> = (0..n).map(|r| ((r % 9) as f64) - 4.0).collect();
-        let mut answers = Vec::new();
-        for dtype in [Dtype::F64, Dtype::F32] {
-            let mut e = Engine::new(EngineConfig {
-                target_ranks: 4,
-                dtype,
-                ..EngineConfig::default()
-            })
-            .unwrap();
-            let id = e.register(&a).unwrap();
-            let resp = e
-                .run_single(MultiplyQuery {
-                    matrix: id,
-                    x: x.clone(),
-                    iters: 2,
-                    sigma: None,
-                })
-                .unwrap();
-            answers.push(resp.y);
-        }
-        assert_eq!(answers[0], answers[1], "f32 must be exact on integers");
-    }
-
+    /// Named when the events carried the serving dtype, which is `f64`
+    /// alone now and no longer traced.
     #[test]
     fn trace_events_carry_dtype_and_active_prefix() {
         let mut e = Engine::new(EngineConfig {
             target_ranks: 4,
-            dtype: Dtype::F32,
             ..EngineConfig::default()
         })
         .unwrap();
@@ -1536,13 +1498,11 @@ mod tests {
             .iter()
             .find(|ev| ev.name == "plan")
             .expect("plan event traced");
-        assert!(plan.detail.contains("dtype=f32"), "{}", plan.detail);
         assert!(plan.detail.contains("active_prefix="), "{}", plan.detail);
         let mul = events
             .iter()
             .find(|ev| ev.name == "multiply")
             .expect("multiply event traced");
-        assert!(mul.detail.contains("dtype=f32"), "{}", mul.detail);
         assert!(mul.detail.contains("active_prefix="), "{}", mul.detail);
         assert!(mul.detail.contains("max_rank_bytes="), "{}", mul.detail);
     }

@@ -53,10 +53,9 @@ pub struct PlannerConfig {
     /// RHS column count the prediction is evaluated at (the engine plans
     /// for its typical batch width).
     pub k_hint: u32,
-    /// Serving precision every candidate is constructed with: `f32`
-    /// halves the bytes each candidate's estimate charges per value
-    /// moved, and the bound winner runs its local multiplies at that
-    /// precision.
+    /// Unread: every candidate runs and is priced at `f64`. It stays,
+    /// with [`Dtype`], until the benchmark package stops naming it
+    /// (ROADMAP item 29 step 1).
     pub dtype: Dtype,
 }
 
@@ -108,9 +107,7 @@ pub struct Plan {
 /// The binding shares `a`: a caller that keeps the matrix too holds the
 /// same allocation.
 pub fn plan_local(a: impl Into<Arc<CsrMatrix<f64>>>, config: &PlannerConfig) -> SparseResult<Plan> {
-    let local = LocalSpmm::new(a)?
-        .with_cost(config.cost)
-        .with_dtype(config.dtype);
+    let local = LocalSpmm::new(a)?.with_cost(config.cost);
     let estimate = local.predict_volume(config.k_hint.max(1));
     let prediction = Prediction {
         name: local.name(),
@@ -143,31 +140,23 @@ pub fn plan(
     }
     let mut candidates: Vec<(Box<dyn DistSpmm + Send + Sync>, CommEstimate)> = Vec::new();
 
-    let arrow = ArrowSpmm::new(d)?
-        .with_cost(config.cost)
-        .with_dtype(config.dtype);
+    let arrow = ArrowSpmm::new(d)?.with_cost(config.cost);
     let est = arrow.predict_volume(k);
     candidates.push((Box::new(arrow), est));
 
-    let a15 = A15dSpmm::new(a, p, best_c(p))?
-        .with_cost(config.cost)
-        .with_dtype(config.dtype);
+    let a15 = A15dSpmm::new(a, p, best_c(p))?.with_cost(config.cost);
     let est = a15.predict_volume(k);
     candidates.push((Box::new(a15), est));
 
     let q = (p as f64).sqrt().round().max(1.0) as u32;
-    let a2 = A2dSpmm::new(a, q * q)?
-        .with_cost(config.cost)
-        .with_dtype(config.dtype);
+    let a2 = A2dSpmm::new(a, q * q)?.with_cost(config.cost);
     let est = a2.predict_volume(k);
     candidates.push((Box::new(a2), est));
 
     let g = Graph::from_matrix_structure(a);
     let mut rng = ChaCha8Rng::seed_from_u64(PARTITION_SEED);
     let part = hype_partition(&g, p, &HypeConfig::default(), &mut rng);
-    let hp = Hp1dSpmm::new(a, &part)?
-        .with_cost(config.cost)
-        .with_dtype(config.dtype);
+    let hp = Hp1dSpmm::new(a, &part)?.with_cost(config.cost);
     let est = hp.predict_volume(k);
     candidates.push((Box::new(hp), est));
 

@@ -325,14 +325,14 @@ mod tests {
     fn lines_round_trip_and_sequence() {
         let r = Registry::new();
         r.histogram("engine.batch_size").record(1);
-        r.gauge("engine.dtype_bytes").set(8);
+        r.gauge("engine.active_prefix_permille").set(8);
         let mut ts = TimeSeriesRecorder::new(&r);
         let lines = [ts.sample_at(1.0), ts.sample_at(2.0)];
         for (i, line) in lines.iter().enumerate() {
             assert!(!line.contains('\n'), "JSONL line has a newline");
             let p = parse_ts_line(line).unwrap();
             assert_eq!(p.seq, i as u64);
-            assert_eq!(p.counter("engine.dtype_bytes"), 8);
+            assert_eq!(p.counter("engine.active_prefix_permille"), 8);
         }
         // Second window saw no movement.
         let p = parse_ts_line(&lines[1]).unwrap();

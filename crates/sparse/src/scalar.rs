@@ -4,60 +4,21 @@
 //! but the containers are generic so the library is usable with `f32` (for
 //! example to halve the memory footprint of a feature matrix).
 
-use std::fmt::{self, Debug};
+use std::fmt::Debug;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
-/// Serving-precision selector: which [`Scalar`] type a multiply runs in.
+/// Serving precision: `f64`, the one precision every multiply runs and
+/// every byte is counted at.
 ///
-/// `F64` is the exact default used everywhere the paper's algorithms are
-/// verified bit-for-bit. `F32` halves the bandwidth of every multiply (and
-/// the bytes moved by the distributed algorithms' cost model) at the price
-/// of a bounded rounding error: matrix values and `x` entries are narrowed
-/// to `f32` and multiplied in `f32`, while running sums stay `f64` — the
-/// wire format between simulated ranks — so each product carries relative
-/// error at most `(1 + u)³ − 1` with `u = 2⁻²⁴`. See the f32 error-bound
-/// helpers in `arrow-core` for the summed per-entry bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Nothing reads it. It stays only as the type of `EngineConfig::dtype`
+/// and `PlannerConfig::dtype` until the benchmark package stops naming
+/// `PlannerConfig::dtype` (ROADMAP item 29 step 1); the three go together.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Dtype {
-    /// 32-bit floats: half the bytes per value, unit roundoff `2⁻²⁴`.
-    F32,
-    /// 64-bit floats: the exact reference precision.
+    /// 64-bit floats.
     #[default]
     F64,
-}
-
-impl Dtype {
-    /// Bytes per matrix value at this precision.
-    pub const fn bytes(self) -> usize {
-        match self {
-            Dtype::F32 => 4,
-            Dtype::F64 => 8,
-        }
-    }
-
-    /// Canonical lowercase name (`"f32"` / `"f64"`).
-    pub const fn name(self) -> &'static str {
-        match self {
-            Dtype::F32 => "f32",
-            Dtype::F64 => "f64",
-        }
-    }
-
-    /// Parses the canonical names, e.g. from a `--dtype` CLI flag.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "f32" => Some(Dtype::F32),
-            "f64" => Some(Dtype::F64),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Dtype {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Numeric element type of sparse and dense matrices.
@@ -171,12 +132,5 @@ mod tests {
     #[test]
     fn dtype_properties() {
         assert_eq!(Dtype::default(), Dtype::F64);
-        assert_eq!(Dtype::F32.bytes(), 4);
-        assert_eq!(Dtype::F64.bytes(), 8);
-        assert_eq!(Dtype::parse("f32"), Some(Dtype::F32));
-        assert_eq!(Dtype::parse("f64"), Some(Dtype::F64));
-        assert_eq!(Dtype::parse("f16"), None);
-        assert_eq!(Dtype::F32.to_string(), "f32");
-        assert_eq!(format!("{}", Dtype::F64), "f64");
     }
 }

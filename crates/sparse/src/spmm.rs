@@ -24,11 +24,10 @@
 //! finished sums touch the output ([`Finish`]: overwrite it, continue
 //! from what it held, or fold into it with one addition). The `x` row of
 //! an entry is its column index or found through a gather map (the
-//! Arrow multiply's gather feed); products are exact or rounded through
-//! `f32` ([`Dtype`]). Whether there is a map, the finish and the product
-//! mode are properties of the call, fixed when it enters the walker:
-//! each combination is its own instantiation, so the loop over a row's
-//! entries tests none of them.
+//! Arrow multiply's gather feed). Whether there is a map and the finish
+//! are properties of the call, fixed when it enters the walker: each
+//! combination is its own instantiation, so the loop over a row's
+//! entries tests neither.
 //!
 //! A strip of 32 or more columns also prefetches: before it walks entry
 //! `i` (counted over all of `a`'s stored entries, so the look-ahead runs
@@ -81,7 +80,7 @@
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{SparseError, SparseResult};
-use crate::scalar::{Dtype, Scalar};
+use crate::scalar::Scalar;
 use std::ops::Range;
 
 /// How a strip's finished sums land in the output row.
@@ -166,17 +165,6 @@ const PREFETCH_MIN_W: usize = 32;
 /// prefetches.
 const PREFETCH_AHEAD: usize = 8;
 
-/// `v · x`, exact or rounded through `f32` (then summed at `T`; a no-op
-/// narrowing when `T = f32`).
-#[inline(always)]
-fn product<T: Scalar, const NARROW: bool>(v: T, x: T) -> T {
-    if NARROW {
-        T::from_f64((v.to_f64() as f32 * x.to_f64() as f32) as f64)
-    } else {
-        v * x
-    }
-}
-
 /// Asks for every cache line of the columns `j0..j0 + W` of the `x` row
 /// of stored entry `at` (an offset into `indices`, `a`'s column indices,
 /// in any row) to be brought into L1. A hint: it changes no result, and
@@ -224,7 +212,7 @@ fn prefetch<T: Scalar, G: Gather, const W: usize>(
 /// a strip of at least [`PREFETCH_MIN_W`] columns prefetches the `x` row
 /// of the entry [`PREFETCH_AHEAD`] ahead, in this row or a later one.
 #[inline(always)]
-fn strip<T: Scalar, G: Gather, const W: usize, const NARROW: bool, const FIN: u8>(
+fn strip<T: Scalar, G: Gather, const W: usize, const FIN: u8>(
     ops: Operands<'_, T>,
     gather: G,
     start: usize,
@@ -250,7 +238,7 @@ fn strip<T: Scalar, G: Gather, const W: usize, const NARROW: bool, const FIN: u8
             .try_into()
             .expect("slice of W columns");
         for j in 0..W {
-            acc[j] += product::<T, NARROW>(v, xs[j]);
+            acc[j] += v * xs[j];
         }
     }
     if FIN == FOLD {
@@ -267,7 +255,7 @@ fn strip<T: Scalar, G: Gather, const W: usize, const NARROW: bool, const FIN: u8
 /// greedily into strips of `WIDE` (16, 32 or 64), then 32, 16, 8, 4 and
 /// 1 columns.
 #[inline(always)]
-fn walk<T: Scalar, G: Gather, const WIDE: usize, const NARROW: bool, const FIN: u8>(
+fn walk<T: Scalar, G: Gather, const WIDE: usize, const FIN: u8>(
     ops: Operands<'_, T>,
     gather: G,
     rows: impl Iterator<Item = Row>,
@@ -281,7 +269,7 @@ fn walk<T: Scalar, G: Gather, const WIDE: usize, const NARROW: bool, const FIN: 
             let out = &mut y[at];
             let mut acc = if FIN == ACCUMULATE { *out } else { T::ZERO };
             for (&c, &v) in indices[entries.clone()].iter().zip(&values[entries]) {
-                acc += product::<T, NARROW>(v, ops.x[gather.row(c)]);
+                acc += v * ops.x[gather.row(c)];
             }
             *out = if FIN == FOLD { *out + acc } else { acc };
         }
@@ -293,33 +281,33 @@ fn walk<T: Scalar, G: Gather, const WIDE: usize, const NARROW: bool, const FIN: 
         let out = &mut y[at * k..][..k];
         let mut j = 0;
         while k - j >= WIDE {
-            strip::<T, G, WIDE, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
+            strip::<T, G, WIDE, FIN>(ops, gather, start, cols, vals, j, out);
             j += WIDE;
         }
         if WIDE > 32 && k - j >= 32 {
-            strip::<T, G, 32, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
+            strip::<T, G, 32, FIN>(ops, gather, start, cols, vals, j, out);
             j += 32;
         }
         if WIDE > 16 && k - j >= 16 {
-            strip::<T, G, 16, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
+            strip::<T, G, 16, FIN>(ops, gather, start, cols, vals, j, out);
             j += 16;
         }
         if k - j >= 8 {
-            strip::<T, G, 8, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
+            strip::<T, G, 8, FIN>(ops, gather, start, cols, vals, j, out);
             j += 8;
         }
         if k - j >= 4 {
-            strip::<T, G, 4, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
+            strip::<T, G, 4, FIN>(ops, gather, start, cols, vals, j, out);
             j += 4;
         }
         while j < k {
-            strip::<T, G, 1, NARROW, FIN>(ops, gather, start, cols, vals, j, out);
+            strip::<T, G, 1, FIN>(ops, gather, start, cols, vals, j, out);
             j += 1;
         }
     }
 }
 
-/// [`walk`] instantiated for this call's finish and product mode.
+/// [`walk`] instantiated for this call's finish.
 #[inline(always)]
 fn walk_as<T: Scalar, G: Gather, const WIDE: usize>(
     ops: Operands<'_, T>,
@@ -327,29 +315,16 @@ fn walk_as<T: Scalar, G: Gather, const WIDE: usize>(
     rows: impl Iterator<Item = Row>,
     y: &mut [T],
     finish: Finish,
-    dtype: Dtype,
 ) {
-    match (dtype, finish) {
-        (Dtype::F64, Finish::Overwrite) => {
-            walk::<T, G, WIDE, false, OVERWRITE>(ops, gather, rows, y)
-        }
-        (Dtype::F64, Finish::Accumulate) => {
-            walk::<T, G, WIDE, false, ACCUMULATE>(ops, gather, rows, y)
-        }
-        (Dtype::F64, Finish::Fold) => walk::<T, G, WIDE, false, FOLD>(ops, gather, rows, y),
-        (Dtype::F32, Finish::Overwrite) => {
-            walk::<T, G, WIDE, true, OVERWRITE>(ops, gather, rows, y)
-        }
-        (Dtype::F32, Finish::Accumulate) => {
-            walk::<T, G, WIDE, true, ACCUMULATE>(ops, gather, rows, y)
-        }
-        (Dtype::F32, Finish::Fold) => walk::<T, G, WIDE, true, FOLD>(ops, gather, rows, y),
+    match finish {
+        Finish::Overwrite => walk::<T, G, WIDE, OVERWRITE>(ops, gather, rows, y),
+        Finish::Accumulate => walk::<T, G, WIDE, ACCUMULATE>(ops, gather, rows, y),
+        Finish::Fold => walk::<T, G, WIDE, FOLD>(ops, gather, rows, y),
     }
 }
 
 /// [`walk`] with strips of up to `WIDE` columns, instantiated for this
-/// call's gather map, finish and product mode. `Dtype::F32` rounds each
-/// product through `f32`.
+/// call's gather map and finish.
 #[inline(always)]
 fn body<T: Scalar, const WIDE: usize>(
     ops: Operands<'_, T>,
@@ -357,11 +332,10 @@ fn body<T: Scalar, const WIDE: usize>(
     rows: impl Iterator<Item = Row>,
     y: &mut [T],
     finish: Finish,
-    dtype: Dtype,
 ) {
     match gather {
-        None => walk_as::<T, _, WIDE>(ops, Direct, rows, y, finish, dtype),
-        Some(map) => walk_as::<T, _, WIDE>(ops, map, rows, y, finish, dtype),
+        None => walk_as::<T, _, WIDE>(ops, Direct, rows, y, finish),
+        Some(map) => walk_as::<T, _, WIDE>(ops, map, rows, y, finish),
     }
 }
 
@@ -378,9 +352,8 @@ unsafe fn body_avx2<T: Scalar>(
     rows: impl Iterator<Item = Row>,
     y: &mut [T],
     finish: Finish,
-    dtype: Dtype,
 ) {
-    body::<T, 32>(ops, gather, rows, y, finish, dtype)
+    body::<T, 32>(ops, gather, rows, y, finish)
 }
 
 /// [`body`] with 64-column strips, compiled with AVX-512F enabled.
@@ -396,9 +369,8 @@ unsafe fn body_avx512<T: Scalar>(
     rows: impl Iterator<Item = Row>,
     y: &mut [T],
     finish: Finish,
-    dtype: Dtype,
 ) {
-    body::<T, 64>(ops, gather, rows, y, finish, dtype)
+    body::<T, 64>(ops, gather, rows, y, finish)
 }
 
 /// A compiled body of the row walker (see the [module docs](self)).
@@ -454,19 +426,18 @@ fn strips_on<T: Scalar>(
     rows: impl Iterator<Item = Row>,
     y: &mut [T],
     finish: Finish,
-    dtype: Dtype,
 ) -> bool {
     match body {
-        Body::Portable => self::body::<T, 16>(ops, gather, rows, y, finish, dtype),
+        Body::Portable => self::body::<T, 16>(ops, gather, rows, y, finish),
         #[cfg(target_arch = "x86_64")]
         Body::Avx2 if body.runs_here() => {
             // SAFETY: the guard detected AVX2 on this CPU.
-            unsafe { body_avx2(ops, gather, rows, y, finish, dtype) }
+            unsafe { body_avx2(ops, gather, rows, y, finish) }
         }
         #[cfg(target_arch = "x86_64")]
         Body::Avx512 if body.runs_here() => {
             // SAFETY: the guard detected AVX-512F on this CPU.
-            unsafe { body_avx512(ops, gather, rows, y, finish, dtype) }
+            unsafe { body_avx512(ops, gather, rows, y, finish) }
         }
         _ => return false,
     }
@@ -480,9 +451,8 @@ pub(crate) fn strips<T: Scalar>(
     rows: impl Iterator<Item = Row>,
     y: &mut [T],
     finish: Finish,
-    dtype: Dtype,
 ) {
-    let ran = strips_on(Body::pick(ops.k), ops, gather, rows, y, finish, dtype);
+    let ran = strips_on(Body::pick(ops.k), ops, gather, rows, y, finish);
     debug_assert!(ran, "a picked body runs on this CPU");
 }
 
@@ -493,7 +463,6 @@ fn fill_rows<T: Scalar>(
     first: u32,
     y: &mut [T],
     finish: Finish,
-    dtype: Dtype,
 ) {
     let k = x.cols() as usize;
     if k == 0 {
@@ -501,22 +470,21 @@ fn fill_rows<T: Scalar>(
     }
     let ops = Operands { a, x: x.data(), k };
     let rows = run_of(a, first..first + (y.len() / k) as u32);
-    strips(ops, None, rows, y, finish, dtype);
+    strips(ops, None, rows, y, finish);
 }
 
 /// Serial `Y = A · X` for CSR `A` and dense `X`.
 pub fn spmm<T: Scalar>(a: &CsrMatrix<T>, x: &DenseMatrix<T>) -> SparseResult<DenseMatrix<T>> {
     check_shapes(a, x)?;
     let mut y = DenseMatrix::zeros(a.rows(), x.cols());
-    fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite, Dtype::F64);
+    fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite);
     Ok(y)
 }
 
 /// `A · X` over borrowed row-major slices, finished into `y` as `finish`
-/// says, with products at `dtype` — the multiply of a caller that holds
-/// its operand and output as plain buffers (a rank program's received
-/// tile, a reused iterate) and should not wrap, copy or allocate to
-/// multiply them.
+/// says — the multiply of a caller that holds its operand and output as
+/// plain buffers (a rank program's received tile, a reused iterate) and
+/// should not wrap, copy or allocate to multiply them.
 ///
 /// `x` has `k` columns; its row for column index `c` of `a` is `c`, or
 /// `gather[c]` when a map is given — then `x` may have any number of
@@ -529,10 +497,9 @@ pub fn spmm_slices<T: Scalar>(
     gather: Option<&[u32]>,
     y: &mut [T],
     finish: Finish,
-    dtype: Dtype,
 ) -> SparseResult<()> {
     let ops = check_slices(a, x, k, gather, y, a.rows())?;
-    strips(ops, gather, run_of(a, 0..a.rows()), y, finish, dtype);
+    strips(ops, gather, run_of(a, 0..a.rows()), y, finish);
     Ok(())
 }
 
@@ -548,7 +515,6 @@ pub fn spmm_slices_rows<T: Scalar>(
     k: u32,
     y: &mut [T],
     finish: Finish,
-    dtype: Dtype,
 ) -> SparseResult<()> {
     if rows.start > rows.end || rows.end > a.rows() {
         return Err(SparseError::ShapeMismatch {
@@ -557,7 +523,7 @@ pub fn spmm_slices_rows<T: Scalar>(
         });
     }
     let ops = check_slices(a, x, k, None, y, rows.end - rows.start)?;
-    strips(ops, None, run_of(a, rows), y, finish, dtype);
+    strips(ops, None, run_of(a, rows), y, finish);
     Ok(())
 }
 
@@ -565,7 +531,6 @@ pub fn spmm_slices_rows<T: Scalar>(
 /// and `k` would pick: what lets a test hold every body this CPU runs to
 /// one reference. A body the CPU lacks is refused with
 /// [`SparseError::UnsupportedBody`], before anything is written.
-#[allow(clippy::too_many_arguments)]
 pub fn spmm_slices_on<T: Scalar>(
     body: Body,
     a: &CsrMatrix<T>,
@@ -574,10 +539,9 @@ pub fn spmm_slices_on<T: Scalar>(
     gather: Option<&[u32]>,
     y: &mut [T],
     finish: Finish,
-    dtype: Dtype,
 ) -> SparseResult<()> {
     let ops = check_slices(a, x, k, gather, y, a.rows())?;
-    if strips_on(body, ops, gather, run_of(a, 0..a.rows()), y, finish, dtype) {
+    if strips_on(body, ops, gather, run_of(a, 0..a.rows()), y, finish) {
         Ok(())
     } else {
         Err(SparseError::UnsupportedBody(format!("{body:?}")))
@@ -664,22 +628,20 @@ pub fn part_count(work: usize, min_work: usize) -> usize {
     }
 }
 
-/// `Y = A · X` at `dtype`, **overwriting** the caller's `y`, split over
-/// row blocks on the shared `amd-exec` pool.
+/// `Y = A · X`, **overwriting** the caller's `y`, split over row blocks
+/// on the shared `amd-exec` pool.
 ///
 /// Every output row is owned by one block and summed in the order
 /// [`spmm`] uses (`0`, then the row's entries in column order), so the
-/// result is bit-identical to [`spmm`] at [`Dtype::F64`] and to
-/// [`spmm_slices`] at [`Dtype::F32`] — for any block count
-/// and for any previous content of `y`, which lets a caller keep one
-/// output buffer across multiplies instead of allocating (and
-/// first-touching) a fresh one each time. Work below
-/// [`PARALLEL_MIN_WORK`] runs serially with no dispatch at all.
+/// result is bit-identical to [`spmm`] for any block count and for any
+/// previous content of `y`, which lets a caller keep one output buffer
+/// across multiplies instead of allocating (and first-touching) a fresh
+/// one each time. Work below [`PARALLEL_MIN_WORK`] runs serially with no
+/// dispatch at all.
 pub fn spmm_parallel(
     a: &CsrMatrix<f64>,
     x: &DenseMatrix<f64>,
     y: &mut DenseMatrix<f64>,
-    dtype: Dtype,
 ) -> SparseResult<()> {
     check_shapes(a, x)?;
     check_output(a, x, y)?;
@@ -690,13 +652,13 @@ pub fn spmm_parallel(
     }
     let blocks = part_count(spmm_work(a, x.cols()), PARALLEL_MIN_WORK);
     if blocks == 1 {
-        fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite, dtype);
+        fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite);
         return Ok(());
     }
     let block_rows = n.div_ceil(blocks);
     for_each_chunk(y.data_mut(), block_rows * k, |block, rows| {
         let first = (block * block_rows) as u32;
-        fill_rows(a, x, first, rows, Finish::Overwrite, dtype)
+        fill_rows(a, x, first, rows, Finish::Overwrite)
     });
     Ok(())
 }
@@ -782,18 +744,6 @@ mod tests {
     use super::*;
     use crate::CooMatrix;
 
-    /// Serial `Y = A · X` at `dtype`.
-    fn spmm_dtype(
-        a: &CsrMatrix<f64>,
-        x: &DenseMatrix<f64>,
-        dtype: Dtype,
-    ) -> SparseResult<DenseMatrix<f64>> {
-        check_shapes(a, x)?;
-        let mut y = DenseMatrix::zeros(a.rows(), x.cols());
-        fill_rows(a, x, 0, y.data_mut(), Finish::Overwrite, dtype);
-        Ok(y)
-    }
-
     #[test]
     fn chunks_cover_the_slice_and_a_single_chunk_stays_on_the_caller() {
         let mut data = vec![0u64; 1000];
@@ -838,7 +788,7 @@ mod tests {
         let ys = spmm(&a, &x).unwrap();
         // Overwrites whatever the buffer held.
         let mut yp = DenseMatrix::from_fn(2, 2, |_, _| f64::NAN);
-        spmm_parallel(&a, &x, &mut yp, Dtype::F64).unwrap();
+        spmm_parallel(&a, &x, &mut yp).unwrap();
         assert_eq!(ys, yp);
     }
 
@@ -859,29 +809,29 @@ mod tests {
         (coo.to_csr(), x)
     }
 
+    /// Named when the walker had a second, `f32`, product mode; `f64` is
+    /// the one left.
     #[test]
     fn parallel_blocks_bit_match_serial_in_both_dtypes() {
         let (a, x) = heavy();
         assert!(spmm_work(&a, x.cols()) >= PARALLEL_MIN_WORK);
-        for dtype in [Dtype::F64, Dtype::F32] {
-            let want = spmm_dtype(&a, &x, dtype).unwrap();
-            let mut got = DenseMatrix::from_fn(a.rows(), x.cols(), |r, c| (r + c) as f64);
-            spmm_parallel(&a, &x, &mut got, dtype).unwrap();
-            assert_eq!(got, want, "{dtype}");
-            // Reusing the buffer changes nothing.
-            spmm_parallel(&a, &x, &mut got, dtype).unwrap();
-            assert_eq!(got, want, "{dtype}, reused buffer");
-        }
+        let want = spmm(&a, &x).unwrap();
+        let mut got = DenseMatrix::from_fn(a.rows(), x.cols(), |r, c| (r + c) as f64);
+        spmm_parallel(&a, &x, &mut got).unwrap();
+        assert_eq!(got, want);
+        // Reusing the buffer changes nothing.
+        spmm_parallel(&a, &x, &mut got).unwrap();
+        assert_eq!(got, want, "reused buffer");
     }
 
     #[test]
     fn parallel_rejects_a_misshapen_output_and_accepts_empty_operands() {
         let (a, x) = small();
         let mut bad = DenseMatrix::<f64>::zeros(3, 2);
-        assert!(spmm_parallel(&a, &x, &mut bad, Dtype::F64).is_err());
+        assert!(spmm_parallel(&a, &x, &mut bad).is_err());
         let x0 = DenseMatrix::<f64>::zeros(2, 0);
         let mut y0 = DenseMatrix::<f64>::zeros(2, 0);
-        spmm_parallel(&a, &x0, &mut y0, Dtype::F64).unwrap();
+        spmm_parallel(&a, &x0, &mut y0).unwrap();
     }
 
     #[test]
@@ -892,7 +842,7 @@ mod tests {
         let x = [10.0, 20.0, 0.0, 0.0, 1.0, 2.0];
         let mut y = [0.0; 4];
         let mut run = |x: &[f64], map: &[u32]| {
-            spmm_slices(&a, x, 2, Some(map), &mut y, Finish::Overwrite, Dtype::F64).map(|()| y)
+            spmm_slices(&a, x, 2, Some(map), &mut y, Finish::Overwrite).map(|()| y)
         };
         assert_eq!(run(&x, &[2, 0]).unwrap(), [10.0, 20.0, 32.0, 64.0]);
         assert!(run(&x, &[2]).is_err(), "a map must cover every column");
@@ -909,16 +859,7 @@ mod tests {
     fn accumulating_variant_adds() {
         let (a, x) = small();
         let mut y = DenseMatrix::from_fn(2, 2, |_, _| 100.0);
-        spmm_slices(
-            &a,
-            x.data(),
-            2,
-            None,
-            y.data_mut(),
-            Finish::Accumulate,
-            Dtype::F64,
-        )
-        .unwrap();
+        spmm_slices(&a, x.data(), 2, None, y.data_mut(), Finish::Accumulate).unwrap();
         assert_eq!(y.data(), &[103.0, 104.0, 111.0, 116.0]);
     }
 
@@ -929,7 +870,7 @@ mod tests {
         assert!(spmm(&a, &bad).is_err());
         let mut y = DenseMatrix::<f64>::zeros(3, 2);
         let x = DenseMatrix::<f64>::zeros(2, 2);
-        assert!(spmm_parallel(&a, &x, &mut y, Dtype::F64).is_err());
+        assert!(spmm_parallel(&a, &x, &mut y).is_err());
     }
 
     #[test]
@@ -960,43 +901,11 @@ mod tests {
 
     #[test]
     fn dtype_f64_is_exact_spmm() {
-        let (a, x) = small();
-        assert_eq!(
-            spmm_dtype(&a, &x, Dtype::F64).unwrap(),
-            spmm(&a, &x).unwrap()
-        );
-    }
-
-    #[test]
-    fn dtype_f32_exact_on_small_integers() {
-        // Integer data well inside f32's 24-bit mantissa is exact.
-        let (a, x) = small();
-        assert_eq!(
-            spmm_dtype(&a, &x, Dtype::F32).unwrap(),
-            spmm(&a, &x).unwrap()
-        );
-    }
-
-    #[test]
-    fn dtype_f32_narrows_products() {
-        // 0.1 is not representable in f32, so the emulated product must
-        // differ from the f64 one — and match the hand-narrowed value.
-        let mut coo = CooMatrix::new(1, 1);
-        coo.push(0, 0, 0.1).unwrap();
-        let a = coo.to_csr();
-        let x = DenseMatrix::from_vec(1, 1, vec![0.3]).unwrap();
-        let y = spmm_dtype(&a, &x, Dtype::F32).unwrap();
-        assert_eq!(y.get(0, 0), (0.1f32 * 0.3f32) as f64);
-        assert_ne!(y.get(0, 0), 0.1 * 0.3);
-    }
-
-    #[test]
-    fn dtype_shape_mismatch_rejected() {
-        let (a, _) = small();
-        let bad = DenseMatrix::<f64>::zeros(3, 2);
-        assert!(spmm_dtype(&a, &bad, Dtype::F32).is_err());
-        let x = DenseMatrix::<f64>::zeros(2, 2);
-        let mut y = DenseMatrix::<f64>::zeros(3, 2);
-        assert!(spmm_parallel(&a, &x, &mut y, Dtype::F32).is_err());
+        // Every product and sum rounds once at `f64`, in column order: on
+        // non-integer data the walker is the dense reference bit for bit.
+        let (a, x) = heavy();
+        let a = a.submatrix(0, 64, 0, a.cols());
+        let x = DenseMatrix::from_fn(x.rows(), 19, |r, c| x.get(r, c));
+        assert_eq!(spmm(&a, &x).unwrap(), spmm_dense_reference(&a, &x).unwrap());
     }
 }

@@ -5,7 +5,7 @@
 //! each other).
 
 use amd_sparse::spmm::{self, Finish};
-use amd_sparse::{CsrMatrix, DenseMatrix, Dtype};
+use amd_sparse::{CsrMatrix, DenseMatrix};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -152,7 +152,6 @@ fn perf_smoke_spmv() {
                 None,
                 &mut got,
                 Finish::Overwrite,
-                Dtype::F64,
             )
             .unwrap()
         },

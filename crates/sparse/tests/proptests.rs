@@ -1,6 +1,6 @@
 //! Property-based tests for the sparse substrate.
 
-use amd_sparse::{ops, spmm, CooMatrix, CsrMatrix, DeltaBuilder, DenseMatrix, Dtype, Permutation};
+use amd_sparse::{ops, spmm, CooMatrix, CsrMatrix, DeltaBuilder, DenseMatrix, Permutation};
 use proptest::prelude::*;
 
 /// Strategy: a random sparse matrix of shape up to 24×24 with up to 64
@@ -119,7 +119,7 @@ proptest! {
         let slow = spmm::spmm_dense_reference(&a, &x).unwrap();
         prop_assert!(fast.max_abs_diff(&slow).unwrap() < 1e-9);
         let mut par = DenseMatrix::from_fn(a.rows(), k, |_, _| f64::NAN);
-        spmm::spmm_parallel(&a, &x, &mut par, Dtype::F64).unwrap();
+        spmm::spmm_parallel(&a, &x, &mut par).unwrap();
         prop_assert_eq!(&par, &fast);
     }
 
@@ -431,8 +431,8 @@ fn empty_matrices_of_different_shapes_fingerprint_apart() {
 }
 
 /// The strip primitive's contract, one element at a time: the output
-/// element's starting value, the row's products in column order — exact,
-/// or rounded through `f32` — each added as it is formed, and the finish.
+/// element's starting value, the row's products in column order, each
+/// added as it is formed, and the finish.
 fn strip_reference<T: amd_sparse::Scalar>(
     a: &CsrMatrix<T>,
     x: &[T],
@@ -440,7 +440,6 @@ fn strip_reference<T: amd_sparse::Scalar>(
     gather: Option<&[u32]>,
     y: &mut [T],
     finish: spmm::Finish,
-    dtype: Dtype,
 ) {
     for r in 0..a.rows() {
         for j in 0..k {
@@ -452,11 +451,7 @@ fn strip_reference<T: amd_sparse::Scalar>(
             };
             for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
                 let row = gather.map_or(c, |g| g[c as usize]) as usize;
-                let xv = x[row * k + j];
-                acc += match dtype {
-                    Dtype::F64 => v * xv,
-                    Dtype::F32 => T::from_f64((v.to_f64() as f32 * xv.to_f64() as f32) as f64),
-                };
+                acc += v * x[row * k + j];
             }
             y[at] = if finish == spmm::Finish::Fold {
                 y[at] + acc
@@ -470,9 +465,9 @@ fn strip_reference<T: amd_sparse::Scalar>(
 /// Runs the dispatched entry and every walker body this CPU runs
 /// ([`spmm::Body`]) on every width in `0..=70` and `95..=96`,
 /// `127..=130` (each strip width alone and every greedy mix of 64, 32,
-/// 16, 8, 4 and 1 columns), in the three finish modes and both product
-/// modes, with and without the gather map, and compares each with
-/// [`strip_reference`] bit for bit — and a run of rows multiplied alone
+/// 16, 8, 4 and 1 columns), in the three finish modes, with and without
+/// the gather map, and compares each with [`strip_reference`] bit for
+/// bit — and a run of rows multiplied alone
 /// ([`spmm::spmm_slices_rows`]) with its part of the same reference. A
 /// body the CPU lacks must be refused, leaving the output as it was.
 fn check_strips<T: amd_sparse::Scalar>(
@@ -492,58 +487,37 @@ fn check_strips<T: amd_sparse::Scalar>(
                 spmm::Finish::Accumulate,
                 spmm::Finish::Fold,
             ] {
-                for dtype in [Dtype::F64, Dtype::F32] {
-                    let mut want = y0.clone();
-                    strip_reference(a, &x, k, gather, &mut want, finish, dtype);
+                let mut want = y0.clone();
+                strip_reference(a, &x, k, gather, &mut want, finish);
+                let mut got = y0.clone();
+                spmm::spmm_slices(a, &x, k as u32, gather, &mut got, finish).unwrap();
+                prop_assert_eq!(bits(&got), bits(&want), "dispatched k={} {:?}", k, finish);
+                for body in spmm::Body::ALL {
                     let mut got = y0.clone();
-                    spmm::spmm_slices(a, &x, k as u32, gather, &mut got, finish, dtype).unwrap();
+                    let ran = spmm::spmm_slices_on(body, a, &x, k as u32, gather, &mut got, finish);
+                    if !body.runs_here() {
+                        prop_assert!(ran.is_err(), "{:?} ran on a CPU without it", body);
+                        prop_assert_eq!(bits(&got), bits(&y0), "refused {:?} wrote", body);
+                        continue;
+                    }
+                    ran.unwrap();
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?} k={} {:?}", body, k, finish);
+                }
+                if gather.is_none() {
+                    // A run of rows alone is that part of the whole.
+                    let (lo, hi) = (a.rows() / 3, a.rows() - a.rows() / 4);
+                    let span = lo as usize * k..hi as usize * k;
+                    let mut got = y0[span.clone()].to_vec();
+                    spmm::spmm_slices_rows(a, lo..hi, &x, k as u32, &mut got, finish).unwrap();
                     prop_assert_eq!(
                         bits(&got),
-                        bits(&want),
-                        "dispatched k={} {:?} {}",
+                        bits(&want[span]),
+                        "rows {}..{} k={} {:?}",
+                        lo,
+                        hi,
                         k,
-                        finish,
-                        dtype
+                        finish
                     );
-                    for body in spmm::Body::ALL {
-                        let mut got = y0.clone();
-                        let ran = spmm::spmm_slices_on(
-                            body, a, &x, k as u32, gather, &mut got, finish, dtype,
-                        );
-                        if !body.runs_here() {
-                            prop_assert!(ran.is_err(), "{:?} ran on a CPU without it", body);
-                            prop_assert_eq!(bits(&got), bits(&y0), "refused {:?} wrote", body);
-                            continue;
-                        }
-                        ran.unwrap();
-                        prop_assert_eq!(
-                            bits(&got),
-                            bits(&want),
-                            "{:?} k={} {:?} {}",
-                            body,
-                            k,
-                            finish,
-                            dtype
-                        );
-                    }
-                    if gather.is_none() {
-                        // A run of rows alone is that part of the whole.
-                        let (lo, hi) = (a.rows() / 3, a.rows() - a.rows() / 4);
-                        let span = lo as usize * k..hi as usize * k;
-                        let mut got = y0[span.clone()].to_vec();
-                        spmm::spmm_slices_rows(a, lo..hi, &x, k as u32, &mut got, finish, dtype)
-                            .unwrap();
-                        prop_assert_eq!(
-                            bits(&got),
-                            bits(&want[span]),
-                            "rows {}..{} k={} {:?} {}",
-                            lo,
-                            hi,
-                            k,
-                            finish,
-                            dtype
-                        );
-                    }
                 }
             }
         }
@@ -616,16 +590,14 @@ proptest! {
                 prop_assert!(spmm::part_count(work, spmm::PARALLEL_MIN_WORK) > 1);
             }
             let x = DenseMatrix::from_fn(cols, k, |_, _| value(&mut rng));
-            for dtype in [Dtype::F64, Dtype::F32] {
-                let mut want = vec![0.0; rows as usize * k as usize];
-                let overwrite = spmm::Finish::Overwrite;
-                strip_reference(&a, x.data(), k as usize, None, &mut want, overwrite, dtype);
-                // Whatever the output held is overwritten.
-                let mut got = DenseMatrix::from_fn(rows, k, |_, _| value(&mut rng));
-                spmm::spmm_parallel(&a, &x, &mut got, dtype).unwrap();
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(got.data()), bits(&want), "k={} {}", k, dtype);
-            }
+            let mut want = vec![0.0; rows as usize * k as usize];
+            let overwrite = spmm::Finish::Overwrite;
+            strip_reference(&a, x.data(), k as usize, None, &mut want, overwrite);
+            // Whatever the output held is overwritten.
+            let mut got = DenseMatrix::from_fn(rows, k, |_, _| value(&mut rng));
+            spmm::spmm_parallel(&a, &x, &mut got).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(got.data()), bits(&want), "k={}", k);
         }
     }
 }

@@ -20,7 +20,7 @@ use crate::layout::{block_range, grid_groups, run_blocks, Buf, Kernel, List, Lis
 use crate::traits::{CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{order, walk, Collective, CostModel, MachineStats, Plan, Step};
 use amd_sparse::spmm::Finish;
-use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::{CsrMatrix, DenseMatrix, SparseError, SparseResult};
 
 /// The paper's replication choice for the 1.5D baseline: the largest
 /// divisor of `p` that is at most `⌊√p⌋` ("we use c = ⌊√p⌋ in our
@@ -51,7 +51,6 @@ pub struct A15dSpmm {
     /// down a grid column and a block's ring all-reduce across a grid row.
     plans: Vec<(u32, Collective, Plan)>,
     cost: CostModel,
-    dtype: Dtype,
 }
 
 impl A15dSpmm {
@@ -108,30 +107,12 @@ impl A15dSpmm {
             tiles,
             plans,
             cost: CostModel::default(),
-            dtype: Dtype::default(),
         })
     }
 
     /// Overrides the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`amd_sparse::spmm::spmm_slices`]) and
-    /// [`predict_volume`] charges `dtype` bytes per value moved.
-    ///
-    /// The simulated machine still ships `f64` buffers (the narrowing is
-    /// emulated value-wise), so at [`Dtype::F32`] the *accounted* volume
-    /// reads 2× the prediction — the prediction reflects what a real
-    /// narrowed wire costs. The broadcast's schedule is selected on the
-    /// bytes the machine charges (`f64`), in the run and in the
-    /// prediction alike.
-    ///
-    /// [`predict_volume`]: DistSpmm::predict_volume
-    pub fn with_dtype(mut self, dtype: Dtype) -> Self {
-        self.dtype = dtype;
         self
     }
 
@@ -184,7 +165,7 @@ impl A15dSpmm {
                 steps.push(Step::run(plan, col, root, None, kk, tag, buf));
                 if let Some((_, sub)) = tiles.next_if(|(tt, _)| *tt == t && k > 0) {
                     let bufs = [xt, Buf::Partial];
-                    steps.push(Multiply::new(sub, bufs, k, finish, self.dtype).step());
+                    steps.push(Multiply::new(sub, bufs, k, finish).step());
                     finish = Finish::Accumulate;
                 }
             }
@@ -257,7 +238,7 @@ impl DistSpmm for A15dSpmm {
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        CommEstimate::of_walk(self.ordered(k).1, self.dtype)
+        CommEstimate::of_walk(self.ordered(k).1)
     }
 }
 

@@ -34,7 +34,7 @@ use crate::layout::{Buf, Kernel, List, Lists, Multiply};
 use crate::traits::{CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{order, walk, Collective, CostModel, MachineStats, Plan, Schedule, Step};
 use amd_sparse::spmm::Finish;
-use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::{CsrMatrix, DenseMatrix, SparseError, SparseResult};
 
 /// 2D A-stationary SpMM bound to a matrix.
 pub struct A2dSpmm {
@@ -52,7 +52,6 @@ pub struct A2dSpmm {
     /// (a two-member tree broadcast).
     plans: Vec<(u32, Collective, Plan, Plan)>,
     cost: CostModel,
-    dtype: Dtype,
 }
 
 impl A2dSpmm {
@@ -108,30 +107,12 @@ impl A2dSpmm {
             tiles,
             plans,
             cost: CostModel::default(),
-            dtype: Dtype::default(),
         })
     }
 
     /// Overrides the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`amd_sparse::spmm::spmm_slices`]) and
-    /// [`predict_volume`] charges `dtype` bytes per value moved.
-    ///
-    /// The simulated machine still ships `f64` buffers (the narrowing is
-    /// emulated value-wise), so at [`Dtype::F32`] the *accounted* volume
-    /// reads ~2× the prediction — the prediction reflects what a real
-    /// narrowed wire costs. The broadcast's schedule is selected on the
-    /// bytes the machine charges (`f64`), in the run and in the
-    /// prediction alike.
-    ///
-    /// [`predict_volume`]: DistSpmm::predict_volume
-    pub fn with_dtype(mut self, dtype: Dtype) -> Self {
-        self.dtype = dtype;
         self
     }
 
@@ -182,8 +163,7 @@ impl A2dSpmm {
                 steps.push(Step::run(bcast, col, root, None, fk, tag + 1, buf));
                 let partial = if c == f { Buf::Y } else { Buf::Partial };
                 steps.push(if height(r) > 0 && height(c) > 0 && fk > 0 {
-                    let dtype = self.dtype;
-                    Multiply::new(tile, [xt, partial], f1 - f0, Finish::Overwrite, dtype).step()
+                    Multiply::new(tile, [xt, partial], f1 - f0, Finish::Overwrite).step()
                 } else {
                     Step::Compute(Kernel::Zero(partial, height(r) as usize * fk))
                 });
@@ -248,7 +228,7 @@ impl DistSpmm for A2dSpmm {
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        CommEstimate::of_walk(self.ordered(k).1, self.dtype)
+        CommEstimate::of_walk(self.ordered(k).1)
     }
 }
 
@@ -300,16 +280,21 @@ mod tests {
 
     #[test]
     fn storage_is_smaller_than_15d_fully_replicated() {
-        // The §3 comparison: 2D holds X once; 1.5D with c = √p holds √p
-        // copies. Verified through per-rank received volume: the 2D
-        // broadcast moves nk/√p per rank per iteration (+log factors) vs
-        // 1.5D's nk/c.
+        // The §3 comparison at p = 16: 2D holds one ⌈n/q⌉ × ⌈k/q⌉ block of
+        // X per rank, 1.5D with c = √p = 4 a whole ⌈n/(p/c)⌉ × k row
+        // block of it (and as much again in flight and in its partial Y).
         let a: CsrMatrix<f64> = basic::grid_2d(12, 12).to_adjacency();
-        let x = DenseMatrix::from_fn(144, 16, |r, _| r as f64);
-        let r2 = A2dSpmm::new(&a, 16).unwrap().run(&x, 1).unwrap();
-        // Just assert it ran and accounted volume; the comparative claim
-        // is exercised by the ablation bench.
-        assert!(r2.stats.max_volume() > 0);
+        let (n, k) = (a.rows(), 16);
+        let alg = A2dSpmm::new(&a, 16).unwrap();
+        let widest = even_ranges(k, alg.q).iter().map(|(c0, c1)| c1 - c0).max();
+        let block = (alg.rb * widest.unwrap()) as u64;
+        assert_eq!(block, (n.div_ceil(4) * k.div_ceil(4)) as u64);
+        let a15d = crate::storage::a15d_storage(&a, 16, 4, k);
+        let (a15d_dense, a15d_x) = (a15d.dense_total / 16, (n.div_ceil(4) * k) as u64);
+        assert_eq!(a15d_dense, 3 * a15d_x);
+        assert!(block < a15d_dense, "{block} vs {a15d_dense} words");
+        // The X copy alone is √p blocks of 2D's.
+        assert_eq!(4 * block, a15d_x);
     }
 
     #[test]

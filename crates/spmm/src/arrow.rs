@@ -34,9 +34,9 @@
 //!    cut in rank order at the row boundaries nearest the running quota.
 //!    A hub that fits under the root's quota stays whole with the root,
 //!    as Algorithm 1 has it (grids, MAWI-, OSM- and GenBank-like inputs).
-//!    The rule reads entry counts only — not `k`, the cost model or the
-//!    dtype — so a row of `C(0)` is summed in one association whatever
-//!    the operand width, which the engine's batching relies on.
+//!    The rule reads entry counts only — not `k` or the cost model — so a
+//!    row of `C(0)` is summed in one association whatever the operand
+//!    width, which the engine's batching relies on.
 //! 3. **Backward aggregation** (Algorithm 2): every row of a deeper level
 //!    is completed and returned to where the row it adds into is
 //!    completed, leaving `Y` on level 0 laid out like `X` (§6.1), so
@@ -81,9 +81,9 @@
 //! Answers are bit for bit the same whichever feed runs. Every row is
 //! summed in the association the relay gives it,
 //! `Y[v] = C₀[v] + (C₁[v] + (C₂[v] + …))`. A product row sums from `+0.0`
-//! in its tiles' order with the same kernels, so `f32` products round as
-//! the relay's do. A row of a deeper `D(0)` is folded from its members'
-//! pieces in the root-last order every reduce sums in ([`fold_nonroots`],
+//! in its tiles' order with the same kernels, as the relay's does. A row
+//! of a deeper `D(0)` is folded from its members' pieces in the
+//! root-last order every reduce sums in ([`fold_nonroots`],
 //! `Fold`), a member that has no piece entering as a literal `+0.0`.
 //!
 //! Routes and collectives are one kind of plan: `ArrowSpmm::new` builds
@@ -130,7 +130,7 @@ use amd_comm::{
     fold_nonroots, order, walk, Collective, CostModel, Dir, MachineStats, Plan, Schedule, Step,
 };
 use amd_sparse::spmm::Finish;
-use amd_sparse::{CsrBuilder, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::{CsrBuilder, CsrMatrix, DenseMatrix, SparseError, SparseResult};
 use arrow_core::{ArrowDecomposition, ArrowMatrix};
 use std::ops::Range;
 use std::sync::Arc;
@@ -726,7 +726,6 @@ pub struct ArrowSpmm {
     /// Vertex at position `p` of level 0 (`π₀⁻¹`), for X scatter/Y gather.
     level0_vertices: Vec<u32>,
     cost: CostModel,
-    dtype: Dtype,
 }
 
 impl ArrowSpmm {
@@ -783,26 +782,12 @@ impl ArrowSpmm {
             feeds,
             level0_vertices,
             cost: CostModel::default(),
-            dtype: Dtype::default(),
         })
     }
 
     /// Overrides the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`amd_sparse::spmm::spmm_slices`]) and
-    /// [`predict_volume`] charges `dtype` bytes per value moved. The
-    /// machine still ships (and the plans are picked on) `f64` buffers, so
-    /// an `F32` plan predicts the messages the run sends and exactly half
-    /// its accounted bytes.
-    ///
-    /// [`predict_volume`]: DistSpmm::predict_volume
-    pub fn with_dtype(mut self, dtype: Dtype) -> Self {
-        self.dtype = dtype;
         self
     }
 
@@ -955,7 +940,7 @@ impl ArrowSpmm {
                 steps.extend((j == 0).then(|| fwd(Dir::Recv)));
                 steps.push(if products.nnz() > 0 {
                     let over = Finish::Overwrite;
-                    let m = Multiply::new(products, [Buf::X, Buf::Inbox], k, over, self.dtype);
+                    let m = Multiply::new(products, [Buf::X, Buf::Inbox], k, over);
                     let gather = Some(&plan.gather[..]);
                     Multiply { gather, ..m }.step()
                 } else {
@@ -1002,7 +987,7 @@ impl ArrowSpmm {
         ([bcast, reduce], group): ([&'a Plan; 2], &Arc<[u32]>),
         d: Buf,
     ) {
-        let (arrow, kk, dtype) = (&level.arrow, k as usize, self.dtype);
+        let (arrow, kk) = (&level.arrow, k as usize);
         let (over, acc) = (Finish::Overwrite, Finish::Accumulate);
         let (d0, partial) = match i {
             0 => (d, Buf::Y),
@@ -1011,15 +996,15 @@ impl ArrowSpmm {
         steps.push(Step::run(bcast, group, 0, None, kk, 3, d0 as usize));
         steps.push(match i {
             0 => Step::Compute(Kernel::Zero(Buf::Y, level.d0_rows() as usize * kk)),
-            _ => Multiply::new(arrow.row_tile(i), [d, partial], k, over, dtype).step(),
+            _ => Multiply::new(arrow.row_tile(i), [d, partial], k, over).step(),
         });
-        let hub = Multiply::new(arrow.row_tile(0), [d0, partial], k, acc, dtype);
+        let hub = Multiply::new(arrow.row_tile(0), [d0, partial], k, acc);
         let rows = level.hub_run(i);
         steps.push(Multiply { rows, ..hub }.step());
         steps.push(Step::run(reduce, group, 0, None, kk, 4, partial as usize));
         if i > 0 {
-            let col = Multiply::new(arrow.col_tile(i), [Buf::Recv, Buf::Y], k, over, dtype);
-            let diag = Multiply::new(arrow.diag_tile(i), [d, Buf::Y], k, acc, dtype);
+            let col = Multiply::new(arrow.col_tile(i), [Buf::Recv, Buf::Y], k, over);
+            let diag = Multiply::new(arrow.diag_tile(i), [d, Buf::Y], k, acc);
             steps.extend([col.step(), diag.step()]);
             steps.push(Step::Compute(Kernel::Move(d, Buf::Partial)));
         }
@@ -1052,7 +1037,7 @@ impl DistSpmm for ArrowSpmm {
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
         let (_, _, walked) = self.choose(k);
-        CommEstimate::of_walk(walked, self.dtype)
+        CommEstimate::of_walk(walked)
     }
 }
 
@@ -1185,14 +1170,14 @@ mod tests {
         );
     }
 
-    /// Runs `d`'s plan for `a` at `dtype` under every feed on non-integer
-    /// data and holds them to one answer, bit for bit, and at `f64` to the
-    /// product. Returns whether the direct and the gather feed add a deeper
-    /// level's row into a row of some level's `D(0)` — a vertex of block 0
-    /// of level `t` that is active at `t + 1` — which the holder must do
-    /// before it adds the row into its own block, as the relay's root did.
-    fn feeds_agree(a: &CsrMatrix<f64>, d: &ArrowDecomposition, k: u32, dtype: Dtype) -> bool {
-        let alg = ArrowSpmm::new(d).unwrap().with_dtype(dtype);
+    /// Runs `d`'s plan for `a` under every feed on non-integer data and
+    /// holds them to one answer, bit for bit, and to the product. Returns
+    /// whether the direct and the gather feed add a deeper level's row
+    /// into a row of some level's `D(0)` — a vertex of block 0 of level
+    /// `t` that is active at `t + 1` — which the holder must do before it
+    /// adds the row into its own block, as the relay's root did.
+    fn feeds_agree(a: &CsrMatrix<f64>, d: &ArrowDecomposition, k: u32) -> bool {
+        let alg = ArrowSpmm::new(d).unwrap();
         let x = DenseMatrix::from_fn(a.rows(), k, |r, c| {
             ((r * 7 + c * 13) % 31) as f64 / 7.0 - 1.9
         });
@@ -1204,17 +1189,11 @@ mod tests {
         let bits = |y: &DenseMatrix<f64>| y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (feed, y) in FEEDS.iter().zip(&ys) {
             let name = alg.name();
-            assert_eq!(
-                bits(&ys[0]),
-                bits(y),
-                "{feed:?}: {name} at k = {k}, {dtype}"
-            );
+            assert_eq!(bits(&ys[0]), bits(y), "{feed:?}: {name} at k = {k}");
         }
-        if dtype == Dtype::F64 {
-            let want = iterated_spmm(a, &x, 2).unwrap();
-            let scale = want.data().iter().fold(1.0f64, |m, v| m.max(v.abs()));
-            assert!(ys[0].max_abs_diff(&want).unwrap() <= 1e-12 * scale);
-        }
+        let want = iterated_spmm(a, &x, 2).unwrap();
+        let scale = want.data().iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        assert!(ys[0].max_abs_diff(&want).unwrap() <= 1e-12 * scale);
         [Feed::Direct, Feed::Gather].iter().all(|&feed| {
             (alg.feeds[feed as usize].ranks.iter())
                 .flat_map(|plan| &plan.folds)
@@ -1228,8 +1207,7 @@ mod tests {
     /// four operand widths, the spliced chain, whose rows come from
     /// further up than the level before, generated chains whose holders
     /// fold a deeper level's row into a row of `D(0)` and whose vertices
-    /// re-enter after leaving, and a grid and a chain whose products round
-    /// through `f32`.
+    /// re-enter after leaving.
     #[test]
     fn both_feeds_give_one_answer_bit_for_bit() {
         use amd_graph::generators::rmat;
@@ -1245,24 +1223,22 @@ mod tests {
             for parts in [8, 16] {
                 let d = decompose(a, a.rows() / parts, 1);
                 for k in [1, 6, 16, 64] {
-                    feeds_agree(a, &d, k, Dtype::F64);
+                    feeds_agree(a, &d, k);
                 }
             }
         }
         let (spliced_a, spliced_d) = spliced();
         for k in [1, 6, 16, 64] {
-            feeds_agree(&spliced_a, &spliced_d, k, Dtype::F64);
+            feeds_agree(&spliced_a, &spliced_d, k);
         }
         for seed in 0..8 {
             let (a, d) = generated_chain(seed);
             for k in [1, 6, 64] {
-                assert!(feeds_agree(&a, &d, k, Dtype::F64), "seed {seed}");
+                assert!(feeds_agree(&a, &d, k), "seed {seed}");
             }
         }
-        let grid = &inputs[0];
-        feeds_agree(grid, &decompose(grid, grid.rows() / 16, 1), 16, Dtype::F32);
         let (a, d) = generated_chain(8);
-        feeds_agree(&a, &d, 16, Dtype::F32);
+        feeds_agree(&a, &d, 16);
     }
 
     /// No iteration answers the operand itself, bit for bit, on every
@@ -1308,10 +1284,10 @@ mod tests {
     /// The order that fills the ranks' waits edits the lists and nothing
     /// else. On the support table's inputs and the spliced chain, each of
     /// the four algorithms' ordered lists answers bit for bit what its
-    /// lists as built answer, at `f64` on non-integer data and at `f32`,
-    /// after one iteration and after eight; every rank moves the bytes
-    /// and messages it moved, for the flops it was charged, as the walk
-    /// of the ordered lists says; and the makespan is no higher.
+    /// lists as built answer on non-integer data, after one iteration and
+    /// after eight; every rank moves the bytes and messages it moved, for
+    /// the flops it was charged, as the walk of the ordered lists says;
+    /// and the makespan is no higher.
     #[test]
     fn ordered_lists_answer_as_built_and_finish_no_later() {
         use crate::{A15dSpmm, A2dSpmm, Hp1dSpmm};
@@ -1357,28 +1333,20 @@ mod tests {
         for (a, d) in &inputs {
             let n = a.rows();
             let x = DenseMatrix::from_fn(n, k, |r, c| ((r * 7 + c * 13) % 31) as f64 / 7.0 - 1.9);
-            for dtype in [Dtype::F64, Dtype::F32] {
-                let arrow = ArrowSpmm::new(d).unwrap().with_dtype(dtype);
-                let (feed, ordered, _) = arrow.choose(k);
-                let built = arrow.steps(k, feed, &arrow.picks(k));
-                let run =
-                    |steps: &[List<'_>], iters| arrow.run_steps(&x, iters, None, steps).unwrap();
-                compare(&arrow.name(), &built, &ordered, &run);
-                let a15d = A15dSpmm::new(a, 16, 4).unwrap().with_dtype(dtype);
-                let run =
-                    |steps: &[List<'_>], iters| a15d.run_steps(&x, iters, None, steps).unwrap();
-                compare(&a15d.name(), &a15d.steps(k), &a15d.ordered(k).0, &run);
-                let a2d = A2dSpmm::new(a, 16).unwrap().with_dtype(dtype);
-                let run =
-                    |steps: &[List<'_>], iters| a2d.run_steps(&x, iters, None, steps).unwrap();
-                compare(&a2d.name(), &a2d.steps(k), &a2d.ordered(k).0, &run);
-                let hp1d = Hp1dSpmm::new(a, &block_partition(n, 16))
-                    .unwrap()
-                    .with_dtype(dtype);
-                let run =
-                    |steps: &[List<'_>], iters| hp1d.run_steps(&x, iters, None, steps).unwrap();
-                compare(&hp1d.name(), &hp1d.steps(k), &hp1d.ordered(k).0, &run);
-            }
+            let arrow = ArrowSpmm::new(d).unwrap();
+            let (feed, ordered, _) = arrow.choose(k);
+            let built = arrow.steps(k, feed, &arrow.picks(k));
+            let run = |steps: &[List<'_>], iters| arrow.run_steps(&x, iters, None, steps).unwrap();
+            compare(&arrow.name(), &built, &ordered, &run);
+            let a15d = A15dSpmm::new(a, 16, 4).unwrap();
+            let run = |steps: &[List<'_>], iters| a15d.run_steps(&x, iters, None, steps).unwrap();
+            compare(&a15d.name(), &a15d.steps(k), &a15d.ordered(k).0, &run);
+            let a2d = A2dSpmm::new(a, 16).unwrap();
+            let run = |steps: &[List<'_>], iters| a2d.run_steps(&x, iters, None, steps).unwrap();
+            compare(&a2d.name(), &a2d.steps(k), &a2d.ordered(k).0, &run);
+            let hp1d = Hp1dSpmm::new(a, &block_partition(n, 16)).unwrap();
+            let run = |steps: &[List<'_>], iters| hp1d.run_steps(&x, iters, None, steps).unwrap();
+            compare(&hp1d.name(), &hp1d.steps(k), &hp1d.ordered(k).0, &run);
         }
         assert!(fell.get() > 0, "no makespan fell: the test orders nothing");
     }
@@ -1502,27 +1470,6 @@ mod tests {
     fn k1_vector_case() {
         let a: CsrMatrix<f64> = basic::cycle(40).to_adjacency();
         check(&a, 8, 1, 2);
-    }
-
-    #[test]
-    fn f32_dtype_halves_predicted_bytes_and_stays_exact_on_integers() {
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let a: CsrMatrix<f64> = random::random_tree(300, &mut rng).to_adjacency();
-        let d = decompose(&a, 16, 42);
-        let alg64 = ArrowSpmm::new(&d).unwrap();
-        let alg32 = ArrowSpmm::new(&d)
-            .unwrap()
-            .with_dtype(amd_sparse::Dtype::F32);
-        let est64 = alg64.predict_volume(4);
-        let est32 = alg32.predict_volume(4);
-        assert_eq!(est32.max_rank_bytes, est64.max_rank_bytes / 2.0);
-        assert_eq!(est32.max_rank_messages, est64.max_rank_messages);
-        // Integer data inside the f32 mantissa: the emulated f32 local
-        // multiplies are exact, so both precisions agree bit-for-bit.
-        let x = DenseMatrix::from_fn(300, 4, |r, c| (((r * 5 + c * 3) % 9) as f64) - 4.0);
-        let y64 = alg64.run(&x, 2).unwrap().y;
-        let y32 = alg32.run(&x, 2).unwrap().y;
-        assert_eq!(y64, y32);
     }
 
     #[test]

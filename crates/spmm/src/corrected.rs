@@ -41,18 +41,12 @@
 //!
 //! [`predict_ranks`]: DistSpmm::predict_ranks
 //! [`dry_run`]: DistSpmm::dry_run
-//!
-//! The correction always runs in `f64`, even when the wrapped base serves
-//! at `f32` half bandwidth: the delta product is the exactness-critical
-//! path (its fixed reduction order is what makes corrected answers
-//! bit-identical to a cold rebuild on integer data), and a delta is tiny
-//! relative to the base, so narrowing it would save nothing measurable.
 
 use crate::local::{LocalSpmm, Operand};
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{Collective, CostModel, MachineStats, RankStats};
 use amd_sparse::spmm::{self, Finish};
-use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::{CsrMatrix, DenseMatrix, SparseError, SparseResult};
 use std::time::Instant;
 
 /// `f64` slots on the wire per delta entry (row `u32` + col `u32` + value
@@ -137,7 +131,6 @@ impl<'a> DeltaSpmm<'a> {
             None,
             y.data_mut(),
             Finish::Fold,
-            Dtype::F64,
         )
     }
 

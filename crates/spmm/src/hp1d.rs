@@ -26,9 +26,7 @@ use crate::traits::{CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{order, walk, CostModel, Dir, MachineStats, Plan, Step};
 use amd_partition::Partition;
 use amd_sparse::spmm::Finish;
-use amd_sparse::{
-    CsrBuilder, CsrMatrix, DenseMatrix, Dtype, Permutation, SparseError, SparseResult,
-};
+use amd_sparse::{CsrBuilder, CsrMatrix, DenseMatrix, Permutation, SparseError, SparseResult};
 use std::sync::Arc;
 
 /// HP-1D SpMM bound to a matrix and a partition.
@@ -49,7 +47,6 @@ pub struct Hp1dSpmm {
     /// external index.
     fetch: Plan,
     cost: CostModel,
-    dtype: Dtype,
 }
 
 impl Hp1dSpmm {
@@ -155,28 +152,12 @@ impl Hp1dSpmm {
             externals,
             fetch: Plan::routes(p as usize, moves.concat()),
             cost: CostModel::default(),
-            dtype: Dtype::default(),
         })
     }
 
     /// Overrides the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Selects the serving precision: local tile multiplies run at
-    /// `dtype` ([`amd_sparse::spmm::spmm_slices`]) and
-    /// [`predict_volume`] charges `dtype` bytes per value moved.
-    ///
-    /// The simulated machine still ships `f64` buffers (the narrowing is
-    /// emulated value-wise), so at [`Dtype::F32`] the *accounted* volume
-    /// reads ~2× the prediction — the prediction reflects what a real
-    /// narrowed wire costs.
-    ///
-    /// [`predict_volume`]: DistSpmm::predict_volume
-    pub fn with_dtype(mut self, dtype: Dtype) -> Self {
-        self.dtype = dtype;
         self
     }
 
@@ -212,7 +193,7 @@ impl Hp1dSpmm {
     pub(crate) fn steps(&self, k: u32) -> Lists<'_> {
         let (world, kk): (Arc<[u32]>, _) = ((0..self.p).collect(), k as usize);
         let fetch = |dir, buf| Step::run(&self.fetch, &world, 0, Some(dir), kk, 0, buf as usize);
-        let multiply = |tile, x, finish| Multiply::new(tile, [x, Buf::Y], k, finish, self.dtype);
+        let multiply = |tile, x, finish| Multiply::new(tile, [x, Buf::Y], k, finish);
         (0..self.p as usize)
             .map(|rank| {
                 let externals = self.externals[rank] as usize;
@@ -265,7 +246,7 @@ impl DistSpmm for Hp1dSpmm {
     }
 
     fn predict_ranks(&self, k: u32) -> Vec<CommEstimate> {
-        CommEstimate::of_walk(self.ordered(k).1, self.dtype)
+        CommEstimate::of_walk(self.ordered(k).1)
     }
 }
 

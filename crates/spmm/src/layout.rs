@@ -5,7 +5,7 @@ use crate::arrow::{add_rows, Fold};
 use crate::traits::{apply_sigma, Sigma, SpmmRun};
 use amd_comm::{CostModel, Step, Work};
 use amd_sparse::spmm::{self, Finish};
-use amd_sparse::{CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::{CsrMatrix, DenseMatrix, SparseError, SparseResult};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -36,8 +36,8 @@ const BUFS: usize = Buf::Inbox as usize + 1;
 
 /// A multiply: `y (+)= tile · x` — the rows `rows` of `tile` into the
 /// same rows of `y`, `x` read through `gather` if given (a map is read
-/// for whole tiles only) — on `k`-column buffers at `dtype`, finished as
-/// `finish` says; an overwrite makes `y` exactly as tall as its rows end.
+/// for whole tiles only) — on `k`-column buffers, finished as `finish`
+/// says; an overwrite makes `y` exactly as tall as its rows end.
 #[derive(Debug, Clone)]
 pub(crate) struct Multiply<'a> {
     pub tile: &'a CsrMatrix<f64>,
@@ -47,18 +47,11 @@ pub(crate) struct Multiply<'a> {
     pub y: Buf,
     pub k: u32,
     pub finish: Finish,
-    pub dtype: Dtype,
 }
 
 impl<'a> Multiply<'a> {
     /// `y (+)= tile · x` over the whole tile, read directly.
-    pub(crate) fn new(
-        tile: &'a CsrMatrix<f64>,
-        [x, y]: [Buf; 2],
-        k: u32,
-        finish: Finish,
-        dtype: Dtype,
-    ) -> Self {
+    pub(crate) fn new(tile: &'a CsrMatrix<f64>, [x, y]: [Buf; 2], k: u32, finish: Finish) -> Self {
         let (rows, gather) = (0..tile.rows(), None);
         Self {
             tile,
@@ -68,7 +61,6 @@ impl<'a> Multiply<'a> {
             y,
             k,
             finish,
-            dtype,
         }
     }
 
@@ -168,10 +160,10 @@ impl Kernel<'_> {
                 let y_all = Arc::make_mut(&mut y);
                 let x = &bufs[at(m.x)][..];
                 let done = match m.gather {
-                    Some(_) => spmm::spmm_slices(m.tile, x, k, m.gather, y_all, m.finish, m.dtype),
+                    Some(_) => spmm::spmm_slices(m.tile, x, k, m.gather, y_all, m.finish),
                     None => {
                         let y = &mut y_all[rows.start as usize * kk..rows.end as usize * kk];
-                        spmm::spmm_slices_rows(m.tile, rows, x, k, y, m.finish, m.dtype)
+                        spmm::spmm_slices_rows(m.tile, rows, x, k, y, m.finish)
                     }
                 };
                 done.expect("tile shapes align");

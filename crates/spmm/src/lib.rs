@@ -22,11 +22,6 @@
 //! * [`mod@reference`] — the serial reference every algorithm is verified
 //!   against.
 //!
-//! Every member accepts a serving [`amd_sparse::Dtype`] via
-//! `with_dtype`: `f32` halves the bytes charged per value moved and runs
-//! local tile multiplies at emulated f32 precision (f64 accumulation, the
-//! machine's wire format), `f64` is the exact default.
-//!
 //! All algorithms implement [`DistSpmm`]: a `run(x, iters)` producing the
 //! final iterate (in original row order) and the machine's communication
 //! accounting, and a `dry_run(k, iters)` giving that accounting bit for

@@ -25,7 +25,7 @@
 
 use crate::traits::{apply_sigma, CommEstimate, DistSpmm, Sigma, SpmmRun};
 use amd_comm::{CostModel, MachineStats, RankStats};
-use amd_sparse::{spmm, CsrMatrix, DenseMatrix, Dtype, SparseError, SparseResult};
+use amd_sparse::{spmm, CsrMatrix, DenseMatrix, SparseError, SparseResult};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -55,7 +55,6 @@ pub(crate) type Correction<'c> =
 pub struct LocalSpmm {
     a: Arc<CsrMatrix<f64>>,
     cost: CostModel,
-    dtype: Dtype,
     /// The spare iterate buffer: after a run, whichever of its two
     /// buffers does not hold the answer. Taken out for the run, so two
     /// concurrent runs on one binding never wait on each other (one of
@@ -79,7 +78,6 @@ impl LocalSpmm {
         Ok(Self {
             a,
             cost: CostModel::default(),
-            dtype: Dtype::default(),
             spare: Mutex::new(Vec::new()),
         })
     }
@@ -87,13 +85,6 @@ impl LocalSpmm {
     /// Overrides the cost model (only its compute rate is ever charged).
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Selects the serving precision of the multiply
-    /// ([`Dtype::F32`]: `f32` products, `f64` sums).
-    pub fn with_dtype(mut self, dtype: Dtype) -> Self {
-        self.dtype = dtype;
         self
     }
 
@@ -127,7 +118,7 @@ impl LocalSpmm {
         for step in 0..iters {
             let [src, dst] = &mut bufs;
             let src = first.filter(|_| step == 0).unwrap_or(src);
-            spmm::spmm_parallel(&self.a, src, dst, self.dtype)?;
+            spmm::spmm_parallel(&self.a, src, dst)?;
             if let Some(correct) = correct {
                 correct(src, dst)?;
             }
@@ -249,13 +240,12 @@ mod tests {
         })
     }
 
-    /// The serial statement of what a run computes, at either dtype.
+    /// The serial statement of what a run computes.
     fn expected(
         a: &CsrMatrix<f64>,
         x: &DenseMatrix<f64>,
         iters: u32,
         sigma: Option<Sigma>,
-        dtype: Dtype,
     ) -> DenseMatrix<f64> {
         let mut cur = x.clone();
         for _ in 0..iters {
@@ -267,7 +257,6 @@ mod tests {
                 None,
                 next.data_mut(),
                 spmm::Finish::Overwrite,
-                dtype,
             )
             .unwrap();
             apply_sigma(next.data_mut(), sigma);
@@ -285,7 +274,6 @@ mod tests {
             for integer in [true, false] {
                 let a = matrix(n, entries, integer);
                 let local = LocalSpmm::new(a.clone()).unwrap();
-                let narrow = LocalSpmm::new(a.clone()).unwrap().with_dtype(Dtype::F32);
                 for k in [1u32, 3, 64] {
                     let x = operand(n, k, integer);
                     for iters in [0u32, 1, 3] {
@@ -294,11 +282,9 @@ mod tests {
                         assert_eq!(got.y, iterated_spmm(&a, &x, iters).unwrap(), "{case}");
                         assert_eq!(got.iters, iters);
                         for sigma in [None, Some(relu)] {
-                            for (algo, dtype) in [(&local, Dtype::F64), (&narrow, Dtype::F32)] {
-                                let got = algo.run_sigma(&x, iters, sigma).unwrap();
-                                let want = expected(&a, &x, iters, sigma, dtype);
-                                assert_eq!(got.y, want, "{case} σ={} {dtype}", sigma.is_some());
-                            }
+                            let got = local.run_sigma(&x, iters, sigma).unwrap();
+                            let want = expected(&a, &x, iters, sigma);
+                            assert_eq!(got.y, want, "{case} σ={}", sigma.is_some());
                         }
                     }
                 }

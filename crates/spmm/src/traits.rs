@@ -2,7 +2,7 @@
 
 use crate::LocalSpmm;
 use amd_comm::{CostModel, MachineStats};
-use amd_sparse::{DenseMatrix, Dtype, SparseResult};
+use amd_sparse::{DenseMatrix, SparseResult};
 
 /// Result of a distributed run.
 #[derive(Debug, Clone)]
@@ -62,13 +62,12 @@ pub struct CommEstimate {
 }
 
 impl CommEstimate {
-    /// Every rank's estimate from the [`walk`] of one iteration: what the walk
-    /// charges it (at the machine's 8 bytes a value), priced at `dtype`
-    /// bytes a value, and its flops.
-    pub(crate) fn of_walk((stats, flops): (MachineStats, Vec<f64>), dtype: Dtype) -> Vec<Self> {
+    /// Every rank's estimate from the [`walk`] of one iteration: the bytes
+    /// and messages the walk charges it, and its flops.
+    pub(crate) fn of_walk((stats, flops): (MachineStats, Vec<f64>)) -> Vec<Self> {
         (stats.ranks.iter().zip(flops))
             .map(|(rank, flops)| Self {
-                max_rank_bytes: rank.volume() as f64 * (dtype.bytes() as f64 / 8.0),
+                max_rank_bytes: rank.volume() as f64,
                 max_rank_messages: (rank.sent_msgs + rank.recv_msgs) as f64,
                 max_rank_flops: flops,
             })
@@ -147,8 +146,7 @@ pub trait DistSpmm {
     /// The envelope of [`predict_ranks`](Self::predict_ranks): what the
     /// planner ranks by. Its messages are exactly the run's accounted
     /// [`SpmmRun::messages_per_iter`], and its bytes exactly
-    /// [`SpmmRun::volume_per_iter`] scaled to the serving dtype (the
-    /// machine ships `f64`, so an `f32` plan predicts half of it).
+    /// [`SpmmRun::volume_per_iter`].
     fn predict_volume(&self, k: u32) -> CommEstimate {
         let ranks = self.predict_ranks(k);
         let max = |field: fn(&CommEstimate) -> f64| ranks.iter().map(field).fold(0.0, f64::max);

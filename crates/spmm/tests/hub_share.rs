@@ -6,7 +6,7 @@
 
 use amd_comm::CostModel;
 use amd_graph::generators::{basic, datasets, random, rmat};
-use amd_sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix, Dtype};
+use amd_sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix};
 use amd_spmm::reference::iterated_spmm;
 use amd_spmm::{ArrowSpmm, DistSpmm};
 use arrow_core::incremental::{decompose_snapshot_incremental, IncrementalPolicy};
@@ -58,7 +58,7 @@ proptest! {
 
     /// (a) A level's runs are contiguous, in rank order, and cover the
     /// rows of `D(0)` once; and they are a function of the tiles' entry
-    /// counts alone — not of the cost model or dtype the plan is given
+    /// counts alone — not of the cost model the plan is given
     /// (nor of `k`: the plan never sees one), not of the values stored.
     #[test]
     fn runs_partition_the_hub_rows_and_read_entry_counts_only(
@@ -87,7 +87,7 @@ proptest! {
             prop_assert_eq!(at, level.active_n.min(b));
         }
         let cheap_flops = CostModel { compute_rate: 1e15, ..CostModel::default() };
-        let replanned = ArrowSpmm::new(&d).unwrap().with_cost(cheap_flops).with_dtype(Dtype::F32);
+        let replanned = ArrowSpmm::new(&d).unwrap().with_cost(cheap_flops);
         prop_assert_eq!(&replanned.hub_runs(), &runs);
         // Same pattern, same arrangement seed, other values.
         let other = ArrowSpmm::new(&decompose(&revalued(&a), b, seed)).unwrap();
@@ -108,39 +108,36 @@ fn column_bits(m: &DenseMatrix<f64>, col: u32) -> Vec<u64> {
 /// (b) The batching contract (`amd-engine`: a column's accumulation
 /// order does not depend on the operand width) on non-integer values and
 /// operands, through a level that shares its hub tile: every column of a
-/// `k = 8` and of a `k = 64` run is its `k = 1` run bit for bit, at both
-/// dtypes. A split that looked at `k` would fail here.
+/// `k = 8` and of a `k = 64` run is its `k = 1` run bit for bit. A split that looked at `k` would fail here.
 #[test]
 fn shared_hub_keeps_the_batching_contract_on_non_integer_data() {
     let a = revalued(&rmat_matrix(11, 13));
     let n = a.rows();
     let d = decompose(&a, n / 16, 1);
-    for dtype in [Dtype::F64, Dtype::F32] {
-        let alg = ArrowSpmm::new(&d).unwrap().with_dtype(dtype);
-        let sharers = alg.hub_runs()[0].iter().filter(|r| !r.is_empty()).count();
-        assert!(
-            sharers >= 2,
-            "level 0 must share its hub tile or the test has decayed ({sharers} sharer)"
+    let alg = ArrowSpmm::new(&d).unwrap();
+    let sharers = alg.hub_runs()[0].iter().filter(|r| !r.is_empty()).count();
+    assert!(
+        sharers >= 2,
+        "level 0 must share its hub tile or the test has decayed ({sharers} sharer)"
+    );
+    let wide = DenseMatrix::from_fn(n, 64, |r, c| column(c)(r));
+    let run_wide = alg.run(&wide, 2).unwrap();
+    let mid = DenseMatrix::from_fn(n, 8, |r, c| column(c * 8)(r));
+    let run_mid = alg.run(&mid, 2).unwrap();
+    for j in 0..64 {
+        let single = DenseMatrix::from_fn(n, 1, |r, _| column(j)(r));
+        let want = column_bits(&alg.run(&single, 2).unwrap().y, 0);
+        assert_eq!(
+            column_bits(&run_wide.y, j),
+            want,
+            "column {j} of the k = 64 run"
         );
-        let wide = DenseMatrix::from_fn(n, 64, |r, c| column(c)(r));
-        let run_wide = alg.run(&wide, 2).unwrap();
-        let mid = DenseMatrix::from_fn(n, 8, |r, c| column(c * 8)(r));
-        let run_mid = alg.run(&mid, 2).unwrap();
-        for j in 0..64 {
-            let single = DenseMatrix::from_fn(n, 1, |r, _| column(j)(r));
-            let want = column_bits(&alg.run(&single, 2).unwrap().y, 0);
+        if j % 8 == 0 {
             assert_eq!(
-                column_bits(&run_wide.y, j),
+                column_bits(&run_mid.y, j / 8),
                 want,
-                "{dtype}: column {j} of the k = 64 run"
+                "column {j} in the k = 8 run"
             );
-            if j % 8 == 0 {
-                assert_eq!(
-                    column_bits(&run_mid.y, j / 8),
-                    want,
-                    "{dtype}: column {j} in the k = 8 run"
-                );
-            }
         }
     }
 }

@@ -1,12 +1,12 @@
 //! The by-value entry, `DistSpmm::run_owned`, against the borrowing
 //! `run_sigma`: equal bit for bit — answers and accounting — for the
 //! shared-memory binding and for the delta-corrected path over it, at
-//! every width, iteration count, σ and dtype; and equal to what the
+//! every width, iteration count and σ; and equal to what the
 //! corrected path computes one base run per iteration, which is how it
 //! serves a distributed base.
 
 use amd_comm::MachineStats;
-use amd_sparse::{CooMatrix, CsrMatrix, DenseMatrix, Dtype, SparseResult};
+use amd_sparse::{CooMatrix, CsrMatrix, DenseMatrix, SparseResult};
 use amd_spmm::traits::Sigma;
 use amd_spmm::{CommEstimate, DeltaSpmm, DistSpmm, LocalSpmm, SpmmRun};
 
@@ -101,26 +101,24 @@ fn assert_same(got: &SpmmRun, want: &SpmmRun, case: &str) {
 fn run_owned_equals_run_sigma_bit_for_bit() {
     let relu: Sigma = |v| v.max(0.0);
     let (a, d) = (matrix(), delta());
-    for dtype in [Dtype::F64, Dtype::F32] {
-        let local = LocalSpmm::new(a.clone()).unwrap().with_dtype(dtype);
-        let opaque = Opaque(&local);
-        let corrected = DeltaSpmm::new(&local, &d).unwrap();
-        let per_iteration = DeltaSpmm::new(&opaque, &d).unwrap();
-        for k in [1u32, 3, 16, 64] {
-            let x = operand(k);
-            for iters in 0..=3 {
-                for sigma in [None, Some(relu)] {
-                    let case = format!("{dtype} k={k} iters={iters} σ={}", sigma.is_some());
-                    let want = local.run_sigma(&x, iters, sigma).unwrap();
-                    let got = local.run_owned(x.clone(), iters, sigma).unwrap();
-                    assert_same(&got, &want, &format!("local {case}"));
+    let local = LocalSpmm::new(a.clone()).unwrap();
+    let opaque = Opaque(&local);
+    let corrected = DeltaSpmm::new(&local, &d).unwrap();
+    let per_iteration = DeltaSpmm::new(&opaque, &d).unwrap();
+    for k in [1u32, 3, 16, 64] {
+        let x = operand(k);
+        for iters in 0..=3 {
+            for sigma in [None, Some(relu)] {
+                let case = format!("k={k} iters={iters} σ={}", sigma.is_some());
+                let want = local.run_sigma(&x, iters, sigma).unwrap();
+                let got = local.run_owned(x.clone(), iters, sigma).unwrap();
+                assert_same(&got, &want, &format!("local {case}"));
 
-                    let want = per_iteration.run_sigma(&x, iters, sigma).unwrap();
-                    let borrowed = corrected.run_sigma(&x, iters, sigma).unwrap();
-                    assert_same(&borrowed, &want, &format!("corrected {case}"));
-                    let owned = corrected.run_owned(x.clone(), iters, sigma).unwrap();
-                    assert_same(&owned, &want, &format!("corrected, owned {case}"));
-                }
+                let want = per_iteration.run_sigma(&x, iters, sigma).unwrap();
+                let borrowed = corrected.run_sigma(&x, iters, sigma).unwrap();
+                assert_same(&borrowed, &want, &format!("corrected {case}"));
+                let owned = corrected.run_owned(x.clone(), iters, sigma).unwrap();
+                assert_same(&owned, &want, &format!("corrected, owned {case}"));
             }
         }
     }

@@ -1,18 +1,17 @@
 //! `predict_volume` is exact: on generated inputs, for every algorithm,
 //! the prediction equals what the simulated machine charges per
-//! iteration — its busiest rank's bytes (scaled to the serving dtype: the
-//! machine ships `f64`, a plan prices its own wire), its busiest rank's
-//! messages and its busiest rank's flops — and the same three rank by
-//! rank. The serving planner ranks by these figures, so this is where
-//! they are checked, once, rather than on every served batch. A mismatch is a bug on one side and is fixed
-//! there; nothing here is a tolerance.
+//! iteration — its busiest rank's bytes, its busiest rank's messages
+//! and its busiest rank's flops — and the same three rank by rank. The
+//! serving planner ranks by these figures, so this is where they are
+//! checked, once, rather than on every served batch. A mismatch is a bug
+//! on one side and is fixed there; nothing here is a tolerance.
 
 use amd_comm::{CostModel, MachineStats};
 use amd_graph::generators::datasets::DatasetKind;
 use amd_graph::generators::{basic, rmat};
 use amd_graph::Graph;
 use amd_partition::{hype_partition, HypeConfig};
-use amd_sparse::{CooMatrix, CsrMatrix, DenseMatrix, Dtype, SparseError};
+use amd_sparse::{CooMatrix, CsrMatrix, DenseMatrix, SparseError};
 use amd_spmm::{A15dSpmm, A2dSpmm, ArrowSpmm, DeltaSpmm, DistSpmm, Feed, Hp1dSpmm, LocalSpmm};
 use arrow_core::{decompose_snapshot, la_decompose, DecomposeConfig, RandomForestLa};
 use proptest::prelude::*;
@@ -31,14 +30,6 @@ fn cost() -> CostModel {
     CostModel {
         compute_rate: 1.0,
         ..CostModel::default()
-    }
-}
-
-fn dtype(narrow: bool) -> Dtype {
-    if narrow {
-        Dtype::F32
-    } else {
-        Dtype::F64
     }
 }
 
@@ -62,67 +53,36 @@ fn graph(family: u8, n: u32, seed: u64) -> Graph {
 /// Algorithm `kind` (Arrow, 1.5D, 2D, HP-1D, Local) over `g` in its
 /// `shape`-th configuration: an Arrow width, a `(p, c)` grid, a square
 /// rank count, a part count.
-fn algorithm(
-    kind: u8,
-    shape: usize,
-    g: &Graph,
-    seed: u64,
-    dtype: Dtype,
-) -> Box<dyn DistSpmm + Send + Sync> {
+fn algorithm(kind: u8, shape: usize, g: &Graph, seed: u64) -> Box<dyn DistSpmm + Send + Sync> {
     let a: CsrMatrix<f64> = g.to_adjacency();
     match kind {
         0 => {
             let b = [16, 32, 64, 128][shape];
             let d = decompose_snapshot(&a, &DecomposeConfig::with_width(b), seed).unwrap();
-            Box::new(
-                ArrowSpmm::new(&d)
-                    .unwrap()
-                    .with_cost(cost())
-                    .with_dtype(dtype),
-            )
+            Box::new(ArrowSpmm::new(&d).unwrap().with_cost(cost()))
         }
         1 => {
             let (p, c) = [(6, 1), (8, 2), (9, 3), (16, 4)][shape];
-            Box::new(
-                A15dSpmm::new(&a, p, c)
-                    .unwrap()
-                    .with_cost(cost())
-                    .with_dtype(dtype),
-            )
+            Box::new(A15dSpmm::new(&a, p, c).unwrap().with_cost(cost()))
         }
         2 => {
             let p = [4, 9, 16, 25][shape];
-            Box::new(
-                A2dSpmm::new(&a, p)
-                    .unwrap()
-                    .with_cost(cost())
-                    .with_dtype(dtype),
-            )
+            Box::new(A2dSpmm::new(&a, p).unwrap().with_cost(cost()))
         }
         3 => {
             let parts = [2, 4, 7, 16][shape];
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let part = hype_partition(g, parts, &HypeConfig::default(), &mut rng);
-            Box::new(
-                Hp1dSpmm::new(&a, &part)
-                    .unwrap()
-                    .with_cost(cost())
-                    .with_dtype(dtype),
-            )
+            Box::new(Hp1dSpmm::new(&a, &part).unwrap().with_cost(cost()))
         }
-        _ => Box::new(
-            LocalSpmm::new(a.clone())
-                .unwrap()
-                .with_cost(cost())
-                .with_dtype(dtype),
-        ),
+        _ => Box::new(LocalSpmm::new(a.clone()).unwrap().with_cost(cost())),
     }
 }
 
 /// Runs `alg` for two iterations on a `k`-column operand and holds the
 /// prediction to the accounting, term by term: the envelope, then every
 /// rank's own bytes, messages and flops.
-fn exact(alg: &dyn DistSpmm, n: u32, k: u32, dtype: Dtype) -> Result<(), TestCaseError> {
+fn exact(alg: &dyn DistSpmm, n: u32, k: u32) -> Result<(), TestCaseError> {
     let iters = 2;
     let x = DenseMatrix::from_fn(n, k, |r, c| (((r + c) % 7) as f64) - 3.0);
     let run = alg.run(&x, iters).unwrap();
@@ -134,19 +94,19 @@ fn exact(alg: &dyn DistSpmm, n: u32, k: u32, dtype: Dtype) -> Result<(), TestCas
         .fold(0.0, f64::max);
     let est = alg.predict_volume(k);
     let predicted = (
-        est.max_rank_bytes * 8.0,
+        est.max_rank_bytes,
         est.max_rank_messages,
         est.max_rank_flops,
     );
     let accounted = (
-        run.volume_per_iter() * dtype.bytes() as f64,
+        run.volume_per_iter(),
         run.messages_per_iter(),
         flops / iters as f64,
     );
     prop_assert!(
         predicted == accounted,
-        "{} at k = {k}, {dtype}: (bytes, messages, flops) predicted {predicted:?} \
-         vs accounted {accounted:?} (bytes scaled to 8 B per value)",
+        "{} at k = {k}: (bytes, messages, flops) predicted {predicted:?} \
+         vs accounted {accounted:?}",
         alg.name()
     );
     let ranks = alg.predict_ranks(k);
@@ -154,18 +114,18 @@ fn exact(alg: &dyn DistSpmm, n: u32, k: u32, dtype: Dtype) -> Result<(), TestCas
     for (rank, (est, r)) in ranks.iter().zip(&run.stats.ranks).enumerate() {
         let per_iter = |v: f64| v / iters as f64;
         let predicted = (
-            est.max_rank_bytes * 8.0,
+            est.max_rank_bytes,
             est.max_rank_messages,
             est.max_rank_flops,
         );
         let accounted = (
-            per_iter(r.volume() as f64) * dtype.bytes() as f64,
+            per_iter(r.volume() as f64),
             per_iter((r.sent_msgs + r.recv_msgs) as f64),
             per_iter(r.compute_time),
         );
         prop_assert!(
             predicted == accounted,
-            "{} at k = {k}, {dtype}, rank {rank}: predicted {predicted:?} vs accounted {accounted:?}",
+            "{} at k = {k}, rank {rank}: predicted {predicted:?} vs accounted {accounted:?}",
             alg.name()
         );
     }
@@ -181,7 +141,7 @@ fn exact(alg: &dyn DistSpmm, n: u32, k: u32, dtype: Dtype) -> Result<(), TestCas
     let (dry, ran) = (exact(&alg.dry_run(k, iters)), exact(&run.stats));
     prop_assert!(
         dry == ran,
-        "{} at k = {k}, {dtype}: dry {dry:?} vs run {ran:?}",
+        "{} at k = {k}: dry {dry:?} vs run {ran:?}",
         alg.name()
     );
     Ok(())
@@ -207,12 +167,11 @@ proptest! {
         n in 64u32..600,
         shape in 0usize..4,
         width in 0usize..4,
-        narrow in any::<bool>(),
         seed in 0u64..1000,
     ) {
         let g = graph(family, n, seed);
-        let alg = algorithm(0, shape, &g, seed, dtype(narrow));
-        exact(&*alg, g.n(), WIDTHS[width], dtype(narrow))?;
+        let alg = algorithm(0, shape, &g, seed);
+        exact(&*alg, g.n(), WIDTHS[width])?;
     }
 
     #[test]
@@ -221,12 +180,11 @@ proptest! {
         n in 64u32..600,
         shape in 0usize..4,
         width in 0usize..4,
-        narrow in any::<bool>(),
         seed in 0u64..1000,
     ) {
         let g = graph(family, n, seed);
-        let alg = algorithm(1, shape, &g, seed, dtype(narrow));
-        exact(&*alg, g.n(), WIDTHS[width], dtype(narrow))?;
+        let alg = algorithm(1, shape, &g, seed);
+        exact(&*alg, g.n(), WIDTHS[width])?;
     }
 
     #[test]
@@ -235,12 +193,11 @@ proptest! {
         n in 64u32..600,
         shape in 0usize..4,
         width in 0usize..4,
-        narrow in any::<bool>(),
         seed in 0u64..1000,
     ) {
         let g = graph(family, n, seed);
-        let alg = algorithm(2, shape, &g, seed, dtype(narrow));
-        exact(&*alg, g.n(), WIDTHS[width], dtype(narrow))?;
+        let alg = algorithm(2, shape, &g, seed);
+        exact(&*alg, g.n(), WIDTHS[width])?;
     }
 
     #[test]
@@ -249,12 +206,11 @@ proptest! {
         n in 64u32..600,
         shape in 0usize..4,
         width in 0usize..4,
-        narrow in any::<bool>(),
         seed in 0u64..1000,
     ) {
         let g = graph(family, n, seed);
-        let alg = algorithm(3, shape, &g, seed, dtype(narrow));
-        exact(&*alg, g.n(), WIDTHS[width], dtype(narrow))?;
+        let alg = algorithm(3, shape, &g, seed);
+        exact(&*alg, g.n(), WIDTHS[width])?;
     }
 
     #[test]
@@ -262,17 +218,14 @@ proptest! {
         family in 0u8..8,
         n in 64u32..600,
         width in 0usize..4,
-        narrow in any::<bool>(),
         seed in 0u64..1000,
     ) {
         let g = graph(family, n, seed);
-        let alg = algorithm(4, 0, &g, seed, dtype(narrow));
-        exact(&*alg, g.n(), WIDTHS[width], dtype(narrow))?;
+        let alg = algorithm(4, 0, &g, seed);
+        exact(&*alg, g.n(), WIDTHS[width])?;
     }
 
-    /// Over every base. The correction ships `f64` whatever the base
-    /// serves at (`corrected.rs`), so a corrected wire has no one dtype
-    /// to scale by: the bases here serve at `f64`.
+    /// Over every base.
     #[test]
     fn delta_prediction_is_exact(
         family in 0u8..8,
@@ -284,10 +237,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let g = graph(family, n, seed);
-        let base = algorithm(kind, shape, &g, seed, Dtype::F64);
+        let base = algorithm(kind, shape, &g, seed);
         let dm = delta(g.n(), entries, seed);
         let corrected = DeltaSpmm::new(&*base, &dm).unwrap().with_cost(cost());
-        exact(&corrected, g.n(), WIDTHS[width], Dtype::F64)?;
+        exact(&corrected, g.n(), WIDTHS[width])?;
     }
 }
 
@@ -302,8 +255,8 @@ proptest! {
 fn the_shapes_once_mispredicted_are_exact() {
     let grid = basic::grid_2d(30, 30);
     for k in [1, 64] {
-        let alg = algorithm(1, 3, &grid, 0, Dtype::F64);
-        exact(&*alg, 900, k, Dtype::F64).unwrap();
+        let alg = algorithm(1, 3, &grid, 0);
+        exact(&*alg, 900, k).unwrap();
     }
     let mawi = graph(4, 600, 7);
     let a: CsrMatrix<f64> = mawi.to_adjacency();
@@ -316,10 +269,10 @@ fn the_shapes_once_mispredicted_are_exact() {
     let base = ArrowSpmm::new(&d).unwrap().with_cost(cost());
     let dm = delta(a.rows(), 20, 7);
     let corrected = DeltaSpmm::new(&base, &dm).unwrap().with_cost(cost());
-    exact(&corrected, a.rows(), 1, Dtype::F64).unwrap();
+    exact(&corrected, a.rows(), 1).unwrap();
 }
 
-/// Arrow's three feeds, each where it is taken, at `f64` and `f32`, all at
+/// Arrow's three feeds, each where it is taken, all at
 /// `b = n / 16`: a grid at 16 columns multiplies its deeper rows on the
 /// level-0 ranks that hold them; an R-MAT at scale 10 and one column keeps
 /// the relay through the level root; the R-MAT at scale 13 and 16 columns
@@ -345,14 +298,9 @@ fn every_arrow_feed_is_exact() {
         let config = DecomposeConfig::with_width(a.rows() / 16);
         let d = decompose_snapshot(&a, &config, 1).unwrap();
         assert!(d.order() > 1, "one level: no feed to choose");
-        for narrow in [false, true] {
-            let alg = ArrowSpmm::new(&d)
-                .unwrap()
-                .with_cost(cost())
-                .with_dtype(dtype(narrow));
-            assert_eq!(alg.feed(k), feed);
-            exact(&alg, a.rows(), k, dtype(narrow)).unwrap();
-        }
+        let alg = ArrowSpmm::new(&d).unwrap().with_cost(cost());
+        assert_eq!(alg.feed(k), feed);
+        exact(&alg, a.rows(), k).unwrap();
     }
 }
 
@@ -364,8 +312,8 @@ fn every_arrow_feed_is_exact() {
 fn a_zero_column_operand_is_exact() {
     let g = graph(6, 600, 3);
     for kind in 0..5 {
-        let alg = algorithm(kind, 1, &g, 3, Dtype::F64);
-        exact(&*alg, g.n(), 0, Dtype::F64).unwrap();
+        let alg = algorithm(kind, 1, &g, 3);
+        exact(&*alg, g.n(), 0).unwrap();
     }
 }
 
@@ -376,7 +324,7 @@ fn an_operand_of_the_wrong_height_is_a_shape_error() {
     let g = graph(0, 100, 5);
     let n = g.n();
     for kind in 0..5 {
-        let alg = algorithm(kind, 1, &g, 5, Dtype::F64);
+        let alg = algorithm(kind, 1, &g, 5);
         let x = DenseMatrix::zeros(n + 1, 2);
         let want = SparseError::ShapeMismatch {
             left: (n, n),

@@ -60,15 +60,9 @@
 //! runs on the simulated α-β machine — the reproduction side of the
 //! repository, and the only deployment that moves bytes.
 //!
-//! Serving precision: `multiply`, `serve`, and `stream` take `--dtype
-//! f32|f64` (default `f64`). `f32` halves the communication volume by
-//! narrowing matrix values and operand entries to single precision
-//! (products accumulate in `f64`); answers stay exact on integer-valued
-//! data, and `multiply` and `stream` check every answer against a serial
-//! reference within `tolerance` (below) otherwise. A metrics snapshot
-//! records the serving dtype (`engine.dtype_bytes`) and, above one rank,
-//! the decomposition's active-prefix fraction
-//! (`engine.active_prefix_permille`); `stats` prints both.
+//! Every multiply runs at `f64`. Above one rank a metrics snapshot
+//! records the decomposition's active-prefix fraction
+//! (`engine.active_prefix_permille`); `stats` prints it.
 
 mod args;
 mod catalog;
@@ -86,7 +80,7 @@ mod top;
 use args::{Args, Cmd};
 use arrow_matrix::engine::EngineConfig;
 use arrow_matrix::sparse::io::read_matrix_market;
-use arrow_matrix::sparse::{CsrMatrix, Dtype};
+use arrow_matrix::sparse::CsrMatrix;
 use std::error::Error;
 use std::fs::File;
 use std::io::BufReader;
@@ -102,20 +96,18 @@ static COMMANDS: &[Cmd] = &[
         decompose::run,
     ),
     Cmd(
-        "multiply <matrix.mtx> <decomp.amd> [k=32] [iters=5] [--dtype f32|f64] \
-         [--metrics-json PATH]",
+        "multiply <matrix.mtx> <decomp.amd> [k=32] [iters=5] [--metrics-json PATH]",
         multiply::run,
     ),
     Cmd(
         "serve <matrix.mtx> <b> [queries=64] [batch=64] [iters=2] [--catalog DIR] \
-         [--dtype f32|f64] [--ranks P] [--metrics-json PATH] [--timeseries PATH] \
-         [--trace-json PATH]",
+         [--ranks P] [--metrics-json PATH] [--timeseries PATH] [--trace-json PATH]",
         serve::run,
     ),
     Cmd(
         "stream <matrix.mtx> <b> [updates=64] [queries=16] [budget-frac=0.05] [seed=42] \
-         [--tenants N] [--async-refresh] [--catalog DIR] [--dtype f32|f64] [--ranks P] \
-         [--metrics-json PATH] [--timeseries PATH] [--trace-json PATH]",
+         [--tenants N] [--async-refresh] [--catalog DIR] [--ranks P] [--metrics-json PATH] \
+         [--timeseries PATH] [--trace-json PATH]",
         stream::run,
     ),
     Cmd("stats <metrics.json>", stats::run),
@@ -183,25 +175,8 @@ fn load_square(args: &Args) -> Result<CsrMatrix<f64>, Box<dyn Error>> {
     Ok(a)
 }
 
-/// `--dtype f32|f64`, default `f64`.
-fn dtype(args: &Args) -> Result<Dtype, String> {
-    let Some(s) = args.flag("dtype") else {
-        return Ok(Dtype::default());
-    };
-    Dtype::parse(s).ok_or_else(|| format!("bad --dtype: {s} (expected f32 or f64)"))
-}
-
-/// The largest `max |Δ|` against a serial reference whose largest entry
-/// is `max_abs_ref` that a run at `dtype` may show and still verify:
-/// `1e-9 · max(1, max |ref|)` at f64, and `1e-5 · max(1, max |ref|)` at
-/// f32, whose product error compounds over iterations.
-fn tolerance(dtype: Dtype, max_abs_ref: f64) -> f64 {
-    let scale = if dtype == Dtype::F32 { 1e-5 } else { 1e-9 };
-    scale * max_abs_ref.max(1.0)
-}
-
 /// The engine `serve` and `stream` stand up: arrow width `<b>`, and the
-/// `--catalog`, `--dtype` and `--ranks` flags.
+/// `--catalog` and `--ranks` flags.
 fn engine_config(args: &Args) -> Result<EngineConfig, String> {
     let target_ranks = match args.flag("ranks") {
         None => EngineConfig::default().target_ranks,
@@ -213,7 +188,6 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
     Ok(EngineConfig {
         arrow_width: args.parse("b")?,
         spill_dir: args.flag("catalog").map(Into::into),
-        dtype: dtype(args)?,
         target_ranks,
         ..EngineConfig::default()
     })

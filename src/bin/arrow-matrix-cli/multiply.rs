@@ -1,6 +1,6 @@
 //! `multiply`: run Arrow SpMM against a saved decomposition and verify
 //! it against the serial reference; an answer off by more than
-//! [`tolerance`](crate::tolerance) is an error.
+//! `1e-9 · max(1, max |ref|)` is an error.
 
 use crate::args::{Args, Outcome};
 use crate::sink::Sink;
@@ -10,7 +10,6 @@ use arrow_matrix::sparse::DenseMatrix;
 use arrow_matrix::spmm::{ArrowSpmm, DistSpmm};
 
 pub fn run(args: &Args) -> Outcome {
-    let dtype = crate::dtype(args)?;
     let (input, damd) = (args.str("matrix.mtx"), args.str("decomp.amd"));
     let a = crate::load_matrix(input)?;
     let (d, meta) = Catalog::load_file(damd).map_err(|e| format!("{damd}: {e}"))?;
@@ -26,10 +25,10 @@ pub fn run(args: &Args) -> Outcome {
     }
     let k: u32 = args.parse("k")?;
     let iters: u32 = args.parse("iters")?;
-    let alg = ArrowSpmm::new(&d)?.with_dtype(dtype);
+    let alg = ArrowSpmm::new(&d)?;
     let x = DenseMatrix::from_fn(a.rows(), k, |r, c| (((r * 31 + c * 7) % 17) as f64) / 17.0);
     println!(
-        "running {} on {} ranks, k = {k}, {iters} iterations, dtype = {dtype}…",
+        "running {} on {} ranks, k = {k}, {iters} iterations…",
         alg.name(),
         alg.ranks()
     );
@@ -39,7 +38,7 @@ pub fn run(args: &Args) -> Outcome {
     let reference = arrow_matrix::spmm::reference::iterated_spmm(&a, &x, iters)?;
     let err = run.y.max_abs_diff(&reference)?;
     let max_abs_ref = reference.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    let bound = crate::tolerance(dtype, max_abs_ref);
+    let bound = 1e-9 * max_abs_ref.max(1.0);
     if err > bound {
         return Err(format!("max |Δ| vs serial reference = {err:.2e} exceeds {bound:.2e}").into());
     }

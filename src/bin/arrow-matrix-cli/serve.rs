@@ -13,7 +13,6 @@ pub fn run(args: &Args) -> Outcome {
     let queries: usize = args.parse("queries")?;
     let batch: usize = args.parse("batch")?;
     let iters: u32 = args.parse("iters")?;
-    let dtype = config.dtype;
 
     let mut engine = Engine::new(EngineConfig {
         max_batch: batch.max(1),
@@ -38,7 +37,7 @@ pub fn run(args: &Args) -> Outcome {
         cache.decompositions, cache.disk_loads, cache.spills
     );
     let bound = engine.chosen_algorithm(id).expect("just registered");
-    println!("planner : bound {bound} (dtype = {dtype})");
+    println!("planner : bound {bound}");
     for p in engine.plan_report(id).expect("just registered") {
         println!(
             "  {:<22} p = {:<5} predicted {:>9.3} µs/iter ({:.1} KiB, {:.0} msgs)",

@@ -978,12 +978,23 @@ fn malformed_arguments_never_panic() {
         (vec!["multiply", &mtx, &amd, "4", "0"], 0, "0 iterations"),
         (vec!["multiply", &mtx, &amd, "-1"], 1, "bad k"),
         (vec!["multiply", &mtx, &missing], 1, &missing),
+        // Every multiply runs at f64: the serving commands take no
+        // precision flag.
         (
-            vec!["multiply", &mtx, &amd, "4", "2", "--dtype", "f16"],
+            vec!["multiply", &mtx, &amd, "4", "2", "--dtype", "f32"],
             1,
-            "bad --dtype",
+            "unknown flag --dtype",
         ),
-        (vec!["multiply", &mtx, &amd, "--dtype"], 1, "--dtype needs"),
+        (
+            vec!["serve", &mtx, "32", "--dtype", "f32"],
+            1,
+            "unknown flag --dtype",
+        ),
+        (
+            vec!["stream", &mtx, "32", "--dtype", "f32"],
+            1,
+            "unknown flag --dtype",
+        ),
         (vec!["serve", &mtx, "0"], 0, "decompositions = 0"),
         (
             vec!["serve", &mtx, "0", "4", "4", "1", "--ranks", "4"],
